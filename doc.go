@@ -38,13 +38,14 @@
 //
 // GETs do their flash I/O outside the shard lock. Each lookup runs in
 // three phases: a short locked plan (fingerprint → set offset, in-memory
-// probe, snapshot of the candidate SGs, their Bloom-filter slices, and the
-// PBFG pages missing from the index cache, plus the SG epoch — pool head
-// ID and flush sequence), an unlocked I/O phase (PBFG fetches, Bloom
-// tests, parallel candidate-page reads into pooled per-goroutine buffers,
-// key scan), and a short locked commit that re-validates the epoch before
-// applying the read-side effects (hit/read counters, hotness bits,
-// index-cache publication, latency sample). If a flush or eviction moved
+// probe, a Bloom test in place of every member filter that is in memory —
+// leaving the candidate SGs, with their page addresses, and the PBFG pages
+// missing from the index cache — plus the SG epoch: pool head ID and flush
+// sequence), an unlocked I/O phase (PBFG fetches and the Bloom tests that
+// waited on them, parallel candidate-page reads into pooled per-goroutine
+// buffers, key scan), and a short locked commit that re-validates the
+// epoch before applying the read-side effects (hit/read counters, hotness
+// bits, index-cache publication, latency sample). If a flush or eviction moved
 // the flash layout mid-read, the attempt is discarded and replanned; after
 // a few conflicts the lookup falls back to fully-locked I/O, so progress
 // is guaranteed. GetMany plans, reads, and commits a whole batch per lock
@@ -150,10 +151,11 @@
 //
 // The ownership rule that makes immediate recycling safe under the
 // optimistic read protocol: arena memory is only ever dereferenced while
-// holding the shard lock. A read's plan phase copies the Bloom-filter
-// bytes it will test into per-goroutine scratch and precomputes its
-// candidate page addresses; the unlocked I/O phase touches only that
-// scratch and its own pooled buffers, and the commit phase re-validates
+// holding the shard lock. A read's plan phase Bloom-tests the filters
+// where they lie and keeps only the outcome — the candidate SGs and their
+// precomputed page addresses; the unlocked I/O phase touches only that
+// list, the PBFG pages it fetched itself and its own pooled buffers, and
+// the commit phase re-validates
 // the SG epoch before touching any SG — an epoch match proves no flush or
 // eviction recycled anything the plan referenced. Freed slots therefore go
 // straight back to their free lists, with no deferred reclamation, and the

@@ -24,11 +24,11 @@ import (
 //
 // Recycling is immediate: freed slots go straight back to the free lists.
 // That is safe because the concurrent read path never dereferences arena
-// memory outside the lock — its plan phase copies the filter bytes it will
-// test and precomputes the page addresses it will read while still holding
-// the lock (readpath.go), so a slot reused mid-attempt can corrupt nothing
-// the attempt still looks at (stale attempts are discarded by the epoch
-// check regardless).
+// memory outside the lock — its plan phase Bloom-tests the filters in place
+// and precomputes the page addresses it will read while still holding the
+// lock (readpath.go), and takes no filter byte with it, so a slot reused
+// mid-attempt can corrupt nothing the attempt still looks at (stale attempts
+// are discarded by the epoch check regardless).
 
 // flashSG describes one immutable on-flash Set-Group in the FIFO pool.
 // Structs are allocated from the cache's sgArena; zones aliases the chunk's
@@ -253,10 +253,10 @@ func unpackPBFG(p uint64) pbfgKey {
 const pageSlabPages = 64
 
 // pageArena stores cached PBFG pages as fixed slots of large slabs. Slots
-// are identified by index and recycled immediately on release: readers copy
-// the filter bytes they need out of a page while still holding the lock
-// (readpath.go planGetLocked), so no slice into a slot ever outlives the
-// critical section that looked it up.
+// are identified by index and recycled immediately on release: readers test
+// a page's filters while still holding the lock (readpath.go planGetLocked),
+// so no slice into a slot ever outlives the critical section that looked it
+// up.
 type pageArena struct {
 	pageSize int
 	slabs    [][]byte
@@ -290,8 +290,8 @@ func (a *pageArena) release(slot int32) {
 //
 // Pages live in the arena; put copies the caller's page bytes into a slot,
 // and page slices handed out by get are valid only under the lock (slots
-// recycle on eviction — the concurrent read path copies what it needs at
-// plan time, readpath.go). Lookup is a flat open-addressing table (linear
+// recycle on eviction — the concurrent read path tests them at plan time,
+// readpath.go). Lookup is a flat open-addressing table (linear
 // probing, backward-shift deletion, load ≤ ½) over packed keys: no map, no
 // per-page heap objects.
 type pbfgCache struct {

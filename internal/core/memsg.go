@@ -5,11 +5,25 @@ import "nemo/internal/setblock"
 // memSG is a mutable in-memory Set-Group: SetsPerSG page-sized set blocks
 // aggregating incoming objects until flush (§4.1 "an SG begins as a mutable
 // in-memory structure"). The blocks are a value slice whose storage is
-// carved from one slab, so a memSG is three heap objects regardless of
+// carved from one slab, so a memSG is four heap objects regardless of
 // SetsPerSG; flushed memSGs are recycled through Cache.memFree.
+//
+// Absent before append: a set never holds two entries for one key. insert
+// appends without searching, so every caller proves the key absent from the
+// set first, under the same hold of the shard lock — placeLocked removes the
+// key from every memq SG (again after each flush it waits on, which releases
+// the lock), and eviction writeback inserts only what shadowedByNewer just
+// found in no in-memory SG.
 type memSG struct {
 	sets []setblock.Block
 	slab []byte // every set's backing, carved per slot
+	// present is one word per set: bit fp>>58 is set when an entry with that
+	// fingerprint is appended and cleared only by reset, so a clear bit proves
+	// absence and lookup/remove answer without touching the page; a bit left
+	// behind by a removed or sacrificed entry only costs the walk it would
+	// have cost anyway. A full set of ~40 entries leaves about half its bits
+	// clear, a filling one nearly all of them.
+	present []uint64
 	// newBytes counts user bytes inserted into this SG, including objects
 	// later sacrificed by delayed flushing (the paper's WA denominator,
 	// §5.2); writeback bytes are tracked separately and excluded.
@@ -23,8 +37,9 @@ type memSG struct {
 func newMemSG(setsPerSG, setSize int) *memSG {
 	per := setSize - setblock.HeaderSize
 	sg := &memSG{
-		sets: make([]setblock.Block, setsPerSG),
-		slab: make([]byte, setsPerSG*per),
+		sets:    make([]setblock.Block, setsPerSG),
+		slab:    make([]byte, setsPerSG*per),
+		present: make([]uint64, setsPerSG),
 	}
 	for i := range sg.sets {
 		sg.sets[i].InitCarved(setSize, sg.slab[i*per:i*per:(i+1)*per])
@@ -36,6 +51,7 @@ func newMemSG(setsPerSG, setSize int) *memSG {
 // reset returns the memSG to its freshly-built state, keeping the slab.
 func (sg *memSG) reset() {
 	sg.newBytes, sg.wbBytes, sg.newObjs, sg.wbObjs, sg.used = 0, 0, 0, 0, 0
+	clear(sg.present)
 	for i := range sg.sets {
 		sg.sets[i].Reset()
 		sg.used += sg.sets[i].Used()
@@ -81,18 +97,17 @@ const (
 	insTombstone
 )
 
-// insert places the entry in set o if it fits, updating accounting per the
-// insert's class.
+// presenceBit is the bit of a set's presence word that fp maps to.
+func presenceBit(fp uint64) uint64 { return 1 << (fp >> 58) }
+
+// insert appends the entry to set o if it fits, updating accounting per the
+// insert's class. The key must be absent from the set (see memSG).
 func (sg *memSG) insert(o int, fp uint64, key, value []byte, class insClass) bool {
-	blk := &sg.sets[o]
-	before := blk.Used()
-	// A replace may free room even when CanFit on the raw size fails, so
-	// attempt the insert and let the block decide.
-	if !blk.Insert(fp, key, value) {
-		sg.used += blk.Used() - before
+	if !sg.sets[o].Append(fp, key, value) {
 		return false
 	}
-	sg.used += blk.Used() - before
+	sg.present[o] |= presenceBit(fp)
+	sg.used += setblock.EntrySize(len(key), len(value))
 	switch class {
 	case insWriteback:
 		sg.wbBytes += uint64(len(key) + len(value))
@@ -104,24 +119,36 @@ func (sg *memSG) insert(o int, fp uint64, key, value []byte, class insClass) boo
 	return true
 }
 
-// canFit reports whether set o can accept the entry, accounting for an
-// existing version that an insert would replace.
-func (sg *memSG) canFit(o int, fp uint64, key []byte, valLen int) bool {
-	blk := &sg.sets[o]
-	free := blk.Free()
-	if old, _, ok := blk.Lookup(fp, key); ok {
-		free += setblock.EntrySize(len(key), len(old))
-	}
-	return setblock.EntrySize(len(key), valLen) <= free
+// canFit reports whether set o has room for the entry.
+func (sg *memSG) canFit(o, keyLen, valLen int) bool {
+	return sg.sets[o].CanFit(keyLen, valLen)
 }
 
 // remove deletes (fp, key) from set o if present.
 func (sg *memSG) remove(o int, fp uint64, key []byte) bool {
+	if sg.present[o]&presenceBit(fp) == 0 {
+		return false
+	}
 	blk := &sg.sets[o]
 	before := blk.Used()
 	ok := blk.Remove(fp, key)
 	sg.used += blk.Used() - before
 	return ok
+}
+
+// decodeSet replaces set o with a serialized page image (snapshot restore),
+// rebuilding its presence word from the decoded entries.
+func (sg *memSG) decodeSet(o int, page []byte) error {
+	blk := &sg.sets[o]
+	sg.used -= blk.Used()
+	err := blk.DecodeFrom(page)
+	sg.used += blk.Used()
+	sg.present[o] = 0
+	blk.Range(func(_ int, e setblock.Entry) bool {
+		sg.present[o] |= presenceBit(e.FP)
+		return true
+	})
+	return err
 }
 
 // sacrifice evicts the oldest valued entries from set o until an entry of
@@ -145,6 +172,9 @@ func (sg *memSG) sacrifice(o int, need int) int {
 
 // lookup searches set o.
 func (sg *memSG) lookup(o int, fp uint64, key []byte) ([]byte, bool) {
+	if sg.present[o]&presenceBit(fp) == 0 {
+		return nil, false
+	}
 	v, _, ok := sg.sets[o].Lookup(fp, key)
 	return v, ok
 }

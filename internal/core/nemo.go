@@ -22,7 +22,10 @@ import (
 // protocol (writepath.go), so foreground traffic on a shard overlaps both
 // the reads of concurrent lookups and the appends of an in-flight flush.
 // In-memory inserts, deletes, and the locked sub-phases still serialize on
-// the shard mutex.
+// the shard mutex, so they touch each structure once: a GET's plan
+// Bloom-tests the in-memory filters where they lie and leaves the lock with
+// candidate addresses only, and a SET walks an in-memory set at most once,
+// not at all when the set's presence word rules the key out (memsg.go).
 //
 // Consistency model: Get returns the most recent Set for a key as long as
 // that copy is still cached. Because Nemo deliberately has no exact
@@ -61,8 +64,9 @@ type Cache struct {
 
 	// Arena allocators for the steady-state index layer (index.go): flashSG
 	// structs and their packed per-set metadata. Arena slots recycle
-	// immediately; the concurrent read path copies everything it tests
-	// outside the lock at plan time (readpath.go), so nothing dangles.
+	// immediately; the concurrent read path tests every in-memory filter
+	// under the lock at plan time and carries no arena byte out of it
+	// (readpath.go), so nothing dangles.
 	sgAlloc   sgArena
 	metaAlloc metaArena
 
@@ -441,14 +445,18 @@ func (c *Cache) mayExistOnFlashLocked(fp uint64, o int) (bool, error) {
 // tombstone — into the in-memory SGs, applying the paper's fill-rate
 // techniques. async defers trigger-driven flushes to the flusher pool.
 func (c *Cache) placeLocked(fp uint64, key, value []byte, o int, class insClass, async bool) error {
-	// Remove shadow copies so at most one in-memory version exists.
-	for _, sg := range c.memq {
-		sg.remove(o, fp, key)
-	}
 	for attempt := 0; attempt <= len(c.memq)+2; attempt++ {
+		// Remove shadow copies so at most one in-memory version exists. This
+		// is also what makes the key absent at the append below (memSG's
+		// invariant), so it runs again on every retry: the flush a retry
+		// follows released the lock, and a concurrent SET of the same key may
+		// have placed its copy meanwhile.
+		for _, sg := range c.memq {
+			sg.remove(o, fp, key)
+		}
 		// Insert into the available SG closest to the front (§4.2 ①).
 		for _, sg := range c.memq {
-			if sg.canFit(o, fp, key, len(value)) {
+			if sg.canFit(o, len(key), len(value)) {
 				sg.insert(o, fp, key, value, class)
 				if class == insNew {
 					c.stats.LogicalBytes += uint64(len(key) + len(value))

@@ -5,16 +5,20 @@ package core
 // A Get runs in three phases:
 //
 //   - plan (locked): fingerprint → set offset, probe the in-memory SGs, and
-//     — when the lookup must go to flash — snapshot everything the unlocked
-//     phase needs: the ordered member-filter probes (the filter bytes are
-//     COPIED into the per-goroutine scratch and the candidate page addresses
-//     precomputed here, so the unlocked phase never touches the recycling
-//     index-cache/SG arenas) and the PBFG pages missing from the index
-//     cache, plus the SG epoch (pool head ID + flush sequence).
-//   - I/O (unlocked): fetch the missing PBFG pages, Bloom-test the probes
-//     newest-first, read the candidate set pages (pooled per-goroutine
-//     buffers via sync.Pool — never the mutex-guarded scratch the old path
-//     used), and scan them for the key.
+//     — when the lookup must go to flash — identify the candidates in place:
+//     every member filter that is in memory (an unsealed group's buffer, or
+//     a PBFG page in the index cache) is Bloom-tested right here with the
+//     key's probe set, and only the positives are queued, newest first, each
+//     with its candidate page address precomputed. A sealed group whose PBFG
+//     page is missing from the index cache queues the fetch and its members
+//     untested. The SG epoch (pool head ID + flush sequence) is recorded. The
+//     unlocked phase is handed no reference into the recycling
+//     index-cache/SG arenas or the group buffers: no filter byte leaves the
+//     lock.
+//   - I/O (unlocked): fetch the missing PBFG pages into buffers the attempt
+//     owns and Bloom-test the members queued behind them, read the candidate
+//     set pages (pooled per-goroutine buffers via sync.Pool — never the
+//     mutex-guarded scratch the old path used), and scan them for the key.
 //   - commit (locked): re-validate the epoch. If no SG was flushed or
 //     evicted since the plan, the pages read were the immutable pages the
 //     snapshot named, so the order-insensitive read-side effects apply:
@@ -61,15 +65,16 @@ import (
 // falling back to fully-locked I/O (guaranteed progress under write storms).
 const maxGetOptimistic = 3
 
-// probeEnt is one member-filter Bloom test queued by the plan phase, in
-// newest-first candidate order. The sg pointer is carried for the commit
-// phase only (markHot, under the lock after epoch validation); the unlocked
-// phase works from the copied filter bytes and the precomputed address.
+// probeEnt is one candidate SG queued by the plan phase, in newest-first
+// candidate order: either a member whose in-memory filter already tested
+// positive (pend < 0), or a member of a group whose PBFG page is a pending
+// fetch, tested by the I/O phase once the page is in. The sg pointer is
+// carried for the commit phase only (markHot, under the lock after epoch
+// validation); the unlocked phase works from the precomputed address.
 type probeEnt struct {
 	sg   *flashSG
 	addr int   // flash address of the candidate set page, fixed at plan time
-	bfLo int32 // offset of the copied filter in sc.bfArena; -1 = pend-backed
-	pend int32 // index into the pend list when bfLo < 0
+	pend int32 // index into the pend list; -1 = tested positive at plan time
 	slot int32 // filter slot within the pending group's page
 }
 
@@ -97,10 +102,9 @@ type pendFetch struct {
 // index cache draw from their own free list (freePages): the index cache
 // copies on put, so the fetch buffer comes straight back.
 type getScratch struct {
-	probes    *bloom.ProbeSet
+	probes    *bloom.ProbeSet // of the key being planned (or, in getIO, read)
 	ents      []probeEnt
 	pends     []pendFetch
-	bfArena   []byte // plan-phase copies of the filters to test, bfBytes each
 	cands     []*flashSG
 	addrs     []int
 	bufs      [][]byte
@@ -131,9 +135,11 @@ type getAttempt struct {
 	headID uint64
 	nextSG uint64
 
-	// ents[entLo:entHi] are this attempt's probes (batch mode slices one
-	// shared arena; single-key mode uses the whole slice).
+	// ents[entLo:entHi] are this attempt's candidates (batch mode slices one
+	// shared arena; single-key mode uses the whole slice); pendBacked is set
+	// when any of them still awaits its Bloom test behind a pending fetch.
 	entLo, entHi int32
+	pendBacked   bool
 
 	// Early outcome: the lookup resolved entirely under the plan lock
 	// (in-memory hit, tombstone, or empty pool).
@@ -178,13 +184,15 @@ func (c *Cache) epochValidLocked(att *getAttempt) bool {
 }
 
 // planGetLocked is the locked plan phase for one key: in-memory probe, and
-// on a flash lookup the probe/pend snapshot appended to sc.ents/sc.pends
-// (att.entLo/entHi record this key's segment). owner stamps any new pend
-// with the planning key's batch index (0 for single-key lookups) so the
-// I/O phase fetches each shared page exactly once, at the position a
-// serial execution would have fetched it. Index-cache lookup/miss counters
-// are charged here, mirroring the historical locked path. The caller holds
-// c.mu and has already counted the Get.
+// on a flash lookup the candidate/pend snapshot appended to sc.ents/sc.pends
+// (att.entLo/entHi record this key's segment). sc.probes must hold the
+// probe set of att.fp: the caller computes it before planning (outside the
+// lock where it can). owner stamps any new pend with the planning key's
+// batch index (0 for single-key lookups) so the I/O phase fetches each
+// shared page exactly once, at the position a serial execution would have
+// fetched it. Index-cache lookup/miss counters are charged here, mirroring
+// the historical locked path. The caller holds c.mu and has already counted
+// the Get.
 func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner int32) {
 	att.resolved = false
 	fp, o := att.fp, att.o
@@ -225,10 +233,16 @@ func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner
 	}
 	c.epochLocked(att)
 
-	// 2. Snapshot the candidate identification work: newest group first,
-	// newest member first, so the I/O phase scans shadowing copies in the
-	// same order the locked path searched them.
+	// 2. Identify the candidates: newest group first, newest member first,
+	// so the I/O phase scans shadowing copies in the same order the locked
+	// path searched them. Filters are tested where they lie — arena slots and
+	// unsealed group buffers may be recycled or dropped the moment the lock
+	// is released, so nothing of them is kept — and only members already
+	// published in g.members are tested: an in-flight flush writes its own
+	// slot's carve of the group buffer unlocked, disjoint from every byte
+	// read here.
 	att.entLo = int32(len(sc.ents))
+	att.pendBacked = false
 	for gi := len(c.groups) - 1; gi >= 0; gi-- {
 		g := c.groups[gi]
 		if g.liveCount == 0 {
@@ -252,6 +266,7 @@ func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner
 						owner: owner,
 					})
 				}
+				att.pendBacked = true
 			}
 		}
 		for s := len(g.members) - 1; s >= 0; s-- {
@@ -259,22 +274,12 @@ func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner
 			if m.dead || m.setCount(o) == 0 {
 				continue
 			}
-			// Copy the filter to test into the scratch now: arena slots and
-			// unsealed group buffers may be recycled or dropped the moment
-			// the lock is released, so the unlocked phase must own every
-			// byte it reads. The page address is fixed here for the same
-			// reason (m.zones aliases the recycling SG arena).
-			e := probeEnt{sg: m, addr: c.pageAddrIn(m.zones, o), bfLo: -1, pend: pend, slot: int32(s)}
-			switch {
-			case !g.sealed:
-				bf := g.slotBF[s]
-				e.bfLo = int32(len(sc.bfArena))
-				sc.bfArena = append(sc.bfArena, bf[o*c.bfBytes:(o+1)*c.bfBytes]...)
-			case page != nil:
-				e.bfLo = int32(len(sc.bfArena))
-				sc.bfArena = append(sc.bfArena, page[s*c.bfBytes:(s+1)*c.bfBytes]...)
+			if pend < 0 && !c.testMember(g, page, s, o, sc.probes) {
+				continue
 			}
-			sc.ents = append(sc.ents, e)
+			// The page address is fixed here because m.zones aliases the
+			// recycling SG arena.
+			sc.ents = append(sc.ents, probeEnt{sg: m, addr: c.pageAddrIn(m.zones, o), pend: pend, slot: int32(s)})
 		}
 	}
 	att.entHi = int32(len(sc.ents))
@@ -321,10 +326,10 @@ func (c *Cache) fetchPend(sc *getScratch, p *pendFetch, r *getIOResult) {
 }
 
 // getIO is the unlocked phase for one key: fetch this attempt's pending
-// PBFG pages, Bloom-test the snapshot probes, read and scan the candidate
-// set pages. my selects which pends this attempt owns (batch mode shares
-// the pend list across keys); pends fetched by earlier keys contribute no
-// latency here, mirroring the index-cache hit a serial execution would see.
+// PBFG pages, Bloom-test the members queued behind them, read and scan the
+// candidate set pages. my selects which pends this attempt owns (batch mode
+// shares the pend list across keys); pends fetched by earlier keys contribute
+// no latency here, mirroring the index-cache hit a serial execution would see.
 func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r getIOResult) {
 	for i := range sc.pends {
 		p := &sc.pends[i]
@@ -343,14 +348,15 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 			r.maxDone = p.done
 		}
 	}
-	sc.probes.Reuse(att.fp, c.bfBits)
+	if att.pendBacked {
+		// A batch plans every key before any I/O, so the scratch's probe set
+		// is the last planned key's by now.
+		sc.probes.Reuse(att.fp, c.bfBits)
+	}
 	cands := sc.cands[:0]
 	addrs := sc.addrs[:0]
 	for _, e := range sc.ents[att.entLo:att.entHi] {
-		var bf []byte
-		if e.bfLo >= 0 {
-			bf = sc.bfArena[e.bfLo : int(e.bfLo)+c.bfBytes]
-		} else {
+		if e.pend >= 0 {
 			p := &sc.pends[e.pend]
 			if p.page == nil {
 				// The owning key aborted before fetching this page (or the
@@ -365,12 +371,12 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 				r.outcome = ioErr
 				return r
 			}
-			bf = p.page[e.slot*int32(c.bfBytes) : (e.slot+1)*int32(c.bfBytes)]
+			if !bloom.TestRaw(p.page[int(e.slot)*c.bfBytes:int(e.slot+1)*c.bfBytes], sc.probes) {
+				continue
+			}
 		}
-		if bloom.TestRaw(bf, sc.probes) {
-			cands = append(cands, e.sg)
-			addrs = append(addrs, e.addr)
-		}
+		cands = append(cands, e.sg)
+		addrs = append(addrs, e.addr)
 	}
 	sc.cands, sc.addrs = cands, addrs
 	if len(cands) == 0 {
@@ -475,7 +481,6 @@ func (c *Cache) abortGetLocked(sc *getScratch, r *getIOResult) {
 func (sc *getScratch) resetPlan() {
 	sc.ents = sc.ents[:0]
 	sc.pends = sc.pends[:0]
-	sc.bfArena = sc.bfArena[:0]
 }
 
 // get is the single-key lookup path behind Get; the key is already
@@ -484,6 +489,7 @@ func (c *Cache) get(fp uint64, key []byte) ([]byte, bool) {
 	sc := c.borrowScratch()
 	defer c.returnScratch(sc)
 	att := getAttempt{fp: fp, o: c.setOf(fp)}
+	sc.probes.Reuse(fp, c.bfBits)
 	c.mu.Lock()
 	c.stats.Gets++
 	att.start = c.dev.Clock().Now()
@@ -567,6 +573,7 @@ func (c *Cache) getBatch(fps []uint64, keys [][]byte, emit func(j int, val []byt
 		}
 		atts = append(atts, getAttempt{fp: fp, o: c.setOf(fp), start: start})
 		c.stats.Gets++
+		sc.probes.Reuse(fp, c.bfBits)
 		c.planGetLocked(sc, &atts[j], keys[j], int32(j))
 	}
 	c.mu.Unlock()
@@ -622,6 +629,7 @@ func (c *Cache) getBatch(fps []uint64, keys [][]byte, emit func(j int, val []byt
 			}
 			sc.resetPlan()
 			att := getAttempt{fp: atts[j].fp, o: atts[j].o, start: start}
+			sc.probes.Reuse(att.fp, c.bfBits)
 			c.planGetLocked(sc, &att, keys[j], allPends)
 			if att.resolved {
 				atts[j] = att

@@ -326,15 +326,13 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 		m := newMemSG(c.setsPerSG, c.pageSize)
 		m.newBytes, m.wbBytes = ms.NewBytes, ms.WBBytes
 		m.newObjs, m.wbObjs = ms.NewObjs, ms.WBObjs
-		m.used = 0
 		for o, page := range ms.Sets {
 			if len(page) != c.pageSize {
 				return nil, cfgErr("buffered SG %d set %d is %d bytes, want %d", i, o, len(page), c.pageSize)
 			}
-			if err := m.sets[o].DecodeFrom(page); err != nil {
+			if err := m.decodeSet(o, page); err != nil {
 				return nil, cfgErr("buffered SG %d set %d: %v", i, o, err)
 			}
-			m.used += m.sets[o].Used()
 		}
 		st.memq = append(st.memq, m)
 	}

@@ -427,7 +427,7 @@ func (c *Cache) evictFilterLocked(ev *evictPlan, dst *memSG, nRead int, readErr 
 						wbErr = err
 						return false
 					}
-					if !shadowed && dst.canFit(o, e.FP, e.Key, len(e.Value)) {
+					if !shadowed && dst.canFit(o, len(e.Key), len(e.Value)) {
 						dst.insert(o, e.FP, e.Key, e.Value, insWriteback)
 						c.extra.WriteBackObjs++
 						resolved++

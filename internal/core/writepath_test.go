@@ -17,6 +17,8 @@ import (
 	"nemo/internal/device"
 	"nemo/internal/devtest"
 	"nemo/internal/flashsim"
+	"nemo/internal/hashing"
+	"nemo/internal/setblock"
 )
 
 func wpKey(i int) []byte   { return []byte(fmt.Sprintf("wp-key-%06d-pad", i)) }
@@ -114,6 +116,137 @@ func TestSealedSGServesReadsDuringFlush(t *testing.T) {
 	if v, hit := c.Get(wpKey(1)); !hit || string(v) != string(fresh) {
 		t.Fatalf("overwrite lost after flush: %q, %v", v, hit)
 	}
+}
+
+// memCopies counts the in-memory entries for key — valued ones and
+// tombstones — across memq and the sealed SG of an in-flight flush.
+func memCopies(c *Cache, key []byte) (valued, tombs int, last []byte) {
+	fp := hashing.Fingerprint(key)
+	o := c.setOf(fp)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sgs := append([]*memSG(nil), c.memq...)
+	if c.sealed != nil {
+		sgs = append(sgs, c.sealed.mem)
+	}
+	for _, sg := range sgs {
+		sg.sets[o].Range(func(_ int, e setblock.Entry) bool {
+			switch {
+			case e.FP != fp || string(e.Key) != string(key):
+			case len(e.Value) == 0:
+				tombs++
+			default:
+				valued++
+				last = append([]byte(nil), e.Value...)
+			}
+			return true
+		})
+	}
+	return valued, tombs, last
+}
+
+// TestNoDuplicateCopyAcrossInlineFlush pins memSG's "absent before append"
+// invariant where it is hardest to keep: a synchronous SET whose placement
+// has to flush the front SG (no in-memory SG has room for the key's set, and
+// delayed flushing is off) releases the shard lock for the build, and a
+// second SET of the same key lands in that window. When the first SET resumes
+// it must find and replace that copy, not append beside it — two copies in
+// one block would leave a DELETE removing only the first.
+func TestNoDuplicateCopyAcrossInlineFlush(t *testing.T) {
+	devtest.Run(t, func(t *testing.T, b devtest.Backend) {
+		dev := b.New(t, device.Geometry{PageSize: 512, PagesPerZone: 16, Zones: 16})
+		c := testCacheOn(t, dev, func(cfg *Config) {
+			cfg.DelayedFlush = false // a full set flushes the front instead of sacrificing
+			cfg.RearFullRatio = 1.0  // no rear-full-triggered flushes
+		})
+
+		// Fill one set offset in every in-memory SG, so the next SET for it
+		// must flush from inside placeLocked.
+		target := c.setOf(hashing.Fingerprint(wpKey(0)))
+		sameSet := func(from int) int {
+			for i := from; ; i++ {
+				if c.setOf(hashing.Fingerprint(wpKey(i))) == target {
+					return i
+				}
+			}
+		}
+		hasRoom := func(i int) bool {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			for _, sg := range c.memq {
+				if sg.canFit(target, len(wpKey(i)), len(wpValue(i))) {
+					return true
+				}
+			}
+			return false
+		}
+		next := sameSet(0)
+		for hasRoom(next) {
+			if err := c.Set(wpKey(next), wpValue(next)); err != nil {
+				t.Fatal(err)
+			}
+			next = sameSet(next + 1)
+		}
+		if got := c.PoolLen(); got != 0 {
+			t.Fatalf("prefill flushed %d SGs, want the sets full and nothing flushed", got)
+		}
+		key := wpKey(next)
+		first, second := []byte("first-writer-value-padpad"), []byte("second-writer-value-padpa")
+
+		entered := make(chan struct{})
+		release := make(chan struct{})
+		var once sync.Once
+		dev.SetWriteFault(func(zone int) error {
+			once.Do(func() {
+				close(entered)
+				<-release
+			})
+			return nil
+		})
+		firstErr := make(chan error, 1)
+		go func() { firstErr <- c.Set(key, first) }()
+		<-entered
+
+		// The first SET is parked mid-build with the lock released; the
+		// rotated-in rear has room, so the second SET completes.
+		if err := c.Set(key, second); err != nil {
+			t.Fatal(err)
+		}
+		if valued, _, v := memCopies(c, key); valued != 1 || string(v) != string(second) {
+			t.Fatalf("during the flush: %d in-memory copies (last %q), want the second writer's one", valued, v)
+		}
+		close(release)
+		if err := <-firstErr; err != nil {
+			t.Fatalf("first set: %v", err)
+		}
+		dev.SetWriteFault(nil)
+		if got := c.PoolLen(); got != 1 {
+			t.Fatalf("pool holds %d SGs, want the one inline flush", got)
+		}
+
+		valued, tombs, v := memCopies(c, key)
+		if valued != 1 || tombs != 0 {
+			t.Fatalf("%d valued copies and %d tombstones in memory after both sets, want exactly one copy", valued, tombs)
+		}
+		if string(v) != string(first) && string(v) != string(second) {
+			t.Fatalf("surviving copy %q is neither written value", v)
+		}
+		if got, hit := c.Get(key); !hit || string(got) != string(v) {
+			t.Fatalf("get = %q, %v; want the surviving copy %q", got, hit, v)
+		}
+
+		if err := c.Delete(key); err != nil {
+			t.Fatal(err)
+		}
+		// A Bloom false positive on the flushed SG may plant a tombstone;
+		// what must be gone is every valued copy.
+		if valued, _, v := memCopies(c, key); valued != 0 {
+			t.Fatalf("%d in-memory copies (last %q) survive the delete", valued, v)
+		}
+		if got, hit := c.Get(key); hit {
+			t.Fatalf("deleted key still hits: %q", got)
+		}
+	})
 }
 
 // TestFlushWriteErrorSurfacesSync pins the failure contract on the

@@ -73,36 +73,60 @@ func clientErrorf(format string, args ...any) error {
 	return &ClientError{Msg: fmt.Sprintf(format, args...)}
 }
 
+// maxArgs is the most arguments any verb but get/gets takes (set with
+// noreply); their tokens go to an array of one more, so a longer line is
+// seen to be too long without being tokenised to its end.
+const maxArgs = 5
+
 // ParseCommand parses one request line (no trailing CRLF) into cmd,
-// reusing cmd.Keys' backing array. It returns ErrUnknownCommand for
-// unimplemented verbs, a *ClientError for malformed lines, and nil on
-// success; on error cmd's contents are unspecified.
+// reusing cmd.Keys' backing array: a get's keys are tokenised straight into
+// it and every other verb's few arguments into an array on the stack, so a
+// parse allocates nothing once cmd.Keys has grown to the widest get seen. It
+// returns ErrUnknownCommand for unimplemented verbs, a *ClientError for
+// malformed lines, and nil on success; on error cmd's contents are
+// unspecified.
 func ParseCommand(line []byte, cmd *Command) error {
 	*cmd = Command{Keys: cmd.Keys[:0]}
-	fields, ok := splitFields(line)
-	if !ok {
+	// Reporting an embedded control byte (CR, LF, NUL) before anything else,
+	// rather than passing it through, is what keeps a hostile key from
+	// breaking reply framing.
+	if bytes.ContainsAny(line, "\r\n\x00") {
 		return clientErrorf("control characters in command line")
 	}
-	if len(fields) == 0 {
+	verb, rest := nextField(line)
+	if verb == nil {
 		return ErrUnknownCommand
 	}
-	verb, args := fields[0], fields[1:]
-	switch {
-	case bytes.Equal(verb, []byte("get")), bytes.Equal(verb, []byte("gets")):
+	if bytes.Equal(verb, []byte("get")) || bytes.Equal(verb, []byte("gets")) {
 		cmd.Kind = KindGet
 		if len(verb) == 4 {
 			cmd.Kind = KindGets
 		}
-		if len(args) == 0 {
-			return clientErrorf("bad command line format")
-		}
-		for _, k := range args {
+		for {
+			var k []byte
+			if k, rest = nextField(rest); k == nil {
+				break
+			}
 			if err := checkKey(k); err != nil {
 				return err
 			}
 			cmd.Keys = append(cmd.Keys, k)
 		}
+		if len(cmd.Keys) == 0 {
+			return clientErrorf("bad command line format")
+		}
 		return nil
+	}
+	var argv [maxArgs + 1][]byte
+	args := argv[:0]
+	for len(args) < len(argv) {
+		var f []byte
+		if f, rest = nextField(rest); f == nil {
+			break
+		}
+		args = append(args, f)
+	}
+	switch {
 	case bytes.Equal(verb, []byte("set")):
 		cmd.Kind = KindSet
 		if len(args) == 5 && bytes.Equal(args[4], []byte("noreply")) {
@@ -166,39 +190,22 @@ func ParseCommand(line []byte, cmd *Command) error {
 	return ErrUnknownCommand
 }
 
-// splitFields splits a request line on single spaces, rejecting lines with
-// embedded control bytes (CR, LF, NUL): reporting ok=false rather than
-// passing such bytes through is what keeps a hostile key from breaking
-// reply framing. Empty fields (runs of spaces) collapse, matching
-// memcached's tokenizer.
-func splitFields(line []byte) (fields [][]byte, ok bool) {
-	start := -1
-	for i := 0; i <= len(line); i++ {
-		var b byte
-		if i < len(line) {
-			b = line[i]
-		} else {
-			b = ' ' // virtual terminator flushes the last field
-		}
-		switch {
-		case b == ' ':
-			if start >= 0 {
-				fields = append(fields, line[start:i])
-				start = -1
-			}
-		case b == '\r' || b == '\n' || b == 0:
-			return nil, false
-		default:
-			if start < 0 {
-				start = i
-			}
-		}
+// nextField returns the first space-delimited field of line and what
+// follows it, or a nil field when only spaces (or nothing) remain. Runs of
+// spaces collapse, matching memcached's tokenizer.
+func nextField(line []byte) (field, rest []byte) {
+	line = bytes.TrimLeft(line, " ")
+	if len(line) == 0 {
+		return nil, nil
 	}
-	return fields, true
+	if i := bytes.IndexByte(line, ' '); i >= 0 {
+		return line[:i], line[i:]
+	}
+	return line, nil
 }
 
 // checkKey enforces the protocol key contract: 1..MaxKeyLen bytes of
-// printable non-space ASCII-compatible bytes. splitFields already excludes
+// printable non-space ASCII-compatible bytes. ParseCommand already excludes
 // space/CR/LF/NUL; this adds the remaining control bytes and the length
 // caps.
 func checkKey(key []byte) error {

@@ -15,6 +15,7 @@ package setblock
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"nemo/internal/hashing"
 )
@@ -129,6 +130,38 @@ func (b *Block) Append(fp uint64, key, value []byte) bool {
 	return true
 }
 
+// find walks count entries of buf (serialized entries, no header) and returns
+// the byte offset of the entry for (fp, key), the offset just past it, and its
+// FIFO slot, or off < 0 when no entry matches or an entry's bounds leave buf.
+// Only the fixed entry header is decoded per step; key bytes are compared only
+// after the fingerprint and the key length both match. It is the one search
+// loop behind Insert, Lookup, Remove and Scan, and is bounds-checked because
+// Scan feeds it pages read back from flash.
+func find(buf []byte, count int, fp uint64, key []byte) (off, next, slot int) {
+	for ; slot < count; slot++ {
+		if off+EntryOverhead > len(buf) {
+			break
+		}
+		ks := off + EntryOverhead
+		next = ks + int(buf[off+8]) + int(binary.LittleEndian.Uint16(buf[off+9:]))
+		if next > len(buf) {
+			break
+		}
+		if binary.LittleEndian.Uint64(buf[off:]) == fp && int(buf[off+8]) == len(key) &&
+			string(buf[ks:ks+len(key)]) == string(key) {
+			return off, next, slot
+		}
+		off = next
+	}
+	return -1, -1, -1
+}
+
+// valueAt returns the value of the entry find located at [off, next) for a
+// key of keyLen bytes.
+func valueAt(buf []byte, off, next, keyLen int) []byte {
+	return buf[off+EntryOverhead+keyLen : next : next]
+}
+
 // Insert adds or replaces the entry for (fp, key). A replaced entry moves
 // to the FIFO tail (an update refreshes age, as in a log). It returns false
 // — leaving any existing version intact — when the new entry would not fit
@@ -137,29 +170,28 @@ func (b *Block) Insert(fp uint64, key, value []byte) bool {
 	if len(key) > 255 || len(value) > 65535 {
 		return false
 	}
+	off, next, _ := find(b.buf, b.count, fp, key)
 	free := b.Free()
-	if old, _, ok := b.Lookup(fp, key); ok {
-		free += EntrySize(len(key), len(old))
+	if off >= 0 {
+		free += next - off
 	}
 	if EntrySize(len(key), len(value)) > free {
 		return false
 	}
-	b.Remove(fp, key)
+	if off >= 0 {
+		b.removeAt(off, next)
+	}
 	return b.Append(fp, key, value)
 }
 
 // Lookup returns the value and FIFO slot index for (fp, key). The returned
 // slice aliases the block.
 func (b *Block) Lookup(fp uint64, key []byte) (value []byte, slot int, ok bool) {
-	off := 0
-	for i := 0; i < b.count; i++ {
-		e, next := b.entryAt(off)
-		if e.FP == fp && string(e.Key) == string(key) {
-			return e.Value, i, true
-		}
-		off = next
+	off, next, slot := find(b.buf, b.count, fp, key)
+	if off < 0 {
+		return nil, -1, false
 	}
-	return nil, -1, false
+	return valueAt(b.buf, off, next, len(key)), slot, true
 }
 
 // LookupFP returns the first entry matching the fingerprint alone; engines
@@ -178,17 +210,18 @@ func (b *Block) LookupFP(fp uint64) (Entry, int, bool) {
 
 // Remove deletes the entry for (fp, key), returning whether it existed.
 func (b *Block) Remove(fp uint64, key []byte) bool {
-	off := 0
-	for i := 0; i < b.count; i++ {
-		e, next := b.entryAt(off)
-		if e.FP == fp && string(e.Key) == string(key) {
-			b.buf = append(b.buf[:off], b.buf[next:]...)
-			b.count--
-			return true
-		}
-		off = next
+	off, next, _ := find(b.buf, b.count, fp, key)
+	if off < 0 {
+		return false
 	}
-	return false
+	b.removeAt(off, next)
+	return true
+}
+
+// removeAt closes the gap over the entry occupying [off, next).
+func (b *Block) removeAt(off, next int) {
+	b.buf = append(b.buf[:off], b.buf[next:]...)
+	b.count--
 }
 
 // EvictOldest removes and returns a copy of the oldest (first) entry.
@@ -243,11 +276,10 @@ func (b *Block) AppendTo(dst []byte) []byte {
 	binary.LittleEndian.PutUint16(hdr[2:], uint16(len(b.buf)))
 	dst = append(dst, hdr[:]...)
 	dst = append(dst, b.buf...)
-	pad := b.size - HeaderSize - len(b.buf)
-	for i := 0; i < pad; i++ {
-		dst = append(dst, 0)
-	}
-	return dst
+	end := len(dst) + b.size - HeaderSize - len(b.buf)
+	dst = slices.Grow(dst, end-len(dst))
+	clear(dst[len(dst):end])
+	return dst[:end]
 }
 
 // Parse decodes a serialized page into a fresh block with the given size
@@ -313,24 +345,11 @@ func Scan(page []byte, fp uint64, key []byte) (value []byte, slot int, ok bool) 
 		return nil, -1, false
 	}
 	buf := page[HeaderSize : HeaderSize+used]
-	off := 0
-	for i := 0; i < count; i++ {
-		if off+EntryOverhead > len(buf) {
-			return nil, -1, false
-		}
-		efp := binary.LittleEndian.Uint64(buf[off:])
-		kl := int(buf[off+8])
-		vl := int(binary.LittleEndian.Uint16(buf[off+9:]))
-		ks := off + EntryOverhead
-		if ks+kl+vl > len(buf) {
-			return nil, -1, false
-		}
-		if efp == fp && string(buf[ks:ks+kl]) == string(key) {
-			return buf[ks+kl : ks+kl+vl], i, true
-		}
-		off = ks + kl + vl
+	off, next, slot := find(buf, count, fp, key)
+	if off < 0 {
+		return nil, -1, false
 	}
-	return nil, -1, false
+	return valueAt(buf, off, next, len(key)), slot, true
 }
 
 // ScanAll iterates a serialized page's entries without materializing a
