@@ -22,8 +22,8 @@ func runExp(b *testing.B, id string) {
 		b.Fatal(err)
 	}
 	// Benchmarks run each experiment at smoke scale (150k ops) so the
-	// whole table/figure suite completes in minutes; cmd/nemobench runs
-	// the same code at the full scales reported in EXPERIMENTS.md.
+	// whole table/figure suite completes in minutes; `nemobench -exp <id>`
+	// runs the same code at the medium and large scales.
 	for i := 0; i < b.N; i++ {
 		if err := e.Run(experiments.Options{Scale: "small", Ops: 150_000, Seed: 1, Out: io.Discard}); err != nil {
 			b.Fatal(err)

@@ -11,11 +11,6 @@
 //	          [-snapshot <path>]
 //	nemobench -compare [-shards 1,2,4] [-engines nemo,log,set,kg,fw]
 //	          [-parallel] [-notime] [-scale small|medium|large] [...]
-//	nemobench -getbench [-shards 1,8] [-ops N] [-json BENCH_get.json]
-//	nemobench -gcbench [-shards 1,8] [-keys N] [-ops N] [-json BENCH_gc.json]
-//	nemobench -setbench [-shards 1,8] [-ops N] [-flushers K] [-json BENCH_set.json]
-//	nemobench -servebench [-shards 1,8] [-conns K] [-pipeline P] [-ops N]
-//	          [-flushers K] [-json BENCH_serve.json]
 //	nemobench -chaos [-scenario write-outage,flaky-writes|all] [-shards 2]
 //	          [-conns K] [-ops N] [-async -flushers K] [-seed S]
 //	          [-device file:<path>] [-json BENCH_chaos.json]
@@ -32,37 +27,11 @@
 // explicit SET and DELETE operations.
 //
 // -compare runs the cross-engine comparison harness: one materialized mixed
-// trace replayed through all five sharded engines (Nemo natively, the four
-// baselines behind the generic sharded facade) at each shard count, printing
+// trace replayed through all five engines, each behind the one sharded
+// facade (cachelib.ShardedEngine), at each shard count, printing
 // the Figure 12/15-style quality and throughput table. -engines filters the
 // set, -parallel replays the engines of a shard count concurrently, and
 // -notime drops the wall-clock columns so the table is byte-deterministic.
-//
-// -getbench measures the concurrent GET path: parallel lookup throughput
-// and per-op allocations at 1/4/8 goroutines per shard count, written to
-// -json (default BENCH_get.json) so CI keeps a machine-readable perf
-// baseline for the read path.
-//
-// -gcbench measures the cache's GC footprint: populate -keys resident keys
-// (default 1M; the harness retains nothing per key), settle the heap, and
-// report live HeapObjects/bytes attributable to the cache, DRAM bytes/key,
-// and GET throughput plus total pause while collections are forced back to
-// back (default BENCH_gc.json). This is the regression pin for the off-heap
-// index-cache arena and slab-backed set pages.
-//
-// -setbench is the write-path mirror: parallel SET throughput, per-call
-// p50/p99 latency, and ALWA at 1/4/8 goroutines per shard count, in both
-// synchronous and async-flush mode (default BENCH_set.json). The
-// sync-vs-async setp99 gap in one table is the three-phase background
-// flush pipeline's measured win on this host. -cpuprofile/-memprofile
-// write pprof profiles for any mode.
-//
-// -servebench measures the serving layer end to end: a live loopback
-// listener (internal/server) driven by -conns memcached-protocol client
-// connections issuing depth -pipeline batches of mixed gets and sets, in
-// sync-set and async (SetAsync + -flushers pool) mode per shard count. The
-// table and BENCH_serve.json report whole-stack ops/s and batch round-trip
-// get/set p50/p99 — the network-path extension of the BENCH trajectory.
 //
 // -chaos runs the fault-injection harness: each named scenario (a seeded
 // device fault plan — error rates, added latency, fail-N-then-recover,
@@ -73,7 +42,8 @@
 // cannot recover from fails the run.
 //
 // Each experiment prints the rows or series of the corresponding paper
-// artifact; EXPERIMENTS.md records reference output.
+// artifact. Wall-clock performance is not measured here: the repository's
+// benchmark is benchmark/ (see benchmark/README.md and BENCHMARK.json).
 package main
 
 import (
@@ -106,25 +76,20 @@ func run() int {
 		workers   = flag.Int("workers", 0, "replay worker goroutines (0 = one per shard)")
 		batch     = flag.Int("batch", 0, "per-shard batch size for -replay (<=1 = unbatched)")
 		async     = flag.Bool("async", false, "-replay: fills via SetAsync + background flusher pool")
-		flushers  = flag.Int("flushers", 2, "background flusher goroutines: -replay/-compare with -async, and -setbench's async rows")
+		flushers  = flag.Int("flushers", 2, "background flusher goroutines for -replay/-compare/-chaos with -async")
 		setFrac   = flag.Float64("setfrac", 0, "fraction of requests rewritten to explicit SETs (-compare defaults to 0.1)")
 		delFrac   = flag.Float64("delfrac", 0, "fraction of requests rewritten to DELETEs (-compare defaults to 0.02)")
 		compare   = flag.Bool("compare", false, "run the cross-engine sharded comparison harness")
 		engines   = flag.String("engines", "", "-compare: comma-separated engine filter (nemo,log,set,kg,fw; empty = all)")
 		parallel  = flag.Bool("parallel", false, "-compare: replay the engines of one shard count concurrently")
 		noTime    = flag.Bool("notime", false, "-compare: omit wall-clock columns (byte-deterministic table)")
-		getbench  = flag.Bool("getbench", false, "run the parallel GET-path benchmark")
-		gcb       = flag.Bool("gcbench", false, "run the GC-pressure benchmark (heap footprint + GETs under forced GC)")
-		keys      = flag.Int("keys", 0, "-gcbench: resident key count per configuration (0 = 1M)")
-		setbench  = flag.Bool("setbench", false, "run the parallel SET-path (flush pipeline) benchmark")
-		srvbench  = flag.Bool("servebench", false, "run the end-to-end serving-layer (loopback memcached protocol) benchmark")
 		chaosRun  = flag.Bool("chaos", false, "run the chaos-injection harness: fault scenarios against the breaker-enabled serving stack")
 		scenarios = flag.String("scenario", "write-outage", "-chaos: comma-separated scenario names, or all (write-outage, flaky-writes, slow-reads, zone-kill)")
-		conns     = flag.Int("conns", 4, "-servebench: client connections")
-		pipelineN = flag.Int("pipeline", 8, "-servebench: requests per pipelined batch")
-		deviceStr = flag.String("device", "sim", "device backend for -replay/-compare/-getbench/-setbench/-servebench: sim, or file:<path> (file-backed real device, measured latencies)")
-		snapshot  = flag.String("snapshot", "", "-replay/-setbench: warm-restart snapshot path — the run checkpoints, tears the cache down, and warm-restores mid-benchmark, reporting restore time (and warm hit ratio for -replay)")
-		jsonOut   = flag.String("json", "", "-getbench/-setbench/-servebench: machine-readable output path (unset: BENCH_get.json / BENCH_set.json / BENCH_serve.json per mode; pass -json '' explicitly for table-only output)")
+		conns     = flag.Int("conns", 4, "-chaos: client connections")
+		pipelineN = flag.Int("pipeline", 8, "-chaos: requests per pipelined batch")
+		deviceStr = flag.String("device", "sim", "device backend for -replay/-compare/-chaos: sim, or file:<path> (file-backed real device, measured latencies)")
+		snapshot  = flag.String("snapshot", "", "-replay: warm-restart snapshot path — the run checkpoints, tears the cache down, and warm-restores mid-benchmark, reporting restore time and warm hit ratio")
+		jsonOut   = flag.String("json", "BENCH_chaos.json", "-chaos: machine-readable output path (pass -json '' for table-only output)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
@@ -164,79 +129,8 @@ func run() int {
 		}()
 	}
 
-	// -json defaults per benchmark mode (BENCH_get.json / BENCH_set.json);
-	// an explicitly passed value — including the empty string, which means
-	// "table only" — wins.
-	jsonExplicit := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "json" {
-			jsonExplicit = true
-		}
-	})
-
-	if *getbench {
-		path := *jsonOut
-		if !jsonExplicit {
-			path = "BENCH_get.json"
-		}
-		err := runGetBench(os.Stdout, getBenchOptions{
-			shardList: *shards,
-			ops:       *ops,
-			device:    deviceSpec,
-			jsonPath:  path,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
-
-	if *gcb {
-		path := *jsonOut
-		if !jsonExplicit {
-			path = "BENCH_gc.json"
-		}
-		err := runGCBench(os.Stdout, gcBenchOptions{
-			shardList: *shards,
-			keys:      *keys,
-			ops:       *ops,
-			device:    deviceSpec,
-			jsonPath:  path,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
-
-	if *setbench {
-		path := *jsonOut
-		if !jsonExplicit {
-			path = "BENCH_set.json"
-		}
-		err := runSetBench(os.Stdout, setBenchOptions{
-			shardList: *shards,
-			ops:       *ops,
-			flushers:  *flushers,
-			device:    deviceSpec,
-			jsonPath:  path,
-			snapshot:  *snapshot,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
-
 	if *chaosRun {
-		path := *jsonOut
-		if !jsonExplicit {
-			path = "BENCH_chaos.json"
-		}
-		// -shards is a list flag shared with the other benches; chaos runs
+		// -shards is a list flag shared with -replay and -compare; chaos runs
 		// one engine per scenario, so it takes the first count.
 		shardCounts, err := parseShardList(*shards)
 		if err != nil {
@@ -253,28 +147,7 @@ func run() int {
 			ops:       *ops,
 			pipeline:  *pipelineN,
 			device:    deviceSpec,
-			jsonPath:  path,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
-
-	if *srvbench {
-		path := *jsonOut
-		if !jsonExplicit {
-			path = "BENCH_serve.json"
-		}
-		err := runServeBench(os.Stdout, serveBenchOptions{
-			shardList: *shards,
-			conns:     *conns,
-			ops:       *ops,
-			pipeline:  *pipelineN,
-			flushers:  *flushers,
-			device:    deviceSpec,
-			jsonPath:  path,
+			jsonPath:  *jsonOut,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

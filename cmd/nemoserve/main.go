@@ -17,8 +17,9 @@
 // pipelined requests coalesce into batched engine rounds, SETs ride the
 // asynchronous flush pipeline unless -sync-set, and SIGINT/SIGTERM trigger
 // the graceful drain (stop accepting, answer in-flight batches, Drain the
-// engine) before exit. `nemobench -servebench` drives the same serving
-// stack over loopback and records the BENCH_serve.json baseline.
+// engine) before exit. The repository benchmark (benchmark/README.md) drives
+// the same serving stack over loopback on its get_fits, write_churn and
+// twitter_mix workloads.
 //
 // Overload protection: -max-conns caps concurrent connections (0 =
 // unlimited) — excess dials park in the accept queue, or are answered

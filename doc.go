@@ -46,16 +46,19 @@
 // buffers, key scan), and a short locked commit that re-validates the
 // epoch before applying the read-side effects (hit/read counters, hotness
 // bits, index-cache publication, latency sample). If a flush or eviction moved
-// the flash layout mid-read, the attempt is discarded and replanned; after
-// a few conflicts the lookup falls back to fully-locked I/O, so progress
-// is guaranteed. GetMany plans, reads, and commits a whole batch per lock
-// acquisition, sharing PBFG fetches across the batch's keys.
+// the flash layout mid-read, the pass is discarded — its device reads still
+// counted, the pages it fetched dropped unpublished — and the unresolved
+// keys are redone under the lock already held, so a lookup takes at most two
+// passes. There is one routine: GetMany plans, reads, and commits a whole
+// batch per lock acquisition, sharing PBFG fetches across the batch's keys,
+// and Get is its one-key case.
 //
 // The steady-state GET allocates exactly once on a hit (the returned value
 // copy) and not at all on a clean miss — pinned by allocation-regression
-// tests; BenchmarkParallelGet and `nemobench -getbench` (which writes the
-// BENCH_get.json CI baseline) measure the resulting single-shard
-// goroutine scaling.
+// tests. Its speed is the lib_direct workload of benchmark/
+// (throughput_ops_s, cpu_us_per_op, runtime.allocs_per_op; traced:
+// core.get_self_us_per_key, core.flash_reads_per_get);
+// BenchmarkParallelGet measures single-shard goroutine scaling.
 //
 // Driven serially, the three-phase path performs the identical reads with
 // identical statistics to the historical fully-locked path (one deliberate
@@ -113,9 +116,10 @@
 // and therefore SG fill rates, remains the one documented -compare
 // nondeterminism). A steady-state Set
 // that triggers no flush allocates nothing (pinned by
-// allocation-regression tests); `nemobench -setbench` writes the
-// BENCH_set.json CI baseline for the write path, whose sync-vs-async
-// setp99 gap is the pipeline's measured win.
+// allocation-regression tests); the write path's numbers are the
+// write_churn workload of benchmark/ (throughput_ops_s, set_p50_us,
+// set_p99_us, alwa) for the asynchronous pipeline and lib_direct ·
+// core.set_p99_us for the flush inline on the caller.
 //
 // A flush that hits a device error cannot wedge the shard: the reserved
 // and freed zones are erased and returned, the sealed SG's objects are
@@ -160,11 +164,10 @@
 // eviction recycled anything the plan referenced. Freed slots therefore go
 // straight back to their free lists, with no deferred reclamation, and the
 // arena leak test pins slot accounting plus process HeapObjects flat over
-// fill→evict→refill churn. `nemobench -gcbench` (BENCH_gc.json in CI)
-// measures the result — live heap objects, GC pause totals, DRAM
-// bytes/key, and GET throughput under forced GC churn at 1M+ resident
-// keys; landing this layout cut HeapObjects at 1M keys from 1585 to 74 at
-// one shard (21×) and from 3435 to 322 at eight. The snapshot format is
+// fill→evict→refill churn (TestArenaFlatOverChurn). Every benchmark/
+// workload reports the result — engine_heap_mib end to end, and
+// runtime.heap_objects, core.heap_bits_per_obj and
+// runtime.gc_pause_total_ms in its traced run. The snapshot format is
 // unaffected: checkpoint bytes are pinned identical to the map-based
 // layout's, so warm restart crosses the layout change in either direction.
 //
@@ -182,8 +185,9 @@
 //
 // internal/server turns the engine into a network service: a memcached
 // text-protocol front end over EngineV2, run by cmd/nemoserve and driven
-// over loopback by `nemobench -servebench` (which writes the
-// BENCH_serve.json end-to-end baseline). The protocol subset is get/gets
+// over loopback by three of benchmark/'s four workloads (get_fits,
+// write_churn, twitter_mix: throughput_ops_s, get_p50_us … wire.get_p999_us)
+// and by `nemobench -chaos`. The protocol subset is get/gets
 // (multi-key), set, delete, stats, version, and quit, with noreply
 // honored on set/delete. Each connection is one goroutine whose read loop
 // accumulates the requests already pipelined on the wire — never blocking
@@ -275,7 +279,7 @@
 //
 // Engines never see a concrete device type: internal/device defines the
 // zoned-device contract (the Device interface) and everything engine-facing
-// — core.Config.Device, every baseline's Config.Device, the sharded facades
+// — core.Config.Device, every baseline's Config.Device, the sharded facade
 // — accepts it. A device is a fixed geometry (PageSize × PagesPerZone ×
 // Zones, optionally MaxOpenZones) of append-only zones: AppendPage programs
 // at a zone's write pointer (short appends are zero-padded to a full page),
@@ -346,9 +350,10 @@
 // The layers above thread it through: nemoserve -snapshot restores on
 // boot, checkpoints on graceful drain (and periodically with
 // -snapshot-every), and opens the file device in Persist mode so a real
-// process restart comes back warm; nemobench -replay/-setbench -snapshot
-// run kill-and-restore mid-benchmark and report restore time (and warm hit
-// ratio). The simulator is volatile by design — a sim "restart" never
+// process restart comes back warm; nemobench -replay -snapshot runs
+// kill-and-restore mid-replay and reports restore time and warm hit ratio
+// (benchmark/: snapshot.restore_ms, snapshot.hit_retention). The simulator
+// is volatile by design — a sim "restart" never
 // matches the fresh device's generation and correctly starts cold.
 //
 // # What the package exposes
@@ -367,14 +372,15 @@
 //     (NewLogCache, NewSetCache, NewKangaroo, NewFairyWREN); the log
 //     baseline's exact index gives it a native Delete, the rest upgrade
 //     through Adapt.
-//   - The generic sharded facade (ShardedEngine) that gives every baseline
-//     the same sharded/concurrent treatment Nemo has natively
+//   - The sharded facade (ShardedEngine), the one router in the
+//     repository: ShardedCache embeds it over its Nemo shards, and it gives
+//     every baseline the same sharded/concurrent treatment
 //     (NewShardedLogCache, NewShardedSetCache, NewShardedKangaroo,
-//     NewShardedFairyWREN): the zone range is partitioned into per-shard
-//     engines, requests route by the same hash lane as ShardedCache —
-//     identical key partitioning across engines — and batches take one
-//     hash pass, group into per-shard sub-batches, and fan out in
-//     parallel. With shards=1 the facade is stat-for-stat the bare engine
+//     NewShardedFairyWREN). The zone range is partitioned into per-shard
+//     engines, requests route by one hash lane — identical key
+//     partitioning across engines — and batches take one hash pass, group
+//     into per-shard sub-batches, and fan out in parallel. With shards=1
+//     the facade is stat-for-stat the bare engine
 //     (pinned per baseline by equivalence property tests), so the paper's
 //     single-threaded numbers remain reproducible from the same code
 //     path. `nemobench -compare` replays one materialized mixed trace
@@ -403,7 +409,7 @@
 //	cache.Delete([]byte("user:1234"))
 //
 // See examples/batch for the v2 surface end to end (GetMany, SetAsync,
-// Drain, Delete on a sharded cache), DESIGN.md for the system inventory,
-// EXPERIMENTS.md for the paper-vs-measured results, and cmd/nemobench to
-// regenerate every table and figure.
+// Drain, Delete on a sharded cache), benchmark/README.md for what is
+// measured and how, and `nemobench -list` / `nemobench -exp <id>` to
+// regenerate every table and figure of the paper.
 package nemo

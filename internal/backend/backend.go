@@ -1,9 +1,9 @@
 // Package backend turns a -device command-line spec into zoned devices. It
 // is the one place that knows both implementations of the internal/device
 // contract — the flashsim simulator and the file-backed filedev — so the
-// bench harnesses, the compare harness, and both binaries can accept
-// `-device=sim` or `-device=file:<path>` uniformly and record which backend
-// produced each BENCH_*.json row.
+// replay, compare and chaos harnesses and both binaries can accept
+// `-device=sim` or `-device=file:<path>` uniformly, and BENCH_chaos.json can
+// record which backend produced each row.
 package backend
 
 import (
@@ -53,8 +53,8 @@ func File(path string) Spec {
 	return Spec{kind: "file", path: path, opens: new(atomic.Int64)}
 }
 
-// String renders the spec back to flag form — the value recorded in the
-// BENCH_*.json device field.
+// String renders the spec back to flag form — the value recorded in
+// BENCH_chaos.json's device field.
 func (s Spec) String() string {
 	if s.IsFile() {
 		return "file:" + s.path

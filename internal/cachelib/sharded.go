@@ -8,18 +8,17 @@ import (
 	"nemo/internal/metrics"
 )
 
-// ShardedEngine is the generic hash-partitioned facade: n independent
-// engines, each owning a disjoint slice of the cache's capacity (its own
-// zone range, index structures, and lock), behind one Engine v2 surface.
-// Requests route by the shared shard lane of the key fingerprint
-// (ShardOfFP), so requests for different shards proceed fully in parallel
-// and — because core.Sharded routes by the same lane — every engine of a
-// comparison run partitions the key space identically.
+// ShardedEngine is the hash-partitioned facade: n independent engines, each
+// owning a disjoint slice of the cache's capacity (its own zone range, index
+// structures, and lock), behind one Engine v2 surface. Requests route by the
+// shard lane of the key fingerprint (ShardOfFP), so requests for different
+// shards proceed fully in parallel and every engine of a comparison run
+// partitions the key space identically.
 //
-// It is how the four baselines (logcache, setcache, kangaroo, fairywren)
-// get the sharded/concurrent treatment Nemo received natively: each
-// package's NewSharded partitions its zone budget into per-shard engines
-// and wraps them here. Batches take one hash pass (PlanFPs), group into
+// Every sharded engine in the repository is one of these: core.Sharded embeds
+// it over its Nemo shards, and each baseline package's (logcache, setcache,
+// kangaroo, fairywren) NewSharded partitions its zone budget into per-shard
+// engines and wraps them here. Batches take one hash pass (PlanFPs), group into
 // per-shard sub-batches (GroupByShard), and fan out across shards in
 // parallel; Stats sums per-shard counters without a global lock. The
 // fan-out composes with whatever read concurrency the shard engine itself

@@ -6,13 +6,13 @@ import (
 	"nemo/internal/hashing"
 )
 
-// This file is the shard-routing plan shared by every sharded facade in the
-// repository: core.Sharded (Nemo's native implementation) and the generic
-// ShardedEngine that puts the four baselines behind the same partitioning.
-// Both route by the same dedicated hash lane of the key fingerprint, so a
-// key lands on the same shard index in every engine of a comparison run —
-// the per-shard request subsequences of a trace are identical across
-// engines, which is what makes the cross-engine tables comparable.
+// This file is the shard-routing plan of ShardedEngine, the one sharded
+// facade in the repository: it fronts Nemo's shards (core.Sharded embeds it)
+// and the four baselines alike. Routing by one dedicated hash lane of the
+// key fingerprint lands a key on the same shard index in every engine of a
+// comparison run — the per-shard request subsequences of a trace are
+// identical across engines, which is what makes the cross-engine tables
+// comparable.
 
 // ShardLane is the hash lane used for shard routing. It is distinct from
 // lane 0 (intra-engine set placement) and the Bloom probe streams, so which
@@ -45,8 +45,8 @@ func BorrowFPs() *[]uint64 { return fpScratch.Get().(*[]uint64) }
 // ReturnFPs gives a buffer obtained from BorrowFPs back to the pool.
 func ReturnFPs(b *[]uint64) { fpScratch.Put(b) }
 
-// PlanFPs hashes every key exactly once — shard implementations reuse these
-// fingerprints — and reports whether the whole batch lands on one shard of n
+// PlanFPs hashes every key exactly once for routing (GroupByShard reuses the
+// fingerprints) and reports whether the whole batch lands on one shard of n
 // (the common case under the per-shard batched replayer), returning that
 // shard's index. The returned slice aliases *scratch.
 func PlanFPs(keys [][]byte, scratch *[]uint64, n uint64) (fps []uint64, first int, single bool) {
@@ -71,7 +71,6 @@ func PlanFPs(keys [][]byte, scratch *[]uint64, n uint64) (fps []uint64, first in
 // a constant number of allocations regardless of how many shards it touches.
 type SubBatch struct {
 	Shard int
-	FPs   []uint64
 	Keys  [][]byte
 	Vals  [][]byte // nil unless values were passed to GroupByShard (SetMany)
 	Pos   []int32  // original batch positions
@@ -97,7 +96,6 @@ func GroupByShard(fps []uint64, keys, values [][]byte, nShards int) []SubBatch {
 		}
 		starts[sh+1] += starts[sh]
 	}
-	bFPs := make([]uint64, len(keys))
 	bKeys := make([][]byte, len(keys))
 	bPos := make([]int32, len(keys))
 	var bVals [][]byte
@@ -110,7 +108,7 @@ func GroupByShard(fps []uint64, keys, values [][]byte, nShards int) []SubBatch {
 		sh := shs[i]
 		o := write[sh]
 		write[sh] = o + 1
-		bFPs[o], bKeys[o], bPos[o] = fps[i], keys[i], int32(i)
+		bKeys[o], bPos[o] = keys[i], int32(i)
 		if bVals != nil {
 			bVals[o] = values[i]
 		}
@@ -121,7 +119,7 @@ func GroupByShard(fps []uint64, keys, values [][]byte, nShards int) []SubBatch {
 		if lo == hi {
 			continue
 		}
-		sub := SubBatch{Shard: sh, FPs: bFPs[lo:hi], Keys: bKeys[lo:hi], Pos: bPos[lo:hi]}
+		sub := SubBatch{Shard: sh, Keys: bKeys[lo:hi], Pos: bPos[lo:hi]}
 		if bVals != nil {
 			sub.Vals = bVals[lo:hi]
 		}

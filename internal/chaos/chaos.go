@@ -28,7 +28,7 @@ import (
 	"nemo/internal/vtime"
 )
 
-// The harness geometry: servebench's shape scaled well down (a 1 MiB SG
+// The harness geometry: a serving stack scaled well down (a 1 MiB SG
 // pool, 64 KiB zones) so a few thousand requests overwrite the pool
 // several times — the flush pipeline, where faults bite, must churn for
 // the whole load phase even in a -race CI smoke run.
@@ -304,8 +304,8 @@ type tally struct {
 }
 
 // drive issues this connection's share of the load as pipelined batches
-// alternating sets and gets (the servebench schedule), classifying every
-// reply: served, degraded shed, or unexpected.
+// alternating sets and gets, classifying every reply: served, degraded
+// shed, or unexpected.
 func drive(cl *memclient.Client, g int, cfg Config, keySpace int, t *tally) error {
 	perConn := cfg.Ops / cfg.Conns
 	if perConn < cfg.Pipeline {

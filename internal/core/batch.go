@@ -1,25 +1,17 @@
 package core
 
 import (
-	"runtime"
-	"sync"
-
 	"nemo/internal/cachelib"
 	"nemo/internal/hashing"
 )
 
-// This file implements cachelib.BatchEngine natively on Cache and Sharded.
-// On a single cache a batch costs one lock acquisition instead of one per
-// operation; on a sharded cache the batch additionally does one hash pass,
-// groups keys into per-shard sub-batches, and fans the sub-batches out in
-// parallel — the per-shard request order is preserved, so within every
-// shard a batch behaves exactly like the equivalent op sequence.
-//
-// The routing plan (one-hash-pass fingerprinting, counting-sort grouping)
-// is the shared cachelib machinery (PlanFPs/GroupByShard), the same plan
-// the generic cachelib.ShardedEngine uses for the baselines; what stays
-// Nemo-specific here is the pre-fingerprinted shard entry points, which
-// reuse the plan's fingerprints instead of re-hashing inside the shard.
+// This file implements cachelib.BatchEngine natively on Cache: a batch costs
+// one lock acquisition instead of one per operation. Sharded gets its batch
+// surface from the embedded cachelib.ShardedEngine, which hashes once to
+// route, groups keys into per-shard sub-batches and fans them out in
+// parallel to the shards' GetMany/SetMany here — the per-shard request
+// order is preserved, so within every shard a batch behaves exactly like
+// the equivalent op sequence.
 
 // Interface conformance: the core engines implement the full v2 surface.
 var (
@@ -28,17 +20,20 @@ var (
 	_ cachelib.Sharder  = (*Sharded)(nil)
 )
 
-// GetMany implements cachelib.BatchEngine with the batched three-phase
-// read protocol (readpath.go): one locked plan pass over all keys, one
+// GetMany implements cachelib.BatchEngine with the three-phase read
+// protocol (getBatch, readpath.go): one locked plan pass over all keys, one
 // unlocked flash I/O pass that overlaps the batch's reads on the device
 // channels, one locked commit pass. values[i] is a fresh copy (nil on
 // miss), hits[i] the presence flag.
 func (c *Cache) GetMany(keys [][]byte) (values [][]byte, hits []bool) {
 	values = make([][]byte, len(keys))
 	hits = make([]bool, len(keys))
-	c.getBatch(nil, keys, func(j int, v []byte, ok bool) {
-		values[j], hits[j] = v, ok
-	})
+	sc := c.borrowScratch()
+	defer c.returnScratch(sc)
+	c.getBatch(sc, keys)
+	for j := range keys {
+		values[j], hits[j] = sc.outcome(j)
+	}
 	return values, hits
 }
 
@@ -51,112 +46,6 @@ func (c *Cache) SetMany(keys, values [][]byte) error {
 	defer c.mu.Unlock()
 	for i := range keys {
 		if err := c.setLocked(hashing.Fingerprint(keys[i]), keys[i], values[i], false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// getManyFP is the pre-fingerprinted sub-batch path used by the sharded
-// fan-out: the batched three-phase lookup, results scattered to positions
-// pos[i] of the caller's slices (each shard owns disjoint positions).
-func (c *Cache) getManyFP(fps []uint64, keys [][]byte, pos []int32, values [][]byte, hits []bool) {
-	c.getBatch(fps, keys, func(j int, v []byte, ok bool) {
-		values[pos[j]], hits[pos[j]] = v, ok
-	})
-}
-
-// getManyFPSeq is getManyFP for a whole-batch sub-batch (positions 0..n-1),
-// sparing the single-shard fast path the position indirection.
-func (c *Cache) getManyFPSeq(fps []uint64, keys [][]byte, values [][]byte, hits []bool) {
-	c.getBatch(fps, keys, func(j int, v []byte, ok bool) {
-		values[j], hits[j] = v, ok
-	})
-}
-
-// setManyFP is the pre-fingerprinted sub-batch insert path.
-func (c *Cache) setManyFP(fps []uint64, keys, values [][]byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range keys {
-		if err := c.setLocked(fps[i], keys[i], values[i], false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// shardOfFP re-derives the shard from an already-computed fingerprint.
-func (s *Sharded) shardOfFP(fp uint64) int {
-	return cachelib.ShardOfFP(fp, s.n)
-}
-
-// GetMany implements cachelib.BatchEngine on the sharded facade: one hash
-// pass, per-shard sub-batches, parallel fan-out. Single-shard batches skip
-// the grouping and goroutine fan-out entirely.
-func (s *Sharded) GetMany(keys [][]byte) (values [][]byte, hits []bool) {
-	values = make([][]byte, len(keys))
-	hits = make([]bool, len(keys))
-	if len(keys) == 0 {
-		return values, hits
-	}
-	scratch := cachelib.BorrowFPs()
-	defer cachelib.ReturnFPs(scratch)
-	fps, first, single := cachelib.PlanFPs(keys, scratch, s.n)
-	if single {
-		s.shards[first].getManyFPSeq(fps, keys, values, hits)
-		return values, hits
-	}
-	fanOut := runtime.GOMAXPROCS(0) > 1
-	var wg sync.WaitGroup
-	for _, sub := range cachelib.GroupByShard(fps, keys, nil, len(s.shards)) {
-		if !fanOut {
-			// A single-P runtime gains nothing from goroutine fan-out;
-			// sub-batches still pay one lock acquisition each.
-			s.shards[sub.Shard].getManyFP(sub.FPs, sub.Keys, sub.Pos, values, hits)
-			continue
-		}
-		wg.Add(1)
-		go func(sub cachelib.SubBatch) {
-			defer wg.Done()
-			s.shards[sub.Shard].getManyFP(sub.FPs, sub.Keys, sub.Pos, values, hits)
-		}(sub)
-	}
-	wg.Wait()
-	return values, hits
-}
-
-// SetMany implements cachelib.BatchEngine on the sharded facade. Within a
-// shard inserts apply in batch order; across shards sub-batches run in
-// parallel (keys of different shards never interact). The lowest-numbered
-// shard's error is returned first.
-func (s *Sharded) SetMany(keys, values [][]byte) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	scratch := cachelib.BorrowFPs()
-	defer cachelib.ReturnFPs(scratch)
-	fps, first, single := cachelib.PlanFPs(keys, scratch, s.n)
-	if single {
-		return s.shards[first].setManyFP(fps, keys, values)
-	}
-	fanOut := runtime.GOMAXPROCS(0) > 1
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for _, sub := range cachelib.GroupByShard(fps, keys, values, len(s.shards)) {
-		if !fanOut {
-			errs[sub.Shard] = s.shards[sub.Shard].setManyFP(sub.FPs, sub.Keys, sub.Vals)
-			continue
-		}
-		wg.Add(1)
-		go func(sub cachelib.SubBatch) {
-			defer wg.Done()
-			errs[sub.Shard] = s.shards[sub.Shard].setManyFP(sub.FPs, sub.Keys, sub.Vals)
-		}(sub)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
 			return err
 		}
 	}

@@ -542,10 +542,14 @@ func (c *Cache) asyncFlushDueLocked() bool {
 // Get looks up an object (operation ❷, §4.1): in-memory SGs first, then
 // PBFG-identified candidate SGs read in parallel. Flash I/O runs outside
 // the shard mutex under the plan/I-O/commit protocol (readpath.go), so
-// concurrent Gets on one shard overlap their device reads.
+// concurrent Gets on one shard overlap their device reads. A Get is a
+// one-key getBatch.
 func (c *Cache) Get(key []byte) ([]byte, bool) {
-	fp := hashing.Fingerprint(key)
-	return c.get(fp, key)
+	sc := c.borrowScratch()
+	defer c.returnScratch(sc)
+	sc.one[0] = key
+	c.getBatch(sc, sc.one[:])
+	return sc.outcome(0)
 }
 
 // markHot records an access bit when the SG is inside the tracked tail of

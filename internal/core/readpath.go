@@ -2,7 +2,8 @@ package core
 
 // The concurrent read path: flash I/O happens outside the shard mutex.
 //
-// A Get runs in three phases:
+// There is one lookup routine, getBatch; Get is its n = 1 case and GetMany
+// its general one. A lookup runs in three phases:
 //
 //   - plan (locked): fingerprint → set offset, probe the in-memory SGs, and
 //     — when the lookup must go to flash — identify the candidates in place:
@@ -24,11 +25,17 @@ package core
 //     snapshot named, so the order-insensitive read-side effects apply:
 //     Hits/FlashReadOps/FlashBytesRead/ReadErrors counters, markHot bits,
 //     deduplicated icache publication of the fetched PBFG pages, the
-//     latency histogram. On conflict the attempt is discarded (device reads
-//     are still accounted — they happened) and the Get replans; after
-//     maxGetOptimistic conflicts it falls back to running the I/O phase
-//     under the lock, which is exactly the pre-concurrent behavior and
-//     guarantees progress.
+//     latency histogram.
+//
+// Conflict policy — the only one: when the epoch moved, the aborted reads
+// are accounted (they happened), the pages they fetched are dropped
+// unpublished, and every unresolved key is redone — planned, read and
+// committed — under the lock already held. The redo therefore holds the shard
+// lock across device reads; that is the pre-concurrent fully-locked
+// behavior, it cannot conflict again, so a lookup always returns after at
+// most two passes, and it is rare: a counters-only census of the four
+// BENCHMARK.json workloads saw it on at most 33 of 2.7 M flash-going lookups
+// (lib_direct) and 13 of 1.1 M batch passes (write_churn).
 //
 // Epoch rule: the snapshot is valid iff the pool head SG ID and the flush
 // sequence number (nextSGID) are unchanged. Every eviction pops the pool
@@ -61,10 +68,6 @@ import (
 	"nemo/internal/setblock"
 )
 
-// maxGetOptimistic bounds how many epoch conflicts a Get tolerates before
-// falling back to fully-locked I/O (guaranteed progress under write storms).
-const maxGetOptimistic = 3
-
 // probeEnt is one candidate SG queued by the plan phase, in newest-first
 // candidate order: either a member whose in-memory filter already tested
 // positive (pend < 0), or a member of a group whose PBFG page is a pending
@@ -92,7 +95,8 @@ type pendFetch struct {
 	owner int32 // batch: index of the key whose I/O pass fetches the page
 }
 
-// getScratch is the per-goroutine reusable state of one Get (or one batch).
+// getScratch is the per-goroutine reusable state of one lookup (one Get or
+// one GetMany batch).
 // Instances live in the cache's sync.Pool: a borrowing goroutine owns the
 // scratch exclusively until it returns it, so the steady-state hot path
 // allocates nothing beyond the returned value copy. The candidate read
@@ -110,9 +114,14 @@ type getScratch struct {
 	bufs      [][]byte
 	freePages [][]byte
 
-	// Batch-mode per-key state (see getBatch).
+	// Per-key state, parallel to the keys handed to getBatch, which leaves
+	// every key's outcome here (see outcome).
 	atts    []getAttempt
 	results []getIOResult
+
+	// one is Get's key slot: a one-key batch without a slice literal that
+	// would escape to the heap.
+	one [1][]byte
 }
 
 // borrowScratch takes a scratch from the cache's pool.
@@ -120,8 +129,25 @@ func (c *Cache) borrowScratch() *getScratch {
 	return c.getPool.Get().(*getScratch)
 }
 
+// returnScratch gives sc back to the pool without retaining key or value
+// bytes in it.
 func (c *Cache) returnScratch(sc *getScratch) {
+	for j := range sc.atts {
+		sc.atts[j].val = nil
+		sc.results[j].val = nil
+	}
+	sc.atts, sc.results = sc.atts[:0], sc.results[:0]
+	sc.one[0] = nil
 	c.getPool.Put(sc)
+}
+
+// outcome reports key j's result after getBatch: a fresh copy of the value
+// and true on a hit, nil and false otherwise.
+func (sc *getScratch) outcome(j int) ([]byte, bool) {
+	if att := &sc.atts[j]; att.resolved {
+		return att.val, att.hit
+	}
+	return sc.results[j].val, sc.results[j].outcome == ioHit
 }
 
 // getAttempt carries one key's plan-phase snapshot through the I/O and
@@ -135,9 +161,9 @@ type getAttempt struct {
 	headID uint64
 	nextSG uint64
 
-	// ents[entLo:entHi] are this attempt's candidates (batch mode slices one
-	// shared arena; single-key mode uses the whole slice); pendBacked is set
-	// when any of them still awaits its Bloom test behind a pending fetch.
+	// ents[entLo:entHi] are this attempt's candidates (the keys of a batch
+	// slice one shared arena); pendBacked is set when any of them still
+	// awaits its Bloom test behind a pending fetch.
 	entLo, entHi int32
 	pendBacked   bool
 
@@ -188,11 +214,10 @@ func (c *Cache) epochValidLocked(att *getAttempt) bool {
 // (att.entLo/entHi record this key's segment). sc.probes must hold the
 // probe set of att.fp: the caller computes it before planning (outside the
 // lock where it can). owner stamps any new pend with the planning key's
-// batch index (0 for single-key lookups) so the I/O phase fetches each
-// shared page exactly once, at the position a serial execution would have
-// fetched it. Index-cache lookup/miss counters are charged here, mirroring
-// the historical locked path. The caller holds c.mu and has already counted
-// the Get.
+// batch index so the I/O phase fetches each shared page exactly once, at the
+// position a serial execution would have fetched it. Index-cache lookup/miss
+// counters are charged here, mirroring the historical locked path. The
+// caller holds c.mu and has already counted the Get.
 func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner int32) {
 	att.resolved = false
 	fp, o := att.fp, att.o
@@ -288,8 +313,7 @@ func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner
 // findPend reports an already-planned fetch for k (batch deduplication: a
 // page missed by an earlier key of the same batch will be in cache by the
 // time a serial execution reached this key, so the later key charges a
-// lookup but no miss and shares the fetched page). Single-key plans always
-// start with an empty pend list, where this trivially returns -1.
+// lookup but no miss and shares the fetched page).
 func (sc *getScratch) findPend(k pbfgKey) int32 {
 	for i := range sc.pends {
 		if sc.pends[i].key == k {
@@ -327,9 +351,9 @@ func (c *Cache) fetchPend(sc *getScratch, p *pendFetch, r *getIOResult) {
 
 // getIO is the unlocked phase for one key: fetch this attempt's pending
 // PBFG pages, Bloom-test the members queued behind them, read and scan the
-// candidate set pages. my selects which pends this attempt owns (batch mode
-// shares the pend list across keys); pends fetched by earlier keys contribute
-// no latency here, mirroring the index-cache hit a serial execution would see.
+// candidate set pages. my selects which pends this attempt owns (the keys of
+// a batch share the pend list); pends fetched by earlier keys contribute no
+// latency here, mirroring the index-cache hit a serial execution would see.
 func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r getIOResult) {
 	for i := range sc.pends {
 		p := &sc.pends[i]
@@ -423,14 +447,9 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 }
 
 // commitGetLocked applies one attempt's validated read-side effects under
-// c.mu: fetched PBFG pages publish to the index cache (in plan order, so
-// the FIFO queue matches the locked path's put order), counters and hotness
-// bits update, and the latency sample records. publishPends is false for
-// batch commits, which publish the shared pend list once for all keys.
-func (c *Cache) commitGetLocked(sc *getScratch, att *getAttempt, r *getIOResult, publishPends bool) {
-	if publishPends {
-		c.publishPendsLocked(sc)
-	}
+// c.mu: counters and hotness bits update, and the latency sample records.
+// The caller has published the pend list (publishPendsLocked).
+func (c *Cache) commitGetLocked(att *getAttempt, r *getIOResult) {
 	c.stats.FlashReadOps += r.readOps
 	c.stats.FlashBytesRead += r.readBytes
 	c.stats.ReadErrors += r.readErrs
@@ -447,8 +466,9 @@ func (c *Cache) commitGetLocked(sc *getScratch, att *getAttempt, r *getIOResult,
 	}
 }
 
-// publishPendsLocked copies every fetched PBFG page into the index cache
-// (put copies into the arena, deduplicating against racing publishers) and
+// publishPendsLocked copies every fetched PBFG page into the index cache in
+// plan order, so the FIFO queue matches a serial execution's put order (put
+// copies into the arena, deduplicating against racing publishers), and
 // recycles the fetch buffers into the scratch's free list.
 func (c *Cache) publishPendsLocked(sc *getScratch) {
 	for i := range sc.pends {
@@ -460,75 +480,38 @@ func (c *Cache) publishPendsLocked(sc *getScratch) {
 	}
 }
 
-// abortGetLocked discards a conflicted attempt: the device reads happened
-// and are accounted, but nothing read is trusted — fetched PBFG pages are
-// dropped instead of published (a reset-and-rewritten index zone could have
-// yielded stale or foreign filter bytes).
-func (c *Cache) abortGetLocked(sc *getScratch, r *getIOResult) {
-	c.stats.FlashReadOps += r.readOps
-	c.stats.FlashBytesRead += r.readBytes
-	c.stats.ReadErrors += r.readErrs
+// abortGetsLocked discards a conflicted pass: the device reads of its
+// unresolved attempts happened and are accounted, but nothing read is
+// trusted — fetched PBFG pages are dropped instead of published (a
+// reset-and-rewritten index zone could have yielded stale or foreign filter
+// bytes).
+func (c *Cache) abortGetsLocked(sc *getScratch) {
+	for j := range sc.atts {
+		if sc.atts[j].resolved {
+			continue
+		}
+		r := &sc.results[j]
+		c.stats.FlashReadOps += r.readOps
+		c.stats.FlashBytesRead += r.readBytes
+		c.stats.ReadErrors += r.readErrs
+	}
 	for i := range sc.pends {
 		if p := &sc.pends[i]; p.page != nil {
 			sc.freePages = append(sc.freePages, p.page)
+			p.page = nil
 		}
-		sc.pends[i].page = nil
-		sc.pends[i].err = nil
 	}
 }
 
-// resetPlan clears the single-key planning state between attempts.
+// resetPlan clears the planning state between passes.
 func (sc *getScratch) resetPlan() {
 	sc.ents = sc.ents[:0]
 	sc.pends = sc.pends[:0]
 }
 
-// get is the single-key lookup path behind Get; the key is already
-// fingerprinted.
-func (c *Cache) get(fp uint64, key []byte) ([]byte, bool) {
-	sc := c.borrowScratch()
-	defer c.returnScratch(sc)
-	att := getAttempt{fp: fp, o: c.setOf(fp)}
-	sc.probes.Reuse(fp, c.bfBits)
-	c.mu.Lock()
-	c.stats.Gets++
-	att.start = c.dev.Clock().Now()
-	for attempt := 0; ; attempt++ {
-		sc.resetPlan()
-		c.planGetLocked(sc, &att, key, allPends)
-		if att.resolved {
-			c.mu.Unlock()
-			return att.val, att.hit
-		}
-		if attempt >= maxGetOptimistic {
-			// Pessimistic fallback: run the I/O under the lock. This is
-			// exactly the historical fully-locked behavior, so it needs no
-			// validation and always completes.
-			r := c.getIO(sc, &att, key, allPends)
-			c.commitGetLocked(sc, &att, &r, true)
-			c.mu.Unlock()
-			return r.val, r.outcome == ioHit
-		}
-		c.mu.Unlock()
-		r := c.getIO(sc, &att, key, allPends)
-		c.mu.Lock()
-		if c.epochValidLocked(&att) {
-			c.commitGetLocked(sc, &att, &r, true)
-			c.mu.Unlock()
-			return r.val, r.outcome == ioHit
-		}
-		// Conflict: a flush or eviction moved the flash layout mid-read.
-		// Discard and replan under the lock we already hold.
-		c.abortGetLocked(sc, &r)
-	}
-}
-
-// allPends is the single-key owner index: a lone attempt owns every pend it
-// planned.
-const allPends = 0
-
-// getBatch is the batched three-phase lookup behind GetMany and the sharded
-// fan-out: all keys plan under one lock acquisition, every key's flash I/O
+// getBatch is the three-phase lookup behind Get (n = 1) and GetMany: keys
+// are fingerprinted, and the first key's probe set computed, before the lock
+// is taken; all keys plan under one lock acquisition, every key's flash I/O
 // runs unlocked back to back (so one shard's batch overlaps its reads on
 // the device's channels exactly as the serial op sequence would have
 // scheduled them), and all read-side effects commit under a second, single
@@ -537,123 +520,87 @@ const allPends = 0
 // execution, where the first key's fetch populates the index cache for the
 // rest — and later keys charge an index-cache lookup but no miss.
 //
-// fps may be nil, in which case keys are fingerprinted here (one hash
-// pass). emit is called once per key, in order, after all locks are
-// released. On an epoch conflict (a racing writer flushed or evicted
-// mid-batch) the unresolved keys are redone pessimistically — planned,
-// read, and committed under one held lock — which is exact and cannot
-// conflict again.
+// sc is the caller's borrowed scratch; key j's result is sc.outcome(j) until
+// the scratch is returned. On an epoch conflict (a racing writer flushed or
+// evicted mid-lookup) the policy of the file header applies: abort, then
+// redo the unresolved keys one by one under the held lock, each publishing
+// its fetches before the next plans, exactly like serial Gets.
 //
-// Accounting caveat: the fetch-sharing premise assumes the first key's
-// fetch succeeds. If a shared fetch fails, serial execution would have
-// had every subsequent key retry the fetch (another lookup, miss, and
-// device attempt each); the batch instead reuses the sticky error, so
-// under device faults icache.misses undercounts relative to serial by
-// the number of sharers. Fault-free batches match serial exactly.
-func (c *Cache) getBatch(fps []uint64, keys [][]byte, emit func(j int, val []byte, hit bool)) {
-	n := len(keys)
-	if n == 0 {
+// Accounting contract (TestGetManySharedFetchFailureContract): the
+// fetch-sharing premise assumes the first key's fetch succeeds. If a shared
+// fetch fails, serial execution would have had every subsequent key retry
+// the fetch (another lookup, miss, and device attempt each); the batch
+// instead reuses the sticky error: the k sharers all miss and ReadErrors
+// rises by k, but the index cache is charged k lookups and one miss and the
+// page is attempted once — under device faults icache.misses undercounts
+// relative to serial by k-1. Nothing is cached from the failure, so the next
+// lookup fetches the page again. Fault-free batches match serial exactly.
+func (c *Cache) getBatch(sc *getScratch, keys [][]byte) {
+	if len(keys) == 0 {
 		return
 	}
-	sc := c.borrowScratch()
-	defer c.returnScratch(sc)
 	sc.resetPlan()
-	atts := sc.atts[:0]
-	results := sc.results[:0]
+	atts, results := sc.atts[:0], sc.results[:0]
+	for _, key := range keys {
+		fp := hashing.Fingerprint(key)
+		atts = append(atts, getAttempt{fp: fp, o: c.setOf(fp)})
+		results = append(results, getIOResult{})
+	}
+	sc.atts, sc.results = atts, results
+	sc.probes.Reuse(atts[0].fp, c.bfBits)
 
 	// Phase 1: plan every key under one lock acquisition.
 	c.mu.Lock()
 	start := c.dev.Clock().Now()
-	for j := 0; j < n; j++ {
-		fp := uint64(0)
-		if fps != nil {
-			fp = fps[j]
-		} else {
-			fp = hashing.Fingerprint(keys[j])
-		}
-		atts = append(atts, getAttempt{fp: fp, o: c.setOf(fp), start: start})
+	for j := range atts {
+		atts[j].start = start
 		c.stats.Gets++
-		sc.probes.Reuse(fp, c.bfBits)
+		if j > 0 {
+			sc.probes.Reuse(atts[j].fp, c.bfBits)
+		}
 		c.planGetLocked(sc, &atts[j], keys[j], int32(j))
 	}
 	c.mu.Unlock()
 
 	// Phase 2: unlocked I/O, key by key in batch order.
+	flash := -1 // first key that went to flash; all share one epoch
 	for j := range atts {
-		if atts[j].resolved {
-			results = append(results, getIOResult{})
-			continue
+		if !atts[j].resolved {
+			if flash < 0 {
+				flash = j
+			}
+			results[j] = c.getIO(sc, &atts[j], keys[j], int32(j))
 		}
-		results = append(results, c.getIO(sc, &atts[j], keys[j], int32(j)))
+	}
+	if flash < 0 {
+		return
 	}
 
 	// Phase 3: validate once and commit everything under one lock.
 	c.mu.Lock()
-	conflict := false
-	for j := range atts {
-		if !atts[j].resolved {
-			conflict = !c.epochValidLocked(&atts[j])
-			break
-		}
-	}
-	if !conflict {
+	defer c.mu.Unlock()
+	if c.epochValidLocked(&atts[flash]) {
 		c.publishPendsLocked(sc)
-		for j := range atts {
+		for j := flash; j < len(atts); j++ {
 			if !atts[j].resolved {
-				c.commitGetLocked(sc, &atts[j], &results[j], false)
+				c.commitGetLocked(&atts[j], &results[j])
 			}
 		}
-		c.mu.Unlock()
-	} else {
-		// Account the aborted attempts' real device reads, discard their
-		// untrusted pages, and redo the unresolved keys under the held
-		// lock (the pre-concurrent behavior; exact and conflict-free).
-		for j := range atts {
-			if atts[j].resolved {
-				continue
-			}
-			r := &results[j]
-			c.stats.FlashReadOps += r.readOps
-			c.stats.FlashBytesRead += r.readBytes
-			c.stats.ReadErrors += r.readErrs
-		}
-		for i := range sc.pends {
-			if p := &sc.pends[i]; p.page != nil {
-				sc.freePages = append(sc.freePages, p.page)
-			}
-			sc.pends[i].page, sc.pends[i].err = nil, nil
-		}
-		for j := range atts {
-			if atts[j].resolved {
-				continue
-			}
-			sc.resetPlan()
-			att := getAttempt{fp: atts[j].fp, o: atts[j].o, start: start}
-			sc.probes.Reuse(att.fp, c.bfBits)
-			c.planGetLocked(sc, &att, keys[j], allPends)
-			if att.resolved {
-				atts[j] = att
-				continue
-			}
-			r := c.getIO(sc, &att, keys[j], allPends)
-			c.commitGetLocked(sc, &att, &r, true)
-			atts[j], results[j] = att, r
-		}
-		c.mu.Unlock()
+		return
 	}
-
-	for j := range atts {
+	c.abortGetsLocked(sc)
+	for j := flash; j < len(atts); j++ {
 		if atts[j].resolved {
-			emit(j, atts[j].val, atts[j].hit)
-		} else {
-			emit(j, results[j].val, results[j].outcome == ioHit)
+			continue
 		}
+		sc.resetPlan()
+		sc.probes.Reuse(atts[j].fp, c.bfBits)
+		c.planGetLocked(sc, &atts[j], keys[j], int32(j))
+		if atts[j].resolved {
+			continue
+		}
+		results[j] = c.getIO(sc, &atts[j], keys[j], int32(j))
+		c.publishPendsLocked(sc)
+		c.commitGetLocked(&atts[j], &results[j])
 	}
-
-	// Return the arenas without retaining value bytes in the pool.
-	for j := range atts {
-		atts[j].val = nil
-		results[j].val = nil
-	}
-	sc.atts, sc.results = atts[:0], results[:0]
 }

@@ -10,20 +10,25 @@ import (
 
 // Sharded is a hash-partitioned Nemo cache: Config.Shards independent Cache
 // engines, each owning a disjoint slice of the shared device's zones, its
-// own in-memory SGs, PBFG index, and lock. Get and Set route by a dedicated
-// hash lane of the key fingerprint and take only the owning shard's lock, so
-// requests for different shards proceed fully in parallel — and within one
-// shard, concurrent GETs additionally overlap their flash I/O through the
-// shard's three-phase read path (readpath.go), so read throughput scales
-// with goroutines even on a single hot shard. Stats and the other aggregate
-// accessors sum per-shard counters without any global lock.
+// own in-memory SGs, PBFG index, and lock. Routing is the embedded
+// cachelib.ShardedEngine — the one sharded facade, the same type that
+// fronts the four baselines: Get/Set/Delete/SetAsync go to the shard owning
+// the key's shard lane and take only that shard's lock, GetMany/SetMany
+// split into per-shard sub-batches, Stats sums per-shard counters without
+// any global lock. Within one shard, concurrent GETs additionally overlap
+// their flash I/O through the shard's three-phase read path (readpath.go),
+// so read throughput scales with goroutines even on a single hot shard.
+// What this type adds is what only Nemo has: the zone layout, the shared
+// flusher pool, restore and checkpoint, and the Nemo-specific aggregates.
 //
 // With Shards = 1 a Sharded cache is bit-for-bit the unsharded engine: the
 // single shard sees the identical configuration, zone layout, and request
 // sequence, which the equivalence property test pins down.
 type Sharded struct {
+	*cachelib.ShardedEngine
+
+	// shards are the engines behind ShardedEngine, as their concrete type.
 	shards []*Cache
-	n      uint64
 
 	// cfg is the facade-level Config as given to NewSharded (before per-shard
 	// derivation); Checkpoint stamps snapshots with it so a restore can prove
@@ -76,7 +81,8 @@ func NewSharded(cfg Config) (*Sharded, error) {
 	if perData < 2*zps {
 		return nil, fmt.Errorf("core: %d data zones per shard cannot hold 2 SGs of %d zones", perData, zps)
 	}
-	s := &Sharded{shards: make([]*Cache, n), n: uint64(n), cfg: cfg}
+	s := &Sharded{shards: make([]*Cache, n), cfg: cfg}
+	engines := make([]cachelib.Engine, n)
 	offset := cfg.ZoneOffset
 	for i := 0; i < n; i++ {
 		scfg := cfg
@@ -94,9 +100,12 @@ func NewSharded(cfg Config) (*Sharded, error) {
 			}
 			return nil, fmt.Errorf("core: shard %d/%d: %w", i, n, err)
 		}
-		s.shards[i] = shard
+		s.shards[i], engines[i] = shard, shard
 		offset += perData + scfg.IndexZones()
 	}
+	// A *Cache is a full EngineV2, so the facade holds the shards as they
+	// are, without an adapter in between.
+	s.ShardedEngine, _ = cachelib.NewShardedEngine(engines) // errs only on no or nil shards
 	if cfg.Flushers > 0 {
 		s.pool = newFlusherPool(cfg.Flushers, n)
 		for _, shard := range s.shards {
@@ -109,24 +118,9 @@ func NewSharded(cfg Config) (*Sharded, error) {
 	return s, nil
 }
 
-// NumShards returns the number of shards.
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// ShardOf returns the shard index owning key, routing by the shared
-// cachelib shard lane — the same lane the generic cachelib.ShardedEngine
-// uses for the baselines, so every engine of a comparison run partitions
-// the key space identically. Replay drivers partition work by this function
-// so each shard's request order stays deterministic no matter how many
-// workers run.
-func (s *Sharded) ShardOf(key []byte) int {
-	return cachelib.ShardOfKey(key, s.n)
-}
-
-// Shard returns shard i (tests and diagnostics).
+// Shard returns shard i (tests and diagnostics), shadowing the embedded
+// facade's interface-typed accessor.
 func (s *Sharded) Shard(i int) *Cache { return s.shards[i] }
-
-// Name implements cachelib.Engine.
-func (s *Sharded) Name() string { return "Nemo" }
 
 // Close implements cachelib.Engine: the shared flusher pool is drained and
 // stopped, a final warm-restart checkpoint is written when
@@ -143,38 +137,15 @@ func (s *Sharded) Close() error {
 			first = err
 		}
 	}
-	for _, c := range s.shards {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
+	if err := s.ShardedEngine.Close(); err != nil && first == nil {
+		first = err
 	}
 	return first
 }
 
-// Get looks up an object in its owning shard.
-func (s *Sharded) Get(key []byte) ([]byte, bool) {
-	return s.shards[s.ShardOf(key)].Get(key)
-}
-
-// Set inserts or updates an object in its owning shard.
-func (s *Sharded) Set(key, value []byte) error {
-	return s.shards[s.ShardOf(key)].Set(key, value)
-}
-
-// Delete implements cachelib.Deleter, tombstoning in the owning shard.
-func (s *Sharded) Delete(key []byte) error {
-	return s.shards[s.ShardOf(key)].Delete(key)
-}
-
-// SetAsync implements cachelib.AsyncEngine: the insert goes to the owning
-// shard, and any triggered SG flush is handed to the shared flusher pool
-// instead of running inline (synchronous when no pool is configured).
-func (s *Sharded) SetAsync(key, value []byte) error {
-	return s.shards[s.ShardOf(key)].SetAsync(key, value)
-}
-
 // Drain implements cachelib.AsyncEngine, waiting out every deferred flush
-// across all shards.
+// across all shards: the shards share one pool (a SetAsync's triggered flush
+// is handed to it instead of running inline), so it drains once.
 func (s *Sharded) Drain() error {
 	if s.pool == nil {
 		return nil
@@ -182,24 +153,16 @@ func (s *Sharded) Drain() error {
 	return s.pool.drain()
 }
 
-// Flush forces every shard's front in-memory SG to flash.
+// Flush forces every shard's front in-memory SG to flash — all of them, even
+// after a failure — and returns the first error.
 func (s *Sharded) Flush() error {
+	var first error
 	for _, c := range s.shards {
-		if err := c.Flush(); err != nil {
-			return err
+		if err := c.Flush(); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
-}
-
-// Stats implements cachelib.Engine by summing per-shard counters. Each
-// shard is sampled under its own lock; no global lock is taken.
-func (s *Sharded) Stats() cachelib.Stats {
-	var sum cachelib.Stats
-	for _, c := range s.shards {
-		sum = sum.Add(c.Stats())
-	}
-	return sum
+	return first
 }
 
 // Extra returns the summed Nemo-specific counters.
@@ -249,8 +212,10 @@ func (s *Sharded) MemObjects() int {
 }
 
 // ReadLatency implements cachelib.Engine: the merged histogram of all
-// shards, rebuilt on each call. Like Cache.ReadLatency, the returned
-// histogram should be read while the cache is quiescent.
+// shards, rebuilt on each call. It overrides the embedded facade's merge
+// because a Nemo shard's histogram is written under the shard lock, so each
+// is merged under that lock. Like Cache.ReadLatency, the returned histogram
+// should be read while the cache is quiescent.
 func (s *Sharded) ReadLatency() *metrics.Histogram {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()

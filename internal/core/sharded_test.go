@@ -144,6 +144,122 @@ func TestShardedAggregateCounts(t *testing.T) {
 	}
 }
 
+// TestShardedBatchMatchesSerial pins, on real Nemo shards, the property the
+// shared facade carries for every engine: a GetMany/SetMany behaves, value for
+// value and counter for counter, like the serial Get/Set sequence in batch
+// order — including batches that repeat a key (the later write wins), ask for
+// keys never set, and ask for a deleted key.
+func TestShardedBatchMatchesSerial(t *testing.T) {
+	// The index cache holds every PBFG page: when it evicts mid-batch, a
+	// batch's fetch sharing saves refetches the serial path repays (see
+	// TestGetManyMatchesSerialGets), and the read counters part by design.
+	_, cfgA := shardedGeom(t, 4, 8)
+	cfgA.CachedPBFGRatio = 1
+	serial, err := NewSharded(cfgA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cfgB := shardedGeom(t, 4, 8)
+	cfgB.CachedPBFGRatio = 1
+	batched, err := NewSharded(cfgB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("batch-key-%06d", i)) }
+	val := func(i, ver int) []byte { return []byte(fmt.Sprintf("batch-value-%06d-v%03d-padpadpad", i, ver)) }
+
+	const n, rounds, batch = 1200, 4, 16
+	for r := 0; r < rounds; r++ {
+		for lo := 0; lo < n; lo += batch {
+			var keys, vals [][]byte
+			for i := lo; i < lo+batch; i++ {
+				keys, vals = append(keys, key(i)), append(vals, val(i, r))
+			}
+			// Repeat the batch's first key with a newer value.
+			keys, vals = append(keys, key(lo)), append(vals, val(lo, r+100))
+			for j := range keys {
+				if err := serial.Set(keys[j], vals[j]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := batched.SetMany(keys, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		deleted := key(r * 37)
+		if err := serial.Delete(deleted); err != nil {
+			t.Fatal(err)
+		}
+		if err := batched.Delete(deleted); err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < n; lo += batch {
+			keys := [][]byte{deleted, key(n + lo)} // a deleted key and one never set
+			for i := lo; i < lo+batch; i++ {
+				keys = append(keys, key(i))
+			}
+			keys = append(keys, key(lo+1), deleted) // repeats
+			vals, hits := batched.GetMany(keys)
+			for j, k := range keys {
+				v, hit := serial.Get(k)
+				if hit != hits[j] || string(v) != string(vals[j]) {
+					t.Fatalf("round %d key %q: batched (%q,%v) != serial (%q,%v)", r, k, vals[j], hits[j], v, hit)
+				}
+			}
+			if hits[0] || hits[1] {
+				t.Fatalf("round %d: deleted or never-set key hit: %v", r, hits[:2])
+			}
+		}
+	}
+	for i := 0; i < serial.NumShards(); i++ {
+		if got, want := batched.Shard(i).Stats(), serial.Shard(i).Stats(); got != want {
+			t.Fatalf("shard %d stats diverged:\nbatched: %+v\nserial:  %+v", i, got, want)
+		}
+	}
+	if got, want := batched.Stats(), serial.Stats(); got != want {
+		t.Fatalf("stats diverged:\nbatched: %+v\nserial:  %+v", got, want)
+	}
+	if got, want := batched.Extra(), serial.Extra(); got != want {
+		t.Fatalf("extra stats diverged:\nbatched: %+v\nserial:  %+v", got, want)
+	}
+	if st := batched.Stats(); st.Hits == 0 || st.FlashReadOps == 0 || st.Evictions == 0 {
+		t.Fatalf("equivalence proved nothing: %+v", st)
+	}
+}
+
+// TestShardedFlushVisitsEveryShard pins Flush to the contract Close and Drain
+// already keep: a failing shard does not leave the shards after it unflushed,
+// and the first error is still returned.
+func TestShardedFlushVisitsEveryShard(t *testing.T) {
+	dev, cfg := shardedGeom(t, 2, 8)
+	s, err := NewSharded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; s.Shard(0).MemObjects() == 0 || s.Shard(1).MemObjects() == 0; i++ {
+		k := []byte(fmt.Sprintf("flush-key-%06d", i))
+		if err := s.Set(k, valueForKey(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Shard 0 owns the first half of the device's zones, data and index.
+	shard1From := dev.Zones() / 2
+	dev.SetWriteFault(func(zone int) error {
+		if zone < shard1From {
+			return fmt.Errorf("injected write error in zone %d", zone)
+		}
+		return nil
+	})
+	defer dev.SetWriteFault(nil)
+	before := s.Shard(1).MemObjects()
+	if err := s.Flush(); err == nil {
+		t.Fatal("Flush swallowed shard 0's write error")
+	}
+	if after := s.Shard(1).MemObjects(); after >= before {
+		t.Fatalf("shard 1 still buffers %d of %d objects: Flush stopped at the failing shard", after, before)
+	}
+}
+
 // TestShardedOpenZoneBudget pins the shared-device validation: a device
 // whose open-zone limit cannot cover one concurrently open zone per shard
 // must be rejected at construction, not fail nondeterministically mid-run.

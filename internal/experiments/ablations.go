@@ -1,9 +1,8 @@
 package experiments
 
-// Ablations beyond the paper's figures, probing the design choices
-// DESIGN.md calls out: SG (zone) size, cooling period, Bloom FPR (tying the
-// measured system back to the Appendix A model), and writeback under
-// different workload skews.
+// Ablations beyond the paper's figures, probing Nemo's design choices: SG
+// (zone) size, cooling period, Bloom FPR (tying the measured system back to
+// the Appendix A model), and writeback under different workload skews.
 
 import (
 	"fmt"

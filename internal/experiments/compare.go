@@ -2,12 +2,11 @@ package experiments
 
 // The production-scale comparison harness behind `nemobench -compare`: one
 // materialized mixed GET/SET/DELETE trace replayed through all five cache
-// engines — Nemo behind its native core.Sharded facade, the four baselines
-// behind the generic cachelib.ShardedEngine — at each requested shard
-// count. This is the Figure 12/15 comparison grown to production shape:
-// the paper compares the engines single-threaded, and PR 1 gave only Nemo
-// the sharded/concurrent treatment; here every engine runs behind the same
-// hash-lane partitioning (the shared cachelib shard plan), over the same
+// engines, each behind cachelib.ShardedEngine (Nemo's core.Sharded embeds
+// it), at each requested shard count. This is the Figure 12/15 comparison
+// grown to production shape: the paper compares the engines
+// single-threaded; here every engine runs behind the same hash-lane
+// partitioning (the cachelib shard plan), over the same
 // per-shard zone slicing of equal total capacity, driven by the same
 // deterministic parallel replayer. Hit ratio and write amplification are
 // therefore apples-to-apples at every shard count, and the wall-clock

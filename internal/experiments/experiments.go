@@ -3,10 +3,10 @@
 // model. Each experiment is registered by the paper's artifact ID (fig4,
 // fig12a, tab6, ...) and prints the same rows or series the paper reports.
 //
-// All experiments run against the scaled-down simulated device documented
-// in EXPERIMENTS.md; the geometry ratios (log share, OP ratio, sets per SG
-// relative to pool size) match Table 4, which §3.2 shows is what determines
-// write amplification.
+// All experiments run against a scaled-down simulated device (Options.Scale;
+// `nemobench -exp <id> -scale ...`); the geometry ratios (log share, OP
+// ratio, sets per SG relative to pool size) match Table 4, which §3.2 shows
+// is what determines write amplification.
 package experiments
 
 import (

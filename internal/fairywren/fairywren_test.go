@@ -72,9 +72,8 @@ func TestPassiveMigrationOnLogFull(t *testing.T) {
 
 func TestActiveMigrationWhenSpaceTightens(t *testing.T) {
 	// Active migration needs a set space much larger than one log-zone
-	// burst (otherwise every zone fully invalidates before reclaim — see
-	// EXPERIMENTS.md scaling notes), so this test uses a larger device
-	// than the other tests.
+	// burst (otherwise every zone fully invalidates before reclaim), so
+	// this test uses a larger device than the other tests.
 	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 8, Zones: 128})
 	c, err := New(Config{Device: dev, LogRatio: 0.04, OPRatio: 0.05, TargetObjsPerSet: 8})
 	if err != nil {

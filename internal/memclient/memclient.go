@@ -1,7 +1,6 @@
 // Package memclient is a minimal memcached-text-protocol client for the
-// repository's own serving layer: the loopback load generator
-// (internal/servebench) and the server test suites drive internal/server
-// through it. It supports the server's verb subset, explicit pipelining
+// repository's own serving layer: the chaos harness (internal/chaos) and
+// the server test suites drive internal/server through it. It supports the server's verb subset, explicit pipelining
 // (Queue* then Flush then Read*), and nothing more — it is a harness
 // component, not a production client.
 package memclient

@@ -77,7 +77,10 @@ func New(cfg Config) (*Cache, error) { return core.New(cfg) }
 
 // ShardedCache is a hash-partitioned Nemo cache: Config.Shards independent
 // engines over disjoint zone ranges of one device, with per-shard locking so
-// requests for different shards proceed fully in parallel.
+// requests for different shards proceed fully in parallel. It embeds a
+// ShardedEngine over those shards for all routing and adds what is Nemo's:
+// the zone layout, the shared flusher pool, checkpoint and restore, and the
+// Nemo-specific aggregates (Extra, PaperWA, MeanFillRate, Health).
 type ShardedCache = core.Sharded
 
 // NewSharded creates a sharded Nemo cache; cfg.DataZones is the total SG
@@ -190,11 +193,11 @@ func ParallelReplay(e Engine, reqs []Request, cfg ParallelReplayConfig) (Paralle
 // resulting trace can be replayed concurrently (see ParallelReplay).
 func Materialize(s Stream, n int) []Request { return trace.Materialize(s, n) }
 
-// ShardedEngine is the generic hash-partitioned facade: independent engines
-// over disjoint capacity partitions behind one EngineV2 surface, routed by
-// the same shard lane as ShardedCache, so every engine of a comparison run
-// partitions the key space identically. With one shard it is behaviorally
-// identical to the engine it wraps.
+// ShardedEngine is the hash-partitioned facade: independent engines over
+// disjoint capacity partitions behind one EngineV2 surface, routed by one
+// shard lane, so every engine of a comparison run — ShardedCache, which
+// embeds it, included — partitions the key space identically. With one shard
+// it is behaviorally identical to the engine it wraps.
 type ShardedEngine = cachelib.ShardedEngine
 
 // NewShardedEngine wraps already-constructed per-shard engines (each owning
