@@ -38,13 +38,15 @@
 //
 // GETs do their flash I/O outside the shard lock. Each lookup runs in
 // three phases: a short locked plan (fingerprint → set offset, in-memory
-// probe, a Bloom test in place of every member filter that is in memory —
-// leaving the candidate SGs, with their page addresses, and the PBFG pages
-// missing from the index cache — plus the SG epoch: pool head ID and flush
-// sequence), an unlocked I/O phase (PBFG fetches and the Bloom tests that
-// waited on them, parallel candidate-page reads into pooled per-goroutine
-// buffers, key scan), and a short locked commit that re-validates the
-// epoch before applying the read-side effects (hit/read counters, hotness
+// probe, one group test in place per index group whose PBFG page is in
+// memory — k row loads answer for all of its members at once, see "PBFG
+// pages" below — leaving the candidate SGs, with their page addresses, and
+// the PBFG pages missing from the index cache — plus the SG epoch: pool head
+// ID and flush sequence), an unlocked I/O phase (PBFG fetches and the group
+// tests that waited on them, parallel candidate-page reads into pooled
+// per-goroutine buffers, key scan), and a short locked commit that
+// re-validates the epoch before applying the read-side effects
+// (hit/read counters, hotness
 // bits, index-cache publication, latency sample). If a flush or eviction moved
 // the flash layout mid-read, the pass is discarded — its device reads still
 // counted, the pages it fetched dropped unpublished — and the unresolved
@@ -88,9 +90,11 @@
 // after a short locked interlude that runs the hotness/shadow liveness
 // filtering and inserts writeback survivors into the sealed SG — the freed
 // zones are erased, the sealed SG serializes through pooled buffers onto
-// the reserved data zones, its Bloom filters are built, and a completing
-// index group's PBFG pages are assembled and appended), and a locked
-// commit (the flash SG publishes into its group and the FIFO pool, the
+// the reserved data zones, its Bloom filters are built in the flush owner's
+// scratch, and a completing index group's PBFG pages — the group buffer's
+// pages with this last member's column merged into a copy — are appended),
+// and a locked commit (the flash SG publishes into its group and the FIFO
+// pool, its filters merge into the group buffer as one column, the
 // write-side counters apply, cooling runs if due).
 //
 // Between seal and commit the flushing SG's objects are served from the
@@ -149,9 +153,36 @@
 //     restore) — which is also when the prefix sums are computed, once,
 //     instead of lazily on every probe.
 //   - Every setblock page — the in-memory SG sets, the flush victim
-//     read-back scratch, the unsealed groups' Bloom-filter buffers — is a
-//     carve of a per-shard or per-group slab, recycled whole when its SG
-//     flushes or its group seals.
+//     read-back scratch — is a carve of a per-shard slab, recycled whole
+//     when its SG flushes; an unsealed group's PBFG pages are one buffer,
+//     dropped whole when the group seals.
+//
+// PBFG pages. A PBFG page holds the set-level Bloom filters of one intra-SG
+// offset across the M SGs of an index group (Config.SGsPerIndexGroup, 50).
+// There is one layout, on flash, in the index cache and in the unsealed
+// group's buffer alike, and it is bit-sliced: row r of the page — one row per
+// filter bit, 576 at the default geometry — holds bit r of every member's
+// filter, member s's at page bit r·M+s, so the page is exactly M filters
+// long and the "M filters of bfBytes fit one device page" constraint is
+// what it always was. A lookup computes its k = 10 probe positions once and
+// ANDs the k rows they name (one unaligned 8-byte load, shift and mask each,
+// which is why M is capped at 57: bloom.MaxGroupMembers); the surviving
+// bits, masked by the group's live-member word, are the candidate SGs,
+// visited newest first. A dead member or a slot no flush has published is
+// simply absent from the live word, and an empty set's filter is all zeros,
+// so neither needs a test of its own. All three group walks — the read
+// plan, Delete's "may a flash copy exist" and writeback's "is a newer copy
+// shadowing this one" — are one iterator over that mask (index.go
+// walkCandidates). The member being flushed has its filters built outside
+// the group buffer, in the flush owner's scratch, while readers keep testing
+// the buffer under the lock; the commit ORs them in as a column, under the
+// lock, and that merge is the only locked work the layout added. The kernel
+// is checked against the per-member loop it replaced (kept in the tests as
+// the oracle) over random geometries, fill levels, dead members and an
+// in-flight slot, on built, sealed and snapshot-restored pages;
+// BenchmarkPBFGGroupTest prices one group test at ≈ 100 ns against ≈ 790 ns
+// for the 50 per-member probes over a cache-cold 8 MiB of pages, and
+// CHANGES.md (PR 16) has what that bought on lib_direct · throughput_ops_s.
 //
 // The ownership rule that makes immediate recycling safe under the
 // optimistic read protocol: arena memory is only ever dereferenced while
@@ -167,9 +198,13 @@
 // fill→evict→refill churn (TestArenaFlatOverChurn). Every benchmark/
 // workload reports the result — engine_heap_mib end to end, and
 // runtime.heap_objects, core.heap_bits_per_obj and
-// runtime.gc_pause_total_ms in its traced run. The snapshot format is
-// unaffected: checkpoint bytes are pinned identical to the map-based
-// layout's, so warm restart crosses the layout change in either direction.
+// runtime.gc_pause_total_ms in its traced run. The snapshot image describes
+// device state, not this layout: its bytes are pinned identical to the
+// map-based layout's (an unsealed group still checkpoints one serialized
+// filter run per member). What a snapshot does depend on is how the PBFG
+// pages it points at are arranged on flash, so the bit-sliced pages bumped
+// snapshot.Version to 2: a version-1 file is refused with ErrVersion and the
+// engine starts cold.
 //
 // EngineV2 bundles the core and all three extensions. Cache and
 // ShardedCache implement it natively;

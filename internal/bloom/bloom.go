@@ -9,8 +9,10 @@
 package bloom
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"nemo/internal/hashing"
 )
@@ -143,17 +145,67 @@ func FromBytes(b []byte, n int, fpr float64) (*Filter, error) {
 	return f, nil
 }
 
-// TestRaw tests fp directly against a serialized filter without
-// materializing a Filter, using the shared probe positions ps. This is the
-// hot path for querying a packed PBFG page: one probe-set computation is
-// shared across tens of filters.
-func TestRaw(raw []byte, ps *ProbeSet) bool {
+// MaxGroupMembers is the widest PBFG a bit-sliced page supports: a row of m
+// member bits starting at any bit of a byte must fit one 8-byte load.
+const MaxGroupMembers = 57
+
+// A bit-sliced PBFG page stores the filters of m member SGs row-major: row r
+// (one per filter bit) holds bit r of every member's filter, packed at member
+// granularity — member s's bit r is page bit r*m+s — so the page is m filters
+// long, exactly as if they were laid end to end.
+
+// row loads the 8 bytes at off, zero-extended at the page tail (only the last
+// rows of a page with no slack after its m filters get there).
+func row(page []byte, off uint64) uint64 {
+	if off+8 <= uint64(len(page)) {
+		return binary.LittleEndian.Uint64(page[off:])
+	}
+	var w uint64
+	for i, b := range page[off:] {
+		w |= uint64(b) << (8 * i)
+	}
+	return w
+}
+
+// GroupMask Bloom-tests all m members of a bit-sliced page at once: bit s of
+// the result is set iff it is set in live and member s's filter contains
+// every probe position of ps. One row load per probe, k in all, with no
+// early exit: the loads are independent, so their cache misses overlap, which
+// measured faster than stopping at the first all-zero row. This is the hot
+// path of a lookup: each hash is computed once and shared across the group's
+// filters.
+func GroupMask(page []byte, m int, ps *ProbeSet, live uint64) uint64 {
+	mask := live & (1<<uint(m) - 1)
 	for _, pos := range ps.pos {
-		if raw[pos>>3]&(1<<(pos&7)) == 0 {
-			return false
+		bit := pos * uint64(m)
+		mask &= row(page, bit>>3) >> (bit & 7)
+	}
+	return mask
+}
+
+// MergeColumn ORs the serialized filter raw (AppendBytes layout) into member
+// s's column of a bit-sliced page.
+func MergeColumn(page []byte, m, s int, raw []byte) {
+	for i, b := range raw {
+		for ; b != 0; b &= b - 1 {
+			bit := (i*8+bits.TrailingZeros8(b))*m + s
+			page[bit>>3] |= 1 << (bit & 7)
 		}
 	}
-	return true
+}
+
+// ExtractColumn is MergeColumn's inverse: it appends member s's filter, in
+// AppendBytes layout, onto dst. nbytes is the serialized filter size.
+func ExtractColumn(dst, page []byte, m, s, nbytes int) []byte {
+	bit := s
+	for i := 0; i < nbytes; i++ {
+		var b byte
+		for j := 0; j < 8; j, bit = j+1, bit+m {
+			b |= page[bit>>3] >> (bit & 7) & 1 << j
+		}
+		dst = append(dst, b)
+	}
+	return dst
 }
 
 // ProbeSet holds precomputed probe positions for one fingerprint against a

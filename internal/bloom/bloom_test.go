@@ -1,7 +1,9 @@
 package bloom
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -81,6 +83,18 @@ func TestFromBytesRejectsWrongSize(t *testing.T) {
 	}
 }
 
+// testRaw is the per-member test the bit-sliced kernel replaced — one
+// serialized filter probed bit by bit — kept as the reference GroupMask is
+// checked against.
+func testRaw(raw []byte, ps *ProbeSet) bool {
+	for _, pos := range ps.pos {
+		if raw[pos>>3]&(1<<(pos&7)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func TestTestRawMatchesFilter(t *testing.T) {
 	mbits := SizeBits(40, 0.001)
 	k := NumHashes(0.001)
@@ -91,10 +105,71 @@ func TestTestRawMatchesFilter(t *testing.T) {
 		}
 		raw := filt.AppendBytes(nil)
 		ps := NewProbeSet(probe, mbits, k)
-		return TestRaw(raw, ps) == filt.Test(probe) && ps.TestFilter(filt) == filt.Test(probe)
+		return testRaw(raw, ps) == filt.Test(probe) && ps.TestFilter(filt) == filt.Test(probe)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// slicedGroup builds m filters of n objects at fpr, each filled with fill[s]
+// fingerprints, and returns them serialized both ways: filter-major and as a
+// bit-sliced page with slack bytes after the m filters.
+func slicedGroup(rng *rand.Rand, m, n int, fpr float64, fill []int, slack int) (raws [][]byte, page []byte, added [][]uint64) {
+	page = make([]byte, m*SizeBits(n, fpr)/8+slack)
+	for s := 0; s < m; s++ {
+		f := New(n, fpr)
+		var fps []uint64
+		for i := 0; i < fill[s]; i++ {
+			fps = append(fps, rng.Uint64())
+			f.Add(fps[i])
+		}
+		raws = append(raws, f.AppendBytes(nil))
+		added = append(added, fps)
+		MergeColumn(page, m, s, raws[s])
+	}
+	return raws, page, added
+}
+
+// TestGroupMaskMatchesPerMemberLoop property-tests the kernel against the
+// loop it replaced over random geometries, fill levels (empty members
+// included) and live words, on pages with and without slack after the last
+// row — without it the last rows take the zero-extended tail load.
+func TestGroupMaskMatchesPerMemberLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 300; trial++ {
+		m := []int{1, 2, 3, 4, 7, 50, MaxGroupMembers}[rng.Intn(7)]
+		n := []int{1, 5, 40}[rng.Intn(3)]
+		fpr := []float64{0.001, 0.01, 0.2}[rng.Intn(3)]
+		slack := []int{0, 1, 7, 8, 496}[rng.Intn(5)]
+		fill := make([]int, m)
+		for s := range fill {
+			fill[s] = rng.Intn(3) * rng.Intn(n+1) // a third of the members stay empty
+		}
+		raws, page, added := slicedGroup(rng, m, n, fpr, fill, slack)
+		live := rng.Uint64()
+		ps := NewProbeSet(0, SizeBits(n, fpr), NumHashes(fpr))
+		for probe := 0; probe < 40; probe++ {
+			fp := rng.Uint64()
+			if s := rng.Intn(m); probe%2 == 0 && len(added[s]) > 0 {
+				fp = added[s][rng.Intn(len(added[s]))] // a key some member holds
+			}
+			ps.Reuse(fp, SizeBits(n, fpr))
+			var want uint64
+			for s, raw := range raws {
+				if live>>uint(s)&1 == 1 && testRaw(raw, ps) {
+					want |= 1 << uint(s)
+				}
+			}
+			if got := GroupMask(page, m, ps, live); got != want {
+				t.Fatalf("m=%d n=%d fpr=%v slack=%d live=%x: GroupMask=%x, per-member loop=%x", m, n, fpr, slack, live, got, want)
+			}
+		}
+		for s, raw := range raws {
+			if got := ExtractColumn(nil, page, m, s, len(raw)); !bytes.Equal(got, raw) {
+				t.Fatalf("m=%d: column %d does not extract to the filter merged into it", m, s)
+			}
+		}
 	}
 }
 
@@ -137,31 +212,71 @@ func TestPaperPBFGPagePacking(t *testing.T) {
 
 // BenchmarkPBFGLookup1000 reproduces the §5.5 microbenchmark: computing the
 // candidate SGs through a PBFG of 1000 set-level Bloom filters with shared
-// probes (the paper measures ≈1 µs on GoogleTest).
+// probes (the paper measures ≈1 µs on GoogleTest) — here 20 pages of 50.
 func BenchmarkPBFGLookup1000(b *testing.B) {
-	const filters = 1000
-	mbits := SizeBits(40, 0.001)
-	k := NumHashes(0.001)
-	raws := make([][]byte, filters)
-	for i := range raws {
-		f := New(40, 0.001)
-		for j := 0; j < 40; j++ {
-			f.Add(hashing.SplitMix64(uint64(i*40 + j)))
-		}
-		raws[i] = f.AppendBytes(nil)
+	const groups, m = 20, 50
+	rng := rand.New(rand.NewSource(1))
+	fill := make([]int, m)
+	for s := range fill {
+		fill[s] = 40
 	}
-	ps := NewProbeSet(0, mbits, k)
+	pages := make([][]byte, groups)
+	for i := range pages {
+		_, pages[i], _ = slicedGroup(rng, m, 40, 0.001, fill, 496)
+	}
+	mbits := SizeBits(40, 0.001)
+	ps := NewProbeSet(0, mbits, NumHashes(0.001))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ps.Reuse(hashing.SplitMix64(uint64(i)), mbits)
-		hits := 0
-		for _, raw := range raws {
-			if TestRaw(raw, ps) {
-				hits++
-			}
-		}
-		if hits < 0 {
-			b.Fatal("impossible")
+		for _, page := range pages {
+			sinkMask |= GroupMask(page, m, ps, ^uint64(0))
 		}
 	}
+}
+
+var sinkMask uint64
+
+// BenchmarkPBFGGroupTest times one 50-member group test — the unit of work a
+// lookup's plan phase does per index group — with the pages spread over an
+// 8 MiB footprint visited at random, so the rows come from cold cache lines
+// as they do in a cache with thousands of PBFG pages. filter-major is the
+// per-member loop over the layout the bit-sliced page replaced.
+func BenchmarkPBFGGroupTest(b *testing.B) {
+	const m, pageSize, npages = 50, 4096, 8 << 20 / 4096
+	rng := rand.New(rand.NewSource(1))
+	fill := make([]int, m)
+	for s := range fill {
+		fill[s] = 40
+	}
+	raws, page, _ := slicedGroup(rng, m, 40, 0.001, fill, pageSize-m*72)
+	sliced := make([]byte, npages*pageSize)
+	major := make([]byte, npages*pageSize)
+	for p := 0; p < npages; p++ {
+		copy(sliced[p*pageSize:], page)
+		for s, raw := range raws {
+			copy(major[p*pageSize+s*72:], raw)
+		}
+	}
+	mbits := SizeBits(40, 0.001)
+	ps := NewProbeSet(0, mbits, NumHashes(0.001))
+	run := func(name string, pages []byte, test func(page []byte) uint64) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				h := hashing.SplitMix64(uint64(i))
+				ps.Reuse(h, mbits)
+				off := int(h>>40) % npages * pageSize
+				sinkMask |= test(pages[off : off+pageSize : off+pageSize])
+			}
+		})
+	}
+	run("sliced", sliced, func(page []byte) uint64 { return GroupMask(page, m, ps, ^uint64(0)) })
+	run("filter-major", major, func(page []byte) (mask uint64) {
+		for s := 0; s < m; s++ {
+			if testRaw(page[s*72:(s+1)*72], ps) {
+				mask |= 1 << uint(s)
+			}
+		}
+		return mask
+	})
 }

@@ -183,7 +183,9 @@ func (s *ShardedEngine) GetMany(keys [][]byte) (values [][]byte, hits []bool) {
 	hits = make([]bool, len(keys))
 	fanOut := runtime.GOMAXPROCS(0) > 1
 	var wg sync.WaitGroup
-	for _, sub := range GroupByShard(fps, keys, nil, len(s.shards)) {
+	subs := GroupByShard(fps, keys, nil, len(s.shards))
+	defer ReleaseSubBatches(subs)
+	for _, sub := range subs {
 		scatter := func(sub SubBatch) {
 			vs, hs := s.shards[sub.Shard].GetMany(sub.Keys)
 			for i, p := range sub.Pos {
@@ -223,7 +225,9 @@ func (s *ShardedEngine) SetMany(keys, values [][]byte) error {
 	fanOut := runtime.GOMAXPROCS(0) > 1
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
-	for _, sub := range GroupByShard(fps, keys, values, len(s.shards)) {
+	subs := GroupByShard(fps, keys, values, len(s.shards))
+	defer ReleaseSubBatches(subs)
+	for _, sub := range subs {
 		if !fanOut {
 			errs[sub.Shard] = s.shards[sub.Shard].SetMany(sub.Keys, sub.Vals)
 			continue

@@ -67,42 +67,72 @@ func PlanFPs(keys [][]byte, scratch *[]uint64, n uint64) (fps []uint64, first in
 }
 
 // SubBatch is one shard's slice of a grouped batch. All sub-batches of one
-// grouping share a handful of backing arrays, so a multi-shard batch costs
-// a constant number of allocations regardless of how many shards it touches.
+// grouping carve their slices from one pooled scratch, so steady-state
+// multi-shard batches allocate nothing for routing; they are valid until the
+// grouping is handed to ReleaseSubBatches.
 type SubBatch struct {
 	Shard int
 	Keys  [][]byte
 	Vals  [][]byte // nil unless values were passed to GroupByShard (SetMany)
 	Pos   []int32  // original batch positions
+
+	scratch *groupScratch
+}
+
+// groupScratch backs one GroupByShard result.
+type groupScratch struct {
+	ints []int32  // shard of each key | per-shard starts | write cursors | positions
+	refs [][]byte // keys, then values, in shard order
+	subs []SubBatch
+}
+
+var groupPool = sync.Pool{New: func() any { return new(groupScratch) }}
+
+// ReleaseSubBatches returns a GroupByShard result's scratch to the pool once
+// no sub-batch of it is referenced any more, dropping the key and value
+// references it held.
+func ReleaseSubBatches(subs []SubBatch) {
+	if len(subs) == 0 {
+		return
+	}
+	gs := subs[0].scratch
+	clear(gs.refs)
+	clear(gs.subs)
+	groupPool.Put(gs)
 }
 
 // GroupByShard buckets a fingerprinted batch into per-shard sub-batches with
 // a counting sort: one pass to count, one to scatter — O(keys + shards), not
-// O(keys × shards) — and a constant number of allocations however many
-// shards the batch touches. values may be nil (GetMany has none).
+// O(keys × shards). values may be nil (GetMany has none). Pair with
+// ReleaseSubBatches.
 func GroupByShard(fps []uint64, keys, values [][]byte, nShards int) []SubBatch {
-	n := uint64(nShards)
-	shs := make([]int32, len(keys))
-	starts := make([]int32, nShards+1) // starts[sh+1] counts, then prefix-sums
+	n, nk := uint64(nShards), len(keys)
+	gs := groupPool.Get().(*groupScratch)
+	if need := 2*nk + 2*nShards + 1; cap(gs.ints) < need {
+		gs.ints = make([]int32, need)
+	}
+	if cap(gs.refs) < 2*nk {
+		gs.refs = make([][]byte, 2*nk)
+	}
+	ints := gs.ints[:cap(gs.ints)]
+	shs, ints := ints[:nk], ints[nk:]
+	bPos, ints := ints[:nk], ints[nk:]
+	starts, write := ints[:nShards+1], ints[nShards+1:2*nShards+1]
+	clear(starts) // starts[sh+1] counts, then prefix-sums
 	for i, fp := range fps {
 		sh := int32(ShardOfFP(fp, n))
 		shs[i] = sh
 		starts[sh+1]++
 	}
-	touched := 0
 	for sh := 0; sh < nShards; sh++ {
-		if starts[sh+1] > 0 {
-			touched++
-		}
 		starts[sh+1] += starts[sh]
 	}
-	bKeys := make([][]byte, len(keys))
-	bPos := make([]int32, len(keys))
+	refs := gs.refs[:cap(gs.refs)]
+	bKeys := refs[:nk]
 	var bVals [][]byte
 	if values != nil {
-		bVals = make([][]byte, len(keys))
+		bVals = refs[nk : 2*nk]
 	}
-	write := make([]int32, nShards)
 	copy(write, starts[:nShards])
 	for i := range keys {
 		sh := shs[i]
@@ -113,17 +143,18 @@ func GroupByShard(fps []uint64, keys, values [][]byte, nShards int) []SubBatch {
 			bVals[o] = values[i]
 		}
 	}
-	subs := make([]SubBatch, 0, touched)
+	subs := gs.subs[:0]
 	for sh := 0; sh < nShards; sh++ {
 		lo, hi := starts[sh], starts[sh+1]
 		if lo == hi {
 			continue
 		}
-		sub := SubBatch{Shard: sh, Keys: bKeys[lo:hi], Pos: bPos[lo:hi]}
+		sub := SubBatch{Shard: sh, Keys: bKeys[lo:hi], Pos: bPos[lo:hi], scratch: gs}
 		if bVals != nil {
 			sub.Vals = bVals[lo:hi]
 		}
 		subs = append(subs, sub)
 	}
+	gs.subs = subs
 	return subs
 }

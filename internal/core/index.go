@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"time"
 
 	"nemo/internal/bloom"
 )
@@ -208,28 +207,41 @@ func (a *metaArena) release(m []uint32) {
 }
 
 // idxGroup aggregates the set-level Bloom filters of up to SGsPerIndexGroup
-// SGs (§4.3). While unsealed, the filters live in the in-memory index-group
-// buffer; sealing packs them into PBFG pages (one per intra-SG offset, each
-// holding the filters of that offset across all member SGs) and writes them
-// to an index-pool zone.
+// SGs (§4.3), one bit-sliced PBFG page per intra-SG offset (bloom.GroupMask:
+// row r of a page holds bit r of every member's filter, so one probe set tests
+// the whole group in k row loads). While unsealed, the pages live in the
+// in-memory index-group buffer; sealing appends them, as they are, to an
+// index-pool zone.
 type idxGroup struct {
 	id        int
 	zones     []int // index zones once sealed, nil before
 	sealed    bool
 	members   []*flashSG
 	liveCount int
-	// slotBF[s] holds member s's filters: SetsPerSG filters of bfBytes
-	// each, concatenated by set offset. Retained until sealing; the page
-	// for offset o is assembled at seal time (writepath.go buildAndAppend)
-	// by gathering slice o from every member. Each member's slice is
-	// immutable once appended, which is what lets the unlocked build phase
-	// assemble PBFG pages from a seal-phase snapshot of this list. All
-	// slices are carves of bfBacking (one allocation per group, slot s
-	// owning bytes [s*slotBytes, (s+1)*slotBytes)), dropped wholesale at
-	// seal; the flush owner writes its own slot's carve unlocked while
-	// readers probe other slots' — disjoint regions of the same backing.
-	slotBF    [][]byte
-	bfBacking []byte
+	// live has bit s set while member s is published and not evicted
+	// (liveCount is its population count): the mask every group test starts
+	// from, so a dead member — or the slot of an in-flight flush — can never
+	// become a candidate.
+	live uint64
+	// buf is the unsealed group's SetsPerSG pages, pbfgBytes each, dropped
+	// wholesale at seal. It is written only under the lock, by the one flush
+	// in flight (mergeFilters at commit); the flush owner's unlocked build
+	// phase may therefore read it, and builds its own member's filters in
+	// flush scratch, outside it.
+	buf []byte
+}
+
+// bufPage returns the unsealed group's PBFG page for set offset o.
+func (c *Cache) bufPage(g *idxGroup, o int) []byte {
+	return g.buf[o*c.pbfgBytes : (o+1)*c.pbfgBytes]
+}
+
+// mergeFilters ORs member slot s's filters — SetsPerSG serialized filters
+// concatenated by set offset — into the unsealed group's pages.
+func (c *Cache) mergeFilters(g *idxGroup, s int, bfs []byte) {
+	for o := 0; o < c.setsPerSG; o++ {
+		bloom.MergeColumn(c.bufPage(g, o), c.cfg.SGsPerIndexGroup, s, bfs[o*c.bfBytes:(o+1)*c.bfBytes])
+	}
 }
 
 // pbfgKey identifies one PBFG page: the filters of intra-SG offset Set
@@ -526,29 +538,68 @@ func (pc *pbfgCache) maybeCompact() {
 	}
 }
 
-// fetchPBFG returns the raw PBFG page for (group, set o) on behalf of the
+// fetchPBFG returns sealed group g's PBFG page for set o on behalf of the
 // write-path shadow checks (deletion and writeback), consulting the index
 // cache or flash. Flash reads are still accounted, but not as index-cache
 // traffic — the Figure 19b miss ratio counts only lookup-path queries,
 // which the read path charges itself during its plan phase (readpath.go).
 // A flash fetch lands in c.fetchBuf (mu-guarded scratch); the returned
 // slice is valid until the next fetchPBFG call.
-func (c *Cache) fetchPBFG(g *idxGroup, o int) (raw []byte, done time.Duration, err error) {
-	if !g.sealed {
-		return nil, 0, nil // caller tests unsealed filters per slot
-	}
+func (c *Cache) fetchPBFG(g *idxGroup, o int) ([]byte, error) {
 	k := pbfgKey{group: g.id, set: o}
 	if page, ok := c.icache.get(k); ok {
-		return page, 0, nil
+		return page, nil
 	}
-	d, err := c.dev.ReadPage(c.pageAddrIn(g.zones, o), c.fetchBuf)
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: reading PBFG page: %w", err)
+	if _, err := c.dev.ReadPage(c.pageAddrIn(g.zones, o), c.fetchBuf); err != nil {
+		return nil, fmt.Errorf("core: reading PBFG page: %w", err)
 	}
 	c.stats.FlashReadOps++
 	c.stats.FlashBytesRead += uint64(c.pageSize)
 	c.icache.put(k, c.fetchBuf)
-	return c.fetchBuf, d, nil
+	return c.fetchBuf, nil
+}
+
+// walkCandidates is the one group walk: it visits, newest group first and
+// newest member first, every live member with id ≥ minID whose filter at set
+// offset o admits the probe set ps. A sealed group's page comes from fetch
+// (the write path's fetchPBFG, or the read plan's index-cache lookup); a nil
+// page means it is not in memory, and the group's members are then visited
+// untested. visit returns false to end the walk.
+func (c *Cache) walkCandidates(o int, ps *bloom.ProbeSet, minID uint64,
+	fetch func(g *idxGroup, o int) ([]byte, error), visit func(m *flashSG, tested bool) bool) error {
+	for gi := len(c.groups) - 1; gi >= 0; gi-- {
+		g := c.groups[gi]
+		if g.liveCount == 0 {
+			continue
+		}
+		if g.members[len(g.members)-1].id < minID {
+			break // groups are ordered; nothing older can qualify
+		}
+		var page []byte
+		if !g.sealed {
+			page = c.bufPage(g, o)
+		} else if p, err := fetch(g, o); err != nil {
+			return err
+		} else {
+			page = p
+		}
+		mask, tested := g.live, page != nil
+		if tested {
+			mask = bloom.GroupMask(page, c.cfg.SGsPerIndexGroup, ps, mask)
+		}
+		for mask != 0 {
+			s := bits.Len64(mask) - 1
+			mask &^= 1 << uint(s)
+			m := g.members[s]
+			if m.id < minID {
+				break // so are a group's members
+			}
+			if !visit(m, tested) {
+				return nil
+			}
+		}
+	}
+	return nil
 }
 
 // pbfgResident reports whether the PBFG covering (group, set o) is in
@@ -559,16 +610,6 @@ func (c *Cache) pbfgResident(g *idxGroup, o int) bool {
 		return true
 	}
 	return c.icache.has(pbfgKey{group: g.id, set: o})
-}
-
-// testMember tests member slot s of group g for fp at offset o using the
-// assembled page (sealed) or the buffer (unsealed).
-func (c *Cache) testMember(g *idxGroup, page []byte, s, o int, ps *bloom.ProbeSet) bool {
-	if g.sealed {
-		return bloom.TestRaw(page[s*c.bfBytes:(s+1)*c.bfBytes], ps)
-	}
-	bf := g.slotBF[s]
-	return bloom.TestRaw(bf[o*c.bfBytes:(o+1)*c.bfBytes], ps)
 }
 
 // releaseSG recycles a dead SG's struct and meta carve once its group is

@@ -43,6 +43,7 @@ type Cache struct {
 	pageSize  int
 	setsPerSG int
 	bfBytes   int // serialized bytes of one set-level Bloom filter
+	pbfgBytes int // bytes of one PBFG page: SGsPerIndexGroup filters
 	bfBits    int
 	bfK       int
 
@@ -138,6 +139,10 @@ func New(cfg Config) (*Cache, error) {
 	dev := cfg.Device
 	bfBits := bloom.SizeBits(cfg.TargetObjsPerSet, cfg.BloomFPR)
 	bfBytes := bfBits / 8
+	if cfg.SGsPerIndexGroup > bloom.MaxGroupMembers {
+		return nil, fmt.Errorf("core: SGsPerIndexGroup %d exceeds the %d members one PBFG row load covers",
+			cfg.SGsPerIndexGroup, bloom.MaxGroupMembers)
+	}
 	if bfBytes*cfg.SGsPerIndexGroup > dev.PageSize() {
 		return nil, fmt.Errorf("core: %d filters of %d bytes exceed the %d-byte PBFG page; lower SGsPerIndexGroup or BloomFPR",
 			cfg.SGsPerIndexGroup, bfBytes, dev.PageSize())
@@ -154,6 +159,7 @@ func New(cfg Config) (*Cache, error) {
 		pageSize:  dev.PageSize(),
 		setsPerSG: cfg.ZonesPerSG * dev.PagesPerZone(),
 		bfBytes:   bfBytes,
+		pbfgBytes: bfBytes * cfg.SGsPerIndexGroup,
 		bfBits:    bfBits,
 		bfK:       bloom.NumHashes(cfg.BloomFPR),
 	}
@@ -396,7 +402,7 @@ func (c *Cache) deleteBodyLocked(fp uint64, key []byte) error {
 		// key might be on flash; definite absence (the common case for
 		// upstream invalidations of never-admitted objects) costs no SG
 		// space. A false positive merely inserts a harmless tombstone.
-		may, err := c.mayExistOnFlashLocked(fp, o)
+		may, err := c.mayExistOnFlashLocked(fp, o, 0)
 		if err != nil {
 			return err
 		}
@@ -409,36 +415,18 @@ func (c *Cache) deleteBodyLocked(fp uint64, key []byte) error {
 	return c.placeLocked(fp, key, nil, o, insTombstone, false)
 }
 
-// mayExistOnFlashLocked Bloom-tests every live SG for (fp, set o) — the
-// same filters Get consults, fetched without charging the index-cache
-// lookup stats (like the eviction-path shadow checks). False positives are
-// possible, false negatives are not.
-func (c *Cache) mayExistOnFlashLocked(fp uint64, o int) (bool, error) {
+// mayExistOnFlashLocked Bloom-tests every live SG with id ≥ minID for
+// (fp, set o) — the same filters Get consults, fetched without charging the
+// index-cache lookup stats (fetchPBFG; fetched pages enter the index cache so
+// the cost amortizes over the hot sets). False positives are possible, false
+// negatives are not.
+func (c *Cache) mayExistOnFlashLocked(fp uint64, o int, minID uint64) (may bool, err error) {
 	c.probes.Reuse(fp, c.bfBits)
-	for gi := len(c.groups) - 1; gi >= 0; gi-- {
-		g := c.groups[gi]
-		if g.liveCount == 0 {
-			continue
-		}
-		var page []byte
-		if g.sealed {
-			p, _, err := c.fetchPBFG(g, o)
-			if err != nil {
-				return true, err
-			}
-			page = p
-		}
-		for s := len(g.members) - 1; s >= 0; s-- {
-			m := g.members[s]
-			if m.dead || m.setCount(o) == 0 {
-				continue
-			}
-			if c.testMember(g, page, s, o, c.probes) {
-				return true, nil
-			}
-		}
-	}
-	return false, nil
+	err = c.walkCandidates(o, c.probes, minID, c.fetchPBFG, func(*flashSG, bool) bool {
+		may = true
+		return false
+	})
+	return may, err
 }
 
 // placeLocked places one entry — fresh object, writeback survivor, or
@@ -577,10 +565,7 @@ func (c *Cache) openGroup() *idxGroup {
 		len(c.groups[n-1].members) < c.cfg.SGsPerIndexGroup {
 		return c.groups[n-1]
 	}
-	g := &idxGroup{id: c.nextGroup}
-	// One backing allocation carries all member filter buffers until seal;
-	// member slot s writes only its own carve (see idxGroup.slotBF).
-	g.bfBacking = make([]byte, c.cfg.SGsPerIndexGroup*c.setsPerSG*c.bfBytes)
+	g := &idxGroup{id: c.nextGroup, buf: make([]byte, c.setsPerSG*c.pbfgBytes)}
 	c.nextGroup++
 	c.groups = append(c.groups, g)
 	return g
@@ -590,11 +575,10 @@ func (c *Cache) openGroup() *idxGroup {
 // anywhere ahead of the evicted SG: the in-memory SGs — including the
 // sealed SG of an in-flight flush, whose contents are bound for flash and
 // strictly newer than any eviction victim — are checked exactly, and newer
-// flash SGs through their Bloom filters (fetching PBFG pages on demand —
-// the paper's write-back reads; fetched pages enter the index cache so the
-// cost amortizes over the hot sets). A Bloom positive conservatively
-// suppresses the writeback: an object may be dropped early, but a stale
-// version is never resurrected over a fresh one.
+// flash SGs through their Bloom filters (fetching PBFG pages on demand — the
+// paper's write-back reads). A Bloom positive conservatively suppresses the
+// writeback: an object may be dropped early, but a stale version is never
+// resurrected over a fresh one.
 func (c *Cache) shadowedByNewer(fp uint64, o int, newerThan uint64, key []byte) (bool, error) {
 	for _, sg := range c.memq {
 		if _, ok := sg.lookup(o, fp, key); ok {
@@ -606,35 +590,7 @@ func (c *Cache) shadowedByNewer(fp uint64, o int, newerThan uint64, key []byte) 
 			return true, nil
 		}
 	}
-	c.probes.Reuse(fp, c.bfBits)
-	for gi := len(c.groups) - 1; gi >= 0; gi-- {
-		g := c.groups[gi]
-		if g.liveCount == 0 {
-			continue
-		}
-		newest := g.members[len(g.members)-1]
-		if newest.id <= newerThan {
-			break // groups are ordered; nothing older can shadow
-		}
-		var page []byte
-		if g.sealed {
-			p, _, err := c.fetchPBFG(g, o)
-			if err != nil {
-				return false, err
-			}
-			page = p
-		}
-		for s := len(g.members) - 1; s >= 0; s-- {
-			m := g.members[s]
-			if m.dead || m.id <= newerThan || m.setCount(o) == 0 {
-				continue
-			}
-			if c.testMember(g, page, s, o, c.probes) {
-				return true, nil
-			}
-		}
-	}
-	return false, nil
+	return c.mayExistOnFlashLocked(fp, o, newerThan+1)
 }
 
 // dropDeadGroups trims fully dead groups from the front of the group list,

@@ -7,10 +7,11 @@ package core
 //
 //   - plan (locked): fingerprint → set offset, probe the in-memory SGs, and
 //     — when the lookup must go to flash — identify the candidates in place:
-//     every member filter that is in memory (an unsealed group's buffer, or
-//     a PBFG page in the index cache) is Bloom-tested right here with the
-//     key's probe set, and only the positives are queued, newest first, each
-//     with its candidate page address precomputed. A sealed group whose PBFG
+//     every PBFG page that is in memory (an unsealed group's buffer, or a
+//     page in the index cache) is tested right here with the key's probe
+//     set, all of its group's members at once (bloom.GroupMask), and only
+//     the positives are queued, newest first, each with its candidate page
+//     address precomputed. A sealed group whose PBFG
 //     page is missing from the index cache queues the fetch and its members
 //     untested. The SG epoch (pool head ID + flush sequence) is recorded. The
 //     unlocked phase is handed no reference into the recycling
@@ -262,51 +263,41 @@ func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner
 	// so the I/O phase scans shadowing copies in the same order the locked
 	// path searched them. Filters are tested where they lie — arena slots and
 	// unsealed group buffers may be recycled or dropped the moment the lock
-	// is released, so nothing of them is kept — and only members already
-	// published in g.members are tested: an in-flight flush writes its own
-	// slot's carve of the group buffer unlocked, disjoint from every byte
-	// read here.
+	// is released, so nothing of them is kept. The walk tests only live
+	// members: an in-flight flush keeps its filters in flush scratch until
+	// its commit merges them into the group buffer under this lock.
 	att.entLo = int32(len(sc.ents))
 	att.pendBacked = false
-	for gi := len(c.groups) - 1; gi >= 0; gi-- {
-		g := c.groups[gi]
-		if g.liveCount == 0 {
-			continue
-		}
-		var page []byte
-		pend := int32(-1)
-		if g.sealed {
-			k := pbfgKey{group: g.id, set: o}
-			c.icache.lookups++
-			if p, ok := c.icache.get(k); ok {
-				page = p
-			} else {
-				pend = sc.findPend(k)
-				if pend < 0 {
-					c.icache.misses++
-					pend = int32(len(sc.pends))
-					sc.pends = append(sc.pends, pendFetch{
-						key:   k,
-						addr:  c.pageAddrIn(g.zones, o),
-						owner: owner,
-					})
-				}
-				att.pendBacked = true
+	pend := int32(-1)
+	// This fetch only consults the index cache and never fails, so neither
+	// can the walk.
+	_ = c.walkCandidates(o, sc.probes, 0, func(g *idxGroup, o int) ([]byte, error) {
+		k := pbfgKey{group: g.id, set: o}
+		c.icache.lookups++
+		page, ok := c.icache.get(k)
+		if !ok {
+			if pend = sc.findPend(k); pend < 0 {
+				c.icache.misses++
+				pend = int32(len(sc.pends))
+				sc.pends = append(sc.pends, pendFetch{
+					key:   k,
+					addr:  c.pageAddrIn(g.zones, o),
+					owner: owner,
+				})
 			}
+			att.pendBacked = true
 		}
-		for s := len(g.members) - 1; s >= 0; s-- {
-			m := g.members[s]
-			if m.dead || m.setCount(o) == 0 {
-				continue
-			}
-			if pend < 0 && !c.testMember(g, page, s, o, sc.probes) {
-				continue
-			}
-			// The page address is fixed here because m.zones aliases the
-			// recycling SG arena.
-			sc.ents = append(sc.ents, probeEnt{sg: m, addr: c.pageAddrIn(m.zones, o), pend: pend, slot: int32(s)})
+		return page, nil
+	}, func(m *flashSG, tested bool) bool {
+		// The page address is fixed here because m.zones aliases the
+		// recycling SG arena.
+		e := probeEnt{sg: m, addr: c.pageAddrIn(m.zones, o), pend: -1, slot: int32(m.slot)}
+		if !tested {
+			e.pend = pend
 		}
-	}
+		sc.ents = append(sc.ents, e)
+		return true
+	})
 	att.entHi = int32(len(sc.ents))
 }
 
@@ -379,6 +370,7 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 	}
 	cands := sc.cands[:0]
 	addrs := sc.addrs[:0]
+	tested, mask := int32(-1), uint64(0) // the pend whose group mask is in hand
 	for _, e := range sc.ents[att.entLo:att.entHi] {
 		if e.pend >= 0 {
 			p := &sc.pends[e.pend]
@@ -395,7 +387,10 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 				r.outcome = ioErr
 				return r
 			}
-			if !bloom.TestRaw(p.page[int(e.slot)*c.bfBytes:int(e.slot+1)*c.bfBytes], sc.probes) {
+			if e.pend != tested {
+				tested, mask = e.pend, bloom.GroupMask(p.page, c.cfg.SGsPerIndexGroup, sc.probes, ^uint64(0))
+			}
+			if mask>>uint(e.slot)&1 == 0 {
 				continue
 			}
 		}

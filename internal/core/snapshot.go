@@ -24,6 +24,7 @@ import (
 	"io/fs"
 	"sort"
 
+	"nemo/internal/bloom"
 	"nemo/internal/cachelib"
 	"nemo/internal/device"
 	"nemo/internal/snapshot"
@@ -152,8 +153,15 @@ func (c *Cache) captureLocked() snapshot.Shard {
 			}
 			sg.Members = append(sg.Members, sm)
 		}
-		for _, bf := range g.slotBF {
-			sg.SlotBF = append(sg.SlotBF, append([]byte(nil), bf...))
+		// The unsealed buffer checkpoints member by member, each one's filters
+		// serialized by set offset (the layout flushes build them in), so the
+		// section does not depend on how the live buffer arranges its bits.
+		for s := 0; !g.sealed && s < len(g.members); s++ {
+			bf := make([]byte, 0, c.setsPerSG*c.bfBytes)
+			for o := 0; o < c.setsPerSG; o++ {
+				bf = bloom.ExtractColumn(bf, c.bufPage(g, o), c.cfg.SGsPerIndexGroup, s, c.bfBytes)
+			}
+			sg.SlotBF = append(sg.SlotBF, bf)
 		}
 		sh.Groups = append(sh.Groups, sg)
 	}
@@ -379,18 +387,14 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 			if len(sg.SlotBF) != len(sg.Members) {
 				return nil, cfgErr("unsealed group %d has %d filter buffers for %d members", sg.ID, len(sg.SlotBF), len(sg.Members))
 			}
-			// Future members flush their filters into this group's backing
-			// slab (writepath.go), so rebuild it and carve the checkpointed
-			// buffers back into their slots.
-			slotBytes := c.setsPerSG * c.bfBytes
-			g.bfBacking = make([]byte, cfg.SGsPerIndexGroup*slotBytes)
+			// Rebuild the group buffer the way flushes filled it: one
+			// commit-time merge per checkpointed member.
+			g.buf = make([]byte, c.setsPerSG*c.pbfgBytes)
 			for s, bf := range sg.SlotBF {
-				if len(bf) != slotBytes {
-					return nil, cfgErr("group %d filter buffer %d is %d bytes, want %d", sg.ID, s, len(bf), slotBytes)
+				if len(bf) != c.setsPerSG*c.bfBytes {
+					return nil, cfgErr("group %d filter buffer %d is %d bytes, want %d", sg.ID, s, len(bf), c.setsPerSG*c.bfBytes)
 				}
-				carve := g.bfBacking[s*slotBytes : (s+1)*slotBytes : (s+1)*slotBytes]
-				copy(carve, bf)
-				g.slotBF = append(g.slotBF, carve)
+				c.mergeFilters(g, s, bf)
 			}
 		}
 		for s := range sg.Members {
@@ -456,6 +460,7 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 			g.members = append(g.members, m)
 			if !m.dead {
 				st.pool = append(st.pool, m)
+				g.live |= 1 << uint(s)
 				live++
 			}
 		}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -383,6 +385,56 @@ func TestSnapshotCrashMatrix(t *testing.T) {
 			t.Fatalf("cold-format run hit device errors: %+v", st)
 		}
 	})
+}
+
+// restampVersion rewrites a well-formed snapshot image's version word in
+// place and re-seals the footer over it (the CRC32 of every preceding byte,
+// then that payload's section CRC).
+func restampVersion(blob []byte, v uint32) {
+	body, footer := blob[:len(blob)-16], blob[len(blob)-16:]
+	binary.LittleEndian.PutUint32(body[8:], v)
+	binary.LittleEndian.PutUint32(footer[12:], crc32.ChecksumIEEE(body))
+	binary.LittleEndian.PutUint32(footer[8:], crc32.ChecksumIEEE(footer[12:]))
+}
+
+// TestVersion1SnapshotColdStarts pins the format bump: a version-1
+// checkpoint's sealed groups point at filter-major PBFG pages this build
+// would misread as bit-sliced, so an otherwise intact version-1 file — right
+// device, right generation, every CRC good — is refused with ErrVersion and
+// the cache starts cold.
+func TestVersion1SnapshotColdStarts(t *testing.T) {
+	dev := devtest.Backends()[0].New(t, snapGeometry(snapShards))
+	path := filepath.Join(t.TempDir(), "v1.snap")
+	c, err := NewSharded(snapConfig(dev, snapShards, 0, path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	applySnapTrace(t, c, snapTrace(25000), false)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restampVersion(blob, snapshot.Version)
+	if _, err := snapshot.Decode(blob); err != nil {
+		t.Fatalf("restamping the current version broke the image: %v", err)
+	}
+	restampVersion(blob, 1)
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := NewSharded(snapConfig(dev, snapShards, 0, path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored, rerr := cold.RestoreOutcome(); restored || !errors.Is(rerr, snapshot.ErrVersion) {
+		t.Fatalf("version-1 snapshot: restored=%v err=%v, want a cold start with ErrVersion", restored, rerr)
+	}
+	if st := cold.Stats(); st != (cachelib.Stats{}) {
+		t.Fatalf("cold engine carries stats: %+v", st)
+	}
 }
 
 // TestStaleSnapshotRejected pins the generation-stamp wall: any device

@@ -173,8 +173,8 @@ func (c *Cache) MemoryOverhead() MemoryOverhead {
 	defer c.mu.Unlock()
 	bfPerObj := bloom.BitsPerObject(c.cfg.BloomFPR) * c.cfg.CachedPBFGRatio
 	hot := c.cfg.HotTrackTailRatio // 1 bit per object over the tracked tail
-	// One index-group buffer (SetsPerSG × bfBytes per member SG slot,
-	// bounded by one SG worth of filter pages) amortized over pool objects.
+	// One index-group buffer (SetsPerSG PBFG pages, bounded by one SG worth
+	// of pages) amortized over pool objects.
 	bufferBits := float64(c.setsPerSG * c.pageSize * 8)
 	poolObjs := float64(c.cfg.DataZones*c.setsPerSG) * float64(c.cfg.TargetObjsPerSet)
 	buffer := bufferBits / poolObjs

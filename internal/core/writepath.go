@@ -32,12 +32,15 @@ package core
 //     finally — unlocked again — the freed zones are erased, the sealed
 //     SG's set blocks are serialized through a pooled page buffer and
 //     appended to the reserved data zones, the per-set Bloom filters are
-//     built, and a completing index group's PBFG pages are assembled and
-//     appended to the reserved index zones. No foreground GET or SET on the
-//     shard waits on any of this device I/O.
+//     built in the owner's scratch, and a completing index group's PBFG
+//     pages — the group buffer's, each copied and given this member's
+//     column — are appended to the reserved index zones. No foreground GET
+//     or SET on the shard waits on any of this device I/O.
 //   - commit (locked): the flashSG publishes into its index group and the
-//     FIFO pool, the write-side counters and the flush log apply, and the
-//     cooling pass runs if due. Readers that planned during the build are
+//     FIFO pool, its filters merge into the group buffer (the readers' copy,
+//     so only under the lock), the write-side counters and the flush log
+//     apply, and the cooling pass runs if due. Readers that planned during
+//     the build are
 //     unaffected: their snapshots never referenced the unpublished SG, and
 //     the sealed SG they could probe in memory is dropped in the same
 //     critical section that makes the flash copy discoverable.
@@ -93,6 +96,7 @@ type flushScratch struct {
 	victimSlab []byte        // one allocation backing all read-back pages
 	pageBuf    []byte        // serialization / PBFG-assembly scratch
 	filter     *bloom.Filter // per-set filter builder
+	bfs        []byte        // the SG's SetsPerSG filters, serialized by set offset
 	readSets   []int         // victim set offsets scheduled for read-back
 	counts     []uint32      // per-set object counts of the SG being built;
 	// copied into the SG's meta carve at commit
@@ -198,8 +202,7 @@ func (c *Cache) flushOwner() error {
 			return fmt.Errorf("core: no free index zones to seal group %d", g.id)
 		}
 	}
-	c.nextSGID++         // SG-epoch advance: in-flight optimistic readers will replan
-	memberBF := g.slotBF // existing member filters; immutable, appended to only at commit
+	c.nextSGID++ // SG-epoch advance: in-flight optimistic readers will replan
 	c.sealed = &sealedFlush{mem: front}
 	copy(c.memq, c.memq[1:])
 	c.memq[len(c.memq)-1] = c.takeMemSG()
@@ -222,7 +225,7 @@ func (c *Cache) flushOwner() error {
 
 	// ---- Phase 2b: build (unlocked) ----
 	c.unlockForBuild()
-	bfs, buildErr := c.buildAndAppend(ev, front, sg, zones, idxZones, willSeal, memberBF)
+	buildErr := c.buildAndAppend(ev, front, sg, zones, idxZones, willSeal)
 	c.relockAfterBuild()
 	if buildErr != nil {
 		return c.recoverFailedFlushLocked(ev, front, sg, zones, idxZones, buildErr)
@@ -255,8 +258,8 @@ func (c *Cache) flushOwner() error {
 		c.extra.FlushRecordsDropped++
 	}
 	g.members = append(g.members, sg)
-	g.slotBF = append(g.slotBF, bfs)
 	g.liveCount++
+	g.live |= 1 << uint(sg.slot)
 	c.pool = append(c.pool, sg)
 	if willSeal {
 		c.stats.FlashBytesWritten += zoneBytes
@@ -264,8 +267,11 @@ func (c *Cache) flushOwner() error {
 		c.extra.IndexBytesWritten += zoneBytes
 		g.zones = idxZones
 		g.sealed = true
-		g.slotBF = nil    // buffer released; filters now live in the index pool
-		g.bfBacking = nil // the slab behind those slices goes with them
+		g.buf = nil // buffer released; filters now live in the index pool
+	} else {
+		// The one new piece of locked work: readers test the group buffer
+		// under this lock, so the member's column can only land under it.
+		c.mergeFilters(g, sg.slot, c.fscratch.bfs)
 	}
 	if c.bytesSinceCool >= uint64(c.cfg.CoolingWriteRatio*float64(c.poolCapacityBytes())) {
 		c.coolLocked()
@@ -321,6 +327,7 @@ func (c *Cache) sealEvictLocked() (*evictPlan, error) {
 	}
 	victim.dead = true
 	victim.group.liveCount--
+	victim.group.live &^= 1 << uint(victim.slot)
 	if victim.group.liveCount == 0 && victim.group.sealed {
 		ev.retired = victim.group
 		ev.idxReset = victim.group.zones
@@ -452,16 +459,16 @@ func (c *Cache) evictFilterLocked(ev *evictPlan, dst *memSG, nRead int, readErr 
 // completes its index group — assemble and append the group's PBFG pages.
 // The device-op multiset and per-zone append order match the historical
 // locked path exactly.
-func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, idxZones []int, willSeal bool, memberBF [][]byte) ([]byte, error) {
+func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, idxZones []int, willSeal bool) error {
 	if ev != nil {
 		for _, z := range ev.idxReset {
 			if _, err := c.dev.ResetZone(z); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		for _, z := range ev.victim.zones {
 			if _, err := c.dev.ResetZone(z); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
@@ -474,7 +481,7 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, 
 		for _, z := range set {
 			if c.dev.ZoneWP(z) > 0 {
 				if _, err := c.dev.ResetZone(z); err != nil {
-					return nil, err
+					return err
 				}
 			}
 		}
@@ -484,18 +491,18 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, 
 		sc.filter = bloom.New(c.cfg.TargetObjsPerSet, c.cfg.BloomFPR)
 	}
 	ppz := c.dev.PagesPerZone()
-	// The SG's filters live in its slot's carve of the group backing; the
-	// owner writes only this slot, so concurrent readers probing other
-	// members' carves see disjoint bytes. Set counts accumulate in the
-	// owner's scratch — the SG's meta carve happens at commit, when the
-	// final object count is known.
-	slotBytes := c.setsPerSG * c.bfBytes
-	bfs := sg.group.bfBacking[sg.slot*slotBytes : (sg.slot+1)*slotBytes : (sg.slot+1)*slotBytes]
+	// The SG's filters are built in the owner's scratch: readers test the
+	// group buffer under the lock, so nothing is written there from here.
+	// Set counts accumulate in scratch too — the SG's meta carve happens at
+	// commit, when the final object count is known.
+	if sc.bfs == nil {
+		sc.bfs = make([]byte, c.setsPerSG*c.bfBytes)
+	}
 	for o := range front.sets {
 		blk := &front.sets[o]
 		sc.pageBuf = blk.AppendTo(sc.pageBuf[:0])
 		if _, _, err := c.appendPageRetry(zones[o/ppz], sc.pageBuf); err != nil {
-			return nil, fmt.Errorf("core: flushing SG: %w", err)
+			return fmt.Errorf("core: flushing SG: %w", err)
 		}
 		sc.counts[o] = uint32(blk.Count())
 		sg.objCount += blk.Count()
@@ -504,24 +511,21 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, 
 			sc.filter.Add(e.FP)
 			return true
 		})
-		copy(bfs[o*c.bfBytes:], sc.filter.AppendBytes(sc.pageBuf[:0]))
+		sc.filter.AppendBytes(sc.bfs[:o*c.bfBytes]) // in place: set o's slice of bfs
 	}
 	if willSeal {
 		// One PBFG page per intra-SG offset (§4.3 "packed BF layout"): the
-		// filters of offset o across every member SG, this one last.
+		// group buffer's page with this last member's column merged in.
 		for o := 0; o < c.setsPerSG; o++ {
-			page := sc.pageBuf[:0]
-			for _, bf := range memberBF {
-				page = append(page, bf[o*c.bfBytes:(o+1)*c.bfBytes]...)
-			}
-			page = append(page, bfs[o*c.bfBytes:(o+1)*c.bfBytes]...)
+			page := append(sc.pageBuf[:0], c.bufPage(sg.group, o)...)
+			bloom.MergeColumn(page, c.cfg.SGsPerIndexGroup, sg.slot, sc.bfs[o*c.bfBytes:(o+1)*c.bfBytes])
 			sc.pageBuf = page
 			if _, _, err := c.appendPageRetry(idxZones[o/ppz], page); err != nil {
-				return nil, fmt.Errorf("core: sealing index group: %w", err)
+				return fmt.Errorf("core: sealing index group: %w", err)
 			}
 		}
 	}
-	return bfs, nil
+	return nil
 }
 
 // recoverFailedFlushLocked unwinds a flush that died mid-build so the

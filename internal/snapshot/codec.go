@@ -12,8 +12,11 @@ const (
 	headerSize = 64
 	// Version is the NEMO1 format version this code writes and the only one
 	// it reads. There is no cross-version migration by design: an old
-	// snapshot is throwaway, exactly like a corrupt one.
-	Version = 1
+	// snapshot is throwaway, exactly like a corrupt one. Version 2 changed no
+	// byte of the image: it marks the on-flash PBFG pages a sealed group's
+	// zones hold as bit-sliced (bloom.GroupMask) — device state a version-1
+	// checkpoint points at in the old filter-major arrangement.
+	Version = 2
 
 	sectionHdrSize = 12 // kind u32 | len u32 | crc32 u32
 )

@@ -16,7 +16,7 @@
 //
 //	header (64 bytes)
 //	  magic "NEMO1\x00\x00\x00"          [8]
-//	  version                      u32  (currently 1)
+//	  version                      u32  (currently 2)
 //	  pageSize, pagesPerZone, zones u32 ×3 (device geometry)
 //	  boot, writes                 u64  ×2 (device.Generation stamp)
 //	  shardCount                   u32
