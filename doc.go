@@ -319,32 +319,53 @@
 // Zones, optionally MaxOpenZones) of append-only zones: AppendPage programs
 // at a zone's write pointer (short appends are zero-padded to a full page),
 // ResetZone is the erase that rewinds it, and reading a page at or beyond
-// its zone's write pointer yields zeroes rather than stale bytes. Reads and
-// writes on distinct zones proceed in parallel; same-zone appends
-// serialize. Buffer ownership follows the PR 4 read-path rules: ReadPage's
-// dst belongs to the caller, is filled synchronously before the call
-// returns, and is never retained by the device. SetReadFault/SetWriteFault
-// install test hooks that run before any state change and outside every
-// zone lock, so a hook that blocks parks its caller without wedging the
-// rest of the device — the fault tests and the drain suite rely on exactly
-// that, and run against every implementation via internal/devtest.
+// its zone's write pointer yields zeroes rather than stale bytes. The
+// normative text — what a failed operation may change (nothing), buffer
+// ownership, what runs in parallel, when fault hooks run, the crash model —
+// is internal/device's package comment, beside the code that enforces it.
 //
-// Two implementations ship. internal/flashsim is the simulator: virtual
-// time, a per-channel latency model, deterministic scheduling.
-// internal/filedev is the real file-backed device (OpenFileDevice, or
-// `-device=file:<path>` on nemobench/nemoserve): one flat image file,
-// each page append a single pwrite at zone*pagesPerZone*pageSize + off,
-// measured wall-clock latencies, optional O_DIRECT. Its durability caveats
-// are deliberate for a cache: appends are not individually fsynced (an OS
-// crash can lose recently acknowledged pages), and without Config.Persist
-// no write-pointer metadata is persisted — Open reformats, rebuilding every
-// write pointer to zero. Persist mode (used by warm restart, below) adds a
-// superblock page past the data capacity holding the zone write pointers
-// and the device generation stamp: a cleanly closed image reopens warm,
-// while the first mutation after any open synchronously invalidates the
-// superblock, so a crash always cold-formats the next open. Under `-notime`
-// the quality half of the compare table (hit ratio, ALWA, total WA,
-// evictions) is byte-identical across backends; only timing may differ.
+// That code exists once. device.Zoned is the state machine: per-zone
+// RWMutex and write pointer (distinct zones in parallel, reads of one zone
+// in parallel, same-zone appends serialized), open-zone accounting against
+// MaxOpenZones, the counters behind Stats and Generation.Writes, argument
+// validation, zero-fill at or beyond a write pointer, the Append and
+// ReadPages loops (one page append or read per page, in order), and the
+// SetReadFault/SetWriteFault hooks, which run after validation, before any
+// state change and outside every zone lock — a hook that blocks parks its
+// caller without wedging the device; the fault tests and the drain suite
+// rely on exactly that. It is parameterised by a five-method device.Media
+// (store a page, load a page, erase a zone, "about to mutate", completion
+// time of an operation), and the two backends are that and nothing more:
+//
+//   - internal/flashsim (NewDevice; the default of nemobench, every -exp
+//     and most tests) keeps zone contents in lazily allocated memory and
+//     times operations on per-channel virtual-time schedulers, so latency
+//     columns are deterministic.
+//   - internal/filedev (OpenFileDevice, or `-device=file:<path>` on
+//     nemobench/nemoserve; what all four BENCHMARK.json workloads run on)
+//     keeps them in one flat image file — each page a single pwrite or
+//     pread at page × PageSize, optional O_DIRECT through aligned bounce
+//     buffers, resets hole-punched — and reports measured wall-clock
+//     completion times. On the benchmark host that is page-cache I/O:
+//     `device.read_p50_us` 1.1–2.8 µs across the four workloads (1.6 µs,
+//     p99 4.2 µs, on `lib_direct`) and `device.append_us_per_page`
+//     2.0–3.0 µs in the traced pairs CHANGES.md records for PR 17 — not
+//     flash numbers; a batch's pages are read serially
+//     (`device.pages_per_read_call`), so a GetMany's device time is the
+//     sum of its reads.
+//
+// filedev's durability caveats are deliberate for a cache: appends are not
+// individually fsynced, and without Config.Persist Open reformats (every
+// write pointer starts at zero). Persist mode (used by warm restart, below)
+// adds a superblock page past the data capacity holding the write pointers
+// and the generation stamp: a cleanly closed image reopens warm, and the
+// first mutation after any open invalidates the superblock, so a killed
+// process cold-formats the next open; after power loss the image must be
+// discarded (the invalidation is not fsync-ordered before zone writes).
+// TestDifferentialContract drives both backends and an independent model
+// through the same seeded histories, and under `-notime` the quality half
+// of the compare table (hit ratio, ALWA, total WA, evictions) is
+// byte-identical across backends; only timing may differ.
 //
 // # Warm restart
 //

@@ -25,7 +25,7 @@ type Spec struct {
 	kind string // "sim" or "file"
 	path string // image path for "file"
 
-	opens *atomic.Int64 // per-Spec open counter for unique image paths
+	opens *atomic.Int64 // file specs: open counter for unique image paths
 }
 
 // Parse interprets a -device flag value: "sim" (or empty) for the
@@ -33,20 +33,20 @@ type Spec struct {
 func Parse(s string) (Spec, error) {
 	switch {
 	case s == "" || s == "sim":
-		return Spec{kind: "sim", opens: new(atomic.Int64)}, nil
+		return Sim(), nil
 	case strings.HasPrefix(s, "file:"):
 		path := strings.TrimPrefix(s, "file:")
 		if path == "" {
 			return Spec{}, fmt.Errorf("backend: file device needs a path, e.g. -device=file:/tmp/nemo.img")
 		}
-		return Spec{kind: "file", path: path, opens: new(atomic.Int64)}, nil
+		return File(path), nil
 	default:
 		return Spec{}, fmt.Errorf("backend: unknown device spec %q (want sim or file:<path>)", s)
 	}
 }
 
 // Sim returns the simulator spec (what Parse("sim") returns).
-func Sim() Spec { return Spec{kind: "sim", opens: new(atomic.Int64)} }
+func Sim() Spec { return Spec{kind: "sim"} }
 
 // File returns a file-backed spec rooted at path.
 func File(path string) Spec {
@@ -73,30 +73,7 @@ func (s Spec) IsFile() bool { return s.kind == "file" }
 // itself; later opens suffix .1, .2, … so multi-device harnesses get
 // distinct images.
 func (s Spec) Open(g device.Geometry) (device.Device, error) {
-	if s.opens == nil { // zero-value Spec: the simulator
-		s.opens = new(atomic.Int64)
-	}
-	n := s.opens.Add(1) - 1
-	if !s.IsFile() {
-		return flashsim.New(flashsim.Config{
-			PageSize:     g.PageSize,
-			PagesPerZone: g.PagesPerZone,
-			Zones:        g.Zones,
-			MaxOpenZones: g.MaxOpenZones,
-		}), nil
-	}
-	path := s.path
-	if n > 0 {
-		path = fmt.Sprintf("%s.%d", s.path, n)
-	}
-	return filedev.Open(filedev.Config{
-		Path:          path,
-		PageSize:      g.PageSize,
-		PagesPerZone:  g.PagesPerZone,
-		Zones:         g.Zones,
-		MaxOpenZones:  g.MaxOpenZones,
-		RemoveOnClose: true,
-	})
+	return s.open(g, false)
 }
 
 // OpenPersistent builds a device meant to outlive the process — the warm-
@@ -107,23 +84,32 @@ func (s Spec) Open(g device.Geometry) (device.Device, error) {
 // generation never matches an earlier snapshot, making every restart cold —
 // the correct, safe behaviour, not an error.
 func (s Spec) OpenPersistent(g device.Geometry) (device.Device, error) {
-	if !s.IsFile() {
-		return s.Open(g)
+	return s.open(g, true)
+}
+
+// open is the one place a Geometry becomes a backend Config. persist picks
+// between the two lives a file image can have: kept and warm-openable, or
+// removed on Close.
+func (s Spec) open(g device.Geometry, persist bool) (device.Device, error) {
+	if !s.IsFile() { // includes the zero-value Spec
+		return flashsim.New(flashsim.Config{
+			PageSize:     g.PageSize,
+			PagesPerZone: g.PagesPerZone,
+			Zones:        g.Zones,
+			MaxOpenZones: g.MaxOpenZones,
+		}), nil
 	}
-	if s.opens == nil {
-		s.opens = new(atomic.Int64)
-	}
-	n := s.opens.Add(1) - 1
 	path := s.path
-	if n > 0 {
+	if n := s.opens.Add(1) - 1; n > 0 {
 		path = fmt.Sprintf("%s.%d", s.path, n)
 	}
 	return filedev.Open(filedev.Config{
-		Path:         path,
-		PageSize:     g.PageSize,
-		PagesPerZone: g.PagesPerZone,
-		Zones:        g.Zones,
-		MaxOpenZones: g.MaxOpenZones,
-		Persist:      true,
+		Path:          path,
+		PageSize:      g.PageSize,
+		PagesPerZone:  g.PagesPerZone,
+		Zones:         g.Zones,
+		MaxOpenZones:  g.MaxOpenZones,
+		RemoveOnClose: !persist,
+		Persist:       persist,
 	})
 }

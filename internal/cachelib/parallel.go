@@ -161,32 +161,35 @@ func (rw *replayWorker) writeMany(keys, values [][]byte) error {
 // path).
 func (rw *replayWorker) runOne(req *trace.Request) error {
 	rw.advance()
-	return rw.dispatchOne(req)
+	_, err := rw.dispatchOne(req)
+	return err
 }
 
 // dispatchOne executes one request without touching the clock (the batched
-// path advances at collection time).
-func (rw *replayWorker) dispatchOne(req *trace.Request) error {
+// path advances at collection time): a delete, an admitted set, or an
+// expire-get-fill. It is the one definition of "replay one request" — the
+// serial replayer dispatches through it too — and reports whether a GET hit.
+func (rw *replayWorker) dispatchOne(req *trace.Request) (hit bool, err error) {
 	switch req.Op {
 	case trace.KindDelete:
 		rw.exp.deleted(req.Key)
-		return rw.v2.Delete(req.Key)
+		return false, rw.v2.Delete(req.Key)
 	case trace.KindSet:
 		if !rw.admits(req.Key, len(req.Key)+len(req.Value)) {
-			return nil
+			return false, nil
 		}
-		return rw.write(req.Key, req.Value)
+		return false, rw.write(req.Key, req.Value)
 	default:
 		if err := rw.exp.expireIfDue(rw.v2, req.Key); err != nil {
-			return err
+			return false, err
 		}
-		if _, hit := rw.v2.Get(req.Key); !hit {
-			if rw.cfg.Options.NoFill || !rw.admits(req.Key, len(req.Key)+len(req.Value)) {
-				return nil
-			}
-			return rw.write(req.Key, req.Value)
+		if _, hit := rw.v2.Get(req.Key); hit {
+			return true, nil
 		}
-		return nil
+		if rw.cfg.Options.NoFill || !rw.admits(req.Key, len(req.Key)+len(req.Value)) {
+			return false, nil
+		}
+		return false, rw.write(req.Key, req.Value)
 	}
 }
 
@@ -435,7 +438,7 @@ func (rw *replayWorker) getPhase(runs ...[]int32) error {
 		}
 	}
 	for _, i := range dups {
-		if err := rw.dispatchOne(&rw.reqs[i]); err != nil {
+		if _, err := rw.dispatchOne(&rw.reqs[i]); err != nil {
 			return err
 		}
 	}

@@ -149,48 +149,32 @@ func replay(e Engine, s trace.Stream, cfg ReplayConfig) (ReplayResult, error) {
 		return res, fmt.Errorf("cachelib: Options.TTL requires a Clock (expiry runs on the replay's virtual clock)")
 	}
 	missWin := metrics.NewRatioWindow(cfg.WindowOps)
-	exp := newExpiryTracker(cfg.Options, cfg.Clock)
+	// One request is replayed by the routine the parallel replayer uses;
+	// this loop keeps only what is the serial replayer's: the clock advance,
+	// the miss window and the timeline.
+	rw := replayWorker{
+		v2:  v2,
+		cfg: &ParallelReplayConfig{Options: cfg.Options, Admission: cfg.Admission},
+		exp: newExpiryTracker(cfg.Options, cfg.Clock),
+	}
 	var req trace.Request
 	for i := 0; i < cfg.Ops; i++ {
 		if cfg.Clock != nil {
 			cfg.Clock.Advance(cfg.InterArrival)
 		}
 		s.Next(&req)
-		switch {
-		case req.Op == trace.KindDelete:
-			exp.deleted(req.Key)
-			if err := v2.Delete(req.Key); err != nil {
-				return res, err
-			}
-		case req.Op == trace.KindSet:
-			if !admitWrite(cfg.Options, cfg.Admission, req.Key, len(req.Key)+len(req.Value)) {
-				continue
-			}
+		if req.Op == trace.KindGet && !cfg.MissFill {
+			// Insert-only replay (ReplayRaw): every GET is a plain Set.
 			if err := v2.Set(req.Key, req.Value); err != nil {
 				return res, err
 			}
-			exp.wrote(req.Key)
-		case cfg.MissFill:
-			if err := exp.expireIfDue(v2, req.Key); err != nil {
+		} else {
+			hit, err := rw.dispatchOne(&req)
+			if err != nil {
 				return res, err
 			}
-			_, hit := v2.Get(req.Key)
-			missWin.Observe(!hit)
-			if !hit {
-				if cfg.Options.NoFill {
-					continue
-				}
-				if !admitWrite(cfg.Options, cfg.Admission, req.Key, len(req.Key)+len(req.Value)) {
-					continue
-				}
-				if err := v2.Set(req.Key, req.Value); err != nil {
-					return res, err
-				}
-				exp.wrote(req.Key)
-			}
-		default:
-			if err := v2.Set(req.Key, req.Value); err != nil {
-				return res, err
+			if req.Op == trace.KindGet {
+				missWin.Observe(!hit)
 			}
 		}
 		if (i+1)%cfg.SampleEveryOps == 0 {

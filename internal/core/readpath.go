@@ -102,8 +102,8 @@ type pendFetch struct {
 // scratch exclusively until it returns it, so the steady-state hot path
 // allocates nothing beyond the returned value copy. The candidate read
 // buffers (bufs) are plain pooled pages — the device copies into them
-// synchronously and never retains them (the flashsim ReadPages ownership
-// contract), and they are recycled across Gets. PBFG pages headed for the
+// synchronously and never retains them (the device contract's buffer-ownership
+// rule), and they are recycled across Gets. PBFG pages headed for the
 // index cache draw from their own free list (freePages): the index cache
 // copies on put, so the fetch buffer comes straight back.
 type getScratch struct {

@@ -1,37 +1,66 @@
 // Package device defines the zoned-device contract every cache engine in
-// this repository is written against: a fixed geometry of erase-unit zones
+// this repository is written against — a fixed geometry of erase-unit zones
 // holding page-granularity data, append-only writes at a per-zone write
-// pointer, whole-zone resets, and byte-exact activity accounting.
+// pointer, whole-zone resets, byte-exact activity accounting (§2.2: the one
+// contract ZNS and FDP devices share) — and the one state machine that
+// enforces it.
 //
-// Two implementations exist. internal/flashsim is the simulator the paper's
-// numbers were first reproduced on: deterministic, with a virtual-time
-// latency model. internal/filedev is a real file-backed device (pread/pwrite
-// into a preallocated image, measured latencies) that turns the BENCH
-// trajectory from simulated to measured. Engines — Nemo's core and all four
-// baselines — accept the Device interface and cannot tell the backends
-// apart except through the clock: a mixed-trace replay produces identical
-// hit ratios, write amplification, and eviction counts on either (pinned by
-// the cross-backend equivalence tests), only the latency columns differ.
+// Zoned (zoned.go) is that state machine. The two backends embed it and
+// supply only a Media: internal/flashsim keeps zone contents in memory and
+// times operations on a per-channel virtual clock (deterministic; the
+// simulator the paper's numbers were first reproduced on), internal/filedev
+// keeps them in a preallocated image file and reports measured wall-clock
+// completion times. Engines — Nemo's core and all four baselines — accept
+// the Device interface and cannot tell the backends apart except through the
+// clock: a mixed-trace replay produces identical hit ratios, write
+// amplification and eviction counts on either (pinned by
+// TestDifferentialContract here and the cross-backend equivalence tests in
+// internal/experiments); only the latency columns differ.
 //
-// The semantic contract, normative for every implementation:
+// The contract, normative. Zoned guarantees:
 //
-//   - Appends to a zone land at its write pointer and advance it; a full
+//   - An append lands at its zone's write pointer and advances it; a full
 //     zone rejects appends until ResetZone rewinds it (append-only,
-//     erase-before-reuse).
-//   - Reading a page at or beyond its zone's write pointer yields zeroes
-//     (deallocated-read behaviour of real zoned devices). Reads below the
-//     write pointer return exactly the appended bytes, with short appends
-//     zero-padded to a full page.
-//   - Buffer ownership (the ReadPage/ReadPages rule the zero-allocation
-//     read paths rely on): dst belongs to the caller, is filled
-//     synchronously before the call returns, and is never retained; the
-//     device never hands out internal buffers.
-//   - Concurrency: operations on distinct zones proceed in parallel;
-//     appends to one zone serialize on its single write pointer. All
-//     methods are safe for concurrent use.
-//   - Fault hooks (SetReadFault/SetWriteFault) run before any device state
-//     changes and outside zone locks, so a test may block inside one to
-//     hold an operation mid-flight without stalling other zones.
+//     erase-before-reuse). At most MaxOpenZones zones (0 = unlimited) are
+//     partially written at once; opening one more fails with
+//     ErrTooManyOpenZones.
+//   - Reading a page at or beyond its zone's write pointer yields zeroes and
+//     never touches the media (deallocated-read behaviour of real zoned
+//     devices), so whatever bytes a medium holds past a write pointer —
+//     an image reused after a reformat, a reset that reclaimed nothing —
+//     can never leak into a read.
+//   - An operation that fails — rejected arguments, a fault hook's error, a
+//     full zone, the open-zone limit, a media error — changes nothing: no
+//     write pointer, open-zone reservation, Stats counter or
+//     Generation.Writes moves, so a failed append can simply be retried.
+//     Generation.Writes counts successful page appends and resets only.
+//   - Buffer ownership (the rule the zero-allocation read paths rely on):
+//     dst belongs to the caller, is filled synchronously before the call
+//     returns, and is never retained; the device never hands out internal
+//     buffers.
+//   - Concurrency: all methods are safe for concurrent use. Operations on
+//     distinct zones proceed in parallel, as do reads of one zone; appends
+//     to one zone serialize on its single write pointer.
+//   - Fault hooks (SetReadFault/SetWriteFault) run after argument
+//     validation, before any device state changes and outside zone locks,
+//     so a test may block inside one to hold an operation mid-flight
+//     without stalling any zone.
+//
+// The media guarantees: reads below the write pointer return exactly the
+// appended bytes, short appends zero-padded to a full page; a failed Store
+// wrote nothing that will be read back; completion times are on Clock().
+//
+// Crash model (filedev with Persist; the simulator's contents never outlive
+// its process). A clean Close persists the write pointers and the Generation
+// in a synced superblock, and the next open is warm. The first mutation
+// after any open zeroes that superblock before a zone changes, so after a
+// process kill — where the kernel still owns every written page — the next
+// open finds no valid superblock and cold-formats under a fresh Boot
+// (TestPersistCrashColdFormats, TestPersistFirstMutationInvalidates). Power
+// loss is outside the model: the invalidation is not ordered before later
+// zone writes by an fsync, so a surviving superblock may describe zones that
+// have since changed, and the image must be discarded after one. Appends
+// are never fsynced either; a cache refills from its backing store.
 package device
 
 import (
@@ -220,7 +249,10 @@ func (s ZoneState) String() string {
 }
 
 // StateOf derives a zone's lifecycle state from its write pointer.
-func StateOf(d Device, zoneID int) ZoneState {
+func StateOf(d interface {
+	ZoneWP(zoneID int) int
+	PagesPerZone() int
+}, zoneID int) ZoneState {
 	switch wp := d.ZoneWP(zoneID); {
 	case wp == 0:
 		return ZoneEmpty

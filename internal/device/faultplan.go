@@ -121,9 +121,8 @@ type FaultPlan struct {
 	rng   uint64
 	seed  uint64
 
-	dev          Device       // armed device (nil when disarmed)
-	pagesPerZone int          // cached geometry for read→zone attribution
-	clock        *vtime.Clock // armed device's clock, for latency injection
+	dev   Device       // armed device (nil when disarmed)
+	clock *vtime.Clock // armed device's clock, for latency injection
 
 	reads, writes       atomic.Uint64
 	injReads, injWrites atomic.Uint64
@@ -179,12 +178,14 @@ func (p *FaultPlan) Arm(d Device) {
 		p.dev.SetWriteFault(nil)
 	}
 	p.dev = d
-	p.pagesPerZone = d.PagesPerZone()
 	p.clock = d.Clock()
 	p.resetLocked()
 	p.mu.Unlock()
+	// The hooks read only what they capture: a hook still in flight on this
+	// or an earlier device must not see a later Arm's geometry.
+	pagesPerZone := d.PagesPerZone()
 	d.SetReadFault(func(page int) error {
-		return p.decide(FaultRead, page/p.pagesPerZone)
+		return p.decide(FaultRead, page/pagesPerZone)
 	})
 	d.SetWriteFault(func(zone int) error {
 		return p.decide(FaultWrite, zone)

@@ -7,6 +7,9 @@ package device_test
 
 import (
 	"errors"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -199,6 +202,59 @@ func TestFaultPlanLatencyOnVirtualClock(t *testing.T) {
 		}
 		if st := plan.Stats(); st.DelayedOps != 1 {
 			t.Fatalf("DelayedOps = %d, want 1", st.DelayedOps)
+		}
+	})
+}
+
+// TestFaultPlanRearmUnderTraffic re-arms an armed plan while readers are
+// inside its hooks (the chaos harness arms mid-traffic): the race detector
+// must stay quiet, and the arm after the traffic stops must still replay
+// the schedule a fresh plan draws.
+func TestFaultPlanRearmUnderTraffic(t *testing.T) {
+	devtest.Run(t, func(t *testing.T, b devtest.Backend) {
+		rules := []device.FaultRule{
+			{Op: device.FaultRead, ErrRate: 0.2},
+			{Op: device.FaultWrite, ErrRate: 0.4},
+		}
+		d := b.New(t, faultGeom)
+		plan := device.NewFaultPlan(11, rules...)
+		plan.Arm(d)
+
+		stop := make(chan struct{})
+		var readers sync.WaitGroup
+		var reads atomic.Int64
+		for r := 0; r < 4; r++ {
+			readers.Add(1)
+			go func(r int) {
+				defer readers.Done()
+				buf := make([]byte, d.PageSize())
+				for page := r; ; page = (page + 4) % d.TotalPages() {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, err := d.ReadPage(page, buf); err != nil && !errors.Is(err, device.ErrInjected) {
+						t.Errorf("read page %d: %v", page, err)
+						return
+					}
+					reads.Add(1)
+				}
+			}(r)
+		}
+		for reads.Load() < 5000 { // keep re-arming while reads are in flight
+			plan.Arm(d)
+		}
+		close(stop)
+		readers.Wait()
+
+		plan.Arm(d)
+		got := writeSequence(t, d, 64)
+		fresh := device.NewFaultPlan(11, rules...)
+		ref := b.New(t, faultGeom)
+		fresh.Arm(ref)
+		if want := writeSequence(t, ref, 64); !reflect.DeepEqual(got, want) {
+			t.Fatalf("replay after re-arming under traffic faulted %v, a fresh plan %v", got, want)
 		}
 	})
 }

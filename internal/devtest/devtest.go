@@ -8,9 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"nemo/internal/backend"
 	"nemo/internal/device"
-	"nemo/internal/filedev"
-	"nemo/internal/flashsim"
 )
 
 // Backend names one device implementation for a test run.
@@ -24,32 +23,23 @@ type Backend struct {
 	New func(t *testing.T, g device.Geometry) device.Device
 }
 
-// Backends returns every implementation of the device contract.
+// Backends returns every implementation of the device contract, opened the
+// way every harness opens them: through internal/backend.
 func Backends() []Backend {
+	open := func(t *testing.T, spec backend.Spec, g device.Geometry) device.Device {
+		d, err := spec.Open(g)
+		if err != nil {
+			t.Fatalf("open %v: %v", spec, err)
+		}
+		t.Cleanup(func() { d.Close() })
+		return d
+	}
 	return []Backend{
 		{Name: "sim", New: func(t *testing.T, g device.Geometry) device.Device {
-			d := flashsim.New(flashsim.Config{
-				PageSize:     g.PageSize,
-				PagesPerZone: g.PagesPerZone,
-				Zones:        g.Zones,
-				MaxOpenZones: g.MaxOpenZones,
-			})
-			t.Cleanup(func() { d.Close() })
-			return d
+			return open(t, backend.Sim(), g)
 		}},
 		{Name: "file", New: func(t *testing.T, g device.Geometry) device.Device {
-			d, err := filedev.Open(filedev.Config{
-				Path:         filepath.Join(t.TempDir(), "nemo.img"),
-				PageSize:     g.PageSize,
-				PagesPerZone: g.PagesPerZone,
-				Zones:        g.Zones,
-				MaxOpenZones: g.MaxOpenZones,
-			})
-			if err != nil {
-				t.Fatalf("open filedev: %v", err)
-			}
-			t.Cleanup(func() { d.Close() })
-			return d
+			return open(t, backend.File(filepath.Join(t.TempDir(), "nemo.img")), g)
 		}},
 	}
 }

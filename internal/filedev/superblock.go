@@ -10,11 +10,13 @@ package filedev
 //     any way: the device cold-formats with a fresh random Boot, and the
 //     stale superblock is zeroed immediately so it can never be trusted by a
 //     later open under a different life of the image.
-//   - The FIRST mutation after an open synchronously zeroes the superblock
-//     before touching any zone (invalidate-then-mutate). A crash at any
-//     point after that leaves an invalid superblock, so the next open
-//     cold-formats — the write pointers on disk never lie about zones that
-//     were appended or reset after them.
+//   - The FIRST mutation after an open zeroes the superblock before touching
+//     any zone (invalidate-then-mutate). A process crash at any point after
+//     that leaves an invalid superblock, so the next open cold-formats — the
+//     write pointers on disk never lie about zones that were appended or
+//     reset after them. The zeroing write is not fsynced, so this holds for
+//     process kills, not power loss (the crash model in internal/device's
+//     package comment).
 //   - Close rewrites the superblock from the final state and fsyncs, making
 //     the image warm-openable again.
 //
@@ -26,6 +28,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"nemo/internal/device"
 )
 
 // sbMagic identifies a filedev superblock page.
@@ -55,7 +59,9 @@ func randBoot() uint64 {
 // sbOffset returns the superblock's byte offset: the first page past the
 // data capacity. Zone addressing is untouched by Persist mode, so a warm
 // image holds byte-identical zone contents to a volatile one.
-func (d *Device) sbOffset() int64 { return d.CapacityBytes() }
+func (d *Device) sbOffset() int64 {
+	return int64(d.cfg.Zones) * int64(d.cfg.PagesPerZone) * int64(d.cfg.PageSize)
+}
 
 // encodeSuperblock serializes the current write pointers and generation
 // stamp into a full, zero-padded page image.
@@ -66,9 +72,10 @@ func (d *Device) encodeSuperblock(page []byte) {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.cfg.PageSize))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.cfg.PagesPerZone))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.cfg.Zones))
-	buf = binary.LittleEndian.AppendUint64(buf, d.boot)
-	buf = binary.LittleEndian.AppendUint64(buf, d.writes.Load())
-	for i := range d.zones {
+	gen := d.Generation()
+	buf = binary.LittleEndian.AppendUint64(buf, gen.Boot)
+	buf = binary.LittleEndian.AppendUint64(buf, gen.Writes)
+	for i := 0; i < d.cfg.Zones; i++ {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(d.ZoneWP(i)))
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
@@ -79,39 +86,39 @@ func (d *Device) encodeSuperblock(page []byte) {
 // returning the restored write pointers and generation stamp. Any defect —
 // wrong magic, version, geometry, out-of-range write pointer, CRC mismatch —
 // returns an error; the caller then cold-formats.
-func (d *Device) decodeSuperblock(page []byte) (wps []int, boot, writes uint64, err error) {
+func (d *Device) decodeSuperblock(page []byte) (wps []int, gen device.Generation, err error) {
 	n := sbSize(d.cfg.Zones)
 	if len(page) < n {
-		return nil, 0, 0, fmt.Errorf("filedev: superblock short: %d < %d", len(page), n)
+		return nil, gen, fmt.Errorf("filedev: superblock short: %d < %d", len(page), n)
 	}
 	if string(page[:8]) != sbMagic {
-		return nil, 0, 0, fmt.Errorf("filedev: bad superblock magic")
+		return nil, gen, fmt.Errorf("filedev: bad superblock magic")
 	}
 	if v := binary.LittleEndian.Uint32(page[8:]); v != sbVersion {
-		return nil, 0, 0, fmt.Errorf("filedev: superblock version %d (want %d)", v, sbVersion)
+		return nil, gen, fmt.Errorf("filedev: superblock version %d (want %d)", v, sbVersion)
 	}
 	gotCRC := binary.LittleEndian.Uint32(page[n-4:])
 	if crc32.ChecksumIEEE(page[:n-4]) != gotCRC {
-		return nil, 0, 0, fmt.Errorf("filedev: superblock CRC mismatch")
+		return nil, gen, fmt.Errorf("filedev: superblock CRC mismatch")
 	}
 	ps := int(binary.LittleEndian.Uint32(page[12:]))
 	ppz := int(binary.LittleEndian.Uint32(page[16:]))
 	zones := int(binary.LittleEndian.Uint32(page[20:]))
 	if ps != d.cfg.PageSize || ppz != d.cfg.PagesPerZone || zones != d.cfg.Zones {
-		return nil, 0, 0, fmt.Errorf("filedev: superblock geometry %dx%dx%d does not match %dx%dx%d",
+		return nil, gen, fmt.Errorf("filedev: superblock geometry %dx%dx%d does not match %dx%dx%d",
 			zones, ppz, ps, d.cfg.Zones, d.cfg.PagesPerZone, d.cfg.PageSize)
 	}
-	boot = binary.LittleEndian.Uint64(page[24:])
-	writes = binary.LittleEndian.Uint64(page[32:])
+	gen.Boot = binary.LittleEndian.Uint64(page[24:])
+	gen.Writes = binary.LittleEndian.Uint64(page[32:])
 	wps = make([]int, zones)
 	for i := range wps {
 		wp := int(binary.LittleEndian.Uint32(page[sbFixed+4*i:]))
 		if wp > ppz {
-			return nil, 0, 0, fmt.Errorf("filedev: superblock wp %d exceeds zone size %d", wp, ppz)
+			return nil, gen, fmt.Errorf("filedev: superblock wp %d exceeds zone size %d", wp, ppz)
 		}
 		wps[i] = wp
 	}
-	return wps, boot, writes, nil
+	return wps, gen, nil
 }
 
 // writeSuperblockPage writes a full page image at the superblock offset
@@ -127,50 +134,44 @@ func (d *Device) writeSuperblockPage(fill func(page []byte)) error {
 	return nil
 }
 
-// invalidateMeta zeroes the superblock before the first mutation of this
-// open (invalidate-then-mutate). sync.Once both bounds the cost to one page
-// write per open and acts as the barrier that keeps a concurrent second
+// Mutating (device.Media: Zoned calls it before every append and reset,
+// outside the zone lock) zeroes the superblock before the first mutation of
+// this open (invalidate-then-mutate). sync.Once both bounds the cost to one
+// page write per open and acts as the barrier that keeps a concurrent second
 // mutation from proceeding before the superblock is actually dead on disk.
 // A write failure is ignored deliberately: the superblock is rewritten from
 // live state on Close, and until then a possibly-stale superblock is only
 // reachable through a crash, where the generation mismatch recorded there
 // (Writes frozen at open time) already fails snapshot validation.
-func (d *Device) invalidateMeta() {
-	if !d.cfg.Persist {
+func (m media) Mutating() {
+	if !m.cfg.Persist {
 		return
 	}
-	d.metaOnce.Do(func() {
-		d.writeSuperblockPage(func(page []byte) { clear(page) })
+	m.metaOnce.Do(func() {
+		m.writeSuperblockPage(func(page []byte) { clear(page) })
 	})
 }
 
-// loadOrFormatMeta runs at Open in Persist mode: restore the superblock if
-// it validates, otherwise cold-format (fresh random Boot, zeroed stale
-// superblock). Returns an error only for I/O failures on the image itself.
-func (d *Device) loadOrFormatMeta() error {
+// loadOrFormatMeta runs at Open in Persist mode, before the state machine
+// exists: a superblock that validates yields the generation and write
+// pointers for Zoned to adopt; otherwise the device cold-formats (fresh
+// random Boot, nil write pointers, stale superblock zeroed). It returns an
+// error only for I/O failures on the image itself.
+func (d *Device) loadOrFormatMeta() (device.Generation, []int, error) {
 	bp := d.bufs.Get().(*[]byte)
 	defer d.bufs.Put(bp)
 	page := (*bp)[:d.cfg.PageSize]
 	if _, err := d.f.ReadAt(page, d.sbOffset()); err != nil {
-		return fmt.Errorf("filedev: reading superblock: %w", err)
+		return device.Generation{}, nil, fmt.Errorf("filedev: reading superblock: %w", err)
 	}
-	wps, boot, writes, err := d.decodeSuperblock(page)
+	wps, gen, err := d.decodeSuperblock(page)
 	if err != nil {
-		d.boot = randBoot()
 		// Zero the stale superblock now: a later open must never adopt a
 		// superblock written by a different life (or geometry) of the image.
-		return d.writeSuperblockPage(func(page []byte) { clear(page) })
+		return device.Generation{Boot: randBoot()}, nil, d.writeSuperblockPage(func(page []byte) { clear(page) })
 	}
-	for i, wp := range wps {
-		d.zones[i].wp = wp
-		if wp > 0 && wp < d.cfg.PagesPerZone {
-			d.openCount++
-		}
-	}
-	d.boot = boot
-	d.writes.Store(writes)
 	d.restored = true
-	return nil
+	return gen, wps, nil
 }
 
 // flushMeta rewrites the superblock from the current device state and syncs

@@ -1,30 +1,20 @@
-// Package flashsim simulates a log-structured (zoned) flash device: zones
-// with append-only write pointers, page-granularity reads, and erase-unit
-// resets.
+// Package flashsim simulates a log-structured (zoned) flash device: it is
+// the in-memory, virtual-time media under the shared zoned-device state
+// machine (internal/device.Zoned), which enforces the write-pattern contract
+// — sequential writes within a zone, whole-zone resets, 4 KB page reads —
+// and accounts every byte moved, all the write-amplification results depend
+// on.
 //
 // This is the substitute for the Western Digital ZN540 ZNS SSD used by the
-// paper. It enforces the same write-pattern contract — sequential writes
-// within a zone, whole-zone resets, 4 KB page reads — and accounts every
-// byte moved, which is all the write-amplification results depend on. A
-// per-channel virtual-time latency model reproduces the read/write
-// interference that drives the paper's tail-latency comparison without the
-// host-side noise of real direct I/O.
-//
-// Locking is fine-grained so independent callers scale like the real
-// hardware does: every zone carries its own mutex (appends, reads, and
-// resets of different zones never contend), every flash channel carries its
-// own scheduler lock, and the activity counters are atomics. Only the
-// open-zone limit check takes a dedicated device-wide lock, and only on the
-// rare 0→1 and full/reset write-pointer transitions.
-//
-// Device is one implementation of the internal/device contract; the
-// file-backed internal/filedev is the other. Engines accept the interface
-// and behave identically on both (only latencies differ — virtual here,
-// measured there).
+// paper. What is the simulator's own: zone contents held in lazily allocated
+// memory, and a per-channel virtual-time latency model that reproduces the
+// read/write interference driving the paper's tail-latency comparison
+// without the host-side noise of real direct I/O. Every flash channel
+// carries its own scheduler lock, so independent callers scale like the
+// real hardware does.
 package flashsim
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,108 +95,61 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats counts all device activity since creation. Byte counts include only
-// host-visible payloads (full pages).
-type Stats = device.Stats
-
-type zone struct {
-	mu   sync.Mutex
-	wp   int    // next page offset to program within the zone
-	data []byte // lazily allocated zone payload
-}
-
 // channel is one flash channel's scheduler state, padded to its own cache
-// line so concurrent schedule() calls on different channels don't false-share.
+// line so concurrent Done calls on different channels don't false-share.
 type channel struct {
 	mu   sync.Mutex
 	free time.Duration // busy-until in virtual time
 	_    [48]byte      // pad the struct to a 64-byte stride
 }
 
-// Device is a simulated zoned flash device. All methods are safe for
-// concurrent use; operations on distinct zones proceed in parallel.
+// Device is a simulated zoned flash device: the shared state machine over
+// the simulator's media. All methods are safe for concurrent use.
 type Device struct {
-	cfg   Config
-	clock *vtime.Clock
-
-	zones []zone
-	chans []channel
-
-	// Open-zone accounting: openCount tracks zones with 0 < wp <
-	// PagesPerZone and is only touched on open/close transitions.
-	openMu    sync.Mutex
-	openCount int
-
-	pagesWritten atomic.Uint64
-	pagesRead    atomic.Uint64
-	zoneResets   atomic.Uint64
-	bytesWritten atomic.Uint64
-	bytesRead    atomic.Uint64
-
-	// Generation stamp (device.Generation): boot is assigned once from the
-	// process-global counter — a simulated device's contents never survive
-	// the process, so uniqueness within it is exactly the right scope — and
-	// writes counts successful appends and resets.
-	boot   uint64
-	writes atomic.Uint64
-
-	readFault  atomic.Pointer[func(page int) error] // fault injection; nil when disabled
-	writeFault atomic.Pointer[func(zone int) error]
+	*device.Zoned
+	m media
 }
 
-// bootSeq issues process-unique Boot stamps: every simulated device is a
-// fresh cold format, so each New gets the next value.
+// media holds what is the simulator's: the effective configuration, zone
+// memory (guarded by Zoned's zone locks) and the channel schedulers.
+type media struct {
+	cfg   Config
+	lat   [3]time.Duration // service time by device.Op
+	zones [][]byte         // lazily allocated zone payloads; nil once reset
+	chans []channel
+}
+
+// bootSeq issues process-unique Boot stamps: a simulated device's contents
+// never survive the process, so every New is a fresh cold format and
+// uniqueness within the process is exactly the right scope.
 var bootSeq atomic.Uint64
 
 // New creates a device with the given configuration (zero fields take
 // defaults).
 func New(cfg Config) *Device {
 	cfg = cfg.withDefaults()
-	return &Device{
-		cfg:   cfg,
-		clock: cfg.Clock,
-		zones: make([]zone, cfg.Zones),
+	d := &Device{m: media{
+		cfg: cfg,
+		lat: [3]time.Duration{
+			device.OpRead:    cfg.ReadLatency,
+			device.OpProgram: cfg.ProgramLatency,
+			device.OpErase:   cfg.EraseLatency,
+		},
+		zones: make([][]byte, cfg.Zones),
 		chans: make([]channel, cfg.Channels),
-		boot:  bootSeq.Add(1),
+	}}
+	g := device.Geometry{
+		PageSize:     cfg.PageSize,
+		PagesPerZone: cfg.PagesPerZone,
+		Zones:        cfg.Zones,
+		MaxOpenZones: cfg.MaxOpenZones,
 	}
+	d.Zoned = device.NewZoned("flashsim", g, cfg.Clock, &d.m, device.Generation{Boot: bootSeq.Add(1)}, nil)
+	return d
 }
-
-// Clock returns the device's virtual clock.
-func (d *Device) Clock() *vtime.Clock { return d.clock }
 
 // Config returns the effective configuration (defaults applied).
-func (d *Device) Config() Config { return d.cfg }
-
-// PageSize returns the page size in bytes.
-func (d *Device) PageSize() int { return d.cfg.PageSize }
-
-// PagesPerZone returns the zone size in pages.
-func (d *Device) PagesPerZone() int { return d.cfg.PagesPerZone }
-
-// Zones returns the number of zones.
-func (d *Device) Zones() int { return d.cfg.Zones }
-
-// TotalPages returns the device capacity in pages.
-func (d *Device) TotalPages() int { return d.cfg.Zones * d.cfg.PagesPerZone }
-
-// CapacityBytes returns the device capacity in bytes.
-func (d *Device) CapacityBytes() int64 {
-	return int64(d.TotalPages()) * int64(d.cfg.PageSize)
-}
-
-// ZoneOf returns the zone containing the global page index.
-func (d *Device) ZoneOf(page int) int { return page / d.cfg.PagesPerZone }
-
-// PageAddr returns the global page index of offset off within zoneID.
-func (d *Device) PageAddr(zoneID, off int) int {
-	return zoneID*d.cfg.PagesPerZone + off
-}
-
-// OffsetOf returns the intra-zone offset of the global page index.
-func (d *Device) OffsetOf(page int) int { return page % d.cfg.PagesPerZone }
-
-// MaxOpenZones returns the open-zone limit (0 = unlimited).
-func (d *Device) MaxOpenZones() int { return d.cfg.MaxOpenZones }
+func (d *Device) Config() Config { return d.m.cfg }
 
 // Close releases nothing: the simulator holds only memory. Provided to
 // satisfy the device contract so openers can close any backend uniformly.
@@ -215,269 +158,44 @@ func (d *Device) Close() error { return nil }
 // Device implements the zoned-device contract.
 var _ device.Device = (*Device)(nil)
 
-// Stats returns a snapshot of the device counters. Each counter is loaded
-// atomically; under concurrent traffic the fields may straddle in-flight
-// operations, but quiescent reads (how every experiment samples) are exact.
-func (d *Device) Stats() Stats {
-	return Stats{
-		PagesWritten: d.pagesWritten.Load(),
-		PagesRead:    d.pagesRead.Load(),
-		ZoneResets:   d.zoneResets.Load(),
-		BytesWritten: d.bytesWritten.Load(),
-		BytesRead:    d.bytesRead.Load(),
+// Store copies the page into zone memory, zero-padding short data. Memory
+// cannot fail.
+func (m *media) Store(page int, data []byte) error {
+	zone, ps := page/m.cfg.PagesPerZone, m.cfg.PageSize
+	if m.zones[zone] == nil {
+		m.zones[zone] = make([]byte, m.cfg.PagesPerZone*ps)
 	}
-}
-
-// Generation returns the device mutation stamp: a process-unique Boot (the
-// simulator's contents never outlive the process, so every device is its own
-// cold format) and the count of successful appends and resets since New.
-func (d *Device) Generation() device.Generation {
-	return device.Generation{Boot: d.boot, Writes: d.writes.Load()}
-}
-
-// SetReadFault installs a fault-injection hook invoked with the global page
-// index on every read; a non-nil return aborts the read with that error.
-// Pass nil to disable.
-func (d *Device) SetReadFault(f func(page int) error) {
-	if f == nil {
-		d.readFault.Store(nil)
-		return
-	}
-	d.readFault.Store(&f)
-}
-
-// SetWriteFault installs a fault-injection hook invoked with the zone ID on
-// every append, before any device state changes; a non-nil return aborts
-// the append with that error. The hook runs outside the zone lock, so a
-// test may also block inside it to hold an append mid-flight (e.g. to
-// observe a cache's in-flight flush window) without stalling reads or
-// appends to other zones. Pass nil to disable.
-func (d *Device) SetWriteFault(f func(zone int) error) {
-	if f == nil {
-		d.writeFault.Store(nil)
-		return
-	}
-	d.writeFault.Store(&f)
-}
-
-// schedule books lat on the channel for global page index, returning the
-// completion time. Takes only the channel's own lock.
-func (d *Device) schedule(page int, lat time.Duration) time.Duration {
-	ch := &d.chans[page%d.cfg.Channels]
-	ch.mu.Lock()
-	start := d.clock.Now()
-	if ch.free > start {
-		start = ch.free
-	}
-	done := start + lat
-	ch.free = done
-	ch.mu.Unlock()
-	return done
-}
-
-// ZoneWP returns the write pointer (pages written) of the zone.
-func (d *Device) ZoneWP(zoneID int) int {
-	z := &d.zones[zoneID]
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	return z.wp
-}
-
-// ZoneFull reports whether the zone has no remaining writable pages.
-func (d *Device) ZoneFull(zoneID int) bool {
-	return d.ZoneWP(zoneID) >= d.cfg.PagesPerZone
-}
-
-// ZoneStateOf returns the zone's lifecycle state.
-func (d *Device) ZoneStateOf(zoneID int) ZoneState {
-	switch wp := d.ZoneWP(zoneID); {
-	case wp == 0:
-		return ZoneEmpty
-	case wp >= d.cfg.PagesPerZone:
-		return ZoneFull
-	default:
-		return ZoneOpen
-	}
-}
-
-// OpenZones returns the number of partially written zones.
-func (d *Device) OpenZones() int {
-	d.openMu.Lock()
-	defer d.openMu.Unlock()
-	return d.openCount
-}
-
-// reserveOpen admits (or rejects) the 0→open transition of a zone against
-// the configured open-zone limit.
-func (d *Device) reserveOpen(zoneID int) error {
-	d.openMu.Lock()
-	defer d.openMu.Unlock()
-	if d.cfg.MaxOpenZones > 0 && d.openCount >= d.cfg.MaxOpenZones {
-		return fmt.Errorf("opening zone %d: %w (limit %d)", zoneID, ErrTooManyOpenZones, d.cfg.MaxOpenZones)
-	}
-	d.openCount++
+	off := page % m.cfg.PagesPerZone * ps
+	dst := m.zones[zone][off : off+ps]
+	clear(dst[copy(dst, data):])
 	return nil
 }
 
-func (d *Device) releaseOpen() {
-	d.openMu.Lock()
-	d.openCount--
-	d.openMu.Unlock()
+// Load copies a written page out of zone memory.
+func (m *media) Load(page int, dst []byte) error {
+	off := page % m.cfg.PagesPerZone * m.cfg.PageSize
+	copy(dst, m.zones[page/m.cfg.PagesPerZone][off:])
+	return nil
 }
 
-// AppendPage programs one page at the zone's write pointer. data longer than
-// a page is an error; shorter data is zero-padded (the full page is still
-// counted as written, which is exactly the fill-rate cost the paper
-// measures). It returns the global page index and the virtual completion
-// time. Appends to the same zone serialize on the zone's lock (the zone has
-// a single write pointer); appends to distinct zones run in parallel.
-func (d *Device) AppendPage(zoneID int, data []byte) (page int, done time.Duration, err error) {
-	if zoneID < 0 || zoneID >= d.cfg.Zones {
-		return 0, 0, fmt.Errorf("flashsim: zone %d out of range [0,%d)", zoneID, d.cfg.Zones)
-	}
-	if len(data) > d.cfg.PageSize {
-		return 0, 0, fmt.Errorf("flashsim: write of %d bytes exceeds page size %d", len(data), d.cfg.PageSize)
-	}
-	if f := d.writeFault.Load(); f != nil {
-		if err := (*f)(zoneID); err != nil {
-			return 0, 0, err
-		}
-	}
-	z := &d.zones[zoneID]
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	if z.wp >= d.cfg.PagesPerZone {
-		return 0, 0, fmt.Errorf("flashsim: zone %d full", zoneID)
-	}
-	if z.wp == 0 {
-		if err := d.reserveOpen(zoneID); err != nil {
-			return 0, 0, err
-		}
-	}
-	if z.data == nil {
-		z.data = make([]byte, d.cfg.PagesPerZone*d.cfg.PageSize)
-	}
-	off := z.wp * d.cfg.PageSize
-	n := copy(z.data[off:off+d.cfg.PageSize], data)
-	for i := off + n; i < off+d.cfg.PageSize; i++ {
-		z.data[i] = 0
-	}
-	page = d.PageAddr(zoneID, z.wp)
-	z.wp++
-	if z.wp == d.cfg.PagesPerZone {
-		d.releaseOpen()
-	}
-	d.pagesWritten.Add(1)
-	d.bytesWritten.Add(uint64(d.cfg.PageSize))
-	d.writes.Add(1)
-	done = d.schedule(page, d.cfg.ProgramLatency)
-	return page, done, nil
-}
+// Erase frees the zone's memory.
+func (m *media) Erase(zone int) { m.zones[zone] = nil }
 
-// Append programs len(data)/PageSize pages (rounding the tail up to a full
-// page) sequentially into the zone, spreading programs across channels. It
-// returns the first global page index and the completion time of the last
-// page.
-func (d *Device) Append(zoneID int, data []byte) (firstPage int, done time.Duration, err error) {
-	ps := d.cfg.PageSize
-	if len(data) == 0 {
-		return 0, d.clock.Now(), nil
-	}
-	first := -1
-	for off := 0; off < len(data); off += ps {
-		end := off + ps
-		if end > len(data) {
-			end = len(data)
-		}
-		page, t, err := d.AppendPage(zoneID, data[off:end])
-		if err != nil {
-			return 0, 0, err
-		}
-		if first < 0 {
-			first = page
-		}
-		if t > done {
-			done = t
-		}
-	}
-	return first, done, nil
-}
+// Mutating is a no-op: the simulator persists nothing.
+func (m *media) Mutating() {}
 
-// ReadPage copies the page into dst (which must hold PageSize bytes) and
-// returns the virtual completion time. Reading an unwritten page yields
-// zeroes, matching deallocated-read behaviour of real zoned devices.
-//
-// Buffer ownership: dst belongs to the caller. The device fills it
-// synchronously, before returning, and never retains a reference — so
-// callers may serve dst from a sync.Pool and recycle it the moment they
-// are done with the bytes (the cache engines' zero-allocation read paths
-// do exactly that). The converse also holds: the device never hands out
-// internal buffers, so a returned read is a stable snapshot even if the
-// zone is concurrently appended or reset afterwards.
-func (d *Device) ReadPage(page int, dst []byte) (done time.Duration, err error) {
-	if page < 0 || page >= d.TotalPages() {
-		return 0, fmt.Errorf("flashsim: page %d out of range [0,%d)", page, d.TotalPages())
+// Done books the op's service time on the channel serving the page (page p
+// is serviced by channel p mod Channels) and returns its virtual completion
+// time. Takes only the channel's own lock.
+func (m *media) Done(op device.Op, page int) time.Duration {
+	ch := &m.chans[page%m.cfg.Channels]
+	ch.mu.Lock()
+	start := m.cfg.Clock.Now()
+	if ch.free > start {
+		start = ch.free
 	}
-	if len(dst) < d.cfg.PageSize {
-		return 0, fmt.Errorf("flashsim: read buffer %d smaller than page size %d", len(dst), d.cfg.PageSize)
-	}
-	if f := d.readFault.Load(); f != nil {
-		if err := (*f)(page); err != nil {
-			return 0, err
-		}
-	}
-	z := &d.zones[page/d.cfg.PagesPerZone]
-	off := (page % d.cfg.PagesPerZone) * d.cfg.PageSize
-	z.mu.Lock()
-	if z.data == nil {
-		for i := 0; i < d.cfg.PageSize; i++ {
-			dst[i] = 0
-		}
-	} else {
-		copy(dst[:d.cfg.PageSize], z.data[off:off+d.cfg.PageSize])
-	}
-	z.mu.Unlock()
-	d.pagesRead.Add(1)
-	d.bytesRead.Add(uint64(d.cfg.PageSize))
-	return d.schedule(page, d.cfg.ReadLatency), nil
-}
-
-// ReadPages reads every page into the matching dst buffer, issuing them
-// concurrently across channels, and returns the completion time of the
-// slowest read (the paper's parallel candidate-SG and PBFG reads). The
-// ReadPage buffer-ownership contract applies to every dst: caller-owned,
-// filled synchronously, never retained. On error, buffers before the
-// failing page have been filled and the rest are untouched; the error is
-// the first one encountered in page order.
-func (d *Device) ReadPages(pages []int, dst [][]byte) (done time.Duration, err error) {
-	for i, p := range pages {
-		t, err := d.ReadPage(p, dst[i])
-		if err != nil {
-			return 0, err
-		}
-		if t > done {
-			done = t
-		}
-	}
-	return done, nil
-}
-
-// ResetZone erases the zone, rewinding its write pointer, and returns the
-// virtual completion time.
-func (d *Device) ResetZone(zoneID int) (done time.Duration, err error) {
-	if zoneID < 0 || zoneID >= d.cfg.Zones {
-		return 0, fmt.Errorf("flashsim: zone %d out of range [0,%d)", zoneID, d.cfg.Zones)
-	}
-	z := &d.zones[zoneID]
-	z.mu.Lock()
-	if z.wp > 0 && z.wp < d.cfg.PagesPerZone {
-		d.releaseOpen()
-	}
-	z.wp = 0
-	z.data = nil // freed; reads of a reset zone return zeroes
-	z.mu.Unlock()
-	d.zoneResets.Add(1)
-	d.writes.Add(1)
-	done = d.schedule(d.PageAddr(zoneID, 0), d.cfg.EraseLatency)
-	return done, nil
+	done := start + m.lat[op]
+	ch.free = done
+	ch.mu.Unlock()
+	return done
 }

@@ -9,7 +9,6 @@
 package hlog
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -123,13 +122,7 @@ func (l *Log) Append(set int32, fp uint64, key, value []byte) error {
 		}
 	}
 	off := int32(len(l.buf))
-	var hdr [setblock.EntryOverhead]byte
-	binary.LittleEndian.PutUint64(hdr[0:], fp)
-	hdr[8] = byte(len(key))
-	binary.LittleEndian.PutUint16(hdr[9:], uint16(len(value)))
-	l.buf = append(l.buf, hdr[:]...)
-	l.buf = append(l.buf, key...)
-	l.buf = append(l.buf, value...)
+	l.buf = setblock.AppendEntry(l.buf, fp, key, value)
 	l.removeFromIndex(set, fp)
 	l.index[set] = append(l.index[set], entry{fp: fp, page: -1, off: off})
 	l.bufObjs = append(l.bufObjs, entry{fp: fp, page: -1, off: off})
@@ -260,14 +253,14 @@ func (l *Log) TakeSet(set int32) ([]Object, error) {
 			}
 			src = l.scratch
 		}
-		fp, key, value, ok := decodeEntry(src, int(e.off))
-		if !ok || fp != e.fp {
+		obj, _, ok := setblock.DecodeEntry(src, int(e.off))
+		if !ok || obj.FP != e.fp {
 			return nil, fmt.Errorf("hlog: corrupt log entry for set %d", set)
 		}
 		objs = append(objs, Object{
-			FP:    fp,
-			Key:   append([]byte(nil), key...),
-			Value: append([]byte(nil), value...),
+			FP:    obj.FP,
+			Key:   append([]byte(nil), obj.Key...),
+			Value: append([]byte(nil), obj.Value...),
 		})
 	}
 	return objs, nil
@@ -333,25 +326,11 @@ func (l *Log) Lookup(set int32, fp uint64, key []byte) (value []byte, done time.
 			done = d
 			src = l.scratch
 		}
-		efp, ekey, evalue, decoded := decodeEntry(src, int(e.off))
-		if !decoded || efp != fp || string(ekey) != string(key) {
+		got, _, decoded := setblock.DecodeEntry(src, int(e.off))
+		if !decoded || got.FP != fp || string(got.Key) != string(key) {
 			return nil, done, false, nil
 		}
-		return append([]byte(nil), evalue...), done, true, nil
+		return append([]byte(nil), got.Value...), done, true, nil
 	}
 	return nil, 0, false, nil
-}
-
-func decodeEntry(buf []byte, off int) (fp uint64, key, value []byte, ok bool) {
-	if off+setblock.EntryOverhead > len(buf) {
-		return 0, nil, nil, false
-	}
-	fp = binary.LittleEndian.Uint64(buf[off:])
-	kl := int(buf[off+8])
-	vl := int(binary.LittleEndian.Uint16(buf[off+9:]))
-	ks := off + setblock.EntryOverhead
-	if ks+kl+vl > len(buf) {
-		return 0, nil, nil, false
-	}
-	return fp, buf[ks : ks+kl], buf[ks+kl : ks+kl+vl], true
 }

@@ -10,7 +10,6 @@
 package logcache
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -128,38 +127,12 @@ func (c *Cache) Set(key, value []byte) error {
 		}
 	}
 	off := int32(len(c.openBuf))
-	c.openBuf = appendEntry(c.openBuf, fp, key, value)
+	c.openBuf = setblock.AppendEntry(c.openBuf, fp, key, value)
 	c.index[fp] = loc{page: -1, off: off}
 	c.openFPs[fp] = off
 	c.stats.Sets++
 	c.stats.LogicalBytes += uint64(len(key) + len(value))
 	return nil
-}
-
-// appendEntry serializes an entry in the shared setblock layout.
-func appendEntry(dst []byte, fp uint64, key, value []byte) []byte {
-	var hdr [setblock.EntryOverhead]byte
-	binary.LittleEndian.PutUint64(hdr[0:], fp)
-	hdr[8] = byte(len(key))
-	binary.LittleEndian.PutUint16(hdr[9:], uint16(len(value)))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, key...)
-	return append(dst, value...)
-}
-
-// decodeEntry parses an entry at off, returning key, value views and ok.
-func decodeEntry(buf []byte, off int) (fp uint64, key, value []byte, ok bool) {
-	if off+setblock.EntryOverhead > len(buf) {
-		return 0, nil, nil, false
-	}
-	fp = binary.LittleEndian.Uint64(buf[off:])
-	kl := int(buf[off+8])
-	vl := int(binary.LittleEndian.Uint16(buf[off+9:]))
-	ks := off + setblock.EntryOverhead
-	if ks+kl+vl > len(buf) {
-		return 0, nil, nil, false
-	}
-	return fp, buf[ks : ks+kl], buf[ks+kl : ks+kl+vl], true
 }
 
 // flushOpenPage writes the open buffer as one page, updating index entries
@@ -271,11 +244,11 @@ func (c *Cache) Get(key []byte) ([]byte, bool) {
 		buf = c.scratch
 		done = d
 	}
-	efp, ekey, evalue, ok := decodeEntry(buf, int(l.off))
+	e, _, ok := setblock.DecodeEntry(buf, int(l.off))
 	c.hist.Record(done - start + time.Microsecond)
-	if !ok || efp != fp || string(ekey) != string(key) {
+	if !ok || e.FP != fp || string(e.Key) != string(key) {
 		return nil, false
 	}
 	c.stats.Hits++
-	return append([]byte(nil), evalue...), true
+	return append([]byte(nil), e.Value...), true
 }

@@ -98,16 +98,47 @@ func (b *Block) CanFit(keyLen, valLen int) bool {
 	return EntrySize(keyLen, valLen) <= b.Free()
 }
 
+// AppendEntry serializes one entry — the 11-byte fp | keyLen | valLen header,
+// then key and value — onto dst and returns the extended slice. It is the
+// one encoder of the entry layout: set pages and the log-structured engines'
+// pages (logcache, hlog) all hold entries written by it. The caller has
+// checked that key is ≤ 255 bytes and value ≤ 65535.
+func AppendEntry(dst []byte, fp uint64, key, value []byte) []byte {
+	var hdr [EntryOverhead]byte
+	binary.LittleEndian.PutUint64(hdr[0:], fp)
+	hdr[8] = byte(len(key))
+	binary.LittleEndian.PutUint16(hdr[9:], uint16(len(value)))
+	dst = append(dst, hdr[:]...)
+	dst = append(dst, key...)
+	return append(dst, value...)
+}
+
+// DecodeEntry decodes the entry starting at buf[off] and returns it with the
+// offset just past it. ok is false when the header or the payload would
+// leave buf — pages read back from flash are decoded with it, so it is
+// bounds-checked. Key and Value alias buf.
+func DecodeEntry(buf []byte, off int) (e Entry, next int, ok bool) {
+	ks := off + EntryOverhead
+	if off < 0 || ks > len(buf) {
+		return Entry{}, 0, false
+	}
+	vs := ks + int(buf[off+8])
+	next = vs + int(binary.LittleEndian.Uint16(buf[off+9:]))
+	if next > len(buf) {
+		return Entry{}, 0, false
+	}
+	return Entry{FP: binary.LittleEndian.Uint64(buf[off:]), Key: buf[ks:vs:vs], Value: buf[vs:next:next]}, next, true
+}
+
 // entryAt decodes the entry starting at offset off, returning the entry and
 // the offset just past it. It panics on corrupt buffers (which Parse
 // rejects), so internal iteration is panic-free on valid blocks.
 func (b *Block) entryAt(off int) (Entry, int) {
-	fp := binary.LittleEndian.Uint64(b.buf[off:])
-	kl := int(b.buf[off+8])
-	vl := int(binary.LittleEndian.Uint16(b.buf[off+9:]))
-	ks := off + EntryOverhead
-	vs := ks + kl
-	return Entry{FP: fp, Key: b.buf[ks:vs:vs], Value: b.buf[vs : vs+vl : vs+vl]}, vs + vl
+	e, next, ok := DecodeEntry(b.buf, off)
+	if !ok {
+		panic(fmt.Sprintf("setblock: corrupt entry at offset %d", off))
+	}
+	return e, next
 }
 
 // Append adds an entry without checking for duplicates. It returns false
@@ -119,13 +150,7 @@ func (b *Block) Append(fp uint64, key, value []byte) bool {
 	if !b.CanFit(len(key), len(value)) {
 		return false
 	}
-	var hdr [EntryOverhead]byte
-	binary.LittleEndian.PutUint64(hdr[0:], fp)
-	hdr[8] = byte(len(key))
-	binary.LittleEndian.PutUint16(hdr[9:], uint16(len(value)))
-	b.buf = append(b.buf, hdr[:]...)
-	b.buf = append(b.buf, key...)
-	b.buf = append(b.buf, value...)
+	b.buf = AppendEntry(b.buf, fp, key, value)
 	b.count++
 	return true
 }
@@ -366,20 +391,14 @@ func ScanAll(page []byte, fn func(slot int, e Entry) bool) error {
 	buf := page[HeaderSize : HeaderSize+used]
 	off := 0
 	for i := 0; i < count; i++ {
-		if off+EntryOverhead > len(buf) {
-			return fmt.Errorf("setblock: entry %d header out of bounds", i)
+		e, next, ok := DecodeEntry(buf, off)
+		if !ok {
+			return fmt.Errorf("setblock: entry %d out of bounds", i)
 		}
-		fp := binary.LittleEndian.Uint64(buf[off:])
-		kl := int(buf[off+8])
-		vl := int(binary.LittleEndian.Uint16(buf[off+9:]))
-		ks := off + EntryOverhead
-		if ks+kl+vl > len(buf) {
-			return fmt.Errorf("setblock: entry %d payload out of bounds", i)
-		}
-		if !fn(i, Entry{FP: fp, Key: buf[ks : ks+kl : ks+kl], Value: buf[ks+kl : ks+kl+vl : ks+kl+vl]}) {
+		if !fn(i, e) {
 			return nil
 		}
-		off = ks + kl + vl
+		off = next
 	}
 	return nil
 }
