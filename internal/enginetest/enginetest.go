@@ -8,6 +8,8 @@
 package enginetest
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"nemo/internal/cachelib"
@@ -100,4 +102,63 @@ func MultiShardPartition(t *testing.T, ops, shards int,
 	if sum != st {
 		t.Fatalf("per-shard stats sum %+v != facade stats %+v", sum, st)
 	}
+}
+
+// GoldenStats pins one baseline's replay statistics to constants recorded
+// on the commit before its set tier and log front were shared between
+// engines: MixedTrace(ops) replayed unbatched and with BatchSize 32,
+// against the bare engine and against the two-shard facade. want maps
+// "bare/unbatched", "bare/batched", "sharded2/unbatched" and
+// "sharded2/batched" to the rendered final cachelib.Stats; for the bare
+// engine the read-latency summary follows, and extra (nil for none) appends
+// the engine's own counters — migration instrumentation, FTL write
+// amplification — which no facade exposes. A
+// mismatch prints the got line in a form that can be pasted back, but a
+// changed constant means the engine's behaviour changed: the shards=1 pins
+// only compare an engine with itself, this compares it with its past.
+func GoldenStats(t *testing.T, ops int, want map[string]string,
+	mkBare func(t *testing.T) cachelib.Engine,
+	mkSharded func(t *testing.T, shards int) cachelib.Engine,
+	extra func(bare cachelib.Engine) string) {
+	t.Helper()
+	reqs := MixedTrace(ops)
+	for _, mode := range []struct {
+		name  string
+		batch int
+	}{
+		{"unbatched", 0},
+		{"batched", 32},
+	} {
+		check := func(name string, e cachelib.Engine, bare bool) {
+			t.Run(name+"/"+mode.name, func(t *testing.T) {
+				defer e.Close()
+				got := renderStats(replay(t, e, reqs, mode.batch))
+				if bare {
+					// One worker, one device clock: the virtual read
+					// latencies are deterministic too.
+					l := e.ReadLatency().Snapshot()
+					got += fmt.Sprintf(" lat=%d/%v/%v", l.Count, l.Mean, l.Pmax)
+					if extra != nil {
+						got += " " + extra(e)
+					}
+				}
+				if got != want[name+"/"+mode.name] {
+					t.Fatalf("replay statistics moved:\n got: %q\nwant: %q", got, want[name+"/"+mode.name])
+				}
+			})
+		}
+		check("bare", mkBare(t), true)
+		check("sharded2", mkSharded(t, 2), false)
+	}
+}
+
+// renderStats prints the non-zero counters of s as name=value pairs.
+func renderStats(s cachelib.Stats) string {
+	var b strings.Builder
+	for _, f := range s.Fields() {
+		if f.Value != 0 {
+			fmt.Fprintf(&b, "%s=%d ", f.Name, f.Value)
+		}
+	}
+	return strings.TrimSpace(b.String())
 }

@@ -1,6 +1,7 @@
 package kangaroo_test
 
 import (
+	"fmt"
 	"testing"
 
 	"nemo/internal/cachelib"
@@ -50,4 +51,23 @@ func TestShardedRejectsTinyShards(t *testing.T) {
 	if _, err := kangaroo.NewSharded(kangaroo.Config{Device: newDev()}, 8); err == nil {
 		t.Fatal("NewSharded accepted 2-zone shards")
 	}
+}
+
+// TestGoldenStats pins Kangaroo's replay statistics, migration counters and
+// FTL write amplification to the values recorded before the set tier and
+// the log front were shared.
+func TestGoldenStats(t *testing.T) {
+	enginetest.GoldenStats(t, 60_000, goldenStats, mkBare, mkSharded, func(e cachelib.Engine) string {
+		c := e.(*kangaroo.Cache)
+		m := c.Migration()
+		return fmt.Sprintf("setWrites=%d dropped=%d passive=%d/%.6f dlwa=%.6f",
+			m.SetWrites, m.Dropped, m.PassiveCDF.Total(), m.PassiveCDF.Mean(), c.DLWA())
+	})
+}
+
+var goldenStats = map[string]string{
+	"bare/unbatched":     "gets=52922 hits=42107 sets=16686 deletes=1207 logical_bytes=1420450 flash_bytes_written=6130176 device_bytes_written=24834560 flash_bytes_read=23889408 flash_read_ops=46659 evictions=11144 lat=51916/932.466814ms/13.073261s setWrites=8503 dropped=0 passive=8503/1.616371 dlwa=5.296366",
+	"sharded2/unbatched": "gets=52922 hits=40170 sets=18623 deletes=1207 logical_bytes=1582103 flash_bytes_written=4417536 device_bytes_written=7304704 flash_bytes_read=19613184 flash_read_ops=38307 evictions=13885",
+	"bare/batched":       "gets=52922 hits=42110 sets=16683 deletes=1207 logical_bytes=1420420 flash_bytes_written=6125568 device_bytes_written=24944640 flash_bytes_read=23928320 flash_read_ops=46735 evictions=11147 lat=51916/902.876697ms/13.116036s setWrites=8497 dropped=0 passive=8497/1.620219 dlwa=5.325762",
+	"sharded2/batched":   "gets=52922 hits=40215 sets=18578 deletes=1207 logical_bytes=1578096 flash_bytes_written=4411904 device_bytes_written=7290880 flash_bytes_read=19996672 flash_read_ops=39056 evictions=13830",
 }

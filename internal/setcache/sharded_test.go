@@ -1,6 +1,7 @@
 package setcache_test
 
 import (
+	"fmt"
 	"testing"
 
 	"nemo/internal/cachelib"
@@ -47,4 +48,19 @@ func TestShardedRejectsIndivisible(t *testing.T) {
 	if _, err := setcache.NewSharded(setcache.Config{Device: newDev()}, 5); err == nil {
 		t.Fatal("NewSharded accepted 16 zones across 5 shards")
 	}
+}
+
+// TestGoldenStats pins the set cache's replay statistics and FTL write
+// amplification to the values recorded before the set tier was shared.
+func TestGoldenStats(t *testing.T) {
+	enginetest.GoldenStats(t, 60_000, goldenStats, mkBare, mkSharded, func(e cachelib.Engine) string {
+		return fmt.Sprintf("dlwa=%.6f", e.(*setcache.Cache).DLWA())
+	})
+}
+
+var goldenStats = map[string]string{
+	"bare/unbatched":     "gets=52922 hits=40159 sets=18634 deletes=1207 logical_bytes=1581349 flash_bytes_written=9540608 device_bytes_written=13488128 flash_bytes_read=30072320 flash_read_ops=58735 evictions=13353 lat=51916/543.610056ms/7.192036s dlwa=1.413760",
+	"sharded2/unbatched": "gets=52922 hits=40138 sets=18655 deletes=1207 logical_bytes=1584663 flash_bytes_written=9551360 device_bytes_written=18697216 flash_bytes_read=30069760 flash_read_ops=58730 evictions=13395",
+	"bare/batched":       "gets=52922 hits=40177 sets=18616 deletes=1207 logical_bytes=1579811 flash_bytes_written=9531392 device_bytes_written=13445632 flash_bytes_read=30072320 flash_read_ops=58735 evictions=13336 lat=51916/533.034697ms/7.150886s dlwa=1.410668",
+	"sharded2/batched":   "gets=52922 hits=40174 sets=18619 deletes=1207 logical_bytes=1581808 flash_bytes_written=9532928 device_bytes_written=18628608 flash_bytes_read=30069248 flash_read_ops=58729 evictions=13360",
 }
