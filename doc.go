@@ -13,8 +13,8 @@
 //
 // Every cache design in the repository implements the minimal Engine
 // contract (Name/Get/Set/Stats/ReadLatency/Close) — the neutral harness
-// surface the paper's comparisons need. Production capabilities are
-// composable extension interfaces an engine may add:
+// surface the paper's comparisons need. EngineV2 is Engine plus three
+// production capabilities (declared one by one in internal/cachelib):
 //
 //   - BatchEngine — GetMany/SetMany execute many operations per lock
 //     acquisition. On a sharded cache a batch costs one hash pass, groups
@@ -33,6 +33,27 @@
 //     shows it moving off the latency distribution. Drain awaits all
 //     deferred work; a sacrifice budget backpressures to inline flushing
 //     if the pool ever lags.
+//
+// Cache and ShardedCache implement EngineV2 natively. The four baselines
+// implement Engine (the log cache also Delete); ShardedEngine and the
+// replayers supply the rest, delegating what exists and emulating what
+// does not. A request's op kind (RequestKind: KindGet, KindSet, KindDelete)
+// rides on the trace — NewMixedStream generates mixed workloads.
+//
+// # Baselines
+//
+// The paper defines its baselines by composition, and so does the code. Set
+// (internal/setcache) is a set tier — FTL-backed set pages plus per-set
+// Bloom filters — behind a mutex; Kangaroo is a log front (internal/hlog)
+// feeding that same tier, so migration and device GC multiply; FairyWREN is
+// the same front over its own host-mapped tier with GC folded into
+// migration; Log is a log with an exact index. Each engine owns one mutex,
+// Stats and latency histogram; tier and front are lock-free and account
+// into them, and each engine's zero-value Config is the paper's Table 4.
+// `nemobench -exp fig12a` prints the five designs' steady-state write
+// amplification; `nemobench -compare` replays one mixed trace through all
+// five behind the same sharded facade (hit ratio, ALWA, total WA, read and
+// write errors, throughput per engine × shard count).
 //
 // # The concurrent read path
 //
@@ -206,16 +227,6 @@
 // snapshot.Version to 2: a version-1 file is refused with ErrVersion and the
 // engine starts cold.
 //
-// EngineV2 bundles the core and all three extensions. Cache and
-// ShardedCache implement it natively;
-// Adapt upgrades any plain Engine (the four paper baselines) by delegating
-// what exists and emulating the rest, so every harness path is written
-// against v2 and comparisons keep running unmodified. Per-request knobs
-// ride in Options (TTL, admission Hint, NoFill), threaded by the replayers
-// through every engine; a request's op kind (RequestKind: KindGet, KindSet,
-// KindDelete) rides on the trace itself — NewMixedStream generates mixed
-// GET/SET/DELETE workloads.
-//
 // # The serving layer
 //
 // internal/server turns the engine into a network service: a memcached
@@ -228,7 +239,7 @@
 // accumulates the requests already pipelined on the wire — never blocking
 // on a half-received line — into a batch (Config.MaxBatch, default 64);
 // consecutive gets coalesce into one GetMany round and, in SyncSet mode,
-// consecutive sets into one SetMany, so the PR 2–5 batch machinery is what
+// consecutive sets into one SetMany, so the engine's batched surface is what
 // actually serves the wire. Replies are written strictly in request order
 // and flushed once per batch; a malformed request occupies its pipeline
 // position as an ERROR/CLIENT_ERROR reply and never kills the connection.
@@ -425,9 +436,8 @@
 //     accounting, per-zone and per-channel locking for concurrent shards,
 //     and a virtual-time latency model.
 //   - The paper's four baselines as interchangeable engines
-//     (NewLogCache, NewSetCache, NewKangaroo, NewFairyWREN); the log
-//     baseline's exact index gives it a native Delete, the rest upgrade
-//     through Adapt.
+//     (NewLogCache, NewSetCache, NewKangaroo, NewFairyWREN); see
+//     "Baselines" above.
 //   - The sharded facade (ShardedEngine), the one router in the
 //     repository: ShardedCache embeds it over its Nemo shards, and it gives
 //     every baseline the same sharded/concurrent treatment
@@ -439,10 +449,7 @@
 //     the facade is stat-for-stat the bare engine
 //     (pinned per baseline by equivalence property tests), so the paper's
 //     single-threaded numbers remain reproducible from the same code
-//     path. `nemobench -compare` replays one materialized mixed trace
-//     through all five sharded engines and prints the Figure 12/15-style
-//     comparison (hit ratio, ALWA, total WA, throughput, Set latency per
-//     engine × shard count).
+//     path (`nemobench -compare`, above).
 //   - Workload generators parameterized like the paper's Twitter traces
 //     (NewWorkload, Clusters, NewMixedStream), a sequential replay harness
 //     (Replay), and a parallel trace-replay driver (Materialize,

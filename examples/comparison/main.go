@@ -29,13 +29,13 @@ func main() {
 			return nemo.NewLogCache(nemo.LogCacheConfig{Device: d})
 		}},
 		{"Set", func(d nemo.Device) (nemo.Engine, error) {
-			return nemo.NewSetCache(nemo.SetCacheConfig{Device: d, OPRatio: 0.5})
+			return nemo.NewSetCache(nemo.SetCacheConfig{Device: d})
 		}},
 		{"FW", func(d nemo.Device) (nemo.Engine, error) {
-			return nemo.NewFairyWREN(nemo.FairyWRENConfig{Device: d, LogRatio: 0.05, OPRatio: 0.05})
+			return nemo.NewFairyWREN(nemo.FairyWRENConfig{Device: d})
 		}},
 		{"KG", func(d nemo.Device) (nemo.Engine, error) {
-			return nemo.NewKangaroo(nemo.KangarooConfig{Device: d, LogRatio: 0.05, OPRatio: 0.05})
+			return nemo.NewKangaroo(nemo.KangarooConfig{Device: d})
 		}},
 	}
 

@@ -74,9 +74,6 @@ func New(n int, fpr float64) *Filter {
 	}
 }
 
-// Params returns the filter geometry (bit count and probe count).
-func (f *Filter) Params() (mbits int, k int) { return int(f.mbits), f.k }
-
 // SizeBytes returns the serialized size of the filter in bytes.
 func (f *Filter) SizeBytes() int { return len(f.words) * 8 }
 

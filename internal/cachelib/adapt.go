@@ -55,9 +55,6 @@ type Adapted struct {
 	tombGets uint64
 }
 
-// Unwrap returns the underlying engine.
-func (a *Adapted) Unwrap() Engine { return a.inner }
-
 // Name implements Engine.
 func (a *Adapted) Name() string { return a.inner.Name() }
 

@@ -38,10 +38,8 @@ type Options struct {
 	// the clock): a GET past the deadline deletes the object and counts as
 	// a miss. Engines therefore need no per-object timestamp metadata —
 	// matching Nemo, whose FIFO pool is its only aging mechanism. A TTL
-	// requires a configured Clock (the replayers reject the combination
-	// otherwise), and because parallel workers share that clock, expiry
-	// decisions under ParallelReplay depend on scheduling: TTL runs trade
-	// the exact worker-count determinism for wall-clock parallelism.
+	// needs the serial replayer and its Clock: Replay rejects a TTL without
+	// a Clock, and ParallelReplay, which advances no clock, rejects any.
 	TTL time.Duration
 	// Admission biases the fill decision for this request.
 	Admission Hint

@@ -43,8 +43,9 @@ type ParallelReplayConfig struct {
 	// before collecting final statistics. Engines without native async
 	// support degrade to synchronous Sets.
 	AsyncSets bool
-	// Options applies the Engine v2 per-request knobs (TTL, admission
-	// hint, no-fill) to every request of the run.
+	// Options applies the Engine v2 per-request knobs (admission hint,
+	// no-fill) to every request of the run. A TTL is rejected: expiry runs
+	// on the virtual clock only the serial replayer (Replay) advances.
 	Options Options
 	// Admission gates demand fills and explicit SETs; nil admits
 	// everything. Within a shard the policy is consulted in trace order
@@ -56,14 +57,6 @@ type ParallelReplayConfig struct {
 	// goroutine scheduling, so only single-shard runs observe one global
 	// deterministic order.
 	Admission admission.Policy
-	// InterArrival is the virtual time advanced per request when Clock is
-	// set. The total advance is deterministic (Ops × InterArrival); the
-	// interleaving across shards is not, so virtual-latency percentiles
-	// from a parallel run are approximate while hit-ratio and
-	// write-amplification stats stay exact.
-	InterArrival time.Duration
-	// Clock, when set, is advanced by InterArrival per request.
-	Clock Clock
 }
 
 // ParallelReplayResult aggregates the metrics of one parallel replay.
@@ -91,7 +84,7 @@ type replayWorker struct {
 	v2      EngineV2
 	cfg     *ParallelReplayConfig
 	reqs    []trace.Request
-	exp     *expiryTracker
+	exp     *expiryTracker // TTL expiry; only the serial replayer has one
 	setHist metrics.Histogram
 
 	// Reused batch scratch (the batching layer must stay cheap relative to
@@ -103,13 +96,6 @@ type replayWorker struct {
 	uniqIdx  []int32
 	dupIdx   []int32
 	mergeBuf [][]int32
-}
-
-// advance moves the shared virtual clock by one inter-arrival gap.
-func (rw *replayWorker) advance() {
-	if rw.cfg.Clock != nil && rw.cfg.InterArrival > 0 {
-		rw.cfg.Clock.Advance(rw.cfg.InterArrival)
-	}
 }
 
 // admits applies the hint-aware admission decision for one write.
@@ -149,24 +135,10 @@ func (rw *replayWorker) writeMany(keys, values [][]byte) error {
 	start := time.Now()
 	err := rw.v2.SetMany(keys, values)
 	rw.setHist.Record(time.Since(start))
-	if err == nil {
-		for _, k := range keys {
-			rw.exp.wrote(k)
-		}
-	}
 	return err
 }
 
-// runOne advances the clock and dispatches a single request (the unbatched
-// path).
-func (rw *replayWorker) runOne(req *trace.Request) error {
-	rw.advance()
-	_, err := rw.dispatchOne(req)
-	return err
-}
-
-// dispatchOne executes one request without touching the clock (the batched
-// path advances at collection time): a delete, an admitted set, or an
+// dispatchOne executes one request: a delete, an admitted set, or an
 // expire-get-fill. It is the one definition of "replay one request" — the
 // serial replayer dispatches through it too — and reports whether a GET hit.
 func (rw *replayWorker) dispatchOne(req *trace.Request) (hit bool, err error) {
@@ -212,10 +184,7 @@ func (rw *replayWorker) runBatch(idx []int32) error {
 		switch kind {
 		case trace.KindDelete:
 			for _, i := range run {
-				rw.advance()
-				req := &rw.reqs[i]
-				rw.exp.deleted(req.Key)
-				if err := rw.v2.Delete(req.Key); err != nil {
+				if err := rw.v2.Delete(rw.reqs[i].Key); err != nil {
 					return err
 				}
 			}
@@ -223,7 +192,6 @@ func (rw *replayWorker) runBatch(idx []int32) error {
 			keys := rw.fillKey[:0]
 			values := rw.fillVal[:0]
 			for _, i := range run {
-				rw.advance()
 				req := &rw.reqs[i]
 				if rw.admits(req.Key, len(req.Key)+len(req.Value)) {
 					keys = append(keys, req.Key)
@@ -252,11 +220,10 @@ func (rw *replayWorker) runBatch(idx []int32) error {
 // in order, so each shard observes the identical request subsequence it
 // would see in a single-threaded replay. Per-shard cache state — and
 // therefore aggregate hit ratio and write amplification — is deterministic
-// and independent of Workers and goroutine scheduling. Two configurations
-// trade that exactness for their feature: Options.TTL (expiry reads the
-// shared clock, whose advance order follows scheduling) and a cross-shard
-// Admission policy under multiple workers (the policy observes shards in
-// scheduling order).
+// and independent of Workers and goroutine scheduling. One configuration
+// trades that exactness for its feature: a cross-shard Admission policy
+// under multiple workers (the policy observes shards in scheduling order).
+// Options.TTL is rejected — no clock advances during a parallel replay.
 //
 // With BatchSize > 1, requests are grouped into per-shard batches driven
 // through the engine's BatchEngine surface; because batches are formed per
@@ -269,9 +236,9 @@ func (rw *replayWorker) runBatch(idx []int32) error {
 // with Replay's stats).
 func ParallelReplay(e Engine, reqs []trace.Request, cfg ParallelReplayConfig) (ParallelReplayResult, error) {
 	v2 := Adapt(e)
-	if cfg.Options.TTL > 0 && cfg.Clock == nil {
+	if cfg.Options.TTL > 0 {
 		return ParallelReplayResult{Engine: v2.Name()}, fmt.Errorf(
-			"cachelib: Options.TTL requires a Clock (expiry runs on the replay's virtual clock)")
+			"cachelib: Options.TTL requires the serial replayer (expiry runs on the virtual clock Replay advances)")
 	}
 	shards := 1
 	shardOf := func([]byte) int { return 0 }
@@ -316,12 +283,7 @@ func ParallelReplay(e Engine, reqs []trace.Request, cfg ParallelReplayConfig) (P
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < workers; w++ {
-		rw := &replayWorker{
-			v2:   v2,
-			cfg:  &cfg,
-			reqs: reqs,
-			exp:  newExpiryTracker(cfg.Options, cfg.Clock),
-		}
+		rw := &replayWorker{v2: v2, cfg: &cfg, reqs: reqs}
 		rws[w] = rw
 		wg.Add(1)
 		go func(w int, rw *replayWorker) {
@@ -331,7 +293,7 @@ func ParallelReplay(e Engine, reqs []trace.Request, cfg ParallelReplayConfig) (P
 				return
 			}
 			for _, i := range workLists[w] {
-				if err := rw.runOne(&reqs[i]); err != nil {
+				if _, err := rw.dispatchOne(&reqs[i]); err != nil {
 					errs[w] = fmt.Errorf("cachelib: worker %d at op %d: %w", w, i, err)
 					return
 				}
@@ -390,7 +352,6 @@ func (rw *replayWorker) getPhase(runs ...[]int32) error {
 			sigSet = make(map[uint64]struct{}, len(run))
 		}
 		for _, i := range run {
-			rw.advance()
 			req := &rw.reqs[i]
 			sig := dupSig(req.Key)
 			isDup := false
@@ -410,9 +371,6 @@ func (rw *replayWorker) getPhase(runs ...[]int32) error {
 				// diverts an op to the (exact) serial path below.
 				dups = append(dups, i)
 				continue
-			}
-			if err := rw.exp.expireIfDue(rw.v2, req.Key); err != nil {
-				return err
 			}
 			sigs = append(sigs, sig)
 			keys = append(keys, req.Key)

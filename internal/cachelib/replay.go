@@ -19,10 +19,6 @@ type ReplayConfig struct {
 	// MissFill, when true (the default via Replay), issues Set(key, value)
 	// after every GET miss — the demand-fill pattern of a look-aside cache.
 	MissFill bool
-	// WindowOps is the miss-ratio window size in requests (default Ops/64).
-	WindowOps uint64
-	// SampleEveryOps is the timeline sampling period (default Ops/64).
-	SampleEveryOps int
 	// Clock, when set, is advanced by InterArrival per request.
 	Clock Clock
 	// Admission gates demand fills; nil admits everything.
@@ -37,20 +33,16 @@ func (c ReplayConfig) withDefaults() ReplayConfig {
 	if c.InterArrival == 0 {
 		c.InterArrival = 10 * time.Microsecond
 	}
-	if c.WindowOps == 0 {
-		if c.Ops >= 64 {
-			c.WindowOps = uint64(c.Ops / 64)
-		} else {
-			c.WindowOps = 1
-		}
-	}
-	if c.SampleEveryOps == 0 {
-		c.SampleEveryOps = c.Ops / 64
-		if c.SampleEveryOps == 0 {
-			c.SampleEveryOps = 1
-		}
-	}
 	return c
+}
+
+// sampleEvery is the period, in requests, of both the miss-ratio window and
+// the timeline: 64 samples a run.
+func (c ReplayConfig) sampleEvery() int {
+	if c.Ops < 64 {
+		return 1
+	}
+	return c.Ops / 64
 }
 
 // TimelinePoint is one periodic sample of engine state during replay.
@@ -148,7 +140,8 @@ func replay(e Engine, s trace.Stream, cfg ReplayConfig) (ReplayResult, error) {
 	if cfg.Options.TTL > 0 && cfg.Clock == nil {
 		return res, fmt.Errorf("cachelib: Options.TTL requires a Clock (expiry runs on the replay's virtual clock)")
 	}
-	missWin := metrics.NewRatioWindow(cfg.WindowOps)
+	every := cfg.sampleEvery()
+	missWin := metrics.NewRatioWindow(uint64(every))
 	// One request is replayed by the routine the parallel replayer uses;
 	// this loop keeps only what is the serial replayer's: the clock advance,
 	// the miss window and the timeline.
@@ -177,7 +170,7 @@ func replay(e Engine, s trace.Stream, cfg ReplayConfig) (ReplayResult, error) {
 				missWin.Observe(!hit)
 			}
 		}
-		if (i+1)%cfg.SampleEveryOps == 0 {
+		if (i+1)%every == 0 {
 			st := v2.Stats()
 			var vt time.Duration
 			if cfg.Clock != nil {

@@ -86,13 +86,22 @@ func NewShardedFrom(n int, build func(shard int) (Engine, error)) (*ShardedEngin
 	return NewShardedEngine(engines)
 }
 
-// NewShardedRange partitions the zone range [zoneBase, zoneBase+zones) into
-// shards equal slices and wraps one engine per slice — the shared spine of
-// every baseline's NewSharded constructor, so the divisibility contract and
-// the per-shard slicing cannot drift between engine families. errPrefix
-// names the engine package in the divisibility error.
-func NewShardedRange(errPrefix string, zoneBase, zones, shards int,
+// NewShardedRange partitions the zone range [zoneBase, zoneBase+zones) of
+// dev (zones 0 means every zone from zoneBase) into shards equal slices and
+// wraps one engine per slice — the shared spine of every baseline's
+// NewSharded constructor, so the device check, the divisibility contract
+// and the per-shard slicing cannot drift between engine families. Requests
+// route by the shared shard lane, so every engine family partitions keys as
+// core.Sharded does, and with shards=1 the result behaves exactly like the
+// one engine build returns. errPrefix names the engine package in the errors.
+func NewShardedRange(errPrefix string, dev interface{ Zones() int }, zoneBase, zones, shards int,
 	build func(zoneBase, zones int) (Engine, error)) (*ShardedEngine, error) {
+	if dev == nil {
+		return nil, fmt.Errorf("%s: nil device", errPrefix)
+	}
+	if zones == 0 {
+		zones = dev.Zones() - zoneBase
+	}
 	if shards < 1 {
 		shards = 1
 	}

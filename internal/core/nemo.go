@@ -193,7 +193,7 @@ func New(cfg Config) (*Cache, error) {
 		c.ownFlusher = true
 	}
 	if cfg.SnapshotPath != "" {
-		c.restored, c.restoreErr = c.tryRestore(cfg.SnapshotPath)
+		c.restored, c.restoreErr = tryRestore(cfg.SnapshotPath, cfg, []*Cache{c})
 	}
 	return c, nil
 }

@@ -46,15 +46,12 @@ package core
 // it was being read.
 //
 // Determinism: driven serially (every replay harness drives one shard from
-// one goroutine), the three-phase path performs the identical device reads,
-// in the identical order, with identical statistics to the historical
-// fully-locked path, with one deliberate exception: the old path published
-// each fetched PBFG page mid-lookup, so at index-cache capacity a fetch
-// for a newer group could evict a page the same lookup needed for an older
-// group, forcing a duplicate fetch. Deferring publication to the commit
-// phase removes those duplicate fetches — read traffic under capacity
-// pressure can only go down, and hit/miss results, write-side counters,
-// and determinism are untouched. Under truly concurrent GETs racing
+// one goroutine), the three-phase path performs the same device reads in the
+// same order with the same statistics on every run. Fetched PBFG pages are
+// published to the index cache only in the commit phase: publishing
+// mid-lookup would let, at index-cache capacity, a fetch for a newer group
+// evict a page the same lookup still needs for an older group and force a
+// duplicate fetch. Under truly concurrent GETs racing
 // writers, hit/miss results stay exact (the epoch retry) but the
 // index-cache lookup/miss counters and FlashReadOps may inflate: a
 // conflicted attempt's reads are real and are counted, and two racing
@@ -217,8 +214,8 @@ func (c *Cache) epochValidLocked(att *getAttempt) bool {
 // lock where it can). owner stamps any new pend with the planning key's
 // batch index so the I/O phase fetches each shared page exactly once, at the
 // position a serial execution would have fetched it. Index-cache lookup/miss
-// counters are charged here, mirroring the historical locked path. The
-// caller holds c.mu and has already counted the Get.
+// counters are charged here. The caller holds c.mu and has already counted
+// the Get.
 func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner int32) {
 	att.resolved = false
 	fp, o := att.fp, att.o
@@ -227,8 +224,7 @@ func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner
 	// of an in-flight flush (writepath.go): its objects are not yet
 	// discoverable on flash, and any memq copy of the same key was inserted
 	// after the seal and is therefore newer, so the sealed SG probes last.
-	// Driven serially the sealed slot is always empty and this is exactly
-	// the historical memq probe.
+	// Driven serially the sealed slot is always empty.
 	for i := 0; i <= len(c.memq); i++ {
 		var sg *memSG
 		if i < len(c.memq) {

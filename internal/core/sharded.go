@@ -113,7 +113,7 @@ func NewSharded(cfg Config) (*Sharded, error) {
 		}
 	}
 	if cfg.SnapshotPath != "" {
-		s.restored, s.restoreErr = s.tryRestore(cfg.SnapshotPath)
+		s.restored, s.restoreErr = tryRestore(cfg.SnapshotPath, cfg, s.shards)
 	}
 	return s, nil
 }

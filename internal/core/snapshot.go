@@ -64,27 +64,47 @@ func configStamp(cfg Config) snapshot.ConfigStamp {
 }
 
 // Checkpoint writes a NEMO1 snapshot of this cache to path (atomically, via
-// rename). Pending deferred flushes are drained and any in-flight flush is
-// waited out first, so the captured state is a clean commit boundary; the
-// device generation stamp is sampled inside the same quiescent window,
-// making the snapshot exactly as valid as the device is untouched.
+// rename): the one-shard case of checkpoint.
 func (c *Cache) Checkpoint(path string) error {
-	if err := c.Drain(); err != nil {
+	return checkpoint(path, c.cfg, []*Cache{c})
+}
+
+// checkpoint writes a NEMO1 snapshot of one engine — shards are all of its
+// shards, in order, over one device, and cfg is the engine-level Config they
+// were derived from — to path. Deferred flushes are drained (the shards of a
+// Sharded engine share one flusher pool, so draining through the first
+// drains all), then every shard is locked and its in-flight flush waited
+// out before any shard is captured, so the captured state is a clean commit
+// boundary; the device generation stamp is sampled inside the same
+// quiescent window, so it vouches for every shard's state at once and the
+// snapshot is exactly as valid as the device is untouched.
+func checkpoint(path string, cfg Config, shards []*Cache) error {
+	if err := shards[0].Drain(); err != nil {
 		return fmt.Errorf("core: draining before checkpoint: %w", err)
 	}
-	c.mu.Lock()
-	c.waitFlushIdleLocked()
-	sh := c.captureLocked()
-	gen := c.dev.Generation()
-	c.mu.Unlock()
+	for _, c := range shards {
+		c.mu.Lock()
+	}
+	// Waiting on one shard's flushCond releases only that shard's lock; an
+	// in-flight flush needs only its own shard's lock to finish, so holding
+	// the rest cannot deadlock — it just keeps new flushes from starting.
+	for _, c := range shards {
+		c.waitFlushIdleLocked()
+	}
+	dev := shards[0].dev
 	f := &snapshot.File{
-		PageSize:     c.dev.PageSize(),
-		PagesPerZone: c.dev.PagesPerZone(),
-		Zones:        c.dev.Zones(),
-		Boot:         gen.Boot,
-		Writes:       gen.Writes,
-		Config:       configStamp(c.cfg),
-		Shards:       []snapshot.Shard{sh},
+		PageSize:     dev.PageSize(),
+		PagesPerZone: dev.PagesPerZone(),
+		Zones:        dev.Zones(),
+		Config:       configStamp(cfg),
+	}
+	for _, c := range shards {
+		f.Shards = append(f.Shards, c.captureLocked())
+	}
+	gen := dev.Generation()
+	f.Boot, f.Writes = gen.Boot, gen.Writes
+	for _, c := range shards {
+		c.mu.Unlock()
 	}
 	return snapshot.Save(path, f)
 }
@@ -230,11 +250,14 @@ func validateSnapshotFile(dev device.Device, stamp snapshot.ConfigStamp, f *snap
 	return nil
 }
 
-// tryRestore attempts to adopt the snapshot at path into this freshly built
-// cold cache (called from New, before the cache is published — no locking).
-// A missing file is a plain cold start (false, nil); anything else that
-// stops the restore is reported and the cache stays cold.
-func (c *Cache) tryRestore(path string) (bool, error) {
+// tryRestore attempts to adopt the snapshot at path into one engine's
+// freshly built cold shards (all of them, in order; cfg is the engine-level
+// Config). It is called from New and NewSharded before the engine is
+// published — no locking. A missing file is a plain cold start (false,
+// nil); anything else that stops the restore is reported and every shard
+// stays cold: each shard's state is built and validated on the side, and
+// adopted only once all of them are.
+func tryRestore(path string, cfg Config, shards []*Cache) (bool, error) {
 	f, err := snapshot.Load(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -242,14 +265,23 @@ func (c *Cache) tryRestore(path string) (bool, error) {
 		}
 		return false, err
 	}
-	if err := validateSnapshotFile(c.dev, configStamp(c.cfg), f); err != nil {
+	if err := validateSnapshotFile(shards[0].dev, configStamp(cfg), f); err != nil {
 		return false, err
 	}
-	st, err := c.buildRestore(&f.Shards[0])
-	if err != nil {
-		return false, err
+	states := make([]*restoredState, len(shards))
+	for i, c := range shards {
+		st, err := c.buildRestore(&f.Shards[i])
+		if err != nil {
+			for j := 0; j < i; j++ {
+				shards[j].discardRestore(states[j])
+			}
+			return false, fmt.Errorf("shard %d: %w", i, err)
+		}
+		states[i] = st
 	}
-	c.adoptRestore(st)
+	for i, c := range shards {
+		c.adoptRestore(states[i])
+	}
 	return true, nil
 }
 
@@ -679,40 +711,10 @@ func nemoStatsOf(e snapshot.Extra) NemoStats {
 	}
 }
 
-// Checkpoint writes a NEMO1 snapshot of the whole sharded cache to path.
-// The shared flusher pool is drained, then every shard is locked and its
-// in-flight flush waited out before any shard is captured — the generation
-// stamp is sampled while all shards are quiescent, so it vouches for every
-// shard's state at once.
+// Checkpoint writes a NEMO1 snapshot of the whole sharded cache to path
+// (see checkpoint).
 func (s *Sharded) Checkpoint(path string) error {
-	if err := s.Drain(); err != nil {
-		return fmt.Errorf("core: draining before checkpoint: %w", err)
-	}
-	for _, c := range s.shards {
-		c.mu.Lock()
-	}
-	// Waiting on one shard's flushCond releases only that shard's lock; an
-	// in-flight flush needs only its own shard's lock to finish, so holding
-	// the rest cannot deadlock — it just keeps new flushes from starting.
-	for _, c := range s.shards {
-		c.waitFlushIdleLocked()
-	}
-	dev := s.shards[0].dev
-	f := &snapshot.File{
-		PageSize:     dev.PageSize(),
-		PagesPerZone: dev.PagesPerZone(),
-		Zones:        dev.Zones(),
-		Config:       configStamp(s.cfg),
-	}
-	for _, c := range s.shards {
-		f.Shards = append(f.Shards, c.captureLocked())
-	}
-	gen := dev.Generation()
-	f.Boot, f.Writes = gen.Boot, gen.Writes
-	for _, c := range s.shards {
-		c.mu.Unlock()
-	}
-	return snapshot.Save(path, f)
+	return checkpoint(path, s.cfg, s.shards)
 }
 
 // RestoreOutcome is Cache.RestoreOutcome for the sharded facade: the
@@ -720,34 +722,4 @@ func (s *Sharded) Checkpoint(path string) error {
 // all-or-nothing across shards — one shard's defect leaves every shard cold.
 func (s *Sharded) RestoreOutcome() (restored bool, err error) {
 	return s.restored, s.restoreErr
-}
-
-// tryRestore attempts to adopt the snapshot at path into the freshly built
-// cold shards (called from NewSharded before the facade is published).
-func (s *Sharded) tryRestore(path string) (bool, error) {
-	f, err := snapshot.Load(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return false, nil
-		}
-		return false, err
-	}
-	if err := validateSnapshotFile(s.shards[0].dev, configStamp(s.cfg), f); err != nil {
-		return false, err
-	}
-	states := make([]*restoredState, len(s.shards))
-	for i, c := range s.shards {
-		st, err := c.buildRestore(&f.Shards[i])
-		if err != nil {
-			for j := 0; j < i; j++ {
-				s.shards[j].discardRestore(states[j])
-			}
-			return false, fmt.Errorf("shard %d: %w", i, err)
-		}
-		states[i] = st
-	}
-	for i, c := range s.shards {
-		c.adoptRestore(states[i])
-	}
-	return true, nil
 }

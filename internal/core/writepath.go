@@ -13,9 +13,8 @@ package core
 //     is popped and marked dead; its data zones — and, when its index group
 //     retires with it, the group's index zones — return to the free lists;
 //     the flush's data zones (and, when this SG completes its index group,
-//     the group's index zones) are reserved from those lists in exactly the
-//     order the historical fully-locked path consumed them; the SG id is
-//     assigned and nextSGID advances; and the front in-memory SG is
+//     the group's index zones) are reserved from those lists in list order;
+//     the SG id is assigned and nextSGID advances; and the front in-memory SG is
 //     detached from memq into c.sealed — immutable from here on except for
 //     the writeback survivors the owner itself inserts under the lock —
 //     with a fresh rear rotated in so inserts keep landing while the flush
@@ -53,17 +52,15 @@ package core
 // racing a flush still plants its tombstone, and writeback never
 // resurrects a version the sealed SG shadows. Driven serially the sealed
 // window is never observable (the three phases run back to back on the
-// caller with nothing interleaved), which is what keeps the serial path
-// write-for-write and stat-for-stat identical to the historical
-// fully-locked flush: same zones claimed in the same order, same pages
-// appended with the same contents, same counter totals.
+// caller with nothing interleaved), which is what makes a serial replay
+// deterministic — same zones claimed in the same order, same pages appended
+// with the same contents, same counter totals on every run — and is what
+// the shards=1 equivalence pins and the NEMO1 golden rest on.
 //
 // Mutual exclusion: at most one flush is in flight per cache
-// (c.flushInFlight; concurrent flushers wait on c.flushCond, mirroring the
-// blocking the old design imposed through the mutex itself). c.flushing is
-// the historical same-goroutine recursion guard; the owner keeps it true
-// only while actually holding the lock, so other goroutines can never
-// observe it.
+// (c.flushInFlight; concurrent flushers wait on c.flushCond). c.flushing is
+// the same-goroutine recursion guard; the owner keeps it true only while
+// actually holding the lock, so other goroutines can never observe it.
 //
 // Failure: a device error mid-flush cannot wedge the cache. The owner
 // erases the partially written zones, returns every zone this flush
@@ -129,7 +126,7 @@ type evictPlan struct {
 // in-flight flush themselves first.
 func (c *Cache) flushFrontLocked() error {
 	if c.flushing {
-		return nil // same-goroutine recursion guard (historical behavior)
+		return nil // same-goroutine recursion guard
 	}
 	if c.flushInFlight {
 		c.waitFlushIdleLocked()
@@ -376,10 +373,8 @@ func (c *Cache) readVictimPages(ev *evictPlan) (int, error) {
 
 // evictFilterLocked runs the liveness filtering over the read-back pages
 // under the lock: per entry, the hybrid hotness test, the newer-copy
-// shadow check (which may fetch PBFG pages, exactly as the locked path
-// did), and the writeback insertion into the sealed SG dst. Set order,
-// filter order, and every counter match the historical eviction loop. On
-// every exit — error paths included — each of the victim's objects ends up
+// shadow check (which may fetch PBFG pages), and the writeback insertion
+// into the sealed SG dst. On every exit — error paths included — each of the victim's objects ends up
 // accounted exactly once (written back, or counted in Evictions) and a
 // retired index group's pages leave the index cache.
 func (c *Cache) evictFilterLocked(ev *evictPlan, dst *memSG, nRead int, readErr error) error {
@@ -457,8 +452,6 @@ func (c *Cache) evictFilterLocked(ev *evictPlan, dst *memSG, nRead int, readErr 
 // eviction freed, serialize the sealed SG's set blocks into the reserved
 // data zones while building its per-set Bloom filters, and — when this SG
 // completes its index group — assemble and append the group's PBFG pages.
-// The device-op multiset and per-zone append order match the historical
-// locked path exactly.
 func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, idxZones []int, willSeal bool) error {
 	if ev != nil {
 		for _, z := range ev.idxReset {
@@ -531,9 +524,7 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, 
 // recoverFailedFlushLocked unwinds a flush that died mid-build so the
 // cache stays consistent: every zone the flush touched is erased and
 // returned to its free list, and the sealed SG is dropped — its objects
-// count as evictions. This is strictly saner than the historical locked
-// path, which left partially written zones claimed and the front SG queued
-// for a doomed re-flush. Called and returns with c.mu held.
+// count as evictions. Called and returns with c.mu held.
 func (c *Cache) recoverFailedFlushLocked(ev *evictPlan, front *memSG, sg *flashSG, zones, idxZones []int, cause error) error {
 	c.eraseLocked(ev, zones, idxZones)
 	c.freeDataZones = append(c.freeDataZones, zones...)

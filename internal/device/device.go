@@ -85,17 +85,6 @@ type Stats struct {
 	BytesRead    uint64
 }
 
-// Sub returns s - old, for interval accounting.
-func (s Stats) Sub(old Stats) Stats {
-	return Stats{
-		PagesWritten: s.PagesWritten - old.PagesWritten,
-		PagesRead:    s.PagesRead - old.PagesRead,
-		ZoneResets:   s.ZoneResets - old.ZoneResets,
-		BytesWritten: s.BytesWritten - old.BytesWritten,
-		BytesRead:    s.BytesRead - old.BytesRead,
-	}
-}
-
 // Generation is a device mutation stamp, the validity anchor for warm-restart
 // snapshots (internal/snapshot): Boot uniquely identifies one cold format of
 // the device contents, and Writes counts every successful mutation — page

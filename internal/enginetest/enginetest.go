@@ -31,6 +31,16 @@ func MixedTrace(ops int) []trace.Request {
 	return trace.Materialize(m, ops)
 }
 
+// replayModes are the two replay paths every pin covers: one request per
+// engine call, and per-shard GetMany/SetMany batches.
+var replayModes = []struct {
+	name  string
+	batch int
+}{
+	{"unbatched", 0},
+	{"batched", 32},
+}
+
 // replay drives one engine through the standard parallel replayer and
 // returns its final stats.
 func replay(t *testing.T, e cachelib.Engine, reqs []trace.Request, batch int) cachelib.Stats {
@@ -52,13 +62,7 @@ func SingleShardEquivalence(t *testing.T, ops int,
 	mkSharded func(t *testing.T, shards int) cachelib.Engine) {
 	t.Helper()
 	reqs := MixedTrace(ops)
-	for _, mode := range []struct {
-		name  string
-		batch int
-	}{
-		{"unbatched", 0},
-		{"batched", 32},
-	} {
+	for _, mode := range replayModes {
 		t.Run(mode.name, func(t *testing.T) {
 			bare := mkBare(t)
 			defer bare.Close()
@@ -105,30 +109,21 @@ func MultiShardPartition(t *testing.T, ops, shards int,
 }
 
 // GoldenStats pins one baseline's replay statistics to constants recorded
-// on the commit before its set tier and log front were shared between
-// engines: MixedTrace(ops) replayed unbatched and with BatchSize 32,
-// against the bare engine and against the two-shard facade. want maps
-// "bare/unbatched", "bare/batched", "sharded2/unbatched" and
-// "sharded2/batched" to the rendered final cachelib.Stats; for the bare
-// engine the read-latency summary follows, and extra (nil for none) appends
-// the engine's own counters — migration instrumentation, FTL write
-// amplification — which no facade exposes. A
-// mismatch prints the got line in a form that can be pasted back, but a
-// changed constant means the engine's behaviour changed: the shards=1 pins
-// only compare an engine with itself, this compares it with its past.
+// before its set tier and log front were shared between engines:
+// MixedTrace(ops) replayed in both modes against the bare engine and the
+// two-shard facade. want maps "bare/unbatched" … "sharded2/batched" to the
+// rendered final cachelib.Stats; for the bare engine the read-latency
+// summary follows, and extra (nil for none) appends the engine's own
+// counters — migration instrumentation, FTL write amplification — which no
+// facade exposes. The shards=1 pins compare an engine with itself; this
+// compares it with its past, so a changed constant is a changed engine.
 func GoldenStats(t *testing.T, ops int, want map[string]string,
 	mkBare func(t *testing.T) cachelib.Engine,
 	mkSharded func(t *testing.T, shards int) cachelib.Engine,
 	extra func(bare cachelib.Engine) string) {
 	t.Helper()
 	reqs := MixedTrace(ops)
-	for _, mode := range []struct {
-		name  string
-		batch int
-	}{
-		{"unbatched", 0},
-		{"batched", 32},
-	} {
+	for _, mode := range replayModes {
 		check := func(name string, e cachelib.Engine, bare bool) {
 			t.Run(name+"/"+mode.name, func(t *testing.T) {
 				defer e.Close()

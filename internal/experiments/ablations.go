@@ -9,9 +9,7 @@ import (
 
 	"nemo/internal/cachelib"
 	"nemo/internal/core"
-	"nemo/internal/flashsim"
 	"nemo/internal/trace"
-	"nemo/internal/vtime"
 )
 
 func init() {
@@ -31,20 +29,10 @@ func runAblSGSize(o Options) error {
 		if ppz < 8 {
 			continue
 		}
-		zones := totalPages / ppz
-		dev := flashsim.New(flashsim.Config{
-			PageSize: g.PageSize, PagesPerZone: ppz, Zones: zones,
-			Channels: 8, Clock: &vtime.Clock{},
-		})
-		nemo, err := nemoEngine(dev, nil)
-		if err != nil {
-			return err
-		}
-		stream, err := g.workload(o.Seed)
-		if err != nil {
-			return err
-		}
-		res, err := cachelib.Replay(nemo, stream, replayCfg(g, o, dev))
+		// The same pages cut into zones of ppz: every preset's page count
+		// divides evenly, so capacity and workload are those of g.
+		sg := geometry{PageSize: g.PageSize, PagesPerZone: ppz, Zones: totalPages / ppz, Ops: g.Ops}
+		nemo, res, err := runNemo(sg, o, nil)
 		if err != nil {
 			return err
 		}
@@ -61,18 +49,9 @@ func runAblCooling(o Options) error {
 	fmt.Fprintln(o.Out, "Ablation — cooling period (fraction of capacity written between cooling passes)")
 	fmt.Fprintf(o.Out, "%10s %12s %12s %8s\n", "period", "writebacks", "coolings", "miss")
 	for _, period := range []float64{0.05, 0.1, 0.25, 0.5, 1.0} {
-		dev := g.newDevice()
-		nemo, err := nemoEngine(dev, func(cfg *core.Config) {
+		nemo, res, err := runNemo(g, o, func(cfg *core.Config) {
 			cfg.CoolingWriteRatio = period
 		})
-		if err != nil {
-			return err
-		}
-		stream, err := g.workload(o.Seed)
-		if err != nil {
-			return err
-		}
-		res, err := cachelib.Replay(nemo, stream, replayCfg(g, o, dev))
 		if err != nil {
 			return err
 		}
@@ -89,8 +68,7 @@ func runAblFPR(o Options) error {
 	fmt.Fprintln(o.Out, "Ablation — Bloom FPR: measured counterpart of the Appendix A trade-off")
 	fmt.Fprintf(o.Out, "%10s %14s %14s %12s\n", "FPR", "fp reads/get", "idx reads/get", "bits/obj")
 	for _, fpr := range []float64{0.01, 0.005, 0.001, 0.0005} {
-		dev := g.newDevice()
-		nemo, err := nemoEngine(dev, func(cfg *core.Config) {
+		dev, nemo, stream, err := nemoSetup(g, o, func(cfg *core.Config) {
 			cfg.BloomFPR = fpr
 		})
 		if err != nil {
@@ -99,19 +77,14 @@ func runAblFPR(o Options) error {
 			fmt.Fprintf(o.Out, "%9.2f%% (skipped: %v)\n", fpr*100, err)
 			continue
 		}
-		stream, err := g.workload(o.Seed)
-		if err != nil {
-			return err
-		}
 		res, err := cachelib.Replay(nemo, stream, replayCfg(g, o, dev))
 		if err != nil {
 			return err
 		}
 		ex := nemo.Extra()
 		fpReads := float64(ex.FalsePositiveReads) / float64(res.Final.Gets)
-		lookups, misses, _ := nemo.PBFGStats()
+		_, misses, _ := nemo.PBFGStats()
 		idxReads := float64(misses) / float64(res.Final.Gets)
-		_ = lookups
 		fmt.Fprintf(o.Out, "%9.2f%% %14.4f %14.4f %12.1f\n",
 			fpr*100, fpReads, idxReads, nemo.MemoryOverhead().BloomBitsPerObj)
 	}
@@ -127,8 +100,8 @@ func runAblSkew(o Options) error {
 		miss := map[bool]float64{}
 		var wbObjs uint64
 		for _, wb := range []bool{true, false} {
-			dev := g.newDevice()
-			nemo, err := nemoEngine(dev, func(cfg *core.Config) {
+			// The run's own Zipf stream replaces the standard workload.
+			dev, nemo, _, err := nemoSetup(g, o, func(cfg *core.Config) {
 				cfg.Writeback = wb
 			})
 			if err != nil {

@@ -187,7 +187,7 @@ var compareEngines = []compareEngine{
 			if err != nil {
 				return nil, err
 			}
-			return setcache.NewSharded(setcache.Config{Device: dev, OPRatio: 0.5}, n)
+			return setcache.NewSharded(setcache.Config{Device: dev}, n)
 		},
 	},
 	{
@@ -197,7 +197,7 @@ var compareEngines = []compareEngine{
 			if err != nil {
 				return nil, err
 			}
-			return kangaroo.NewSharded(kangaroo.Config{Device: dev, LogRatio: 0.05, OPRatio: 0.05}, n)
+			return kangaroo.NewSharded(kangaroo.Config{Device: dev}, n)
 		},
 	},
 	{
@@ -211,7 +211,7 @@ var compareEngines = []compareEngine{
 			if err != nil {
 				return nil, err
 			}
-			return fairywren.NewSharded(fairywren.Config{Device: dev, LogRatio: 0.05, OPRatio: 0.05}, n)
+			return fairywren.NewSharded(fairywren.Config{Device: dev}, n)
 		},
 	},
 }

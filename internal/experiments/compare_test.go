@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
+
+	"nemo/internal/cachelib"
+	"nemo/internal/device"
 )
 
 // compareTable runs RunCompare into a buffer and returns the emitted table.
@@ -133,5 +137,42 @@ func TestCompareSkipsUndersizedShards(t *testing.T) {
 	}
 	if !strings.Contains(out, "\nLog ") {
 		t.Fatalf("flat engines should still run at 2 zones/shard:\n%s", out)
+	}
+}
+
+// TestCompareShowsBaselineReadErrors arms a read FaultPlan on the device the
+// Log baseline is built on — through the harness's own open hook, so no flag
+// or option exists for it — and checks the compare table says so: the rderr
+// column of a baseline is a live counter, not a constant 0. (The log cache
+// is the baseline whose write path never reads, so the run itself survives.)
+func TestCompareShowsBaselineReadErrors(t *testing.T) {
+	saved := compareEngines
+	defer func() { compareEngines = saved }()
+	logEngine := saved[1]
+	faulty := logEngine
+	faulty.build = func(g compareGeometry, open openFn, n int, async bool, flushers int) (cachelib.Engine, error) {
+		return logEngine.build(g, func(zones int) (device.Device, error) {
+			d, err := open(zones)
+			if err == nil {
+				device.NewFaultPlan(1, device.FaultRule{Op: device.FaultRead, ErrRate: 0.05}).Arm(d)
+			}
+			return d, err
+		}, n, async, flushers)
+	}
+	compareEngines = []compareEngine{faulty}
+	out := compareTable(t, compareBase())
+	rows := 0
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 8 || f[0] != "Log" {
+			continue
+		}
+		rows++
+		if rderr, err := strconv.Atoi(f[6]); err != nil || rderr == 0 {
+			t.Fatalf("rderr column reads %q under a 5%% read fault:\n%s", f[6], out)
+		}
+	}
+	if rows != 2 {
+		t.Fatalf("want one Log row per shard count:\n%s", out)
 	}
 }

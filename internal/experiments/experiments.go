@@ -12,7 +12,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"nemo/internal/cachelib"
@@ -145,9 +144,51 @@ func maxDataZones(zones, sgsPerGroup int) int {
 	return d
 }
 
-// fwEngine builds FairyWREN with the given log share and OP ratio.
-func fwEngine(dev device.Device, logRatio, opRatio float64) (*fairywren.Cache, error) {
-	return fairywren.New(fairywren.Config{Device: dev, LogRatio: logRatio, OPRatio: opRatio})
+// nemoSetup builds what one Nemo run starts from: a fresh device of
+// geometry g, Nemo on it (nemoEngine's configuration, adjusted by mutate)
+// and the standard workload stream. Experiments that replay in phases drive
+// the triple themselves; the rest call runNemo.
+func nemoSetup(g geometry, o Options, mutate func(*core.Config)) (device.Device, *core.Cache, trace.Stream, error) {
+	dev := g.newDevice()
+	nemo, err := nemoEngine(dev, mutate)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	stream, err := g.workload(o.Seed)
+	return dev, nemo, stream, err
+}
+
+// runNemo replays the standard workload against one Nemo configuration and
+// returns the engine with the replay's result.
+func runNemo(g geometry, o Options, mutate func(*core.Config)) (*core.Cache, cachelib.ReplayResult, error) {
+	dev, nemo, stream, err := nemoSetup(g, o, mutate)
+	if err != nil {
+		return nil, cachelib.ReplayResult{}, err
+	}
+	res, err := cachelib.Replay(nemo, stream, replayCfg(g, o, dev))
+	return nemo, res, err
+}
+
+// fwSetup is nemoSetup for FairyWREN; cfg's zero ratios are Table 4's.
+func fwSetup(g geometry, o Options, cfg fairywren.Config) (device.Device, *fairywren.Cache, trace.Stream, error) {
+	cfg.Device = g.newDevice()
+	fw, err := fairywren.New(cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	stream, err := g.workload(o.Seed)
+	return cfg.Device, fw, stream, err
+}
+
+// replayFW is runNemo for FairyWREN. (runFW, in fig_motivation.go, is the
+// §3.2 loop instead: no clock, a callback per phase.)
+func replayFW(g geometry, o Options, cfg fairywren.Config) (*fairywren.Cache, cachelib.ReplayResult, error) {
+	dev, fw, stream, err := fwSetup(g, o, cfg)
+	if err != nil {
+		return nil, cachelib.ReplayResult{}, err
+	}
+	res, err := cachelib.Replay(fw, stream, replayCfg(g, o, dev))
+	return fw, res, err
 }
 
 // replayCfg is the common replay configuration.
@@ -179,14 +220,8 @@ func printSeries(w io.Writer, label string, xs, ys []float64, xfmt, yfmt string)
 	}
 }
 
-// sortedCopy returns a descending copy of xs.
-func sortedCopy(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
-}
-
-// engineSet builds the five Figure 12a engines on fresh devices.
+// engineSet is the five Figure 12a engines on fresh devices, the baselines
+// at their own defaults (Table 4).
 type engineSet struct {
 	Nemo *core.Cache
 	Log  *logcache.Cache
@@ -210,13 +245,13 @@ func buildEngines(g geometry) (engineSet, []device.Device, error) {
 	if es.Log, err = logcache.New(logcache.Config{Device: mk()}); err != nil {
 		return es, nil, err
 	}
-	if es.Set, err = setcache.New(setcache.Config{Device: mk(), OPRatio: 0.5}); err != nil {
+	if es.Set, err = setcache.New(setcache.Config{Device: mk()}); err != nil {
 		return es, nil, err
 	}
-	if es.FW, err = fwEngine(mk(), 0.05, 0.05); err != nil {
+	if es.FW, err = fairywren.New(fairywren.Config{Device: mk()}); err != nil {
 		return es, nil, err
 	}
-	if es.KG, err = kangaroo.New(kangaroo.Config{Device: mk(), LogRatio: 0.05, OPRatio: 0.05}); err != nil {
+	if es.KG, err = kangaroo.New(kangaroo.Config{Device: mk()}); err != nil {
 		return es, nil, err
 	}
 	return es, devs, nil

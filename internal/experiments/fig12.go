@@ -65,17 +65,8 @@ func runFig12b(o Options) error {
 	g := geometryFor(o)
 	fmt.Fprintln(o.Out, "Figure 12b — Nemo vs FW variants (paper: Nemo 1.56, OP20 9.29, OP50 6.56, Log20 4.12)")
 
-	// Nemo at defaults.
-	dev := g.newDevice()
-	nemo, err := nemoEngine(dev, nil)
+	nemo, _, err := runNemo(g, o, nil) // Nemo at defaults
 	if err != nil {
-		return err
-	}
-	stream, err := g.workload(o.Seed)
-	if err != nil {
-		return err
-	}
-	if _, err := cachelib.Replay(nemo, stream, replayCfg(g, o, dev)); err != nil {
 		return err
 	}
 	fmt.Fprintf(o.Out, "%-10s WA = %6.2f\n", "Nemo", nemo.PaperWA())

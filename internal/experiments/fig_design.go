@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"nemo/internal/cachelib"
 	"nemo/internal/core"
 	"nemo/internal/hashing"
 	"nemo/internal/trace"
@@ -48,20 +47,12 @@ func runFig17(o Options) error {
 		{"B+P+W", true, true, true},
 	}
 	for _, v := range variants {
-		dev := g.newDevice()
-		nemo, err := nemoEngine(dev, func(cfg *core.Config) {
+		nemo, _, err := runNemo(g, o, func(cfg *core.Config) {
 			cfg.BufferedSGs = v.b
 			cfg.DelayedFlush = v.p
 			cfg.Writeback = v.w
 		})
 		if err != nil {
-			return err
-		}
-		stream, err := g.workload(o.Seed)
-		if err != nil {
-			return err
-		}
-		if _, err := cachelib.Replay(nemo, stream, replayCfg(g, o, dev)); err != nil {
 			return err
 		}
 		fmt.Fprintf(o.Out, "%-8s fill=%6.2f%%  WA=%6.2f  (SGs flushed: %d)\n",
@@ -76,18 +67,10 @@ func runFig18(o Options) error {
 	fmt.Fprintln(o.Out, "Figure 18 — p_th (sacrificed-object threshold) sweep")
 	fmt.Fprintf(o.Out, "%8s %12s %12s %10s %12s\n", "p_th", "1st-SG objs", "2nd-SG objs", "WA", "sacrificed")
 	for _, pth := range []int{1, 4, 16, 64, 256, 1024, 4096} {
-		dev := g.newDevice()
-		nemo, err := nemoEngine(dev, func(cfg *core.Config) {
+		nemo, _, err := runNemo(g, o, func(cfg *core.Config) {
 			cfg.FlushThreshold = pth
 		})
 		if err != nil {
-			return err
-		}
-		stream, err := g.workload(o.Seed)
-		if err != nil {
-			return err
-		}
-		if _, err := cachelib.Replay(nemo, stream, replayCfg(g, o, dev)); err != nil {
 			return err
 		}
 		log := nemo.FlushLog()
@@ -151,18 +134,10 @@ func runFig19b(o Options) error {
 	g := geometryFor(o)
 	fmt.Fprintln(o.Out, "Figure 19b — PBFG miss ratio vs DRAM PBFG proportion (paper: <8% at 50%)")
 	for _, ratio := range []float64{0.2, 0.3, 0.4, 0.5, 0.6} {
-		dev := g.newDevice()
-		nemo, err := nemoEngine(dev, func(cfg *core.Config) {
+		nemo, _, err := runNemo(g, o, func(cfg *core.Config) {
 			cfg.CachedPBFGRatio = ratio
 		})
 		if err != nil {
-			return err
-		}
-		stream, err := g.workload(o.Seed)
-		if err != nil {
-			return err
-		}
-		if _, err := cachelib.Replay(nemo, stream, replayCfg(g, o, dev)); err != nil {
 			return err
 		}
 		lookups, misses, missRatio := nemo.PBFGStats()

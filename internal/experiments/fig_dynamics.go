@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"nemo/internal/cachelib"
+	"nemo/internal/device"
+	"nemo/internal/fairywren"
 	"nemo/internal/metrics"
 	"nemo/internal/trace"
 )
@@ -62,17 +64,7 @@ func runFig14(o Options) error {
 	g := geometryFor(o)
 	fmt.Fprintln(o.Out, "Figure 14 — WA vs trace operations")
 
-	// Nemo.
-	dev := g.newDevice()
-	nemo, err := nemoEngine(dev, nil)
-	if err != nil {
-		return err
-	}
-	stream, err := g.workload(o.Seed)
-	if err != nil {
-		return err
-	}
-	res, err := cachelib.Replay(nemo, stream, replayCfg(g, o, dev))
+	_, res, err := runNemo(g, o, nil)
 	if err != nil {
 		return err
 	}
@@ -91,16 +83,7 @@ func runFig14(o Options) error {
 		{"Log5-OP50", 0.05, 0.50},
 		{"Log20-OP5", 0.20, 0.05},
 	} {
-		gdev := g.newDevice()
-		fw, err := fwEngine(gdev, cfg.logRatio, cfg.opRatio)
-		if err != nil {
-			return err
-		}
-		stream, err := g.workload(o.Seed)
-		if err != nil {
-			return err
-		}
-		res, err := cachelib.Replay(fw, stream, replayCfg(g, o, gdev))
+		_, res, err := replayFW(g, o, fairywren.Config{LogRatio: cfg.logRatio, OPRatio: cfg.opRatio})
 		if err != nil {
 			return err
 		}
@@ -116,27 +99,12 @@ func runFig15(o Options) error {
 	o = o.withDefaults()
 	g := geometryFor(o)
 	fmt.Fprintln(o.Out, "Figure 15 — read latency percentiles over time (virtual)")
-	for _, which := range []string{"Nemo", "FW"} {
-		dev := g.newDevice()
-		var e cachelib.Engine
-		var err error
-		if which == "Nemo" {
-			e, err = nemoEngine(dev, nil)
-		} else {
-			e, err = fwEngine(dev, 0.05, 0.05)
-		}
-		if err != nil {
-			return err
-		}
-		stream, err := g.workload(o.Seed)
-		if err != nil {
-			return err
-		}
-		ops := g.ops(o)
-		intervals := 12
-		per := ops / intervals
+	// Twelve phases per engine, the latency histogram reset between them.
+	phases := func(dev device.Device, e cachelib.Engine, stream trace.Stream) error {
+		const intervals = 12
+		per := g.ops(o) / intervals
 		var req trace.Request
-		fmt.Fprintf(o.Out, "%s:\n", which)
+		fmt.Fprintf(o.Out, "%s:\n", e.Name())
 		for iv := 0; iv < intervals; iv++ {
 			e.ReadLatency().Reset()
 			for i := 0; i < per; i++ {
@@ -152,6 +120,21 @@ func runFig15(o Options) error {
 			fmt.Fprintf(o.Out, "  t=%8.1fs  p50=%8s p99=%8s p9999=%8s\n",
 				dev.Clock().Now().Seconds(), fmtDur(s.P50), fmtDur(s.P99), fmtDur(s.P9999))
 		}
+		return nil
+	}
+	dev, nemo, stream, err := nemoSetup(g, o, nil)
+	if err != nil {
+		return err
+	}
+	if err := phases(dev, nemo, stream); err != nil {
+		return err
+	}
+	dev, fw, stream, err := fwSetup(g, o, fairywren.Config{})
+	if err != nil {
+		return err
+	}
+	if err := phases(dev, fw, stream); err != nil {
+		return err
 	}
 	fmt.Fprintln(o.Out, "(Paper: Nemo's tails stay flat; FW's p99/p9999 fluctuate due to continuous small writes.)")
 	return nil
@@ -165,29 +148,19 @@ func runFig16(o Options) error {
 	o = o.withDefaults()
 	g := geometryFor(o)
 	fmt.Fprintln(o.Out, "Figure 16 — miss-ratio trend (windowed)")
-	for _, which := range []string{"Nemo", "FW"} {
-		dev := g.newDevice()
-		var e cachelib.Engine
-		var err error
-		if which == "Nemo" {
-			e, err = nemoEngine(dev, nil)
-		} else {
-			e, err = fwEngine(dev, 0.05, 0.05)
-		}
-		if err != nil {
-			return err
-		}
-		stream, err := g.workload(o.Seed)
-		if err != nil {
-			return err
-		}
-		res, err := cachelib.Replay(e, stream, replayCfg(g, o, dev))
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(o.Out, "%s: final miss ratio %.1f%%\n", which, res.Final.MissRatio()*100)
+	report := func(res cachelib.ReplayResult) {
+		fmt.Fprintf(o.Out, "%s: final miss ratio %.1f%%\n", res.Engine, res.Final.MissRatio()*100)
 		printMissSeries(o, res.Miss)
 	}
+	_, res, err := runNemo(g, o, nil)
+	if err != nil {
+		return err
+	}
+	report(res)
+	if _, res, err = replayFW(g, o, fairywren.Config{}); err != nil {
+		return err
+	}
+	report(res)
 	return nil
 }
 

@@ -20,12 +20,7 @@ func init() {
 // invoking phase at every sample point.
 func runFW(o Options, logRatio, opRatio float64, phase func(done int, fw *fairywren.Cache)) (*fairywren.Cache, error) {
 	g := geometryFor(o)
-	dev := g.newDevice()
-	fw, err := fwEngine(dev, logRatio, opRatio)
-	if err != nil {
-		return nil, err
-	}
-	stream, err := g.workload(o.Seed)
+	_, fw, stream, err := fwSetup(g, o, fairywren.Config{LogRatio: logRatio, OPRatio: opRatio})
 	if err != nil {
 		return nil, err
 	}

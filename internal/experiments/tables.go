@@ -3,9 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"nemo/internal/cachelib"
 	"nemo/internal/core"
-	"nemo/internal/device"
+	"nemo/internal/fairywren"
 	"nemo/internal/trace"
 	"nemo/internal/wamodel"
 )
@@ -63,39 +62,16 @@ func runSec55(o Options) error {
 	o = o.withDefaults()
 	g := geometryFor(o)
 	fmt.Fprintln(o.Out, "§5.5 — overhead comparison, Nemo vs FW")
-	run := func(mk func(device.Device) (cachelib.Engine, error)) (cachelib.Stats, error) {
-		dev := g.newDevice()
-		e, err := mk(dev)
-		if err != nil {
-			return cachelib.Stats{}, err
-		}
-		stream, err := g.workload(o.Seed)
-		if err != nil {
-			return cachelib.Stats{}, err
-		}
-		res, err := cachelib.Replay(e, stream, replayCfg(g, o, dev))
-		if err != nil {
-			return cachelib.Stats{}, err
-		}
-		return res.Final, nil
-	}
-	var nemoCache *core.Cache
-	nemoStats, err := run(func(d device.Device) (cachelib.Engine, error) {
-		c, err := nemoEngine(d, nil)
-		nemoCache = c
-		return c, err
-	})
+	nemoCache, nemoRes, err := runNemo(g, o, nil)
 	if err != nil {
 		return err
 	}
-	fwStats, err := run(func(d device.Device) (cachelib.Engine, error) {
-		return fwEngine(d, 0.05, 0.05)
-	})
+	_, fwRes, err := replayFW(g, o, fairywren.Config{})
 	if err != nil {
 		return err
 	}
-	nr := nemoStats.ReadAmplification()
-	fr := fwStats.ReadAmplification()
+	nr := nemoRes.Final.ReadAmplification()
+	fr := fwRes.Final.ReadAmplification()
 	fmt.Fprintf(o.Out, "  Nemo flash reads/hit : %8.0f B\n", nr)
 	fmt.Fprintf(o.Out, "  FW   flash reads/hit : %8.0f B\n", fr)
 	if fr > 0 {

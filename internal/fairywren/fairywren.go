@@ -16,6 +16,12 @@
 //
 // The package instruments passive/active migration batch sizes and the
 // passive fraction p, which Figures 4, 5, 6 and 14 are built from.
+//
+// Composition: the front tier is the hlog.Front Kangaroo uses. The set tier
+// is FairyWREN's own machine — host-mapped primary/overflow pages, GC folded
+// into migration — sharing with setcache.Tier only how a filter is sized
+// and rebuilt. Cache owns the one mutex, cachelib.Stats and histogram; the
+// lock-free front accounts into them.
 package fairywren
 
 import (
@@ -30,9 +36,11 @@ import (
 	"nemo/internal/hlog"
 	"nemo/internal/metrics"
 	"nemo/internal/setblock"
+	"nemo/internal/setcache"
 )
 
-// Config configures the FairyWREN engine.
+// Config configures the FairyWREN engine. The zero value of every field but
+// Device is the paper's Table 4 configuration.
 type Config struct {
 	Device device.Device
 	// ZoneBase is the first device zone the engine owns; Zones is how many
@@ -52,20 +60,21 @@ type Config struct {
 	// SpillMinBytes is the minimum accumulated hot spill that justifies an
 	// overflow-page rewrite during migration (default pageSize/4).
 	SpillMinBytes int
-	// AccessedCap bounds the in-memory recency set (default 1<<16 keys).
-	AccessedCap int
 }
 
 const (
 	kindPrimary  = 0
 	kindOverflow = 1
+
+	// accessedCap bounds the in-memory recency set, in keys.
+	accessedCap = 1 << 16
 )
 
 // Cache is the FairyWREN engine. Safe for concurrent use.
 type Cache struct {
 	cfg      Config
 	dev      device.Device
-	log      *hlog.Log
+	log      *hlog.Front
 	pageSize int
 	ppz      int
 
@@ -145,27 +154,9 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.SpillMinBytes == 0 {
 		cfg.SpillMinBytes = cfg.Device.PageSize() / 4
 	}
-	if cfg.AccessedCap == 0 {
-		cfg.AccessedCap = 1 << 16
-	}
-	if cfg.Zones == 0 {
-		cfg.Zones = cfg.Device.Zones() - cfg.ZoneBase
-	}
-	zones := cfg.Zones
-	if cfg.ZoneBase < 0 || zones < 1 || cfg.ZoneBase+zones > cfg.Device.Zones() {
-		return nil, fmt.Errorf("fairywren: invalid zone range base=%d zones=%d", cfg.ZoneBase, zones)
-	}
-	logZones := int(cfg.LogRatio * float64(zones))
-	if logZones < 2 {
-		logZones = 2
-	}
-	setZones := zones - logZones
-	if setZones < 4 {
-		return nil, fmt.Errorf("fairywren: zone range too small (%d zones)", zones)
-	}
-	log, err := hlog.New(cfg.Device, cfg.ZoneBase, logZones)
+	logZones, setZones, err := hlog.SplitZones(cfg.Device, cfg.ZoneBase, cfg.Zones, cfg.LogRatio)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fairywren: %w", err)
 	}
 	ppz := cfg.Device.PagesPerZone()
 	setPages := setZones * ppz
@@ -180,7 +171,6 @@ func New(cfg Config) (*Cache, error) {
 	c := &Cache{
 		cfg:        cfg,
 		dev:        cfg.Device,
-		log:        log,
 		pageSize:   cfg.Device.PageSize(),
 		ppz:        ppz,
 		zoneBase:   cfg.ZoneBase + logZones,
@@ -198,6 +188,7 @@ func New(cfg Config) (*Cache, error) {
 		accessed:   make(map[uint64]struct{}),
 		scratch:    make([]byte, cfg.Device.PageSize()),
 		scratch2:   make([]byte, cfg.Device.PageSize()),
+		fpr:        setcache.FPRForBits(cfg.BloomBitsPerObj),
 		mig: MigrationStats{
 			PassiveCDF: metrics.NewIntCDF(10),
 			ActiveCDF:  metrics.NewIntCDF(10),
@@ -213,12 +204,8 @@ func New(cfg Config) (*Cache, error) {
 	for z := setZones - 1; z >= 0; z-- {
 		c.freeZones = append(c.freeZones, z)
 	}
-	c.fpr = 1.0
-	for i := 0; i < int(cfg.BloomBitsPerObj/1.4427+0.5); i++ {
-		c.fpr /= 2
-	}
-	if c.fpr >= 1 {
-		c.fpr = 0.5
+	if c.log, err = hlog.NewFront(cfg.Device, cfg.ZoneBase, logZones, &c.stats, &c.hist); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -226,9 +213,6 @@ func New(cfg Config) (*Cache, error) {
 // Name implements cachelib.Engine.
 func (c *Cache) Name() string { return "FW" }
 
-// FairyWREN stays a plain Engine; the harness upgrades it to the Engine v2
-// surface (batching, deletes, async) via cachelib.Adapt so comparisons
-// against Nemo's native v2 implementation run unmodified.
 var _ cachelib.Engine = (*Cache)(nil)
 
 // Close implements cachelib.Engine.
@@ -265,8 +249,7 @@ func (c *Cache) Stats() cachelib.Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	ls := c.log.Stats()
-	s.FlashBytesWritten += ls.PagesWritten * uint64(c.pageSize)
+	s.FlashBytesWritten += c.log.Stats().PagesWritten * uint64(c.pageSize)
 	s.DeviceBytesWritten = s.FlashBytesWritten
 	return s
 }
@@ -283,83 +266,43 @@ func (c *Cache) setOf(fp uint64) int32 {
 }
 
 func (c *Cache) markAccessed(fp uint64) {
-	if len(c.accessed) >= c.cfg.AccessedCap {
+	if len(c.accessed) >= accessedCap {
 		c.accessed = make(map[uint64]struct{}) // crude cooling: reset
 	}
 	c.accessed[fp] = struct{}{}
 }
 
-// Set appends to the HLog, running passive migration when the log fills.
+// Set appends to the HLog, running passive migration (Case 2) when the log
+// fills.
 func (c *Cache) Set(key, value []byte) error {
-	if setblock.EntrySize(len(key), len(value)) > c.pageSize-setblock.HeaderSize || len(key) > 255 {
-		return fmt.Errorf("fairywren: object exceeds set size")
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fp := hashing.Fingerprint(key)
-	set := c.setOf(fp)
-	for {
-		err := c.log.Append(set, fp, key, value)
-		if err == nil {
-			break
-		}
-		if err != hlog.ErrFull {
-			return err
-		}
-		if err := c.passiveMigrate(); err != nil {
-			return err
-		}
-	}
-	c.stats.Sets++
-	c.stats.LogicalBytes += uint64(len(key) + len(value))
-	return nil
-}
-
-// passiveMigrate drains the oldest log zone into its sets (Case 2).
-func (c *Cache) passiveMigrate() error {
-	sets := c.log.OldestZoneSets()
-	for _, set := range sets {
-		objs, err := c.log.TakeSet(set)
-		if err != nil {
-			return err
-		}
-		if len(objs) == 0 {
-			continue
-		}
-		if err := c.rewritePrimary(set, objs, true); err != nil {
-			return err
-		}
-	}
-	dropped, err := c.log.ReleaseOldestZone()
-	c.stats.Evictions += uint64(dropped)
-	return err
+	return c.log.Set(c.setOf(fp), fp, key, value, func(set int32, objs []setblock.Entry) error {
+		return c.rewritePrimary(set, objs, true)
+	})
 }
 
 // rewritePrimary merges objs into set's primary page and appends the new
 // copy to the open zone. Displaced accessed objects spill to the overflow
 // page when they amount to enough bytes (hot/cold division); cold ones are
 // evicted.
-func (c *Cache) rewritePrimary(set int32, objs []hlog.Object, passive bool) error {
-	blk, err := c.readPage(c.priLoc[set])
+func (c *Cache) rewritePrimary(set int32, objs []setblock.Entry, passive bool) error {
+	blk, _, err := c.readPage(c.priLoc[set])
 	if err != nil {
 		return err
 	}
-	var spill []hlog.Object
+	var spill []setblock.Entry
 	spillBytes := 0
 	for _, o := range objs {
-		for !blk.CanFit(len(o.Key), len(o.Value)) {
-			e, ok := blk.EvictOldest()
-			if !ok {
-				break
-			}
+		blk.InsertEvicting(o, func(e setblock.Entry) {
 			if _, hot := c.accessed[e.FP]; hot {
-				spill = append(spill, hlog.Object{FP: e.FP, Key: e.Key, Value: e.Value})
+				spill = append(spill, e)
 				spillBytes += setblock.EntrySize(len(e.Key), len(e.Value))
 			} else {
 				c.stats.Evictions++
 			}
-		}
-		blk.Insert(o.FP, o.Key, o.Value)
+		})
 	}
 	if err := c.placePage(set, kindPrimary, blk); err != nil {
 		return err
@@ -381,19 +324,13 @@ func (c *Cache) rewritePrimary(set int32, objs []hlog.Object, passive bool) erro
 }
 
 // rewriteOverflow merges hot spill into the set's overflow page.
-func (c *Cache) rewriteOverflow(set int32, objs []hlog.Object) error {
-	blk, err := c.readPage(c.ovLoc[set])
+func (c *Cache) rewriteOverflow(set int32, objs []setblock.Entry) error {
+	blk, _, err := c.readPage(c.ovLoc[set])
 	if err != nil {
 		return err
 	}
 	for _, o := range objs {
-		for !blk.CanFit(len(o.Key), len(o.Value)) {
-			if _, ok := blk.EvictOldest(); !ok {
-				break
-			}
-			c.stats.Evictions++
-		}
-		blk.Insert(o.FP, o.Key, o.Value)
+		blk.InsertEvicting(o, func(setblock.Entry) { c.stats.Evictions++ })
 	}
 	if err := c.placePage(set, kindOverflow, blk); err != nil {
 		return err
@@ -402,18 +339,20 @@ func (c *Cache) rewriteOverflow(set int32, objs []hlog.Object) error {
 	return nil
 }
 
-// readPage loads and parses a set-tier page, or returns an empty block for
-// unmapped locations.
-func (c *Cache) readPage(page int32) (*setblock.Block, error) {
+// readPage loads and parses a set-tier page, returning the read's completion
+// time, or an empty block for unmapped locations.
+func (c *Cache) readPage(page int32) (*setblock.Block, time.Duration, error) {
 	if page < 0 {
-		return setblock.New(c.pageSize), nil
+		return setblock.New(c.pageSize), 0, nil
 	}
-	if _, err := c.dev.ReadPage(int(page), c.scratch); err != nil {
-		return nil, err
+	done, err := c.dev.ReadPage(int(page), c.scratch)
+	if err != nil {
+		return nil, 0, err
 	}
 	c.stats.FlashReadOps++
 	c.stats.FlashBytesRead += uint64(c.pageSize)
-	return setblock.Parse(c.scratch, c.pageSize)
+	blk, err := setblock.Parse(c.scratch, c.pageSize)
+	return blk, done, err
 }
 
 // placePage appends the block as the new (set, kind) page, invalidating the
@@ -426,11 +365,11 @@ func (c *Cache) placePage(set int32, kind int, blk *setblock.Block) error {
 	if kind == kindPrimary {
 		c.invalidate(c.priLoc[set])
 		c.priLoc[set] = page
-		c.rebuildFilter(&c.priFilters[set], blk)
+		c.priFilters[set] = setcache.RebuildFilter(c.priFilters[set], blk, c.cfg.TargetObjsPerSet, c.fpr)
 	} else {
 		c.invalidate(c.ovLoc[set])
 		c.ovLoc[set] = page
-		c.rebuildFilter(&c.ovFilters[set], blk)
+		c.ovFilters[set] = setcache.RebuildFilter(c.ovFilters[set], blk, c.cfg.TargetObjsPerSet, c.fpr)
 	}
 	return nil
 }
@@ -444,20 +383,6 @@ func (c *Cache) invalidate(page int32) {
 		c.pageOwner[local] = -1
 		c.validCnt[local/c.ppz]--
 	}
-}
-
-func (c *Cache) rebuildFilter(slot **bloom.Filter, blk *setblock.Block) {
-	f := *slot
-	if f == nil {
-		f = bloom.New(c.cfg.TargetObjsPerSet, c.fpr)
-		*slot = f
-	} else {
-		f.Reset()
-	}
-	blk.Range(func(_ int, e setblock.Entry) bool {
-		f.Add(e.FP)
-		return true
-	})
 }
 
 // appendSetPage writes one page into the open set-tier zone, running GC
@@ -533,7 +458,7 @@ func (c *Cache) gc() error {
 					return err
 				}
 			} else {
-				blk, err := c.readPage(c.ovLoc[set])
+				blk, _, err := c.readPage(c.ovLoc[set])
 				if err != nil {
 					return err
 				}
@@ -578,23 +503,23 @@ func (c *Cache) pickVictim() int {
 func (c *Cache) Get(key []byte) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stats.Gets++
-	start := c.dev.Clock().Now()
 	fp := hashing.Fingerprint(key)
 	set := c.setOf(fp)
-
-	if v, done, ok, err := c.log.Lookup(set, fp, key); err == nil && ok {
-		c.stats.Hits++
+	v, hit := c.log.Get(set, fp, key, func(start time.Duration) ([]byte, bool) {
+		return c.getFromSet(set, fp, key, start)
+	})
+	if hit {
 		c.markAccessed(fp)
-		if done > 0 {
-			c.stats.FlashReadOps++
-			c.stats.FlashBytesRead += uint64(c.pageSize)
-			c.hist.Record(done - start + time.Microsecond)
-		} else {
-			c.hist.Record(time.Microsecond)
-		}
-		return v, true
 	}
+	return v, hit
+}
+
+// getFromSet answers a GET the log could not: the primary page, then the
+// overflow page, each read only if mapped and admitted by its filter. A
+// page that cannot be read or parsed ends the GET as a miss counted in
+// ReadErrors — the primary shadows the overflow, so an unreadable primary
+// must not let an older overflow copy through.
+func (c *Cache) getFromSet(set int32, fp uint64, key []byte, start time.Duration) ([]byte, bool) {
 	for _, tier := range []struct {
 		loc     int32
 		filters []*bloom.Filter
@@ -608,19 +533,13 @@ func (c *Cache) Get(key []byte) ([]byte, bool) {
 		if f := tier.filters[set]; f != nil && !f.Test(fp) {
 			continue
 		}
-		done, err := c.dev.ReadPage(int(tier.loc), c.scratch)
+		blk, done, err := c.readPage(tier.loc)
 		if err != nil {
-			continue
-		}
-		c.stats.FlashReadOps++
-		c.stats.FlashBytesRead += uint64(c.pageSize)
-		blk, err := setblock.Parse(c.scratch, c.pageSize)
-		if err != nil {
-			continue
+			c.stats.ReadErrors++
+			break
 		}
 		if v, _, ok := blk.Lookup(fp, key); ok {
 			c.stats.Hits++
-			c.markAccessed(fp)
 			c.hist.Record(done - start + time.Microsecond)
 			return append([]byte(nil), v...), true
 		}

@@ -3,9 +3,14 @@
 // per-set linked lists, so that all buffered objects mapping to one back-tier
 // set can be migrated together.
 //
-// Both hierarchical baselines (Kangaroo, FairyWREN) share this component;
-// their difference is entirely in how the back tier consumes it (Case 3.1
-// independent GC vs Case 3.2 GC folded into migration).
+// Composition: Log is the data structure — zones, page buffer, per-set
+// index. Front (front.go) is the Log as an engine's front tier: the
+// append-or-migrate Set loop, passive migration's drain, and the log-first
+// Get with its accounting, once for both hierarchical baselines (Kangaroo,
+// FairyWREN), which differ only in how their back tier consumes it (Case 3.1
+// independent GC vs Case 3.2 GC folded into migration). Neither has a lock
+// or counters: the owning engine holds the mutex covering the Front and the
+// cachelib.Stats and histogram it accounts into.
 package hlog
 
 import (
@@ -15,13 +20,6 @@ import (
 	"nemo/internal/device"
 	"nemo/internal/setblock"
 )
-
-// Object is a decoded log object handed to migration.
-type Object struct {
-	FP    uint64
-	Key   []byte
-	Value []byte
-}
 
 // entry locates one live object. page == -1 means the object is still in
 // the open page buffer at offset off.
@@ -39,8 +37,6 @@ type zoneObj struct {
 // Stats counts log activity.
 type Stats struct {
 	PagesWritten uint64
-	PagesRead    uint64
-	ZoneResets   uint64
 	LiveObjects  int
 }
 
@@ -99,14 +95,11 @@ func (l *Log) Stats() Stats {
 	return s
 }
 
-// Zones returns the number of zones the log owns.
-func (l *Log) Zones() int { return l.zones }
-
 // PageCapacity returns the log capacity in pages.
 func (l *Log) PageCapacity() int { return l.zones * l.dev.PagesPerZone() }
 
 // ErrFull is returned by Append when the log has no room; the caller must
-// migrate the oldest zone (MigrateOldest…) and retry.
+// migrate the oldest zone and retry (Front.Set is that loop).
 var ErrFull = fmt.Errorf("hlog: log full")
 
 // Append buffers the object for set. Objects larger than a page are
@@ -231,13 +224,13 @@ func (l *Log) liveIn(set int32, fp uint64, lo, hi int32) bool {
 // TakeSet removes and returns every live object of the set, reading log
 // pages as needed (the "flush all objects from a HLog linked list" step of
 // migration). Returned objects own their byte slices.
-func (l *Log) TakeSet(set int32) ([]Object, error) {
+func (l *Log) TakeSet(set int32) ([]setblock.Entry, error) {
 	es := l.index[set]
 	if len(es) == 0 {
 		return nil, nil
 	}
 	delete(l.index, set)
-	objs := make([]Object, 0, len(es))
+	objs := make([]setblock.Entry, 0, len(es))
 	lastPage := int32(-2)
 	for _, e := range es {
 		var src []byte
@@ -248,7 +241,6 @@ func (l *Log) TakeSet(set int32) ([]Object, error) {
 				if _, err := l.dev.ReadPage(int(e.page), l.scratch); err != nil {
 					return nil, err
 				}
-				l.stats.PagesRead++
 				lastPage = e.page
 			}
 			src = l.scratch
@@ -257,7 +249,7 @@ func (l *Log) TakeSet(set int32) ([]Object, error) {
 		if !ok || obj.FP != e.fp {
 			return nil, fmt.Errorf("hlog: corrupt log entry for set %d", set)
 		}
-		objs = append(objs, Object{
+		objs = append(objs, setblock.Entry{
 			FP:    obj.FP,
 			Key:   append([]byte(nil), obj.Key...),
 			Value: append([]byte(nil), obj.Value...),
@@ -296,7 +288,6 @@ func (l *Log) ReleaseOldestZone() (dropped int, err error) {
 	if _, err := l.dev.ResetZone(l.zoneBase + z); err != nil {
 		return dropped, err
 	}
-	l.stats.ZoneResets++
 	l.free = append(l.free, z)
 	return dropped, nil
 }
@@ -322,7 +313,6 @@ func (l *Log) Lookup(set int32, fp uint64, key []byte) (value []byte, done time.
 			if err != nil {
 				return nil, 0, false, err
 			}
-			l.stats.PagesRead++
 			done = d
 			src = l.scratch
 		}

@@ -7,6 +7,12 @@
 // the FTL separately relocates valid pages, so the two amplifications
 // multiply — which is why the paper measures KG's total WA at 55.6× versus
 // FairyWREN's 15.2×.
+//
+// Composition: HLog is an hlog.Front, HSet is the set cache's own
+// setcache.Tier, and this package keeps what is Kangaroo's: the admission
+// threshold on migration and the migration instrumentation. Cache owns the
+// one mutex, cachelib.Stats and histogram; front and tier are lock-free and
+// account into them.
 package kangaroo
 
 import (
@@ -14,17 +20,17 @@ import (
 	"sync"
 	"time"
 
-	"nemo/internal/bloom"
 	"nemo/internal/cachelib"
 	"nemo/internal/device"
-	"nemo/internal/ftl"
 	"nemo/internal/hashing"
 	"nemo/internal/hlog"
 	"nemo/internal/metrics"
 	"nemo/internal/setblock"
+	"nemo/internal/setcache"
 )
 
-// Config configures the Kangaroo engine.
+// Config configures the Kangaroo engine. The zero value of every field but
+// Device is the paper's Table 4 configuration.
 type Config struct {
 	Device device.Device
 	// ZoneBase is the first device zone the engine owns; Zones is how many
@@ -38,37 +44,31 @@ type Config struct {
 	// OPRatio is the host-visible HSet over-provisioning ratio
 	// (default 0.05, Table 4).
 	OPRatio float64
-	// InternalOPRatio models the conventional SSD's built-in
-	// over-provisioning on top of the host-visible OP (default 0.07, a
-	// typical 7% for enterprise drives). Kangaroo runs on a block-interface
-	// SSD, so its effective GC headroom is the sum of both; FairyWREN's
-	// host FTL has no such hidden reserve.
-	InternalOPRatio float64
 	// TargetObjsPerSet sizes the in-memory per-set Bloom filters.
 	TargetObjsPerSet int
 	// BloomBitsPerObj is the per-set filter budget (default 4).
 	BloomBitsPerObj float64
 	// AdmitThreshold drops migration batches smaller than this many
-	// objects (Kangaroo's minimum-admission policy; default 1 = admit all).
+	// objects (Kangaroo's minimum-admission policy; 0 and 1 admit all).
 	AdmitThreshold int
 }
 
+// internalOPRatio models the conventional SSD's built-in over-provisioning
+// on top of the host-visible OP (a typical 7% for enterprise drives).
+// Kangaroo runs on a block-interface SSD, so its effective GC headroom is
+// the sum of both; FairyWREN's host FTL has no such hidden reserve.
+const internalOPRatio = 0.07
+
 // Cache is the Kangaroo engine. Safe for concurrent use.
 type Cache struct {
-	cfg      Config
-	dev      device.Device
-	log      *hlog.Log
-	ftl      *ftl.FTL
-	pageSize int
-	numSets  int
-	filters  []*bloom.Filter
-	fpr      float64
+	cfg Config
 
-	mu      sync.Mutex
-	scratch []byte
-	stats   cachelib.Stats
-	mig     MigrationStats
-	hist    metrics.Histogram
+	mu    sync.Mutex // covers log, hset, stats, mig and hist
+	log   *hlog.Front
+	hset  *setcache.Tier
+	stats cachelib.Stats
+	mig   MigrationStats
+	hist  metrics.Histogram
 }
 
 // MigrationStats instruments log-to-set migration for Figures 4–6.
@@ -78,9 +78,10 @@ type MigrationStats struct {
 	// relocation independently.
 	PassiveCDF *metrics.IntCDF
 	SetWrites  uint64
-	LogWrites  uint64
 	Dropped    uint64 // batches below the admission threshold
 }
+
+var _ cachelib.Engine = (*Cache)(nil)
 
 // New creates the engine.
 func New(cfg Config) (*Cache, error) {
@@ -93,71 +94,36 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.OPRatio == 0 {
 		cfg.OPRatio = 0.05
 	}
-	if cfg.InternalOPRatio == 0 {
-		cfg.InternalOPRatio = 0.07
-	}
-	if cfg.TargetObjsPerSet == 0 {
-		cfg.TargetObjsPerSet = 40
-	}
 	if cfg.BloomBitsPerObj == 0 {
 		cfg.BloomBitsPerObj = 4
 	}
-	if cfg.AdmitThreshold < 1 {
-		cfg.AdmitThreshold = 1
-	}
-	if cfg.Zones == 0 {
-		cfg.Zones = cfg.Device.Zones() - cfg.ZoneBase
-	}
-	zones := cfg.Zones
-	if cfg.ZoneBase < 0 || zones < 1 || cfg.ZoneBase+zones > cfg.Device.Zones() {
-		return nil, fmt.Errorf("kangaroo: invalid zone range base=%d zones=%d", cfg.ZoneBase, zones)
-	}
-	logZones := int(cfg.LogRatio * float64(zones))
-	if logZones < 2 {
-		logZones = 2
-	}
-	setZones := zones - logZones
-	if setZones < 4 {
-		return nil, fmt.Errorf("kangaroo: zone range too small (%d zones)", zones)
-	}
-	log, err := hlog.New(cfg.Device, cfg.ZoneBase, logZones)
+	logZones, setZones, err := hlog.SplitZones(cfg.Device, cfg.ZoneBase, cfg.Zones, cfg.LogRatio)
 	if err != nil {
-		return nil, err
-	}
-	f, err := ftl.New(cfg.Device, cfg.ZoneBase+logZones, setZones, ftl.Config{
-		OPRatio: cfg.OPRatio + cfg.InternalOPRatio,
-	})
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("kangaroo: %w", err)
 	}
 	c := &Cache{
-		cfg:      cfg,
-		dev:      cfg.Device,
-		log:      log,
-		ftl:      f,
-		pageSize: cfg.Device.PageSize(),
-		numSets:  f.LogicalPages(),
-		filters:  make([]*bloom.Filter, f.LogicalPages()),
-		scratch:  make([]byte, cfg.Device.PageSize()),
-		mig:      MigrationStats{PassiveCDF: metrics.NewIntCDF(10)},
+		cfg: cfg,
+		mig: MigrationStats{PassiveCDF: metrics.NewIntCDF(10)},
 	}
-	c.fpr = 1.0
-	for i := 0; i < int(cfg.BloomBitsPerObj/1.4427+0.5); i++ {
-		c.fpr /= 2
+	if c.log, err = hlog.NewFront(cfg.Device, cfg.ZoneBase, logZones, &c.stats, &c.hist); err != nil {
+		return nil, err
 	}
-	if c.fpr >= 1 {
-		c.fpr = 0.5
+	c.hset, err = setcache.NewTier(setcache.Config{
+		Device:           cfg.Device,
+		ZoneBase:         cfg.ZoneBase + logZones,
+		Zones:            setZones,
+		OPRatio:          cfg.OPRatio + internalOPRatio,
+		TargetObjsPerSet: cfg.TargetObjsPerSet,
+		BloomBitsPerObj:  cfg.BloomBitsPerObj,
+	}, &c.stats, &c.hist)
+	if err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
 // Name implements cachelib.Engine.
 func (c *Cache) Name() string { return "KG" }
-
-// Kangaroo stays a plain Engine; the harness upgrades it to the Engine v2
-// surface (batching, deletes, async) via cachelib.Adapt so comparisons
-// against Nemo's native v2 implementation run unmodified.
-var _ cachelib.Engine = (*Cache)(nil)
 
 // Close implements cachelib.Engine.
 func (c *Cache) Close() error { return nil }
@@ -167,7 +133,7 @@ func (c *Cache) ReadLatency() *metrics.Histogram { return &c.hist }
 
 // NumSets returns the HSet hash range (the full usable page count — twice
 // FairyWREN's, since Kangaroo lacks hot/cold division, §5.2).
-func (c *Cache) NumSets() int { return c.numSets }
+func (c *Cache) NumSets() int { return c.hset.NumSets() }
 
 // Migration returns a snapshot of migration instrumentation.
 func (c *Cache) Migration() MigrationStats {
@@ -177,7 +143,7 @@ func (c *Cache) Migration() MigrationStats {
 }
 
 // DLWA returns the HSet FTL's device-level write amplification.
-func (c *Cache) DLWA() float64 { return c.ftl.Stats().DLWA() }
+func (c *Cache) DLWA() float64 { return c.hset.FTLStats().DLWA() }
 
 // Stats implements cachelib.Engine; DeviceBytesWritten folds in FTL GC, so
 // TotalWA reproduces the paper's ALWA × GC product for Kangaroo.
@@ -185,10 +151,11 @@ func (c *Cache) Stats() cachelib.Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	fs := c.ftl.Stats()
-	ls := c.log.Stats()
-	s.FlashBytesWritten = (fs.HostPagesWritten + ls.PagesWritten) * uint64(c.pageSize)
-	s.DeviceBytesWritten = (fs.HostPagesWritten + fs.GCPagesWritten + ls.PagesWritten) * uint64(c.pageSize)
+	fs := c.hset.FTLStats()
+	host := fs.HostPagesWritten + c.log.Stats().PagesWritten
+	pageSize := uint64(c.cfg.Device.PageSize())
+	s.FlashBytesWritten = host * pageSize
+	s.DeviceBytesWritten = (host + fs.GCPagesWritten) * pageSize
 	return s
 }
 
@@ -200,160 +167,39 @@ func (c *Cache) MemoryBitsPerObject() float64 {
 	return logShare + c.cfg.BloomBitsPerObj
 }
 
-func (c *Cache) setOf(fp uint64) int32 {
-	return int32(hashing.Derive(fp, 0) % uint64(c.numSets))
-}
-
 // Set appends the object to the HLog, migrating the oldest log zone into
 // HSet when the log is full.
 func (c *Cache) Set(key, value []byte) error {
-	if setblock.EntrySize(len(key), len(value)) > c.pageSize-setblock.HeaderSize || len(key) > 255 {
-		return fmt.Errorf("kangaroo: object exceeds set size")
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fp := hashing.Fingerprint(key)
-	set := c.setOf(fp)
-	for {
-		err := c.log.Append(set, fp, key, value)
-		if err == nil {
-			break
-		}
-		if err != hlog.ErrFull {
-			return err
-		}
-		if err := c.migrateOldestLogZone(); err != nil {
-			return err
-		}
-	}
-	c.stats.Sets++
-	c.stats.LogicalBytes += uint64(len(key) + len(value))
-	return nil
+	return c.log.Set(int32(c.hset.SetOf(fp)), fp, key, value, c.migrateSet)
 }
 
-// migrateOldestLogZone performs passive migration (Case 2): every set with
-// objects in the oldest log zone receives one read-modify-write carrying
-// all log objects mapped to it.
-func (c *Cache) migrateOldestLogZone() error {
-	sets := c.log.OldestZoneSets()
-	for _, set := range sets {
-		objs, err := c.log.TakeSet(set)
-		if err != nil {
-			return err
-		}
-		if len(objs) == 0 {
-			continue
-		}
-		if len(objs) < c.cfg.AdmitThreshold {
-			c.mig.Dropped++
-			c.stats.Evictions += uint64(len(objs))
-			continue
-		}
-		if err := c.writeSet(set, objs); err != nil {
-			return err
-		}
+// migrateSet is passive migration's step for one set (Case 2): one
+// read-modify-write carrying all log objects mapped to it, unless they are
+// too few to be admitted.
+func (c *Cache) migrateSet(set int32, objs []setblock.Entry) error {
+	if len(objs) < c.cfg.AdmitThreshold {
+		c.mig.Dropped++
+		c.stats.Evictions += uint64(len(objs))
+		return nil
 	}
-	dropped, err := c.log.ReleaseOldestZone()
-	c.stats.Evictions += uint64(dropped)
-	return err
-}
-
-// writeSet merges objs into the set page (evicting oldest residents when
-// full) and rewrites it through the FTL.
-func (c *Cache) writeSet(set int32, objs []hlog.Object) error {
-	blk, err := c.readSet(set)
-	if err != nil {
-		return err
-	}
-	for _, o := range objs {
-		for !blk.CanFit(len(o.Key), len(o.Value)) {
-			if _, ok := blk.EvictOldest(); !ok {
-				break
-			}
-			c.stats.Evictions++
-		}
-		blk.Insert(o.FP, o.Key, o.Value)
-	}
-	page := blk.AppendTo(c.scratch[:0])
-	if _, err := c.ftl.Write(int(set), page); err != nil {
+	if err := c.hset.Merge(int(set), objs); err != nil {
 		return err
 	}
 	c.mig.SetWrites++
 	c.mig.PassiveCDF.Add(len(objs))
-	c.rebuildFilter(set, blk)
 	return nil
-}
-
-func (c *Cache) readSet(set int32) (*setblock.Block, error) {
-	_, mapped, err := c.ftl.Read(int(set), c.scratch)
-	if err != nil {
-		return nil, err
-	}
-	if !mapped {
-		return setblock.New(c.pageSize), nil
-	}
-	c.stats.FlashReadOps++
-	c.stats.FlashBytesRead += uint64(c.pageSize)
-	return setblock.Parse(c.scratch, c.pageSize)
-}
-
-func (c *Cache) rebuildFilter(set int32, blk *setblock.Block) {
-	f := c.filters[set]
-	if f == nil {
-		f = bloom.New(c.cfg.TargetObjsPerSet, c.fpr)
-		c.filters[set] = f
-	} else {
-		f.Reset()
-	}
-	blk.Range(func(_ int, e setblock.Entry) bool {
-		f.Add(e.FP)
-		return true
-	})
 }
 
 // Get searches the HLog first, then the HSet set page.
 func (c *Cache) Get(key []byte) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stats.Gets++
-	start := c.dev.Clock().Now()
 	fp := hashing.Fingerprint(key)
-	set := c.setOf(fp)
-
-	if v, done, ok, err := c.log.Lookup(set, fp, key); err == nil && ok {
-		c.stats.Hits++
-		if done > 0 {
-			c.stats.FlashReadOps++
-			c.stats.FlashBytesRead += uint64(c.pageSize)
-			c.hist.Record(done - start + time.Microsecond)
-		} else {
-			c.hist.Record(time.Microsecond)
-		}
-		return v, true
-	}
-
-	f := c.filters[set]
-	if f == nil || !f.Test(fp) {
-		c.hist.Record(time.Microsecond)
-		return nil, false
-	}
-	done, mapped, err := c.ftl.Read(int(set), c.scratch)
-	if err != nil || !mapped {
-		c.hist.Record(time.Microsecond)
-		return nil, false
-	}
-	c.stats.FlashReadOps++
-	c.stats.FlashBytesRead += uint64(c.pageSize)
-	blk, err := setblock.Parse(c.scratch, c.pageSize)
-	if err != nil {
-		c.hist.Record(done - start + time.Microsecond)
-		return nil, false
-	}
-	v, _, ok := blk.Lookup(fp, key)
-	c.hist.Record(done - start + time.Microsecond)
-	if !ok {
-		return nil, false
-	}
-	c.stats.Hits++
-	return append([]byte(nil), v...), true
+	set := c.hset.SetOf(fp)
+	return c.log.Get(int32(set), fp, key, func(start time.Duration) ([]byte, bool) {
+		return c.hset.Get(set, fp, key, start)
+	})
 }

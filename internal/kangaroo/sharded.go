@@ -1,30 +1,14 @@
 package kangaroo
 
-import (
-	"fmt"
+import "nemo/internal/cachelib"
 
-	"nemo/internal/cachelib"
-)
-
-// NewSharded partitions the configured zone range into shards equal slices
-// — each an independent Kangaroo instance with its own HLog, FTL-backed
-// HSet, Bloom filters, and lock over a disjoint slice of one device —
-// behind the generic cachelib.ShardedEngine facade. The HLog/HSet split
-// (LogRatio) applies within each shard's range. Requests route by the
-// shared shard lane, so the partitioning matches Nemo's core.Sharded
-// key-for-key. With shards=1 the result is behaviorally identical to
-// New(cfg).
+// NewSharded partitions cfg's zone range into shards independent Kangaroo
+// engines behind one cachelib.ShardedEngine (cachelib.NewShardedRange holds
+// the contract). The HLog/HSet split (LogRatio) applies within each shard.
 func NewSharded(cfg Config, shards int) (*cachelib.ShardedEngine, error) {
-	if cfg.Device == nil {
-		return nil, fmt.Errorf("kangaroo: nil device")
-	}
-	if cfg.Zones == 0 {
-		cfg.Zones = cfg.Device.Zones() - cfg.ZoneBase
-	}
-	return cachelib.NewShardedRange("kangaroo", cfg.ZoneBase, cfg.Zones, shards,
+	return cachelib.NewShardedRange("kangaroo", cfg.Device, cfg.ZoneBase, cfg.Zones, shards,
 		func(zoneBase, zones int) (cachelib.Engine, error) {
-			scfg := cfg
-			scfg.ZoneBase, scfg.Zones = zoneBase, zones
-			return New(scfg)
+			cfg.ZoneBase, cfg.Zones = zoneBase, zones
+			return New(cfg)
 		})
 }

@@ -85,8 +85,6 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// The log cache is a plain Engine plus a native Deleter; the remaining
-// Engine v2 surfaces (batching, async writes) come from cachelib.Adapt.
 var (
 	_ cachelib.Engine  = (*Cache)(nil)
 	_ cachelib.Deleter = (*Cache)(nil)
@@ -236,6 +234,7 @@ func (c *Cache) Get(key []byte) ([]byte, bool) {
 	} else {
 		d, err := c.dev.ReadPage(int(l.page), c.scratch)
 		if err != nil {
+			c.stats.ReadErrors++
 			c.hist.Record(time.Microsecond)
 			return nil, false
 		}

@@ -1,28 +1,14 @@
 package logcache
 
-import (
-	"fmt"
+import "nemo/internal/cachelib"
 
-	"nemo/internal/cachelib"
-)
-
-// NewSharded partitions the configured zone range into shards equal slices
-// — each an independent log cache with its own index, append buffer, and
-// lock over a disjoint slice of one device — behind the generic
-// cachelib.ShardedEngine facade. Requests route by the shared shard lane,
-// so the partitioning matches Nemo's core.Sharded key-for-key. With
-// shards=1 the result is behaviorally identical to New(cfg).
+// NewSharded partitions cfg's zone range into shards independent log caches
+// behind one cachelib.ShardedEngine (cachelib.NewShardedRange holds the
+// contract).
 func NewSharded(cfg Config, shards int) (*cachelib.ShardedEngine, error) {
-	if cfg.Device == nil {
-		return nil, fmt.Errorf("logcache: nil device")
-	}
-	if cfg.Zones == 0 {
-		cfg.Zones = cfg.Device.Zones() - cfg.ZoneBase
-	}
-	return cachelib.NewShardedRange("logcache", cfg.ZoneBase, cfg.Zones, shards,
+	return cachelib.NewShardedRange("logcache", cfg.Device, cfg.ZoneBase, cfg.Zones, shards,
 		func(zoneBase, zones int) (cachelib.Engine, error) {
-			scfg := cfg
-			scfg.ZoneBase, scfg.Zones = zoneBase, zones
-			return New(scfg)
+			cfg.ZoneBase, cfg.Zones = zoneBase, zones
+			return New(cfg)
 		})
 }

@@ -14,17 +14,9 @@ import (
 // and flags survive eviction-and-writeback for free because they live
 // inside the object.
 
-// itemOverhead is the envelope size prepended to every stored value.
+// itemOverhead is the envelope size prepended to every stored value; the
+// connection handler writes it in place ahead of the data it reads (conn.go).
 const itemOverhead = 4
-
-// encodeItem appends the envelope for (flags, data) to dst and returns the
-// extended slice — the value handed to the engine.
-func encodeItem(dst []byte, flags uint32, data []byte) []byte {
-	var hdr [itemOverhead]byte
-	binary.BigEndian.PutUint32(hdr[:], flags)
-	dst = append(dst, hdr[:]...)
-	return append(dst, data...)
-}
 
 // decodeItem splits a stored value back into (flags, data). Values shorter
 // than the envelope cannot have been written by this serving layer; they

@@ -16,8 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-
-	"nemo/internal/hashing"
 )
 
 // HeaderSize is the per-block header in bytes.
@@ -219,20 +217,6 @@ func (b *Block) Lookup(fp uint64, key []byte) (value []byte, slot int, ok bool) 
 	return valueAt(b.buf, off, next, len(key)), slot, true
 }
 
-// LookupFP returns the first entry matching the fingerprint alone; engines
-// that store only fingerprints in their indexes use this and verify keys.
-func (b *Block) LookupFP(fp uint64) (Entry, int, bool) {
-	off := 0
-	for i := 0; i < b.count; i++ {
-		e, next := b.entryAt(off)
-		if e.FP == fp {
-			return e, i, true
-		}
-		off = next
-	}
-	return Entry{}, -1, false
-}
-
 // Remove deletes the entry for (fp, key), returning whether it existed.
 func (b *Block) Remove(fp uint64, key []byte) bool {
 	off, next, _ := find(b.buf, b.count, fp, key)
@@ -259,6 +243,20 @@ func (b *Block) EvictOldest() (Entry, bool) {
 	b.buf = append(b.buf[:0], b.buf[next:]...)
 	b.count--
 	return out, true
+}
+
+// InsertEvicting inserts e the way a full set admits an object: oldest
+// residents are evicted, each handed to evicted, until e fits (or the block
+// is empty), then e is inserted.
+func (b *Block) InsertEvicting(e Entry, evicted func(Entry)) {
+	for !b.CanFit(len(e.Key), len(e.Value)) {
+		old, ok := b.EvictOldest()
+		if !ok {
+			break
+		}
+		evicted(old)
+	}
+	b.Insert(e.FP, e.Key, e.Value)
 }
 
 // EvictOldestValued removes and returns a copy of the oldest entry with a
@@ -353,10 +351,6 @@ func (b *Block) DecodeFrom(page []byte) error {
 	return nil
 }
 
-// FingerprintOf is a convenience wrapper so callers do not need to import
-// hashing directly for the common case.
-func FingerprintOf(key []byte) uint64 { return hashing.Fingerprint(key) }
-
 // Scan searches a serialized page for (fp, key) without materializing a
 // Block — the zero-copy hot path for candidate-set lookups. The returned
 // value aliases page.
@@ -375,30 +369,4 @@ func Scan(page []byte, fp uint64, key []byte) (value []byte, slot int, ok bool) 
 		return nil, -1, false
 	}
 	return valueAt(buf, off, next, len(key)), slot, true
-}
-
-// ScanAll iterates a serialized page's entries without materializing a
-// Block; entries alias page. It returns an error on a corrupt layout.
-func ScanAll(page []byte, fn func(slot int, e Entry) bool) error {
-	if len(page) < HeaderSize {
-		return fmt.Errorf("setblock: page shorter than header")
-	}
-	count := int(binary.LittleEndian.Uint16(page[0:]))
-	used := int(binary.LittleEndian.Uint16(page[2:]))
-	if HeaderSize+used > len(page) {
-		return fmt.Errorf("setblock: used %d exceeds page", used)
-	}
-	buf := page[HeaderSize : HeaderSize+used]
-	off := 0
-	for i := 0; i < count; i++ {
-		e, next, ok := DecodeEntry(buf, off)
-		if !ok {
-			return fmt.Errorf("setblock: entry %d out of bounds", i)
-		}
-		if !fn(i, e) {
-			return nil
-		}
-		off = next
-	}
-	return nil
 }

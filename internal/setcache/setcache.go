@@ -7,28 +7,32 @@
 // ~16-20× application-level write amplification the paper attributes to
 // this design for tiny objects. Per-set in-memory Bloom filters (a few bits
 // per object) avoid flash reads on most misses, matching CacheLib.
+//
+// Composition: Tier (tier.go) is the design — FTL-backed set pages, their
+// filters, the read-merge-write and the filter-gated lookup — lock-free and
+// without counters. Cache is the engine: one mutex, one cachelib.Stats and
+// one histogram around a Tier that accounts into them. internal/kangaroo
+// puts the same Tier behind a log.
 package setcache
 
 import (
 	"fmt"
 	"sync"
-	"time"
 
-	"nemo/internal/bloom"
 	"nemo/internal/cachelib"
 	"nemo/internal/device"
-	"nemo/internal/ftl"
 	"nemo/internal/hashing"
 	"nemo/internal/metrics"
 	"nemo/internal/setblock"
 )
 
-// Config configures the set-associative cache.
+// Config configures the set-associative cache and its Tier. The zero value
+// of every field but Device is the paper's Table 4 configuration.
 type Config struct {
 	// Device is the zoned device to build the conventional FTL on.
 	Device   device.Device
 	ZoneBase int
-	Zones    int // 0 means all device zones
+	Zones    int // 0 means all device zones from ZoneBase
 	// OPRatio is the FTL over-provisioning ratio (default 0.5 per §2.3).
 	OPRatio float64
 	// TargetObjsPerSet sizes the per-set Bloom filters (default 40).
@@ -42,59 +46,23 @@ type Config struct {
 
 // Cache is the set-associative engine. Safe for concurrent use.
 type Cache struct {
-	cfg      Config
-	dev      device.Device
-	ftl      *ftl.FTL
-	pageSize int
-	numSets  int
-	filters  []*bloom.Filter
-	fpr      float64
-
-	mu      sync.Mutex
-	scratch []byte
-	stats   cachelib.Stats
-	hist    metrics.Histogram
+	mu    sync.Mutex // covers tier, stats and hist
+	tier  *Tier
+	stats cachelib.Stats
+	hist  metrics.Histogram
 }
+
+var _ cachelib.Engine = (*Cache)(nil)
 
 // New creates the engine.
 func New(cfg Config) (*Cache, error) {
 	if cfg.Device == nil {
 		return nil, fmt.Errorf("setcache: nil device")
 	}
-	if cfg.Zones == 0 {
-		cfg.Zones = cfg.Device.Zones() - cfg.ZoneBase
-	}
-	if cfg.OPRatio == 0 {
-		cfg.OPRatio = 0.5
-	}
-	if cfg.TargetObjsPerSet == 0 {
-		cfg.TargetObjsPerSet = 40
-	}
-	if cfg.BloomBitsPerObj == 0 {
-		cfg.BloomBitsPerObj = 4
-	}
-	f, err := ftl.New(cfg.Device, cfg.ZoneBase, cfg.Zones, ftl.Config{OPRatio: cfg.OPRatio})
-	if err != nil {
-		return nil, fmt.Errorf("setcache: %w", err)
-	}
-	c := &Cache{
-		cfg:      cfg,
-		dev:      cfg.Device,
-		ftl:      f,
-		pageSize: cfg.Device.PageSize(),
-		numSets:  f.LogicalPages(),
-		scratch:  make([]byte, cfg.Device.PageSize()),
-	}
-	if !cfg.DisableBloom {
-		// Bloom bits/obj b implies FPR 2^-(b/1.44).
-		c.fpr = 1.0
-		for i := 0; i < int(cfg.BloomBitsPerObj/1.4427+0.5); i++ {
-			c.fpr /= 2
-		}
-		if c.fpr >= 1 {
-			c.fpr = 0.5
-		}
-		c.filters = make([]*bloom.Filter, c.numSets)
+	c := new(Cache)
+	var err error
+	if c.tier, err = NewTier(cfg, &c.stats, &c.hist); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -102,105 +70,49 @@ func New(cfg Config) (*Cache, error) {
 // Name implements cachelib.Engine.
 func (c *Cache) Name() string { return "Set" }
 
-// The set-associative baseline stays a plain Engine; the harness upgrades
-// it to the Engine v2 surface (batching, deletes, async) via cachelib.Adapt
-// so comparisons against Nemo's native v2 implementation run unmodified.
-var _ cachelib.Engine = (*Cache)(nil)
-
 // Close implements cachelib.Engine.
 func (c *Cache) Close() error { return nil }
 
 // ReadLatency implements cachelib.Engine.
 func (c *Cache) ReadLatency() *metrics.Histogram { return &c.hist }
 
-// NumSets returns the number of usable sets after over-provisioning.
-func (c *Cache) NumSets() int { return c.numSets }
-
 // Stats implements cachelib.Engine, folding FTL GC into the device counter.
 func (c *Cache) Stats() cachelib.Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.stats
-	fs := c.ftl.Stats()
-	s.DeviceBytesWritten = (fs.HostPagesWritten + fs.GCPagesWritten) * uint64(c.pageSize)
+	fs := c.tier.FTLStats()
+	s.DeviceBytesWritten = (fs.HostPagesWritten + fs.GCPagesWritten) * uint64(c.tier.pageSize)
 	return s
 }
 
 // DLWA returns the device-level write amplification from FTL GC.
-func (c *Cache) DLWA() float64 { return c.ftl.Stats().DLWA() }
+func (c *Cache) DLWA() float64 { return c.tier.FTLStats().DLWA() }
 
 // MemoryBitsPerObject returns the modeled in-memory cost (Bloom bits only).
 func (c *Cache) MemoryBitsPerObject() float64 {
-	if c.cfg.DisableBloom {
+	if c.tier.cfg.DisableBloom {
 		return 0
 	}
-	return c.cfg.BloomBitsPerObj
-}
-
-func (c *Cache) setOf(fp uint64) int {
-	return int(hashing.Derive(fp, 0) % uint64(c.numSets))
+	return c.tier.cfg.BloomBitsPerObj
 }
 
 // Set performs the read-modify-write insert into the object's set.
 func (c *Cache) Set(key, value []byte) error {
 	need := setblock.EntrySize(len(key), len(value))
-	if need > c.pageSize-setblock.HeaderSize || len(key) > 255 {
-		return fmt.Errorf("setcache: object of %d bytes exceeds set size %d", need, c.pageSize)
+	if need > c.tier.pageSize-setblock.HeaderSize || len(key) > 255 {
+		return fmt.Errorf("setcache: object of %d bytes exceeds set size %d", need, c.tier.pageSize)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fp := hashing.Fingerprint(key)
-	set := c.setOf(fp)
-	blk, err := c.readSet(set)
-	if err != nil {
-		return err
-	}
-	for !blk.CanFit(len(key), len(value)) {
-		if _, ok := blk.EvictOldest(); !ok {
-			break
-		}
-		c.stats.Evictions++
-	}
-	blk.Insert(fp, key, value)
-	page := blk.AppendTo(c.scratch[:0])
-	if _, err := c.ftl.Write(set, page); err != nil {
+	if err := c.tier.Merge(c.tier.SetOf(fp), []setblock.Entry{{FP: fp, Key: key, Value: value}}); err != nil {
 		return err
 	}
 	c.stats.Sets++
 	c.stats.LogicalBytes += uint64(len(key) + len(value))
-	c.stats.FlashBytesWritten += uint64(c.pageSize)
-	c.rebuildFilter(set, blk)
+	c.stats.FlashBytesWritten += uint64(c.tier.pageSize)
 	return nil
-}
-
-func (c *Cache) readSet(set int) (*setblock.Block, error) {
-	_, mapped, err := c.ftl.Read(set, c.scratch)
-	if err != nil {
-		return nil, err
-	}
-	if mapped {
-		c.stats.FlashReadOps++
-		c.stats.FlashBytesRead += uint64(c.pageSize)
-		return setblock.Parse(c.scratch, c.pageSize)
-	}
-	return setblock.New(c.pageSize), nil
-}
-
-func (c *Cache) rebuildFilter(set int, blk *setblock.Block) {
-	if c.filters == nil {
-		return
-	}
-	f := c.filters[set]
-	if f == nil {
-		f = bloom.New(c.cfg.TargetObjsPerSet, c.fpr)
-		c.filters[set] = f
-	} else {
-		f.Reset()
-	}
-	blk.Range(func(_ int, e setblock.Entry) bool {
-		f.Add(e.FP)
-		return true
-	})
 }
 
 // Get reads the object's set page (unless the Bloom filter rules it out).
@@ -208,33 +120,7 @@ func (c *Cache) Get(key []byte) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Gets++
-	start := c.dev.Clock().Now()
+	start := c.tier.cfg.Device.Clock().Now()
 	fp := hashing.Fingerprint(key)
-	set := c.setOf(fp)
-	if c.filters != nil {
-		f := c.filters[set]
-		if f == nil || !f.Test(fp) {
-			c.hist.Record(time.Microsecond)
-			return nil, false
-		}
-	}
-	done, mapped, err := c.ftl.Read(set, c.scratch)
-	if err != nil || !mapped {
-		c.hist.Record(time.Microsecond)
-		return nil, false
-	}
-	c.stats.FlashReadOps++
-	c.stats.FlashBytesRead += uint64(c.pageSize)
-	blk, err := setblock.Parse(c.scratch, c.pageSize)
-	if err != nil {
-		c.hist.Record(done - start + time.Microsecond)
-		return nil, false
-	}
-	value, _, ok := blk.Lookup(fp, key)
-	c.hist.Record(done - start + time.Microsecond)
-	if !ok {
-		return nil, false
-	}
-	c.stats.Hits++
-	return append([]byte(nil), value...), true
+	return c.tier.Get(c.tier.SetOf(fp), fp, key, start)
 }

@@ -1,7 +1,6 @@
 package nemo
 
 import (
-	"nemo/internal/admission"
 	"nemo/internal/cachelib"
 	"nemo/internal/core"
 	"nemo/internal/device"
@@ -22,10 +21,6 @@ import (
 // device (OpenFileDevice) with measured latencies. Engines cannot tell them
 // apart except through the clock.
 type Device = device.Device
-
-// DeviceGeometry is the backend-independent shape of a zoned device, for
-// code that sizes devices without choosing a backend.
-type DeviceGeometry = device.Geometry
 
 // SimDevice is the simulated device implementation (see NewDevice).
 type SimDevice = flashsim.Device
@@ -102,50 +97,13 @@ func IndexZonesFor(dataZones, sgsPerGroup int) int {
 }
 
 // Engine is the minimal cache-engine interface implemented by Nemo and all
-// four baselines; Replay drives any Engine. Production capabilities —
-// batched multi-ops, deletion, asynchronous writes — are the composable
-// Engine v2 extension interfaces below; Adapt upgrades any plain Engine.
+// four baselines; Replay drives any Engine.
 type Engine = cachelib.Engine
 
-// BatchEngine executes many operations per lock acquisition: GetMany and
-// SetMany group keys by shard (one hash pass, per-shard sub-batches,
-// parallel fan-out on a ShardedCache).
-type BatchEngine = cachelib.BatchEngine
-
-// Deleter invalidates keys. Nemo tombstones (it has no exact per-object
-// index): a zero-length marker shadows any still-cached flash copy until it
-// ages out of the FIFO pool.
-type Deleter = cachelib.Deleter
-
-// AsyncEngine writes off the caller's critical path: SetAsync inserts into
-// the in-memory SG and hands any triggered flush to the background flusher
-// pool (Config.Flushers); Drain waits out deferred work.
-type AsyncEngine = cachelib.AsyncEngine
-
-// EngineV2 is the full production surface: Engine plus all three
-// extensions. Cache and ShardedCache implement it natively.
+// EngineV2 is the full production surface: Engine plus batched multi-ops
+// (GetMany/SetMany), Delete, and asynchronous writes (SetAsync/Drain).
+// Cache, ShardedCache and ShardedEngine implement it.
 type EngineV2 = cachelib.EngineV2
-
-// Adapt upgrades any plain Engine (e.g. the four baselines) to EngineV2,
-// delegating native capabilities and emulating the rest, so harness code
-// written against v2 runs every engine unmodified.
-func Adapt(e Engine) EngineV2 { return cachelib.Adapt(e) }
-
-// Options carries the Engine v2 per-request knobs (TTL, admission hint,
-// no-fill) the replayers thread through every engine; Hint biases admission
-// per request. The op kind of a mixed-workload request is RequestKind
-// (Request.Op) — see KindGet/KindSet/KindDelete below.
-type (
-	Options = cachelib.Options
-	Hint    = cachelib.Hint
-)
-
-// Admission hints.
-const (
-	HintDefault = cachelib.HintDefault
-	HintForce   = cachelib.HintForce
-	HintBypass  = cachelib.HintBypass
-)
 
 // ErrDegraded is returned by writes (Set/SetAsync/SetMany/Delete) while a
 // shard's device-fault circuit breaker is open (Config.BreakerThreshold):
@@ -183,8 +141,8 @@ type ParallelReplayResult = cachelib.ParallelReplayResult
 // subsequence it would in a single-threaded replay, so hit ratio and write
 // amplification are independent of worker count while throughput scales
 // with cores. ParallelReplayConfig.BatchSize drives the Engine v2 batched
-// surface (per-shard GetMany/SetMany), AsyncSets the background flush
-// pipeline, and Options the per-request knobs.
+// surface (per-shard GetMany/SetMany) and AsyncSets the background flush
+// pipeline.
 func ParallelReplay(e Engine, reqs []Request, cfg ParallelReplayConfig) (ParallelReplayResult, error) {
 	return cachelib.ParallelReplay(e, reqs, cfg)
 }
@@ -273,9 +231,6 @@ type ClusterConfig = trace.ClusterConfig
 // Clusters returns the paper's four Table 5 cluster configurations.
 func Clusters() []ClusterConfig { return append([]ClusterConfig(nil), trace.Clusters...) }
 
-// NewZipfStream creates a deterministic Zipfian request stream.
-func NewZipfStream(cfg ClusterConfig) Stream { return trace.NewZipf(cfg) }
-
 // NewWorkload builds the paper's default benchmark: the four Table 5
 // clusters scaled to wssPerCluster bytes each and interleaved equally.
 func NewWorkload(wssPerCluster int64, seed int64) (Stream, error) {
@@ -297,22 +252,4 @@ const (
 // receives — while keeping the inner stream's key popularity and sizes.
 func NewMixedStream(inner Stream, setFrac, delFrac float64, seed int64) (Stream, error) {
 	return trace.NewMixed(inner, setFrac, delFrac, seed)
-}
-
-// AdmissionPolicy gates demand fills during Replay (nil admits everything).
-type AdmissionPolicy = admission.Policy
-
-// AdmitAll is the default admission policy: every miss is filled.
-func AdmitAll() AdmissionPolicy { return admission.AdmitAll{} }
-
-// RandomAdmission admits fills with probability p (CacheLib's static
-// "dynamic random" policy), trading hit ratio for flash write volume.
-func RandomAdmission(p float64, seed int64) AdmissionPolicy {
-	return admission.NewRandom(p, seed)
-}
-
-// RejectFirstAdmission admits an object only on its second appearance
-// within a window-sized doorkeeper, filtering one-hit wonders off flash.
-func RejectFirstAdmission(window int) AdmissionPolicy {
-	return admission.NewRejectFirst(window)
 }
