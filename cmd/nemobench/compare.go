@@ -1,16 +1,16 @@
 package main
 
 import (
+	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"nemo/internal/backend"
 	"nemo/internal/experiments"
 )
 
-// compareOptions carries the -compare flag set (shared flags reuse the
-// -replay spellings: -shards, -workers, -ops, -seed, -batch, -async,
-// -flushers, -setfrac, -delfrac, -scale).
+// compareOptions carries the -compare flag set.
 type compareOptions struct {
 	shardList string
 	workers   int
@@ -56,4 +56,24 @@ func runCompare(out io.Writer, o compareOptions) error {
 		Device:   o.device,
 		Out:      out,
 	})
+}
+
+// parseShardList parses the -shards flag: comma-separated positive counts.
+func parseShardList(s string) ([]int, error) {
+	var out []int
+	for _, f := range strings.Split(s, ",") {
+		f = strings.TrimSpace(f)
+		if f == "" {
+			continue
+		}
+		n, err := strconv.Atoi(f)
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad shard count %q", f)
+		}
+		out = append(out, n)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("empty shard list")
+	}
+	return out, nil
 }

@@ -6,32 +6,28 @@
 //	nemobench -list
 //	nemobench -exp fig12a [-scale small|medium|large] [-ops N] [-seed S]
 //	nemobench -all [-scale medium]
-//	nemobench -replay [-shards 1,2,4,8] [-workers K] [-ops N] [-seed S]
-//	          [-batch B] [-async] [-flushers K] [-setfrac F] [-delfrac F]
-//	          [-snapshot <path>]
-//	nemobench -compare [-shards 1,2,4] [-engines nemo,log,set,kg,fw]
-//	          [-parallel] [-notime] [-scale small|medium|large] [...]
+//	nemobench -compare [-shards 1,2,4,8] [-engines nemo,log,set,kg,fw]
+//	          [-workers K] [-ops N] [-seed S] [-batch B] [-async] [-flushers K]
+//	          [-setfrac F] [-delfrac F] [-parallel] [-notime]
+//	          [-scale small|medium|large] [-device file:<path>]
 //	nemobench -chaos [-scenario write-outage,flaky-writes|all] [-shards 2]
 //	          [-conns K] [-ops N] [-async -flushers K] [-seed S]
 //	          [-device file:<path>] [-json BENCH_chaos.json]
 //	nemobench ... [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
-// -replay runs the parallel trace-replay benchmark: the same materialized
-// Twitter-style trace is replayed against the sharded engine at each shard
-// count (total cache capacity held constant) and a row of host wall-clock
-// throughput, hit ratio, write amplification, and Set latency percentiles
-// is printed per configuration. -batch drives the Engine v2 batched surface
-// (per-shard GetMany/SetMany sub-batches), -async routes fills through
-// SetAsync and a -flushers-sized background flush pool (watch the setp99
-// column drop), and -setfrac/-delfrac rewrite a fraction of the trace into
-// explicit SET and DELETE operations.
-//
 // -compare runs the cross-engine comparison harness: one materialized mixed
 // trace replayed through all five engines, each behind the one sharded
-// facade (cachelib.ShardedEngine), at each shard count, printing
-// the Figure 12/15-style quality and throughput table. -engines filters the
-// set, -parallel replays the engines of a shard count concurrently, and
-// -notime drops the wall-clock columns so the table is byte-deterministic.
+// facade (cachelib.ShardedEngine), at each shard count (total cache
+// capacity held constant), printing the Figure 12/15-style quality and
+// throughput table. -engines filters the set (-engines nemo is the
+// functional smoke of the sharded engine alone), -batch drives the
+// Engine v2 batched surface (per-shard GetMany/SetMany sub-batches), -async
+// routes fills through SetAsync and a -flushers-sized background flush pool
+// (watch the setp99 column drop), -setfrac/-delfrac set the fraction of the
+// trace rewritten into explicit SET and DELETE operations (0 0 = the
+// pure-GET demand-fill trace), -parallel replays the engines of a shard
+// count concurrently, and -notime drops the wall-clock columns so the table
+// is byte-deterministic.
 //
 // -chaos runs the fault-injection harness: each named scenario (a seeded
 // device fault plan — error rates, added latency, fail-N-then-recover,
@@ -71,14 +67,13 @@ func run() int {
 		scale     = flag.String("scale", "medium", "device/workload scale: small, medium, large")
 		ops       = flag.Int("ops", 0, "override request count (0 = scale default)")
 		seed      = flag.Int64("seed", 1, "workload seed")
-		replay    = flag.Bool("replay", false, "run the parallel trace-replay benchmark")
-		shards    = flag.String("shards", "1,2,4,8", "comma-separated shard counts for -replay")
-		workers   = flag.Int("workers", 0, "replay worker goroutines (0 = one per shard)")
-		batch     = flag.Int("batch", 0, "per-shard batch size for -replay (<=1 = unbatched)")
-		async     = flag.Bool("async", false, "-replay: fills via SetAsync + background flusher pool")
-		flushers  = flag.Int("flushers", 2, "background flusher goroutines for -replay/-compare/-chaos with -async")
-		setFrac   = flag.Float64("setfrac", 0, "fraction of requests rewritten to explicit SETs (-compare defaults to 0.1)")
-		delFrac   = flag.Float64("delfrac", 0, "fraction of requests rewritten to DELETEs (-compare defaults to 0.02)")
+		shards    = flag.String("shards", "1,2,4,8", "comma-separated shard counts for -compare (-chaos takes the first)")
+		workers   = flag.Int("workers", 0, "-compare: replay worker goroutines (0 = one per shard)")
+		batch     = flag.Int("batch", 0, "-compare: per-shard batch size (<=1 = unbatched)")
+		async     = flag.Bool("async", false, "-compare/-chaos: fills via SetAsync + background flusher pool")
+		flushers  = flag.Int("flushers", 2, "background flusher goroutines for -compare/-chaos with -async")
+		setFrac   = flag.Float64("setfrac", 0.1, "-compare: fraction of requests rewritten to explicit SETs")
+		delFrac   = flag.Float64("delfrac", 0.02, "-compare: fraction of requests rewritten to DELETEs")
 		compare   = flag.Bool("compare", false, "run the cross-engine sharded comparison harness")
 		engines   = flag.String("engines", "", "-compare: comma-separated engine filter (nemo,log,set,kg,fw; empty = all)")
 		parallel  = flag.Bool("parallel", false, "-compare: replay the engines of one shard count concurrently")
@@ -87,8 +82,7 @@ func run() int {
 		scenarios = flag.String("scenario", "write-outage", "-chaos: comma-separated scenario names, or all (write-outage, flaky-writes, slow-reads, zone-kill)")
 		conns     = flag.Int("conns", 4, "-chaos: client connections")
 		pipelineN = flag.Int("pipeline", 8, "-chaos: requests per pipelined batch")
-		deviceStr = flag.String("device", "sim", "device backend for -replay/-compare/-chaos: sim, or file:<path> (file-backed real device, measured latencies)")
-		snapshot  = flag.String("snapshot", "", "-replay: warm-restart snapshot path — the run checkpoints, tears the cache down, and warm-restores mid-benchmark, reporting restore time and warm hit ratio")
+		deviceStr = flag.String("device", "sim", "device backend for -compare/-chaos: sim, or file:<path> (file-backed real device, measured latencies)")
 		jsonOut   = flag.String("json", "BENCH_chaos.json", "-chaos: machine-readable output path (pass -json '' for table-only output)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -130,8 +124,8 @@ func run() int {
 	}
 
 	if *chaosRun {
-		// -shards is a list flag shared with -replay and -compare; chaos runs
-		// one engine per scenario, so it takes the first count.
+		// -shards is a list flag shared with -compare; chaos runs one engine
+		// per scenario, so it takes the first count.
 		shardCounts, err := parseShardList(*shards)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -157,17 +151,15 @@ func run() int {
 	}
 
 	if *compare {
-		// The compare harness treats 0 as "unset" (its defaults are a
-		// mixed trace); an explicitly passed -setfrac 0 / -delfrac 0 must
-		// mean a pure-GET trace, which it spells as a negative value.
-		flag.Visit(func(f *flag.Flag) {
-			switch {
-			case f.Name == "setfrac" && *setFrac == 0:
-				*setFrac = -1
-			case f.Name == "delfrac" && *delFrac == 0:
-				*delFrac = -1
-			}
-		})
+		// The compare harness reads a zero fraction as "unset" (the mixed
+		// default); -setfrac 0 / -delfrac 0 mean a pure-GET trace, which it
+		// spells as a negative value.
+		if *setFrac == 0 {
+			*setFrac = -1
+		}
+		if *delFrac == 0 {
+			*delFrac = -1
+		}
 		err := runCompare(os.Stdout, compareOptions{
 			shardList: *shards,
 			workers:   *workers,
@@ -183,27 +175,6 @@ func run() int {
 			parallel:  *parallel,
 			noTime:    *noTime,
 			device:    deviceSpec,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
-
-	if *replay {
-		err := runReplay(os.Stdout, replayOptions{
-			shardList: *shards,
-			workers:   *workers,
-			ops:       *ops,
-			seed:      *seed,
-			batch:     *batch,
-			async:     *async,
-			flushers:  *flushers,
-			setFrac:   *setFrac,
-			delFrac:   *delFrac,
-			device:    deviceSpec,
-			snapshot:  *snapshot,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

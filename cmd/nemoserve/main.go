@@ -117,12 +117,10 @@ func run() int {
 		return 2
 	}
 	const pageSize = 4096
-	perData := *zones / *shards
-	perIdx := core.IndexZonesFor(perData, core.DefaultSGsPerIndexGroup)
 	geom := device.Geometry{
 		PageSize:     pageSize,
 		PagesPerZone: 256,
-		Zones:        *shards * (perData + perIdx),
+		Zones:        core.DeviceZonesFor(*zones, *shards),
 	}
 	open := spec.Open
 	if *snapPath != "" {
@@ -148,7 +146,15 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "nemoserve:", err)
 		return 1
 	}
-	defer cache.Close()
+	// With -snapshot, Close is the checkpoint (cfg.SnapshotPath is set). The
+	// drain path below runs it once, timed and checked; every earlier return
+	// leaves it to this deferred call.
+	drained := false
+	defer func() {
+		if !drained {
+			cache.Close()
+		}
+	}()
 	if *snapPath != "" {
 		switch restored, rerr := cache.RestoreOutcome(); {
 		case restored:
@@ -172,7 +178,7 @@ func run() int {
 		ReadTimeout: *readTO,
 		// Exactly the engine's per-object capacity: key + stored value
 		// (data plus the item envelope) must fit one set page.
-		MaxItemBytes: pageSize - setblock.HeaderSize - setblock.EntryOverhead,
+		MaxItemBytes: setblock.MaxObjectBytes(pageSize),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nemoserve:", err)
@@ -232,15 +238,16 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "nemoserve: drain:", err)
 		return 1
 	}
+	st := cache.Stats()
+	drained = true
+	t0 := time.Now()
+	if err := cache.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "nemoserve: close:", err)
+		return 1
+	}
 	if *snapPath != "" {
-		t0 := time.Now()
-		if err := cache.Checkpoint(*snapPath); err != nil {
-			fmt.Fprintln(os.Stderr, "nemoserve: checkpoint:", err)
-			return 1
-		}
 		fmt.Printf("nemoserve: checkpointed to %s in %d ms\n", *snapPath, time.Since(t0).Milliseconds())
 	}
-	st := cache.Stats()
 	fmt.Printf("nemoserve: drained (gets=%d hits=%d sets=%d deletes=%d rderr=%d wrerr=%d)\n",
 		st.Gets, st.Hits, st.Sets, st.Deletes, st.ReadErrors, st.WriteErrors)
 	return 0

@@ -29,8 +29,8 @@
 //     when the rear-full trigger fires, the full SG's flush is handed to a
 //     background flusher pool (Config.Flushers goroutines, shared across
 //     shards) instead of running inline on the inserting worker. The flush
-//     is the p99 outlier of the Set path — `nemobench -replay -async`
-//     shows it moving off the latency distribution. Drain awaits all
+//     is the p99 outlier of the Set path — `nemobench -compare -engines
+//     nemo -async` shows it moving off the latency distribution. Drain awaits all
 //     deferred work; a sacrifice budget backpressures to inline flushing
 //     if the pool ever lags.
 //
@@ -95,8 +95,8 @@
 // inflate, because a conflicted attempt's device reads really happened and
 // racing readers may duplicate a PBFG fetch before either publishes it.
 // GET-path device read errors are never swallowed: a failed read degrades
-// to a miss and lands in Stats.ReadErrors (surfaced by the -replay and
-// -compare tables).
+// to a miss and lands in Stats.ReadErrors (the rderr column of the
+// -compare table).
 //
 // # The concurrent write path
 //
@@ -150,7 +150,7 @@
 // and freed zones are erased and returned, the sealed SG's objects are
 // dropped (counted as Evictions — a cache may always miss), and the
 // failure lands in Stats.WriteErrors the moment it happens (surfaced as
-// the wrerr column in the -replay/-compare tables) as well as in the Set
+// the wrerr column of the -compare table) as well as in the Set
 // error (sync) or Drain/Close error (async).
 //
 // # Memory layout
@@ -243,6 +243,10 @@
 // actually serves the wire. Replies are written strictly in request order
 // and flushed once per batch; a malformed request occupies its pipeline
 // position as an ERROR/CLIENT_ERROR reply and never kills the connection.
+// A connection holds 32 KiB (a 16 KiB read and a 16 KiB write buffer) for
+// its life and waits between requests in a read into the former, so a
+// request that arrives in one segment costs one transport read. Depth-1 cost
+// is benchmark/'s get_fits · throughput_ops_s and server.self_us_per_req rows.
 //
 // Stored values carry a 4-byte big-endian flags envelope ahead of the
 // data, which round-trips memcached flags and keeps protocol-level empty
@@ -417,9 +421,10 @@
 // The layers above thread it through: nemoserve -snapshot restores on
 // boot, checkpoints on graceful drain (and periodically with
 // -snapshot-every), and opens the file device in Persist mode so a real
-// process restart comes back warm; nemobench -replay -snapshot runs
-// kill-and-restore mid-replay and reports restore time and warm hit ratio
-// (benchmark/: snapshot.restore_ms, snapshot.hit_retention). The simulator
+// process restart comes back warm; benchmark/ checkpoints, tears the
+// system down and warm-restores it in every traced run and reports restore
+// time and warm hit retention (snapshot.restore_ms,
+// snapshot.hit_retention). The simulator
 // is volatile by design — a sim "restart" never
 // matches the fresh device's generation and correctly starts cold.
 //
@@ -452,15 +457,15 @@
 //     path (`nemobench -compare`, above).
 //   - Workload generators parameterized like the paper's Twitter traces
 //     (NewWorkload, Clusters, NewMixedStream), a sequential replay harness
-//     (Replay), and a parallel trace-replay driver (Materialize,
-//     ParallelReplay) with deterministic per-shard sequencing — hit ratio
+//     (Replay), and a parallel replay driver over a materialized trace
+//     (Materialize, ParallelReplay) with deterministic per-shard sequencing — hit ratio
 //     and write amplification are independent of worker count and batch
 //     size while throughput scales with cores. Batched replay
 //     (ParallelReplayConfig.BatchSize) drives GetMany/SetMany with
 //     per-shard batch composition and merged multi-shard fan-out; AsyncSets
 //     routes fills through the flush pipeline; Set latency percentiles
-//     land in ParallelReplayResult.SetLatency. `nemobench -replay` prints
-//     the scaling table.
+//     land in ParallelReplayResult.SetLatency. `nemobench -compare
+//     -engines nemo` prints the per-shard-count table.
 //
 // A minimal session:
 //

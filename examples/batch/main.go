@@ -19,9 +19,7 @@ func main() {
 	// An 8-shard cache over one simulated ZNS device, with 2 background
 	// flusher goroutines serving all shards.
 	const shards = 8
-	perData := 48 / shards
-	perIdx := nemo.IndexZonesFor(perData, 50)
-	dev := nemo.NewDevice(nemo.DeviceConfig{PagesPerZone: 64, Zones: shards * (perData + perIdx)})
+	dev := nemo.NewDevice(nemo.DeviceConfig{PagesPerZone: 64, Zones: nemo.DeviceZonesFor(48, shards)})
 	cfg := nemo.DefaultConfig(dev, 48)
 	cfg.Shards = shards
 	cfg.Flushers = 2

@@ -39,6 +39,15 @@ const (
 	valueSize    = 250
 )
 
+// The breaker shape of every run (a chaos run without a breaker measures
+// nothing), and the bound on the post-heal probe loop.
+const (
+	breakerThreshold  = 3
+	breakerProbeAfter = 100 * time.Millisecond
+	writeRetries      = 1 // bounded append retries
+	recoveryTimeout   = 10 * time.Second
+)
+
 // Scenario names a composable fault plan. Rules receives the device's
 // total zone count so per-zone scenarios can target real zones.
 type Scenario struct {
@@ -106,15 +115,6 @@ type Config struct {
 	Conns    int          // client connections (default 2)
 	Ops      int          // total requests across connections (default 4000)
 	Pipeline int          // requests per pipelined batch (default 8)
-
-	// Breaker shape for the run. Threshold 0 takes the harness default of
-	// 3 (a chaos run without a breaker is measuring nothing).
-	BreakerThreshold  int
-	BreakerProbeAfter time.Duration // default 100ms
-	WriteRetries      int           // bounded append retries (default 1)
-
-	// RecoveryTimeout bounds the post-heal probe loop (default 10s).
-	RecoveryTimeout time.Duration
 }
 
 // Result is what one chaos run observed.
@@ -170,28 +170,14 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Pipeline <= 0 {
 		cfg.Pipeline = 8
 	}
-	if cfg.BreakerThreshold <= 0 {
-		cfg.BreakerThreshold = 3
-	}
-	if cfg.BreakerProbeAfter <= 0 {
-		cfg.BreakerProbeAfter = 100 * time.Millisecond
-	}
-	if cfg.WriteRetries <= 0 {
-		cfg.WriteRetries = 1
-	}
-	if cfg.RecoveryTimeout <= 0 {
-		cfg.RecoveryTimeout = 10 * time.Second
-	}
 	if zonesTotal%cfg.Shards != 0 {
 		return Result{}, fmt.Errorf("chaos: %d data zones not divisible by %d shards", zonesTotal, cfg.Shards)
 	}
 
-	perData := zonesTotal / cfg.Shards
-	perIdx := core.IndexZonesFor(perData, core.DefaultSGsPerIndexGroup)
 	dev, err := cfg.Device.Open(device.Geometry{
 		PageSize:     pageSize,
 		PagesPerZone: pagesPerZone,
-		Zones:        cfg.Shards * (perData + perIdx),
+		Zones:        core.DeviceZonesFor(zonesTotal, cfg.Shards),
 	})
 	if err != nil {
 		return Result{}, err
@@ -201,9 +187,9 @@ func Run(cfg Config) (Result, error) {
 	ecfg := core.DefaultConfig(dev, zonesTotal)
 	ecfg.Shards = cfg.Shards
 	ecfg.Flushers = cfg.Flushers
-	ecfg.BreakerThreshold = cfg.BreakerThreshold
-	ecfg.BreakerProbeAfter = cfg.BreakerProbeAfter
-	ecfg.WriteRetries = cfg.WriteRetries
+	ecfg.BreakerThreshold = breakerThreshold
+	ecfg.BreakerProbeAfter = breakerProbeAfter
+	ecfg.WriteRetries = writeRetries
 	cache, err := core.NewSharded(ecfg)
 	if err != nil {
 		return Result{}, err
@@ -213,7 +199,7 @@ func Run(cfg Config) (Result, error) {
 	srv, err := server.New(server.Config{
 		Engine:       cache,
 		SyncSet:      cfg.SyncSet,
-		MaxItemBytes: pageSize - setblock.HeaderSize - setblock.EntryOverhead,
+		MaxItemBytes: setblock.MaxObjectBytes(pageSize),
 	})
 	if err != nil {
 		return Result{}, err
@@ -276,7 +262,7 @@ func Run(cfg Config) (Result, error) {
 	// own way back (half-open probe), no restart allowed.
 	plan.Disarm()
 	healed := time.Now()
-	if err := probeRecovery(l.Addr().String(), dev.Clock(), cfg.RecoveryTimeout); err != nil {
+	if err := probeRecovery(l.Addr().String(), dev.Clock(), recoveryTimeout); err != nil {
 		return Result{}, err
 	}
 	res.RecoverySecs = time.Since(healed).Seconds()

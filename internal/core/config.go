@@ -184,6 +184,15 @@ func IndexZonesFor(dataZones, sgsPerGroup int) int {
 	return (dataZones+sgsPerGroup-1)/sgsPerGroup + 2
 }
 
+// DeviceZonesFor returns how many device zones NewSharded claims for a
+// DefaultConfig cache of dataZones data zones in shards shards: each shard
+// lays its own index pool after its slice of the SG pool. dataZones must be
+// a multiple of shards (NewSharded refuses anything else).
+func DeviceZonesFor(dataZones, shards int) int {
+	perData := dataZones / shards
+	return shards * (perData + IndexZonesFor(perData, DefaultSGsPerIndexGroup))
+}
+
 // IndexZones returns the index-pool reservation for this configuration:
 // each index group occupies one SG worth of zones.
 func (c Config) IndexZones() int {

@@ -305,9 +305,8 @@ func (c *Cache) setLocked(fp uint64, key, value []byte, async bool) error {
 		// would make the object unreadable while still counting as stored.
 		return fmt.Errorf("core: zero-length values are reserved for deletion tombstones; use Delete")
 	}
-	need := setblock.EntrySize(len(key), len(value))
-	if need > c.pageSize-setblock.HeaderSize || len(key) > 255 {
-		return fmt.Errorf("core: object of %d bytes exceeds set size %d", need, c.pageSize)
+	if len(key)+len(value) > setblock.MaxObjectBytes(c.pageSize) || len(key) > 255 {
+		return fmt.Errorf("core: object of %d bytes exceeds set size %d", setblock.EntrySize(len(key), len(value)), c.pageSize)
 	}
 	o := c.setOf(fp)
 	probe, derr := c.breakerAllowWriteLocked()

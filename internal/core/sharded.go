@@ -125,7 +125,9 @@ func (s *Sharded) Shard(i int) *Cache { return s.shards[i] }
 // Close implements cachelib.Engine: the shared flusher pool is drained and
 // stopped, a final warm-restart checkpoint is written when
 // Config.SnapshotPath is set, then every shard is closed — all of them,
-// even after a failure — and the first error is returned.
+// even after a failure — and the first error is returned. With SnapshotPath
+// set, Close is the checkpoint: a caller that also calls Checkpoint first
+// writes the same state to the same file twice.
 func (s *Sharded) Close() error {
 	var first error
 	if s.pool != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nemo/internal/flashsim"
+	"nemo/internal/setblock"
 	"nemo/internal/trace"
 )
 
@@ -364,5 +365,40 @@ func TestShardedConcurrentGetAfterPut(t *testing.T) {
 	}
 	if st.Hits != uint64(totalHits) {
 		t.Fatalf("engine counted %d hits, workers observed %d", st.Hits, totalHits)
+	}
+}
+
+// TestDeviceZonesForMatchesNewSharded pins the two sizing functions callers
+// size a device and a request limit with against the code that decides:
+// a DefaultConfig cache constructs on exactly DeviceZonesFor zones and is
+// refused on one fewer, and Set admits an object of exactly
+// setblock.MaxObjectBytes and refuses one byte more.
+func TestDeviceZonesForMatchesNewSharded(t *testing.T) {
+	const dataZones, pageSize = 48, 4096
+	for _, shards := range []int{1, 2, 4, 8} {
+		build := func(zones int) (*Sharded, error) {
+			dev := flashsim.New(flashsim.Config{PageSize: pageSize, PagesPerZone: 16, Zones: zones})
+			cfg := DefaultConfig(dev, dataZones)
+			cfg.Shards = shards
+			return NewSharded(cfg)
+		}
+		zones := DeviceZonesFor(dataZones, shards)
+		if c, err := build(zones - 1); err == nil {
+			c.Close()
+			t.Fatalf("shards=%d: constructed on %d zones, one fewer than DeviceZonesFor", shards, zones-1)
+		}
+		c, err := build(zones)
+		if err != nil {
+			t.Fatalf("shards=%d: refused on DeviceZonesFor = %d zones: %v", shards, zones, err)
+		}
+		key := []byte("capacity-key")
+		fits := make([]byte, setblock.MaxObjectBytes(pageSize)-len(key))
+		if err := c.Set(key, fits); err != nil {
+			t.Fatalf("shards=%d: object of exactly MaxObjectBytes refused: %v", shards, err)
+		}
+		if err := c.Set(key, append(fits, 0)); err == nil {
+			t.Fatalf("shards=%d: object one byte over MaxObjectBytes admitted", shards)
+		}
+		c.Close()
 	}
 }

@@ -156,9 +156,7 @@ var compareEngines = []compareEngine{
 	{
 		key: "nemo", name: "Nemo", minPerShard: 2,
 		build: func(g compareGeometry, open openFn, n int, async bool, flushers int) (cachelib.Engine, error) {
-			perData := g.DataZones / n
-			perIdx := core.IndexZonesFor(perData, core.DefaultSGsPerIndexGroup)
-			dev, err := open(n * (perData + perIdx))
+			dev, err := open(core.DeviceZonesFor(g.DataZones, n))
 			if err != nil {
 				return nil, err
 			}
@@ -244,12 +242,12 @@ func selectEngines(keys []string) ([]compareEngine, error) {
 	return out, nil
 }
 
-// CompareTrace materializes the comparison workload for a scale: the four
+// compareTrace materializes the comparison workload for a scale: the four
 // Table 5 clusters interleaved at ~3× cache capacity, with the configured
-// fraction rewritten into explicit SETs and DELETEs.
-func CompareTrace(o CompareConfig) ([]trace.Request, error) {
-	o = o.withDefaults()
-	g := compareGeometryFor(o.Scale)
+// fraction rewritten into explicit SETs and DELETEs. o already carries its
+// defaults: withDefaults is not idempotent (it resolves the negative
+// "explicitly zero" fractions to 0, which a second pass would read as unset).
+func compareTrace(o CompareConfig, g compareGeometry) ([]trace.Request, error) {
 	if o.Ops <= 0 {
 		o.Ops = g.Ops
 	}
@@ -276,7 +274,7 @@ func RunCompare(o CompareConfig) error {
 	if err != nil {
 		return err
 	}
-	reqs, err := CompareTrace(o)
+	reqs, err := compareTrace(o, g)
 	if err != nil {
 		return err
 	}

@@ -176,3 +176,38 @@ func TestCompareShowsBaselineReadErrors(t *testing.T) {
 		t.Fatalf("want one Log row per shard count:\n%s", out)
 	}
 }
+
+// TestComparePureGetTrace pins that an explicitly zero SET/DELETE mix (the
+// negative fractions `-setfrac 0 -delfrac 0` are spelled as) reaches the
+// trace: the run issues no DELETE, and its table is not the default-mix
+// one. Defaults applied twice used to turn the resolved 0 back into 10%/2%.
+func TestComparePureGetTrace(t *testing.T) {
+	saved := compareEngines
+	defer func() { compareEngines = saved }()
+	nemo := saved[0]
+	var built cachelib.Engine
+	spy := nemo
+	spy.build = func(g compareGeometry, open openFn, n int, async bool, flushers int) (cachelib.Engine, error) {
+		eng, err := nemo.build(g, open, n, async, flushers)
+		built = eng
+		return eng, err
+	}
+	compareEngines = []compareEngine{spy}
+
+	cfg := compareBase()
+	cfg.Shards = []int{1}
+	mixed := compareTable(t, cfg)
+	if built.Stats().Deletes == 0 {
+		t.Fatalf("default-mix run issued no DELETE:\n%s", mixed)
+	}
+	cfg.SetFrac, cfg.DelFrac = -1, -1
+	pure := compareTable(t, cfg)
+	if d := built.Stats().Deletes; d != 0 {
+		t.Fatalf("pure-GET run issued %d DELETEs:\n%s", d, pure)
+	}
+	// The title line names the mix; the rows below it must differ too.
+	rows := func(table string) string { return table[strings.Index(table, "\n"):] }
+	if !strings.Contains(pure, "(0% SET, 0% DEL)") || rows(pure) == rows(mixed) {
+		t.Fatalf("pure-GET rows are the default-mix rows:\n%s", pure)
+	}
+}

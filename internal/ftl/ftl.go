@@ -23,10 +23,12 @@ type Config struct {
 	// OPRatio is the fraction of physical capacity reserved as
 	// over-provisioning (not exposed as logical space). Must be in (0, 1).
 	OPRatio float64
-	// FreeZoneReserve is the number of free zones below which GC runs
-	// (default 2; must be ≥ 1 and leave at least one writable zone).
-	FreeZoneReserve int
 }
+
+// freeZoneReserve is the free-zone count at or below which GC runs. New
+// requires freeZoneReserve+2 zones and exposes neither the reserve nor the
+// active zone as logical capacity.
+const freeZoneReserve = 2
 
 // Stats reports FTL-level accounting. DLWA = (HostPages+GCPages)/HostPages.
 type Stats struct {
@@ -50,7 +52,6 @@ func (s Stats) DLWA() float64 {
 // device. It is safe for concurrent use.
 type FTL struct {
 	dev       device.Device
-	cfg       Config
 	zoneBase  int // first device zone owned by this FTL
 	zoneCount int
 
@@ -70,16 +71,13 @@ func New(dev device.Device, zoneBase, zoneCount int, cfg Config) (*FTL, error) {
 	if cfg.OPRatio <= 0 || cfg.OPRatio >= 1 {
 		return nil, fmt.Errorf("ftl: OPRatio %v out of range (0,1)", cfg.OPRatio)
 	}
-	if cfg.FreeZoneReserve <= 0 {
-		cfg.FreeZoneReserve = 2
-	}
-	if zoneBase < 0 || zoneBase+zoneCount > dev.Zones() || zoneCount < cfg.FreeZoneReserve+2 {
+	if zoneBase < 0 || zoneBase+zoneCount > dev.Zones() || zoneCount < freeZoneReserve+2 {
 		return nil, fmt.Errorf("ftl: zone range [%d,%d) invalid for device with %d zones (reserve %d)",
-			zoneBase, zoneBase+zoneCount, dev.Zones(), cfg.FreeZoneReserve)
+			zoneBase, zoneBase+zoneCount, dev.Zones(), freeZoneReserve)
 	}
 	physPages := zoneCount * dev.PagesPerZone()
 	logical := int(float64(physPages) * (1 - cfg.OPRatio))
-	maxLogical := (zoneCount - cfg.FreeZoneReserve - 1) * dev.PagesPerZone()
+	maxLogical := (zoneCount - freeZoneReserve - 1) * dev.PagesPerZone()
 	if logical > maxLogical {
 		logical = maxLogical
 	}
@@ -88,7 +86,6 @@ func New(dev device.Device, zoneBase, zoneCount int, cfg Config) (*FTL, error) {
 	}
 	f := &FTL{
 		dev:       dev,
-		cfg:       cfg,
 		zoneBase:  zoneBase,
 		zoneCount: zoneCount,
 		l2p:       make([]int, logical),
@@ -194,7 +191,7 @@ func (f *FTL) appendLocked(data []byte, counter *uint64) (time.Duration, int, er
 	ppz := f.dev.PagesPerZone()
 	if f.active < 0 || f.dev.ZoneWP(f.devZone(f.active)) >= ppz {
 		f.active = -1
-		if len(f.freeZones) <= f.cfg.FreeZoneReserve {
+		if len(f.freeZones) <= freeZoneReserve {
 			if err := f.gcLocked(); err != nil {
 				return 0, 0, err
 			}
@@ -220,7 +217,7 @@ func (f *FTL) appendLocked(data []byte, counter *uint64) (time.Duration, int, er
 func (f *FTL) gcLocked() error {
 	ppz := f.dev.PagesPerZone()
 	iterations := 0
-	for len(f.freeZones) <= f.cfg.FreeZoneReserve {
+	for len(f.freeZones) <= freeZoneReserve {
 		iterations++
 		if iterations > 4*f.zoneCount {
 			var valid, full int

@@ -55,8 +55,8 @@ type Migrate func(set int32, objs []setblock.Entry) error
 // drains the oldest zone through migrate and retries. An object that could
 // never fit a set page is rejected before it enters the log.
 func (f *Front) Set(set int32, fp uint64, key, value []byte, migrate Migrate) error {
-	if need := setblock.EntrySize(len(key), len(value)); need > f.pageSize-setblock.HeaderSize || len(key) > 255 {
-		return fmt.Errorf("hlog: object of %d bytes exceeds set size %d", need, f.pageSize)
+	if len(key)+len(value) > setblock.MaxObjectBytes(f.pageSize) || len(key) > 255 {
+		return fmt.Errorf("hlog: object of %d bytes exceeds set size %d", setblock.EntrySize(len(key), len(value)), f.pageSize)
 	}
 	for {
 		err := f.Append(set, fp, key, value)

@@ -9,7 +9,6 @@ import (
 	"net"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"nemo/internal/cachelib"
@@ -21,34 +20,27 @@ import (
 // Replies are produced strictly in request order (a parse error occupies
 // its position in the pipeline like any other reply), and the write buffer
 // is flushed once per batch — the unit of amortization that makes pipelined
-// loopback throughput scale.
+// loopback throughput scale. A connection owns its read and write buffers
+// for its whole life, and the wait between requests is a blocking read into
+// that read buffer: the transport read that ends the wait already carries
+// the request, so a request that arrives in one segment costs one read.
 
-// readBufSize bounds both the bufio reader (and therefore the longest
-// acceptable request line) and the reply writer.
+// readBufSize sizes the bufio reader (and therefore the longest acceptable
+// request line) and the reply writer: 2 x 16 KiB per live connection.
 const readBufSize = 16 << 10
 
 // valRetainBytes bounds the per-slot value buffer kept across batches: a
 // slot that buffered a larger set gives the storage back after the batch,
-// so one burst of big objects does not pin its high-water heap on every
-// idle connection forever.
+// so one burst of big objects does not pin its high-water heap on the
+// connection forever.
 const valRetainBytes = 16 << 10
 
 // batchRetainBytes bounds the total batch accumulation storage (op slots,
 // owned keys, retained values, gather scratch) a connection keeps between
 // batches. A connection whose slots grew past the cap releases them all and
 // re-grows on the next batch, so one deep pipeline burst does not pin its
-// high-water heap on an idle connection.
+// high-water heap on the connection.
 const batchRetainBytes = 64 << 10
-
-// readerPool / writerPool hold the 16 KiB bufio buffers shared across all
-// connections. A connection borrows both only while a batch is in flight:
-// between requests it parks blocked on a raw 1-byte read with the buffers
-// returned, so an idle connection holds ~zero heap (the ROADMAP's "10k+
-// idle connections" direction).
-var (
-	readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, readBufSize) }}
-	writerPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, readBufSize) }}
-)
 
 // errClass classifies a request that failed before reaching the engine.
 type errClass uint8
@@ -96,19 +88,14 @@ func (o *op) size() int {
 	return n
 }
 
-// conn is the per-connection state. r and w are pooled: non-nil only while
-// the connection is inside a batch (see readerPool).
+// conn is the per-connection state. r and w wrap nc from serveConn's first
+// line to its last; bytes r still buffers after a batch are the start of the
+// next pipelined request and simply stay there.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 	r   *bufio.Reader
 	w   *bufio.Writer
-
-	// pend holds the request byte consumed by the buffer-less idle wait
-	// (waitFirstByte); conn.Read hands it back before touching the socket,
-	// so the pooled reader sees an unbroken stream.
-	pend     byte
-	havePend bool
 
 	cmd  Command // parse scratch
 	ops  []op    // batch slots, reused
@@ -133,8 +120,12 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 	defer s.removeConn(nc)
 	defer nc.Close()
-	c := &conn{srv: s, nc: nc}
-	defer c.releaseBufs()
+	c := &conn{
+		srv: s,
+		nc:  nc,
+		r:   bufio.NewReaderSize(nc, readBufSize),
+		w:   bufio.NewWriterSize(nc, readBufSize),
+	}
 	for {
 		c.nops = 0
 		c.midRequest = false
@@ -145,19 +136,17 @@ func (s *Server) serveConn(nc net.Conn) {
 		} else if s.cfg.ReadTimeout > 0 {
 			s.setReadDeadline(nc, time.Time{})
 		}
-		// The one wait that may park the connection for a long time happens
-		// buffer-less: block on a raw 1-byte read so an idle connection
-		// borrows nothing from the pools. An error here (EOF, client reset,
+		// The one wait that may park the connection for a long time: block
+		// until the next request's first byte is buffered (a no-op when a
+		// pipelined request already is). An error here (EOF, client reset,
 		// Shutdown's deadline, a timeout) ends the connection with no batch
 		// in flight and nothing to flush.
-		if err := c.waitFirstByte(); err != nil {
+		if _, err := c.r.Peek(1); err != nil {
 			c.countTimeout(err)
 			return
 		}
-		c.acquireBufs()
 		if err := c.readOp(); err != nil {
-			c.w.Flush()
-			c.countTimeout(err)
+			c.countTimeout(err) // nothing executed yet: the writer is empty
 			return
 		}
 		// Accumulate while more pipelined requests are already buffered
@@ -189,79 +178,13 @@ func (s *Server) serveConn(nc net.Conn) {
 			batchBytes += c.ops[c.nops-1].size()
 		}
 		quit := c.execute()
-		err := c.w.Flush()
-		c.releaseBufs()
-		if err != nil {
+		if err := c.w.Flush(); err != nil {
 			return
 		}
 		c.trimSlots()
 		if quit || s.isClosed() {
 			return
 		}
-	}
-}
-
-// Read implements io.Reader for the pooled bufio reader: it replays the byte
-// waitFirstByte consumed, then delegates to the socket.
-func (c *conn) Read(p []byte) (int, error) {
-	if c.havePend {
-		p[0] = c.pend
-		c.havePend = false
-		return 1, nil
-	}
-	return c.nc.Read(p)
-}
-
-// waitFirstByte blocks until the next request's first byte is available. It
-// is a no-op when a pipelined byte is already pending or buffered; otherwise
-// it reads one raw byte from the socket — with the bufio buffers parked in
-// their pools — and stashes it for conn.Read to replay.
-func (c *conn) waitFirstByte() error {
-	if c.havePend || (c.r != nil && c.r.Buffered() > 0) {
-		return nil
-	}
-	var b [1]byte
-	for {
-		n, err := c.nc.Read(b[:])
-		if n > 0 {
-			c.pend, c.havePend = b[0], true
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// acquireBufs borrows the batch's read and write buffers from the pools. The
-// reader may already be held from the previous batch when it still buffers a
-// partial pipelined request (releaseBufs keeps it in that case).
-func (c *conn) acquireBufs() {
-	if c.r == nil {
-		c.r = readerPool.Get().(*bufio.Reader)
-		c.r.Reset(c)
-	}
-	if c.w == nil {
-		c.w = writerPool.Get().(*bufio.Writer)
-		c.w.Reset(c.nc)
-	}
-}
-
-// releaseBufs returns the pooled buffers after a batch (and at connection
-// end). The writer always goes back — its batch is flushed, and Reset
-// discards anything a failed flush left behind. The reader goes back only
-// when empty: buffered bytes are the start of the next pipelined request and
-// must survive until that batch runs.
-func (c *conn) releaseBufs() {
-	if c.w != nil {
-		c.w.Reset(nil)
-		writerPool.Put(c.w)
-		c.w = nil
-	}
-	if c.r != nil && c.r.Buffered() == 0 {
-		c.r.Reset(nil)
-		readerPool.Put(c.r)
-		c.r = nil
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package server is the memcached-text-protocol front end over the Engine
 // v2 surface: the piece that turns the in-process cache into a network
 // service. Per-connection goroutines parse pipelined requests into small
-// batches that coalesce into GetMany/SetMany calls (the batching machinery
-// PRs 2-5 built exists precisely for this front end), SETs ride the
+// batches that coalesce into GetMany/SetMany calls, SETs ride the
 // asynchronous flush pipeline by default, and shutdown is a graceful drain:
 // stop accepting, let every connection finish and reply to its in-flight
 // batch, then Drain the engine so every acknowledged write has reached

@@ -28,6 +28,10 @@ const EntryOverhead = 8 + 1 + 2
 // value lengths.
 func EntrySize(keyLen, valLen int) int { return EntryOverhead + keyLen + valLen }
 
+// MaxObjectBytes is the largest key+value a set page of pageSize bytes
+// admits: the object's entry alone in the block.
+func MaxObjectBytes(pageSize int) int { return pageSize - HeaderSize - EntryOverhead }
+
 // Entry is a decoded object reference. Key and Value alias the block's
 // buffer and are invalidated by the next mutation.
 type Entry struct {

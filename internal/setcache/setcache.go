@@ -99,9 +99,8 @@ func (c *Cache) MemoryBitsPerObject() float64 {
 
 // Set performs the read-modify-write insert into the object's set.
 func (c *Cache) Set(key, value []byte) error {
-	need := setblock.EntrySize(len(key), len(value))
-	if need > c.tier.pageSize-setblock.HeaderSize || len(key) > 255 {
-		return fmt.Errorf("setcache: object of %d bytes exceeds set size %d", need, c.tier.pageSize)
+	if len(key)+len(value) > setblock.MaxObjectBytes(c.tier.pageSize) || len(key) > 255 {
+		return fmt.Errorf("setcache: object of %d bytes exceeds set size %d", setblock.EntrySize(len(key), len(value)), c.tier.pageSize)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -96,6 +96,11 @@ func IndexZonesFor(dataZones, sgsPerGroup int) int {
 	return core.IndexZonesFor(dataZones, sgsPerGroup)
 }
 
+// DeviceZonesFor reports how many device zones NewSharded claims for a
+// DefaultConfig cache of dataZones data zones in shards shards (every shard
+// reserves its own index pool); dataZones must be a multiple of shards.
+func DeviceZonesFor(dataZones, shards int) int { return core.DeviceZonesFor(dataZones, shards) }
+
 // Engine is the minimal cache-engine interface implemented by Nemo and all
 // four baselines; Replay drives any Engine.
 type Engine = cachelib.Engine

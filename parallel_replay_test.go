@@ -11,7 +11,7 @@ import (
 	"nemo"
 )
 
-// replayDataZones mirrors cmd/nemobench's -replay geometry: the total SG
+// replayDataZones mirrors cmd/nemobench's -compare geometry: the total SG
 // pool is constant across shard counts so hit ratio and write amplification
 // stay comparable while partitioning changes.
 const replayDataZones = 48
