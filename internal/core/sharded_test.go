@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"nemo/internal/cachelib"
+	"nemo/internal/enginetest"
 	"nemo/internal/flashsim"
 	"nemo/internal/setblock"
 	"nemo/internal/trace"
@@ -99,6 +101,31 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 	if devA != devB {
 		t.Fatalf("device stats diverged:\nsharded: %+v\nplain:   %+v", devB, devA)
 	}
+}
+
+// TestConformance runs the engine-contract table every baseline runs against
+// the bare engine and the two-shard facade.
+func TestConformance(t *testing.T) {
+	t.Run("bare", func(t *testing.T) {
+		enginetest.Conformance(t, func(t *testing.T) cachelib.Engine {
+			_, cfg := shardedGeom(t, 1, 8)
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		})
+	})
+	t.Run("sharded2", func(t *testing.T) {
+		enginetest.Conformance(t, func(t *testing.T) cachelib.Engine {
+			_, cfg := shardedGeom(t, 2, 4)
+			s, err := NewSharded(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		})
+	})
 }
 
 // TestShardedAggregateCounts replays the same trace at several shard counts

@@ -51,6 +51,15 @@ func TestShardedPartition(t *testing.T) {
 	enginetest.MultiShardPartition(t, 20_000, 2, mkSharded)
 }
 
+// TestConformance runs the engine-contract table against the bare engine
+// and the two-shard facade.
+func TestConformance(t *testing.T) {
+	t.Run("bare", func(t *testing.T) { enginetest.Conformance(t, mkBare) })
+	t.Run("sharded2", func(t *testing.T) {
+		enginetest.Conformance(t, func(t *testing.T) cachelib.Engine { return mkSharded(t, 2) })
+	})
+}
+
 // TestShardedRejectsTinyShards pins the per-shard minimum: partitioning 32
 // zones into 8 shards leaves 4 zones per shard — not enough for an HLog
 // plus a set tier.

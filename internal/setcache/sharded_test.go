@@ -43,6 +43,15 @@ func TestShardedPartition(t *testing.T) {
 	enginetest.MultiShardPartition(t, 20_000, 2, mkSharded)
 }
 
+// TestConformance runs the engine-contract table against the bare engine
+// and the two-shard facade.
+func TestConformance(t *testing.T) {
+	t.Run("bare", func(t *testing.T) { enginetest.Conformance(t, mkBare) })
+	t.Run("sharded2", func(t *testing.T) {
+		enginetest.Conformance(t, func(t *testing.T) cachelib.Engine { return mkSharded(t, 2) })
+	})
+}
+
 // TestShardedRejectsIndivisible pins the zone-partition validation.
 func TestShardedRejectsIndivisible(t *testing.T) {
 	if _, err := setcache.NewSharded(setcache.Config{Device: newDev()}, 5); err == nil {
