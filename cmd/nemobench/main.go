@@ -21,7 +21,7 @@
 // capacity held constant), printing the Figure 12/15-style quality and
 // throughput table. -engines filters the set (-engines nemo is the
 // functional smoke of the sharded engine alone), -batch drives the
-// Engine v2 batched surface (per-shard GetMany/SetMany sub-batches), -async
+// engines' batch calls (per-shard GetMany/SetMany sub-batches), -async
 // routes fills through SetAsync and a -flushers-sized background flush pool
 // (watch the setp99 column drop), -setfrac/-delfrac set the fraction of the
 // trace rewritten into explicit SET and DELETE operations (0 0 = the

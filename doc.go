@@ -9,36 +9,47 @@
 // filter index (PBFG) keeps memory at ~8 bits per object, and hybrid 1-bit
 // hotness tracking feeds writeback so hot objects survive eviction.
 //
-// # Engine v2: core and extension interfaces
+// # The engine contract
 //
-// Every cache design in the repository implements the minimal Engine
-// contract (Name/Get/Set/Stats/ReadLatency/Close) — the neutral harness
-// surface the paper's comparisons need. EngineV2 is Engine plus three
-// production capabilities (declared one by one in internal/cachelib):
+// Every cache design in the repository — Nemo, the four baselines, and each
+// of them behind a sharded facade — implements one interface, Engine
+// (internal/cachelib): Name, Get, Set, Delete, GetMany, SetMany, SetAsync,
+// Drain, Stats, ReadLatency, Close. It is the neutral harness surface the
+// paper's comparisons need, and the server, the replayers and ShardedEngine
+// are written against it with no adapter in between.
 //
-//   - BatchEngine — GetMany/SetMany execute many operations per lock
-//     acquisition. On a sharded cache a batch costs one hash pass, groups
-//     into per-shard sub-batches, and fans out across shards in parallel:
-//     the multi-get pattern of a cache service front end.
-//   - Deleter — Delete invalidates a key. Nemo has no exact per-object
-//     index (§4.3), so deletion tombstones: in-memory copies are removed
-//     and a zero-length marker shadows any still-cached flash copy (reads
-//     scan newest-first) until it ages out of the FIFO pool; hotness
-//     writeback never resurrects a tombstoned object.
-//   - AsyncEngine — SetAsync inserts into the in-memory SG and returns;
-//     when the rear-full trigger fires, the full SG's flush is handed to a
+//   - GetMany/SetMany. Cache executes a batch under one lock acquisition;
+//     ShardedEngine — and ShardedCache, which embeds it — takes one hash
+//     pass, groups into per-shard sub-batches and fans out across shards in
+//     parallel: the multi-get pattern of a cache service front end. The
+//     baselines have nothing to batch and loop over their own Get and Set.
+//   - SetAsync/Drain. Nemo inserts into the in-memory SG and returns; when
+//     the rear-full trigger fires, the full SG's flush is handed to a
 //     background flusher pool (Config.Flushers goroutines, shared across
 //     shards) instead of running inline on the inserting worker. The flush
 //     is the p99 outlier of the Set path — `nemobench -compare -engines
 //     nemo -async` shows it moving off the latency distribution. Drain awaits all
 //     deferred work; a sacrifice budget backpressures to inline flushing
-//     if the pool ever lags.
+//     if the pool ever lags. The baselines have nothing to defer: their
+//     SetAsync is Set and their Drain returns nil.
+//   - Delete. Nemo has no exact per-object index (§4.3), so deletion
+//     tombstones: in-memory copies are removed and a zero-length marker
+//     shadows any still-cached flash copy (reads scan newest-first) until
+//     it ages out of the FIFO pool; hotness writeback never resurrects a
+//     tombstoned object. Log removes the entry from its exact index. Set,
+//     KG and FW keep a delete shadow: a DRAM set of deleted keys, under the
+//     engine's mutex, consulted before the engine proper. A shadowed Get is
+//     a miss that counts in Stats.Gets but reads no flash and records no
+//     latency sample; the next successful Set of the key lifts the shadow.
+//     It is a modelling device, not part of those designs — the comparison
+//     charges a baseline nothing for a DELETE — so it costs them no flash
+//     write and is not counted in MemoryBitsPerObject.
 //
-// Cache and ShardedCache implement EngineV2 natively. The four baselines
-// implement Engine (the log cache also Delete); ShardedEngine and the
-// replayers supply the rest, delegating what exists and emulating what
-// does not. A request's op kind (RequestKind: KindGet, KindSet, KindDelete)
-// rides on the trace — NewMixedStream generates mixed workloads.
+// The loops and the shadow are written once (cachelib.PerKey,
+// cachelib.DeleteShadow), and internal/enginetest's Conformance table holds
+// every engine, bare and two-sharded, to these rules. A request's op kind
+// (RequestKind: KindGet, KindSet, KindDelete) rides on the trace —
+// NewMixedStream generates mixed workloads.
 //
 // # Baselines
 //
@@ -230,7 +241,7 @@
 // # The serving layer
 //
 // internal/server turns the engine into a network service: a memcached
-// text-protocol front end over EngineV2, run by cmd/nemoserve and driven
+// text-protocol front end over Engine, run by cmd/nemoserve and driven
 // over loopback by three of benchmark/'s four workloads (get_fits,
 // write_churn, twitter_mix: throughput_ops_s, get_p50_us … wire.get_p999_us)
 // and by `nemobench -chaos`. The protocol subset is get/gets
@@ -445,9 +456,8 @@
 //     "Baselines" above.
 //   - The sharded facade (ShardedEngine), the one router in the
 //     repository: ShardedCache embeds it over its Nemo shards, and it gives
-//     every baseline the same sharded/concurrent treatment
-//     (NewShardedLogCache, NewShardedSetCache, NewShardedKangaroo,
-//     NewShardedFairyWREN). The zone range is partitioned into per-shard
+//     every baseline the same sharded/concurrent treatment (each baseline
+//     package's NewSharded). The zone range is partitioned into per-shard
 //     engines, requests route by one hash lane — identical key
 //     partitioning across engines — and batches take one hash pass, group
 //     into per-shard sub-batches, and fan out in parallel. With shards=1
@@ -476,7 +486,7 @@
 //	v, hit := cache.Get([]byte("user:1234"))
 //	cache.Delete([]byte("user:1234"))
 //
-// See examples/batch for the v2 surface end to end (GetMany, SetAsync,
+// See examples/batch for the whole of Engine end to end (GetMany, SetAsync,
 // Drain, Delete on a sharded cache), benchmark/README.md for what is
 // measured and how, and `nemobench -list` / `nemobench -exp <id>` to
 // regenerate every table and figure of the paper.

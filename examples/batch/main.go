@@ -1,4 +1,4 @@
-// Batch: drive the Engine v2 surface — batched multi-ops, deletes, and the
+// Batch: drive the whole of Engine — batched multi-ops, deletes, and the
 // asynchronous background flush pipeline — against a sharded Nemo cache.
 //
 // The sequence mirrors a production cache service's request mix: warm the

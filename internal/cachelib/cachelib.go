@@ -23,14 +23,19 @@ import (
 // "request malformed".
 var ErrDegraded = errors.New("degraded: write path unhealthy, shard is read-only")
 
-// Engine is the minimal flash cache engine contract. Implementations are
-// safe for concurrent use unless documented otherwise; the serial replayer
-// drives them single-threaded for determinism.
+// Engine is the flash cache engine contract, the one interface every cache
+// design in this repository implements and every harness, server and facade
+// is written against. Implementations are safe for concurrent use; the
+// serial replayer drives them single-threaded for determinism.
 //
-// Engine is deliberately small: richer production capabilities — batched
-// multi-ops, deletion, asynchronous writes — are the composable extension
-// interfaces BatchEngine, Deleter, and AsyncEngine (see engine2.go). Adapt
-// upgrades any plain Engine to the full EngineV2 surface.
+// Nemo batches, deletes and defers natively. The baselines take the batch
+// and deferred-write calls from PerKey (a loop over their own Get and Set)
+// and, lacking an index to delete from, Set, KG and FW answer Delete with a
+// DeleteShadow; see perkey.go.
+//
+// The op vocabulary of a mixed GET/SET/DELETE workload is trace.Kind,
+// carried on every trace.Request — there is deliberately no second enum
+// here.
 type Engine interface {
 	// Name identifies the engine in reports ("Nemo", "Log", "Set", "KG", "FW").
 	Name() string
@@ -39,6 +44,38 @@ type Engine interface {
 	// Set inserts or updates an object. Engines may reject objects that
 	// exceed their admission limits, returning an error.
 	Set(key, value []byte) error
+	// Delete invalidates key: a subsequent Get misses as long as the
+	// deletion is still remembered. Log drops the exact index entry; Nemo,
+	// which deliberately has no exact index, tombstones — in-memory copies
+	// are removed and a tombstone entry shadows any still-cached flash copy
+	// until it ages out of the FIFO pool.
+	Delete(key []byte) error
+
+	// GetMany looks up keys[i] for every i, returning parallel slices:
+	// values[i] is a fresh copy (nil on miss) and hits[i] reports presence.
+	// A sharded engine takes one hash pass, builds per-shard sub-batches and
+	// fans them out in parallel, so an N-op batch costs one lock round-trip
+	// per touched shard instead of N.
+	GetMany(keys [][]byte) (values [][]byte, hits []bool)
+	// SetMany inserts keys[i] → values[i]. Within each shard the inserts
+	// apply in batch order with effects identical to sequential Sets
+	// (repeated keys included: the later write wins); across shards the
+	// sub-batches run independently, so on error some sub-batches may have
+	// completed while others did not — the first error by shard order is
+	// returned. Single-shard engines degrade to the strict sequential
+	// semantics, stopping at the first error.
+	SetMany(keys, values [][]byte) error
+
+	// SetAsync inserts like Set but never flushes inline: for Nemo the full
+	// SG's flush — the p99 outlier of the Set path — is handed to a
+	// background flusher pool instead of running on the inserting
+	// goroutine. Errors from deferred flushes surface on a later call, on
+	// Drain, or on Close. An engine with nothing to defer sets synchronously.
+	SetAsync(key, value []byte) error
+	// Drain blocks until all deferred work has reached flash, returning
+	// the first deferred error. After Drain, Stats reflects every SetAsync.
+	Drain() error
+
 	// Stats returns cumulative counters.
 	Stats() Stats
 	// ReadLatency is the engine-maintained histogram of per-GET virtual

@@ -12,12 +12,17 @@ import (
 
 // fakeEngine is an unbounded map cache for exercising the replayer.
 type fakeEngine struct {
+	PerKey
 	m    map[string][]byte
 	st   Stats
 	hist metrics.Histogram
 }
 
-func newFake() *fakeEngine { return &fakeEngine{m: make(map[string][]byte)} }
+func newFake() *fakeEngine {
+	f := &fakeEngine{m: make(map[string][]byte)}
+	f.PerKey = PerKeyOver(f)
+	return f
+}
 
 func (f *fakeEngine) Name() string { return "fake" }
 func (f *fakeEngine) Get(key []byte) ([]byte, bool) {
@@ -34,6 +39,11 @@ func (f *fakeEngine) Set(key, value []byte) error {
 	f.st.LogicalBytes += uint64(len(key) + len(value))
 	f.st.FlashBytesWritten += uint64(len(key) + len(value))
 	f.m[string(key)] = append([]byte(nil), value...)
+	return nil
+}
+func (f *fakeEngine) Delete(key []byte) error {
+	f.st.Deletes++
+	delete(f.m, string(key))
 	return nil
 }
 func (f *fakeEngine) Stats() Stats                    { return f.st }
@@ -66,17 +76,6 @@ func TestReplayDemandFill(t *testing.T) {
 	}
 	if res.Final.MissRatio() > 0.2 {
 		t.Fatalf("miss ratio %v too high for unbounded cache", res.Final.MissRatio())
-	}
-}
-
-func TestReplayRawAllSets(t *testing.T) {
-	e := newFake()
-	res, err := ReplayRaw(e, testStream(), ReplayConfig{Ops: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Final.Sets != 1000 || res.Final.Gets != 0 {
-		t.Fatalf("raw replay should only Set: %+v", res.Final)
 	}
 }
 
@@ -147,10 +146,12 @@ func TestStatsDerivedMetrics(t *testing.T) {
 	}
 }
 
-// TestStatsFieldsCoverStruct pins Fields to the Stats struct: every uint64
-// counter must appear exactly once, in declaration order, with its value —
-// so a counter added to Stats without a Fields entry (which would silently
-// vanish from the server's `stats` verb) fails here.
+// TestStatsFieldsCoverStruct pins Fields and Add to the Stats struct: every
+// uint64 counter must appear exactly once in Fields, in declaration order,
+// with its value, and s.Add(s) must double it — so a counter added to Stats
+// without a Fields entry (which would silently vanish from the server's
+// `stats` verb) or without an Add term (which would vanish from every
+// sharded total) fails here.
 func TestStatsFieldsCoverStruct(t *testing.T) {
 	s := Stats{}
 	rv := reflect.ValueOf(&s).Elem()
@@ -170,5 +171,11 @@ func TestStatsFieldsCoverStruct(t *testing.T) {
 			t.Fatalf("duplicate field name %q", f.Name)
 		}
 		seen[f.Name] = true
+	}
+	sum := reflect.ValueOf(s.Add(s))
+	for i := 0; i < rv.NumField(); i++ {
+		if got, want := sum.Field(i).Uint(), uint64(2*(i+1)); got != want {
+			t.Fatalf("s.Add(s).%s = %d, want %d", rv.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"nemo/internal/admission"
 	"nemo/internal/metrics"
 	"nemo/internal/trace"
 )
@@ -28,7 +27,7 @@ type ParallelReplayConfig struct {
 	// count are clamped — a shard is only ever driven by one goroutine.
 	Workers int
 	// BatchSize groups requests into per-shard batches of up to this many
-	// operations, driven through the engine's BatchEngine surface: GETs go
+	// operations, driven through the engine's batch calls: GETs go
 	// through GetMany (one lock acquisition per batch) and their demand
 	// fills through SetMany. Batches are formed per shard, so batch
 	// composition — and therefore the replay's statistics — is independent
@@ -37,39 +36,20 @@ type ParallelReplayConfig struct {
 	// reproduces the sequential Get-after-fill outcome. 0 or 1 replays
 	// unbatched.
 	BatchSize int
-	// AsyncSets routes demand fills and explicit SETs through SetAsync
-	// (cachelib.AsyncEngine) so SG flushes happen on the engine's flusher
-	// pool instead of the replay worker; ParallelReplay drains the engine
-	// before collecting final statistics. Engines without native async
-	// support degrade to synchronous Sets.
+	// AsyncSets routes demand fills and explicit SETs through SetAsync so
+	// SG flushes happen on the engine's flusher pool instead of the replay
+	// worker; ParallelReplay drains the engine before collecting final
+	// statistics. Engines with nothing to defer set synchronously.
 	AsyncSets bool
-	// Options applies the Engine v2 per-request knobs (admission hint,
-	// no-fill) to every request of the run. A TTL is rejected: expiry runs
-	// on the virtual clock only the serial replayer (Replay) advances.
-	Options Options
-	// Admission gates demand fills and explicit SETs; nil admits
-	// everything. Within a shard the policy is consulted in trace order
-	// for explicit SETs and for fills of distinct keys at every batch
-	// size; a repeated key whose first fill was rejected re-consults after
-	// the run's fill phase, so its position relative to the batch's other
-	// fills shifts with the batch boundary (only policies with cross-key
-	// state can observe this). Across shards the interleaving follows
-	// goroutine scheduling, so only single-shard runs observe one global
-	// deterministic order.
-	Admission admission.Policy
 }
 
 // ParallelReplayResult aggregates the metrics of one parallel replay.
 type ParallelReplayResult struct {
-	Engine  string
-	Ops     int
-	Shards  int
-	Workers int
-	// Elapsed is host wall-clock time; OpsPerSec = Ops / Elapsed. These are
-	// the only host-time metrics in the repository — everything else runs
-	// on virtual time — because the point of the parallel driver is to
-	// measure real scheduling scalability of the sharded engine.
-	Elapsed   time.Duration
+	Shards int
+	// OpsPerSec is requests per second of host wall-clock time. It and
+	// SetLatency are the only host-time metrics in the repository —
+	// everything else runs on virtual time — because the point of the
+	// parallel driver is to exercise real scheduling of the sharded engine.
 	OpsPerSec float64
 	// SetLatency is the host-time distribution of write calls (Set,
 	// SetAsync, or SetMany — one sample per engine call). Its p99 is where
@@ -81,10 +61,9 @@ type ParallelReplayResult struct {
 
 // replayWorker carries one worker goroutine's state through a replay.
 type replayWorker struct {
-	v2      EngineV2
-	cfg     *ParallelReplayConfig
+	e       Engine
+	async   bool // ParallelReplayConfig.AsyncSets
 	reqs    []trace.Request
-	exp     *expiryTracker // TTL expiry; only the serial replayer has one
 	setHist metrics.Histogram
 
 	// Reused batch scratch (the batching layer must stay cheap relative to
@@ -98,24 +77,16 @@ type replayWorker struct {
 	mergeBuf [][]int32
 }
 
-// admits applies the hint-aware admission decision for one write.
-func (rw *replayWorker) admits(key []byte, size int) bool {
-	return admitWrite(rw.cfg.Options, rw.cfg.Admission, key, size)
-}
-
 // write performs one timed write call (sync or async per configuration).
 func (rw *replayWorker) write(key, value []byte) error {
 	start := time.Now()
 	var err error
-	if rw.cfg.AsyncSets {
-		err = rw.v2.SetAsync(key, value)
+	if rw.async {
+		err = rw.e.SetAsync(key, value)
 	} else {
-		err = rw.v2.Set(key, value)
+		err = rw.e.Set(key, value)
 	}
 	rw.setHist.Record(time.Since(start))
-	if err == nil {
-		rw.exp.wrote(key)
-	}
 	return err
 }
 
@@ -124,7 +95,7 @@ func (rw *replayWorker) writeMany(keys, values [][]byte) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	if rw.cfg.AsyncSets {
+	if rw.async {
 		for i := range keys {
 			if err := rw.write(keys[i], values[i]); err != nil {
 				return err
@@ -133,33 +104,23 @@ func (rw *replayWorker) writeMany(keys, values [][]byte) error {
 		return nil
 	}
 	start := time.Now()
-	err := rw.v2.SetMany(keys, values)
+	err := rw.e.SetMany(keys, values)
 	rw.setHist.Record(time.Since(start))
 	return err
 }
 
-// dispatchOne executes one request: a delete, an admitted set, or an
-// expire-get-fill. It is the one definition of "replay one request" — the
-// serial replayer dispatches through it too — and reports whether a GET hit.
+// dispatchOne executes one request: a delete, a set, or a get-and-fill. It
+// is the one definition of "replay one request" — the serial replayer
+// dispatches through it too — and reports whether a GET hit.
 func (rw *replayWorker) dispatchOne(req *trace.Request) (hit bool, err error) {
 	switch req.Op {
 	case trace.KindDelete:
-		rw.exp.deleted(req.Key)
-		return false, rw.v2.Delete(req.Key)
+		return false, rw.e.Delete(req.Key)
 	case trace.KindSet:
-		if !rw.admits(req.Key, len(req.Key)+len(req.Value)) {
-			return false, nil
-		}
 		return false, rw.write(req.Key, req.Value)
 	default:
-		if err := rw.exp.expireIfDue(rw.v2, req.Key); err != nil {
-			return false, err
-		}
-		if _, hit := rw.v2.Get(req.Key); hit {
+		if _, hit := rw.e.Get(req.Key); hit {
 			return true, nil
-		}
-		if rw.cfg.Options.NoFill || !rw.admits(req.Key, len(req.Key)+len(req.Value)) {
-			return false, nil
 		}
 		return false, rw.write(req.Key, req.Value)
 	}
@@ -168,7 +129,7 @@ func (rw *replayWorker) dispatchOne(req *trace.Request) (hit bool, err error) {
 // runBatch executes one per-shard batch: requests are split into maximal
 // same-kind runs executed in order, so within the shard the batch has the
 // same effect ordering as the sequential op stream — GET runs go through
-// GetMany, their admitted fills through SetMany, SET runs through SetMany,
+// GetMany, their fills through SetMany, SET runs through SetMany,
 // deletions one by one. Within a GET run, only the first occurrence of each
 // key is batched; repeat occurrences (constant on hot-key-heavy Zipf
 // traces) are replayed serially after the fills, which reproduces the
@@ -184,7 +145,7 @@ func (rw *replayWorker) runBatch(idx []int32) error {
 		switch kind {
 		case trace.KindDelete:
 			for _, i := range run {
-				if err := rw.v2.Delete(rw.reqs[i].Key); err != nil {
+				if err := rw.e.Delete(rw.reqs[i].Key); err != nil {
 					return err
 				}
 			}
@@ -192,11 +153,8 @@ func (rw *replayWorker) runBatch(idx []int32) error {
 			keys := rw.fillKey[:0]
 			values := rw.fillVal[:0]
 			for _, i := range run {
-				req := &rw.reqs[i]
-				if rw.admits(req.Key, len(req.Key)+len(req.Value)) {
-					keys = append(keys, req.Key)
-					values = append(values, req.Value)
-				}
+				keys = append(keys, rw.reqs[i].Key)
+				values = append(values, rw.reqs[i].Value)
 			}
 			rw.fillKey, rw.fillVal = keys[:0], values[:0]
 			if err := rw.writeMany(keys, values); err != nil {
@@ -220,26 +178,17 @@ func (rw *replayWorker) runBatch(idx []int32) error {
 // in order, so each shard observes the identical request subsequence it
 // would see in a single-threaded replay. Per-shard cache state — and
 // therefore aggregate hit ratio and write amplification — is deterministic
-// and independent of Workers and goroutine scheduling. One configuration
-// trades that exactness for its feature: a cross-shard Admission policy
-// under multiple workers (the policy observes shards in scheduling order).
-// Options.TTL is rejected — no clock advances during a parallel replay.
+// and independent of Workers and goroutine scheduling.
 //
 // With BatchSize > 1, requests are grouped into per-shard batches driven
-// through the engine's BatchEngine surface; because batches are formed per
+// through the engine's GetMany/SetMany; because batches are formed per
 // shard (not per worker), batch composition is also independent of the
-// worker count. Engines that do not implement the v2 extensions are
-// upgraded via Adapt.
+// worker count.
 //
 // Engines that do not implement Sharder are driven by a single worker (the
 // trace order is then the sequential order, preserving exact equivalence
 // with Replay's stats).
 func ParallelReplay(e Engine, reqs []trace.Request, cfg ParallelReplayConfig) (ParallelReplayResult, error) {
-	v2 := Adapt(e)
-	if cfg.Options.TTL > 0 {
-		return ParallelReplayResult{Engine: v2.Name()}, fmt.Errorf(
-			"cachelib: Options.TTL requires the serial replayer (expiry runs on the virtual clock Replay advances)")
-	}
 	shards := 1
 	shardOf := func([]byte) int { return 0 }
 	if sh, ok := e.(Sharder); ok {
@@ -272,24 +221,21 @@ func ParallelReplay(e Engine, reqs []trace.Request, cfg ParallelReplayConfig) (P
 		workLists[w] = append(workLists[w], int32(i))
 	}
 
-	res := ParallelReplayResult{
-		Engine:  v2.Name(),
-		Ops:     len(reqs),
-		Shards:  shards,
-		Workers: workers,
-	}
+	res := ParallelReplayResult{Shards: shards}
 	errs := make([]error, workers)
 	rws := make([]*replayWorker, workers)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < workers; w++ {
-		rw := &replayWorker{v2: v2, cfg: &cfg, reqs: reqs}
+		rw := &replayWorker{e: e, async: cfg.AsyncSets, reqs: reqs}
 		rws[w] = rw
 		wg.Add(1)
 		go func(w int, rw *replayWorker) {
 			defer wg.Done()
 			if cfg.BatchSize > 1 {
-				errs[w] = rw.runBatched(workLists[w], shards, shardIdx, cfg.BatchSize)
+				if err := rw.runBatched(workLists[w], shards, shardIdx, cfg.BatchSize); err != nil {
+					errs[w] = fmt.Errorf("cachelib: worker %d %w", w, err)
+				}
 				return
 			}
 			for _, i := range workLists[w] {
@@ -303,7 +249,7 @@ func ParallelReplay(e Engine, reqs []trace.Request, cfg ParallelReplayConfig) (P
 	wg.Wait()
 	if cfg.AsyncSets {
 		// Deferred flushes must land before throughput or stats are read.
-		if err := v2.Drain(); err != nil {
+		if err := e.Drain(); err != nil {
 			for w := range errs {
 				if errs[w] == nil {
 					errs[w] = err
@@ -312,16 +258,15 @@ func ParallelReplay(e Engine, reqs []trace.Request, cfg ParallelReplayConfig) (P
 			}
 		}
 	}
-	res.Elapsed = time.Since(start)
-	if res.Elapsed > 0 {
-		res.OpsPerSec = float64(res.Ops) / res.Elapsed.Seconds()
+	if elapsed := time.Since(start); elapsed > 0 {
+		res.OpsPerSec = float64(len(reqs)) / elapsed.Seconds()
 	}
 	var setHist metrics.Histogram
 	for _, rw := range rws {
 		setHist.Merge(&rw.setHist)
 	}
 	res.SetLatency = setHist.Snapshot()
-	res.Final = v2.Stats()
+	res.Final = e.Stats()
 	for _, err := range errs {
 		if err != nil {
 			return res, err
@@ -379,21 +324,18 @@ func (rw *replayWorker) getPhase(runs ...[]int32) error {
 		rw.sigBuf = sigs[:0]
 	}
 	rw.keyBuf, rw.uniqIdx, rw.dupIdx = keys[:0], uniq[:0], dups[:0]
-	_, hits := rw.v2.GetMany(keys)
-	if !rw.cfg.Options.NoFill {
-		fillKeys := rw.fillKey[:0]
-		fillVals := rw.fillVal[:0]
-		for j, i := range uniq {
-			req := &rw.reqs[i]
-			if !hits[j] && rw.admits(req.Key, len(req.Key)+len(req.Value)) {
-				fillKeys = append(fillKeys, req.Key)
-				fillVals = append(fillVals, req.Value)
-			}
+	_, hits := rw.e.GetMany(keys)
+	fillKeys := rw.fillKey[:0]
+	fillVals := rw.fillVal[:0]
+	for j, i := range uniq {
+		if !hits[j] {
+			fillKeys = append(fillKeys, rw.reqs[i].Key)
+			fillVals = append(fillVals, rw.reqs[i].Value)
 		}
-		rw.fillKey, rw.fillVal = fillKeys[:0], fillVals[:0]
-		if err := rw.writeMany(fillKeys, fillVals); err != nil {
-			return err
-		}
+	}
+	rw.fillKey, rw.fillVal = fillKeys[:0], fillVals[:0]
+	if err := rw.writeMany(fillKeys, fillVals); err != nil {
+		return err
 	}
 	for _, i := range dups {
 		if _, err := rw.dispatchOne(&rw.reqs[i]); err != nil {
@@ -435,6 +377,9 @@ func dupSig(k []byte) uint64 {
 // outruns unbatched replay even when workers are scarce. Merging changes
 // only the cross-shard interleaving of engine calls (which carries no
 // state), never a shard's own op order.
+//
+// An error comes back as "at op N: …", N being the first op index of the
+// batch that failed — for a merged batch, the earliest op in the call.
 func (rw *replayWorker) runBatched(workList []int32, shards int, shardIdx []int32, batchSize int) error {
 	pend := make([][]int32, shards)
 	ready := make([][]int32, shards)
@@ -462,12 +407,16 @@ func (rw *replayWorker) runBatched(workList []int32, shards int, shardIdx []int3
 			}
 			// Mixed-kind batches keep their intra-batch run structure.
 			if err := rw.runBatch(b); err != nil {
-				return err
+				return fmt.Errorf("at op %d: %w", b[0], err)
 			}
 		}
 		rw.mergeBuf = merged[:0]
 		if err := rw.getPhase(merged...); err != nil {
-			return err
+			first := merged[0][0]
+			for _, b := range merged[1:] {
+				first = min(first, b[0])
+			}
+			return fmt.Errorf("at op %d: %w", first, err)
 		}
 		for s := range ready {
 			ready[s] = ready[s][:0]

@@ -10,7 +10,7 @@ import (
 
 // ShardedEngine is the hash-partitioned facade: n independent engines, each
 // owning a disjoint slice of the cache's capacity (its own zone range, index
-// structures, and lock), behind one Engine v2 surface. Requests route by the
+// structures, and lock), behind one Engine. Requests route by the
 // shard lane of the key fingerprint (ShardOfFP), so requests for different
 // shards proceed fully in parallel and every engine of a comparison run
 // partitions the key space identically.
@@ -31,7 +31,7 @@ import (
 // replay statistics are stat-for-stat those of the unwrapped engine (pinned
 // per baseline by the shards=1 equivalence property tests).
 type ShardedEngine struct {
-	shards []EngineV2
+	shards []Engine
 	n      uint64
 
 	// histMu guards the merged read-latency histogram rebuilt on demand by
@@ -40,50 +40,25 @@ type ShardedEngine struct {
 	hist   metrics.Histogram
 }
 
-// The generic facade exposes the full v2 surface plus the Sharder routing
-// contract the parallel replayer partitions work by.
+// The generic facade is an Engine plus the Sharder routing contract the
+// parallel replayer partitions work by.
 var (
-	_ EngineV2 = (*ShardedEngine)(nil)
-	_ Sharder  = (*ShardedEngine)(nil)
+	_ Engine  = (*ShardedEngine)(nil)
+	_ Sharder = (*ShardedEngine)(nil)
 )
 
 // NewShardedEngine wraps the given per-shard engines (already constructed
-// over disjoint capacity partitions) into one sharded facade. Each engine is
-// upgraded to EngineV2 via Adapt, so plain baselines keep running
-// unmodified.
+// over disjoint capacity partitions) into one sharded facade.
 func NewShardedEngine(engines []Engine) (*ShardedEngine, error) {
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("cachelib: sharded engine needs at least one shard")
 	}
-	s := &ShardedEngine{shards: make([]EngineV2, len(engines)), n: uint64(len(engines))}
 	for i, e := range engines {
 		if e == nil {
 			return nil, fmt.Errorf("cachelib: shard %d is nil", i)
 		}
-		s.shards[i] = Adapt(e)
 	}
-	return s, nil
-}
-
-// NewShardedFrom builds n per-shard engines with the given constructor and
-// wraps them. On a mid-construction failure every already-built shard is
-// closed — a half-built facade must not leak shard resources.
-func NewShardedFrom(n int, build func(shard int) (Engine, error)) (*ShardedEngine, error) {
-	if n < 1 {
-		n = 1
-	}
-	engines := make([]Engine, n)
-	for i := 0; i < n; i++ {
-		e, err := build(i)
-		if err != nil {
-			for _, built := range engines[:i] {
-				built.Close()
-			}
-			return nil, fmt.Errorf("cachelib: shard %d/%d: %w", i, n, err)
-		}
-		engines[i] = e
-	}
-	return NewShardedEngine(engines)
+	return &ShardedEngine{shards: append([]Engine(nil), engines...), n: uint64(len(engines))}, nil
 }
 
 // NewShardedRange partitions the zone range [zoneBase, zoneBase+zones) of
@@ -93,7 +68,9 @@ func NewShardedFrom(n int, build func(shard int) (Engine, error)) (*ShardedEngin
 // and the per-shard slicing cannot drift between engine families. Requests
 // route by the shared shard lane, so every engine family partitions keys as
 // core.Sharded does, and with shards=1 the result behaves exactly like the
-// one engine build returns. errPrefix names the engine package in the errors.
+// one engine build returns. On a mid-construction failure every already-built
+// shard is closed — a half-built facade must not leak shard resources.
+// errPrefix names the engine package in the errors.
 func NewShardedRange(errPrefix string, dev interface{ Zones() int }, zoneBase, zones, shards int,
 	build func(zoneBase, zones int) (Engine, error)) (*ShardedEngine, error) {
 	if dev == nil {
@@ -109,9 +86,18 @@ func NewShardedRange(errPrefix string, dev interface{ Zones() int }, zoneBase, z
 		return nil, fmt.Errorf("%s: %d zones not divisible by %d shards", errPrefix, zones, shards)
 	}
 	per := zones / shards
-	return NewShardedFrom(shards, func(i int) (Engine, error) {
-		return build(zoneBase+i*per, per)
-	})
+	engines := make([]Engine, shards)
+	for i := range engines {
+		e, err := build(zoneBase+i*per, per)
+		if err != nil {
+			for _, built := range engines[:i] {
+				built.Close()
+			}
+			return nil, fmt.Errorf("cachelib: shard %d/%d: %w", i, shards, err)
+		}
+		engines[i] = e
+	}
+	return NewShardedEngine(engines)
 }
 
 // NumShards implements Sharder.
@@ -123,7 +109,7 @@ func (s *ShardedEngine) NumShards() int { return len(s.shards) }
 func (s *ShardedEngine) ShardOf(key []byte) int { return ShardOfKey(key, s.n) }
 
 // Shard returns shard i's engine (tests and diagnostics).
-func (s *ShardedEngine) Shard(i int) EngineV2 { return s.shards[i] }
+func (s *ShardedEngine) Shard(i int) Engine { return s.shards[i] }
 
 // Name implements Engine, reporting the wrapped design's name ("Log", "Set",
 // "KG", "FW") so comparison tables stay labeled by design, not by wrapper.
@@ -151,19 +137,18 @@ func (s *ShardedEngine) Set(key, value []byte) error {
 	return s.shards[s.ShardOf(key)].Set(key, value)
 }
 
-// Delete implements Deleter in the owning shard (natively or through the
-// shard's Adapt tombstone emulation).
+// Delete invalidates key in its owning shard.
 func (s *ShardedEngine) Delete(key []byte) error {
 	return s.shards[s.ShardOf(key)].Delete(key)
 }
 
-// SetAsync implements AsyncEngine in the owning shard; engines without
-// native async degrade to a synchronous Set there.
+// SetAsync inserts in the owning shard, deferring the flush if that engine
+// can.
 func (s *ShardedEngine) SetAsync(key, value []byte) error {
 	return s.shards[s.ShardOf(key)].SetAsync(key, value)
 }
 
-// Drain implements AsyncEngine, waiting out every shard's deferred work.
+// Drain implements Engine, waiting out every shard's deferred work.
 func (s *ShardedEngine) Drain() error {
 	var first error
 	for _, e := range s.shards {
@@ -174,7 +159,7 @@ func (s *ShardedEngine) Drain() error {
 	return first
 }
 
-// GetMany implements BatchEngine on the generic facade: one hash pass,
+// GetMany implements Engine on the generic facade: one hash pass,
 // per-shard sub-batches, parallel fan-out. Single-shard batches (the common
 // case under the per-shard batched replayer) skip the grouping and goroutine
 // fan-out entirely.
@@ -217,7 +202,7 @@ func (s *ShardedEngine) GetMany(keys [][]byte) (values [][]byte, hits []bool) {
 	return values, hits
 }
 
-// SetMany implements BatchEngine on the generic facade. Within a shard
+// SetMany implements Engine on the generic facade. Within a shard
 // inserts apply in batch order; across shards sub-batches run in parallel
 // (keys of different shards never interact). The lowest-numbered shard's
 // error is returned first.

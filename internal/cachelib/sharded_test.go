@@ -11,6 +11,7 @@ import (
 // shardFake is a minimal in-memory Engine for facade tests. It counts ops
 // like a real engine and can be armed to fail Sets of specific keys.
 type shardFake struct {
+	PerKey
 	name string
 
 	mu      sync.Mutex
@@ -23,7 +24,9 @@ type shardFake struct {
 }
 
 func newShardFake(name string) *shardFake {
-	return &shardFake{name: name, store: map[string][]byte{}, failing: map[string]bool{}}
+	f := &shardFake{name: name, store: map[string][]byte{}, failing: map[string]bool{}}
+	f.PerKey = PerKeyOver(f)
+	return f
 }
 
 func (f *shardFake) Name() string { return f.name }
@@ -50,6 +53,14 @@ func (f *shardFake) Set(key, value []byte) error {
 	f.applied = append(f.applied, string(key))
 	f.stats.Sets++
 	f.stats.LogicalBytes += uint64(len(key) + len(value))
+	return nil
+}
+
+func (f *shardFake) Delete(key []byte) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	delete(f.store, string(key))
+	f.stats.Deletes++
 	return nil
 }
 

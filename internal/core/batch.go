@@ -5,22 +5,22 @@ import (
 	"nemo/internal/hashing"
 )
 
-// This file implements cachelib.BatchEngine natively on Cache: a batch costs
-// one lock acquisition instead of one per operation. Sharded gets its batch
-// surface from the embedded cachelib.ShardedEngine, which hashes once to
-// route, groups keys into per-shard sub-batches and fans them out in
-// parallel to the shards' GetMany/SetMany here — the per-shard request
-// order is preserved, so within every shard a batch behaves exactly like
-// the equivalent op sequence.
+// This file implements cachelib.Engine's batch calls natively on Cache: a
+// batch costs one lock acquisition instead of one per operation. Sharded
+// gets its batch calls from the embedded cachelib.ShardedEngine, which
+// hashes once to route, groups keys into per-shard sub-batches and fans them
+// out in parallel to the shards' GetMany/SetMany here — the per-shard
+// request order is preserved, so within every shard a batch behaves exactly
+// like the equivalent op sequence.
 
-// Interface conformance: the core engines implement the full v2 surface.
+// Interface conformance.
 var (
-	_ cachelib.EngineV2 = (*Cache)(nil)
-	_ cachelib.EngineV2 = (*Sharded)(nil)
-	_ cachelib.Sharder  = (*Sharded)(nil)
+	_ cachelib.Engine  = (*Cache)(nil)
+	_ cachelib.Engine  = (*Sharded)(nil)
+	_ cachelib.Sharder = (*Sharded)(nil)
 )
 
-// GetMany implements cachelib.BatchEngine with the three-phase read
+// GetMany implements cachelib.Engine with the three-phase read
 // protocol (getBatch, readpath.go): one locked plan pass over all keys, one
 // unlocked flash I/O pass that overlaps the batch's reads on the device
 // channels, one locked commit pass. values[i] is a fresh copy (nil on
@@ -37,7 +37,7 @@ func (c *Cache) GetMany(keys [][]byte) (values [][]byte, hits []bool) {
 	return values, hits
 }
 
-// SetMany implements cachelib.BatchEngine: all inserts execute in order
+// SetMany implements cachelib.Engine: all inserts execute in order
 // under one lock acquisition, with effects identical to sequential Sets
 // (including trigger-driven inline flushes). The first error aborts the
 // remainder of the batch.

@@ -50,8 +50,8 @@ type Config struct {
 	// InMemSGs is the number of buffered in-memory SGs (Table 3: 2).
 	InMemSGs int
 
-	// Flushers is the size of the background flusher pool backing SetAsync
-	// (cachelib.AsyncEngine): full in-memory SGs are handed to this many
+	// Flushers is the size of the background flusher pool backing SetAsync:
+	// full in-memory SGs are handed to this many
 	// goroutines instead of flushing inline on the inserting worker, which
 	// removes the flush from the Set path's p99. A deferred flush runs the
 	// three-phase seal/build/commit protocol (writepath.go), holding the

@@ -3,7 +3,7 @@ package core
 import "sync"
 
 // flusherPool executes deferred SG flushes on K background goroutines — the
-// pipeline behind cachelib.AsyncEngine. SetAsync inserts into the in-memory
+// pipeline behind cachelib.Engine's SetAsync. SetAsync inserts into the in-memory
 // SG and returns; when a flush trigger fires, the cache is enqueued here and
 // a flusher goroutine runs the three-phase flush protocol (writepath.go):
 // the shard lock is held only for the seal, liveness-filter, and commit

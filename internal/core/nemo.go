@@ -272,7 +272,7 @@ func (c *Cache) Set(key, value []byte) error {
 	return c.setLocked(fp, key, value, false)
 }
 
-// SetAsync implements cachelib.AsyncEngine: the in-memory insert is
+// SetAsync implements cachelib.Engine: the in-memory insert is
 // identical to Set, but when the rear-full trigger (or the delayed-flush
 // sacrifice threshold) fires, the full front SG's flush is enqueued on the
 // flusher pool instead of running inline — the flush is the p99 outlier of
@@ -286,7 +286,7 @@ func (c *Cache) SetAsync(key, value []byte) error {
 	return c.setLocked(fp, key, value, c.flusher != nil)
 }
 
-// Drain implements cachelib.AsyncEngine: it blocks until every flush
+// Drain implements cachelib.Engine: it blocks until every flush
 // enqueued on the cache's flusher pool has reached flash and returns the
 // first deferred error. Callers must not hold the cache lock.
 func (c *Cache) Drain() error {
@@ -348,7 +348,7 @@ func (c *Cache) rearFullLocked() bool {
 		c.memq[len(c.memq)-1].fillRate() >= c.cfg.RearFullRatio
 }
 
-// Delete invalidates key (cachelib.Deleter). In-memory copies are removed
+// Delete invalidates key (cachelib.Engine). In-memory copies are removed
 // exactly; because Nemo deliberately has no exact per-object index (§4.3),
 // a still-cached flash copy cannot be erased in place — instead a
 // zero-length tombstone entry is inserted, which shadows every older copy

@@ -103,8 +103,6 @@ func NewSharded(cfg Config) (*Sharded, error) {
 		s.shards[i], engines[i] = shard, shard
 		offset += perData + scfg.IndexZones()
 	}
-	// A *Cache is a full EngineV2, so the facade holds the shards as they
-	// are, without an adapter in between.
 	s.ShardedEngine, _ = cachelib.NewShardedEngine(engines) // errs only on no or nil shards
 	if cfg.Flushers > 0 {
 		s.pool = newFlusherPool(cfg.Flushers, n)
@@ -145,7 +143,7 @@ func (s *Sharded) Close() error {
 	return first
 }
 
-// Drain implements cachelib.AsyncEngine, waiting out every deferred flush
+// Drain implements cachelib.Engine, waiting out every deferred flush
 // across all shards: the shards share one pool (a SetAsync's triggered flush
 // is handed to it instead of running inline), so it drains once.
 func (s *Sharded) Drain() error {

@@ -17,8 +17,8 @@ import (
 // below any test device's capacity, so a miss is never an eviction.
 func Conformance(t *testing.T, mk func(t *testing.T) cachelib.Engine) {
 	t.Helper()
-	build := func(t *testing.T) cachelib.EngineV2 {
-		e := cachelib.Adapt(mk(t))
+	build := func(t *testing.T) cachelib.Engine {
+		e := mk(t)
 		t.Cleanup(func() { e.Close() })
 		return e
 	}
@@ -26,7 +26,7 @@ func Conformance(t *testing.T, mk func(t *testing.T) cachelib.Engine) {
 	val := func(i int) []byte { return []byte(fmt.Sprintf("conformance-value-%04d", i)) }
 	// No engine admits an object larger than a flash page.
 	oversize := make([]byte, 1<<16)
-	mustGet := func(t *testing.T, e cachelib.EngineV2, k, want []byte) {
+	mustGet := func(t *testing.T, e cachelib.Engine, k, want []byte) {
 		t.Helper()
 		if v, hit := e.Get(k); !hit || !bytes.Equal(v, want) {
 			t.Fatalf("Get(%s): hit=%v value=%q, want %q", k, hit, v, want)

@@ -51,7 +51,7 @@ type CompareConfig struct {
 	Ops int
 	// Seed makes the generated trace reproducible.
 	Seed int64
-	// Batch drives the Engine v2 batched surface with per-shard batches of
+	// Batch drives the engines' GetMany/SetMany with per-shard batches of
 	// this size (<=1 = unbatched).
 	Batch int
 	// Async routes fills through SetAsync; Flushers sizes Nemo's background

@@ -21,7 +21,9 @@
 // is FairyWREN's own machine — host-mapped primary/overflow pages, GC folded
 // into migration — sharing with setcache.Tier only how a filter is sized
 // and rebuilt. Cache owns the one mutex, cachelib.Stats and histogram; the
-// lock-free front accounts into them.
+// lock-free front accounts into them. cachelib.PerKey's loops and a
+// cachelib.DeleteShadow make it a full cachelib.Engine without being part
+// of the design.
 package fairywren
 
 import (
@@ -72,6 +74,7 @@ const (
 
 // Cache is the FairyWREN engine. Safe for concurrent use.
 type Cache struct {
+	cachelib.PerKey
 	cfg      Config
 	dev      device.Device
 	log      *hlog.Front
@@ -101,6 +104,7 @@ type Cache struct {
 	fpr        float64
 
 	accessed map[uint64]struct{}
+	deleted  cachelib.DeleteShadow
 
 	scratch  []byte
 	scratch2 []byte
@@ -194,6 +198,7 @@ func New(cfg Config) (*Cache, error) {
 			ActiveCDF:  metrics.NewIntCDF(10),
 		},
 	}
+	c.PerKey = cachelib.PerKeyOver(c)
 	for i := range c.priLoc {
 		c.priLoc[i] = -1
 		c.ovLoc[i] = -1
@@ -278,9 +283,22 @@ func (c *Cache) Set(key, value []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fp := hashing.Fingerprint(key)
-	return c.log.Set(c.setOf(fp), fp, key, value, func(set int32, objs []setblock.Entry) error {
+	err := c.log.Set(c.setOf(fp), fp, key, value, func(set int32, objs []setblock.Entry) error {
 		return c.rewritePrimary(set, objs, true)
 	})
+	if err != nil {
+		return err
+	}
+	c.deleted.Lift(key)
+	return nil
+}
+
+// Delete implements cachelib.Engine with the delete shadow: no flash write.
+func (c *Cache) Delete(key []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.deleted.Delete(key, &c.stats)
+	return nil
 }
 
 // rewritePrimary merges objs into set's primary page and appends the new
@@ -503,6 +521,9 @@ func (c *Cache) pickVictim() int {
 func (c *Cache) Get(key []byte) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.deleted.Hides(key, &c.stats) {
+		return nil, false
+	}
 	fp := hashing.Fingerprint(key)
 	set := c.setOf(fp)
 	v, hit := c.log.Get(set, fp, key, func(start time.Duration) ([]byte, bool) {

@@ -12,7 +12,8 @@
 // setcache.Tier, and this package keeps what is Kangaroo's: the admission
 // threshold on migration and the migration instrumentation. Cache owns the
 // one mutex, cachelib.Stats and histogram; front and tier are lock-free and
-// account into them.
+// account into them. cachelib.PerKey's loops and a cachelib.DeleteShadow
+// make it a full cachelib.Engine without being part of the design.
 package kangaroo
 
 import (
@@ -61,14 +62,16 @@ const internalOPRatio = 0.07
 
 // Cache is the Kangaroo engine. Safe for concurrent use.
 type Cache struct {
+	cachelib.PerKey
 	cfg Config
 
-	mu    sync.Mutex // covers log, hset, stats, mig and hist
-	log   *hlog.Front
-	hset  *setcache.Tier
-	stats cachelib.Stats
-	mig   MigrationStats
-	hist  metrics.Histogram
+	mu      sync.Mutex // covers log, hset, deleted, stats, mig and hist
+	log     *hlog.Front
+	hset    *setcache.Tier
+	deleted cachelib.DeleteShadow
+	stats   cachelib.Stats
+	mig     MigrationStats
+	hist    metrics.Histogram
 }
 
 // MigrationStats instruments log-to-set migration for Figures 4–6.
@@ -105,6 +108,7 @@ func New(cfg Config) (*Cache, error) {
 		cfg: cfg,
 		mig: MigrationStats{PassiveCDF: metrics.NewIntCDF(10)},
 	}
+	c.PerKey = cachelib.PerKeyOver(c)
 	if c.log, err = hlog.NewFront(cfg.Device, cfg.ZoneBase, logZones, &c.stats, &c.hist); err != nil {
 		return nil, err
 	}
@@ -173,7 +177,19 @@ func (c *Cache) Set(key, value []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fp := hashing.Fingerprint(key)
-	return c.log.Set(int32(c.hset.SetOf(fp)), fp, key, value, c.migrateSet)
+	if err := c.log.Set(int32(c.hset.SetOf(fp)), fp, key, value, c.migrateSet); err != nil {
+		return err
+	}
+	c.deleted.Lift(key)
+	return nil
+}
+
+// Delete implements cachelib.Engine with the delete shadow: no flash write.
+func (c *Cache) Delete(key []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.deleted.Delete(key, &c.stats)
+	return nil
 }
 
 // migrateSet is passive migration's step for one set (Case 2): one
@@ -197,6 +213,9 @@ func (c *Cache) migrateSet(set int32, objs []setblock.Entry) error {
 func (c *Cache) Get(key []byte) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.deleted.Hides(key, &c.stats) {
+		return nil, false
+	}
 	fp := hashing.Fingerprint(key)
 	set := c.hset.SetOf(fp)
 	return c.log.Get(int32(set), fp, key, func(start time.Duration) ([]byte, bool) {

@@ -37,8 +37,11 @@ type loc struct {
 	off  int32
 }
 
-// Cache is the log-structured engine. Safe for concurrent use.
+// Cache is the log-structured engine. Safe for concurrent use. Delete is
+// native (the exact index); the batch and deferred-write calls are
+// cachelib.PerKey's loops.
 type Cache struct {
+	cachelib.PerKey
 	cfg      Config
 	dev      device.Device
 	pageSize int
@@ -79,16 +82,14 @@ func New(cfg Config) (*Cache, error) {
 		openFPs:  make(map[uint64]int32),
 		scratch:  make([]byte, cfg.Device.PageSize()),
 	}
+	c.PerKey = cachelib.PerKeyOver(c)
 	for z := cfg.Zones - 1; z >= 0; z-- {
 		c.freeZones = append(c.freeZones, z)
 	}
 	return c, nil
 }
 
-var (
-	_ cachelib.Engine  = (*Cache)(nil)
-	_ cachelib.Deleter = (*Cache)(nil)
-)
+var _ cachelib.Engine = (*Cache)(nil)
 
 // Name implements cachelib.Engine.
 func (c *Cache) Name() string { return "Log" }
@@ -199,7 +200,7 @@ func (c *Cache) evictOldestZone() error {
 	return nil
 }
 
-// Delete implements cachelib.Deleter natively: the exact index makes
+// Delete implements cachelib.Engine natively: the exact index makes
 // deletion a map removal — the log entry becomes dead space reclaimed by
 // the zone's FIFO eviction, exactly like an overwrite.
 func (c *Cache) Delete(key []byte) error {

@@ -65,21 +65,6 @@ func (c *IntCDF) CDF() []float64 {
 	return out
 }
 
-// AtMost returns P(value ≤ v).
-func (c *IntCDF) AtMost(v int) float64 {
-	if c.total == 0 {
-		return 0
-	}
-	var run uint64
-	for i := 0; i <= v && i < len(c.counts)-1; i++ {
-		run += c.counts[i]
-	}
-	if v >= len(c.counts)-1 {
-		run = c.total
-	}
-	return float64(run) / float64(c.total)
-}
-
 // String renders the CDF as "≤0:12.3% ≤1:45.6% ... 10+:100%".
 func (c *IntCDF) String() string {
 	cdf := c.CDF()
@@ -110,14 +95,6 @@ func (s *Series) Add(x, y float64) {
 
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.X) }
-
-// Last returns the final y value, or 0 when empty.
-func (s *Series) Last() float64 {
-	if len(s.Y) == 0 {
-		return 0
-	}
-	return s.Y[len(s.Y)-1]
-}
 
 // FillRateCDF summarizes a set of fill-rate observations (0..1) as a CDF
 // evaluated at the given thresholds; used by the Figure 8 experiment.

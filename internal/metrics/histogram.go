@@ -78,9 +78,6 @@ func (h *Histogram) Mean() time.Duration {
 // Max returns the largest recorded observation.
 func (h *Histogram) Max() time.Duration { return h.max }
 
-// Min returns the smallest recorded observation, or 0 when empty.
-func (h *Histogram) Min() time.Duration { return h.min }
-
 // Quantile returns an estimate of the q-quantile (0 ≤ q ≤ 1). Empty
 // histograms return 0.
 func (h *Histogram) Quantile(q float64) time.Duration {

@@ -7,11 +7,9 @@ type RatioWindow struct {
 	WindowSize uint64
 	series     Series
 
-	x       float64 // cumulative event count used as the x axis
-	hits    uint64
-	total   uint64
-	allHits uint64
-	allTot  uint64
+	x     float64 // cumulative event count used as the x axis
+	hits  uint64
+	total uint64
 }
 
 // NewRatioWindow returns a tracker that emits one point per windowSize
@@ -26,10 +24,8 @@ func NewRatioWindow(windowSize uint64) *RatioWindow {
 // Observe records one event; hit selects the numerator.
 func (w *RatioWindow) Observe(hit bool) {
 	w.total++
-	w.allTot++
 	if hit {
 		w.hits++
-		w.allHits++
 	}
 	if w.total >= w.WindowSize {
 		w.x += float64(w.total)
@@ -40,15 +36,3 @@ func (w *RatioWindow) Observe(hit bool) {
 
 // Series returns the completed-window points recorded so far.
 func (w *RatioWindow) Series() *Series { return &w.series }
-
-// Overall returns the ratio across every observed event (all windows plus
-// the partial one), or 0 when nothing was observed.
-func (w *RatioWindow) Overall() float64 {
-	if w.allTot == 0 {
-		return 0
-	}
-	return float64(w.allHits) / float64(w.allTot)
-}
-
-// Count returns the total number of observed events.
-func (w *RatioWindow) Count() uint64 { return w.allTot }

@@ -6,11 +6,10 @@ import (
 	"nemo/internal/server"
 )
 
-// FuzzParseCommand fuzzes the memcached-text-protocol command parser
-// (mirroring the trace package's FuzzReadTrace): arbitrary request lines
-// must parse or be rejected with the typed protocol errors — never a
-// panic, and never a Command that violates the wire invariants. The
-// load-bearing one is key hygiene: a key containing a space, CR, LF, NUL,
+// FuzzParseCommand fuzzes the memcached-text-protocol command parser:
+// arbitrary request lines must parse or be rejected with the typed protocol
+// errors — never a panic, and never a Command that violates the wire
+// invariants. The load-bearing one is key hygiene: a key containing a space, CR, LF, NUL,
 // or any other control byte must never survive parsing, because such a key
 // echoed into a VALUE reply line would desynchronize the connection's
 // framing.

@@ -1,5 +1,5 @@
-// Package server is the memcached-text-protocol front end over the Engine
-// v2 surface: the piece that turns the in-process cache into a network
+// Package server is the memcached-text-protocol front end over
+// cachelib.Engine: the piece that turns the in-process cache into a network
 // service. Per-connection goroutines parse pipelined requests into small
 // batches that coalesce into GetMany/SetMany calls, SETs ride the
 // asynchronous flush pipeline by default, and shutdown is a graceful drain:
@@ -33,7 +33,7 @@ type Config struct {
 	// Engine serves the requests. The server never closes it — ownership
 	// stays with the caller, which typically wants the engine alive after
 	// Shutdown (to checkpoint, inspect stats, or serve again).
-	Engine cachelib.EngineV2
+	Engine cachelib.Engine
 	// SyncSet routes stores through the synchronous Set/SetMany path, so a
 	// STORED reply means the object survived any flush it triggered. The
 	// default (false) is SetAsync: STORED means the engine accepted the

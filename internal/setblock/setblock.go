@@ -91,9 +91,6 @@ func (b *Block) Free() int { return b.size - b.Used() }
 // Size returns the page-size budget.
 func (b *Block) Size() int { return b.size }
 
-// FillRate returns Used/Size in [0, 1].
-func (b *Block) FillRate() float64 { return float64(b.Used()) / float64(b.size) }
-
 // CanFit reports whether an entry with the given key/value lengths fits in
 // the remaining space.
 func (b *Block) CanFit(keyLen, valLen int) bool {

@@ -94,9 +94,6 @@ func TestFillAccounting(t *testing.T) {
 	if b.Used() != want {
 		t.Fatalf("used = %d, want %d", b.Used(), want)
 	}
-	if got := b.FillRate(); got != float64(want)/4096 {
-		t.Fatalf("fill rate = %v", got)
-	}
 }
 
 func TestSerializeParseRoundTrip(t *testing.T) {

@@ -11,8 +11,10 @@
 // Composition: Tier (tier.go) is the design — FTL-backed set pages, their
 // filters, the read-merge-write and the filter-gated lookup — lock-free and
 // without counters. Cache is the engine: one mutex, one cachelib.Stats and
-// one histogram around a Tier that accounts into them. internal/kangaroo
-// puts the same Tier behind a log.
+// one histogram around a Tier that accounts into them, plus what makes it a
+// full cachelib.Engine without being part of the design — cachelib.PerKey's
+// loops and a cachelib.DeleteShadow. internal/kangaroo puts the same Tier
+// behind a log.
 package setcache
 
 import (
@@ -46,10 +48,12 @@ type Config struct {
 
 // Cache is the set-associative engine. Safe for concurrent use.
 type Cache struct {
-	mu    sync.Mutex // covers tier, stats and hist
-	tier  *Tier
-	stats cachelib.Stats
-	hist  metrics.Histogram
+	cachelib.PerKey
+	mu      sync.Mutex // covers tier, deleted, stats and hist
+	tier    *Tier
+	deleted cachelib.DeleteShadow
+	stats   cachelib.Stats
+	hist    metrics.Histogram
 }
 
 var _ cachelib.Engine = (*Cache)(nil)
@@ -60,6 +64,7 @@ func New(cfg Config) (*Cache, error) {
 		return nil, fmt.Errorf("setcache: nil device")
 	}
 	c := new(Cache)
+	c.PerKey = cachelib.PerKeyOver(c)
 	var err error
 	if c.tier, err = NewTier(cfg, &c.stats, &c.hist); err != nil {
 		return nil, err
@@ -108,9 +113,18 @@ func (c *Cache) Set(key, value []byte) error {
 	if err := c.tier.Merge(c.tier.SetOf(fp), []setblock.Entry{{FP: fp, Key: key, Value: value}}); err != nil {
 		return err
 	}
+	c.deleted.Lift(key)
 	c.stats.Sets++
 	c.stats.LogicalBytes += uint64(len(key) + len(value))
 	c.stats.FlashBytesWritten += uint64(c.tier.pageSize)
+	return nil
+}
+
+// Delete implements cachelib.Engine with the delete shadow: no flash write.
+func (c *Cache) Delete(key []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.deleted.Delete(key, &c.stats)
 	return nil
 }
 
@@ -118,6 +132,9 @@ func (c *Cache) Set(key, value []byte) error {
 func (c *Cache) Get(key []byte) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.deleted.Hides(key, &c.stats) {
+		return nil, false
+	}
 	c.stats.Gets++
 	start := c.tier.cfg.Device.Clock().Now()
 	fp := hashing.Fingerprint(key)

@@ -31,19 +31,6 @@ const (
 	KindDelete
 )
 
-// String returns the conventional wire name of the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindGet:
-		return "GET"
-	case KindSet:
-		return "SET"
-	case KindDelete:
-		return "DELETE"
-	}
-	return "UNKNOWN"
-}
-
 // Request is one cache operation: by default a GET for Key whose demand-fill
 // value (on miss) is Value; mixed streams (see Mixed) also emit explicit SET
 // and DELETE operations. Buffers are owned by the stream and reused across
@@ -75,9 +62,6 @@ type ClusterConfig struct {
 // ObjectMean returns the mean object (key+value) size in bytes.
 func (c ClusterConfig) ObjectMean() int { return c.KeySize + c.ValueMean }
 
-// WSSBytes returns the approximate working-set size in bytes.
-func (c ClusterConfig) WSSBytes() int64 { return int64(c.Keys) * int64(c.ObjectMean()) }
-
 // Clusters are the four Table 5 traces with value sizes downscaled per §5.1
 // (cluster 14 by 2×, cluster 29 by 3×; 34 and 52 unchanged), giving the
 // paper's ≈246 B average object. Key-space sizes here are placeholders that
@@ -87,16 +71,6 @@ var Clusters = []ClusterConfig{
 	{Name: "cluster29", KeySize: 36, ValueMean: 266, ValueStd: 120, Keys: 1 << 20, ZipfAlpha: 1.2323, Seed: 29},
 	{Name: "cluster34", KeySize: 33, ValueMean: 322, ValueStd: 150, Keys: 1 << 20, ZipfAlpha: 1.1401, Seed: 34},
 	{Name: "cluster52", KeySize: 20, ValueMean: 273, ValueStd: 130, Keys: 1 << 20, ZipfAlpha: 1.2117, Seed: 52},
-}
-
-// ClusterByName returns the named cluster configuration.
-func ClusterByName(name string) (ClusterConfig, error) {
-	for _, c := range Clusters {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return ClusterConfig{}, fmt.Errorf("trace: unknown cluster %q", name)
 }
 
 // Scaled returns a copy of c with the key space resized so the cluster's
@@ -134,9 +108,6 @@ func NewZipf(cfg ClusterConfig) *ZipfStream {
 		salt: hashing.SplitMix64(uint64(cfg.Seed) ^ 0x746f7274696c6c61),
 	}
 }
-
-// Config returns the stream's cluster configuration.
-func (z *ZipfStream) Config() ClusterConfig { return z.cfg }
 
 // Next fills req with the next request.
 func (z *ZipfStream) Next(req *Request) {

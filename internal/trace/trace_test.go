@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"io"
 	"math"
 	"testing"
 )
@@ -99,19 +97,9 @@ func TestVerifyValue(t *testing.T) {
 
 func TestScaledWSS(t *testing.T) {
 	cfg := Clusters[0].Scaled(10 << 20)
-	got := cfg.WSSBytes()
+	got := int64(cfg.Keys) * int64(cfg.ObjectMean())
 	if got < 9<<20 || got > 11<<20 {
 		t.Fatalf("scaled WSS = %d, want ≈10MiB", got)
-	}
-}
-
-func TestClusterByName(t *testing.T) {
-	c, err := ClusterByName("cluster52")
-	if err != nil || c.KeySize != 20 {
-		t.Fatalf("lookup failed: %+v %v", c, err)
-	}
-	if _, err := ClusterByName("nope"); err == nil {
-		t.Fatal("unknown cluster should error")
 	}
 }
 
@@ -186,188 +174,6 @@ func TestSyntheticInsertsUniqueKeys(t *testing.T) {
 			t.Fatalf("duplicate key at op %d", i)
 		}
 		seen[k] = true
-	}
-}
-
-func TestFileRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := NewZipf(Clusters[3].Scaled(1 << 18))
-	var req Request
-	var want []Request
-	for i := 0; i < 500; i++ {
-		src.Next(&req)
-		want = append(want, Request{
-			Key:   append([]byte(nil), req.Key...),
-			Value: append([]byte(nil), req.Value...),
-		})
-		if err := w.Write(&req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != 500 {
-		t.Fatalf("wrote %d records", w.Count())
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, wr := range want {
-		if err := r.Read(&req); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if string(req.Key) != string(wr.Key) || string(req.Value) != string(wr.Value) {
-			t.Fatalf("record %d differs", i)
-		}
-	}
-	if err := r.Read(&req); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
-	}
-}
-
-func TestFileReaderWraps(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	var req Request
-	req.Key = []byte("0123456789abcdef")
-	req.Value = []byte("v")
-	w.Write(&req)
-	w.Flush()
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		var got Request
-		r.Next(&got)
-		if string(got.Key) != "0123456789abcdef" {
-			t.Fatalf("wrap iteration %d wrong", i)
-		}
-	}
-}
-
-func TestFileRejectsBadMagic(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("NOTATRACE..."))); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
-// TestFileRoundTripMixedOps pins the v2 format: the op kind of a mixed
-// GET/SET/DELETE trace survives capture and replay.
-func TestFileRoundTripMixedOps(t *testing.T) {
-	inner := NewZipf(Clusters[0].Scaled(1 << 18))
-	src, err := NewMixed(inner, 0.3, 0.2, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Materialize(src, 500)
-	for i := range want {
-		if err := w.Write(&want[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kinds := map[Kind]int{}
-	var req Request
-	for i, wr := range want {
-		if err := r.Read(&req); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if req.Op != wr.Op {
-			t.Fatalf("record %d: op %v, want %v", i, req.Op, wr.Op)
-		}
-		if string(req.Key) != string(wr.Key) || string(req.Value) != string(wr.Value) {
-			t.Fatalf("record %d differs", i)
-		}
-		kinds[req.Op]++
-	}
-	if kinds[KindGet] == 0 || kinds[KindSet] == 0 || kinds[KindDelete] == 0 {
-		t.Fatalf("degenerate op mix: %v", kinds)
-	}
-}
-
-// TestFileWriterValidatesRecords pins capture-time validation: op range
-// and the only-deletes-are-empty rule fail at Write, not at replay of an
-// archived file.
-func TestFileWriterValidatesRecords(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := Request{Op: Kind(7), Key: []byte("0123456789abcdef"), Value: []byte("v")}
-	if err := w.Write(&bad); err == nil {
-		t.Fatal("unknown op accepted")
-	}
-	empty := Request{Op: KindGet, Key: []byte("0123456789abcdef")}
-	if err := w.Write(&empty); err == nil {
-		t.Fatal("empty-value GET accepted")
-	}
-	del := Request{Op: KindDelete, Key: []byte("0123456789abcdef")}
-	if err := w.Write(&del); err != nil {
-		t.Fatalf("empty-value DELETE rejected: %v", err)
-	}
-}
-
-// TestFileReadsV1 keeps the op-less legacy format readable: every record
-// replays as a GET.
-func TestFileReadsV1(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString("NEMOTRC1")
-	key := []byte("0123456789abcdef")
-	buf.WriteByte(byte(len(key)))
-	buf.Write([]byte{1, 0}) // valLen = 1, little endian
-	buf.Write(key)
-	buf.WriteByte('v')
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var req Request
-	req.Op = KindDelete // stale buffer state must be overwritten
-	if err := r.Read(&req); err != nil {
-		t.Fatal(err)
-	}
-	if req.Op != KindGet || string(req.Key) != string(key) || string(req.Value) != "v" {
-		t.Fatalf("v1 record misread: op=%v key=%q value=%q", req.Op, req.Key, req.Value)
-	}
-	if err := r.Read(&req); err != io.EOF {
-		t.Fatalf("expected EOF, got %v", err)
-	}
-
-	// v1 predates the only-deletes-are-empty rule: an archived record with
-	// an empty value must still read (as a GET), not error.
-	var old bytes.Buffer
-	old.WriteString("NEMOTRC1")
-	old.WriteByte(byte(len(key)))
-	old.Write([]byte{0, 0}) // valLen = 0
-	old.Write(key)
-	r2, err := NewReader(bytes.NewReader(old.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r2.Read(&req); err != nil {
-		t.Fatalf("v1 empty-value record rejected: %v", err)
-	}
-	if req.Op != KindGet || len(req.Value) != 0 {
-		t.Fatalf("v1 empty-value record misread: op=%v value=%q", req.Op, req.Value)
 	}
 }
 

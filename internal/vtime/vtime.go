@@ -10,7 +10,7 @@
 // substitution). NewReal returns a clock pinned to the host's monotonic
 // wall clock instead — the mode the file-backed device uses so the same
 // measurement code paths report real, measured latencies. A real clock
-// advances on its own; Advance and AdvanceTo become no-ops on it.
+// advances on its own; Advance becomes a no-op on it.
 package vtime
 
 import (
@@ -54,22 +54,4 @@ func (c *Clock) Advance(d time.Duration) time.Duration {
 		return c.Now()
 	}
 	return time.Duration(c.now.Add(int64(d)))
-}
-
-// AdvanceTo moves a virtual clock forward to t if t is later than the
-// current time; earlier values are ignored (the clock never moves
-// backwards). On a real clock it is a no-op.
-func (c *Clock) AdvanceTo(t time.Duration) {
-	if c.Real() {
-		return
-	}
-	for {
-		cur := c.now.Load()
-		if int64(t) <= cur {
-			return
-		}
-		if c.now.CompareAndSwap(cur, int64(t)) {
-			return
-		}
-	}
 }

@@ -34,19 +34,6 @@ func TestNegativeAdvancePanics(t *testing.T) {
 	c.Advance(-1)
 }
 
-func TestAdvanceToMonotone(t *testing.T) {
-	var c Clock
-	c.AdvanceTo(10 * time.Second)
-	c.AdvanceTo(5 * time.Second) // must not go backwards
-	if c.Now() != 10*time.Second {
-		t.Fatalf("clock went backwards: %v", c.Now())
-	}
-	c.AdvanceTo(11 * time.Second)
-	if c.Now() != 11*time.Second {
-		t.Fatalf("now = %v", c.Now())
-	}
-}
-
 func TestConcurrentAdvance(t *testing.T) {
 	var c Clock
 	var wg sync.WaitGroup

@@ -101,14 +101,13 @@ func IndexZonesFor(dataZones, sgsPerGroup int) int {
 // reserves its own index pool); dataZones must be a multiple of shards.
 func DeviceZonesFor(dataZones, shards int) int { return core.DeviceZonesFor(dataZones, shards) }
 
-// Engine is the minimal cache-engine interface implemented by Nemo and all
-// four baselines; Replay drives any Engine.
+// Engine is the one cache-engine interface — Get, Set, Delete, the batched
+// GetMany/SetMany, the deferred SetAsync/Drain, Stats — implemented by
+// Nemo, all four baselines and every sharded facade; Replay drives any
+// Engine.
 type Engine = cachelib.Engine
 
-// EngineV2 is the full production surface: Engine plus batched multi-ops
-// (GetMany/SetMany), Delete, and asynchronous writes (SetAsync/Drain).
-// Cache, ShardedCache and ShardedEngine implement it.
-type EngineV2 = cachelib.EngineV2
+type EngineV2 = cachelib.Engine // the name benchmark/ knows Engine by
 
 // ErrDegraded is returned by writes (Set/SetAsync/SetMany/Delete) while a
 // shard's device-fault circuit breaker is open (Config.BreakerThreshold):
@@ -145,9 +144,8 @@ type ParallelReplayResult = cachelib.ParallelReplayResult
 // sequencing: each shard of a ShardedCache sees the identical request
 // subsequence it would in a single-threaded replay, so hit ratio and write
 // amplification are independent of worker count while throughput scales
-// with cores. ParallelReplayConfig.BatchSize drives the Engine v2 batched
-// surface (per-shard GetMany/SetMany) and AsyncSets the background flush
-// pipeline.
+// with cores. ParallelReplayConfig.BatchSize drives the batch calls
+// (per-shard GetMany/SetMany) and AsyncSets the background flush pipeline.
 func ParallelReplay(e Engine, reqs []Request, cfg ParallelReplayConfig) (ParallelReplayResult, error) {
 	return cachelib.ParallelReplay(e, reqs, cfg)
 }
@@ -157,7 +155,7 @@ func ParallelReplay(e Engine, reqs []Request, cfg ParallelReplayConfig) (Paralle
 func Materialize(s Stream, n int) []Request { return trace.Materialize(s, n) }
 
 // ShardedEngine is the hash-partitioned facade: independent engines over
-// disjoint capacity partitions behind one EngineV2 surface, routed by one
+// disjoint capacity partitions behind one Engine, routed by one
 // shard lane, so every engine of a comparison run — ShardedCache, which
 // embeds it, included — partitions the key space identically. With one shard
 // it is behaviorally identical to the engine it wraps.
@@ -176,24 +174,12 @@ type LogCacheConfig = logcache.Config
 // near-ideal write amplification, >100 bits/object of index memory.
 func NewLogCache(cfg LogCacheConfig) (Engine, error) { return logcache.New(cfg) }
 
-// NewShardedLogCache partitions the log cache's zone range into shards
-// independent engines behind a ShardedEngine.
-func NewShardedLogCache(cfg LogCacheConfig, shards int) (*ShardedEngine, error) {
-	return logcache.NewSharded(cfg, shards)
-}
-
 // SetCacheConfig configures the set-associative baseline.
 type SetCacheConfig = setcache.Config
 
 // NewSetCache creates the CacheLib-style set-associative baseline ("Set"):
 // minimal memory, ~16-20× write amplification for tiny objects.
 func NewSetCache(cfg SetCacheConfig) (Engine, error) { return setcache.New(cfg) }
-
-// NewShardedSetCache partitions the set cache's zone range into shards
-// independent engines behind a ShardedEngine.
-func NewShardedSetCache(cfg SetCacheConfig, shards int) (*ShardedEngine, error) {
-	return setcache.NewSharded(cfg, shards)
-}
 
 // KangarooConfig configures the Kangaroo hierarchical baseline.
 type KangarooConfig = kangaroo.Config
@@ -202,26 +188,12 @@ type KangarooConfig = kangaroo.Config
 // conventional FTL with independent garbage collection (Case 3.1).
 func NewKangaroo(cfg KangarooConfig) (Engine, error) { return kangaroo.New(cfg) }
 
-// NewShardedKangaroo partitions Kangaroo's zone range into shards
-// independent engines (each with its own HLog and FTL-backed HSet) behind a
-// ShardedEngine.
-func NewShardedKangaroo(cfg KangarooConfig, shards int) (*ShardedEngine, error) {
-	return kangaroo.NewSharded(cfg, shards)
-}
-
 // FairyWRENConfig configures the FairyWREN hierarchical baseline.
 type FairyWRENConfig = fairywren.Config
 
 // NewFairyWREN creates the FairyWREN baseline ("FW"): hierarchical cache on
 // a zoned device with GC folded into log-to-set migration (Case 3.2).
 func NewFairyWREN(cfg FairyWRENConfig) (Engine, error) { return fairywren.New(cfg) }
-
-// NewShardedFairyWREN partitions FairyWREN's zone range into shards
-// independent engines (each with its own HLog, set tier, and migration/GC)
-// behind a ShardedEngine.
-func NewShardedFairyWREN(cfg FairyWRENConfig, shards int) (*ShardedEngine, error) {
-	return fairywren.NewSharded(cfg, shards)
-}
 
 // Stream produces cache requests; see NewWorkload and the trace package
 // re-exports below.

@@ -3,7 +3,6 @@ package nemo_test
 import (
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -18,9 +17,7 @@ const replayDataZones = 48
 
 func buildShardedReplayCache(t testing.TB, shards int) *nemo.ShardedCache {
 	t.Helper()
-	perData := replayDataZones / shards
-	perIdx := nemo.IndexZonesFor(perData, 50)
-	dev := nemo.NewDevice(nemo.DeviceConfig{PagesPerZone: 64, Zones: shards * (perData + perIdx)})
+	dev := nemo.NewDevice(nemo.DeviceConfig{PagesPerZone: 64, Zones: nemo.DeviceZonesFor(replayDataZones, shards)})
 	cfg := nemo.DefaultConfig(dev, replayDataZones)
 	cfg.Shards = shards
 	c, err := nemo.NewSharded(cfg)
@@ -32,9 +29,7 @@ func buildShardedReplayCache(t testing.TB, shards int) *nemo.ShardedCache {
 
 func buildShardedAsyncReplayCache(t testing.TB, shards, flushers int) *nemo.ShardedCache {
 	t.Helper()
-	perData := replayDataZones / shards
-	perIdx := nemo.IndexZonesFor(perData, 50)
-	dev := nemo.NewDevice(nemo.DeviceConfig{PagesPerZone: 64, Zones: shards * (perData + perIdx)})
+	dev := nemo.NewDevice(nemo.DeviceConfig{PagesPerZone: 64, Zones: nemo.DeviceZonesFor(replayDataZones, shards)})
 	cfg := nemo.DefaultConfig(dev, replayDataZones)
 	cfg.Shards = shards
 	cfg.Flushers = flushers
@@ -117,8 +112,8 @@ func TestParallelReplayDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestParallelReplayDeterministicAcrossBatchSizes pins Engine v2's batched
-// surface against the unbatched driver: per-shard batching with exact
+// TestParallelReplayDeterministicAcrossBatchSizes pins the batched
+// replay against the unbatched driver: per-shard batching with exact
 // duplicate handling (repeats replay serially after the batch's fills)
 // keeps hit ratio and write amplification — every write-side and hit-side
 // counter — identical at every batch size on this trace. Only the flash
@@ -167,8 +162,8 @@ func TestParallelReplayDeterministicAcrossBatchSizes(t *testing.T) {
 	}
 }
 
-// TestParallelReplayMixedTraceDeterministic drives the full Engine v2
-// surface — batched mixed GET/SET/DELETE replay against the sharded engine
+// TestParallelReplayMixedTraceDeterministic drives the whole of
+// Engine — batched mixed GET/SET/DELETE replay against the sharded engine
 // — and pins worker-count independence of the final statistics.
 func TestParallelReplayMixedTraceDeterministic(t *testing.T) {
 	probe := nemo.NewDevice(nemo.DeviceConfig{PagesPerZone: 64})
@@ -246,7 +241,7 @@ func TestAsyncFlushBeatsInlineP99(t *testing.T) {
 	if raceEnabled {
 		t.Skip("skipping wall-clock latency assertion under -race")
 	}
-	if runtime.NumCPU() < 8 && os.Getenv("NEMO_FORCE_SCALING") != "1" {
+	if runtime.NumCPU() < 8 {
 		t.Skipf("skipping async-p99 assertion on %d CPUs: flushers cannot overlap the workers", runtime.NumCPU())
 	}
 	reqs := replayTrace(t, 200_000)
@@ -319,7 +314,7 @@ func TestShardedReplayThroughputAndQuality(t *testing.T) {
 	if raceEnabled {
 		t.Skip("skipping wall-clock speedup assertion under -race")
 	}
-	if runtime.NumCPU() < 8 && os.Getenv("NEMO_FORCE_SCALING") != "1" {
+	if runtime.NumCPU() < 8 {
 		t.Skipf("skipping ≥3× speedup assertion on %d CPUs: 8 shards cannot run in parallel", runtime.NumCPU())
 	}
 	if speedup < 3 {
@@ -335,7 +330,7 @@ func TestShardedReplayThroughputAndQuality(t *testing.T) {
 	}
 }
 
-// TestBatchedReplayThroughput asserts the Engine v2 batched surface's
+// TestBatchedReplayThroughput asserts batched replay's
 // headline: batched replay sustains at least the unbatched throughput. The
 // structural win is the merged multi-shard GetMany fan-out — a worker that
 // owns several shards gets cross-shard parallelism from single calls — so
@@ -349,7 +344,7 @@ func TestBatchedReplayThroughput(t *testing.T) {
 	if raceEnabled {
 		t.Skip("skipping wall-clock assertion under -race")
 	}
-	if runtime.NumCPU() < 8 && os.Getenv("NEMO_FORCE_SCALING") != "1" {
+	if runtime.NumCPU() < 8 {
 		t.Skipf("skipping batched-throughput assertion on %d CPUs: the fan-out cannot run in parallel", runtime.NumCPU())
 	}
 	reqs := replayTrace(t, 150_000)
