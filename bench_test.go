@@ -1,54 +1,41 @@
 package nemo_test
 
-// bench_test.go — one benchmark per paper artifact. Each benchmark runs the
-// corresponding experiment at "small" scale once per iteration (b.N is
-// normally 1 for these macro-benchmarks) and reports the headline metric as
-// custom units so `go test -bench` output doubles as a results table.
-// cmd/nemobench runs the same experiments at full scale with printed rows.
+// bench_test.go — one benchmark per paper artifact. BenchmarkExperiment
+// runs every registered experiment at "small" scale once per iteration (b.N
+// is normally 1 for these macro-benchmarks) and reports the headline cell of
+// its Report as a custom unit, so `go test -bench` output doubles as a
+// results table. cmd/nemobench runs the same experiments at full scale with
+// printed rows.
 
 import (
-	"io"
+	"strings"
 	"testing"
-	"time"
 
 	"nemo"
 	"nemo/internal/experiments"
 )
 
-func runExp(b *testing.B, id string) {
-	b.Helper()
-	e, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Benchmarks run each experiment at smoke scale (150k ops) so the
-	// whole table/figure suite completes in minutes; `nemobench -exp <id>`
-	// runs the same code at the medium and large scales.
-	for i := 0; i < b.N; i++ {
-		if err := e.Run(experiments.Options{Scale: "small", Ops: 150_000, Seed: 1, Out: io.Discard}); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiment runs each experiment at smoke scale (150k ops) so the
+// whole table/figure suite completes in minutes; `nemobench -exp <id>` runs
+// the same code at the medium and large scales.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.Registry {
+		b.Run(e.ID, func(b *testing.B) {
+			var rep experiments.Report
+			for i := 0; i < b.N; i++ {
+				var err error
+				if rep, err = e.Run(experiments.Options{Scale: "small", Ops: 150_000, Seed: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			cell, ok := rep.Lookup(rep.Headline)
+			if !ok {
+				b.Fatalf("no headline cell %+v", rep.Headline)
+			}
+			b.ReportMetric(cell.V, strings.ReplaceAll(rep.Headline.Col, " ", "_"))
+		})
 	}
 }
-
-func BenchmarkFig04PassiveMigrationCDF(b *testing.B) { runExp(b, "fig4") }
-func BenchmarkFig05MigrationSplitCDF(b *testing.B)   { runExp(b, "fig5") }
-func BenchmarkFig06PassiveFraction(b *testing.B)     { runExp(b, "fig6") }
-func BenchmarkFig08HashSkew(b *testing.B)            { runExp(b, "fig8") }
-func BenchmarkFig12aSteadyStateWA(b *testing.B)      { runExp(b, "fig12a") }
-func BenchmarkFig12bFWVariants(b *testing.B)         { runExp(b, "fig12b") }
-func BenchmarkFig13WritePattern(b *testing.B)        { runExp(b, "fig13") }
-func BenchmarkFig14WATrend(b *testing.B)             { runExp(b, "fig14") }
-func BenchmarkFig15ReadLatency(b *testing.B)         { runExp(b, "fig15") }
-func BenchmarkFig16MissRatio(b *testing.B)           { runExp(b, "fig16") }
-func BenchmarkFig17FillRateBreakdown(b *testing.B)   { runExp(b, "fig17") }
-func BenchmarkFig18PthSweep(b *testing.B)            { runExp(b, "fig18") }
-func BenchmarkFig19aSetSkew(b *testing.B)            { runExp(b, "fig19a") }
-func BenchmarkFig19bPBFGMiss(b *testing.B)           { runExp(b, "fig19b") }
-func BenchmarkSec32TheoryVsPractice(b *testing.B)    { runExp(b, "sec32") }
-func BenchmarkSec55Overhead(b *testing.B)            { runExp(b, "sec55") }
-func BenchmarkTab6MemoryModel(b *testing.B)          { runExp(b, "tab6") }
-func BenchmarkAppendixAModel(b *testing.B)           { runExp(b, "appA") }
 
 // BenchmarkNemoSteadyState measures Nemo's end-to-end throughput and
 // reports the paper's headline metrics as custom units.
@@ -169,5 +156,4 @@ func BenchmarkGetHitPath(b *testing.B) {
 	if b.N > 0 {
 		b.ReportMetric(float64(hits)/float64(b.N)*100, "hit%")
 	}
-	_ = time.Now
 }

@@ -5,7 +5,7 @@
 //
 //	nemobench -list
 //	nemobench -exp fig12a [-scale small|medium|large] [-ops N] [-seed S]
-//	nemobench -all [-scale medium]
+//	nemobench -all [-scale medium] [-ops N]
 //	nemobench -compare [-shards 1,2,4,8] [-engines nemo,log,set,kg,fw]
 //	          [-workers K] [-ops N] [-seed S] [-batch B] [-async] [-flushers K]
 //	          [-setfrac F] [-delfrac F] [-parallel] [-notime]
@@ -37,8 +37,11 @@
 // seconds, and the measured heal-to-recovery time; a scenario the stack
 // cannot recover from fails the run.
 //
-// Each experiment prints the rows or series of the corresponding paper
-// artifact. Wall-clock performance is not measured here: the repository's
+// Each experiment returns the rows or series of the corresponding paper
+// artifact as an experiments.Report, printed here. -all runs every
+// registered experiment even when one fails: each failure is printed as it
+// happens, and the run ends with the failed IDs and exit status 1 (0 when
+// all pass). Wall-clock performance is not measured here: the repository's
 // benchmark is benchmark/ (see benchmark/README.md and BENCHMARK.json).
 package main
 
@@ -48,6 +51,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 	"time"
 
 	"nemo/internal/backend"
@@ -151,30 +156,31 @@ func run() int {
 	}
 
 	if *compare {
-		// The compare harness reads a zero fraction as "unset" (the mixed
-		// default); -setfrac 0 / -delfrac 0 mean a pure-GET trace, which it
-		// spells as a negative value.
-		if *setFrac == 0 {
-			*setFrac = -1
+		shardCounts, err := parseShardList(*shards)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
 		}
-		if *delFrac == 0 {
-			*delFrac = -1
+		var engineKeys []string
+		if s := strings.TrimSpace(*engines); s != "" {
+			engineKeys = strings.Split(s, ",")
 		}
-		err := runCompare(os.Stdout, compareOptions{
-			shardList: *shards,
-			workers:   *workers,
-			ops:       *ops,
-			seed:      *seed,
-			batch:     *batch,
-			async:     *async,
-			flushers:  *flushers,
-			setFrac:   *setFrac,
-			delFrac:   *delFrac,
-			scale:     *scale,
-			engines:   *engines,
-			parallel:  *parallel,
-			noTime:    *noTime,
-			device:    deviceSpec,
+		err = experiments.RunCompare(experiments.CompareConfig{
+			Scale:    *scale,
+			Shards:   shardCounts,
+			Workers:  *workers,
+			Ops:      *ops,
+			Seed:     *seed,
+			Batch:    *batch,
+			Async:    *async,
+			Flushers: *flushers,
+			SetFrac:  *setFrac,
+			DelFrac:  *delFrac,
+			Engines:  engineKeys,
+			Parallel: *parallel,
+			HostTime: !*noTime,
+			Device:   deviceSpec,
+			Out:      os.Stdout,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -189,17 +195,25 @@ func run() int {
 		}
 		return 0
 	}
-	opts := experiments.Options{Scale: *scale, Ops: *ops, Seed: *seed, Out: os.Stdout}
+	opts := experiments.Options{Scale: *scale, Ops: *ops, Seed: *seed}
 	switch {
 	case *all:
+		var failed []string
 		for _, e := range experiments.Registry {
-			fmt.Printf("=== %s: %s ===\n", e.ID, e.Title)
+			fmt.Printf("=== %s ===\n", e.ID)
 			start := time.Now()
-			if err := e.Run(opts); err != nil {
+			rep, err := e.Run(opts)
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
-				return 1
+				failed = append(failed, e.ID)
+				continue
 			}
+			rep.Print(os.Stdout)
 			fmt.Printf("--- %s done in %v ---\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		}
+		if len(failed) > 0 {
+			fmt.Fprintf(os.Stderr, "%d of %d experiments failed: %s\n", len(failed), len(experiments.Registry), strings.Join(failed, " "))
+			return 1
 		}
 	case *exp != "":
 		e, err := experiments.ByID(*exp)
@@ -207,13 +221,35 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-		if err := e.Run(opts); err != nil {
+		rep, err := e.Run(opts)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 			return 1
 		}
+		rep.Print(os.Stdout)
 	default:
 		flag.Usage()
 		return 2
 	}
 	return 0
+}
+
+// parseShardList parses the -shards flag: comma-separated positive counts.
+func parseShardList(s string) ([]int, error) {
+	var out []int
+	for _, f := range strings.Split(s, ",") {
+		f = strings.TrimSpace(f)
+		if f == "" {
+			continue
+		}
+		n, err := strconv.Atoi(f)
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad shard count %q", f)
+		}
+		out = append(out, n)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("empty shard list")
+	}
+	return out, nil
 }

@@ -61,10 +61,12 @@
 // migration; Log is a log with an exact index. Each engine owns one mutex,
 // Stats and latency histogram; tier and front are lock-free and account
 // into them, and each engine's zero-value Config is the paper's Table 4.
-// `nemobench -exp fig12a` prints the five designs' steady-state write
-// amplification; `nemobench -compare` replays one mixed trace through all
-// five behind the same sharded facade (hit ratio, ALWA, total WA, read and
-// write errors, throughput per engine × shard count).
+// `nemobench -exp fig12a` reports the five designs' steady-state write
+// amplification (internal/experiments/fidelity_test.go holds each figure
+// to the paper's values and states where this reproduction departs);
+// `nemobench -compare` replays one mixed trace through all five behind the
+// same sharded facade (hit ratio, ALWA, total WA, read and write errors,
+// throughput per engine × shard count).
 //
 // # The concurrent read path
 //
@@ -77,15 +79,14 @@
 // ID and flush sequence), an unlocked I/O phase (PBFG fetches and the group
 // tests that waited on them, parallel candidate-page reads into pooled
 // per-goroutine buffers, key scan), and a short locked commit that
-// re-validates the epoch before applying the read-side effects
-// (hit/read counters, hotness
-// bits, index-cache publication, latency sample). If a flush or eviction moved
-// the flash layout mid-read, the pass is discarded — its device reads still
-// counted, the pages it fetched dropped unpublished — and the unresolved
-// keys are redone under the lock already held, so a lookup takes at most two
-// passes. There is one routine: GetMany plans, reads, and commits a whole
-// batch per lock acquisition, sharing PBFG fetches across the batch's keys,
-// and Get is its one-key case.
+// re-validates the epoch before applying the read-side effects (hit/read
+// counters, hotness bits, index-cache publication, latency sample). If a
+// flush or eviction moved the flash layout mid-read, the pass is discarded —
+// its device reads still counted, the pages it fetched dropped unpublished —
+// and the unresolved keys are redone under the lock already held, so a
+// lookup takes at most two passes. There is one routine: GetMany plans,
+// reads, and commits a whole batch per lock acquisition, sharing PBFG
+// fetches across the batch's keys, and Get is its one-key case.
 //
 // The steady-state GET allocates exactly once on a hit (the returned value
 // copy) and not at all on a clean miss — pinned by allocation-regression
@@ -435,9 +436,8 @@
 // process restart comes back warm; benchmark/ checkpoints, tears the
 // system down and warm-restores it in every traced run and reports restore
 // time and warm hit retention (snapshot.restore_ms,
-// snapshot.hit_retention). The simulator
-// is volatile by design — a sim "restart" never
-// matches the fresh device's generation and correctly starts cold.
+// snapshot.hit_retention). The simulator is volatile by design — a sim
+// "restart" never matches the fresh device's generation and starts cold.
 //
 // # What the package exposes
 //
@@ -489,5 +489,5 @@
 // See examples/batch for the whole of Engine end to end (GetMany, SetAsync,
 // Drain, Delete on a sharded cache), benchmark/README.md for what is
 // measured and how, and `nemobench -list` / `nemobench -exp <id>` to
-// regenerate every table and figure of the paper.
+// regenerate every table and figure of the paper as an experiments.Report.
 package nemo

@@ -55,8 +55,9 @@ func BitsPerObject(fpr float64) float64 {
 	return -math.Log2(fpr) / math.Ln2
 }
 
-// Filter is a fixed-size Bloom filter. Filters are created by New (fresh)
-// or FromBytes (deserialized from a flash page). The zero value is unusable.
+// Filter is a fixed-size Bloom filter, created by New. Serialized filters
+// are read in place (GroupMask over a bit-sliced page), never rebuilt. The
+// zero value is unusable.
 type Filter struct {
 	words []uint64
 	mbits uint64
@@ -73,9 +74,6 @@ func New(n int, fpr float64) *Filter {
 		k:     NumHashes(fpr),
 	}
 }
-
-// SizeBytes returns the serialized size of the filter in bytes.
-func (f *Filter) SizeBytes() int { return len(f.words) * 8 }
 
 // Add inserts a fingerprint.
 func (f *Filter) Add(fp uint64) {
@@ -118,28 +116,6 @@ func (f *Filter) AppendBytes(dst []byte) []byte {
 			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
 	}
 	return dst
-}
-
-// FromBytes reconstructs a filter with the given geometry from a serialized
-// bit array produced by AppendBytes. The slice length must equal
-// SizeBits(n, fpr)/8.
-func FromBytes(b []byte, n int, fpr float64) (*Filter, error) {
-	bits := SizeBits(n, fpr)
-	if len(b) != bits/8 {
-		return nil, fmt.Errorf("bloom: serialized size %d does not match geometry %d bytes", len(b), bits/8)
-	}
-	f := &Filter{
-		words: make([]uint64, bits/64),
-		mbits: uint64(bits),
-		k:     NumHashes(fpr),
-	}
-	for i := range f.words {
-		off := i * 8
-		f.words[i] = uint64(b[off]) | uint64(b[off+1])<<8 | uint64(b[off+2])<<16 |
-			uint64(b[off+3])<<24 | uint64(b[off+4])<<32 | uint64(b[off+5])<<40 |
-			uint64(b[off+6])<<48 | uint64(b[off+7])<<56
-	}
-	return f, nil
 }
 
 // MaxGroupMembers is the widest PBFG a bit-sliced page supports: a row of m

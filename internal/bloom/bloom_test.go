@@ -57,29 +57,25 @@ func TestFalsePositiveRate(t *testing.T) {
 	}
 }
 
+// TestSerializeRoundTrip follows a filter down the path the index takes:
+// AppendBytes, MergeColumn into a (one-member) bit-sliced page, GroupMask.
 func TestSerializeRoundTrip(t *testing.T) {
 	f := New(40, 0.001)
 	for i := 0; i < 30; i++ {
 		f.Add(hashing.SplitMix64(uint64(i) * 3))
 	}
 	raw := f.AppendBytes(nil)
-	if len(raw) != f.SizeBytes() {
-		t.Fatalf("serialized %d bytes, want %d", len(raw), f.SizeBytes())
+	mbits := SizeBits(40, 0.001)
+	if len(raw) != mbits/8 {
+		t.Fatalf("serialized %d bytes, want %d", len(raw), mbits/8)
 	}
-	g, err := FromBytes(raw, 40, 0.001)
-	if err != nil {
-		t.Fatal(err)
-	}
+	page := make([]byte, len(raw))
+	MergeColumn(page, 1, 0, raw)
 	for i := 0; i < 30; i++ {
-		if !g.Test(hashing.SplitMix64(uint64(i) * 3)) {
-			t.Fatalf("deserialized filter lost element %d", i)
+		ps := NewProbeSet(hashing.SplitMix64(uint64(i)*3), mbits, NumHashes(0.001))
+		if GroupMask(page, 1, ps, 1) != 1 {
+			t.Fatalf("serialized filter lost element %d", i)
 		}
-	}
-}
-
-func TestFromBytesRejectsWrongSize(t *testing.T) {
-	if _, err := FromBytes(make([]byte, 10), 40, 0.001); err == nil {
-		t.Fatal("expected error for wrong serialized size")
 	}
 }
 

@@ -29,7 +29,7 @@ func TestCoolingClearsUncachedSets(t *testing.T) {
 	// sealed groups, so writeback volume must be low (only unsealed-group
 	// SGs can qualify).
 	ex := c.Extra()
-	if ex.WriteBackObjs > ex.SGsFlushed*uint64(c.SetsPerSG()) {
+	if ex.WriteBackObjs > ex.SGsFlushed*uint64(c.setsPerSG) {
 		t.Fatalf("implausible writeback volume %d with cold index cache", ex.WriteBackObjs)
 	}
 }

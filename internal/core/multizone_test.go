@@ -29,8 +29,8 @@ func multiZoneCache(t *testing.T, zonesPerSG int, maxOpen int) (*flashsim.Device
 
 func TestMultiZoneSGBasic(t *testing.T) {
 	_, c := multiZoneCache(t, 4, 0)
-	if got := c.SetsPerSG(); got != 32 {
-		t.Fatalf("SetsPerSG = %d, want 4 zones × 8 pages", got)
+	if got := c.setsPerSG; got != 32 {
+		t.Fatalf("setsPerSG = %d, want 4 zones × 8 pages", got)
 	}
 	for i := 0; i < 2000; i++ {
 		k, v := kv(i)

@@ -252,9 +252,6 @@ func (c *Cache) Close() error {
 // ReadLatency implements cachelib.Engine.
 func (c *Cache) ReadLatency() *metrics.Histogram { return &c.hist }
 
-// SetsPerSG returns the number of sets in one Set-Group.
-func (c *Cache) SetsPerSG() int { return c.setsPerSG }
-
 // setOf maps a fingerprint to its intra-SG offset. Lane 0 keeps placement
 // independent of the Bloom probe stream.
 func (c *Cache) setOf(fp uint64) int {

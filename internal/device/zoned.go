@@ -182,9 +182,6 @@ func (z *Zoned) ZoneWP(zoneID int) int {
 // ZoneFull reports whether the zone has no remaining writable pages.
 func (z *Zoned) ZoneFull(zoneID int) bool { return z.ZoneWP(zoneID) >= z.geom.PagesPerZone }
 
-// ZoneStateOf returns the zone's lifecycle state.
-func (z *Zoned) ZoneStateOf(zoneID int) ZoneState { return StateOf(z, zoneID) }
-
 // OpenZones returns the number of partially written zones.
 func (z *Zoned) OpenZones() int {
 	z.openMu.Lock()

@@ -59,8 +59,8 @@ type CompareConfig struct {
 	Async    bool
 	Flushers int
 	// SetFrac / DelFrac rewrite that fraction of the trace into explicit
-	// SET / DELETE operations (the default 0.1/0.02 mirror a production
-	// read-heavy mix; set negative to force a pure-GET trace).
+	// SET / DELETE operations (nemobench's flag defaults, 0.1/0.02, mirror
+	// a production read-heavy mix; 0 and 0 leave the pure-GET trace).
 	SetFrac float64
 	DelFrac float64
 	// Engines filters which engines run (keys: nemo, log, set, kg, fw;
@@ -95,106 +95,65 @@ func (o CompareConfig) withDefaults() CompareConfig {
 	if o.Flushers <= 0 {
 		o.Flushers = 2
 	}
-	if o.SetFrac == 0 {
-		o.SetFrac = 0.1
-	}
-	if o.DelFrac == 0 {
-		o.DelFrac = 0.02
-	}
-	if o.SetFrac < 0 {
-		o.SetFrac = 0
-	}
-	if o.DelFrac < 0 {
-		o.DelFrac = 0
-	}
 	return o
 }
 
-// compareGeometry is the device preset of one scale. DataZones is the total
+// compareGeometryFor is the device preset of one scale. Zones is the total
 // cache capacity in zones, held constant across shard counts so the quality
 // columns stay comparable; only the partitioning changes.
-type compareGeometry struct {
-	PageSize     int
-	PagesPerZone int
-	DataZones    int
-	Ops          int
-}
-
-func compareGeometryFor(scale string) compareGeometry {
+func compareGeometryFor(scale string) geometry {
 	switch scale {
 	case "small":
-		return compareGeometry{PageSize: 4096, PagesPerZone: 32, DataZones: 48, Ops: 100_000}
+		return geometry{PageSize: 4096, PagesPerZone: 32, Zones: 48, Ops: 100_000}
 	case "large":
-		return compareGeometry{PageSize: 4096, PagesPerZone: 128, DataZones: 96, Ops: 2_000_000}
+		return geometry{PageSize: 4096, PagesPerZone: 128, Zones: 96, Ops: 2_000_000}
 	default: // medium
-		return compareGeometry{PageSize: 4096, PagesPerZone: 64, DataZones: 48, Ops: 400_000}
+		return geometry{PageSize: 4096, PagesPerZone: 64, Zones: 48, Ops: 400_000}
 	}
 }
 
-func (g compareGeometry) capacityBytes() int64 {
-	return int64(g.PageSize) * int64(g.PagesPerZone) * int64(g.DataZones)
-}
-
-// openFn builds a device of the run's geometry with the given zone count on
-// the selected backend. Each engine's build calls it exactly once; the
-// harness (not the engine) closes what it opened.
-type openFn func(zones int) (device.Device, error)
-
 // compareEngine is one comparison column: a canonical key, the structural
 // minimum per-shard zone budget the design needs to run (hierarchical
-// engines need an HLog plus a set tier per shard), and a builder producing
-// the sharded engine on a fresh device. Shard counts below an engine's
-// minimum print a deterministic "skipped" row instead of failing the sweep.
+// engines need an HLog plus a set tier per shard), the device size it needs
+// beyond the data zones (nil = none), and a builder producing the sharded
+// engine on the fresh device the harness opened (and closes). Shard counts
+// below an engine's minimum print a deterministic "skipped" row instead of
+// failing the sweep.
 type compareEngine struct {
 	key         string // lowercase selector for the -engines filter
 	name        string // the engine's display label (matches Engine.Name())
 	minPerShard int
-	build       func(g compareGeometry, open openFn, n int, async bool, flushers int) (cachelib.Engine, error)
+	zones       func(dataZones, shards int) int
+	build       func(dev device.Device, o CompareConfig, dataZones, shards int) (cachelib.Engine, error)
 }
 
 var compareEngines = []compareEngine{
 	{
-		key: "nemo", name: "Nemo", minPerShard: 2,
-		build: func(g compareGeometry, open openFn, n int, async bool, flushers int) (cachelib.Engine, error) {
-			dev, err := open(core.DeviceZonesFor(g.DataZones, n))
-			if err != nil {
-				return nil, err
-			}
-			cfg := core.DefaultConfig(dev, g.DataZones)
+		key: "nemo", name: "Nemo", minPerShard: 2, zones: core.DeviceZonesFor,
+		build: func(dev device.Device, o CompareConfig, dataZones, n int) (cachelib.Engine, error) {
+			cfg := core.DefaultConfig(dev, dataZones)
 			cfg.Shards = n
-			if async {
-				cfg.Flushers = flushers
+			if o.Async {
+				cfg.Flushers = o.Flushers
 			}
 			return core.NewSharded(cfg)
 		},
 	},
 	{
 		key: "log", name: "Log", minPerShard: 2,
-		build: func(g compareGeometry, open openFn, n int, async bool, flushers int) (cachelib.Engine, error) {
-			dev, err := open(g.DataZones)
-			if err != nil {
-				return nil, err
-			}
+		build: func(dev device.Device, _ CompareConfig, _, n int) (cachelib.Engine, error) {
 			return logcache.NewSharded(logcache.Config{Device: dev}, n)
 		},
 	},
 	{
 		key: "set", name: "Set", minPerShard: 4, // FTL free-zone reserve + 2
-		build: func(g compareGeometry, open openFn, n int, async bool, flushers int) (cachelib.Engine, error) {
-			dev, err := open(g.DataZones)
-			if err != nil {
-				return nil, err
-			}
+		build: func(dev device.Device, _ CompareConfig, _, n int) (cachelib.Engine, error) {
 			return setcache.NewSharded(setcache.Config{Device: dev}, n)
 		},
 	},
 	{
 		key: "kg", name: "KG", minPerShard: 6,
-		build: func(g compareGeometry, open openFn, n int, async bool, flushers int) (cachelib.Engine, error) {
-			dev, err := open(g.DataZones)
-			if err != nil {
-				return nil, err
-			}
+		build: func(dev device.Device, _ CompareConfig, _, n int) (cachelib.Engine, error) {
 			return kangaroo.NewSharded(kangaroo.Config{Device: dev}, n)
 		},
 	},
@@ -204,11 +163,7 @@ var compareEngines = []compareEngine{
 		// live and reclaim loses ground to its own relocations (the gc
 		// progress guard then errors out the run).
 		key: "fw", name: "FW", minPerShard: 12,
-		build: func(g compareGeometry, open openFn, n int, async bool, flushers int) (cachelib.Engine, error) {
-			dev, err := open(g.DataZones)
-			if err != nil {
-				return nil, err
-			}
+		build: func(dev device.Device, _ CompareConfig, _, n int) (cachelib.Engine, error) {
 			return fairywren.NewSharded(fairywren.Config{Device: dev}, n)
 		},
 	},
@@ -244,10 +199,8 @@ func selectEngines(keys []string) ([]compareEngine, error) {
 
 // compareTrace materializes the comparison workload for a scale: the four
 // Table 5 clusters interleaved at ~3× cache capacity, with the configured
-// fraction rewritten into explicit SETs and DELETEs. o already carries its
-// defaults: withDefaults is not idempotent (it resolves the negative
-// "explicitly zero" fractions to 0, which a second pass would read as unset).
-func compareTrace(o CompareConfig, g compareGeometry) ([]trace.Request, error) {
+// fraction rewritten into explicit SETs and DELETEs.
+func compareTrace(o CompareConfig, g geometry) ([]trace.Request, error) {
 	if o.Ops <= 0 {
 		o.Ops = g.Ops
 	}
@@ -283,7 +236,7 @@ func RunCompare(o CompareConfig) error {
 	// replayer's per-shard sequencing guarantee), so it appears with the
 	// other host-time context rather than in the deterministic rows.
 	title := fmt.Sprintf("Cross-engine comparison — %d ops (%.0f%% SET, %.0f%% DEL), %d data zones, batch=%d, async=%v",
-		len(reqs), o.SetFrac*100, o.DelFrac*100, g.DataZones, o.Batch, o.Async)
+		len(reqs), o.SetFrac*100, o.DelFrac*100, g.Zones, o.Batch, o.Async)
 	if o.HostTime {
 		if o.Workers > 0 {
 			title += fmt.Sprintf(", workers=%d", o.Workers)
@@ -299,26 +252,24 @@ func RunCompare(o CompareConfig) error {
 	fmt.Fprintln(o.Out, header)
 
 	for _, n := range o.Shards {
-		if n < 1 || g.DataZones%n != 0 {
-			fmt.Fprintf(o.Out, "%-6s %-7d skipped: %d data zones not divisible\n", "all", n, g.DataZones)
+		if n < 1 || g.Zones%n != 0 {
+			fmt.Fprintf(o.Out, "%-6s %-7d skipped: %d data zones not divisible\n", "all", n, g.Zones)
 			continue
 		}
 		rows := make([]string, len(engines))
 		errs := make([]error, len(engines))
 		var wg sync.WaitGroup
 		for i, e := range engines {
-			run := func(i int, e compareEngine) {
-				rows[i], errs[i] = o.runOne(g, e, n, reqs)
-			}
+			run := func() { rows[i], errs[i] = o.runOne(g, e, n, reqs) }
 			if !o.Parallel {
-				run(i, e)
+				run()
 				continue
 			}
 			wg.Add(1)
-			go func(i int, e compareEngine) {
+			go func() {
 				defer wg.Done()
-				run(i, e)
-			}(i, e)
+				run()
+			}()
 		}
 		wg.Wait()
 		for i := range rows {
@@ -333,33 +284,24 @@ func RunCompare(o CompareConfig) error {
 
 // runOne builds one sharded engine, replays the shared trace, and formats
 // its table row.
-func (o CompareConfig) runOne(g compareGeometry, e compareEngine, n int, reqs []trace.Request) (string, error) {
-	if per := g.DataZones / n; per < e.minPerShard {
+func (o CompareConfig) runOne(g geometry, e compareEngine, n int, reqs []trace.Request) (string, error) {
+	if per := g.Zones / n; per < e.minPerShard {
 		return fmt.Sprintf("%-6s %-7d skipped: %d zones/shard < engine minimum %d",
 			e.name, n, per, e.minPerShard), nil
 	}
-	// Engines never close their device; the harness closes (and, for
-	// file-backed devices, removes) whatever the build opened — after the
-	// engine is closed, so no I/O outlives its device.
-	var devs []device.Device
-	defer func() {
-		for _, d := range devs {
-			d.Close()
-		}
-	}()
-	open := func(zones int) (device.Device, error) {
-		d, err := o.Device.Open(device.Geometry{
-			PageSize:     g.PageSize,
-			PagesPerZone: g.PagesPerZone,
-			Zones:        zones,
-		})
-		if err != nil {
-			return nil, err
-		}
-		devs = append(devs, d)
-		return d, nil
+	zones := g.Zones
+	if e.zones != nil {
+		zones = e.zones(g.Zones, n)
 	}
-	eng, err := e.build(g, open, n, o.Async, o.Flushers)
+	dev, err := o.Device.Open(device.Geometry{PageSize: g.PageSize, PagesPerZone: g.PagesPerZone, Zones: zones})
+	if err != nil {
+		return "", err
+	}
+	// Engines never close their device; the harness closes (and, for a
+	// file-backed device, removes) it — after the engine is closed, so no
+	// I/O outlives its device.
+	defer dev.Close()
+	eng, err := e.build(dev, o, g.Zones, n)
 	if err != nil {
 		return "", err
 	}

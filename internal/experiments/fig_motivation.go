@@ -5,43 +5,24 @@ import (
 
 	"nemo/internal/cachelib"
 	"nemo/internal/fairywren"
-	"nemo/internal/trace"
+	"nemo/internal/metrics"
 	"nemo/internal/wamodel"
 )
 
-func init() {
-	register("fig4", "Figure 4: CDF of newly written objects per set write (passive migration)", runFig4)
-	register("fig5", "Figure 5: CDF of passive vs active migration batch sizes", runFig5)
-	register("fig6", "Figure 6: passive-migration fraction p vs trace operations by OP ratio", runFig6)
-	register("sec32", "§3.2: L2SWA theory vs practice for FairyWREN", runSec32)
-}
-
-// runFW replays the standard workload against one FairyWREN configuration,
-// invoking phase at every sample point.
-func runFW(o Options, logRatio, opRatio float64, phase func(done int, fw *fairywren.Cache)) (*fairywren.Cache, error) {
+// runFW replays the standard workload against one FairyWREN variant in 32
+// phases with no clock (§3.2 measures migration, not latency), invoking
+// phase after each.
+func runFW(o Options, variant string, phase func(done int, fw *fairywren.Cache)) (*fairywren.Cache, error) {
 	g := geometryFor(o)
-	_, fw, stream, err := fwSetup(g, o, fairywren.Config{LogRatio: logRatio, OPRatio: opRatio})
+	_, fw, stream, err := setup(g, o, fwOn(variant))
 	if err != nil {
 		return nil, err
 	}
 	ops := g.ops(o)
-	chunk := ops / 32
-	if chunk < 1 {
-		chunk = 1
-	}
-	var req trace.Request
 	for done := 0; done < ops; {
-		n := chunk
-		if done+n > ops {
-			n = ops - done
-		}
-		for i := 0; i < n; i++ {
-			stream.Next(&req)
-			if _, hit := fw.Get(req.Key); !hit {
-				if err := fw.Set(req.Key, req.Value); err != nil {
-					return nil, err
-				}
-			}
+		n := min(max(ops/32, 1), ops-done)
+		if _, err := cachelib.Replay(fw, stream, cachelib.ReplayConfig{Ops: n}); err != nil {
+			return nil, err
 		}
 		done += n
 		if phase != nil {
@@ -51,79 +32,70 @@ func runFW(o Options, logRatio, opRatio float64, phase func(done int, fw *fairyw
 	return fw, nil
 }
 
-func runFig4(o Options) error {
-	o = o.withDefaults()
-	fmt.Fprintln(o.Out, "Figure 4 — passive object migration: newly written objects per set write")
+// cdfColumns heads a table of migration batch-size CDFs, one cdfRow each.
+var cdfColumns = []string{"config", "≤0", "≤1", "≤2", "≤3", "≤4", "≤5", "≤6", "≤7", "≤8", "≤9", "≤10", "11+", "mean batch"}
+
+func cdfRow(t *Table, label string, c *metrics.IntCDF) {
+	var cells []Cell
+	for _, p := range c.CDF() {
+		cells = append(cells, pct("%.1f", p))
+	}
+	t.row(label, append(cells, num("%.2f", c.Mean()))...)
+}
+
+func runFig4(o Options) (Report, error) {
+	var rep Report
+	t := rep.table("", cdfColumns...)
 
 	// Log5-OP5 with an early/steady phase split at the first active
 	// migration (GC), as in the paper.
-	var earlyCDF []float64
 	split := false
-	fw, err := runFW(o, 0.05, 0.05, func(done int, fw *fairywren.Cache) {
+	fw, err := runFW(o, "Log5-OP5", func(done int, fw *fairywren.Cache) {
 		if !split && fw.Migration().ActiveRMW > 0 {
-			earlyCDF = fw.Migration().PassiveCDF.CDF()
+			cdfRow(t, "Log5-OP5 (Early)", fw.Migration().PassiveCDF)
 			fw.ResetMigrationCDFs()
 			split = true
 		}
 	})
 	if err != nil {
-		return err
+		return rep, err
 	}
-	if earlyCDF != nil {
-		printCDF(o.Out, "Log5-OP5 (Early)", earlyCDF)
-	} else {
-		printCDF(o.Out, "Log5-OP5 (Early=all, no GC)", fw.Migration().PassiveCDF.CDF())
+	if !split {
+		cdfRow(t, "Log5-OP5 (Early=all, no GC)", fw.Migration().PassiveCDF)
 	}
-	printCDF(o.Out, "Log5-OP5 (Steady)", fw.Migration().PassiveCDF.CDF())
+	cdfRow(t, "Log5-OP5 (Steady)", fw.Migration().PassiveCDF)
 
-	for _, cfg := range []struct {
-		label    string
-		logRatio float64
-		opRatio  float64
-	}{
-		{"Log20-OP5", 0.20, 0.05},
-		{"Log5-OP50", 0.05, 0.50},
-	} {
-		fw, err := runFW(o, cfg.logRatio, cfg.opRatio, nil)
+	for _, variant := range []string{"Log20-OP5", "Log5-OP50"} {
+		fw, err := runFW(o, variant, nil)
 		if err != nil {
-			return err
+			return rep, err
 		}
-		printCDF(o.Out, cfg.label, fw.Migration().PassiveCDF.CDF())
-		fmt.Fprintf(o.Out, "%-28s mean batch = %.2f objects\n", "", fw.Migration().PassiveCDF.Mean())
+		cdfRow(t, variant, fw.Migration().PassiveCDF)
 	}
-	return nil
+	return rep, nil
 }
 
-func runFig5(o Options) error {
-	o = o.withDefaults()
-	fmt.Fprintln(o.Out, "Figure 5 — passive vs active migration batch-size CDFs")
-	for _, cfg := range []struct {
-		label    string
-		logRatio float64
-	}{
-		{"Log5-OP5", 0.05},
-		{"Log10-OP5", 0.10},
-	} {
-		fw, err := runFW(o, cfg.logRatio, 0.05, nil)
+func runFig5(o Options) (Report, error) {
+	var rep Report
+	t := rep.table("", cdfColumns...)
+	for _, variant := range []string{"Log5-OP5", "Log10-OP5"} {
+		fw, err := runFW(o, variant, nil)
 		if err != nil {
-			return err
+			return rep, err
 		}
-		mig := fw.Migration()
-		printCDF(o.Out, cfg.label+" (Passive)", mig.PassiveCDF.CDF())
-		printCDF(o.Out, cfg.label+" (Active)", mig.ActiveCDF.CDF())
-		fmt.Fprintf(o.Out, "%-28s passive mean %.2f, active mean %.2f (Observation 3: ≈2× gap)\n",
-			"", mig.PassiveCDF.Mean(), mig.ActiveCDF.Mean())
+		cdfRow(t, variant+" (Passive)", fw.Migration().PassiveCDF)
+		cdfRow(t, variant+" (Active)", fw.Migration().ActiveCDF)
 	}
-	return nil
+	rep.Notes = []string{"Observation 3: the passive mean batch is ≈2× the active one."}
+	return rep, nil
 }
 
-func runFig6(o Options) error {
-	o = o.withDefaults()
-	fmt.Fprintln(o.Out, "Figure 6 — passive-migration fraction p vs trace operations")
-	for _, op := range []float64{0.05, 0.20, 0.35, 0.50} {
-		var xs, ys []float64
+func runFig6(o Options) (Report, error) {
+	var rep Report
+	for _, variant := range []string{"Log5-OP5", "Log5-OP20", "Log5-OP35", "Log5-OP50"} {
+		t := rep.table(variant, "ops", "p")
 		var lastP, lastA uint64
-		_, err := runFW(o, 0.05, op, func(done int, fw *fairywren.Cache) {
+		_, err := runFW(o, variant, func(done int, fw *fairywren.Cache) {
 			mig := fw.Migration()
 			dp := mig.PassiveRMW - lastP
 			da := mig.ActiveRMW - lastA
@@ -132,51 +104,66 @@ func runFig6(o Options) error {
 			if dp+da > 0 {
 				p = float64(dp) / float64(dp+da)
 			}
-			xs = append(xs, float64(done))
-			ys = append(ys, p*100)
+			t.row(fmt.Sprint(done), pct("%.1f", p))
 		})
 		if err != nil {
-			return err
+			return rep, err
 		}
-		printSeries(o.Out, fmt.Sprintf("Log5-OP%d (p %%):", int(op*100)), xs, ys, "%12.0f ops", "p=%6.1f%%")
 	}
-	fmt.Fprintln(o.Out, "Observation 4: p rises with the OP ratio (active migration vanishes at high OP)")
-	return nil
+	rep.Notes = []string{"Observation 4: p rises with the OP ratio (active migration vanishes at high OP)"}
+	return rep, nil
 }
 
-func runSec32(o Options) error {
-	o = o.withDefaults()
+func runSec32(o Options) (Report, error) {
+	var rep Report
 	g := geometryFor(o)
-	fw, err := runFW(o, 0.05, 0.05, nil)
+	fw, err := runFW(o, "Log5-OP5", nil)
 	if err != nil {
-		return err
+		return rep, err
 	}
 	mig := fw.Migration()
 	st := fw.Stats()
 
 	// Model the same configuration with Eq. 6–8.
-	setPages := g.Zones*g.PagesPerZone - fw.LogPages()
 	avgObj := avgObjectBytes(st)
 	model := wamodel.HierarchicalConfig{
 		PageSize:        g.PageSize,
 		ObjSize:         avgObj,
 		LogPages:        fw.LogPages(),
-		SetPages:        setPages,
+		SetPages:        g.Zones*g.PagesPerZone - fw.LogPages(),
 		OPRatio:         0.05,
 		HotColdDivision: true,
 	}
 	p := mig.PassiveFraction()
-	measuredL2P := float64(g.PageSize) / (mig.PassiveCDF.Mean() * avgObj)
+	f2 := func(v float64) Cell { return num("%.2f", v) }
+	t := rep.table("this run", "quantity", "theory", "measured")
+	t.row("E(L_i) / mean passive batch (objects)", f2(model.ExpectedListLen()), f2(mig.PassiveCDF.Mean()))
+	t.row("L2SWA(P)", f2(model.L2SWAPassive()), f2(float64(g.PageSize)/(mig.PassiveCDF.Mean()*avgObj)))
+	t.row("p (passive fraction)", text(""), f2(p))
+	t.row("total WA (Eq. 1 with p)", f2(model.TotalWA(1.0, p)), f2(st.ALWA()))
 
-	fmt.Fprintln(o.Out, "§3.2 theory vs practice (FairyWREN, Log5-OP5)")
-	fmt.Fprintf(o.Out, "  E(L_i) theory        : %8.2f objects\n", model.ExpectedListLen())
-	fmt.Fprintf(o.Out, "  mean passive batch   : %8.2f objects (measured)\n", mig.PassiveCDF.Mean())
-	fmt.Fprintf(o.Out, "  L2SWA(P) theory      : %8.2f\n", model.L2SWAPassive())
-	fmt.Fprintf(o.Out, "  L2SWA(P) measured    : %8.2f\n", measuredL2P)
-	fmt.Fprintf(o.Out, "  p (passive fraction) : %8.2f\n", p)
-	fmt.Fprintf(o.Out, "  total WA theory      : %8.2f  (Eq. 1 with p)\n", model.TotalWA(1.0, p))
-	fmt.Fprintf(o.Out, "  total WA measured    : %8.2f\n", st.ALWA())
-	return nil
+	// The same equations at the paper's own scale, where no run is possible.
+	const paperPages, paperP = 360 << 30 / 4096, 0.25
+	paper := wamodel.HierarchicalConfig{
+		PageSize:        4096,
+		ObjSize:         246,
+		LogPages:        paperPages * 5 / 100,
+		SetPages:        paperPages - paperPages*5/100,
+		OPRatio:         0.05,
+		HotColdDivision: true,
+	}
+	kg := paper
+	kg.HotColdDivision = false
+	t = rep.table("paper scale: 360 GB, Log5-OP5, 246 B objects, p = 0.25", "quantity", "theory")
+	t.row("usable sets N'", num("%.0f", paper.UsableSets()))
+	t.row("hash range (FW)", num("%.0f", paper.HashRange()))
+	t.row("E(L_i) (objects)", f2(paper.ExpectedListLen()))
+	t.row("L2SWA(P) (Eq. 6)", f2(paper.L2SWAPassive()))
+	t.row("L2SWA(A)", f2(paper.L2SWAActive()))
+	t.row("L2SWA(p) (Eq. 8)", f2(paper.L2SWA(paperP)))
+	t.row("total WA (Eq. 1)", f2(paper.TotalWA(1.0, paperP)))
+	t.row("Kangaroo L2SWA(P), no hot/cold division", f2(kg.L2SWAPassive()))
+	return rep, nil
 }
 
 func avgObjectBytes(st cachelib.Stats) float64 {

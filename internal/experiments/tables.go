@@ -4,97 +4,83 @@ import (
 	"fmt"
 
 	"nemo/internal/core"
-	"nemo/internal/fairywren"
 	"nemo/internal/trace"
 	"nemo/internal/wamodel"
 )
 
-func init() {
-	register("tab3", "Table 3: Nemo configuration defaults", runTab3)
-	register("tab5", "Table 5: characteristics of the (synthesized) Twitter traces", runTab5)
-	register("tab6", "Table 6: metadata overhead comparison (bits per object)", runTab6)
-	register("sec55", "§5.5: read amplification and memory overhead, Nemo vs FW", runSec55)
-	register("appA", "Appendix A: PBFG accuracy vs read-amplification trade-off", runAppA)
-}
-
-func runTab3(o Options) error {
-	o = o.withDefaults()
+func runTab3(o Options) (Report, error) {
+	var rep Report
 	g := geometryFor(o)
 	dev := g.newDevice()
 	cfg := core.DefaultConfig(dev, maxDataZones(g.Zones, 50))
-	fmt.Fprintln(o.Out, "Table 3 — Nemo configuration (paper values in parentheses)")
-	fmt.Fprintf(o.Out, "  set size                : %d B (4 KB)\n", dev.PageSize())
-	fmt.Fprintf(o.Out, "  sets per SG             : %d (275,712; scaled with zone size)\n", dev.PagesPerZone())
-	fmt.Fprintf(o.Out, "  PBFG false-positive rate: %.3f%% (0.1%%)\n", cfg.BloomFPR*100)
-	fmt.Fprintf(o.Out, "  #SGs : #index groups    : %d:1 (50:1)\n", cfg.SGsPerIndexGroup)
-	fmt.Fprintf(o.Out, "  in-memory SGs           : %d (2)\n", cfg.InMemSGs)
-	fmt.Fprintf(o.Out, "  flushing threshold p_th : %d (4,096; count-based, scaled with SG size)\n", cfg.FlushThreshold)
-	fmt.Fprintf(o.Out, "  cached PBFG ratio       : %.0f%% (50%%)\n", cfg.CachedPBFGRatio*100)
-	fmt.Fprintf(o.Out, "  hotness tracking start  : last %.0f%% of cache (30%%)\n", cfg.HotTrackTailRatio*100)
-	fmt.Fprintf(o.Out, "  SG cooling period       : every %.0f%% cache written (10%%)\n", cfg.CoolingWriteRatio*100)
-	return nil
+	t := rep.table("", "parameter", "value", "paper")
+	t.row("set size", num("%.0f B", float64(dev.PageSize())), text("4 KB"))
+	t.row("sets per SG", count(dev.PagesPerZone()), text("275,712; scaled with zone size"))
+	t.row("PBFG false-positive rate", pct("%.3f", cfg.BloomFPR), text("0.1%"))
+	t.row("#SGs : #index groups", num("%.0f:1", float64(cfg.SGsPerIndexGroup)), text("50:1"))
+	t.row("in-memory SGs", count(cfg.InMemSGs), text("2"))
+	t.row("flushing threshold p_th", count(cfg.FlushThreshold), text("4,096; count-based, scaled with SG size"))
+	t.row("cached PBFG ratio", pct("%.0f", cfg.CachedPBFGRatio), text("50%"))
+	t.row("hotness tracking covers the last", pct("%.0f", cfg.HotTrackTailRatio), text("30% of the cache"))
+	t.row("SG cooling period, in cache written", pct("%.0f", cfg.CoolingWriteRatio), text("10%"))
+	return rep, nil
 }
 
-func runTab5(o Options) error {
-	o = o.withDefaults()
-	fmt.Fprintln(o.Out, "Table 5 — trace characteristics (value sizes pre-scaled per §5.1)")
-	fmt.Fprintf(o.Out, "%-11s %8s %8s %9s %8s\n", "trace", "K-size", "V-size", "obj mean", "Zipf α")
+func runTab5(o Options) (Report, error) {
+	var rep Report
+	t := rep.table("", "trace", "K-size", "V-size", "obj mean", "Zipf α")
 	for _, c := range trace.Clusters {
-		fmt.Fprintf(o.Out, "%-11s %7dB %7dB %8dB %8.4f\n",
-			c.Name, c.KeySize, c.ValueMean, c.ObjectMean(), c.ZipfAlpha)
+		t.row(c.Name, num("%.0fB", float64(c.KeySize)), num("%.0fB", float64(c.ValueMean)),
+			num("%.0fB", float64(c.ObjectMean())), num("%.4f", c.ZipfAlpha))
 	}
-	return nil
+	return rep, nil
 }
 
-func runTab6(o Options) error {
-	o = o.withDefaults()
-	fmt.Fprintln(o.Out, "Table 6 — metadata overhead in bits/object (paper: FW 9.9, naive Nemo 30.4, Nemo 8.3)")
-	fmt.Fprintf(o.Out, "%-12s %8s %9s %9s %7s %11s %8s\n",
-		"design", "log", "set-index", "set-other", "evict", "additional", "total")
+func runTab6(o Options) (Report, error) {
+	rep := Report{Paper: "FW 9.9, naive Nemo 30.4, Nemo 8.3"}
+	t := rep.table("", "design", "log", "set-index", "set-other", "evict", "additional", "total")
+	f1 := func(v float64) Cell { return num("%.1f", v) }
 	for _, r := range wamodel.Table6(wamodel.DefaultTable6()) {
-		fmt.Fprintf(o.Out, "%-12s %8.1f %9.1f %9.1f %7.1f %11.1f %8.1f\n",
-			r.Name, r.LogBits, r.SetIndex, r.SetOther, r.EvictBits, r.Additional, r.Total)
+		t.row(r.Name, f1(r.LogBits), f1(r.SetIndex), f1(r.SetOther), f1(r.EvictBits), f1(r.Additional), f1(r.Total))
 	}
-	return nil
+	return rep, nil
 }
 
-func runSec55(o Options) error {
-	o = o.withDefaults()
+func runSec55(o Options) (Report, error) {
+	rep := Report{Paper: "Nemo reads >3× FW's flash bytes per hit, hidden by parallel reads; 8.3 bits/obj"}
 	g := geometryFor(o)
-	fmt.Fprintln(o.Out, "§5.5 — overhead comparison, Nemo vs FW")
-	nemoCache, nemoRes, err := runNemo(g, o, nil)
+	nemoCache, nemoRes, err := replay(g, o, nemoOn(nil))
 	if err != nil {
-		return err
+		return rep, err
 	}
-	_, fwRes, err := replayFW(g, o, fairywren.Config{})
+	_, fwRes, err := replay(g, o, fwOn("Log5-OP5"))
 	if err != nil {
-		return err
+		return rep, err
 	}
 	nr := nemoRes.Final.ReadAmplification()
 	fr := fwRes.Final.ReadAmplification()
-	fmt.Fprintf(o.Out, "  Nemo flash reads/hit : %8.0f B\n", nr)
-	fmt.Fprintf(o.Out, "  FW   flash reads/hit : %8.0f B\n", fr)
+	t := rep.table("flash reads per hit", "system", "value")
+	t.row("Nemo", num("%.0f B", nr))
+	t.row("FW", num("%.0f B", fr))
 	if fr > 0 {
-		fmt.Fprintf(o.Out, "  ratio                : %8.2f×  (paper: >3×, hidden by parallel reads)\n", nr/fr)
+		t.row("Nemo / FW", num("%.2f×", nr/fr))
 	}
 	m := nemoCache.MemoryOverhead()
-	fmt.Fprintf(o.Out, "  Nemo memory model    : bloom %.1f + hot %.1f + buffer %.1f = %.1f bits/obj (paper 8.3)\n",
-		m.BloomBitsPerObj, m.HotBitsPerObj, m.BufferBitsPerObj, m.TotalBitsPerObj)
-	fmt.Fprintln(o.Out, "  PBFG compute cost    : see BenchmarkPBFGLookup1000 (paper ≈1 µs per 1000 filters)")
-	return nil
+	t = rep.table("Nemo memory model (bits/obj)", "", "bloom", "hot", "buffer", "total")
+	t.row("Nemo", num("%.1f", m.BloomBitsPerObj), num("%.1f", m.HotBitsPerObj), num("%.1f", m.BufferBitsPerObj), num("%.1f", m.TotalBitsPerObj))
+	rep.Notes = []string{"PBFG compute cost: see BenchmarkPBFGLookup1000 (paper ≈1 µs per 1000 filters)"}
+	return rep, nil
 }
 
-func runAppA(o Options) error {
-	o = o.withDefaults()
+func runAppA(o Options) (Report, error) {
+	rep := Report{Paper: "7+1.35 vs 9+1.03 — higher accuracy does not pay"}
 	cfg := wamodel.PBFGCostConfig{NumSGs: 350, TargetObjsPerSet: 40, PageSize: 4096}
-	fmt.Fprintln(o.Out, "Appendix A — expected worst-case flash accesses per lookup (N=350 SGs)")
-	fmt.Fprintf(o.Out, "%10s %12s %12s %10s\n", "FPR", "PBFG pages", "object rds", "total")
+	t := rep.table("expected worst-case flash accesses per lookup (N=350 SGs)", "FPR", "PBFG pages", "object rds", "total")
 	for _, fpr := range []float64{0.05, 0.01, 0.005, 0.001, 0.0005, 0.0001} {
 		pages, objs, total := wamodel.PBFGCost(cfg, fpr)
-		fmt.Fprintf(o.Out, "%9.3f%% %12.0f %12.2f %10.2f\n", fpr*100, pages, objs, total)
+		t.row(fmt.Sprintf("%.3f%%", fpr*100), num("%.0f", pages), num("%.2f", objs), num("%.2f", total))
 	}
 	best, cost := wamodel.OptimalFPR(cfg, nil)
-	fmt.Fprintf(o.Out, "optimal FPR by Eq. 11: %.3f%% (cost %.2f) — higher accuracy does not pay (paper's 7+1.35 vs 9+1.03)\n",
-		best*100, cost)
-	return nil
+	rep.table("optimum by Eq. 11", "", "FPR", "cost").row("optimal", pct("%.3f", best), num("%.2f", cost))
+	return rep, nil
 }

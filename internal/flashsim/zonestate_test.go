@@ -3,24 +3,26 @@ package flashsim
 import (
 	"errors"
 	"testing"
+
+	"nemo/internal/device"
 )
 
 func TestZoneStates(t *testing.T) {
 	d := New(Config{PageSize: 512, PagesPerZone: 2, Zones: 4})
-	if got := d.ZoneStateOf(0); got != ZoneEmpty {
-		t.Fatalf("fresh zone state = %v", got)
+	if got := device.StateOf(d, 0); got != ZoneEmpty || d.ZoneWP(0) != 0 {
+		t.Fatalf("fresh zone state = %v, wp %d", got, d.ZoneWP(0))
 	}
 	d.AppendPage(0, []byte{1})
-	if got := d.ZoneStateOf(0); got != ZoneOpen {
-		t.Fatalf("after one page, state = %v", got)
+	if got := device.StateOf(d, 0); got != ZoneOpen || d.ZoneWP(0) != 1 || d.ZoneFull(0) {
+		t.Fatalf("after one page, state = %v, wp %d, full %v", got, d.ZoneWP(0), d.ZoneFull(0))
 	}
 	d.AppendPage(0, []byte{2})
-	if got := d.ZoneStateOf(0); got != ZoneFull {
-		t.Fatalf("after fill, state = %v", got)
+	if got := device.StateOf(d, 0); got != ZoneFull || !d.ZoneFull(0) {
+		t.Fatalf("after fill, state = %v, full %v", got, d.ZoneFull(0))
 	}
 	d.ResetZone(0)
-	if got := d.ZoneStateOf(0); got != ZoneEmpty {
-		t.Fatalf("after reset, state = %v", got)
+	if got := device.StateOf(d, 0); got != ZoneEmpty || d.ZoneWP(0) != 0 {
+		t.Fatalf("after reset, state = %v, wp %d", got, d.ZoneWP(0))
 	}
 }
 
@@ -60,7 +62,7 @@ func TestMaxOpenZonesEnforced(t *testing.T) {
 	// Filling a zone transitions it out of open, freeing a slot.
 	d.AppendPage(0, []byte{3})
 	d.AppendPage(0, []byte{4})
-	if d.ZoneStateOf(0) != ZoneFull {
+	if !d.ZoneFull(0) {
 		t.Fatal("zone 0 should be full")
 	}
 	if _, _, err := d.AppendPage(2, []byte{1}); err != nil {

@@ -162,15 +162,6 @@ func (f *FTL) Read(lpn int, dst []byte) (done time.Duration, mapped bool, err er
 	return done, true, err
 }
 
-// Trim unmaps the logical page, dropping its physical copy from GC's view.
-func (f *FTL) Trim(lpn int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if lpn >= 0 && lpn < len(f.l2p) {
-		f.invalidateLocked(lpn)
-	}
-}
-
 func (f *FTL) invalidateLocked(lpn int) {
 	devPage := f.l2p[lpn]
 	if devPage < 0 {

@@ -110,17 +110,6 @@ func TestHigherOPLowersDLWA(t *testing.T) {
 	}
 }
 
-func TestTrimFreesPages(t *testing.T) {
-	_, f := mkFTL(t, 8, 0.3)
-	f.Write(0, pageData(f, 0, 1))
-	f.Trim(0)
-	buf := make([]byte, 256)
-	_, mapped, _ := f.Read(0, buf)
-	if mapped {
-		t.Fatal("trimmed page should be unmapped")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	dev := flashsim.New(flashsim.Config{PageSize: 256, PagesPerZone: 8, Zones: 8})
 	if _, err := New(dev, 0, 8, Config{OPRatio: 0}); err == nil {

