@@ -122,9 +122,9 @@
 // an unlocked build (the eviction victim's set pages are read back, and —
 // after a short locked interlude that runs the hotness/shadow liveness
 // filtering and inserts writeback survivors into the sealed SG — the freed
-// zones are erased, the sealed SG serializes through pooled buffers onto
-// the reserved data zones, its Bloom filters are built in the flush owner's
-// scratch, and a completing index group's PBFG pages — the group buffer's
+// zones are erased, the sealed SG serializes through the kit's page buffer
+// onto the reserved data zones, its Bloom filters are built in the flush
+// kit, and a completing index group's PBFG pages — the group buffer's
 // pages with this last member's column merged into a copy — are appended),
 // and a locked commit (the flash SG publishes into its group and the FIFO
 // pool, its filters merge into the group buffer as one column, the
@@ -185,10 +185,22 @@
 //     contiguous []uint32 run carved at flush commit (or snapshot
 //     restore) — which is also when the prefix sums are computed, once,
 //     instead of lazily on every probe.
-//   - Every setblock page — the in-memory SG sets, the flush victim
-//     read-back scratch — is a carve of a per-shard slab, recycled whole
-//     when its SG flushes; an unsealed group's PBFG pages are one buffer,
-//     dropped whole when the group seals.
+//   - Every setblock page is a carve of a slab: an in-memory SG's sets of
+//     the SG's, a flush victim's read-back pages of the flush kit's. A kit is
+//     what only a running flush needs — the rear SG its seal rotates in, the
+//     read-back slab, page and filter scratch — taken from a free list all
+//     shards share and returned with the flushed SG as its spare
+//     (writepath.go). An unsealed group's PBFG pages are one buffer, dropped
+//     whole when the group seals.
+//
+// Resident memory is index(objects) + Shards × InMemSGs × SG +
+// min(flushes in flight, max(1, Flushers)) × kit, with SG ≈ kit/2 ≈ a zone
+// of bytes; ResidentBytes sums it, split those three ways beside what
+// MemoryOverhead models for the same objects, and the stats verb prints it
+// (resident_* rows). Before kits each shard kept its own spare SG and
+// scratch: write_churn · engine_heap_mib 28.9 → 24.8 MiB at 4 shards and 2
+// flushers (CHANGES.md, PR 23: the pairs, and the traced
+// core.heap_bits_per_obj beside an unmoved core.resident_objs).
 //
 // PBFG pages. A PBFG page holds the set-level Bloom filters of one intra-SG
 // offset across the M SGs of an index group (Config.SGsPerIndexGroup, 50).
@@ -207,7 +219,7 @@
 // plan, Delete's "may a flash copy exist" and writeback's "is a newer copy
 // shadowing this one" — are one iterator over that mask (index.go
 // walkCandidates). The member being flushed has its filters built outside
-// the group buffer, in the flush owner's scratch, while readers keep testing
+// the group buffer, in the flush owner's kit, while readers keep testing
 // the buffer under the lock; the commit ORs them in as a column, under the
 // lock, and that merge is the only locked work the layout added. The kernel
 // is checked against the per-member loop it replaced (kept in the tests as

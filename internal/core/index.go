@@ -170,8 +170,9 @@ const metaSlabWords = 1 << 16
 // metaArena carves []uint32 runs from large slabs with size-bucketed free
 // lists. Carves are recycled when their SG's group is dropped.
 type metaArena struct {
-	slab []uint32 // bump-allocation tail of the current slab
-	free map[int][][]uint32
+	slab  []uint32 // bump-allocation tail of the current slab
+	free  map[int][][]uint32
+	words int // allocated so far; every carve is live or on a free list
 }
 
 func (a *metaArena) alloc(words int) []uint32 {
@@ -186,9 +187,11 @@ func (a *metaArena) alloc(words int) []uint32 {
 		return m
 	}
 	if r > metaSlabWords {
+		a.words += r
 		return make([]uint32, words, r)
 	}
 	if len(a.slab)+r > cap(a.slab) {
+		a.words += metaSlabWords
 		a.slab = make([]uint32, 0, metaSlabWords)
 	}
 	off := len(a.slab)
@@ -227,7 +230,7 @@ type idxGroup struct {
 	// wholesale at seal. It is written only under the lock, by the one flush
 	// in flight (mergeFilters at commit); the flush owner's unlocked build
 	// phase may therefore read it, and builds its own member's filters in
-	// flush scratch, outside it.
+	// its flush kit, outside it.
 	buf []byte
 }
 

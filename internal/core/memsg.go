@@ -6,7 +6,8 @@ import "nemo/internal/setblock"
 // aggregating incoming objects until flush (§4.1 "an SG begins as a mutable
 // in-memory structure"). The blocks are a value slice whose storage is
 // carved from one slab, so a memSG is four heap objects regardless of
-// SetsPerSG; flushed memSGs are recycled through Cache.memFree.
+// SetsPerSG. A shard owns the InMemSGs in its memq; the rear a seal rotates
+// in comes from the flush kit, where the flushed front replaces it.
 //
 // Absent before append: a set never holds two entries for one key. insert
 // appends without searching, so every caller proves the key absent from the
@@ -57,22 +58,6 @@ func (sg *memSG) reset() {
 		sg.used += sg.sets[i].Used()
 	}
 }
-
-// takeMemSG reuses a flushed memSG or builds a fresh one.
-func (c *Cache) takeMemSG() *memSG {
-	if n := len(c.memFree); n > 0 {
-		sg := c.memFree[n-1]
-		c.memFree = c.memFree[:n-1]
-		sg.reset()
-		return sg
-	}
-	return newMemSG(c.setsPerSG, c.pageSize)
-}
-
-// putMemSG recycles a memSG whose contents reached flash (or were dropped);
-// no references to its blocks may outlive the call (readers copy values out
-// under the lock, and flush serialization completed before commit).
-func (c *Cache) putMemSG(sg *memSG) { c.memFree = append(c.memFree, sg) }
 
 // fillRate returns the SG's aggregate fill rate in [0, 1].
 func (sg *memSG) fillRate() float64 {

@@ -75,11 +75,6 @@ type Cache struct {
 	// cache-miss fetch lands here and icache.put copies it into the arena.
 	fetchBuf []byte
 
-	// memFree recycles memSG slabs: a flushed front returns here at commit
-	// and the next seal's rear rotation reuses it, so steady-state flushing
-	// allocates no set-page buffers.
-	memFree []*memSG
-
 	freeDataZones  []int
 	freeIndexZones []int
 
@@ -96,12 +91,14 @@ type Cache struct {
 	// of the in-flight flush, probed by readers under mu; flushInFlight
 	// serializes flushes per cache (waiters on flushCond coalesce);
 	// flushing is the same-goroutine recursion guard, true only while the
-	// flush owner holds mu; fscratch is the owner-exclusive build buffers.
+	// flush owner holds mu; kit is the in-flight flush's working memory, on
+	// loan from kits (one list for all shards of a Sharded cache).
 	sealed        *sealedFlush
 	flushInFlight bool
 	flushing      bool
 	flushCond     *sync.Cond
-	fscratch      flushScratch
+	kit           *flushKit
+	kits          *kitPool
 
 	// getPool recycles per-goroutine read-path scratch (probe sets,
 	// snapshot arenas, candidate read buffers) so a steady-state Get
@@ -163,9 +160,7 @@ func New(cfg Config) (*Cache, error) {
 		bfBits:    bfBits,
 		bfK:       bloom.NumHashes(cfg.BloomFPR),
 	}
-	c.fscratch.pageBuf = make([]byte, 0, dev.PageSize())
-	c.fscratch.counts = make([]uint32, c.setsPerSG)
-	c.fscratch.parseBlk = *setblock.New(c.pageSize)
+	c.kits = &kitPool{keep: max(1, cfg.Flushers)}
 	c.fetchBuf = make([]byte, c.pageSize)
 	c.sgAlloc = sgArena{zps: cfg.ZonesPerSG}
 	c.flushCond = sync.NewCond(&c.mu)

@@ -260,7 +260,7 @@ func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner
 	// path searched them. Filters are tested where they lie — arena slots and
 	// unsealed group buffers may be recycled or dropped the moment the lock
 	// is released, so nothing of them is kept. The walk tests only live
-	// members: an in-flight flush keeps its filters in flush scratch until
+	// members: an in-flight flush keeps its filters in its flush kit until
 	// its commit merges them into the group buffer under this lock.
 	att.entLo = int32(len(sc.ents))
 	att.pendBacked = false

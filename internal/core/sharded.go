@@ -45,6 +45,9 @@ type Sharded struct {
 	// inline on the inserting worker.
 	pool *flusherPool
 
+	// kits is the flush-kit free list every shard takes from (writepath.go).
+	kits *kitPool
+
 	// histMu guards the merged read-latency histogram rebuilt on demand by
 	// ReadLatency (the Engine contract returns a pointer).
 	histMu sync.Mutex
@@ -81,7 +84,7 @@ func NewSharded(cfg Config) (*Sharded, error) {
 	if perData < 2*zps {
 		return nil, fmt.Errorf("core: %d data zones per shard cannot hold 2 SGs of %d zones", perData, zps)
 	}
-	s := &Sharded{shards: make([]*Cache, n), cfg: cfg}
+	s := &Sharded{shards: make([]*Cache, n), cfg: cfg, kits: &kitPool{keep: max(1, cfg.Flushers)}}
 	engines := make([]cachelib.Engine, n)
 	offset := cfg.ZoneOffset
 	for i := 0; i < n; i++ {
@@ -101,6 +104,7 @@ func NewSharded(cfg Config) (*Sharded, error) {
 			return nil, fmt.Errorf("core: shard %d/%d: %w", i, n, err)
 		}
 		s.shards[i], engines[i] = shard, shard
+		shard.kits = s.kits // shards share the facade's kit list, like its flusher pool
 		offset += perData + scfg.IndexZones()
 	}
 	s.ShardedEngine, _ = cachelib.NewShardedEngine(engines) // errs only on no or nil shards
@@ -192,6 +196,23 @@ func (s *Sharded) MeanFillRate() float64 {
 	}
 	return e.FillSum / float64(e.SGsFlushed)
 }
+
+// ResidentBytes sums the shards' ledgers, the shared idle kits counted once.
+func (s *Sharded) ResidentBytes() Resident {
+	r := Resident{FlushKits: s.kits.idleBytes()}
+	for _, c := range s.shards {
+		o := c.residentOwn()
+		r.Objects += o.Objects
+		r.PaperMeta += o.PaperMeta
+		r.ModelMeta += o.ModelMeta
+		r.WriteBuffers += o.WriteBuffers
+		r.FlushKits += o.FlushKits
+	}
+	return r
+}
+
+// ResidentFields is ResidentBytes as stats rows (see Cache.ResidentFields).
+func (s *Sharded) ResidentFields() []cachelib.Field { return s.ResidentBytes().Fields() }
 
 // PoolLen returns the total number of live on-flash SGs across shards.
 func (s *Sharded) PoolLen() int {

@@ -384,6 +384,7 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 	prevGroupID := -1
 	var prevSGID uint64
 	haveSG := false
+	counts := make([]uint32, c.setsPerSG)
 	for gi := range sh.Groups {
 		sg := &sh.Groups[gi]
 		if sg.ID <= prevGroupID || sg.ID >= sh.NextGroup {
@@ -473,14 +474,14 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 			if !sm.Dead {
 				m.zones = append(m.zones, sm.Zones...)
 			}
-			// Carve the packed meta: counts (via the flush scratch — the
-			// restore runs pre-publish, single-threaded), prefix sums, and
-			// the zeroed hot region, then unpack the checkpointed hot words
-			// into it (the inverse of captureLocked's repack).
+			// Carve the packed meta: counts (widened through a slice local to
+			// the restore — no flush kit is borrowed), prefix sums, and the
+			// zeroed hot region, then unpack the checkpointed hot words into
+			// it (the inverse of captureLocked's repack).
 			for o, n := range sm.SetCounts {
-				c.fscratch.counts[o] = uint32(n)
+				counts[o] = uint32(n)
 			}
-			c.carveMeta(m, c.fscratch.counts)
+			c.carveMeta(m, counts)
 			if sm.Bits != nil {
 				hw := m.hotWords()
 				for w, v := range sm.Bits {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"time"
+	"unsafe"
 
 	"nemo/internal/bloom"
 	"nemo/internal/cachelib"
@@ -186,6 +187,86 @@ func (c *Cache) MemoryOverhead() MemoryOverhead {
 	m.TotalBitsPerObj = m.BloomBitsPerObj + m.HotBitsPerObj + m.BufferBitsPerObj
 	return m
 }
+
+// Resident is the engine's resident-memory ledger: byte arithmetic over the
+// slabs, arenas and buffers it holds between requests, split by what each
+// part scales with. The stats verb prints it as resident_* rows.
+type Resident struct {
+	Objects uint64 // entries held: on-flash SGs' at their flush, plus in-memory SGs'
+	// PaperMeta is the index layer, which scales with Objects: the PBFG page
+	// arena with its table and queue, the unsealed groups' buffers, the SG
+	// structs and packed meta, the PBFG fetch scratch. ModelMeta is what
+	// MemoryOverhead (Table 6) charges the same Objects.
+	PaperMeta, ModelMeta uint64
+	// WriteBuffers is Shards × InMemSGs × SG bytes, and one SG more per
+	// flush between its seal and its commit.
+	WriteBuffers uint64
+	// FlushKits is the idle kits — at most max(1, Flushers), whatever the
+	// shard count — plus those of flushes in flight (flushKit).
+	FlushKits uint64
+}
+
+// Total is the resident bytes: the three parts' sum.
+func (r Resident) Total() uint64 { return r.PaperMeta + r.WriteBuffers + r.FlushKits }
+
+// Fields lists the ledger as stats rows.
+func (r Resident) Fields() []cachelib.Field {
+	return []cachelib.Field{
+		{Name: "resident_objects", Value: r.Objects},
+		{Name: "resident_paper_meta_bytes", Value: r.PaperMeta},
+		{Name: "resident_model_meta_bytes", Value: r.ModelMeta},
+		{Name: "resident_write_buffer_bytes", Value: r.WriteBuffers},
+		{Name: "resident_flush_kit_bytes", Value: r.FlushKits},
+		{Name: "resident_total_bytes", Value: r.Total()},
+	}
+}
+
+// bytes is the memSG's resident size: slab, block headers, presence words.
+func (sg *memSG) bytes() uint64 {
+	return uint64(cap(sg.slab) + len(sg.sets)*int(unsafe.Sizeof(sg.sets[0])) + 8*len(sg.present))
+}
+
+// residentOwn is what this cache alone holds: all but the idle kits, which a
+// shard shares with its siblings.
+func (c *Cache) residentOwn() (r Resident) {
+	model := c.MemoryOverhead().TotalBitsPerObj
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ic := c.icache
+	r.PaperMeta = uint64(len(ic.arena.slabs)*pageSlabPages*c.pageSize + len(c.fetchBuf) +
+		8*len(ic.keys) + 4*len(ic.vals) + 8*cap(ic.queue) + 4*c.metaAlloc.words +
+		len(c.sgAlloc.chunks)*(int(unsafe.Sizeof(sgChunk{}))+8*sgChunkSize*c.sgAlloc.zps))
+	for _, g := range c.groups {
+		r.PaperMeta += uint64(cap(g.buf))
+	}
+	for _, sg := range c.pool {
+		r.Objects += uint64(sg.objCount)
+	}
+	for _, sg := range c.memq {
+		r.Objects += uint64(sg.objCount())
+		r.WriteBuffers += sg.bytes()
+	}
+	if c.sealed != nil {
+		r.Objects += uint64(c.sealed.mem.objCount())
+		r.WriteBuffers += c.sealed.mem.bytes()
+	}
+	if c.kit != nil {
+		r.FlushKits = c.kit.bytes()
+	}
+	r.ModelMeta = uint64(model * float64(r.Objects) / 8)
+	return r
+}
+
+// ResidentBytes returns the cache's ledger. A shard of a Sharded cache
+// counts the shared list's idle kits; the facade's ledger counts them once.
+func (c *Cache) ResidentBytes() Resident {
+	r := c.residentOwn()
+	r.FlushKits += c.kits.idleBytes()
+	return r
+}
+
+// ResidentFields is ResidentBytes as rows: what the stats verb looks for.
+func (c *Cache) ResidentFields() []cachelib.Field { return c.ResidentBytes().Fields() }
 
 // PoolLen returns the number of live on-flash SGs.
 func (c *Cache) PoolLen() int {

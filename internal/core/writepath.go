@@ -24,14 +24,14 @@ package core
 //     ever trusts bytes from a zone this flush is about to reset or
 //     rewrite.
 //   - build + I/O (unlocked): the victim's set pages are read back from
-//     flash into owner-exclusive pooled buffers; a short locked interlude
+//     flash into the kit's read-back buffers; a short locked interlude
 //     then runs the hotness/shadow liveness filtering and inserts the
 //     surviving objects into the sealed SG (the filters consult memq, the
 //     unsealed group buffers, and the index cache, all lock-guarded);
 //     finally — unlocked again — the freed zones are erased, the sealed
-//     SG's set blocks are serialized through a pooled page buffer and
+//     SG's set blocks are serialized through the kit's page buffer and
 //     appended to the reserved data zones, the per-set Bloom filters are
-//     built in the owner's scratch, and a completing index group's PBFG
+//     built in the owner's flush kit, and a completing index group's PBFG
 //     pages — the group buffer's, each copied and given this member's
 //     column — are appended to the reserved index zones. No foreground GET
 //     or SET on the shard waits on any of this device I/O.
@@ -62,6 +62,10 @@ package core
 // the same-goroutine recursion guard; the owner keeps it true only while
 // actually holding the lock, so other goroutines can never observe it.
 //
+// Working memory: what a flush needs beyond the SG it writes is one
+// flushKit, held from the flush's start to its end — resident per flush in
+// flight, not per shard.
+//
 // Failure: a device error mid-flush cannot wedge the cache. The owner
 // erases the partially written zones, returns every zone this flush
 // touched to its free list, drops the sealed SG (its objects count as
@@ -72,6 +76,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"nemo/internal/bloom"
 	"nemo/internal/setblock"
@@ -85,19 +90,88 @@ type sealedFlush struct {
 	mem *memSG
 }
 
-// flushScratch holds the owner-exclusive buffers a flush reuses across
-// flushes. Only one flush is ever in flight per cache (flushInFlight), so
-// the owner uses them without further locking.
-type flushScratch struct {
-	victimBufs [][]byte      // eviction read-back pages (carves of victimSlab)
-	victimSlab []byte        // one allocation backing all read-back pages
-	pageBuf    []byte        // serialization / PBFG-assembly scratch
-	filter     *bloom.Filter // per-set filter builder
-	bfs        []byte        // the SG's SetsPerSG filters, serialized by set offset
-	readSets   []int         // victim set offsets scheduled for read-back
-	counts     []uint32      // per-set object counts of the SG being built;
-	// copied into the SG's meta carve at commit
-	parseBlk setblock.Block // eviction read-back decode scratch
+// flushKit is the working memory of one flush: the spare in-memory SG the
+// seal rotates into memq (the flushed front takes its place at commit or
+// recovery, so a returned kit always carries one) and the owner-exclusive
+// build scratch. Only spare is touched under the shard lock.
+type flushKit struct {
+	spare      *memSG         // nil between seal and commit/recovery
+	victimSlab []byte         // eviction read-back pages, at most one per set
+	pageBuf    []byte         // serialization / PBFG-assembly scratch
+	filter     *bloom.Filter  // per-set filter builder
+	bfs        []byte         // the SG's SetsPerSG filters, serialized by set offset
+	readSets   []int          // victim set offsets scheduled for read-back
+	counts     []uint32       // per-set object counts of the SG being built
+	parseBlk   setblock.Block // eviction read-back decode scratch
+	scratch    uint64         // bytes of all but spare, fixed at build
+}
+
+// newFlushKit builds a kit for c's geometry, the same on every shard.
+func (c *Cache) newFlushKit() *flushKit {
+	k := &flushKit{
+		spare:      newMemSG(c.setsPerSG, c.pageSize),
+		victimSlab: make([]byte, c.setsPerSG*c.pageSize),
+		pageBuf:    make([]byte, 0, c.pageSize),
+		filter:     bloom.New(c.cfg.TargetObjsPerSet, c.cfg.BloomFPR),
+		bfs:        make([]byte, c.setsPerSG*c.bfBytes),
+		readSets:   make([]int, 0, c.setsPerSG),
+		counts:     make([]uint32, c.setsPerSG),
+		parseBlk:   *setblock.New(c.pageSize),
+	}
+	// The two slabs, the two page buffers, and per set an int and a uint32;
+	// the filter builder's few dozen bytes are left out.
+	k.scratch = uint64(cap(k.victimSlab) + cap(k.bfs) + 2*c.pageSize + c.setsPerSG*(8+4))
+	return k
+}
+
+// bytes is the kit's resident size. The caller holds the lock that guards
+// spare: the shard's while the kit is in a flush, the pool's while idle.
+func (k *flushKit) bytes() uint64 {
+	if k.spare == nil {
+		return k.scratch
+	}
+	return k.scratch + k.spare.bytes()
+}
+
+// kitPool is the free list of idle flush kits; NewSharded shares one across
+// its shards as it shares the flusherPool, a bare New owns a private one.
+// It keeps at most keep = max(1, Config.Flushers) idle kits and drops the
+// rest to the GC: that many flushes run at once in steady state (the flusher
+// goroutines, or the one inline caller), so more would only pin a burst's
+// peak. Resident flush memory is min(flushes in flight, keep) × (zone bytes
+// + SG slab), whatever the shard count.
+type kitPool struct {
+	mu   sync.Mutex
+	idle []*flushKit
+	keep int
+}
+
+// take returns an idle kit, or nil: the caller builds one, off this lock.
+func (p *kitPool) take() (k *flushKit) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.idle); n > 0 {
+		k, p.idle = p.idle[n-1], p.idle[:n-1]
+	}
+	return k
+}
+
+func (p *kitPool) put(k *flushKit) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.idle) < p.keep {
+		p.idle = append(p.idle, k)
+	}
+}
+
+// idleBytes is the resident size of the kits on the list.
+func (p *kitPool) idleBytes() (n uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, k := range p.idle {
+		n += k.bytes()
+	}
+	return n
 }
 
 // evictPlan is the seal phase's snapshot of one eviction: which victim set
@@ -105,7 +179,7 @@ type flushScratch struct {
 // erase before any append could land on them.
 type evictPlan struct {
 	victim   *flashSG
-	readSets []int     // ascending set offsets to read back (aliases fscratch)
+	readSets []int     // ascending set offsets to read back (aliases the kit's)
 	retired  *idxGroup // victim's group when it died with the victim, else nil
 	idxReset []int     // retired group's index zones to erase
 }
@@ -133,7 +207,12 @@ func (c *Cache) flushFrontLocked() error {
 		return nil
 	}
 	c.flushing, c.flushInFlight = true, true
+	if c.kit = c.kits.take(); c.kit == nil {
+		c.kit = c.newFlushKit()
+	}
 	err := c.flushOwner()
+	c.kits.put(c.kit)
+	c.kit = nil
 	c.flushing, c.flushInFlight = false, false
 	c.sealed = nil
 	c.flushCond.Broadcast()
@@ -202,7 +281,8 @@ func (c *Cache) flushOwner() error {
 	c.nextSGID++ // SG-epoch advance: in-flight optimistic readers will replan
 	c.sealed = &sealedFlush{mem: front}
 	copy(c.memq, c.memq[1:])
-	c.memq[len(c.memq)-1] = c.takeMemSG()
+	c.kit.spare.reset()
+	c.memq[len(c.memq)-1], c.kit.spare = c.kit.spare, nil
 	c.sacCount = 0
 
 	// ---- Phase 2a: eviction read-back (unlocked) + liveness filter (locked) ----
@@ -232,7 +312,7 @@ func (c *Cache) flushOwner() error {
 	// The SG's counts are final: carve its packed meta (counts, slot bases,
 	// hotness region) from the arena. Readers never probe an SG before this
 	// publish, so the prefix sums are always ready on the probe path.
-	c.carveMeta(sg, c.fscratch.counts)
+	c.carveMeta(sg, c.kit.counts)
 	sg.fill = fill
 	zoneBytes := uint64(c.setsPerSG * c.pageSize)
 	c.stats.FlashBytesWritten += zoneBytes
@@ -268,7 +348,7 @@ func (c *Cache) flushOwner() error {
 	} else {
 		// The one new piece of locked work: readers test the group buffer
 		// under this lock, so the member's column can only land under it.
-		c.mergeFilters(g, sg.slot, c.fscratch.bfs)
+		c.mergeFilters(g, sg.slot, c.kit.bfs)
 	}
 	if c.bytesSinceCool >= uint64(c.cfg.CoolingWriteRatio*float64(c.poolCapacityBytes())) {
 		c.coolLocked()
@@ -277,12 +357,13 @@ func (c *Cache) flushOwner() error {
 	// A committed flush is proof the device writes: end any failure run and
 	// close a degraded window (health.go).
 	c.breakerFlushOKLocked()
-	// The flushed front's contents are on flash and published; recycle its
-	// slab for the next seal's rear rotation. Readers hold no references —
-	// value copies are taken under the lock — and this runs in the same
-	// critical section that clears c.sealed.
+	// The flushed front's contents are on flash and published; it becomes
+	// the kit's spare, for the next seal's rear rotation on whichever shard
+	// takes the kit. Readers hold no references — value copies are taken
+	// under the lock — and this runs in the same critical section that
+	// clears c.sealed.
 	c.sealed = nil
-	c.putMemSG(front)
+	c.kit.spare = front
 	return nil
 }
 
@@ -309,7 +390,7 @@ func (c *Cache) sealEvictLocked() (*evictPlan, error) {
 	// checks, so the index cache cannot change between this snapshot and
 	// the residency the filter would have observed.
 	if c.cfg.Writeback && victim.objCount > 0 {
-		sets := c.fscratch.readSets[:0]
+		sets := c.kit.readSets[:0]
 		for o := 0; o < c.setsPerSG; o++ {
 			if victim.setCount(o) == 0 {
 				continue
@@ -319,7 +400,7 @@ func (c *Cache) sealEvictLocked() (*evictPlan, error) {
 			}
 			sets = append(sets, o)
 		}
-		c.fscratch.readSets = sets
+		c.kit.readSets = sets
 		ev.readSets = sets
 	}
 	victim.dead = true
@@ -351,20 +432,12 @@ func (c *Cache) abortEvictLocked(ev *evictPlan) {
 }
 
 // readVictimPages is the unlocked eviction I/O pass: it reads the planned
-// victim set pages into the owner's pooled buffers, stopping at the first
+// victim set pages into the kit's read-back buffers, stopping at the first
 // device error, and reports how many reads completed.
 func (c *Cache) readVictimPages(ev *evictPlan) (int, error) {
-	sc := &c.fscratch
-	if sc.victimSlab == nil {
-		// At most one page per set; one slab backs every read-back buffer.
-		sc.victimSlab = make([]byte, c.setsPerSG*c.pageSize)
-	}
-	for len(sc.victimBufs) < len(ev.readSets) {
-		i := len(sc.victimBufs)
-		sc.victimBufs = append(sc.victimBufs, sc.victimSlab[i*c.pageSize:(i+1)*c.pageSize:(i+1)*c.pageSize])
-	}
 	for i, o := range ev.readSets {
-		if _, err := c.dev.ReadPage(c.pageAddrIn(ev.victim.zones, o), sc.victimBufs[i]); err != nil {
+		buf := c.kit.victimSlab[i*c.pageSize : (i+1)*c.pageSize]
+		if _, err := c.dev.ReadPage(c.pageAddrIn(ev.victim.zones, o), buf); err != nil {
 			return i, err
 		}
 	}
@@ -411,10 +484,10 @@ func (c *Cache) evictFilterLocked(ev *evictPlan, dst *memSG, nRead int, readErr 
 				// set; the reads that did happen are already accounted.
 				return finish(readErr)
 			}
-			buf := c.fscratch.victimBufs[ri]
+			buf := c.kit.victimSlab[ri*c.pageSize : (ri+1)*c.pageSize]
 			ri++
 			resident := c.pbfgResident(victim.group, o)
-			blk := &c.fscratch.parseBlk
+			blk := &c.kit.parseBlk
 			if err := blk.DecodeFrom(buf); err != nil {
 				return finish(fmt.Errorf("core: parsing evicted set: %w", err))
 			}
@@ -479,18 +552,12 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, 
 			}
 		}
 	}
-	sc := &c.fscratch
-	if sc.filter == nil {
-		sc.filter = bloom.New(c.cfg.TargetObjsPerSet, c.cfg.BloomFPR)
-	}
+	sc := c.kit
 	ppz := c.dev.PagesPerZone()
-	// The SG's filters are built in the owner's scratch: readers test the
-	// group buffer under the lock, so nothing is written there from here.
-	// Set counts accumulate in scratch too — the SG's meta carve happens at
+	// The SG's filters are built in the owner's kit: readers test the group
+	// buffer under the lock, so nothing is written there from here. Set
+	// counts accumulate in the kit too — the SG's meta carve happens at
 	// commit, when the final object count is known.
-	if sc.bfs == nil {
-		sc.bfs = make([]byte, c.setsPerSG*c.bfBytes)
-	}
 	for o := range front.sets {
 		blk := &front.sets[o]
 		sc.pageBuf = blk.AppendTo(sc.pageBuf[:0])
@@ -532,7 +599,7 @@ func (c *Cache) recoverFailedFlushLocked(ev *evictPlan, front *memSG, sg *flashS
 	c.releaseSG(sg) // never published: no meta carved, no reader can hold it
 	c.stats.Evictions += uint64(front.objCount())
 	c.sealed = nil
-	c.putMemSG(front)
+	c.kit.spare = front // dropped, not flushed: nothing references its blocks
 	// Every path through here was killed by a device failure (a read-back,
 	// parse, shadow-fetch, reset, or append error); seal-phase
 	// zone-exhaustion errors — configuration conditions, not hardware —

@@ -65,7 +65,6 @@ package device
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"nemo/internal/vtime"
@@ -210,44 +209,4 @@ type Device interface {
 	// The simulator's Close is a no-op. Engines never close their device —
 	// whoever opened it does.
 	Close() error
-}
-
-// ZoneState describes a zone's lifecycle position (§2.2's zoned interface).
-type ZoneState int
-
-// Zone states: empty (reset, unwritten), open (partially written), full
-// (write pointer at capacity).
-const (
-	ZoneEmpty ZoneState = iota
-	ZoneOpen
-	ZoneFull
-)
-
-// String renders the state for diagnostics.
-func (s ZoneState) String() string {
-	switch s {
-	case ZoneEmpty:
-		return "EMPTY"
-	case ZoneOpen:
-		return "OPEN"
-	case ZoneFull:
-		return "FULL"
-	default:
-		return fmt.Sprintf("ZoneState(%d)", int(s))
-	}
-}
-
-// StateOf derives a zone's lifecycle state from its write pointer.
-func StateOf(d interface {
-	ZoneWP(zoneID int) int
-	PagesPerZone() int
-}, zoneID int) ZoneState {
-	switch wp := d.ZoneWP(zoneID); {
-	case wp == 0:
-		return ZoneEmpty
-	case wp >= d.PagesPerZone():
-		return ZoneFull
-	default:
-		return ZoneOpen
-	}
 }

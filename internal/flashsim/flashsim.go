@@ -52,17 +52,6 @@ type Config struct {
 	Clock *vtime.Clock
 }
 
-// ZoneState describes a zone's lifecycle position (§2.2's zoned interface).
-type ZoneState = device.ZoneState
-
-// Zone states: empty (reset, unwritten), open (partially written), full
-// (write pointer at capacity).
-const (
-	ZoneEmpty = device.ZoneEmpty
-	ZoneOpen  = device.ZoneOpen
-	ZoneFull  = device.ZoneFull
-)
-
 // ErrTooManyOpenZones is returned when an append would exceed the device's
 // open-zone limit. It is the shared sentinel every backend returns.
 var ErrTooManyOpenZones = device.ErrTooManyOpenZones

@@ -2,26 +2,63 @@ package flashsim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
-
-	"nemo/internal/device"
 )
+
+// ZoneState describes a zone's lifecycle position (§2.2's zoned interface),
+// as these tests read it off the write pointer; no engine asks.
+type ZoneState int
+
+// Zone states: empty (reset, unwritten), open (partially written), full
+// (write pointer at capacity).
+const (
+	ZoneEmpty ZoneState = iota
+	ZoneOpen
+	ZoneFull
+)
+
+// String renders the state for diagnostics.
+func (s ZoneState) String() string {
+	switch s {
+	case ZoneEmpty:
+		return "EMPTY"
+	case ZoneOpen:
+		return "OPEN"
+	case ZoneFull:
+		return "FULL"
+	default:
+		return fmt.Sprintf("ZoneState(%d)", int(s))
+	}
+}
+
+// stateOf derives a zone's lifecycle state from its write pointer.
+func stateOf(d *Device, zoneID int) ZoneState {
+	switch wp := d.ZoneWP(zoneID); {
+	case wp == 0:
+		return ZoneEmpty
+	case wp >= d.PagesPerZone():
+		return ZoneFull
+	default:
+		return ZoneOpen
+	}
+}
 
 func TestZoneStates(t *testing.T) {
 	d := New(Config{PageSize: 512, PagesPerZone: 2, Zones: 4})
-	if got := device.StateOf(d, 0); got != ZoneEmpty || d.ZoneWP(0) != 0 {
+	if got := stateOf(d, 0); got != ZoneEmpty || d.ZoneWP(0) != 0 {
 		t.Fatalf("fresh zone state = %v, wp %d", got, d.ZoneWP(0))
 	}
 	d.AppendPage(0, []byte{1})
-	if got := device.StateOf(d, 0); got != ZoneOpen || d.ZoneWP(0) != 1 || d.ZoneFull(0) {
+	if got := stateOf(d, 0); got != ZoneOpen || d.ZoneWP(0) != 1 || d.ZoneFull(0) {
 		t.Fatalf("after one page, state = %v, wp %d, full %v", got, d.ZoneWP(0), d.ZoneFull(0))
 	}
 	d.AppendPage(0, []byte{2})
-	if got := device.StateOf(d, 0); got != ZoneFull || !d.ZoneFull(0) {
+	if got := stateOf(d, 0); got != ZoneFull || !d.ZoneFull(0) {
 		t.Fatalf("after fill, state = %v, full %v", got, d.ZoneFull(0))
 	}
 	d.ResetZone(0)
-	if got := device.StateOf(d, 0); got != ZoneEmpty || d.ZoneWP(0) != 0 {
+	if got := stateOf(d, 0); got != ZoneEmpty || d.ZoneWP(0) != 0 {
 		t.Fatalf("after reset, state = %v, wp %d", got, d.ZoneWP(0))
 	}
 }

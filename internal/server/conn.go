@@ -532,7 +532,8 @@ func (c *conn) writeError(o *op) {
 
 // writeStats answers the stats verb: the server's protocol counters, then
 // every engine counter (cachelib.Stats.Fields, so counters added to Stats
-// appear here automatically) under an engine_ prefix.
+// appear here automatically) under an engine_ prefix, then — from an engine
+// that keeps one (core's ResidentBytes) — the resident-memory ledger.
 func (c *conn) writeStats() {
 	writeStatLine := func(name string, v uint64) {
 		c.w.WriteString("STAT ")
@@ -555,6 +556,11 @@ func (c *conn) writeStats() {
 	writeStatLine("runtime_gc_pause_total_ns", ms.PauseTotalNs)
 	for _, f := range c.srv.cfg.Engine.Stats().Fields() {
 		writeStatLine("engine_"+f.Name, f.Value)
+	}
+	if e, ok := c.srv.cfg.Engine.(interface{ ResidentFields() []cachelib.Field }); ok {
+		for _, f := range e.ResidentFields() {
+			writeStatLine(f.Name, f.Value)
+		}
 	}
 	c.w.WriteString("END\r\n")
 }

@@ -389,4 +389,14 @@ func TestDegradedWindowAvailability(t *testing.T) {
 	if m["engine_write_errors"] != 2 {
 		t.Fatalf("engine_write_errors = %d, want 2", m["engine_write_errors"])
 	}
+	// The resident-memory ledger follows the engine rows, and is the engine's.
+	r := eng.ResidentBytes()
+	for _, f := range r.Fields() {
+		if got, ok := m[f.Name]; !ok || got != f.Value {
+			t.Errorf("stats row %s = %d (present: %v), want the ledger's %d", f.Name, got, ok, f.Value)
+		}
+	}
+	if r.Total() == 0 || m["resident_total_bytes"] != r.PaperMeta+r.WriteBuffers+r.FlushKits {
+		t.Errorf("resident_total_bytes = %d, want the three parts' sum %d", m["resident_total_bytes"], r.PaperMeta+r.WriteBuffers+r.FlushKits)
+	}
 }
