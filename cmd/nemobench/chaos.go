@@ -1,86 +1,85 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"strings"
 
 	"nemo/internal/backend"
 	"nemo/internal/chaos"
+	"nemo/internal/experiments"
 )
 
-// chaosOptions carries the -chaos flag set.
-type chaosOptions struct {
-	scenarios string       // comma-separated scenario names, or "all"
-	seed      int64        // fault-plan seed
-	shards    int          // engine shards
-	flushers  int          // background flushers (async mode)
-	async     bool         // serve SETs via SetAsync + flusher pool
-	conns     int          // client connections
-	ops       int          // total requests per scenario
-	pipeline  int          // requests per pipelined batch
-	device    backend.Spec // device backend the scenarios run on
-	jsonPath  string       // machine-readable output path
-}
-
-// runChaos drives the chaos harness: for each requested scenario, serve a
-// breaker-enabled engine over loopback, inject the scenario's fault plan
-// under load, heal, and verify the stack recovers on its own — printing
-// the availability table and writing BENCH_chaos.json.
-func runChaos(out io.Writer, o chaosOptions) error {
-	var scens []chaos.Scenario
-	if o.scenarios == "" || o.scenarios == "all" {
-		scens = chaos.Scenarios()
-	} else {
-		for _, name := range strings.Split(o.scenarios, ",") {
-			s, err := chaos.ByName(strings.TrimSpace(name))
+func cmdChaos(args []string) int {
+	c := newCommand("chaos", "[flags]")
+	scens := []chaos.Scenario{chaos.Scenarios()[0]}
+	c.Func("scenario", "comma-separated scenario names, or all: write-outage, flaky-writes, slow-reads, zone-kill (default write-outage)", func(s string) error {
+		if s == "all" {
+			scens = chaos.Scenarios()
+			return nil
+		}
+		scens = nil
+		for _, name := range strings.Split(s, ",") {
+			sc, err := chaos.ByName(strings.TrimSpace(name))
 			if err != nil {
 				return err
 			}
-			scens = append(scens, s)
+			scens = append(scens, sc)
 		}
+		return nil
+	})
+	shards := 2
+	c.Func("shards", "engine shards (default 2)", func(s string) (err error) {
+		shards, err = shardCount(s)
+		return err
+	})
+	seed := c.Int64("seed", 1, "fault-plan seed")
+	ops := c.Int("ops", 0, "requests per scenario (0 = 4000)")
+	async := c.Bool("async", false, "serve SETs via SetAsync + background flusher pool")
+	flushers := c.Int("flushers", 2, "background flusher goroutines with -async")
+	var device backend.Spec
+	deviceFlag(c, &device)
+	c.profileFlags()
+	if _, st, ok := c.parse(args, 0); !ok {
+		return st
 	}
-
-	var results []chaos.Result
-	fmt.Fprintf(out, "%-14s %-7s %-8s %-7s %-7s %-9s %-8s %-9s %-9s %-8s\n",
-		"scenario", "ops", "avail", "sheds", "errs", "degraded", "deg_s", "recover", "injected", "retries")
-	for _, s := range scens {
-		flushers := 0
-		if o.async {
-			flushers = o.flushers
-		}
-		res, err := chaos.Run(chaos.Config{
-			Scenario: s,
-			Seed:     uint64(o.seed),
-			Device:   o.device,
-			Shards:   o.shards,
-			Flushers: flushers,
-			SyncSet:  !o.async,
-			Conns:    o.conns,
-			Ops:      o.ops,
-			Pipeline: o.pipeline,
+	if !*async {
+		*flushers = 0
+	}
+	return c.profiled(func() int {
+		rep, err := runChaos(scens, chaos.Config{
+			Seed:     uint64(*seed),
+			Device:   device,
+			Shards:   shards,
+			Flushers: *flushers,
+			SyncSet:  !*async,
+			Ops:      *ops,
 		})
-		if err != nil {
-			return fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
-		results = append(results, res)
-		fmt.Fprintf(out, "%-14s %-7d %-8.4f %-7d %-7d %-9d %-8d %-9.3f %-9d %-8d\n",
-			res.Scenario, res.Ops, res.Availability, res.DegradedSheds, res.OtherErrors,
-			res.DegradedEntered, res.DegradedSeconds, res.RecoverySecs,
-			res.InjectedWrites+res.InjectedReads, res.WriteRetries)
-	}
+		return report("chaos", rep, err)
+	})
+}
 
-	if o.jsonPath != "" {
-		blob, err := json.MarshalIndent(results, "", "  ")
+// runChaos drives the chaos harness: for each scenario, serve a
+// breaker-enabled engine over loopback, inject the scenario's fault plan
+// under load, heal, and verify the stack recovers on its own. The report is
+// the availability table, one row per scenario.
+func runChaos(scens []chaos.Scenario, cfg chaos.Config) (experiments.Report, error) {
+	rep := experiments.Report{Title: fmt.Sprintf("Chaos: device faults under a serving stack — device %v, %d shards, async=%v", cfg.Device, cfg.Shards, !cfg.SyncSet)}
+	t := &experiments.Table{Columns: []string{"scenario", "ops", "avail%", "sheds", "errs", "degraded", "deg_s", "recover_s", "injected", "retries"}}
+	rep.Tables = append(rep.Tables, t)
+	n := func(format string, v float64) experiments.Cell { return experiments.Cell{V: v, Format: format} }
+	for _, s := range scens {
+		cfg.Scenario = s
+		res, err := chaos.Run(cfg)
 		if err != nil {
-			return err
+			return rep, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
-		if err := os.WriteFile(o.jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", o.jsonPath)
+		t.Rows = append(t.Rows, experiments.Row{Label: res.Scenario, Cells: []experiments.Cell{
+			n("%.0f", float64(res.Ops)), n("%.2f", res.Availability*100),
+			n("%.0f", float64(res.DegradedSheds)), n("%.0f", float64(res.OtherErrors)),
+			n("%.0f", float64(res.DegradedEntered)), n("%.0f", float64(res.DegradedSeconds)),
+			n("%.3f", res.RecoverySecs),
+			n("%.0f", float64(res.InjectedWrites+res.InjectedReads)), n("%.0f", float64(res.WriteRetries)),
+		}})
 	}
-	return nil
+	return rep, nil
 }

@@ -1,51 +1,49 @@
-// Command nemobench regenerates the paper's tables and figures against the
-// simulated flash device.
+// Command nemobench regenerates the paper's tables and figures, compares
+// the five cache engines on one trace, and injects device faults under a
+// serving stack.
 //
 // Usage:
 //
-//	nemobench -list
-//	nemobench -exp fig12a [-scale small|medium|large] [-ops N] [-seed S]
-//	nemobench -all [-scale medium] [-ops N]
-//	nemobench -compare [-shards 1,2,4,8] [-engines nemo,log,set,kg,fw]
-//	          [-workers K] [-ops N] [-seed S] [-batch B] [-async] [-flushers K]
-//	          [-setfrac F] [-delfrac F] [-parallel] [-notime]
-//	          [-scale small|medium|large] [-device file:<path>]
-//	nemobench -chaos [-scenario write-outage,flaky-writes|all] [-shards 2]
-//	          [-conns K] [-ops N] [-async -flushers K] [-seed S]
-//	          [-device file:<path>] [-json BENCH_chaos.json]
-//	nemobench ... [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	nemobench list
+//	nemobench exp <id> [-scale small|medium|large] [-ops N] [-seed S]
+//	nemobench all [-scale medium] [-ops N] [-seed S]
+//	nemobench compare [-shards 1,2,4,8] [-engines nemo,log,set,kg,fw]
+//	          [-ops N] [-seed S] [-batch B] [-async] [-flushers K]
+//	          [-setfrac F] [-delfrac F] [-scale small|medium|large]
+//	          [-device file:<path>]
+//	nemobench chaos [-scenario write-outage,flaky-writes|all] [-shards 2]
+//	          [-ops N] [-async] [-flushers K] [-seed S] [-device file:<path>]
+//	nemobench <exp|all|compare|chaos> ... [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
-// -compare runs the cross-engine comparison harness: one materialized mixed
-// trace replayed through all five engines, each behind the one sharded
-// facade (cachelib.ShardedEngine), at each shard count (total cache
-// capacity held constant), printing the Figure 12/15-style quality and
-// throughput table. -engines filters the set (-engines nemo is the
-// functional smoke of the sharded engine alone), -batch drives the
-// engines' batch calls (per-shard GetMany/SetMany sub-batches), -async
-// routes fills through SetAsync and a -flushers-sized background flush pool
-// (watch the setp99 column drop), -setfrac/-delfrac set the fraction of the
-// trace rewritten into explicit SET and DELETE operations (0 0 = the
-// pure-GET demand-fill trace), -parallel replays the engines of a shard
-// count concurrently, and -notime drops the wall-clock columns so the table
-// is byte-deterministic.
+// Every result is an experiments.Report printed by Report.Print; `nemobench
+// <command> -h` describes each flag.
 //
-// -chaos runs the fault-injection harness: each named scenario (a seeded
-// device fault plan — error rates, added latency, fail-N-then-recover,
-// per-zone kills) is armed against a breaker-enabled engine serving real
-// loopback clients. The table and BENCH_chaos.json report availability
-// (served ops %), degraded sheds, breaker trips and degraded-window
-// seconds, and the measured heal-to-recovery time; a scenario the stack
-// cannot recover from fails the run.
+// exp runs one registered experiment: the rows or series of the corresponding
+// paper artifact. all runs every one even when some fail: each failure is
+// printed as it happens, and the run ends with the failed IDs and status 1.
 //
-// Each experiment returns the rows or series of the corresponding paper
-// artifact as an experiments.Report, printed here. -all runs every
-// registered experiment even when one fails: each failure is printed as it
-// happens, and the run ends with the failed IDs and exit status 1 (0 when
-// all pass). Wall-clock performance is not measured here: the repository's
-// benchmark is benchmark/ (see benchmark/README.md and BENCHMARK.json).
+// compare replays one materialized mixed trace through all five engines,
+// each behind the one sharded facade (cachelib.ShardedEngine), at each shard
+// count with total capacity held constant: one Figure 12/16-style quality
+// table per count (hit ratio, write amplification, error counts), the same
+// bytes on every run and on either device backend. -engines nemo is the
+// functional smoke of the sharded engine alone; -setfrac 0 -delfrac 0 is the
+// pure-GET demand-fill trace.
+//
+// chaos arms each named scenario (a seeded device fault plan — error rates,
+// added latency, fail-N-then-recover, per-zone kills) against a
+// breaker-enabled engine serving real loopback clients, and reports
+// availability, degraded sheds, breaker trips and the heal-to-recovery time;
+// a scenario the stack cannot recover from fails the run.
+//
+// Exit status: 0 on success, 1 when a run failed, 2 for a usage error
+// (unknown command, flag, experiment ID, engine key or scenario, a bad
+// -shards value), printed with the command's usage. Wall-clock performance
+// is not measured here: that is benchmark/ (benchmark/README.md).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -53,55 +51,103 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"nemo/internal/backend"
 	"nemo/internal/experiments"
 )
 
+const usage = `usage: nemobench <command> [flags]
+
+  list       list the experiment IDs
+  exp <id>   run one experiment (a table or figure of the paper)
+  all        run every experiment; exit 1 naming the ones that failed
+  compare    replay one trace through the five engines at each shard count
+  chaos      fault scenarios against the breaker-enabled serving stack
+
+nemobench <command> -h prints the command's flags.
+`
+
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-// run holds main's body so profile teardown survives every exit path.
-func run() int {
-	var (
-		exp       = flag.String("exp", "", "experiment ID to run (see -list)")
-		all       = flag.Bool("all", false, "run every registered experiment")
-		list      = flag.Bool("list", false, "list experiments")
-		scale     = flag.String("scale", "medium", "device/workload scale: small, medium, large")
-		ops       = flag.Int("ops", 0, "override request count (0 = scale default)")
-		seed      = flag.Int64("seed", 1, "workload seed")
-		shards    = flag.String("shards", "1,2,4,8", "comma-separated shard counts for -compare (-chaos takes the first)")
-		workers   = flag.Int("workers", 0, "-compare: replay worker goroutines (0 = one per shard)")
-		batch     = flag.Int("batch", 0, "-compare: per-shard batch size (<=1 = unbatched)")
-		async     = flag.Bool("async", false, "-compare/-chaos: fills via SetAsync + background flusher pool")
-		flushers  = flag.Int("flushers", 2, "background flusher goroutines for -compare/-chaos with -async")
-		setFrac   = flag.Float64("setfrac", 0.1, "-compare: fraction of requests rewritten to explicit SETs")
-		delFrac   = flag.Float64("delfrac", 0.02, "-compare: fraction of requests rewritten to DELETEs")
-		compare   = flag.Bool("compare", false, "run the cross-engine sharded comparison harness")
-		engines   = flag.String("engines", "", "-compare: comma-separated engine filter (nemo,log,set,kg,fw; empty = all)")
-		parallel  = flag.Bool("parallel", false, "-compare: replay the engines of one shard count concurrently")
-		noTime    = flag.Bool("notime", false, "-compare: omit wall-clock columns (byte-deterministic table)")
-		chaosRun  = flag.Bool("chaos", false, "run the chaos-injection harness: fault scenarios against the breaker-enabled serving stack")
-		scenarios = flag.String("scenario", "write-outage", "-chaos: comma-separated scenario names, or all (write-outage, flaky-writes, slow-reads, zone-kill)")
-		conns     = flag.Int("conns", 4, "-chaos: client connections")
-		pipelineN = flag.Int("pipeline", 8, "-chaos: requests per pipelined batch")
-		deviceStr = flag.String("device", "sim", "device backend for -compare/-chaos: sim, or file:<path> (file-backed real device, measured latencies)")
-		jsonOut   = flag.String("json", "BENCH_chaos.json", "-chaos: machine-readable output path (pass -json '' for table-only output)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile at exit to this file")
-	)
-	flag.Parse()
-
-	deviceSpec, err := backend.Parse(*deviceStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+func run(args []string) int {
+	if len(args) == 0 {
+		fmt.Fprint(os.Stderr, usage)
 		return 2
 	}
+	switch args[0] {
+	case "list":
+		return cmdList(args[1:])
+	case "exp":
+		return cmdExp(args[1:])
+	case "all":
+		return cmdAll(args[1:])
+	case "compare":
+		return cmdCompare(args[1:])
+	case "chaos":
+		return cmdChaos(args[1:])
+	case "-h", "-help", "--help":
+		fmt.Print(usage)
+		return 0
+	}
+	fmt.Fprintf(os.Stderr, "nemobench: unknown command %q\n%s", args[0], usage)
+	return 2
+}
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+// command is one subcommand's flag set, with the profile flags every
+// running command takes.
+type command struct {
+	*flag.FlagSet
+	cpuProf, memProf string
+}
+
+func newCommand(name, synopsis string) *command {
+	c := &command{FlagSet: flag.NewFlagSet(name, flag.ContinueOnError)}
+	c.Usage = func() {
+		fmt.Fprintf(c.Output(), "usage: nemobench %s %s\n", name, synopsis)
+		c.PrintDefaults()
+	}
+	return c
+}
+
+func (c *command) profileFlags() {
+	c.StringVar(&c.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
+	c.StringVar(&c.memProf, "memprofile", "", "write a heap profile at exit to this file")
+}
+
+// parse parses args, flags and positional arguments in any order, and wants
+// exactly `positional` of the latter. When ok is false the command ends with
+// status: 0 after -h, 2 after a usage error (already printed, with the usage).
+func (c *command) parse(args []string, positional int) (pos []string, status int, ok bool) {
+	for {
+		if err := c.Parse(args); errors.Is(err, flag.ErrHelp) {
+			return nil, 0, false
+		} else if err != nil {
+			return nil, 2, false
+		}
+		if c.NArg() == 0 {
+			break
+		}
+		pos, args = append(pos, c.Arg(0)), c.Args()[1:]
+	}
+	if len(pos) != positional {
+		return nil, c.usageError(fmt.Errorf("%s takes %d positional arguments, got %q", c.Name(), positional, pos)), false
+	}
+	return pos, 0, true
+}
+
+func (c *command) usageError(err error) int {
+	fmt.Fprintln(c.Output(), err)
+	c.Usage()
+	return 2
+}
+
+// profiled runs body between profile setup and teardown and returns its
+// exit status.
+func (c *command) profiled(body func() int) int {
+	if c.cpuProf != "" {
+		f, err := os.Create(c.cpuProf)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -113,9 +159,9 @@ func run() int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProf != "" {
+	if c.memProf != "" {
 		defer func() {
-			f, err := os.Create(*memProf)
+			f, err := os.Create(c.memProf)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return
@@ -127,129 +173,132 @@ func run() int {
 			}
 		}()
 	}
+	return body()
+}
 
-	if *chaosRun {
-		// -shards is a list flag shared with -compare; chaos runs one engine
-		// per scenario, so it takes the first count.
-		shardCounts, err := parseShardList(*shards)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		err = runChaos(os.Stdout, chaosOptions{
-			scenarios: *scenarios,
-			seed:      *seed,
-			shards:    shardCounts[0],
-			flushers:  *flushers,
-			async:     *async,
-			conns:     *conns,
-			ops:       *ops,
-			pipeline:  *pipelineN,
-			device:    deviceSpec,
-			jsonPath:  *jsonOut,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
+// report prints what a run returned — the one place a result table is
+// written — or, for a failed run, "<what> failed: …" and exit status 1.
+func report(what string, rep experiments.Report, err error) int {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s failed: %v\n", what, err)
+		return 1
 	}
+	rep.Print(os.Stdout)
+	return 0
+}
 
-	if *compare {
-		shardCounts, err := parseShardList(*shards)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		var engineKeys []string
-		if s := strings.TrimSpace(*engines); s != "" {
-			engineKeys = strings.Split(s, ",")
-		}
-		err = experiments.RunCompare(experiments.CompareConfig{
-			Scale:    *scale,
-			Shards:   shardCounts,
-			Workers:  *workers,
-			Ops:      *ops,
-			Seed:     *seed,
-			Batch:    *batch,
-			Async:    *async,
-			Flushers: *flushers,
-			SetFrac:  *setFrac,
-			DelFrac:  *delFrac,
-			Engines:  engineKeys,
-			Parallel: *parallel,
-			HostTime: !*noTime,
-			Device:   deviceSpec,
-			Out:      os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		return 0
-	}
+// workloadFlags registers the flags exp, all and compare share.
+func workloadFlags(c *command, scale *string, ops *int, seed *int64) {
+	c.StringVar(scale, "scale", "medium", "device/workload scale: small, medium, large")
+	c.IntVar(ops, "ops", 0, "override request count (0 = scale default)")
+	c.Int64Var(seed, "seed", 1, "workload seed")
+}
 
-	if *list {
-		for _, e := range experiments.Registry {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
-		}
-		return 0
+// deviceFlag registers -device (the zero Spec is the simulator); a value
+// backend.Parse rejects is a usage error.
+func deviceFlag(c *command, spec *backend.Spec) {
+	c.Func("device", "device backend: sim, or file:<path> (file-backed real device, measured latencies)", func(s string) (err error) {
+		*spec, err = backend.Parse(s)
+		return err
+	})
+}
+
+func cmdList(args []string) int {
+	c := newCommand("list", "")
+	if _, st, ok := c.parse(args, 0); !ok {
+		return st
 	}
-	opts := experiments.Options{Scale: *scale, Ops: *ops, Seed: *seed}
-	switch {
-	case *all:
+	for _, e := range experiments.Registry {
+		fmt.Printf("%-8s %s\n", e.ID, e.Title)
+	}
+	return 0
+}
+
+func cmdExp(args []string) int {
+	c := newCommand("exp", "<id> [flags]   (nemobench list prints the IDs)")
+	var opts experiments.Options
+	workloadFlags(c, &opts.Scale, &opts.Ops, &opts.Seed)
+	c.profileFlags()
+	pos, st, ok := c.parse(args, 1)
+	if !ok {
+		return st
+	}
+	e, err := experiments.ByID(pos[0])
+	if err != nil {
+		return c.usageError(err)
+	}
+	return c.profiled(func() int {
+		rep, err := e.Run(opts)
+		return report(e.ID, rep, err)
+	})
+}
+
+func cmdAll(args []string) int {
+	c := newCommand("all", "[flags]")
+	var opts experiments.Options
+	workloadFlags(c, &opts.Scale, &opts.Ops, &opts.Seed)
+	c.profileFlags()
+	if _, st, ok := c.parse(args, 0); !ok {
+		return st
+	}
+	return c.profiled(func() int {
 		var failed []string
 		for _, e := range experiments.Registry {
 			fmt.Printf("=== %s ===\n", e.ID)
-			start := time.Now()
 			rep, err := e.Run(opts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
+			if report(e.ID, rep, err) != 0 {
 				failed = append(failed, e.ID)
-				continue
 			}
-			rep.Print(os.Stdout)
-			fmt.Printf("--- %s done in %v ---\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+			fmt.Println()
 		}
 		if len(failed) > 0 {
 			fmt.Fprintf(os.Stderr, "%d of %d experiments failed: %s\n", len(failed), len(experiments.Registry), strings.Join(failed, " "))
 			return 1
 		}
-	case *exp != "":
-		e, err := experiments.ByID(*exp)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		rep, err := e.Run(opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
-			return 1
-		}
-		rep.Print(os.Stdout)
-	default:
-		flag.Usage()
-		return 2
-	}
-	return 0
+		return 0
+	})
 }
 
-// parseShardList parses the -shards flag: comma-separated positive counts.
-func parseShardList(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		n, err := strconv.Atoi(f)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad shard count %q", f)
-		}
-		out = append(out, n)
+// shardCount parses one -shards count.
+func shardCount(s string) (int, error) {
+	n, err := strconv.Atoi(strings.TrimSpace(s))
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("bad shard count %q", s)
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty shard list")
+	return n, nil
+}
+
+func cmdCompare(args []string) int {
+	c := newCommand("compare", "[flags]")
+	cfg := experiments.CompareConfig{Shards: []int{1, 2, 4, 8}}
+	workloadFlags(c, &cfg.Scale, &cfg.Ops, &cfg.Seed)
+	c.Func("shards", "comma-separated shard counts (default 1,2,4,8)", func(s string) error {
+		cfg.Shards = nil
+		for _, f := range strings.Split(s, ",") {
+			n, err := shardCount(f)
+			if err != nil {
+				return err
+			}
+			cfg.Shards = append(cfg.Shards, n)
+		}
+		return nil
+	})
+	c.Func("engines", "comma-separated engine filter: nemo,log,set,kg,fw (default all)", func(s string) error {
+		cfg.Engines = strings.Split(s, ",")
+		return experiments.CheckEngines(cfg.Engines)
+	})
+	c.IntVar(&cfg.Batch, "batch", 0, "per-shard batch size (<=1 = unbatched)")
+	c.BoolVar(&cfg.Async, "async", false, "fills via SetAsync + background flusher pool")
+	c.IntVar(&cfg.Flushers, "flushers", 2, "background flusher goroutines with -async")
+	c.Float64Var(&cfg.SetFrac, "setfrac", 0.1, "fraction of requests rewritten to explicit SETs")
+	c.Float64Var(&cfg.DelFrac, "delfrac", 0.02, "fraction of requests rewritten to DELETEs")
+	deviceFlag(c, &cfg.Device)
+	c.profileFlags()
+	if _, st, ok := c.parse(args, 0); !ok {
+		return st
 	}
-	return out, nil
+	return c.profiled(func() int {
+		rep, err := experiments.RunCompare(cfg)
+		return report("compare", rep, err)
+	})
 }

@@ -1,9 +1,8 @@
 // Package backend turns a -device command-line spec into zoned devices. It
 // is the one place that knows both implementations of the internal/device
 // contract — the flashsim simulator and the file-backed filedev — so the
-// replay, compare and chaos harnesses and both binaries can accept
-// `-device=sim` or `-device=file:<path>` uniformly, and BENCH_chaos.json can
-// record which backend produced each row.
+// compare and chaos harnesses and both binaries can accept `-device=sim` or
+// `-device=file:<path>` uniformly.
 package backend
 
 import (
@@ -53,8 +52,7 @@ func File(path string) Spec {
 	return Spec{kind: "file", path: path, opens: new(atomic.Int64)}
 }
 
-// String renders the spec back to flag form — the value recorded in
-// BENCH_chaos.json's device field.
+// String renders the spec back to flag form.
 func (s Spec) String() string {
 	if s.IsFile() {
 		return "file:" + s.path

@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
-	"time"
 
-	"nemo/internal/metrics"
 	"nemo/internal/trace"
 )
 
@@ -43,54 +41,39 @@ type ParallelReplayConfig struct {
 	AsyncSets bool
 }
 
-// ParallelReplayResult aggregates the metrics of one parallel replay.
+// ParallelReplayResult is what one parallel replay leaves behind: the
+// engine's shard count and its final statistics. The replayer measures no
+// wall-clock time; benchmark/ does.
 type ParallelReplayResult struct {
 	Shards int
-	// OpsPerSec is requests per second of host wall-clock time. It and
-	// SetLatency are the only host-time metrics in the repository —
-	// everything else runs on virtual time — because the point of the
-	// parallel driver is to exercise real scheduling of the sharded engine.
-	OpsPerSec float64
-	// SetLatency is the host-time distribution of write calls (Set,
-	// SetAsync, or SetMany — one sample per engine call). Its p99 is where
-	// the background flush pipeline shows: synchronous fills pay the
-	// occasional whole-SG flush inline, async fills do not.
-	SetLatency metrics.Snapshot
-	Final      Stats
+	Final  Stats
 }
 
 // replayWorker carries one worker goroutine's state through a replay.
 type replayWorker struct {
-	e       Engine
-	async   bool // ParallelReplayConfig.AsyncSets
-	reqs    []trace.Request
-	setHist metrics.Histogram
+	e     Engine
+	async bool // ParallelReplayConfig.AsyncSets
+	reqs  []trace.Request
 
 	// Reused batch scratch (the batching layer must stay cheap relative to
 	// the per-op engine work it amortizes).
-	keyBuf   [][]byte
-	fillKey  [][]byte
-	fillVal  [][]byte
-	sigBuf   []uint64
-	uniqIdx  []int32
-	dupIdx   []int32
-	mergeBuf [][]int32
+	keyBuf  [][]byte
+	fillKey [][]byte
+	fillVal [][]byte
+	sigBuf  []uint64
+	uniqIdx []int32
+	dupIdx  []int32
 }
 
-// write performs one timed write call (sync or async per configuration).
+// write performs one write call (sync or async per configuration).
 func (rw *replayWorker) write(key, value []byte) error {
-	start := time.Now()
-	var err error
 	if rw.async {
-		err = rw.e.SetAsync(key, value)
-	} else {
-		err = rw.e.Set(key, value)
+		return rw.e.SetAsync(key, value)
 	}
-	rw.setHist.Record(time.Since(start))
-	return err
+	return rw.e.Set(key, value)
 }
 
-// writeMany performs one timed batched write call.
+// writeMany performs one batched write call.
 func (rw *replayWorker) writeMany(keys, values [][]byte) error {
 	if len(keys) == 0 {
 		return nil
@@ -103,10 +86,7 @@ func (rw *replayWorker) writeMany(keys, values [][]byte) error {
 		}
 		return nil
 	}
-	start := time.Now()
-	err := rw.e.SetMany(keys, values)
-	rw.setHist.Record(time.Since(start))
-	return err
+	return rw.e.SetMany(keys, values)
 }
 
 // dispatchOne executes one request: a delete, a set, or a get-and-fill. It
@@ -223,15 +203,12 @@ func ParallelReplay(e Engine, reqs []trace.Request, cfg ParallelReplayConfig) (P
 
 	res := ParallelReplayResult{Shards: shards}
 	errs := make([]error, workers)
-	rws := make([]*replayWorker, workers)
 	var wg sync.WaitGroup
-	start := time.Now()
 	for w := 0; w < workers; w++ {
-		rw := &replayWorker{e: e, async: cfg.AsyncSets, reqs: reqs}
-		rws[w] = rw
 		wg.Add(1)
-		go func(w int, rw *replayWorker) {
+		go func(w int) {
 			defer wg.Done()
+			rw := &replayWorker{e: e, async: cfg.AsyncSets, reqs: reqs}
 			if cfg.BatchSize > 1 {
 				if err := rw.runBatched(workLists[w], shards, shardIdx, cfg.BatchSize); err != nil {
 					errs[w] = fmt.Errorf("cachelib: worker %d %w", w, err)
@@ -244,11 +221,11 @@ func ParallelReplay(e Engine, reqs []trace.Request, cfg ParallelReplayConfig) (P
 					return
 				}
 			}
-		}(w, rw)
+		}(w)
 	}
 	wg.Wait()
 	if cfg.AsyncSets {
-		// Deferred flushes must land before throughput or stats are read.
+		// Deferred flushes must land before the statistics are read.
 		if err := e.Drain(); err != nil {
 			for w := range errs {
 				if errs[w] == nil {
@@ -258,14 +235,6 @@ func ParallelReplay(e Engine, reqs []trace.Request, cfg ParallelReplayConfig) (P
 			}
 		}
 	}
-	if elapsed := time.Since(start); elapsed > 0 {
-		res.OpsPerSec = float64(len(reqs)) / elapsed.Seconds()
-	}
-	var setHist metrics.Histogram
-	for _, rw := range rws {
-		setHist.Merge(&rw.setHist)
-	}
-	res.SetLatency = setHist.Snapshot()
 	res.Final = e.Stats()
 	for _, err := range errs {
 		if err != nil {
@@ -275,55 +244,51 @@ func ParallelReplay(e Engine, reqs []trace.Request, cfg ParallelReplayConfig) (P
 	return res, nil
 }
 
-// getPhase executes one or more GET runs — each the GETs of a different
-// shard's batch, so their keys never collide — as one batched lookup plus
-// one batched demand fill. Only the first occurrence of each key within its
-// run is batched; repeat occurrences (constant on hot-key-heavy Zipf
-// traces) are replayed serially after the fills, which reproduces the
-// sequential Get-after-fill outcome exactly instead of double-missing.
-// Per-shard effect order is preserved: uniques in run order, then fills in
-// the same order, then repeats in run order.
-func (rw *replayWorker) getPhase(runs ...[]int32) error {
+// getPhase executes one GET run as one batched lookup plus one batched
+// demand fill. Only the first occurrence of each key within the run is
+// batched; repeat occurrences (constant on hot-key-heavy Zipf traces) are
+// replayed serially after the fills, which reproduces the sequential
+// Get-after-fill outcome exactly instead of double-missing. Effect order:
+// uniques in run order, then fills in the same order, then repeats in run
+// order.
+func (rw *replayWorker) getPhase(run []int32) error {
 	keys := rw.keyBuf[:0]  // first occurrence of each key, in order
 	uniq := rw.uniqIdx[:0] // their request indices
 	dups := rw.dupIdx[:0]  // repeat occurrences, in order
-	for _, run := range runs {
-		sigs := rw.sigBuf[:0] // key signatures, scoped to one run
-		// Linear signature scans are fastest at production batch depths;
-		// past that the quadratic cost would swamp the engine work, so
-		// large runs switch to a set.
-		var sigSet map[uint64]struct{}
-		if len(run) > 128 {
-			sigSet = make(map[uint64]struct{}, len(run))
-		}
-		for _, i := range run {
-			req := &rw.reqs[i]
-			sig := dupSig(req.Key)
-			isDup := false
-			if sigSet != nil {
-				_, isDup = sigSet[sig]
-				sigSet[sig] = struct{}{}
-			} else {
-				for _, s := range sigs {
-					if s == sig {
-						isDup = true
-						break
-					}
+	sigs := rw.sigBuf[:0]  // key signatures
+	// Linear signature scans are fastest at production batch depths; past
+	// that the quadratic cost would swamp the engine work, so large runs
+	// switch to a set.
+	var sigSet map[uint64]struct{}
+	if len(run) > 128 {
+		sigSet = make(map[uint64]struct{}, len(run))
+	}
+	for _, i := range run {
+		req := &rw.reqs[i]
+		sig := dupSig(req.Key)
+		isDup := false
+		if sigSet != nil {
+			_, isDup = sigSet[sig]
+			sigSet[sig] = struct{}{}
+		} else {
+			for _, s := range sigs {
+				if s == sig {
+					isDup = true
+					break
 				}
 			}
-			if isDup {
-				// A signature collision between distinct keys only
-				// diverts an op to the (exact) serial path below.
-				dups = append(dups, i)
-				continue
-			}
-			sigs = append(sigs, sig)
-			keys = append(keys, req.Key)
-			uniq = append(uniq, i)
 		}
-		rw.sigBuf = sigs[:0]
+		if isDup {
+			// A signature collision between distinct keys only diverts an
+			// op to the (exact) serial path below.
+			dups = append(dups, i)
+			continue
+		}
+		sigs = append(sigs, sig)
+		keys = append(keys, req.Key)
+		uniq = append(uniq, i)
 	}
-	rw.keyBuf, rw.uniqIdx, rw.dupIdx = keys[:0], uniq[:0], dups[:0]
+	rw.keyBuf, rw.uniqIdx, rw.dupIdx, rw.sigBuf = keys[:0], uniq[:0], dups[:0], sigs[:0]
 	_, hits := rw.e.GetMany(keys)
 	fillKeys := rw.fillKey[:0]
 	fillVals := rw.fillVal[:0]
@@ -364,91 +329,37 @@ func dupSig(k []byte) uint64 {
 }
 
 // runBatched drives one worker's shards with per-shard batching: pending
-// batches accumulate per shard, flushing when full and at end of trace.
-// Batch composition depends only on each shard's request subsequence
-// (consecutive BatchSize-chunks), never on the worker count.
-//
-// Full batches are not executed one by one: they park in a ready set (at
-// most one per shard) and execute together, with the pure-GET batches of
-// different shards merged into a single multi-shard GetMany/SetMany pair.
-// The sharded engine fans a merged batch out across shards in parallel, so
-// a worker that owns several shards gets cross-shard parallelism from one
-// call — the production multi-get pattern, and the reason batched replay
-// outruns unbatched replay even when workers are scarce. Merging changes
-// only the cross-shard interleaving of engine calls (which carries no
-// state), never a shard's own op order.
-//
-// An error comes back as "at op N: …", N being the first op index of the
-// batch that failed — for a merged batch, the earliest op in the call.
+// requests accumulate per shard and run through runBatch when BatchSize of
+// them are waiting, the remainders at end of trace in shard order. Batch
+// composition depends only on each shard's request subsequence (consecutive
+// BatchSize-chunks), never on the worker count. An error comes back as
+// "at op N: …", N being the first op index of the batch that failed.
 func (rw *replayWorker) runBatched(workList []int32, shards int, shardIdx []int32, batchSize int) error {
 	pend := make([][]int32, shards)
-	ready := make([][]int32, shards)
-	nReady := 0
-	flushReady := func() error {
-		if nReady == 0 {
+	flush := func(s int) error {
+		b := pend[s]
+		pend[s] = b[:0]
+		if len(b) == 0 {
 			return nil
 		}
-		merged := rw.mergeBuf[:0]
-		for s := range ready {
-			b := ready[s]
-			if len(b) == 0 {
-				continue
-			}
-			pure := true
-			for _, i := range b {
-				if rw.reqs[i].Op != trace.KindGet {
-					pure = false
-					break
-				}
-			}
-			if pure {
-				merged = append(merged, b)
-				continue
-			}
-			// Mixed-kind batches keep their intra-batch run structure.
-			if err := rw.runBatch(b); err != nil {
-				return fmt.Errorf("at op %d: %w", b[0], err)
-			}
+		if err := rw.runBatch(b); err != nil {
+			return fmt.Errorf("at op %d: %w", b[0], err)
 		}
-		rw.mergeBuf = merged[:0]
-		if err := rw.getPhase(merged...); err != nil {
-			first := merged[0][0]
-			for _, b := range merged[1:] {
-				first = min(first, b[0])
-			}
-			return fmt.Errorf("at op %d: %w", first, err)
-		}
-		for s := range ready {
-			ready[s] = ready[s][:0]
-		}
-		nReady = 0
 		return nil
 	}
 	for _, i := range workList {
-		s := shardIdx[i]
+		s := int(shardIdx[i])
 		pend[s] = append(pend[s], i)
 		if len(pend[s]) >= batchSize {
-			if len(ready[s]) > 0 {
-				// This shard already has a parked batch: execute the
-				// ready set before parking the next one.
-				if err := flushReady(); err != nil {
-					return err
-				}
+			if err := flush(s); err != nil {
+				return err
 			}
-			pend[s], ready[s] = ready[s][:0], pend[s]
-			nReady++
 		}
-	}
-	// Drain: the standing ready set first, then the partial remainders
-	// (merged the same way, in shard order).
-	if err := flushReady(); err != nil {
-		return err
 	}
 	for s := range pend {
-		if len(pend[s]) > 0 {
-			ready[s] = pend[s]
-			nReady++
+		if err := flush(s); err != nil {
+			return err
 		}
 	}
-	return flushReady()
+	return nil
 }

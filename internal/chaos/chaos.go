@@ -1,4 +1,4 @@
-// Package chaos is the fault-injection harness behind `nemobench -chaos`:
+// Package chaos is the fault-injection harness behind `nemobench chaos`:
 // it serves a breaker-enabled Nemo engine over a live loopback listener,
 // arms a named fault scenario (a seeded device.FaultPlan) under client
 // load, and reports what the serving stack did about it — availability
@@ -40,12 +40,15 @@ const (
 )
 
 // The breaker shape of every run (a chaos run without a breaker measures
-// nothing), and the bound on the post-heal probe loop.
+// nothing), the bound on the post-heal probe loop, and the client load:
+// four connections sending eight-deep pipelined batches.
 const (
 	breakerThreshold  = 3
 	breakerProbeAfter = 100 * time.Millisecond
 	writeRetries      = 1 // bounded append retries
 	recoveryTimeout   = 10 * time.Second
+	conns             = 4
+	pipeline          = 8
 )
 
 // Scenario names a composable fault plan. Rules receives the device's
@@ -112,36 +115,26 @@ type Config struct {
 	Shards   int          // engine shards (default 2)
 	Flushers int          // background flushers (0 = inline flushes)
 	SyncSet  bool         // serve SETs synchronously
-	Conns    int          // client connections (default 2)
 	Ops      int          // total requests across connections (default 4000)
-	Pipeline int          // requests per pipelined batch (default 8)
 }
 
 // Result is what one chaos run observed.
 type Result struct {
-	Scenario string `json:"scenario"`
-	Device   string `json:"device"`
-	Shards   int    `json:"shards"`
-	Conns    int    `json:"conns"`
-	SyncSet  bool   `json:"sync_set"`
+	Scenario string
 
-	Ops             int     `json:"ops"`              // requests issued during the load phase
-	Served          int     `json:"served"`           // well-formed, non-shed replies
-	Hits            int     `json:"hits"`             // VALUE replies
-	DegradedSheds   int     `json:"degraded_sheds"`   // SERVER_ERROR degraded replies
-	OtherErrors     int     `json:"other_errors"`     // unexpected replies
-	Availability    float64 `json:"availability"`     // Served / Ops
-	LoadElapsedSecs float64 `json:"load_elapsed_s"`   // wall clock of the load phase
-	RecoverySecs    float64 `json:"recovery_s"`       // heal → first STORED
-	DegradedEntered uint64  `json:"degraded_entered"` // breaker trips (engine stats)
-	DegradedSeconds uint64  `json:"degraded_seconds"` // device-clock degraded time
-	WriteErrors     uint64  `json:"write_errors"`
-	ReadErrors      uint64  `json:"read_errors"`
-	WriteRetries    uint64  `json:"write_retries"`
+	Ops             int     // requests issued during the load phase
+	Served          int     // well-formed, non-shed replies
+	DegradedSheds   int     // SERVER_ERROR degraded replies
+	OtherErrors     int     // unexpected replies
+	Availability    float64 // Served / Ops
+	RecoverySecs    float64 // heal → first STORED
+	DegradedEntered uint64  // breaker trips (engine stats)
+	DegradedSeconds uint64  // device-clock degraded time
+	WriteRetries    uint64
 
-	InjectedWrites uint64 `json:"injected_writes"` // what the plan actually did
-	InjectedReads  uint64 `json:"injected_reads"`
-	DelayedOps     uint64 `json:"delayed_ops"`
+	InjectedWrites uint64 // what the plan actually did
+	InjectedReads  uint64
+	DelayedOps     uint64
 }
 
 func key(i int) []byte { return []byte(fmt.Sprintf("chaos-key-%08d-pad", i)) }
@@ -161,14 +154,8 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 2
 	}
-	if cfg.Conns <= 0 {
-		cfg.Conns = 2
-	}
 	if cfg.Ops <= 0 {
 		cfg.Ops = 4000
-	}
-	if cfg.Pipeline <= 0 {
-		cfg.Pipeline = 8
 	}
 	if zonesTotal%cfg.Shards != 0 {
 		return Result{}, fmt.Errorf("chaos: %d data zones not divisible by %d shards", zonesTotal, cfg.Shards)
@@ -210,13 +197,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	go srv.Serve(l)
 
-	res := Result{
-		Scenario: cfg.Scenario.Name,
-		Device:   cfg.Device.String(),
-		Shards:   cfg.Shards,
-		Conns:    cfg.Conns,
-		SyncSet:  cfg.SyncSet,
-	}
+	res := Result{Scenario: cfg.Scenario.Name}
 
 	// Load phase under chaos. The key space is a multiple of pool capacity
 	// so the write stream keeps the flush pipeline (the faulted path) busy.
@@ -224,10 +205,9 @@ func Run(cfg Config) (Result, error) {
 	plan.Arm(dev)
 	const poolBytes = zonesTotal * pagesPerZone * pageSize
 	keySpace := 3 * poolBytes / valueSize
-	tallies := make([]tally, cfg.Conns)
+	tallies := make([]tally, conns)
 	var wg sync.WaitGroup
-	start := time.Now()
-	for g := 0; g < cfg.Conns; g++ {
+	for g := 0; g < conns; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -238,11 +218,10 @@ func Run(cfg Config) (Result, error) {
 				return
 			}
 			defer nc.Close()
-			t.err = drive(memclient.New(nc), g, cfg, keySpace, t)
+			t.err = drive(memclient.New(nc), g, cfg.Ops, keySpace, t)
 		}(g)
 	}
 	wg.Wait()
-	res.LoadElapsedSecs = time.Since(start).Seconds()
 	for g := range tallies {
 		t := &tallies[g]
 		if t.err != nil {
@@ -250,7 +229,6 @@ func Run(cfg Config) (Result, error) {
 		}
 		res.Ops += t.ops
 		res.Served += t.served
-		res.Hits += t.hits
 		res.DegradedSheds += t.sheds
 		res.OtherErrors += t.other
 	}
@@ -273,8 +251,6 @@ func Run(cfg Config) (Result, error) {
 	st := cache.Stats()
 	res.DegradedEntered = st.DegradedEntered
 	res.DegradedSeconds = st.DegradedSeconds
-	res.WriteErrors = st.WriteErrors
-	res.ReadErrors = st.ReadErrors
 	res.WriteRetries = st.WriteRetries
 	fs := plan.Stats()
 	res.InjectedWrites = fs.InjectedWrites
@@ -285,24 +261,21 @@ func Run(cfg Config) (Result, error) {
 
 // tally accumulates one connection's observations.
 type tally struct {
-	ops, served, hits, sheds, other int
-	err                             error
+	ops, served, sheds, other int
+	err                       error
 }
 
 // drive issues this connection's share of the load as pipelined batches
 // alternating sets and gets, classifying every reply: served, degraded
 // shed, or unexpected.
-func drive(cl *memclient.Client, g int, cfg Config, keySpace int, t *tally) error {
-	perConn := cfg.Ops / cfg.Conns
-	if perConn < cfg.Pipeline {
-		perConn = cfg.Pipeline
-	}
-	lo := g * keySpace / cfg.Conns
-	span := (g+1)*keySpace/cfg.Conns - lo
+func drive(cl *memclient.Client, g, ops, keySpace int, t *tally) error {
+	perConn := max(ops/conns, pipeline)
+	lo := g * keySpace / conns
+	span := (g+1)*keySpace/conns - lo
 	setCursor := 0
-	for b := 0; b < perConn/cfg.Pipeline; b++ {
+	for b := 0; b < perConn/pipeline; b++ {
 		if b%2 == 0 {
-			for i := 0; i < cfg.Pipeline; i++ {
+			for i := 0; i < pipeline; i++ {
 				k := lo + setCursor%span
 				setCursor++
 				cl.QueueSet(key(k), value(k), uint32(k), false)
@@ -310,7 +283,7 @@ func drive(cl *memclient.Client, g int, cfg Config, keySpace int, t *tally) erro
 			if err := cl.Flush(); err != nil {
 				return err
 			}
-			for i := 0; i < cfg.Pipeline; i++ {
+			for i := 0; i < pipeline; i++ {
 				status, err := cl.ReadStatus()
 				if err != nil {
 					return err
@@ -326,21 +299,19 @@ func drive(cl *memclient.Client, g int, cfg Config, keySpace int, t *tally) erro
 				}
 			}
 		} else {
-			for i := 0; i < cfg.Pipeline; i++ {
-				k := lo + (b*cfg.Pipeline+i)*6007%span
+			for i := 0; i < pipeline; i++ {
+				k := lo + (b*pipeline+i)*6007%span
 				cl.QueueGet(false, key(k))
 			}
 			if err := cl.Flush(); err != nil {
 				return err
 			}
-			for i := 0; i < cfg.Pipeline; i++ {
-				n, err := cl.ReadValues(nil)
-				if err != nil {
+			for i := 0; i < pipeline; i++ {
+				if _, err := cl.ReadValues(nil); err != nil {
 					return err
 				}
 				t.ops++
 				t.served++ // a miss is still a served request
-				t.hits += n
 			}
 		}
 	}

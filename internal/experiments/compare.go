@@ -1,31 +1,31 @@
 package experiments
 
-// The production-scale comparison harness behind `nemobench -compare`: one
+// The production-scale comparison harness behind `nemobench compare`: one
 // materialized mixed GET/SET/DELETE trace replayed through all five cache
 // engines, each behind cachelib.ShardedEngine (Nemo's core.Sharded embeds
-// it), at each requested shard count. This is the Figure 12/15 comparison
+// it), at each requested shard count. This is the Figure 12/16 comparison
 // grown to production shape: the paper compares the engines
 // single-threaded; here every engine runs behind the same hash-lane
 // partitioning (the cachelib shard plan), over the same
 // per-shard zone slicing of equal total capacity, driven by the same
 // deterministic parallel replayer. Hit ratio and write amplification are
-// therefore apples-to-apples at every shard count, and the wall-clock
-// columns measure each design's actual concurrent scalability.
+// therefore apples-to-apples at every shard count — the "compare" rows of
+// fidelity_test.go hold shards=2 to shards=1 per engine, with the one
+// departure (the hierarchical engines' two-zone HLog floor) stated there.
+// It is a quality comparison: nothing here reads a clock.
 //
-// Determinism: with HostTime=false the emitted table contains only
-// scheduling-independent columns, and is byte-identical across worker
-// counts and Parallel settings for every synchronous and batched
-// configuration (pinned by TestCompareDeterminism). The async pipeline is
+// Determinism: the Report holds only scheduling-independent statistics and
+// is equal cell for cell across replay worker counts and device backends
+// for every synchronous and batched configuration (pinned by
+// TestCompareDeterminism and crossbackend_test.go). The async pipeline is
 // deterministic for the baselines (their SetAsync degrades to a
 // synchronous Set) but not for Nemo, whose background flusher timing
 // shifts SG fill rates — async determinism tests therefore exclude Nemo.
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"nemo/internal/backend"
 	"nemo/internal/cachelib"
@@ -45,8 +45,6 @@ type CompareConfig struct {
 	Scale string
 	// Shards lists the shard counts to sweep (default 1, 2, 4).
 	Shards []int
-	// Workers is the replay goroutine count (0 = one per shard).
-	Workers int
 	// Ops overrides the request count (0 = scale default).
 	Ops int
 	// Seed makes the generated trace reproducible.
@@ -54,8 +52,8 @@ type CompareConfig struct {
 	// Batch drives the engines' GetMany/SetMany with per-shard batches of
 	// this size (<=1 = unbatched).
 	Batch int
-	// Async routes fills through SetAsync; Flushers sizes Nemo's background
-	// flusher pool (baselines degrade to synchronous Sets).
+	// Async routes fills through SetAsync and gives Nemo a background pool
+	// of Flushers goroutines (baselines degrade to synchronous Sets).
 	Async    bool
 	Flushers int
 	// SetFrac / DelFrac rewrite that fraction of the trace into explicit
@@ -66,20 +64,10 @@ type CompareConfig struct {
 	// Engines filters which engines run (keys: nemo, log, set, kg, fw;
 	// nil = all five).
 	Engines []string
-	// Parallel replays the engines of one shard count concurrently, each
-	// on its own device (rows still print in canonical engine order).
-	// Wall-clock columns then measure contended throughput.
-	Parallel bool
-	// HostTime includes the wall-clock columns (ops/s, setp50, setp99).
-	// Disable it to get a byte-deterministic table.
-	HostTime bool
 	// Device selects the backend engines run on (the zero value is the
-	// flashsim simulator; backend.File for a file-backed device). With
-	// HostTime=false the table is byte-identical across backends — the
-	// cross-backend equivalence pin.
+	// flashsim simulator; backend.File for a file-backed device). The
+	// Report is the same on either — the cross-backend equivalence pin.
 	Device backend.Spec
-	// Out receives the table (io.Discard when nil).
-	Out io.Writer
 }
 
 func (o CompareConfig) withDefaults() CompareConfig {
@@ -88,12 +76,6 @@ func (o CompareConfig) withDefaults() CompareConfig {
 	}
 	if len(o.Shards) == 0 {
 		o.Shards = []int{1, 2, 4}
-	}
-	if o.Out == nil {
-		o.Out = io.Discard
-	}
-	if o.Flushers <= 0 {
-		o.Flushers = 2
 	}
 	return o
 }
@@ -117,8 +99,8 @@ func compareGeometryFor(scale string) geometry {
 // engines need an HLog plus a set tier per shard), the device size it needs
 // beyond the data zones (nil = none), and a builder producing the sharded
 // engine on the fresh device the harness opened (and closes). Shard counts
-// below an engine's minimum print a deterministic "skipped" row instead of
-// failing the sweep.
+// below an engine's minimum yield a "skipped" text row instead of failing
+// the sweep.
 type compareEngine struct {
 	key         string // lowercase selector for the -engines filter
 	name        string // the engine's display label (matches Engine.Name())
@@ -197,6 +179,12 @@ func selectEngines(keys []string) ([]compareEngine, error) {
 	return out, nil
 }
 
+// CheckEngines reports the keys of an Engines filter that name no engine.
+func CheckEngines(keys []string) error {
+	_, err := selectEngines(keys)
+	return err
+}
+
 // compareTrace materializes the comparison workload for a scale: the four
 // Table 5 clusters interleaved at ~3× cache capacity, with the configured
 // fraction rewritten into explicit SETs and DELETEs.
@@ -219,83 +207,59 @@ func compareTrace(o CompareConfig, g geometry) ([]trace.Request, error) {
 }
 
 // RunCompare replays one materialized trace through every selected sharded
-// engine at every requested shard count and prints the comparison table.
-func RunCompare(o CompareConfig) error {
+// engine at every requested shard count and returns the comparison: one
+// table per shard count, one row per engine.
+func RunCompare(o CompareConfig) (Report, error) { return runCompare(o, 0) }
+
+// runCompare is RunCompare at a given replay worker count (0 = one per
+// shard). The count changes only scheduling, never a cell — the replayer's
+// per-shard sequencing guarantee — which is why it is the determinism
+// tests' parameter and not a CompareConfig field.
+func runCompare(o CompareConfig, workers int) (Report, error) {
 	o = o.withDefaults()
 	g := compareGeometryFor(o.Scale)
 	engines, err := selectEngines(o.Engines)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
 	reqs, err := compareTrace(o, g)
 	if err != nil {
-		return err
+		return Report{}, err
 	}
-
-	// The worker count changes only scheduling, never a statistic (the
-	// replayer's per-shard sequencing guarantee), so it appears with the
-	// other host-time context rather than in the deterministic rows.
-	title := fmt.Sprintf("Cross-engine comparison — %d ops (%.0f%% SET, %.0f%% DEL), %d data zones, batch=%d, async=%v",
-		len(reqs), o.SetFrac*100, o.DelFrac*100, g.Zones, o.Batch, o.Async)
-	if o.HostTime {
-		if o.Workers > 0 {
-			title += fmt.Sprintf(", workers=%d", o.Workers)
-		} else {
-			title += ", workers=per-shard"
-		}
-	}
-	fmt.Fprintln(o.Out, title)
-	header := fmt.Sprintf("%-6s %-7s %-6s %-7s %-8s %-8s %-6s %-6s", "engine", "shards", "batch", "hit%", "ALWA", "totalWA", "rderr", "wrerr")
-	if o.HostTime {
-		header += fmt.Sprintf(" %-12s %-10s %-10s", "ops/s", "setp50", "setp99")
-	}
-	fmt.Fprintln(o.Out, header)
-
+	rep := Report{Title: fmt.Sprintf("Cross-engine comparison — %d ops (%.0f%% SET, %.0f%% DEL), %d data zones, async=%v",
+		len(reqs), o.SetFrac*100, o.DelFrac*100, g.Zones, o.Async)}
 	for _, n := range o.Shards {
+		t := rep.table(fmt.Sprintf("shards=%d", n), "engine", "batch", "hit%", "ALWA", "totalWA", "rderr", "wrerr")
 		if n < 1 || g.Zones%n != 0 {
-			fmt.Fprintf(o.Out, "%-6s %-7d skipped: %d data zones not divisible\n", "all", n, g.Zones)
+			t.row("all", text(fmt.Sprintf("skipped: %d data zones not divisible", g.Zones)))
 			continue
 		}
-		rows := make([]string, len(engines))
-		errs := make([]error, len(engines))
-		var wg sync.WaitGroup
-		for i, e := range engines {
-			run := func() { rows[i], errs[i] = o.runOne(g, e, n, reqs) }
-			if !o.Parallel {
-				run()
+		for _, e := range engines {
+			if per := g.Zones / n; per < e.minPerShard {
+				t.row(e.name, text(fmt.Sprintf("skipped: %d zones/shard < engine minimum %d", per, e.minPerShard)))
 				continue
 			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run()
-			}()
-		}
-		wg.Wait()
-		for i := range rows {
-			if errs[i] != nil {
-				return fmt.Errorf("%s shards=%d: %w", engines[i].key, n, errs[i])
+			st, err := o.runOne(g, e, n, reqs, workers)
+			if err != nil {
+				return rep, fmt.Errorf("%s shards=%d: %w", e.key, n, err)
 			}
-			fmt.Fprintln(o.Out, rows[i])
+			t.row(e.name, count(o.Batch), num("%.2f", (1-st.MissRatio())*100), num("%.3f", st.ALWA()),
+				num("%.3f", st.TotalWA()), count(st.ReadErrors), count(st.WriteErrors))
 		}
 	}
-	return nil
+	return rep, nil
 }
 
-// runOne builds one sharded engine, replays the shared trace, and formats
-// its table row.
-func (o CompareConfig) runOne(g geometry, e compareEngine, n int, reqs []trace.Request) (string, error) {
-	if per := g.Zones / n; per < e.minPerShard {
-		return fmt.Sprintf("%-6s %-7d skipped: %d zones/shard < engine minimum %d",
-			e.name, n, per, e.minPerShard), nil
-	}
+// runOne builds one sharded engine on a fresh device, replays the shared
+// trace and returns the engine's final statistics.
+func (o CompareConfig) runOne(g geometry, e compareEngine, n int, reqs []trace.Request, workers int) (cachelib.Stats, error) {
 	zones := g.Zones
 	if e.zones != nil {
 		zones = e.zones(g.Zones, n)
 	}
 	dev, err := o.Device.Open(device.Geometry{PageSize: g.PageSize, PagesPerZone: g.PagesPerZone, Zones: zones})
 	if err != nil {
-		return "", err
+		return cachelib.Stats{}, err
 	}
 	// Engines never close their device; the harness closes (and, for a
 	// file-backed device, removes) it — after the engine is closed, so no
@@ -303,26 +267,19 @@ func (o CompareConfig) runOne(g geometry, e compareEngine, n int, reqs []trace.R
 	defer dev.Close()
 	eng, err := e.build(dev, o, g.Zones, n)
 	if err != nil {
-		return "", err
+		return cachelib.Stats{}, err
 	}
 	res, err := cachelib.ParallelReplay(eng, reqs, cachelib.ParallelReplayConfig{
-		Workers:   o.Workers,
+		Workers:   workers,
 		BatchSize: o.Batch,
 		AsyncSets: o.Async,
 	})
 	if err != nil {
 		eng.Close()
-		return "", err
+		return cachelib.Stats{}, err
 	}
 	if err := eng.Close(); err != nil {
-		return "", fmt.Errorf("close: %w", err)
+		return cachelib.Stats{}, fmt.Errorf("close: %w", err)
 	}
-	st := res.Final
-	row := fmt.Sprintf("%-6s %-7d %-6d %-7.2f %-8.3f %-8.3f %-6d %-6d",
-		eng.Name(), res.Shards, o.Batch,
-		(1-st.MissRatio())*100, st.ALWA(), st.TotalWA(), st.ReadErrors, st.WriteErrors)
-	if o.HostTime {
-		row += fmt.Sprintf(" %-12.0f %-10v %-10v", res.OpsPerSec, res.SetLatency.P50, res.SetLatency.P99)
-	}
-	return row, nil
+	return res.Final, nil
 }

@@ -8,7 +8,7 @@
 // tolerances, and where this reproduction departs from them.
 //
 // All experiments run against a scaled-down simulated device (Options.Scale;
-// `nemobench -exp <id> -scale ...`); the geometry ratios (log share, OP
+// `nemobench exp <id> -scale ...`); the geometry ratios (log share, OP
 // ratio, sets per SG relative to pool size) match Table 4, which §3.2 shows
 // is what determines write amplification.
 package experiments
@@ -63,7 +63,7 @@ func (e Experiment) Run(o Options) (Report, error) {
 	return rep, err
 }
 
-// Registry lists every experiment, in the order -list and -all use.
+// Registry lists every experiment, in the order `nemobench list` and `all` use.
 var Registry = []Experiment{
 	{"abl-sgsize", "Ablation: SG (zone) size at constant total capacity vs fill rate, WA, and read amplification", Ref{Col: "WA"}, runAblSGSize},
 	{"abl-cooling", "Ablation: cooling period (fraction of capacity written between passes) vs writeback volume and miss ratio", Ref{Row: "10%", Col: "writebacks"}, runAblCooling},
@@ -99,7 +99,7 @@ func ByID(id string) (Experiment, error) {
 			return e, nil
 		}
 	}
-	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (see Registry)", id)
+	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (`nemobench list` prints the IDs)", id)
 }
 
 // geometry describes the scaled device used by an experiment.

@@ -135,17 +135,16 @@ func Replay(e Engine, s Stream, cfg ReplayConfig) (ReplayResult, error) {
 // ParallelReplayConfig controls a ParallelReplay run.
 type ParallelReplayConfig = cachelib.ParallelReplayConfig
 
-// ParallelReplayResult carries the metrics of one parallel replay,
-// including host wall-clock throughput.
+// ParallelReplayResult carries the final statistics of one parallel replay.
 type ParallelReplayResult = cachelib.ParallelReplayResult
 
 // ParallelReplay replays a materialized (optionally mixed GET/SET/DELETE)
 // trace from many worker goroutines with deterministic per-shard
 // sequencing: each shard of a ShardedCache sees the identical request
 // subsequence it would in a single-threaded replay, so hit ratio and write
-// amplification are independent of worker count while throughput scales
-// with cores. ParallelReplayConfig.BatchSize drives the batch calls
-// (per-shard GetMany/SetMany) and AsyncSets the background flush pipeline.
+// amplification are independent of worker count.
+// ParallelReplayConfig.BatchSize drives the batch calls (per-shard
+// GetMany/SetMany) and AsyncSets the background flush pipeline.
 func ParallelReplay(e Engine, reqs []Request, cfg ParallelReplayConfig) (ParallelReplayResult, error) {
 	return cachelib.ParallelReplay(e, reqs, cfg)
 }

@@ -16,7 +16,7 @@ import (
 	"nemo"
 )
 
-// parallelGetZones is the fixture's total SG pool — the -compare geometry,
+// parallelGetZones is the fixture's total SG pool — the `nemobench compare` geometry,
 // held constant across shard counts and large enough that the vast majority
 // of hits serve from flash rather than the in-memory SGs.
 const parallelGetZones = 48

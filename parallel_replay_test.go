@@ -12,7 +12,7 @@ import (
 	"nemo"
 )
 
-// replayDataZones mirrors cmd/nemobench's -compare geometry: the total SG
+// replayDataZones mirrors `nemobench compare`'s geometry: the total SG
 // pool is constant across shard counts so hit ratio and write amplification
 // stay comparable while partitioning changes.
 const replayDataZones = 48
@@ -200,8 +200,8 @@ func TestParallelReplayMixedTraceDeterministic(t *testing.T) {
 }
 
 // TestParallelReplayAsyncFlush exercises the background flush pipeline end
-// to end: fills routed through SetAsync with a flusher pool must preserve
-// cache quality within tolerance while recording write latencies.
+// to end: fills routed through SetAsync with a flusher pool must all land
+// and preserve cache quality within tolerance.
 func TestParallelReplayAsyncFlush(t *testing.T) {
 	reqs := replayTrace(t, 60_000)
 
@@ -222,11 +222,12 @@ func TestParallelReplayAsyncFlush(t *testing.T) {
 	if d := math.Abs(syncHit - asyncHit); d > 0.03 {
 		t.Fatalf("async fills moved hit ratio by %.4f (sync %.4f, async %.4f)", d, syncHit, asyncHit)
 	}
-	if asyncRes.SetLatency.Count == 0 {
-		t.Fatal("async replay recorded no Set latencies")
-	}
-	if syncRes.SetLatency.Count == 0 {
-		t.Fatal("sync replay recorded no Set latencies")
+	// Every miss is filled once, sync or async: the drained engine counts
+	// as many Sets as its replay had misses.
+	for name, st := range map[string]nemo.Stats{"sync": syncRes.Final, "async": asyncRes.Final} {
+		if misses := st.Gets - st.Hits; st.Sets == 0 || st.Sets != misses {
+			t.Fatalf("%s replay: %d Sets for %d misses", name, st.Sets, misses)
+		}
 	}
 }
 
@@ -442,51 +443,4 @@ func TestGetManyFansOutAcrossShards(t *testing.T) {
 			t.Errorf("key of shard %d missed", i)
 		}
 	}
-}
-
-// shardCountsForBench are the configurations BenchmarkParallelReplay sweeps.
-var shardCountsForBench = []int{1, 2, 4, 8}
-
-// BenchmarkParallelReplay replays the same materialized trace against the
-// sharded engine at several shard counts — plus batched and async-flush
-// variants at 8 shards — reporting wall-clock throughput next to the
-// paper's quality metrics (run with -bench ParallelReplay).
-func BenchmarkParallelReplay(b *testing.B) {
-	reqs := replayTrace(b, 150_000)
-	bench := func(name string, mk func(testing.TB) *nemo.ShardedCache, cfg nemo.ParallelReplayConfig) {
-		b.Run(name, func(b *testing.B) {
-			var opsPerSec, hit, wa float64
-			var setP99 time.Duration
-			for i := 0; i < b.N; i++ {
-				c := mk(b)
-				res, err := nemo.ParallelReplay(c, reqs, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				opsPerSec += res.OpsPerSec
-				hit = 1 - res.Final.MissRatio()
-				wa = c.PaperWA()
-				setP99 = res.SetLatency.P99
-				if err := c.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(opsPerSec/float64(b.N), "ops/s")
-			b.ReportMetric(hit*100, "hit%")
-			b.ReportMetric(wa, "WA")
-			b.ReportMetric(float64(setP99.Nanoseconds()), "setp99-ns")
-		})
-	}
-	for _, shards := range shardCountsForBench {
-		shards := shards
-		bench(fmt.Sprintf("shards=%d", shards),
-			func(tb testing.TB) *nemo.ShardedCache { return buildShardedReplayCache(tb, shards) },
-			nemo.ParallelReplayConfig{})
-	}
-	bench("shards=8/batch=64",
-		func(tb testing.TB) *nemo.ShardedCache { return buildShardedReplayCache(tb, 8) },
-		nemo.ParallelReplayConfig{BatchSize: 64})
-	bench("shards=8/async",
-		func(tb testing.TB) *nemo.ShardedCache { return buildShardedAsyncReplayCache(tb, 8, 2) },
-		nemo.ParallelReplayConfig{AsyncSets: true})
 }
