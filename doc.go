@@ -105,20 +105,23 @@
 //     restore) — which is also when the prefix sums are computed, once,
 //     instead of lazily on every probe.
 //   - Every setblock page is a carve of a slab: an in-memory SG's sets of
-//     the SG's, a flush victim's read-back pages of the flush kit's. A kit is
-//     what only a running flush needs — the rear SG its seal rotates in, the
-//     read-back slab, page and filter scratch — taken from a free list all
-//     shards share and returned with the flushed SG as its spare
+//     the SG's, a flush victim's read-back pages of the flush kit's window.
+//     A kit is what only a running flush needs — the rear SG its seal
+//     rotates in, the 128 KiB window every device call of the flush moves
+//     its pages through (set pages, PBFG pages, victim read-back: one
+//     Append or ReadPages a window), and filter scratch — taken from a free
+//     list all shards share and returned with the flushed SG as its spare
 //     (writepath.go). An unsealed group's PBFG pages are one buffer, dropped
 //     whole when the group seals.
 //
 // Resident memory is index(objects) + Shards × InMemSGs × SG +
-// min(flushes in flight, max(1, Flushers)) × kit, with SG ≈ kit/2 ≈ a zone
-// of bytes; ResidentBytes sums it, split those three ways beside what
-// MemoryOverhead models for the same objects, and the stats verb prints it
-// (resident_* rows). Before kits each shard kept its own spare SG and
-// scratch: write_churn · engine_heap_mib 28.9 → 24.8 MiB at 4 shards and 2
-// flushers (CHANGES.md, PR 23: the pairs, and the traced
+// min(flushes in flight, max(1, Flushers)) × kit, with kit = spare SG +
+// window (1.16 MiB at 1 MiB zones); ResidentBytes sums it, split those three
+// ways beside what MemoryOverhead models for the same objects, and the stats
+// verb prints it (resident_* rows). Sharing kits across shards took
+// write_churn · engine_heap_mib from 28.9 to 24.8 MiB at 4 shards and 2
+// flushers, and the window in place of a whole-SG read-back slab took the
+// same row to 23.1 MiB (CHANGES.md has the pairs, and the traced
 // core.heap_bits_per_obj beside an unmoved core.resident_objs).
 //
 // PBFG pages. A PBFG page holds the set-level Bloom filters of one intra-SG

@@ -72,7 +72,7 @@ func Scenarios() []Scenario {
 		},
 		{
 			Name: "flaky-writes",
-			Note: "20% of device writes fail for the whole load phase",
+			Note: "20% of page writes fail for the whole load phase, each failing its append run",
 			Rules: func(int) []device.FaultRule {
 				return []device.FaultRule{{Op: device.FaultWrite, ErrRate: 0.2}}
 			},

@@ -48,7 +48,8 @@ func shardOfZone(s *Sharded, zone int) int {
 
 // parkOneFlush installs a write hook that parks the first append into shard
 // victim's zones — the flush owner blocks mid-build, holding its kit and no
-// lock — and runs observe on every other append.
+// lock, before its first window stores a page — and runs observe on every
+// other hook call: one per page of every append run.
 func parkOneFlush(dev *flashsim.Device, s *Sharded, victim int, observe func(shard int) error) (parked <-chan struct{}, release func()) {
 	entered, gate := make(chan struct{}), make(chan struct{})
 	var once sync.Once

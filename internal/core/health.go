@@ -37,8 +37,9 @@ package core
 //
 // Transient faults are kept off the breaker entirely by the bounded
 // append-retry loop (Config.WriteRetries / Config.RetryBackoff): a failed
-// AppendPage mutates no device or cache state, so it is retried in place up
-// to WriteRetries times before the flush fails and the failure counts.
+// Append of a flush window mutates no device or cache state, so it is
+// retried in place up to WriteRetries times before the flush fails and the
+// failure counts.
 // Stats.WriteRetries counts absorbed retries.
 //
 // Everything is deterministic under a virtual device clock: trips, probe
@@ -234,13 +235,14 @@ func (s *Sharded) Health() []HealthStatus {
 	return out
 }
 
-// appendPageRetry wraps Device.AppendPage with the bounded
-// retry-with-backoff loop (Config.WriteRetries). A failed append mutates no
-// device state — the write pointer does not advance, open-zone reservations
-// release — so retrying in place is safe on every backend. Runs UNLOCKED
-// (build phase); the retry counter is atomic and folds into Stats on read.
-func (c *Cache) appendPageRetry(zoneID int, data []byte) (int, time.Duration, error) {
-	page, done, err := c.dev.AppendPage(zoneID, data)
+// appendRetry wraps Device.Append with the bounded retry-with-backoff loop
+// (Config.WriteRetries). A failed append mutates no device state — the run
+// lands whole or not at all, the write pointer does not advance, open-zone
+// reservations release — so retrying the run in place is safe on every
+// backend. Runs UNLOCKED (build phase); the retry counter is atomic and
+// folds into Stats on read.
+func (c *Cache) appendRetry(zoneID int, data []byte) (int, time.Duration, error) {
+	page, done, err := c.dev.Append(zoneID, data)
 	for attempt := 0; err != nil && attempt < c.cfg.WriteRetries; attempt++ {
 		c.retries.Add(1)
 		if b := c.cfg.RetryBackoff; b > 0 {
@@ -251,7 +253,7 @@ func (c *Cache) appendPageRetry(zoneID int, data []byte) (int, time.Duration, er
 				clk.Advance(d)
 			}
 		}
-		page, done, err = c.dev.AppendPage(zoneID, data)
+		page, done, err = c.dev.Append(zoneID, data)
 	}
 	return page, done, err
 }

@@ -129,14 +129,17 @@ func checkAgainstOracle(t *testing.T, c *Cache, rng *rand.Rand, keys [][]byte, w
 	}
 }
 
-// parkLastDataAppend parks the next flush on its last set-page append — every
-// set's filter but one is built by then — and returns the channels to wait
-// for the park and to end it.
+// parkLastDataAppend parks the next flush on its last set-page append —
+// every set's filter is built by then, the last window's pages not yet
+// stored — and returns the channels to wait for the park and to end it. The
+// write hook runs once per page of a run, before any of it is stored, so
+// the setsPerSG-th call is the last data page's, in the flush's last data
+// window.
 func parkLastDataAppend(dev *flashsim.Device, setsPerSG int) (parked, release chan struct{}) {
 	parked, release = make(chan struct{}), make(chan struct{})
-	var appends atomic.Int32
+	var pages atomic.Int32
 	dev.SetWriteFault(func(int) error {
-		if int(appends.Add(1)) == setsPerSG {
+		if int(pages.Add(1)) == setsPerSG {
 			close(parked)
 			<-release
 		}

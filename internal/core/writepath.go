@@ -23,18 +23,27 @@ package core
 //     before the seal fails commit validation and replans, so no reader
 //     ever trusts bytes from a zone this flush is about to reset or
 //     rewrite.
-//   - build + I/O (unlocked): the victim's set pages are read back from
-//     flash into the kit's read-back buffers; a short locked interlude
-//     then runs the hotness/shadow liveness filtering and inserts the
-//     surviving objects into the sealed SG (the filters consult memq, the
-//     unsealed group buffers, and the index cache, all lock-guarded);
-//     finally — unlocked again — the freed zones are erased, the sealed
-//     SG's set blocks are serialized through the kit's page buffer and
-//     appended to the reserved data zones, the per-set Bloom filters are
-//     built in the owner's flush kit, and a completing index group's PBFG
-//     pages — the group buffer's, each copied and given this member's
-//     column — are appended to the reserved index zones. No foreground GET
-//     or SET on the shard waits on any of this device I/O.
+//   - build + I/O (unlocked, with locked interludes): the victim's set pages
+//     come back from flash a window at a time, each window one unlocked
+//     ReadPages followed by a short locked interlude that runs that
+//     window's hotness/shadow liveness filtering and inserts its surviving
+//     objects into the sealed SG (the filters consult memq, the unsealed
+//     group buffers, and the index cache, all lock-guarded). The lock may
+//     drop between windows because nothing another goroutine does there
+//     can touch what the next window reads or filters: the victim is
+//     already dead, so no reader plans against it, and its zones are
+//     erased only by this flush — the only one in flight on this cache.
+//     Then — unlocked again — the freed zones are erased, the sealed SG's
+//     set blocks are serialized a window at a time into the kit's window
+//     and each window appended to the reserved data zones with one Append,
+//     the per-set Bloom filters are built in the owner's flush kit, and a
+//     completing index group's PBFG pages — the group buffer's, each copied
+//     and given this member's column — are appended to the reserved index
+//     zones the same way. A window is flushWindow bytes and never crosses a
+//     zone, so a 256-page SG is 8 appends and at most 8 read-back calls,
+//     writing the pages, zones and order page-at-a-time calls would (what
+//     the determinism pins below rest on). No foreground GET or SET on the
+//     shard waits on any of this device I/O.
 //   - commit (locked): the flashSG publishes into its index group and the
 //     FIFO pool, its filters merge into the group buffer (the readers' copy,
 //     so only under the lock), the write-side counters and the flush log
@@ -63,8 +72,8 @@ package core
 // actually holding the lock, so other goroutines can never observe it.
 //
 // Working memory: what a flush needs beyond the SG it writes is one
-// flushKit, held from the flush's start to its end — resident per flush in
-// flight, not per shard.
+// flushKit — the spare SG and the window, in the main — held from the
+// flush's start to its end: resident per flush in flight, not per shard.
 //
 // Failure: a device error mid-flush cannot wedge the cache. The owner
 // erases the partially written zones, returns every zone this flush
@@ -90,38 +99,59 @@ type sealedFlush struct {
 	mem *memSG
 }
 
+// flushWindow is the byte size of a flush's staging buffer and so of its
+// largest device call: set pages, PBFG pages and victim read-back all move
+// through it, one Append or ReadPages per window — 32 pages at the 4 KiB
+// default page, 8 calls for a 256-page SG — while it stays small beside the
+// SG-sized spare the kit carries anyway.
+const flushWindow = 128 << 10
+
 // flushKit is the working memory of one flush: the spare in-memory SG the
 // seal rotates into memq (the flushed front takes its place at commit or
 // recovery, so a returned kit always carries one) and the owner-exclusive
 // build scratch. Only spare is touched under the shard lock.
 type flushKit struct {
-	spare      *memSG         // nil between seal and commit/recovery
-	victimSlab []byte         // eviction read-back pages, at most one per set
-	pageBuf    []byte         // serialization / PBFG-assembly scratch
-	filter     *bloom.Filter  // per-set filter builder
-	bfs        []byte         // the SG's SetsPerSG filters, serialized by set offset
-	readSets   []int          // victim set offsets scheduled for read-back
-	counts     []uint32       // per-set object counts of the SG being built
-	parseBlk   setblock.Block // eviction read-back decode scratch
-	scratch    uint64         // bytes of all but spare, fixed at build
+	spare    *memSG         // nil between seal and commit/recovery
+	window   []byte         // staging for one device call: set, PBFG or victim pages
+	winPages [][]byte       // window cut into its page-sized slices, for ReadPages
+	winAddrs []int          // device pages of the window's victim read
+	filter   *bloom.Filter  // per-set filter builder
+	bfs      []byte         // the SG's SetsPerSG filters, serialized by set offset
+	readSets []int          // victim set offsets scheduled for read-back
+	counts   []uint32       // per-set object counts of the SG being built
+	parseBlk setblock.Block // eviction read-back decode scratch
+	scratch  uint64         // bytes of all but spare, fixed at build
 }
 
 // newFlushKit builds a kit for c's geometry, the same on every shard.
 func (c *Cache) newFlushKit() *flushKit {
+	pages := max(1, flushWindow/c.pageSize)
 	k := &flushKit{
-		spare:      newMemSG(c.setsPerSG, c.pageSize),
-		victimSlab: make([]byte, c.setsPerSG*c.pageSize),
-		pageBuf:    make([]byte, 0, c.pageSize),
-		filter:     bloom.New(c.cfg.TargetObjsPerSet, c.cfg.BloomFPR),
-		bfs:        make([]byte, c.setsPerSG*c.bfBytes),
-		readSets:   make([]int, 0, c.setsPerSG),
-		counts:     make([]uint32, c.setsPerSG),
-		parseBlk:   *setblock.New(c.pageSize),
+		spare:    newMemSG(c.setsPerSG, c.pageSize),
+		window:   make([]byte, pages*c.pageSize),
+		winPages: make([][]byte, pages),
+		winAddrs: make([]int, pages),
+		filter:   bloom.New(c.cfg.TargetObjsPerSet, c.cfg.BloomFPR),
+		bfs:      make([]byte, c.setsPerSG*c.bfBytes),
+		readSets: make([]int, 0, c.setsPerSG),
+		counts:   make([]uint32, c.setsPerSG),
+		parseBlk: *setblock.New(c.pageSize),
 	}
-	// The two slabs, the two page buffers, and per set an int and a uint32;
-	// the filter builder's few dozen bytes are left out.
-	k.scratch = uint64(cap(k.victimSlab) + cap(k.bfs) + 2*c.pageSize + c.setsPerSG*(8+4))
+	for i := range k.winPages {
+		k.winPages[i] = k.window[i*c.pageSize : (i+1)*c.pageSize]
+	}
+	// The window and its two indexes (a slice header and an int a page), the
+	// filter slab, the decode page, and per set an int and a uint32; the
+	// filter builder's few dozen bytes are left out.
+	k.scratch = uint64(cap(k.window) + pages*(24+8) + cap(k.bfs) + c.pageSize + c.setsPerSG*(8+4))
 	return k
+}
+
+// windowEnd is the end of the window that starts at intra-SG offset o: at
+// most a window of pages on, and never past the zone that holds o.
+func (c *Cache) windowEnd(o int) int {
+	ppz := c.dev.PagesPerZone()
+	return min(o+len(c.kit.winPages), (o/ppz+1)*ppz)
 }
 
 // bytes is the kit's resident size. The caller holds the lock that guards
@@ -138,8 +168,8 @@ func (k *flushKit) bytes() uint64 {
 // It keeps at most keep = max(1, Config.Flushers) idle kits and drops the
 // rest to the GC: that many flushes run at once in steady state (the flusher
 // goroutines, or the one inline caller), so more would only pin a burst's
-// peak. Resident flush memory is min(flushes in flight, keep) × (zone bytes
-// + SG slab), whatever the shard count.
+// peak. Resident flush memory is min(flushes in flight, keep) × (SG slab +
+// window), whatever the shard count.
 type kitPool struct {
 	mu   sync.Mutex
 	idle []*flushKit
@@ -285,16 +315,9 @@ func (c *Cache) flushOwner() error {
 	c.memq[len(c.memq)-1], c.kit.spare = c.kit.spare, nil
 	c.sacCount = 0
 
-	// ---- Phase 2a: eviction read-back (unlocked) + liveness filter (locked) ----
+	// ---- Phase 2a: eviction read-back (unlocked) + liveness filter (locked), a window at a time ----
 	if ev != nil {
-		nRead := 0
-		var readErr error
-		if len(ev.readSets) > 0 {
-			c.unlockForBuild()
-			nRead, readErr = c.readVictimPages(ev)
-			c.relockAfterBuild()
-		}
-		if err := c.evictFilterLocked(ev, front, nRead, readErr); err != nil {
+		if err := c.evictLocked(ev, front); err != nil {
 			return c.recoverFailedFlushLocked(ev, front, sg, zones, idxZones, err)
 		}
 	}
@@ -419,7 +442,7 @@ func (c *Cache) sealEvictLocked() (*evictPlan, error) {
 // liveness filter could run (a seal-phase zone-reservation failure): the
 // victim is already popped and dead, so its objects count as evictions and
 // a retired group's pages leave the index cache — the same bookkeeping
-// evictFilterLocked would have done, minus the writeback pass.
+// evictLocked would have done, minus the read-back and writeback.
 func (c *Cache) abortEvictLocked(ev *evictPlan) {
 	if ev == nil {
 		return
@@ -431,29 +454,16 @@ func (c *Cache) abortEvictLocked(ev *evictPlan) {
 	}
 }
 
-// readVictimPages is the unlocked eviction I/O pass: it reads the planned
-// victim set pages into the kit's read-back buffers, stopping at the first
-// device error, and reports how many reads completed.
-func (c *Cache) readVictimPages(ev *evictPlan) (int, error) {
-	for i, o := range ev.readSets {
-		buf := c.kit.victimSlab[i*c.pageSize : (i+1)*c.pageSize]
-		if _, err := c.dev.ReadPage(c.pageAddrIn(ev.victim.zones, o), buf); err != nil {
-			return i, err
-		}
-	}
-	return len(ev.readSets), nil
-}
-
-// evictFilterLocked runs the liveness filtering over the read-back pages
-// under the lock: per entry, the hybrid hotness test, the newer-copy
-// shadow check (which may fetch PBFG pages), and the writeback insertion
-// into the sealed SG dst. On every exit — error paths included — each of the victim's objects ends up
-// accounted exactly once (written back, or counted in Evictions) and a
-// retired index group's pages leave the index cache.
-func (c *Cache) evictFilterLocked(ev *evictPlan, dst *memSG, nRead int, readErr error) error {
+// evictLocked is the rest of eviction (operation ❸): the victim's planned
+// set pages come back a window at a time — one unlocked ReadPages, then that
+// window's liveness filtering under the lock: per entry, the hybrid hotness
+// test, the newer-copy shadow check (which may fetch PBFG pages), and the
+// writeback insertion into the sealed SG dst. Entered and exited with c.mu
+// held. On every exit — error paths included — each of the victim's objects
+// ends up accounted exactly once (written back, or counted in Evictions)
+// and a retired index group's pages leave the index cache.
+func (c *Cache) evictLocked(ev *evictPlan, dst *memSG) error {
 	victim := ev.victim
-	c.stats.FlashReadOps += uint64(nRead)
-	c.stats.FlashBytesRead += uint64(nRead * c.pageSize)
 	// resolved counts victim objects already dispatched (evicted or written
 	// back); finish settles the remainder as evictions — the whole victim
 	// is leaving flash no matter how the filtering ends — and retires the
@@ -467,58 +477,93 @@ func (c *Cache) evictFilterLocked(ev *evictPlan, dst *memSG, nRead int, readErr 
 		}
 		return err
 	}
-	if c.cfg.Writeback && victim.objCount > 0 {
+	if !c.cfg.Writeback || victim.objCount == 0 {
+		return finish(nil)
+	}
+	k := c.kit
+	sets := ev.readSets
+	for o := 0; o < c.setsPerSG; {
+		// The next window: up to a window of planned sets, read with the
+		// lock dropped (the file header says why that is safe).
+		n := min(len(sets), len(k.winPages))
+		if n > 0 {
+			for i, so := range sets[:n] {
+				k.winAddrs[i] = c.pageAddrIn(victim.zones, so)
+			}
+			c.unlockForBuild()
+			_, err := c.dev.ReadPages(k.winAddrs[:n], k.winPages[:n])
+			c.relockAfterBuild()
+			if err != nil {
+				// The failed window is not counted as read and none of its
+				// sets is filtered; the flush fails, so the victim's
+				// remaining objects all count as evictions.
+				return finish(err)
+			}
+			c.stats.FlashReadOps += uint64(n)
+			c.stats.FlashBytesRead += uint64(n * c.pageSize)
+		}
+		// Filter every set offset up to the window's last planned set (to
+		// the SG's end after the last window).
+		end := c.setsPerSG
+		if n < len(sets) {
+			end = sets[n-1] + 1
+		}
 		ri := 0
-		for o := 0; o < c.setsPerSG; o++ {
+		for ; o < end; o++ {
 			if victim.setCount(o) == 0 {
 				continue
 			}
-			if ri >= len(ev.readSets) || ev.readSets[ri] != o {
+			if ri >= n || sets[ri] != o {
 				// Neither hotness signal could fire: no read-back happened.
 				c.stats.Evictions += uint64(victim.setCount(o))
 				resolved += victim.setCount(o)
 				continue
 			}
-			if ri >= nRead {
-				// The read-back pass stopped at a device error before this
-				// set; the reads that did happen are already accounted.
-				return finish(readErr)
-			}
-			buf := c.kit.victimSlab[ri*c.pageSize : (ri+1)*c.pageSize]
+			page := k.winPages[ri]
 			ri++
-			resident := c.pbfgResident(victim.group, o)
-			blk := &c.kit.parseBlk
-			if err := blk.DecodeFrom(buf); err != nil {
-				return finish(fmt.Errorf("core: parsing evicted set: %w", err))
-			}
-			var wbErr error
-			blk.Range(func(slot int, e setblock.Entry) bool {
-				// Tombstones (zero-length deletion markers) age out with
-				// their SG; never write them back.
-				hot := resident && victim.bit(o, slot) && len(e.Value) > 0
-				if hot {
-					shadowed, err := c.shadowedByNewer(e.FP, o, victim.id, e.Key)
-					if err != nil {
-						wbErr = err
-						return false
-					}
-					if !shadowed && dst.canFit(o, len(e.Key), len(e.Value)) {
-						dst.insert(o, e.FP, e.Key, e.Value, insWriteback)
-						c.extra.WriteBackObjs++
-						resolved++
-						return true
-					}
-				}
-				c.stats.Evictions++
-				resolved++
-				return true
-			})
-			if wbErr != nil {
-				return finish(wbErr)
+			wb, err := c.writebackSet(victim, o, page, dst)
+			resolved += wb
+			if err != nil {
+				return finish(err)
 			}
 		}
+		sets = sets[n:]
 	}
 	return finish(nil)
+}
+
+// writebackSet filters one read-back victim set page under the lock: hot,
+// live, unshadowed entries that fit are written back into dst, the rest are
+// counted as evictions. It returns how many of the set's objects it settled
+// either way, which on error is fewer than all of them.
+func (c *Cache) writebackSet(victim *flashSG, o int, page []byte, dst *memSG) (settled int, err error) {
+	resident := c.pbfgResident(victim.group, o)
+	blk := &c.kit.parseBlk
+	if err := blk.DecodeFrom(page); err != nil {
+		return 0, fmt.Errorf("core: parsing evicted set: %w", err)
+	}
+	blk.Range(func(slot int, e setblock.Entry) bool {
+		// Tombstones (zero-length deletion markers) age out with
+		// their SG; never write them back.
+		hot := resident && victim.bit(o, slot) && len(e.Value) > 0
+		if hot {
+			shadowed, serr := c.shadowedByNewer(e.FP, o, victim.id, e.Key)
+			if serr != nil {
+				err = serr
+				return false
+			}
+			if !shadowed && dst.canFit(o, len(e.Key), len(e.Value)) {
+				dst.insert(o, e.FP, e.Key, e.Value, insWriteback)
+				c.extra.WriteBackObjs++
+				settled++
+				return true
+			}
+		}
+		c.stats.Evictions++
+		settled++
+		return true
+	})
+	return settled, err
 }
 
 // buildAndAppend is the unlocked build phase: erase the zones this flush's
@@ -557,30 +602,39 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, 
 	// The SG's filters are built in the owner's kit: readers test the group
 	// buffer under the lock, so nothing is written there from here. Set
 	// counts accumulate in the kit too — the SG's meta carve happens at
-	// commit, when the final object count is known.
-	for o := range front.sets {
-		blk := &front.sets[o]
-		sc.pageBuf = blk.AppendTo(sc.pageBuf[:0])
-		if _, _, err := c.appendPageRetry(zones[o/ppz], sc.pageBuf); err != nil {
+	// commit, when the final object count is known. Each window of set
+	// pages is one Append.
+	for o := 0; o < c.setsPerSG; {
+		start, end := o, c.windowEnd(o)
+		win := sc.window[:0]
+		for ; o < end; o++ {
+			blk := &front.sets[o]
+			win = blk.AppendTo(win)
+			sc.counts[o] = uint32(blk.Count())
+			sg.objCount += blk.Count()
+			sc.filter.Reset()
+			blk.Range(func(_ int, e setblock.Entry) bool {
+				sc.filter.Add(e.FP)
+				return true
+			})
+			sc.filter.AppendBytes(sc.bfs[:o*c.bfBytes]) // in place: set o's slice of bfs
+		}
+		if _, _, err := c.appendRetry(zones[start/ppz], win); err != nil {
 			return fmt.Errorf("core: flushing SG: %w", err)
 		}
-		sc.counts[o] = uint32(blk.Count())
-		sg.objCount += blk.Count()
-		sc.filter.Reset()
-		blk.Range(func(_ int, e setblock.Entry) bool {
-			sc.filter.Add(e.FP)
-			return true
-		})
-		sc.filter.AppendBytes(sc.bfs[:o*c.bfBytes]) // in place: set o's slice of bfs
 	}
 	if willSeal {
 		// One PBFG page per intra-SG offset (§4.3 "packed BF layout"): the
-		// group buffer's page with this last member's column merged in.
-		for o := 0; o < c.setsPerSG; o++ {
-			page := append(sc.pageBuf[:0], c.bufPage(sg.group, o)...)
-			bloom.MergeColumn(page, c.cfg.SGsPerIndexGroup, sg.slot, sc.bfs[o*c.bfBytes:(o+1)*c.bfBytes])
-			sc.pageBuf = page
-			if _, _, err := c.appendPageRetry(idxZones[o/ppz], page); err != nil {
+		// group buffer's page with this last member's column merged in, a
+		// window of them per Append.
+		for o := 0; o < c.setsPerSG; {
+			start, end := o, c.windowEnd(o)
+			for ; o < end; o++ {
+				page := sc.winPages[o-start]
+				clear(page[copy(page, c.bufPage(sg.group, o)):])
+				bloom.MergeColumn(page, c.cfg.SGsPerIndexGroup, sg.slot, sc.bfs[o*c.bfBytes:(o+1)*c.bfBytes])
+			}
+			if _, _, err := c.appendRetry(idxZones[start/ppz], sc.window[:(end-start)*c.pageSize]); err != nil {
 				return fmt.Errorf("core: sealing index group: %w", err)
 			}
 		}

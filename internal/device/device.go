@@ -33,7 +33,12 @@
 //     full zone, the open-zone limit, a media error — changes nothing: no
 //     write pointer, open-zone reservation, Stats counter or
 //     Generation.Writes moves, so a failed append can simply be retried.
+//     A multi-page Append is one operation: it lands whole or not at all.
 //     Generation.Writes counts successful page appends and resets only.
+//   - Runs: an Append is one media Store of the whole run, and ReadPages
+//     loads each run of consecutive same-zone pages whose buffers are
+//     adjacent slices of one array with one media Load — one pwrite or pread
+//     on filedev. The fault hooks still run once per page.
 //   - Buffer ownership (the rule the zero-allocation read paths rely on):
 //     dst belongs to the caller, is filled synchronously before the call
 //     returns, and is never retained; the device never hands out internal
@@ -47,8 +52,9 @@
 //     without stalling any zone.
 //
 // The media guarantees: reads below the write pointer return exactly the
-// appended bytes, short appends zero-padded to a full page; a failed Store
-// wrote nothing that will be read back; completion times are on Clock().
+// appended bytes, a run's short last page zero-padded to a full page;
+// completion times are on Clock(). A failed Store may have stored part of
+// its run, but only past the write pointer, where no read reaches.
 //
 // Crash model (filedev with Persist; the simulator's contents never outlive
 // its process). A clean Close persists the write pointers and the Generation
@@ -162,16 +168,19 @@ type Device interface {
 	// the completion time.
 	AppendPage(zoneID int, data []byte) (page int, done time.Duration, err error)
 	// Append programs len(data)/PageSize pages (rounding the tail up to a
-	// full page) sequentially into the zone. It returns the first global
-	// page index and the completion time of the last page.
+	// full page) as one run into the zone: all of them, or — on any error —
+	// none. It returns the first global page index and the completion time
+	// of the last page.
 	Append(zoneID int, data []byte) (firstPage int, done time.Duration, err error)
 	// ReadPage copies the page into dst (which must hold PageSize bytes).
 	// See the package comment for the buffer-ownership contract.
 	ReadPage(page int, dst []byte) (done time.Duration, err error)
 	// ReadPages reads every page into the matching dst buffer and returns
-	// the completion time of the slowest read. On error, buffers before the
-	// failing page have been filled and the rest are untouched; the error
-	// is the first one encountered in page order.
+	// the completion time of the slowest read; consecutive pages of a zone
+	// read into adjacent slices of one array are one media call. On error,
+	// buffers before the failing page have been filled and the rest are
+	// untouched (a media error leaves its whole run's buffers unspecified);
+	// the error is the first one encountered in page order.
 	ReadPages(pages []int, dst [][]byte) (done time.Duration, err error)
 	// ResetZone erases the zone, rewinding its write pointer.
 	ResetZone(zoneID int) (done time.Duration, err error)
@@ -201,8 +210,9 @@ type Device interface {
 	// non-nil return aborts the read with that error. Pass nil to disable.
 	SetReadFault(f func(page int) error)
 	// SetWriteFault is SetReadFault's append-side twin, invoked with the
-	// zone ID. The hook may block to hold an append mid-flight without
-	// stalling reads or appends to other zones.
+	// zone ID once per page of an append, before any of the run is stored;
+	// an error on any page fails the whole run. The hook may block to hold
+	// an append mid-flight without stalling reads or appends to other zones.
 	SetWriteFault(f func(zone int) error)
 
 	// Close releases backend resources (file descriptors, image files).

@@ -45,7 +45,8 @@ type op struct {
 	zone   int
 	data   []byte
 	pages  []int
-	bufLen int // length of each read destination buffer
+	bufLen int  // length of each read destination buffer
+	slab   bool // the read buffers are consecutive slices of one array
 }
 
 func (o op) String() string {
@@ -57,7 +58,7 @@ func (o op) String() string {
 	case opReadPage:
 		return fmt.Sprintf("ReadPage(%d, dst %d)", o.pages[0], o.bufLen)
 	case opReadPages:
-		return fmt.Sprintf("ReadPages(%v, dst %d)", o.pages, o.bufLen)
+		return fmt.Sprintf("ReadPages(%v, dst %d, slab %v)", o.pages, o.bufLen, o.slab)
 	default:
 		return fmt.Sprintf("ResetZone(%d)", o.zone)
 	}
@@ -90,11 +91,19 @@ func observe(d device.Device, writes0 uint64) state {
 }
 
 // readBufs builds n destination buffers pre-filled with a sentinel, so
-// "untouched" and "zero-filled" are distinguishable.
-func readBufs(n, size int) [][]byte {
+// "untouched" and "zero-filled" are distinguishable: separate arrays, or
+// consecutive slices of one (page-sized ones are then adjacent, so a run of
+// pages read into them is one media load).
+func readBufs(n, size int, slab bool) [][]byte {
 	bufs := make([][]byte, n)
 	for i := range bufs {
 		bufs[i] = bytes.Repeat([]byte{0xA5}, size)
+	}
+	if slab {
+		one := bytes.Repeat([]byte{0xA5}, n*size)
+		for i := range bufs {
+			bufs[i] = one[i*size : (i+1)*size]
+		}
 	}
 	return bufs
 }
@@ -118,11 +127,11 @@ func apply(d device.Device, o op) outcome {
 		page, done, err := d.Append(o.zone, o.data)
 		return result(page, done, err, nil)
 	case opReadPage:
-		bufs := readBufs(1, o.bufLen)
+		bufs := readBufs(1, o.bufLen, false)
 		done, err := d.ReadPage(o.pages[0], bufs[0])
 		return result(0, done, err, bufs)
 	case opReadPages:
-		bufs := readBufs(len(o.pages), o.bufLen)
+		bufs := readBufs(len(o.pages), o.bufLen, o.slab)
 		done, err := d.ReadPages(o.pages, bufs)
 		return result(0, done, err, bufs)
 	default:
@@ -179,47 +188,53 @@ func (m *model) hookFails(n *int) bool {
 }
 
 func (m *model) appendPage(zone int, data []byte) outcome {
-	if zone < 0 || zone >= m.g.Zones || len(data) > m.g.PageSize {
+	if len(data) > m.g.PageSize {
 		return failed // rejected before the hook runs
 	}
-	if m.hookFails(&m.appends) {
-		return failed
+	return m.appendRun(zone, data, 1)
+}
+
+func (m *model) append(zone int, data []byte) outcome {
+	if len(data) == 0 {
+		return outcome{HasDone: true} // nothing to do, not even validation
+	}
+	return m.appendRun(zone, data, (len(data)+m.g.PageSize-1)/m.g.PageSize)
+}
+
+// appendRun is all-or-nothing: whatever fails, no page of the run is
+// written and nothing moves.
+func (m *model) appendRun(zone int, data []byte, n int) outcome {
+	if zone < 0 || zone >= m.g.Zones || n > m.g.PagesPerZone {
+		return failed // rejected before the hook runs
+	}
+	for range n {
+		if m.hookFails(&m.appends) {
+			return failed
+		}
 	}
 	wp := m.wp[zone]
-	if wp == m.g.PagesPerZone {
+	if wp+n > m.g.PagesPerZone {
 		return failed
 	}
 	if wp == 0 && m.g.MaxOpenZones > 0 && m.open() >= m.g.MaxOpenZones {
 		return tooMany
 	}
 	if m.storeNth > 0 {
-		if m.stores++; m.stores%m.storeNth == 0 {
-			return failed // medium error: nothing moved
+		for range n {
+			if m.stores++; m.stores%m.storeNth == 0 {
+				return failed // medium error: nothing moved
+			}
 		}
 	}
-	page := zone*m.g.PagesPerZone + wp
-	m.pages[page] = append(append([]byte(nil), data...), make([]byte, m.g.PageSize-len(data))...)
-	m.wp[zone]++
-	m.stats.PagesWritten++
-	m.stats.BytesWritten += uint64(m.g.PageSize)
-	m.writes++
-	return outcome{Page: page, HasDone: true}
-}
-
-func (m *model) appendRun(zone int, data []byte) outcome {
-	if len(data) == 0 {
-		return outcome{HasDone: true} // nothing to do, not even validation
+	first := zone*m.g.PagesPerZone + wp
+	for i := range n {
+		page := data[i*m.g.PageSize : min((i+1)*m.g.PageSize, len(data))]
+		m.pages[first+i] = append(append([]byte(nil), page...), make([]byte, m.g.PageSize-len(page))...)
 	}
-	first := -1
-	for off := 0; off < len(data); off += m.g.PageSize {
-		out := m.appendPage(zone, data[off:min(off+m.g.PageSize, len(data))])
-		if out.Failed {
-			return out // pages before the failure stay written
-		}
-		if first < 0 {
-			first = out.Page
-		}
-	}
+	m.wp[zone] += n
+	m.stats.PagesWritten += uint64(n)
+	m.stats.BytesWritten += uint64(n * m.g.PageSize)
+	m.writes += uint64(n)
 	return outcome{Page: first, HasDone: true}
 }
 
@@ -246,9 +261,9 @@ func (m *model) apply(o op) outcome {
 	case opAppendPage:
 		return m.appendPage(o.zone, o.data)
 	case opAppend:
-		return m.appendRun(o.zone, o.data)
+		return m.append(o.zone, o.data)
 	case opReadPage, opReadPages:
-		bufs := readBufs(len(o.pages), o.bufLen)
+		bufs := readBufs(len(o.pages), o.bufLen, o.slab)
 		for i, p := range o.pages {
 			if !m.readPage(p, bufs[i]) {
 				return outcome{Failed: true, ReadBufs: bufs}
@@ -324,11 +339,16 @@ func draw(rng *rand.Rand, m *model) op {
 	case r < 70:
 		return op{kind: opReadPage, pages: []int{page()}, bufLen: bufLen}
 	case r < 88:
-		pages := make([]int, rng.Intn(5))
+		// Scattered pages, or a run from a page — across a zone boundary,
+		// the write pointer or the device's end as it may fall.
+		pages := make([]int, rng.Intn(2*g.PagesPerZone/3+1))
+		run := rng.Intn(2) == 0
 		for i := range pages {
-			pages[i] = page()
+			if pages[i] = page(); run && i > 0 {
+				pages[i] = pages[i-1] + 1
+			}
 		}
-		return op{kind: opReadPages, pages: pages, bufLen: bufLen}
+		return op{kind: opReadPages, pages: pages, bufLen: bufLen, slab: rng.Intn(3) > 0}
 	default:
 		return op{kind: opReset, zone: zone}
 	}

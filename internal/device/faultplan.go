@@ -16,8 +16,11 @@ import (
 var ErrInjected = errors.New("device: injected fault")
 
 // FaultOp selects which device operations a FaultRule matches. Reads match
-// ReadPage/ReadPages (per page); writes match AppendPage/Append (per page
-// append).
+// ReadPage/ReadPages and writes match AppendPage/Append, both per page: a
+// run of n pages is n draws, in page order. A failed page fails its whole
+// run — an Append stores none of it, a ReadPages reads no further —
+// so an ErrRate applies per page but fails runs more often the longer they
+// are.
 type FaultOp uint8
 
 // Fault operation classes. Combine with | to match both.

@@ -169,7 +169,7 @@ func TestFaultPlanZoneTargetingAndReads(t *testing.T) {
 		}
 
 		// A failed append mutates nothing: the zone accepts the retry after
-		// the plan is disarmed (the retry-safety the breaker's appendPageRetry
+		// the plan is disarmed (the retry-safety the breaker's appendRetry
 		// depends on).
 		plan.Disarm()
 		if _, _, err := d.AppendPage(2, buf); err != nil {

@@ -23,15 +23,19 @@ const (
 // live and what an operation costs on the device clock. Zoned calls it with
 // validated arguments and — for Store, Load and Erase — with the zone's lock
 // held (exclusively for Store and Erase, shared for Load), so a Media needs
-// no per-zone synchronisation of its own.
+// no per-zone synchronisation of its own. Store and Load move runs: the
+// consecutive pages from page on, all in page's zone, in one call.
 type Media interface {
-	// Store programs one page. data holds at most a page; the media
-	// zero-pads shorter data to a full page. An error means nothing the
-	// device will ever read back was written.
+	// Store programs the run of max(1, ceil(len(data)/PageSize)) pages that
+	// starts at page; the media zero-pads a short last page (an empty one,
+	// from AppendPage, included). An error may leave any prefix of the run
+	// stored: Zoned does not advance the write pointer, so none of it is
+	// ever read back.
 	Store(page int, data []byte) error
-	// Load copies a page below its zone's write pointer into dst, which
-	// is exactly one page long. Pages at or beyond the write pointer never
-	// reach the media.
+	// Load copies the run of len(dst)/PageSize pages that starts at page,
+	// all below their zone's write pointer, into dst, a whole number of
+	// pages long. Pages at or beyond the write pointer never reach the
+	// media.
 	Load(page int, dst []byte) error
 	// Erase discards a zone's contents. It cannot fail: reads of an erased
 	// zone are zero-filled by Zoned, so reclaiming the space is best-effort.
@@ -41,7 +45,8 @@ type Media interface {
 	// can invalidate on-disk metadata before the first change.
 	Mutating()
 	// Done returns the completion time, on the device clock, of an op just
-	// performed at the page.
+	// performed at the page. Zoned calls it once per page of a run, in page
+	// order.
 	Done(op Op, page int) time.Duration
 }
 
@@ -162,7 +167,8 @@ func (z *Zoned) SetReadFault(f func(page int) error) {
 }
 
 // SetWriteFault is SetReadFault's append-side twin, invoked with the zone
-// ID (e.g. to observe a cache's in-flight flush window).
+// ID once per page of an append run, before the zone lock and before any
+// page of the run is stored (e.g. to observe a cache's in-flight flush).
 func (z *Zoned) SetWriteFault(f func(zone int) error) {
 	if f == nil {
 		z.writeFault.Store(nil)
@@ -217,29 +223,56 @@ func (z *Zoned) checkZone(zoneID int) error {
 // AppendPage programs one page at the zone's write pointer. data longer than
 // a page is an error; shorter data is zero-padded (the full page is still
 // counted as written, which is exactly the fill-rate cost the paper
-// measures). It returns the global page index and the completion time.
-// Appends to the same zone serialize on the zone's lock (the zone has a
-// single write pointer); appends to distinct zones run in parallel. A media
-// error leaves the write pointer, the open-zone count and every counter
-// where they were, so the append can simply be retried.
+// measures). It returns the global page index and the completion time. It is
+// Append of a one-page run.
 func (z *Zoned) AppendPage(zoneID int, data []byte) (page int, done time.Duration, err error) {
-	if err := z.checkZone(zoneID); err != nil {
-		return 0, 0, err
-	}
 	if len(data) > z.geom.PageSize {
 		return 0, 0, fmt.Errorf("%s: write of %d bytes exceeds page size %d", z.name, len(data), z.geom.PageSize)
 	}
+	return z.appendRun(zoneID, data, 1)
+}
+
+// Append programs len(data)/PageSize pages (rounding the tail up to a full
+// page) as one run at the zone's write pointer, with one media call. It
+// returns the first global page index and the completion time of the last
+// page. The run is all-or-nothing: one longer than a zone is rejected, one
+// that does not fit the zone's remaining pages fails with "zone full", and
+// a write-hook error on any page or a media error fails the whole run with
+// the write pointer, the open-zone count and every counter where they were,
+// so the append can simply be retried. Appends to the same zone serialize on
+// the zone's lock (the zone has a single write pointer); appends to distinct
+// zones run in parallel.
+func (z *Zoned) Append(zoneID int, data []byte) (firstPage int, done time.Duration, err error) {
+	if len(data) == 0 {
+		return 0, z.clock.Now(), nil
+	}
+	return z.appendRun(zoneID, data, (len(data)+z.geom.PageSize-1)/z.geom.PageSize)
+}
+
+// appendRun is Append of the n pages data holds.
+func (z *Zoned) appendRun(zoneID int, data []byte, n int) (first int, done time.Duration, err error) {
+	if err := z.checkZone(zoneID); err != nil {
+		return 0, 0, err
+	}
+	ppz := z.geom.PagesPerZone
+	if n > ppz {
+		return 0, 0, fmt.Errorf("%s: append of %d pages exceeds the %d-page zone", z.name, n, ppz)
+	}
+	// The hook runs once per page, so a FaultPlan draws per page whatever
+	// the run length; its first error fails the run.
 	if f := z.writeFault.Load(); f != nil {
-		if err := (*f)(zoneID); err != nil {
-			return 0, 0, err
+		for range n {
+			if err := (*f)(zoneID); err != nil {
+				return 0, 0, err
+			}
 		}
 	}
 	z.media.Mutating()
 	zn := &z.zones[zoneID]
 	zn.mu.Lock()
 	defer zn.mu.Unlock()
-	if zn.wp >= z.geom.PagesPerZone {
-		return 0, 0, fmt.Errorf("%s: zone %d full", z.name, zoneID)
+	if zn.wp+n > ppz {
+		return 0, 0, fmt.Errorf("%s: zone %d full (%d of %d pages written, %d to append)", z.name, zoneID, zn.wp, ppz, n)
 	}
 	opened := zn.wp == 0
 	if opened {
@@ -247,39 +280,20 @@ func (z *Zoned) AppendPage(zoneID int, data []byte) (page int, done time.Duratio
 			return 0, 0, err
 		}
 	}
-	page = z.PageAddr(zoneID, zn.wp)
-	if err := z.media.Store(page, data); err != nil {
+	first = z.PageAddr(zoneID, zn.wp)
+	if err := z.media.Store(first, data); err != nil {
 		if opened {
 			z.releaseOpen()
 		}
-		return 0, 0, fmt.Errorf("%s: write page %d: %w", z.name, page, err)
+		return 0, 0, fmt.Errorf("%s: write %s: %w", z.name, pageSpan(first, n), err)
 	}
-	zn.wp++
-	if zn.wp == z.geom.PagesPerZone {
+	zn.wp += n
+	if zn.wp == ppz {
 		z.releaseOpen()
 	}
-	z.pagesWritten.Add(1)
-	return page, z.media.Done(OpProgram, page), nil
-}
-
-// Append programs len(data)/PageSize pages (rounding the tail up to a full
-// page) sequentially into the zone. It returns the first global page index
-// and the completion time of the last page.
-func (z *Zoned) Append(zoneID int, data []byte) (firstPage int, done time.Duration, err error) {
-	ps := z.geom.PageSize
-	if len(data) == 0 {
-		return 0, z.clock.Now(), nil
-	}
-	first := -1
-	for off := 0; off < len(data); off += ps {
-		page, t, err := z.AppendPage(zoneID, data[off:min(off+ps, len(data))])
-		if err != nil {
-			return 0, 0, err
-		}
-		if first < 0 {
-			first = page
-		}
-		done = max(done, t)
+	z.pagesWritten.Add(uint64(n))
+	for p := first; p < first+n; p++ {
+		done = max(done, z.media.Done(OpProgram, p))
 	}
 	return first, done, nil
 }
@@ -299,47 +313,100 @@ func (z *Zoned) Append(zoneID int, data []byte) (firstPage int, done time.Durati
 // is concurrently appended or reset afterwards. The zone's read lock is held
 // across the media load, so a concurrent ResetZone waits for it.
 func (z *Zoned) ReadPage(page int, dst []byte) (done time.Duration, err error) {
-	if page < 0 || page >= z.TotalPages() {
-		return 0, fmt.Errorf("%s: page %d out of range [0,%d)", z.name, page, z.TotalPages())
+	if err := z.checkRead(page, dst); err != nil {
+		return 0, err
 	}
-	if len(dst) < z.geom.PageSize {
-		return 0, fmt.Errorf("%s: read buffer %d smaller than page size %d", z.name, len(dst), z.geom.PageSize)
-	}
-	if f := z.readFault.Load(); f != nil {
-		if err := (*f)(page); err != nil {
-			return 0, err
-		}
-	}
-	zn := &z.zones[z.ZoneOf(page)]
-	dst = dst[:z.geom.PageSize]
-	zn.mu.RLock()
-	if z.OffsetOf(page) >= zn.wp {
-		clear(dst)
-	} else {
-		err = z.media.Load(page, dst)
-	}
-	zn.mu.RUnlock()
-	if err != nil {
-		return 0, fmt.Errorf("%s: read page %d: %w", z.name, page, err)
-	}
-	z.pagesRead.Add(1)
-	return z.media.Done(OpRead, page), nil
+	return z.loadRun(page, 1, dst[:z.geom.PageSize])
 }
 
 // ReadPages reads every page into the matching dst buffer and returns the
 // completion time of the slowest read (the paper's parallel candidate-SG
 // and PBFG reads). The ReadPage buffer-ownership contract applies to every
-// dst. On error, buffers before the failing page have been filled and the
-// rest are untouched; the error is the first one encountered in page order.
+// dst. Consecutive pages of one zone whose dst buffers are consecutive
+// page-sized slices of one array form a run, loaded with one media call.
+// On error, buffers before the failing page have been filled and the rest
+// are untouched — except that a media error fails its whole run, leaving
+// that run's buffers unspecified; the error is the first one encountered in
+// page order.
 func (z *Zoned) ReadPages(pages []int, dst [][]byte) (done time.Duration, err error) {
-	for i, p := range pages {
-		t, err := z.ReadPage(p, dst[i])
-		if err != nil {
-			return 0, err
+	ps := z.geom.PageSize
+	for i := 0; i < len(pages); {
+		// Grow the run at i page by page, each validated and past the read
+		// hook before it joins; a page that fails ends the run, which is
+		// still read, and then the call.
+		n, stop := 0, error(nil)
+		for i+n < len(pages) && (n == 0 || z.extendsRun(pages[i], n, pages[i+n], dst[i], dst[i+n])) {
+			if stop = z.checkRead(pages[i+n], dst[i+n]); stop != nil {
+				break
+			}
+			n++
 		}
-		done = max(done, t)
+		if n > 0 {
+			t, err := z.loadRun(pages[i], n, dst[i][:n*ps])
+			if err != nil {
+				return 0, err
+			}
+			done = max(done, t)
+		}
+		if stop != nil {
+			return 0, stop
+		}
+		i += n
 	}
 	return done, nil
+}
+
+// extendsRun reports whether page can join the run of n pages from first
+// whose buffer starts at head: it is the run's next page, in the same zone,
+// and dst is the next page-sized slice of head's array.
+func (z *Zoned) extendsRun(first, n, page int, head, dst []byte) bool {
+	ps := z.geom.PageSize
+	return page == first+n && z.OffsetOf(page) != 0 && len(dst) >= ps &&
+		cap(head) >= (n+1)*ps && &head[:n*ps+1][n*ps] == &dst[0]
+}
+
+// checkRead validates one page read and runs the read hook on it.
+func (z *Zoned) checkRead(page int, dst []byte) error {
+	if page < 0 || page >= z.TotalPages() {
+		return fmt.Errorf("%s: page %d out of range [0,%d)", z.name, page, z.TotalPages())
+	}
+	if len(dst) < z.geom.PageSize {
+		return fmt.Errorf("%s: read buffer %d smaller than page size %d", z.name, len(dst), z.geom.PageSize)
+	}
+	if f := z.readFault.Load(); f != nil {
+		return (*f)(page)
+	}
+	return nil
+}
+
+// loadRun fills buf with the n checked pages from first, all in one zone:
+// one media load for those below the write pointer, zeroes for the rest.
+func (z *Zoned) loadRun(first, n int, buf []byte) (done time.Duration, err error) {
+	ps := z.geom.PageSize
+	zn := &z.zones[z.ZoneOf(first)]
+	zn.mu.RLock()
+	below := min(n, max(0, zn.wp-z.OffsetOf(first)))
+	if below > 0 {
+		err = z.media.Load(first, buf[:below*ps])
+	}
+	clear(buf[below*ps:])
+	zn.mu.RUnlock()
+	if err != nil {
+		return 0, fmt.Errorf("%s: read %s: %w", z.name, pageSpan(first, n), err)
+	}
+	z.pagesRead.Add(uint64(n))
+	for p := first; p < first+n; p++ {
+		done = max(done, z.media.Done(OpRead, p))
+	}
+	return done, nil
+}
+
+// pageSpan names a run in errors: "page 7", or "pages 7-9".
+func pageSpan(first, n int) string {
+	if n == 1 {
+		return fmt.Sprintf("page %d", first)
+	}
+	return fmt.Sprintf("pages %d-%d", first, first+n-1)
 }
 
 // ResetZone erases the zone, rewinding its write pointer, and returns the

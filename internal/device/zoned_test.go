@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -17,10 +18,12 @@ import (
 	"nemo/internal/vtime"
 )
 
-// flakyMedia is the least helpful Media the contract allows: every nth Store
-// fails, Erase reclaims nothing (stale bytes stay behind, as on a file image
-// whose hole-punch failed), and a Load of a page that was never stored is an
-// error. Whatever it gets wrong, Zoned has to get right.
+// flakyMedia is the least helpful Media the contract allows: a run's pages
+// are stored one at a time and every nth page stored fails, leaving the
+// run's earlier pages behind past the write pointer; Erase reclaims nothing
+// (stale bytes stay behind, as on a file image whose hole-punch failed); and
+// a Load that reaches a page never stored is an error. Whatever it gets
+// wrong, Zoned has to get right.
 type flakyMedia struct {
 	g      device.Geometry
 	clock  *vtime.Clock
@@ -34,18 +37,28 @@ func (f *flakyMedia) Store(page int, data []byte) error {
 	if !f.warned {
 		return errors.New("flaky: Store before Mutating")
 	}
-	if f.stores++; f.stores%f.nth == 0 {
-		return errors.New("flaky: medium error")
+	ps := f.g.PageSize
+	for i := 0; i == 0 || i*ps < len(data); i++ {
+		if f.stores++; f.stores%f.nth == 0 {
+			return fmt.Errorf("flaky: medium error after %d pages of the run", i)
+		}
+		d := data[min(i*ps, len(data)):min((i+1)*ps, len(data))]
+		f.pages[page+i] = append(append([]byte(nil), d...), make([]byte, ps-len(d))...)
 	}
-	f.pages[page] = append(append([]byte(nil), data...), make([]byte, f.g.PageSize-len(data))...)
 	return nil
 }
 
 func (f *flakyMedia) Load(page int, dst []byte) error {
-	if f.pages[page] == nil || len(dst) != f.g.PageSize {
-		return fmt.Errorf("flaky: load of unwritten page %d into %d bytes", page, len(dst))
+	ps := f.g.PageSize
+	if len(dst) == 0 || len(dst)%ps != 0 {
+		return fmt.Errorf("flaky: load of %d bytes, not a run of %d-byte pages", len(dst), ps)
 	}
-	copy(dst, f.pages[page])
+	for i := 0; i*ps < len(dst); i++ {
+		if f.pages[page+i] == nil {
+			return fmt.Errorf("flaky: load of unwritten page %d", page+i)
+		}
+		copy(dst[i*ps:], f.pages[page+i])
+	}
 	return nil
 }
 
@@ -87,6 +100,37 @@ func TestDifferentialMediaErrors(t *testing.T) {
 				t.Fatalf("adopted generation %+v, want %+v", z.Generation(), start)
 			}
 			runHistory(t, seed, 500, m, []subject{{name: "zoned", dev: zonedDevice{z}}})
+		}
+	}
+
+	// A run whose Store fails after storing k of its pages leaves them on
+	// the medium past the write pointer: the Append fails with nothing
+	// moved, and those pages read back as zeroes.
+	g := device.Geometry{PageSize: 512, PagesPerZone: 8, Zones: 2, MaxOpenZones: 1}
+	for k := 1; k <= 5; k++ {
+		clock := &vtime.Clock{}
+		media := &flakyMedia{g: g, clock: clock, pages: map[int][]byte{}, nth: k + 1}
+		d := zonedDevice{device.NewZoned("flaky", g, clock, media, device.Generation{Boot: 7, Writes: 40}, nil)}
+		before := observe(d, 0)
+		if _, _, err := d.Append(1, bytes.Repeat([]byte{0x5A}, 6*g.PageSize)); err == nil {
+			t.Fatalf("k=%d: a run whose Store failed reported success", k)
+		}
+		if len(media.pages) != k {
+			t.Fatalf("k=%d: the medium holds %d pages of the failed run", k, len(media.pages))
+		}
+		if got := observe(d, 0); !reflect.DeepEqual(got, before) {
+			t.Fatalf("k=%d: a failed run moved the device from\n%+v to\n%+v", k, before, got)
+		}
+		slab := bytes.Repeat([]byte{0xA5}, 6*g.PageSize)
+		pages, dst := make([]int, 6), make([][]byte, 6)
+		for i := range pages {
+			pages[i], dst[i] = d.PageAddr(1, i), slab[i*g.PageSize:(i+1)*g.PageSize]
+		}
+		if _, err := d.ReadPages(pages, dst); err != nil {
+			t.Fatalf("k=%d: reading past the write pointer: %v", k, err)
+		}
+		if !bytes.Equal(slab, make([]byte, len(slab))) {
+			t.Fatalf("k=%d: pages past the write pointer read back non-zero", k)
 		}
 	}
 }

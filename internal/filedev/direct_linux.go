@@ -26,17 +26,17 @@ const (
 	fallocPunchHole = 0x2 // FALLOC_FL_PUNCH_HOLE
 )
 
-// alignedBuf allocates a page-sized buffer whose base address is
+// alignedBuf allocates an n-byte buffer whose base address is
 // directAlign-aligned, for O_DIRECT transfers. The returned slice aliases a
 // larger allocation; the pool stores the pointer so the backing array stays
 // reachable.
-func alignedBuf(pageSize int) *[]byte {
-	raw := make([]byte, pageSize+directAlign)
+func alignedBuf(n int) *[]byte {
+	raw := make([]byte, n+directAlign)
 	off := 0
 	if rem := uintptr(unsafe.Pointer(&raw[0])) % directAlign; rem != 0 {
 		off = directAlign - int(rem)
 	}
-	buf := raw[off : off+pageSize : off+pageSize]
+	buf := raw[off : off+n : off+n]
 	return &buf
 }
 

@@ -17,8 +17,8 @@ const (
 
 // alignedBuf is unreachable off Linux (the pool only builds aligned buffers
 // in Direct mode, which Open rejects); a plain allocation keeps it honest.
-func alignedBuf(pageSize int) *[]byte {
-	buf := make([]byte, pageSize)
+func alignedBuf(n int) *[]byte {
+	buf := make([]byte, n)
 	return &buf
 }
 

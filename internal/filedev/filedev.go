@@ -1,9 +1,10 @@
 // Package filedev is the file-backed media under the shared zoned-device
 // state machine (internal/device.Zoned, which owns write pointers, open-zone
 // accounting, zero-fill beyond the write pointer, counters and fault hooks):
-// one pwrite or pread of a full page at page*PageSize in a preallocated
-// image. Where flashsim models latency on a virtual clock, filedev measures
-// it — the device clock is real (vtime.NewReal), so the `done` results are
+// one pwrite or pread per run of consecutive pages, at page*PageSize in a
+// preallocated image, so a multi-page Append is one system call. Where
+// flashsim models latency on a virtual clock, filedev measures it — the
+// device clock is real (vtime.NewReal), so the `done` results are
 // wall-clock completion times and every latency histogram in the engines
 // reports real I/O cost unchanged.
 //
@@ -27,7 +28,7 @@
 // Direct I/O: Config.Direct opens the image with O_DIRECT (Linux only),
 // bypassing the page cache so measured latencies reflect the medium.
 // PageSize must then be a multiple of 4096 and all transfers go through
-// pooled 4096-aligned bounce buffers.
+// pooled 4096-aligned bounce buffers, one run per buffer.
 package filedev
 
 import (
@@ -104,8 +105,9 @@ type Device struct {
 	metaOnce sync.Once
 	restored bool
 
-	// bufs pools page-sized transfer buffers: zero-padding short appends,
-	// and (Direct mode) 4096-aligned bounce buffers for all transfers.
+	// bufs pools transfer buffers, a page or more long: zero-padding runs
+	// with a short last page, and (Direct mode) 4096-aligned bounce buffers
+	// for all transfers.
 	bufs sync.Pool
 
 	closeOnce sync.Once
@@ -155,13 +157,7 @@ func Open(cfg Config) (*Device, error) {
 		return nil, fmt.Errorf("filedev: open image: %w", err)
 	}
 	d := &Device{cfg: cfg, f: f}
-	d.bufs.New = func() any {
-		if cfg.Direct {
-			return alignedBuf(cfg.PageSize)
-		}
-		b := make([]byte, cfg.PageSize)
-		return &b
-	}
+	d.bufs.New = func() any { return d.newBuf(cfg.PageSize) }
 	// Size the image to full capacity up front so pwrites never extend the
 	// file (Persist adds one superblock page past the capacity). Truncate
 	// leaves holes where nothing was written — resets punch the zone back to
@@ -211,35 +207,59 @@ func (d *Device) Restored() bool { return d.restored }
 // byteOff returns the file offset of the global page index.
 func (d *Device) byteOff(page int) int64 { return int64(page) * int64(d.cfg.PageSize) }
 
-// Store is a single pwrite of a full page at the page's file offset. Short
-// (or, in Direct mode, unaligned) payloads bounce through a pooled buffer
-// with a zeroed tail, so stale file bytes can never ride along.
+// Store is one pwrite of the whole run at its first page's file offset. A
+// run with a short (or empty) last page — and, in Direct mode, every run —
+// bounces through a pooled buffer with a zeroed tail, so stale file bytes
+// can never ride along.
 func (m media) Store(page int, data []byte) error {
-	if len(data) < m.cfg.PageSize || m.cfg.Direct {
-		bp := m.bufs.Get().(*[]byte)
+	n := max(1, (len(data)+m.cfg.PageSize-1)/m.cfg.PageSize) * m.cfg.PageSize
+	if len(data) < n || m.cfg.Direct {
+		bp := m.transferBuf(n)
 		defer m.bufs.Put(bp)
-		n := copy(*bp, data)
-		clear((*bp)[n:])
-		data = *bp
+		b := (*bp)[:n]
+		clear(b[copy(b, data):])
+		data = b
 	}
-	_, err := m.f.WriteAt(data[:m.cfg.PageSize], m.byteOff(page))
+	_, err := m.f.WriteAt(data[:n], m.byteOff(page))
 	return err
 }
 
-// Load is a single pread of a full page, bounced through an aligned buffer
-// in Direct mode.
+// Load is one pread of the whole run, bounced through an aligned buffer in
+// Direct mode.
 func (m media) Load(page int, dst []byte) error {
 	if !m.cfg.Direct {
 		_, err := m.f.ReadAt(dst, m.byteOff(page))
 		return err
 	}
-	bp := m.bufs.Get().(*[]byte)
+	bp := m.transferBuf(len(dst))
 	defer m.bufs.Put(bp)
-	_, err := m.f.ReadAt(*bp, m.byteOff(page))
+	b := (*bp)[:len(dst)]
+	_, err := m.f.ReadAt(b, m.byteOff(page))
 	if err == nil {
-		copy(dst, *bp)
+		copy(dst, b)
 	}
 	return err
+}
+
+// transferBuf takes a pooled transfer buffer of at least n bytes; the caller
+// returns it to d.bufs. One too short for the run is dropped for one that
+// fits, so the pool settles at the longest run in use.
+func (d *Device) transferBuf(n int) *[]byte {
+	bp := d.bufs.Get().(*[]byte)
+	if cap(*bp) < n {
+		bp = d.newBuf(n)
+	}
+	return bp
+}
+
+// newBuf allocates an n-byte transfer buffer, directAlign-aligned in Direct
+// mode.
+func (d *Device) newBuf(n int) *[]byte {
+	if d.cfg.Direct {
+		return alignedBuf(n)
+	}
+	b := make([]byte, n)
+	return &b
 }
 
 // Erase best-effort hole-punches the zone's file range (Linux) to release

@@ -397,6 +397,30 @@ func TestOpenDirect(t *testing.T) {
 		t.Fatal("O_DIRECT round trip mismatch")
 	}
 
+	// A multi-page run with a short tail is one bounced pwrite, and reading
+	// it back into adjacent slices of one buffer one bounced pread.
+	run := make([]byte, 2*cfg.PageSize+300)
+	for i := range run {
+		run[i] = byte(i * 7)
+	}
+	first, _, err := d.Append(1, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab := make([]byte, 3*cfg.PageSize)
+	pages, bufs := []int{first, first + 1, first + 2}, make([][]byte, 3)
+	for i := range bufs {
+		bufs[i] = slab[i*cfg.PageSize : (i+1)*cfg.PageSize]
+	}
+	if _, err := d.ReadPages(pages, bufs); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, len(slab))
+	copy(want, run)
+	if !bytes.Equal(slab, want) {
+		t.Fatal("O_DIRECT multi-page run round trip mismatch")
+	}
+
 	// Direct mode with a sub-sector page size must be rejected at Open.
 	bad := cfg
 	bad.Path = filepath.Join(t.TempDir(), "bad.img")

@@ -147,7 +147,8 @@ func (d *Device) Close() error { return nil }
 // Device implements the zoned-device contract.
 var _ device.Device = (*Device)(nil)
 
-// Store copies the page into zone memory, zero-padding short data. Memory
+// Store copies the run into zone memory with one copy, zero-padding a short
+// last page; Zoned books its program time page by page through Done. Memory
 // cannot fail.
 func (m *media) Store(page int, data []byte) error {
 	zone, ps := page/m.cfg.PagesPerZone, m.cfg.PageSize
@@ -155,12 +156,12 @@ func (m *media) Store(page int, data []byte) error {
 		m.zones[zone] = make([]byte, m.cfg.PagesPerZone*ps)
 	}
 	off := page % m.cfg.PagesPerZone * ps
-	dst := m.zones[zone][off : off+ps]
+	dst := m.zones[zone][off : off+max(1, (len(data)+ps-1)/ps)*ps]
 	clear(dst[copy(dst, data):])
 	return nil
 }
 
-// Load copies a written page out of zone memory.
+// Load copies a written run out of zone memory.
 func (m *media) Load(page int, dst []byte) error {
 	off := page % m.cfg.PagesPerZone * m.cfg.PageSize
 	copy(dst, m.zones[page/m.cfg.PagesPerZone][off:])
