@@ -34,16 +34,12 @@ func cmdChaos(args []string) int {
 	})
 	seed := c.Int64("seed", 1, "fault-plan seed")
 	ops := c.Int("ops", 0, "requests per scenario (0 = 4000)")
-	async := c.Bool("async", false, "serve SETs via SetAsync + background flusher pool")
-	flushers := c.Int("flushers", 2, "background flusher goroutines with -async")
+	flushers := c.Int("flushers", 0, "background flusher goroutines (0 = flush inline: STORED means stored)")
 	var device backend.Spec
 	deviceFlag(c, &device)
 	c.profileFlags()
 	if _, st, ok := c.parse(args, 0); !ok {
 		return st
-	}
-	if !*async {
-		*flushers = 0
 	}
 	return c.profiled(func() int {
 		rep, err := runChaos(scens, chaos.Config{
@@ -51,7 +47,6 @@ func cmdChaos(args []string) int {
 			Device:   device,
 			Shards:   shards,
 			Flushers: *flushers,
-			SyncSet:  !*async,
 			Ops:      *ops,
 		})
 		return report("chaos", rep, err)
@@ -63,7 +58,7 @@ func cmdChaos(args []string) int {
 // under load, heal, and verify the stack recovers on its own. The report is
 // the availability table, one row per scenario.
 func runChaos(scens []chaos.Scenario, cfg chaos.Config) (experiments.Report, error) {
-	rep := experiments.Report{Title: fmt.Sprintf("Chaos: device faults under a serving stack — device %v, %d shards, async=%v", cfg.Device, cfg.Shards, !cfg.SyncSet)}
+	rep := experiments.Report{Title: fmt.Sprintf("Chaos: device faults under a serving stack — device %v, %d shards, async=%v", cfg.Device, cfg.Shards, cfg.Flushers > 0)}
 	t := &experiments.Table{Columns: []string{"scenario", "ops", "avail%", "sheds", "errs", "degraded", "deg_s", "recover_s", "injected", "retries"}}
 	rep.Tables = append(rep.Tables, t)
 	n := func(format string, v float64) experiments.Cell { return experiments.Cell{V: v, Format: format} }

@@ -8,11 +8,11 @@
 //	nemobench exp <id> [-scale small|medium|large] [-ops N] [-seed S]
 //	nemobench all [-scale medium] [-ops N] [-seed S]
 //	nemobench compare [-shards 1,2,4,8] [-engines nemo,log,set,kg,fw]
-//	          [-ops N] [-seed S] [-batch B] [-async] [-flushers K]
+//	          [-ops N] [-seed S] [-batch B] [-flushers K]
 //	          [-setfrac F] [-delfrac F] [-scale small|medium|large]
 //	          [-device file:<path>]
 //	nemobench chaos [-scenario write-outage,flaky-writes|all] [-shards 2]
-//	          [-ops N] [-async] [-flushers K] [-seed S] [-device file:<path>]
+//	          [-ops N] [-flushers K] [-seed S] [-device file:<path>]
 //	nemobench <exp|all|compare|chaos> ... [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // Every result is an experiments.Report printed by Report.Print; `nemobench
@@ -29,6 +29,11 @@
 // bytes on every run and on either device backend. -engines nemo is the
 // functional smoke of the sharded engine alone; -setfrac 0 -delfrac 0 is the
 // pure-GET demand-fill trace.
+//
+// compare and chaos send every SET through SetAsync; -flushers alone decides
+// when Nemo flushes. -flushers 0, the default, flushes inline on the inserting
+// goroutine, so a SET that returns (chaos: a STORED reply) has survived any
+// flush it ran; -flushers K hands full SGs to a pool of K goroutines.
 //
 // chaos arms each named scenario (a seeded device fault plan — error rates,
 // added latency, fail-N-then-recover, per-zone kills) against a
@@ -288,8 +293,7 @@ func cmdCompare(args []string) int {
 		return experiments.CheckEngines(cfg.Engines)
 	})
 	c.IntVar(&cfg.Batch, "batch", 0, "per-shard batch size (<=1 = unbatched)")
-	c.BoolVar(&cfg.Async, "async", false, "fills via SetAsync + background flusher pool")
-	c.IntVar(&cfg.Flushers, "flushers", 2, "background flusher goroutines with -async")
+	c.IntVar(&cfg.Flushers, "flushers", 0, "Nemo's background flusher goroutines (0 = flush inline)")
 	c.Float64Var(&cfg.SetFrac, "setfrac", 0.1, "fraction of requests rewritten to explicit SETs")
 	c.Float64Var(&cfg.DelFrac, "delfrac", 0.02, "fraction of requests rewritten to DELETEs")
 	deviceFlag(c, &cfg.Device)

@@ -50,6 +50,8 @@ func TestExitStatus(t *testing.T) {
 		{"compare -engines nemo,bogus", 2, "unknown engines [bogus]", "usage: nemobench compare"},
 		{"compare -device tape:x", 2, "unknown device spec", "usage: nemobench compare"},
 		{"compare -workers 2", 2, "not defined: -workers", "usage: nemobench compare"},
+		{"compare -async", 2, "not defined: -async", "usage: nemobench compare"},
+		{"chaos -async", 2, "not defined: -async", "usage: nemobench chaos"},
 		{"chaos -shards x", 2, `bad shard count "x"`, "usage: nemobench chaos"},
 		{"chaos -scenario nope", 2, `unknown scenario "nope"`, "usage: nemobench chaos"},
 		{"chaos -json out.json", 2, "not defined: -json", "usage: nemobench chaos"},

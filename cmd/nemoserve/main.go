@@ -5,7 +5,7 @@
 // Usage:
 //
 //	nemoserve [-addr 127.0.0.1:11211] [-shards 8] [-zones 48]
-//	          [-flushers 2] [-sync-set] [-max-batch 64]
+//	          [-flushers 2] [-max-batch 64]
 //	          [-max-conns 0] [-reject-busy] [-idle-timeout 0] [-read-timeout 0]
 //	          [-degraded-threshold 3] [-degraded-probe 1s]
 //	          [-write-retries 2] [-retry-backoff 2ms]
@@ -14,12 +14,17 @@
 //
 // The server speaks the protocol subset documented in the package docs
 // (get/gets multi-key, set, delete, stats, version, quit, noreply):
-// pipelined requests coalesce into batched engine rounds, SETs ride the
-// asynchronous flush pipeline unless -sync-set, and SIGINT/SIGTERM trigger
-// the graceful drain (stop accepting, answer in-flight batches, Drain the
+// pipelined gets coalesce into batched engine rounds, every SET is one
+// SetAsync, and SIGINT/SIGTERM trigger the graceful drain (stop accepting, answer in-flight batches, Drain the
 // engine) before exit. The repository benchmark (benchmark/README.md) drives
 // the same serving stack over loopback on its get_fits, write_churn and
 // twitter_mix workloads.
+//
+// -flushers decides what STORED means. With K > 0 background flushers a full
+// SG flushes off the request path and STORED means accepted: a failed flush
+// surfaces in the engine_write_errors stat and at drain. -flushers 0 runs
+// every flush inline on the connection that triggered it, so STORED means
+// stored, and a failed flush answers SERVER_ERROR to the set that ran it.
 //
 // Overload protection: -max-conns caps concurrent connections (0 =
 // unlimited) — excess dials park in the accept queue, or are answered
@@ -90,8 +95,7 @@ func run() int {
 		addr      = flag.String("addr", "127.0.0.1:11211", "listen address")
 		shards    = flag.Int("shards", 8, "cache shards (data zones must divide evenly)")
 		zones     = flag.Int("zones", 48, "total SG-pool data zones across shards")
-		flushers  = flag.Int("flushers", 2, "background flusher goroutines (async SETs)")
-		syncSet   = flag.Bool("sync-set", false, "serve SETs through the synchronous path")
+		flushers  = flag.Int("flushers", 2, "background flusher goroutines (0 = flush inline: STORED means stored)")
 		maxBatch  = flag.Int("max-batch", 64, "pipelined requests coalesced per engine round")
 		maxConns  = flag.Int("max-conns", 0, "max concurrent connections (0 = unlimited)")
 		rejBusy   = flag.Bool("reject-busy", false, "answer SERVER_ERROR busy at the cap instead of parking accepts")
@@ -170,7 +174,6 @@ func run() int {
 
 	srv, err := server.New(server.Config{
 		Engine:      cache,
-		SyncSet:     *syncSet,
 		MaxBatch:    *maxBatch,
 		MaxConns:    *maxConns,
 		RejectBusy:  *rejBusy,
@@ -190,8 +193,8 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "nemoserve:", err)
 		return 1
 	}
-	fmt.Printf("nemoserve: listening on %s (%d shards, %d data zones, %d flushers, sync-set=%v, device=%s)\n",
-		l.Addr(), *shards, *zones, *flushers, *syncSet, spec)
+	fmt.Printf("nemoserve: listening on %s (%d shards, %d data zones, %d flushers, device=%s)\n",
+		l.Addr(), *shards, *zones, *flushers, spec)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -59,7 +59,9 @@
 // Bloom filters — behind a mutex; Kangaroo is a log front (internal/hlog)
 // feeding that same tier, so migration and device GC multiply; FairyWREN is
 // the same front over its own host-mapped tier with GC folded into
-// migration; Log is a log with an exact index. Each engine owns one mutex,
+// migration; Log is that front with nothing behind it, its per-set lists
+// keyed by fingerprint serving as the exact index, and a full log evicting
+// its oldest zone where the others migrate it. Each engine owns one mutex,
 // Stats and latency histogram; tier and front are lock-free and account
 // into them, and each engine's zero-value Config is the paper's Table 4.
 // `nemobench exp fig12a` reports the five designs' steady-state write
@@ -181,11 +183,11 @@
 // set, delete, stats, version, and quit, with noreply honored on set/delete. Each connection is one goroutine whose read loop
 // accumulates the requests already pipelined on the wire — never blocking
 // on a half-received line — into a batch (Config.MaxBatch, default 64);
-// consecutive gets coalesce into one GetMany round and, in SyncSet mode,
-// consecutive sets into one SetMany, so the engine's batched surface is what
-// actually serves the wire. Replies are written strictly in request order
-// and flushed once per batch; a malformed request occupies its pipeline
-// position as an ERROR/CLIENT_ERROR reply and never kills the connection.
+// consecutive gets coalesce into one GetMany round, so the engine's batched
+// read surface is what actually serves the wire, and every set is one
+// SetAsync. Replies are written strictly in request order and flushed once
+// per batch; a malformed request occupies its pipeline position as an
+// ERROR/CLIENT_ERROR reply and never kills the connection.
 // A connection holds 32 KiB (a 16 KiB read and a 16 KiB write buffer) for
 // its life and waits between requests in a read into the former, so a
 // request that arrives in one segment costs one transport read. Depth-1 cost
@@ -201,14 +203,17 @@
 // insert cannot know whether the key existed), exptime is accepted and
 // ignored (TTL rides elsewhere), and flush_all is absent.
 //
-// SETs ride SetAsync by default — STORED means "accepted", and flush
-// errors surface in Stats.WriteErrors, in the `stats` verb (which reports
-// the server's protocol counters next to every cachelib.Stats field under
-// an engine_ prefix), and on drain; `-sync-set` serves stores through the
-// synchronous path instead, making STORED mean "survived any flush it
-// triggered". Shutdown is a graceful drain: stop accepting, interrupt
-// blocked reads, let every handler answer its in-flight batch, then Drain
-// the engine — so no acknowledged write is left behind in a memory SG.
+// Every SET is one SetAsync, and the engine's Config.Flushers alone decides
+// what STORED means. With a flusher pool (nemoserve's default, 2) it means
+// "accepted": flush errors surface in Stats.WriteErrors, in the `stats` verb
+// (which reports the server's protocol counters next to every
+// cachelib.Stats field under an engine_ prefix), and on drain. With
+// `-flushers 0` the insert runs its flush inline, STORED means "survived any
+// flush it triggered", and a failed flush answers SERVER_ERROR to exactly
+// the set whose insert ran it. Shutdown is a graceful drain: stop
+// accepting, interrupt blocked reads, let every handler answer its
+// in-flight batch, then Drain the engine — so no acknowledged write is left
+// behind in a memory SG.
 // The suite pinning all of this: golden byte-for-byte conformance
 // transcripts over net.Pipe, FuzzParseCommand (checked-in corpus; a key
 // with an embedded CR/LF can never survive parsing), a loopback stress
@@ -273,9 +278,9 @@
 //     (Replay), and a parallel replay driver over a materialized trace
 //     (Materialize, ParallelReplay) with deterministic per-shard sequencing:
 //     hit ratio and write amplification are independent of worker count and
-//     batch size. ParallelReplayConfig.BatchSize drives GetMany/SetMany with
-//     per-shard batch composition; AsyncSets routes fills through the flush
-//     pipeline. The replayer reads no clock: wall-clock numbers come from
+//     batch size. ParallelReplayConfig.BatchSize drives GetMany with
+//     per-shard batch composition; every fill is a SetAsync, so the engine's
+//     flusher pool decides where it flushes. The replayer reads no clock: wall-clock numbers come from
 //     benchmark/ only.
 //
 // A minimal session:

@@ -25,20 +25,13 @@ type ParallelReplayConfig struct {
 	// count are clamped — a shard is only ever driven by one goroutine.
 	Workers int
 	// BatchSize groups requests into per-shard batches of up to this many
-	// operations, driven through the engine's batch calls: GETs go
-	// through GetMany (one lock acquisition per batch) and their demand
-	// fills through SetMany. Batches are formed per shard, so batch
-	// composition — and therefore the replay's statistics — is independent
-	// of the worker count. Within a GET run only a key's first occurrence
-	// is batched; repeats replay serially after the run's fills, which
-	// reproduces the sequential Get-after-fill outcome. 0 or 1 replays
-	// unbatched.
+	// operations: a GET run goes through one GetMany (one lock acquisition
+	// per batch). Batches are formed per shard, so batch composition — and
+	// therefore the replay's statistics — is independent of the worker
+	// count. Within a GET run only a key's first occurrence is batched;
+	// repeats replay serially after the run's fills, which reproduces the
+	// sequential Get-after-fill outcome. 0 or 1 replays unbatched.
 	BatchSize int
-	// AsyncSets routes demand fills and explicit SETs through SetAsync so
-	// SG flushes happen on the engine's flusher pool instead of the replay
-	// worker; ParallelReplay drains the engine before collecting final
-	// statistics. Engines with nothing to defer set synchronously.
-	AsyncSets bool
 }
 
 // ParallelReplayResult is what one parallel replay leaves behind: the
@@ -49,44 +42,20 @@ type ParallelReplayResult struct {
 	Final  Stats
 }
 
-// replayWorker carries one worker goroutine's state through a replay.
+// replayWorker carries one worker goroutine's state through a replay. Every
+// write — an explicit SET or a GET's demand fill — is one SetAsync, so the
+// engine's own configuration (core.Config.Flushers) alone decides whether
+// its flush runs on the worker or on a flusher pool.
 type replayWorker struct {
-	e     Engine
-	async bool // ParallelReplayConfig.AsyncSets
-	reqs  []trace.Request
+	e    Engine
+	reqs []trace.Request
 
 	// Reused batch scratch (the batching layer must stay cheap relative to
 	// the per-op engine work it amortizes).
 	keyBuf  [][]byte
-	fillKey [][]byte
-	fillVal [][]byte
 	sigBuf  []uint64
 	uniqIdx []int32
 	dupIdx  []int32
-}
-
-// write performs one write call (sync or async per configuration).
-func (rw *replayWorker) write(key, value []byte) error {
-	if rw.async {
-		return rw.e.SetAsync(key, value)
-	}
-	return rw.e.Set(key, value)
-}
-
-// writeMany performs one batched write call.
-func (rw *replayWorker) writeMany(keys, values [][]byte) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	if rw.async {
-		for i := range keys {
-			if err := rw.write(keys[i], values[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return rw.e.SetMany(keys, values)
 }
 
 // dispatchOne executes one request: a delete, a set, or a get-and-fill. It
@@ -97,23 +66,23 @@ func (rw *replayWorker) dispatchOne(req *trace.Request) (hit bool, err error) {
 	case trace.KindDelete:
 		return false, rw.e.Delete(req.Key)
 	case trace.KindSet:
-		return false, rw.write(req.Key, req.Value)
+		return false, rw.e.SetAsync(req.Key, req.Value)
 	default:
 		if _, hit := rw.e.Get(req.Key); hit {
 			return true, nil
 		}
-		return false, rw.write(req.Key, req.Value)
+		return false, rw.e.SetAsync(req.Key, req.Value)
 	}
 }
 
 // runBatch executes one per-shard batch: requests are split into maximal
 // same-kind runs executed in order, so within the shard the batch has the
 // same effect ordering as the sequential op stream — GET runs go through
-// GetMany, their fills through SetMany, SET runs through SetMany,
-// deletions one by one. Within a GET run, only the first occurrence of each
-// key is batched; repeat occurrences (constant on hot-key-heavy Zipf
-// traces) are replayed serially after the fills, which reproduces the
-// sequential Get-after-fill outcome exactly instead of double-missing.
+// GetMany, their fills and SET runs one SetAsync per key, deletions one by
+// one. Within a GET run, only the first occurrence of each key is batched;
+// repeat occurrences (constant on hot-key-heavy Zipf traces) are replayed
+// serially after the fills, which reproduces the sequential Get-after-fill
+// outcome exactly instead of double-missing.
 func (rw *replayWorker) runBatch(idx []int32) error {
 	for lo := 0; lo < len(idx); {
 		kind := rw.reqs[idx[lo]].Op
@@ -130,17 +99,12 @@ func (rw *replayWorker) runBatch(idx []int32) error {
 				}
 			}
 		case trace.KindSet:
-			keys := rw.fillKey[:0]
-			values := rw.fillVal[:0]
 			for _, i := range run {
-				keys = append(keys, rw.reqs[i].Key)
-				values = append(values, rw.reqs[i].Value)
+				if err := rw.e.SetAsync(rw.reqs[i].Key, rw.reqs[i].Value); err != nil {
+					return err
+				}
 			}
-			rw.fillKey, rw.fillVal = keys[:0], values[:0]
-			if err := rw.writeMany(keys, values); err != nil {
-				return err
-			}
-		default: // GET run: batched lookup, then batched demand fill.
+		default: // GET run: batched lookup, then the demand fills.
 			if err := rw.getPhase(run); err != nil {
 				return err
 			}
@@ -160,10 +124,14 @@ func (rw *replayWorker) runBatch(idx []int32) error {
 // therefore aggregate hit ratio and write amplification — is deterministic
 // and independent of Workers and goroutine scheduling.
 //
-// With BatchSize > 1, requests are grouped into per-shard batches driven
-// through the engine's GetMany/SetMany; because batches are formed per
+// With BatchSize > 1, requests are grouped into per-shard batches whose GET
+// runs go through the engine's GetMany; because batches are formed per
 // shard (not per worker), batch composition is also independent of the
 // worker count.
+//
+// Every write is a SetAsync, and the replay drains the engine before it
+// reads the final statistics: an engine without a flusher pool has flushed
+// inline, one with a pool has its deferred flushes land first.
 //
 // Engines that do not implement Sharder are driven by a single worker (the
 // trace order is then the sequential order, preserving exact equivalence
@@ -208,7 +176,7 @@ func ParallelReplay(e Engine, reqs []trace.Request, cfg ParallelReplayConfig) (P
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rw := &replayWorker{e: e, async: cfg.AsyncSets, reqs: reqs}
+			rw := &replayWorker{e: e, reqs: reqs}
 			if cfg.BatchSize > 1 {
 				if err := rw.runBatched(workLists[w], shards, shardIdx, cfg.BatchSize); err != nil {
 					errs[w] = fmt.Errorf("cachelib: worker %d %w", w, err)
@@ -224,28 +192,19 @@ func ParallelReplay(e Engine, reqs []trace.Request, cfg ParallelReplayConfig) (P
 		}(w)
 	}
 	wg.Wait()
-	if cfg.AsyncSets {
-		// Deferred flushes must land before the statistics are read.
-		if err := e.Drain(); err != nil {
-			for w := range errs {
-				if errs[w] == nil {
-					errs[w] = err
-					break
-				}
-			}
-		}
-	}
+	// Deferred flushes must land before the statistics are read.
+	drainErr := e.Drain()
 	res.Final = e.Stats()
 	for _, err := range errs {
 		if err != nil {
 			return res, err
 		}
 	}
-	return res, nil
+	return res, drainErr
 }
 
-// getPhase executes one GET run as one batched lookup plus one batched
-// demand fill. Only the first occurrence of each key within the run is
+// getPhase executes one GET run as one batched lookup plus its demand
+// fills. Only the first occurrence of each key within the run is
 // batched; repeat occurrences (constant on hot-key-heavy Zipf traces) are
 // replayed serially after the fills, which reproduces the sequential
 // Get-after-fill outcome exactly instead of double-missing. Effect order:
@@ -290,17 +249,12 @@ func (rw *replayWorker) getPhase(run []int32) error {
 	}
 	rw.keyBuf, rw.uniqIdx, rw.dupIdx, rw.sigBuf = keys[:0], uniq[:0], dups[:0], sigs[:0]
 	_, hits := rw.e.GetMany(keys)
-	fillKeys := rw.fillKey[:0]
-	fillVals := rw.fillVal[:0]
 	for j, i := range uniq {
 		if !hits[j] {
-			fillKeys = append(fillKeys, rw.reqs[i].Key)
-			fillVals = append(fillVals, rw.reqs[i].Value)
+			if err := rw.e.SetAsync(rw.reqs[i].Key, rw.reqs[i].Value); err != nil {
+				return err
+			}
 		}
-	}
-	rw.fillKey, rw.fillVal = fillKeys[:0], fillVals[:0]
-	if err := rw.writeMany(fillKeys, fillVals); err != nil {
-		return err
 	}
 	for _, i := range dups {
 		if _, err := rw.dispatchOne(&rw.reqs[i]); err != nil {

@@ -54,9 +54,9 @@ type ReplayResult struct {
 }
 
 // Replay issues cfg.Ops requests from the stream against the engine — a GET
-// that misses is demand-filled with Set(key, value), the look-aside pattern;
-// a mixed stream's SETs and DELETEs are issued as they come — and collects
-// the standard metrics.
+// that misses is demand-filled with SetAsync(key, value), the look-aside
+// pattern; a mixed stream's SETs and DELETEs are issued as they come — and,
+// once the engine has drained, collects the standard metrics.
 func Replay(e Engine, s trace.Stream, cfg ReplayConfig) (ReplayResult, error) {
 	cfg = cfg.withDefaults()
 	res := ReplayResult{Engine: e.Name()}
@@ -94,6 +94,9 @@ func Replay(e Engine, s trace.Stream, cfg ReplayConfig) (ReplayResult, error) {
 				FlashBytesWritten: st.FlashBytesWritten,
 			})
 		}
+	}
+	if err := e.Drain(); err != nil {
+		return res, err
 	}
 	res.Final = e.Stats()
 	res.Miss = missWin.Series()

@@ -113,8 +113,7 @@ type Config struct {
 	Seed     uint64       // fault-plan seed (0 is a valid fixed seed)
 	Device   backend.Spec // zero value = simulator
 	Shards   int          // engine shards (default 2)
-	Flushers int          // background flushers (0 = inline flushes)
-	SyncSet  bool         // serve SETs synchronously
+	Flushers int          // background flushers (0 = inline flushes: STORED means stored)
 	Ops      int          // total requests across connections (default 4000)
 }
 
@@ -185,7 +184,6 @@ func Run(cfg Config) (Result, error) {
 
 	srv, err := server.New(server.Config{
 		Engine:       cache,
-		SyncSet:      cfg.SyncSet,
 		MaxItemBytes: setblock.MaxObjectBytes(pageSize),
 	})
 	if err != nil {

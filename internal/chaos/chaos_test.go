@@ -32,7 +32,6 @@ func TestRunWriteOutage(t *testing.T) {
 				Scenario: s,
 				Seed:     7,
 				Device:   spec,
-				SyncSet:  true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -68,7 +67,6 @@ func TestRunSlowReads(t *testing.T) {
 	res, err := chaos.Run(chaos.Config{
 		Scenario: s,
 		Seed:     7,
-		SyncSet:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,11 +16,12 @@ package experiments
 //
 // Determinism: the Report holds only scheduling-independent statistics and
 // is equal cell for cell across replay worker counts and device backends
-// for every synchronous and batched configuration (pinned by
-// TestCompareDeterminism and crossbackend_test.go). The async pipeline is
-// deterministic for the baselines (their SetAsync degrades to a
-// synchronous Set) but not for Nemo, whose background flusher timing
-// shifts SG fill rates — async determinism tests therefore exclude Nemo.
+// for every batched and unbatched configuration at Flushers 0 (pinned by
+// TestCompareDeterminism and crossbackend_test.go). With a flusher pool the
+// baselines stay deterministic (they have nothing to defer: their SetAsync
+// is a synchronous Set) but Nemo does not, whose background flusher timing
+// shifts SG fill rates — the pool's determinism tests therefore exclude
+// Nemo.
 
 import (
 	"fmt"
@@ -49,12 +50,12 @@ type CompareConfig struct {
 	Ops int
 	// Seed makes the generated trace reproducible.
 	Seed int64
-	// Batch drives the engines' GetMany/SetMany with per-shard batches of
-	// this size (<=1 = unbatched).
+	// Batch drives the engines' GetMany with per-shard batches of this size
+	// (<=1 = unbatched).
 	Batch int
-	// Async routes fills through SetAsync and gives Nemo a background pool
-	// of Flushers goroutines (baselines degrade to synchronous Sets).
-	Async    bool
+	// Flushers gives Nemo a background pool of this many flush goroutines;
+	// 0 flushes inline. Every write is a SetAsync either way, and the
+	// baselines, with nothing to defer, set synchronously.
 	Flushers int
 	// SetFrac / DelFrac rewrite that fraction of the trace into explicit
 	// SET / DELETE operations (nemobench's flag defaults, 0.1/0.02, mirror
@@ -115,9 +116,7 @@ var compareEngines = []compareEngine{
 		build: func(dev device.Device, o CompareConfig, dataZones, n int) (cachelib.Engine, error) {
 			cfg := core.DefaultConfig(dev, dataZones)
 			cfg.Shards = n
-			if o.Async {
-				cfg.Flushers = o.Flushers
-			}
+			cfg.Flushers = o.Flushers
 			return core.NewSharded(cfg)
 		},
 	},
@@ -227,7 +226,7 @@ func runCompare(o CompareConfig, workers int) (Report, error) {
 		return Report{}, err
 	}
 	rep := Report{Title: fmt.Sprintf("Cross-engine comparison — %d ops (%.0f%% SET, %.0f%% DEL), %d data zones, async=%v",
-		len(reqs), o.SetFrac*100, o.DelFrac*100, g.Zones, o.Async)}
+		len(reqs), o.SetFrac*100, o.DelFrac*100, g.Zones, o.Flushers > 0)}
 	for _, n := range o.Shards {
 		t := rep.table(fmt.Sprintf("shards=%d", n), "engine", "batch", "hit%", "ALWA", "totalWA", "rderr", "wrerr")
 		if n < 1 || g.Zones%n != 0 {
@@ -272,7 +271,6 @@ func (o CompareConfig) runOne(g geometry, e compareEngine, n int, reqs []trace.R
 	res, err := cachelib.ParallelReplay(eng, reqs, cachelib.ParallelReplayConfig{
 		Workers:   workers,
 		BatchSize: o.Batch,
-		AsyncSets: o.Async,
 	})
 	if err != nil {
 		eng.Close()

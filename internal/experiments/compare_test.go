@@ -65,10 +65,10 @@ func TestCompareAllEngines(t *testing.T) {
 
 // TestCompareDeterminism is the harness's core guarantee: same seed + trace
 // ⇒ the same Report, cell for cell, no matter how many replay workers run,
-// on the unbatched, batched, and async paths. The async case covers the
-// four baselines (their SetAsync degrades to a deterministic synchronous
-// Set); Nemo's background flusher timing is real concurrency and shifts SG
-// fill rates, so async Nemo is exact only per run, not across schedules.
+// unbatched, batched, and with a flusher pool. The pool cases cover the
+// four baselines (their SetAsync is a deterministic synchronous Set);
+// Nemo's background flusher timing is real concurrency and shifts SG fill
+// rates, so Nemo with a pool is exact only per run, not across schedules.
 func TestCompareDeterminism(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -77,11 +77,11 @@ func TestCompareDeterminism(t *testing.T) {
 		{"unbatched", func(c *CompareConfig) {}},
 		{"batched", func(c *CompareConfig) { c.Batch = 32 }},
 		{"async-baselines", func(c *CompareConfig) {
-			c.Async = true
+			c.Flushers = 2
 			c.Engines = []string{"log", "set", "kg", "fw"}
 		}},
 		{"async-batched-baselines", func(c *CompareConfig) {
-			c.Async = true
+			c.Flushers = 2
 			c.Batch = 16
 			c.Engines = []string{"log", "set", "kg", "fw"}
 		}},

@@ -44,8 +44,8 @@ func TestCompareTableIdenticalAcrossBackends(t *testing.T) {
 }
 
 // TestCompareTableIdenticalAcrossBackendsAsync repeats the pin down the
-// async flush pipeline (SetAsync + flusher pool). The baselines degrade to
-// synchronous Sets there and stay equal across backends. Nemo's row does
+// async flush pipeline (a two-goroutine flusher pool behind SetAsync). The
+// baselines set synchronously there and stay equal across backends. Nemo's row does
 // not: when the background flusher rotates the queue relative to the
 // foreground decides how much delayed flushing sacrifices, so its hit ratio
 // and ALWA move with host timing on either backend. What holds for it across
@@ -62,7 +62,6 @@ func TestCompareTableIdenticalAcrossBackendsAsync(t *testing.T) {
 			Shards:   []int{2},
 			Ops:      20_000,
 			Seed:     11,
-			Async:    true,
 			Flushers: 2,
 			SetFrac:  0.1,
 			DelFrac:  0.02,

@@ -6,11 +6,15 @@
 // Composition: Log is the data structure — zones, page buffer, per-set
 // index. Front (front.go) is the Log as an engine's front tier: the
 // append-or-migrate Set loop, passive migration's drain, and the log-first
-// Get with its accounting, once for both hierarchical baselines (Kangaroo,
-// FairyWREN), which differ only in how their back tier consumes it (Case 3.1
-// independent GC vs Case 3.2 GC folded into migration). Neither has a lock
-// or counters: the owning engine holds the mutex covering the Front and the
-// cachelib.Stats and histogram it accounts into.
+// Get with its accounting. It serves three engines. The hierarchical
+// baselines (Kangaroo, FairyWREN) differ only in how their back tier
+// consumes it (Case 3.1 independent GC vs Case 3.2 GC folded into
+// migration). The log-structured baseline (internal/logcache) is a Front
+// with no back tier: its sets are fingerprints, so the per-set lists are an
+// exact index, a full log releases its oldest zone instead of migrating it,
+// and Remove is its delete. No engine's Front has a lock or counters: the
+// owning engine holds the mutex covering the Front and the cachelib.Stats
+// and histogram it accounts into.
 package hlog
 
 import (
@@ -116,14 +120,18 @@ func (l *Log) Append(set int32, fp uint64, key, value []byte) error {
 	}
 	off := int32(len(l.buf))
 	l.buf = setblock.AppendEntry(l.buf, fp, key, value)
-	l.removeFromIndex(set, fp)
+	l.Remove(set, fp)
 	l.index[set] = append(l.index[set], entry{fp: fp, page: -1, off: off})
 	l.bufObjs = append(l.bufObjs, entry{fp: fp, page: -1, off: off})
 	l.bufSet = append(l.bufSet, set)
 	return nil
 }
 
-func (l *Log) removeFromIndex(set int32, fp uint64) {
+// Remove drops the live entry for fp from set's list, if there is one. Its
+// bytes stay where they are: a buffered entry is not indexed when its page
+// flushes, and a flushed one is not counted as dropped when its zone is
+// released.
+func (l *Log) Remove(set int32, fp uint64) {
 	es := l.index[set]
 	for i, e := range es {
 		if e.fp == fp {

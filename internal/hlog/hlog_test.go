@@ -189,3 +189,59 @@ func TestInvalidZoneRange(t *testing.T) {
 		t.Fatal("single-zone log accepted")
 	}
 }
+
+// TestRemove pins Remove, the log-structured baseline's delete. Two logs take
+// the same appends; one removes a flushed entry and a buffered one. The
+// buffered entry is not indexed when its page flushes, neither is found by
+// Lookup, and releasing the zone that holds them drops two objects fewer.
+func TestRemove(t *testing.T) {
+	_, plain := mkLog(t)
+	_, l := mkLog(t)
+	appendBoth := func(i int) {
+		set, fp, k, v := obj(i)
+		for _, log := range []*Log{plain, l} {
+			if err := log.Append(set, fp, k, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	i := 0
+	for ; l.Stats().PagesWritten == 0; i++ {
+		appendBoth(i)
+	}
+	flushed, buffered := 0, i-1 // obj(0) is on flash, the latest append in the buffer
+	for _, j := range []int{flushed, buffered} {
+		set, fp, _, _ := obj(j)
+		l.Remove(set, fp)
+	}
+	for l.Stats().PagesWritten == 1 { // flush the removed entry's page
+		appendBoth(i)
+		i++
+	}
+	_, bfp, _, _ := obj(buffered)
+	for _, zo := range l.perZone[l.ring[0]] {
+		if zo.fp == bfp {
+			t.Fatal("a removed buffered entry was indexed when its page flushed")
+		}
+	}
+	for _, j := range []int{flushed, buffered} {
+		set, fp, k, _ := obj(j)
+		if _, _, ok, err := l.Lookup(set, fp, k); ok || err != nil {
+			t.Fatalf("object %d found after Remove (err %v)", j, err)
+		}
+	}
+	if got, want := l.Stats().LiveObjects, plain.Stats().LiveObjects-2; got != want {
+		t.Fatalf("%d live objects after two removals, want %d", got, want)
+	}
+	dropped, err := l.ReleaseOldestZone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainDropped, err := plain.ReleaseOldestZone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped != plainDropped-2 {
+		t.Fatalf("release dropped %d objects, want the unremoved log's %d less the two removed", dropped, plainDropped)
+	}
+}

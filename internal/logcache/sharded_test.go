@@ -64,8 +64,8 @@ func TestGoldenStats(t *testing.T) {
 }
 
 var goldenStats = map[string]string{
-	"bare/unbatched":     "gets=52922 hits=42254 sets=16539 deletes=1207 logical_bytes=1403076 flash_bytes_written=1756160 device_bytes_written=1756160 flash_bytes_read=19634688 flash_read_ops=38349 evictions=10467 lat=52922/161.913582ms/1.173566s",
+	"bare/unbatched":     "gets=52922 hits=42254 sets=16539 deletes=1207 logical_bytes=1403076 flash_bytes_written=1756160 device_bytes_written=1756160 flash_bytes_read=19634688 flash_read_ops=38349 evictions=10467 lat=52922/161.913508ms/1.173566s",
 	"sharded2/unbatched": "gets=52922 hits=42145 sets=16648 deletes=1207 logical_bytes=1412456 flash_bytes_written=1771008 device_bytes_written=1771008 flash_bytes_read=17980928 flash_read_ops=35119 evictions=10594",
-	"bare/batched":       "gets=52922 hits=42253 sets=16540 deletes=1207 logical_bytes=1403189 flash_bytes_written=1757696 device_bytes_written=1757696 flash_bytes_read=19614720 flash_read_ops=38310 evictions=10484 lat=52922/159.229466ms/1.162576s",
+	"bare/batched":       "gets=52922 hits=42253 sets=16540 deletes=1207 logical_bytes=1403189 flash_bytes_written=1757696 device_bytes_written=1757696 flash_bytes_read=19614720 flash_read_ops=38310 evictions=10484 lat=52922/159.229392ms/1.162576s",
 	"sharded2/batched":   "gets=52922 hits=42176 sets=16617 deletes=1207 logical_bytes=1409723 flash_bytes_written=1767424 device_bytes_written=1767424 flash_bytes_read=18274816 flash_read_ops=35693 evictions=10560",
 }

@@ -111,20 +111,20 @@ var conformanceTranscript = []struct {
 }
 
 // TestProtocolConformance runs every golden transcript against an
-// in-memory net.Pipe server, in both set-serving modes (the wire contract
-// is identical; only the flush timing differs).
+// in-memory net.Pipe server, on an engine with a flusher pool ("async") and
+// without one ("sync"): the wire contract is identical; only where the
+// flush runs differs.
 func TestProtocolConformance(t *testing.T) {
 	for _, mode := range []struct {
-		name    string
-		syncSet bool
-	}{{"async", false}, {"sync", true}} {
+		name     string
+		flushers int
+	}{{"async", 2}, {"sync", 0}} {
 		t.Run(mode.name, func(t *testing.T) {
 			for _, tc := range conformanceTranscript {
 				t.Run(tc.name, func(t *testing.T) {
-					eng, _ := newEngine(t, 2, 0)
+					eng, _ := newEngine(t, 2, mode.flushers)
 					cli := startPipeServer(t, server.Config{
 						Engine:       eng,
-						SyncSet:      mode.syncSet,
 						MaxItemBytes: testMaxItem,
 					})
 					for _, st := range tc.steps {

@@ -16,14 +16,15 @@ import (
 
 // This file is the per-connection handler: a read loop that accumulates
 // pipelined requests into a batch, an executor that coalesces consecutive
-// same-verb runs into GetMany/SetMany engine rounds, and the reply writers.
-// Replies are produced strictly in request order (a parse error occupies
-// its position in the pipeline like any other reply), and the write buffer
-// is flushed once per batch — the unit of amortization that makes pipelined
-// loopback throughput scale. A connection owns its read and write buffers
-// for its whole life, and the wait between requests is a blocking read into
-// that read buffer: the transport read that ends the wait already carries
-// the request, so a request that arrives in one segment costs one read.
+// gets into GetMany engine rounds and sends each set through SetAsync, and
+// the reply writers. Replies are produced strictly in request order (a parse
+// error occupies its position in the pipeline like any other reply), and the
+// write buffer is flushed once per batch — the unit of amortization that
+// makes pipelined loopback throughput scale. A connection owns its read and
+// write buffers for its whole life, and the wait between requests is a
+// blocking read into that read buffer: the transport read that ends the wait
+// already carries the request, so a request that arrives in one segment
+// costs one read.
 
 // readBufSize sizes the bufio reader (and therefore the longest acceptable
 // request line) and the reply writer: 2 x 16 KiB per live connection.
@@ -102,8 +103,6 @@ type conn struct {
 	nops int
 
 	getKeys [][]byte // GetMany gather scratch
-	setKeys [][]byte // SetMany gather scratch
-	setVals [][]byte
 	num     [20]byte // strconv scratch
 
 	// midRequest is true once any byte of the current request has been
@@ -221,7 +220,7 @@ func (c *conn) trimSlots() {
 	}
 	if total > batchRetainBytes {
 		c.ops = nil
-		c.getKeys, c.setKeys, c.setVals = nil, nil, nil
+		c.getKeys = nil
 	}
 }
 
@@ -324,9 +323,8 @@ func (c *conn) readOp() error {
 }
 
 // execute answers the accumulated batch in request order, coalescing
-// consecutive get/gets requests into one GetMany and (in SyncSet mode)
-// consecutive sets into one SetMany. It reports whether a quit request
-// ends the connection.
+// consecutive get/gets requests into one GetMany. It reports whether a quit
+// request ends the connection.
 func (c *conn) execute() (quit bool) {
 	ops := c.ops[:c.nops]
 	for i := 0; i < len(ops); {
@@ -433,44 +431,19 @@ func engineErrMsg(err error) string {
 	return err.Error()
 }
 
-// execSets serves a run of set requests: one SetMany round in SyncSet
-// mode, per-request SetAsync otherwise (STORED then means "accepted"; the
-// flush lands via the background pool, errors surface in Stats.WriteErrors
-// and on Drain — the serving layer's documented async contract).
+// execSets serves a run of set requests, each through its own SetAsync, so
+// the engine's flusher pool decides what STORED means. With no pool
+// (core.Config.Flushers 0) an insert runs any flush it triggers inline:
+// STORED means the object survived it, and a failed flush answers
+// SERVER_ERROR for exactly the set whose insert ran it. With a pool,
+// STORED means "accepted": the flush lands in the background, and its
+// error surfaces in Stats.WriteErrors and on Drain.
 func (c *conn) execSets(run []op) {
 	c.srv.cmdSet.Add(uint64(len(run)))
 	eng := c.srv.cfg.Engine
-	if c.srv.cfg.SyncSet && len(run) > 1 {
-		c.setKeys, c.setVals = c.setKeys[:0], c.setVals[:0]
-		for i := range run {
-			c.setKeys = append(c.setKeys, run[i].keys[0])
-			c.setVals = append(c.setVals, run[i].val)
-		}
-		err := eng.SetMany(c.setKeys, c.setVals)
-		for i := range run {
-			if err != nil {
-				// A batch error cannot be attributed per key (SetMany
-				// reports the first error by shard order); every set of
-				// the run reports SERVER_ERROR. MaxItemBytes pre-checks
-				// keep object-size rejections out of this path, so only
-				// device-level failures land here.
-				c.replyStatus(&run[i], "SERVER_ERROR ", engineErrMsg(err))
-				c.srv.serverErrs.Add(1)
-				continue
-			}
-			c.replyStatus(&run[i], "STORED", "")
-		}
-		return
-	}
 	for i := range run {
 		o := &run[i]
-		var err error
-		if c.srv.cfg.SyncSet {
-			err = eng.Set(o.keys[0], o.val)
-		} else {
-			err = eng.SetAsync(o.keys[0], o.val)
-		}
-		if err != nil {
+		if err := eng.SetAsync(o.keys[0], o.val); err != nil {
 			c.replyStatus(o, "SERVER_ERROR ", engineErrMsg(err))
 			c.srv.serverErrs.Add(1)
 			continue

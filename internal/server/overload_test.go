@@ -232,7 +232,7 @@ func TestBatchByteBudget(t *testing.T) {
 	// A budget smaller than any single set: every batch closes after one
 	// buffered request, and the pipeline must still answer everything in
 	// order.
-	cli := startPipeServer(t, server.Config{Engine: eng, SyncSet: true, MaxBatchBytes: 1})
+	cli := startPipeServer(t, server.Config{Engine: eng, MaxBatchBytes: 1})
 	defer cli.Close()
 
 	var req, want strings.Builder
@@ -316,7 +316,7 @@ func TestDegradedWindowAvailability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli := startPipeServer(t, server.Config{Engine: eng, SyncSet: true, MaxItemBytes: testMaxItem})
+	cli := startPipeServer(t, server.Config{Engine: eng, MaxItemBytes: testMaxItem})
 	defer cli.Close()
 
 	// Populate through the protocol and land everything on flash while the

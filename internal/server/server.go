@@ -34,21 +34,15 @@ type Config struct {
 	// stays with the caller, which typically wants the engine alive after
 	// Shutdown (to checkpoint, inspect stats, or serve again).
 	Engine cachelib.Engine
-	// SyncSet routes stores through the synchronous Set/SetMany path, so a
-	// STORED reply means the object survived any flush it triggered. The
-	// default (false) is SetAsync: STORED means the engine accepted the
-	// object, and Shutdown's Drain is the point where every deferred flush
-	// has completed or surfaced its error.
-	SyncSet bool
 	// MaxBatch caps how many pipelined requests one connection coalesces
 	// into a single engine round (default 64).
 	MaxBatch int
 	// MaxItemBytes, when positive, pre-rejects stores whose key + stored
-	// value (protocol data plus the 4-byte item envelope) exceed it,
-	// answering SERVER_ERROR without touching the engine. Set it to the
-	// engine's per-object capacity so a batched SetMany can never fail on
-	// an oversized object (whose per-key outcome a batch error cannot
-	// attribute). Zero trusts the engine to reject.
+	// value (protocol data plus the 4-byte item envelope) exceed it with
+	// the protocol's "SERVER_ERROR object too large for cache", without
+	// touching the engine. Set it to the engine's per-object capacity. Zero
+	// leaves the rejection to the engine, whose own error then follows
+	// SERVER_ERROR.
 	MaxItemBytes int
 	// MaxConns, when positive, caps concurrently served connections. The
 	// over-cap policy is RejectBusy's choice. Zero means unlimited (the

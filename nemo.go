@@ -143,8 +143,10 @@ type ParallelReplayResult = cachelib.ParallelReplayResult
 // sequencing: each shard of a ShardedCache sees the identical request
 // subsequence it would in a single-threaded replay, so hit ratio and write
 // amplification are independent of worker count.
-// ParallelReplayConfig.BatchSize drives the batch calls (per-shard
-// GetMany/SetMany) and AsyncSets the background flush pipeline.
+// ParallelReplayConfig.BatchSize drives per-shard GetMany batches. Every
+// write is a SetAsync, so Config.Flushers alone decides whether a flush runs
+// on the replay worker (0) or on the background pool; the replay drains the
+// engine before it reads the final statistics.
 func ParallelReplay(e Engine, reqs []Request, cfg ParallelReplayConfig) (ParallelReplayResult, error) {
 	return cachelib.ParallelReplay(e, reqs, cfg)
 }

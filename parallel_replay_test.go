@@ -200,8 +200,8 @@ func TestParallelReplayMixedTraceDeterministic(t *testing.T) {
 }
 
 // TestParallelReplayAsyncFlush exercises the background flush pipeline end
-// to end: fills routed through SetAsync with a flusher pool must all land
-// and preserve cache quality within tolerance.
+// to end: the replayer's SetAsync fills on an engine with a flusher pool
+// must all land and preserve cache quality within tolerance.
 func TestParallelReplayAsyncFlush(t *testing.T) {
 	reqs := replayTrace(t, 60_000)
 
@@ -213,7 +213,7 @@ func TestParallelReplayAsyncFlush(t *testing.T) {
 
 	asyncC := buildShardedAsyncReplayCache(t, 8, 2)
 	defer asyncC.Close()
-	asyncRes, err := nemo.ParallelReplay(asyncC, reqs, nemo.ParallelReplayConfig{AsyncSets: true})
+	asyncRes, err := nemo.ParallelReplay(asyncC, reqs, nemo.ParallelReplayConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,16 +288,30 @@ func TestParkedFlushHoldsUpNothing(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- func() error {
-			// Fill the victim through SetAsync until its flush parks, then
-			// keep going: the fresh rear the seal rotated in has the room.
-			for extra := 0; extra < 100; {
+			// Fill the victim through SetAsync until its flush is queued on
+			// the pool: once FlushThreshold objects are sacrificed at the
+			// latest (the rear-full trigger may queue it sooner, and a
+			// flusher on another P may already have parked it). Stop there
+			// and wait for the flush to park. Filling on while it still sits
+			// in the queue, as a single-P runtime allows, would sacrifice up
+			// to the backpressure bound, where the engine flushes inline as
+			// documented: on this goroutine, which would park in its place.
+		fill:
+			for c.Shard(victim).Extra().Sacrificed < uint64(cfg.FlushThreshold) {
 				if err := c.SetAsync(keyFor(victim), value); err != nil {
 					return err
 				}
 				select {
 				case <-parked:
-					extra++
+					break fill
 				default:
+				}
+			}
+			<-parked
+			// The fresh rear the seal rotated in has the room.
+			for i := 0; i < 100; i++ {
+				if err := c.SetAsync(keyFor(victim), value); err != nil {
+					return err
 				}
 			}
 			for i := 0; i < shards; i++ {
