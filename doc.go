@@ -250,12 +250,14 @@
 //
 // # What the package exposes
 //
-//   - The Nemo cache itself (New, Config, DefaultConfig).
-//   - A sharded, concurrent variant (NewSharded, Config.Shards): the key
-//     space is hash-partitioned into independent engines, each owning a
+//   - The Nemo cache itself (NewSharded, the one constructor, returning a
+//     ShardedCache; Config, DefaultConfig). Config.Shards (0 is 1)
+//     hash-partitions the key space into independent shards, each owning a
 //     disjoint slice of the device's zones, its own in-memory SGs, PBFG
-//     index, and lock, so requests for different shards proceed in
-//     parallel and Stats aggregates without a global lock.
+//     index, and lock, so requests for different shards proceed in parallel
+//     and Stats aggregates without a global lock. The cache owns the
+//     flusher pool, checkpoint and restore; Shard(i) exposes one shard's
+//     diagnostics (FlushLog, PBFGStats, MemoryOverhead).
 //   - The simulated zoned flash device it runs on (NewDevice) — the
 //     substitution for the paper's ZNS SSD, with full write/read/erase
 //     accounting, per-zone and per-channel locking for concurrent shards,
@@ -280,20 +282,21 @@
 //     hit ratio and write amplification are independent of worker count and
 //     batch size. ParallelReplayConfig.BatchSize drives GetMany with
 //     per-shard batch composition; every fill is a SetAsync, so the engine's
-//     flusher pool decides where it flushes. The replayer reads no clock: wall-clock numbers come from
-//     benchmark/ only.
+//     flusher pool decides where it flushes. The replayer reads no clock:
+//     wall-clock numbers come from benchmark/ only.
 //
 // A minimal session:
 //
-//	dev := nemo.NewDevice(nemo.DeviceConfig{})          // 64 MB simulated ZNS
-//	cache, err := nemo.New(nemo.DefaultConfig(dev, 56)) // 56-zone SG pool
+//	dev := nemo.NewDevice(nemo.DeviceConfig{})                 // 64 MB simulated ZNS
+//	cache, err := nemo.NewSharded(nemo.DefaultConfig(dev, 56)) // 56-zone SG pool
 //	if err != nil { ... }
 //	cache.Set([]byte("user:1234"), []byte("tiny object"))
 //	v, hit := cache.Get([]byte("user:1234"))
 //	cache.Delete([]byte("user:1234"))
 //
-// See examples/batch for the whole of Engine end to end (GetMany, SetAsync,
-// Drain, Delete on a sharded cache), benchmark/README.md for what is
+// See Example_batch for the whole of Engine end to end (GetMany, SetAsync,
+// Drain, Delete on an 8-shard cache) and the other Example functions for
+// the paper's studies at toy scale, benchmark/README.md for what is
 // measured and how, and `nemobench list` / `nemobench exp <id>` to
 // regenerate every table and figure of the paper as an experiments.Report.
 package nemo

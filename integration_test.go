@@ -17,10 +17,10 @@ func newSmallDevice() nemo.Device {
 	return nemo.NewDevice(nemo.DeviceConfig{PagesPerZone: 32, Zones: 56})
 }
 
-func newNemo(t testing.TB) (nemo.Device, *nemo.Cache) {
+func newNemo(t testing.TB) (nemo.Device, *nemo.ShardedCache) {
 	t.Helper()
 	dev := newSmallDevice()
-	c, err := nemo.New(nemo.DefaultConfig(dev, 48))
+	c, err := nemo.NewSharded(nemo.DefaultConfig(dev, 48))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestAllEnginesServeSameWorkload(t *testing.T) {
 	}
 	builds := []build{
 		{"Nemo", func(d nemo.Device) (nemo.Engine, error) {
-			return nemo.New(nemo.DefaultConfig(d, 48))
+			return nemo.NewSharded(nemo.DefaultConfig(d, 48))
 		}},
 		{"Log", func(d nemo.Device) (nemo.Engine, error) {
 			return nemo.NewLogCache(nemo.LogCacheConfig{Device: d})
@@ -169,7 +169,7 @@ func TestAllEnginesServeSameWorkload(t *testing.T) {
 func TestDeterministicReplay(t *testing.T) {
 	run := func() nemo.Stats {
 		dev := newSmallDevice()
-		c, err := nemo.New(nemo.DefaultConfig(dev, 48))
+		c, err := nemo.NewSharded(nemo.DefaultConfig(dev, 48))
 		if err != nil {
 			t.Fatal(err)
 		}

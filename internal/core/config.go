@@ -22,23 +22,17 @@ type Config struct {
 	Device device.Device
 
 	// DataZones is the on-flash SG pool capacity in zones. The remaining
-	// zones host the index pool; New validates that enough exist.
+	// zones host the index pool; NewSharded validates that enough exist.
 	DataZones int
 
 	// Shards partitions the key space by hash into this many independent
 	// engines, each owning a private slice of the device's zones, its own
-	// in-memory SGs, PBFG index, and lock (0 or 1 = unsharded). New rejects
-	// Shards > 1 — build sharded caches with NewSharded, which divides
-	// DataZones evenly across shards. Requests for different shards never
-	// contend, which is what lets the engine scale across cores.
+	// in-memory SGs, PBFG index, and lock (0 is 1). NewSharded divides
+	// DataZones evenly across shards and lays the slices out from zone 0,
+	// each one [base, base+DataZones/Shards+IndexZones()) — Kangaroo-style
+	// set partitioning on a shared ZNS drive. Requests for different shards
+	// never contend, which is what lets the engine scale across cores.
 	Shards int
-
-	// ZoneOffset is the first device zone this cache instance may use
-	// (default 0). NewSharded assigns each shard a disjoint
-	// [ZoneOffset, ZoneOffset+DataZones+IndexZones()) range so that many
-	// independent engines share one device, exactly like Kangaroo-style
-	// set partitioning on a shared ZNS drive.
-	ZoneOffset int
 
 	// ZonesPerSG makes one SG span several zones (default 1). This is the
 	// §6 small-zone ZNS deployment ("an SG is composed of multiple
@@ -58,8 +52,8 @@ type Config struct {
 	// shard lock only for its locked sub-phases, so foreground GETs and
 	// SETs overlap the SG write itself. 0 (the default) disables the pool —
 	// SetAsync then degrades to the synchronous Set, and the engine behaves
-	// exactly as before this option existed. A sharded cache shares one
-	// pool across all shards.
+	// exactly as before this option existed. NewSharded builds one pool
+	// that all shards share.
 	Flushers int
 
 	// FlushThreshold is p_th: the number of sacrificed (early-evicted)
@@ -131,13 +125,13 @@ type Config struct {
 	RetryBackoff time.Duration
 
 	// SnapshotPath, when non-empty, enables warm restart (internal/snapshot):
-	// New/NewSharded attempt to adopt the NEMO1 snapshot at this path —
+	// NewSharded attempts to adopt the NEMO1 snapshot at this path —
 	// validated against the device's geometry and generation stamp, and
 	// silently starting cold when the file is missing or refused — and Close
 	// checkpoints the engine back to it. Snapshots are strictly throwaway:
 	// they only ever save a cold rebuild, never carry data, and are useless
 	// once the device mutates without a new checkpoint. See
-	// Cache.Checkpoint and RestoreOutcome.
+	// Sharded.Checkpoint and Sharded.RestoreOutcome.
 	SnapshotPath string
 }
 
@@ -176,7 +170,7 @@ func DefaultConfig(dev device.Device, dataZones int) Config {
 	}
 }
 
-// IndexZonesFor returns the number of index-pool zones New reserves for a
+// IndexZonesFor returns the number of index-pool zones a shard reserves for a
 // pool of dataZones single-zone SGs grouped by sgsPerGroup: one zone per
 // live group plus slack for the group being sealed while the oldest drains.
 // Multi-zone-SG configurations use Config.IndexZones.
@@ -204,16 +198,9 @@ func (c Config) IndexZones() int {
 	return ((dataSGs+c.SGsPerIndexGroup-1)/c.SGsPerIndexGroup + 2) * zps
 }
 
-func (c Config) validate() error {
-	if c.Device == nil {
-		return fmt.Errorf("core: nil device")
-	}
-	if c.Shards > 1 {
-		return fmt.Errorf("core: Shards %d > 1 requires NewSharded", c.Shards)
-	}
-	if c.ZoneOffset < 0 {
-		return fmt.Errorf("core: ZoneOffset %d must be non-negative", c.ZoneOffset)
-	}
+// validate checks a shard's derived Config for the shard whose zones start
+// at base.
+func (c Config) validate(base int) error {
 	if c.ZonesPerSG < 1 {
 		return fmt.Errorf("core: ZonesPerSG %d must be at least 1", c.ZonesPerSG)
 	}
@@ -225,9 +212,6 @@ func (c Config) validate() error {
 	}
 	if c.InMemSGs < 1 {
 		return fmt.Errorf("core: InMemSGs %d must be at least 1", c.InMemSGs)
-	}
-	if c.Flushers < 0 {
-		return fmt.Errorf("core: Flushers %d must be non-negative", c.Flushers)
 	}
 	if c.FlushThreshold < 1 {
 		return fmt.Errorf("core: FlushThreshold %d must be at least 1", c.FlushThreshold)
@@ -266,9 +250,9 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: RetryBackoff %v must be non-negative", c.RetryBackoff)
 	}
 	need := c.DataZones + c.IndexZones()
-	if c.ZoneOffset+need > c.Device.Zones() {
+	if base+need > c.Device.Zones() {
 		return fmt.Errorf("core: need zones [%d,%d) (%d data + %d index) but device has %d",
-			c.ZoneOffset, c.ZoneOffset+need, c.DataZones, c.IndexZones(), c.Device.Zones())
+			base, base+need, c.DataZones, c.IndexZones(), c.Device.Zones())
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"nemo/internal/flashsim"
 	"nemo/internal/trace"
 )
 
@@ -36,7 +37,7 @@ func TestAsyncFlushDrains(t *testing.T) {
 	if err := s.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if s.PoolLen() == 0 {
+	if s.Shard(0).PoolLen()+s.Shard(1).PoolLen() == 0 {
 		t.Fatal("no SGs reached flash through the async pipeline")
 	}
 	st := s.Stats()
@@ -120,9 +121,10 @@ func TestSetAsyncWithoutPoolIsSync(t *testing.T) {
 	}
 }
 
-// TestUnshardedAsyncPool exercises a standalone Cache owning its pool.
+// TestUnshardedAsyncPool exercises a one-shard cache owning its pool.
 func TestUnshardedAsyncPool(t *testing.T) {
-	c := testCache(t, func(cfg *Config) { cfg.Flushers = 1 })
+	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 16, Zones: 16})
+	c := testShardedOn(t, dev, func(cfg *Config) { cfg.Flushers = 1 })
 	for i := 0; i < 2_000; i++ {
 		k, v := kv(i)
 		if err := c.SetAsync(k, v); err != nil {
@@ -132,7 +134,7 @@ func TestUnshardedAsyncPool(t *testing.T) {
 	if err := c.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if c.PoolLen() == 0 {
+	if c.Shard(0).PoolLen() == 0 {
 		t.Fatal("standalone async cache never flushed")
 	}
 	if err := c.Close(); err != nil {

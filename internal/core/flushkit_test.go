@@ -43,7 +43,7 @@ func kitValue(i int) []byte { return []byte(fmt.Sprintf("kit-value-%09d-%060d", 
 // shardOfZone maps a device zone to the shard whose slice it lies in.
 func shardOfZone(s *Sharded, zone int) int {
 	per := s.shards[0].cfg.DataZones + s.shards[0].cfg.IndexZones()
-	return (zone - s.cfg.ZoneOffset) / per
+	return zone / per
 }
 
 // parkOneFlush installs a write hook that parks the first append into shard

@@ -74,7 +74,7 @@ func TestFlushCallShape(t *testing.T) {
 	cfg.SGsPerIndexGroup = members
 	cfg.CachedPBFGRatio = 1   // every victim set's PBFG is resident ...
 	cfg.HotTrackTailRatio = 1 // ... and every SG tracks hotness: all sets read back
-	c, err := New(cfg)
+	c, err := newBare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ type breaker struct {
 
 // HealthStatus is one shard's breaker snapshot (see Cache.Health).
 type HealthStatus struct {
-	// Shard is the shard index (0 for an unsharded cache).
+	// Shard is the shard index, set by Sharded.Health (Cache.Health leaves 0).
 	Shard int
 	// State is the breaker position.
 	State BreakerState

@@ -35,7 +35,7 @@ func newBreakerCache(t *testing.T, mod func(*Config)) (*Cache, *flashsim.Device)
 	if mod != nil {
 		mod(&cfg)
 	}
-	c, err := New(cfg)
+	c, err := newBare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func multiZoneCache(t *testing.T, zonesPerSG int, maxOpen int) (*flashsim.Device
 	cfg.SGsPerIndexGroup = 4
 	cfg.TargetObjsPerSet = 8
 	cfg.FlushThreshold = 8
-	c, err := New(cfg)
+	c, err := newBare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,16 +102,16 @@ func TestInvalidZonesPerSG(t *testing.T) {
 	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 8, Zones: 40})
 	cfg := DefaultConfig(dev, 16)
 	cfg.ZonesPerSG = 3 // 16 % 3 != 0
-	if _, err := New(cfg); err == nil {
+	if _, err := newBare(cfg); err == nil {
 		t.Fatal("non-divisible ZonesPerSG accepted")
 	}
 	cfg.ZonesPerSG = 0
-	if _, err := New(cfg); err == nil {
+	if _, err := newBare(cfg); err == nil {
 		t.Fatal("zero ZonesPerSG accepted")
 	}
 	cfg = DefaultConfig(dev, 16)
 	cfg.ZonesPerSG = 16 // only one SG would fit
-	if _, err := New(cfg); err == nil {
+	if _, err := newBare(cfg); err == nil {
 		t.Fatal("single-SG pool accepted")
 	}
 }

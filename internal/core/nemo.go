@@ -14,10 +14,11 @@ import (
 	"nemo/internal/setblock"
 )
 
-// Cache is a Nemo flash cache. Safe for concurrent use, and neither reads
-// nor writes hold the shard mutex across flash I/O: GETs run a short
-// locked plan and commit phase around unlocked device reads validated by
-// the SG epoch (readpath.go), and SG flushes — including group sealing and
+// Cache is one shard of a Nemo flash cache: NewSharded builds every one and
+// Sharded.Shard returns it for diagnostics. Safe for concurrent use, and
+// neither reads nor writes hold the shard mutex across flash I/O: GETs run
+// a short locked plan and commit phase around unlocked device reads validated
+// by the SG epoch (readpath.go), and SG flushes — including group sealing and
 // eviction's victim read-back — run the mirrored seal / build+I/O / commit
 // protocol (writepath.go), so foreground traffic on a shard overlaps both
 // the reads of concurrent lookups and the appends of an in-flight flush.
@@ -40,6 +41,7 @@ import (
 type Cache struct {
 	cfg       Config
 	dev       device.Device
+	zoneBase  int // first device zone of this shard's slice
 	pageSize  int
 	setsPerSG int
 	bfBytes   int // serialized bytes of one set-level Bloom filter
@@ -106,13 +108,12 @@ type Cache struct {
 	// for the plan/I-O/commit protocol these scratches serve.
 	getPool sync.Pool
 
-	// Background flush pipeline (nil when Config.Flushers == 0). SetAsync
-	// hands full in-memory SGs to the pool instead of flushing inline on
-	// the inserting goroutine; flushPending (guarded by mu) bounds the
-	// outstanding jobs to one per cache. ownFlusher marks pools created by
-	// New — NewSharded shares one pool across shards and owns it itself.
+	// Background flush pipeline: the facade's pool, shared by every shard
+	// (nil when Config.Flushers == 0). SetAsync hands full in-memory SGs to
+	// the pool instead of flushing inline on the inserting goroutine;
+	// flushPending (guarded by mu) bounds the outstanding jobs to one per
+	// shard.
 	flusher      *flusherPool
-	ownFlusher   bool
 	flushPending bool
 
 	// Device-fault circuit breaker (health.go), guarded by mu and timed on
@@ -120,17 +121,14 @@ type Cache struct {
 	// (incremented unlocked in the build phase, folded into Stats on read).
 	brk     breaker
 	retries atomic.Uint64
-
-	// Warm-restart outcome, fixed at New time (see RestoreOutcome): whether
-	// Config.SnapshotPath was adopted, and the typed reason when a snapshot
-	// existed but was refused.
-	restored   bool
-	restoreErr error
 }
 
-// New creates a Nemo cache on the configured device.
-func New(cfg Config) (*Cache, error) {
-	if err := cfg.validate(); err != nil {
+// newShard builds one shard of a Sharded cache: cfg is the shard's derived
+// Config, base the first device zone of its slice, and kits the facade's
+// flush-kit list. NewSharded alone calls it; the flusher pool, restore and
+// checkpoint belong to the facade.
+func newShard(cfg Config, base int, kits *kitPool) (*Cache, error) {
+	if err := cfg.validate(base); err != nil {
 		return nil, err
 	}
 	dev := cfg.Device
@@ -159,8 +157,9 @@ func New(cfg Config) (*Cache, error) {
 		pbfgBytes: bfBytes * cfg.SGsPerIndexGroup,
 		bfBits:    bfBits,
 		bfK:       bloom.NumHashes(cfg.BloomFPR),
+		zoneBase:  base,
+		kits:      kits,
 	}
-	c.kits = &kitPool{keep: max(1, cfg.Flushers)}
 	c.fetchBuf = make([]byte, c.pageSize)
 	c.sgAlloc = sgArena{zps: cfg.ZonesPerSG}
 	c.flushCond = sync.NewCond(&c.mu)
@@ -171,7 +170,6 @@ func New(cfg Config) (*Cache, error) {
 	for i := 0; i < cfg.InMemSGs; i++ {
 		c.memq = append(c.memq, newMemSG(c.setsPerSG, c.pageSize))
 	}
-	base := cfg.ZoneOffset
 	for z := base + cfg.DataZones - 1; z >= base; z-- {
 		c.freeDataZones = append(c.freeDataZones, z)
 	}
@@ -183,13 +181,6 @@ func New(cfg Config) (*Cache, error) {
 	maxGroups := (dataSGs + cfg.SGsPerIndexGroup - 1) / cfg.SGsPerIndexGroup
 	capacity := int(cfg.CachedPBFGRatio * float64((maxGroups+1)*c.setsPerSG))
 	c.icache = newPBFGCache(capacity, c.pageSize, c.setsPerSG)
-	if cfg.Flushers > 0 {
-		c.flusher = newFlusherPool(cfg.Flushers, 1)
-		c.ownFlusher = true
-	}
-	if cfg.SnapshotPath != "" {
-		c.restored, c.restoreErr = tryRestore(cfg.SnapshotPath, cfg, []*Cache{c})
-	}
 	return c, nil
 }
 
@@ -226,23 +217,9 @@ func (c *Cache) pageAddrIn(zones []int, o int) int {
 // Name implements cachelib.Engine.
 func (c *Cache) Name() string { return "Nemo" }
 
-// Close implements cachelib.Engine, draining and stopping the cache's own
-// flusher pool (shard members of a Sharded cache share the facade's pool
-// and leave it alone), then — when Config.SnapshotPath is set — writing a
-// final warm-restart checkpoint over the quiesced state.
-func (c *Cache) Close() error {
-	var first error
-	if c.ownFlusher {
-		c.ownFlusher = false
-		first = c.flusher.stop()
-	}
-	if c.cfg.SnapshotPath != "" {
-		if err := c.Checkpoint(c.cfg.SnapshotPath); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+// Close implements cachelib.Engine. A shard holds nothing to release: the
+// flusher pool and the final checkpoint are the facade's (Sharded.Close).
+func (c *Cache) Close() error { return nil }
 
 // ReadLatency implements cachelib.Engine.
 func (c *Cache) ReadLatency() *metrics.Histogram { return &c.hist }
@@ -279,8 +256,8 @@ func (c *Cache) SetAsync(key, value []byte) error {
 }
 
 // Drain implements cachelib.Engine: it blocks until every flush
-// enqueued on the cache's flusher pool has reached flash and returns the
-// first deferred error. Callers must not hold the cache lock.
+// enqueued on the shared flusher pool — every shard's — has reached flash
+// and returns the first deferred error. Callers must not hold the cache lock.
 func (c *Cache) Drain() error {
 	if c.flusher == nil {
 		return nil
@@ -623,8 +600,8 @@ func (c *Cache) coolLocked() {
 	}
 }
 
-// Flush forces the front in-memory SG to flash (mainly for tests and
-// orderly shutdown in examples). Unlike the trigger-driven internal
+// Flush forces the front in-memory SG to flash (tests, and Sharded.Flush
+// over every shard). Unlike the trigger-driven internal
 // callers — which coalesce with a flush already in flight — Flush waits
 // any in-flight flush out and then flushes the current front regardless,
 // so objects inserted after that flush sealed still reach the device.

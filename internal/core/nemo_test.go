@@ -20,6 +20,27 @@ func testCache(t *testing.T, mutate func(*Config)) *Cache {
 // run per backend through devtest.Run.
 func testCacheOn(t *testing.T, dev device.Device, mutate func(*Config)) *Cache {
 	t.Helper()
+	c, err := newBare(testConfig(dev, mutate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// testShardedOn is testCacheOn built through NewSharded — one shard, whose
+// facade owns the flusher pool and the snapshot — and closed at cleanup.
+func testShardedOn(t *testing.T, dev device.Device, mutate func(*Config)) *Sharded {
+	t.Helper()
+	s, err := NewSharded(testConfig(dev, mutate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+// testConfig is testCache's configuration on dev, adjusted by mutate.
+func testConfig(dev device.Device, mutate func(*Config)) Config {
 	cfg := DefaultConfig(dev, 8)
 	cfg.SGsPerIndexGroup = 4
 	cfg.TargetObjsPerSet = 8
@@ -27,12 +48,12 @@ func testCacheOn(t *testing.T, dev device.Device, mutate func(*Config)) *Cache {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
+	return cfg
 }
+
+// newBare builds one shard on its own, the way NewSharded builds each of its
+// shards: the engine most unit tests drive directly.
+func newBare(cfg Config) (*Cache, error) { return newShard(cfg, 0, &kitPool{keep: 1}) }
 
 func kv(i int) (key, value []byte) {
 	key = []byte(fmt.Sprintf("key-%08d", i))
@@ -171,14 +192,14 @@ func TestWriteAmplificationReasonable(t *testing.T) {
 			}
 		}
 	}
-	wa := c.PaperWA()
+	wa := c.Extra().PaperWA()
 	if wa < 1.0 {
 		t.Fatalf("paper WA %v below 1 is impossible", wa)
 	}
 	if wa > 4.0 {
 		t.Fatalf("paper WA %v too high for Nemo (expect near 1/fill)", wa)
 	}
-	fill := c.MeanFillRate()
+	fill := c.Extra().MeanFillRate()
 	if fill < 0.3 {
 		t.Fatalf("mean fill rate %v too low with all techniques on", fill)
 	}
@@ -201,7 +222,7 @@ func TestNaiveFillRateMuchLower(t *testing.T) {
 				panic(err)
 			}
 		}
-		return c.MeanFillRate()
+		return c.Extra().MeanFillRate()
 	}
 	naive := run(true)
 	full := run(false)
@@ -339,7 +360,7 @@ func TestConfigValidation(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := DefaultConfig(dev, 8)
 		mutate(&cfg)
-		if _, err := New(cfg); err == nil {
+		if _, err := NewSharded(cfg); err == nil {
 			t.Fatalf("bad config %d accepted", i)
 		}
 	}

@@ -177,10 +177,11 @@ func TestPBFGCandidatesMatchPerMemberLoop(t *testing.T) {
 		cfg.FlushThreshold = 1 << 20 // flushes happen when the test says so
 		cfg.RearFullRatio = 1.0
 		cfg.SnapshotPath = filepath.Join(t.TempDir(), "oracle.snap")
-		c, err := New(cfg)
+		cold, err := NewSharded(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		c := cold.Shard(0)
 		when := fmt.Sprintf("trial %d (%d members, %d sets, %d B pages, %d objs/set, index cache %.1f)",
 			trial, members, ppz, dev.PageSize(), cfg.TargetObjsPerSet, cfg.CachedPBFGRatio)
 
@@ -227,20 +228,20 @@ func TestPBFGCandidatesMatchPerMemberLoop(t *testing.T) {
 			flushRound(c, round, round == parkAt)
 		}
 
-		if err := c.Close(); err != nil { // checkpoints
+		if err := cold.Close(); err != nil { // checkpoints
 			t.Fatal(err)
 		}
-		warm, err := New(cfg)
+		warm, err := NewSharded(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if restored, rerr := warm.RestoreOutcome(); !restored {
 			t.Fatalf("%s: restore refused: %v", when, rerr)
 		}
-		checkAgainstOracle(t, warm, rng, keys, when+", restored")
+		checkAgainstOracle(t, warm.Shard(0), rng, keys, when+", restored")
 		// The restored buffer takes new columns and seals like a built one.
 		for round := rounds; round < rounds+members+1; round++ {
-			flushRound(warm, round, false)
+			flushRound(warm.Shard(0), round, false)
 		}
 	}
 }
@@ -256,7 +257,7 @@ func TestReadersPlanWhileFlushCommitsColumn(t *testing.T) {
 	cfg.TargetObjsPerSet = 8
 	cfg.FlushThreshold = 1 << 20
 	cfg.RearFullRatio = 1.0
-	c, err := New(cfg)
+	c, err := newBare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +340,7 @@ func TestGroupWidthGuard(t *testing.T) {
 				cfg.TargetObjsPerSet = objs
 				cfg.FlushThreshold = 1 << 20
 				cfg.RearFullRatio = 1.0
-				c, err := New(cfg)
+				c, err := newBare(cfg)
 				switch fits := objs > 0 && bloom.SizeBits(objs, fpr)/8*members <= pageSize; {
 				case members > bloom.MaxGroupMembers:
 					if err == nil || !strings.Contains(err.Error(), fmt.Sprint(bloom.MaxGroupMembers)) {

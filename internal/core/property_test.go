@@ -25,7 +25,7 @@ func TestPropertyNeverStale(t *testing.T) {
 		cfg.SGsPerIndexGroup = 3
 		cfg.TargetObjsPerSet = 8
 		cfg.FlushThreshold = 4
-		c, err := New(cfg)
+		c, err := newBare(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestPropertyWAInvariant(t *testing.T) {
 		cfg.TargetObjsPerSet = 8
 		cfg.FlushThreshold = int(pthRaw)%64 + 1
 		cfg.InMemSGs = int(memSGsRaw)%3 + 1
-		c, err := New(cfg)
+		c, err := newBare(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestPropertyWAInvariant(t *testing.T) {
 		}
 		// Update coalescing in memory and sacrificed bytes can push the
 		// ratio below 1 at toy scale, but it must stay positive and finite.
-		if wa := c.PaperWA(); ex.SGsFlushed > 0 && (wa <= 0 || wa > 1000) {
+		if wa := c.Extra().PaperWA(); ex.SGsFlushed > 0 && (wa <= 0 || wa > 1000) {
 			t.Fatalf("WA %v implausible", wa)
 		}
 		return true
@@ -131,7 +131,7 @@ func TestPropertyPoolBounded(t *testing.T) {
 		cfg := DefaultConfig(dev, 6)
 		cfg.SGsPerIndexGroup = 2
 		cfg.TargetObjsPerSet = 8
-		c, err := New(cfg)
+		c, err := newBare(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

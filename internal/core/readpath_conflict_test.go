@@ -80,7 +80,7 @@ type readParker struct {
 
 func parkFirstCandidateRead(dev device.Device, c *Cache) *readParker {
 	p := &readParker{
-		indexFrom: c.cfg.ZoneOffset + c.cfg.DataZones,
+		indexFrom: c.zoneBase + c.cfg.DataZones,
 		dev:       dev,
 		parked:    make(chan struct{}),
 		released:  make(chan struct{}),

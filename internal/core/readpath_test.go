@@ -38,7 +38,7 @@ func readPathCacheOn(t testing.TB, dev device.Device, cachedRatio float64) *Cach
 	cfg.TargetObjsPerSet = 8
 	cfg.FlushThreshold = 4
 	cfg.CachedPBFGRatio = cachedRatio
-	c, err := New(cfg)
+	c, err := newBare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

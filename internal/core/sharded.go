@@ -20,9 +20,10 @@ import (
 // so read throughput scales with goroutines even on a single hot shard.
 // What this type adds is what only Nemo has: the zone layout, the shared
 // flusher pool, restore and checkpoint, and the Nemo-specific aggregates.
+// It is the only way to build Nemo; a shard on its own has no lifecycle.
 //
-// With Shards = 1 a Sharded cache is bit-for-bit the unsharded engine: the
-// single shard sees the identical configuration, zone layout, and request
+// With Shards = 1 a Sharded cache is bit-for-bit its one bare shard: the
+// shard sees the identical configuration, zone layout, and request
 // sequence, which the equivalence property test pins down.
 type Sharded struct {
 	*cachelib.ShardedEngine
@@ -54,10 +55,10 @@ type Sharded struct {
 	hist   metrics.Histogram
 }
 
-// NewSharded creates a sharded Nemo cache. cfg.DataZones is the total SG
-// pool across all shards and must divide evenly into cfg.Shards shards of
-// whole SGs; each shard additionally reserves its own index zones, laid out
-// contiguously after its data zones starting at cfg.ZoneOffset.
+// NewSharded creates a Nemo cache of cfg.Shards shards (0 is 1).
+// cfg.DataZones is the total SG pool across all shards and must divide
+// evenly into shards of whole SGs; each shard additionally reserves its own
+// index zones, laid out contiguously after its data zones from zone 0 on.
 func NewSharded(cfg Config) (*Sharded, error) {
 	n := cfg.Shards
 	if n < 1 {
@@ -65,6 +66,9 @@ func NewSharded(cfg Config) (*Sharded, error) {
 	}
 	if cfg.Device == nil {
 		return nil, fmt.Errorf("core: nil device")
+	}
+	if cfg.Flushers < 0 {
+		return nil, fmt.Errorf("core: Flushers %d must be non-negative", cfg.Flushers)
 	}
 	zps := cfg.ZonesPerSG
 	if zps < 1 {
@@ -86,26 +90,20 @@ func NewSharded(cfg Config) (*Sharded, error) {
 	}
 	s := &Sharded{shards: make([]*Cache, n), cfg: cfg, kits: &kitPool{keep: max(1, cfg.Flushers)}}
 	engines := make([]cachelib.Engine, n)
-	offset := cfg.ZoneOffset
+	base := 0
 	for i := 0; i < n; i++ {
 		scfg := cfg
 		scfg.Shards = 1
 		scfg.DataZones = perData
-		scfg.ZoneOffset = offset
 		scfg.Flushers = 0      // shards share the facade's pool, not one each
 		scfg.SnapshotPath = "" // the facade restores and checkpoints all shards at once
-		shard, err := New(scfg)
+		shard, err := newShard(scfg, base, s.kits)
 		if err != nil {
-			// Release everything already constructed: a half-built facade
-			// must not leak shard resources.
-			for _, built := range s.shards[:i] {
-				built.Close()
-			}
+			// Nothing to release: a shard holds no goroutine or file.
 			return nil, fmt.Errorf("core: shard %d/%d: %w", i, n, err)
 		}
 		s.shards[i], engines[i] = shard, shard
-		shard.kits = s.kits // shards share the facade's kit list, like its flusher pool
-		offset += perData + scfg.IndexZones()
+		base += perData + scfg.IndexZones()
 	}
 	s.ShardedEngine, _ = cachelib.NewShardedEngine(engines) // errs only on no or nil shards
 	if cfg.Flushers > 0 {
@@ -178,24 +176,11 @@ func (s *Sharded) Extra() NemoStats {
 	return sum
 }
 
-// PaperWA returns the paper's write-amplification definition aggregated
-// across shards: total SG bytes written over total newly written user bytes.
-func (s *Sharded) PaperWA() float64 {
-	e := s.Extra()
-	if e.NewBytes == 0 {
-		return 1
-	}
-	return float64(e.DataBytesWritten) / float64(e.NewBytes)
-}
+// PaperWA is Extra().PaperWA(): the paper's write amplification over all shards.
+func (s *Sharded) PaperWA() float64 { return s.Extra().PaperWA() }
 
-// MeanFillRate returns the mean flushed-SG fill rate across shards.
-func (s *Sharded) MeanFillRate() float64 {
-	e := s.Extra()
-	if e.SGsFlushed == 0 {
-		return 0
-	}
-	return e.FillSum / float64(e.SGsFlushed)
-}
+// MeanFillRate is Extra().MeanFillRate(): the mean flushed-SG fill rate over all shards.
+func (s *Sharded) MeanFillRate() float64 { return s.Extra().MeanFillRate() }
 
 // ResidentBytes sums the shards' ledgers, the shared idle kits counted once.
 func (s *Sharded) ResidentBytes() Resident {
@@ -211,32 +196,14 @@ func (s *Sharded) ResidentBytes() Resident {
 	return r
 }
 
-// ResidentFields is ResidentBytes as stats rows (see Cache.ResidentFields).
+// ResidentFields is ResidentBytes as rows: what the stats verb looks for.
 func (s *Sharded) ResidentFields() []cachelib.Field { return s.ResidentBytes().Fields() }
-
-// PoolLen returns the total number of live on-flash SGs across shards.
-func (s *Sharded) PoolLen() int {
-	n := 0
-	for _, c := range s.shards {
-		n += c.PoolLen()
-	}
-	return n
-}
-
-// MemObjects returns the total objects buffered in memory across shards.
-func (s *Sharded) MemObjects() int {
-	n := 0
-	for _, c := range s.shards {
-		n += c.MemObjects()
-	}
-	return n
-}
 
 // ReadLatency implements cachelib.Engine: the merged histogram of all
 // shards, rebuilt on each call. It overrides the embedded facade's merge
 // because a Nemo shard's histogram is written under the shard lock, so each
-// is merged under that lock. Like Cache.ReadLatency, the returned histogram
-// should be read while the cache is quiescent.
+// is merged under that lock. The returned histogram should be read while the
+// cache is quiescent.
 func (s *Sharded) ReadLatency() *metrics.Histogram {
 	s.histMu.Lock()
 	defer s.histMu.Unlock()

@@ -74,7 +74,7 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 	reqs := shardedTrace(30_000)
 
 	_, cfgA := shardedGeom(t, 1, 8)
-	plain, err := New(cfgA)
+	plain, err := newBare(cfgA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 	if got, want := sharded.Extra(), plain.Extra(); got != want {
 		t.Fatalf("extra stats diverged:\nsharded: %+v\nplain:   %+v", got, want)
 	}
-	if got, want := sharded.PaperWA(), plain.PaperWA(); got != want {
+	if got, want := sharded.PaperWA(), plain.Extra().PaperWA(); got != want {
 		t.Fatalf("paper WA diverged: %v vs %v", got, want)
 	}
 	devA := cfgA.Device.Stats()
@@ -109,7 +109,7 @@ func TestConformance(t *testing.T) {
 	t.Run("bare", func(t *testing.T) {
 		enginetest.Conformance(t, func(t *testing.T) cachelib.Engine {
 			_, cfg := shardedGeom(t, 1, 8)
-			c, err := New(cfg)
+			c, err := newBare(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func TestShardedAggregateCounts(t *testing.T) {
 			if st.Sets != st.Gets-st.Hits {
 				t.Fatalf("Sets = %d, want misses = %d", st.Sets, st.Gets-st.Hits)
 			}
-			var sum int
+			var sum, mem, pool int
 			for i := 0; i < s.NumShards(); i++ {
 				shard := s.Shard(i)
 				ss := shard.Stats()
@@ -158,14 +158,16 @@ func TestShardedAggregateCounts(t *testing.T) {
 					t.Fatalf("shard %d received no traffic", i)
 				}
 				sum += int(ss.Gets)
+				mem += shard.MemObjects()
+				pool += shard.PoolLen()
 			}
 			if sum != len(reqs) {
 				t.Fatalf("per-shard Gets sum to %d, want %d", sum, len(reqs))
 			}
-			if s.MemObjects() == 0 {
+			if mem == 0 {
 				t.Fatal("no objects buffered in memory")
 			}
-			if s.PoolLen() == 0 {
+			if pool == 0 {
 				t.Fatal("no SGs reached flash")
 			}
 		})

@@ -1,8 +1,8 @@
 package core
 
 // Warm restart: Checkpoint captures a quiescent engine's per-shard metadata
-// into an internal/snapshot NEMO1 image, and the restore path in New /
-// NewSharded adopts one — replaying nothing — after validating it against
+// into an internal/snapshot NEMO1 image, and the restore path in NewSharded
+// adopts one — replaying nothing — after validating it against
 // the live device and configuration. The contract is strictly throwaway:
 // any defect (typed snapshot error, geometry or config mismatch, stale
 // generation stamp, violated structural invariant, unreadable PBFG page)
@@ -32,14 +32,13 @@ import (
 
 // configStamp reduces a Config to the snapshot's ConfigStamp: the fields
 // that shape on-flash layout or checkpointed state, with the same
-// normalizations New applies (Shards and, without BufferedSGs, InMemSGs
-// collapse to 1), so a facade Config and its shards' derived Configs stamp
-// consistently.
+// normalizations the constructors apply (Shards and, without BufferedSGs,
+// InMemSGs collapse to 1). Its ZoneOffset slot stays 0: the facade always
+// lays its shards out from zone 0, so NEMO1 images keep their bytes.
 func configStamp(cfg Config) snapshot.ConfigStamp {
 	st := snapshot.ConfigStamp{
 		DataZones:         cfg.DataZones,
 		Shards:            cfg.Shards,
-		ZoneOffset:        cfg.ZoneOffset,
 		ZonesPerSG:        cfg.ZonesPerSG,
 		InMemSGs:          cfg.InMemSGs,
 		FlushThreshold:    cfg.FlushThreshold,
@@ -63,25 +62,18 @@ func configStamp(cfg Config) snapshot.ConfigStamp {
 	return st
 }
 
-// Checkpoint writes a NEMO1 snapshot of this cache to path (atomically, via
-// rename): the one-shard case of checkpoint.
-func (c *Cache) Checkpoint(path string) error {
-	return checkpoint(path, c.cfg, []*Cache{c})
-}
-
-// checkpoint writes a NEMO1 snapshot of one engine — shards are all of its
-// shards, in order, over one device, and cfg is the engine-level Config they
-// were derived from — to path. Deferred flushes are drained (the shards of a
-// Sharded engine share one flusher pool, so draining through the first
-// drains all), then every shard is locked and its in-flight flush waited
-// out before any shard is captured, so the captured state is a clean commit
-// boundary; the device generation stamp is sampled inside the same
+// Checkpoint writes a NEMO1 snapshot of the whole cache to path
+// (atomically, via rename), stamped with the facade's Config. Deferred
+// flushes are drained, then every shard is locked and its in-flight flush
+// waited out before any shard is captured, so the captured state is a clean
+// commit boundary; the device generation stamp is sampled inside the same
 // quiescent window, so it vouches for every shard's state at once and the
 // snapshot is exactly as valid as the device is untouched.
-func checkpoint(path string, cfg Config, shards []*Cache) error {
-	if err := shards[0].Drain(); err != nil {
+func (s *Sharded) Checkpoint(path string) error {
+	if err := s.Drain(); err != nil {
 		return fmt.Errorf("core: draining before checkpoint: %w", err)
 	}
+	shards := s.shards
 	for _, c := range shards {
 		c.mu.Lock()
 	}
@@ -96,7 +88,7 @@ func checkpoint(path string, cfg Config, shards []*Cache) error {
 		PageSize:     dev.PageSize(),
 		PagesPerZone: dev.PagesPerZone(),
 		Zones:        dev.Zones(),
-		Config:       configStamp(cfg),
+		Config:       configStamp(s.cfg),
 	}
 	for _, c := range shards {
 		f.Shards = append(f.Shards, c.captureLocked())
@@ -107,14 +99,6 @@ func checkpoint(path string, cfg Config, shards []*Cache) error {
 		c.mu.Unlock()
 	}
 	return snapshot.Save(path, f)
-}
-
-// RestoreOutcome reports what happened to Config.SnapshotPath at New time:
-// restored is true after a successful warm restore; err holds the typed
-// reason a snapshot was refused (nil when none existed — a plain cold
-// start). A refused snapshot never fails New; the engine just starts cold.
-func (c *Cache) RestoreOutcome() (restored bool, err error) {
-	return c.restored, c.restoreErr
 }
 
 // captureLocked snapshots one shard's complete metadata. Caller holds c.mu
@@ -252,8 +236,7 @@ func validateSnapshotFile(dev device.Device, stamp snapshot.ConfigStamp, f *snap
 
 // tryRestore attempts to adopt the snapshot at path into one engine's
 // freshly built cold shards (all of them, in order; cfg is the engine-level
-// Config). It is called from New and NewSharded before the engine is
-// published — no locking. A missing file is a plain cold start (false,
+// Config). It is called from NewSharded before the engine is published — no locking. A missing file is a plain cold start (false,
 // nil); anything else that stops the restore is reported and every shard
 // stays cold: each shard's state is built and validated on the side, and
 // adopted only once all of them are.
@@ -344,7 +327,7 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 
 	// SG structs and their meta come out of this cache's arenas; an
 	// abandoned restore releases them so a refused snapshot leaves the cold
-	// cache's arenas exactly as New built them.
+	// cache's arenas exactly as newShard built them.
 	built := false
 	defer func() {
 		if !built {
@@ -507,8 +490,8 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 	// Zone partitioning: the free lists and the live SGs / sealed groups
 	// must tile the shard's data and index ranges exactly — no zone missing,
 	// none claimed twice, none outside the shard's slice of the device.
-	dataBase := cfg.ZoneOffset
-	idxBase := cfg.ZoneOffset + cfg.DataZones
+	dataBase := c.zoneBase
+	idxBase := c.zoneBase + cfg.DataZones
 	idxZones := cfg.IndexZones()
 	liveData := make([]int, 0, cfg.DataZones)
 	for _, m := range st.pool {
@@ -648,7 +631,7 @@ func checkZonePartition(kind string, base, n int, free, live []int) error {
 }
 
 // adoptRestore swaps the validated state in. Called before the cache is
-// published (New) — no locking, no readers.
+// published (NewSharded) — no locking, no readers.
 func (c *Cache) adoptRestore(st *restoredState) {
 	c.memq = st.memq
 	c.sacCount = st.sacCount
@@ -712,15 +695,12 @@ func nemoStatsOf(e snapshot.Extra) NemoStats {
 	}
 }
 
-// Checkpoint writes a NEMO1 snapshot of the whole sharded cache to path
-// (see checkpoint).
-func (s *Sharded) Checkpoint(path string) error {
-	return checkpoint(path, s.cfg, s.shards)
-}
-
-// RestoreOutcome is Cache.RestoreOutcome for the sharded facade: the
-// outcome of Config.SnapshotPath at NewSharded time. Restore is
-// all-or-nothing across shards — one shard's defect leaves every shard cold.
+// RestoreOutcome reports what happened to Config.SnapshotPath at NewSharded
+// time: restored is true after a successful warm restore; err holds the
+// typed reason a snapshot was refused (nil when none existed — a plain cold
+// start). A refused snapshot never fails NewSharded; the engine just starts
+// cold. Restore is all-or-nothing across shards — one shard's defect leaves
+// every shard cold.
 func (s *Sharded) RestoreOutcome() (restored bool, err error) {
 	return s.restored, s.restoreErr
 }

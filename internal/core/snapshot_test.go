@@ -244,15 +244,16 @@ func TestKillRestoreAsyncHitRatio(t *testing.T) {
 	})
 }
 
-// TestUnshardedCheckpointRestore covers the plain Cache path (New, not
-// NewSharded): restore on Close-checkpoint with live in-memory objects.
+// TestUnshardedCheckpointRestore covers the Shards: 0 facade, which
+// NewSharded builds as one shard: restore on Close-checkpoint with live
+// in-memory objects.
 func TestUnshardedCheckpointRestore(t *testing.T) {
 	dev := devtest.Backends()[0].New(t, snapGeometry(1))
 	path := filepath.Join(t.TempDir(), "one.snap")
 	cfg := snapConfig(dev, 1, 0, path)
-	cfg.Shards = 1
+	cfg.Shards = 0
 
-	c, err := New(cfg)
+	c, err := NewSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +265,7 @@ func TestUnshardedCheckpointRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := New(cfg)
+	c2, err := NewSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,9 +553,9 @@ func fieldSig(t reflect.Type, skip map[string]bool) []string {
 
 func TestSnapshotMirrorsEngineTypes(t *testing.T) {
 	cases := []struct {
-		name       string
-		core, snap reflect.Type
-		skip       map[string]bool
+		name           string
+		core, snap     reflect.Type
+		skip, snapSkip map[string]bool
 	}{
 		// Skipped Config fields are runtime knobs that shape no on-flash
 		// layout or checkpointed state: the device handle, the flusher pool,
@@ -562,20 +563,23 @@ func TestSnapshotMirrorsEngineTypes(t *testing.T) {
 		{"ConfigStamp", reflect.TypeOf(Config{}), reflect.TypeOf(snapshot.ConfigStamp{}),
 			map[string]bool{"Device": true, "Flushers": true, "SnapshotPath": true,
 				"BreakerThreshold": true, "BreakerProbeAfter": true,
-				"WriteRetries": true, "RetryBackoff": true}},
+				"WriteRetries": true, "RetryBackoff": true},
+			// ZoneOffset is a retired slot the stamp keeps, always 0, so
+			// NEMO1 images keep their bytes.
+			map[string]bool{"ZoneOffset": true}},
 		// Skipped Stats fields are ephemeral device-health accounting
 		// (health.go): a restarted process starts with a closed breaker and
 		// zero retry history by design, so they are deliberately not
 		// checkpointed.
 		{"Counters", reflect.TypeOf(cachelib.Stats{}), reflect.TypeOf(snapshot.Counters{}),
 			map[string]bool{"WriteRetries": true, "DegradedRejects": true,
-				"DegradedEntered": true, "DegradedSeconds": true, "BreakerOpen": true}},
-		{"Extra", reflect.TypeOf(NemoStats{}), reflect.TypeOf(snapshot.Extra{}), nil},
-		{"FlushRec", reflect.TypeOf(FlushRecord{}), reflect.TypeOf(snapshot.FlushRec{}), nil},
+				"DegradedEntered": true, "DegradedSeconds": true, "BreakerOpen": true}, nil},
+		{"Extra", reflect.TypeOf(NemoStats{}), reflect.TypeOf(snapshot.Extra{}), nil, nil},
+		{"FlushRec", reflect.TypeOf(FlushRecord{}), reflect.TypeOf(snapshot.FlushRec{}), nil, nil},
 	}
 	for _, tc := range cases {
 		want := fieldSig(tc.core, tc.skip)
-		got := fieldSig(tc.snap, nil)
+		got := fieldSig(tc.snap, tc.snapSkip)
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%s does not mirror the engine type:\n engine %v\n mirror %v", tc.name, want, got)
 		}

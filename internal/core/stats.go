@@ -49,6 +49,25 @@ type NemoStats struct {
 	FlushRecordsDropped uint64
 }
 
+// PaperWA is the paper's write-amplification definition for Nemo (§5.2): SG
+// bytes written divided by newly written object bytes (writeback excluded,
+// sacrificed objects included). It is 1 before any flush.
+func (n NemoStats) PaperWA() float64 {
+	if n.NewBytes == 0 {
+		return 1
+	}
+	return float64(n.DataBytesWritten) / float64(n.NewBytes)
+}
+
+// MeanFillRate is the mean fill rate of flushed SGs (Figure 17), 0 before
+// any flush.
+func (n NemoStats) MeanFillRate() float64 {
+	if n.SGsFlushed == 0 {
+		return 0
+	}
+	return n.FillSum / float64(n.SGsFlushed)
+}
+
 // Add returns the field-wise sum n + o, for aggregating per-shard counters.
 func (n NemoStats) Add(o NemoStats) NemoStats {
 	return NemoStats{
@@ -93,7 +112,8 @@ func (c *Cache) FlushLog() []FlushRecord {
 	return append([]FlushRecord(nil), c.flushLog...)
 }
 
-// Extra returns the Nemo-specific counters plus current index-cache stats.
+// Extra returns the Nemo-specific counters; the index cache's lookups and
+// misses are PBFGStats.
 func (c *Cache) Extra() NemoStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -122,28 +142,6 @@ func (c *Cache) mergeLatencyInto(h *metrics.Histogram) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	h.Merge(&c.hist)
-}
-
-// MeanFillRate returns the mean fill rate of flushed SGs (Figure 17).
-func (c *Cache) MeanFillRate() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.extra.SGsFlushed == 0 {
-		return 0
-	}
-	return c.extra.FillSum / float64(c.extra.SGsFlushed)
-}
-
-// PaperWA returns the paper's write-amplification definition for Nemo
-// (§5.2): SG bytes written divided by newly written object bytes (writeback
-// excluded, sacrificed objects included). Returns 1 before any flush.
-func (c *Cache) PaperWA() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.extra.NewBytes == 0 {
-		return 1
-	}
-	return float64(c.extra.DataBytesWritten) / float64(c.extra.NewBytes)
 }
 
 // PBFGStats reports index-cache effectiveness: total sealed-PBFG lookups
@@ -226,8 +224,8 @@ func (sg *memSG) bytes() uint64 {
 	return uint64(cap(sg.slab) + len(sg.sets)*int(unsafe.Sizeof(sg.sets[0])) + 8*len(sg.present))
 }
 
-// residentOwn is what this cache alone holds: all but the idle kits, which a
-// shard shares with its siblings.
+// residentOwn is what this shard alone holds: all but the idle kits, which
+// it shares with its siblings (Sharded.ResidentBytes counts those once).
 func (c *Cache) residentOwn() (r Resident) {
 	model := c.MemoryOverhead().TotalBitsPerObj
 	c.mu.Lock()
@@ -256,17 +254,6 @@ func (c *Cache) residentOwn() (r Resident) {
 	r.ModelMeta = uint64(model * float64(r.Objects) / 8)
 	return r
 }
-
-// ResidentBytes returns the cache's ledger. A shard of a Sharded cache
-// counts the shared list's idle kits; the facade's ledger counts them once.
-func (c *Cache) ResidentBytes() Resident {
-	r := c.residentOwn()
-	r.FlushKits += c.kits.idleBytes()
-	return r
-}
-
-// ResidentFields is ResidentBytes as rows: what the stats verb looks for.
-func (c *Cache) ResidentFields() []cachelib.Field { return c.ResidentBytes().Fields() }
 
 // PoolLen returns the number of live on-flash SGs.
 func (c *Cache) PoolLen() int {

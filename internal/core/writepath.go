@@ -164,7 +164,7 @@ func (k *flushKit) bytes() uint64 {
 }
 
 // kitPool is the free list of idle flush kits; NewSharded shares one across
-// its shards as it shares the flusherPool, a bare New owns a private one.
+// its shards as it shares the flusherPool.
 // It keeps at most keep = max(1, Config.Flushers) idle kits and drops the
 // rest to the GC: that many flushes run at once in steady state (the flusher
 // goroutines, or the one inline caller), so more would only pin a burst's

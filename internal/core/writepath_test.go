@@ -36,7 +36,7 @@ func TestSealedSGServesReadsDuringFlush(t *testing.T) {
 	cfg.TargetObjsPerSet = 8
 	cfg.FlushThreshold = 1 << 20 // no sacrifice-triggered flushes
 	cfg.RearFullRatio = 1.0      // no rear-full-triggered flushes
-	c, err := New(cfg)
+	c, err := newBare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +309,7 @@ func TestFlushWriteErrorSurfacesSync(t *testing.T) {
 func TestFlushWriteErrorSurfacesAsync(t *testing.T) {
 	devtest.Run(t, func(t *testing.T, b devtest.Backend) {
 		dev := b.New(t, device.Geometry{PageSize: 512, PagesPerZone: 16, Zones: 16})
-		c := testCacheOn(t, dev, func(cfg *Config) { cfg.Flushers = 1 })
-		defer c.Close()
+		c := testShardedOn(t, dev, func(cfg *Config) { cfg.Flushers = 1 }).Shard(0)
 
 		boom := errors.New("injected async append fault")
 		failed := make(chan struct{})
@@ -367,7 +366,7 @@ func TestFlushRecordsDroppedCounted(t *testing.T) {
 	cfg.SGsPerIndexGroup = 2
 	cfg.TargetObjsPerSet = 4
 	cfg.FlushThreshold = 1
-	c, err := New(cfg)
+	c, err := newBare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,10 +400,11 @@ func TestConcurrentWriteProtocolStress(t *testing.T) {
 	cfg.TargetObjsPerSet = 8
 	cfg.FlushThreshold = 4
 	cfg.Flushers = 2
-	c, err := New(cfg)
+	s, err := NewSharded(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := s.Shard(0)
 
 	const goroutines = 4
 	keys := 600
@@ -462,7 +462,7 @@ func TestConcurrentWriteProtocolStress(t *testing.T) {
 	if c.Extra().SGsFlushed == 0 {
 		t.Fatal("stress run never flushed")
 	}
-	if err := c.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -502,8 +502,8 @@ func TestSetAllocationsSteadyState(t *testing.T) {
 		pin(t, c, c.Set)
 	})
 	t.Run("async", func(t *testing.T) {
-		c := testCache(t, func(cfg *Config) { cfg.Flushers = 1 })
-		defer c.Close()
+		dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 16, Zones: 16})
+		c := testShardedOn(t, dev, func(cfg *Config) { cfg.Flushers = 1 }).Shard(0)
 		pin(t, c, c.SetAsync)
 	})
 }

@@ -70,9 +70,9 @@ func runAblFPR(o Options) (Report, error) {
 			return rep, err
 		}
 		gets := float64(res.Final.Gets)
-		_, misses, _ := nemo.PBFGStats()
+		_, misses, _ := nemo.Shard(0).PBFGStats()
 		t.row(label, num("%.4f", float64(nemo.Extra().FalsePositiveReads)/gets), num("%.4f", float64(misses)/gets),
-			num("%.1f", nemo.MemoryOverhead().BloomBitsPerObj))
+			num("%.1f", nemo.Shard(0).MemoryOverhead().BloomBitsPerObj))
 	}
 	return rep, nil
 }

@@ -162,15 +162,17 @@ func maxDataZones(zones, sgsPerGroup int) int {
 	return d
 }
 
-// nemoOn builds Nemo at Table 4's ratios, adjusted by mutate: the whole
-// device minus the index pool is the SG pool (OP < 1%).
-func nemoOn(mutate func(*core.Config)) func(device.Device) (*core.Cache, error) {
-	return func(dev device.Device) (*core.Cache, error) {
+// nemoOn builds one-shard Nemo at Table 4's ratios, adjusted by mutate: the
+// whole device minus the index pool is the SG pool (OP < 1%). Per-shard
+// diagnostics (FlushLog, PBFGStats, MemoryOverhead) are read off Shard(0).
+func nemoOn(mutate func(*core.Config)) func(device.Device) (*core.Sharded, error) {
+	return func(dev device.Device) (*core.Sharded, error) {
 		cfg := core.DefaultConfig(dev, maxDataZones(dev.Zones(), 50))
+		cfg.Shards = 1
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		return core.New(cfg)
+		return core.NewSharded(cfg)
 	}
 }
 

@@ -13,13 +13,13 @@ func runFig12a(o Options) (Report, error) {
 		}
 		st := res.Final
 		wa, memBits := st.ALWA(), 0.0
-		if nemo, ok := e.(*core.Cache); ok {
+		if nemo, ok := e.(*core.Sharded); ok {
 			// Nemo's memory column uses the scale-independent components
 			// (Bloom + hotness bits). The index-group buffer is a fixed
 			// cost that amortizes to 0.8 bits/obj at paper scale but
 			// dominates tiny simulated pools; sec55 prints the full
 			// breakdown.
-			m := nemo.MemoryOverhead()
+			m := nemo.Shard(0).MemoryOverhead()
 			wa, memBits = nemo.PaperWA(), m.BloomBitsPerObj+m.HotBitsPerObj
 		} else {
 			memBits = e.(interface{ MemoryBitsPerObject() float64 }).MemoryBitsPerObject()

@@ -71,7 +71,7 @@ func runFig18(o Options) (Report, error) {
 			return rep, err
 		}
 		var newObjs [2]int // of the first two SGs flushed
-		log := nemo.FlushLog()
+		log := nemo.Shard(0).FlushLog()
 		for i := range min(2, len(log)) {
 			newObjs[i] = log[i].NewObjs
 		}
@@ -128,7 +128,7 @@ func runFig19b(o Options) (Report, error) {
 		if err != nil {
 			return rep, err
 		}
-		lookups, misses, missRatio := nemo.PBFGStats()
+		lookups, misses, missRatio := nemo.Shard(0).PBFGStats()
 		t.row(fmt.Sprintf("%.0f%%", ratio*100), pct("%.2f", missRatio), count(misses), count(lookups))
 	}
 	return rep, nil

@@ -65,7 +65,7 @@ func runSec55(o Options) (Report, error) {
 	if fr > 0 {
 		t.row("Nemo / FW", num("%.2f×", nr/fr))
 	}
-	m := nemoCache.MemoryOverhead()
+	m := nemoCache.Shard(0).MemoryOverhead()
 	t = rep.table("Nemo memory model (bits/obj)", "", "bloom", "hot", "buffer", "total")
 	t.row("Nemo", num("%.1f", m.BloomBitsPerObj), num("%.1f", m.HotBitsPerObj), num("%.1f", m.BufferBitsPerObj), num("%.1f", m.TotalBitsPerObj))
 	rep.Notes = []string{"PBFG compute cost: see BenchmarkPBFGLookup1000 (paper ≈1 µs per 1000 filters)"}

@@ -74,7 +74,8 @@ type File struct {
 // ConfigStamp mirrors core.Config minus the runtime-only fields (Device,
 // Flushers, SnapshotPath): everything that shapes the on-flash layout or
 // the meaning of the checkpointed state. A reflection test in core pins the
-// two structs field-for-field.
+// two structs field-for-field, ZoneOffset aside: core no longer has that
+// field and always stamps 0, the first zone every cache starts at.
 type ConfigStamp struct {
 	DataZones         int
 	Shards            int

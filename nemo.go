@@ -54,9 +54,6 @@ func NewDevice(cfg DeviceConfig) *SimDevice { return flashsim.New(cfg) }
 // caller closes the device when done (engines never do).
 func OpenFileDevice(cfg FileDeviceConfig) (*FileDevice, error) { return filedev.Open(cfg) }
 
-// Cache is a Nemo flash cache (the paper's contribution).
-type Cache = core.Cache
-
 // Config configures a Nemo cache; see DefaultConfig for Table 3 defaults.
 type Config = core.Config
 
@@ -67,20 +64,19 @@ type CacheStats = core.NemoStats
 // MemoryOverhead is Nemo's modeled metadata cost in bits per object.
 type MemoryOverhead = core.MemoryOverhead
 
-// New creates a Nemo cache.
-func New(cfg Config) (*Cache, error) { return core.New(cfg) }
-
-// ShardedCache is a hash-partitioned Nemo cache: Config.Shards independent
-// engines over disjoint zone ranges of one device, with per-shard locking so
-// requests for different shards proceed fully in parallel. It embeds a
-// ShardedEngine over those shards for all routing and adds what is Nemo's:
-// the zone layout, the shared flusher pool, checkpoint and restore, and the
-// Nemo-specific aggregates (Extra, PaperWA, MeanFillRate, Health).
+// ShardedCache is a Nemo flash cache (the paper's contribution):
+// Config.Shards independent engines over disjoint zone ranges of one device
+// (0 is 1), with per-shard locking so requests for different shards proceed
+// fully in parallel. It embeds a ShardedEngine over those shards for all
+// routing and adds what is Nemo's: the zone layout, the shared flusher pool,
+// checkpoint and restore, and the Nemo-specific aggregates (Extra, PaperWA,
+// MeanFillRate, ResidentBytes, Health). Shard(i) returns one shard for its
+// diagnostics: FlushLog, PBFGStats, MemoryOverhead.
 type ShardedCache = core.Sharded
 
-// NewSharded creates a sharded Nemo cache; cfg.DataZones is the total SG
-// pool divided evenly across cfg.Shards shards. With Shards <= 1 the result
-// behaves bit-for-bit like the unsharded engine.
+// NewSharded creates a Nemo cache — the only constructor; cfg.DataZones is
+// the total SG pool divided evenly across cfg.Shards shards. With one shard
+// the cache behaves bit-for-bit like that shard driven on its own.
 func NewSharded(cfg Config) (*ShardedCache, error) { return core.NewSharded(cfg) }
 
 // DefaultConfig returns the paper's Table 3 configuration scaled to the
@@ -89,9 +85,9 @@ func DefaultConfig(dev Device, dataZones int) Config {
 	return core.DefaultConfig(dev, dataZones)
 }
 
-// IndexZonesFor reports how many device zones New reserves for the on-flash
-// index pool given an SG pool size; a device must have at least
-// dataZones + IndexZonesFor(dataZones, 50) zones.
+// IndexZonesFor reports how many device zones a shard reserves for the
+// on-flash index pool given its SG pool size; a one-shard cache needs at
+// least dataZones + IndexZonesFor(dataZones, 50) zones.
 func IndexZonesFor(dataZones, sgsPerGroup int) int {
 	return core.IndexZonesFor(dataZones, sgsPerGroup)
 }
@@ -125,9 +121,11 @@ type ReplayConfig = cachelib.ReplayConfig
 // ReplayResult carries the metrics collected by Replay.
 type ReplayResult = cachelib.ReplayResult
 
-// Replay issues GET requests from the stream against the engine,
-// demand-filling misses with Set, and collects write amplification, miss
-// ratio, and latency percentiles.
+// Replay issues the stream's requests against the engine one at a time: a
+// GET that misses is demand-filled with SetAsync, and the stream's explicit
+// SETs and DELETEs are replayed as SetAsync and Delete. It drains the engine
+// at the end and collects write amplification, miss ratio, and latency
+// percentiles.
 func Replay(e Engine, s Stream, cfg ReplayConfig) (ReplayResult, error) {
 	return cachelib.Replay(e, s, cfg)
 }

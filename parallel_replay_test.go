@@ -55,13 +55,13 @@ func replayTrace(t testing.TB, ops int) []nemo.Request {
 
 // TestParallelReplayMatchesSequential pins the parallel driver itself: with
 // one shard and one worker it must produce exactly the statistics of a plain
-// sequential demand-fill replay of the same trace on the unsharded engine.
+// sequential demand-fill replay of the same trace on a one-shard cache.
 func TestParallelReplayMatchesSequential(t *testing.T) {
 	reqs := replayTrace(t, 60_000)
 
 	seqDev := nemo.NewDevice(nemo.DeviceConfig{PagesPerZone: 64,
 		Zones: replayDataZones + nemo.IndexZonesFor(replayDataZones, 50)})
-	seq, err := nemo.New(nemo.DefaultConfig(seqDev, replayDataZones))
+	seq, err := nemo.NewSharded(nemo.DefaultConfig(seqDev, replayDataZones))
 	if err != nil {
 		t.Fatal(err)
 	}
