@@ -97,15 +97,18 @@
 //
 //   - The PBFG index cache is a flat open-addressing table (packed
 //     (group,set) uint64 keys, ≤50% load, sized once at construction)
-//     whose values index page-size slots carved from large []byte slabs.
+//     whose values index slots carved from large []byte slabs, each slot
+//     the M filters a PBFG page carries, not the device page around them.
 //     There are no per-page allocations and no map[...]... anywhere on the
 //     hot path; FIFO eviction, the stale-queue compaction, and the
 //     lookup/miss counters behave exactly as the map-based layout did.
-//   - flashSG structs live in fixed-size chunks, and each SG's per-set
-//     object counts, prefix-sum bases, and hotness bits pack into one
-//     contiguous []uint32 run carved at flush commit (or snapshot
-//     restore) — which is also when the prefix sums are computed, once,
-//     instead of lazily on every probe.
+//   - flashSG structs live in fixed-size chunks. Each SG's per-set
+//     prefix-sum bases (a set's count is the difference of two) and its
+//     hotness bits pack into one exact-size []uint32 made at flush commit
+//     (or snapshot restore) — which is also when the prefix sums are
+//     computed, once, instead of lazily on every probe — and left to the
+//     GC when the SG's group is dropped: one pointer-free object per SG
+//     held, none per request.
 //   - Every setblock page is a carve of a slab: an in-memory SG's sets of
 //     the SG's, a flush victim's read-back pages of the flush kit's window.
 //     A kit is what only a running flush needs — the rear SG its seal
@@ -119,12 +122,15 @@
 // Resident memory is index(objects) + Shards × InMemSGs × SG +
 // min(flushes in flight, max(1, Flushers)) × kit, with kit = spare SG +
 // window (1.16 MiB at 1 MiB zones); ResidentBytes sums it, split those three
-// ways beside what MemoryOverhead models for the same objects, and the stats
-// verb prints it (resident_* rows). Sharing kits across shards took
-// write_churn · engine_heap_mib from 28.9 to 24.8 MiB at 4 shards and 2
-// flushers, and the window in place of a whole-SG read-back slab took the
-// same row to 23.1 MiB (CHANGES.md has the pairs, and the traced
-// core.heap_bits_per_obj beside an unmoved core.resident_objs).
+// ways beside what MemoryOverhead models for the same objects, with the
+// index part split again by the layer that holds it (PBFG cache, group
+// buffers, SG meta), and the stats verb prints it (resident_* rows). Sharing
+// kits across shards took write_churn · engine_heap_mib from 28.9 to 24.8
+// MiB at 4 shards and 2 flushers, the window in place of a whole-SG
+// read-back slab took the same row to 23.1 MiB, and index metadata at its
+// real size — PBFG slots of the filters' bytes, SG meta without its count
+// region or slab arena — took it lower again (CHANGES.md has the pairs, and
+// the traced core.heap_bits_per_obj beside an unmoved core.resident_objs).
 //
 // PBFG pages. A PBFG page holds the set-level Bloom filters of one intra-SG
 // offset across the M SGs of an index group (Config.SGsPerIndexGroup, 50).

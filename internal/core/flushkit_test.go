@@ -108,13 +108,14 @@ func heapAlloc(dev *flashsim.Device) uint64 {
 }
 
 // TestResidentBytesLedger drives two pool turnovers of SetAsync + Drain at
-// 1, 4 and 8 shards over the same total pool and checks the three things
+// 1, 4 and 8 shards over the same total pool and checks the four things
 // the ledger is for:
 //
 //   - flush kits do not scale with shards: after the kits have been
 //     saturated the idle list holds exactly max(1, Flushers) of them at 4
 //     and at 8 shards, and the one a lone cache can ever use at 1;
 //   - the write buffers are Shards × InMemSGs × SG bytes;
+//   - each index-layer term is its arithmetic (indexLedger);
 //   - the ledger adds up: its total is within 6% of the HeapAlloc growth
 //     since before NewSharded (the simulated device's zone memory, which
 //     the engine does not own, taken out). What it leaves out is small and
@@ -125,11 +126,11 @@ func heapAlloc(dev *flashsim.Device) uint64 {
 // and the departure is what is asserted. Below the model: it charges pageSize
 // per group-buffer page where the buffer holds pbfgBytes, and Bloom bits for
 // the cached share of the pool whether or not a read has fetched them (this
-// run reads nothing). Above it: the meta carve holds set counts and prefix
-// sums beside the hotness bits, for every SG and not the tracked tail only,
-// and each arena grows a slab at a time — a 256 KiB meta slab a shard is
-// most of the metadata at this size. So: measured is no less than the model
-// and no more than one allocation unit of each arena a shard above it.
+// run reads nothing, so the PBFG cache holds no page). Above it: each SG's
+// meta keeps prefix sums beside the hotness bits, for every SG and not the
+// tracked tail only, and the SG structs come a 64-slot chunk at a time. So:
+// measured is no more than the model plus one SG chunk a shard, and no less
+// than the model less its Bloom term and the group buffers' page slack.
 func TestResidentBytesLedger(t *testing.T) {
 	const (
 		totalData = 48
@@ -154,8 +155,9 @@ func TestResidentBytesLedger(t *testing.T) {
 			}
 			heap := heapAlloc(dev) - base
 			r := s.ResidentBytes()
-			t.Logf("heap %d KiB; ledger %d KiB = meta %d + buffers %d + kits %d; model meta %d KiB for %d objects",
-				heap>>10, r.Total()>>10, r.PaperMeta>>10, r.WriteBuffers>>10, r.FlushKits>>10, r.ModelMeta>>10, r.Objects)
+			t.Logf("heap %d KiB; ledger %d KiB = meta %d (pbfg cache %d + group buffers %d + sg meta %d) + buffers %d + kits %d; model meta %d KiB for %d objects",
+				heap>>10, r.Total()>>10, r.PaperMeta()>>10, r.PBFGCache>>10, r.GroupBuffers>>10, r.SGMeta>>10,
+				r.WriteBuffers>>10, r.FlushKits>>10, r.ModelMeta>>10, r.Objects)
 
 			c := s.Shard(0)
 			kit := c.newFlushKit().bytes()
@@ -175,17 +177,57 @@ func TestResidentBytesLedger(t *testing.T) {
 			if want := uint64(shards*c.cfg.InMemSGs) * sg; r.WriteBuffers != want {
 				t.Errorf("write buffers hold %d bytes, want Shards × InMemSGs × SG = %d", r.WriteBuffers, want)
 			}
+			if want := indexLedger(t, s); r.PBFGCache != want.PBFGCache || r.GroupBuffers != want.GroupBuffers || r.SGMeta != want.SGMeta {
+				t.Errorf("index ledger pbfg cache %d, group buffers %d, sg meta %d; want %d, %d, %d",
+					r.PBFGCache, r.GroupBuffers, r.SGMeta, want.PBFGCache, want.GroupBuffers, want.SGMeta)
+			}
 			// Race instrumentation allocates; the non-race lanes compare.
 			if lo, hi := float64(heap)*0.94, float64(heap)*1.06; !raceDetectorEnabled && (float64(r.Total()) < lo || float64(r.Total()) > hi) {
 				t.Errorf("ledger total %d is not within 6%% of the measured heap %d", r.Total(), heap)
 			}
-			unit := uint64(shards) * uint64(4*metaSlabWords+pageSlabPages*c.pageSize+int(unsafe.Sizeof(sgChunk{})))
-			if r.Objects == 0 || r.PaperMeta < r.ModelMeta || r.PaperMeta > r.ModelMeta+unit {
-				t.Errorf("paper metadata %d bytes for %d objects, model %d: not within one arena unit a shard (%d) above the model",
-					r.PaperMeta, r.Objects, r.ModelMeta, unit)
+			m := c.MemoryOverhead()
+			below := uint64(m.BloomBitsPerObj/m.TotalBitsPerObj*float64(r.ModelMeta)) +
+				uint64(shards*c.setsPerSG*(c.pageSize-c.pbfgBytes))
+			chunks := uint64(shards) * uint64(unsafe.Sizeof(sgChunk{})+8*sgChunkSize*uintptr(c.cfg.ZonesPerSG))
+			if paper := r.PaperMeta(); r.Objects == 0 || paper+below < r.ModelMeta || paper > r.ModelMeta+chunks {
+				t.Errorf("paper metadata %d bytes for %d objects, model %d: not within [model − Bloom term and page slack (%d), model + one SG chunk a shard (%d)]",
+					paper, r.Objects, r.ModelMeta, below, chunks)
 			}
 		})
 	}
+}
+
+// indexLedger recomputes the index-layer terms of s's ledger from what each
+// shard holds: PBFG cache slots of pbfgBytes plus its table, queue and one
+// device page of fetch scratch; setsPerSG PBFG pages per unsealed group;
+// SG chunks plus, for every group member, a meta of nsets+1 prefix sums and
+// 2·⌈objCount/64⌉ hot words at its size-class capacity.
+func indexLedger(t *testing.T, s *Sharded) (r Resident) {
+	t.Helper()
+	for _, c := range s.shards {
+		c.mu.Lock()
+		ic := c.icache
+		for i, slab := range ic.arena.slabs {
+			if len(slab) != pageSlabPages*c.pbfgBytes {
+				t.Errorf("page slab %d is %d bytes, want %d slots of %d", i, len(slab), pageSlabPages, c.pbfgBytes)
+			}
+		}
+		r.PBFGCache += uint64(len(ic.arena.slabs)*pageSlabPages*c.pbfgBytes + c.pageSize + 12*len(ic.keys) + 8*cap(ic.queue))
+		r.SGMeta += uint64(len(c.sgAlloc.chunks)) * uint64(unsafe.Sizeof(sgChunk{})+8*sgChunkSize*uintptr(c.cfg.ZonesPerSG))
+		for _, g := range c.groups {
+			if !g.sealed {
+				r.GroupBuffers += uint64(c.setsPerSG * c.pbfgBytes)
+			}
+			for _, m := range g.members {
+				if want := c.setsPerSG + 1 + 2*((m.objCount+63)/64); len(m.meta) != want || cap(m.meta) < want {
+					t.Errorf("SG %d meta is %d words (cap %d), want %d", m.id, len(m.meta), cap(m.meta), want)
+				}
+				r.SGMeta += uint64(4 * cap(m.meta))
+			}
+		}
+		c.mu.Unlock()
+	}
+	return r
 }
 
 // TestFlushKitNeverInTwoFlushes runs 8 shards flushing from 2 flusher

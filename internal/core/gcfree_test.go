@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"nemo/internal/flashsim"
 	"nemo/internal/snapshot"
@@ -22,8 +23,9 @@ import (
 // steady state, further fill→evict→refill cycles must not grow any arena —
 // no new page slabs, no new SG chunks, no table growth — and the process
 // HeapObjects gauge must stay flat. A slot leaked per flush (the premature-
-// recycle bug class this PR's design invites) shows up here as monotonic
-// slab or heap-object growth.
+// recycle bug class immediate recycling invites) shows up here as monotonic
+// slab or heap-object growth, and a meta kept past its SG's release as a
+// ledger that no longer matches what the group members hold.
 func TestArenaFlatOverChurn(t *testing.T) {
 	c := testCache(t, nil)
 
@@ -59,12 +61,32 @@ func TestArenaFlatOverChurn(t *testing.T) {
 	}
 	checkAccounting := func() {
 		c.mu.Lock()
-		defer c.mu.Unlock()
 		total := len(c.icache.arena.slabs) * pageSlabPages
 		free := len(c.icache.arena.free)
 		if free != total-c.icache.count {
 			t.Errorf("page arena leak: %d slots allocated, %d live, %d free (want %d)",
 				total, c.icache.count, free, total-c.icache.count)
+		}
+		for _, slab := range c.icache.arena.slabs {
+			if len(slab) != pageSlabPages*c.pbfgBytes {
+				t.Errorf("page slab of %d bytes, want %d slots of pbfgBytes %d", len(slab), pageSlabPages, c.pbfgBytes)
+			}
+		}
+		held := 0
+		for _, g := range c.groups {
+			for _, m := range g.members {
+				held += 4 * cap(m.meta)
+			}
+		}
+		for _, sg := range c.sgAlloc.free {
+			if sg.meta != nil {
+				t.Errorf("released SG %d still holds its meta", sg.id)
+			}
+		}
+		chunks := len(c.sgAlloc.chunks) * (int(unsafe.Sizeof(sgChunk{})) + 8*sgChunkSize*c.sgAlloc.zps)
+		c.mu.Unlock()
+		if r := c.residentOwn(); r.SGMeta != uint64(held+chunks) {
+			t.Errorf("ledger SG meta %d bytes, want the held metas' %d plus the chunks' %d", r.SGMeta, held, chunks)
 		}
 	}
 

@@ -3,23 +3,28 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"nemo/internal/bloom"
 )
 
 // This file holds the steady-state in-memory index layer, laid out to be
 // nearly invisible to the garbage collector (see doc.go, "Memory layout").
-// Three arenas replace what used to be thousands of small heap objects:
+// Two arenas replace what used to be thousands of small heap objects, and
+// what is left to the GC is pointer-free:
 //
 //   - sgArena: flashSG structs live in fixed-size chunks, each chunk carrying
 //     one backing array for its slots' zone lists. Retired structs are
 //     recycled when their index group is dropped.
-//   - metaArena: each SG's per-set metadata — set counts, slot-base prefix
-//     sums, and the hotness bitmap — is ONE []uint32 carved from shared
-//     slabs at flush commit (or restore), when the object count is known.
-//   - pageArena (inside pbfgCache): cached PBFG pages are page-size slots of
-//     large slabs, indexed by a flat open-addressing table keyed by a packed
-//     (group,set) uint64. put copies the page bytes in; no per-page objects.
+//   - pageArena (inside pbfgCache): cached PBFG pages are pbfgBytes-long
+//     slots of large slabs, indexed by a flat open-addressing table keyed by
+//     a packed (group,set) uint64. put copies the page bytes in; no per-page
+//     objects.
+//   - meta: each SG's per-set metadata — slot-base prefix sums and the
+//     hotness bitmap — is ONE exact-size []uint32, made at flush commit (or
+//     restore), when the object count is known, and left to the GC when the
+//     SG's group is dropped. It holds no pointer, so the collector never
+//     scans it.
 //
 // Recycling is immediate: freed slots go straight back to the free lists.
 // That is safe because the concurrent read path never dereferences arena
@@ -31,20 +36,20 @@ import (
 
 // flashSG describes one immutable on-flash Set-Group in the FIFO pool.
 // Structs are allocated from the cache's sgArena; zones aliases the chunk's
-// zone backing and meta is carved from the metaArena at flush commit.
+// zone backing and meta is made at flush commit.
 type flashSG struct {
 	id    uint64 // monotonically increasing flush sequence number
 	zones []int  // data zones holding the SG (len == Config.ZonesPerSG)
 	group *idxGroup
 	slot  int // position of this SG's filters within the group
 
-	// meta packs the SG's per-set metadata into one carve:
+	// meta packs the SG's per-set metadata into one slice:
 	//
-	//	[0:n]        objects per set at flush time (was setCounts []uint16)
-	//	[n:2n+1]     prefix sums over the counts (was slotBase []uint32)
-	//	[2n+1:]      1-bit-per-object hotness bitmap as uint32 words, sized
+	//	[0:n+1]      prefix sums over the per-set object counts at flush
+	//	             time: set o's slots are bitmap positions [o] to [o+1]
+	//	[n+1:]       1-bit-per-object hotness bitmap as uint32 words, sized
 	//	             2*ceil(objCount/64) so snapshot conversion to the NEMO1
-	//	             []uint64 encoding is a word-pair repack (was bits)
+	//	             []uint64 encoding is a word-pair repack
 	//
 	// where n == nsets. The bitmap region is always materialized; hasBits
 	// preserves the old "allocated lazily on first setBit" observable state
@@ -60,28 +65,28 @@ type flashSG struct {
 }
 
 // setCount returns the number of objects flushed into set o.
-func (sg *flashSG) setCount(o int) int { return int(sg.meta[o]) }
+func (sg *flashSG) setCount(o int) int { return int(sg.base(o+1) - sg.base(o)) }
 
 // base returns the bitmap position of set o's first slot; base(nsets) is the
-// object count. The prefix sums are computed when meta is carved (flush
-// commit or snapshot restore), never lazily on the probe path.
-func (sg *flashSG) base(o int) uint32 { return sg.meta[sg.nsets+o] }
+// object count. The prefix sums are computed when meta is made (flush commit
+// or snapshot restore), never lazily on the probe path.
+func (sg *flashSG) base(o int) uint32 { return sg.meta[o] }
 
-// bitIndex returns the bitmap position of (set o, slot s).
-func (sg *flashSG) bitIndex(o, s int) uint32 { return sg.base(o) + uint32(s) }
+// hotWords returns the bitmap region of meta (2*ceil(objCount/64) words).
+func (sg *flashSG) hotWords() []uint32 { return sg.meta[sg.nsets+1:] }
 
 func (sg *flashSG) setBit(o, s int) {
 	sg.hasBits = true
-	i := sg.bitIndex(o, s)
-	sg.meta[2*sg.nsets+1+int(i>>5)] |= 1 << (i & 31)
+	i := sg.base(o) + uint32(s)
+	sg.hotWords()[i>>5] |= 1 << (i & 31)
 }
 
 func (sg *flashSG) bit(o, s int) bool {
 	if !sg.hasBits {
 		return false
 	}
-	i := sg.bitIndex(o, s)
-	return sg.meta[2*sg.nsets+1+int(i>>5)]&(1<<(i&31)) != 0
+	i := sg.base(o) + uint32(s)
+	return sg.hotWords()[i>>5]&(1<<(i&31)) != 0
 }
 
 // clearSet clears all hotness bits of set o (cooling, §4.4).
@@ -89,34 +94,53 @@ func (sg *flashSG) clearSet(o int) {
 	if !sg.hasBits {
 		return
 	}
-	hot := sg.meta[2*sg.nsets+1:]
+	hot := sg.hotWords()
 	for i := sg.base(o); i < sg.base(o+1); i++ {
 		hot[i>>5] &^= 1 << (i & 31)
 	}
 }
 
-// hotWords returns the bitmap region of meta (2*ceil(objCount/64) words).
-func (sg *flashSG) hotWords() []uint32 { return sg.meta[2*sg.nsets+1:] }
-
-// metaWords returns the carve size for an SG with the given geometry.
-func metaWords(nsets, objCount int) int {
-	return 2*nsets + 1 + 2*((objCount+63)/64)
+// carveMeta makes sg.meta for its final objCount from counts (objects per
+// set, len nsets): the prefix sums, then a zeroed hotness region. Flush
+// commit passes the kit's counts, snapshot restore the checkpoint's — the
+// two places an SG's counts become final. The capacity is the heap size
+// class the slice occupies, which is what the resident ledger counts.
+func carveMeta[T uint16 | uint32](sg *flashSG, counts []T) {
+	n := sg.nsets + 1 + 2*((sg.objCount+63)/64)
+	m := slices.Grow([]uint32(nil), n)[:n]
+	var run uint32
+	for o, k := range counts[:sg.nsets] {
+		m[o] = run
+		run += uint32(k)
+	}
+	m[sg.nsets] = run
+	sg.meta = m
 }
 
-// carveMeta allocates sg.meta for its final objCount, fills the set counts
-// from counts (len nsets) and computes the prefix sums. The hotness region
-// starts zeroed. Called at flush commit and snapshot restore — the two
-// places an SG's counts become final.
-func (c *Cache) carveMeta(sg *flashSG, counts []uint32) {
-	m := c.metaAlloc.alloc(metaWords(sg.nsets, sg.objCount))
-	copy(m, counts[:sg.nsets])
-	var run uint32
-	for i := 0; i < sg.nsets; i++ {
-		m[sg.nsets+i] = run
-		run += m[i]
+// snapMeta unpacks meta into the NEMO1 field types: uint16 set counts and,
+// for an SG that was ever marked, uint64 hot words (a bit-for-bit repack of
+// the word pairs). loadBits is its inverse for the bitmap.
+func (sg *flashSG) snapMeta() (counts []uint16, bits []uint64) {
+	counts = make([]uint16, sg.nsets)
+	for o := range counts {
+		counts[o] = uint16(sg.setCount(o))
 	}
-	m[2*sg.nsets] = run
-	sg.meta = m
+	if sg.hasBits {
+		hw := sg.hotWords()
+		bits = make([]uint64, (sg.objCount+63)/64)
+		for w := range bits {
+			bits[w] = uint64(hw[2*w]) | uint64(hw[2*w+1])<<32
+		}
+	}
+	return counts, bits
+}
+
+func (sg *flashSG) loadBits(bits []uint64) {
+	hw := sg.hotWords()
+	for w, v := range bits {
+		hw[2*w], hw[2*w+1] = uint32(v), uint32(v>>32)
+	}
+	sg.hasBits = true
 }
 
 // sgChunkSize is the flashSG arena granularity: structs per chunk.
@@ -158,55 +182,6 @@ func (a *sgArena) alloc() *flashSG {
 
 func (a *sgArena) release(sg *flashSG) {
 	a.free = append(a.free, sg)
-}
-
-// metaBucketWords rounds meta carves so freed carves are reusable across
-// SGs with nearby object counts (the free lists are per rounded size).
-const metaBucketWords = 128
-
-// metaSlabWords is the allocation unit carves are cut from (256 KiB).
-const metaSlabWords = 1 << 16
-
-// metaArena carves []uint32 runs from large slabs with size-bucketed free
-// lists. Carves are recycled when their SG's group is dropped.
-type metaArena struct {
-	slab  []uint32 // bump-allocation tail of the current slab
-	free  map[int][][]uint32
-	words int // allocated so far; every carve is live or on a free list
-}
-
-func (a *metaArena) alloc(words int) []uint32 {
-	r := (words + metaBucketWords - 1) / metaBucketWords * metaBucketWords
-	if fl := a.free[r]; len(fl) > 0 {
-		m := fl[len(fl)-1]
-		a.free[r] = fl[:len(fl)-1]
-		m = m[:words]
-		for i := range m {
-			m[i] = 0
-		}
-		return m
-	}
-	if r > metaSlabWords {
-		a.words += r
-		return make([]uint32, words, r)
-	}
-	if len(a.slab)+r > cap(a.slab) {
-		a.words += metaSlabWords
-		a.slab = make([]uint32, 0, metaSlabWords)
-	}
-	off := len(a.slab)
-	a.slab = a.slab[:off+r]
-	return a.slab[off : off+words : off+r]
-}
-
-func (a *metaArena) release(m []uint32) {
-	if m == nil {
-		return
-	}
-	if a.free == nil {
-		a.free = make(map[int][][]uint32)
-	}
-	a.free[cap(m)] = append(a.free[cap(m)], m)
 }
 
 // idxGroup aggregates the set-level Bloom filters of up to SGsPerIndexGroup
@@ -267,13 +242,14 @@ func unpackPBFG(p uint64) pbfgKey {
 // pageSlabPages is the page-arena allocation granularity.
 const pageSlabPages = 64
 
-// pageArena stores cached PBFG pages as fixed slots of large slabs. Slots
+// pageArena stores cached PBFG pages as fixed slots of large slabs, each slot
+// the pbfgBytes a page carries, not the device page it was read from. Slots
 // are identified by index and recycled immediately on release: readers test
 // a page's filters while still holding the lock (readpath.go planGetLocked),
 // so no slice into a slot ever outlives the critical section that looked it
 // up.
 type pageArena struct {
-	pageSize int
+	slotSize int
 	slabs    [][]byte
 	free     []int32
 }
@@ -281,7 +257,7 @@ type pageArena struct {
 func (a *pageArena) alloc() int32 {
 	if len(a.free) == 0 {
 		base := int32(len(a.slabs) * pageSlabPages)
-		a.slabs = append(a.slabs, make([]byte, pageSlabPages*a.pageSize))
+		a.slabs = append(a.slabs, make([]byte, pageSlabPages*a.slotSize))
 		for i := pageSlabPages - 1; i >= 0; i-- {
 			a.free = append(a.free, base+int32(i))
 		}
@@ -292,8 +268,8 @@ func (a *pageArena) alloc() int32 {
 }
 
 func (a *pageArena) page(slot int32) []byte {
-	off := int(slot%pageSlabPages) * a.pageSize
-	return a.slabs[slot/pageSlabPages][off : off+a.pageSize : off+a.pageSize]
+	off := int(slot%pageSlabPages) * a.slotSize
+	return a.slabs[slot/pageSlabPages][off : off+a.slotSize : off+a.slotSize]
 }
 
 func (a *pageArena) release(slot int32) {
@@ -337,16 +313,16 @@ type pbfgCache struct {
 }
 
 // newPBFGCache sizes the table for the capacity at ≤ 50% load, so it never
-// grows. pageSize fixes the arena slot size (put copies exactly that many
+// grows. slotSize fixes the arena slot size (put copies exactly that many
 // bytes); setsPerSG bounds the set offsets dropGroup probes.
-func newPBFGCache(capacity, pageSize, setsPerSG int) *pbfgCache {
+func newPBFGCache(capacity, slotSize, setsPerSG int) *pbfgCache {
 	if capacity < 0 {
 		capacity = 0
 	}
 	pc := &pbfgCache{
 		capacity:    capacity,
 		setsPerSG:   setsPerSG,
-		arena:       pageArena{pageSize: pageSize},
+		arena:       pageArena{slotSize: slotSize},
 		queued:      make(map[int]int),
 		droppedUpTo: -1,
 	}
@@ -437,7 +413,7 @@ func (pc *pbfgCache) get(k pbfgKey) ([]byte, bool) {
 	return pc.arena.page(pc.vals[i]), true
 }
 
-// put caches a copy of page (pageSize bytes) under k, evicting FIFO as
+// put caches a copy of page's first slotSize bytes under k, evicting FIFO as
 // needed. A key already present is left untouched.
 func (pc *pbfgCache) put(k pbfgKey, page []byte) {
 	if pc.capacity == 0 {
@@ -462,8 +438,8 @@ func (pc *pbfgCache) put(k pbfgKey, page []byte) {
 }
 
 // insertRestored adds k without touching the FIFO queue (snapshot restore
-// rebuilds the queue separately) and returns the arena buffer for the
-// caller to fill with the page bytes.
+// rebuilds the queue separately) and returns the arena slot for the caller
+// to copy the page bytes into.
 func (pc *pbfgCache) insertRestored(k pbfgKey) []byte {
 	slot := pc.arena.alloc()
 	pc.tableInsert(k.packed(), slot)
@@ -547,7 +523,7 @@ func (pc *pbfgCache) maybeCompact() {
 // traffic — the Figure 19b miss ratio counts only lookup-path queries,
 // which the read path charges itself during its plan phase (readpath.go).
 // A flash fetch lands in c.fetchBuf (mu-guarded scratch); the returned
-// slice is valid until the next fetchPBFG call.
+// slice, pbfgBytes long either way, is valid until the next fetchPBFG call.
 func (c *Cache) fetchPBFG(g *idxGroup, o int) ([]byte, error) {
 	k := pbfgKey{group: g.id, set: o}
 	if page, ok := c.icache.get(k); ok {
@@ -558,8 +534,9 @@ func (c *Cache) fetchPBFG(g *idxGroup, o int) ([]byte, error) {
 	}
 	c.stats.FlashReadOps++
 	c.stats.FlashBytesRead += uint64(c.pageSize)
-	c.icache.put(k, c.fetchBuf)
-	return c.fetchBuf, nil
+	page := c.fetchBuf[:c.pbfgBytes]
+	c.icache.put(k, page)
+	return page, nil
 }
 
 // walkCandidates is the one group walk: it visits, newest group first and
@@ -615,10 +592,9 @@ func (c *Cache) pbfgResident(g *idxGroup, o int) bool {
 	return c.icache.has(pbfgKey{group: g.id, set: o})
 }
 
-// releaseSG recycles a dead SG's struct and meta carve once its group is
-// dropped from the group list (no reader can plan against it afterwards).
+// releaseSG recycles a dead SG's struct, and drops its meta, once its group
+// is dropped from the group list (no reader can plan against it afterwards).
 func (c *Cache) releaseSG(sg *flashSG) {
-	c.metaAlloc.release(sg.meta)
 	sg.meta = nil
 	c.sgAlloc.release(sg)
 }

@@ -65,13 +65,11 @@ type Cache struct {
 	nextGroup int
 	icache    *pbfgCache
 
-	// Arena allocators for the steady-state index layer (index.go): flashSG
-	// structs and their packed per-set metadata. Arena slots recycle
-	// immediately; the concurrent read path tests every in-memory filter
-	// under the lock at plan time and carries no arena byte out of it
-	// (readpath.go), so nothing dangles.
-	sgAlloc   sgArena
-	metaAlloc metaArena
+	// The flashSG struct arena (index.go). Arena slots recycle immediately;
+	// the concurrent read path tests every in-memory filter under the lock at
+	// plan time and carries no arena byte out of it (readpath.go), so nothing
+	// dangles.
+	sgAlloc sgArena
 
 	// fetchBuf is the write-path PBFG fetch scratch (guarded by mu): a
 	// cache-miss fetch lands here and icache.put copies it into the arena.
@@ -180,7 +178,7 @@ func newShard(cfg Config, base int, kits *kitPool) (*Cache, error) {
 	dataSGs := cfg.DataZones / cfg.ZonesPerSG
 	maxGroups := (dataSGs + cfg.SGsPerIndexGroup - 1) / cfg.SGsPerIndexGroup
 	capacity := int(cfg.CachedPBFGRatio * float64((maxGroups+1)*c.setsPerSG))
-	c.icache = newPBFGCache(capacity, c.pageSize, c.setsPerSG)
+	c.icache = newPBFGCache(capacity, c.pbfgBytes, c.setsPerSG)
 	return c, nil
 }
 

@@ -55,6 +55,29 @@ func testConfig(dev device.Device, mutate func(*Config)) Config {
 // shards: the engine most unit tests drive directly.
 func newBare(cfg Config) (*Cache, error) { return newShard(cfg, 0, &kitPool{keep: 1}) }
 
+// PoolLen returns the number of live on-flash SGs.
+func (c *Cache) PoolLen() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pool)
+}
+
+// MemObjects returns the number of objects currently buffered in memory,
+// including the sealed SG of an in-flight flush (its objects are still
+// served from memory until the flush commits).
+func (c *Cache) MemObjects() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, sg := range c.memq {
+		n += sg.objCount()
+	}
+	if c.sealed != nil {
+		n += c.sealed.mem.objCount()
+	}
+	return n
+}
+
 func kv(i int) (key, value []byte) {
 	key = []byte(fmt.Sprintf("key-%08d", i))
 	value = []byte(fmt.Sprintf("value-%08d-%032d", i, i))

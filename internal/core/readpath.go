@@ -384,7 +384,7 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 				return r
 			}
 			if e.pend != tested {
-				tested, mask = e.pend, bloom.GroupMask(p.page, c.cfg.SGsPerIndexGroup, sc.probes, ^uint64(0))
+				tested, mask = e.pend, bloom.GroupMask(p.page[:c.pbfgBytes], c.cfg.SGsPerIndexGroup, sc.probes, ^uint64(0))
 			}
 			if mask>>uint(e.slot)&1 == 0 {
 				continue
@@ -399,8 +399,9 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 		return r
 	}
 
-	// Parallel candidate reads (the paper reads all candidate sets at the
-	// hashed offset concurrently; read amplification counts each page).
+	// The candidate reads are one ReadPages call, whose runs (one per
+	// candidate SG) filedev serves one after another; the paper reads them
+	// concurrently (ROADMAP direction 8). Read amplification counts each page.
 	for len(sc.bufs) < len(cands) {
 		sc.bufs = append(sc.bufs, make([]byte, c.pageSize))
 	}

@@ -188,7 +188,9 @@ func (s *Sharded) ResidentBytes() Resident {
 	for _, c := range s.shards {
 		o := c.residentOwn()
 		r.Objects += o.Objects
-		r.PaperMeta += o.PaperMeta
+		r.PBFGCache += o.PBFGCache
+		r.GroupBuffers += o.GroupBuffers
+		r.SGMeta += o.SGMeta
 		r.ModelMeta += o.ModelMeta
 		r.WriteBuffers += o.WriteBuffers
 		r.FlushKits += o.FlushKits

@@ -133,27 +133,15 @@ func (c *Cache) captureLocked() snapshot.Shard {
 				ObjCount: m.objCount,
 				Fill:     m.fill,
 			}
-			// The packed meta carve unpacks into the snapshot's historical
-			// field types, so the checkpoint bytes are identical to the
-			// map/slice-era layout's: uint16 set counts, uint64 hot words
-			// (the carve's hot region is u64-pair aligned exactly so this
-			// conversion is a bit-for-bit repack).
-			sm.SetCounts = make([]uint16, m.nsets)
-			for o := 0; o < m.nsets; o++ {
-				sm.SetCounts[o] = uint16(m.setCount(o))
-			}
+			// The packed meta unpacks into the snapshot's historical field
+			// types, so the checkpoint bytes are identical to the
+			// map/slice-era layout's.
+			sm.SetCounts, sm.Bits = m.snapMeta()
 			// A dead SG's zones went back to the free list when it was
 			// evicted (writepath.go); the slice left on the struct is stale
 			// and would double-claim zones in the restore partition check.
 			if !m.dead {
 				sm.Zones = append([]int(nil), m.zones...)
-			}
-			if m.hasBits {
-				hw := m.hotWords()
-				sm.Bits = make([]uint64, (m.objCount+63)/64)
-				for w := range sm.Bits {
-					sm.Bits[w] = uint64(hw[2*w]) | uint64(hw[2*w+1])<<32
-				}
 			}
 			sg.Members = append(sg.Members, sm)
 		}
@@ -367,7 +355,6 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 	prevGroupID := -1
 	var prevSGID uint64
 	haveSG := false
-	counts := make([]uint32, c.setsPerSG)
 	for gi := range sh.Groups {
 		sg := &sh.Groups[gi]
 		if sg.ID <= prevGroupID || sg.ID >= sh.NextGroup {
@@ -457,21 +444,11 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 			if !sm.Dead {
 				m.zones = append(m.zones, sm.Zones...)
 			}
-			// Carve the packed meta: counts (widened through a slice local to
-			// the restore — no flush kit is borrowed), prefix sums, and the
-			// zeroed hot region, then unpack the checkpointed hot words into
-			// it (the inverse of captureLocked's repack).
-			for o, n := range sm.SetCounts {
-				counts[o] = uint32(n)
-			}
-			c.carveMeta(m, counts)
+			// Make the packed meta from the checkpointed counts, then unpack
+			// the hot words into it (the inverse of captureLocked's repack).
+			carveMeta(m, sm.SetCounts)
 			if sm.Bits != nil {
-				hw := m.hotWords()
-				for w, v := range sm.Bits {
-					hw[2*w] = uint32(v)
-					hw[2*w+1] = uint32(v >> 32)
-				}
-				m.hasBits = true
+				m.loadBits(sm.Bits)
 			}
 			g.members = append(g.members, m)
 			if !m.dead {
@@ -533,7 +510,7 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 	// PBFG index cache: the FIFO queue restores verbatim; cached pages are
 	// re-read from the (validated identical) index zones, so the snapshot
 	// never stores index bytes it would then have to trust.
-	ic := newPBFGCache(c.icache.capacity, c.pageSize, c.setsPerSG)
+	ic := newPBFGCache(c.icache.capacity, c.pbfgBytes, c.setsPerSG)
 	ic.lookups, ic.misses = sh.ICLookups, sh.ICMisses
 	ic.droppedUpTo = sh.ICDroppedUpTo
 	if ic.capacity == 0 && (len(sh.ICQueue) != 0 || len(sh.ICPages) != 0) {
@@ -571,12 +548,13 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 		if ic.has(k) {
 			return nil, cfgErr("duplicate cached PBFG page (%d,%d)", ref.Group, ref.Set)
 		}
-		// insertRestored hands back the arena slot to read straight into; a
-		// failed read abandons ic wholesale (its arena is private to it).
-		page := ic.insertRestored(k)
-		if _, err := c.dev.ReadPage(c.pageAddrIn(g.zones, ref.Set), page); err != nil {
+		// The device page lands in the fetch scratch and its pbfgBytes are
+		// copied into the arena slot; a failed read abandons ic wholesale
+		// (its arena is private to it).
+		if _, err := c.dev.ReadPage(c.pageAddrIn(g.zones, ref.Set), c.fetchBuf); err != nil {
 			return nil, fmt.Errorf("core: re-reading PBFG page (%d,%d): %w", ref.Group, ref.Set, err)
 		}
+		copy(ic.insertRestored(k), c.fetchBuf)
 	}
 	st.icache = ic
 

@@ -191,11 +191,13 @@ func (c *Cache) MemoryOverhead() MemoryOverhead {
 // part scales with. The stats verb prints it as resident_* rows.
 type Resident struct {
 	Objects uint64 // entries held: on-flash SGs' at their flush, plus in-memory SGs'
-	// PaperMeta is the index layer, which scales with Objects: the PBFG page
-	// arena with its table and queue, the unsealed groups' buffers, the SG
-	// structs and packed meta, the PBFG fetch scratch. ModelMeta is what
-	// MemoryOverhead (Table 6) charges the same Objects.
-	PaperMeta, ModelMeta uint64
+	// The index layer, which scales with Objects, by the part that holds it:
+	// PBFGCache is the cached PBFG pages' arena with its table and queue, and
+	// the PBFG fetch scratch; GroupBuffers the unsealed groups' pages; SGMeta
+	// the SG struct chunks and the meta each held SG keeps. PaperMeta is
+	// their sum, ModelMeta what MemoryOverhead (Table 6) charges the same
+	// Objects.
+	PBFGCache, GroupBuffers, SGMeta, ModelMeta uint64
 	// WriteBuffers is Shards × InMemSGs × SG bytes, and one SG more per
 	// flush between its seal and its commit.
 	WriteBuffers uint64
@@ -204,14 +206,20 @@ type Resident struct {
 	FlushKits uint64
 }
 
-// Total is the resident bytes: the three parts' sum.
-func (r Resident) Total() uint64 { return r.PaperMeta + r.WriteBuffers + r.FlushKits }
+// PaperMeta is the index layer's bytes: the three parts' sum.
+func (r Resident) PaperMeta() uint64 { return r.PBFGCache + r.GroupBuffers + r.SGMeta }
+
+// Total is the resident bytes: index layer, write buffers and kits.
+func (r Resident) Total() uint64 { return r.PaperMeta() + r.WriteBuffers + r.FlushKits }
 
 // Fields lists the ledger as stats rows.
 func (r Resident) Fields() []cachelib.Field {
 	return []cachelib.Field{
 		{Name: "resident_objects", Value: r.Objects},
-		{Name: "resident_paper_meta_bytes", Value: r.PaperMeta},
+		{Name: "resident_paper_meta_bytes", Value: r.PaperMeta()},
+		{Name: "resident_pbfg_cache_bytes", Value: r.PBFGCache},
+		{Name: "resident_group_buffer_bytes", Value: r.GroupBuffers},
+		{Name: "resident_sg_meta_bytes", Value: r.SGMeta},
 		{Name: "resident_model_meta_bytes", Value: r.ModelMeta},
 		{Name: "resident_write_buffer_bytes", Value: r.WriteBuffers},
 		{Name: "resident_flush_kit_bytes", Value: r.FlushKits},
@@ -231,11 +239,14 @@ func (c *Cache) residentOwn() (r Resident) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ic := c.icache
-	r.PaperMeta = uint64(len(ic.arena.slabs)*pageSlabPages*c.pageSize + len(c.fetchBuf) +
-		8*len(ic.keys) + 4*len(ic.vals) + 8*cap(ic.queue) + 4*c.metaAlloc.words +
-		len(c.sgAlloc.chunks)*(int(unsafe.Sizeof(sgChunk{}))+8*sgChunkSize*c.sgAlloc.zps))
+	r.PBFGCache = uint64(len(ic.arena.slabs)*pageSlabPages*ic.arena.slotSize + len(c.fetchBuf) +
+		8*len(ic.keys) + 4*len(ic.vals) + 8*cap(ic.queue))
+	r.SGMeta = uint64(len(c.sgAlloc.chunks) * (int(unsafe.Sizeof(sgChunk{})) + 8*sgChunkSize*c.sgAlloc.zps))
 	for _, g := range c.groups {
-		r.PaperMeta += uint64(cap(g.buf))
+		r.GroupBuffers += uint64(cap(g.buf))
+		for _, m := range g.members {
+			r.SGMeta += uint64(4 * cap(m.meta))
+		}
 	}
 	for _, sg := range c.pool {
 		r.Objects += uint64(sg.objCount)
@@ -253,27 +264,4 @@ func (c *Cache) residentOwn() (r Resident) {
 	}
 	r.ModelMeta = uint64(model * float64(r.Objects) / 8)
 	return r
-}
-
-// PoolLen returns the number of live on-flash SGs.
-func (c *Cache) PoolLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pool)
-}
-
-// MemObjects returns the number of objects currently buffered in memory,
-// including the sealed SG of an in-flight flush (its objects are still
-// served from memory until the flush commits).
-func (c *Cache) MemObjects() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, sg := range c.memq {
-		n += sg.objCount()
-	}
-	if c.sealed != nil {
-		n += c.sealed.mem.objCount()
-	}
-	return n
 }

@@ -332,10 +332,10 @@ func (c *Cache) flushOwner() error {
 	}
 
 	// ---- Phase 3: commit (locked) ----
-	// The SG's counts are final: carve its packed meta (counts, slot bases,
-	// hotness region) from the arena. Readers never probe an SG before this
-	// publish, so the prefix sums are always ready on the probe path.
-	c.carveMeta(sg, c.kit.counts)
+	// The SG's counts are final: make its packed meta (slot bases, hotness
+	// region). Readers never probe an SG before this publish, so the prefix
+	// sums are always ready on the probe path.
+	carveMeta(sg, c.kit.counts)
 	sg.fill = fill
 	zoneBytes := uint64(c.setsPerSG * c.pageSize)
 	c.stats.FlashBytesWritten += zoneBytes

@@ -396,7 +396,10 @@ func TestDegradedWindowAvailability(t *testing.T) {
 			t.Errorf("stats row %s = %d (present: %v), want the ledger's %d", f.Name, got, ok, f.Value)
 		}
 	}
-	if r.Total() == 0 || m["resident_total_bytes"] != r.PaperMeta+r.WriteBuffers+r.FlushKits {
-		t.Errorf("resident_total_bytes = %d, want the three parts' sum %d", m["resident_total_bytes"], r.PaperMeta+r.WriteBuffers+r.FlushKits)
+	if r.Total() == 0 || m["resident_total_bytes"] != r.PaperMeta()+r.WriteBuffers+r.FlushKits {
+		t.Errorf("resident_total_bytes = %d, want the three parts' sum %d", m["resident_total_bytes"], r.PaperMeta()+r.WriteBuffers+r.FlushKits)
+	}
+	if idx := r.PBFGCache + r.GroupBuffers + r.SGMeta; idx == 0 || m["resident_paper_meta_bytes"] != idx {
+		t.Errorf("resident_paper_meta_bytes = %d, want the index layer's three parts' sum %d", m["resident_paper_meta_bytes"], idx)
 	}
 }
