@@ -95,13 +95,14 @@
 // allocations the GC traverses in a handful of steps, regardless of how
 // many objects the cache holds:
 //
-//   - The PBFG index cache is a flat open-addressing table (packed
-//     (group,set) uint64 keys, ≤50% load, sized once at construction)
-//     whose values index slots carved from large []byte slabs, each slot
-//     the M filters a PBFG page carries, not the device page around them.
-//     There are no per-page allocations and no map[...]... anywhere on the
-//     hot path; FIFO eviction, the stale-queue compaction, and the
-//     lookup/miss counters behave exactly as the map-based layout did.
+//   - The PBFG index cache is addressed through the index groups: each
+//     sealed group keeps one slot number per set offset (-1 = not cached),
+//     so a lookup is one load, and the slot names a carve of a large []byte
+//     slab, the M filters a PBFG page carries, not the device page around
+//     them. The FIFO queue is pointer-free (group id, set) pairs that
+//     resolve through the dense, id-ordered group list, and a retiring
+//     group takes its pages and its queue entries with it. There are no
+//     per-page allocations and no map[...]... anywhere on the hot path.
 //   - flashSG structs live in fixed-size chunks. Each SG's per-set
 //     prefix-sum bases (a set's count is the difference of two) and its
 //     hotness bits pack into one exact-size []uint32 made at flush commit
@@ -119,7 +120,7 @@
 //     (writepath.go). An unsealed group's PBFG pages are one buffer, dropped
 //     whole when the group seals.
 //
-// Resident memory is index(objects) + Shards × InMemSGs × SG +
+// Resident memory is index(objects) + Shards × MemSGs × SG +
 // min(flushes in flight, max(1, Flushers)) × kit, with kit = spare SG +
 // window (1.16 MiB at 1 MiB zones); ResidentBytes sums it, split those three
 // ways beside what MemoryOverhead models for the same objects, with the

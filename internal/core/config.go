@@ -41,9 +41,6 @@ type Config struct {
 	// be a multiple of ZonesPerSG.
 	ZonesPerSG int
 
-	// InMemSGs is the number of buffered in-memory SGs (Table 3: 2).
-	InMemSGs int
-
 	// Flushers is the size of the background flusher pool backing SetAsync:
 	// full in-memory SGs are handed to this many
 	// goroutines instead of flushing inline on the inserting worker, which
@@ -88,8 +85,8 @@ type Config struct {
 	// of pool capacity has been written (Table 3: every 10% = 0.1).
 	CoolingWriteRatio float64
 
-	// BufferedSGs enables technique B (buffered in-memory SGs). When
-	// false, a single in-memory SG is used and there is no rear-full
+	// BufferedSGs enables technique B: two buffered in-memory SGs (Table 3).
+	// When false, a single in-memory SG is used and there is no rear-full
 	// trigger — the "naïve" flush-on-collision behaviour of Figure 17.
 	BufferedSGs bool
 
@@ -155,7 +152,6 @@ func DefaultConfig(dev device.Device, dataZones int) Config {
 		Device:            dev,
 		DataZones:         dataZones,
 		ZonesPerSG:        1,
-		InMemSGs:          2,
 		FlushThreshold:    pth,
 		RearFullRatio:     0.95,
 		SGsPerIndexGroup:  DefaultSGsPerIndexGroup,
@@ -168,6 +164,15 @@ func DefaultConfig(dev device.Device, dataZones int) Config {
 		DelayedFlush:      true,
 		Writeback:         true,
 	}
+}
+
+// MemSGs is the number of in-memory SGs a shard buffers: 2 with
+// BufferedSGs (Table 3), 1 without.
+func (c Config) MemSGs() int {
+	if c.BufferedSGs {
+		return 2
+	}
+	return 1
 }
 
 // IndexZonesFor returns the number of index-pool zones a shard reserves for a
@@ -209,9 +214,6 @@ func (c Config) validate(base int) error {
 	}
 	if c.DataZones%c.ZonesPerSG != 0 {
 		return fmt.Errorf("core: DataZones %d not a multiple of ZonesPerSG %d", c.DataZones, c.ZonesPerSG)
-	}
-	if c.InMemSGs < 1 {
-		return fmt.Errorf("core: InMemSGs %d must be at least 1", c.InMemSGs)
 	}
 	if c.FlushThreshold < 1 {
 		return fmt.Errorf("core: FlushThreshold %d must be at least 1", c.FlushThreshold)

@@ -114,7 +114,7 @@ func heapAlloc(dev *flashsim.Device) uint64 {
 //   - flush kits do not scale with shards: after the kits have been
 //     saturated the idle list holds exactly max(1, Flushers) of them at 4
 //     and at 8 shards, and the one a lone cache can ever use at 1;
-//   - the write buffers are Shards × InMemSGs × SG bytes;
+//   - the write buffers are Shards × MemSGs × SG bytes;
 //   - each index-layer term is its arithmetic (indexLedger);
 //   - the ledger adds up: its total is within 6% of the HeapAlloc growth
 //     since before NewSharded (the simulated device's zone memory, which
@@ -174,8 +174,8 @@ func TestResidentBytesLedger(t *testing.T) {
 			} else if kit != kitBytes {
 				t.Errorf("a kit is %d bytes at %d shards and %d at 1", kit, shards, kitBytes)
 			}
-			if want := uint64(shards*c.cfg.InMemSGs) * sg; r.WriteBuffers != want {
-				t.Errorf("write buffers hold %d bytes, want Shards × InMemSGs × SG = %d", r.WriteBuffers, want)
+			if want := uint64(shards*c.cfg.MemSGs()) * sg; r.WriteBuffers != want {
+				t.Errorf("write buffers hold %d bytes, want Shards × MemSGs × SG = %d", r.WriteBuffers, want)
 			}
 			if want := indexLedger(t, s); r.PBFGCache != want.PBFGCache || r.GroupBuffers != want.GroupBuffers || r.SGMeta != want.SGMeta {
 				t.Errorf("index ledger pbfg cache %d, group buffers %d, sg meta %d; want %d, %d, %d",
@@ -198,8 +198,8 @@ func TestResidentBytesLedger(t *testing.T) {
 }
 
 // indexLedger recomputes the index-layer terms of s's ledger from what each
-// shard holds: PBFG cache slots of pbfgBytes plus its table, queue and one
-// device page of fetch scratch; setsPerSG PBFG pages per unsealed group;
+// shard holds: PBFG cache slots of pbfgBytes plus its queue, a SetsPerSG
+// slot list per sealed group and one device page of fetch scratch; setsPerSG PBFG pages per unsealed group;
 // SG chunks plus, for every group member, a meta of nsets+1 prefix sums and
 // 2·⌈objCount/64⌉ hot words at its size-class capacity.
 func indexLedger(t *testing.T, s *Sharded) (r Resident) {
@@ -212,10 +212,12 @@ func indexLedger(t *testing.T, s *Sharded) (r Resident) {
 				t.Errorf("page slab %d is %d bytes, want %d slots of %d", i, len(slab), pageSlabPages, c.pbfgBytes)
 			}
 		}
-		r.PBFGCache += uint64(len(ic.arena.slabs)*pageSlabPages*c.pbfgBytes + c.pageSize + 12*len(ic.keys) + 8*cap(ic.queue))
+		r.PBFGCache += uint64(len(ic.arena.slabs)*pageSlabPages*c.pbfgBytes + c.pageSize + 8*cap(ic.queue))
 		r.SGMeta += uint64(len(c.sgAlloc.chunks)) * uint64(unsafe.Sizeof(sgChunk{})+8*sgChunkSize*uintptr(c.cfg.ZonesPerSG))
 		for _, g := range c.groups {
-			if !g.sealed {
+			if g.sealed {
+				r.PBFGCache += uint64(4 * c.setsPerSG)
+			} else {
 				r.GroupBuffers += uint64(c.setsPerSG * c.pbfgBytes)
 			}
 			for _, m := range g.members {

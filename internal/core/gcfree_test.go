@@ -21,11 +21,12 @@ import (
 
 // TestArenaFlatOverChurn is the arena leak test: after the pool reaches
 // steady state, further fill→evict→refill cycles must not grow any arena —
-// no new page slabs, no new SG chunks, no table growth — and the process
-// HeapObjects gauge must stay flat. A slot leaked per flush (the premature-
-// recycle bug class immediate recycling invites) shows up here as monotonic
-// slab or heap-object growth, and a meta kept past its SG's release as a
-// ledger that no longer matches what the group members hold.
+// no new page slabs, no new SG chunks — and the process HeapObjects gauge
+// must stay flat. A slot leaked per flush (the premature-recycle bug class
+// immediate recycling invites) shows up here as monotonic slab or
+// heap-object growth, a meta kept past its SG's release as a ledger that no
+// longer matches what the group members hold, and a queue entry a retiring
+// group left behind as a queue longer than the cached pages.
 func TestArenaFlatOverChurn(t *testing.T) {
 	c := testCache(t, nil)
 
@@ -48,14 +49,13 @@ func TestArenaFlatOverChurn(t *testing.T) {
 	}
 
 	type arenaShape struct {
-		pageSlabs, tableSize, sgChunks int
+		pageSlabs, sgChunks int
 	}
 	snap := func() arenaShape {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return arenaShape{
 			pageSlabs: len(c.icache.arena.slabs),
-			tableSize: len(c.icache.keys),
 			sgChunks:  len(c.sgAlloc.chunks),
 		}
 	}
@@ -72,10 +72,29 @@ func TestArenaFlatOverChurn(t *testing.T) {
 				t.Errorf("page slab of %d bytes, want %d slots of pbfgBytes %d", len(slab), pageSlabPages, c.pbfgBytes)
 			}
 		}
-		held := 0
+		// The queue holds exactly the cached pages, and names only groups
+		// still in the list.
+		ic := c.icache
+		if n := len(ic.queue) - ic.head; n != ic.count {
+			t.Errorf("index-cache queue holds %d entries for %d cached pages", n, ic.count)
+		}
+		held, slots := 0, 0
 		for _, g := range c.groups {
 			for _, m := range g.members {
 				held += 4 * cap(m.meta)
+			}
+			for _, s := range g.cached {
+				if s >= 0 {
+					slots++
+				}
+			}
+		}
+		if slots != ic.count {
+			t.Errorf("groups list %d cached slots, the index cache counts %d", slots, ic.count)
+		}
+		for _, k := range ic.queue[ic.head:] {
+			if groupAt(c.groups, int(k.group)) == nil {
+				t.Errorf("queue entry (%d,%d) names retired group", k.group, k.set)
 			}
 		}
 		for _, sg := range c.sgAlloc.free {

@@ -17,9 +17,10 @@ import (
 //     one backing array for its slots' zone lists. Retired structs are
 //     recycled when their index group is dropped.
 //   - pageArena (inside pbfgCache): cached PBFG pages are pbfgBytes-long
-//     slots of large slabs, indexed by a flat open-addressing table keyed by
-//     a packed (group,set) uint64. put copies the page bytes in; no per-page
-//     objects.
+//     slots of large slabs. Each sealed group lists the slot of every page it
+//     has cached, and the FIFO queue names pages by (group id, set), so
+//     neither holds a pointer; put copies the page bytes in, and there are no
+//     per-page objects.
 //   - meta: each SG's per-set metadata — slot-base prefix sums and the
 //     hotness bitmap — is ONE exact-size []uint32, made at flush commit (or
 //     restore), when the object count is known, and left to the GC when the
@@ -207,6 +208,19 @@ type idxGroup struct {
 	// phase may therefore read it, and builds its own member's filters in
 	// its flush kit, outside it.
 	buf []byte
+	// cached is the sealed group's index-cache entry: per set offset, the
+	// page-arena slot holding its cached PBFG page, or -1. Made at seal,
+	// released when the group retires (pbfgCache.dropGroup).
+	cached []int32
+}
+
+// groupAt resolves id through groups, the dense, id-ordered group list: nil
+// when no group in it has that id.
+func groupAt(groups []*idxGroup, id int) *idxGroup {
+	if len(groups) == 0 || id < groups[0].id || id-groups[0].id >= len(groups) {
+		return nil
+	}
+	return groups[id-groups[0].id]
 }
 
 // bufPage returns the unsealed group's PBFG page for set offset o.
@@ -222,21 +236,11 @@ func (c *Cache) mergeFilters(g *idxGroup, s int, bfs []byte) {
 	}
 }
 
-// pbfgKey identifies one PBFG page: the filters of intra-SG offset Set
-// across index group Group's SGs.
+// pbfgKey names one cached PBFG page in the FIFO queue: the filters of
+// intra-SG offset set across index group group's SGs. It holds no pointer;
+// the group resolves through the dense, id-ordered group list.
 type pbfgKey struct {
-	group int
-	set   int
-}
-
-// packed encodes the key for the flat table: (group+1)<<32 | set, so a zero
-// word is never a valid key (the table's empty sentinel).
-func (k pbfgKey) packed() uint64 {
-	return (uint64(k.group)+1)<<32 | uint64(uint32(k.set))
-}
-
-func unpackPBFG(p uint64) pbfgKey {
-	return pbfgKey{group: int(p>>32) - 1, set: int(uint32(p))}
+	group, set int32
 }
 
 // pageSlabPages is the page-arena allocation granularity.
@@ -279,234 +283,91 @@ func (a *pageArena) release(slot int32) {
 // pbfgCache is the FIFO in-memory index cache (§5.1: "The index cache is
 // FIFO-style, which reduces lock contention ... compared to LRU").
 //
-// Pages live in the arena; put copies the caller's page bytes into a slot,
-// and page slices handed out by get are valid only under the lock (slots
-// recycle on eviction — the concurrent read path tests them at plan time,
-// readpath.go). Lookup is a flat open-addressing table (linear
-// probing, backward-shift deletion, load ≤ ½) over packed keys: no map, no
-// per-page heap objects.
+// It is addressed through the groups: a sealed group's cached slot list
+// names the arena slot holding each cached page, so a lookup is one load.
+// put copies the caller's page bytes into a slot, and page slices handed out
+// by get are valid only under the lock (slots recycle on eviction — the
+// concurrent read path tests them at plan time, readpath.go). The queue
+// holds exactly the cached pages, oldest first: eviction pops its head, and
+// a retiring group takes its entries out with it (dropGroup).
 type pbfgCache struct {
-	capacity  int
-	setsPerSG int
+	capacity int
+	count    int
+	arena    pageArena
 
-	keys  []uint64 // packed keys; 0 = empty slot
-	vals  []int32  // arena slot per key
-	shift uint     // 64 - log2(len(keys))
-	count int
+	queue []pbfgKey // FIFO of the cached pages; eviction order
+	head  int       // index of the oldest entry within queue
 
-	arena pageArena
-
-	queue []uint64 // FIFO of packed keys; eviction order
-	head  int      // index of the oldest entry within queue
-
-	// droppedUpTo is the dead-group watermark: SG pools retire index
-	// groups strictly in id order (the pool is FIFO and ids are dense), so
-	// every group ≤ the watermark is dead and its queue entries can never
-	// be re-put. stale approximates how many such entries linger in the
-	// queue; compaction sweeps them once they dominate.
+	// droppedUpTo is the newest retired group's id (NEMO1 carries it):
+	// SG pools retire index groups strictly in id order.
 	droppedUpTo int
-	stale       int
-	queued      map[int]int // queue entries per group (for the stale count)
 
 	lookups uint64 // sealed-group PBFG queries
 	misses  uint64 // queries requiring a flash fetch
 }
 
-// newPBFGCache sizes the table for the capacity at ≤ 50% load, so it never
-// grows. slotSize fixes the arena slot size (put copies exactly that many
-// bytes); setsPerSG bounds the set offsets dropGroup probes.
-func newPBFGCache(capacity, slotSize, setsPerSG int) *pbfgCache {
-	if capacity < 0 {
-		capacity = 0
-	}
-	pc := &pbfgCache{
-		capacity:    capacity,
-		setsPerSG:   setsPerSG,
+// newPBFGCache makes an empty cache of capacity pages. slotSize fixes the
+// arena slot size (put copies exactly that many bytes).
+func newPBFGCache(capacity, slotSize int) *pbfgCache {
+	return &pbfgCache{
+		capacity:    max(capacity, 0),
 		arena:       pageArena{slotSize: slotSize},
-		queued:      make(map[int]int),
 		droppedUpTo: -1,
 	}
-	if capacity > 0 {
-		size := 8
-		for size < 2*capacity {
-			size <<= 1
-		}
-		pc.keys = make([]uint64, size)
-		pc.vals = make([]int32, size)
-		pc.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	}
-	return pc
 }
 
-func (pc *pbfgCache) slotOf(p uint64) int {
-	return int((p * 0x9E3779B97F4A7C15) >> pc.shift)
+// uncached is a sealed group's fresh slot list: n set offsets, none cached.
+func uncached(n int) []int32 { return slices.Repeat([]int32{-1}, n) }
+
+// get returns sealed group g's cached page for set o.
+func (pc *pbfgCache) get(g *idxGroup, o int) ([]byte, bool) {
+	if s := g.cached[o]; s >= 0 {
+		return pc.arena.page(s), true
+	}
+	return nil, false
 }
 
-// find returns the table index holding p, or the empty index its probe
-// chain ended at (ok=false).
-func (pc *pbfgCache) find(p uint64) (int, bool) {
-	if pc.capacity == 0 {
-		return 0, false
-	}
-	mask := len(pc.keys) - 1
-	for i := pc.slotOf(p); ; i = (i + 1) & mask {
-		switch pc.keys[i] {
-		case p:
-			return i, true
-		case 0:
-			return i, false
-		}
-	}
-}
-
-func (pc *pbfgCache) tableInsert(p uint64, slot int32) {
-	i, ok := pc.find(p)
-	if ok {
-		panic("pbfgCache: duplicate insert")
-	}
-	pc.keys[i] = p
-	pc.vals[i] = slot
-	pc.count++
-}
-
-// tableDel removes p, releasing its arena slot, and repairs the probe
-// chains by backward shifting (no tombstones, so the table never degrades).
-func (pc *pbfgCache) tableDel(p uint64) bool {
-	i, ok := pc.find(p)
-	if !ok {
-		return false
-	}
-	pc.arena.release(pc.vals[i])
-	mask := len(pc.keys) - 1
-	j := i
-	for {
-		pc.keys[j] = 0
-		k := j
-		for {
-			k = (k + 1) & mask
-			if pc.keys[k] == 0 {
-				pc.count--
-				return true
-			}
-			// The entry at k can fill the hole at j iff j lies on its
-			// probe path: its displacement from home reaches back to j.
-			if (k-pc.slotOf(pc.keys[k]))&mask >= (k-j)&mask {
-				break
-			}
-		}
-		pc.keys[j] = pc.keys[k]
-		pc.vals[j] = pc.vals[k]
-		j = k
-	}
-}
-
-func (pc *pbfgCache) has(k pbfgKey) bool {
-	_, ok := pc.find(k.packed())
-	return ok
-}
-
-func (pc *pbfgCache) get(k pbfgKey) ([]byte, bool) {
-	i, ok := pc.find(k.packed())
-	if !ok {
-		return nil, false
-	}
-	return pc.arena.page(pc.vals[i]), true
-}
-
-// put caches a copy of page's first slotSize bytes under k, evicting FIFO as
-// needed. A key already present is left untouched.
-func (pc *pbfgCache) put(k pbfgKey, page []byte) {
-	if pc.capacity == 0 {
-		return
-	}
-	p := k.packed()
-	if _, ok := pc.find(p); ok {
+// put caches a copy of page's first slotSize bytes as sealed group g's page
+// for set o, evicting FIFO as needed; groups is the live group list the
+// queue's entries resolve through. A page already cached is left untouched.
+func (pc *pbfgCache) put(groups []*idxGroup, g *idxGroup, o int, page []byte) {
+	if pc.capacity == 0 || g.cached[o] >= 0 {
 		return
 	}
 	for pc.count >= pc.capacity {
-		old := pc.queue[pc.head]
+		k := pc.queue[pc.head]
 		pc.head++
-		pc.popQueued(int(old>>32) - 1)
-		pc.tableDel(old)
+		old := groups[int(k.group)-groups[0].id]
+		pc.arena.release(old.cached[k.set])
+		old.cached[k.set] = -1
+		pc.count--
 		pc.maybeCompact()
 	}
 	slot := pc.arena.alloc()
 	copy(pc.arena.page(slot), page)
-	pc.tableInsert(p, slot)
-	pc.queue = append(pc.queue, p)
-	pc.queued[k.group]++
+	g.cached[o] = slot
+	pc.count++
+	pc.queue = append(pc.queue, pbfgKey{group: int32(g.id), set: int32(o)})
 }
 
-// insertRestored adds k without touching the FIFO queue (snapshot restore
-// rebuilds the queue separately) and returns the arena slot for the caller
-// to copy the page bytes into.
-func (pc *pbfgCache) insertRestored(k pbfgKey) []byte {
-	slot := pc.arena.alloc()
-	pc.tableInsert(k.packed(), slot)
-	return pc.arena.page(slot)
-}
-
-// forEachKey calls fn for every cached page key, in table order.
-func (pc *pbfgCache) forEachKey(fn func(k pbfgKey)) {
-	for _, p := range pc.keys {
-		if p != 0 {
-			fn(unpackPBFG(p))
+// dropGroup releases a retiring group's cached pages and filters its entries
+// out of the queue, in one pass over each.
+func (pc *pbfgCache) dropGroup(g *idxGroup) {
+	for _, s := range g.cached {
+		if s >= 0 {
+			pc.arena.release(s)
+			pc.count--
 		}
 	}
-}
-
-// popQueued retires one queue entry of the group from the stale accounting.
-func (pc *pbfgCache) popQueued(group int) {
-	if n, ok := pc.queued[group]; ok {
-		if n <= 1 {
-			delete(pc.queued, group)
-		} else {
-			pc.queued[group] = n - 1
-		}
-	}
-	if group <= pc.droppedUpTo && pc.stale > 0 {
-		pc.stale--
-	}
-}
-
-// dropGroup purges a dead group's pages — probing the table at each of the
-// group's possible set offsets, O(SetsPerSG) — and schedules the queue
-// entries it strands for compaction once they dominate the queue.
-func (pc *pbfgCache) dropGroup(group int) {
-	if pc.count > 0 {
-		base := (uint64(group) + 1) << 32
-		for s := 0; s < pc.setsPerSG; s++ {
-			pc.tableDel(base | uint64(s))
-		}
-	}
-	if group > pc.droppedUpTo {
-		pc.droppedUpTo = group
-	}
-	pc.stale += pc.queued[group]
-	delete(pc.queued, group)
-	pc.compactStale()
-}
-
-// compactStale rewrites the queue without dead-group leftovers once they
-// outnumber the live entries. Entries of live groups — including stale
-// duplicates from evict/re-put cycles — are preserved verbatim so the
-// eviction order of live pages is untouched; dead-group entries can never
-// be re-put (the group is gone from the group list), so removing them
-// changes no future eviction decision.
-func (pc *pbfgCache) compactStale() {
-	live := len(pc.queue) - pc.head - pc.stale
-	if pc.stale < 64 || pc.stale <= live {
-		return
-	}
+	g.cached = nil
+	pc.droppedUpTo = max(pc.droppedUpTo, g.id)
 	kept := pc.queue[:0]
-	for _, p := range pc.queue[pc.head:] {
-		if int(p>>32)-1 > pc.droppedUpTo {
-			kept = append(kept, p)
+	for _, k := range pc.queue[pc.head:] {
+		if int(k.group) != g.id {
+			kept = append(kept, k)
 		}
 	}
-	pc.queue = kept
-	pc.head = 0
-	pc.stale = 0
+	pc.queue, pc.head = kept, 0
 }
 
 func (pc *pbfgCache) maybeCompact() {
@@ -525,8 +386,7 @@ func (pc *pbfgCache) maybeCompact() {
 // A flash fetch lands in c.fetchBuf (mu-guarded scratch); the returned
 // slice, pbfgBytes long either way, is valid until the next fetchPBFG call.
 func (c *Cache) fetchPBFG(g *idxGroup, o int) ([]byte, error) {
-	k := pbfgKey{group: g.id, set: o}
-	if page, ok := c.icache.get(k); ok {
+	if page, ok := c.icache.get(g, o); ok {
 		return page, nil
 	}
 	if _, err := c.dev.ReadPage(c.pageAddrIn(g.zones, o), c.fetchBuf); err != nil {
@@ -535,7 +395,7 @@ func (c *Cache) fetchPBFG(g *idxGroup, o int) ([]byte, error) {
 	c.stats.FlashReadOps++
 	c.stats.FlashBytesRead += uint64(c.pageSize)
 	page := c.fetchBuf[:c.pbfgBytes]
-	c.icache.put(k, page)
+	c.icache.put(c.groups, g, o, page)
 	return page, nil
 }
 
@@ -589,7 +449,7 @@ func (c *Cache) pbfgResident(g *idxGroup, o int) bool {
 	if !g.sealed {
 		return true
 	}
-	return c.icache.has(pbfgKey{group: g.id, set: o})
+	return g.cached[o] >= 0
 }
 
 // releaseSG recycles a dead SG's struct, and drops its meta, once its group

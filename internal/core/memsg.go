@@ -6,7 +6,7 @@ import "nemo/internal/setblock"
 // aggregating incoming objects until flush (§4.1 "an SG begins as a mutable
 // in-memory structure"). The blocks are a value slice whose storage is
 // carved from one slab, so a memSG is four heap objects regardless of
-// SetsPerSG. A shard owns the InMemSGs in its memq; the rear a seal rotates
+// SetsPerSG. A shard owns the Config.MemSGs in its memq; the rear a seal rotates
 // in comes from the flush kit, where the flushed front replaces it.
 //
 // Absent before append: a set never holds two entries for one key. insert

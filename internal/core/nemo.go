@@ -140,9 +140,6 @@ func newShard(cfg Config, base int, kits *kitPool) (*Cache, error) {
 		return nil, fmt.Errorf("core: %d filters of %d bytes exceed the %d-byte PBFG page; lower SGsPerIndexGroup or BloomFPR",
 			cfg.SGsPerIndexGroup, bfBytes, dev.PageSize())
 	}
-	if !cfg.BufferedSGs {
-		cfg.InMemSGs = 1
-	}
 	if cfg.BreakerThreshold > 0 && cfg.BreakerProbeAfter == 0 {
 		cfg.BreakerProbeAfter = time.Second
 	}
@@ -165,7 +162,7 @@ func newShard(cfg Config, base int, kits *kitPool) (*Cache, error) {
 	c.getPool.New = func() any {
 		return &getScratch{probes: bloom.NewProbeSet(0, c.bfBits, c.bfK)}
 	}
-	for i := 0; i < cfg.InMemSGs; i++ {
+	for i := 0; i < cfg.MemSGs(); i++ {
 		c.memq = append(c.memq, newMemSG(c.setsPerSG, c.pageSize))
 	}
 	for z := base + cfg.DataZones - 1; z >= base; z-- {
@@ -178,7 +175,7 @@ func newShard(cfg Config, base int, kits *kitPool) (*Cache, error) {
 	dataSGs := cfg.DataZones / cfg.ZonesPerSG
 	maxGroups := (dataSGs + cfg.SGsPerIndexGroup - 1) / cfg.SGsPerIndexGroup
 	capacity := int(cfg.CachedPBFGRatio * float64((maxGroups+1)*c.setsPerSG))
-	c.icache = newPBFGCache(capacity, c.pbfgBytes, c.setsPerSG)
+	c.icache = newPBFGCache(capacity, c.pbfgBytes)
 	return c, nil
 }
 

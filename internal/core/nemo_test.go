@@ -370,7 +370,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Device = nil },
 		func(c *Config) { c.DataZones = 1 },
 		func(c *Config) { c.DataZones = 100 },
-		func(c *Config) { c.InMemSGs = 0 },
 		func(c *Config) { c.FlushThreshold = 0 },
 		func(c *Config) { c.BloomFPR = 0 },
 		func(c *Config) { c.BloomFPR = 1.5 },
@@ -399,8 +398,8 @@ func TestRejectOversizedObject(t *testing.T) {
 func TestTable3Defaults(t *testing.T) {
 	dev := flashsim.New(flashsim.Config{})
 	cfg := DefaultConfig(dev, 32)
-	if cfg.InMemSGs != 2 {
-		t.Fatalf("InMemSGs = %d, Table 3 says 2", cfg.InMemSGs)
+	if cfg.MemSGs() != 2 {
+		t.Fatalf("MemSGs() = %d, Table 3 says 2", cfg.MemSGs())
 	}
 	if cfg.SGsPerIndexGroup != 50 {
 		t.Fatalf("SGsPerIndexGroup = %d, Table 3 says 50", cfg.SGsPerIndexGroup)

@@ -82,14 +82,14 @@ func TestPropertyNeverStale(t *testing.T) {
 // TestPropertyWAInvariant: across random configurations, flash data bytes
 // written equal SGsFlushed × SG size, and PaperWA ≥ 1.
 func TestPropertyWAInvariant(t *testing.T) {
-	f := func(seed int64, pthRaw uint8, memSGsRaw uint8) bool {
+	f := func(seed int64, pthRaw uint8, buffered bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 8, Zones: 14})
 		cfg := DefaultConfig(dev, 8)
 		cfg.SGsPerIndexGroup = 3
 		cfg.TargetObjsPerSet = 8
 		cfg.FlushThreshold = int(pthRaw)%64 + 1
-		cfg.InMemSGs = int(memSGsRaw)%3 + 1
+		cfg.BufferedSGs = buffered
 		c, err := newBare(cfg)
 		if err != nil {
 			t.Fatal(err)

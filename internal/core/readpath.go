@@ -85,7 +85,8 @@ type probeEnt struct {
 // copies the bytes into the cache's page arena, so the buffer recycles into
 // the scratch pool immediately after.
 type pendFetch struct {
-	key   pbfgKey
+	g     *idxGroup
+	set   int
 	addr  int
 	page  []byte
 	done  time.Duration
@@ -268,15 +269,15 @@ func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner
 	// This fetch only consults the index cache and never fails, so neither
 	// can the walk.
 	_ = c.walkCandidates(o, sc.probes, 0, func(g *idxGroup, o int) ([]byte, error) {
-		k := pbfgKey{group: g.id, set: o}
 		c.icache.lookups++
-		page, ok := c.icache.get(k)
+		page, ok := c.icache.get(g, o)
 		if !ok {
-			if pend = sc.findPend(k); pend < 0 {
+			if pend = sc.findPend(g, o); pend < 0 {
 				c.icache.misses++
 				pend = int32(len(sc.pends))
 				sc.pends = append(sc.pends, pendFetch{
-					key:   k,
+					g:     g,
+					set:   o,
 					addr:  c.pageAddrIn(g.zones, o),
 					owner: owner,
 				})
@@ -297,13 +298,13 @@ func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner
 	att.entHi = int32(len(sc.ents))
 }
 
-// findPend reports an already-planned fetch for k (batch deduplication: a
-// page missed by an earlier key of the same batch will be in cache by the
-// time a serial execution reached this key, so the later key charges a
-// lookup but no miss and shares the fetched page).
-func (sc *getScratch) findPend(k pbfgKey) int32 {
+// findPend reports an already-planned fetch of g's page for set o (batch
+// deduplication: a page missed by an earlier key of the same batch will be
+// in cache by the time a serial execution reached this key, so the later key
+// charges a lookup but no miss and shares the fetched page).
+func (sc *getScratch) findPend(g *idxGroup, o int) int32 {
 	for i := range sc.pends {
-		if sc.pends[i].key == k {
+		if p := &sc.pends[i]; p.g == g && p.set == o {
 			return int32(i)
 		}
 	}
@@ -465,7 +466,7 @@ func (c *Cache) commitGetLocked(att *getAttempt, r *getIOResult) {
 func (c *Cache) publishPendsLocked(sc *getScratch) {
 	for i := range sc.pends {
 		if p := &sc.pends[i]; p.page != nil {
-			c.icache.put(p.key, p.page)
+			c.icache.put(c.groups, p.g, p.set, p.page)
 			sc.freePages = append(sc.freePages, p.page)
 			p.page = nil
 		}

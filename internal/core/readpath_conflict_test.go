@@ -21,7 +21,7 @@ func coldPBFGPages(c *Cache, key []byte) int {
 	o := c.setOf(hashing.Fingerprint(key))
 	cold := 0
 	for _, g := range sealedLiveGroups(c) {
-		if !c.icache.has(pbfgKey{group: g.id, set: o}) {
+		if g.cached[o] < 0 {
 			cold++
 		}
 	}
@@ -244,7 +244,7 @@ func TestGetManySharedFetchFailureContract(t *testing.T) {
 				break
 			}
 		}
-		if sharers == nil || c.icache.has(pbfgKey{group: g.id, set: o}) {
+		if sharers == nil || g.cached[o] >= 0 {
 			t.Fatal("no k flash keys share an uncached PBFG page")
 		}
 		pageAddr := c.pageAddrIn(g.zones, o)
@@ -293,7 +293,7 @@ func TestGetManySharedFetchFailureContract(t *testing.T) {
 		if attempts != 2 {
 			t.Errorf("page attempted %d times in all, want 2 (the failure was not cached)", attempts)
 		}
-		if !c.icache.has(pbfgKey{group: g.id, set: o}) {
+		if g.cached[o] < 0 {
 			t.Error("healed fetch was not published to the index cache")
 		}
 	})

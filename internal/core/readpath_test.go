@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -303,60 +304,67 @@ func TestConcurrentGetStress(t *testing.T) {
 	}
 }
 
-// TestPBFGCacheDropGroupIndexed pins the per-group page index: dropGroup
-// removes exactly the dead group's pages in O(pages-in-group), leaves live
-// groups untouched, and the stranded queue entries are compacted away once
-// they dominate.
+// TestPBFGCacheDropGroupIndexed pins the group-addressed index cache:
+// dropGroup(g) releases exactly the retiring group's pages and takes its
+// queue entries with it, live groups keep theirs, and eviction pops the
+// oldest page, resolving its group through the group list.
 func TestPBFGCacheDropGroupIndexed(t *testing.T) {
-	pc := newPBFGCache(256, 8, 100)
-	for g := 0; g < 2; g++ {
-		for s := 0; s < 100; s++ {
-			pc.put(pbfgKey{group: g, set: s}, []byte{byte(g), byte(s)})
+	const sets = 100
+	sealed := func(id int) *idxGroup {
+		return &idxGroup{id: id, sealed: true, cached: uncached(sets)}
+	}
+	groups := []*idxGroup{sealed(0), sealed(1)}
+	pc := newPBFGCache(256, 8)
+	for _, g := range groups {
+		for o := 0; o < sets; o++ {
+			pc.put(groups, g, o, []byte{byte(g.id), byte(o)})
 		}
 	}
-	if pc.count != 200 || pc.queued[0] != 100 || pc.queued[1] != 100 {
-		t.Fatalf("setup: %d pages, queued %d/%d", pc.count, pc.queued[0], pc.queued[1])
+	if pc.count != 2*sets || len(pc.queue)-pc.head != 2*sets {
+		t.Fatalf("setup: %d pages, %d queue entries", pc.count, len(pc.queue)-pc.head)
 	}
 
-	pc.dropGroup(0)
-	if _, ok := pc.queued[0]; ok {
-		t.Fatal("dropGroup left the group's queue accounting behind")
+	dead := groups[0]
+	pc.dropGroup(dead)
+	groups = groups[1:]
+	if dead.cached != nil || pc.droppedUpTo != 0 {
+		t.Fatalf("dropGroup kept the slot list (%v) or watermark %d", dead.cached != nil, pc.droppedUpTo)
 	}
-	for s := 0; s < 100; s++ {
-		if pc.has(pbfgKey{group: 0, set: s}) {
-			t.Fatalf("dead page (0,%d) survived dropGroup", s)
+	if pc.count != sets || len(pc.queue)-pc.head != sets {
+		t.Fatalf("after dropGroup: %d pages, %d queue entries, want %d of each", pc.count, len(pc.queue)-pc.head, sets)
+	}
+	for _, k := range pc.queue[pc.head:] {
+		if k.group == 0 {
+			t.Fatalf("queue entry (0,%d) outlived its group", k.set)
 		}
-		if !pc.has(pbfgKey{group: 1, set: s}) {
-			t.Fatalf("live page (1,%d) lost by dropGroup", s)
+	}
+	if n := len(pc.arena.free); n != len(pc.arena.slabs)*pageSlabPages-sets {
+		t.Fatalf("%d free arena slots, want the dead group's %d returned", n, sets)
+	}
+	for o := 0; o < sets; o++ {
+		page, ok := pc.get(groups[0], o)
+		if !ok || page[0] != 1 || page[1] != byte(o) {
+			t.Fatalf("live page (1,%d) lost or corrupted by dropGroup: %v", o, page)
 		}
 	}
-	// 100 dead entries vs 100 live: not yet dominant, queue keeps them.
-	if pc.stale == 0 {
-		t.Fatal("no stale accounting after dropGroup")
-	}
 
-	pc.dropGroup(1)
-	// Now every entry is dead and stale ≥ 64: the queue must compact.
-	if got := len(pc.queue) - pc.head; got != 0 {
-		t.Fatalf("queue holds %d entries after all groups died", got)
-	}
-	if pc.stale != 0 || pc.count != 0 {
-		t.Fatalf("compaction left stale=%d pages=%d", pc.stale, pc.count)
-	}
-
-	// Re-put for a new group still works and evicts in FIFO order.
-	small := newPBFGCache(2, 8, 2)
-	small.put(pbfgKey{group: 5, set: 0}, []byte{1})
-	small.put(pbfgKey{group: 5, set: 1}, []byte{2})
-	small.put(pbfgKey{group: 6, set: 0}, []byte{3})
-	if small.has(pbfgKey{group: 5, set: 0}) {
+	// FIFO eviction pops the oldest page, across groups.
+	small := newPBFGCache(2, 8)
+	groups = []*idxGroup{sealed(5), sealed(6)}
+	small.put(groups, groups[0], 0, []byte{1})
+	small.put(groups, groups[0], 1, []byte{2})
+	small.put(groups, groups[1], 0, []byte{3})
+	if _, ok := small.get(groups[0], 0); ok {
 		t.Fatal("FIFO eviction skipped the oldest page")
 	}
-	if !small.has(pbfgKey{group: 5, set: 1}) || !small.has(pbfgKey{group: 6, set: 0}) {
+	if _, ok := small.get(groups[0], 1); !ok {
 		t.Fatal("eviction dropped the wrong page")
 	}
-	if small.queued[5] != 1 {
-		t.Fatalf("queue accounting not maintained through eviction: %v", small.queued)
+	if page, ok := small.get(groups[1], 0); !ok || page[0] != 3 {
+		t.Fatal("the new page was not cached")
+	}
+	if want := []pbfgKey{{5, 1}, {6, 0}}; !slices.Equal(small.queue[small.head:], want) {
+		t.Fatalf("queue %v, want %v", small.queue[small.head:], want)
 	}
 }
 

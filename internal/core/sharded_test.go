@@ -18,7 +18,6 @@ func shardedGeom(t *testing.T, n, perData int) (*flashsim.Device, Config) {
 	t.Helper()
 	base := Config{
 		ZonesPerSG:        1,
-		InMemSGs:          2,
 		FlushThreshold:    8,
 		RearFullRatio:     0.95,
 		SGsPerIndexGroup:  4,

@@ -22,7 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"sort"
+	"math"
 
 	"nemo/internal/bloom"
 	"nemo/internal/cachelib"
@@ -32,15 +32,16 @@ import (
 
 // configStamp reduces a Config to the snapshot's ConfigStamp: the fields
 // that shape on-flash layout or checkpointed state, with the same
-// normalizations the constructors apply (Shards and, without BufferedSGs,
-// InMemSGs collapse to 1). Its ZoneOffset slot stays 0: the facade always
-// lays its shards out from zone 0, so NEMO1 images keep their bytes.
+// normalizations the constructors apply (Shards collapses to 1). Its
+// InMemSGs slot carries the derived Config.MemSGs, and its ZoneOffset slot
+// stays 0 (the facade always lays its shards out from zone 0), so NEMO1
+// images keep their bytes.
 func configStamp(cfg Config) snapshot.ConfigStamp {
 	st := snapshot.ConfigStamp{
 		DataZones:         cfg.DataZones,
 		Shards:            cfg.Shards,
 		ZonesPerSG:        cfg.ZonesPerSG,
-		InMemSGs:          cfg.InMemSGs,
+		InMemSGs:          cfg.MemSGs(),
 		FlushThreshold:    cfg.FlushThreshold,
 		RearFullRatio:     cfg.RearFullRatio,
 		SGsPerIndexGroup:  cfg.SGsPerIndexGroup,
@@ -55,9 +56,6 @@ func configStamp(cfg Config) snapshot.ConfigStamp {
 	}
 	if st.Shards < 1 {
 		st.Shards = 1
-	}
-	if !st.BufferedSGs {
-		st.InMemSGs = 1
 	}
 	return st
 }
@@ -156,6 +154,13 @@ func (c *Cache) captureLocked() snapshot.Shard {
 			sg.SlotBF = append(sg.SlotBF, bf)
 		}
 		sh.Groups = append(sh.Groups, sg)
+		// Groups run in id order, so the page list comes out sorted by
+		// (group, set): canonical, as the snapshot must be.
+		for o, slot := range g.cached {
+			if slot >= 0 {
+				sh.ICPages = append(sh.ICPages, snapshot.PBFGRef{Group: g.id, Set: o})
+			}
+		}
 	}
 	for _, m := range c.memq {
 		ms := snapshot.MemSG{
@@ -169,23 +174,9 @@ func (c *Cache) captureLocked() snapshot.Shard {
 		}
 		sh.MemQ = append(sh.MemQ, ms)
 	}
-	for _, p := range c.icache.queue[c.icache.head:] {
-		k := unpackPBFG(p)
-		sh.ICQueue = append(sh.ICQueue, snapshot.PBFGRef{Group: k.group, Set: k.set})
+	for _, k := range c.icache.queue[c.icache.head:] {
+		sh.ICQueue = append(sh.ICQueue, snapshot.PBFGRef{Group: int(k.group), Set: int(k.set)})
 	}
-	c.icache.forEachKey(func(k pbfgKey) {
-		sh.ICPages = append(sh.ICPages, snapshot.PBFGRef{Group: k.group, Set: k.set})
-	})
-	// Map iteration is random; the snapshot is canonical, so order the page
-	// list deterministically (restore order does not matter — pages have no
-	// order in the live cache either).
-	sort.Slice(sh.ICPages, func(i, j int) bool {
-		a, b := sh.ICPages[i], sh.ICPages[j]
-		if a.Group != b.Group {
-			return a.Group < b.Group
-		}
-		return a.Set < b.Set
-	})
 	for _, rec := range c.flushLog {
 		sh.FlushLog = append(sh.FlushLog, snapshot.FlushRec{
 			Fill:     rec.Fill,
@@ -301,6 +292,9 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 	if sh.SacCount < 0 || sh.NextGroup < 0 || sh.ICDroppedUpTo < -1 {
 		return nil, cfgErr("negative epoch counters")
 	}
+	if sh.NextGroup > math.MaxInt32 {
+		return nil, cfgErr("group id %d overflows the index-cache queue", sh.NextGroup)
+	}
 	if len(sh.FlushLog) > maxFlushLog {
 		return nil, cfgErr("flush log of %d exceeds the %d cap", len(sh.FlushLog), maxFlushLog)
 	}
@@ -326,8 +320,8 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 	}()
 
 	// In-memory SG queue: parse every set's page image back into a block.
-	if len(sh.MemQ) != cfg.InMemSGs {
-		return nil, cfgErr("%d buffered SGs for InMemSGs=%d", len(sh.MemQ), cfg.InMemSGs)
+	if len(sh.MemQ) != cfg.MemSGs() {
+		return nil, cfgErr("%d buffered SGs, want %d", len(sh.MemQ), cfg.MemSGs())
 	}
 	for i := range sh.MemQ {
 		ms := &sh.MemQ[i]
@@ -348,17 +342,19 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 		st.memq = append(st.memq, m)
 	}
 
-	// Index groups and their member SGs. All but the last group must be
-	// sealed (groups seal in creation order); SG ids must strictly increase
-	// in traversal order (dense except where a failed flush burned an id).
-	groupByID := make(map[int]*idxGroup, len(sh.Groups))
+	// Index groups and their member SGs. Group ids run densely up to
+	// NextGroup-1 (the index cache resolves ids by offset into the list, and
+	// the next group created must extend the run), and all but the last group
+	// must be sealed (groups seal in creation order); SG ids must strictly
+	// increase in traversal order (dense except where a failed flush burned
+	// an id).
 	prevGroupID := -1
 	var prevSGID uint64
 	haveSG := false
 	for gi := range sh.Groups {
 		sg := &sh.Groups[gi]
-		if sg.ID <= prevGroupID || sg.ID >= sh.NextGroup {
-			return nil, cfgErr("group id %d out of order (prev %d, next %d)", sg.ID, prevGroupID, sh.NextGroup)
+		if sg.ID < 0 || (gi > 0 && sg.ID != prevGroupID+1) || (gi == len(sh.Groups)-1 && sg.ID != sh.NextGroup-1) {
+			return nil, cfgErr("group id %d breaks the dense run after %d up to next %d", sg.ID, prevGroupID, sh.NextGroup)
 		}
 		prevGroupID = sg.ID
 		if !sg.Sealed && gi != len(sh.Groups)-1 {
@@ -380,6 +376,7 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 				return nil, cfgErr("sealed group %d still carries filter buffers", sg.ID)
 			}
 			g.zones = append([]int(nil), sg.Zones...)
+			g.cached = uncached(c.setsPerSG)
 		} else {
 			if len(sg.Members) >= cfg.SGsPerIndexGroup {
 				return nil, cfgErr("unsealed group %d has %d members, limit %d", sg.ID, len(sg.Members), cfg.SGsPerIndexGroup)
@@ -461,7 +458,6 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 			return nil, cfgErr("group %d live count %d does not match members (%d live)", sg.ID, sg.LiveCount, live)
 		}
 		st.groups = append(st.groups, g)
-		groupByID[g.id] = g
 	}
 
 	// Zone partitioning: the free lists and the live SGs / sealed groups
@@ -507,45 +503,28 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 		}
 	}
 
-	// PBFG index cache: the FIFO queue restores verbatim; cached pages are
-	// re-read from the (validated identical) index zones, so the snapshot
-	// never stores index bytes it would then have to trust.
-	ic := newPBFGCache(c.icache.capacity, c.pbfgBytes, c.setsPerSG)
+	// PBFG index cache: cached pages are re-read from the (validated
+	// identical) index zones, so the snapshot never stores index bytes it
+	// would then have to trust. The FIFO queue restores in order, minus the
+	// entries of groups retired before the checkpoint, which images written
+	// before retiring groups took their entries with them still carry; every
+	// other entry must name a cached page, and every cached page must be
+	// queued exactly once.
+	ic := newPBFGCache(c.icache.capacity, c.pbfgBytes)
 	ic.lookups, ic.misses = sh.ICLookups, sh.ICMisses
 	ic.droppedUpTo = sh.ICDroppedUpTo
-	if ic.capacity == 0 && (len(sh.ICQueue) != 0 || len(sh.ICPages) != 0) {
-		return nil, cfgErr("index-cache entries with zero capacity")
-	}
 	if len(sh.ICPages) > ic.capacity {
 		return nil, cfgErr("%d cached PBFG pages exceed capacity %d", len(sh.ICPages), ic.capacity)
 	}
-	queued := make(map[snapshot.PBFGRef]int, len(sh.ICQueue))
-	for _, ref := range sh.ICQueue {
-		if ref.Set < 0 || ref.Set >= c.setsPerSG {
-			return nil, cfgErr("index-cache set offset %d out of range", ref.Set)
-		}
-		if ref.Group > ic.droppedUpTo {
-			g := groupByID[ref.Group]
-			if g == nil || !g.sealed {
-				return nil, cfgErr("index-cache queue names unknown or unsealed group %d", ref.Group)
-			}
-			ic.queued[ref.Group]++
-		} else {
-			ic.stale++
-		}
-		queued[ref]++
-		ic.queue = append(ic.queue, pbfgKey{group: ref.Group, set: ref.Set}.packed())
-	}
 	for _, ref := range sh.ICPages {
-		g := groupByID[ref.Group]
+		g := groupAt(st.groups, ref.Group)
 		if g == nil || !g.sealed || ref.Group <= ic.droppedUpTo {
 			return nil, cfgErr("cached PBFG page for retired group %d", ref.Group)
 		}
-		if queued[ref] == 0 {
-			return nil, cfgErr("cached PBFG page (%d,%d) absent from the FIFO queue", ref.Group, ref.Set)
+		if ref.Set < 0 || ref.Set >= c.setsPerSG {
+			return nil, cfgErr("cached PBFG page set offset %d out of range", ref.Set)
 		}
-		k := pbfgKey{group: ref.Group, set: ref.Set}
-		if ic.has(k) {
+		if g.cached[ref.Set] >= 0 {
 			return nil, cfgErr("duplicate cached PBFG page (%d,%d)", ref.Group, ref.Set)
 		}
 		// The device page lands in the fetch scratch and its pbfgBytes are
@@ -554,7 +533,28 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 		if _, err := c.dev.ReadPage(c.pageAddrIn(g.zones, ref.Set), c.fetchBuf); err != nil {
 			return nil, fmt.Errorf("core: re-reading PBFG page (%d,%d): %w", ref.Group, ref.Set, err)
 		}
-		copy(ic.insertRestored(k), c.fetchBuf)
+		slot := ic.arena.alloc()
+		copy(ic.arena.page(slot), c.fetchBuf)
+		g.cached[ref.Set] = slot
+		ic.count++
+	}
+	queued := make(map[snapshot.PBFGRef]bool, len(sh.ICQueue))
+	for _, ref := range sh.ICQueue {
+		if ref.Group <= ic.droppedUpTo {
+			continue
+		}
+		g := groupAt(st.groups, ref.Group)
+		if g == nil || !g.sealed || ref.Set < 0 || ref.Set >= c.setsPerSG || g.cached[ref.Set] < 0 {
+			return nil, cfgErr("index-cache queue entry (%d,%d) names no cached page", ref.Group, ref.Set)
+		}
+		if queued[ref] {
+			return nil, cfgErr("index-cache queue names (%d,%d) twice", ref.Group, ref.Set)
+		}
+		queued[ref] = true
+		ic.queue = append(ic.queue, pbfgKey{group: int32(ref.Group), set: int32(ref.Set)})
+	}
+	if len(ic.queue) != ic.count {
+		return nil, cfgErr("index-cache queue of %d entries for %d cached pages", len(ic.queue), ic.count)
 	}
 	st.icache = ic
 

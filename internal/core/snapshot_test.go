@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nemo/internal/cachelib"
@@ -278,6 +279,128 @@ func TestUnshardedCheckpointRestore(t *testing.T) {
 	}
 	if st := c2.Stats(); st.Sets != 1 {
 		t.Fatalf("stats not restored: %+v", st)
+	}
+}
+
+// TestRestoreIndexCacheRows mutates the group list and the index-cache
+// sections of a valid checkpoint, saves it, and restores it. Restore
+// resolves group ids by offset into the group list, so every crafted row
+// must be refused with ErrConfig, never an out-of-range index: a group id
+// gap, before the last group or after it, a queue entry naming no cached
+// page, a page queued twice or never,
+// a set offset out of range. Queue entries of groups retired before the
+// checkpoint, which older images still carry, are skipped and restore.
+func TestRestoreIndexCacheRows(t *testing.T) {
+	dev := devtest.Backends()[0].New(t, snapGeometry(1))
+	dir := t.TempDir()
+	valid := filepath.Join(dir, "valid.snap")
+	c, err := NewSharded(snapConfig(dev, 1, 0, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	applySnapTrace(t, c, snapTrace(25000), false)
+	if err := c.Checkpoint(valid); err != nil {
+		t.Fatal(err)
+	}
+	setsPerSG := c.shards[0].setsPerSG
+	f, err := snapshot.Load(valid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := &f.Shards[0]
+	if len(sh.Groups) < 2 || len(sh.ICPages) == 0 || sh.ICDroppedUpTo < 0 {
+		t.Fatalf("checkpoint too thin for the table: %d groups, %d cached pages, dropped up to %d",
+			len(sh.Groups), len(sh.ICPages), sh.ICDroppedUpTo)
+	}
+	// uncachedRef is a sealed group's set with no cached page.
+	uncachedRef := func(sh *snapshot.Shard) snapshot.PBFGRef {
+		cached := make(map[snapshot.PBFGRef]bool)
+		for _, ref := range sh.ICPages {
+			cached[ref] = true
+		}
+		for _, g := range sh.Groups {
+			for o := 0; g.Sealed && o < setsPerSG; o++ {
+				if ref := (snapshot.PBFGRef{Group: g.ID, Set: o}); !cached[ref] {
+					return ref
+				}
+			}
+		}
+		t.Fatal("every sealed set is cached")
+		return snapshot.PBFGRef{}
+	}
+
+	rows := []struct {
+		name   string
+		mutate func(sh *snapshot.Shard)
+		want   string // "" = must restore
+	}{
+		{"group id gap", func(sh *snapshot.Shard) {
+			sh.Groups[len(sh.Groups)-1].ID++
+			sh.NextGroup++
+		}, "dense run"},
+		{"next group id past a gap", func(sh *snapshot.Shard) {
+			sh.NextGroup++
+		}, "dense run"},
+		{"queue entry without a page", func(sh *snapshot.Shard) {
+			sh.ICQueue = append(sh.ICQueue, uncachedRef(sh))
+		}, "names no cached page"},
+		{"queue entry for an unknown group", func(sh *snapshot.Shard) {
+			sh.ICQueue = append(sh.ICQueue, snapshot.PBFGRef{Group: sh.NextGroup + 7})
+		}, "names no cached page"},
+		{"duplicate queue entry", func(sh *snapshot.Shard) {
+			sh.ICQueue = append(sh.ICQueue, sh.ICQueue[len(sh.ICQueue)-1])
+		}, "twice"},
+		{"page without a queue entry", func(sh *snapshot.Shard) {
+			sh.ICQueue = sh.ICQueue[:len(sh.ICQueue)-1]
+		}, "entries for"},
+		{"page set out of range", func(sh *snapshot.Shard) {
+			sh.ICPages[len(sh.ICPages)-1].Set = setsPerSG
+		}, "out of range"},
+		{"queue set out of range", func(sh *snapshot.Shard) {
+			sh.ICQueue[len(sh.ICQueue)-1].Set = -1
+		}, "names no cached page"},
+		{"retired group's queue entries", func(sh *snapshot.Shard) {
+			dead := []snapshot.PBFGRef{{Group: sh.ICDroppedUpTo, Set: 0}, {Group: sh.ICDroppedUpTo, Set: 0}}
+			sh.ICQueue = append(dead, sh.ICQueue...)
+		}, ""},
+	}
+	for i, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			f, err := snapshot.Load(valid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row.mutate(&f.Shards[0])
+			path := filepath.Join(dir, fmt.Sprintf("row%d.snap", i))
+			if err := snapshot.Save(path, f); err != nil {
+				t.Fatal(err)
+			}
+			warm, err := NewSharded(snapConfig(dev, 1, 0, path))
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, rerr := warm.RestoreOutcome()
+			if row.want != "" {
+				if restored || !errors.Is(rerr, snapshot.ErrConfig) || !strings.Contains(rerr.Error(), row.want) {
+					t.Fatalf("restored=%v err=%v, want ErrConfig naming %q", restored, rerr, row.want)
+				}
+				return
+			}
+			if !restored {
+				t.Fatalf("restore refused: %v", rerr)
+			}
+			// The skipped entries are gone: re-checkpointing yields the
+			// valid image.
+			again := filepath.Join(dir, "again.snap")
+			if err := warm.Checkpoint(again); err != nil {
+				t.Fatal(err)
+			}
+			b1, _ := os.ReadFile(valid)
+			b2, _ := os.ReadFile(again)
+			if !bytes.Equal(b1, b2) {
+				t.Fatal("re-checkpoint of the restored image differs from the valid one")
+			}
+		})
 	}
 }
 
@@ -564,9 +687,10 @@ func TestSnapshotMirrorsEngineTypes(t *testing.T) {
 			map[string]bool{"Device": true, "Flushers": true, "SnapshotPath": true,
 				"BreakerThreshold": true, "BreakerProbeAfter": true,
 				"WriteRetries": true, "RetryBackoff": true},
-			// ZoneOffset is a retired slot the stamp keeps, always 0, so
-			// NEMO1 images keep their bytes.
-			map[string]bool{"ZoneOffset": true}},
+			// ZoneOffset is a retired slot the stamp keeps, always 0, and
+			// InMemSGs carries the derived Config.MemSGs, so NEMO1 images
+			// keep their bytes.
+			map[string]bool{"ZoneOffset": true, "InMemSGs": true}},
 		// Skipped Stats fields are ephemeral device-health accounting
 		// (health.go): a restarted process starts with a closed breaker and
 		// zero retry history by design, so they are deliberately not

@@ -368,6 +368,7 @@ func (c *Cache) flushOwner() error {
 		g.zones = idxZones
 		g.sealed = true
 		g.buf = nil // buffer released; filters now live in the index pool
+		g.cached = uncached(c.setsPerSG)
 	} else {
 		// The one new piece of locked work: readers test the group buffer
 		// under this lock, so the member's column can only land under it.
@@ -449,7 +450,7 @@ func (c *Cache) abortEvictLocked(ev *evictPlan) {
 	}
 	c.stats.Evictions += uint64(ev.victim.objCount)
 	if ev.retired != nil {
-		c.icache.dropGroup(ev.retired.id)
+		c.icache.dropGroup(ev.retired)
 		c.dropDeadGroups()
 	}
 }
@@ -472,7 +473,7 @@ func (c *Cache) evictLocked(ev *evictPlan, dst *memSG) error {
 	finish := func(err error) error {
 		c.stats.Evictions += uint64(victim.objCount - resolved)
 		if ev.retired != nil {
-			c.icache.dropGroup(ev.retired.id)
+			c.icache.dropGroup(ev.retired)
 			c.dropDeadGroups()
 		}
 		return err

@@ -18,7 +18,7 @@ func runTab3(o Options) (Report, error) {
 	t.row("sets per SG", count(dev.PagesPerZone()), text("275,712; scaled with zone size"))
 	t.row("PBFG false-positive rate", pct("%.3f", cfg.BloomFPR), text("0.1%"))
 	t.row("#SGs : #index groups", num("%.0f:1", float64(cfg.SGsPerIndexGroup)), text("50:1"))
-	t.row("in-memory SGs", count(cfg.InMemSGs), text("2"))
+	t.row("in-memory SGs", count(cfg.MemSGs()), text("2"))
 	t.row("flushing threshold p_th", count(cfg.FlushThreshold), text("4,096; count-based, scaled with SG size"))
 	t.row("cached PBFG ratio", pct("%.0f", cfg.CachedPBFGRatio), text("50%"))
 	t.row("hotness tracking covers the last", pct("%.0f", cfg.HotTrackTailRatio), text("30% of the cache"))
