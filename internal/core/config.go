@@ -193,14 +193,11 @@ func DeviceZonesFor(dataZones, shards int) int {
 }
 
 // IndexZones returns the index-pool reservation for this configuration:
-// each index group occupies one SG worth of zones.
+// each index group occupies one SG worth of zones. validate checks
+// ZonesPerSG before it asks.
 func (c Config) IndexZones() int {
-	zps := c.ZonesPerSG
-	if zps < 1 {
-		zps = 1
-	}
-	dataSGs := c.DataZones / zps
-	return ((dataSGs+c.SGsPerIndexGroup-1)/c.SGsPerIndexGroup + 2) * zps
+	dataSGs := c.DataZones / c.ZonesPerSG
+	return ((dataSGs+c.SGsPerIndexGroup-1)/c.SGsPerIndexGroup + 2) * c.ZonesPerSG
 }
 
 // validate checks a shard's derived Config for the shard whose zones start

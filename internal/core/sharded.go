@@ -70,10 +70,6 @@ func NewSharded(cfg Config) (*Sharded, error) {
 	if cfg.Flushers < 0 {
 		return nil, fmt.Errorf("core: Flushers %d must be non-negative", cfg.Flushers)
 	}
-	zps := cfg.ZonesPerSG
-	if zps < 1 {
-		zps = 1
-	}
 	if cfg.DataZones%n != 0 {
 		return nil, fmt.Errorf("core: DataZones %d not divisible by %d shards", cfg.DataZones, n)
 	}
@@ -85,9 +81,6 @@ func NewSharded(cfg Config) (*Sharded, error) {
 		return nil, fmt.Errorf("core: device allows %d open zones but %d shards may each hold one open", limit, n)
 	}
 	perData := cfg.DataZones / n
-	if perData < 2*zps {
-		return nil, fmt.Errorf("core: %d data zones per shard cannot hold 2 SGs of %d zones", perData, zps)
-	}
 	s := &Sharded{shards: make([]*Cache, n), cfg: cfg, kits: &kitPool{keep: max(1, cfg.Flushers)}}
 	engines := make([]cachelib.Engine, n)
 	base := 0

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"unsafe"
 )
 
 const (
@@ -33,164 +34,303 @@ const (
 	secFooter   = 8
 )
 
-// shardSections lists the per-shard section kinds in order.
-var shardSections = [...]uint32{secMeta, secFree, secGroups, secMemQ, secICache, secFlushLog}
-
-// writer accumulates little-endian primitives.
-type writer struct{ b []byte }
-
-func (w *writer) u16(v uint16)  { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
-func (w *writer) u32(v uint32)  { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *writer) u64(v uint64)  { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *writer) i64(v int)     { w.u64(uint64(int64(v))) }
-func (w *writer) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *writer) boolean(v bool) {
-	if v {
-		w.b = append(w.b, 1)
-	} else {
-		w.b = append(w.b, 0)
-	}
-}
-func (w *writer) blob(p []byte) {
-	w.u32(uint32(len(p)))
-	w.b = append(w.b, p...)
-}
-func (w *writer) ints(s []int) {
-	w.u32(uint32(len(s)))
-	for _, v := range s {
-		w.i64(v)
-	}
+// Each NEMO1 section is written down once, as a walk over a two-way coder
+// that Encode and Decode both run; the header, section framing, CRCs and
+// footer stay hand-written. shardSections lists the per-shard walks in order.
+var shardSections = [...]struct {
+	kind uint32
+	walk func(*coder, *Shard)
+}{
+	{secMeta, walkMeta},
+	{secFree, walkFree},
+	{secGroups, walkGroups},
+	{secMemQ, walkMemQ},
+	{secICache, walkICache},
+	{secFlushLog, walkFlushLog},
 }
 
-// reader consumes little-endian primitives with a sticky error: after the
-// first defect every getter returns a zero value and the error survives to
-// the caller's final check. Defects inside a CRC-valid section payload are
-// ErrCorrupt — the bytes are intact, their content is not a valid encoding.
-type reader struct {
+// coder walks one section payload field by field, in either direction. With
+// enc set it appends each field to b. Otherwise it consumes each field from
+// b with a sticky error: after the first defect every later field keeps its
+// zero value and the error survives to done. Defects inside a CRC-valid
+// section payload are ErrCorrupt — the bytes are intact, their content is
+// not a valid encoding.
+type coder struct {
+	enc bool
 	b   []byte
 	off int
 	err error
 }
 
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
+func (c *coder) take(n int) []byte {
+	if c.err != nil {
 		return nil
 	}
-	if n < 0 || len(r.b)-r.off < n {
-		r.err = ErrCorrupt
+	if n < 0 || len(c.b)-c.off < n {
+		c.err = ErrCorrupt
 		return nil
 	}
-	s := r.b[r.off : r.off+n]
-	r.off += n
+	s := c.b[c.off : c.off+n]
+	c.off += n
 	return s
 }
 
-func (r *reader) u16() uint16 {
-	s := r.take(2)
-	if s == nil {
+func (c *coder) u16(v *uint16) {
+	if c.enc {
+		c.b = binary.LittleEndian.AppendUint16(c.b, *v)
+	} else if s := c.take(2); s != nil {
+		*v = binary.LittleEndian.Uint16(s)
+	}
+}
+
+func (c *coder) u32(v *uint32) {
+	if c.enc {
+		c.b = binary.LittleEndian.AppendUint32(c.b, *v)
+	} else if s := c.take(4); s != nil {
+		*v = binary.LittleEndian.Uint32(s)
+	}
+}
+
+func (c *coder) u64(v *uint64) {
+	if c.enc {
+		c.b = binary.LittleEndian.AppendUint64(c.b, *v)
+	} else if s := c.take(8); s != nil {
+		*v = binary.LittleEndian.Uint64(s)
+	}
+}
+
+func (c *coder) i64(v *int) {
+	u := uint64(int64(*v))
+	c.u64(&u)
+	*v = int(int64(u))
+}
+
+func (c *coder) f64(v *float64) {
+	u := math.Float64bits(*v)
+	c.u64(&u)
+	*v = math.Float64frombits(u)
+}
+
+// boolean walks one 0/1 byte; any other byte decodes as ErrCorrupt.
+func (c *coder) boolean(v *bool) {
+	if c.enc {
+		var x byte
+		if *v {
+			x = 1
+		}
+		c.b = append(c.b, x)
+	} else if s := c.take(1); s != nil {
+		switch s[0] {
+		case 0, 1:
+			*v = s[0] == 1
+		default:
+			c.err = ErrCorrupt
+		}
+	}
+}
+
+// count walks the element count of a list of length n (0 on decode, where
+// the destination starts empty). A decoded count is bounded by the bytes
+// remaining at min bytes per element, so a corrupt count can never drive a
+// huge allocation.
+func (c *coder) count(n, min int) int {
+	u := uint32(n)
+	c.u32(&u)
+	if !c.enc && int(u) > (len(c.b)-c.off)/min {
+		c.err = ErrCorrupt
 		return 0
 	}
-	return binary.LittleEndian.Uint16(s)
+	return int(u)
 }
 
-func (r *reader) u32() uint32 {
-	s := r.take(4)
-	if s == nil {
-		return 0
+// list walks a count-prefixed list, each element through elem; min is the
+// fewest bytes one element encodes to. A decoded empty list is nil. Decoding
+// sizes the list from its count only when an element is no larger in memory
+// than min, so the bounded count bounds the allocation; others grow by append.
+func list[T any](c *coder, s *[]T, min int, elem func(*coder, *T)) {
+	n := c.count(len(*s), min)
+	if c.enc {
+		for i := range *s {
+			elem(c, &(*s)[i])
+		}
+		return
 	}
-	return binary.LittleEndian.Uint32(s)
+	var zero T
+	if n > 0 && unsafe.Sizeof(zero) <= uintptr(min) {
+		*s = make([]T, 0, n)
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		*s = append(*s, zero)
+		elem(c, &(*s)[i])
+	}
 }
 
-func (r *reader) u64() uint64 {
-	s := r.take(8)
-	if s == nil {
-		return 0
+// blob walks a length-prefixed byte string (decoded as a copy; nil when
+// empty).
+func (c *coder) blob(p *[]byte) {
+	n := c.count(len(*p), 1)
+	if c.enc {
+		c.b = append(c.b, *p...)
+	} else {
+		*p = append([]byte(nil), c.take(n)...)
 	}
-	return binary.LittleEndian.Uint64(s)
 }
 
-func (r *reader) i64() int     { return int(int64(r.u64())) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *reader) boolean() bool {
-	s := r.take(1)
-	if s == nil {
-		return false
-	}
-	switch s[0] {
-	case 0:
-		return false
-	case 1:
-		return true
-	}
-	r.err = ErrCorrupt
-	return false
-}
-
-// count reads an element count and bounds it by the bytes remaining (min
-// bytes per element), so corrupt counts can never drive huge allocations.
-func (r *reader) count(min int) int {
-	n := int(r.u32())
-	if r.err != nil {
-		return 0
-	}
-	if min > 0 && n > (len(r.b)-r.off)/min {
-		r.err = ErrCorrupt
-		return 0
-	}
-	return n
-}
-
-// blob reads a length-prefixed byte slice (copied; nil when empty).
-func (r *reader) blob() []byte {
-	n := r.count(1)
-	return append([]byte(nil), r.take(n)...)
-}
-
-// ints reads a length-prefixed []int (nil when empty).
-func (r *reader) ints() []int {
-	n := r.count(8)
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = r.i64()
-	}
-	return out
-}
+func (c *coder) ints(s *[]int) { list(c, s, 8, (*coder).i64) }
 
 // done reports the payload fully and cleanly consumed; anything else is the
 // sticky error (or ErrCorrupt for slack bytes — canonical encodings leave
 // none).
-func (r *reader) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.b) {
+func (c *coder) done() error {
+	if c.err == nil && c.off != len(c.b) {
 		return ErrCorrupt
 	}
-	return nil
+	return c.err
+}
+
+// section appends a kind section whose payload is what walk appends.
+func (c *coder) section(kind uint32, walk func(*coder)) {
+	start := len(c.b)
+	c.b = append(c.b, make([]byte, sectionHdrSize)...)
+	walk(c)
+	payload := c.b[start+sectionHdrSize:]
+	binary.LittleEndian.PutUint32(c.b[start:], kind)
+	binary.LittleEndian.PutUint32(c.b[start+4:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(c.b[start+8:], crc32.ChecksumIEEE(payload))
+}
+
+func walkConfig(c *coder, s *ConfigStamp) {
+	c.i64(&s.DataZones)
+	c.i64(&s.Shards)
+	c.i64(&s.ZoneOffset)
+	c.i64(&s.ZonesPerSG)
+	c.i64(&s.InMemSGs)
+	c.i64(&s.FlushThreshold)
+	c.f64(&s.RearFullRatio)
+	c.i64(&s.SGsPerIndexGroup)
+	c.f64(&s.BloomFPR)
+	c.i64(&s.TargetObjsPerSet)
+	c.f64(&s.CachedPBFGRatio)
+	c.f64(&s.HotTrackTailRatio)
+	c.f64(&s.CoolingWriteRatio)
+	c.boolean(&s.BufferedSGs)
+	c.boolean(&s.DelayedFlush)
+	c.boolean(&s.Writeback)
+}
+
+func walkMeta(c *coder, s *Shard) {
+	c.u64(&s.NextSGID)
+	c.i64(&s.NextGroup)
+	c.i64(&s.SacCount)
+	c.u64(&s.BytesSinceCool)
+	c.u64(&s.ICLookups)
+	c.u64(&s.ICMisses)
+	c.i64(&s.ICDroppedUpTo)
+	c.u64(&s.Stats.Gets)
+	c.u64(&s.Stats.Hits)
+	c.u64(&s.Stats.Sets)
+	c.u64(&s.Stats.Deletes)
+	c.u64(&s.Stats.LogicalBytes)
+	c.u64(&s.Stats.FlashBytesWritten)
+	c.u64(&s.Stats.DeviceBytesWritten)
+	c.u64(&s.Stats.FlashBytesRead)
+	c.u64(&s.Stats.FlashReadOps)
+	c.u64(&s.Stats.ReadErrors)
+	c.u64(&s.Stats.WriteErrors)
+	c.u64(&s.Stats.Evictions)
+	c.u64(&s.Extra.SGsFlushed)
+	c.f64(&s.Extra.FillSum)
+	c.u64(&s.Extra.NewBytes)
+	c.u64(&s.Extra.WriteBackBytes)
+	c.u64(&s.Extra.WriteBackObjs)
+	c.u64(&s.Extra.Sacrificed)
+	c.u64(&s.Extra.DataBytesWritten)
+	c.u64(&s.Extra.IndexBytesWritten)
+	c.u64(&s.Extra.FalsePositiveReads)
+	c.u64(&s.Extra.CoolingRuns)
+	c.u64(&s.Extra.FlushRecordsDropped)
+}
+
+func walkFree(c *coder, s *Shard) {
+	c.ints(&s.FreeDataZones)
+	c.ints(&s.FreeIndexZones)
+}
+
+func walkGroups(c *coder, s *Shard) { list(c, &s.Groups, 1, walkGroup) }
+
+func walkGroup(c *coder, g *Group) {
+	c.i64(&g.ID)
+	c.boolean(&g.Sealed)
+	c.i64(&g.LiveCount)
+	c.ints(&g.Zones)
+	list(c, &g.Members, 1, walkSG)
+	list(c, &g.SlotBF, 4, (*coder).blob)
+}
+
+func walkSG(c *coder, m *SG) {
+	c.u64(&m.ID)
+	c.i64(&m.Slot)
+	c.boolean(&m.Dead)
+	c.i64(&m.ObjCount)
+	c.f64(&m.Fill)
+	c.ints(&m.Zones)
+	list(c, &m.SetCounts, 2, (*coder).u16)
+	// A present bitmap decodes non-nil even when empty: core allocates it
+	// lazily, so nil and empty are different states.
+	present := m.Bits != nil
+	c.boolean(&present)
+	if present {
+		list(c, &m.Bits, 8, (*coder).u64)
+		if m.Bits == nil {
+			m.Bits = []uint64{}
+		}
+	}
+}
+
+func walkMemQ(c *coder, s *Shard) { list(c, &s.MemQ, 1, walkMemSG) }
+
+func walkMemSG(c *coder, m *MemSG) {
+	c.u64(&m.NewBytes)
+	c.u64(&m.WBBytes)
+	c.i64(&m.NewObjs)
+	c.i64(&m.WBObjs)
+	list(c, &m.Sets, 4, (*coder).blob)
+}
+
+func walkICache(c *coder, s *Shard) {
+	list(c, &s.ICQueue, 16, walkRef)
+	list(c, &s.ICPages, 16, walkRef)
+}
+
+func walkRef(c *coder, r *PBFGRef) {
+	c.i64(&r.Group)
+	c.i64(&r.Set)
+}
+
+func walkFlushLog(c *coder, s *Shard) { list(c, &s.FlushLog, 40, walkFlushRec) }
+
+func walkFlushRec(c *coder, r *FlushRec) {
+	c.f64(&r.Fill)
+	c.i64(&r.NewObjs)
+	c.i64(&r.WBObjs)
+	c.u64(&r.NewBytes)
+	c.u64(&r.WBBytes)
 }
 
 // Encode serializes f into a complete NEMO1 image. The encoding is
 // canonical: Decode of the result yields a File that re-encodes to the
 // identical bytes.
 func Encode(f *File) []byte {
-	w := &writer{b: make([]byte, headerSize)}
-	appendSection(w, secConfig, encodeConfig(&f.Config))
+	c := &coder{enc: true, b: make([]byte, headerSize)}
+	c.section(secConfig, func(c *coder) { walkConfig(c, &f.Config) })
 	for i := range f.Shards {
-		s := &f.Shards[i]
-		appendSection(w, secMeta, encodeMeta(s))
-		appendSection(w, secFree, encodeFree(s))
-		appendSection(w, secGroups, encodeGroups(s))
-		appendSection(w, secMemQ, encodeMemQ(s))
-		appendSection(w, secICache, encodeICache(s))
-		appendSection(w, secFlushLog, encodeFlushLog(s))
+		for _, sec := range shardSections {
+			c.section(sec.kind, func(c *coder) { sec.walk(c, &f.Shards[i]) })
+		}
 	}
 	// Header, now that the total length (body + 16-byte footer section) is
 	// known — the footer CRC covers the finalized header too.
-	h := w.b[:headerSize]
+	h := c.b[:headerSize]
 	copy(h, magic)
 	binary.LittleEndian.PutUint32(h[8:], Version)
 	binary.LittleEndian.PutUint32(h[12:], uint32(f.PageSize))
@@ -199,311 +339,10 @@ func Encode(f *File) []byte {
 	binary.LittleEndian.PutUint64(h[24:], f.Boot)
 	binary.LittleEndian.PutUint64(h[32:], f.Writes)
 	binary.LittleEndian.PutUint32(h[40:], uint32(len(f.Shards)))
-	binary.LittleEndian.PutUint64(h[44:], uint64(len(w.b)+sectionHdrSize+4))
-	var footer writer
-	footer.u32(crc32.ChecksumIEEE(w.b))
-	appendSection(w, secFooter, footer.b)
-	return w.b
-}
-
-func appendSection(w *writer, kind uint32, payload []byte) {
-	w.u32(kind)
-	w.u32(uint32(len(payload)))
-	w.u32(crc32.ChecksumIEEE(payload))
-	w.b = append(w.b, payload...)
-}
-
-func encodeConfig(c *ConfigStamp) []byte {
-	var w writer
-	w.i64(c.DataZones)
-	w.i64(c.Shards)
-	w.i64(c.ZoneOffset)
-	w.i64(c.ZonesPerSG)
-	w.i64(c.InMemSGs)
-	w.i64(c.FlushThreshold)
-	w.f64(c.RearFullRatio)
-	w.i64(c.SGsPerIndexGroup)
-	w.f64(c.BloomFPR)
-	w.i64(c.TargetObjsPerSet)
-	w.f64(c.CachedPBFGRatio)
-	w.f64(c.HotTrackTailRatio)
-	w.f64(c.CoolingWriteRatio)
-	w.boolean(c.BufferedSGs)
-	w.boolean(c.DelayedFlush)
-	w.boolean(c.Writeback)
-	return w.b
-}
-
-func decodeConfig(b []byte) (ConfigStamp, error) {
-	r := &reader{b: b}
-	c := ConfigStamp{
-		DataZones:         r.i64(),
-		Shards:            r.i64(),
-		ZoneOffset:        r.i64(),
-		ZonesPerSG:        r.i64(),
-		InMemSGs:          r.i64(),
-		FlushThreshold:    r.i64(),
-		RearFullRatio:     r.f64(),
-		SGsPerIndexGroup:  r.i64(),
-		BloomFPR:          r.f64(),
-		TargetObjsPerSet:  r.i64(),
-		CachedPBFGRatio:   r.f64(),
-		HotTrackTailRatio: r.f64(),
-		CoolingWriteRatio: r.f64(),
-		BufferedSGs:       r.boolean(),
-		DelayedFlush:      r.boolean(),
-		Writeback:         r.boolean(),
-	}
-	return c, r.done()
-}
-
-func encodeMeta(s *Shard) []byte {
-	var w writer
-	w.u64(s.NextSGID)
-	w.i64(s.NextGroup)
-	w.i64(s.SacCount)
-	w.u64(s.BytesSinceCool)
-	w.u64(s.ICLookups)
-	w.u64(s.ICMisses)
-	w.i64(s.ICDroppedUpTo)
-	c := &s.Stats
-	for _, v := range [...]uint64{c.Gets, c.Hits, c.Sets, c.Deletes,
-		c.LogicalBytes, c.FlashBytesWritten, c.DeviceBytesWritten,
-		c.FlashBytesRead, c.FlashReadOps, c.ReadErrors, c.WriteErrors,
-		c.Evictions} {
-		w.u64(v)
-	}
-	e := &s.Extra
-	w.u64(e.SGsFlushed)
-	w.f64(e.FillSum)
-	for _, v := range [...]uint64{e.NewBytes, e.WriteBackBytes,
-		e.WriteBackObjs, e.Sacrificed, e.DataBytesWritten,
-		e.IndexBytesWritten, e.FalsePositiveReads, e.CoolingRuns,
-		e.FlushRecordsDropped} {
-		w.u64(v)
-	}
-	return w.b
-}
-
-func decodeMeta(b []byte, s *Shard) error {
-	r := &reader{b: b}
-	s.NextSGID = r.u64()
-	s.NextGroup = r.i64()
-	s.SacCount = r.i64()
-	s.BytesSinceCool = r.u64()
-	s.ICLookups = r.u64()
-	s.ICMisses = r.u64()
-	s.ICDroppedUpTo = r.i64()
-	s.Stats = Counters{
-		Gets: r.u64(), Hits: r.u64(), Sets: r.u64(), Deletes: r.u64(),
-		LogicalBytes: r.u64(), FlashBytesWritten: r.u64(),
-		DeviceBytesWritten: r.u64(), FlashBytesRead: r.u64(),
-		FlashReadOps: r.u64(), ReadErrors: r.u64(), WriteErrors: r.u64(),
-		Evictions: r.u64(),
-	}
-	s.Extra = Extra{SGsFlushed: r.u64(), FillSum: r.f64()}
-	s.Extra.NewBytes = r.u64()
-	s.Extra.WriteBackBytes = r.u64()
-	s.Extra.WriteBackObjs = r.u64()
-	s.Extra.Sacrificed = r.u64()
-	s.Extra.DataBytesWritten = r.u64()
-	s.Extra.IndexBytesWritten = r.u64()
-	s.Extra.FalsePositiveReads = r.u64()
-	s.Extra.CoolingRuns = r.u64()
-	s.Extra.FlushRecordsDropped = r.u64()
-	return r.done()
-}
-
-func encodeFree(s *Shard) []byte {
-	var w writer
-	w.ints(s.FreeDataZones)
-	w.ints(s.FreeIndexZones)
-	return w.b
-}
-
-func decodeFree(b []byte, s *Shard) error {
-	r := &reader{b: b}
-	s.FreeDataZones = r.ints()
-	s.FreeIndexZones = r.ints()
-	return r.done()
-}
-
-func encodeGroups(s *Shard) []byte {
-	var w writer
-	w.u32(uint32(len(s.Groups)))
-	for gi := range s.Groups {
-		g := &s.Groups[gi]
-		w.i64(g.ID)
-		w.boolean(g.Sealed)
-		w.i64(g.LiveCount)
-		w.ints(g.Zones)
-		w.u32(uint32(len(g.Members)))
-		for mi := range g.Members {
-			m := &g.Members[mi]
-			w.u64(m.ID)
-			w.i64(m.Slot)
-			w.boolean(m.Dead)
-			w.i64(m.ObjCount)
-			w.f64(m.Fill)
-			w.ints(m.Zones)
-			w.u32(uint32(len(m.SetCounts)))
-			for _, c := range m.SetCounts {
-				w.u16(c)
-			}
-			w.boolean(m.Bits != nil)
-			if m.Bits != nil {
-				w.u32(uint32(len(m.Bits)))
-				for _, word := range m.Bits {
-					w.u64(word)
-				}
-			}
-		}
-		w.u32(uint32(len(g.SlotBF)))
-		for _, bf := range g.SlotBF {
-			w.blob(bf)
-		}
-	}
-	return w.b
-}
-
-func decodeGroups(b []byte, s *Shard) error {
-	r := &reader{b: b}
-	ng := r.count(1)
-	for gi := 0; gi < ng && r.err == nil; gi++ {
-		var g Group
-		g.ID = r.i64()
-		g.Sealed = r.boolean()
-		g.LiveCount = r.i64()
-		g.Zones = r.ints()
-		nm := r.count(1)
-		for mi := 0; mi < nm && r.err == nil; mi++ {
-			var m SG
-			m.ID = r.u64()
-			m.Slot = r.i64()
-			m.Dead = r.boolean()
-			m.ObjCount = r.i64()
-			m.Fill = r.f64()
-			m.Zones = r.ints()
-			if nc := r.count(2); nc > 0 {
-				m.SetCounts = make([]uint16, nc)
-				for i := range m.SetCounts {
-					m.SetCounts[i] = r.u16()
-				}
-			}
-			if r.boolean() {
-				nb := r.count(8)
-				m.Bits = make([]uint64, nb)
-				for i := range m.Bits {
-					m.Bits[i] = r.u64()
-				}
-			}
-			g.Members = append(g.Members, m)
-		}
-		nbf := r.count(4)
-		for i := 0; i < nbf && r.err == nil; i++ {
-			g.SlotBF = append(g.SlotBF, r.blob())
-		}
-		s.Groups = append(s.Groups, g)
-	}
-	return r.done()
-}
-
-func encodeMemQ(s *Shard) []byte {
-	var w writer
-	w.u32(uint32(len(s.MemQ)))
-	for i := range s.MemQ {
-		m := &s.MemQ[i]
-		w.u64(m.NewBytes)
-		w.u64(m.WBBytes)
-		w.i64(m.NewObjs)
-		w.i64(m.WBObjs)
-		w.u32(uint32(len(m.Sets)))
-		for _, set := range m.Sets {
-			w.blob(set)
-		}
-	}
-	return w.b
-}
-
-func decodeMemQ(b []byte, s *Shard) error {
-	r := &reader{b: b}
-	n := r.count(1)
-	for i := 0; i < n && r.err == nil; i++ {
-		var m MemSG
-		m.NewBytes = r.u64()
-		m.WBBytes = r.u64()
-		m.NewObjs = r.i64()
-		m.WBObjs = r.i64()
-		ns := r.count(4)
-		for j := 0; j < ns && r.err == nil; j++ {
-			m.Sets = append(m.Sets, r.blob())
-		}
-		s.MemQ = append(s.MemQ, m)
-	}
-	return r.done()
-}
-
-func encodeRefs(w *writer, refs []PBFGRef) {
-	w.u32(uint32(len(refs)))
-	for _, ref := range refs {
-		w.i64(ref.Group)
-		w.i64(ref.Set)
-	}
-}
-
-func decodeRefs(r *reader) []PBFGRef {
-	n := r.count(16)
-	if n == 0 {
-		return nil
-	}
-	out := make([]PBFGRef, n)
-	for i := range out {
-		out[i] = PBFGRef{Group: r.i64(), Set: r.i64()}
-	}
-	return out
-}
-
-func encodeICache(s *Shard) []byte {
-	var w writer
-	encodeRefs(&w, s.ICQueue)
-	encodeRefs(&w, s.ICPages)
-	return w.b
-}
-
-func decodeICache(b []byte, s *Shard) error {
-	r := &reader{b: b}
-	s.ICQueue = decodeRefs(r)
-	s.ICPages = decodeRefs(r)
-	return r.done()
-}
-
-func encodeFlushLog(s *Shard) []byte {
-	var w writer
-	w.u32(uint32(len(s.FlushLog)))
-	for i := range s.FlushLog {
-		rec := &s.FlushLog[i]
-		w.f64(rec.Fill)
-		w.i64(rec.NewObjs)
-		w.i64(rec.WBObjs)
-		w.u64(rec.NewBytes)
-		w.u64(rec.WBBytes)
-	}
-	return w.b
-}
-
-func decodeFlushLog(b []byte, s *Shard) error {
-	r := &reader{b: b}
-	n := r.count(40)
-	for i := 0; i < n && r.err == nil; i++ {
-		s.FlushLog = append(s.FlushLog, FlushRec{
-			Fill:     r.f64(),
-			NewObjs:  r.i64(),
-			WBObjs:   r.i64(),
-			NewBytes: r.u64(),
-			WBBytes:  r.u64(),
-		})
-	}
-	return r.done()
+	binary.LittleEndian.PutUint64(h[44:], uint64(len(c.b)+sectionHdrSize+4))
+	sum := crc32.ChecksumIEEE(c.b)
+	c.section(secFooter, func(c *coder) { c.u32(&sum) })
+	return c.b
 }
 
 // Decode parses a complete NEMO1 image, validating structure exhaustively:
@@ -545,76 +384,67 @@ func Decode(b []byte) (*File, error) {
 	}
 
 	off := headerSize
-	next := func(kind uint32) ([]byte, error) {
-		if len(b)-off < sectionHdrSize {
-			return nil, fmt.Errorf("%w: image ends inside a section header", ErrTruncated)
+	// next frames the section at off, requires it to be kind with an intact
+	// payload, and walks that payload, which must be consumed exactly.
+	next := func(kind uint32, walk func(*coder)) error {
+		k, sum, payload, err := sectionAt(b, off)
+		switch {
+		case err != nil:
+			return err
+		case k != kind:
+			return fmt.Errorf("%w: section kind %d where %d was required", ErrCorrupt, k, kind)
+		case crc32.ChecksumIEEE(payload) != sum:
+			return fmt.Errorf("%w: section %d", ErrChecksum, kind)
 		}
-		k := binary.LittleEndian.Uint32(b[off:])
-		n := int(binary.LittleEndian.Uint32(b[off+4:]))
-		sum := binary.LittleEndian.Uint32(b[off+8:])
-		if k != kind {
-			return nil, fmt.Errorf("%w: section kind %d where %d was required", ErrCorrupt, k, kind)
+		off += sectionHdrSize + len(payload)
+		c := &coder{b: payload}
+		walk(c)
+		if err := c.done(); err != nil {
+			return fmt.Errorf("section %d: %w", kind, err)
 		}
-		if n < 0 || len(b)-off-sectionHdrSize < n {
-			return nil, fmt.Errorf("%w: section %d payload overruns the image", ErrTruncated, kind)
-		}
-		payload := b[off+sectionHdrSize : off+sectionHdrSize+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, fmt.Errorf("%w: section %d", ErrChecksum, kind)
-		}
-		off += sectionHdrSize + n
-		return payload, nil
+		return nil
 	}
 
-	payload, err := next(secConfig)
-	if err != nil {
+	if err := next(secConfig, func(c *coder) { walkConfig(c, &f.Config) }); err != nil {
 		return nil, err
-	}
-	if f.Config, err = decodeConfig(payload); err != nil {
-		return nil, fmt.Errorf("config section: %w", err)
 	}
 	for i := uint32(0); i < shardCount; i++ {
-		var s Shard
-		for _, kind := range shardSections {
-			payload, err := next(kind)
-			if err != nil {
-				return nil, err
-			}
-			switch kind {
-			case secMeta:
-				err = decodeMeta(payload, &s)
-			case secFree:
-				err = decodeFree(payload, &s)
-			case secGroups:
-				err = decodeGroups(payload, &s)
-			case secMemQ:
-				err = decodeMemQ(payload, &s)
-			case secICache:
-				err = decodeICache(payload, &s)
-			case secFlushLog:
-				err = decodeFlushLog(payload, &s)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("shard %d section %d: %w", i, kind, err)
+		f.Shards = append(f.Shards, Shard{})
+		s := &f.Shards[i]
+		for _, sec := range shardSections {
+			if err := next(sec.kind, func(c *coder) { sec.walk(c, s) }); err != nil {
+				return nil, fmt.Errorf("shard %d: %w", i, err)
 			}
 		}
-		f.Shards = append(f.Shards, s)
 	}
 	footerStart := off
-	payload, err = next(secFooter)
-	if err != nil {
+	var sum uint32
+	if err := next(secFooter, func(c *coder) { c.u32(&sum) }); err != nil {
 		return nil, err
 	}
-	if len(payload) != 4 {
-		return nil, fmt.Errorf("%w: footer payload is %d bytes, want 4", ErrCorrupt, len(payload))
-	}
-	if crc32.ChecksumIEEE(b[:footerStart]) != binary.LittleEndian.Uint32(payload) {
+	if crc32.ChecksumIEEE(b[:footerStart]) != sum {
 		return nil, fmt.Errorf("%w: whole-file footer", ErrChecksum)
 	}
 	if off != len(b) {
 		return nil, fmt.Errorf("%w: %d bytes after the footer", ErrCorrupt, len(b)-off)
 	}
 	return f, nil
+}
+
+// sectionAt frames the section whose header starts at off: its kind, its
+// payload CRC, and its payload, bounded by the image. Decode and
+// SectionOffsets both frame through it.
+func sectionAt(b []byte, off int) (kind, sum uint32, payload []byte, err error) {
+	if len(b)-off < sectionHdrSize {
+		return 0, 0, nil, fmt.Errorf("%w: image ends inside a section header", ErrTruncated)
+	}
+	kind = binary.LittleEndian.Uint32(b[off:])
+	n := int(binary.LittleEndian.Uint32(b[off+4:]))
+	if n < 0 || len(b)-off-sectionHdrSize < n {
+		return 0, 0, nil, fmt.Errorf("%w: section %d payload overruns the image", ErrTruncated, kind)
+	}
+	payload = b[off+sectionHdrSize : off+sectionHdrSize+n]
+	return kind, binary.LittleEndian.Uint32(b[off+8:]), payload, nil
 }
 
 // SectionOffsets walks a well-framed image and returns the byte offsets of
@@ -629,14 +459,11 @@ func SectionOffsets(b []byte) ([]int, error) {
 	offs := []int{0, headerSize}
 	off := headerSize
 	for off < len(b) {
-		if len(b)-off < sectionHdrSize {
-			return nil, fmt.Errorf("%w: image ends inside a section header", ErrTruncated)
+		_, _, payload, err := sectionAt(b, off)
+		if err != nil {
+			return nil, err
 		}
-		n := int(binary.LittleEndian.Uint32(b[off+4:]))
-		if n < 0 || len(b)-off-sectionHdrSize < n {
-			return nil, fmt.Errorf("%w: section payload overruns the image", ErrTruncated)
-		}
-		off += sectionHdrSize + n
+		off += sectionHdrSize + len(payload)
 		offs = append(offs, off)
 	}
 	return offs, nil

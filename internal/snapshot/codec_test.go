@@ -2,6 +2,8 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"io/fs"
 	"path/filepath"
@@ -10,16 +12,18 @@ import (
 )
 
 // sampleFile builds a small but structurally rich snapshot: two shards, a
-// sealed and an unsealed group, dead and live SGs, a lazily-absent and a
-// present hotness bitmap, cached and uncached PBFG refs, and a flush log.
+// sealed and an unsealed group, dead and live SGs, a lazily-absent, a
+// present-but-empty and a populated hotness bitmap, cached and uncached PBFG
+// refs, and a flush log. Every config, counter and flush-record field holds a
+// distinct nonzero value, so a layout that swaps two of them cannot hide.
 func sampleFile() *File {
 	return &File{
 		PageSize: 512, PagesPerZone: 16, Zones: 24,
 		Boot: 7, Writes: 421,
 		Config: ConfigStamp{
-			DataZones: 8, Shards: 2, ZonesPerSG: 1, InMemSGs: 2,
-			FlushThreshold: 8, RearFullRatio: 0.8, SGsPerIndexGroup: 4,
-			BloomFPR: 0.001, TargetObjsPerSet: 8, CachedPBFGRatio: 0.5,
+			DataZones: 8, Shards: 2, ZoneOffset: 5, ZonesPerSG: 1, InMemSGs: 3,
+			FlushThreshold: 7, RearFullRatio: 0.8, SGsPerIndexGroup: 4,
+			BloomFPR: 0.001, TargetObjsPerSet: 6, CachedPBFGRatio: 0.5,
 			HotTrackTailRatio: 0.3, CoolingWriteRatio: 0.1,
 			BufferedSGs: true, DelayedFlush: true, Writeback: true,
 		},
@@ -27,8 +31,14 @@ func sampleFile() *File {
 			{
 				NextSGID: 6, NextGroup: 2, SacCount: 3, BytesSinceCool: 999,
 				ICLookups: 40, ICMisses: 9, ICDroppedUpTo: -1,
-				Stats:          Counters{Gets: 100, Hits: 61, Sets: 50, LogicalBytes: 12345},
-				Extra:          Extra{SGsFlushed: 5, FillSum: 4.25, NewBytes: 4096},
+				Stats: Counters{Gets: 100, Hits: 61, Sets: 50, Deletes: 4,
+					LogicalBytes: 12345, FlashBytesWritten: 20480, DeviceBytesWritten: 24576,
+					FlashBytesRead: 8192, FlashReadOps: 17, ReadErrors: 2, WriteErrors: 1,
+					Evictions: 33},
+				Extra: Extra{SGsFlushed: 5, FillSum: 4.25, NewBytes: 4096,
+					WriteBackBytes: 960, WriteBackObjs: 12, Sacrificed: 3,
+					DataBytesWritten: 16384, IndexBytesWritten: 2048,
+					FalsePositiveReads: 7, CoolingRuns: 6, FlushRecordsDropped: 9},
 				FreeDataZones:  []int{3, 2},
 				FreeIndexZones: []int{9},
 				Groups: []Group{
@@ -41,7 +51,8 @@ func sampleFile() *File {
 								Bits:      []uint64{0b10}},
 							{ID: 4, Slot: 2, Dead: true, SetCounts: make([]uint16, 16)},
 							{ID: 5, Slot: 3, ObjCount: 1, Fill: 0.25, Zones: []int{0},
-								SetCounts: append([]uint16{1}, make([]uint16, 15)...)},
+								SetCounts: append([]uint16{1}, make([]uint16, 15)...),
+								Bits:      []uint64{}},
 						},
 					},
 					{
@@ -51,12 +62,15 @@ func sampleFile() *File {
 					},
 				},
 				MemQ: []MemSG{
-					{NewBytes: 80, NewObjs: 2, Sets: [][]byte{make([]byte, 512), make([]byte, 512)}},
+					{NewBytes: 80, WBBytes: 48, NewObjs: 2, WBObjs: 1, Sets: [][]byte{make([]byte, 512), make([]byte, 512)}},
 					{Sets: [][]byte{make([]byte, 512), make([]byte, 512)}},
 				},
-				ICQueue:  []PBFGRef{{Group: 0, Set: 1}, {Group: 0, Set: 3}},
-				ICPages:  []PBFGRef{{Group: 0, Set: 1}},
-				FlushLog: []FlushRec{{Fill: 0.5, NewObjs: 10, NewBytes: 800}, {Fill: 0.75, WBObjs: 1, WBBytes: 80}},
+				ICQueue: []PBFGRef{{Group: 0, Set: 1}, {Group: 0, Set: 3}},
+				ICPages: []PBFGRef{{Group: 0, Set: 1}},
+				FlushLog: []FlushRec{
+					{Fill: 0.5, NewObjs: 10, WBObjs: 2, NewBytes: 800, WBBytes: 160},
+					{Fill: 0.75, NewObjs: 3, WBObjs: 1, NewBytes: 240, WBBytes: 80},
+				},
 			},
 			{
 				NextSGID: 1, NextGroup: 1, ICDroppedUpTo: -1,
@@ -83,6 +97,18 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if again := Encode(got); !bytes.Equal(again, b) {
 		t.Fatalf("encoding is not canonical: re-encode differs at byte %d", firstDiff(b, again))
+	}
+}
+
+// sampleSHA256 is the SHA-256 of Encode(sampleFile()): it pins the NEMO1
+// byte layout field by field, including the rows a round trip cannot see (a
+// layout that swaps two fields decodes them swapped back).
+const sampleSHA256 = "bcfbdfe11c915dbe8387047e548d1df1996116ff0af441daeaa2e0352b04075a"
+
+func TestEncodeLayoutPinned(t *testing.T) {
+	sum := sha256.Sum256(Encode(sampleFile()))
+	if got := hex.EncodeToString(sum[:]); got != sampleSHA256 {
+		t.Fatalf("NEMO1 layout changed:\n got %s\nwant %s", got, sampleSHA256)
 	}
 }
 

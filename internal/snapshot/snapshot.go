@@ -29,7 +29,9 @@
 // GROUPS, MEMQ, ICACHE, FLUSHLOG for each shard in shard order, then a
 // FOOTER whose 4-byte payload is the CRC32 of every preceding byte. All
 // integers are little-endian; signed values are two's-complement 64-bit,
-// floats are IEEE-754 bit patterns, booleans are a single 0/1 byte.
+// floats are IEEE-754 bit patterns, booleans are a single 0/1 byte. Each
+// section's payload layout is written down once, as one walk over its
+// fields that Encode and Decode share, so the two directions cannot drift.
 //
 // Decoding is canonical: every accepted byte image re-encodes to exactly
 // itself (the fuzz corpus pins Encode(Decode(b)) == b), which rules out
@@ -74,8 +76,9 @@ type File struct {
 // ConfigStamp mirrors core.Config minus the runtime-only fields (Device,
 // Flushers, SnapshotPath): everything that shapes the on-flash layout or
 // the meaning of the checkpointed state. A reflection test in core pins the
-// two structs field-for-field, ZoneOffset aside: core no longer has that
-// field and always stamps 0, the first zone every cache starts at.
+// two structs field-for-field, two slots aside that core no longer has as
+// fields: ZoneOffset always stamps 0, the first zone every cache starts at,
+// and InMemSGs stamps the derived count, core.Config.MemSGs.
 type ConfigStamp struct {
 	DataZones         int
 	Shards            int
@@ -123,8 +126,8 @@ type Shard struct {
 
 	// MemQ is the buffered in-memory SG queue, front first, each set
 	// serialized as its full page image. Keeping the buffers in the
-	// snapshot is a deliberate, bounded (InMemSGs × SG bytes per shard)
-	// deviation from a purely index-only checkpoint: flushing them at
+	// snapshot is a deliberate, bounded (core.Config.MemSGs × SG bytes per
+	// shard) deviation from a purely index-only checkpoint: flushing them at
 	// checkpoint time would perturb every write-side statistic, and the
 	// warm-restart contract is that a checkpointed-and-restored run is
 	// stat-for-stat identical to an uninterrupted one.
