@@ -400,9 +400,11 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 		return r
 	}
 
-	// The candidate reads are one ReadPages call, whose runs (one per
-	// candidate SG) filedev serves one after another; the paper reads them
-	// concurrently (ROADMAP direction 8). Read amplification counts each page.
+	// The candidate reads are one ReadPages call with one run per candidate
+	// SG. filedev copies each run out of its image mapping with no system
+	// call; only a Direct image still makes one pread per run, one after
+	// another, where the paper reads them concurrently (ROADMAP direction 8).
+	// Read amplification counts each page.
 	for len(sc.bufs) < len(cands) {
 		sc.bufs = append(sc.bufs, make([]byte, c.pageSize))
 	}

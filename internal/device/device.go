@@ -37,8 +37,10 @@
 //     Generation.Writes counts successful page appends and resets only.
 //   - Runs: an Append is one media Store of the whole run, and ReadPages
 //     loads each run of consecutive same-zone pages whose buffers are
-//     adjacent slices of one array with one media Load — one pwrite or pread
-//     on filedev. The fault hooks still run once per page.
+//     adjacent slices of one array with one media Load. On filedev that is
+//     one pwrite per append run, and one copy out of the image's read-only
+//     mapping per read run (one pread with Direct). The fault hooks still
+//     run once per page.
 //   - Buffer ownership (the rule the zero-allocation read paths rely on):
 //     dst belongs to the caller, is filled synchronously before the call
 //     returns, and is never retained; the device never hands out internal

@@ -3,6 +3,7 @@
 package filedev
 
 import (
+	"fmt"
 	"os"
 	"syscall"
 	"unsafe"
@@ -47,3 +48,16 @@ func alignedBuf(n int) *[]byte {
 func punchHole(f *os.File, off, length int64) {
 	_ = syscall.Fallocate(int(f.Fd()), fallocPunchHole|fallocKeepSize, off, length)
 }
+
+// mapImage maps the image's data range [0, size) read-only and shared. A
+// MAP_SHARED mapping is the file's page cache itself, so it sees every pwrite
+// and hole punch made through the descriptor.
+func mapImage(f *os.File, size int64) ([]byte, error) {
+	if int64(int(size)) != size {
+		return nil, fmt.Errorf("%d-byte data range exceeds the address space", size)
+	}
+	return syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
+}
+
+// unmapImage releases a mapping made by mapImage.
+func unmapImage(b []byte) error { return syscall.Munmap(b) }

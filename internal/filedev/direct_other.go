@@ -24,3 +24,9 @@ func alignedBuf(n int) *[]byte {
 
 // punchHole is a no-op off Linux; reset zones simply keep their blocks.
 func punchHole(f *os.File, off, length int64) {}
+
+// mapImage maps nothing off Linux: Load stays one ReadAt per run.
+func mapImage(*os.File, int64) ([]byte, error) { return nil, nil }
+
+// unmapImage is unreachable off Linux (there is no mapping to release).
+func unmapImage([]byte) error { return nil }

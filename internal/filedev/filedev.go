@@ -1,12 +1,15 @@
 // Package filedev is the file-backed media under the shared zoned-device
 // state machine (internal/device.Zoned, which owns write pointers, open-zone
 // accounting, zero-fill beyond the write pointer, counters and fault hooks):
-// one pwrite or pread per run of consecutive pages, at page*PageSize in a
-// preallocated image, so a multi-page Append is one system call. Where
-// flashsim models latency on a virtual clock, filedev measures it — the
-// device clock is real (vtime.NewReal), so the `done` results are
-// wall-clock completion times and every latency histogram in the engines
-// reports real I/O cost unchanged.
+// one pwrite per run of consecutive pages, at page*PageSize in a
+// preallocated image, so a multi-page Append is one system call. Reads make
+// no system call: Open maps the image's data range read-only and shared
+// (Linux), and a read run is one copy out of that mapping, which sees every
+// pwrite and hole punch on the file. Off Linux, and with Direct, a read run
+// is one pread. Where flashsim models latency on a virtual clock, filedev
+// measures it — the device clock is real (vtime.NewReal), so the `done`
+// results are wall-clock completion times and every latency histogram in
+// the engines reports real I/O cost unchanged.
 //
 // Write-pointer persistence: off by default. Open formats the device —
 // every zone's write pointer starts at zero, whatever bytes the file holds
@@ -25,10 +28,15 @@
 // acceptable for a cache, which can always refill from the backing store;
 // callers needing stronger guarantees must add their own sync policy.
 //
+// A mapped read cannot return a media error: a failing disk under the
+// mapping, or an image truncated by another process, faults the process
+// instead. Use Direct where the medium's read errors must reach the caller.
+//
 // Direct I/O: Config.Direct opens the image with O_DIRECT (Linux only),
-// bypassing the page cache so measured latencies reflect the medium.
-// PageSize must then be a multiple of 4096 and all transfers go through
-// pooled 4096-aligned bounce buffers, one run per buffer.
+// bypassing the page cache so measured latencies reflect the medium. The
+// image is not mapped: reads stay preads. PageSize must then be a multiple
+// of 4096 and all transfers go through pooled 4096-aligned bounce buffers,
+// one run per buffer.
 package filedev
 
 import (
@@ -104,6 +112,13 @@ type Device struct {
 	// superblock.
 	metaOnce sync.Once
 	restored bool
+
+	// mapped is the image's data range mapped read-only and shared (nil with
+	// Direct, off Linux, and after Close). Load reads it under mapMu's read
+	// lock; Close unmaps it under the write lock, so no read ever touches an
+	// unmapped range.
+	mapMu  sync.RWMutex
+	mapped []byte
 
 	// bufs pools transfer buffers, a page or more long: zero-padding runs
 	// with a short last page, and (Direct mode) 4096-aligned bounce buffers
@@ -184,6 +199,12 @@ func Open(cfg Config) (*Device, error) {
 	} else {
 		gen.Boot = randBoot()
 	}
+	if !cfg.Direct {
+		if d.mapped, err = mapImage(f, d.sbOffset()); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("filedev: map image: %w", err)
+		}
+	}
 	g := device.Geometry{
 		PageSize:     cfg.PageSize,
 		PagesPerZone: cfg.PagesPerZone,
@@ -224,17 +245,26 @@ func (m media) Store(page int, data []byte) error {
 	return err
 }
 
-// Load is one pread of the whole run, bounced through an aligned buffer in
-// Direct mode.
+// Load copies the whole run out of the image mapping. Where the image is not
+// mapped (Direct, off Linux) it is one pread, bounced through an aligned
+// buffer in Direct mode. After Close there is no mapping and the closed
+// file's pread fails with os.ErrClosed.
 func (m media) Load(page int, dst []byte) error {
+	off := m.byteOff(page)
+	m.mapMu.RLock()
+	defer m.mapMu.RUnlock()
+	if m.mapped != nil {
+		copy(dst, m.mapped[off:off+int64(len(dst))])
+		return nil
+	}
 	if !m.cfg.Direct {
-		_, err := m.f.ReadAt(dst, m.byteOff(page))
+		_, err := m.f.ReadAt(dst, off)
 		return err
 	}
 	bp := m.transferBuf(len(dst))
 	defer m.bufs.Put(bp)
 	b := (*bp)[:len(dst)]
-	_, err := m.f.ReadAt(b, m.byteOff(page))
+	_, err := m.f.ReadAt(b, off)
 	if err == nil {
 		copy(dst, b)
 	}
@@ -271,16 +301,26 @@ func (m media) Erase(zone int) {
 // Done reports the wall-clock completion time: the I/O has already happened.
 func (m media) Done(device.Op, int) time.Duration { return m.cfg.Clock.Now() }
 
-// Close releases the file descriptor and, when Config.RemoveOnClose is set,
-// deletes the image. In Persist mode (and not RemoveOnClose) it first
-// rewrites and syncs the superblock, making the image warm-openable. Safe
-// to call more than once; later calls return the first result. Engines
-// never close their device — whoever opened it does.
+// Close unmaps the image, releases the file descriptor and, when
+// Config.RemoveOnClose is set, deletes the image. In Persist mode (and not
+// RemoveOnClose) it first rewrites and syncs the superblock, making the image
+// warm-openable. Safe to call more than once; later calls return the first
+// result. A read racing Close returns its pages or an error wrapping
+// os.ErrClosed, never a fault. Engines never close their device — whoever
+// opened it does.
 func (d *Device) Close() error {
 	d.closeOnce.Do(func() {
 		if d.cfg.Persist && !d.cfg.RemoveOnClose {
 			d.closeErr = d.flushMeta()
 		}
+		d.mapMu.Lock()
+		if d.mapped != nil {
+			if uerr := unmapImage(d.mapped); uerr != nil && d.closeErr == nil {
+				d.closeErr = uerr
+			}
+			d.mapped = nil
+		}
+		d.mapMu.Unlock()
 		if cerr := d.f.Close(); cerr != nil && d.closeErr == nil {
 			d.closeErr = cerr
 		}

@@ -3,13 +3,15 @@ package filedev
 // Zone-state tests for the file-backed device: the contract cases that
 // distinguish a zoned device from a plain file — append past ZoneFull,
 // reads of unwritten pages, resetting an open zone, crash-reopen
-// determinism — plus the fault-hook and O_DIRECT plumbing.
+// determinism — plus the fault-hook and O_DIRECT plumbing, and the read
+// mapping's coherence with appends, resets and Close.
 
 import (
 	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -366,6 +368,141 @@ func TestReadPagesAndAppendMultiPage(t *testing.T) {
 	}
 }
 
+// readRun reads n consecutive pages from first into one buffer, one run.
+func readRun(d *Device, first, n int) ([]byte, error) {
+	slab := make([]byte, n*d.PageSize())
+	pages, bufs := make([]int, n), make([][]byte, n)
+	for i := range pages {
+		pages[i], bufs[i] = first+i, slab[i*d.PageSize():(i+1)*d.PageSize()]
+	}
+	_, err := d.ReadPages(pages, bufs)
+	return slab, err
+}
+
+// TestMappedReadsFollowAppendsAndResets pins the read mapping's coherence
+// with the write path: a zone rewritten after a reset (hole punch, then
+// pwrite under the mapping) reads its new bytes, a foreign write past the
+// write pointer — visible through the mapping — never reaches a read, and a
+// warm reopen reads the pre-close bytes through its own new mapping.
+func TestMappedReadsFollowAppendsAndResets(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Persist = true
+	d, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runtime.GOOS == "linux" && d.mapped == nil {
+		t.Fatal("buffered device on Linux holds no read mapping")
+	}
+	n := cfg.PagesPerZone - 1
+	patA, patB := make([]byte, n*cfg.PageSize), make([]byte, n*cfg.PageSize)
+	for i := range patA {
+		patA[i], patB[i] = byte(i*3+1), byte(i*5+2)
+	}
+	check := func(d *Device, first int, want []byte, what string) {
+		t.Helper()
+		got, err := readRun(d, first, len(want)/cfg.PageSize)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: read returned other bytes", what)
+		}
+	}
+
+	first, _, err := d.Append(2, patA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(d, first, patA, "pattern A")
+	if _, err := d.ResetZone(2); err != nil {
+		t.Fatal(err)
+	}
+	check(d, first, make([]byte, len(patA)), "reset zone")
+	if again, _, err := d.Append(2, patB); err != nil || again != first {
+		t.Fatalf("rewrite after reset: page %d, err %v; want page %d", again, err, first)
+	}
+	check(d, first, patB, "pattern B over A's pages")
+
+	// A foreign write to the zone's last page, at its write pointer: the
+	// mapping shows the bytes, the read must not.
+	f, err := os.OpenFile(cfg.Path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt(pageOf(0xAA, cfg.PageSize), d.byteOff(first+n))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(d, first, append(append([]byte{}, patB...), make([]byte, cfg.PageSize)...), "foreign write past the write pointer")
+
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2 := openTest(t, cfg)
+	if !d2.Restored() {
+		t.Fatal("clean Persist close did not reopen warm")
+	}
+	check(d2, first, patB, "warm reopen")
+}
+
+// TestReadRacingCloseErrsNotFaults closes the device under concurrent
+// readers: every read returns the appended bytes or an error wrapping
+// os.ErrClosed — none touches an unmapped range — and once Close has
+// returned, reads fail the same way.
+func TestReadRacingCloseErrsNotFaults(t *testing.T) {
+	cfg := testConfig(t)
+	d := openTest(t, cfg)
+	want := make([]byte, cfg.Zones*cfg.PagesPerZone*cfg.PageSize)
+	for i := range want {
+		want[i] = byte(i*7 + i/cfg.PageSize)
+	}
+	zoneBytes := cfg.PagesPerZone * cfg.PageSize
+	for z := 0; z < cfg.Zones; z++ {
+		if _, _, err := d.Append(z, want[z*zoneBytes:(z+1)*zoneBytes]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const readers = 4
+	var started, wg sync.WaitGroup
+	started.Add(readers)
+	wg.Add(readers)
+	for r := 0; r < readers; r++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				z := (r + i) % cfg.Zones
+				got, err := readRun(d, z*cfg.PagesPerZone, cfg.PagesPerZone)
+				if i == 0 {
+					started.Done()
+				}
+				if err != nil {
+					if !errors.Is(err, os.ErrClosed) {
+						t.Errorf("read racing Close: %v, want os.ErrClosed", err)
+					}
+					return
+				}
+				if !bytes.Equal(got, want[z*zoneBytes:(z+1)*zoneBytes]) {
+					t.Errorf("read racing Close: zone %d returned other bytes", z)
+					return
+				}
+			}
+		}()
+	}
+	started.Wait()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if _, err := d.ReadPage(0, make([]byte, cfg.PageSize)); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("ReadPage after Close: %v, want os.ErrClosed", err)
+	}
+}
+
 func TestOpenDirect(t *testing.T) {
 	if !directSupported {
 		t.Skip("O_DIRECT not supported on this platform")
@@ -384,6 +521,9 @@ func TestOpenDirect(t *testing.T) {
 		t.Skipf("O_DIRECT open failed on this filesystem: %v", err)
 	}
 	defer d.Close()
+	if d.mapped != nil {
+		t.Fatal("Direct device holds a read mapping; its reads must stay preads")
+	}
 	payload := pageOf(0x5A, 1000) // short append exercises the bounce buffer
 	page, _, err := d.AppendPage(0, payload)
 	if err != nil {
@@ -407,12 +547,8 @@ func TestOpenDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slab := make([]byte, 3*cfg.PageSize)
-	pages, bufs := []int{first, first + 1, first + 2}, make([][]byte, 3)
-	for i := range bufs {
-		bufs[i] = slab[i*cfg.PageSize : (i+1)*cfg.PageSize]
-	}
-	if _, err := d.ReadPages(pages, bufs); err != nil {
+	slab, err := readRun(d, first, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
 	want := make([]byte, len(slab))

@@ -32,9 +32,10 @@ type DeviceConfig = flashsim.Config
 // FileDeviceConfig configures a file-backed device (see OpenFileDevice).
 type FileDeviceConfig = filedev.Config
 
-// FileDevice is the file-backed device implementation: pread/pwrite into a
-// preallocated image with the same zone semantics as the simulator and
-// real, measured latencies.
+// FileDevice is the file-backed device implementation: pwrite appends into a
+// preallocated image and reads copied out of a read-only mapping of it (pread
+// with Direct), with the same zone semantics as the simulator and real,
+// measured latencies.
 type FileDevice = filedev.Device
 
 // DeviceStats is the device-level accounting snapshot.
