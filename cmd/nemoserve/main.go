@@ -111,6 +111,15 @@ func run() int {
 	)
 	flag.Parse()
 
+	if *snapEvery < 0 || (*snapEvery > 0 && *snapPath == "") {
+		if *snapEvery < 0 {
+			fmt.Fprintf(os.Stderr, "nemoserve: -snapshot-every %v is negative\n", *snapEvery)
+		} else {
+			fmt.Fprintln(os.Stderr, "nemoserve: -snapshot-every needs -snapshot")
+		}
+		flag.Usage()
+		return 2
+	}
 	if *shards < 1 || *zones%*shards != 0 {
 		fmt.Fprintf(os.Stderr, "nemoserve: %d data zones not divisible by %d shards\n", *zones, *shards)
 		return 2
@@ -209,7 +218,7 @@ func run() int {
 	go func() { serveErr <- srv.Serve(l) }()
 
 	var stopSnap chan struct{}
-	if *snapPath != "" && *snapEvery > 0 {
+	if *snapEvery > 0 {
 		stopSnap = make(chan struct{})
 		go func() {
 			t := time.NewTicker(*snapEvery)

@@ -82,7 +82,7 @@
 //
 // An SG flush is a locked seal, an unlocked build and write, and a locked
 // commit, one in flight per shard, its objects served from the sealed slot
-// meanwhile; a device error drops the sealed SG, returns its zones and lands
+// meanwhile; a device error drops the sealed SG, returns its zone and lands
 // in Stats.WriteErrors: writepath.go's header. Speed is write_churn ·
 // throughput_ops_s, set_p99_us and alwa.
 //
@@ -103,12 +103,14 @@
 //     resolve through the dense, id-ordered group list, and a retiring
 //     group takes its pages and its queue entries with it. There are no
 //     per-page allocations and no map[...]... anywhere on the hot path.
-//   - flashSG structs live in fixed-size chunks. Each SG's per-set
-//     prefix-sum bases (a set's count is the difference of two) and its
-//     hotness bits pack into one exact-size []uint32 made at flush commit
-//     (or snapshot restore) — which is also when the prefix sums are
-//     computed, once, instead of lazily on every probe — and left to the
-//     GC when the SG's group is dropped: one pointer-free object per SG
+//   - Each SG is one flashSG struct naming its one zone, made at seal (or
+//     snapshot restore); a shard holds at most DataZones + SGsPerIndexGroup
+//     of them. Its per-set prefix-sum bases (a set's count is the
+//     difference of two) and its hotness bits pack into one exact-size
+//     []uint32 made at flush commit (or restore) — which is also when the
+//     prefix sums are computed, once, instead of lazily on every probe —
+//     and dropped when the SG's group retires, even where pooled read
+//     scratch still points at the struct: one pointer-free object per SG
 //     held, none per request.
 //   - Every setblock page is a carve of a slab: an in-memory SG's sets of
 //     the SG's, a flush victim's read-back pages of the flush kit's window.
@@ -159,8 +161,8 @@
 // (PR 16) has what it bought on lib_direct · throughput_ops_s.
 //
 // The ownership rule that makes immediate recycling safe under the
-// optimistic read protocol: arena memory is only ever dereferenced while
-// holding the shard lock. A read's plan phase Bloom-tests the filters
+// optimistic read protocol: page-arena memory is only ever dereferenced
+// while holding the shard lock. A read's plan phase Bloom-tests the filters
 // where they lie and keeps only the outcome — the candidate SGs and their
 // precomputed page addresses; the unlocked I/O phase touches only that
 // list, the PBFG pages it fetched itself and its own pooled buffers, and

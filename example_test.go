@@ -200,31 +200,28 @@ func Example_comparison() {
 }
 
 // §6 of the paper ("Device compatibility"): the same Nemo cache on three
-// device personalities — a large-zone ZNS SSD (ZN540-like: one SG per zone,
-// 14 open zones max), a small-zone ZNS SSD (PM1731a-like: an SG composed of
-// 4 zones) and a conventional namespace (no open-zone limit, FIFO writes
-// only). Nemo's coarse-grained FIFO write pattern needs no code changes
-// across them — only the SG-to-erase-unit mapping differs. On FDP SSDs the
-// mapping inverts (several SGs per reclaim unit); the FIFO pool ensures SGs
-// sharing a reclaim unit die together, so DLWA stays ≈1 there too.
+// device personalities — a large-zone ZNS SSD (ZN540-like, 14 open zones
+// max), a small-zone ZNS SSD (PM1731a-like) and a conventional namespace
+// (no open-zone limit, FIFO writes only). An SG is one zone, so SG size
+// follows zone size: the small-zone device holds the same capacity in
+// quarter-size SGs (the abl-sgsize experiment sweeps SG size this way).
+// Nemo's coarse-grained FIFO write pattern needs no code changes across
+// them. On FDP SSDs the mapping inverts (several SGs per reclaim unit); the
+// FIFO pool ensures SGs sharing a reclaim unit die together, so DLWA stays
+// ≈1 there too.
 func Example_deviceCompat() {
 	personalities := []struct {
-		name       string
-		device     nemo.DeviceConfig
-		zonesPerSG int
+		name   string
+		device nemo.DeviceConfig
 	}{
-		{"large-zone ZNS (ZN540-like)", nemo.DeviceConfig{PagesPerZone: 64, Zones: 40, MaxOpenZones: 14}, 1},
-		{"small-zone ZNS (PM1731a-like)", nemo.DeviceConfig{PagesPerZone: 16, Zones: 160, MaxOpenZones: 14}, 4},
-		{"conventional namespace", nemo.DeviceConfig{PagesPerZone: 64, Zones: 40}, 1},
+		{"large-zone ZNS (ZN540-like)", nemo.DeviceConfig{PagesPerZone: 64, Zones: 40, MaxOpenZones: 14}},
+		{"small-zone ZNS (PM1731a-like)", nemo.DeviceConfig{PagesPerZone: 16, Zones: 160, MaxOpenZones: 14}},
+		{"conventional namespace", nemo.DeviceConfig{PagesPerZone: 64, Zones: 40}},
 	}
 	fmt.Printf("%-30s %7s %6s %6s %12s\n", "device", "fill", "WA", "miss", "zone resets")
 	for _, p := range personalities {
 		dev := nemo.NewDevice(p.device)
-		dataZones := dev.Zones() - 8*p.zonesPerSG
-		dataZones -= dataZones % p.zonesPerSG
-		cfg := nemo.DefaultConfig(dev, dataZones)
-		cfg.ZonesPerSG = p.zonesPerSG
-		cache, err := nemo.NewSharded(cfg)
+		cache, err := nemo.NewSharded(nemo.DefaultConfig(dev, dev.Zones()-8))
 		if err != nil {
 			log.Fatalf("%s: %v", p.name, err)
 		}
@@ -248,7 +245,7 @@ func Example_deviceCompat() {
 	// Output:
 	// device                            fill     WA   miss  zone resets
 	// large-zone ZNS (ZN540-like)      88.9%   1.16  10.4%            4
-	// small-zone ZNS (PM1731a-like)    88.9%   1.16  10.4%           16
+	// small-zone ZNS (PM1731a-like)    94.0%   1.05  10.2%            0
 	// conventional namespace           88.9%   1.16  10.4%            4
 }
 

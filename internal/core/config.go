@@ -29,17 +29,11 @@ type Config struct {
 	// engines, each owning a private slice of the device's zones, its own
 	// in-memory SGs, PBFG index, and lock (0 is 1). NewSharded divides
 	// DataZones evenly across shards and lays the slices out from zone 0,
-	// each one [base, base+DataZones/Shards+IndexZones()) — Kangaroo-style
-	// set partitioning on a shared ZNS drive. Requests for different shards
+	// each one its DataZones/Shards data zones followed by its index pool
+	// (IndexZonesFor) — Kangaroo-style set partitioning on a shared ZNS
+	// drive. Requests for different shards
 	// never contend, which is what lets the engine scale across cores.
 	Shards int
-
-	// ZonesPerSG makes one SG span several zones (default 1). This is the
-	// §6 small-zone ZNS deployment ("an SG is composed of multiple
-	// zones"): the logical SG stays erase-unit aligned while each
-	// constituent zone is appended and reset individually. DataZones must
-	// be a multiple of ZonesPerSG.
-	ZonesPerSG int
 
 	// Flushers is the size of the background flusher pool backing SetAsync:
 	// full in-memory SGs are handed to this many
@@ -151,7 +145,6 @@ func DefaultConfig(dev device.Device, dataZones int) Config {
 	return Config{
 		Device:            dev,
 		DataZones:         dataZones,
-		ZonesPerSG:        1,
 		FlushThreshold:    pth,
 		RearFullRatio:     0.95,
 		SGsPerIndexGroup:  DefaultSGsPerIndexGroup,
@@ -178,7 +171,6 @@ func (c Config) MemSGs() int {
 // IndexZonesFor returns the number of index-pool zones a shard reserves for a
 // pool of dataZones single-zone SGs grouped by sgsPerGroup: one zone per
 // live group plus slack for the group being sealed while the oldest drains.
-// Multi-zone-SG configurations use Config.IndexZones.
 func IndexZonesFor(dataZones, sgsPerGroup int) int {
 	return (dataZones+sgsPerGroup-1)/sgsPerGroup + 2
 }
@@ -192,25 +184,11 @@ func DeviceZonesFor(dataZones, shards int) int {
 	return shards * (perData + IndexZonesFor(perData, DefaultSGsPerIndexGroup))
 }
 
-// IndexZones returns the index-pool reservation for this configuration:
-// each index group occupies one SG worth of zones. validate checks
-// ZonesPerSG before it asks.
-func (c Config) IndexZones() int {
-	dataSGs := c.DataZones / c.ZonesPerSG
-	return ((dataSGs+c.SGsPerIndexGroup-1)/c.SGsPerIndexGroup + 2) * c.ZonesPerSG
-}
-
 // validate checks a shard's derived Config for the shard whose zones start
 // at base.
 func (c Config) validate(base int) error {
-	if c.ZonesPerSG < 1 {
-		return fmt.Errorf("core: ZonesPerSG %d must be at least 1", c.ZonesPerSG)
-	}
-	if c.DataZones < 2*c.ZonesPerSG {
-		return fmt.Errorf("core: DataZones %d must hold at least 2 SGs of %d zones", c.DataZones, c.ZonesPerSG)
-	}
-	if c.DataZones%c.ZonesPerSG != 0 {
-		return fmt.Errorf("core: DataZones %d not a multiple of ZonesPerSG %d", c.DataZones, c.ZonesPerSG)
+	if c.DataZones < 2 {
+		return fmt.Errorf("core: DataZones %d must hold at least 2 SGs", c.DataZones)
 	}
 	if c.FlushThreshold < 1 {
 		return fmt.Errorf("core: FlushThreshold %d must be at least 1", c.FlushThreshold)
@@ -248,10 +226,10 @@ func (c Config) validate(base int) error {
 	if c.RetryBackoff < 0 {
 		return fmt.Errorf("core: RetryBackoff %v must be non-negative", c.RetryBackoff)
 	}
-	need := c.DataZones + c.IndexZones()
-	if base+need > c.Device.Zones() {
+	idx := IndexZonesFor(c.DataZones, c.SGsPerIndexGroup)
+	if base+c.DataZones+idx > c.Device.Zones() {
 		return fmt.Errorf("core: need zones [%d,%d) (%d data + %d index) but device has %d",
-			base, base+need, c.DataZones, c.IndexZones(), c.Device.Zones())
+			base, base+c.DataZones+idx, c.DataZones, idx, c.Device.Zones())
 	}
 	return nil
 }

@@ -42,7 +42,8 @@ func kitValue(i int) []byte { return []byte(fmt.Sprintf("kit-value-%09d-%060d", 
 
 // shardOfZone maps a device zone to the shard whose slice it lies in.
 func shardOfZone(s *Sharded, zone int) int {
-	per := s.shards[0].cfg.DataZones + s.shards[0].cfg.IndexZones()
+	cfg := s.shards[0].cfg
+	per := cfg.DataZones + IndexZonesFor(cfg.DataZones, cfg.SGsPerIndexGroup)
 	return zone / per
 }
 
@@ -128,9 +129,10 @@ func heapAlloc(dev *flashsim.Device) uint64 {
 // the cached share of the pool whether or not a read has fetched them (this
 // run reads nothing, so the PBFG cache holds no page). Above it: each SG's
 // meta keeps prefix sums beside the hotness bits, for every SG and not the
-// tracked tail only, and the SG structs come a 64-slot chunk at a time. So:
-// measured is no more than the model plus one SG chunk a shard, and no less
-// than the model less its Bloom term and the group buffers' page slack.
+// tracked tail only, and each SG has a struct the model does not count. So:
+// measured is no more than the model plus the DataZones + SGsPerIndexGroup
+// SG structs a shard can hold, and no less than the model less its Bloom
+// term and the group buffers' page slack.
 func TestResidentBytesLedger(t *testing.T) {
 	const (
 		totalData = 48
@@ -188,10 +190,10 @@ func TestResidentBytesLedger(t *testing.T) {
 			m := c.MemoryOverhead()
 			below := uint64(m.BloomBitsPerObj/m.TotalBitsPerObj*float64(r.ModelMeta)) +
 				uint64(shards*c.setsPerSG*(c.pageSize-c.pbfgBytes))
-			chunks := uint64(shards) * uint64(unsafe.Sizeof(sgChunk{})+8*sgChunkSize*uintptr(c.cfg.ZonesPerSG))
-			if paper := r.PaperMeta(); r.Objects == 0 || paper+below < r.ModelMeta || paper > r.ModelMeta+chunks {
-				t.Errorf("paper metadata %d bytes for %d objects, model %d: not within [model − Bloom term and page slack (%d), model + one SG chunk a shard (%d)]",
-					paper, r.Objects, r.ModelMeta, below, chunks)
+			structs := uint64(shards*(c.cfg.DataZones+c.cfg.SGsPerIndexGroup)) * uint64(unsafe.Sizeof(flashSG{}))
+			if paper := r.PaperMeta(); r.Objects == 0 || paper+below < r.ModelMeta || paper > r.ModelMeta+structs {
+				t.Errorf("paper metadata %d bytes for %d objects, model %d: not within [model − Bloom term and page slack (%d), model + the SG structs the shards can hold (%d)]",
+					paper, r.Objects, r.ModelMeta, below, structs)
 			}
 		})
 	}
@@ -200,7 +202,7 @@ func TestResidentBytesLedger(t *testing.T) {
 // indexLedger recomputes the index-layer terms of s's ledger from what each
 // shard holds: PBFG cache slots of pbfgBytes plus its queue, a SetsPerSG
 // slot list per sealed group and one device page of fetch scratch; setsPerSG PBFG pages per unsealed group;
-// SG chunks plus, for every group member, a meta of nsets+1 prefix sums and
+// for every group member, its struct and a meta of nsets+1 prefix sums and
 // 2·⌈objCount/64⌉ hot words at its size-class capacity.
 func indexLedger(t *testing.T, s *Sharded) (r Resident) {
 	t.Helper()
@@ -213,7 +215,6 @@ func indexLedger(t *testing.T, s *Sharded) (r Resident) {
 			}
 		}
 		r.PBFGCache += uint64(len(ic.arena.slabs)*pageSlabPages*c.pbfgBytes + c.pageSize + 8*cap(ic.queue))
-		r.SGMeta += uint64(len(c.sgAlloc.chunks)) * uint64(unsafe.Sizeof(sgChunk{})+8*sgChunkSize*uintptr(c.cfg.ZonesPerSG))
 		for _, g := range c.groups {
 			if g.sealed {
 				r.PBFGCache += uint64(4 * c.setsPerSG)
@@ -224,7 +225,7 @@ func indexLedger(t *testing.T, s *Sharded) (r Resident) {
 				if want := c.setsPerSG + 1 + 2*((m.objCount+63)/64); len(m.meta) != want || cap(m.meta) < want {
 					t.Errorf("SG %d meta is %d words (cap %d), want %d", m.id, len(m.meta), cap(m.meta), want)
 				}
-				r.SGMeta += uint64(4 * cap(m.meta))
+				r.SGMeta += uint64(unsafe.Sizeof(flashSG{})) + uint64(4*cap(m.meta))
 			}
 		}
 		c.mu.Unlock()

@@ -20,11 +20,11 @@ import (
 )
 
 // TestArenaFlatOverChurn is the arena leak test: after the pool reaches
-// steady state, further fill→evict→refill cycles must not grow any arena —
-// no new page slabs, no new SG chunks — and the process HeapObjects gauge
-// must stay flat. A slot leaked per flush (the premature-recycle bug class
-// immediate recycling invites) shows up here as monotonic slab or
-// heap-object growth, a meta kept past its SG's release as a ledger that no
+// steady state, further fill→evict→refill cycles must not grow the page
+// arena, and the process HeapObjects gauge must stay flat. A slot leaked
+// per flush (the premature-recycle bug class immediate recycling invites)
+// shows up here as monotonic slab or heap-object growth, a meta kept past
+// its group's retirement as an early SG still holding one, a ledger that no
 // longer matches what the group members hold, and a queue entry a retiring
 // group left behind as a queue longer than the cached pages.
 func TestArenaFlatOverChurn(t *testing.T) {
@@ -48,16 +48,10 @@ func TestArenaFlatOverChurn(t *testing.T) {
 		cycle(r * perCycle)
 	}
 
-	type arenaShape struct {
-		pageSlabs, sgChunks int
-	}
-	snap := func() arenaShape {
+	pageSlabs := func() int {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return arenaShape{
-			pageSlabs: len(c.icache.arena.slabs),
-			sgChunks:  len(c.sgAlloc.chunks),
-		}
+		return len(c.icache.arena.slabs)
 	}
 	checkAccounting := func() {
 		c.mu.Lock()
@@ -81,7 +75,7 @@ func TestArenaFlatOverChurn(t *testing.T) {
 		held, slots := 0, 0
 		for _, g := range c.groups {
 			for _, m := range g.members {
-				held += 4 * cap(m.meta)
+				held += int(unsafe.Sizeof(*m)) + 4*cap(m.meta)
 			}
 			for _, s := range g.cached {
 				if s >= 0 {
@@ -97,20 +91,17 @@ func TestArenaFlatOverChurn(t *testing.T) {
 				t.Errorf("queue entry (%d,%d) names retired group", k.group, k.set)
 			}
 		}
-		for _, sg := range c.sgAlloc.free {
-			if sg.meta != nil {
-				t.Errorf("released SG %d still holds its meta", sg.id)
-			}
-		}
-		chunks := len(c.sgAlloc.chunks) * (int(unsafe.Sizeof(sgChunk{})) + 8*sgChunkSize*c.sgAlloc.zps)
 		c.mu.Unlock()
-		if r := c.residentOwn(); r.SGMeta != uint64(held+chunks) {
-			t.Errorf("ledger SG meta %d bytes, want the held metas' %d plus the chunks' %d", r.SGMeta, held, chunks)
+		if r := c.residentOwn(); r.SGMeta != uint64(held) {
+			t.Errorf("ledger SG meta %d bytes, want the held SGs' structs and metas, %d", r.SGMeta, held)
 		}
 	}
 
-	before := snap()
+	before := pageSlabs()
 	checkAccounting()
+	c.mu.Lock()
+	early := c.pool[0]
+	c.mu.Unlock()
 	runtime.GC()
 	var ms0 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
@@ -119,14 +110,21 @@ func TestArenaFlatOverChurn(t *testing.T) {
 		cycle(r * perCycle)
 	}
 
-	after := snap()
+	after := pageSlabs()
 	checkAccounting()
+	c.mu.Lock()
+	if groupAt(c.groups, early.group.id) != nil {
+		t.Errorf("SG %d's group %d survived 8 churn cycles", early.id, early.group.id)
+	} else if early.meta != nil {
+		t.Errorf("SG %d still holds its meta after its group retired", early.id)
+	}
+	c.mu.Unlock()
 	runtime.GC()
 	var ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms1)
 
 	if before != after {
-		t.Errorf("arenas grew under steady-state churn: before %+v, after %+v", before, after)
+		t.Errorf("page arena grew under steady-state churn: %d slabs before, %d after", before, after)
 	}
 	if grow := int64(ms1.HeapObjects) - int64(ms0.HeapObjects); grow > 300 {
 		t.Errorf("HeapObjects grew by %d over 8 churn cycles, want ~flat", grow)

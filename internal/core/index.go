@@ -10,12 +10,12 @@ import (
 
 // This file holds the steady-state in-memory index layer, laid out to be
 // nearly invisible to the garbage collector (see doc.go, "Memory layout").
-// Two arenas replace what used to be thousands of small heap objects, and
-// what is left to the GC is pointer-free:
+// One flashSG struct per on-flash SG, and otherwise one arena and
+// pointer-free slices:
 //
-//   - sgArena: flashSG structs live in fixed-size chunks, each chunk carrying
-//     one backing array for its slots' zone lists. Retired structs are
-//     recycled when their index group is dropped.
+//   - flashSG: one struct per SG, made at seal (or restore), naming its one
+//     data zone. A shard holds at most DataZones + SGsPerIndexGroup of them;
+//     a retired group's members lose their meta and are left to the GC.
 //   - pageArena (inside pbfgCache): cached PBFG pages are pbfgBytes-long
 //     slots of large slabs. Each sealed group lists the slot of every page it
 //     has cached, and the FIFO queue names pages by (group id, set), so
@@ -27,20 +27,19 @@ import (
 //     SG's group is dropped. It holds no pointer, so the collector never
 //     scans it.
 //
-// Recycling is immediate: freed slots go straight back to the free lists.
-// That is safe because the concurrent read path never dereferences arena
-// memory outside the lock — its plan phase Bloom-tests the filters in place
-// and precomputes the page addresses it will read while still holding the
-// lock (readpath.go), and takes no filter byte with it, so a slot reused
-// mid-attempt can corrupt nothing the attempt still looks at (stale attempts
-// are discarded by the epoch check regardless).
+// Page-arena recycling is immediate: freed slots go straight back to the
+// free list. That is safe because the concurrent read path never
+// dereferences arena memory outside the lock — its plan phase Bloom-tests
+// the filters in place and precomputes the page addresses it will read while
+// still holding the lock (readpath.go), and takes no filter byte with it, so
+// a slot reused mid-attempt can corrupt nothing the attempt still looks at
+// (stale attempts are discarded by the epoch check regardless).
 
-// flashSG describes one immutable on-flash Set-Group in the FIFO pool.
-// Structs are allocated from the cache's sgArena; zones aliases the chunk's
-// zone backing and meta is made at flush commit.
+// flashSG describes one immutable on-flash Set-Group in the FIFO pool: one
+// device zone, set offset o on its page o. meta is made at flush commit.
 type flashSG struct {
 	id    uint64 // monotonically increasing flush sequence number
-	zones []int  // data zones holding the SG (len == Config.ZonesPerSG)
+	zone  int    // the data zone holding the SG
 	group *idxGroup
 	slot  int // position of this SG's filters within the group
 
@@ -144,47 +143,6 @@ func (sg *flashSG) loadBits(bits []uint64) {
 	sg.hasBits = true
 }
 
-// sgChunkSize is the flashSG arena granularity: structs per chunk.
-const sgChunkSize = 64
-
-// sgChunk is one allocation of flashSG slots plus the zone-list backing all
-// of its slots' zones slices are carved from (slot i owns ints
-// [i*zps, (i+1)*zps), so a recycled slot keeps its carve).
-type sgChunk struct {
-	sgs   [sgChunkSize]flashSG
-	zones []int
-}
-
-// sgArena allocates flashSG structs from chunks. Slots are recycled when a
-// dead index group is dropped and zeroed on the next alloc (at seal, under
-// the lock), never on release.
-type sgArena struct {
-	zps    int // Config.ZonesPerSG
-	chunks []*sgChunk
-	free   []*flashSG
-}
-
-func (a *sgArena) alloc() *flashSG {
-	if len(a.free) == 0 {
-		ch := &sgChunk{zones: make([]int, sgChunkSize*a.zps)}
-		a.chunks = append(a.chunks, ch)
-		for i := sgChunkSize - 1; i >= 0; i-- {
-			sg := &ch.sgs[i]
-			sg.zones = ch.zones[i*a.zps : i*a.zps : (i+1)*a.zps]
-			a.free = append(a.free, sg)
-		}
-	}
-	sg := a.free[len(a.free)-1]
-	a.free = a.free[:len(a.free)-1]
-	z := sg.zones[:0]
-	*sg = flashSG{zones: z}
-	return sg
-}
-
-func (a *sgArena) release(sg *flashSG) {
-	a.free = append(a.free, sg)
-}
-
 // idxGroup aggregates the set-level Bloom filters of up to SGsPerIndexGroup
 // SGs (§4.3), one bit-sliced PBFG page per intra-SG offset (bloom.GroupMask:
 // row r of a page holds bit r of every member's filter, so one probe set tests
@@ -193,7 +151,7 @@ func (a *sgArena) release(sg *flashSG) {
 // index-pool zone.
 type idxGroup struct {
 	id        int
-	zones     []int // index zones once sealed, nil before
+	zone      int // index zone, once sealed
 	sealed    bool
 	members   []*flashSG
 	liveCount int
@@ -389,7 +347,7 @@ func (c *Cache) fetchPBFG(g *idxGroup, o int) ([]byte, error) {
 	if page, ok := c.icache.get(g, o); ok {
 		return page, nil
 	}
-	if _, err := c.dev.ReadPage(c.pageAddrIn(g.zones, o), c.fetchBuf); err != nil {
+	if _, err := c.dev.ReadPage(c.dev.PageAddr(g.zone, o), c.fetchBuf); err != nil {
 		return nil, fmt.Errorf("core: reading PBFG page: %w", err)
 	}
 	c.stats.FlashReadOps++
@@ -450,11 +408,4 @@ func (c *Cache) pbfgResident(g *idxGroup, o int) bool {
 		return true
 	}
 	return g.cached[o] >= 0
-}
-
-// releaseSG recycles a dead SG's struct, and drops its meta, once its group
-// is dropped from the group list (no reader can plan against it afterwards).
-func (c *Cache) releaseSG(sg *flashSG) {
-	sg.meta = nil
-	c.sgAlloc.release(sg)
 }

@@ -65,12 +65,6 @@ type Cache struct {
 	nextGroup int
 	icache    *pbfgCache
 
-	// The flashSG struct arena (index.go). Arena slots recycle immediately;
-	// the concurrent read path tests every in-memory filter under the lock at
-	// plan time and carries no arena byte out of it (readpath.go), so nothing
-	// dangles.
-	sgAlloc sgArena
-
 	// fetchBuf is the write-path PBFG fetch scratch (guarded by mu): a
 	// cache-miss fetch lands here and icache.put copies it into the arena.
 	fetchBuf []byte
@@ -147,7 +141,7 @@ func newShard(cfg Config, base int, kits *kitPool) (*Cache, error) {
 		cfg:       cfg,
 		dev:       dev,
 		pageSize:  dev.PageSize(),
-		setsPerSG: cfg.ZonesPerSG * dev.PagesPerZone(),
+		setsPerSG: dev.PagesPerZone(),
 		bfBytes:   bfBytes,
 		pbfgBytes: bfBytes * cfg.SGsPerIndexGroup,
 		bfBits:    bfBits,
@@ -156,7 +150,6 @@ func newShard(cfg Config, base int, kits *kitPool) (*Cache, error) {
 		kits:      kits,
 	}
 	c.fetchBuf = make([]byte, c.pageSize)
-	c.sgAlloc = sgArena{zps: cfg.ZonesPerSG}
 	c.flushCond = sync.NewCond(&c.mu)
 	c.probes = bloom.NewProbeSet(0, c.bfBits, c.bfK)
 	c.getPool.New = func() any {
@@ -168,45 +161,26 @@ func newShard(cfg Config, base int, kits *kitPool) (*Cache, error) {
 	for z := base + cfg.DataZones - 1; z >= base; z-- {
 		c.freeDataZones = append(c.freeDataZones, z)
 	}
-	idxZones := cfg.IndexZones()
+	idxZones := IndexZonesFor(cfg.DataZones, cfg.SGsPerIndexGroup)
 	for z := base + cfg.DataZones + idxZones - 1; z >= base+cfg.DataZones; z-- {
 		c.freeIndexZones = append(c.freeIndexZones, z)
 	}
-	dataSGs := cfg.DataZones / cfg.ZonesPerSG
-	maxGroups := (dataSGs + cfg.SGsPerIndexGroup - 1) / cfg.SGsPerIndexGroup
+	maxGroups := (cfg.DataZones + cfg.SGsPerIndexGroup - 1) / cfg.SGsPerIndexGroup
 	capacity := int(cfg.CachedPBFGRatio * float64((maxGroups+1)*c.setsPerSG))
 	c.icache = newPBFGCache(capacity, c.pbfgBytes)
 	return c, nil
 }
 
-// popZones removes n zones from the free list, returning nil when fewer
-// are available.
-func popZones(free *[]int, n int) []int {
-	if len(*free) < n {
-		return nil
+// popZone removes the zone at the end of the free list, or reports false
+// when the list is empty.
+func popZone(free *[]int) (int, bool) {
+	n := len(*free)
+	if n == 0 {
+		return 0, false
 	}
-	return popZonesInto(free, make([]int, 0, n), n)
-}
-
-// popZonesInto is popZones appending into the caller's slice (an SG's
-// arena-backed zones carve); it returns nil without consuming zones when
-// fewer than n are available.
-func popZonesInto(free *[]int, dst []int, n int) []int {
-	if len(*free) < n {
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		dst = append(dst, (*free)[len(*free)-1])
-		*free = (*free)[:len(*free)-1]
-	}
-	return dst
-}
-
-// pageAddrIn maps intra-SG offset o onto the SG's (or index group's) zone
-// list: zones hold PagesPerZone consecutive offsets each.
-func (c *Cache) pageAddrIn(zones []int, o int) int {
-	ppz := c.dev.PagesPerZone()
-	return c.dev.PageAddr(zones[o/ppz], o%ppz)
+	z := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return z, true
 }
 
 // Name implements cachelib.Engine.
@@ -556,13 +530,14 @@ func (c *Cache) shadowedByNewer(fp uint64, o int, newerThan uint64, key []byte) 
 	return c.mayExistOnFlashLocked(fp, o, newerThan+1)
 }
 
-// dropDeadGroups trims fully dead groups from the front of the group list,
-// recycling their members' structs and meta carves into the arenas.
+// dropDeadGroups trims fully dead groups from the front of the group list
+// and drops their members' meta: pooled read scratch may still point at a
+// retired SG struct, but must not keep its meta alive.
 func (c *Cache) dropDeadGroups() {
 	i := 0
 	for i < len(c.groups) && c.groups[i].sealed && c.groups[i].liveCount == 0 {
 		for _, m := range c.groups[i].members {
-			c.releaseSG(m)
+			m.meta = nil
 		}
 		i++
 	}

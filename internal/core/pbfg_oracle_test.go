@@ -37,7 +37,7 @@ func refCandidates(t *testing.T, c *Cache, fp uint64, o int, minID uint64) []uin
 			if m.dead || m.id < minID || m.setCount(o) == 0 {
 				continue
 			}
-			if _, err := c.dev.ReadPage(c.pageAddrIn(m.zones, o), page); err != nil {
+			if _, err := c.dev.ReadPage(c.dev.PageAddr(m.zone, o), page); err != nil {
 				t.Fatal(err)
 			}
 			if err := blk.DecodeFrom(page); err != nil {

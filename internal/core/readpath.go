@@ -14,9 +14,8 @@ package core
 //     address precomputed. A sealed group whose PBFG
 //     page is missing from the index cache queues the fetch and its members
 //     untested. The SG epoch (pool head ID + flush sequence) is recorded. The
-//     unlocked phase is handed no reference into the recycling
-//     index-cache/SG arenas or the group buffers: no filter byte leaves the
-//     lock.
+//     unlocked phase is handed no reference into the recycling index-cache
+//     arena or the group buffers: no filter byte leaves the lock.
 //   - I/O (unlocked): fetch the missing PBFG pages into buffers the attempt
 //     owns and Bloom-test the members queued behind them, read the candidate
 //     set pages (pooled per-goroutine buffers via sync.Pool — never the
@@ -278,7 +277,7 @@ func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner
 				sc.pends = append(sc.pends, pendFetch{
 					g:     g,
 					set:   o,
-					addr:  c.pageAddrIn(g.zones, o),
+					addr:  c.dev.PageAddr(g.zone, o),
 					owner: owner,
 				})
 			}
@@ -286,9 +285,7 @@ func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner
 		}
 		return page, nil
 	}, func(m *flashSG, tested bool) bool {
-		// The page address is fixed here because m.zones aliases the
-		// recycling SG arena.
-		e := probeEnt{sg: m, addr: c.pageAddrIn(m.zones, o), pend: -1, slot: int32(m.slot)}
+		e := probeEnt{sg: m, addr: c.dev.PageAddr(m.zone, o), pend: -1, slot: int32(m.slot)}
 		if !tested {
 			e.pend = pend
 		}

@@ -247,7 +247,7 @@ func TestGetManySharedFetchFailureContract(t *testing.T) {
 		if sharers == nil || g.cached[o] >= 0 {
 			t.Fatal("no k flash keys share an uncached PBFG page")
 		}
-		pageAddr := c.pageAddrIn(g.zones, o)
+		pageAddr := c.dev.PageAddr(g.zone, o)
 
 		var attempts int
 		failing := true

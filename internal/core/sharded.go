@@ -96,7 +96,7 @@ func NewSharded(cfg Config) (*Sharded, error) {
 			return nil, fmt.Errorf("core: shard %d/%d: %w", i, n, err)
 		}
 		s.shards[i], engines[i] = shard, shard
-		base += perData + scfg.IndexZones()
+		base += perData + IndexZonesFor(perData, cfg.SGsPerIndexGroup)
 	}
 	s.ShardedEngine, _ = cachelib.NewShardedEngine(engines) // errs only on no or nil shards
 	if cfg.Flushers > 0 {

@@ -17,7 +17,6 @@ import (
 func shardedGeom(t *testing.T, n, perData int) (*flashsim.Device, Config) {
 	t.Helper()
 	base := Config{
-		ZonesPerSG:        1,
 		FlushThreshold:    8,
 		RearFullRatio:     0.95,
 		SGsPerIndexGroup:  4,
@@ -34,7 +33,7 @@ func shardedGeom(t *testing.T, n, perData int) (*flashsim.Device, Config) {
 	base.Shards = n
 	perShard := base
 	perShard.DataZones = perData
-	zones := n * (perData + perShard.IndexZones())
+	zones := n * (perData + IndexZonesFor(perData, perShard.SGsPerIndexGroup))
 	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 16, Zones: zones})
 	base.Device = dev
 	return dev, base

@@ -33,14 +33,14 @@ import (
 // configStamp reduces a Config to the snapshot's ConfigStamp: the fields
 // that shape on-flash layout or checkpointed state, with the same
 // normalizations the constructors apply (Shards collapses to 1). Its
-// InMemSGs slot carries the derived Config.MemSGs, and its ZoneOffset slot
-// stays 0 (the facade always lays its shards out from zone 0), so NEMO1
-// images keep their bytes.
+// InMemSGs slot carries the derived Config.MemSGs, its ZoneOffset slot
+// stays 0 (the facade always lays its shards out from zone 0) and its
+// ZonesPerSG slot 1 (an SG is one zone), so NEMO1 images keep their bytes.
 func configStamp(cfg Config) snapshot.ConfigStamp {
 	st := snapshot.ConfigStamp{
 		DataZones:         cfg.DataZones,
 		Shards:            cfg.Shards,
-		ZonesPerSG:        cfg.ZonesPerSG,
+		ZonesPerSG:        1,
 		InMemSGs:          cfg.MemSGs(),
 		FlushThreshold:    cfg.FlushThreshold,
 		RearFullRatio:     cfg.RearFullRatio,
@@ -121,7 +121,9 @@ func (c *Cache) captureLocked() snapshot.Shard {
 			ID:        g.id,
 			Sealed:    g.sealed,
 			LiveCount: g.liveCount,
-			Zones:     append([]int(nil), g.zones...),
+		}
+		if g.sealed {
+			sg.Zones = []int{g.zone}
 		}
 		for _, m := range g.members {
 			sm := snapshot.SG{
@@ -135,11 +137,11 @@ func (c *Cache) captureLocked() snapshot.Shard {
 			// types, so the checkpoint bytes are identical to the
 			// map/slice-era layout's.
 			sm.SetCounts, sm.Bits = m.snapMeta()
-			// A dead SG's zones went back to the free list when it was
-			// evicted (writepath.go); the slice left on the struct is stale
-			// and would double-claim zones in the restore partition check.
+			// A dead SG's zone went back to the free list when it was
+			// evicted (writepath.go); the one left on the struct is stale
+			// and would double-claim it in the restore partition check.
 			if !m.dead {
-				sm.Zones = append([]int(nil), m.zones...)
+				sm.Zones = []int{m.zone}
 			}
 			sg.Members = append(sg.Members, sm)
 		}
@@ -234,9 +236,6 @@ func tryRestore(path string, cfg Config, shards []*Cache) (bool, error) {
 	for i, c := range shards {
 		st, err := c.buildRestore(&f.Shards[i])
 		if err != nil {
-			for j := 0; j < i; j++ {
-				shards[j].discardRestore(states[j])
-			}
 			return false, fmt.Errorf("shard %d: %w", i, err)
 		}
 		states[i] = st
@@ -253,7 +252,6 @@ func tryRestore(path string, cfg Config, shards []*Cache) (bool, error) {
 type restoredState struct {
 	memq           []*memSG
 	sacCount       int
-	sgs            []*flashSG // every arena-allocated SG, for discardRestore
 	pool           []*flashSG
 	nextSGID       uint64
 	groups         []*idxGroup
@@ -307,18 +305,6 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 		extra:          nemoStatsOf(sh.Extra),
 	}
 
-	// SG structs and their meta come out of this cache's arenas; an
-	// abandoned restore releases them so a refused snapshot leaves the cold
-	// cache's arenas exactly as newShard built them.
-	built := false
-	defer func() {
-		if !built {
-			for _, m := range st.sgs {
-				c.releaseSG(m)
-			}
-		}
-	}()
-
 	// In-memory SG queue: parse every set's page image back into a block.
 	if len(sh.MemQ) != cfg.MemSGs() {
 		return nil, cfgErr("%d buffered SGs, want %d", len(sh.MemQ), cfg.MemSGs())
@@ -366,8 +352,8 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 			if len(sg.Members) != cfg.SGsPerIndexGroup {
 				return nil, cfgErr("sealed group %d has %d members, want %d", sg.ID, len(sg.Members), cfg.SGsPerIndexGroup)
 			}
-			if len(sg.Zones) != cfg.ZonesPerSG {
-				return nil, cfgErr("sealed group %d has %d index zones, want %d", sg.ID, len(sg.Zones), cfg.ZonesPerSG)
+			if len(sg.Zones) != 1 {
+				return nil, cfgErr("sealed group %d has %d index zones, want 1", sg.ID, len(sg.Zones))
 			}
 			if sg.LiveCount < 1 {
 				return nil, cfgErr("sealed group %d is fully dead but still present", sg.ID)
@@ -375,7 +361,7 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 			if len(sg.SlotBF) != 0 {
 				return nil, cfgErr("sealed group %d still carries filter buffers", sg.ID)
 			}
-			g.zones = append([]int(nil), sg.Zones...)
+			g.zone = sg.Zones[0]
 			g.cached = uncached(c.setsPerSG)
 		} else {
 			if len(sg.Members) >= cfg.SGsPerIndexGroup {
@@ -423,23 +409,16 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 				if len(sm.Zones) != 0 {
 					return nil, cfgErr("dead SG %d still holds zones", sm.ID)
 				}
-			} else if len(sm.Zones) != cfg.ZonesPerSG {
-				return nil, cfgErr("SG %d spans %d zones, want %d", sm.ID, len(sm.Zones), cfg.ZonesPerSG)
+			} else if len(sm.Zones) != 1 {
+				return nil, cfgErr("SG %d spans %d zones, want 1", sm.ID, len(sm.Zones))
 			}
 			if sm.Bits != nil && len(sm.Bits) != (sm.ObjCount+63)/64 {
 				return nil, cfgErr("SG %d bitmap of %d words for %d objects", sm.ID, len(sm.Bits), sm.ObjCount)
 			}
-			m := c.sgAlloc.alloc()
-			st.sgs = append(st.sgs, m)
-			m.id = sm.ID
-			m.group = g
-			m.slot = s
-			m.nsets = c.setsPerSG
-			m.objCount = sm.ObjCount
-			m.fill = sm.Fill
-			m.dead = sm.Dead
+			m := &flashSG{id: sm.ID, group: g, slot: s, nsets: c.setsPerSG,
+				objCount: sm.ObjCount, fill: sm.Fill, dead: sm.Dead}
 			if !sm.Dead {
-				m.zones = append(m.zones, sm.Zones...)
+				m.zone = sm.Zones[0]
 			}
 			// Make the packed meta from the checkpointed counts, then unpack
 			// the hot words into it (the inverse of captureLocked's repack).
@@ -465,14 +444,16 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 	// none claimed twice, none outside the shard's slice of the device.
 	dataBase := c.zoneBase
 	idxBase := c.zoneBase + cfg.DataZones
-	idxZones := cfg.IndexZones()
+	idxZones := IndexZonesFor(cfg.DataZones, cfg.SGsPerIndexGroup)
 	liveData := make([]int, 0, cfg.DataZones)
 	for _, m := range st.pool {
-		liveData = append(liveData, m.zones...)
+		liveData = append(liveData, m.zone)
 	}
 	liveIdx := make([]int, 0, idxZones)
 	for _, g := range st.groups {
-		liveIdx = append(liveIdx, g.zones...)
+		if g.sealed {
+			liveIdx = append(liveIdx, g.zone)
+		}
 	}
 	if err := checkZonePartition("data", dataBase, cfg.DataZones, sh.FreeDataZones, liveData); err != nil {
 		return nil, err
@@ -530,7 +511,7 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 		// The device page lands in the fetch scratch and its pbfgBytes are
 		// copied into the arena slot; a failed read abandons ic wholesale
 		// (its arena is private to it).
-		if _, err := c.dev.ReadPage(c.pageAddrIn(g.zones, ref.Set), c.fetchBuf); err != nil {
+		if _, err := c.dev.ReadPage(c.dev.PageAddr(g.zone, ref.Set), c.fetchBuf); err != nil {
 			return nil, fmt.Errorf("core: re-reading PBFG page (%d,%d): %w", ref.Group, ref.Set, err)
 		}
 		slot := ic.arena.alloc()
@@ -567,16 +548,7 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 			WBBytes:  rec.WBBytes,
 		})
 	}
-	built = true
 	return st, nil
-}
-
-// discardRestore releases a built-but-never-adopted state's arena
-// allocations (a sibling shard's defect abandons every shard's restore).
-func (c *Cache) discardRestore(st *restoredState) {
-	for _, m := range st.sgs {
-		c.releaseSG(m)
-	}
 }
 
 // checkZonePartition verifies free ∪ live == [base, base+n) with no overlap.

@@ -288,7 +288,8 @@ func TestUnshardedCheckpointRestore(t *testing.T) {
 // must be refused with ErrConfig, never an out-of-range index: a group id
 // gap, before the last group or after it, a queue entry naming no cached
 // page, a page queued twice or never,
-// a set offset out of range. Queue entries of groups retired before the
+// a set offset out of range, and a live SG or sealed group that does not
+// name exactly one zone. Queue entries of groups retired before the
 // checkpoint, which older images still carry, are skipped and restore.
 func TestRestoreIndexCacheRows(t *testing.T) {
 	dev := devtest.Backends()[0].New(t, snapGeometry(1))
@@ -328,6 +329,18 @@ func TestRestoreIndexCacheRows(t *testing.T) {
 		t.Fatal("every sealed set is cached")
 		return snapshot.PBFGRef{}
 	}
+	// liveSG is the first member still holding its zone.
+	liveSG := func(sh *snapshot.Shard) *snapshot.SG {
+		for gi := range sh.Groups {
+			for mi := range sh.Groups[gi].Members {
+				if m := &sh.Groups[gi].Members[mi]; !m.Dead {
+					return m
+				}
+			}
+		}
+		t.Fatal("no live SG")
+		return nil
+	}
 
 	rows := []struct {
 		name   string
@@ -359,6 +372,20 @@ func TestRestoreIndexCacheRows(t *testing.T) {
 		{"queue set out of range", func(sh *snapshot.Shard) {
 			sh.ICQueue[len(sh.ICQueue)-1].Set = -1
 		}, "names no cached page"},
+		{"two-zone live SG", func(sh *snapshot.Shard) {
+			m := liveSG(sh)
+			m.Zones = append(m.Zones, m.Zones[0]+1)
+		}, "spans 2 zones"},
+		{"zone-less live SG", func(sh *snapshot.Shard) {
+			liveSG(sh).Zones = nil
+		}, "spans 0 zones"},
+		{"two-zone sealed group", func(sh *snapshot.Shard) {
+			g := &sh.Groups[0]
+			if !g.Sealed {
+				t.Fatal("first group unsealed")
+			}
+			g.Zones = append(g.Zones, g.Zones[0]+1)
+		}, "2 index zones"},
 		{"retired group's queue entries", func(sh *snapshot.Shard) {
 			dead := []snapshot.PBFGRef{{Group: sh.ICDroppedUpTo, Set: 0}, {Group: sh.ICDroppedUpTo, Set: 0}}
 			sh.ICQueue = append(dead, sh.ICQueue...)
@@ -687,10 +714,10 @@ func TestSnapshotMirrorsEngineTypes(t *testing.T) {
 			map[string]bool{"Device": true, "Flushers": true, "SnapshotPath": true,
 				"BreakerThreshold": true, "BreakerProbeAfter": true,
 				"WriteRetries": true, "RetryBackoff": true},
-			// ZoneOffset is a retired slot the stamp keeps, always 0, and
-			// InMemSGs carries the derived Config.MemSGs, so NEMO1 images
-			// keep their bytes.
-			map[string]bool{"ZoneOffset": true, "InMemSGs": true}},
+			// ZoneOffset and ZonesPerSG are retired slots the stamp keeps,
+			// always 0 and 1 (an SG is one zone), and InMemSGs carries the
+			// derived Config.MemSGs, so NEMO1 images keep their bytes.
+			map[string]bool{"ZoneOffset": true, "ZonesPerSG": true, "InMemSGs": true}},
 		// Skipped Stats fields are ephemeral device-health accounting
 		// (health.go): a restarted process starts with a closed breaker and
 		// zero retry history by design, so they are deliberately not

@@ -194,9 +194,9 @@ type Resident struct {
 	// The index layer, which scales with Objects, by the part that holds it:
 	// PBFGCache is the cached PBFG pages' arena with its queue and the
 	// sealed groups' slot lists, and the PBFG fetch scratch; GroupBuffers the
-	// unsealed groups' pages; SGMeta the SG struct chunks and the meta each
-	// held SG keeps. PaperMeta is their sum, ModelMeta what MemoryOverhead
-	// (Table 6) charges the same Objects.
+	// unsealed groups' pages; SGMeta each held SG's struct and meta.
+	// PaperMeta is their sum, ModelMeta what MemoryOverhead (Table 6)
+	// charges the same Objects.
 	PBFGCache, GroupBuffers, SGMeta, ModelMeta uint64
 	// WriteBuffers is Shards × MemSGs × SG bytes, and one SG more per
 	// flush between its seal and its commit.
@@ -240,12 +240,11 @@ func (c *Cache) residentOwn() (r Resident) {
 	defer c.mu.Unlock()
 	ic := c.icache
 	r.PBFGCache = uint64(len(ic.arena.slabs)*pageSlabPages*ic.arena.slotSize + len(c.fetchBuf) + 8*cap(ic.queue))
-	r.SGMeta = uint64(len(c.sgAlloc.chunks) * (int(unsafe.Sizeof(sgChunk{})) + 8*sgChunkSize*c.sgAlloc.zps))
 	for _, g := range c.groups {
 		r.PBFGCache += uint64(4 * cap(g.cached))
 		r.GroupBuffers += uint64(cap(g.buf))
 		for _, m := range g.members {
-			r.SGMeta += uint64(4 * cap(m.meta))
+			r.SGMeta += uint64(unsafe.Sizeof(*m)) + uint64(4*cap(m.meta))
 		}
 	}
 	for _, sg := range c.pool {

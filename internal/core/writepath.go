@@ -10,10 +10,10 @@ package core
 //
 //   - seal (locked): everything whose outcome depends on shared mutable
 //     state is decided under the lock. The eviction victim (the pool head)
-//     is popped and marked dead; its data zones — and, when its index group
-//     retires with it, the group's index zones — return to the free lists;
-//     the flush's data zones (and, when this SG completes its index group,
-//     the group's index zones) are reserved from those lists in list order;
+//     is popped and marked dead; its data zone — and, when its index group
+//     retires with it, the group's index zone — return to the free lists;
+//     the flush's data zone (and, when this SG completes its index group,
+//     the group's index zone) is reserved from those lists;
 //     the SG id is assigned and nextSGID advances; and the front in-memory SG is
 //     detached from memq into c.sealed — immutable from here on except for
 //     the writeback survivors the owner itself inserts under the lock —
@@ -35,14 +35,14 @@ package core
 //     erased only by this flush — the only one in flight on this cache.
 //     Then — unlocked again — the freed zones are erased, the sealed SG's
 //     set blocks are serialized a window at a time into the kit's window
-//     and each window appended to the reserved data zones with one Append,
+//     and each window appended to the reserved data zone with one Append,
 //     the per-set Bloom filters are built in the owner's flush kit, and a
 //     completing index group's PBFG pages — the group buffer's, each copied
 //     and given this member's column — are appended to the reserved index
-//     zones the same way. A window is flushWindow bytes and never crosses a
-//     zone, so a 256-page SG is 8 appends and at most 8 read-back calls,
-//     writing the pages, zones and order page-at-a-time calls would (what
-//     the determinism pins below rest on). No foreground GET or SET on the
+//     zone the same way. A window is flushWindow bytes, so a 256-page SG is
+//     8 appends and at most 8 read-back calls, writing the pages, zones and
+//     order page-at-a-time calls would (what the determinism pins below
+//     rest on). No foreground GET or SET on the
 //     shard waits on any of this device I/O.
 //   - commit (locked): the flashSG publishes into its index group and the
 //     FIFO pool, its filters merge into the group buffer (the readers' copy,
@@ -147,13 +147,6 @@ func (c *Cache) newFlushKit() *flushKit {
 	return k
 }
 
-// windowEnd is the end of the window that starts at intra-SG offset o: at
-// most a window of pages on, and never past the zone that holds o.
-func (c *Cache) windowEnd(o int) int {
-	ppz := c.dev.PagesPerZone()
-	return min(o+len(c.kit.winPages), (o/ppz+1)*ppz)
-}
-
 // bytes is the kit's resident size. The caller holds the lock that guards
 // spare: the shard's while the kit is in a flush, the pool's while idle.
 func (k *flushKit) bytes() uint64 {
@@ -206,12 +199,12 @@ func (p *kitPool) idleBytes() (n uint64) {
 
 // evictPlan is the seal phase's snapshot of one eviction: which victim set
 // pages the unlocked pass reads back, and which zones the build pass must
-// erase before any append could land on them.
+// erase before any append could land on them — the victim's, and the
+// retired group's.
 type evictPlan struct {
 	victim   *flashSG
 	readSets []int     // ascending set offsets to read back (aliases the kit's)
 	retired  *idxGroup // victim's group when it died with the victim, else nil
-	idxReset []int     // retired group's index zones to erase
 }
 
 // flushFrontLocked flushes the front in-memory SG through the three-phase
@@ -278,36 +271,26 @@ func (c *Cache) flushOwner() error {
 	// ---- Phase 1: seal (locked) ----
 	front := c.memq[0]
 	var ev *evictPlan
-	if len(c.freeDataZones) < c.cfg.ZonesPerSG {
+	if len(c.freeDataZones) == 0 {
 		var err error
 		if ev, err = c.sealEvictLocked(); err != nil {
 			return err
 		}
 	}
-	if len(c.freeDataZones) < c.cfg.ZonesPerSG {
-		c.abortEvictLocked(ev)
-		c.eraseLocked(ev, nil, nil)
-		return fmt.Errorf("core: no free data zones after eviction")
-	}
+	zone, _ := popZone(&c.freeDataZones) // never empty: eviction freed one
 	g := c.openGroup()
-	sg := c.sgAlloc.alloc()
-	sg.id = c.nextSGID
-	sg.group = g
-	sg.slot = len(g.members)
-	sg.nsets = c.setsPerSG
-	sg.zones = popZonesInto(&c.freeDataZones, sg.zones, c.cfg.ZonesPerSG)
-	zones := sg.zones
 	willSeal := len(g.members)+1 == c.cfg.SGsPerIndexGroup
-	var idxZones []int
+	idxZone := -1 // the index zone a sealing flush reserves
 	if willSeal {
-		if idxZones = popZones(&c.freeIndexZones, c.cfg.ZonesPerSG); idxZones == nil {
-			c.freeDataZones = append(c.freeDataZones, zones...)
-			c.sgAlloc.release(sg)
+		var ok bool
+		if idxZone, ok = popZone(&c.freeIndexZones); !ok {
+			c.freeDataZones = append(c.freeDataZones, zone)
 			c.abortEvictLocked(ev)
-			c.eraseLocked(ev, nil, nil)
+			c.eraseLocked(ev, -1, -1)
 			return fmt.Errorf("core: no free index zones to seal group %d", g.id)
 		}
 	}
+	sg := &flashSG{id: c.nextSGID, zone: zone, group: g, slot: len(g.members), nsets: c.setsPerSG}
 	c.nextSGID++ // SG-epoch advance: in-flight optimistic readers will replan
 	c.sealed = &sealedFlush{mem: front}
 	copy(c.memq, c.memq[1:])
@@ -318,17 +301,17 @@ func (c *Cache) flushOwner() error {
 	// ---- Phase 2a: eviction read-back (unlocked) + liveness filter (locked), a window at a time ----
 	if ev != nil {
 		if err := c.evictLocked(ev, front); err != nil {
-			return c.recoverFailedFlushLocked(ev, front, sg, zones, idxZones, err)
+			return c.recoverFailedFlushLocked(ev, front, sg, idxZone, err)
 		}
 	}
 	fill := front.fillRate() // writeback survivors included, as in the locked path
 
 	// ---- Phase 2b: build (unlocked) ----
 	c.unlockForBuild()
-	buildErr := c.buildAndAppend(ev, front, sg, zones, idxZones, willSeal)
+	buildErr := c.buildAndAppend(ev, front, sg, idxZone)
 	c.relockAfterBuild()
 	if buildErr != nil {
-		return c.recoverFailedFlushLocked(ev, front, sg, zones, idxZones, buildErr)
+		return c.recoverFailedFlushLocked(ev, front, sg, idxZone, buildErr)
 	}
 
 	// ---- Phase 3: commit (locked) ----
@@ -365,7 +348,7 @@ func (c *Cache) flushOwner() error {
 		c.stats.FlashBytesWritten += zoneBytes
 		c.stats.DeviceBytesWritten += zoneBytes
 		c.extra.IndexBytesWritten += zoneBytes
-		g.zones = idxZones
+		g.zone = idxZone
 		g.sealed = true
 		g.buf = nil // buffer released; filters now live in the index pool
 		g.cached = uncached(c.setsPerSG)
@@ -393,7 +376,7 @@ func (c *Cache) flushOwner() error {
 
 // sealEvictLocked is the locked half of eviction (operation ❸): pop the
 // pool head, decide which of its set pages the unlocked pass reads back
-// for hotness-aware writeback, and return its zones — plus its index
+// for hotness-aware writeback, and return its zone — plus its index
 // group's, when the group dies with it — to the free lists. The zones are
 // erased later, in the build phase; no other flush can claim them before
 // this one commits.
@@ -402,6 +385,7 @@ func (c *Cache) sealEvictLocked() (*evictPlan, error) {
 		return nil, fmt.Errorf("core: pool empty but no free data zones")
 	}
 	victim := c.pool[0]
+	c.pool[0] = nil // the backing array must not keep the victim alive
 	c.pool = c.pool[1:]
 	ev := &evictPlan{victim: victim}
 
@@ -432,10 +416,9 @@ func (c *Cache) sealEvictLocked() (*evictPlan, error) {
 	victim.group.live &^= 1 << uint(victim.slot)
 	if victim.group.liveCount == 0 && victim.group.sealed {
 		ev.retired = victim.group
-		ev.idxReset = victim.group.zones
-		c.freeIndexZones = append(c.freeIndexZones, victim.group.zones...)
+		c.freeIndexZones = append(c.freeIndexZones, victim.group.zone)
 	}
-	c.freeDataZones = append(c.freeDataZones, victim.zones...)
+	c.freeDataZones = append(c.freeDataZones, victim.zone)
 	return ev, nil
 }
 
@@ -489,7 +472,7 @@ func (c *Cache) evictLocked(ev *evictPlan, dst *memSG) error {
 		n := min(len(sets), len(k.winPages))
 		if n > 0 {
 			for i, so := range sets[:n] {
-				k.winAddrs[i] = c.pageAddrIn(victim.zones, so)
+				k.winAddrs[i] = c.dev.PageAddr(victim.zone, so)
 			}
 			c.unlockForBuild()
 			_, err := c.dev.ReadPages(k.winAddrs[:n], k.winPages[:n])
@@ -568,20 +551,21 @@ func (c *Cache) writebackSet(victim *flashSG, o int, page []byte, dst *memSG) (s
 }
 
 // buildAndAppend is the unlocked build phase: erase the zones this flush's
-// eviction freed, serialize the sealed SG's set blocks into the reserved
-// data zones while building its per-set Bloom filters, and — when this SG
-// completes its index group — assemble and append the group's PBFG pages.
-func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, idxZones []int, willSeal bool) error {
+// eviction freed, serialize the sealed SG's set blocks into its reserved
+// data zone while building its per-set Bloom filters, and — when this SG
+// completes its index group (idxZone ≥ 0) — assemble and append the group's
+// PBFG pages to idxZone.
+func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, idxZone int) error {
+	// The freed zones are erased first: the zone just reserved is usually
+	// one of them, and the check below must see it empty.
 	if ev != nil {
-		for _, z := range ev.idxReset {
-			if _, err := c.dev.ResetZone(z); err != nil {
+		if ev.retired != nil {
+			if _, err := c.dev.ResetZone(ev.retired.zone); err != nil {
 				return err
 			}
 		}
-		for _, z := range ev.victim.zones {
-			if _, err := c.dev.ResetZone(z); err != nil {
-				return err
-			}
+		if _, err := c.dev.ResetZone(ev.victim.zone); err != nil {
+			return err
 		}
 	}
 	// A cold format adopts a dirty device as-is (a refused warm-restart
@@ -589,24 +573,21 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, 
 	// claimed from the free list can still hold a previous life's appends.
 	// Rewind any non-empty reserved zone before the first append lands; on a
 	// fresh or warm-restored device this never fires.
-	for _, set := range [2][]int{zones, idxZones} {
-		for _, z := range set {
-			if c.dev.ZoneWP(z) > 0 {
-				if _, err := c.dev.ResetZone(z); err != nil {
-					return err
-				}
+	for _, z := range [2]int{sg.zone, idxZone} {
+		if z >= 0 && c.dev.ZoneWP(z) > 0 {
+			if _, err := c.dev.ResetZone(z); err != nil {
+				return err
 			}
 		}
 	}
 	sc := c.kit
-	ppz := c.dev.PagesPerZone()
 	// The SG's filters are built in the owner's kit: readers test the group
 	// buffer under the lock, so nothing is written there from here. Set
 	// counts accumulate in the kit too — the SG's meta carve happens at
 	// commit, when the final object count is known. Each window of set
 	// pages is one Append.
 	for o := 0; o < c.setsPerSG; {
-		start, end := o, c.windowEnd(o)
+		end := min(o+len(sc.winPages), c.setsPerSG)
 		win := sc.window[:0]
 		for ; o < end; o++ {
 			blk := &front.sets[o]
@@ -620,22 +601,22 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, 
 			})
 			sc.filter.AppendBytes(sc.bfs[:o*c.bfBytes]) // in place: set o's slice of bfs
 		}
-		if _, _, err := c.appendRetry(zones[start/ppz], win); err != nil {
+		if _, _, err := c.appendRetry(sg.zone, win); err != nil {
 			return fmt.Errorf("core: flushing SG: %w", err)
 		}
 	}
-	if willSeal {
+	if idxZone >= 0 {
 		// One PBFG page per intra-SG offset (§4.3 "packed BF layout"): the
 		// group buffer's page with this last member's column merged in, a
 		// window of them per Append.
 		for o := 0; o < c.setsPerSG; {
-			start, end := o, c.windowEnd(o)
+			start, end := o, min(o+len(sc.winPages), c.setsPerSG)
 			for ; o < end; o++ {
 				page := sc.winPages[o-start]
 				clear(page[copy(page, c.bufPage(sg.group, o)):])
 				bloom.MergeColumn(page, c.cfg.SGsPerIndexGroup, sg.slot, sc.bfs[o*c.bfBytes:(o+1)*c.bfBytes])
 			}
-			if _, _, err := c.appendRetry(idxZones[start/ppz], sc.window[:(end-start)*c.pageSize]); err != nil {
+			if _, _, err := c.appendRetry(idxZone, sc.window[:(end-start)*c.pageSize]); err != nil {
 				return fmt.Errorf("core: sealing index group: %w", err)
 			}
 		}
@@ -645,13 +626,15 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, zones, 
 
 // recoverFailedFlushLocked unwinds a flush that died mid-build so the
 // cache stays consistent: every zone the flush touched is erased and
-// returned to its free list, and the sealed SG is dropped — its objects
-// count as evictions. Called and returns with c.mu held.
-func (c *Cache) recoverFailedFlushLocked(ev *evictPlan, front *memSG, sg *flashSG, zones, idxZones []int, cause error) error {
-	c.eraseLocked(ev, zones, idxZones)
-	c.freeDataZones = append(c.freeDataZones, zones...)
-	c.freeIndexZones = append(c.freeIndexZones, idxZones...)
-	c.releaseSG(sg) // never published: no meta carved, no reader can hold it
+// returned to its free list, and the sealed SG is dropped — never
+// published, so no reader holds it — and its objects count as evictions.
+// Called and returns with c.mu held.
+func (c *Cache) recoverFailedFlushLocked(ev *evictPlan, front *memSG, sg *flashSG, idxZone int, cause error) error {
+	c.eraseLocked(ev, sg.zone, idxZone)
+	c.freeDataZones = append(c.freeDataZones, sg.zone)
+	if idxZone >= 0 {
+		c.freeIndexZones = append(c.freeIndexZones, idxZone)
+	}
 	c.stats.Evictions += uint64(front.objCount())
 	c.sealed = nil
 	c.kit.spare = front // dropped, not flushed: nothing references its blocks
@@ -665,23 +648,21 @@ func (c *Cache) recoverFailedFlushLocked(ev *evictPlan, front *memSG, sg *flashS
 }
 
 // eraseLocked best-effort resets the zones an aborted flush may have left
-// un-erased (an eviction's freed zones are erased only in the build phase,
-// and reserved zones may hold partial appends). Reset failures are
-// structurally impossible for in-range zones and are ignored.
-func (c *Cache) eraseLocked(ev *evictPlan, zones, idxZones []int) {
+// un-erased: an eviction's freed zones are erased only in the build phase,
+// and the reserved zone and idxZone (-1 for none) may hold partial appends.
+// Reset failures are structurally impossible for in-range zones and are
+// ignored.
+func (c *Cache) eraseLocked(ev *evictPlan, zone, idxZone int) {
 	if ev != nil {
-		for _, z := range ev.idxReset {
+		if ev.retired != nil {
+			c.dev.ResetZone(ev.retired.zone)
+		}
+		c.dev.ResetZone(ev.victim.zone)
+	}
+	for _, z := range [2]int{zone, idxZone} {
+		if z >= 0 {
 			c.dev.ResetZone(z)
 		}
-		for _, z := range ev.victim.zones {
-			c.dev.ResetZone(z)
-		}
-	}
-	for _, z := range zones {
-		c.dev.ResetZone(z)
-	}
-	for _, z := range idxZones {
-		c.dev.ResetZone(z)
 	}
 }
 

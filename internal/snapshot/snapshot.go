@@ -76,9 +76,10 @@ type File struct {
 // ConfigStamp mirrors core.Config minus the runtime-only fields (Device,
 // Flushers, SnapshotPath): everything that shapes the on-flash layout or
 // the meaning of the checkpointed state. A reflection test in core pins the
-// two structs field-for-field, two slots aside that core no longer has as
+// two structs field-for-field, three slots aside that core no longer has as
 // fields: ZoneOffset always stamps 0, the first zone every cache starts at,
-// and InMemSGs stamps the derived count, core.Config.MemSGs.
+// ZonesPerSG always 1, an SG being one zone, and InMemSGs stamps the
+// derived count, core.Config.MemSGs.
 type ConfigStamp struct {
 	DataZones         int
 	Shards            int
