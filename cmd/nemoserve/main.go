@@ -111,17 +111,27 @@ func run() int {
 	)
 	flag.Parse()
 
-	if *snapEvery < 0 || (*snapEvery > 0 && *snapPath == "") {
-		if *snapEvery < 0 {
-			fmt.Fprintf(os.Stderr, "nemoserve: -snapshot-every %v is negative\n", *snapEvery)
-		} else {
-			fmt.Fprintln(os.Stderr, "nemoserve: -snapshot-every needs -snapshot")
-		}
-		flag.Usage()
-		return 2
+	// Flag values that are wrong on their face or that NewSharded would
+	// refuse are usage errors here, before the device is opened: a
+	// persistent image would otherwise be left behind.
+	var bad string
+	switch {
+	case *snapEvery < 0:
+		bad = fmt.Sprintf("-snapshot-every %v is negative", *snapEvery)
+	case *snapEvery > 0 && *snapPath == "":
+		bad = "-snapshot-every needs -snapshot"
+	case *shards < 1 || *zones%*shards != 0:
+		bad = fmt.Sprintf("%d data zones not divisible by %d shards", *zones, *shards)
+	case *zones / *shards < 2:
+		bad = fmt.Sprintf("%d data zones per shard, need at least 2", *zones / *shards)
+	case *flushers < 0 || *wrRetries < 0 || *degThresh < 0:
+		bad = "-flushers, -write-retries and -degraded-threshold must not be negative"
+	case *degProbe < 0 || *wrBackoff < 0:
+		bad = "-degraded-probe and -retry-backoff must not be negative"
 	}
-	if *shards < 1 || *zones%*shards != 0 {
-		fmt.Fprintf(os.Stderr, "nemoserve: %d data zones not divisible by %d shards\n", *zones, *shards)
+	if bad != "" {
+		fmt.Fprintln(os.Stderr, "nemoserve:", bad)
+		flag.Usage()
 		return 2
 	}
 	spec, err := backend.Parse(*devStr)

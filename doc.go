@@ -175,12 +175,14 @@
 // workload reports the result — engine_heap_mib end to end, and
 // runtime.heap_objects, core.heap_bits_per_obj and
 // runtime.gc_pause_total_ms in its traced run. The snapshot image describes
-// device state, not this layout: its bytes are pinned identical to the
-// map-based layout's (an unsealed group still checkpoints one serialized
-// filter run per member). What a snapshot does depend on is how the PBFG
-// pages it points at are arranged on flash, so the bit-sliced pages bumped
-// snapshot.Version to 2: a version-1 file is refused with ErrVersion and the
-// engine starts cold.
+// device state, not this layout (an unsealed group still checkpoints one
+// serialized filter run per member), and states each fact once: NEMO1
+// version 3 leaves out every field restore can compute. Its bytes are pinned
+// by the version-3 golden (TestSnapshotBytesMatchMapLayout), recorded after
+// the transition record in CHANGES.md showed every field version 2 carried
+// beyond it equal to its computed value and every kept field unchanged.
+// Version-1 and version-2 files are refused with ErrVersion and the engine
+// starts cold.
 //
 // # The serving layer
 //

@@ -256,10 +256,6 @@ type pbfgCache struct {
 	queue []pbfgKey // FIFO of the cached pages; eviction order
 	head  int       // index of the oldest entry within queue
 
-	// droppedUpTo is the newest retired group's id (NEMO1 carries it):
-	// SG pools retire index groups strictly in id order.
-	droppedUpTo int
-
 	lookups uint64 // sealed-group PBFG queries
 	misses  uint64 // queries requiring a flash fetch
 }
@@ -268,9 +264,8 @@ type pbfgCache struct {
 // arena slot size (put copies exactly that many bytes).
 func newPBFGCache(capacity, slotSize int) *pbfgCache {
 	return &pbfgCache{
-		capacity:    max(capacity, 0),
-		arena:       pageArena{slotSize: slotSize},
-		droppedUpTo: -1,
+		capacity: max(capacity, 0),
+		arena:    pageArena{slotSize: slotSize},
 	}
 }
 
@@ -318,7 +313,6 @@ func (pc *pbfgCache) dropGroup(g *idxGroup) {
 		}
 	}
 	g.cached = nil
-	pc.droppedUpTo = max(pc.droppedUpTo, g.id)
 	kept := pc.queue[:0]
 	for _, k := range pc.queue[pc.head:] {
 		if int(k.group) != g.id {

@@ -17,6 +17,12 @@ package core
 // stored), and all statistics. Deliberately not durable: the read-latency
 // histogram (measurement, not state) and any in-flight flush — Checkpoint
 // waits flushes out, so a snapshot never describes a half-committed SG.
+//
+// The image states each fact once (NEMO1 version 3); restore computes the
+// rest rather than reading and reconciling copies: a group's id from its
+// position and NextGroup, its sealing from its index zone, its live count
+// and live mask from its members; an SG's slot from its position, its
+// object count from its set counts; and the cached pages from the queue.
 
 import (
 	"errors"
@@ -32,16 +38,11 @@ import (
 
 // configStamp reduces a Config to the snapshot's ConfigStamp: the fields
 // that shape on-flash layout or checkpointed state, with the same
-// normalizations the constructors apply (Shards collapses to 1). Its
-// InMemSGs slot carries the derived Config.MemSGs, its ZoneOffset slot
-// stays 0 (the facade always lays its shards out from zone 0) and its
-// ZonesPerSG slot 1 (an SG is one zone), so NEMO1 images keep their bytes.
+// normalizations the constructors apply (Shards collapses to 1).
 func configStamp(cfg Config) snapshot.ConfigStamp {
 	st := snapshot.ConfigStamp{
 		DataZones:         cfg.DataZones,
 		Shards:            cfg.Shards,
-		ZonesPerSG:        1,
-		InMemSGs:          cfg.MemSGs(),
 		FlushThreshold:    cfg.FlushThreshold,
 		RearFullRatio:     cfg.RearFullRatio,
 		SGsPerIndexGroup:  cfg.SGsPerIndexGroup,
@@ -110,39 +111,24 @@ func (c *Cache) captureLocked() snapshot.Shard {
 		BytesSinceCool: c.bytesSinceCool,
 		ICLookups:      c.icache.lookups,
 		ICMisses:       c.icache.misses,
-		ICDroppedUpTo:  c.icache.droppedUpTo,
 		Stats:          countersOf(c.stats),
 		Extra:          extraOf(c.extra),
 		FreeDataZones:  append([]int(nil), c.freeDataZones...),
 		FreeIndexZones: append([]int(nil), c.freeIndexZones...),
 	}
 	for _, g := range c.groups {
-		sg := snapshot.Group{
-			ID:        g.id,
-			Sealed:    g.sealed,
-			LiveCount: g.liveCount,
-		}
+		sg := snapshot.Group{Zone: -1}
 		if g.sealed {
-			sg.Zones = []int{g.zone}
+			sg.Zone = g.zone
 		}
 		for _, m := range g.members {
-			sm := snapshot.SG{
-				ID:       m.id,
-				Slot:     m.slot,
-				Dead:     m.dead,
-				ObjCount: m.objCount,
-				Fill:     m.fill,
-			}
-			// The packed meta unpacks into the snapshot's historical field
-			// types, so the checkpoint bytes are identical to the
-			// map/slice-era layout's.
-			sm.SetCounts, sm.Bits = m.snapMeta()
 			// A dead SG's zone went back to the free list when it was
-			// evicted (writepath.go); the one left on the struct is stale
-			// and would double-claim it in the restore partition check.
+			// evicted (writepath.go); the one left on the struct is stale.
+			sm := snapshot.SG{ID: m.id, Fill: m.fill, Zone: -1}
 			if !m.dead {
-				sm.Zones = []int{m.zone}
+				sm.Zone = m.zone
 			}
+			sm.SetCounts, sm.Bits = m.snapMeta()
 			sg.Members = append(sg.Members, sm)
 		}
 		// The unsealed buffer checkpoints member by member, each one's filters
@@ -156,13 +142,6 @@ func (c *Cache) captureLocked() snapshot.Shard {
 			sg.SlotBF = append(sg.SlotBF, bf)
 		}
 		sh.Groups = append(sh.Groups, sg)
-		// Groups run in id order, so the page list comes out sorted by
-		// (group, set): canonical, as the snapshot must be.
-		for o, slot := range g.cached {
-			if slot >= 0 {
-				sh.ICPages = append(sh.ICPages, snapshot.PBFGRef{Group: g.id, Set: o})
-			}
-		}
 	}
 	for _, m := range c.memq {
 		ms := snapshot.MemSG{
@@ -277,18 +256,21 @@ func staleErr(format string, args ...any) error {
 // buildRestore validates one shard's checkpointed metadata against this
 // (cold, unpublished) cache's configuration and device, and builds the
 // corresponding live state. Every structural invariant the engine relies on
-// is re-checked rather than trusted: group/member ordering and sealing,
-// set-count/object-count agreement, exact zone partitioning between free
-// lists and live SGs, Bloom/bitmap sizing, index-cache subset relations —
-// and, against the device itself, the per-zone write pointers (free ⇒
-// empty, live ⇒ full). The generation stamp already guarantees the latter
-// when it matches, but write pointers are cheap and a second, independent
-// witness against a lying snapshot.
+// is re-checked rather than trusted: group sealing and member counts, SG-id
+// order, exact zone partitioning between free lists and live SGs, Bloom and
+// bitmap sizing, the index-cache queue naming distinct pages of sealed
+// groups — and, against the device itself, the per-zone write pointers
+// (free ⇒ empty, live ⇒ full). The generation stamp already guarantees the
+// latter when it matches, but write pointers are cheap and a second,
+// independent witness against a lying snapshot.
 func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 	cfg := &c.cfg
 	ppz := c.dev.PagesPerZone()
-	if sh.SacCount < 0 || sh.NextGroup < 0 || sh.ICDroppedUpTo < -1 {
+	if sh.SacCount < 0 {
 		return nil, cfgErr("negative epoch counters")
+	}
+	if sh.NextGroup < len(sh.Groups) {
+		return nil, cfgErr("next group id %d below the %d groups", sh.NextGroup, len(sh.Groups))
 	}
 	if sh.NextGroup > math.MaxInt32 {
 		return nil, cfgErr("group id %d overflows the index-cache queue", sh.NextGroup)
@@ -330,64 +312,50 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 
 	// Index groups and their member SGs. Group ids run densely up to
 	// NextGroup-1 (the index cache resolves ids by offset into the list, and
-	// the next group created must extend the run), and all but the last group
-	// must be sealed (groups seal in creation order); SG ids must strictly
-	// increase in traversal order (dense except where a failed flush burned
-	// an id).
-	prevGroupID := -1
+	// the next group created must extend the run), so they follow from the
+	// position. All but the last group must be sealed (groups seal in
+	// creation order); SG ids must strictly increase in traversal order
+	// (dense except where a failed flush burned an id).
+	firstGroup := sh.NextGroup - len(sh.Groups)
 	var prevSGID uint64
 	haveSG := false
 	for gi := range sh.Groups {
 		sg := &sh.Groups[gi]
-		if sg.ID < 0 || (gi > 0 && sg.ID != prevGroupID+1) || (gi == len(sh.Groups)-1 && sg.ID != sh.NextGroup-1) {
-			return nil, cfgErr("group id %d breaks the dense run after %d up to next %d", sg.ID, prevGroupID, sh.NextGroup)
+		g := &idxGroup{id: firstGroup + gi, sealed: sg.Zone >= 0}
+		if sg.Zone < -1 {
+			return nil, cfgErr("group %d has index zone %d", g.id, sg.Zone)
 		}
-		prevGroupID = sg.ID
-		if !sg.Sealed && gi != len(sh.Groups)-1 {
-			return nil, cfgErr("unsealed group %d is not the last group", sg.ID)
+		if !g.sealed && gi != len(sh.Groups)-1 {
+			return nil, cfgErr("unsealed group %d is not the last group", g.id)
 		}
-		g := &idxGroup{id: sg.ID, sealed: sg.Sealed, liveCount: sg.LiveCount}
-		live := 0
-		if sg.Sealed {
+		if g.sealed {
 			if len(sg.Members) != cfg.SGsPerIndexGroup {
-				return nil, cfgErr("sealed group %d has %d members, want %d", sg.ID, len(sg.Members), cfg.SGsPerIndexGroup)
-			}
-			if len(sg.Zones) != 1 {
-				return nil, cfgErr("sealed group %d has %d index zones, want 1", sg.ID, len(sg.Zones))
-			}
-			if sg.LiveCount < 1 {
-				return nil, cfgErr("sealed group %d is fully dead but still present", sg.ID)
+				return nil, cfgErr("sealed group %d has %d members, want %d", g.id, len(sg.Members), cfg.SGsPerIndexGroup)
 			}
 			if len(sg.SlotBF) != 0 {
-				return nil, cfgErr("sealed group %d still carries filter buffers", sg.ID)
+				return nil, cfgErr("sealed group %d still carries filter buffers", g.id)
 			}
-			g.zone = sg.Zones[0]
+			g.zone = sg.Zone
 			g.cached = uncached(c.setsPerSG)
 		} else {
 			if len(sg.Members) >= cfg.SGsPerIndexGroup {
-				return nil, cfgErr("unsealed group %d has %d members, limit %d", sg.ID, len(sg.Members), cfg.SGsPerIndexGroup)
-			}
-			if len(sg.Zones) != 0 {
-				return nil, cfgErr("unsealed group %d has index zones", sg.ID)
+				return nil, cfgErr("unsealed group %d has %d members, limit %d", g.id, len(sg.Members), cfg.SGsPerIndexGroup)
 			}
 			if len(sg.SlotBF) != len(sg.Members) {
-				return nil, cfgErr("unsealed group %d has %d filter buffers for %d members", sg.ID, len(sg.SlotBF), len(sg.Members))
+				return nil, cfgErr("unsealed group %d has %d filter buffers for %d members", g.id, len(sg.SlotBF), len(sg.Members))
 			}
 			// Rebuild the group buffer the way flushes filled it: one
 			// commit-time merge per checkpointed member.
 			g.buf = make([]byte, c.setsPerSG*c.pbfgBytes)
 			for s, bf := range sg.SlotBF {
 				if len(bf) != c.setsPerSG*c.bfBytes {
-					return nil, cfgErr("group %d filter buffer %d is %d bytes, want %d", sg.ID, s, len(bf), c.setsPerSG*c.bfBytes)
+					return nil, cfgErr("group %d filter buffer %d is %d bytes, want %d", g.id, s, len(bf), c.setsPerSG*c.bfBytes)
 				}
 				c.mergeFilters(g, s, bf)
 			}
 		}
 		for s := range sg.Members {
 			sm := &sg.Members[s]
-			if sm.Slot != s {
-				return nil, cfgErr("group %d member %d claims slot %d", sg.ID, s, sm.Slot)
-			}
 			if haveSG && sm.ID <= prevSGID {
 				return nil, cfgErr("SG id %d out of order after %d", sm.ID, prevSGID)
 			}
@@ -395,30 +363,19 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 				return nil, cfgErr("SG id %d not below nextSGID %d", sm.ID, sh.NextSGID)
 			}
 			prevSGID, haveSG = sm.ID, true
+			if sm.Zone < -1 {
+				return nil, cfgErr("SG %d has zone %d", sm.ID, sm.Zone)
+			}
 			if len(sm.SetCounts) != c.setsPerSG {
 				return nil, cfgErr("SG %d has %d set counts, want %d", sm.ID, len(sm.SetCounts), c.setsPerSG)
 			}
-			sum := 0
-			for _, n := range sm.SetCounts {
-				sum += int(n)
-			}
-			if sum != sm.ObjCount {
-				return nil, cfgErr("SG %d object count %d does not match set counts (%d)", sm.ID, sm.ObjCount, sum)
-			}
-			if sm.Dead {
-				if len(sm.Zones) != 0 {
-					return nil, cfgErr("dead SG %d still holds zones", sm.ID)
-				}
-			} else if len(sm.Zones) != 1 {
-				return nil, cfgErr("SG %d spans %d zones, want 1", sm.ID, len(sm.Zones))
-			}
-			if sm.Bits != nil && len(sm.Bits) != (sm.ObjCount+63)/64 {
-				return nil, cfgErr("SG %d bitmap of %d words for %d objects", sm.ID, len(sm.Bits), sm.ObjCount)
-			}
 			m := &flashSG{id: sm.ID, group: g, slot: s, nsets: c.setsPerSG,
-				objCount: sm.ObjCount, fill: sm.Fill, dead: sm.Dead}
-			if !sm.Dead {
-				m.zone = sm.Zones[0]
+				fill: sm.Fill, zone: sm.Zone, dead: sm.Zone < 0}
+			for _, n := range sm.SetCounts {
+				m.objCount += int(n)
+			}
+			if sm.Bits != nil && len(sm.Bits) != (m.objCount+63)/64 {
+				return nil, cfgErr("SG %d bitmap of %d words for %d objects", sm.ID, len(sm.Bits), m.objCount)
 			}
 			// Make the packed meta from the checkpointed counts, then unpack
 			// the hot words into it (the inverse of captureLocked's repack).
@@ -430,11 +387,11 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 			if !m.dead {
 				st.pool = append(st.pool, m)
 				g.live |= 1 << uint(s)
-				live++
+				g.liveCount++
 			}
 		}
-		if live != sg.LiveCount {
-			return nil, cfgErr("group %d live count %d does not match members (%d live)", sg.ID, sg.LiveCount, live)
+		if g.sealed && g.liveCount == 0 {
+			return nil, cfgErr("sealed group %d is fully dead but still present", g.id)
 		}
 		st.groups = append(st.groups, g)
 	}
@@ -484,29 +441,23 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 		}
 	}
 
-	// PBFG index cache: cached pages are re-read from the (validated
-	// identical) index zones, so the snapshot never stores index bytes it
-	// would then have to trust. The FIFO queue restores in order, minus the
-	// entries of groups retired before the checkpoint, which images written
-	// before retiring groups took their entries with them still carry; every
-	// other entry must name a cached page, and every cached page must be
-	// queued exactly once.
+	// PBFG index cache: the queue lists the cached pages oldest first, and
+	// each page is re-read from the (validated identical) index zone, so the
+	// snapshot never stores index bytes it would then have to trust.
 	ic := newPBFGCache(c.icache.capacity, c.pbfgBytes)
 	ic.lookups, ic.misses = sh.ICLookups, sh.ICMisses
-	ic.droppedUpTo = sh.ICDroppedUpTo
-	if len(sh.ICPages) > ic.capacity {
-		return nil, cfgErr("%d cached PBFG pages exceed capacity %d", len(sh.ICPages), ic.capacity)
+	if len(sh.ICQueue) > ic.capacity {
+		return nil, cfgErr("%d cached PBFG pages exceed capacity %d", len(sh.ICQueue), ic.capacity)
 	}
-	for _, ref := range sh.ICPages {
+	for _, ref := range sh.ICQueue {
 		g := groupAt(st.groups, ref.Group)
-		if g == nil || !g.sealed || ref.Group <= ic.droppedUpTo {
-			return nil, cfgErr("cached PBFG page for retired group %d", ref.Group)
-		}
-		if ref.Set < 0 || ref.Set >= c.setsPerSG {
+		switch {
+		case g == nil || !g.sealed:
+			return nil, cfgErr("cached PBFG page (%d,%d) names no sealed group", ref.Group, ref.Set)
+		case ref.Set < 0 || ref.Set >= c.setsPerSG:
 			return nil, cfgErr("cached PBFG page set offset %d out of range", ref.Set)
-		}
-		if g.cached[ref.Set] >= 0 {
-			return nil, cfgErr("duplicate cached PBFG page (%d,%d)", ref.Group, ref.Set)
+		case g.cached[ref.Set] >= 0:
+			return nil, cfgErr("index-cache queue names (%d,%d) twice", ref.Group, ref.Set)
 		}
 		// The device page lands in the fetch scratch and its pbfgBytes are
 		// copied into the arena slot; a failed read abandons ic wholesale
@@ -518,24 +469,7 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 		copy(ic.arena.page(slot), c.fetchBuf)
 		g.cached[ref.Set] = slot
 		ic.count++
-	}
-	queued := make(map[snapshot.PBFGRef]bool, len(sh.ICQueue))
-	for _, ref := range sh.ICQueue {
-		if ref.Group <= ic.droppedUpTo {
-			continue
-		}
-		g := groupAt(st.groups, ref.Group)
-		if g == nil || !g.sealed || ref.Set < 0 || ref.Set >= c.setsPerSG || g.cached[ref.Set] < 0 {
-			return nil, cfgErr("index-cache queue entry (%d,%d) names no cached page", ref.Group, ref.Set)
-		}
-		if queued[ref] {
-			return nil, cfgErr("index-cache queue names (%d,%d) twice", ref.Group, ref.Set)
-		}
-		queued[ref] = true
 		ic.queue = append(ic.queue, pbfgKey{group: int32(ref.Group), set: int32(ref.Set)})
-	}
-	if len(ic.queue) != ic.count {
-		return nil, cfgErr("index-cache queue of %d entries for %d cached pages", len(ic.queue), ic.count)
 	}
 	st.icache = ic
 

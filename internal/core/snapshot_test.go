@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -283,14 +284,14 @@ func TestUnshardedCheckpointRestore(t *testing.T) {
 }
 
 // TestRestoreIndexCacheRows mutates the group list and the index-cache
-// sections of a valid checkpoint, saves it, and restores it. Restore
-// resolves group ids by offset into the group list, so every crafted row
-// must be refused with ErrConfig, never an out-of-range index: a group id
-// gap, before the last group or after it, a queue entry naming no cached
-// page, a page queued twice or never,
-// a set offset out of range, and a live SG or sealed group that does not
-// name exactly one zone. Queue entries of groups retired before the
-// checkpoint, which older images still carry, are skipped and restore.
+// section of a valid checkpoint, saves it, and restores it. Restore
+// computes group ids from NextGroup and resolves them by offset into the
+// group list, so every crafted row must be refused with ErrConfig, never an
+// out-of-range index: a next group id below the group count, a queue entry
+// for an unknown, retired or unsealed group, a set offset out of range, a
+// page queued twice, a queue longer than the cache, and a group or SG zone
+// below -1. A queue entry for a sealed page the engine had not cached is
+// just another cached page: it restores, re-read from flash.
 func TestRestoreIndexCacheRows(t *testing.T) {
 	dev := devtest.Backends()[0].New(t, snapGeometry(1))
 	dir := t.TempDir()
@@ -303,25 +304,22 @@ func TestRestoreIndexCacheRows(t *testing.T) {
 	if err := c.Checkpoint(valid); err != nil {
 		t.Fatal(err)
 	}
-	setsPerSG := c.shards[0].setsPerSG
+	setsPerSG, capacity := c.shards[0].setsPerSG, c.shards[0].icache.capacity
 	f, err := snapshot.Load(valid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sh := &f.Shards[0]
-	if len(sh.Groups) < 2 || len(sh.ICPages) == 0 || sh.ICDroppedUpTo < 0 {
-		t.Fatalf("checkpoint too thin for the table: %d groups, %d cached pages, dropped up to %d",
-			len(sh.Groups), len(sh.ICPages), sh.ICDroppedUpTo)
+	firstGroup := sh.NextGroup - len(sh.Groups)
+	if len(sh.Groups) < 2 || len(sh.ICQueue) == 0 || firstGroup < 1 || sh.Groups[len(sh.Groups)-1].Zone != -1 {
+		t.Fatalf("checkpoint too thin for the table: %d groups from id %d, %d cached pages",
+			len(sh.Groups), firstGroup, len(sh.ICQueue))
 	}
 	// uncachedRef is a sealed group's set with no cached page.
 	uncachedRef := func(sh *snapshot.Shard) snapshot.PBFGRef {
-		cached := make(map[snapshot.PBFGRef]bool)
-		for _, ref := range sh.ICPages {
-			cached[ref] = true
-		}
-		for _, g := range sh.Groups {
-			for o := 0; g.Sealed && o < setsPerSG; o++ {
-				if ref := (snapshot.PBFGRef{Group: g.ID, Set: o}); !cached[ref] {
+		for gi, g := range sh.Groups {
+			for o := 0; g.Zone >= 0 && o < setsPerSG; o++ {
+				if ref := (snapshot.PBFGRef{Group: firstGroup + gi, Set: o}); !slices.Contains(sh.ICQueue, ref) {
 					return ref
 				}
 			}
@@ -333,7 +331,7 @@ func TestRestoreIndexCacheRows(t *testing.T) {
 	liveSG := func(sh *snapshot.Shard) *snapshot.SG {
 		for gi := range sh.Groups {
 			for mi := range sh.Groups[gi].Members {
-				if m := &sh.Groups[gi].Members[mi]; !m.Dead {
+				if m := &sh.Groups[gi].Members[mi]; m.Zone >= 0 {
 					return m
 				}
 			}
@@ -341,54 +339,49 @@ func TestRestoreIndexCacheRows(t *testing.T) {
 		t.Fatal("no live SG")
 		return nil
 	}
+	last := func(sh *snapshot.Shard) *snapshot.PBFGRef { return &sh.ICQueue[len(sh.ICQueue)-1] }
 
 	rows := []struct {
 		name   string
 		mutate func(sh *snapshot.Shard)
 		want   string // "" = must restore
 	}{
-		{"group id gap", func(sh *snapshot.Shard) {
-			sh.Groups[len(sh.Groups)-1].ID++
-			sh.NextGroup++
-		}, "dense run"},
-		{"next group id past a gap", func(sh *snapshot.Shard) {
-			sh.NextGroup++
-		}, "dense run"},
-		{"queue entry without a page", func(sh *snapshot.Shard) {
-			sh.ICQueue = append(sh.ICQueue, uncachedRef(sh))
-		}, "names no cached page"},
+		{"next group id below the group count", func(sh *snapshot.Shard) {
+			sh.NextGroup = len(sh.Groups) - 1
+		}, "below the"},
 		{"queue entry for an unknown group", func(sh *snapshot.Shard) {
-			sh.ICQueue = append(sh.ICQueue, snapshot.PBFGRef{Group: sh.NextGroup + 7})
-		}, "names no cached page"},
+			last(sh).Group = sh.NextGroup + 7
+		}, "names no sealed group"},
+		{"retired group's queue entries", func(sh *snapshot.Shard) {
+			last(sh).Group = firstGroup - 1
+		}, "names no sealed group"},
+		{"queue entry for the unsealed group", func(sh *snapshot.Shard) {
+			last(sh).Group = sh.NextGroup - 1
+		}, "names no sealed group"},
 		{"duplicate queue entry", func(sh *snapshot.Shard) {
-			sh.ICQueue = append(sh.ICQueue, sh.ICQueue[len(sh.ICQueue)-1])
+			sh.ICQueue = append(sh.ICQueue[:len(sh.ICQueue)-1], sh.ICQueue[0])
 		}, "twice"},
-		{"page without a queue entry", func(sh *snapshot.Shard) {
-			sh.ICQueue = sh.ICQueue[:len(sh.ICQueue)-1]
-		}, "entries for"},
 		{"page set out of range", func(sh *snapshot.Shard) {
-			sh.ICPages[len(sh.ICPages)-1].Set = setsPerSG
+			last(sh).Set = setsPerSG
 		}, "out of range"},
 		{"queue set out of range", func(sh *snapshot.Shard) {
-			sh.ICQueue[len(sh.ICQueue)-1].Set = -1
-		}, "names no cached page"},
-		{"two-zone live SG", func(sh *snapshot.Shard) {
-			m := liveSG(sh)
-			m.Zones = append(m.Zones, m.Zones[0]+1)
-		}, "spans 2 zones"},
-		{"zone-less live SG", func(sh *snapshot.Shard) {
-			liveSG(sh).Zones = nil
-		}, "spans 0 zones"},
-		{"two-zone sealed group", func(sh *snapshot.Shard) {
-			g := &sh.Groups[0]
-			if !g.Sealed {
-				t.Fatal("first group unsealed")
+			last(sh).Set = -1
+		}, "out of range"},
+		{"queue longer than capacity", func(sh *snapshot.Shard) {
+			for len(sh.ICQueue) <= capacity {
+				sh.ICQueue = append(sh.ICQueue, sh.ICQueue[0])
 			}
-			g.Zones = append(g.Zones, g.Zones[0]+1)
-		}, "2 index zones"},
-		{"retired group's queue entries", func(sh *snapshot.Shard) {
-			dead := []snapshot.PBFGRef{{Group: sh.ICDroppedUpTo, Set: 0}, {Group: sh.ICDroppedUpTo, Set: 0}}
-			sh.ICQueue = append(dead, sh.ICQueue...)
+		}, "exceed capacity"},
+		{"group zone below -1", func(sh *snapshot.Shard) {
+			sh.Groups[0].Zone = -2
+		}, "index zone -2"},
+		{"SG zone below -1", func(sh *snapshot.Shard) {
+			liveSG(sh).Zone = -2
+		}, "zone -2"},
+		// The engine held no page for this entry; in version 3 the queue
+		// is the page list, so the entry is one more cached page.
+		{"queue entry without a page", func(sh *snapshot.Shard) {
+			*last(sh) = uncachedRef(sh)
 		}, ""},
 	}
 	for i, row := range rows {
@@ -416,26 +409,44 @@ func TestRestoreIndexCacheRows(t *testing.T) {
 			if !restored {
 				t.Fatalf("restore refused: %v", rerr)
 			}
-			// The skipped entries are gone: re-checkpointing yields the
-			// valid image.
+			// The entry's page was read back in: re-checkpointing yields the
+			// mutated image.
 			again := filepath.Join(dir, "again.snap")
 			if err := warm.Checkpoint(again); err != nil {
 				t.Fatal(err)
 			}
-			b1, _ := os.ReadFile(valid)
+			b1, _ := os.ReadFile(path)
 			b2, _ := os.ReadFile(again)
 			if !bytes.Equal(b1, b2) {
-				t.Fatal("re-checkpoint of the restored image differs from the valid one")
+				t.Fatal("re-checkpoint of the restored image differs from the one it restored")
 			}
 		})
 	}
 }
 
+// crashFlips are the crash matrix's single-bit flips: byte offset and bit.
+// They were drawn once from a seeded RNG over the whole image and are
+// pinned, so a case keeps its name, and the byte it hits, when a format
+// change moves the image's length.
+var crashFlips = [...]struct {
+	pos int
+	bit uint
+}{
+	{31730, 6}, {4825, 7}, {17604, 4}, {6032, 6}, {12112, 4}, {8880, 1},
+	{37182, 2}, {3083, 0}, {23272, 6}, {32373, 6}, {19532, 2}, {20255, 7},
+	{3693, 5}, {31283, 1}, {33721, 7}, {29024, 5}, {25272, 3}, {22963, 5},
+	{2764, 5}, {2248, 0}, {38848, 0}, {29921, 3}, {11057, 0}, {5355, 1},
+	{2493, 5}, {5278, 2}, {20292, 2}, {29337, 2}, {19290, 1}, {16168, 7},
+	{16221, 6}, {38203, 1}, {38513, 0}, {20152, 1}, {2374, 0}, {14051, 6},
+	{25093, 1}, {797, 7}, {15525, 4}, {16525, 2}, {20439, 4}, {21429, 6},
+	{18823, 5}, {1236, 4}, {7878, 3}, {18314, 3}, {16187, 1}, {12519, 3},
+}
+
 // TestSnapshotCrashMatrix is the corruption table: a valid snapshot
-// truncated at every section boundary, bit-flipped at seeded-random
-// offsets, and mangled in targeted ways must always be refused with a typed
-// error — never adopted, never a panic — and the engine must serve cold
-// afterwards. Runs against both device backends.
+// truncated at every section boundary, bit-flipped at the pinned
+// crashFlips, and mangled in targeted ways must always be refused with a
+// typed error — never adopted, never a panic — and the engine must serve
+// cold afterwards. Runs against both device backends.
 func TestSnapshotCrashMatrix(t *testing.T) {
 	devtest.Run(t, func(t *testing.T, b devtest.Backend) {
 		dev := b.New(t, snapGeometry(snapShards))
@@ -478,12 +489,13 @@ func TestSnapshotCrashMatrix(t *testing.T) {
 			}
 			cases = append(cases, corruption{fmt.Sprintf("truncate@%d", o), valid[:o]})
 		}
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < 48; i++ {
-			pos := rng.Intn(len(valid))
+		for _, f := range crashFlips {
+			if f.pos >= len(valid) {
+				t.Fatalf("bit flip at %d lies past the %d-byte image", f.pos, len(valid))
+			}
 			mut := append([]byte(nil), valid...)
-			mut[pos] ^= 1 << uint(rng.Intn(8))
-			cases = append(cases, corruption{fmt.Sprintf("bitflip@%d", pos), mut})
+			mut[f.pos] ^= 1 << f.bit
+			cases = append(cases, corruption{fmt.Sprintf("bitflip@%d", f.pos), mut})
 		}
 		cases = append(cases,
 			corruption{"empty", nil},
@@ -548,14 +560,15 @@ func restampVersion(blob []byte, v uint32) {
 	binary.LittleEndian.PutUint32(footer[8:], crc32.ChecksumIEEE(footer[12:]))
 }
 
-// TestVersion1SnapshotColdStarts pins the format bump: a version-1
+// TestOldVersionSnapshotsColdStart pins the format bumps: a version-1
 // checkpoint's sealed groups point at filter-major PBFG pages this build
-// would misread as bit-sliced, so an otherwise intact version-1 file — right
-// device, right generation, every CRC good — is refused with ErrVersion and
-// the cache starts cold.
-func TestVersion1SnapshotColdStarts(t *testing.T) {
+// would misread as bit-sliced, and a version-2 checkpoint lays out fields
+// version 3 dropped. Either, otherwise intact — right device, right
+// generation, every CRC good — is refused with ErrVersion and the cache
+// starts cold.
+func TestOldVersionSnapshotsColdStart(t *testing.T) {
 	dev := devtest.Backends()[0].New(t, snapGeometry(snapShards))
-	path := filepath.Join(t.TempDir(), "v1.snap")
+	path := filepath.Join(t.TempDir(), "old.snap")
 	c, err := NewSharded(snapConfig(dev, snapShards, 0, path))
 	if err != nil {
 		t.Fatal(err)
@@ -572,19 +585,23 @@ func TestVersion1SnapshotColdStarts(t *testing.T) {
 	if _, err := snapshot.Decode(blob); err != nil {
 		t.Fatalf("restamping the current version broke the image: %v", err)
 	}
-	restampVersion(blob, 1)
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cold, err := NewSharded(snapConfig(dev, snapShards, 0, path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored, rerr := cold.RestoreOutcome(); restored || !errors.Is(rerr, snapshot.ErrVersion) {
-		t.Fatalf("version-1 snapshot: restored=%v err=%v, want a cold start with ErrVersion", restored, rerr)
-	}
-	if st := cold.Stats(); st != (cachelib.Stats{}) {
-		t.Fatalf("cold engine carries stats: %+v", st)
+	for _, v := range []uint32{1, 2} {
+		t.Run(fmt.Sprintf("version %d", v), func(t *testing.T) {
+			restampVersion(blob, v)
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cold, err := NewSharded(snapConfig(dev, snapShards, 0, path))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored, rerr := cold.RestoreOutcome(); restored || !errors.Is(rerr, snapshot.ErrVersion) {
+				t.Fatalf("restored=%v err=%v, want a cold start with ErrVersion", restored, rerr)
+			}
+			if st := cold.Stats(); st != (cachelib.Stats{}) {
+				t.Fatalf("cold engine carries stats: %+v", st)
+			}
+		})
 	}
 }
 
@@ -703,9 +720,9 @@ func fieldSig(t reflect.Type, skip map[string]bool) []string {
 
 func TestSnapshotMirrorsEngineTypes(t *testing.T) {
 	cases := []struct {
-		name           string
-		core, snap     reflect.Type
-		skip, snapSkip map[string]bool
+		name       string
+		core, snap reflect.Type
+		skip       map[string]bool
 	}{
 		// Skipped Config fields are runtime knobs that shape no on-flash
 		// layout or checkpointed state: the device handle, the flusher pool,
@@ -713,24 +730,20 @@ func TestSnapshotMirrorsEngineTypes(t *testing.T) {
 		{"ConfigStamp", reflect.TypeOf(Config{}), reflect.TypeOf(snapshot.ConfigStamp{}),
 			map[string]bool{"Device": true, "Flushers": true, "SnapshotPath": true,
 				"BreakerThreshold": true, "BreakerProbeAfter": true,
-				"WriteRetries": true, "RetryBackoff": true},
-			// ZoneOffset and ZonesPerSG are retired slots the stamp keeps,
-			// always 0 and 1 (an SG is one zone), and InMemSGs carries the
-			// derived Config.MemSGs, so NEMO1 images keep their bytes.
-			map[string]bool{"ZoneOffset": true, "ZonesPerSG": true, "InMemSGs": true}},
+				"WriteRetries": true, "RetryBackoff": true}},
 		// Skipped Stats fields are ephemeral device-health accounting
 		// (health.go): a restarted process starts with a closed breaker and
 		// zero retry history by design, so they are deliberately not
 		// checkpointed.
 		{"Counters", reflect.TypeOf(cachelib.Stats{}), reflect.TypeOf(snapshot.Counters{}),
 			map[string]bool{"WriteRetries": true, "DegradedRejects": true,
-				"DegradedEntered": true, "DegradedSeconds": true, "BreakerOpen": true}, nil},
-		{"Extra", reflect.TypeOf(NemoStats{}), reflect.TypeOf(snapshot.Extra{}), nil, nil},
-		{"FlushRec", reflect.TypeOf(FlushRecord{}), reflect.TypeOf(snapshot.FlushRec{}), nil, nil},
+				"DegradedEntered": true, "DegradedSeconds": true, "BreakerOpen": true}},
+		{"Extra", reflect.TypeOf(NemoStats{}), reflect.TypeOf(snapshot.Extra{}), nil},
+		{"FlushRec", reflect.TypeOf(FlushRecord{}), reflect.TypeOf(snapshot.FlushRec{}), nil},
 	}
 	for _, tc := range cases {
 		want := fieldSig(tc.core, tc.skip)
-		got := fieldSig(tc.snap, tc.snapSkip)
+		got := fieldSig(tc.snap, nil)
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%s does not mirror the engine type:\n engine %v\n mirror %v", tc.name, want, got)
 		}

@@ -39,9 +39,9 @@ func TestOpenZoneLimitRespected(t *testing.T) {
 	}
 }
 
-// TestInvalidZonesPerSG: a pool of one data zone holds one SG, and FIFO
+// TestSingleSGPoolRefused: a pool of one data zone holds one SG, and FIFO
 // eviction needs two.
-func TestInvalidZonesPerSG(t *testing.T) {
+func TestSingleSGPoolRefused(t *testing.T) {
 	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 8, Zones: 40})
 	if _, err := newBare(DefaultConfig(dev, 1)); err == nil {
 		t.Fatal("single-SG pool accepted")

@@ -57,8 +57,6 @@ type Config struct {
 	OPRatio float64
 	// TargetObjsPerSet sizes the in-memory per-page Bloom filters.
 	TargetObjsPerSet int
-	// BloomBitsPerObj is the per-page filter budget (default 4).
-	BloomBitsPerObj float64
 	// SpillMinBytes is the minimum accumulated hot spill that justifies an
 	// overflow-page rewrite during migration (default pageSize/4).
 	SpillMinBytes int
@@ -101,7 +99,6 @@ type Cache struct {
 
 	priFilters []*bloom.Filter
 	ovFilters  []*bloom.Filter
-	fpr        float64
 
 	accessed map[uint64]struct{}
 	deleted  cachelib.DeleteShadow
@@ -152,9 +149,6 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.TargetObjsPerSet == 0 {
 		cfg.TargetObjsPerSet = 40
 	}
-	if cfg.BloomBitsPerObj == 0 {
-		cfg.BloomBitsPerObj = 4
-	}
 	if cfg.SpillMinBytes == 0 {
 		cfg.SpillMinBytes = cfg.Device.PageSize() / 4
 	}
@@ -192,7 +186,6 @@ func New(cfg Config) (*Cache, error) {
 		accessed:   make(map[uint64]struct{}),
 		scratch:    make([]byte, cfg.Device.PageSize()),
 		scratch2:   make([]byte, cfg.Device.PageSize()),
-		fpr:        setcache.FPRForBits(cfg.BloomBitsPerObj),
 		mig: MigrationStats{
 			PassiveCDF: metrics.NewIntCDF(10),
 			ActiveCDF:  metrics.NewIntCDF(10),
@@ -262,7 +255,7 @@ func (c *Cache) Stats() cachelib.Stats {
 // MemoryBitsPerObject models Table 6's FW column (≈9.9 bits/obj).
 func (c *Cache) MemoryBitsPerObject() float64 {
 	logShare := c.cfg.LogRatio * 48 // 48-bit log entries over 5% of objects
-	setShare := 3.1 + c.cfg.BloomBitsPerObj
+	setShare := 3.1 + setcache.BloomBitsPerObj
 	return logShare + setShare + 0.8
 }
 
@@ -383,11 +376,11 @@ func (c *Cache) placePage(set int32, kind int, blk *setblock.Block) error {
 	if kind == kindPrimary {
 		c.invalidate(c.priLoc[set])
 		c.priLoc[set] = page
-		c.priFilters[set] = setcache.RebuildFilter(c.priFilters[set], blk, c.cfg.TargetObjsPerSet, c.fpr)
+		c.priFilters[set] = setcache.RebuildFilter(c.priFilters[set], blk, c.cfg.TargetObjsPerSet)
 	} else {
 		c.invalidate(c.ovLoc[set])
 		c.ovLoc[set] = page
-		c.ovFilters[set] = setcache.RebuildFilter(c.ovFilters[set], blk, c.cfg.TargetObjsPerSet, c.fpr)
+		c.ovFilters[set] = setcache.RebuildFilter(c.ovFilters[set], blk, c.cfg.TargetObjsPerSet)
 	}
 	return nil
 }

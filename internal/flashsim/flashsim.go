@@ -41,8 +41,6 @@ type Config struct {
 	// (default 25 µs: device-side buffering hides most of tPROG, but the
 	// channel stays busy, which is what creates read interference).
 	ProgramLatency time.Duration
-	// EraseLatency is the zone reset latency (default 2 ms).
-	EraseLatency time.Duration
 	// MaxOpenZones bounds the number of partially written zones, as real
 	// ZNS devices do (the ZN540 allows 14). 0 means unlimited. Opening a
 	// zone beyond the limit fails with ErrTooManyOpenZones.
@@ -51,6 +49,9 @@ type Config struct {
 	// device is usable standalone.
 	Clock *vtime.Clock
 }
+
+// eraseLatency is the zone reset latency.
+const eraseLatency = 2 * time.Millisecond
 
 // ErrTooManyOpenZones is returned when an append would exceed the device's
 // open-zone limit. It is the shared sentinel every backend returns.
@@ -74,9 +75,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProgramLatency == 0 {
 		c.ProgramLatency = 25 * time.Microsecond
-	}
-	if c.EraseLatency == 0 {
-		c.EraseLatency = 2 * time.Millisecond
 	}
 	if c.Clock == nil {
 		c.Clock = &vtime.Clock{}
@@ -122,7 +120,7 @@ func New(cfg Config) *Device {
 		lat: [3]time.Duration{
 			device.OpRead:    cfg.ReadLatency,
 			device.OpProgram: cfg.ProgramLatency,
-			device.OpErase:   cfg.EraseLatency,
+			device.OpErase:   eraseLatency,
 		},
 		zones: make([][]byte, cfg.Zones),
 		chans: make([]channel, cfg.Channels),

@@ -47,8 +47,6 @@ type Config struct {
 	OPRatio float64
 	// TargetObjsPerSet sizes the in-memory per-set Bloom filters.
 	TargetObjsPerSet int
-	// BloomBitsPerObj is the per-set filter budget (default 4).
-	BloomBitsPerObj float64
 	// AdmitThreshold drops migration batches smaller than this many
 	// objects (Kangaroo's minimum-admission policy; 0 and 1 admit all).
 	AdmitThreshold int
@@ -97,9 +95,6 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.OPRatio == 0 {
 		cfg.OPRatio = 0.05
 	}
-	if cfg.BloomBitsPerObj == 0 {
-		cfg.BloomBitsPerObj = 4
-	}
 	logZones, setZones, err := hlog.SplitZones(cfg.Device, cfg.ZoneBase, cfg.Zones, cfg.LogRatio)
 	if err != nil {
 		return nil, fmt.Errorf("kangaroo: %w", err)
@@ -118,7 +113,6 @@ func New(cfg Config) (*Cache, error) {
 		Zones:            setZones,
 		OPRatio:          cfg.OPRatio + internalOPRatio,
 		TargetObjsPerSet: cfg.TargetObjsPerSet,
-		BloomBitsPerObj:  cfg.BloomBitsPerObj,
 	}, &c.stats, &c.hist)
 	if err != nil {
 		return nil, err
@@ -168,7 +162,7 @@ func (c *Cache) Stats() cachelib.Stats {
 // per-set Bloom filters.
 func (c *Cache) MemoryBitsPerObject() float64 {
 	logShare := c.cfg.LogRatio * 48
-	return logShare + c.cfg.BloomBitsPerObj
+	return logShare + setcache.BloomBitsPerObj
 }
 
 // Set appends the object to the HLog, migrating the oldest log zone into

@@ -39,9 +39,6 @@ type Config struct {
 	OPRatio float64
 	// TargetObjsPerSet sizes the per-set Bloom filters (default 40).
 	TargetObjsPerSet int
-	// BloomBitsPerObj sets the in-memory filter budget (default 4 bits,
-	// the paper's "lowest memory cost, 4 bits/obj").
-	BloomBitsPerObj float64
 	// DisableBloom turns the per-set filters off (ablation).
 	DisableBloom bool
 }
@@ -99,7 +96,7 @@ func (c *Cache) MemoryBitsPerObject() float64 {
 	if c.tier.cfg.DisableBloom {
 		return 0
 	}
-	return c.tier.cfg.BloomBitsPerObj
+	return BloomBitsPerObj
 }
 
 // Set performs the read-modify-write insert into the object's set.

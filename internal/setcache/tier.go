@@ -25,7 +25,6 @@ type Tier struct {
 	cfg      Config
 	ftl      *ftl.FTL
 	pageSize int
-	fpr      float64
 	filters  []*bloom.Filter // nil when cfg.DisableBloom
 	scratch  []byte          // the page reads parse from and writes serialize into; never shared
 	st       *cachelib.Stats
@@ -43,9 +42,6 @@ func NewTier(cfg Config, st *cachelib.Stats, hist *metrics.Histogram) (*Tier, er
 	if cfg.TargetObjsPerSet == 0 {
 		cfg.TargetObjsPerSet = 40
 	}
-	if cfg.BloomBitsPerObj == 0 {
-		cfg.BloomBitsPerObj = 4
-	}
 	f, err := ftl.New(cfg.Device, cfg.ZoneBase, cfg.Zones, ftl.Config{OPRatio: cfg.OPRatio})
 	if err != nil {
 		return nil, fmt.Errorf("setcache: %w", err)
@@ -59,30 +55,25 @@ func NewTier(cfg Config, st *cachelib.Stats, hist *metrics.Histogram) (*Tier, er
 		hist:     hist,
 	}
 	if !cfg.DisableBloom {
-		t.fpr = FPRForBits(cfg.BloomBitsPerObj)
 		t.filters = make([]*bloom.Filter, f.LogicalPages())
 	}
 	return t, nil
 }
 
-// FPRForBits returns the false-positive rate of a Bloom filter with bits
-// per object: 2^-(bits/1.44), the exponent rounded to a whole number ≥ 1.
-func FPRForBits(bits float64) float64 {
-	fpr := 1.0
-	for i := 0; i < int(bits/1.4427+0.5); i++ {
-		fpr /= 2
-	}
-	if fpr >= 1 {
-		fpr = 0.5
-	}
-	return fpr
-}
+// BloomBitsPerObj is the in-memory filter budget of every set tier (this
+// cache, Kangaroo's HSet, FairyWREN's pages): the paper's "lowest memory
+// cost, 4 bits/obj".
+const BloomBitsPerObj = 4
+
+// bloomFPR is the false-positive rate of a filter at BloomBitsPerObj:
+// 2^-(bits/1.44), the exponent rounded to a whole number.
+const bloomFPR = 1.0 / 8
 
 // RebuildFilter makes f the filter of exactly blk's entries, allocating it
-// (for targetObjs objects at fpr) on a set's first write, and returns it.
-func RebuildFilter(f *bloom.Filter, blk *setblock.Block, targetObjs int, fpr float64) *bloom.Filter {
+// (for targetObjs objects at bloomFPR) on a set's first write, and returns it.
+func RebuildFilter(f *bloom.Filter, blk *setblock.Block, targetObjs int) *bloom.Filter {
 	if f == nil {
-		f = bloom.New(targetObjs, fpr)
+		f = bloom.New(targetObjs, bloomFPR)
 	} else {
 		f.Reset()
 	}
@@ -124,7 +115,7 @@ func (t *Tier) Merge(set int, objs []setblock.Entry) error {
 		return err
 	}
 	if t.filters != nil {
-		t.filters[set] = RebuildFilter(t.filters[set], blk, t.cfg.TargetObjsPerSet, t.fpr)
+		t.filters[set] = RebuildFilter(t.filters[set], blk, t.cfg.TargetObjsPerSet)
 	}
 	return nil
 }

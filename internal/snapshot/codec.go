@@ -13,11 +13,10 @@ const (
 	headerSize = 64
 	// Version is the NEMO1 format version this code writes and the only one
 	// it reads. There is no cross-version migration by design: an old
-	// snapshot is throwaway, exactly like a corrupt one. Version 2 changed no
-	// byte of the image: it marks the on-flash PBFG pages a sealed group's
-	// zones hold as bit-sliced (bloom.GroupMask) — device state a version-1
-	// checkpoint points at in the old filter-major arrangement.
-	Version = 2
+	// snapshot is throwaway, exactly like a corrupt one. Version 2 marked the
+	// on-flash PBFG pages as bit-sliced (bloom.GroupMask); version 3 drops
+	// every field restore can compute (the package doc lists them).
+	Version = 3
 
 	sectionHdrSize = 12 // kind u32 | len u32 | crc32 u32
 )
@@ -202,9 +201,6 @@ func (c *coder) section(kind uint32, walk func(*coder)) {
 func walkConfig(c *coder, s *ConfigStamp) {
 	c.i64(&s.DataZones)
 	c.i64(&s.Shards)
-	c.i64(&s.ZoneOffset)
-	c.i64(&s.ZonesPerSG)
-	c.i64(&s.InMemSGs)
 	c.i64(&s.FlushThreshold)
 	c.f64(&s.RearFullRatio)
 	c.i64(&s.SGsPerIndexGroup)
@@ -225,7 +221,6 @@ func walkMeta(c *coder, s *Shard) {
 	c.u64(&s.BytesSinceCool)
 	c.u64(&s.ICLookups)
 	c.u64(&s.ICMisses)
-	c.i64(&s.ICDroppedUpTo)
 	c.u64(&s.Stats.Gets)
 	c.u64(&s.Stats.Hits)
 	c.u64(&s.Stats.Sets)
@@ -259,21 +254,15 @@ func walkFree(c *coder, s *Shard) {
 func walkGroups(c *coder, s *Shard) { list(c, &s.Groups, 1, walkGroup) }
 
 func walkGroup(c *coder, g *Group) {
-	c.i64(&g.ID)
-	c.boolean(&g.Sealed)
-	c.i64(&g.LiveCount)
-	c.ints(&g.Zones)
+	c.i64(&g.Zone)
 	list(c, &g.Members, 1, walkSG)
 	list(c, &g.SlotBF, 4, (*coder).blob)
 }
 
 func walkSG(c *coder, m *SG) {
 	c.u64(&m.ID)
-	c.i64(&m.Slot)
-	c.boolean(&m.Dead)
-	c.i64(&m.ObjCount)
 	c.f64(&m.Fill)
-	c.ints(&m.Zones)
+	c.i64(&m.Zone)
 	list(c, &m.SetCounts, 2, (*coder).u16)
 	// A present bitmap decodes non-nil even when empty: core allocates it
 	// lazily, so nil and empty are different states.
@@ -297,10 +286,7 @@ func walkMemSG(c *coder, m *MemSG) {
 	list(c, &m.Sets, 4, (*coder).blob)
 }
 
-func walkICache(c *coder, s *Shard) {
-	list(c, &s.ICQueue, 16, walkRef)
-	list(c, &s.ICPages, 16, walkRef)
-}
+func walkICache(c *coder, s *Shard) { list(c, &s.ICQueue, 16, walkRef) }
 
 func walkRef(c *coder, r *PBFGRef) {
 	c.i64(&r.Group)

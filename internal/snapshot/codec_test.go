@@ -13,16 +13,15 @@ import (
 
 // sampleFile builds a small but structurally rich snapshot: two shards, a
 // sealed and an unsealed group, dead and live SGs, a lazily-absent, a
-// present-but-empty and a populated hotness bitmap, cached and uncached PBFG
-// refs, and a flush log. Every config, counter and flush-record field holds a
+// present-but-empty and a populated hotness bitmap, index-cache queue
+// entries, and a flush log. Every config, counter and flush-record field holds a
 // distinct nonzero value, so a layout that swaps two of them cannot hide.
 func sampleFile() *File {
 	return &File{
 		PageSize: 512, PagesPerZone: 16, Zones: 24,
 		Boot: 7, Writes: 421,
 		Config: ConfigStamp{
-			DataZones: 8, Shards: 2, ZoneOffset: 5, ZonesPerSG: 1, InMemSGs: 3,
-			FlushThreshold: 7, RearFullRatio: 0.8, SGsPerIndexGroup: 4,
+			DataZones: 8, Shards: 2, FlushThreshold: 7, RearFullRatio: 0.8, SGsPerIndexGroup: 4,
 			BloomFPR: 0.001, TargetObjsPerSet: 6, CachedPBFGRatio: 0.5,
 			HotTrackTailRatio: 0.3, CoolingWriteRatio: 0.1,
 			BufferedSGs: true, DelayedFlush: true, Writeback: true,
@@ -30,7 +29,7 @@ func sampleFile() *File {
 		Shards: []Shard{
 			{
 				NextSGID: 6, NextGroup: 2, SacCount: 3, BytesSinceCool: 999,
-				ICLookups: 40, ICMisses: 9, ICDroppedUpTo: -1,
+				ICLookups: 40, ICMisses: 9,
 				Stats: Counters{Gets: 100, Hits: 61, Sets: 50, Deletes: 4,
 					LogicalBytes: 12345, FlashBytesWritten: 20480, DeviceBytesWritten: 24576,
 					FlashBytesRead: 8192, FlashReadOps: 17, ReadErrors: 2, WriteErrors: 1,
@@ -43,21 +42,21 @@ func sampleFile() *File {
 				FreeIndexZones: []int{9},
 				Groups: []Group{
 					{
-						ID: 0, Sealed: true, LiveCount: 1, Zones: []int{8},
+						Zone: 8,
 						Members: []SG{
-							{ID: 2, Slot: 0, Dead: true, ObjCount: 0, SetCounts: make([]uint16, 16)},
-							{ID: 3, Slot: 1, ObjCount: 2, Fill: 0.5, Zones: []int{1},
+							{ID: 2, Zone: -1, SetCounts: make([]uint16, 16)},
+							{ID: 3, Fill: 0.5, Zone: 1,
 								SetCounts: append([]uint16{1, 1}, make([]uint16, 14)...),
 								Bits:      []uint64{0b10}},
-							{ID: 4, Slot: 2, Dead: true, SetCounts: make([]uint16, 16)},
-							{ID: 5, Slot: 3, ObjCount: 1, Fill: 0.25, Zones: []int{0},
+							{ID: 4, Zone: -1, SetCounts: make([]uint16, 16)},
+							{ID: 5, Fill: 0.25, Zone: 0,
 								SetCounts: append([]uint16{1}, make([]uint16, 15)...),
 								Bits:      []uint64{}},
 						},
 					},
 					{
-						ID: 1, LiveCount: 1,
-						Members: []SG{{ID: 5, Slot: 0, ObjCount: 0, SetCounts: make([]uint16, 16)}},
+						Zone:    -1,
+						Members: []SG{{ID: 5, Zone: 4, SetCounts: make([]uint16, 16)}},
 						SlotBF:  [][]byte{bytes.Repeat([]byte{0xAB}, 16*4)},
 					},
 				},
@@ -66,14 +65,13 @@ func sampleFile() *File {
 					{Sets: [][]byte{make([]byte, 512), make([]byte, 512)}},
 				},
 				ICQueue: []PBFGRef{{Group: 0, Set: 1}, {Group: 0, Set: 3}},
-				ICPages: []PBFGRef{{Group: 0, Set: 1}},
 				FlushLog: []FlushRec{
 					{Fill: 0.5, NewObjs: 10, WBObjs: 2, NewBytes: 800, WBBytes: 160},
 					{Fill: 0.75, NewObjs: 3, WBObjs: 1, NewBytes: 240, WBBytes: 80},
 				},
 			},
 			{
-				NextSGID: 1, NextGroup: 1, ICDroppedUpTo: -1,
+				NextSGID: 1, NextGroup: 1,
 				FreeDataZones:  []int{15, 14, 13, 12},
 				FreeIndexZones: []int{21, 20},
 				MemQ: []MemSG{
@@ -103,7 +101,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // sampleSHA256 is the SHA-256 of Encode(sampleFile()): it pins the NEMO1
 // byte layout field by field, including the rows a round trip cannot see (a
 // layout that swaps two fields decodes them swapped back).
-const sampleSHA256 = "bcfbdfe11c915dbe8387047e548d1df1996116ff0af441daeaa2e0352b04075a"
+const sampleSHA256 = "cd2c387b4676cd338e0380d70ce3fdafef677c5d694a711762fc5049cc4e0577"
 
 func TestEncodeLayoutPinned(t *testing.T) {
 	sum := sha256.Sum256(Encode(sampleFile()))

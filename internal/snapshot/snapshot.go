@@ -16,7 +16,7 @@
 //
 //	header (64 bytes)
 //	  magic "NEMO1\x00\x00\x00"          [8]
-//	  version                      u32  (currently 2)
+//	  version                      u32  (currently 3)
 //	  pageSize, pagesPerZone, zones u32 ×3 (device geometry)
 //	  boot, writes                 u64  ×2 (device.Generation stamp)
 //	  shardCount                   u32
@@ -37,6 +37,22 @@
 // itself (the fuzz corpus pins Encode(Decode(b)) == b), which rules out
 // slack bytes, over-long sections, non-binary booleans, and any other
 // ambiguity an attacker or a torn write could hide in.
+//
+// Each fact is stated once. A group's id follows from its position and the
+// shard's next group id, its sealing from its index zone, its live members
+// from theirs; an SG's slot is its position and its object count the sum of
+// its set counts; the index-cache queue is the list of cached pages. Restore
+// computes what the image leaves out.
+//
+// # Versions
+//
+// Only the current version is read; an older image is refused with
+// ErrVersion and the engine starts cold. Version 1 describes PBFG pages in
+// the filter-major arrangement this build would misread as bit-sliced.
+// Version 2 carries the same device state as version 3 but states facts
+// twice — one-element zone lists, three config slots core no longer has, a
+// second list of the cached pages, a retired-group watermark, and group and
+// SG fields that follow from the fields next to them.
 //
 // # Validation and trust
 //
@@ -74,18 +90,12 @@ type File struct {
 }
 
 // ConfigStamp mirrors core.Config minus the runtime-only fields (Device,
-// Flushers, SnapshotPath): everything that shapes the on-flash layout or
-// the meaning of the checkpointed state. A reflection test in core pins the
-// two structs field-for-field, three slots aside that core no longer has as
-// fields: ZoneOffset always stamps 0, the first zone every cache starts at,
-// ZonesPerSG always 1, an SG being one zone, and InMemSGs stamps the
-// derived count, core.Config.MemSGs.
+// Flushers, SnapshotPath and the device-health knobs): everything that
+// shapes the on-flash layout or the meaning of the checkpointed state. A
+// reflection test in core pins the two structs field-for-field.
 type ConfigStamp struct {
 	DataZones         int
 	Shards            int
-	ZoneOffset        int
-	ZonesPerSG        int
-	InMemSGs          int
 	FlushThreshold    int
 	RearFullRatio     float64
 	SGsPerIndexGroup  int
@@ -108,11 +118,9 @@ type Shard struct {
 	SacCount       int
 	BytesSinceCool uint64
 
-	// Index-cache counters; ICDroppedUpTo is the dead-group watermark and
-	// may be -1 (nothing dropped yet).
-	ICLookups     uint64
-	ICMisses      uint64
-	ICDroppedUpTo int
+	// Index-cache counters.
+	ICLookups uint64
+	ICMisses  uint64
 
 	Stats Counters
 	Extra Extra
@@ -121,7 +129,8 @@ type Shard struct {
 	FreeDataZones  []int
 	FreeIndexZones []int
 
-	// Groups in creation order; the live SG pool is derived from them (live
+	// Groups in creation order, the newest NextGroup-1: group i's id is
+	// NextGroup-len(Groups)+i. The live SG pool is derived from them (live
 	// members in traversal order), so it is not stored separately.
 	Groups []Group
 
@@ -134,38 +143,34 @@ type Shard struct {
 	// stat-for-stat identical to an uninterrupted one.
 	MemQ []MemSG
 
-	// ICQueue is the PBFG index-cache FIFO from oldest to newest; ICPages
-	// lists which of those keys had a cached page (the page bytes are
-	// re-read from flash on restore, so the snapshot stays index-only).
+	// ICQueue is the PBFG index-cache FIFO from oldest to newest, one entry
+	// per cached page (the page bytes are re-read from flash on restore, so
+	// the snapshot stays index-only).
 	ICQueue []PBFGRef
-	ICPages []PBFGRef
 
 	FlushLog []FlushRec
 }
 
 // Group mirrors core's idxGroup: one PBFG index group and its member SGs in
-// slot order.
+// slot order. Sealing, the live count and the live mask follow from Zone and
+// the members.
 type Group struct {
-	ID        int
-	Sealed    bool
-	LiveCount int
-	// Zones holds the sealed group's index zones; nil while unsealed.
-	Zones   []int
+	// Zone is the sealed group's index zone; -1 while unsealed.
+	Zone    int
 	Members []SG
 	// SlotBF holds the unsealed group's in-memory Bloom filters, one slice
 	// per member (setsPerSG filters concatenated); nil once sealed.
 	SlotBF [][]byte
 }
 
-// SG mirrors core's flashSG: one immutable on-flash Set-Group.
+// SG mirrors core's flashSG: one immutable on-flash Set-Group. Its slot is
+// its position in the group and its object count the sum of SetCounts.
 type SG struct {
-	ID       uint64
-	Slot     int
-	Dead     bool
-	ObjCount int
-	Fill     float64
-	// Zones holds the SG's data zones; nil for dead SGs (already reset).
-	Zones     []int
+	ID   uint64
+	Fill float64
+	// Zone is the SG's data zone; -1 once evicted (the zone is reset and
+	// back on the free list).
+	Zone      int
 	SetCounts []uint16
 	// Bits is the 1-bit hotness bitmap; nil when never allocated (the
 	// distinction matters — core allocates it lazily).

@@ -10,6 +10,8 @@ package wamodel
 import (
 	"fmt"
 	"math"
+
+	"nemo/internal/bloom"
 )
 
 // HierarchicalConfig describes a hierarchical (HLog + HSet) cache in the
@@ -93,12 +95,6 @@ func NemoWA(sgFillRate float64) (float64, error) {
 	return 1 / sgFillRate, nil
 }
 
-// BloomBitsPerObject returns the bits/object of a Bloom filter with the
-// given false-positive rate: log2(1/x)/ln 2 ≈ 1.44·log2(1/x).
-func BloomBitsPerObject(fpr float64) float64 {
-	return -math.Log2(fpr) / math.Ln2
-}
-
 // Table6Row is one column of Table 6 (metadata bits per object).
 type Table6Row struct {
 	Name       string
@@ -141,7 +137,7 @@ func DefaultTable6() Table6Config {
 // Table6 reproduces the three columns of Table 6: FairyWREN ≈9.9 bits/obj,
 // naïve Nemo ≈30.4, Nemo ≈8.3.
 func Table6(cfg Table6Config) []Table6Row {
-	bloom := BloomBitsPerObject(cfg.BloomFPR)
+	bf := bloom.BitsPerObject(cfg.BloomFPR)
 
 	fw := Table6Row{
 		Name:       "FairyWREN",
@@ -155,14 +151,14 @@ func Table6(cfg Table6Config) []Table6Row {
 
 	naive := Table6Row{
 		Name:      "Naive Nemo",
-		SetIndex:  bloom, // all filters resident
-		EvictBits: 16,    // full access counters
+		SetIndex:  bf, // all filters resident
+		EvictBits: 16, // full access counters
 	}
 	naive.Total = naive.SetIndex + naive.EvictBits
 
 	nemo := Table6Row{
 		Name:       "Nemo",
-		SetIndex:   bloom * cfg.CachedRatio,
+		SetIndex:   bf * cfg.CachedRatio,
 		EvictBits:  1 * cfg.HotTailRatio,
 		Additional: cfg.BufferBits,
 	}
@@ -187,7 +183,7 @@ type PBFGCostConfig struct {
 // reads. With the paper's instantiation (N=350, 40 objs/set) this yields
 // 7 pages at x=0.1% and 9 pages at x=0.01%, matching Appendix A.
 func PBFGCost(cfg PBFGCostConfig, fpr float64) (pbfgPages, objectReads, total float64) {
-	filterBytes := bloomSizeBits(cfg.TargetObjsPerSet, fpr) / 8
+	filterBytes := bloom.SizeBits(cfg.TargetObjsPerSet, fpr) / 8
 	perPage := cfg.PageSize / filterBytes
 	if perPage < 1 {
 		perPage = 1
@@ -196,18 +192,6 @@ func PBFGCost(cfg PBFGCostConfig, fpr float64) (pbfgPages, objectReads, total fl
 	n := float64(cfg.NumSGs)
 	objectReads = 1 + (n-1)*fpr
 	return float64(pages), objectReads, float64(pages) + objectReads
-}
-
-// bloomSizeBits mirrors bloom.SizeBits (optimal sizing rounded up to a
-// 64-bit word) without importing the package, keeping wamodel dependency
-// free for documentation purposes.
-func bloomSizeBits(nObjs int, fpr float64) int {
-	m := math.Ceil(-float64(nObjs) * math.Log(fpr) / (math.Ln2 * math.Ln2))
-	bits := int(m)
-	if rem := bits % 64; rem != 0 {
-		bits += 64 - rem
-	}
-	return bits
 }
 
 // OptimalFPR scans candidate false-positive rates and returns the one that

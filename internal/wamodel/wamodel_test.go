@@ -125,12 +125,6 @@ func TestTable6MatchesPaper(t *testing.T) {
 	}
 }
 
-func TestBloomBits(t *testing.T) {
-	if math.Abs(BloomBitsPerObject(0.001)-14.4) > 0.05 {
-		t.Fatalf("0.1%% FPR = %v bits/obj, want 14.4", BloomBitsPerObject(0.001))
-	}
-}
-
 func TestAppendixAInstantiation(t *testing.T) {
 	cfg := PBFGCostConfig{NumSGs: 350, TargetObjsPerSet: 40, PageSize: 4096}
 	pages1, objs1, tot1 := PBFGCost(cfg, 0.001)
