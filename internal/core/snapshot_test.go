@@ -424,27 +424,31 @@ func TestRestoreIndexCacheRows(t *testing.T) {
 	}
 }
 
-// crashFlips are the crash matrix's single-bit flips: byte offset and bit.
-// They were drawn once from a seeded RNG over the whole image and are
-// pinned, so a case keeps its name, and the byte it hits, when a format
-// change moves the image's length.
+// crashFlips are the crash matrix's single-bit flips: a section of the
+// image (snapshot.SectionOffsets order, 0 being the 64-byte header), a byte
+// offset from that section's start, and a bit. They were drawn once from a
+// seeded RNG over a whole image and are pinned by section, so a case keeps
+// its name, and the field it hits, when a format change resizes some other
+// section.
 var crashFlips = [...]struct {
-	pos int
-	bit uint
+	sec, off int
+	bit      uint
 }{
-	{31730, 6}, {4825, 7}, {17604, 4}, {6032, 6}, {12112, 4}, {8880, 1},
-	{37182, 2}, {3083, 0}, {23272, 6}, {32373, 6}, {19532, 2}, {20255, 7},
-	{3693, 5}, {31283, 1}, {33721, 7}, {29024, 5}, {25272, 3}, {22963, 5},
-	{2764, 5}, {2248, 0}, {38848, 0}, {29921, 3}, {11057, 0}, {5355, 1},
-	{2493, 5}, {5278, 2}, {20292, 2}, {29337, 2}, {19290, 1}, {16168, 7},
-	{16221, 6}, {38203, 1}, {38513, 0}, {20152, 1}, {2374, 0}, {14051, 6},
-	{25093, 1}, {797, 7}, {15525, 4}, {16525, 2}, {20439, 4}, {21429, 6},
-	{18823, 5}, {1236, 4}, {7878, 3}, {18314, 3}, {16187, 1}, {12519, 3},
+	{11, 10705, 6}, {5, 3810, 7}, {5, 16589, 4}, {5, 5017, 6}, {5, 11097, 4},
+	{5, 7865, 1}, {11, 16157, 2}, {5, 2068, 0}, {11, 2247, 6}, {11, 11348, 6},
+	{8, 61, 2}, {10, 504, 7}, {5, 2678, 5}, {11, 10258, 1}, {11, 12696, 7},
+	{11, 7999, 5}, {11, 4247, 3}, {11, 1938, 5}, {5, 1749, 5}, {5, 1233, 0},
+	{13, 823, 0}, {11, 8896, 3}, {5, 10042, 0}, {5, 4340, 1}, {5, 1478, 5},
+	{5, 4263, 2}, {10, 541, 2}, {11, 8312, 2}, {7, 1275, 1}, {5, 15153, 7},
+	{5, 15206, 6}, {13, 178, 1}, {13, 488, 0}, {10, 401, 1}, {5, 1359, 0},
+	{5, 13036, 6}, {11, 4068, 1}, {4, 358, 7}, {5, 14510, 4}, {5, 15510, 2},
+	{10, 688, 4}, {11, 404, 6}, {7, 808, 5}, {5, 221, 4}, {5, 6863, 3},
+	{7, 299, 3}, {5, 15172, 1}, {5, 11504, 3},
 }
 
 // TestSnapshotCrashMatrix is the corruption table: a valid snapshot
-// truncated at every section boundary, bit-flipped at the pinned
-// crashFlips, and mangled in targeted ways must always be refused with a
+// truncated at the start of every section (truncate@s<i>), bit-flipped at
+// the pinned crashFlips (bitflip@s<i>+<offset>), and mangled in targeted ways must always be refused with a
 // typed error — never adopted, never a panic — and the engine must serve
 // cold afterwards. Runs against both device backends.
 func TestSnapshotCrashMatrix(t *testing.T) {
@@ -483,19 +487,17 @@ func TestSnapshotCrashMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, o := range offs {
-			if o == len(valid) {
-				continue
-			}
-			cases = append(cases, corruption{fmt.Sprintf("truncate@%d", o), valid[:o]})
+		for i, o := range offs[:len(offs)-1] {
+			cases = append(cases, corruption{fmt.Sprintf("truncate@s%d", i), valid[:o]})
 		}
 		for _, f := range crashFlips {
-			if f.pos >= len(valid) {
-				t.Fatalf("bit flip at %d lies past the %d-byte image", f.pos, len(valid))
+			pos := offs[f.sec] + f.off
+			if f.sec+1 >= len(offs) || pos >= offs[f.sec+1] {
+				t.Fatalf("bit flip s%d+%d lies past its section", f.sec, f.off)
 			}
 			mut := append([]byte(nil), valid...)
-			mut[f.pos] ^= 1 << f.bit
-			cases = append(cases, corruption{fmt.Sprintf("bitflip@%d", f.pos), mut})
+			mut[pos] ^= 1 << f.bit
+			cases = append(cases, corruption{fmt.Sprintf("bitflip@s%d+%d", f.sec, f.off), mut})
 		}
 		cases = append(cases,
 			corruption{"empty", nil},
