@@ -2,10 +2,22 @@
 // Parallel Bloom Filter Groups (PBFGs).
 //
 // Each cache set gets one filter sized for a target false-positive rate and
-// an expected object count; the filters for the same intra-SG offset across
-// the SGs of an index group are queried together with a shared, precomputed
-// probe set (the paper's "each hash function is computed once and the
-// results are shared across all filters", §5.5).
+// an object count; the filters for the same intra-SG offset across the SGs
+// of an index group are queried together with a shared, precomputed probe
+// set (the paper's "each hash function is computed once and the results are
+// shared across all filters", §5.5).
+//
+// Probe positions come from enhanced double hashing (Dillinger & Manolios)
+// in 64-bit arithmetic: two hashes of the fingerprint seed x_0 and y_0,
+// x_{i+1} = x_i + y_i and y_{i+1} = y_i + i·φ, and probe i lands on bit
+// ⌊x_i·m / 2^64⌋ of an m-bit filter (multiply-high range reduction). The
+// increment is scaled by the odd constant φ (2^64 over the golden ratio) so
+// that it reaches the high bits the reduction reads; without it the probes
+// of a key are an arithmetic progression there, and two keys with nearly
+// the same step share most of their bits. The sequence does not depend on
+// m, so one ProbeSet serves filters of every width, and it reaches the sized
+// rate at every width (TestFPRAtEveryWidth) where (h1 + i·h2) mod m, which
+// at a power-of-two m draws from only m·m/2 probe patterns, ran 2-10× over.
 package bloom
 
 import (
@@ -55,9 +67,9 @@ func BitsPerObject(fpr float64) float64 {
 	return -math.Log2(fpr) / math.Ln2
 }
 
-// Filter is a fixed-size Bloom filter, created by New. Serialized filters
-// are read in place (GroupMask over a bit-sliced page), never rebuilt. The
-// zero value is unusable.
+// Filter is a fixed-size Bloom filter, created by New or NewBits.
+// Serialized filters are read in place (GroupMask over a bit-sliced page),
+// never rebuilt. The zero value is unusable.
 type Filter struct {
 	words []uint64
 	mbits uint64
@@ -67,48 +79,69 @@ type Filter struct {
 // New returns an empty filter sized by SizeBits(n, fpr) with
 // NumHashes(fpr) probes.
 func New(n int, fpr float64) *Filter {
-	bits := SizeBits(n, fpr)
-	return &Filter{
-		words: make([]uint64, bits/64),
-		mbits: uint64(bits),
-		k:     NumHashes(fpr),
-	}
+	return NewBits(SizeBits(n, fpr), NumHashes(fpr))
+}
+
+// NewBits returns an empty filter of mbits bits (a positive multiple of 64)
+// with k probes.
+func NewBits(mbits, k int) *Filter {
+	return &Filter{words: make([]uint64, mbits/64), mbits: uint64(mbits), k: k}
+}
+
+// seeds returns the two hashes that start fp's probe sequence.
+func seeds(fp uint64) (x, y uint64) {
+	return hashing.SplitMix64(fp ^ 0x51afd7ed558ccd9b), hashing.SplitMix64(fp ^ 0xc4ceb9fe1a85ec53)
+}
+
+// phi scales the enhanced increment (see the package comment).
+const phi = 0x9e3779b97f4a7c15
+
+// at maps a probe hash onto an m-bit filter: the high word of h·m.
+func at(h, m uint64) uint64 {
+	hi, _ := bits.Mul64(h, m)
+	return hi
 }
 
 // Add inserts a fingerprint.
 func (f *Filter) Add(fp uint64) {
-	h1 := hashing.SplitMix64(fp ^ 0x51afd7ed558ccd9b)
-	h2 := hashing.SplitMix64(fp^0xc4ceb9fe1a85ec53) | 1
-	for i := 0; i < f.k; i++ {
-		pos := (h1 + uint64(i)*h2) % f.mbits
+	x, y := seeds(fp)
+	for i, d := 0, uint64(0); i < f.k; i, d = i+1, d+phi {
+		pos := at(x, f.mbits)
 		f.words[pos>>6] |= 1 << (pos & 63)
+		x, y = x+y, y+d
 	}
 }
 
 // Test reports whether fp may have been added (with the configured
 // false-positive probability) or definitely has not (false).
 func (f *Filter) Test(fp uint64) bool {
-	h1 := hashing.SplitMix64(fp ^ 0x51afd7ed558ccd9b)
-	h2 := hashing.SplitMix64(fp^0xc4ceb9fe1a85ec53) | 1
-	for i := 0; i < f.k; i++ {
-		pos := (h1 + uint64(i)*h2) % f.mbits
+	x, y := seeds(fp)
+	for i, d := 0, uint64(0); i < f.k; i, d = i+1, d+phi {
+		pos := at(x, f.mbits)
 		if f.words[pos>>6]&(1<<(pos&63)) == 0 {
 			return false
 		}
+		x, y = x+y, y+d
 	}
 	return true
 }
 
 // Reset clears all bits, returning the filter to its empty state.
 func (f *Filter) Reset() {
-	for i := range f.words {
-		f.words[i] = 0
-	}
+	clear(f.words)
+}
+
+// Resize clears the filter and gives it a width of mbits bits: a positive
+// multiple of 64 no wider than the filter was made.
+func (f *Filter) Resize(mbits int) {
+	f.words = f.words[:mbits/64]
+	f.mbits = uint64(mbits)
+	f.Reset()
 }
 
 // AppendBytes serializes the filter's bit array (little-endian words) onto
 // dst and returns the extended slice. Geometry is not serialized; the reader
-// must know (n, fpr) from configuration, as Nemo's index pages do.
+// must know the width and probe count, as Nemo's index groups record them.
 func (f *Filter) AppendBytes(dst []byte) []byte {
 	for _, w := range f.words {
 		dst = append(dst,
@@ -140,17 +173,17 @@ func row(page []byte, off uint64) uint64 {
 	return w
 }
 
-// GroupMask Bloom-tests all m members of a bit-sliced page at once: bit s of
-// the result is set iff it is set in live and member s's filter contains
-// every probe position of ps. One row load per probe, k in all, with no
-// early exit: the loads are independent, so their cache misses overlap, which
-// measured faster than stopping at the first all-zero row. This is the hot
-// path of a lookup: each hash is computed once and shared across the group's
-// filters.
-func GroupMask(page []byte, m int, ps *ProbeSet, live uint64) uint64 {
+// GroupMask Bloom-tests all m members of a bit-sliced page of mbits-bit
+// filters at once: bit s of the result is set iff it is set in live and
+// member s's filter contains every probe position of ps. One row load per
+// probe, k in all, with no early exit: the loads are independent, so their
+// cache misses overlap, which measured faster than stopping at the first
+// all-zero row. This is the hot path of a lookup: each hash is computed once
+// and shared across the group's filters.
+func GroupMask(page []byte, m, mbits int, ps *ProbeSet, live uint64) uint64 {
 	mask := live & (1<<uint(m) - 1)
-	for _, pos := range ps.pos {
-		bit := pos * uint64(m)
+	for _, h := range ps.hs {
+		bit := at(h, uint64(mbits)) * uint64(m)
 		mask &= row(page, bit>>3) >> (bit & 7)
 	}
 	return mask
@@ -181,34 +214,36 @@ func ExtractColumn(dst, page []byte, m, s, nbytes int) []byte {
 	return dst
 }
 
-// ProbeSet holds precomputed probe positions for one fingerprint against a
-// fixed filter geometry, shared across all filters in a PBFG.
+// ProbeSet holds one fingerprint's precomputed probe hashes, shared across
+// all filters in a PBFG whatever their width: a filter maps each hash onto
+// its own bits (at).
 type ProbeSet struct {
-	pos []uint64
+	hs []uint64
 }
 
-// NewProbeSet computes the probe positions for fp against filters of mbits
-// bits with k probes.
-func NewProbeSet(fp uint64, mbits, k int) *ProbeSet {
-	ps := &ProbeSet{pos: make([]uint64, k)}
-	ps.Reuse(fp, mbits)
+// NewProbeSet computes the k probe hashes of fp.
+func NewProbeSet(fp uint64, k int) *ProbeSet {
+	ps := &ProbeSet{hs: make([]uint64, k)}
+	ps.Reuse(fp)
 	return ps
 }
 
-// Reuse recomputes the positions in place for a new fingerprint, avoiding
+// Reuse recomputes the hashes in place for a new fingerprint, avoiding
 // allocation on the lookup path.
-func (ps *ProbeSet) Reuse(fp uint64, mbits int) {
-	h1 := hashing.SplitMix64(fp ^ 0x51afd7ed558ccd9b)
-	h2 := hashing.SplitMix64(fp^0xc4ceb9fe1a85ec53) | 1
-	for i := range ps.pos {
-		ps.pos[i] = (h1 + uint64(i)*h2) % uint64(mbits)
+func (ps *ProbeSet) Reuse(fp uint64) {
+	x, y := seeds(fp)
+	d := uint64(0)
+	for i := range ps.hs {
+		ps.hs[i] = x
+		x, y, d = x+y, y+d, d+phi
 	}
 }
 
-// TestFilter applies the probe set to a materialized filter. The filter must
-// have the geometry the probe set was computed for.
+// TestFilter applies the probe set to a materialized filter with as many
+// probes as the set holds.
 func (ps *ProbeSet) TestFilter(f *Filter) bool {
-	for _, pos := range ps.pos {
+	for _, h := range ps.hs {
+		pos := at(h, f.mbits)
 		if f.words[pos>>6]&(1<<(pos&63)) == 0 {
 			return false
 		}

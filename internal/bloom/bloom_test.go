@@ -59,6 +59,46 @@ func TestFalsePositiveRate(t *testing.T) {
 
 // TestSerializeRoundTrip follows a filter down the path the index takes:
 // AppendBytes, MergeColumn into a (one-member) bit-sliced page, GroupMask.
+// TestFPRAtEveryWidth holds the realized false-positive rate at the sized
+// rate for every filter width the sizing rule SizeBits(n, 0.001) yields up to
+// 1024 bits, each width holding the largest count it was sized for — the
+// least slack the rule leaves: 600 filters of fresh fingerprints, 2000
+// absent probes each. At the widths the rule rounds up least, even ideal
+// independent probes sit at the sized rate, so the bound is one-sided at
+// 3 standard errors of a 0.001 rate over those 1.2 M probes (1.09e-3). The
+// positions (h1 + i·h2) mod m these replaced realized 1.1e-3 to 9.1e-3 at
+// these widths and counts (3.5e-3 at 256 bits), above the limit at most.
+func TestFPRAtEveryWidth(t *testing.T) {
+	const fpr, filters, probes = 0.001, 600, 2000
+	limit := fpr + 3*math.Sqrt(fpr*(1-fpr)/(filters*probes))
+	rng := rand.New(rand.NewSource(36))
+	k := NumHashes(fpr)
+	for n := 1; SizeBits(n, fpr) <= 1024; n++ {
+		mbits := SizeBits(n, fpr)
+		if SizeBits(n+1, fpr) == mbits {
+			continue // not the largest count at this width
+		}
+		fp := 0
+		f := NewBits(mbits, k)
+		for i := 0; i < filters; i++ {
+			f.Reset()
+			for j := 0; j < n; j++ {
+				f.Add(rng.Uint64())
+			}
+			for j := 0; j < probes; j++ {
+				if f.Test(rng.Uint64()) {
+					fp++
+				}
+			}
+		}
+		rate := float64(fp) / (filters * probes)
+		t.Logf("%4d bits, %2d objects: FPR %.2e", mbits, n, rate)
+		if rate > limit {
+			t.Errorf("%d bits holding %d objects: realized FPR %.2e above the sized %v (limit %.3e)", mbits, n, rate, fpr, limit)
+		}
+	}
+}
+
 func TestSerializeRoundTrip(t *testing.T) {
 	f := New(40, 0.001)
 	for i := 0; i < 30; i++ {
@@ -72,8 +112,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 	page := make([]byte, len(raw))
 	MergeColumn(page, 1, 0, raw)
 	for i := 0; i < 30; i++ {
-		ps := NewProbeSet(hashing.SplitMix64(uint64(i)*3), mbits, NumHashes(0.001))
-		if GroupMask(page, 1, ps, 1) != 1 {
+		ps := NewProbeSet(hashing.SplitMix64(uint64(i)*3), NumHashes(0.001))
+		if GroupMask(page, 1, mbits, ps, 1) != 1 {
 			t.Fatalf("serialized filter lost element %d", i)
 		}
 	}
@@ -83,8 +123,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 // serialized filter probed bit by bit — kept as the reference GroupMask is
 // checked against.
 func testRaw(raw []byte, ps *ProbeSet) bool {
-	for _, pos := range ps.pos {
-		if raw[pos>>3]&(1<<(pos&7)) == 0 {
+	for _, h := range ps.hs {
+		if pos := at(h, uint64(len(raw)*8)); raw[pos>>3]&(1<<(pos&7)) == 0 {
 			return false
 		}
 	}
@@ -92,7 +132,6 @@ func testRaw(raw []byte, ps *ProbeSet) bool {
 }
 
 func TestTestRawMatchesFilter(t *testing.T) {
-	mbits := SizeBits(40, 0.001)
 	k := NumHashes(0.001)
 	f := func(adds []uint64, probe uint64) bool {
 		filt := New(40, 0.001)
@@ -100,7 +139,7 @@ func TestTestRawMatchesFilter(t *testing.T) {
 			filt.Add(a)
 		}
 		raw := filt.AppendBytes(nil)
-		ps := NewProbeSet(probe, mbits, k)
+		ps := NewProbeSet(probe, k)
 		return testRaw(raw, ps) == filt.Test(probe) && ps.TestFilter(filt) == filt.Test(probe)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -144,20 +183,20 @@ func TestGroupMaskMatchesPerMemberLoop(t *testing.T) {
 		}
 		raws, page, added := slicedGroup(rng, m, n, fpr, fill, slack)
 		live := rng.Uint64()
-		ps := NewProbeSet(0, SizeBits(n, fpr), NumHashes(fpr))
+		ps := NewProbeSet(0, NumHashes(fpr))
 		for probe := 0; probe < 40; probe++ {
 			fp := rng.Uint64()
 			if s := rng.Intn(m); probe%2 == 0 && len(added[s]) > 0 {
 				fp = added[s][rng.Intn(len(added[s]))] // a key some member holds
 			}
-			ps.Reuse(fp, SizeBits(n, fpr))
+			ps.Reuse(fp)
 			var want uint64
 			for s, raw := range raws {
 				if live>>uint(s)&1 == 1 && testRaw(raw, ps) {
 					want |= 1 << uint(s)
 				}
 			}
-			if got := GroupMask(page, m, ps, live); got != want {
+			if got := GroupMask(page, m, SizeBits(n, fpr), ps, live); got != want {
 				t.Fatalf("m=%d n=%d fpr=%v slack=%d live=%x: GroupMask=%x, per-member loop=%x", m, n, fpr, slack, live, got, want)
 			}
 		}
@@ -170,19 +209,18 @@ func TestGroupMaskMatchesPerMemberLoop(t *testing.T) {
 }
 
 func TestProbeSetReuse(t *testing.T) {
-	mbits := SizeBits(40, 0.001)
 	k := NumHashes(0.001)
-	ps := NewProbeSet(1, mbits, k)
+	ps := NewProbeSet(1, k)
 	filt := New(40, 0.001)
 	filt.Add(12345)
-	ps.Reuse(12345, mbits)
+	ps.Reuse(12345)
 	if !ps.TestFilter(filt) {
 		t.Fatal("reused probe set missed an added element")
 	}
-	ps.Reuse(99999, mbits)
-	fresh := NewProbeSet(99999, mbits, k)
-	for i := range fresh.pos {
-		if fresh.pos[i] != ps.pos[i] {
+	ps.Reuse(99999)
+	fresh := NewProbeSet(99999, k)
+	for i := range fresh.hs {
+		if fresh.hs[i] != ps.hs[i] {
 			t.Fatal("Reuse produced different positions than NewProbeSet")
 		}
 	}
@@ -221,12 +259,12 @@ func BenchmarkPBFGLookup1000(b *testing.B) {
 		_, pages[i], _ = slicedGroup(rng, m, 40, 0.001, fill, 496)
 	}
 	mbits := SizeBits(40, 0.001)
-	ps := NewProbeSet(0, mbits, NumHashes(0.001))
+	ps := NewProbeSet(0, NumHashes(0.001))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ps.Reuse(hashing.SplitMix64(uint64(i)), mbits)
+		ps.Reuse(hashing.SplitMix64(uint64(i)))
 		for _, page := range pages {
-			sinkMask |= GroupMask(page, m, ps, ^uint64(0))
+			sinkMask |= GroupMask(page, m, mbits, ps, ^uint64(0))
 		}
 	}
 }
@@ -255,18 +293,18 @@ func BenchmarkPBFGGroupTest(b *testing.B) {
 		}
 	}
 	mbits := SizeBits(40, 0.001)
-	ps := NewProbeSet(0, mbits, NumHashes(0.001))
+	ps := NewProbeSet(0, NumHashes(0.001))
 	run := func(name string, pages []byte, test func(page []byte) uint64) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				h := hashing.SplitMix64(uint64(i))
-				ps.Reuse(h, mbits)
+				ps.Reuse(h)
 				off := int(h>>40) % npages * pageSize
 				sinkMask |= test(pages[off : off+pageSize : off+pageSize])
 			}
 		})
 	}
-	run("sliced", sliced, func(page []byte) uint64 { return GroupMask(page, m, ps, ^uint64(0)) })
+	run("sliced", sliced, func(page []byte) uint64 { return GroupMask(page, m, mbits, ps, ^uint64(0)) })
 	run("filter-major", major, func(page []byte) (mask uint64) {
 		for s := 0; s < m; s++ {
 			if testRaw(page[s*72:(s+1)*72], ps) {
