@@ -57,7 +57,7 @@ func Example() {
 	// recent-keys hit        : 1000/1000
 	// mean SG fill rate      : 96.6%
 	// write amplification    : 1.18 (paper's Nemo: 1.56)
-	// metadata bits/object   : 22.1 (paper: 8.3)
+	// metadata bits/object   : 75.9 (paper: 8.3)
 	// device writes          : 4.1 MB over 0 zone resets
 }
 
@@ -300,9 +300,9 @@ func Example_tuning() {
 	//      256   96.1%   0.72        4204
 	// cached-PBFG ratio sweep (Figure 19b): index memory vs index-pool reads
 	//   cached  PBFG miss  mem bits/obj
-	//      20%     41.08%          14.1
-	//      40%      0.07%          17.0
-	//      60%      0.07%          19.8
+	//      20%     41.08%          51.4
+	//      40%      0.07%          54.3
+	//      60%      0.07%          57.2
 }
 
 // Drive Nemo with the paper's benchmark workload — the four Table 5
@@ -350,7 +350,7 @@ func Example_twitterReplay() {
 	// write amplification : 1.10 (paper: 1.56)
 	// mean SG fill rate   : 94.5% (paper: 89.3%)
 	// miss ratio          : 4.9%
-	// SGs flushed         : 86 (writeback objects: 956, sacrificed: 704)
+	// SGs flushed         : 86 (writeback objects: 953, sacrificed: 704)
 	// PBFG cache misses   : 0.0% of index lookups (paper: <8% at 50% cached)
 	// WA timeline:
 	//      7812 ops  WA= 0.85  miss= 23.7%

@@ -61,11 +61,10 @@ type Config struct {
 	// filters of one intra-SG offset across the group's SGs).
 	SGsPerIndexGroup int
 
-	// BloomFPR is the PBFG false-positive rate (Table 3: 0.001).
+	// BloomFPR is the PBFG false-positive rate (Table 3: 0.001). Each index
+	// group sizes its set-level filters for it from what its first member's
+	// fullest set holds (§5.1 sizes them for 40 objects; see filterBits).
 	BloomFPR float64
-
-	// TargetObjsPerSet sizes each set-level Bloom filter (§5.1: 40).
-	TargetObjsPerSet int
 
 	// CachedPBFGRatio is the fraction of PBFG pages kept in the in-memory
 	// FIFO index cache (Table 3: 0.5).
@@ -149,7 +148,6 @@ func DefaultConfig(dev device.Device, dataZones int) Config {
 		RearFullRatio:     0.95,
 		SGsPerIndexGroup:  DefaultSGsPerIndexGroup,
 		BloomFPR:          0.001,
-		TargetObjsPerSet:  40,
 		CachedPBFGRatio:   0.5,
 		HotTrackTailRatio: 0.3,
 		CoolingWriteRatio: 0.1,
@@ -201,9 +199,6 @@ func (c Config) validate(base int) error {
 	}
 	if c.BloomFPR <= 0 || c.BloomFPR >= 1 {
 		return fmt.Errorf("core: BloomFPR %v out of range (0,1)", c.BloomFPR)
-	}
-	if c.TargetObjsPerSet < 1 {
-		return fmt.Errorf("core: TargetObjsPerSet %d must be at least 1", c.TargetObjsPerSet)
 	}
 	if c.CachedPBFGRatio < 0 || c.CachedPBFGRatio > 1 {
 		return fmt.Errorf("core: CachedPBFGRatio %v out of range [0,1]", c.CachedPBFGRatio)

@@ -124,20 +124,22 @@ func heapAlloc(dev *flashsim.Device) uint64 {
 //     the latency histogram, the breaker.
 //
 // The paper-metadata part departs from MemoryOverhead() × resident objects,
-// and the departure is what is asserted. Below the model: it charges pageSize
-// per group-buffer page where the buffer holds pbfgBytes, and Bloom bits for
-// the cached share of the pool whether or not a read has fetched them (this
-// run reads nothing, so the PBFG cache holds no page). Above it: each SG's
-// meta keeps prefix sums beside the hotness bits, for every SG and not the
-// tracked tail only, and each SG has a struct the model does not count. So:
-// measured is no more than the model plus the DataZones + SGsPerIndexGroup
-// SG structs a shard can hold, and no less than the model less its Bloom
-// term and the group buffers' page slack.
+// and the departure is what is asserted. Below the model: it charges a whole
+// device page per group-buffer page, spread over the objects the pool holds
+// but charged to every resident object, the write buffers' too, where the
+// buffer holds SGsPerIndexGroup filters of the group's width; and Bloom bits
+// for the cached share of the pool whether or not a read has fetched them
+// (this run reads nothing, so the PBFG cache holds no page). Above it: each
+// SG's meta keeps prefix sums beside the hotness bits, for every SG and not
+// the tracked tail only, and each SG has a struct the model does not count.
+// So: measured is no more than the model plus the DataZones +
+// SGsPerIndexGroup SG structs a shard can hold, and no less than the model
+// with its Bloom and buffer terms replaced by the group buffers measured.
 func TestResidentBytesLedger(t *testing.T) {
 	const (
 		totalData = 48
 		flushers  = 2
-		objsPerSG = 64 * 40 // DefaultConfig: 40 objects a set
+		objsPerSG = 64 * 40 // 40 objects a set, §5.1's sizing
 	)
 	var kitBytes uint64
 	for _, shards := range []int{1, 4, 8} {
@@ -188,20 +190,20 @@ func TestResidentBytesLedger(t *testing.T) {
 				t.Errorf("ledger total %d is not within 6%% of the measured heap %d", r.Total(), heap)
 			}
 			m := c.MemoryOverhead()
-			below := uint64(m.BloomBitsPerObj/m.TotalBitsPerObj*float64(r.ModelMeta)) +
-				uint64(shards*c.setsPerSG*(c.pageSize-c.pbfgBytes))
+			floor := float64(r.ModelMeta)*(1-(m.BloomBitsPerObj+m.BufferBitsPerObj)/m.TotalBitsPerObj) + float64(r.GroupBuffers)
 			structs := uint64(shards*(c.cfg.DataZones+c.cfg.SGsPerIndexGroup)) * uint64(unsafe.Sizeof(flashSG{}))
-			if paper := r.PaperMeta(); r.Objects == 0 || paper+below < r.ModelMeta || paper > r.ModelMeta+structs {
-				t.Errorf("paper metadata %d bytes for %d objects, model %d: not within [model − Bloom term and page slack (%d), model + the SG structs the shards can hold (%d)]",
-					paper, r.Objects, r.ModelMeta, below, structs)
+			if paper := r.PaperMeta(); r.Objects == 0 || float64(paper) < floor || paper > r.ModelMeta+structs {
+				t.Errorf("paper metadata %d bytes for %d objects, model %d: not within [model with its Bloom and buffer terms replaced by the group buffers (%.0f), model + the SG structs the shards can hold (%d)]",
+					paper, r.Objects, r.ModelMeta, floor, structs)
 			}
 		})
 	}
 }
 
 // indexLedger recomputes the index-layer terms of s's ledger from what each
-// shard holds: PBFG cache slots of pbfgBytes plus its queue, a SetsPerSG
-// slot list per sealed group and one device page of fetch scratch; setsPerSG PBFG pages per unsealed group;
+// shard holds: PBFG cache slots of each width's page bytes plus its queue, a
+// SetsPerSG slot list per sealed group and one device page of fetch scratch;
+// setsPerSG PBFG pages of its width per unsealed group;
 // for every group member, its struct and a meta of nsets+1 prefix sums and
 // 2·⌈objCount/64⌉ hot words at its size-class capacity.
 func indexLedger(t *testing.T, s *Sharded) (r Resident) {
@@ -209,17 +211,21 @@ func indexLedger(t *testing.T, s *Sharded) (r Resident) {
 	for _, c := range s.shards {
 		c.mu.Lock()
 		ic := c.icache
-		for i, slab := range ic.arena.slabs {
-			if len(slab) != pageSlabPages*c.pbfgBytes {
-				t.Errorf("page slab %d is %d bytes, want %d slots of %d", i, len(slab), pageSlabPages, c.pbfgBytes)
+		for w, a := range ic.arenas {
+			page := (w + 1) * 8 * c.cfg.SGsPerIndexGroup // a page of 64·(w+1)-bit filters
+			for i, slab := range a.slabs {
+				if len(slab) != pageSlabPages*page {
+					t.Errorf("%d-bit page slab %d is %d bytes, want %d slots of %d", 64*(w+1), i, len(slab), pageSlabPages, page)
+				}
 			}
+			r.PBFGCache += uint64(len(a.slabs) * pageSlabPages * page)
 		}
-		r.PBFGCache += uint64(len(ic.arena.slabs)*pageSlabPages*c.pbfgBytes + c.pageSize + 8*cap(ic.queue))
+		r.PBFGCache += uint64(c.pageSize + 8*cap(ic.queue))
 		for _, g := range c.groups {
 			if g.sealed {
 				r.PBFGCache += uint64(4 * c.setsPerSG)
-			} else {
-				r.GroupBuffers += uint64(c.setsPerSG * c.pbfgBytes)
+			} else if len(g.members) > 0 {
+				r.GroupBuffers += uint64(c.setsPerSG * g.bfBits / 8 * c.cfg.SGsPerIndexGroup)
 			}
 			for _, m := range g.members {
 				if want := c.setsPerSG + 1 + 2*((m.objCount+63)/64); len(m.meta) != want || cap(m.meta) < want {

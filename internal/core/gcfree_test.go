@@ -47,23 +47,29 @@ func TestArenaFlatOverChurn(t *testing.T) {
 		cycle(r * perCycle)
 	}
 
-	pageSlabs := func() int {
+	pageSlabs := func() (n int) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return len(c.icache.arena.slabs)
+		for _, a := range c.icache.arenas {
+			n += len(a.slabs)
+		}
+		return n
 	}
 	checkAccounting := func() {
 		c.mu.Lock()
-		total := len(c.icache.arena.slabs) * pageSlabPages
-		free := len(c.icache.arena.free)
+		total, free := 0, 0
+		for w, a := range c.icache.arenas {
+			total += len(a.slabs) * pageSlabPages
+			free += len(a.free)
+			for _, slab := range a.slabs {
+				if want := pageSlabPages * (w + 1) * 8 * c.cfg.SGsPerIndexGroup; len(slab) != want {
+					t.Errorf("%d-bit page slab of %d bytes, want %d", 64*(w+1), len(slab), want)
+				}
+			}
+		}
 		if free != total-c.icache.count {
 			t.Errorf("page arena leak: %d slots allocated, %d live, %d free (want %d)",
 				total, c.icache.count, free, total-c.icache.count)
-		}
-		for _, slab := range c.icache.arena.slabs {
-			if len(slab) != pageSlabPages*c.pbfgBytes {
-				t.Errorf("page slab of %d bytes, want %d slots of pbfgBytes %d", len(slab), pageSlabPages, c.pbfgBytes)
-			}
 		}
 		// The queue holds exactly the cached pages, and names only groups
 		// still in the list.
@@ -187,13 +193,29 @@ func TestSetManyAllocationsSteadyState(t *testing.T) {
 	}
 }
 
-// snapGoldenSHA256 is the SHA-256 of the NEMO1 version-3 checkpoint of the
+// snapGoldenSHA256 is the SHA-256 of the NEMO1 version-4 checkpoint of the
 // deterministic trace below. The snapshot format is a device-state
 // description, not an in-memory-layout dump: the map-based layout's image
 // was pinned identical through every in-memory layout change since, and
-// version 3 carries exactly that image's content minus the fields restore
+// version 3 carried exactly that image's content minus the fields restore
 // computes (every dropped field equalled its computed value on this trace).
-const snapGoldenSHA256 = "23b86ebe3109278b1ab9cb6e3a7cbe0023f498c057ef61d58680d95d1c2024aa"
+//
+// Transition record, version 3 (23b86ebe…24aa) to 4, both shards compared
+// field by field on this trace. Format: the version word; CONFIG lost its
+// TargetObjsPerSet slot; each group gained its filter width (192 bits for
+// four groups and 128 for one, where every filter was 128 bits before:
+// this trace's 512-byte sets hold up to 13 objects). Content: the probe
+// positions moved and the widths grew, so every Bloom outcome may differ —
+// FalsePositiveReads 93 → 0 and 116 → 8, and with them FlashReadOps,
+// FlashBytesRead and the index-cache lookups and misses; a delete's
+// may-exist test and writeback's shadow test answered differently for a
+// handful of keys, so Hits (+2, +1), Evictions (−3, −2), WriteBackObjs and
+// WriteBackBytes (+2 objects a shard), Sacrificed and the sacrifice count
+// (−1 on shard 0), hotness bits of five SGs, the fills and set counts of
+// four of shard 0's SGs, shard 0's in-memory SGs, both flush logs and the
+// index-cache queue order. Zones, free lists, SG ids, group
+// membership and every write counter are unchanged.
+const snapGoldenSHA256 = "83b43f8c23dcf3ee1ad2afb1ac93bd7d6b7e3d9c1aa9575939dd23896977a727"
 
 // TestSnapshotBytesMatchMapLayout runs a deterministic mixed trace on the
 // simulated device — sealed groups, dead SGs, hot bits, cached PBFG pages,

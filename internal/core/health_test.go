@@ -25,7 +25,6 @@ func newBreakerCache(t *testing.T, mod func(*Config)) (*Cache, *flashsim.Device)
 	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 16, Zones: 16})
 	cfg := DefaultConfig(dev, 8)
 	cfg.SGsPerIndexGroup = 4
-	cfg.TargetObjsPerSet = 8
 	// Suppress automatic flush triggers: every flush in these tests is an
 	// explicit Flush() call, so the failure sequence is exact.
 	cfg.FlushThreshold = 1 << 20
@@ -315,7 +314,6 @@ func TestShardedHealthIsolation(t *testing.T) {
 	cfg := DefaultConfig(dev, 8*shards)
 	cfg.Shards = shards
 	cfg.SGsPerIndexGroup = 4
-	cfg.TargetObjsPerSet = 8
 	cfg.FlushThreshold = 1 << 20
 	cfg.RearFullRatio = 1.0
 	cfg.BreakerThreshold = 1

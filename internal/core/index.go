@@ -16,10 +16,11 @@ import (
 //   - flashSG: one struct per SG, made at seal (or restore), naming its one
 //     data zone. A shard holds at most DataZones + SGsPerIndexGroup of them;
 //     a retired group's members lose their meta and are left to the GC.
-//   - pageArena (inside pbfgCache): cached PBFG pages are pbfgBytes-long
-//     slots of large slabs. Each sealed group lists the slot of every page it
-//     has cached, and the FIFO queue names pages by (group id, set), so
-//     neither holds a pointer; put copies the page bytes in, and there are no
+//   - pageArena (inside pbfgCache, one per filter width in use): cached PBFG
+//     pages are slots of large slabs, each slot the bytes a page of that
+//     width carries. Each sealed group lists the slot of every page it has
+//     cached, and the FIFO queue names pages by (group id, set), so neither
+//     holds a pointer; put copies the page bytes in, and there are no
 //     per-page objects.
 //   - meta: each SG's per-set metadata — slot-base prefix sums and the
 //     hotness bitmap — is ONE exact-size []uint32, made at flush commit (or
@@ -150,9 +151,13 @@ func (sg *flashSG) loadBits(bits []uint64) {
 // in-memory index-group buffer; sealing appends them, as they are, to an
 // index-pool zone.
 type idxGroup struct {
-	id        int
-	zone      int // index zone, once sealed
-	sealed    bool
+	id     int
+	zone   int // index zone, once sealed
+	sealed bool
+	// bfBits is the width of every member's filters, fixed when the first
+	// member commits (filterBits over its set counts) and 0 until then: a
+	// bit-sliced page needs one width for all its columns.
+	bfBits    int
 	members   []*flashSG
 	liveCount int
 	// live has bit s set while member s is published and not evicted
@@ -160,11 +165,11 @@ type idxGroup struct {
 	// from, so a dead member — or the slot of an in-flight flush — can never
 	// become a candidate.
 	live uint64
-	// buf is the unsealed group's SetsPerSG pages, pbfgBytes each, dropped
-	// wholesale at seal. It is written only under the lock, by the one flush
-	// in flight (mergeFilters at commit); the flush owner's unlocked build
-	// phase may therefore read it, and builds its own member's filters in
-	// its flush kit, outside it.
+	// buf is the unsealed group's SetsPerSG pages, pageBytes each, made when
+	// the first member commits and dropped wholesale at seal. It is written
+	// only under the lock, by the one flush in flight (mergeFilters at
+	// commit); the flush owner's unlocked build phase may therefore read it,
+	// and builds its own member's filters in its flush kit, outside it.
 	buf []byte
 	// cached is the sealed group's index-cache entry: per set offset, the
 	// page-arena slot holding its cached PBFG page, or -1. Made at seal,
@@ -181,16 +186,33 @@ func groupAt(groups []*idxGroup, id int) *idxGroup {
 	return groups[id-groups[0].id]
 }
 
-// bufPage returns the unsealed group's PBFG page for set offset o.
-func (c *Cache) bufPage(g *idxGroup, o int) []byte {
-	return g.buf[o*c.pbfgBytes : (o+1)*c.pbfgBytes]
+// filterBits is the width rule: the filters of a group whose first member's
+// fullest set holds n objects get bloom.SizeBits(n, BloomFPR) bits — a
+// multiple of 64 — capped at the widest filter SGsPerIndexGroup columns of
+// fit one page.
+func (c *Cache) filterBits(n int) int {
+	return min(bloom.SizeBits(n, c.cfg.BloomFPR), c.maxBFBits)
 }
 
-// mergeFilters ORs member slot s's filters — SetsPerSG serialized filters
-// concatenated by set offset — into the unsealed group's pages.
+// pageBytes is the length of one of g's PBFG pages: SGsPerIndexGroup filters
+// of its width. The rest of a device page is slack.
+func (c *Cache) pageBytes(g *idxGroup) int {
+	return g.bfBits / 8 * c.cfg.SGsPerIndexGroup
+}
+
+// bufPage returns the unsealed group's PBFG page for set offset o.
+func (c *Cache) bufPage(g *idxGroup, o int) []byte {
+	n := c.pageBytes(g)
+	return g.buf[o*n : (o+1)*n]
+}
+
+// mergeFilters ORs member slot s's filters — SetsPerSG serialized filters of
+// the group's width, concatenated by set offset — into the unsealed group's
+// pages.
 func (c *Cache) mergeFilters(g *idxGroup, s int, bfs []byte) {
+	nb := g.bfBits / 8
 	for o := 0; o < c.setsPerSG; o++ {
-		bloom.MergeColumn(c.bufPage(g, o), c.cfg.SGsPerIndexGroup, s, bfs[o*c.bfBytes:(o+1)*c.bfBytes])
+		bloom.MergeColumn(c.bufPage(g, o), c.cfg.SGsPerIndexGroup, s, bfs[o*nb:(o+1)*nb])
 	}
 }
 
@@ -204,12 +226,12 @@ type pbfgKey struct {
 // pageSlabPages is the page-arena allocation granularity.
 const pageSlabPages = 64
 
-// pageArena stores cached PBFG pages as fixed slots of large slabs, each slot
-// the pbfgBytes a page carries, not the device page it was read from. Slots
-// are identified by index and recycled immediately on release: readers test
-// a page's filters while still holding the lock (readpath.go planGetLocked),
-// so no slice into a slot ever outlives the critical section that looked it
-// up.
+// pageArena stores cached PBFG pages of one filter width as fixed slots of
+// large slabs, each slot the bytes such a page carries, not the device page
+// it was read from. Slots are identified by index and recycled immediately on
+// release: readers test a page's filters while still holding the lock
+// (readpath.go planGetLocked), so no slice into a slot ever outlives the
+// critical section that looked it up.
 type pageArena struct {
 	slotSize int
 	slabs    [][]byte
@@ -242,16 +264,19 @@ func (a *pageArena) release(slot int32) {
 // FIFO-style, which reduces lock contention ... compared to LRU").
 //
 // It is addressed through the groups: a sealed group's cached slot list
-// names the arena slot holding each cached page, so a lookup is one load.
-// put copies the caller's page bytes into a slot, and page slices handed out
-// by get are valid only under the lock (slots recycle on eviction — the
-// concurrent read path tests them at plan time, readpath.go). The queue
-// holds exactly the cached pages, oldest first: eviction pops its head, and
-// a retiring group takes its entries out with it (dropGroup).
+// names the slot holding each cached page in the arena of the group's
+// filter width, so a lookup is one load. put copies the caller's page bytes
+// into a slot, and page slices handed out by get are valid only under the
+// lock (slots recycle on eviction — the concurrent read path tests them at
+// plan time, readpath.go). The queue holds exactly the cached pages, oldest
+// first: eviction pops its head, and a retiring group takes its entries out
+// with it (dropGroup).
 type pbfgCache struct {
 	capacity int
 	count    int
-	arena    pageArena
+	// arenas[w] holds the pages of groups with filters of 64·(w+1) bits; an
+	// arena whose width no group has used holds no slab.
+	arenas []pageArena
 
 	queue []pbfgKey // FIFO of the cached pages; eviction order
 	head  int       // index of the oldest entry within queue
@@ -260,13 +285,26 @@ type pbfgCache struct {
 	misses  uint64 // queries requiring a flash fetch
 }
 
-// newPBFGCache makes an empty cache of capacity pages. slotSize fixes the
-// arena slot size (put copies exactly that many bytes).
-func newPBFGCache(capacity, slotSize int) *pbfgCache {
-	return &pbfgCache{
-		capacity: max(capacity, 0),
-		arena:    pageArena{slotSize: slotSize},
+// newPBFGCache makes an empty cache of capacity pages of members filters
+// each, at most maxBits wide: one arena per width, whose slot is exactly what
+// put copies of a page of that width.
+func newPBFGCache(capacity, members, maxBits int) *pbfgCache {
+	pc := &pbfgCache{capacity: max(capacity, 0), arenas: make([]pageArena, maxBits/64)}
+	for w := range pc.arenas {
+		pc.arenas[w].slotSize = (w + 1) * 8 * members
 	}
+	return pc
+}
+
+// arena is the page arena of g's filter width.
+func (pc *pbfgCache) arena(g *idxGroup) *pageArena { return &pc.arenas[g.bfBits/64-1] }
+
+// slabBytes is the arenas' resident size.
+func (pc *pbfgCache) slabBytes() (n int) {
+	for _, a := range pc.arenas {
+		n += len(a.slabs) * pageSlabPages * a.slotSize
+	}
+	return n
 }
 
 // uncached is a sealed group's fresh slot list: n set offsets, none cached.
@@ -275,13 +313,13 @@ func uncached(n int) []int32 { return slices.Repeat([]int32{-1}, n) }
 // get returns sealed group g's cached page for set o.
 func (pc *pbfgCache) get(g *idxGroup, o int) ([]byte, bool) {
 	if s := g.cached[o]; s >= 0 {
-		return pc.arena.page(s), true
+		return pc.arena(g).page(s), true
 	}
 	return nil, false
 }
 
-// put caches a copy of page's first slotSize bytes as sealed group g's page
-// for set o, evicting FIFO as needed; groups is the live group list the
+// put caches a copy of page's first bytes — a page of g's width — as sealed
+// group g's page for set o, evicting FIFO as needed; groups is the live group list the
 // queue's entries resolve through. A page already cached is left untouched.
 func (pc *pbfgCache) put(groups []*idxGroup, g *idxGroup, o int, page []byte) {
 	if pc.capacity == 0 || g.cached[o] >= 0 {
@@ -291,13 +329,14 @@ func (pc *pbfgCache) put(groups []*idxGroup, g *idxGroup, o int, page []byte) {
 		k := pc.queue[pc.head]
 		pc.head++
 		old := groups[int(k.group)-groups[0].id]
-		pc.arena.release(old.cached[k.set])
+		pc.arena(old).release(old.cached[k.set])
 		old.cached[k.set] = -1
 		pc.count--
 		pc.maybeCompact()
 	}
-	slot := pc.arena.alloc()
-	copy(pc.arena.page(slot), page)
+	a := pc.arena(g)
+	slot := a.alloc()
+	copy(a.page(slot), page)
 	g.cached[o] = slot
 	pc.count++
 	pc.queue = append(pc.queue, pbfgKey{group: int32(g.id), set: int32(o)})
@@ -308,7 +347,7 @@ func (pc *pbfgCache) put(groups []*idxGroup, g *idxGroup, o int, page []byte) {
 func (pc *pbfgCache) dropGroup(g *idxGroup) {
 	for _, s := range g.cached {
 		if s >= 0 {
-			pc.arena.release(s)
+			pc.arena(g).release(s)
 			pc.count--
 		}
 	}
@@ -336,7 +375,8 @@ func (pc *pbfgCache) maybeCompact() {
 // traffic — the Figure 19b miss ratio counts only lookup-path queries,
 // which the read path charges itself during its plan phase (readpath.go).
 // A flash fetch lands in c.fetchBuf (mu-guarded scratch); the returned
-// slice, pbfgBytes long either way, is valid until the next fetchPBFG call.
+// slice, pageBytes(g) long either way, is valid until the next fetchPBFG
+// call.
 func (c *Cache) fetchPBFG(g *idxGroup, o int) ([]byte, error) {
 	if page, ok := c.icache.get(g, o); ok {
 		return page, nil
@@ -346,7 +386,7 @@ func (c *Cache) fetchPBFG(g *idxGroup, o int) ([]byte, error) {
 	}
 	c.stats.FlashReadOps++
 	c.stats.FlashBytesRead += uint64(c.pageSize)
-	page := c.fetchBuf[:c.pbfgBytes]
+	page := c.fetchBuf[:c.pageBytes(g)]
 	c.icache.put(c.groups, g, o, page)
 	return page, nil
 }
@@ -377,7 +417,7 @@ func (c *Cache) walkCandidates(o int, ps *bloom.ProbeSet, minID uint64,
 		}
 		mask, tested := g.live, page != nil
 		if tested {
-			mask = bloom.GroupMask(page, c.cfg.SGsPerIndexGroup, ps, mask)
+			mask = bloom.GroupMask(page, c.cfg.SGsPerIndexGroup, g.bfBits, ps, mask)
 		}
 		for mask != 0 {
 			s := bits.Len64(mask) - 1

@@ -44,10 +44,8 @@ type Cache struct {
 	zoneBase  int // first device zone of this shard's slice
 	pageSize  int
 	setsPerSG int
-	bfBytes   int // serialized bytes of one set-level Bloom filter
-	pbfgBytes int // bytes of one PBFG page: SGsPerIndexGroup filters
-	bfBits    int
-	bfK       int
+	maxBFBits int // widest filter: SGsPerIndexGroup of them fill a page
+	bfK       int // Bloom probes per key
 
 	mu sync.Mutex
 
@@ -124,15 +122,14 @@ func newShard(cfg Config, base int, kits *kitPool) (*Cache, error) {
 		return nil, err
 	}
 	dev := cfg.Device
-	bfBits := bloom.SizeBits(cfg.TargetObjsPerSet, cfg.BloomFPR)
-	bfBytes := bfBits / 8
 	if cfg.SGsPerIndexGroup > bloom.MaxGroupMembers {
 		return nil, fmt.Errorf("core: SGsPerIndexGroup %d exceeds the %d members one PBFG row load covers",
 			cfg.SGsPerIndexGroup, bloom.MaxGroupMembers)
 	}
-	if bfBytes*cfg.SGsPerIndexGroup > dev.PageSize() {
-		return nil, fmt.Errorf("core: %d filters of %d bytes exceed the %d-byte PBFG page; lower SGsPerIndexGroup or BloomFPR",
-			cfg.SGsPerIndexGroup, bfBytes, dev.PageSize())
+	maxBFBits := dev.PageSize() * 8 / cfg.SGsPerIndexGroup &^ 63
+	if maxBFBits < 64 {
+		return nil, fmt.Errorf("core: %d filters of 64 bits exceed the %d-byte PBFG page; lower SGsPerIndexGroup",
+			cfg.SGsPerIndexGroup, dev.PageSize())
 	}
 	if cfg.BreakerThreshold > 0 && cfg.BreakerProbeAfter == 0 {
 		cfg.BreakerProbeAfter = time.Second
@@ -142,18 +139,16 @@ func newShard(cfg Config, base int, kits *kitPool) (*Cache, error) {
 		dev:       dev,
 		pageSize:  dev.PageSize(),
 		setsPerSG: dev.PagesPerZone(),
-		bfBytes:   bfBytes,
-		pbfgBytes: bfBytes * cfg.SGsPerIndexGroup,
-		bfBits:    bfBits,
+		maxBFBits: maxBFBits,
 		bfK:       bloom.NumHashes(cfg.BloomFPR),
 		zoneBase:  base,
 		kits:      kits,
 	}
 	c.fetchBuf = make([]byte, c.pageSize)
 	c.flushCond = sync.NewCond(&c.mu)
-	c.probes = bloom.NewProbeSet(0, c.bfBits, c.bfK)
+	c.probes = bloom.NewProbeSet(0, c.bfK)
 	c.getPool.New = func() any {
-		return &getScratch{probes: bloom.NewProbeSet(0, c.bfBits, c.bfK)}
+		return &getScratch{probes: bloom.NewProbeSet(0, c.bfK)}
 	}
 	for i := 0; i < cfg.MemSGs(); i++ {
 		c.memq = append(c.memq, newMemSG(c.setsPerSG, c.pageSize))
@@ -167,7 +162,7 @@ func newShard(cfg Config, base int, kits *kitPool) (*Cache, error) {
 	}
 	maxGroups := (cfg.DataZones + cfg.SGsPerIndexGroup - 1) / cfg.SGsPerIndexGroup
 	capacity := int(cfg.CachedPBFGRatio * float64((maxGroups+1)*c.setsPerSG))
-	c.icache = newPBFGCache(capacity, c.pbfgBytes)
+	c.icache = newPBFGCache(capacity, cfg.SGsPerIndexGroup, maxBFBits)
 	return c, nil
 }
 
@@ -358,7 +353,7 @@ func (c *Cache) deleteBodyLocked(fp uint64, key []byte) error {
 // the cost amortizes over the hot sets). False positives are possible, false
 // negatives are not.
 func (c *Cache) mayExistOnFlashLocked(fp uint64, o int, minID uint64) (may bool, err error) {
-	c.probes.Reuse(fp, c.bfBits)
+	c.probes.Reuse(fp)
 	err = c.walkCandidates(o, c.probes, minID, c.fetchPBFG, func(*flashSG, bool) bool {
 		may = true
 		return false
@@ -502,7 +497,7 @@ func (c *Cache) openGroup() *idxGroup {
 		len(c.groups[n-1].members) < c.cfg.SGsPerIndexGroup {
 		return c.groups[n-1]
 	}
-	g := &idxGroup{id: c.nextGroup, buf: make([]byte, c.setsPerSG*c.pbfgBytes)}
+	g := &idxGroup{id: c.nextGroup}
 	c.nextGroup++
 	c.groups = append(c.groups, g)
 	return g

@@ -43,7 +43,6 @@ func testShardedOn(t *testing.T, dev device.Device, mutate func(*Config)) *Shard
 func testConfig(dev device.Device, mutate func(*Config)) Config {
 	cfg := DefaultConfig(dev, 8)
 	cfg.SGsPerIndexGroup = 4
-	cfg.TargetObjsPerSet = 8
 	cfg.FlushThreshold = 8
 	if mutate != nil {
 		mutate(&cfg)
@@ -376,7 +375,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.RearFullRatio = 0 },
 		func(c *Config) { c.CachedPBFGRatio = 2 },
 		func(c *Config) { c.CoolingWriteRatio = 0 },
-		func(c *Config) { c.TargetObjsPerSet = 0 },
 		func(c *Config) { c.SGsPerIndexGroup = 0 },
 	}
 	for i, mutate := range bad {

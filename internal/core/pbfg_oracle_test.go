@@ -43,7 +43,7 @@ func refCandidates(t *testing.T, c *Cache, fp uint64, o int, minID uint64) []uin
 			if err := blk.DecodeFrom(page); err != nil {
 				t.Fatal(err)
 			}
-			f := bloom.New(c.cfg.TargetObjsPerSet, c.cfg.BloomFPR)
+			f := bloom.NewBits(g.bfBits, c.bfK)
 			blk.Range(func(_ int, e setblock.Entry) bool {
 				f.Add(e.FP)
 				return true
@@ -62,7 +62,7 @@ func walkIDs(t *testing.T, c *Cache, fp uint64, o int, minID uint64) []uint64 {
 	var ids []uint64
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.probes.Reuse(fp, c.bfBits)
+	c.probes.Reuse(fp)
 	err := c.walkCandidates(o, c.probes, minID, c.fetchPBFG, func(m *flashSG, tested bool) bool {
 		if !tested {
 			t.Fatalf("fetchPBFG left SG %d untested", m.id)
@@ -86,14 +86,14 @@ func lookupIDs(c *Cache, key []byte) (ids []uint64, ok bool) {
 	sc.resetPlan()
 	sc.atts = append(sc.atts[:0], getAttempt{fp: fp, o: c.setOf(fp)})
 	sc.results = append(sc.results[:0], getIOResult{})
-	sc.probes.Reuse(fp, c.bfBits)
+	sc.probes.Reuse(fp)
 	c.mu.Lock()
 	c.planGetLocked(sc, &sc.atts[0], key, 0)
 	c.mu.Unlock()
 	if sc.atts[0].resolved {
 		return nil, false
 	}
-	c.getIO(sc, &sc.atts[0], key, 0)
+	c.getIO(sc, &sc.atts[0], key, 0, &sc.results[0])
 	for _, m := range sc.cands {
 		ids = append(ids, m.id)
 	}
@@ -171,7 +171,6 @@ func TestPBFGCandidatesMatchPerMemberLoop(t *testing.T) {
 		})
 		cfg := DefaultConfig(dev, 8)
 		cfg.SGsPerIndexGroup = members
-		cfg.TargetObjsPerSet = []int{4, 8, 40}[rng.Intn(3)] // 7 × 72 B leaves a 512 B page no slack for a tail row load
 		cfg.BloomFPR = []float64{0.001, 0.05}[rng.Intn(2)]
 		cfg.CachedPBFGRatio = []float64{0, 0.5, 1}[rng.Intn(3)]
 		cfg.FlushThreshold = 1 << 20 // flushes happen when the test says so
@@ -182,8 +181,8 @@ func TestPBFGCandidatesMatchPerMemberLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := cold.Shard(0)
-		when := fmt.Sprintf("trial %d (%d members, %d sets, %d B pages, %d objs/set, index cache %.1f)",
-			trial, members, ppz, dev.PageSize(), cfg.TargetObjsPerSet, cfg.CachedPBFGRatio)
+		when := fmt.Sprintf("trial %d (%d members, %d sets, %d B pages, index cache %.1f)",
+			trial, members, ppz, dev.PageSize(), cfg.CachedPBFGRatio)
 
 		var keys [][]byte
 		flushRound := func(c *Cache, round int, inFlight bool) {
@@ -206,11 +205,12 @@ func TestPBFGCandidatesMatchPerMemberLoop(t *testing.T) {
 			go func() { flushErr <- c.Flush() }()
 			<-parked
 			// The owner has built its filters, but not one bit of them may
-			// be where a reader could see it before the commit.
+			// be where a reader could see it before the commit. A group's
+			// first member in flight has no buffer to leak into yet.
 			g := c.groups[len(c.groups)-1]
-			for o := 0; o < c.setsPerSG; o++ {
-				col := bloom.ExtractColumn(nil, c.bufPage(g, o), members, len(g.members), c.bfBytes)
-				if !bytes.Equal(col, make([]byte, c.bfBytes)) {
+			for o := 0; g.buf != nil && o < c.setsPerSG; o++ {
+				col := bloom.ExtractColumn(nil, c.bufPage(g, o), members, len(g.members), g.bfBits/8)
+				if !bytes.Equal(col, make([]byte, g.bfBits/8)) {
 					t.Fatalf("%s: in-flight slot %d has bits in the group buffer at set %d", when, len(g.members), o)
 				}
 			}
@@ -254,7 +254,6 @@ func TestReadersPlanWhileFlushCommitsColumn(t *testing.T) {
 	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 8, Zones: 16})
 	cfg := DefaultConfig(dev, 8)
 	cfg.SGsPerIndexGroup = 16 // twice the pool: the group never seals here
-	cfg.TargetObjsPerSet = 8
 	cfg.FlushThreshold = 1 << 20
 	cfg.RearFullRatio = 1.0
 	c, err := newBare(cfg)
@@ -319,65 +318,91 @@ func TestReadersPlanWhileFlushCommitsColumn(t *testing.T) {
 
 // TestGroupWidthGuard constructs every index-group width the tree uses, the
 // widest a row load supports and one past it, on small and large pages, each
-// with the default filter and with the largest filter the page still fits —
-// the packing with the least slack, where the last rows' loads run into the
-// page tail. Whatever fitted a page before the bit-sliced layout still
-// constructs, seals a group and agrees with the oracle; only a group wider
-// than bloom.MaxGroupMembers is refused, by an error that names the limit.
+// with lightly filled sets and with sets filled to the page, whose filters
+// reach the page limit on a wide group — the packing with the least slack,
+// where the last rows' loads run into the page tail. Every width up to
+// bloom.MaxGroupMembers constructs, seals a group, agrees with the oracle
+// and sizes its filters by the width rule; only a group wider than that is
+// refused, by an error that names the limit.
 func TestGroupWidthGuard(t *testing.T) {
-	const fpr = 0.001
 	for _, members := range []int{1, 2, 3, 4, 50, bloom.MaxGroupMembers, bloom.MaxGroupMembers + 1} {
 		for _, pageSize := range []int{512, 4096, 8192} {
-			tightest := 0 // the most objects per set whose filters still fit the page
-			for n := 1; bloom.SizeBits(n, fpr)/8*members <= pageSize; n++ {
-				tightest = n
-			}
-			for _, objs := range []int{40, tightest} {
-				name := fmt.Sprintf("%d members, %d B page, %d objs per set", members, pageSize, objs)
+			for _, perFlush := range []int{6, pageSize / 8} {
+				name := fmt.Sprintf("%d members, %d B page, %d keys per flush", members, pageSize, perFlush)
 				dev := flashsim.New(flashsim.Config{PageSize: pageSize, PagesPerZone: 4, Zones: 8 + IndexZonesFor(8, members)})
 				cfg := DefaultConfig(dev, 8)
 				cfg.SGsPerIndexGroup = members
-				cfg.TargetObjsPerSet = objs
 				cfg.FlushThreshold = 1 << 20
 				cfg.RearFullRatio = 1.0
 				c, err := newBare(cfg)
-				switch fits := objs > 0 && bloom.SizeBits(objs, fpr)/8*members <= pageSize; {
+				switch {
 				case members > bloom.MaxGroupMembers:
 					if err == nil || !strings.Contains(err.Error(), fmt.Sprint(bloom.MaxGroupMembers)) {
 						t.Fatalf("%s: New returned %v, want an error naming the %d-member limit", name, err, bloom.MaxGroupMembers)
 					}
 					continue
-				case !fits:
-					if err == nil {
-						t.Fatalf("%s: constructed with filters that overflow the page", name)
-					}
-					continue
 				case err != nil:
 					t.Fatalf("%s: %v", name, err)
 				}
-				rng := rand.New(rand.NewSource(int64(members*pageSize + objs)))
-				var keys [][]byte
+				rng := rand.New(rand.NewSource(int64(members*pageSize + perFlush)))
+				var keys, live [][]byte
 				for f := 0; f <= members; f++ { // one flush past the seal
-					for i := 0; i < 6; i++ {
+					for i := 0; i < perFlush; i++ {
 						keys = append(keys, []byte(fmt.Sprintf("width-%d-%d", f, i)))
-						if err := c.Set(keys[len(keys)-1], []byte("width-value-padpadpad")); err != nil {
+						if err := c.Set(keys[len(keys)-1], []byte("v")); err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
 					}
 					if err := c.Flush(); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
+					if f >= members+1-min(members+1, 4) { // the newest SGs are alive
+						live = append(live, keys[len(keys)-perFlush:]...)
+					}
 				}
 				if !c.groups[0].sealed {
 					t.Fatalf("%s: no group sealed", name)
 				}
+				checkGroupWidths(t, c, name)
 				checkAgainstOracle(t, c, rng, keys, name)
-				for _, k := range keys[len(keys)-6*min(members+1, 4):] { // the newest SGs are alive
-					if _, hit := c.Get(k); !hit {
+				for _, k := range live {
+					// Sets filled to the page sacrifice some keys before they
+					// are flushed; a key can only be owed a hit without that.
+					if _, hit := c.Get(k); !hit && c.Extra().Sacrificed == 0 {
 						t.Fatalf("%s: key %q was flushed into a live SG but missed", name, k)
 					}
 				}
 			}
+		}
+	}
+}
+
+// checkGroupWidths holds every group with a member to the width rule: its
+// filters are filterBits of its first member's fullest set — a multiple of
+// 64 bits, at most the page limit — and an unsealed group's buffer holds
+// SetsPerSG pages of that width.
+func checkGroupWidths(t *testing.T, c *Cache, when string) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, g := range c.groups {
+		if len(g.members) == 0 {
+			if g.bfBits != 0 || g.buf != nil {
+				t.Fatalf("%s: memberless group %d has %d-bit filters and a %d-byte buffer", when, g.id, g.bfBits, len(g.buf))
+			}
+			continue
+		}
+		first, fullest := g.members[0], 0
+		for o := 0; o < first.nsets; o++ {
+			fullest = max(fullest, first.setCount(o))
+		}
+		want := min(bloom.SizeBits(fullest, c.cfg.BloomFPR), c.maxBFBits)
+		if g.bfBits != want || want%64 != 0 || want*c.cfg.SGsPerIndexGroup > 8*c.pageSize {
+			t.Fatalf("%s: group %d has %d-bit filters, want %d (fullest first-member set %d, page limit %d)",
+				when, g.id, g.bfBits, want, fullest, c.maxBFBits)
+		}
+		if !g.sealed && len(g.buf) != c.setsPerSG*g.bfBits/8*c.cfg.SGsPerIndexGroup {
+			t.Fatalf("%s: unsealed group %d buffer is %d bytes for %d-bit filters", when, g.id, len(g.buf), g.bfBits)
 		}
 	}
 }

@@ -23,7 +23,6 @@ func TestPropertyNeverStale(t *testing.T) {
 		dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 8, Zones: 14})
 		cfg := DefaultConfig(dev, 8)
 		cfg.SGsPerIndexGroup = 3
-		cfg.TargetObjsPerSet = 8
 		cfg.FlushThreshold = 4
 		c, err := newBare(cfg)
 		if err != nil {
@@ -87,7 +86,6 @@ func TestPropertyWAInvariant(t *testing.T) {
 		dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 8, Zones: 14})
 		cfg := DefaultConfig(dev, 8)
 		cfg.SGsPerIndexGroup = 3
-		cfg.TargetObjsPerSet = 8
 		cfg.FlushThreshold = int(pthRaw)%64 + 1
 		cfg.BufferedSGs = buffered
 		c, err := newBare(cfg)
@@ -130,7 +128,6 @@ func TestPropertyPoolBounded(t *testing.T) {
 		dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 8, Zones: 12})
 		cfg := DefaultConfig(dev, 6)
 		cfg.SGsPerIndexGroup = 2
-		cfg.TargetObjsPerSet = 8
 		c, err := newBare(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -339,19 +339,21 @@ func (c *Cache) fetchPend(sc *getScratch, p *pendFetch, r *getIOResult) {
 // candidate set pages. my selects which pends this attempt owns (the keys of
 // a batch share the pend list); pends fetched by earlier keys contribute no
 // latency here, mirroring the index-cache hit a serial execution would see.
-func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r getIOResult) {
+// The outcome lands in r, which the caller has zeroed: the key's slot of
+// sc.results, filled in place rather than copied out.
+func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32, r *getIOResult) {
 	for i := range sc.pends {
 		p := &sc.pends[i]
 		if p.owner != my {
 			continue
 		}
-		c.fetchPend(sc, p, &r)
+		c.fetchPend(sc, p, r)
 		if p.err != nil {
 			// Abort at the first failed index read, like the locked path:
 			// without the filters the candidate set is unknowable.
 			r.readErrs++
 			r.outcome = ioErr
-			return r
+			return
 		}
 		if p.done > r.maxDone {
 			r.maxDone = p.done
@@ -360,7 +362,7 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 	if att.pendBacked {
 		// A batch plans every key before any I/O, so the scratch's probe set
 		// is the last planned key's by now.
-		sc.probes.Reuse(att.fp, c.bfBits)
+		sc.probes.Reuse(att.fp)
 	}
 	cands := sc.cands[:0]
 	addrs := sc.addrs[:0]
@@ -371,7 +373,7 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 			if p.page == nil {
 				// The owning key aborted before fetching this page (or the
 				// fetch itself failed): complete it on behalf of this key.
-				c.fetchPend(sc, p, &r)
+				c.fetchPend(sc, p, r)
 				if p.err == nil && p.done > r.maxDone {
 					r.maxDone = p.done
 				}
@@ -379,10 +381,10 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 			if p.err != nil {
 				r.readErrs++
 				r.outcome = ioErr
-				return r
+				return
 			}
 			if e.pend != tested {
-				tested, mask = e.pend, bloom.GroupMask(p.page[:c.pbfgBytes], c.cfg.SGsPerIndexGroup, sc.probes, ^uint64(0))
+				tested, mask = e.pend, bloom.GroupMask(p.page[:c.pageBytes(p.g)], c.cfg.SGsPerIndexGroup, p.g.bfBits, sc.probes, ^uint64(0))
 			}
 			if mask>>uint(e.slot)&1 == 0 {
 				continue
@@ -394,7 +396,7 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 	sc.cands, sc.addrs = cands, addrs
 	if len(cands) == 0 {
 		r.outcome = ioMiss
-		return r
+		return
 	}
 
 	// The candidate reads are one ReadPages call with one run per candidate
@@ -410,7 +412,7 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 	if err != nil {
 		r.readErrs++
 		r.outcome = ioErr
-		return r
+		return
 	}
 	if done > r.maxDone {
 		r.maxDone = done
@@ -427,15 +429,15 @@ func (c *Cache) getIO(sc *getScratch, att *getAttempt, key []byte, my int32) (r 
 			// Tombstone on flash: candidates are scanned newest-first, so
 			// the deletion shadows every older copy.
 			r.outcome = ioTomb
-			return r
+			return
 		}
 		r.outcome = ioHit
 		r.val = append([]byte(nil), v...)
 		r.hotSG, r.hotSlot = m, slot
-		return r
+		return
 	}
 	r.outcome = ioMiss
-	return r
+	return
 }
 
 // commitGetLocked applies one attempt's validated read-side effects under
@@ -539,7 +541,7 @@ func (c *Cache) getBatch(sc *getScratch, keys [][]byte) {
 		results = append(results, getIOResult{})
 	}
 	sc.atts, sc.results = atts, results
-	sc.probes.Reuse(atts[0].fp, c.bfBits)
+	sc.probes.Reuse(atts[0].fp)
 
 	// Phase 1: plan every key under one lock acquisition.
 	c.mu.Lock()
@@ -548,7 +550,7 @@ func (c *Cache) getBatch(sc *getScratch, keys [][]byte) {
 		atts[j].start = start
 		c.stats.Gets++
 		if j > 0 {
-			sc.probes.Reuse(atts[j].fp, c.bfBits)
+			sc.probes.Reuse(atts[j].fp)
 		}
 		c.planGetLocked(sc, &atts[j], keys[j], int32(j))
 	}
@@ -561,7 +563,7 @@ func (c *Cache) getBatch(sc *getScratch, keys [][]byte) {
 			if flash < 0 {
 				flash = j
 			}
-			results[j] = c.getIO(sc, &atts[j], keys[j], int32(j))
+			c.getIO(sc, &atts[j], keys[j], int32(j), &results[j])
 		}
 	}
 	if flash < 0 {
@@ -586,12 +588,13 @@ func (c *Cache) getBatch(sc *getScratch, keys [][]byte) {
 			continue
 		}
 		sc.resetPlan()
-		sc.probes.Reuse(atts[j].fp, c.bfBits)
+		sc.probes.Reuse(atts[j].fp)
 		c.planGetLocked(sc, &atts[j], keys[j], int32(j))
 		if atts[j].resolved {
 			continue
 		}
-		results[j] = c.getIO(sc, &atts[j], keys[j], int32(j))
+		results[j] = getIOResult{}
+		c.getIO(sc, &atts[j], keys[j], int32(j), &results[j])
 		c.publishPendsLocked(sc)
 		c.commitGetLocked(&atts[j], &results[j])
 	}

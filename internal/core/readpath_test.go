@@ -36,7 +36,6 @@ func readPathCacheOn(t testing.TB, dev device.Device, cachedRatio float64) *Cach
 	t.Helper()
 	cfg := DefaultConfig(dev, 8)
 	cfg.SGsPerIndexGroup = 2
-	cfg.TargetObjsPerSet = 8
 	cfg.FlushThreshold = 4
 	cfg.CachedPBFGRatio = cachedRatio
 	c, err := newBare(cfg)
@@ -305,16 +304,17 @@ func TestConcurrentGetStress(t *testing.T) {
 }
 
 // TestPBFGCacheDropGroupIndexed pins the group-addressed index cache:
-// dropGroup(g) releases exactly the retiring group's pages and takes its
-// queue entries with it, live groups keep theirs, and eviction pops the
-// oldest page, resolving its group through the group list.
+// dropGroup(g) releases exactly the retiring group's pages, into the arena of
+// its filter width, and takes its queue entries with it, live groups keep
+// theirs, and eviction pops the oldest page, resolving its group through the
+// group list.
 func TestPBFGCacheDropGroupIndexed(t *testing.T) {
 	const sets = 100
-	sealed := func(id int) *idxGroup {
-		return &idxGroup{id: id, sealed: true, cached: uncached(sets)}
+	sealed := func(id, bits int) *idxGroup {
+		return &idxGroup{id: id, sealed: true, bfBits: bits, cached: uncached(sets)}
 	}
-	groups := []*idxGroup{sealed(0), sealed(1)}
-	pc := newPBFGCache(256, 8)
+	groups := []*idxGroup{sealed(0, 64), sealed(1, 128)} // one-member groups: 8- and 16-byte pages
+	pc := newPBFGCache(256, 1, 128)
 	for _, g := range groups {
 		for o := 0; o < sets; o++ {
 			pc.put(groups, g, o, []byte{byte(g.id), byte(o)})
@@ -338,8 +338,11 @@ func TestPBFGCacheDropGroupIndexed(t *testing.T) {
 			t.Fatalf("queue entry (0,%d) outlived its group", k.set)
 		}
 	}
-	if n := len(pc.arena.free); n != len(pc.arena.slabs)*pageSlabPages-sets {
-		t.Fatalf("%d free arena slots, want the dead group's %d returned", n, sets)
+	if a := pc.arenas[0]; len(a.free) != len(a.slabs)*pageSlabPages {
+		t.Fatalf("%d of %d 64-bit arena slots free, want the dead group's %d all returned", len(a.free), len(a.slabs)*pageSlabPages, sets)
+	}
+	if a := pc.arenas[1]; len(a.free) != len(a.slabs)*pageSlabPages-sets {
+		t.Fatalf("%d free 128-bit arena slots, want the live group's %d still held", len(a.free), sets)
 	}
 	for o := 0; o < sets; o++ {
 		page, ok := pc.get(groups[0], o)
@@ -349,8 +352,8 @@ func TestPBFGCacheDropGroupIndexed(t *testing.T) {
 	}
 
 	// FIFO eviction pops the oldest page, across groups.
-	small := newPBFGCache(2, 8)
-	groups = []*idxGroup{sealed(5), sealed(6)}
+	small := newPBFGCache(2, 1, 64)
+	groups = []*idxGroup{sealed(5, 64), sealed(6, 64)}
 	small.put(groups, groups[0], 0, []byte{1})
 	small.put(groups, groups[0], 1, []byte{2})
 	small.put(groups, groups[1], 0, []byte{3})

@@ -21,7 +21,6 @@ func shardedGeom(t *testing.T, n, perData int) (*flashsim.Device, Config) {
 		RearFullRatio:     0.95,
 		SGsPerIndexGroup:  4,
 		BloomFPR:          0.001,
-		TargetObjsPerSet:  8,
 		CachedPBFGRatio:   0.5,
 		HotTrackTailRatio: 0.3,
 		CoolingWriteRatio: 0.1,

@@ -18,11 +18,12 @@ package core
 // histogram (measurement, not state) and any in-flight flush — Checkpoint
 // waits flushes out, so a snapshot never describes a half-committed SG.
 //
-// The image states each fact once (NEMO1 version 3); restore computes the
+// The image states each fact once (NEMO1 version 4); restore computes the
 // rest rather than reading and reconciling copies: a group's id from its
 // position and NextGroup, its sealing from its index zone, its live count
 // and live mask from its members; an SG's slot from its position, its
 // object count from its set counts; and the cached pages from the queue.
+// A group's filter width is read, not derived: its pages were built at it.
 
 import (
 	"errors"
@@ -47,7 +48,6 @@ func configStamp(cfg Config) snapshot.ConfigStamp {
 		RearFullRatio:     cfg.RearFullRatio,
 		SGsPerIndexGroup:  cfg.SGsPerIndexGroup,
 		BloomFPR:          cfg.BloomFPR,
-		TargetObjsPerSet:  cfg.TargetObjsPerSet,
 		CachedPBFGRatio:   cfg.CachedPBFGRatio,
 		HotTrackTailRatio: cfg.HotTrackTailRatio,
 		CoolingWriteRatio: cfg.CoolingWriteRatio,
@@ -117,7 +117,7 @@ func (c *Cache) captureLocked() snapshot.Shard {
 		FreeIndexZones: append([]int(nil), c.freeIndexZones...),
 	}
 	for _, g := range c.groups {
-		sg := snapshot.Group{Zone: -1}
+		sg := snapshot.Group{Zone: -1, FilterBits: g.bfBits}
 		if g.sealed {
 			sg.Zone = g.zone
 		}
@@ -135,9 +135,9 @@ func (c *Cache) captureLocked() snapshot.Shard {
 		// serialized by set offset (the layout flushes build them in), so the
 		// section does not depend on how the live buffer arranges its bits.
 		for s := 0; !g.sealed && s < len(g.members); s++ {
-			bf := make([]byte, 0, c.setsPerSG*c.bfBytes)
+			bf := make([]byte, 0, c.setsPerSG*g.bfBits/8)
 			for o := 0; o < c.setsPerSG; o++ {
-				bf = bloom.ExtractColumn(bf, c.bufPage(g, o), c.cfg.SGsPerIndexGroup, s, c.bfBytes)
+				bf = bloom.ExtractColumn(bf, c.bufPage(g, o), c.cfg.SGsPerIndexGroup, s, g.bfBits/8)
 			}
 			sg.SlotBF = append(sg.SlotBF, bf)
 		}
@@ -321,9 +321,15 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 	haveSG := false
 	for gi := range sh.Groups {
 		sg := &sh.Groups[gi]
-		g := &idxGroup{id: firstGroup + gi, sealed: sg.Zone >= 0}
+		g := &idxGroup{id: firstGroup + gi, sealed: sg.Zone >= 0, bfBits: sg.FilterBits}
 		if sg.Zone < -1 {
 			return nil, cfgErr("group %d has index zone %d", g.id, sg.Zone)
+		}
+		// A group's width is fixed by its first member; a multiple of 64 up
+		// to the page limit, or 0 while it has none.
+		if w := sg.FilterBits; len(sg.Members) == 0 && w != 0 ||
+			len(sg.Members) > 0 && (w < 64 || w%64 != 0 || w > c.maxBFBits) {
+			return nil, cfgErr("group %d of %d members has %d-bit filters", g.id, len(sg.Members), w)
 		}
 		if !g.sealed && gi != len(sh.Groups)-1 {
 			return nil, cfgErr("unsealed group %d is not the last group", g.id)
@@ -346,10 +352,12 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 			}
 			// Rebuild the group buffer the way flushes filled it: one
 			// commit-time merge per checkpointed member.
-			g.buf = make([]byte, c.setsPerSG*c.pbfgBytes)
+			if len(sg.Members) > 0 {
+				g.buf = make([]byte, c.setsPerSG*c.pageBytes(g))
+			}
 			for s, bf := range sg.SlotBF {
-				if len(bf) != c.setsPerSG*c.bfBytes {
-					return nil, cfgErr("group %d filter buffer %d is %d bytes, want %d", g.id, s, len(bf), c.setsPerSG*c.bfBytes)
+				if want := c.setsPerSG * g.bfBits / 8; len(bf) != want {
+					return nil, cfgErr("group %d filter buffer %d is %d bytes, want %d", g.id, s, len(bf), want)
 				}
 				c.mergeFilters(g, s, bf)
 			}
@@ -444,7 +452,7 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 	// PBFG index cache: the queue lists the cached pages oldest first, and
 	// each page is re-read from the (validated identical) index zone, so the
 	// snapshot never stores index bytes it would then have to trust.
-	ic := newPBFGCache(c.icache.capacity, c.pbfgBytes)
+	ic := newPBFGCache(c.icache.capacity, cfg.SGsPerIndexGroup, c.maxBFBits)
 	ic.lookups, ic.misses = sh.ICLookups, sh.ICMisses
 	if len(sh.ICQueue) > ic.capacity {
 		return nil, cfgErr("%d cached PBFG pages exceed capacity %d", len(sh.ICQueue), ic.capacity)
@@ -459,14 +467,15 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 		case g.cached[ref.Set] >= 0:
 			return nil, cfgErr("index-cache queue names (%d,%d) twice", ref.Group, ref.Set)
 		}
-		// The device page lands in the fetch scratch and its pbfgBytes are
-		// copied into the arena slot; a failed read abandons ic wholesale
-		// (its arena is private to it).
+		// The device page lands in the fetch scratch and the bytes of a page
+		// of the group's width are copied into a slot of that width's arena;
+		// a failed read abandons ic wholesale (its arenas are private to it).
 		if _, err := c.dev.ReadPage(c.dev.PageAddr(g.zone, ref.Set), c.fetchBuf); err != nil {
 			return nil, fmt.Errorf("core: re-reading PBFG page (%d,%d): %w", ref.Group, ref.Set, err)
 		}
-		slot := ic.arena.alloc()
-		copy(ic.arena.page(slot), c.fetchBuf)
+		a := ic.arena(g)
+		slot := a.alloc()
+		copy(a.page(slot), c.fetchBuf)
 		g.cached[ref.Set] = slot
 		ic.count++
 		ic.queue = append(ic.queue, pbfgKey{group: int32(ref.Group), set: int32(ref.Set)})

@@ -36,7 +36,6 @@ func snapConfig(dev device.Device, shards, flushers int, path string) Config {
 	cfg := DefaultConfig(dev, shards*snapPerShardData)
 	cfg.Shards = shards
 	cfg.SGsPerIndexGroup = 4
-	cfg.TargetObjsPerSet = 8
 	cfg.FlushThreshold = 8
 	cfg.Flushers = flushers
 	cfg.SnapshotPath = path

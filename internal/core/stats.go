@@ -158,11 +158,11 @@ func (c *Cache) PBFGStats() (lookups, misses uint64, missRatio float64) {
 
 // MemoryOverhead models Nemo's metadata cost in bits per object, following
 // Table 6: cached Bloom-filter bits, tail-restricted 1-bit hotness, and the
-// in-memory index-group buffer amortized over pool objects.
+// in-memory index-group buffer amortized over the objects the pool holds.
 type MemoryOverhead struct {
 	BloomBitsPerObj  float64 // filter cost × cached ratio
 	HotBitsPerObj    float64 // 1 bit × tail ratio
-	BufferBitsPerObj float64 // index-group buffer / pool objects
+	BufferBitsPerObj float64 // index-group buffer / pool objects (0 while the pool is empty)
 	TotalBitsPerObj  float64
 }
 
@@ -173,10 +173,16 @@ func (c *Cache) MemoryOverhead() MemoryOverhead {
 	bfPerObj := bloom.BitsPerObject(c.cfg.BloomFPR) * c.cfg.CachedPBFGRatio
 	hot := c.cfg.HotTrackTailRatio // 1 bit per object over the tracked tail
 	// One index-group buffer (SetsPerSG PBFG pages, bounded by one SG worth
-	// of pages) amortized over pool objects.
+	// of pages) amortized over the objects the pool holds, as measured.
 	bufferBits := float64(c.setsPerSG * c.pageSize * 8)
-	poolObjs := float64(c.cfg.DataZones*c.setsPerSG) * float64(c.cfg.TargetObjsPerSet)
-	buffer := bufferBits / poolObjs
+	poolObjs := 0
+	for _, sg := range c.pool {
+		poolObjs += sg.objCount
+	}
+	buffer := 0.0
+	if poolObjs > 0 {
+		buffer = bufferBits / float64(poolObjs)
+	}
 	m := MemoryOverhead{
 		BloomBitsPerObj:  bfPerObj,
 		HotBitsPerObj:    hot,
@@ -239,7 +245,7 @@ func (c *Cache) residentOwn() (r Resident) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ic := c.icache
-	r.PBFGCache = uint64(len(ic.arena.slabs)*pageSlabPages*ic.arena.slotSize + len(c.fetchBuf) + 8*cap(ic.queue))
+	r.PBFGCache = uint64(ic.slabBytes() + len(c.fetchBuf) + 8*cap(ic.queue))
 	for _, g := range c.groups {
 		r.PBFGCache += uint64(4 * cap(g.cached))
 		r.GroupBuffers += uint64(cap(g.buf))

@@ -115,8 +115,9 @@ type flushKit struct {
 	window   []byte         // staging for one device call: set, PBFG or victim pages
 	winPages [][]byte       // window cut into its page-sized slices, for ReadPages
 	winAddrs []int          // device pages of the window's victim read
-	filter   *bloom.Filter  // per-set filter builder
+	filter   *bloom.Filter  // per-set filter builder, as wide as the SG's group's filters
 	bfs      []byte         // the SG's SetsPerSG filters, serialized by set offset
+	bfBits   int            // their width: the group's, or the one this SG sets for it
 	readSets []int          // victim set offsets scheduled for read-back
 	counts   []uint32       // per-set object counts of the SG being built
 	parseBlk setblock.Block // eviction read-back decode scratch
@@ -131,8 +132,8 @@ func (c *Cache) newFlushKit() *flushKit {
 		window:   make([]byte, pages*c.pageSize),
 		winPages: make([][]byte, pages),
 		winAddrs: make([]int, pages),
-		filter:   bloom.New(c.cfg.TargetObjsPerSet, c.cfg.BloomFPR),
-		bfs:      make([]byte, c.setsPerSG*c.bfBytes),
+		filter:   bloom.NewBits(c.maxBFBits, c.bfK),
+		bfs:      make([]byte, c.setsPerSG*c.maxBFBits/8),
 		readSets: make([]int, 0, c.setsPerSG),
 		counts:   make([]uint32, c.setsPerSG),
 		parseBlk: *setblock.New(c.pageSize),
@@ -141,8 +142,9 @@ func (c *Cache) newFlushKit() *flushKit {
 		k.winPages[i] = k.window[i*c.pageSize : (i+1)*c.pageSize]
 	}
 	// The window and its two indexes (a slice header and an int a page), the
-	// filter slab, the decode page, and per set an int and a uint32; the
-	// filter builder's few dozen bytes are left out.
+	// filter slab (room for the widest filters), the decode page, and per set
+	// an int and a uint32; the filter builder's page-limit filter (80 bytes
+	// at the default 4 KiB page and 50 members) is left out.
 	k.scratch = uint64(cap(k.window) + pages*(24+8) + cap(k.bfs) + c.pageSize + c.setsPerSG*(8+4))
 	return k
 }
@@ -340,6 +342,9 @@ func (c *Cache) flushOwner() error {
 	} else {
 		c.extra.FlushRecordsDropped++
 	}
+	if sg.slot == 0 {
+		g.bfBits = c.kit.bfBits // the first member fixes the group's width
+	}
 	g.members = append(g.members, sg)
 	g.liveCount++
 	g.live |= 1 << uint(sg.slot)
@@ -355,6 +360,9 @@ func (c *Cache) flushOwner() error {
 	} else {
 		// The one new piece of locked work: readers test the group buffer
 		// under this lock, so the member's column can only land under it.
+		if g.buf == nil {
+			g.buf = make([]byte, c.setsPerSG*c.pageBytes(g))
+		}
 		c.mergeFilters(g, sg.slot, c.kit.bfs)
 	}
 	if c.bytesSinceCool >= uint64(c.cfg.CoolingWriteRatio*float64(c.poolCapacityBytes())) {
@@ -554,7 +562,9 @@ func (c *Cache) writebackSet(victim *flashSG, o int, page []byte, dst *memSG) (s
 // eviction freed, serialize the sealed SG's set blocks into its reserved
 // data zone while building its per-set Bloom filters, and — when this SG
 // completes its index group (idxZone ≥ 0) — assemble and append the group's
-// PBFG pages to idxZone.
+// PBFG pages to idxZone. The filters take the group's width; a group's first
+// member sets that width here, from its own set counts after writeback
+// (filterBits of its fullest set), and commit records it on the group.
 func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, idxZone int) error {
 	// The freed zones are erased first: the zone just reserved is usually
 	// one of them, and the check below must see it empty.
@@ -581,6 +591,16 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, idxZone
 		}
 	}
 	sc := c.kit
+	sc.bfBits = sg.group.bfBits // set by an earlier commit, under the lock
+	if sg.slot == 0 {
+		fullest := 0
+		for o := range front.sets {
+			fullest = max(fullest, front.sets[o].Count())
+		}
+		sc.bfBits = c.filterBits(fullest)
+	}
+	sc.filter.Resize(sc.bfBits)
+	nb := sc.bfBits / 8
 	// The SG's filters are built in the owner's kit: readers test the group
 	// buffer under the lock, so nothing is written there from here. Set
 	// counts accumulate in the kit too — the SG's meta carve happens at
@@ -599,7 +619,7 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, idxZone
 				sc.filter.Add(e.FP)
 				return true
 			})
-			sc.filter.AppendBytes(sc.bfs[:o*c.bfBytes]) // in place: set o's slice of bfs
+			sc.filter.AppendBytes(sc.bfs[:o*nb]) // in place: set o's slice of bfs
 		}
 		if _, _, err := c.appendRetry(sg.zone, win); err != nil {
 			return fmt.Errorf("core: flushing SG: %w", err)
@@ -608,13 +628,17 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, idxZone
 	if idxZone >= 0 {
 		// One PBFG page per intra-SG offset (§4.3 "packed BF layout"): the
 		// group buffer's page with this last member's column merged in, a
-		// window of them per Append.
+		// window of them per Append. A one-member group has no buffer.
 		for o := 0; o < c.setsPerSG; {
 			start, end := o, min(o+len(sc.winPages), c.setsPerSG)
 			for ; o < end; o++ {
 				page := sc.winPages[o-start]
-				clear(page[copy(page, c.bufPage(sg.group, o)):])
-				bloom.MergeColumn(page, c.cfg.SGsPerIndexGroup, sg.slot, sc.bfs[o*c.bfBytes:(o+1)*c.bfBytes])
+				n := 0
+				if sg.slot > 0 {
+					n = copy(page, c.bufPage(sg.group, o))
+				}
+				clear(page[n:])
+				bloom.MergeColumn(page, c.cfg.SGsPerIndexGroup, sg.slot, sc.bfs[o*nb:(o+1)*nb])
 			}
 			if _, _, err := c.appendRetry(idxZone, sc.window[:(end-start)*c.pageSize]); err != nil {
 				return fmt.Errorf("core: sealing index group: %w", err)

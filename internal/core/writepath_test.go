@@ -33,7 +33,6 @@ func TestSealedSGServesReadsDuringFlush(t *testing.T) {
 	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 16, Zones: 16})
 	cfg := DefaultConfig(dev, 8)
 	cfg.SGsPerIndexGroup = 4
-	cfg.TargetObjsPerSet = 8
 	cfg.FlushThreshold = 1 << 20 // no sacrifice-triggered flushes
 	cfg.RearFullRatio = 1.0      // no rear-full-triggered flushes
 	c, err := newBare(cfg)
@@ -364,7 +363,6 @@ func TestFlushRecordsDroppedCounted(t *testing.T) {
 	dev := flashsim.New(flashsim.Config{PageSize: 256, PagesPerZone: 2, Zones: 8})
 	cfg := DefaultConfig(dev, 4)
 	cfg.SGsPerIndexGroup = 2
-	cfg.TargetObjsPerSet = 4
 	cfg.FlushThreshold = 1
 	c, err := newBare(cfg)
 	if err != nil {
@@ -397,7 +395,6 @@ func TestConcurrentWriteProtocolStress(t *testing.T) {
 	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 8, Zones: 20})
 	cfg := DefaultConfig(dev, 8)
 	cfg.SGsPerIndexGroup = 2
-	cfg.TargetObjsPerSet = 8
 	cfg.FlushThreshold = 4
 	cfg.Flushers = 2
 	s, err := NewSharded(cfg)

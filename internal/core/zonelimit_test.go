@@ -18,7 +18,6 @@ func zoneLimitCache(t *testing.T, maxOpen int) *Cache {
 	})
 	cfg := DefaultConfig(dev, 16)
 	cfg.SGsPerIndexGroup = 4
-	cfg.TargetObjsPerSet = 8
 	cfg.FlushThreshold = 8
 	c, err := newBare(cfg)
 	if err != nil {

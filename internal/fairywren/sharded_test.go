@@ -93,6 +93,9 @@ func TestGCProgressGuard(t *testing.T) {
 
 // TestGoldenStats pins FairyWREN's replay statistics and migration counters
 // to the values recorded before the log front was shared.
+// Re-recorded once since, when internal/bloom moved its probe positions to
+// enhanced double hashing: only flash_bytes_read, flash_read_ops and lat
+// moved (false-positive set reads); hits, writes and evictions did not.
 func TestGoldenStats(t *testing.T) {
 	enginetest.GoldenStats(t, 20_000, goldenStats, mkBare, mkSharded, func(e cachelib.Engine) string {
 		m := e.(*fairywren.Cache).Migration()
@@ -103,8 +106,8 @@ func TestGoldenStats(t *testing.T) {
 }
 
 var goldenStats = map[string]string{
-	"bare/unbatched":     "gets=17592 hits=14370 sets=5202 deletes=428 logical_bytes=440447 flash_bytes_written=3594240 device_bytes_written=3594240 flash_bytes_read=9722368 flash_read_ops=18989 evictions=2505 lat=17248/131.335598ms/1.899836s passiveRMW=2349 activeRMW=1651 overflow=301 reloc=1645 gc=246 passive=2349/1.505747 active=1651/0.411266",
-	"sharded2/unbatched": "gets=17592 hits=15032 sets=4540 deletes=428 logical_bytes=384876 flash_bytes_written=1975808 device_bytes_written=1975808 flash_bytes_read=7662080 flash_read_ops=14965 evictions=1231",
-	"bare/batched":       "gets=17592 hits=14394 sets=5178 deletes=428 logical_bytes=437669 flash_bytes_written=3356672 device_bytes_written=3356672 flash_bytes_read=9460736 flash_read_ops=18478 evictions=2508 lat=17248/127.579086ms/1.776301s passiveRMW=2408 activeRMW=1394 overflow=287 reloc=1399 gc=249 passive=2408/1.499585 active=1394/0.409613",
-	"sharded2/batched":   "gets=17592 hits=15037 sets=4535 deletes=428 logical_bytes=384857 flash_bytes_written=1988096 device_bytes_written=1988096 flash_bytes_read=7758848 flash_read_ops=15154 evictions=1220",
+	"bare/unbatched":     "gets=17592 hits=14370 sets=5202 deletes=428 logical_bytes=440447 flash_bytes_written=3594240 device_bytes_written=3594240 flash_bytes_read=9705472 flash_read_ops=18956 evictions=2505 lat=17248/131.245692ms/1.899626s passiveRMW=2349 activeRMW=1651 overflow=301 reloc=1645 gc=246 passive=2349/1.505747 active=1651/0.411266",
+	"sharded2/unbatched": "gets=17592 hits=15032 sets=4540 deletes=428 logical_bytes=384876 flash_bytes_written=1975808 device_bytes_written=1975808 flash_bytes_read=7666176 flash_read_ops=14973 evictions=1231",
+	"bare/batched":       "gets=17592 hits=14394 sets=5178 deletes=428 logical_bytes=437669 flash_bytes_written=3356672 device_bytes_written=3356672 flash_bytes_read=9444864 flash_read_ops=18447 evictions=2508 lat=17248/127.498108ms/1.775951s passiveRMW=2408 activeRMW=1394 overflow=287 reloc=1399 gc=249 passive=2408/1.499585 active=1394/0.409613",
+	"sharded2/batched":   "gets=17592 hits=15037 sets=4535 deletes=428 logical_bytes=384857 flash_bytes_written=1988096 device_bytes_written=1988096 flash_bytes_read=7760896 flash_read_ops=15158 evictions=1220",
 }

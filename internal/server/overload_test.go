@@ -307,7 +307,6 @@ func TestDegradedWindowAvailability(t *testing.T) {
 	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 16, Zones: perData + perIdx})
 	cfg := core.DefaultConfig(dev, perData)
 	cfg.SGsPerIndexGroup = 4
-	cfg.TargetObjsPerSet = 8
 	cfg.FlushThreshold = 1 << 20 // flushes in this test are explicit
 	cfg.RearFullRatio = 1.0
 	cfg.BreakerThreshold = 2

@@ -45,7 +45,6 @@ func TestWarmRestartAcrossProcessBoundary(t *testing.T) {
 		cfg := core.DefaultConfig(dev, 8*shards)
 		cfg.Shards = shards
 		cfg.SGsPerIndexGroup = 4
-		cfg.TargetObjsPerSet = 8
 		cfg.FlushThreshold = 8
 		cfg.SnapshotPath = snap
 		eng, err := core.NewSharded(cfg)
@@ -195,7 +194,6 @@ func TestCrashMidCheckpointWarmRestart(t *testing.T) {
 		cfg := core.DefaultConfig(dev, 8*shards)
 		cfg.Shards = shards
 		cfg.SGsPerIndexGroup = 4
-		cfg.TargetObjsPerSet = 8
 		cfg.FlushThreshold = 8
 		cfg.SnapshotPath = snap
 		eng, err := core.NewSharded(cfg)

@@ -46,7 +46,6 @@ func engineOn(t testing.TB, dev device.Device, shards, flushers int) *core.Shard
 	cfg.Shards = shards
 	cfg.Flushers = flushers
 	cfg.SGsPerIndexGroup = 4
-	cfg.TargetObjsPerSet = 8
 	cfg.FlushThreshold = 8
 	c, err := core.NewSharded(cfg)
 	if err != nil {

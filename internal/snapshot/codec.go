@@ -15,8 +15,9 @@ const (
 	// it reads. There is no cross-version migration by design: an old
 	// snapshot is throwaway, exactly like a corrupt one. Version 2 marked the
 	// on-flash PBFG pages as bit-sliced (bloom.GroupMask); version 3 drops
-	// every field restore can compute (the package doc lists them).
-	Version = 3
+	// every field restore can compute (the package doc lists them); version 4
+	// records each group's filter width and moves the probe positions.
+	Version = 4
 
 	sectionHdrSize = 12 // kind u32 | len u32 | crc32 u32
 )
@@ -205,7 +206,6 @@ func walkConfig(c *coder, s *ConfigStamp) {
 	c.f64(&s.RearFullRatio)
 	c.i64(&s.SGsPerIndexGroup)
 	c.f64(&s.BloomFPR)
-	c.i64(&s.TargetObjsPerSet)
 	c.f64(&s.CachedPBFGRatio)
 	c.f64(&s.HotTrackTailRatio)
 	c.f64(&s.CoolingWriteRatio)
@@ -255,6 +255,7 @@ func walkGroups(c *coder, s *Shard) { list(c, &s.Groups, 1, walkGroup) }
 
 func walkGroup(c *coder, g *Group) {
 	c.i64(&g.Zone)
+	c.i64(&g.FilterBits)
 	list(c, &g.Members, 1, walkSG)
 	list(c, &g.SlotBF, 4, (*coder).blob)
 }

@@ -22,7 +22,7 @@ func sampleFile() *File {
 		Boot: 7, Writes: 421,
 		Config: ConfigStamp{
 			DataZones: 8, Shards: 2, FlushThreshold: 7, RearFullRatio: 0.8, SGsPerIndexGroup: 4,
-			BloomFPR: 0.001, TargetObjsPerSet: 6, CachedPBFGRatio: 0.5,
+			BloomFPR: 0.001, CachedPBFGRatio: 0.5,
 			HotTrackTailRatio: 0.3, CoolingWriteRatio: 0.1,
 			BufferedSGs: true, DelayedFlush: true, Writeback: true,
 		},
@@ -42,7 +42,7 @@ func sampleFile() *File {
 				FreeIndexZones: []int{9},
 				Groups: []Group{
 					{
-						Zone: 8,
+						Zone: 8, FilterBits: 192,
 						Members: []SG{
 							{ID: 2, Zone: -1, SetCounts: make([]uint16, 16)},
 							{ID: 3, Fill: 0.5, Zone: 1,
@@ -55,9 +55,9 @@ func sampleFile() *File {
 						},
 					},
 					{
-						Zone:    -1,
+						Zone: -1, FilterBits: 64,
 						Members: []SG{{ID: 5, Zone: 4, SetCounts: make([]uint16, 16)}},
-						SlotBF:  [][]byte{bytes.Repeat([]byte{0xAB}, 16*4)},
+						SlotBF:  [][]byte{bytes.Repeat([]byte{0xAB}, 16*8)},
 					},
 				},
 				MemQ: []MemSG{
@@ -100,8 +100,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 // sampleSHA256 is the SHA-256 of Encode(sampleFile()): it pins the NEMO1
 // byte layout field by field, including the rows a round trip cannot see (a
-// layout that swaps two fields decodes them swapped back).
-const sampleSHA256 = "cd2c387b4676cd338e0380d70ce3fdafef677c5d694a711762fc5049cc4e0577"
+// layout that swaps two fields decodes them swapped back). Re-recorded for
+// version 4 (the version-3 pin was cd2c387b…0577): the version word, the
+// CONFIG section without its TargetObjsPerSet slot, one FilterBits field per
+// group (192 and 64 in the sample), and the sample's unsealed filter blob
+// grown from 16×4 to 16×8 bytes to match its 64-bit width.
+const sampleSHA256 = "4a19f13d7de482d6ac4901e8b8431b699a1b29f72605a70f7f86c94857868a39"
 
 func TestEncodeLayoutPinned(t *testing.T) {
 	sum := sha256.Sum256(Encode(sampleFile()))

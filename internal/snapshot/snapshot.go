@@ -16,7 +16,7 @@
 //
 //	header (64 bytes)
 //	  magic "NEMO1\x00\x00\x00"          [8]
-//	  version                      u32  (currently 3)
+//	  version                      u32  (currently 4)
 //	  pageSize, pagesPerZone, zones u32 ×3 (device geometry)
 //	  boot, writes                 u64  ×2 (device.Generation stamp)
 //	  shardCount                   u32
@@ -44,6 +44,16 @@
 // its set counts; the index-cache queue is the list of cached pages. Restore
 // computes what the image leaves out.
 //
+// Version 4's GROUPS section is, per shard, a count and then per group: its
+// index zone (i64, -1 while unsealed), its filter width in bits (i64, a
+// multiple of 64; 0 while it has no member), its members (count, then per SG
+// id u64, fill f64, data zone i64 (-1 once evicted), set counts u16 each and
+// an optional hotness bitmap) and, while unsealed, one blob per member of its
+// filters serialized by set offset. The width is stated rather than derived
+// from the first member's set counts: the group's pages on flash were built
+// at that width, and a restore must read them at it whatever the sizing
+// rule of the build that restores.
+//
 // # Versions
 //
 // Only the current version is read; an older image is refused with
@@ -52,7 +62,11 @@
 // Version 2 carries the same device state as version 3 but states facts
 // twice — one-element zone lists, three config slots core no longer has, a
 // second list of the cached pages, a retired-group watermark, and group and
-// SG fields that follow from the fields next to them.
+// SG fields that follow from the fields next to them. Version 3 has no
+// filter width: every group's filters were sized for the retired
+// TargetObjsPerSet config slot, and its PBFG pages on flash were probed at
+// (h1 + i·h2) mod m, so this build, which probes by enhanced double hashing
+// (internal/bloom), would test other bits of them and miss keys they hold.
 //
 // # Validation and trust
 //
@@ -100,7 +114,6 @@ type ConfigStamp struct {
 	RearFullRatio     float64
 	SGsPerIndexGroup  int
 	BloomFPR          float64
-	TargetObjsPerSet  int
 	CachedPBFGRatio   float64
 	HotTrackTailRatio float64
 	CoolingWriteRatio float64
@@ -156,8 +169,11 @@ type Shard struct {
 // the members.
 type Group struct {
 	// Zone is the sealed group's index zone; -1 while unsealed.
-	Zone    int
-	Members []SG
+	Zone int
+	// FilterBits is the width of every member's set filters, a multiple of
+	// 64; 0 while the group has no member.
+	FilterBits int
+	Members    []SG
 	// SlotBF holds the unsealed group's in-memory Bloom filters, one slice
 	// per member (setsPerSG filters concatenated); nil once sealed.
 	SlotBF [][]byte
