@@ -224,7 +224,7 @@ type pbfgKey struct {
 }
 
 // pageSlabPages is the page-arena allocation granularity.
-const pageSlabPages = 64
+const pageSlabPages = 16
 
 // pageArena stores cached PBFG pages of one filter width as fixed slots of
 // large slabs, each slot the bytes such a page carries, not the device page
@@ -333,6 +333,7 @@ func (pc *pbfgCache) put(groups []*idxGroup, g *idxGroup, o int, page []byte) {
 		old.cached[k.set] = -1
 		pc.count--
 		pc.maybeCompact()
+		pc.shrink(groups, pc.arena(old))
 	}
 	a := pc.arena(g)
 	slot := a.alloc()
@@ -343,8 +344,9 @@ func (pc *pbfgCache) put(groups []*idxGroup, g *idxGroup, o int, page []byte) {
 }
 
 // dropGroup releases a retiring group's cached pages and filters its entries
-// out of the queue, in one pass over each.
-func (pc *pbfgCache) dropGroup(g *idxGroup) {
+// out of the queue, in one pass over each; groups is the live group list,
+// g still in it.
+func (pc *pbfgCache) dropGroup(groups []*idxGroup, g *idxGroup) {
 	for _, s := range g.cached {
 		if s >= 0 {
 			pc.arena(g).release(s)
@@ -359,6 +361,40 @@ func (pc *pbfgCache) dropGroup(g *idxGroup) {
 		}
 	}
 	pc.queue, pc.head = kept, 0
+	pc.shrink(groups, pc.arena(g))
+}
+
+// shrink gives arena a's last slab back to the GC while two slabs' worth of
+// its slots are free. Slots of a width recycle only into pages of that
+// width, so once the groups of a width are rarer than they were, their pages
+// age out of the queue and nothing takes the slots; without this each
+// width in use would keep its arena at its high-water mark. The pages still
+// in the last slab move to free slots below it, and their groups' slot lists
+// follow (found through the queue, which names every cached page). The two-
+// slab threshold leaves at least a slab free after a shrink, so a shrink and
+// the next slab allocation are a slab's worth of puts and releases apart.
+func (pc *pbfgCache) shrink(groups []*idxGroup, a *pageArena) {
+	for len(a.free) >= 2*pageSlabPages {
+		base := int32((len(a.slabs) - 1) * pageSlabPages)
+		free := a.free[:0]
+		for _, s := range a.free {
+			if s < base {
+				free = append(free, s)
+			}
+		}
+		a.free = free
+		for _, k := range pc.queue[pc.head:] {
+			g := groups[int(k.group)-groups[0].id]
+			if s := g.cached[k.set]; s >= base && pc.arena(g) == a {
+				to := a.free[len(a.free)-1]
+				a.free = a.free[:len(a.free)-1]
+				copy(a.page(to), a.page(s))
+				g.cached[k.set] = to
+			}
+		}
+		a.slabs[len(a.slabs)-1] = nil
+		a.slabs = a.slabs[:len(a.slabs)-1]
+	}
 }
 
 func (pc *pbfgCache) maybeCompact() {

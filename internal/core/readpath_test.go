@@ -325,7 +325,7 @@ func TestPBFGCacheDropGroupIndexed(t *testing.T) {
 	}
 
 	dead := groups[0]
-	pc.dropGroup(dead)
+	pc.dropGroup(groups, dead)
 	groups = groups[1:]
 	if dead.cached != nil {
 		t.Fatal("dropGroup kept the slot list")
@@ -368,6 +368,63 @@ func TestPBFGCacheDropGroupIndexed(t *testing.T) {
 	}
 	if want := []pbfgKey{{5, 1}, {6, 0}}; !slices.Equal(small.queue[small.head:], want) {
 		t.Fatalf("queue %v, want %v", small.queue[small.head:], want)
+	}
+}
+
+// TestPBFGCacheShrinksOutOfUseWidth pins the arenas' bound: pages of one
+// filter width that age out of the FIFO while pages of another width come in
+// leave the first arena with less than two slabs of slots, and a retiring
+// group's release moves a live group's pages out of the arena's last slab
+// with their bytes intact, so the arena holds no more than two slabs beyond
+// its live pages.
+func TestPBFGCacheShrinksOutOfUseWidth(t *testing.T) {
+	const sets = 96
+	sealed := func(id, bits int) *idxGroup {
+		return &idxGroup{id: id, sealed: true, bfBits: bits, cached: uncached(sets)}
+	}
+	page := func(g *idxGroup, o int) []byte { return []byte{byte(g.id), byte(o), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0} }
+	narrow, wide := sealed(0, 64), sealed(1, 128)
+	groups := []*idxGroup{narrow, wide}
+	pc := newPBFGCache(sets, 1, 128)
+	for o := 0; o < sets; o++ {
+		pc.put(groups, narrow, o, page(narrow, o))
+	}
+	for o := 0; o < sets; o++ { // every narrow page ages out
+		pc.put(groups, wide, o, page(wide, o))
+	}
+	if n := len(pc.arenas[0].slabs); n >= 2 {
+		t.Fatalf("the 64-bit arena kept %d slabs with no page in it", n)
+	}
+	for o := 0; o < sets; o++ {
+		if got, ok := pc.get(wide, o); !ok || got[0] != 1 || got[1] != byte(o) {
+			t.Fatalf("wide page %d lost or corrupted: %v", o, got)
+		}
+	}
+
+	// Interleave two groups of one width through the slabs, then retire the
+	// one whose pages fill the low slots: the survivor's pages in the last
+	// slab must move down, bytes and all.
+	a, b := sealed(2, 64), sealed(3, 64)
+	groups = []*idxGroup{a, b}
+	pc = newPBFGCache(2*sets, 1, 64)
+	for o := 0; o < sets; o++ {
+		pc.put(groups, a, o, page(a, o))
+	}
+	for o := 0; o < sets; o++ {
+		pc.put(groups, b, o, page(b, o))
+	}
+	pc.dropGroup(groups, a)
+	ar := &pc.arenas[0]
+	if live := len(ar.slabs)*pageSlabPages - len(ar.free); live != sets || len(ar.free) >= 2*pageSlabPages {
+		t.Fatalf("after retiring a group: %d slabs, %d free slots for %d live pages", len(ar.slabs), len(ar.free), sets)
+	}
+	for o := 0; o < sets; o++ {
+		if s := b.cached[o]; int(s) >= len(ar.slabs)*pageSlabPages {
+			t.Fatalf("page %d names slot %d past the arena's %d slabs", o, s, len(ar.slabs))
+		}
+		if got, ok := pc.get(b, o); !ok || got[0] != 3 || got[1] != byte(o) {
+			t.Fatalf("surviving page %d lost or corrupted by the move: %v", o, got)
+		}
 	}
 }
 

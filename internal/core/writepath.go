@@ -441,7 +441,7 @@ func (c *Cache) abortEvictLocked(ev *evictPlan) {
 	}
 	c.stats.Evictions += uint64(ev.victim.objCount)
 	if ev.retired != nil {
-		c.icache.dropGroup(ev.retired)
+		c.icache.dropGroup(c.groups, ev.retired)
 		c.dropDeadGroups()
 	}
 }
@@ -464,7 +464,7 @@ func (c *Cache) evictLocked(ev *evictPlan, dst *memSG) error {
 	finish := func(err error) error {
 		c.stats.Evictions += uint64(victim.objCount - resolved)
 		if ev.retired != nil {
-			c.icache.dropGroup(ev.retired)
+			c.icache.dropGroup(c.groups, ev.retired)
 			c.dropDeadGroups()
 		}
 		return err
