@@ -364,6 +364,9 @@ func TestGroupWidthGuard(t *testing.T) {
 					t.Fatalf("%s: no group sealed", name)
 				}
 				checkGroupWidths(t, c, name)
+				if w := c.groups[0].bfBits; members >= 50 && perFlush > 6 && w != c.maxBFBits {
+					t.Fatalf("%s: full sets gave a wide group %d-bit filters, not the %d-bit page limit", name, w, c.maxBFBits)
+				}
 				checkAgainstOracle(t, c, rng, keys, name)
 				for _, k := range live {
 					// Sets filled to the page sacrifice some keys before they
@@ -374,6 +377,59 @@ func TestGroupWidthGuard(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGroupFilterWidth holds every index group of a churning two-shard
+// cache to the width rule (checkGroupWidths) every thousand operations, with
+// deletes, writeback and evictions under way, and again after a checkpoint
+// and warm restore; the trace's 512-byte sets hold few enough and varied
+// enough objects that the groups take more than one width, all narrower
+// than the page limit.
+func TestGroupFilterWidth(t *testing.T) {
+	dev := flashsim.New(flashsim.Config{
+		PageSize:     snapGeometry(snapShards).PageSize,
+		PagesPerZone: snapGeometry(snapShards).PagesPerZone,
+		Zones:        snapGeometry(snapShards).Zones,
+	})
+	path := filepath.Join(t.TempDir(), "width.snap")
+	cfg := snapConfig(dev, snapShards, 0, path)
+	cold, err := NewSharded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	widths := map[int]bool{}
+	ops := snapTrace(25000)
+	for i := 0; i < len(ops); i += 1000 {
+		applySnapTrace(t, cold, ops[i:i+1000], false)
+		for _, c := range cold.shards {
+			checkGroupWidths(t, c, fmt.Sprintf("after %d ops", i+1000))
+			for _, g := range c.groups {
+				if g.bfBits > 0 {
+					widths[g.bfBits] = true
+				}
+			}
+		}
+	}
+	if len(widths) < 2 || widths[cold.shards[0].maxBFBits] {
+		t.Fatalf("the trace gave widths %v: want two or more, below the %d-bit page limit", widths, cold.shards[0].maxBFBits)
+	}
+	if err := cold.Close(); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := NewSharded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored, rerr := warm.RestoreOutcome(); !restored {
+		t.Fatalf("restore refused: %v", rerr)
+	}
+	for _, c := range warm.shards {
+		checkGroupWidths(t, c, "restored")
+	}
+	applySnapTrace(t, warm, snapTrace(5000), false)
+	for _, c := range warm.shards {
+		checkGroupWidths(t, c, "restored, then 5000 ops")
 	}
 }
 

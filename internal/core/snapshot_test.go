@@ -377,6 +377,26 @@ func TestRestoreIndexCacheRows(t *testing.T) {
 		{"SG zone below -1", func(sh *snapshot.Shard) {
 			liveSG(sh).Zone = -2
 		}, "zone -2"},
+		// Version 4's filter widths: a multiple of 64 bits up to the page
+		// limit (1024 bits for 4 members of a 512-byte page) while a group
+		// has members, 0 while it has none, and an unsealed group's buffers
+		// at its width.
+		{"filter width not a multiple of 64", func(sh *snapshot.Shard) {
+			sh.Groups[0].FilterBits += 32
+		}, "-bit filters"},
+		{"sealed group without a filter width", func(sh *snapshot.Shard) {
+			sh.Groups[0].FilterBits = 0
+		}, "-bit filters"},
+		{"filter width past the page limit", func(sh *snapshot.Shard) {
+			sh.Groups[0].FilterBits = 1024 + 64
+		}, "-bit filters"},
+		{"memberless group with a filter width", func(sh *snapshot.Shard) {
+			g := &sh.Groups[len(sh.Groups)-1]
+			g.Members, g.SlotBF = nil, nil
+		}, "0 members has"},
+		{"unsealed buffers at another width", func(sh *snapshot.Shard) {
+			sh.Groups[len(sh.Groups)-1].FilterBits += 64
+		}, "filter buffer"},
 		// The engine held no page for this entry; in version 3 the queue
 		// is the page list, so the entry is one more cached page.
 		{"queue entry without a page", func(sh *snapshot.Shard) {
@@ -563,10 +583,11 @@ func restampVersion(blob []byte, v uint32) {
 
 // TestOldVersionSnapshotsColdStart pins the format bumps: a version-1
 // checkpoint's sealed groups point at filter-major PBFG pages this build
-// would misread as bit-sliced, and a version-2 checkpoint lays out fields
-// version 3 dropped. Either, otherwise intact — right device, right
-// generation, every CRC good — is refused with ErrVersion and the cache
-// starts cold.
+// would misread as bit-sliced, a version-2 checkpoint lays out fields
+// version 3 dropped, and a version-3 checkpoint names no filter width and
+// describes pages probed at positions this build does not test. Any of
+// them, otherwise intact — right device, right generation, every CRC good —
+// is refused with ErrVersion and the cache starts cold.
 func TestOldVersionSnapshotsColdStart(t *testing.T) {
 	dev := devtest.Backends()[0].New(t, snapGeometry(snapShards))
 	path := filepath.Join(t.TempDir(), "old.snap")
@@ -586,7 +607,7 @@ func TestOldVersionSnapshotsColdStart(t *testing.T) {
 	if _, err := snapshot.Decode(blob); err != nil {
 		t.Fatalf("restamping the current version broke the image: %v", err)
 	}
-	for _, v := range []uint32{1, 2} {
+	for _, v := range []uint32{1, 2, 3} {
 		t.Run(fmt.Sprintf("version %d", v), func(t *testing.T) {
 			restampVersion(blob, v)
 			if err := os.WriteFile(path, blob, 0o644); err != nil {
