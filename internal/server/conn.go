@@ -68,15 +68,18 @@ type op struct {
 }
 
 // setKeys copies the parsed (line-aliasing) keys into the slot's owned
-// storage.
-func (o *op) setKeys(src [][]byte) {
+// storage and returns how many bytes of key capacity that grew.
+func (o *op) setKeys(src [][]byte) (grew int) {
 	o.nkeys = len(src)
 	for len(o.keys) < len(src) {
 		o.keys = append(o.keys, nil)
 	}
 	for i, k := range src {
+		had := cap(o.keys[i])
 		o.keys[i] = append(o.keys[i][:0], k...)
+		grew += cap(o.keys[i]) - had
 	}
+	return grew
 }
 
 // size is the op's contribution to the batch byte budget: buffered value
@@ -104,6 +107,10 @@ type conn struct {
 
 	getKeys [][]byte // GetMany gather scratch
 	num     [20]byte // strconv scratch
+
+	// retained is the value and key capacity the slots hold, kept as they
+	// grow and shrink so trimSlots need not walk them.
+	retained int
 
 	// midRequest is true once any byte of the current request has been
 	// consumed; it classifies a read timeout as an idle disconnect (false)
@@ -205,22 +212,17 @@ func (c *conn) countTimeout(err error) {
 
 // trimSlots returns oversized value buffers after a batch (see
 // valRetainBytes), and releases the whole batch accumulation structure when
-// its retained storage exceeds batchRetainBytes.
+// its retained storage exceeds batchRetainBytes. Only this batch's slots can
+// hold an oversized value: every earlier batch's were trimmed after it.
 func (c *conn) trimSlots() {
-	total := 0
-	for i := range c.ops {
-		o := &c.ops[i]
-		if cap(o.val) > valRetainBytes {
+	for i := range c.ops[:c.nops] {
+		if o := &c.ops[i]; cap(o.val) > valRetainBytes {
+			c.retained -= cap(o.val)
 			o.val = nil
 		}
-		total += cap(o.val)
-		for _, k := range o.keys {
-			total += cap(k)
-		}
 	}
-	if total > batchRetainBytes {
-		c.ops = nil
-		c.getKeys = nil
+	if c.retained > batchRetainBytes {
+		c.ops, c.getKeys, c.retained = nil, nil, 0
 	}
 }
 
@@ -287,13 +289,14 @@ func (c *conn) readOp() error {
 	}
 	o.kind = c.cmd.Kind
 	o.noreply = c.cmd.Noreply
-	o.setKeys(c.cmd.Keys)
+	c.retained += o.setKeys(c.cmd.Keys)
 
 	if c.cmd.Kind == KindSet {
 		// The data block is consumed even when the object will be
 		// rejected — the connection must stay framed either way.
 		need := itemOverhead + c.cmd.Bytes
 		if cap(o.val) < need {
+			c.retained += need - cap(o.val)
 			o.val = make([]byte, need)
 		}
 		o.val = o.val[:need]
