@@ -98,11 +98,15 @@
 //   - The PBFG index cache is addressed through the index groups: each
 //     sealed group keeps one slot number per set offset (-1 = not cached),
 //     so a lookup is one load, and the slot names a carve of a large []byte
-//     slab, the M filters a PBFG page carries, not the device page around
-//     them. The FIFO queue is pointer-free (group id, set) pairs that
-//     resolve through the dense, id-ordered group list, and a retiring
-//     group takes its pages and its queue entries with it. There are no
-//     per-page allocations and no map[...]... anywhere on the hot path.
+//     slab, the M filters a PBFG page carries at the group's filter width,
+//     not the device page around them. There is one slab arena per width in
+//     use; an arena gives its last slab back once two slabs of its slots
+//     are free, moving the pages left in it down, so a width going out of
+//     use does not pin its high-water mark. The FIFO queue is pointer-free
+//     (group id, set) pairs that resolve through the dense, id-ordered
+//     group list, and a retiring group takes its pages and its queue
+//     entries with it. There are no per-page allocations and no map[...]...
+//     anywhere on the hot path.
 //   - Each SG is one flashSG struct naming its one zone, made at seal (or
 //     snapshot restore); a shard holds at most DataZones + SGsPerIndexGroup
 //     of them. Its per-set prefix-sum bases (a set's count is the
@@ -119,8 +123,8 @@
 //     its pages through (set pages, PBFG pages, victim read-back: one
 //     Append or ReadPages a window), and filter scratch — taken from a free
 //     list all shards share and returned with the flushed SG as its spare
-//     (writepath.go). An unsealed group's PBFG pages are one buffer, dropped
-//     whole when the group seals.
+//     (writepath.go). An unsealed group's PBFG pages are one buffer, made
+//     when its first member commits and dropped whole when the group seals.
 //
 // Resident memory is index(objects) + Shards × MemSGs × SG +
 // min(flushes in flight, max(1, Flushers)) × kit, with kit = spare SG +
@@ -139,12 +143,20 @@
 // offset across the M SGs of an index group (Config.SGsPerIndexGroup, 50).
 // There is one layout, on flash, in the index cache and in the unsealed
 // group's buffer alike, and it is bit-sliced: row r of the page — one row per
-// filter bit, 576 at the default geometry — holds bit r of every member's
-// filter, member s's at page bit r·M+s, so the page is exactly M filters
-// long and the "M filters of bfBytes fit one device page" constraint is
-// what it always was. A lookup computes its k = 10 probe positions once and
-// ANDs the k rows they name (one unaligned 8-byte load, shift and mask each,
-// which is why M is capped at 57: bloom.MaxGroupMembers); the surviving
+// filter bit — holds bit r of every member's filter, member s's at page bit
+// r·M+s, so the page is exactly M filters long. A bit-sliced page needs one
+// width for all its columns, so the width is the group's, fixed when its
+// first member's set pages are built (after writeback, so survivors count):
+// bloom.SizeBits of that SG's fullest set at Config.BloomFPR, a multiple of
+// 64 bits, capped at the widest filter M columns of fit one device page
+// (640 bits at 4 KiB and M = 50). The index group records it, and so does
+// the checkpoint. §5.1 sized every filter for 40 objects (576 bits); the
+// benchmark's sets hold about 16, and its groups take 256 or 320 bits. A
+// lookup computes its k = 10 probe hashes once — enhanced double hashing,
+// independent of the width — each group maps them onto its own width by a
+// multiply-high, and the group test ANDs the k rows they name (one
+// unaligned 8-byte load, shift and mask each, which is why M is capped at
+// 57: bloom.MaxGroupMembers); the surviving
 // bits, masked by the group's live-member word, are the candidate SGs,
 // visited newest first. A dead member or a slot no flush has published is
 // simply absent from the live word, and an empty set's filter is all zeros,
@@ -177,11 +189,11 @@
 // runtime.gc_pause_total_ms in its traced run. The snapshot image describes
 // device state, not this layout (an unsealed group still checkpoints one
 // serialized filter run per member), and states each fact once: NEMO1
-// version 3 leaves out every field restore can compute. Its bytes are pinned
-// by the version-3 golden (TestSnapshotBytesMatchMapLayout), recorded after
-// the transition record in CHANGES.md showed every field version 2 carried
-// beyond it equal to its computed value and every kept field unchanged.
-// Version-1 and version-2 files are refused with ErrVersion and the engine
+// version 3 left out every field restore can compute, and version 4 adds
+// the one fact a restore cannot, each group's filter width. Its bytes are
+// pinned by the version-4 golden (TestSnapshotBytesMatchMapLayout), whose
+// transition record names every field that moved from version 3 and why.
+// Version-1, -2 and -3 files are refused with ErrVersion and the engine
 // starts cold.
 //
 // # The serving layer

@@ -137,13 +137,13 @@ func TestFlushCallShape(t *testing.T) {
 
 	// Recorded from the same trace when every page was its own device call,
 	// and moved once since: when filters were sized from measured set counts
-	// (13 objects a set here, so 192-bit filters where the retired
-	// TargetObjsPerSet gave 576), PagesRead and FlashReadOps went 5770 → 5782
-	// and BytesRead 23633920 → 23683072 (12 more false-positive page reads,
-	// the filters now running at the sized 0.1% rather than ~1e-7), and
-	// Evictions 9182 → 9184 (two hot objects a filter false positive now
-	// shadows are not written back). Writes, resets and the call shape are
-	// unchanged.
+	// (each group's fullest first-member set holds 9 to 13 objects here, so
+	// 192-bit filters where the retired 40-object target gave 576),
+	// PagesRead and FlashReadOps went 5770 → 5782 and BytesRead 23633920 →
+	// 23683072 (12 more false-positive page reads, the filters now running
+	// at the sized 0.1% rather than ~1e-7), and Evictions 9182 → 9184 (two
+	// hot objects a filter false positive now shadows are not written back).
+	// Writes, resets and the call shape are unchanged.
 	wantDev := device.Stats{PagesWritten: 1664, PagesRead: 5782, ZoneResets: 16, BytesWritten: 6815744, BytesRead: 23683072}
 	wantWrites := uint64(1680)
 	wantEngine := cachelib.Stats{Gets: 4667, Hits: 4618, Sets: 16000, LogicalBytes: 5072000,

@@ -202,7 +202,7 @@ func TestSetManyAllocationsSteadyState(t *testing.T) {
 //
 // Transition record, version 3 (23b86ebe…24aa) to 4, both shards compared
 // field by field on this trace. Format: the version word; CONFIG lost its
-// TargetObjsPerSet slot; each group gained its filter width (192 bits for
+// objects-per-set slot; each group gained its filter width (192 bits for
 // four groups and 128 for one, where every filter was 128 bits before:
 // this trace's 512-byte sets hold up to 13 objects). Content: the probe
 // positions moved and the widths grew, so every Bloom outcome may differ —

@@ -102,7 +102,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // byte layout field by field, including the rows a round trip cannot see (a
 // layout that swaps two fields decodes them swapped back). Re-recorded for
 // version 4 (the version-3 pin was cd2c387b…0577): the version word, the
-// CONFIG section without its TargetObjsPerSet slot, one FilterBits field per
+// CONFIG section without its objects-per-set slot, one FilterBits field per
 // group (192 and 64 in the sample), and the sample's unsealed filter blob
 // grown from 16×4 to 16×8 bytes to match its 64-bit width.
 const sampleSHA256 = "4a19f13d7de482d6ac4901e8b8431b699a1b29f72605a70f7f86c94857868a39"

@@ -63,8 +63,8 @@
 // twice — one-element zone lists, three config slots core no longer has, a
 // second list of the cached pages, a retired-group watermark, and group and
 // SG fields that follow from the fields next to them. Version 3 has no
-// filter width: every group's filters were sized for the retired
-// TargetObjsPerSet config slot, and its PBFG pages on flash were probed at
+// filter width: every group's filters were sized by a config slot for a
+// fixed objects-per-set target, and its PBFG pages on flash were probed at
 // (h1 + i·h2) mod m, so this build, which probes by enhanced double hashing
 // (internal/bloom), would test other bits of them and miss keys they hold.
 //
