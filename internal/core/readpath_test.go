@@ -382,7 +382,9 @@ func TestPBFGCacheShrinksOutOfUseWidth(t *testing.T) {
 	sealed := func(id, bits int) *idxGroup {
 		return &idxGroup{id: id, sealed: true, bfBits: bits, cached: uncached(sets)}
 	}
-	page := func(g *idxGroup, o int) []byte { return []byte{byte(g.id), byte(o), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0} }
+	page := func(g *idxGroup, o int) []byte {
+		return []byte{byte(g.id), byte(o), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+	}
 	narrow, wide := sealed(0, 64), sealed(1, 128)
 	groups := []*idxGroup{narrow, wide}
 	pc := newPBFGCache(sets, 1, 128)
