@@ -591,8 +591,8 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, idxZone
 		}
 	}
 	sc := c.kit
-	sc.bfBits = sg.group.bfBits // set by an earlier commit, under the lock
-	if sg.slot == 0 {
+	sc.bfBits = sg.group.bfBits // fixed under the lock by the first member's commit
+	if sg.slot == 0 { // this SG is the first member: the width is its to set
 		fullest := 0
 		for o := range front.sets {
 			fullest = max(fullest, front.sets[o].Count())
