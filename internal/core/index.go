@@ -208,8 +208,11 @@ func (c *Cache) bufPage(g *idxGroup, o int) []byte {
 
 // mergeFilters ORs member slot s's filters — SetsPerSG serialized filters of
 // the group's width, concatenated by set offset — into the unsealed group's
-// pages.
+// pages, making the buffer at the first member's merge.
 func (c *Cache) mergeFilters(g *idxGroup, s int, bfs []byte) {
+	if g.buf == nil {
+		g.buf = make([]byte, c.setsPerSG*c.pageBytes(g))
+	}
 	nb := g.bfBits / 8
 	for o := 0; o < c.setsPerSG; o++ {
 		bloom.MergeColumn(c.bufPage(g, o), c.cfg.SGsPerIndexGroup, s, bfs[o*nb:(o+1)*nb])
@@ -319,8 +322,9 @@ func (pc *pbfgCache) get(g *idxGroup, o int) ([]byte, bool) {
 }
 
 // put caches a copy of page's first bytes — a page of g's width — as sealed
-// group g's page for set o, evicting FIFO as needed; groups is the live group list the
-// queue's entries resolve through. A page already cached is left untouched.
+// group g's page for set o, evicting FIFO as needed; groups is the live group
+// list the queue's entries resolve through. A page already cached is left
+// untouched.
 func (pc *pbfgCache) put(groups []*idxGroup, g *idxGroup, o int, page []byte) {
 	if pc.capacity == 0 || g.cached[o] >= 0 {
 		return

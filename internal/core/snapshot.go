@@ -352,9 +352,6 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 			}
 			// Rebuild the group buffer the way flushes filled it: one
 			// commit-time merge per checkpointed member.
-			if len(sg.Members) > 0 {
-				g.buf = make([]byte, c.setsPerSG*c.pageBytes(g))
-			}
 			for s, bf := range sg.SlotBF {
 				if want := c.setsPerSG * g.bfBits / 8; len(bf) != want {
 					return nil, cfgErr("group %d filter buffer %d is %d bytes, want %d", g.id, s, len(bf), want)

@@ -360,9 +360,6 @@ func (c *Cache) flushOwner() error {
 	} else {
 		// The one new piece of locked work: readers test the group buffer
 		// under this lock, so the member's column can only land under it.
-		if g.buf == nil {
-			g.buf = make([]byte, c.setsPerSG*c.pageBytes(g))
-		}
 		c.mergeFilters(g, sg.slot, c.kit.bfs)
 	}
 	if c.bytesSinceCool >= uint64(c.cfg.CoolingWriteRatio*float64(c.poolCapacityBytes())) {
@@ -591,8 +588,10 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, idxZone
 		}
 	}
 	sc := c.kit
-	sc.bfBits = sg.group.bfBits // fixed under the lock by the first member's commit
-	if sg.slot == 0 { // this SG is the first member: the width is its to set
+	// The group's width, fixed under the lock by its first member's commit;
+	// when this SG is that member, the width is its to set.
+	sc.bfBits = sg.group.bfBits
+	if sg.slot == 0 {
 		fullest := 0
 		for o := range front.sets {
 			fullest = max(fullest, front.sets[o].Count())
