@@ -443,33 +443,44 @@ func TestRestoreIndexCacheRows(t *testing.T) {
 	}
 }
 
-// crashFlips are the crash matrix's single-bit flips: a section of the
-// image (snapshot.SectionOffsets order, 0 being the 64-byte header), a byte
-// offset from that section's start, and a bit. They were drawn once from a
-// seeded RNG over a whole image and are pinned by section, so a case keeps
-// its name, and the field it hits, when a format change resizes some other
-// section.
+// crashFlips are the crash matrix's single-bit flips: byte offset and bit.
+// They were drawn once from a seeded RNG over the whole image and are
+// pinned, so a case keeps its name when a format change moves the image's
+// length. Each flip runs twice: at its byte of the current image
+// (bitflip@<offset>), and at the same section-relative byte it hit in the
+// version-3 image (bitflip@s<i>+<offset>, located through v3Sections), so
+// the field it hits stays put when a format change resizes another section.
 var crashFlips = [...]struct {
-	sec, off int
-	bit      uint
+	pos int
+	bit uint
 }{
-	{11, 10705, 6}, {5, 3810, 7}, {5, 16589, 4}, {5, 5017, 6}, {5, 11097, 4},
-	{5, 7865, 1}, {11, 16157, 2}, {5, 2068, 0}, {11, 2247, 6}, {11, 11348, 6},
-	{8, 61, 2}, {10, 504, 7}, {5, 2678, 5}, {11, 10258, 1}, {11, 12696, 7},
-	{11, 7999, 5}, {11, 4247, 3}, {11, 1938, 5}, {5, 1749, 5}, {5, 1233, 0},
-	{13, 823, 0}, {11, 8896, 3}, {5, 10042, 0}, {5, 4340, 1}, {5, 1478, 5},
-	{5, 4263, 2}, {10, 541, 2}, {11, 8312, 2}, {7, 1275, 1}, {5, 15153, 7},
-	{5, 15206, 6}, {13, 178, 1}, {13, 488, 0}, {10, 401, 1}, {5, 1359, 0},
-	{5, 13036, 6}, {11, 4068, 1}, {4, 358, 7}, {5, 14510, 4}, {5, 15510, 2},
-	{10, 688, 4}, {11, 404, 6}, {7, 808, 5}, {5, 221, 4}, {5, 6863, 3},
-	{7, 299, 3}, {5, 15172, 1}, {5, 11504, 3},
+	{31730, 6}, {4825, 7}, {17604, 4}, {6032, 6}, {12112, 4}, {8880, 1},
+	{37182, 2}, {3083, 0}, {23272, 6}, {32373, 6}, {19532, 2}, {20255, 7},
+	{3693, 5}, {31283, 1}, {33721, 7}, {29024, 5}, {25272, 3}, {22963, 5},
+	{2764, 5}, {2248, 0}, {38848, 0}, {29921, 3}, {11057, 0}, {5355, 1},
+	{2493, 5}, {5278, 2}, {20292, 2}, {29337, 2}, {19290, 1}, {16168, 7},
+	{16221, 6}, {38203, 1}, {38513, 0}, {20152, 1}, {2374, 0}, {14051, 6},
+	{25093, 1}, {797, 7}, {15525, 4}, {16525, 2}, {20439, 4}, {21429, 6},
+	{18823, 5}, {1236, 4}, {7878, 3}, {18314, 3}, {16187, 1}, {12519, 3},
+}
+
+// v3Sections are the section starts (snapshot.SectionOffsets order, 0 being
+// the 64-byte header) of the crash matrix's image under NEMO1 version 3.
+// They pin the truncation lengths truncate@<length> — a torn write can
+// leave any prefix, so these stay cases of their own beside the cuts at the
+// current image's section starts (truncate@s<i>) — and they place each
+// crashFlip in its section.
+var v3Sections = [...]int{
+	0, 64, 159, 403, 439, 1015, 17615, 18015, 19471, 19715, 19751, 21025,
+	37625, 38025, 39561,
 }
 
 // TestSnapshotCrashMatrix is the corruption table: a valid snapshot
-// truncated at the start of every section (truncate@s<i>), bit-flipped at
-// the pinned crashFlips (bitflip@s<i>+<offset>), and mangled in targeted ways must always be refused with a
-// typed error — never adopted, never a panic — and the engine must serve
-// cold afterwards. Runs against both device backends.
+// truncated at the start of every section and at the pinned v3Sections,
+// bit-flipped at the pinned crashFlips, and mangled in targeted ways must
+// always be refused with a typed error — never adopted, never a panic —
+// and the engine must serve cold afterwards. Runs against both device
+// backends.
 func TestSnapshotCrashMatrix(t *testing.T) {
 	devtest.Run(t, func(t *testing.T, b devtest.Backend) {
 		dev := b.New(t, snapGeometry(snapShards))
@@ -509,14 +520,32 @@ func TestSnapshotCrashMatrix(t *testing.T) {
 		for i, o := range offs[:len(offs)-1] {
 			cases = append(cases, corruption{fmt.Sprintf("truncate@s%d", i), valid[:o]})
 		}
-		for _, f := range crashFlips {
-			pos := offs[f.sec] + f.off
-			if f.sec+1 >= len(offs) || pos >= offs[f.sec+1] {
-				t.Fatalf("bit flip s%d+%d lies past its section", f.sec, f.off)
+		for _, o := range v3Sections {
+			if o >= len(valid) {
+				t.Fatalf("cut at %d lies past the %d-byte image", o, len(valid))
 			}
+			cases = append(cases, corruption{fmt.Sprintf("truncate@%d", o), valid[:o]})
+		}
+		flip := func(name string, pos int, bit uint) {
 			mut := append([]byte(nil), valid...)
-			mut[pos] ^= 1 << f.bit
-			cases = append(cases, corruption{fmt.Sprintf("bitflip@s%d+%d", f.sec, f.off), mut})
+			mut[pos] ^= 1 << bit
+			cases = append(cases, corruption{name, mut})
+		}
+		for _, f := range crashFlips {
+			if f.pos >= len(valid) {
+				t.Fatalf("bit flip at %d lies past the %d-byte image", f.pos, len(valid))
+			}
+			flip(fmt.Sprintf("bitflip@%d", f.pos), f.pos, f.bit)
+			sec, at := slices.BinarySearch(v3Sections[:], f.pos)
+			if !at {
+				sec--
+			}
+			off := f.pos - v3Sections[sec]
+			pos := offs[sec] + off
+			if pos >= offs[sec+1] {
+				t.Fatalf("bit flip s%d+%d lies past its section", sec, off)
+			}
+			flip(fmt.Sprintf("bitflip@s%d+%d", sec, off), pos, f.bit)
 		}
 		cases = append(cases,
 			corruption{"empty", nil},
