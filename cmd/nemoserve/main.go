@@ -72,19 +72,19 @@ func main() {
 }
 
 // dumpHealth writes the on-demand SIGQUIT health report: the server's
-// protocol counters followed by every shard's breaker snapshot. Purely
-// observational — service continues undisturbed.
+// protocol counters, then each shard's breaker from its Readout (degraded
+// time in whole seconds). Service continues undisturbed.
 func dumpHealth(w io.Writer, srv *server.Server, cache *core.Sharded) {
 	fmt.Fprintf(w, "nemoserve: health dump (%s)\n", time.Now().Format(time.RFC3339))
 	for _, f := range srv.Fields() {
 		fmt.Fprintf(w, "  server %-22s %d\n", f.Name, f.Value)
 	}
-	for _, h := range cache.Health() {
-		line := fmt.Sprintf("  shard %d: %s fails=%d degraded_entered=%d degraded=%s retries=%d",
-			h.Shard, h.State, h.ConsecutiveFails, h.DegradedEntered,
-			h.Degraded.Truncate(time.Millisecond), h.WriteRetries)
-		if h.LastWriteErr != "" {
-			line += fmt.Sprintf(" last_err=%q", h.LastWriteErr)
+	for i := 0; i < cache.NumShards(); i++ {
+		r := cache.Shard(i).Readout()
+		line := fmt.Sprintf("  shard %d: %s fails=%d degraded_entered=%d degraded=%ds retries=%d",
+			i, r.Breaker, r.ConsecutiveFails, r.DegradedEntered, r.DegradedSeconds, r.WriteRetries)
+		if r.LastWriteErr != "" {
+			line += fmt.Sprintf(" last_err=%q", r.LastWriteErr)
 		}
 		fmt.Fprintln(w, line)
 	}

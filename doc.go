@@ -128,8 +128,8 @@
 //
 // Resident memory is index(objects) + Shards × MemSGs × SG +
 // min(flushes in flight, max(1, Flushers)) × kit, with kit = spare SG +
-// window (1.16 MiB at 1 MiB zones); ResidentBytes sums it, split those three
-// ways beside what MemoryOverhead models for the same objects, with the
+// window (1.16 MiB at 1 MiB zones); Readout.Resident sums it, split those
+// three ways beside what Readout.Model charges the same objects, with the
 // index part split again by the layer that holds it (PBFG cache, group
 // buffers, SG meta), and the stats verb prints it (resident_* rows). Sharing
 // kits across shards took write_churn · engine_heap_mib from 28.9 to 24.8
@@ -279,8 +279,9 @@
 //     disjoint slice of the device's zones, its own in-memory SGs, PBFG
 //     index, and lock, so requests for different shards proceed in parallel
 //     and Stats aggregates without a global lock. The cache owns the
-//     flusher pool, checkpoint and restore; Shard(i) exposes one shard's
-//     diagnostics (FlushLog, PBFGStats, MemoryOverhead).
+//     flusher pool, checkpoint and restore; Readout sums every counter and
+//     the resident ledger, and Shard(i) adds a shard's FlushLog and what
+//     only its Readout has (Table 6's model, the breaker).
 //   - The simulated zoned flash device it runs on (NewDevice) — the
 //     substitution for the paper's ZNS SSD, with full write/read/erase
 //     accounting, per-zone and per-channel locking for concurrent shards,

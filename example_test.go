@@ -46,10 +46,10 @@ func Example() {
 	st := cache.Stats()
 	fmt.Printf("inserted objects       : %d\n", st.Sets)
 	fmt.Printf("recent-keys hit        : %d/1000\n", hits)
-	fmt.Printf("mean SG fill rate      : %.1f%%\n", cache.MeanFillRate()*100)
-	fmt.Printf("write amplification    : %.2f (paper's Nemo: 1.56)\n", cache.PaperWA())
-	m := cache.Shard(0).MemoryOverhead()
-	fmt.Printf("metadata bits/object   : %.1f (paper: 8.3)\n", m.TotalBitsPerObj)
+	r := cache.Readout()
+	fmt.Printf("mean SG fill rate      : %.1f%%\n", r.MeanFillRate()*100)
+	fmt.Printf("write amplification    : %.2f (paper's Nemo: 1.56)\n", r.PaperWA())
+	fmt.Printf("metadata bits/object   : %.1f (paper: 8.3)\n", cache.Shard(0).Readout().Model.TotalBitsPerObj)
 	fmt.Printf("device writes          : %.1f MB over %d zone resets\n",
 		float64(dev.Stats().BytesWritten)/(1<<20), dev.Stats().ZoneResets)
 	// Output:
@@ -237,8 +237,9 @@ func Example_deviceCompat() {
 		if err != nil {
 			log.Fatalf("%s: %v", p.name, err)
 		}
+		r := cache.Readout()
 		fmt.Printf("%-30s %6.1f%% %6.2f %5.1f%% %12d\n",
-			p.name, cache.MeanFillRate()*100, cache.PaperWA(),
+			p.name, r.MeanFillRate()*100, r.PaperWA(),
 			res.Final.MissRatio()*100, dev.Stats().ZoneResets)
 		cache.Close()
 	}
@@ -278,8 +279,8 @@ func Example_tuning() {
 	fmt.Printf("%8s %7s %6s %11s\n", "p_th", "fill", "WA", "sacrificed")
 	for _, pth := range []int{1, 16, 256} {
 		cache := run(func(c *nemo.Config) { c.FlushThreshold = pth })
-		fmt.Printf("%8d %6.1f%% %6.2f %11d\n",
-			pth, cache.MeanFillRate()*100, cache.PaperWA(), cache.Extra().Sacrificed)
+		r := cache.Readout()
+		fmt.Printf("%8d %6.1f%% %6.2f %11d\n", pth, r.MeanFillRate()*100, r.PaperWA(), r.Sacrificed)
 		cache.Close()
 	}
 
@@ -287,9 +288,8 @@ func Example_tuning() {
 	fmt.Printf("%8s %10s %13s\n", "cached", "PBFG miss", "mem bits/obj")
 	for _, ratio := range []float64{0.2, 0.4, 0.6} {
 		cache := run(func(c *nemo.Config) { c.CachedPBFGRatio = ratio })
-		_, _, miss := cache.Shard(0).PBFGStats()
-		fmt.Printf("%7.0f%% %9.2f%% %13.1f\n",
-			ratio*100, miss*100, cache.Shard(0).MemoryOverhead().TotalBitsPerObj)
+		r := cache.Shard(0).Readout()
+		fmt.Printf("%7.0f%% %9.2f%% %13.1f\n", ratio*100, r.PBFGMissRatio()*100, r.Model.TotalBitsPerObj)
 		cache.Close()
 	}
 	// Output:
@@ -332,14 +332,13 @@ func Example_twitterReplay() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("write amplification : %.2f (paper: 1.56)\n", cache.PaperWA())
-	fmt.Printf("mean SG fill rate   : %.1f%% (paper: 89.3%%)\n", cache.MeanFillRate()*100)
+	r := cache.Readout()
+	fmt.Printf("write amplification : %.2f (paper: 1.56)\n", r.PaperWA())
+	fmt.Printf("mean SG fill rate   : %.1f%% (paper: 89.3%%)\n", r.MeanFillRate()*100)
 	fmt.Printf("miss ratio          : %.1f%%\n", res.Final.MissRatio()*100)
-	ex := cache.Extra()
 	fmt.Printf("SGs flushed         : %d (writeback objects: %d, sacrificed: %d)\n",
-		ex.SGsFlushed, ex.WriteBackObjs, ex.Sacrificed)
-	_, _, pbfgMiss := cache.Shard(0).PBFGStats()
-	fmt.Printf("PBFG cache misses   : %.1f%% of index lookups (paper: <8%% at 50%% cached)\n", pbfgMiss*100)
+		r.SGsFlushed, r.WriteBackObjs, r.Sacrificed)
+	fmt.Printf("PBFG cache misses   : %.1f%% of index lookups (paper: <8%% at 50%% cached)\n", cache.Shard(0).Readout().PBFGMissRatio()*100)
 	fmt.Println("WA timeline:")
 	for i, tp := range res.Timeline {
 		if i%8 == 0 {

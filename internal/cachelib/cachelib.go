@@ -78,6 +78,9 @@ type Engine interface {
 
 	// Stats returns cumulative counters.
 	Stats() Stats
+	// Fields returns every counter the engine keeps as rows under their
+	// stats-verb names; a wrapper that embeds an Engine forwards them.
+	Fields() []Field
 	// ReadLatency is the engine-maintained histogram of per-GET virtual
 	// latencies.
 	ReadLatency() *metrics.Histogram
@@ -165,36 +168,36 @@ func (s Stats) Add(o Stats) Stats {
 	}
 }
 
-// Field is one named counter of a Stats snapshot, for surfaces that render
-// stats generically (the memcached `stats` verb of internal/server, log
-// lines, dashboards). Names are stable snake_case identifiers.
+// Field is one named counter of an engine's read-out, for surfaces that
+// render stats generically (the memcached `stats` verb of internal/server,
+// log lines, dashboards). Names are the verb's stable snake_case rows.
 type Field struct {
 	Name  string
 	Value uint64
 }
 
-// Fields returns every Stats counter as an ordered name/value list, in
-// struct-declaration order. Surfaces that iterate Fields automatically pick
+// Fields returns every Stats counter as an ordered engine_* name/value list,
+// in struct-declaration order. Surfaces that iterate Fields automatically pick
 // up counters added to Stats later; a reflection test pins the two in sync.
 func (s Stats) Fields() []Field {
 	return []Field{
-		{"gets", s.Gets},
-		{"hits", s.Hits},
-		{"sets", s.Sets},
-		{"deletes", s.Deletes},
-		{"logical_bytes", s.LogicalBytes},
-		{"flash_bytes_written", s.FlashBytesWritten},
-		{"device_bytes_written", s.DeviceBytesWritten},
-		{"flash_bytes_read", s.FlashBytesRead},
-		{"flash_read_ops", s.FlashReadOps},
-		{"read_errors", s.ReadErrors},
-		{"write_errors", s.WriteErrors},
-		{"evictions", s.Evictions},
-		{"write_retries", s.WriteRetries},
-		{"degraded_rejects", s.DegradedRejects},
-		{"degraded_entered", s.DegradedEntered},
-		{"degraded_seconds", s.DegradedSeconds},
-		{"breaker_open", s.BreakerOpen},
+		{"engine_gets", s.Gets},
+		{"engine_hits", s.Hits},
+		{"engine_sets", s.Sets},
+		{"engine_deletes", s.Deletes},
+		{"engine_logical_bytes", s.LogicalBytes},
+		{"engine_flash_bytes_written", s.FlashBytesWritten},
+		{"engine_device_bytes_written", s.DeviceBytesWritten},
+		{"engine_flash_bytes_read", s.FlashBytesRead},
+		{"engine_flash_read_ops", s.FlashReadOps},
+		{"engine_read_errors", s.ReadErrors},
+		{"engine_write_errors", s.WriteErrors},
+		{"engine_evictions", s.Evictions},
+		{"engine_write_retries", s.WriteRetries},
+		{"engine_degraded_rejects", s.DegradedRejects},
+		{"engine_degraded_entered", s.DegradedEntered},
+		{"engine_degraded_seconds", s.DegradedSeconds},
+		{"engine_breaker_open", s.BreakerOpen},
 	}
 }
 

@@ -2,13 +2,14 @@ package cachelib
 
 // PerKey supplies GetMany, SetMany, SetAsync and Drain to an engine that has
 // nothing to batch or defer, as loops over the engine's own Get and Set: the
-// call shape of Engine without a batching win. An engine embeds it and
-// points it at itself in its constructor (PerKeyOver).
+// call shape of Engine without a batching win, and Fields as its Stats rows.
+// An engine embeds it and points it at itself in its constructor (PerKeyOver).
 type PerKey struct{ e getSetter }
 
 type getSetter interface {
 	Get(key []byte) ([]byte, bool)
 	Set(key, value []byte) error
+	Stats() Stats
 }
 
 // PerKeyOver returns the loops over e's Get and Set.
@@ -40,6 +41,9 @@ func (p PerKey) SetAsync(key, value []byte) error { return p.e.Set(key, value) }
 
 // Drain implements Engine: nothing is ever deferred.
 func (p PerKey) Drain() error { return nil }
+
+// Fields implements Engine: the engine keeps nothing beyond its Stats.
+func (p PerKey) Fields() []Field { return p.e.Stats().Fields() }
 
 // DeleteShadow is how Set, KG and FW answer Delete. It is a modelling
 // device, not part of those designs: a set-associative page can only drop

@@ -251,6 +251,9 @@ func (s *ShardedEngine) Stats() Stats {
 	return sum
 }
 
+// Fields implements Engine: the summed Stats as rows.
+func (s *ShardedEngine) Fields() []Field { return s.Stats().Fields() }
+
 // ReadLatency implements Engine: the merged histogram of all shards,
 // rebuilt on each call. Like the per-shard histograms it merges, the result
 // should be read while the engine is quiescent.

@@ -22,13 +22,13 @@ func TestCoolingClearsUncachedSets(t *testing.T) {
 			c.Get(k)
 		}
 	}
-	if c.Extra().CoolingRuns == 0 {
+	if c.Readout().CoolingRuns == 0 {
 		t.Fatal("cooling never ran")
 	}
 	// With no PBFG pages resident, the hybrid signal can never fire for
 	// sealed groups, so writeback volume must be low (only unsealed-group
 	// SGs can qualify).
-	ex := c.Extra()
+	ex := c.Readout().NemoStats
 	if ex.WriteBackObjs > ex.SGsFlushed*uint64(c.setsPerSG) {
 		t.Fatalf("implausible writeback volume %d with cold index cache", ex.WriteBackObjs)
 	}
@@ -46,7 +46,7 @@ func TestHotnessTailRestriction(t *testing.T) {
 			c.Set(hk, hv)
 		}
 	}
-	if got := c.Extra().WriteBackObjs; got != 0 {
+	if got := c.Readout().WriteBackObjs; got != 0 {
 		t.Fatalf("%d writebacks with hotness tracking disabled", got)
 	}
 }
@@ -61,7 +61,7 @@ func TestIndexZoneRecycling(t *testing.T) {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
-	ex := c.Extra()
+	ex := c.Readout().NemoStats
 	wantGroups := ex.SGsFlushed / uint64(c.cfg.SGsPerIndexGroup)
 	sealed := ex.IndexBytesWritten / uint64(c.setsPerSG*c.pageSize)
 	if sealed < wantGroups-1 {
@@ -126,9 +126,8 @@ func TestPBFGCacheZeroRatio(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("no hits with uncached index")
 	}
-	lookups, misses, _ := c.PBFGStats()
-	if lookups > 0 && misses != lookups {
-		t.Fatalf("zero cache should miss every lookup: %d/%d", misses, lookups)
+	if r := c.Readout(); r.PBFGLookups > 0 && r.PBFGMisses != r.PBFGLookups {
+		t.Fatalf("zero cache should miss every lookup: %d/%d", r.PBFGMisses, r.PBFGLookups)
 	}
 }
 

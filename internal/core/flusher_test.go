@@ -44,7 +44,7 @@ func TestAsyncFlushDrains(t *testing.T) {
 	if st.Sets == 0 || st.FlashBytesWritten == 0 {
 		t.Fatalf("async replay wrote nothing: %+v", st)
 	}
-	ex := s.Extra()
+	ex := s.Readout().NemoStats
 	if ex.SGsFlushed == 0 {
 		t.Fatal("flusher pool executed no flushes")
 	}
@@ -86,8 +86,8 @@ func TestAsyncMatchesSyncQuality(t *testing.T) {
 	if d := syncHit - asyncHit; d > 0.05 || d < -0.05 {
 		t.Fatalf("async hit ratio %0.4f departs from sync %0.4f", asyncHit, syncHit)
 	}
-	if wa := asyncS.PaperWA(); wa > 2*syncS.PaperWA()+0.5 {
-		t.Fatalf("async WA %0.3f vs sync %0.3f", wa, syncS.PaperWA())
+	if wa := asyncS.Readout().PaperWA(); wa > 2*syncS.Readout().PaperWA()+0.5 {
+		t.Fatalf("async WA %0.3f vs sync %0.3f", wa, syncS.Readout().PaperWA())
 	}
 }
 

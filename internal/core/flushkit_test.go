@@ -123,7 +123,7 @@ func heapAlloc(dev *flashsim.Device) uint64 {
 //     per shard: the flush log (≤ 4096 records), the pool and group slices,
 //     the latency histogram, the breaker.
 //
-// The paper-metadata part departs from MemoryOverhead() × resident objects,
+// The paper-metadata part departs from the Readout's Model × resident objects,
 // and the departure is what is asserted. Below the model: it charges a whole
 // device page per group-buffer page, spread over the objects the pool holds
 // but charged to every resident object, the write buffers' too, where the
@@ -158,7 +158,7 @@ func TestResidentBytesLedger(t *testing.T) {
 				saturateKits(t, dev, s)
 			}
 			heap := heapAlloc(dev) - base
-			r := s.ResidentBytes()
+			r := s.Readout()
 			t.Logf("heap %d KiB; ledger %d KiB = meta %d (pbfg cache %d + group buffers %d + sg meta %d) + buffers %d + kits %d; model meta %d KiB for %d objects",
 				heap>>10, r.Total()>>10, r.PaperMeta()>>10, r.PBFGCache>>10, r.GroupBuffers>>10, r.SGMeta>>10,
 				r.WriteBuffers>>10, r.FlushKits>>10, r.ModelMeta>>10, r.Objects)
@@ -189,7 +189,7 @@ func TestResidentBytesLedger(t *testing.T) {
 			if lo, hi := float64(heap)*0.94, float64(heap)*1.06; !raceDetectorEnabled && (float64(r.Total()) < lo || float64(r.Total()) > hi) {
 				t.Errorf("ledger total %d is not within 6%% of the measured heap %d", r.Total(), heap)
 			}
-			m := c.MemoryOverhead()
+			m := c.Readout().Model
 			floor := float64(r.ModelMeta)*(1-(m.BloomBitsPerObj+m.BufferBitsPerObj)/m.TotalBitsPerObj) + float64(r.GroupBuffers)
 			structs := uint64(shards*(c.cfg.DataZones+c.cfg.SGsPerIndexGroup)) * uint64(unsafe.Sizeof(flashSG{}))
 			if paper := r.PaperMeta(); r.Objects == 0 || float64(paper) < floor || paper > r.ModelMeta+structs {
@@ -294,7 +294,7 @@ func TestFlushKitNeverInTwoFlushes(t *testing.T) {
 	<-parked
 	flushed := make([]uint64, shards)
 	for i, c := range s.shards {
-		flushed[i] = c.Extra().SGsFlushed
+		flushed[i] = c.Readout().SGsFlushed
 	}
 
 	const writers, perWriter = 4, 30_000
@@ -322,7 +322,7 @@ func TestFlushKitNeverInTwoFlushes(t *testing.T) {
 	}
 	wg.Wait()
 	for i, c := range s.shards {
-		if n := c.Extra().SGsFlushed; i != victim && n == flushed[i] {
+		if n := c.Readout().SGsFlushed; i != victim && n == flushed[i] {
 			t.Errorf("shard %d committed no flush while shard %d was parked", i, victim)
 		}
 	}
@@ -398,7 +398,7 @@ func TestFlushKitReturnsAfterFailedFlush(t *testing.T) {
 	if used != kit {
 		t.Error("the other shard's flush built a kit instead of taking the returned one")
 	}
-	if got := s.ResidentBytes().FlushKits; got != kit.bytes() {
+	if got := s.Readout().FlushKits; got != kit.bytes() {
 		t.Errorf("ledger counts %d kit bytes, want the one kit's %d", got, kit.bytes())
 	}
 }

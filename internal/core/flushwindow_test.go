@@ -89,12 +89,12 @@ func TestFlushCallShape(t *testing.T) {
 
 	var dataPages, idxPages, maxReadBack int
 	for i := 0; i < 16_000; i++ {
-		stores, loads, ex := len(m.stores), len(m.loads), c.Extra()
+		stores, loads, ex := len(m.stores), len(m.loads), c.Readout().NemoStats
 		if err := c.Set(key(i), value(i)); err != nil {
 			t.Fatal(err)
 		}
-		flushes := int(c.Extra().SGsFlushed - ex.SGsFlushed)
-		seals := int((c.Extra().IndexBytesWritten - ex.IndexBytesWritten) / zoneBytes)
+		flushes := int(c.Readout().SGsFlushed - ex.SGsFlushed)
+		seals := int((c.Readout().IndexBytesWritten - ex.IndexBytesWritten) / zoneBytes)
 		var dataStores, idxStores, readBack, readBackPages int
 		for _, s := range m.stores[stores:] {
 			if s.pages > win {
@@ -126,7 +126,7 @@ func TestFlushCallShape(t *testing.T) {
 			c.Get(key(i - 2000)) // hits on flash mark hotness bits
 		}
 	}
-	ex := c.Extra()
+	ex := c.Readout().NemoStats
 	if dataPages != int(ex.SGsFlushed)*c.setsPerSG || uint64(idxPages) != ex.IndexBytesWritten/uint64(ps) {
 		t.Errorf("%d data and %d index pages stored for %d SGs and %d index bytes", dataPages, idxPages, ex.SGsFlushed, ex.IndexBytesWritten)
 	}

@@ -97,7 +97,7 @@ func TestArenaFlatOverChurn(t *testing.T) {
 			}
 		}
 		c.mu.Unlock()
-		if r := c.residentOwn(); r.SGMeta != uint64(held) {
+		if r := c.Readout(); r.SGMeta != uint64(held) {
 			t.Errorf("ledger SG meta %d bytes, want the held SGs' structs and metas, %d", r.SGMeta, held)
 		}
 	}

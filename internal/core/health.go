@@ -92,27 +92,6 @@ type breaker struct {
 	lastErr     string        // last write-path failure, for diagnostics
 }
 
-// HealthStatus is one shard's breaker snapshot (see Cache.Health).
-type HealthStatus struct {
-	// Shard is the shard index, set by Sharded.Health (Cache.Health leaves 0).
-	Shard int
-	// State is the breaker position.
-	State BreakerState
-	// ConsecutiveFails is the current run of flush failures (resets on any
-	// successful flush).
-	ConsecutiveFails int
-	// DegradedEntered counts degraded windows (closed→open trips).
-	DegradedEntered uint64
-	// Degraded is cumulative degraded time, including the window in
-	// progress.
-	Degraded time.Duration
-	// LastWriteErr is the most recent write-path failure ("" if none).
-	LastWriteErr string
-	// WriteRetries counts transient append failures absorbed by the bounded
-	// retry loop.
-	WriteRetries uint64
-}
-
 // breakerEnabled reports whether the circuit breaker is configured on.
 func (c *Cache) breakerEnabled() bool { return c.cfg.BreakerThreshold > 0 }
 
@@ -209,30 +188,6 @@ func (c *Cache) breakerDegradedLocked() time.Duration {
 		d += c.dev.Clock().Now() - c.brk.windowStart
 	}
 	return d
-}
-
-// Health returns this shard's breaker snapshot.
-func (c *Cache) Health() HealthStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return HealthStatus{
-		State:            c.brk.state,
-		ConsecutiveFails: c.brk.fails,
-		DegradedEntered:  c.stats.DegradedEntered,
-		Degraded:         c.breakerDegradedLocked(),
-		LastWriteErr:     c.brk.lastErr,
-		WriteRetries:     c.retries.Load(),
-	}
-}
-
-// Health returns every shard's breaker snapshot, in shard order.
-func (s *Sharded) Health() []HealthStatus {
-	out := make([]HealthStatus, len(s.shards))
-	for i, c := range s.shards {
-		out[i] = c.Health()
-		out[i].Shard = i
-	}
-	return out
 }
 
 // appendRetry wraps Device.Append with the bounded retry-with-backoff loop

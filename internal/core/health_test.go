@@ -71,7 +71,7 @@ func TestBreakerTripRejectRecover(t *testing.T) {
 	if err := c.Set(hKey(n), hValue(n)); err != nil {
 		t.Fatalf("set after one failure (threshold 2): %v", err)
 	}
-	if st := c.Health().State; st != BreakerClosed {
+	if st := c.Readout().Breaker; st != BreakerClosed {
 		t.Fatalf("breaker %v after 1 failure, want closed", st)
 	}
 
@@ -79,7 +79,7 @@ func TestBreakerTripRejectRecover(t *testing.T) {
 	if err := c.Flush(); err == nil {
 		t.Fatal("flush succeeded under an all-writes-fail plan")
 	}
-	if st := c.Health().State; st != BreakerOpen {
+	if st := c.Readout().Breaker; st != BreakerOpen {
 		t.Fatalf("breaker %v after 2 failures, want open", st)
 	}
 
@@ -118,7 +118,7 @@ func TestBreakerTripRejectRecover(t *testing.T) {
 	if err := c.Set(hKey(n+3), hValue(n+3)); err != nil {
 		t.Fatalf("probe Set: %v", err)
 	}
-	if st := c.Health().State; st != BreakerClosed {
+	if st := c.Readout().Breaker; st != BreakerClosed {
 		t.Fatalf("breaker %v after successful probe, want closed", st)
 	}
 	s = c.Stats()
@@ -215,7 +215,7 @@ func TestBreakerOptimisticCloseRetrips(t *testing.T) {
 	plan.Arm(dev)
 	c.Flush()
 	c.Flush() // tripped
-	if st := c.Health().State; st != BreakerOpen {
+	if st := c.Readout().Breaker; st != BreakerOpen {
 		t.Fatalf("breaker %v, want open", st)
 	}
 	clk.Advance(10 * time.Second)
@@ -224,13 +224,13 @@ func TestBreakerOptimisticCloseRetrips(t *testing.T) {
 	if err := c.Set(hKey(0), hValue(0)); err != nil {
 		t.Fatalf("probe Set: %v", err)
 	}
-	if st := c.Health().State; st != BreakerClosed {
+	if st := c.Readout().Breaker; st != BreakerClosed {
 		t.Fatalf("breaker %v after flushless probe, want closed (optimistic)", st)
 	}
 	// The lie is found out within one threshold of flush attempts.
 	c.Flush()
 	c.Flush()
-	if st := c.Health().State; st != BreakerOpen {
+	if st := c.Readout().Breaker; st != BreakerOpen {
 		t.Fatalf("breaker %v after re-failures, want open", st)
 	}
 	if got := c.Stats().DegradedEntered; got != 2 {
@@ -264,8 +264,8 @@ func TestWriteRetriesAbsorbTransient(t *testing.T) {
 	if s.WriteRetries != 1 {
 		t.Fatalf("WriteRetries = %d, want 1", s.WriteRetries)
 	}
-	if st := c.Health(); st.State != BreakerClosed || st.ConsecutiveFails != 0 {
-		t.Fatalf("health = %+v after absorbed fault, want closed/0 fails", st)
+	if r := c.Readout(); r.Breaker != BreakerClosed || r.ConsecutiveFails != 0 {
+		t.Fatalf("breaker %s with %d fails after absorbed fault, want closed/0 fails", r.Breaker, r.ConsecutiveFails)
 	}
 	// The backoff advanced the virtual clock.
 	if dev.Clock().Now() == before {
@@ -304,8 +304,8 @@ func TestBreakerDisabledByDefault(t *testing.T) {
 }
 
 // TestShardedHealthIsolation: one sick shard degrades alone — its siblings
-// keep accepting writes, and the facade's summed stats and Health() report
-// exactly one open breaker.
+// keep accepting writes, and the shards' read-outs and the facade's summed
+// stats report exactly one open breaker.
 func TestShardedHealthIsolation(t *testing.T) {
 	const shards = 2
 	perIdx := IndexZonesFor(8, 4)
@@ -334,15 +334,11 @@ func TestShardedHealthIsolation(t *testing.T) {
 		t.Fatal("shard 0 flush succeeded under its zone fault")
 	}
 
-	h := s.Health()
-	if len(h) != shards {
-		t.Fatalf("Health() returned %d entries, want %d", len(h), shards)
+	if st := s.Shard(0).Readout().Breaker; st != BreakerOpen {
+		t.Fatalf("shard 0 breaker %s, want open", st)
 	}
-	if h[0].Shard != 0 || h[0].State != BreakerOpen {
-		t.Fatalf("shard 0 health = %+v, want open", h[0])
-	}
-	if h[1].Shard != 1 || h[1].State != BreakerClosed {
-		t.Fatalf("shard 1 health = %+v, want closed", h[1])
+	if st := s.Shard(1).Readout().Breaker; st != BreakerClosed {
+		t.Fatalf("shard 1 breaker %s, want closed", st)
 	}
 
 	// Writes route-dependently: shard 0 rejects, shard 1 accepts.

@@ -193,7 +193,7 @@ func TestEvictionRecyclesZones(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatal("no evictions despite overflow")
 	}
-	ex := c.Extra()
+	ex := c.Readout().NemoStats
 	if ex.SGsFlushed < 8 {
 		t.Fatalf("only %d SGs flushed", ex.SGsFlushed)
 	}
@@ -214,14 +214,14 @@ func TestWriteAmplificationReasonable(t *testing.T) {
 			}
 		}
 	}
-	wa := c.Extra().PaperWA()
+	wa := c.Readout().PaperWA()
 	if wa < 1.0 {
 		t.Fatalf("paper WA %v below 1 is impossible", wa)
 	}
 	if wa > 4.0 {
 		t.Fatalf("paper WA %v too high for Nemo (expect near 1/fill)", wa)
 	}
-	fill := c.Extra().MeanFillRate()
+	fill := c.Readout().MeanFillRate()
 	if fill < 0.3 {
 		t.Fatalf("mean fill rate %v too low with all techniques on", fill)
 	}
@@ -244,7 +244,7 @@ func TestNaiveFillRateMuchLower(t *testing.T) {
 				panic(err)
 			}
 		}
-		return c.Extra().MeanFillRate()
+		return c.Readout().MeanFillRate()
 	}
 	naive := run(true)
 	full := run(false)
@@ -288,7 +288,8 @@ func TestPBFGStatsPopulated(t *testing.T) {
 			c.Set(req.Key, req.Value)
 		}
 	}
-	lookups, misses, ratio := c.PBFGStats()
+	r := c.Readout()
+	lookups, misses, ratio := r.PBFGLookups, r.PBFGMisses, r.PBFGMissRatio()
 	if lookups == 0 {
 		t.Fatal("no PBFG lookups recorded")
 	}
@@ -308,7 +309,7 @@ func TestIndexSealingAndReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ex := c.Extra()
+	ex := c.Readout().NemoStats
 	if ex.IndexBytesWritten == 0 {
 		t.Fatal("index groups never sealed to flash")
 	}
@@ -335,7 +336,7 @@ func TestWritebackKeepsHotObjects(t *testing.T) {
 			}
 		}
 	}
-	ex := c.Extra()
+	ex := c.Readout().NemoStats
 	if ex.WriteBackObjs == 0 {
 		t.Fatal("no objects were written back despite repeated access")
 	}
@@ -358,7 +359,7 @@ func TestWritebackDisabledDropsAll(t *testing.T) {
 		k, v := kv(i)
 		c.Set(k, v)
 	}
-	if ex := c.Extra(); ex.WriteBackObjs != 0 {
+	if ex := c.Readout().NemoStats; ex.WriteBackObjs != 0 {
 		t.Fatalf("writeback disabled but %d objects written back", ex.WriteBackObjs)
 	}
 }
@@ -421,7 +422,7 @@ func TestTable3Defaults(t *testing.T) {
 
 func TestMemoryOverheadModel(t *testing.T) {
 	c := testCache(t, nil)
-	m := c.MemoryOverhead()
+	m := c.Readout().Model
 	if m.TotalBitsPerObj <= 0 {
 		t.Fatal("overhead must be positive")
 	}

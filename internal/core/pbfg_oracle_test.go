@@ -371,7 +371,7 @@ func TestGroupWidthGuard(t *testing.T) {
 				for _, k := range live {
 					// Sets filled to the page sacrifice some keys before they
 					// are flushed; a key can only be owed a hit without that.
-					if _, hit := c.Get(k); !hit && c.Extra().Sacrificed == 0 {
+					if _, hit := c.Get(k); !hit && c.Readout().Sacrificed == 0 {
 						t.Fatalf("%s: key %q was flushed into a live SG but missed", name, k)
 					}
 				}

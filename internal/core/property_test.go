@@ -99,14 +99,14 @@ func TestPropertyWAInvariant(t *testing.T) {
 				t.Fatalf("set: %v", err)
 			}
 		}
-		ex := c.Extra()
+		ex := c.Readout().NemoStats
 		sgBytes := uint64(dev.PagesPerZone() * dev.PageSize())
 		if ex.DataBytesWritten != ex.SGsFlushed*sgBytes {
 			t.Fatalf("data bytes %d != %d SGs × %d", ex.DataBytesWritten, ex.SGsFlushed, sgBytes)
 		}
 		// Update coalescing in memory and sacrificed bytes can push the
 		// ratio below 1 at toy scale, but it must stay positive and finite.
-		if wa := c.Extra().PaperWA(); ex.SGsFlushed > 0 && (wa <= 0 || wa > 1000) {
+		if wa := c.Readout().PaperWA(); ex.SGsFlushed > 0 && (wa <= 0 || wa > 1000) {
 			t.Fatalf("WA %v implausible", wa)
 		}
 		return true

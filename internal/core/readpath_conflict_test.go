@@ -263,21 +263,19 @@ func TestGetManySharedFetchFailureContract(t *testing.T) {
 		})
 		defer dev.SetReadFault(nil)
 
-		st0 := c.Stats()
-		l0, m0, _ := c.PBFGStats()
+		r0 := c.Readout()
 		_, hits := c.GetMany(sharers)
 		for j, hit := range hits {
 			if hit {
 				t.Errorf("key %q hit although its PBFG page could not be read", sharers[j])
 			}
 		}
-		st1 := c.Stats()
-		l1, m1, _ := c.PBFGStats()
-		if got := st1.ReadErrors - st0.ReadErrors; got != k {
+		r1 := c.Readout()
+		if got := r1.ReadErrors - r0.ReadErrors; got != k {
 			t.Errorf("ReadErrors rose by %d, want %d (one per sharer)", got, k)
 		}
-		if l1-l0 != k || m1-m0 != 1 {
-			t.Errorf("index cache charged %d lookups / %d misses, want %d / 1", l1-l0, m1-m0, k)
+		if l, m := r1.PBFGLookups-r0.PBFGLookups, r1.PBFGMisses-r0.PBFGMisses; l != k || m != 1 {
+			t.Errorf("index cache charged %d lookups / %d misses, want %d / 1", l, m, k)
 		}
 		if attempts != 1 {
 			t.Errorf("failing page attempted %d times, want once for the whole batch", attempts)

@@ -161,10 +161,9 @@ func TestGetManyMatchesSerialGets(t *testing.T) {
 	if got, want := batched.Stats(), serial.Stats(); got != want {
 		t.Fatalf("batched stats diverged:\nbatched: %+v\nserial:  %+v", got, want)
 	}
-	gl, gm, _ := batched.PBFGStats()
-	wl, wm, _ := serial.PBFGStats()
-	if gl != wl || gm != wm {
-		t.Fatalf("index-cache traffic diverged: batched %d/%d, serial %d/%d", gl, gm, wl, wm)
+	g, w := batched.Readout(), serial.Readout()
+	if g.PBFGLookups != w.PBFGLookups || g.PBFGMisses != w.PBFGMisses {
+		t.Fatalf("index-cache traffic diverged: batched %d/%d, serial %d/%d", g.PBFGLookups, g.PBFGMisses, w.PBFGLookups, w.PBFGMisses)
 	}
 }
 

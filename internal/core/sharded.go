@@ -160,39 +160,28 @@ func (s *Sharded) Flush() error {
 	return first
 }
 
-// Extra returns the summed Nemo-specific counters.
-func (s *Sharded) Extra() NemoStats {
-	var sum NemoStats
+// Readout sums the shards' read-outs (Readout.Add), the shared idle flush
+// kits counted once; the per-shard fields are zero. Each shard is read under
+// its own lock, one after another, with no global lock.
+func (s *Sharded) Readout() Readout {
+	r := Readout{Resident: Resident{FlushKits: s.kits.idleBytes()}}
 	for _, c := range s.shards {
-		sum = sum.Add(c.Extra())
-	}
-	return sum
-}
-
-// PaperWA is Extra().PaperWA(): the paper's write amplification over all shards.
-func (s *Sharded) PaperWA() float64 { return s.Extra().PaperWA() }
-
-// MeanFillRate is Extra().MeanFillRate(): the mean flushed-SG fill rate over all shards.
-func (s *Sharded) MeanFillRate() float64 { return s.Extra().MeanFillRate() }
-
-// ResidentBytes sums the shards' ledgers, the shared idle kits counted once.
-func (s *Sharded) ResidentBytes() Resident {
-	r := Resident{FlushKits: s.kits.idleBytes()}
-	for _, c := range s.shards {
-		o := c.residentOwn()
-		r.Objects += o.Objects
-		r.PBFGCache += o.PBFGCache
-		r.GroupBuffers += o.GroupBuffers
-		r.SGMeta += o.SGMeta
-		r.ModelMeta += o.ModelMeta
-		r.WriteBuffers += o.WriteBuffers
-		r.FlushKits += o.FlushKits
+		r = r.Add(c.Readout())
 	}
 	return r
 }
 
-// ResidentFields is ResidentBytes as rows: what the stats verb looks for.
-func (s *Sharded) ResidentFields() []cachelib.Field { return s.ResidentBytes().Fields() }
+// Fields implements cachelib.Engine: the summed read-out's rows.
+func (s *Sharded) Fields() []cachelib.Field { return s.Readout().Fields() }
+
+// Extra is a Readout shim for benchmark/ until ROADMAP direction 1(d).
+func (s *Sharded) Extra() NemoStats { return s.Readout().NemoStats }
+
+// PaperWA is a Readout shim for benchmark/ until ROADMAP direction 1(d).
+func (s *Sharded) PaperWA() float64 { return s.Readout().PaperWA() }
+
+// MeanFillRate is a Readout shim for benchmark/ until ROADMAP direction 1(d).
+func (s *Sharded) MeanFillRate() float64 { return s.Readout().MeanFillRate() }
 
 // ReadLatency implements cachelib.Engine: the merged histogram of all
 // shards, rebuilt on each call. It overrides the embedded facade's merge

@@ -87,10 +87,10 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 	if got, want := sharded.Stats(), plain.Stats(); got != want {
 		t.Fatalf("stats diverged:\nsharded: %+v\nplain:   %+v", got, want)
 	}
-	if got, want := sharded.Extra(), plain.Extra(); got != want {
+	if got, want := sharded.Readout().NemoStats, plain.Readout().NemoStats; got != want {
 		t.Fatalf("extra stats diverged:\nsharded: %+v\nplain:   %+v", got, want)
 	}
-	if got, want := sharded.PaperWA(), plain.Extra().PaperWA(); got != want {
+	if got, want := sharded.Readout().PaperWA(), plain.Readout().PaperWA(); got != want {
 		t.Fatalf("paper WA diverged: %v vs %v", got, want)
 	}
 	devA := cfgA.Device.Stats()
@@ -246,7 +246,7 @@ func TestShardedBatchMatchesSerial(t *testing.T) {
 	if got, want := batched.Stats(), serial.Stats(); got != want {
 		t.Fatalf("stats diverged:\nbatched: %+v\nserial:  %+v", got, want)
 	}
-	if got, want := batched.Extra(), serial.Extra(); got != want {
+	if got, want := batched.Readout().NemoStats, serial.Readout().NemoStats; got != want {
 		t.Fatalf("extra stats diverged:\nbatched: %+v\nserial:  %+v", got, want)
 	}
 	if st := batched.Stats(); st.Hits == 0 || st.FlashReadOps == 0 || st.Evictions == 0 {

@@ -156,7 +156,7 @@ func TestKillRestoreExactStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		applySnapTrace(t, control, ops, false)
-		wantStats, wantExtra := control.Stats(), control.Extra()
+		wantStats, wantExtra := control.Stats(), control.Readout().NemoStats
 
 		dev := b.New(t, snapGeometry(snapShards))
 		path := filepath.Join(t.TempDir(), "kill.snap")
@@ -181,7 +181,7 @@ func TestKillRestoreExactStats(t *testing.T) {
 		if got := second.Stats(); got != wantStats {
 			t.Errorf("stats diverged after kill-and-restore:\n got %+v\nwant %+v", got, wantStats)
 		}
-		if got := second.Extra(); got != wantExtra {
+		if got := second.Readout().NemoStats; got != wantExtra {
 			t.Errorf("extra stats diverged after kill-and-restore:\n got %+v\nwant %+v", got, wantExtra)
 		}
 	})

@@ -15,8 +15,8 @@ import (
 // Determinism under concurrency: driven serially (as every replay harness
 // drives a shard), all counters are exact and reproducible. Under truly
 // concurrent GETs racing writers, hit/miss outcomes and every write-side
-// counter stay exact, but FalsePositiveReads, the index-cache
-// lookup/miss pair (PBFGStats), the flash-read counters, and — on a
+// counter stay exact, but FalsePositiveReads, the index cache's
+// PBFGLookups/PBFGMisses (Readout), the flash-read counters, and — on a
 // faulty device — ReadErrors may inflate: an epoch-conflicted read
 // attempt's device reads (and read failures) are real and are counted
 // before the attempt retries, and racing readers may duplicate a PBFG
@@ -112,21 +112,19 @@ func (c *Cache) FlushLog() []FlushRecord {
 	return append([]FlushRecord(nil), c.flushLog...)
 }
 
-// Extra returns the Nemo-specific counters; the index cache's lookups and
-// misses are PBFGStats.
-func (c *Cache) Extra() NemoStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.extra
-}
-
-// Stats implements cachelib.Engine. The breaker-derived fields are computed
-// live: WriteRetries from the unlocked atomic counter, DegradedSeconds from
-// the device clock (the in-progress window included), BreakerOpen as a
-// 0/1 gauge of this shard's breaker position.
+// Stats implements cachelib.Engine: the common counters alone, O(1) under
+// the lock, for the replayer's polling (statsLocked).
 func (c *Cache) Stats() cachelib.Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.statsLocked()
+}
+
+// statsLocked is the common counters with the breaker-derived fields
+// computed live: WriteRetries from the unlocked atomic counter,
+// DegradedSeconds from the device clock (the in-progress window included),
+// BreakerOpen as a 0/1 gauge of this shard's breaker position.
+func (c *Cache) statsLocked() cachelib.Stats {
 	s := c.stats
 	s.WriteRetries = c.retries.Load()
 	s.DegradedSeconds = uint64(c.breakerDegradedLocked() / time.Second)
@@ -144,18 +142,6 @@ func (c *Cache) mergeLatencyInto(h *metrics.Histogram) {
 	h.Merge(&c.hist)
 }
 
-// PBFGStats reports index-cache effectiveness: total sealed-PBFG lookups
-// and the fraction requiring a flash fetch (Figure 19b's miss ratio).
-func (c *Cache) PBFGStats() (lookups, misses uint64, missRatio float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	l, m := c.icache.lookups, c.icache.misses
-	if l == 0 {
-		return 0, 0, 0
-	}
-	return l, m, float64(m) / float64(l)
-}
-
 // MemoryOverhead models Nemo's metadata cost in bits per object, following
 // Table 6: cached Bloom-filter bits, tail-restricted 1-bit hotness, and the
 // in-memory index-group buffer amortized over the objects the pool holds.
@@ -164,32 +150,6 @@ type MemoryOverhead struct {
 	HotBitsPerObj    float64 // 1 bit × tail ratio
 	BufferBitsPerObj float64 // index-group buffer / pool objects (0 while the pool is empty)
 	TotalBitsPerObj  float64
-}
-
-// MemoryOverhead returns the modeled per-object metadata cost.
-func (c *Cache) MemoryOverhead() MemoryOverhead {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	bfPerObj := bloom.BitsPerObject(c.cfg.BloomFPR) * c.cfg.CachedPBFGRatio
-	hot := c.cfg.HotTrackTailRatio // 1 bit per object over the tracked tail
-	// One index-group buffer (SetsPerSG PBFG pages, bounded by one SG worth
-	// of pages) amortized over the objects the pool holds, as measured.
-	bufferBits := float64(c.setsPerSG * c.pageSize * 8)
-	poolObjs := 0
-	for _, sg := range c.pool {
-		poolObjs += sg.objCount
-	}
-	buffer := 0.0
-	if poolObjs > 0 {
-		buffer = bufferBits / float64(poolObjs)
-	}
-	m := MemoryOverhead{
-		BloomBitsPerObj:  bfPerObj,
-		HotBitsPerObj:    hot,
-		BufferBitsPerObj: buffer,
-	}
-	m.TotalBitsPerObj = m.BloomBitsPerObj + m.HotBitsPerObj + m.BufferBitsPerObj
-	return m
 }
 
 // Resident is the engine's resident-memory ledger: byte arithmetic over the
@@ -201,8 +161,8 @@ type Resident struct {
 	// PBFGCache is the cached PBFG pages' arena with its queue and the
 	// sealed groups' slot lists, and the PBFG fetch scratch; GroupBuffers the
 	// unsealed groups' pages; SGMeta each held SG's struct and meta.
-	// PaperMeta is their sum, ModelMeta what MemoryOverhead (Table 6)
-	// charges the same Objects.
+	// PaperMeta is their sum, ModelMeta what the model (Readout.Model,
+	// Table 6) charges the same Objects.
 	PBFGCache, GroupBuffers, SGMeta, ModelMeta uint64
 	// WriteBuffers is Shards × MemSGs × SG bytes, and one SG more per
 	// flush between its seal and its commit.
@@ -218,9 +178,75 @@ func (r Resident) PaperMeta() uint64 { return r.PBFGCache + r.GroupBuffers + r.S
 // Total is the resident bytes: index layer, write buffers and kits.
 func (r Resident) Total() uint64 { return r.PaperMeta() + r.WriteBuffers + r.FlushKits }
 
-// Fields lists the ledger as stats rows.
-func (r Resident) Fields() []cachelib.Field {
-	return []cachelib.Field{
+// bytes is the memSG's resident size: slab, block headers, presence words.
+func (sg *memSG) bytes() uint64 {
+	return uint64(cap(sg.slab) + len(sg.sets)*int(unsafe.Sizeof(sg.sets[0])) + 8*len(sg.present))
+}
+
+// Readout is one shard's whole read-out — the common counters, Nemo's own,
+// the index cache's, the resident ledger and the breaker — taken under one
+// hold of the shard lock, without allocating: plain fields kept under the
+// lock and always on, as in fossil's block cache. Sharded.Readout is the
+// shards' sum (Add), where the per-shard fields after Resident are zero.
+type Readout struct {
+	cachelib.Stats
+	NemoStats
+	// PBFGLookups counts sealed-PBFG lookups and PBFGMisses those that
+	// fetched the page from flash (Figure 19b's miss ratio).
+	PBFGLookups, PBFGMisses uint64
+	// Resident leaves out the idle flush kits, which Sharded.Readout adds once.
+	Resident
+
+	Model            MemoryOverhead // Table 6's cost over the shard's pool objects
+	Breaker          BreakerState
+	ConsecutiveFails int    // the current run of flush failures
+	LastWriteErr     string // the most recent write-path failure ("" if none)
+}
+
+// PBFGMissRatio is PBFGMisses/PBFGLookups, 0 before any lookup.
+func (r Readout) PBFGMissRatio() float64 {
+	if r.PBFGLookups == 0 {
+		return 0
+	}
+	return float64(r.PBFGMisses) / float64(r.PBFGLookups)
+}
+
+// Add returns the field-wise sum r + o, the per-shard fields left zero.
+func (r Readout) Add(o Readout) Readout {
+	return Readout{
+		Stats:       r.Stats.Add(o.Stats),
+		NemoStats:   r.NemoStats.Add(o.NemoStats),
+		PBFGLookups: r.PBFGLookups + o.PBFGLookups,
+		PBFGMisses:  r.PBFGMisses + o.PBFGMisses,
+		Resident: Resident{
+			Objects:      r.Objects + o.Objects,
+			PBFGCache:    r.PBFGCache + o.PBFGCache,
+			GroupBuffers: r.GroupBuffers + o.GroupBuffers,
+			SGMeta:       r.SGMeta + o.SGMeta,
+			ModelMeta:    r.ModelMeta + o.ModelMeta,
+			WriteBuffers: r.WriteBuffers + o.WriteBuffers,
+			FlushKits:    r.FlushKits + o.FlushKits,
+		},
+	}
+}
+
+// Fields lists the read-out's counters in declaration order under their
+// stats-verb names — engine_*, nemo_*, resident_* with the ledger's two sums
+// — leaving out the float FillSum; a reflection test pins it to the struct.
+func (r Readout) Fields() []cachelib.Field {
+	return append(r.Stats.Fields(), []cachelib.Field{
+		{Name: "nemo_sgs_flushed", Value: r.SGsFlushed},
+		{Name: "nemo_new_bytes", Value: r.NewBytes},
+		{Name: "nemo_write_back_bytes", Value: r.WriteBackBytes},
+		{Name: "nemo_write_back_objs", Value: r.WriteBackObjs},
+		{Name: "nemo_sacrificed", Value: r.Sacrificed},
+		{Name: "nemo_data_bytes_written", Value: r.DataBytesWritten},
+		{Name: "nemo_index_bytes_written", Value: r.IndexBytesWritten},
+		{Name: "nemo_false_positive_reads", Value: r.FalsePositiveReads},
+		{Name: "nemo_cooling_runs", Value: r.CoolingRuns},
+		{Name: "nemo_flush_records_dropped", Value: r.FlushRecordsDropped},
+		{Name: "nemo_pbfg_lookups", Value: r.PBFGLookups},
+		{Name: "nemo_pbfg_misses", Value: r.PBFGMisses},
 		{Name: "resident_objects", Value: r.Objects},
 		{Name: "resident_paper_meta_bytes", Value: r.PaperMeta()},
 		{Name: "resident_pbfg_cache_bytes", Value: r.PBFGCache},
@@ -230,21 +256,23 @@ func (r Resident) Fields() []cachelib.Field {
 		{Name: "resident_write_buffer_bytes", Value: r.WriteBuffers},
 		{Name: "resident_flush_kit_bytes", Value: r.FlushKits},
 		{Name: "resident_total_bytes", Value: r.Total()},
-	}
+	}...)
 }
 
-// bytes is the memSG's resident size: slab, block headers, presence words.
-func (sg *memSG) bytes() uint64 {
-	return uint64(cap(sg.slab) + len(sg.sets)*int(unsafe.Sizeof(sg.sets[0])) + 8*len(sg.present))
-}
-
-// residentOwn is what this shard alone holds: all but the idle kits, which
-// it shares with its siblings (Sharded.ResidentBytes counts those once).
-func (c *Cache) residentOwn() (r Resident) {
-	model := c.MemoryOverhead().TotalBitsPerObj
+// Readout returns this shard's read-out, taken under one hold of its lock.
+func (c *Cache) Readout() Readout {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ic := c.icache
+	r := Readout{
+		Stats:            c.statsLocked(),
+		NemoStats:        c.extra,
+		PBFGLookups:      ic.lookups,
+		PBFGMisses:       ic.misses,
+		Breaker:          c.brk.state,
+		ConsecutiveFails: c.brk.fails,
+		LastWriteErr:     c.brk.lastErr,
+	}
 	r.PBFGCache = uint64(ic.slabBytes() + len(c.fetchBuf) + 8*cap(ic.queue))
 	for _, g := range c.groups {
 		r.PBFGCache += uint64(4 * cap(g.cached))
@@ -253,9 +281,11 @@ func (c *Cache) residentOwn() (r Resident) {
 			r.SGMeta += uint64(unsafe.Sizeof(*m)) + uint64(4*cap(m.meta))
 		}
 	}
+	poolObjs := 0
 	for _, sg := range c.pool {
-		r.Objects += uint64(sg.objCount)
+		poolObjs += sg.objCount
 	}
+	r.Objects = uint64(poolObjs)
 	for _, sg := range c.memq {
 		r.Objects += uint64(sg.objCount())
 		r.WriteBuffers += sg.bytes()
@@ -267,6 +297,25 @@ func (c *Cache) residentOwn() (r Resident) {
 	if c.kit != nil {
 		r.FlushKits = c.kit.bytes()
 	}
-	r.ModelMeta = uint64(model * float64(r.Objects) / 8)
+	// The model: cached filter bits, 1 hotness bit over the tracked tail, and
+	// one index-group buffer (SetsPerSG PBFG pages) amortized over the
+	// objects the pool holds, as measured.
+	m := &r.Model
+	m.BloomBitsPerObj = bloom.BitsPerObject(c.cfg.BloomFPR) * c.cfg.CachedPBFGRatio
+	m.HotBitsPerObj = c.cfg.HotTrackTailRatio
+	if poolObjs > 0 {
+		m.BufferBitsPerObj = float64(c.setsPerSG*c.pageSize*8) / float64(poolObjs)
+	}
+	m.TotalBitsPerObj = m.BloomBitsPerObj + m.HotBitsPerObj + m.BufferBitsPerObj
+	r.ModelMeta = uint64(m.TotalBitsPerObj * float64(r.Objects) / 8)
 	return r
+}
+
+// Fields implements cachelib.Engine: the read-out's rows.
+func (c *Cache) Fields() []cachelib.Field { return c.Readout().Fields() }
+
+// PBFGStats is a Readout shim for benchmark/ until ROADMAP direction 1(d).
+func (c *Cache) PBFGStats() (lookups, misses uint64, missRatio float64) {
+	r := c.Readout()
+	return r.PBFGLookups, r.PBFGMisses, r.PBFGMissRatio()
 }

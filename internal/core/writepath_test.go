@@ -368,12 +368,12 @@ func TestFlushRecordsDroppedCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; c.Extra().SGsFlushed <= maxFlushLog && i < 200_000; i++ {
+	for i := 0; c.Readout().SGsFlushed <= maxFlushLog && i < 200_000; i++ {
 		if err := c.Set(wpKey(i%3000), wpValue(i)); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
 	}
-	ex := c.Extra()
+	ex := c.Readout().NemoStats
 	if ex.SGsFlushed <= maxFlushLog {
 		t.Fatalf("geometry too large: only %d flushes", ex.SGsFlushed)
 	}
@@ -456,7 +456,7 @@ func TestConcurrentWriteProtocolStress(t *testing.T) {
 			t.Fatalf("key %d corrupt after drain: %q", i, v)
 		}
 	}
-	if c.Extra().SGsFlushed == 0 {
+	if c.Readout().SGsFlushed == 0 {
 		t.Fatal("stress run never flushed")
 	}
 	if err := s.Close(); err != nil {

@@ -147,12 +147,14 @@ func GoldenStats(t *testing.T, ops int, want map[string]string,
 	}
 }
 
-// renderStats prints the non-zero counters of s as name=value pairs.
+// renderStats prints the non-zero counters of s as name=value pairs, each
+// name without the engine_ prefix the stats verb serves, as GoldenStats
+// spells them.
 func renderStats(s cachelib.Stats) string {
 	var b strings.Builder
 	for _, f := range s.Fields() {
 		if f.Value != 0 {
-			fmt.Fprintf(&b, "%s=%d ", f.Name, f.Value)
+			fmt.Fprintf(&b, "%s=%d ", strings.TrimPrefix(f.Name, "engine_"), f.Value)
 		}
 	}
 	return strings.TrimSpace(b.String())

@@ -29,7 +29,8 @@ func runAblSGSize(o Options) (Report, error) {
 			return rep, err
 		}
 		readsPerGet := float64(res.Final.FlashReadOps) / float64(res.Final.Gets)
-		t.row(fmt.Sprint(ppz), pct("%.1f", nemo.MeanFillRate()), num("%.2f", nemo.PaperWA()), num("%.2f", readsPerGet))
+		r := nemo.Readout()
+		t.row(fmt.Sprint(ppz), pct("%.1f", r.MeanFillRate()), num("%.2f", r.PaperWA()), num("%.2f", readsPerGet))
 	}
 	return rep, nil
 }
@@ -45,7 +46,7 @@ func runAblCooling(o Options) (Report, error) {
 		if err != nil {
 			return rep, err
 		}
-		ex := nemo.Extra()
+		ex := nemo.Readout()
 		t.row(fmt.Sprintf("%.0f%%", period*100), count(ex.WriteBackObjs), count(ex.CoolingRuns), pct("%.1f", res.Final.MissRatio()))
 	}
 	return rep, nil
@@ -70,9 +71,9 @@ func runAblFPR(o Options) (Report, error) {
 			return rep, err
 		}
 		gets := float64(res.Final.Gets)
-		_, misses, _ := nemo.Shard(0).PBFGStats()
-		t.row(label, num("%.4f", float64(nemo.Extra().FalsePositiveReads)/gets), num("%.4f", float64(misses)/gets),
-			num("%.1f", nemo.Shard(0).MemoryOverhead().BloomBitsPerObj))
+		shard0 := nemo.Shard(0).Readout()
+		t.row(label, num("%.4f", float64(nemo.Readout().FalsePositiveReads)/gets), num("%.4f", float64(shard0.PBFGMisses)/gets),
+			num("%.1f", shard0.Model.BloomBitsPerObj))
 	}
 	return rep, nil
 }
@@ -102,7 +103,7 @@ func runAblSkew(o Options) (Report, error) {
 			}
 			cells[i] = pct("%.1f", res.Final.MissRatio())
 			if wb {
-				cells[2] = count(nemo.Extra().WriteBackObjs)
+				cells[2] = count(nemo.Readout().WriteBackObjs)
 			}
 		}
 		t.row(fmt.Sprintf("%.2f", alpha), cells...)

@@ -19,8 +19,8 @@ func runFig12a(o Options) (Report, error) {
 			// cost that amortizes to 0.8 bits/obj at paper scale but
 			// dominates tiny simulated pools; sec55 prints the full
 			// breakdown.
-			m := nemo.Shard(0).MemoryOverhead()
-			wa, memBits = nemo.PaperWA(), m.BloomBitsPerObj+m.HotBitsPerObj
+			m := nemo.Shard(0).Readout().Model
+			wa, memBits = nemo.Readout().PaperWA(), m.BloomBitsPerObj+m.HotBitsPerObj
 		} else {
 			memBits = e.(interface{ MemoryBitsPerObject() float64 }).MemoryBitsPerObject()
 		}
@@ -37,7 +37,7 @@ func runFig12b(o Options) (Report, error) {
 	if err != nil {
 		return rep, err
 	}
-	t.row("Nemo", num("%.2f", nemo.PaperWA()))
+	t.row("Nemo", num("%.2f", nemo.Readout().PaperWA()))
 	for _, variant := range []string{"Log5-OP20", "Log5-OP50", "Log20-OP5"} {
 		fw, err := runFW(o, variant, nil)
 		if err != nil {

@@ -50,11 +50,12 @@ func runFig17(o Options) (Report, error) {
 		if err != nil {
 			return rep, err
 		}
-		eq9, err := wamodel.NemoWA(nemo.MeanFillRate())
+		r := nemo.Readout()
+		eq9, err := wamodel.NemoWA(r.MeanFillRate())
 		if err != nil {
 			return rep, err
 		}
-		t.row(v.label, pct("%.2f", nemo.MeanFillRate()), num("%.2f", nemo.PaperWA()), num("%.2f", eq9), count(nemo.Extra().SGsFlushed))
+		t.row(v.label, pct("%.2f", r.MeanFillRate()), num("%.2f", r.PaperWA()), num("%.2f", eq9), count(r.SGsFlushed))
 	}
 	return rep, nil
 }
@@ -75,7 +76,8 @@ func runFig18(o Options) (Report, error) {
 		for i := range min(2, len(log)) {
 			newObjs[i] = log[i].NewObjs
 		}
-		t.row(fmt.Sprint(pth), count(newObjs[0]), count(newObjs[1]), num("%.2f", nemo.PaperWA()), count(nemo.Extra().Sacrificed))
+		r := nemo.Readout()
+		t.row(fmt.Sprint(pth), count(newObjs[0]), count(newObjs[1]), num("%.2f", r.PaperWA()), count(r.Sacrificed))
 	}
 	return rep, nil
 }
@@ -128,8 +130,8 @@ func runFig19b(o Options) (Report, error) {
 		if err != nil {
 			return rep, err
 		}
-		lookups, misses, missRatio := nemo.Shard(0).PBFGStats()
-		t.row(fmt.Sprintf("%.0f%%", ratio*100), pct("%.2f", missRatio), count(misses), count(lookups))
+		r := nemo.Shard(0).Readout()
+		t.row(fmt.Sprintf("%.0f%%", ratio*100), pct("%.2f", r.PBFGMissRatio()), count(r.PBFGMisses), count(r.PBFGLookups))
 	}
 	return rep, nil
 }

@@ -65,12 +65,12 @@ func runSec55(o Options) (Report, error) {
 	if fr > 0 {
 		t.row("Nemo / FW", num("%.2f×", nr/fr))
 	}
-	m := nemoCache.Shard(0).MemoryOverhead()
+	m := nemoCache.Shard(0).Readout().Model
 	t = rep.table("Nemo memory model (bits/obj)", "", "bloom", "hot", "buffer", "total")
 	t.row("Nemo", num("%.1f", m.BloomBitsPerObj), num("%.1f", m.HotBitsPerObj), num("%.1f", m.BufferBitsPerObj), num("%.1f", m.TotalBitsPerObj))
 	// The same objects' index metadata as the engine holds it (the resident
 	// ledger), by layer, beside the model's total.
-	r := nemoCache.ResidentBytes()
+	r := nemoCache.Readout()
 	perObj := func(b uint64) Cell { return num("%.1f", float64(b)*8/float64(max(r.Objects, 1))) }
 	t = rep.table("Nemo memory measured (bits/obj)", "", "pbfg cache", "group buffers", "sg meta", "total", "model")
 	t.row("Nemo", perObj(r.PBFGCache), perObj(r.GroupBuffers), perObj(r.SGMeta), perObj(r.PaperMeta()), num("%.1f", m.TotalBitsPerObj))

@@ -506,10 +506,10 @@ func (c *conn) writeError(o *op) {
 	}
 }
 
-// writeStats answers the stats verb: the server's protocol counters, then
-// every engine counter (cachelib.Stats.Fields, so counters added to Stats
-// appear here automatically) under an engine_ prefix, then — from an engine
-// that keeps one (core's ResidentBytes) — the resident-memory ledger.
+// writeStats answers the stats verb: the server's protocol counters, the
+// runtime's memory gauges, then the engine's rows (Engine.Fields) verbatim —
+// its engine_* counters and, from Nemo, its nemo_* counters and resident_*
+// ledger — so a row added to an engine's read-out appears here by itself.
 func (c *conn) writeStats() {
 	writeStatLine := func(name string, v uint64) {
 		c.w.WriteString("STAT ")
@@ -518,7 +518,7 @@ func (c *conn) writeStats() {
 		c.w.Write(strconv.AppendUint(c.num[:0], v, 10))
 		c.w.WriteString("\r\n")
 	}
-	for _, f := range c.srv.serverFields() {
+	for _, f := range c.srv.Fields() {
 		writeStatLine(f.Name, f.Value)
 	}
 	// Runtime memory gauges, so the GC-free-hot-path claim is observable in
@@ -530,13 +530,8 @@ func (c *conn) writeStats() {
 	writeStatLine("runtime_heap_objects", ms.HeapObjects)
 	writeStatLine("runtime_heap_bytes", ms.HeapAlloc)
 	writeStatLine("runtime_gc_pause_total_ns", ms.PauseTotalNs)
-	for _, f := range c.srv.cfg.Engine.Stats().Fields() {
-		writeStatLine("engine_"+f.Name, f.Value)
-	}
-	if e, ok := c.srv.cfg.Engine.(interface{ ResidentFields() []cachelib.Field }); ok {
-		for _, f := range e.ResidentFields() {
-			writeStatLine(f.Name, f.Value)
-		}
+	for _, f := range c.srv.cfg.Engine.Fields() {
+		writeStatLine(f.Name, f.Value)
 	}
 	c.w.WriteString("END\r\n")
 }

@@ -389,7 +389,7 @@ func TestDegradedWindowAvailability(t *testing.T) {
 		t.Fatalf("engine_write_errors = %d, want 2", m["engine_write_errors"])
 	}
 	// The resident-memory ledger follows the engine rows, and is the engine's.
-	r := eng.ResidentBytes()
+	r := eng.Readout()
 	for _, f := range r.Fields() {
 		if got, ok := m[f.Name]; !ok || got != f.Value {
 			t.Errorf("stats row %s = %d (present: %v), want the ledger's %d", f.Name, got, ok, f.Value)

@@ -99,7 +99,7 @@ type Server struct {
 	shutdownErr  error
 
 	// Protocol-level counters, surfaced by the `stats` verb next to the
-	// engine's cachelib.Stats.
+	// engine's rows.
 	currConns  atomic.Uint64
 	totalConns atomic.Uint64
 	cmdGet     atomic.Uint64 // keys requested by get/gets
@@ -338,14 +338,10 @@ func (s *Server) removeConn(nc net.Conn) {
 	s.currConns.Add(^uint64(0))
 }
 
-// Fields returns the protocol-level counters in stable order — the same
-// rows the `stats` verb emits ahead of the engine fields. Exported for
-// operational dumps (nemoserve's SIGQUIT health report).
-func (s *Server) Fields() []cachelib.Field { return s.serverFields() }
-
-// serverFields returns the protocol-level counters in stable order; the
-// `stats` verb emits them ahead of the engine's cachelib.Stats fields.
-func (s *Server) serverFields() []cachelib.Field {
+// Fields returns the protocol-level counters in stable order — the rows the
+// `stats` verb emits ahead of the engine's (Engine.Fields), and the head of
+// nemoserve's SIGQUIT health report.
+func (s *Server) Fields() []cachelib.Field {
 	return []cachelib.Field{
 		{Name: "curr_connections", Value: s.currConns.Load()},
 		{Name: "total_connections", Value: s.totalConns.Load()},

@@ -33,7 +33,7 @@ func TestPipelinedSetVerdictsPerKey(t *testing.T) {
 	probe, _ := newEngine(t, 1, 0)
 	defer probe.Close()
 	first := 0
-	for ; probe.Extra().SGsFlushed == 0; first++ {
+	for ; probe.Readout().SGsFlushed == 0; first++ {
 		if err := probe.Set([]byte(key(first)), item(first)); err != nil {
 			t.Fatal(err)
 		}

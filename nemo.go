@@ -70,9 +70,9 @@ type MemoryOverhead = core.MemoryOverhead
 // (0 is 1), with per-shard locking so requests for different shards proceed
 // fully in parallel. It embeds a ShardedEngine over those shards for all
 // routing and adds what is Nemo's: the zone layout, the shared flusher pool,
-// checkpoint and restore, and the Nemo-specific aggregates (Extra, PaperWA,
-// MeanFillRate, ResidentBytes, Health). Shard(i) returns one shard for its
-// diagnostics: FlushLog, PBFGStats, MemoryOverhead.
+// checkpoint and restore, and Readout, every counter and the resident ledger
+// summed over the shards. Shard(i).Readout adds what only a shard has (the
+// Table 6 model, breaker position, last write error) beside its FlushLog.
 type ShardedCache = core.Sharded
 
 // NewSharded creates a Nemo cache — the only constructor; cfg.DataZones is

@@ -82,7 +82,7 @@ func TestParallelReplayMatchesSequential(t *testing.T) {
 		t.Fatalf("parallel driver diverged from sequential replay:\nparallel:   %+v\nsequential: %+v",
 			res.Final, seq.Stats())
 	}
-	if got, want := par.PaperWA(), seq.PaperWA(); got != want {
+	if got, want := par.Readout().PaperWA(), seq.Readout().PaperWA(); got != want {
 		t.Fatalf("paper WA diverged: %v vs %v", got, want)
 	}
 }
@@ -131,7 +131,7 @@ func TestParallelReplayDeterministicAcrossBatchSizes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Final, c.PaperWA()
+		return res.Final, c.Readout().PaperWA()
 	}
 	ref, refWA = run(0)
 	for _, batch := range []int{1, 8, 64} {
@@ -297,7 +297,7 @@ func TestParkedFlushHoldsUpNothing(t *testing.T) {
 			// to the backpressure bound, where the engine flushes inline as
 			// documented: on this goroutine, which would park in its place.
 		fill:
-			for c.Shard(victim).Extra().Sacrificed < uint64(cfg.FlushThreshold) {
+			for c.Shard(victim).Readout().Sacrificed < uint64(cfg.FlushThreshold) {
 				if err := c.SetAsync(keyFor(victim), value); err != nil {
 					return err
 				}
@@ -367,7 +367,7 @@ func TestShardedReplayQuality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return 1 - res.Final.MissRatio(), c.PaperWA()
+		return 1 - res.Final.MissRatio(), c.Readout().PaperWA()
 	}
 	hit1, wa1 := run(1)
 	hit8, wa8 := run(8)
