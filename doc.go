@@ -280,8 +280,8 @@
 //     index, and lock, so requests for different shards proceed in parallel
 //     and Stats aggregates without a global lock. The cache owns the
 //     flusher pool, checkpoint and restore; Readout sums every counter and
-//     the resident ledger, and Shard(i) adds a shard's FlushLog and what
-//     only its Readout has (Table 6's model, the breaker).
+//     the resident ledger, and Shard(i).Readout adds what only a shard has
+//     (Table 6's model, the breaker).
 //   - The simulated zoned flash device it runs on (NewDevice) — the
 //     substitution for the paper's ZNS SSD, with full write/read/erase
 //     accounting, per-zone and per-channel locking for concurrent shards,

@@ -42,19 +42,15 @@ type Config struct {
 	// three-phase seal/build/commit protocol (writepath.go), holding the
 	// shard lock only for its locked sub-phases, so foreground GETs and
 	// SETs overlap the SG write itself. 0 (the default) disables the pool —
-	// SetAsync then degrades to the synchronous Set, and the engine behaves
-	// exactly as before this option existed. NewSharded builds one pool
-	// that all shards share.
+	// SetAsync then degrades to the synchronous Set, and every flush runs
+	// inline on the goroutine whose insert triggered it. NewSharded builds
+	// one pool that all shards share.
 	Flushers int
 
 	// FlushThreshold is p_th: the number of sacrificed (early-evicted)
 	// objects tolerated before the front SG is flushed. The shipped system
 	// uses a count-based threshold (Table 3 note).
 	FlushThreshold int
-
-	// RearFullRatio flushes the front SG when the rear SG's fill rate
-	// reaches this fraction (the "rear SG is nearly full" trigger, §4.2).
-	RearFullRatio float64
 
 	// SGsPerIndexGroup is the number of SGs whose set-level Bloom filters
 	// form one index group (Table 3: 50; each PBFG page then packs the
@@ -69,10 +65,6 @@ type Config struct {
 	// CachedPBFGRatio is the fraction of PBFG pages kept in the in-memory
 	// FIFO index cache (Table 3: 0.5).
 	CachedPBFGRatio float64
-
-	// HotTrackTailRatio restricts hotness bitmaps to SGs in the oldest
-	// fraction of the pool (Table 3: "last 30% of cache" = 0.3).
-	HotTrackTailRatio float64
 
 	// CoolingWriteRatio triggers a cooling pass every time this fraction
 	// of pool capacity has been written (Table 3: every 10% = 0.1).
@@ -93,8 +85,9 @@ type Config struct {
 	// (health.go): this many consecutive write-path (flush) failures trip
 	// the shard into read-only degraded mode, where SETs and DELETEs are
 	// rejected cheaply with cachelib.ErrDegraded while GETs keep serving.
-	// 0 (the default) disables the breaker entirely — the historical
-	// behavior, and what every equivalence/determinism pin runs under.
+	// 0 (the default) disables the breaker entirely: a failed flush is
+	// counted in Stats.WriteErrors and returned, and the shard keeps
+	// accepting writes. Every equivalence/determinism pin runs this way.
 	BreakerThreshold int
 
 	// BreakerProbeAfter is how long (on the device clock) an open breaker
@@ -130,11 +123,19 @@ type Config struct {
 // DefaultConfig cache will actually claim.
 const DefaultSGsPerIndexGroup = 50
 
+// HotTrackTail is the oldest fraction of the SG pool whose SGs record
+// hotness bits (Table 3: the "last 30% of the cache").
+const HotTrackTail = 0.3
+
+// rearFullRatio is the rear SG's fill rate at which the front SG flushes
+// (the "rear SG is nearly full" trigger, §4.2).
+const rearFullRatio = 0.95
+
 // DefaultConfig returns Table 3 defaults scaled to the device: 2 in-memory
 // SGs, count-based flush threshold proportional to SG size, 50 SGs per
-// index group, 0.1% Bloom FPR, 50% cached PBFGs, hotness tracked over the
-// last 30% of the pool, cooling every 10% of capacity written, and all
-// three fill-rate techniques enabled.
+// index group, 0.1% Bloom FPR, 50% cached PBFGs, cooling every 10% of
+// capacity written, and all three fill-rate techniques enabled. The hotness
+// tail (HotTrackTail) and the rear-full trigger are fixed, not configured.
 func DefaultConfig(dev device.Device, dataZones int) Config {
 	setsPerSG := dev.PagesPerZone()
 	pth := setsPerSG / 16
@@ -145,11 +146,9 @@ func DefaultConfig(dev device.Device, dataZones int) Config {
 		Device:            dev,
 		DataZones:         dataZones,
 		FlushThreshold:    pth,
-		RearFullRatio:     0.95,
 		SGsPerIndexGroup:  DefaultSGsPerIndexGroup,
 		BloomFPR:          0.001,
 		CachedPBFGRatio:   0.5,
-		HotTrackTailRatio: 0.3,
 		CoolingWriteRatio: 0.1,
 		BufferedSGs:       true,
 		DelayedFlush:      true,
@@ -191,9 +190,6 @@ func (c Config) validate(base int) error {
 	if c.FlushThreshold < 1 {
 		return fmt.Errorf("core: FlushThreshold %d must be at least 1", c.FlushThreshold)
 	}
-	if c.RearFullRatio <= 0 || c.RearFullRatio > 1 {
-		return fmt.Errorf("core: RearFullRatio %v out of range (0,1]", c.RearFullRatio)
-	}
 	if c.SGsPerIndexGroup < 1 {
 		return fmt.Errorf("core: SGsPerIndexGroup %d must be at least 1", c.SGsPerIndexGroup)
 	}
@@ -202,9 +198,6 @@ func (c Config) validate(base int) error {
 	}
 	if c.CachedPBFGRatio < 0 || c.CachedPBFGRatio > 1 {
 		return fmt.Errorf("core: CachedPBFGRatio %v out of range [0,1]", c.CachedPBFGRatio)
-	}
-	if c.HotTrackTailRatio < 0 || c.HotTrackTailRatio > 1 {
-		return fmt.Errorf("core: HotTrackTailRatio %v out of range [0,1]", c.HotTrackTailRatio)
 	}
 	if c.CoolingWriteRatio <= 0 {
 		return fmt.Errorf("core: CoolingWriteRatio %v must be positive", c.CoolingWriteRatio)

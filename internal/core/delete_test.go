@@ -249,9 +249,7 @@ func TestTombstoneSurvivesSacrifice(t *testing.T) {
 // (tombstoned) object must not be resurrected by hotness-aware writeback
 // when its SG is evicted.
 func TestDeleteSuppressesWriteback(t *testing.T) {
-	c := testCache(t, func(cfg *Config) {
-		cfg.HotTrackTailRatio = 1 // track everything to maximize writeback
-	})
+	c := testCache(t, nil)
 	k, v := kv(0)
 	if err := c.Set(k, v); err != nil {
 		t.Fatal(err)

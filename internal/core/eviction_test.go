@@ -9,7 +9,6 @@ import (
 
 func TestCoolingClearsUncachedSets(t *testing.T) {
 	c := testCache(t, func(cfg *Config) {
-		cfg.HotTrackTailRatio = 1.0
 		cfg.CachedPBFGRatio = 0.0 // nothing cached ⇒ cooling clears everything sealed
 		cfg.CoolingWriteRatio = 0.05
 	})
@@ -34,21 +33,50 @@ func TestCoolingClearsUncachedSets(t *testing.T) {
 	}
 }
 
+// TestHotnessTailRestriction shows the fixed tracked tail: a hit on an SG
+// outside the oldest HotTrackTail of the pool records no hotness bit, and a
+// hit on the same SG once the FIFO has aged it into that tail does.
 func TestHotnessTailRestriction(t *testing.T) {
-	// With a zero tail ratio, no hotness is ever recorded and writeback
-	// finds nothing hot.
-	c := testCache(t, func(cfg *Config) { cfg.HotTrackTailRatio = 0 })
-	for i := 0; i < 8000; i++ {
-		k, v := kv(i)
-		c.Set(k, v)
-		hk, hv := kv(1000000 + i%10)
-		if _, hit := c.Get(hk); !hit {
-			c.Set(hk, hv)
+	c := testCache(t, nil)
+	// Fill the pool, so from here on every flush evicts its head and the
+	// SGs behind it move one position toward the tail.
+	for c.PoolLen() < c.cfg.DataZones {
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if got := c.Readout().WriteBackObjs; got != 0 {
-		t.Fatalf("%d writebacks with hotness tracking disabled", got)
+	k, v := kv(0)
+	if err := c.Set(k, v); err != nil {
+		t.Fatal(err)
 	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	sg := c.pool[len(c.pool)-1]
+	if sg.objCount != 1 {
+		t.Fatalf("the newest SG holds %d objects, want the key alone", sg.objCount)
+	}
+	pos := func() int { return int(sg.id - c.pool[0].id) }
+	read := func(want bool) {
+		t.Helper()
+		if _, hit := c.Get(k); !hit {
+			t.Fatalf("miss at pool position %d", pos())
+		}
+		if sg.hasBits != want {
+			t.Fatalf("hit at pool position %d of %d (tail %d): hotness recorded %v, want %v",
+				pos(), len(c.pool), c.hotTail(), sg.hasBits, want)
+		}
+	}
+	if pos() < c.hotTail() {
+		t.Fatalf("the newest SG is already in the %d-SG tail", c.hotTail())
+	}
+	read(false)
+	for pos() >= c.hotTail() {
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read(true)
 }
 
 func TestIndexZoneRecycling(t *testing.T) {
@@ -82,29 +110,6 @@ func TestEvictionWithoutWritebackSkipsReads(t *testing.T) {
 	with := run(true)
 	if without >= with && with > 0 {
 		t.Fatalf("writeback-off should read less flash: %d vs %d", without, with)
-	}
-}
-
-func TestFlushLogCapped(t *testing.T) {
-	c := testCache(t, nil)
-	for i := 0; i < 12000; i++ {
-		k, v := kv(i)
-		c.Set(k, v)
-	}
-	log := c.FlushLog()
-	if len(log) == 0 {
-		t.Fatal("empty flush log")
-	}
-	if len(log) > maxFlushLog {
-		t.Fatalf("flush log grew to %d, cap is %d", len(log), maxFlushLog)
-	}
-	for i, r := range log {
-		if r.Fill < 0 || r.Fill > 1 {
-			t.Fatalf("record %d has fill %v", i, r.Fill)
-		}
-		if r.NewObjs < 0 || r.WBObjs < 0 {
-			t.Fatalf("record %d has negative counts", i)
-		}
 	}
 }
 

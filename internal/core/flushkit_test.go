@@ -120,8 +120,8 @@ func heapAlloc(dev *flashsim.Device) uint64 {
 //   - the ledger adds up: its total is within 6% of the HeapAlloc growth
 //     since before NewSharded (the simulated device's zone memory, which
 //     the engine does not own, taken out). What it leaves out is small and
-//     per shard: the flush log (≤ 4096 records), the pool and group slices,
-//     the latency histogram, the breaker.
+//     per shard: the pool and group slices, the latency histogram, the
+//     breaker.
 //
 // The paper-metadata part departs from the Readout's Model × resident objects,
 // and the departure is what is asserted. Below the model: it charges a whole

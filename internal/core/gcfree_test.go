@@ -193,7 +193,7 @@ func TestSetManyAllocationsSteadyState(t *testing.T) {
 	}
 }
 
-// snapGoldenSHA256 is the SHA-256 of the NEMO1 version-4 checkpoint of the
+// snapGoldenSHA256 is the SHA-256 of the NEMO1 version-5 checkpoint of the
 // deterministic trace below. The snapshot format is a device-state
 // description, not an in-memory-layout dump: the map-based layout's image
 // was pinned identical through every in-memory layout change since, and
@@ -215,7 +215,15 @@ func TestSetManyAllocationsSteadyState(t *testing.T) {
 // four of shard 0's SGs, shard 0's in-memory SGs, both flush logs and the
 // index-cache queue order. Zones, free lists, SG ids, group
 // membership and every write counter are unchanged.
-const snapGoldenSHA256 = "83b43f8c23dcf3ee1ad2afb1ac93bd7d6b7e3d9c1aa9575939dd23896977a727"
+//
+// Transition record, version 4 (83b43f8c…a727) to 5, both images decoded
+// and compared field by field on this trace: with the fields version 5
+// drops taken out of the version-4 image — the two config ratios, each
+// shard's flush log, the dropped-record count (0 on both shards), every SG's
+// fill and every buffered SG's writeback object count — the two are equal,
+// and version 5's NewObjs (4657 and 4948) is the sum of the NewObjs of
+// each shard's version-4 flush log (36 and 38 records, none dropped).
+const snapGoldenSHA256 = "eae0730b66e1012dfde125bd2e41132ff3d81bf123130c51e4502aa3441bc512"
 
 // TestSnapshotBytesMatchMapLayout runs a deterministic mixed trace on the
 // simulated device — sealed groups, dead SGs, hot bits, cached PBFG pages,

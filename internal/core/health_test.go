@@ -25,10 +25,10 @@ func newBreakerCache(t *testing.T, mod func(*Config)) (*Cache, *flashsim.Device)
 	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 16, Zones: 16})
 	cfg := DefaultConfig(dev, 8)
 	cfg.SGsPerIndexGroup = 4
-	// Suppress automatic flush triggers: every flush in these tests is an
+	// Suppress the sacrifice trigger (and these tests never fill the rear
+	// SG to the rear-full trigger): every flush in these tests is an
 	// explicit Flush() call, so the failure sequence is exact.
 	cfg.FlushThreshold = 1 << 20
-	cfg.RearFullRatio = 1.0
 	cfg.BreakerThreshold = 2
 	cfg.BreakerProbeAfter = 10 * time.Second
 	if mod != nil {
@@ -315,7 +315,6 @@ func TestShardedHealthIsolation(t *testing.T) {
 	cfg.Shards = shards
 	cfg.SGsPerIndexGroup = 4
 	cfg.FlushThreshold = 1 << 20
-	cfg.RearFullRatio = 1.0
 	cfg.BreakerThreshold = 1
 	cfg.BreakerProbeAfter = 10 * time.Second
 	s, err := NewSharded(cfg)

@@ -61,7 +61,6 @@ type flashSG struct {
 	hasBits bool
 
 	objCount int
-	fill     float64 // aggregate fill rate at flush
 	dead     bool
 }
 

@@ -31,7 +31,6 @@ type memSG struct {
 	newBytes uint64
 	wbBytes  uint64
 	newObjs  int
-	wbObjs   int
 	used     int // Σ set Used(), maintained incrementally
 }
 
@@ -51,7 +50,7 @@ func newMemSG(setsPerSG, setSize int) *memSG {
 
 // reset returns the memSG to its freshly-built state, keeping the slab.
 func (sg *memSG) reset() {
-	sg.newBytes, sg.wbBytes, sg.newObjs, sg.wbObjs, sg.used = 0, 0, 0, 0, 0
+	sg.newBytes, sg.wbBytes, sg.newObjs, sg.used = 0, 0, 0, 0
 	clear(sg.present)
 	for i := range sg.sets {
 		sg.sets[i].Reset()
@@ -96,7 +95,6 @@ func (sg *memSG) insert(o int, fp uint64, key, value []byte, class insClass) boo
 	switch class {
 	case insWriteback:
 		sg.wbBytes += uint64(len(key) + len(value))
-		sg.wbObjs++
 	case insNew:
 		sg.newBytes += uint64(len(key) + len(value))
 		sg.newObjs++

@@ -72,22 +72,21 @@ type Cache struct {
 
 	bytesSinceCool uint64
 
-	stats    cachelib.Stats
-	extra    NemoStats
-	flushLog []FlushRecord
-	hist     metrics.Histogram
+	stats cachelib.Stats
+	extra NemoStats
+	hist  metrics.Histogram
 
 	probes *bloom.ProbeSet // write-path probe scratch (guarded by mu)
 
 	// Flush protocol state (writepath.go). sealed is the detached front SG
-	// of the in-flight flush, probed by readers under mu; flushInFlight
-	// serializes flushes per cache (waiters on flushCond coalesce);
-	// flushing is the same-goroutine recursion guard, true only while the
-	// flush owner holds mu; kit is the in-flight flush's working memory, on
-	// loan from kits (one list for all shards of a Sharded cache).
-	sealed        *sealedFlush
+	// of the in-flight flush: readers probe it under mu, the flush owner
+	// inserts writeback survivors into it under mu and serializes it
+	// unlocked once it is frozen. flushInFlight serializes flushes per
+	// cache (waiters on flushCond coalesce); kit is the in-flight flush's
+	// working memory, on loan from kits (one list for all shards of a
+	// Sharded cache).
+	sealed        *memSG
 	flushInFlight bool
-	flushing      bool
 	flushCond     *sync.Cond
 	kit           *flushKit
 	kits          *kitPool
@@ -278,7 +277,7 @@ func (c *Cache) setBodyLocked(fp uint64, key, value []byte, o int, async bool) e
 // re-check so the two can never drift apart.
 func (c *Cache) rearFullLocked() bool {
 	return c.cfg.BufferedSGs && len(c.memq) > 1 &&
-		c.memq[len(c.memq)-1].fillRate() >= c.cfg.RearFullRatio
+		c.memq[len(c.memq)-1].fillRate() >= rearFullRatio
 }
 
 // Delete invalidates key (cachelib.Engine). In-memory copies are removed
@@ -323,7 +322,7 @@ func (c *Cache) deleteBodyLocked(fp uint64, key []byte) error {
 	// flash copy the moment it exists).
 	sealedHas := false
 	if c.sealed != nil {
-		_, sealedHas = c.sealed.mem.lookup(o, fp, key)
+		_, sealedHas = c.sealed.lookup(o, fp, key)
 	}
 	if len(c.pool) == 0 && !sealedHas {
 		// No flash copies can exist: dropping in-memory copies suffices.
@@ -472,18 +471,16 @@ func (c *Cache) Get(key []byte) ([]byte, bool) {
 	return sc.outcome(0)
 }
 
+// hotTail is how many of the oldest pool SGs track hotness: HotTrackTail
+// of the pool, at least one.
+func (c *Cache) hotTail() int {
+	return max(1, int(HotTrackTail*float64(len(c.pool))))
+}
+
 // markHot records an access bit when the SG is inside the tracked tail of
 // the pool (the object's later-life stage, §4.4).
 func (c *Cache) markHot(sg *flashSG, o, slot int) {
-	if len(c.pool) == 0 || c.cfg.HotTrackTailRatio <= 0 {
-		return
-	}
-	pos := int(sg.id - c.pool[0].id)
-	limit := int(c.cfg.HotTrackTailRatio * float64(len(c.pool)))
-	if limit < 1 {
-		limit = 1
-	}
-	if pos < limit {
+	if len(c.pool) > 0 && int(sg.id-c.pool[0].id) < c.hotTail() {
 		sg.setBit(o, slot)
 	}
 }
@@ -518,7 +515,7 @@ func (c *Cache) shadowedByNewer(fp uint64, o int, newerThan uint64, key []byte) 
 		}
 	}
 	if c.sealed != nil {
-		if _, ok := c.sealed.mem.lookup(o, fp, key); ok {
+		if _, ok := c.sealed.lookup(o, fp, key); ok {
 			return true, nil
 		}
 	}
@@ -545,11 +542,7 @@ func (c *Cache) dropDeadGroups() {
 // for sets whose PBFG is memory-resident.
 func (c *Cache) coolLocked() {
 	c.extra.CoolingRuns++
-	limit := int(c.cfg.HotTrackTailRatio * float64(len(c.pool)))
-	if limit < 1 && len(c.pool) > 0 {
-		limit = 1
-	}
-	for i := 0; i < limit && i < len(c.pool); i++ {
+	for i := range min(c.hotTail(), len(c.pool)) {
 		sg := c.pool[i]
 		if !sg.hasBits {
 			continue

@@ -72,7 +72,7 @@ func (c *Cache) MemObjects() int {
 		n += sg.objCount()
 	}
 	if c.sealed != nil {
-		n += c.sealed.mem.objCount()
+		n += c.sealed.objCount()
 	}
 	return n
 }
@@ -318,9 +318,7 @@ func TestIndexSealingAndReuse(t *testing.T) {
 }
 
 func TestWritebackKeepsHotObjects(t *testing.T) {
-	c := testCache(t, func(cfg *Config) {
-		cfg.HotTrackTailRatio = 1.0 // track everything to make the test deterministic
-	})
+	c := testCache(t, nil)
 	// A small hot set accessed constantly (demand-filled on miss, as a real
 	// cache workload would) while filler churns the pool.
 	const hotKeys = 20
@@ -373,7 +371,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.FlushThreshold = 0 },
 		func(c *Config) { c.BloomFPR = 0 },
 		func(c *Config) { c.BloomFPR = 1.5 },
-		func(c *Config) { c.RearFullRatio = 0 },
 		func(c *Config) { c.CachedPBFGRatio = 2 },
 		func(c *Config) { c.CoolingWriteRatio = 0 },
 		func(c *Config) { c.SGsPerIndexGroup = 0 },
@@ -409,8 +406,8 @@ func TestTable3Defaults(t *testing.T) {
 	if cfg.CachedPBFGRatio != 0.5 {
 		t.Fatalf("CachedPBFGRatio = %v, Table 3 says 50%%", cfg.CachedPBFGRatio)
 	}
-	if cfg.HotTrackTailRatio != 0.3 {
-		t.Fatalf("HotTrackTailRatio = %v, Table 3 says last 30%%", cfg.HotTrackTailRatio)
+	if HotTrackTail != 0.3 {
+		t.Fatalf("HotTrackTail = %v, Table 3 says last 30%%", HotTrackTail)
 	}
 	if cfg.CoolingWriteRatio != 0.1 {
 		t.Fatalf("CoolingWriteRatio = %v, Table 3 says every 10%%", cfg.CoolingWriteRatio)

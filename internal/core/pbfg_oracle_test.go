@@ -174,7 +174,6 @@ func TestPBFGCandidatesMatchPerMemberLoop(t *testing.T) {
 		cfg.BloomFPR = []float64{0.001, 0.05}[rng.Intn(2)]
 		cfg.CachedPBFGRatio = []float64{0, 0.5, 1}[rng.Intn(3)]
 		cfg.FlushThreshold = 1 << 20 // flushes happen when the test says so
-		cfg.RearFullRatio = 1.0
 		cfg.SnapshotPath = filepath.Join(t.TempDir(), "oracle.snap")
 		cold, err := NewSharded(cfg)
 		if err != nil {
@@ -255,7 +254,6 @@ func TestReadersPlanWhileFlushCommitsColumn(t *testing.T) {
 	cfg := DefaultConfig(dev, 8)
 	cfg.SGsPerIndexGroup = 16 // twice the pool: the group never seals here
 	cfg.FlushThreshold = 1 << 20
-	cfg.RearFullRatio = 1.0
 	c, err := newBare(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +331,6 @@ func TestGroupWidthGuard(t *testing.T) {
 				cfg := DefaultConfig(dev, 8)
 				cfg.SGsPerIndexGroup = members
 				cfg.FlushThreshold = 1 << 20
-				cfg.RearFullRatio = 1.0
 				c, err := newBare(cfg)
 				switch {
 				case members > bloom.MaxGroupMembers:

@@ -68,6 +68,9 @@ func TestReadoutFieldsCoverStruct(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Fields rows (the two sums aside) = %v,\nwant every uint64 field once in declaration order %v", got, want)
 	}
+	if !seen["nemo_new_objs"] {
+		t.Error("no nemo_new_objs row: NewObjs is the object count Figure 18 reads")
+	}
 
 	sum := reflect.ValueOf(r.Add(r))
 	var check func(path string, v, s reflect.Value)
@@ -100,6 +103,31 @@ func TestReadoutFieldsCoverStruct(t *testing.T) {
 		}
 		check("."+name, rv.Field(i), sum.Field(i))
 		perShard = name == "Resident"
+	}
+}
+
+// TestNewObjsCountsFreshInserts checks NewObjs against the Sets that made
+// the objects: on a fault-free serial run every Set inserts one fresh
+// object, which either reached flash in a flushed SG (NewObjs, sacrificed
+// ones included) or still waits in an in-memory SG.
+func TestNewObjsCountsFreshInserts(t *testing.T) {
+	c := testCache(t, nil)
+	for i := 0; i < 6000; i++ {
+		k, v := kv(i % 2500)
+		if err := c.Set(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := c.Readout()
+	buffered := 0
+	for _, sg := range c.memq {
+		buffered += sg.newObjs
+	}
+	if r.SGsFlushed == 0 || r.Sacrificed == 0 {
+		t.Fatalf("%d flushes, %d sacrificed: the trace exercises neither", r.SGsFlushed, r.Sacrificed)
+	}
+	if r.NewObjs+uint64(buffered) != r.Sets {
+		t.Fatalf("NewObjs %d + %d buffered = %d, want the %d Sets", r.NewObjs, buffered, r.NewObjs+uint64(buffered), r.Sets)
 	}
 }
 

@@ -230,7 +230,7 @@ func (c *Cache) planGetLocked(sc *getScratch, att *getAttempt, key []byte, owner
 		if i < len(c.memq) {
 			sg = c.memq[i]
 		} else if c.sealed != nil {
-			sg = c.sealed.mem
+			sg = c.sealed
 		} else {
 			break
 		}

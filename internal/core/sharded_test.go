@@ -18,11 +18,9 @@ func shardedGeom(t *testing.T, n, perData int) (*flashsim.Device, Config) {
 	t.Helper()
 	base := Config{
 		FlushThreshold:    8,
-		RearFullRatio:     0.95,
 		SGsPerIndexGroup:  4,
 		BloomFPR:          0.001,
 		CachedPBFGRatio:   0.5,
-		HotTrackTailRatio: 0.3,
 		CoolingWriteRatio: 0.1,
 		BufferedSGs:       true,
 		DelayedFlush:      true,

@@ -18,7 +18,7 @@ package core
 // histogram (measurement, not state) and any in-flight flush — Checkpoint
 // waits flushes out, so a snapshot never describes a half-committed SG.
 //
-// The image states each fact once (NEMO1 version 4); restore computes the
+// The image states each fact once (NEMO1 version 5); restore computes the
 // rest rather than reading and reconciling copies: a group's id from its
 // position and NextGroup, its sealing from its index zone, its live count
 // and live mask from its members; an SG's slot from its position, its
@@ -45,11 +45,9 @@ func configStamp(cfg Config) snapshot.ConfigStamp {
 		DataZones:         cfg.DataZones,
 		Shards:            cfg.Shards,
 		FlushThreshold:    cfg.FlushThreshold,
-		RearFullRatio:     cfg.RearFullRatio,
 		SGsPerIndexGroup:  cfg.SGsPerIndexGroup,
 		BloomFPR:          cfg.BloomFPR,
 		CachedPBFGRatio:   cfg.CachedPBFGRatio,
-		HotTrackTailRatio: cfg.HotTrackTailRatio,
 		CoolingWriteRatio: cfg.CoolingWriteRatio,
 		BufferedSGs:       cfg.BufferedSGs,
 		DelayedFlush:      cfg.DelayedFlush,
@@ -124,7 +122,7 @@ func (c *Cache) captureLocked() snapshot.Shard {
 		for _, m := range g.members {
 			// A dead SG's zone went back to the free list when it was
 			// evicted (writepath.go); the one left on the struct is stale.
-			sm := snapshot.SG{ID: m.id, Fill: m.fill, Zone: -1}
+			sm := snapshot.SG{ID: m.id, Zone: -1}
 			if !m.dead {
 				sm.Zone = m.zone
 			}
@@ -148,7 +146,6 @@ func (c *Cache) captureLocked() snapshot.Shard {
 			NewBytes: m.newBytes,
 			WBBytes:  m.wbBytes,
 			NewObjs:  m.newObjs,
-			WBObjs:   m.wbObjs,
 		}
 		for o := range m.sets {
 			ms.Sets = append(ms.Sets, m.sets[o].AppendTo(nil))
@@ -157,15 +154,6 @@ func (c *Cache) captureLocked() snapshot.Shard {
 	}
 	for _, k := range c.icache.queue[c.icache.head:] {
 		sh.ICQueue = append(sh.ICQueue, snapshot.PBFGRef{Group: int(k.group), Set: int(k.set)})
-	}
-	for _, rec := range c.flushLog {
-		sh.FlushLog = append(sh.FlushLog, snapshot.FlushRec{
-			Fill:     rec.Fill,
-			NewObjs:  rec.NewObjs,
-			WBObjs:   rec.WBObjs,
-			NewBytes: rec.NewBytes,
-			WBBytes:  rec.WBBytes,
-		})
 	}
 	return sh
 }
@@ -241,7 +229,6 @@ type restoredState struct {
 	bytesSinceCool uint64
 	stats          cachelib.Stats
 	extra          NemoStats
-	flushLog       []FlushRecord
 }
 
 // cfgErr and staleErr build the restore path's typed refusals.
@@ -275,9 +262,6 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 	if sh.NextGroup > math.MaxInt32 {
 		return nil, cfgErr("group id %d overflows the index-cache queue", sh.NextGroup)
 	}
-	if len(sh.FlushLog) > maxFlushLog {
-		return nil, cfgErr("flush log of %d exceeds the %d cap", len(sh.FlushLog), maxFlushLog)
-	}
 	st := &restoredState{
 		sacCount:       sh.SacCount,
 		nextSGID:       sh.NextSGID,
@@ -298,7 +282,7 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 		}
 		m := newMemSG(c.setsPerSG, c.pageSize)
 		m.newBytes, m.wbBytes = ms.NewBytes, ms.WBBytes
-		m.newObjs, m.wbObjs = ms.NewObjs, ms.WBObjs
+		m.newObjs = ms.NewObjs
 		for o, page := range ms.Sets {
 			if len(page) != c.pageSize {
 				return nil, cfgErr("buffered SG %d set %d is %d bytes, want %d", i, o, len(page), c.pageSize)
@@ -375,7 +359,7 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 				return nil, cfgErr("SG %d has %d set counts, want %d", sm.ID, len(sm.SetCounts), c.setsPerSG)
 			}
 			m := &flashSG{id: sm.ID, group: g, slot: s, nsets: c.setsPerSG,
-				fill: sm.Fill, zone: sm.Zone, dead: sm.Zone < 0}
+				zone: sm.Zone, dead: sm.Zone < 0}
 			for _, n := range sm.SetCounts {
 				m.objCount += int(n)
 			}
@@ -478,16 +462,6 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 		ic.queue = append(ic.queue, pbfgKey{group: int32(ref.Group), set: int32(ref.Set)})
 	}
 	st.icache = ic
-
-	for _, rec := range sh.FlushLog {
-		st.flushLog = append(st.flushLog, FlushRecord{
-			Fill:     rec.Fill,
-			NewObjs:  rec.NewObjs,
-			WBObjs:   rec.WBObjs,
-			NewBytes: rec.NewBytes,
-			WBBytes:  rec.WBBytes,
-		})
-	}
 	return st, nil
 }
 
@@ -535,7 +509,6 @@ func (c *Cache) adoptRestore(st *restoredState) {
 	c.bytesSinceCool = st.bytesSinceCool
 	c.stats = st.stats
 	c.extra = st.extra
-	c.flushLog = st.flushLog
 }
 
 // Counter conversions between the engine types and the snapshot package's
@@ -566,22 +539,20 @@ func statsOf(s snapshot.Counters) cachelib.Stats {
 func extraOf(n NemoStats) snapshot.Extra {
 	return snapshot.Extra{
 		SGsFlushed: n.SGsFlushed, FillSum: n.FillSum,
-		NewBytes: n.NewBytes, WriteBackBytes: n.WriteBackBytes,
+		NewBytes: n.NewBytes, NewObjs: n.NewObjs, WriteBackBytes: n.WriteBackBytes,
 		WriteBackObjs: n.WriteBackObjs, Sacrificed: n.Sacrificed,
 		DataBytesWritten: n.DataBytesWritten, IndexBytesWritten: n.IndexBytesWritten,
 		FalsePositiveReads: n.FalsePositiveReads, CoolingRuns: n.CoolingRuns,
-		FlushRecordsDropped: n.FlushRecordsDropped,
 	}
 }
 
 func nemoStatsOf(e snapshot.Extra) NemoStats {
 	return NemoStats{
 		SGsFlushed: e.SGsFlushed, FillSum: e.FillSum,
-		NewBytes: e.NewBytes, WriteBackBytes: e.WriteBackBytes,
+		NewBytes: e.NewBytes, NewObjs: e.NewObjs, WriteBackBytes: e.WriteBackBytes,
 		WriteBackObjs: e.WriteBackObjs, Sacrificed: e.Sacrificed,
 		DataBytesWritten: e.DataBytesWritten, IndexBytesWritten: e.IndexBytesWritten,
 		FalsePositiveReads: e.FalsePositiveReads, CoolingRuns: e.CoolingRuns,
-		FlushRecordsDropped: e.FlushRecordsDropped,
 	}
 }
 

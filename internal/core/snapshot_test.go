@@ -444,12 +444,15 @@ func TestRestoreIndexCacheRows(t *testing.T) {
 }
 
 // crashFlips are the crash matrix's single-bit flips: byte offset and bit.
-// They were drawn once from a seeded RNG over the whole image and are
-// pinned, so a case keeps its name when a format change moves the image's
-// length. Each flip runs twice: at its byte of the current image
-// (bitflip@<offset>), and at the same section-relative byte it hit in the
-// version-3 image (bitflip@s<i>+<offset>, located through v3Sections), so
-// the field it hits stays put when a format change resizes another section.
+// They were drawn once from a seeded RNG over the whole version-3 image and
+// are pinned, so a case keeps its name when a format change moves the
+// image's length; an offset at or past the current image's end wraps to
+// its remainder, still a pinned position in the image. Each flip runs
+// twice: at its byte of the current image (bitflip@<offset>), and at the
+// same section-relative byte it hit in the version-3 image
+// (bitflip@s<i>+<offset>, located through v3Sections and v3Current; wrapped
+// likewise within a section that has since shrunk), so the field it hits
+// stays put when a format change resizes another section.
 var crashFlips = [...]struct {
 	pos int
 	bit uint
@@ -468,19 +471,30 @@ var crashFlips = [...]struct {
 // the 64-byte header) of the crash matrix's image under NEMO1 version 3.
 // They pin the truncation lengths truncate@<length> — a torn write can
 // leave any prefix, so these stay cases of their own beside the cuts at the
-// current image's section starts (truncate@s<i>) — and they place each
-// crashFlip in its section.
+// section starts (truncate@s<i>); a length at or past the current image's
+// end wraps to its remainder — and they place each crashFlip in its
+// section.
 var v3Sections = [...]int{
 	0, 64, 159, 403, 439, 1015, 17615, 18015, 19471, 19715, 19751, 21025,
 	37625, 38025, 39561,
 }
 
+// v3Current maps each version-3 section (the header, CONFIG, META, FREELISTS,
+// GROUPS, MEMQ, ICACHE and FLUSHLOG of each of the two shards, FOOTER) to
+// its index among the current image's sections, -1 for none: version 5
+// dropped the per-shard flush log. Section-named cases keep the version-3
+// numbers, so truncate@s<i> and bitflip@s<i>+<offset> name the same section
+// in every version that has it. A boundary outlives its section: for a
+// section the image no longer has, truncate@s<i> still cuts where it began,
+// after every section that preceded it, which is where the next one begins.
+var v3Current = [...]int{0, 1, 2, 3, 4, 5, 6, -1, 7, 8, 9, 10, 11, -1, 12}
+
 // TestSnapshotCrashMatrix is the corruption table: a valid snapshot
-// truncated at the start of every section and at the pinned v3Sections,
-// bit-flipped at the pinned crashFlips, and mangled in targeted ways must
-// always be refused with a typed error — never adopted, never a panic —
-// and the engine must serve cold afterwards. Runs against both device
-// backends.
+// truncated at the start of every section and at the pinned v3Sections
+// lengths, bit-flipped at the pinned crashFlips, and mangled in targeted
+// ways must always be refused with a typed error — never adopted, never a
+// panic — and the engine must serve cold afterwards. Runs against both
+// device backends.
 func TestSnapshotCrashMatrix(t *testing.T) {
 	devtest.Run(t, func(t *testing.T, b devtest.Backend) {
 		dev := b.New(t, snapGeometry(snapShards))
@@ -517,14 +531,15 @@ func TestSnapshotCrashMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, o := range offs[:len(offs)-1] {
-			cases = append(cases, corruption{fmt.Sprintf("truncate@s%d", i), valid[:o]})
+		if want := v3Current[len(v3Current)-1] + 2; len(offs) != want {
+			t.Fatalf("%d section boundaries, v3Current expects %d", len(offs), want)
+		}
+		for i := range v3Current {
+			next := slices.IndexFunc(v3Current[i:], func(j int) bool { return j >= 0 })
+			cases = append(cases, corruption{fmt.Sprintf("truncate@s%d", i), valid[:offs[v3Current[i+next]]]})
 		}
 		for _, o := range v3Sections {
-			if o >= len(valid) {
-				t.Fatalf("cut at %d lies past the %d-byte image", o, len(valid))
-			}
-			cases = append(cases, corruption{fmt.Sprintf("truncate@%d", o), valid[:o]})
+			cases = append(cases, corruption{fmt.Sprintf("truncate@%d", o), valid[:o%len(valid)]})
 		}
 		flip := func(name string, pos int, bit uint) {
 			mut := append([]byte(nil), valid...)
@@ -532,20 +547,17 @@ func TestSnapshotCrashMatrix(t *testing.T) {
 			cases = append(cases, corruption{name, mut})
 		}
 		for _, f := range crashFlips {
-			if f.pos >= len(valid) {
-				t.Fatalf("bit flip at %d lies past the %d-byte image", f.pos, len(valid))
-			}
-			flip(fmt.Sprintf("bitflip@%d", f.pos), f.pos, f.bit)
+			flip(fmt.Sprintf("bitflip@%d", f.pos), f.pos%len(valid), f.bit)
 			sec, at := slices.BinarySearch(v3Sections[:], f.pos)
 			if !at {
 				sec--
 			}
-			off := f.pos - v3Sections[sec]
-			pos := offs[sec] + off
-			if pos >= offs[sec+1] {
-				t.Fatalf("bit flip s%d+%d lies past its section", sec, off)
+			j := v3Current[sec]
+			if j < 0 {
+				continue // the flip hit a section this version does not have
 			}
-			flip(fmt.Sprintf("bitflip@s%d+%d", sec, off), pos, f.bit)
+			off := f.pos - v3Sections[sec]
+			flip(fmt.Sprintf("bitflip@s%d+%d", sec, off), offs[j]+off%(offs[j+1]-offs[j]), f.bit)
 		}
 		cases = append(cases,
 			corruption{"empty", nil},
@@ -613,10 +625,12 @@ func restampVersion(blob []byte, v uint32) {
 // TestOldVersionSnapshotsColdStart pins the format bumps: a version-1
 // checkpoint's sealed groups point at filter-major PBFG pages this build
 // would misread as bit-sliced, a version-2 checkpoint lays out fields
-// version 3 dropped, and a version-3 checkpoint names no filter width and
-// describes pages probed at positions this build does not test. Any of
-// them, otherwise intact — right device, right generation, every CRC good —
-// is refused with ErrVersion and the cache starts cold.
+// version 3 dropped, a version-3 checkpoint names no filter width and
+// describes pages probed at positions this build does not test, and a
+// version-4 checkpoint carries a flush log and fields version 5 dropped and
+// lacks the new-object counter. Any of them, otherwise intact — right
+// device, right generation, every CRC good — is refused with ErrVersion and
+// the cache starts cold.
 func TestOldVersionSnapshotsColdStart(t *testing.T) {
 	dev := devtest.Backends()[0].New(t, snapGeometry(snapShards))
 	path := filepath.Join(t.TempDir(), "old.snap")
@@ -636,7 +650,7 @@ func TestOldVersionSnapshotsColdStart(t *testing.T) {
 	if _, err := snapshot.Decode(blob); err != nil {
 		t.Fatalf("restamping the current version broke the image: %v", err)
 	}
-	for _, v := range []uint32{1, 2, 3} {
+	for _, v := range []uint32{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("version %d", v), func(t *testing.T) {
 			restampVersion(blob, v)
 			if err := os.WriteFile(path, blob, 0o644); err != nil {
@@ -790,7 +804,6 @@ func TestSnapshotMirrorsEngineTypes(t *testing.T) {
 			map[string]bool{"WriteRetries": true, "DegradedRejects": true,
 				"DegradedEntered": true, "DegradedSeconds": true, "BreakerOpen": true}},
 		{"Extra", reflect.TypeOf(NemoStats{}), reflect.TypeOf(snapshot.Extra{}), nil},
-		{"FlushRec", reflect.TypeOf(FlushRecord{}), reflect.TypeOf(snapshot.FlushRec{}), nil},
 	}
 	for _, tc := range cases {
 		want := fieldSig(tc.core, tc.skip)

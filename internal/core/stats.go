@@ -28,9 +28,11 @@ type NemoStats struct {
 	FillSum    float64
 
 	// NewBytes counts user bytes newly written into flushed SGs (including
-	// sacrificed objects); WriteBackBytes counts re-inserted eviction
-	// survivors. Nemo's paper WA = DataBytesWritten / NewBytes (§5.2).
+	// sacrificed objects) and NewObjs the same objects (Figure 18);
+	// WriteBackBytes counts re-inserted eviction survivors. Nemo's paper
+	// WA = DataBytesWritten / NewBytes (§5.2).
 	NewBytes       uint64
+	NewObjs        uint64
 	WriteBackBytes uint64
 	WriteBackObjs  uint64
 	Sacrificed     uint64
@@ -40,13 +42,6 @@ type NemoStats struct {
 
 	FalsePositiveReads uint64
 	CoolingRuns        uint64
-
-	// FlushRecordsDropped counts SG flushes whose FlushRecord was discarded
-	// because the retained history had already reached maxFlushLog. A
-	// nonzero value means FlushLog covers only the run's first maxFlushLog
-	// flushes — per-SG breakdown experiments on longer runs must either
-	// accept the truncation or sample earlier.
-	FlushRecordsDropped uint64
 }
 
 // PaperWA is the paper's write-amplification definition for Nemo (§5.2): SG
@@ -71,45 +66,18 @@ func (n NemoStats) MeanFillRate() float64 {
 // Add returns the field-wise sum n + o, for aggregating per-shard counters.
 func (n NemoStats) Add(o NemoStats) NemoStats {
 	return NemoStats{
-		SGsFlushed:          n.SGsFlushed + o.SGsFlushed,
-		FillSum:             n.FillSum + o.FillSum,
-		NewBytes:            n.NewBytes + o.NewBytes,
-		WriteBackBytes:      n.WriteBackBytes + o.WriteBackBytes,
-		WriteBackObjs:       n.WriteBackObjs + o.WriteBackObjs,
-		Sacrificed:          n.Sacrificed + o.Sacrificed,
-		DataBytesWritten:    n.DataBytesWritten + o.DataBytesWritten,
-		IndexBytesWritten:   n.IndexBytesWritten + o.IndexBytesWritten,
-		FalsePositiveReads:  n.FalsePositiveReads + o.FalsePositiveReads,
-		CoolingRuns:         n.CoolingRuns + o.CoolingRuns,
-		FlushRecordsDropped: n.FlushRecordsDropped + o.FlushRecordsDropped,
+		SGsFlushed:         n.SGsFlushed + o.SGsFlushed,
+		FillSum:            n.FillSum + o.FillSum,
+		NewBytes:           n.NewBytes + o.NewBytes,
+		NewObjs:            n.NewObjs + o.NewObjs,
+		WriteBackBytes:     n.WriteBackBytes + o.WriteBackBytes,
+		WriteBackObjs:      n.WriteBackObjs + o.WriteBackObjs,
+		Sacrificed:         n.Sacrificed + o.Sacrificed,
+		DataBytesWritten:   n.DataBytesWritten + o.DataBytesWritten,
+		IndexBytesWritten:  n.IndexBytesWritten + o.IndexBytesWritten,
+		FalsePositiveReads: n.FalsePositiveReads + o.FalsePositiveReads,
+		CoolingRuns:        n.CoolingRuns + o.CoolingRuns,
 	}
-}
-
-// FlushRecord captures one SG flush for the per-SG breakdown experiments
-// (Figures 17 and 18).
-type FlushRecord struct {
-	Fill     float64 // aggregate fill rate at flush
-	NewObjs  int     // objects inserted fresh (sacrificed ones included)
-	WBObjs   int     // objects re-inserted by hotness-aware writeback
-	NewBytes uint64
-	WBBytes  uint64
-}
-
-// maxFlushLog bounds the retained flush history: the log keeps the run's
-// FIRST maxFlushLog flush records and silently retains nothing afterwards.
-// The cap exists so a production-length replay cannot grow an unbounded
-// per-flush history; every flush past it increments
-// NemoStats.FlushRecordsDropped, so truncation is observable instead of
-// silent.
-const maxFlushLog = 4096
-
-// FlushLog returns up to the first maxFlushLog per-SG flush records (see
-// maxFlushLog for the truncation contract; NemoStats.FlushRecordsDropped
-// counts what the cap discarded).
-func (c *Cache) FlushLog() []FlushRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]FlushRecord(nil), c.flushLog...)
 }
 
 // Stats implements cachelib.Engine: the common counters alone, O(1) under
@@ -237,6 +205,7 @@ func (r Readout) Fields() []cachelib.Field {
 	return append(r.Stats.Fields(), []cachelib.Field{
 		{Name: "nemo_sgs_flushed", Value: r.SGsFlushed},
 		{Name: "nemo_new_bytes", Value: r.NewBytes},
+		{Name: "nemo_new_objs", Value: r.NewObjs},
 		{Name: "nemo_write_back_bytes", Value: r.WriteBackBytes},
 		{Name: "nemo_write_back_objs", Value: r.WriteBackObjs},
 		{Name: "nemo_sacrificed", Value: r.Sacrificed},
@@ -244,7 +213,6 @@ func (r Readout) Fields() []cachelib.Field {
 		{Name: "nemo_index_bytes_written", Value: r.IndexBytesWritten},
 		{Name: "nemo_false_positive_reads", Value: r.FalsePositiveReads},
 		{Name: "nemo_cooling_runs", Value: r.CoolingRuns},
-		{Name: "nemo_flush_records_dropped", Value: r.FlushRecordsDropped},
 		{Name: "nemo_pbfg_lookups", Value: r.PBFGLookups},
 		{Name: "nemo_pbfg_misses", Value: r.PBFGMisses},
 		{Name: "resident_objects", Value: r.Objects},
@@ -291,8 +259,8 @@ func (c *Cache) Readout() Readout {
 		r.WriteBuffers += sg.bytes()
 	}
 	if c.sealed != nil {
-		r.Objects += uint64(c.sealed.mem.objCount())
-		r.WriteBuffers += c.sealed.mem.bytes()
+		r.Objects += uint64(c.sealed.objCount())
+		r.WriteBuffers += c.sealed.bytes()
 	}
 	if c.kit != nil {
 		r.FlushKits = c.kit.bytes()
@@ -302,7 +270,7 @@ func (c *Cache) Readout() Readout {
 	// objects the pool holds, as measured.
 	m := &r.Model
 	m.BloomBitsPerObj = bloom.BitsPerObject(c.cfg.BloomFPR) * c.cfg.CachedPBFGRatio
-	m.HotBitsPerObj = c.cfg.HotTrackTailRatio
+	m.HotBitsPerObj = HotTrackTail
 	if poolObjs > 0 {
 		m.BufferBitsPerObj = float64(c.setsPerSG*c.pageSize*8) / float64(poolObjs)
 	}

@@ -46,9 +46,8 @@ package core
 //     shard waits on any of this device I/O.
 //   - commit (locked): the flashSG publishes into its index group and the
 //     FIFO pool, its filters merge into the group buffer (the readers' copy,
-//     so only under the lock), the write-side counters and the flush log
-//     apply, and the cooling pass runs if due. Readers that planned during
-//     the build are
+//     so only under the lock), the write-side counters apply, and the
+//     cooling pass runs if due. Readers that planned during the build are
 //     unaffected: their snapshots never referenced the unpublished SG, and
 //     the sealed SG they could probe in memory is dropped in the same
 //     critical section that makes the flash copy discoverable.
@@ -67,9 +66,9 @@ package core
 // the shards=1 equivalence pins and the NEMO1 golden rest on.
 //
 // Mutual exclusion: at most one flush is in flight per cache
-// (c.flushInFlight; concurrent flushers wait on c.flushCond). c.flushing is
-// the same-goroutine recursion guard; the owner keeps it true only while
-// actually holding the lock, so other goroutines can never observe it.
+// (c.flushInFlight; concurrent flushers wait on c.flushCond). Nothing the
+// owner runs under the lock starts another flush, so the owner never waits
+// on its own flush.
 //
 // Working memory: what a flush needs beyond the SG it writes is one
 // flushKit — the spare SG and the window, in the main — held from the
@@ -90,14 +89,6 @@ import (
 	"nemo/internal/bloom"
 	"nemo/internal/setblock"
 )
-
-// sealedFlush is the sealed-but-uncommitted front SG of an in-flight
-// flush. Readers probe mem under the cache lock; the flush owner mutates
-// it only during locked sub-phases (writeback survivor insertion) and
-// reads it without the lock during serialization, after it is frozen.
-type sealedFlush struct {
-	mem *memSG
-}
 
 // flushWindow is the byte size of a flush's staging buffer and so of its
 // largest device call: set pages, PBFG pages and victim read-back all move
@@ -224,21 +215,18 @@ type evictPlan struct {
 // that must flush the current front regardless (Flush) wait out the
 // in-flight flush themselves first.
 func (c *Cache) flushFrontLocked() error {
-	if c.flushing {
-		return nil // same-goroutine recursion guard
-	}
 	if c.flushInFlight {
 		c.waitFlushIdleLocked()
 		return nil
 	}
-	c.flushing, c.flushInFlight = true, true
+	c.flushInFlight = true
 	if c.kit = c.kits.take(); c.kit == nil {
 		c.kit = c.newFlushKit()
 	}
 	err := c.flushOwner()
 	c.kits.put(c.kit)
 	c.kit = nil
-	c.flushing, c.flushInFlight = false, false
+	c.flushInFlight = false
 	c.sealed = nil
 	c.flushCond.Broadcast()
 	return err
@@ -252,19 +240,6 @@ func (c *Cache) waitFlushIdleLocked() {
 	for c.flushInFlight {
 		c.flushCond.Wait()
 	}
-}
-
-// unlockForBuild and relockAfterBuild bracket the owner's unlocked I/O
-// windows, keeping the recursion guard accurate: c.flushing is true only
-// while the owner actually holds the lock.
-func (c *Cache) unlockForBuild() {
-	c.flushing = false
-	c.mu.Unlock()
-}
-
-func (c *Cache) relockAfterBuild() {
-	c.mu.Lock()
-	c.flushing = true
 }
 
 // flushOwner runs the three phases on the owning goroutine. Entered and
@@ -294,7 +269,7 @@ func (c *Cache) flushOwner() error {
 	}
 	sg := &flashSG{id: c.nextSGID, zone: zone, group: g, slot: len(g.members), nsets: c.setsPerSG}
 	c.nextSGID++ // SG-epoch advance: in-flight optimistic readers will replan
-	c.sealed = &sealedFlush{mem: front}
+	c.sealed = front
 	copy(c.memq, c.memq[1:])
 	c.kit.spare.reset()
 	c.memq[len(c.memq)-1], c.kit.spare = c.kit.spare, nil
@@ -309,9 +284,9 @@ func (c *Cache) flushOwner() error {
 	fill := front.fillRate() // writeback survivors included, as in the locked path
 
 	// ---- Phase 2b: build (unlocked) ----
-	c.unlockForBuild()
+	c.mu.Unlock()
 	buildErr := c.buildAndAppend(ev, front, sg, idxZone)
-	c.relockAfterBuild()
+	c.mu.Lock()
 	if buildErr != nil {
 		return c.recoverFailedFlushLocked(ev, front, sg, idxZone, buildErr)
 	}
@@ -321,27 +296,16 @@ func (c *Cache) flushOwner() error {
 	// region). Readers never probe an SG before this publish, so the prefix
 	// sums are always ready on the probe path.
 	carveMeta(sg, c.kit.counts)
-	sg.fill = fill
 	zoneBytes := uint64(c.setsPerSG * c.pageSize)
 	c.stats.FlashBytesWritten += zoneBytes
 	c.stats.DeviceBytesWritten += zoneBytes
 	c.extra.DataBytesWritten += zoneBytes
 	c.extra.SGsFlushed++
-	c.extra.FillSum += sg.fill
+	c.extra.FillSum += fill
 	c.extra.NewBytes += front.newBytes
+	c.extra.NewObjs += uint64(front.newObjs)
 	c.extra.WriteBackBytes += front.wbBytes
 	c.bytesSinceCool += zoneBytes
-	if len(c.flushLog) < maxFlushLog {
-		c.flushLog = append(c.flushLog, FlushRecord{
-			Fill:     sg.fill,
-			NewObjs:  front.newObjs,
-			WBObjs:   front.wbObjs,
-			NewBytes: front.newBytes,
-			WBBytes:  front.wbBytes,
-		})
-	} else {
-		c.extra.FlushRecordsDropped++
-	}
 	if sg.slot == 0 {
 		g.bfBits = c.kit.bfBits // the first member fixes the group's width
 	}
@@ -479,9 +443,9 @@ func (c *Cache) evictLocked(ev *evictPlan, dst *memSG) error {
 			for i, so := range sets[:n] {
 				k.winAddrs[i] = c.dev.PageAddr(victim.zone, so)
 			}
-			c.unlockForBuild()
+			c.mu.Unlock()
 			_, err := c.dev.ReadPages(k.winAddrs[:n], k.winPages[:n])
-			c.relockAfterBuild()
+			c.mu.Lock()
 			if err != nil {
 				// The failed window is not counted as read and none of its
 				// sets is filtered; the flush fails, so the victim's

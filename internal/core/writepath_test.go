@@ -34,7 +34,6 @@ func TestSealedSGServesReadsDuringFlush(t *testing.T) {
 	cfg := DefaultConfig(dev, 8)
 	cfg.SGsPerIndexGroup = 4
 	cfg.FlushThreshold = 1 << 20 // no sacrifice-triggered flushes
-	cfg.RearFullRatio = 1.0      // no rear-full-triggered flushes
 	c, err := newBare(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +125,7 @@ func memCopies(c *Cache, key []byte) (valued, tombs int, last []byte) {
 	defer c.mu.Unlock()
 	sgs := append([]*memSG(nil), c.memq...)
 	if c.sealed != nil {
-		sgs = append(sgs, c.sealed.mem)
+		sgs = append(sgs, c.sealed)
 	}
 	for _, sg := range sgs {
 		sg.sets[o].Range(func(_ int, e setblock.Entry) bool {
@@ -156,7 +155,6 @@ func TestNoDuplicateCopyAcrossInlineFlush(t *testing.T) {
 		dev := b.New(t, device.Geometry{PageSize: 512, PagesPerZone: 16, Zones: 16})
 		c := testCacheOn(t, dev, func(cfg *Config) {
 			cfg.DelayedFlush = false // a full set flushes the front instead of sacrificing
-			cfg.RearFullRatio = 1.0  // no rear-full-triggered flushes
 		})
 
 		// Fill one set offset in every in-memory SG, so the next SET for it
@@ -354,36 +352,6 @@ func TestFlushWriteErrorSurfacesAsync(t *testing.T) {
 			t.Fatal("no SG reached flash after the async fault cleared")
 		}
 	})
-}
-
-// TestFlushRecordsDroppedCounted drives more flushes than maxFlushLog and
-// checks the cap is no longer silent: the log stops at the cap and every
-// flush past it is counted in NemoStats.FlushRecordsDropped.
-func TestFlushRecordsDroppedCounted(t *testing.T) {
-	dev := flashsim.New(flashsim.Config{PageSize: 256, PagesPerZone: 2, Zones: 8})
-	cfg := DefaultConfig(dev, 4)
-	cfg.SGsPerIndexGroup = 2
-	cfg.FlushThreshold = 1
-	c, err := newBare(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; c.Readout().SGsFlushed <= maxFlushLog && i < 200_000; i++ {
-		if err := c.Set(wpKey(i%3000), wpValue(i)); err != nil {
-			t.Fatalf("op %d: %v", i, err)
-		}
-	}
-	ex := c.Readout().NemoStats
-	if ex.SGsFlushed <= maxFlushLog {
-		t.Fatalf("geometry too large: only %d flushes", ex.SGsFlushed)
-	}
-	if got := len(c.FlushLog()); got != maxFlushLog {
-		t.Fatalf("flush log holds %d records, want exactly the %d cap", got, maxFlushLog)
-	}
-	if want := ex.SGsFlushed - maxFlushLog; ex.FlushRecordsDropped != want {
-		t.Fatalf("FlushRecordsDropped = %d, want %d (= %d flushes - %d cap)",
-			ex.FlushRecordsDropped, want, ex.SGsFlushed, maxFlushLog)
-	}
 }
 
 // TestConcurrentWriteProtocolStress races SetAsync/Set/Delete churn —

@@ -164,7 +164,8 @@ func maxDataZones(zones, sgsPerGroup int) int {
 
 // nemoOn builds one-shard Nemo at Table 4's ratios, adjusted by mutate: the
 // whole device minus the index pool is the SG pool (OP < 1%). Per-shard
-// diagnostics (FlushLog, the Readout's Model) are read off Shard(0).
+// diagnostics (the Readout's Model, the index-cache counters) are read off
+// Shard(0).
 func nemoOn(mutate func(*core.Config)) func(device.Device) (*core.Sharded, error) {
 	return func(dev device.Device) (*core.Sharded, error) {
 		cfg := core.DefaultConfig(dev, maxDataZones(dev.Zones(), 50))

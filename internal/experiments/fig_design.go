@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"nemo/internal/cachelib"
 	"nemo/internal/core"
 	"nemo/internal/hashing"
 	"nemo/internal/trace"
@@ -65,19 +66,36 @@ func runFig18(o Options) (Report, error) {
 	g := sgHeavyGeometry(o)
 	t := rep.table("", "p_th", "1st-SG objs", "2nd-SG objs", "WA", "sacrificed")
 	for _, pth := range []int{1, 4, 16, 64, 256, 1024, 4096} {
-		nemo, _, err := replay(g, o, nemoOn(func(cfg *core.Config) {
+		dev, nemo, stream, err := setup(g, o, nemoOn(func(cfg *core.Config) {
 			cfg.FlushThreshold = pth
 		}))
 		if err != nil {
 			return rep, err
 		}
-		var newObjs [2]int // of the first two SGs flushed
-		log := nemo.Shard(0).FlushLog()
-		for i := range min(2, len(log)) {
-			newObjs[i] = log[i].NewObjs
+		// The replay steps one request at a time until the second SG has
+		// flushed, reading NewObjs after each flush, then runs the rest.
+		cfg := replayCfg(g, o, dev)
+		step := cfg
+		step.Ops = 1
+		var after [2]uint64 // NewObjs once the first and the second SG flushed
+		for flushed := uint64(0); flushed < 2 && cfg.Ops > 0; cfg.Ops-- {
+			if _, err := cachelib.Replay(nemo, stream, step); err != nil {
+				return rep, err
+			}
+			r := nemo.Readout()
+			for ; flushed < min(r.SGsFlushed, 2); flushed++ {
+				after[flushed] = r.NewObjs
+			}
+		}
+		if _, err := cachelib.Replay(nemo, stream, cfg); err != nil {
+			return rep, err
+		}
+		second := uint64(0)
+		if after[1] > 0 {
+			second = after[1] - after[0]
 		}
 		r := nemo.Readout()
-		t.row(fmt.Sprint(pth), count(newObjs[0]), count(newObjs[1]), num("%.2f", r.PaperWA()), count(r.Sacrificed))
+		t.row(fmt.Sprint(pth), count(after[0]), count(second), num("%.2f", r.PaperWA()), count(r.Sacrificed))
 	}
 	return rep, nil
 }

@@ -21,7 +21,7 @@ func runTab3(o Options) (Report, error) {
 	t.row("in-memory SGs", count(cfg.MemSGs()), text("2"))
 	t.row("flushing threshold p_th", count(cfg.FlushThreshold), text("4,096; count-based, scaled with SG size"))
 	t.row("cached PBFG ratio", pct("%.0f", cfg.CachedPBFGRatio), text("50%"))
-	t.row("hotness tracking covers the last", pct("%.0f", cfg.HotTrackTailRatio), text("30% of the cache"))
+	t.row("hotness tracking covers the last", pct("%.0f", core.HotTrackTail), text("30% of the cache"))
 	t.row("SG cooling period, in cache written", pct("%.0f", cfg.CoolingWriteRatio), text("10%"))
 	return rep, nil
 }

@@ -308,7 +308,6 @@ func TestDegradedWindowAvailability(t *testing.T) {
 	cfg := core.DefaultConfig(dev, perData)
 	cfg.SGsPerIndexGroup = 4
 	cfg.FlushThreshold = 1 << 20 // flushes in this test are explicit
-	cfg.RearFullRatio = 1.0
 	cfg.BreakerThreshold = 2
 	cfg.BreakerProbeAfter = 5 * time.Second
 	eng, err := core.NewSharded(cfg)

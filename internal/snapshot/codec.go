@@ -16,22 +16,25 @@ const (
 	// snapshot is throwaway, exactly like a corrupt one. Version 2 marked the
 	// on-flash PBFG pages as bit-sliced (bloom.GroupMask); version 3 drops
 	// every field restore can compute (the package doc lists them); version 4
-	// records each group's filter width and moves the probe positions.
-	Version = 4
+	// records each group's filter width and moves the probe positions;
+	// version 5 drops the state nothing reads (the flush log, SG fill rates,
+	// writeback object counts of buffered SGs, two config slots) and adds
+	// the new-object counter.
+	Version = 5
 
 	sectionHdrSize = 12 // kind u32 | len u32 | crc32 u32
 )
 
-// Section kinds, in the exact order they must appear.
+// Section kinds, in the exact order they must appear. Kind 7 is unused:
+// it was the flush log before version 5.
 const (
-	secConfig   = 1
-	secMeta     = 2
-	secFree     = 3
-	secGroups   = 4
-	secMemQ     = 5
-	secICache   = 6
-	secFlushLog = 7
-	secFooter   = 8
+	secConfig = 1
+	secMeta   = 2
+	secFree   = 3
+	secGroups = 4
+	secMemQ   = 5
+	secICache = 6
+	secFooter = 8
 )
 
 // Each NEMO1 section is written down once, as a walk over a two-way coder
@@ -46,7 +49,6 @@ var shardSections = [...]struct {
 	{secGroups, walkGroups},
 	{secMemQ, walkMemQ},
 	{secICache, walkICache},
-	{secFlushLog, walkFlushLog},
 }
 
 // coder walks one section payload field by field, in either direction. With
@@ -203,11 +205,9 @@ func walkConfig(c *coder, s *ConfigStamp) {
 	c.i64(&s.DataZones)
 	c.i64(&s.Shards)
 	c.i64(&s.FlushThreshold)
-	c.f64(&s.RearFullRatio)
 	c.i64(&s.SGsPerIndexGroup)
 	c.f64(&s.BloomFPR)
 	c.f64(&s.CachedPBFGRatio)
-	c.f64(&s.HotTrackTailRatio)
 	c.f64(&s.CoolingWriteRatio)
 	c.boolean(&s.BufferedSGs)
 	c.boolean(&s.DelayedFlush)
@@ -236,6 +236,7 @@ func walkMeta(c *coder, s *Shard) {
 	c.u64(&s.Extra.SGsFlushed)
 	c.f64(&s.Extra.FillSum)
 	c.u64(&s.Extra.NewBytes)
+	c.u64(&s.Extra.NewObjs)
 	c.u64(&s.Extra.WriteBackBytes)
 	c.u64(&s.Extra.WriteBackObjs)
 	c.u64(&s.Extra.Sacrificed)
@@ -243,7 +244,6 @@ func walkMeta(c *coder, s *Shard) {
 	c.u64(&s.Extra.IndexBytesWritten)
 	c.u64(&s.Extra.FalsePositiveReads)
 	c.u64(&s.Extra.CoolingRuns)
-	c.u64(&s.Extra.FlushRecordsDropped)
 }
 
 func walkFree(c *coder, s *Shard) {
@@ -262,7 +262,6 @@ func walkGroup(c *coder, g *Group) {
 
 func walkSG(c *coder, m *SG) {
 	c.u64(&m.ID)
-	c.f64(&m.Fill)
 	c.i64(&m.Zone)
 	list(c, &m.SetCounts, 2, (*coder).u16)
 	// A present bitmap decodes non-nil even when empty: core allocates it
@@ -283,7 +282,6 @@ func walkMemSG(c *coder, m *MemSG) {
 	c.u64(&m.NewBytes)
 	c.u64(&m.WBBytes)
 	c.i64(&m.NewObjs)
-	c.i64(&m.WBObjs)
 	list(c, &m.Sets, 4, (*coder).blob)
 }
 
@@ -292,16 +290,6 @@ func walkICache(c *coder, s *Shard) { list(c, &s.ICQueue, 16, walkRef) }
 func walkRef(c *coder, r *PBFGRef) {
 	c.i64(&r.Group)
 	c.i64(&r.Set)
-}
-
-func walkFlushLog(c *coder, s *Shard) { list(c, &s.FlushLog, 40, walkFlushRec) }
-
-func walkFlushRec(c *coder, r *FlushRec) {
-	c.f64(&r.Fill)
-	c.i64(&r.NewObjs)
-	c.i64(&r.WBObjs)
-	c.u64(&r.NewBytes)
-	c.u64(&r.WBBytes)
 }
 
 // Encode serializes f into a complete NEMO1 image. The encoding is

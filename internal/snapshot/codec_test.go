@@ -13,17 +13,16 @@ import (
 
 // sampleFile builds a small but structurally rich snapshot: two shards, a
 // sealed and an unsealed group, dead and live SGs, a lazily-absent, a
-// present-but-empty and a populated hotness bitmap, index-cache queue
-// entries, and a flush log. Every config, counter and flush-record field holds a
-// distinct nonzero value, so a layout that swaps two of them cannot hide.
+// present-but-empty and a populated hotness bitmap, and index-cache queue
+// entries. Every config and counter field holds a distinct nonzero value, so
+// a layout that swaps two of them cannot hide.
 func sampleFile() *File {
 	return &File{
 		PageSize: 512, PagesPerZone: 16, Zones: 24,
 		Boot: 7, Writes: 421,
 		Config: ConfigStamp{
-			DataZones: 8, Shards: 2, FlushThreshold: 7, RearFullRatio: 0.8, SGsPerIndexGroup: 4,
-			BloomFPR: 0.001, CachedPBFGRatio: 0.5,
-			HotTrackTailRatio: 0.3, CoolingWriteRatio: 0.1,
+			DataZones: 8, Shards: 2, FlushThreshold: 7, SGsPerIndexGroup: 4,
+			BloomFPR: 0.001, CachedPBFGRatio: 0.5, CoolingWriteRatio: 0.1,
 			BufferedSGs: true, DelayedFlush: true, Writeback: true,
 		},
 		Shards: []Shard{
@@ -34,10 +33,10 @@ func sampleFile() *File {
 					LogicalBytes: 12345, FlashBytesWritten: 20480, DeviceBytesWritten: 24576,
 					FlashBytesRead: 8192, FlashReadOps: 17, ReadErrors: 2, WriteErrors: 1,
 					Evictions: 33},
-				Extra: Extra{SGsFlushed: 5, FillSum: 4.25, NewBytes: 4096,
+				Extra: Extra{SGsFlushed: 5, FillSum: 4.25, NewBytes: 4096, NewObjs: 64,
 					WriteBackBytes: 960, WriteBackObjs: 12, Sacrificed: 3,
 					DataBytesWritten: 16384, IndexBytesWritten: 2048,
-					FalsePositiveReads: 7, CoolingRuns: 6, FlushRecordsDropped: 9},
+					FalsePositiveReads: 7, CoolingRuns: 6},
 				FreeDataZones:  []int{3, 2},
 				FreeIndexZones: []int{9},
 				Groups: []Group{
@@ -45,11 +44,11 @@ func sampleFile() *File {
 						Zone: 8, FilterBits: 192,
 						Members: []SG{
 							{ID: 2, Zone: -1, SetCounts: make([]uint16, 16)},
-							{ID: 3, Fill: 0.5, Zone: 1,
+							{ID: 3, Zone: 1,
 								SetCounts: append([]uint16{1, 1}, make([]uint16, 14)...),
 								Bits:      []uint64{0b10}},
 							{ID: 4, Zone: -1, SetCounts: make([]uint16, 16)},
-							{ID: 5, Fill: 0.25, Zone: 0,
+							{ID: 5, Zone: 0,
 								SetCounts: append([]uint16{1}, make([]uint16, 15)...),
 								Bits:      []uint64{}},
 						},
@@ -61,14 +60,10 @@ func sampleFile() *File {
 					},
 				},
 				MemQ: []MemSG{
-					{NewBytes: 80, WBBytes: 48, NewObjs: 2, WBObjs: 1, Sets: [][]byte{make([]byte, 512), make([]byte, 512)}},
+					{NewBytes: 80, WBBytes: 48, NewObjs: 2, Sets: [][]byte{make([]byte, 512), make([]byte, 512)}},
 					{Sets: [][]byte{make([]byte, 512), make([]byte, 512)}},
 				},
 				ICQueue: []PBFGRef{{Group: 0, Set: 1}, {Group: 0, Set: 3}},
-				FlushLog: []FlushRec{
-					{Fill: 0.5, NewObjs: 10, WBObjs: 2, NewBytes: 800, WBBytes: 160},
-					{Fill: 0.75, NewObjs: 3, WBObjs: 1, NewBytes: 240, WBBytes: 80},
-				},
 			},
 			{
 				NextSGID: 1, NextGroup: 1,
@@ -104,8 +99,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // version 4 (the version-3 pin was cd2c387b…0577): the version word, the
 // CONFIG section without its objects-per-set slot, one FilterBits field per
 // group (192 and 64 in the sample), and the sample's unsealed filter blob
-// grown from 16×4 to 16×8 bytes to match its 64-bit width.
-const sampleSHA256 = "4a19f13d7de482d6ac4901e8b8431b699a1b29f72605a70f7f86c94857868a39"
+// grown from 16×4 to 16×8 bytes to match its 64-bit width. Re-recorded for
+// version 5 (the version-4 pin was 4a19f13d…8a39): the version word, CONFIG
+// without its two ratio slots, META without the dropped-record count and with
+// NewObjs (64 in the sample) after NewBytes, no fill per SG, no writeback
+// object count per buffered SG, and no flush-log section per shard.
+const sampleSHA256 = "055c5b291117d140cceb45a9a7a148e38a0c6ea513b41277f0771e5d7da86b9b"
 
 func TestEncodeLayoutPinned(t *testing.T) {
 	sum := sha256.Sum256(Encode(sampleFile()))
@@ -217,9 +216,9 @@ func TestSectionOffsets(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SectionOffsets: %v", err)
 	}
-	// 0, header end, then one boundary per section: CONFIG + 6 per shard +
+	// 0, header end, then one boundary per section: CONFIG + 5 per shard +
 	// FOOTER.
-	wantLen := 2 + 1 + 6*len(f.Shards) + 1
+	wantLen := 2 + 1 + 5*len(f.Shards) + 1
 	if len(offs) != wantLen {
 		t.Fatalf("got %d offsets, want %d", len(offs), wantLen)
 	}

@@ -16,22 +16,24 @@
 //
 //	header (64 bytes)
 //	  magic "NEMO1\x00\x00\x00"          [8]
-//	  version                      u32  (currently 4)
+//	  version                      u32  (currently 5)
 //	  pageSize, pagesPerZone, zones u32 ×3 (device geometry)
 //	  boot, writes                 u64  ×2 (device.Generation stamp)
 //	  shardCount                   u32
 //	  totalLen                     u64  (whole-image length, header included)
 //	  reserved                     zeros to byte 64
-//	section × (1 + 6·shardCount + 1)
+//	section × (1 + 5·shardCount + 1)
 //	  kind u32 | len u32 | crc32(payload) u32 | payload
 //
 // Sections appear in a fixed order — CONFIG once, then META, FREELISTS,
-// GROUPS, MEMQ, ICACHE, FLUSHLOG for each shard in shard order, then a
-// FOOTER whose 4-byte payload is the CRC32 of every preceding byte. All
-// integers are little-endian; signed values are two's-complement 64-bit,
-// floats are IEEE-754 bit patterns, booleans are a single 0/1 byte. Each
-// section's payload layout is written down once, as one walk over its
-// fields that Encode and Decode share, so the two directions cannot drift.
+// GROUPS, MEMQ, ICACHE for each shard in shard order, then a FOOTER whose
+// 4-byte payload is the CRC32 of every preceding byte. The kinds number
+// 1 to 6 in that order and the footer is kind 8: 7 was the per-shard flush
+// log, which version 5 dropped. All integers are little-endian; signed
+// values are two's-complement 64-bit, floats are IEEE-754 bit patterns,
+// booleans are a single 0/1 byte. Each section's payload layout is written
+// down once, as one walk over its fields that Encode and Decode share, so
+// the two directions cannot drift.
 //
 // Decoding is canonical: every accepted byte image re-encodes to exactly
 // itself (the fuzz corpus pins Encode(Decode(b)) == b), which rules out
@@ -44,11 +46,11 @@
 // its set counts; the index-cache queue is the list of cached pages. Restore
 // computes what the image leaves out.
 //
-// Version 4's GROUPS section is, per shard, a count and then per group: its
+// Version 5's GROUPS section is, per shard, a count and then per group: its
 // index zone (i64, -1 while unsealed), its filter width in bits (i64, a
 // multiple of 64; 0 while it has no member), its members (count, then per SG
-// id u64, fill f64, data zone i64 (-1 once evicted), set counts u16 each and
-// an optional hotness bitmap) and, while unsealed, one blob per member of its
+// id u64, data zone i64 (-1 once evicted), set counts u16 each and an
+// optional hotness bitmap) and, while unsealed, one blob per member of its
 // filters serialized by set offset. The width is stated rather than derived
 // from the first member's set counts: the group's pages on flash were built
 // at that width, and a restore must read them at it whatever the sizing
@@ -67,6 +69,12 @@
 // fixed objects-per-set target, and its PBFG pages on flash were probed at
 // (h1 + i·h2) mod m, so this build, which probes by enhanced double hashing
 // (internal/bloom), would test other bits of them and miss keys they hold.
+// Version 4 describes the same device state as version 5 but carries state
+// nothing reads: a per-shard flush log (section 7), each SG's fill rate,
+// each buffered SG's writeback object count, a dropped-flush-record counter
+// and two config slots core no longer has. It lacks the new-object counter
+// (Extra.NewObjs), so a restore from it could not continue that count; it
+// is refused rather than restored with the counter reset.
 //
 // # Validation and trust
 //
@@ -111,11 +119,9 @@ type ConfigStamp struct {
 	DataZones         int
 	Shards            int
 	FlushThreshold    int
-	RearFullRatio     float64
 	SGsPerIndexGroup  int
 	BloomFPR          float64
 	CachedPBFGRatio   float64
-	HotTrackTailRatio float64
 	CoolingWriteRatio float64
 	BufferedSGs       bool
 	DelayedFlush      bool
@@ -160,8 +166,6 @@ type Shard struct {
 	// per cached page (the page bytes are re-read from flash on restore, so
 	// the snapshot stays index-only).
 	ICQueue []PBFGRef
-
-	FlushLog []FlushRec
 }
 
 // Group mirrors core's idxGroup: one PBFG index group and its member SGs in
@@ -182,8 +186,7 @@ type Group struct {
 // SG mirrors core's flashSG: one immutable on-flash Set-Group. Its slot is
 // its position in the group and its object count the sum of SetCounts.
 type SG struct {
-	ID   uint64
-	Fill float64
+	ID uint64
 	// Zone is the SG's data zone; -1 once evicted (the zone is reset and
 	// back on the free list).
 	Zone      int
@@ -199,7 +202,6 @@ type MemSG struct {
 	NewBytes uint64
 	WBBytes  uint64
 	NewObjs  int
-	WBObjs   int
 	Sets     [][]byte
 }
 
@@ -228,24 +230,15 @@ type Counters struct {
 
 // Extra mirrors core.NemoStats field-for-field (same reflection pin).
 type Extra struct {
-	SGsFlushed          uint64
-	FillSum             float64
-	NewBytes            uint64
-	WriteBackBytes      uint64
-	WriteBackObjs       uint64
-	Sacrificed          uint64
-	DataBytesWritten    uint64
-	IndexBytesWritten   uint64
-	FalsePositiveReads  uint64
-	CoolingRuns         uint64
-	FlushRecordsDropped uint64
-}
-
-// FlushRec mirrors core.FlushRecord.
-type FlushRec struct {
-	Fill     float64
-	NewObjs  int
-	WBObjs   int
-	NewBytes uint64
-	WBBytes  uint64
+	SGsFlushed         uint64
+	FillSum            float64
+	NewBytes           uint64
+	NewObjs            uint64
+	WriteBackBytes     uint64
+	WriteBackObjs      uint64
+	Sacrificed         uint64
+	DataBytesWritten   uint64
+	IndexBytesWritten  uint64
+	FalsePositiveReads uint64
+	CoolingRuns        uint64
 }

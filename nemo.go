@@ -72,7 +72,7 @@ type MemoryOverhead = core.MemoryOverhead
 // routing and adds what is Nemo's: the zone layout, the shared flusher pool,
 // checkpoint and restore, and Readout, every counter and the resident ledger
 // summed over the shards. Shard(i).Readout adds what only a shard has (the
-// Table 6 model, breaker position, last write error) beside its FlushLog.
+// Table 6 model, breaker position, last write error).
 type ShardedCache = core.Sharded
 
 // NewSharded creates a Nemo cache — the only constructor; cfg.DataZones is
