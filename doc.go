@@ -116,28 +116,42 @@
 //     and dropped when the SG's group retires, even where pooled read
 //     scratch still points at the struct: one pointer-free object per SG
 //     held, none per request.
-//   - Every setblock page is a carve of a slab: an in-memory SG's sets of
-//     the SG's, a flush victim's read-back pages of the flush kit's window.
-//     A kit is what only a running flush needs — the rear SG its seal
-//     rotates in, the 128 KiB window every device call of the flush moves
-//     its pages through (set pages, PBFG pages, victim read-back: one
-//     Append or ReadPages a window), and filter scratch — taken from a free
-//     list all shards share and returned with the flushed SG as its spare
+//   - An in-memory SG holds the bytes its entries take, not a page per
+//     set: its sets are FIFO chains of records through an append-only log
+//     of four-page chunks (16 KiB), with a 12-byte head and 512 presence
+//     bits a set (memsg.go). Removed and sacrificed records stay dead in
+//     the log until they outweigh the live ones and two chunks, when the
+//     log is compacted, so it holds at most 2 × live + 3 chunks. Chunks
+//     come from a list all shards share, which keeps one SG's bytes idle
+//     and drops the rest; a flush's commit returns the flushed front's
+//     chunks to it. A flush victim's read-back pages are carves of the
+//     flush kit's window. A kit is what only a running flush needs — the
+//     empty rear its seal rotates in (heads and presence words), the 128
+//     KiB window every device call of the flush moves its pages through
+//     (set pages, PBFG pages, victim read-back: one Append or ReadPages a
+//     window), and filter scratch — taken from a free list all shards
+//     share and returned with the flushed, emptied SG as its spare
 //     (writepath.go). An unsealed group's PBFG pages are one buffer, made
 //     when its first member commits and dropped whole when the group seals.
 //
-// Resident memory is index(objects) + Shards × MemSGs × SG +
-// min(flushes in flight, max(1, Flushers)) × kit, with kit = spare SG +
-// window (1.16 MiB at 1 MiB zones); Readout.Resident sums it, split those
-// three ways beside what Readout.Model charges the same objects, with the
-// index part split again by the layer that holds it (PBFG cache, group
-// buffers, SG meta), and the stats verb prints it (resident_* rows). Sharing
-// kits across shards took write_churn · engine_heap_mib from 28.9 to 24.8
-// MiB at 4 shards and 2 flushers, the window in place of a whole-SG
-// read-back slab took the same row to 23.1 MiB, and index metadata at its
-// real size — PBFG slots of the filters' bytes, SG meta without its count
-// region or slab arena — took it lower again (CHANGES.md has the pairs, and
-// the traced core.heap_bits_per_obj beside an unmoved core.resident_objs).
+// Resident memory is index(objects) + the in-memory SGs' chunks (what
+// their entries take, within 2 × live + 3 chunks each) + Shards × MemSGs ×
+// SetsPerSG × 76 bytes of set heads and presence words + idle chunks (at
+// most one SG's bytes, whatever the shard count) + min(flushes in flight,
+// max(1, Flushers)) × kit, with kit = window + filter scratch + an empty
+// SG's heads (0.17 MiB at 1 MiB zones); Readout.Resident sums it, split
+// into write buffers, kits and the index part beside what Readout.Model
+// charges the same objects, with the index part split again by the layer
+// that holds it (PBFG cache, group buffers, SG meta), and the stats verb
+// prints it (resident_* rows). Sharing kits across shards took write_churn
+// · engine_heap_mib from 28.9 to 24.8 MiB at 4 shards and 2 flushers, the
+// window in place of a whole-SG read-back slab took the same row to 23.1
+// MiB, index metadata at its real size — PBFG slots of the filters' bytes,
+// SG meta without its count region or slab arena — took it to 16.9, and
+// chunked in-memory SGs in place of a page a set took it to 11.2 MiB
+// (10/10 pairs; get_fits 14.6 → 7.6, lib_direct 15.6 → 8.3). CHANGES.md
+// has the pairs, and the traced core.heap_bits_per_obj beside an unmoved
+// core.resident_objs.
 //
 // PBFG pages. A PBFG page holds the set-level Bloom filters of one intra-SG
 // offset across the M SGs of an index group (Config.SGsPerIndexGroup, 50).

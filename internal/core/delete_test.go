@@ -273,6 +273,124 @@ func TestDeleteSuppressesWriteback(t *testing.T) {
 	}
 }
 
+// TestSacrificedOverwriteOutlivesFIFO checks, on one shard and driven
+// serially, the reading the consistency window's tombstone fix rests on:
+// once an overwrite's newest copy is sacrificed, eviction writeback finds no
+// newer copy to shadow the old one, so a hot stale copy is written back and
+// outlives its SG's FIFO position.
+//
+//   - v1 is flushed and read while its SG is in the pool's hot tail
+//     (HotTrackTail), which sets its hotness bit;
+//   - v2 is set into the front SG and then sacrificed from it by same-set
+//     inserts, before any flush;
+//   - flushes are driven until v1's SG is evicted.
+//
+// Today Get then returns v1: writeback re-inserted it, and it is on flash in
+// a younger SG. The test pins that behaviour. The tombstone change ROADMAP
+// direction 2(a) names — a sacrificed overwrite leaves a tombstone that
+// shadows the older copy — must flip the last assertion to a miss.
+func TestSacrificedOverwriteOutlivesFIFO(t *testing.T) {
+	// A 20-SG pool tracks hotness over its oldest six: v1's SG is read as it
+	// enters the tail, which leaves room for the two flushes that take the
+	// SGs the same-set inserts packed before v1's SG is evicted into an SG
+	// with room in v1's set.
+	const dataZones = 20
+	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 16, Zones: dataZones + IndexZonesFor(dataZones, 4)})
+	c := testCacheOn(t, dev, func(cfg *Config) { cfg.DataZones = dataZones })
+	k, v1 := kv(0)
+	v2 := []byte("v2-the-overwrite-the-sacrifice-drops")
+	// A full pool first, so v1's SG reaches the tail a few flushes before
+	// its eviction, as in steady state.
+	for c.PoolLen() < c.cfg.DataZones {
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Set(k, v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	sgID := c.pool[len(c.pool)-1].id
+	c.mu.Unlock()
+	// inTail reports whether v1's SG is in the hot tail, and evicted whether
+	// it has left the pool.
+	inTail := func() (tail, evicted bool) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if len(c.pool) == 0 || c.pool[0].id > sgID {
+			return false, true
+		}
+		return int(sgID-c.pool[0].id) < c.hotTail(), false
+	}
+	for flushes := 0; ; flushes++ {
+		tail, evicted := inTail()
+		if evicted || flushes > 64 {
+			t.Fatalf("v1's SG never entered the hot tail (evicted %v after %d flushes)", evicted, flushes)
+		}
+		if tail {
+			break
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, hit := c.Get(k); !hit || string(got) != string(v1) {
+		t.Fatalf("v1 read back as %q (hit %v)", got, hit)
+	}
+
+	// v2 lands in the empty front SG, the oldest entry of its set there;
+	// same-set inserts fill that set in both in-memory SGs, and the first
+	// sacrifice takes v2.
+	if err := c.Set(k, v2); err != nil {
+		t.Fatal(err)
+	}
+	o := c.setOf(hashing.Fingerprint(k))
+	flushed := c.Readout().SGsFlushed
+	sacrificed := c.Readout().Sacrificed
+	for i := 1; ; i++ {
+		if valued, _, _ := memCopies(c, k); valued == 0 {
+			break
+		}
+		ck, cv := kv(i)
+		if c.setOf(hashing.Fingerprint(ck)) != o {
+			continue
+		}
+		if err := c.Set(ck, cv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r := c.Readout(); r.SGsFlushed != flushed || r.Sacrificed == sacrificed {
+		t.Fatalf("v2 left memory by %d flushes and %d sacrifices, want by sacrifice alone",
+			r.SGsFlushed-flushed, r.Sacrificed-sacrificed)
+	}
+	if got, hit := c.Get(k); !hit || string(got) != string(v1) {
+		t.Fatalf("with v2 sacrificed, Get = %q (hit %v), want v1 from flash", got, hit)
+	}
+
+	wb := c.Readout().WriteBackObjs
+	for flushes := 0; ; flushes++ {
+		if _, evicted := inTail(); evicted {
+			break
+		}
+		if flushes > 64 {
+			t.Fatal("v1's SG was never evicted")
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Readout().WriteBackObjs == wb {
+		t.Fatal("evicting v1's SG wrote nothing back")
+	}
+	got, hit := c.Get(k)
+	if !hit || string(got) != string(v1) {
+		t.Fatalf("after v1's SG was evicted, Get = %q (hit %v); today writeback keeps v1", got, hit)
+	}
+}
+
 // TestShardedCloseClosesEveryShard pins the Close error path: all shards
 // must be closed even when earlier ones fail, and the first error returned.
 func TestShardedCloseClosesEveryShard(t *testing.T) {

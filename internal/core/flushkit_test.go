@@ -115,7 +115,10 @@ func heapAlloc(dev *flashsim.Device) uint64 {
 //   - flush kits do not scale with shards: after the kits have been
 //     saturated the idle list holds exactly max(1, Flushers) of them at 4
 //     and at 8 shards, and the one a lone cache can ever use at 1;
-//   - the write buffers are Shards × MemSGs × SG bytes;
+//   - the write buffers are each in-memory SG's chunks, set heads and
+//     presence words plus the idle chunks on the shared list, each SG's log
+//     is within 2 × live + 3 chunks and the list keeps at most one SG's
+//     bytes (writeBuffers);
 //   - each index-layer term is its arithmetic (indexLedger);
 //   - the ledger adds up: its total is within 6% of the HeapAlloc growth
 //     since before NewSharded (the simulated device's zone memory, which
@@ -165,21 +168,28 @@ func TestResidentBytesLedger(t *testing.T) {
 
 			c := s.Shard(0)
 			kit := c.newFlushKit().bytes()
-			sg := c.memq[0].bytes()
-			wantKits := uint64(flushers)
+			wantKits := flushers
 			if shards == 1 {
 				wantKits = 1
 			}
-			if r.FlushKits != wantKits*kit {
-				t.Errorf("idle kits hold %d bytes, want %d kits of %d", r.FlushKits, wantKits, kit)
+			// An idle kit is a new one but for its spare's two chunk lists,
+			// which keep the capacity the SG's last life grew them to.
+			s.kits.mu.Lock()
+			idle, lists := len(s.kits.idle), 0
+			for _, k := range s.kits.idle {
+				lists += int(unsafe.Sizeof([]byte(nil))) * (cap(k.spare.chunks) + cap(k.spare.swap))
+			}
+			s.kits.mu.Unlock()
+			if idle != wantKits || r.FlushKits != uint64(wantKits)*kit+uint64(lists) {
+				t.Errorf("%d idle kits hold %d bytes, want %d kits of %d and %d bytes of chunk lists", idle, r.FlushKits, wantKits, kit, lists)
 			}
 			if kitBytes == 0 {
 				kitBytes = kit
 			} else if kit != kitBytes {
 				t.Errorf("a kit is %d bytes at %d shards and %d at 1", kit, shards, kitBytes)
 			}
-			if want := uint64(shards*c.cfg.MemSGs()) * sg; r.WriteBuffers != want {
-				t.Errorf("write buffers hold %d bytes, want Shards × MemSGs × SG = %d", r.WriteBuffers, want)
+			if want := writeBuffers(t, s); r.WriteBuffers != want {
+				t.Errorf("write buffers hold %d bytes, want the SGs' chunks, heads and presence words and the idle chunks, %d", r.WriteBuffers, want)
 			}
 			if want := indexLedger(t, s); r.PBFGCache != want.PBFGCache || r.GroupBuffers != want.GroupBuffers || r.SGMeta != want.SGMeta {
 				t.Errorf("index ledger pbfg cache %d, group buffers %d, sg meta %d; want %d, %d, %d",
@@ -198,6 +208,40 @@ func TestResidentBytesLedger(t *testing.T) {
 			}
 		})
 	}
+}
+
+// writeBuffers recomputes the write-buffer term of s's ledger from what
+// each in-memory SG holds — its chunks, a 12-byte head and 512 presence
+// bits per set, and a slice header per slot of its two chunk lists — plus
+// the chunks idle on the shared list, and checks the two bounds the
+// chunked log keeps: each SG's chunks within 2 × live + 3 chunks, the list
+// within one SG's bytes.
+func writeBuffers(t *testing.T, s *Sharded) uint64 {
+	t.Helper()
+	var n uint64
+	for i, c := range s.shards {
+		c.mu.Lock()
+		for j, sg := range c.memq {
+			log := len(sg.chunks) * sg.chunkSize
+			if log > 2*sg.live+3*sg.chunkSize {
+				t.Errorf("shard %d SG %d: %d log bytes for %d live, over 2 × live + 3 chunks of %d", i, j, log, sg.live, sg.chunkSize)
+			}
+			n += uint64(log + c.setsPerSG*(12+64) + 24*(cap(sg.chunks)+cap(sg.swap)))
+		}
+		c.mu.Unlock()
+	}
+	s.kits.mu.Lock()
+	defer s.kits.mu.Unlock()
+	c := s.shards[0]
+	sgBytes := c.setsPerSG * c.pageSize
+	idle := 0
+	for _, ch := range s.kits.chunks {
+		idle += len(ch)
+	}
+	if idle > sgBytes {
+		t.Errorf("%d idle chunk bytes, the list keeps one SG's %d", idle, sgBytes)
+	}
+	return n + uint64(idle)
 }
 
 // indexLedger recomputes the index-layer terms of s's ledger from what each
@@ -406,8 +450,11 @@ func TestFlushKitReturnsAfterFailedFlush(t *testing.T) {
 // TestFlushKitHeapFlatOverChurn is TestArenaFlatOverChurn's flat-heap
 // property with kits in the picture: four goroutines keep eight shards
 // flushing inline, more flushes in flight than the list keeps, so kits are
-// built and dropped all the time — and the live heap after a collection
-// does not grow from one round to the next.
+// built and dropped all the time — and the live heap after a collection,
+// less the write buffers the ledger counts (which follow how full each
+// shard's in-memory SGs happen to be when the round ends, and are checked
+// against their own bounds by writeBuffers), does not grow from one round
+// to the next by more than one kit.
 func TestFlushKitHeapFlatOverChurn(t *testing.T) {
 	dev, s := kitGeom(t, 8, 32, 0)
 	round := func(r int) uint64 {
@@ -426,7 +473,12 @@ func TestFlushKitHeapFlatOverChurn(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		return heapAlloc(dev)
+		heap := heapAlloc(dev)
+		wb := s.Readout().WriteBuffers
+		if held := writeBuffers(t, s); wb != held {
+			t.Errorf("round %d: ledger counts %d write-buffer bytes, the SGs and the list hold %d", r, wb, held)
+		}
+		return heap - wb
 	}
 	round(0) // fill the pool; eviction and the arenas reach steady state
 	before := round(1)
@@ -436,7 +488,7 @@ func TestFlushKitHeapFlatOverChurn(t *testing.T) {
 	}
 	kit := s.Shard(0).newFlushKit().bytes()
 	if after > before+kit {
-		t.Errorf("live heap grew from %d to %d bytes over four rounds of kit churn, more than one kit (%d)", before, after, kit)
+		t.Errorf("live heap less the write buffers grew from %d to %d bytes over four rounds of kit churn, more than one kit (%d)", before, after, kit)
 	}
 	if n := len(s.kits.idle); n > s.kits.keep {
 		t.Errorf("%d idle kits, the list keeps %d", n, s.kits.keep)

@@ -166,6 +166,50 @@ func TestDeleteAllocationsSteadyState(t *testing.T) {
 	}
 }
 
+// TestCompactionAllocationsSteadyState extends the allocation pins to the
+// in-memory SG log's compaction, which takes its fresh chunks from the
+// shared chunk list: testing.AllocsPerRun truncates its per-run mean, so a
+// chunk allocated once every few dozen Sets would hide under the Set, SetMany
+// and Delete pins. One key is overwritten until the front SG's log has
+// compacted twice — the chunk list and both of the log's chunk lists warm —
+// and then until it has compacted three times more, and the process's
+// Mallocs must not move over that whole second loop.
+func TestCompactionAllocationsSteadyState(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race instrumentation allocates; the pin runs in the non-race CI lane")
+	}
+	c := testCache(t, nil)
+	k, v := kv(0)
+	front := c.memq[0]
+	sets := 0
+	overwrite := func(compactions int) {
+		for n := 0; n < compactions; sets++ {
+			if sets == 10_000 {
+				t.Fatalf("%d overwrites compacted the log %d times, want %d", sets, n, compactions)
+			}
+			dead := front.dead
+			if err := c.Set(k, v); err != nil {
+				t.Fatal(err)
+			}
+			if front.dead < dead {
+				n++
+			}
+		}
+	}
+	overwrite(2)
+	sets = 0
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	overwrite(3)
+	runtime.ReadMemStats(&after)
+	if c.memq[0] != front || c.Readout().SGsFlushed != 0 {
+		t.Fatal("a flush ran: the overwrites must stay in the front SG")
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("%d allocations over %d overwrites and three compactions, want 0", n, sets)
+	}
+}
+
 // TestSetManyAllocationsSteadyState extends the allocation pins to the
 // batched insert path: a steady-state SetMany round (in-place overwrites,
 // no flush) allocates nothing per op, same budget as serial Set.

@@ -130,6 +130,9 @@ func newShard(cfg Config, base int, kits *kitPool) (*Cache, error) {
 		return nil, fmt.Errorf("core: %d filters of 64 bits exceed the %d-byte PBFG page; lower SGsPerIndexGroup",
 			cfg.SGsPerIndexGroup, dev.PageSize())
 	}
+	if _, _, ok := logGeometry(dev.PagesPerZone(), dev.PageSize()); !ok {
+		return nil, fmt.Errorf("core: %d-page zones overflow the in-memory SG log's 32-bit record addresses", dev.PagesPerZone())
+	}
 	if cfg.BreakerThreshold > 0 && cfg.BreakerProbeAfter == 0 {
 		cfg.BreakerProbeAfter = time.Second
 	}
@@ -150,7 +153,7 @@ func newShard(cfg Config, base int, kits *kitPool) (*Cache, error) {
 		return &getScratch{probes: bloom.NewProbeSet(0, c.bfK)}
 	}
 	for i := 0; i < cfg.MemSGs(); i++ {
-		c.memq = append(c.memq, newMemSG(c.setsPerSG, c.pageSize))
+		c.memq = append(c.memq, newMemSG(c.setsPerSG, c.pageSize, kits))
 	}
 	for z := base + cfg.DataZones - 1; z >= base; z-- {
 		c.freeDataZones = append(c.freeDataZones, z)

@@ -161,10 +161,11 @@ func (s *Sharded) Flush() error {
 }
 
 // Readout sums the shards' read-outs (Readout.Add), the shared idle flush
-// kits counted once; the per-shard fields are zero. Each shard is read under
-// its own lock, one after another, with no global lock.
+// kits and log chunks counted once; the per-shard fields are zero. Each
+// shard is read under its own lock, one after another, with no global lock.
 func (s *Sharded) Readout() Readout {
-	r := Readout{Resident: Resident{FlushKits: s.kits.idleBytes()}}
+	var r Readout
+	r.FlushKits, r.WriteBuffers = s.kits.idleBytes()
 	for _, c := range s.shards {
 		r = r.Add(c.Readout())
 	}

@@ -147,8 +147,8 @@ func (c *Cache) captureLocked() snapshot.Shard {
 			WBBytes:  m.wbBytes,
 			NewObjs:  m.newObjs,
 		}
-		for o := range m.sets {
-			ms.Sets = append(ms.Sets, m.sets[o].AppendTo(nil))
+		for o := 0; o < c.setsPerSG; o++ {
+			ms.Sets = append(ms.Sets, m.appendSet(o, nil))
 		}
 		sh.MemQ = append(sh.MemQ, ms)
 	}
@@ -280,7 +280,7 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 		if len(ms.Sets) != c.setsPerSG {
 			return nil, cfgErr("buffered SG %d has %d sets, want %d", i, len(ms.Sets), c.setsPerSG)
 		}
-		m := newMemSG(c.setsPerSG, c.pageSize)
+		m := newMemSG(c.setsPerSG, c.pageSize, c.kits)
 		m.newBytes, m.wbBytes = ms.NewBytes, ms.WBBytes
 		m.newObjs = ms.NewObjs
 		for o, page := range ms.Sets {

@@ -132,11 +132,14 @@ type Resident struct {
 	// PaperMeta is their sum, ModelMeta what the model (Readout.Model,
 	// Table 6) charges the same Objects.
 	PBFGCache, GroupBuffers, SGMeta, ModelMeta uint64
-	// WriteBuffers is Shards × MemSGs × SG bytes, and one SG more per
-	// flush between its seal and its commit.
+	// WriteBuffers is the in-memory SGs' log chunks, set heads and presence
+	// words: the memq's, and the sealed SG's between a flush's seal and its
+	// commit (memSG.bytes). Sharded.Readout adds the idle chunks on the
+	// shared list — at most one SG's bytes — once.
 	WriteBuffers uint64
 	// FlushKits is the idle kits — at most max(1, Flushers), whatever the
-	// shard count — plus those of flushes in flight (flushKit).
+	// shard count — plus those of flushes in flight: each a window, filter
+	// scratch and an empty SG's heads (flushKit).
 	FlushKits uint64
 }
 
@@ -145,11 +148,6 @@ func (r Resident) PaperMeta() uint64 { return r.PBFGCache + r.GroupBuffers + r.S
 
 // Total is the resident bytes: index layer, write buffers and kits.
 func (r Resident) Total() uint64 { return r.PaperMeta() + r.WriteBuffers + r.FlushKits }
-
-// bytes is the memSG's resident size: slab, block headers, presence words.
-func (sg *memSG) bytes() uint64 {
-	return uint64(cap(sg.slab) + len(sg.sets)*int(unsafe.Sizeof(sg.sets[0])) + 8*len(sg.present))
-}
 
 // Readout is one shard's whole read-out — the common counters, Nemo's own,
 // the index cache's, the resident ledger and the breaker — taken under one
@@ -162,7 +160,8 @@ type Readout struct {
 	// PBFGLookups counts sealed-PBFG lookups and PBFGMisses those that
 	// fetched the page from flash (Figure 19b's miss ratio).
 	PBFGLookups, PBFGMisses uint64
-	// Resident leaves out the idle flush kits, which Sharded.Readout adds once.
+	// Resident leaves out the idle flush kits and log chunks, which
+	// Sharded.Readout adds once.
 	Resident
 
 	Model            MemoryOverhead // Table 6's cost over the shard's pool objects

@@ -71,8 +71,10 @@ package core
 // on its own flush.
 //
 // Working memory: what a flush needs beyond the SG it writes is one
-// flushKit — the spare SG and the window, in the main — held from the
-// flush's start to its end: resident per flush in flight, not per shard.
+// flushKit — the window and filter scratch, in the main, and the empty rear
+// its seal rotates in — held from the flush's start to its end: resident
+// per flush in flight, not per shard. The flushed front's log chunks go
+// back to the shared chunk list at commit, before the kit does.
 //
 // Failure: a device error mid-flush cannot wedge the cache. The owner
 // erases the partially written zones, returns every zone this flush
@@ -93,16 +95,16 @@ import (
 // flushWindow is the byte size of a flush's staging buffer and so of its
 // largest device call: set pages, PBFG pages and victim read-back all move
 // through it, one Append or ReadPages per window — 32 pages at the 4 KiB
-// default page, 8 calls for a 256-page SG — while it stays small beside the
-// SG-sized spare the kit carries anyway.
+// default page, 8 calls for a 256-page SG — an eighth of the SG it moves.
 const flushWindow = 128 << 10
 
-// flushKit is the working memory of one flush: the spare in-memory SG the
-// seal rotates into memq (the flushed front takes its place at commit or
-// recovery, so a returned kit always carries one) and the owner-exclusive
-// build scratch. Only spare is touched under the shard lock.
+// flushKit is the working memory of one flush: the empty in-memory SG the
+// seal rotates into memq as the new rear (the flushed front, reset, takes
+// its place at commit or recovery, so a returned kit always carries one:
+// heads and presence words, no chunks) and the owner-exclusive build
+// scratch. Only spare is touched under the shard lock.
 type flushKit struct {
-	spare    *memSG         // nil between seal and commit/recovery
+	spare    *memSG         // nil between seal and commit/recovery; never holds a chunk
 	window   []byte         // staging for one device call: set, PBFG or victim pages
 	winPages [][]byte       // window cut into its page-sized slices, for ReadPages
 	winAddrs []int          // device pages of the window's victim read
@@ -119,7 +121,7 @@ type flushKit struct {
 func (c *Cache) newFlushKit() *flushKit {
 	pages := max(1, flushWindow/c.pageSize)
 	k := &flushKit{
-		spare:    newMemSG(c.setsPerSG, c.pageSize),
+		spare:    newMemSG(c.setsPerSG, c.pageSize, c.kits),
 		window:   make([]byte, pages*c.pageSize),
 		winPages: make([][]byte, pages),
 		winAddrs: make([]int, pages),
@@ -149,17 +151,23 @@ func (k *flushKit) bytes() uint64 {
 	return k.scratch + k.spare.bytes()
 }
 
-// kitPool is the free list of idle flush kits; NewSharded shares one across
-// its shards as it shares the flusherPool.
+// kitPool is the free list of idle flush kits and of idle memSG log
+// chunks; NewSharded shares one across its shards as it shares the
+// flusherPool.
 // It keeps at most keep = max(1, Config.Flushers) idle kits and drops the
 // rest to the GC: that many flushes run at once in steady state (the flusher
 // goroutines, or the one inline caller), so more would only pin a burst's
-// peak. Resident flush memory is min(flushes in flight, keep) × (SG slab +
-// window), whatever the shard count.
+// peak. Resident flush memory is min(flushes in flight, keep) × (window +
+// filter scratch + an empty SG's heads), whatever the shard count.
+// The chunk list keeps at most one SG's bytes idle and drops the rest: a
+// commit returns the flushed front's chunks and the shards' inserts take
+// them back, so most chunks are reused rather than collected and made
+// again.
 type kitPool struct {
-	mu   sync.Mutex
-	idle []*flushKit
-	keep int
+	mu     sync.Mutex
+	idle   []*flushKit
+	keep   int
+	chunks [][]byte // idle log chunks, all of the shards' one size
 }
 
 // take returns an idle kit, or nil: the caller builds one, off this lock.
@@ -180,14 +188,43 @@ func (p *kitPool) put(k *flushKit) {
 	}
 }
 
-// idleBytes is the resident size of the kits on the list.
-func (p *kitPool) idleBytes() (n uint64) {
+// takeChunk returns an idle log chunk of size bytes, or a new one.
+func (p *kitPool) takeChunk(size int) (c []byte) {
+	p.mu.Lock()
+	if n := len(p.chunks); n > 0 {
+		c, p.chunks[n-1], p.chunks = p.chunks[n-1], nil, p.chunks[:n-1]
+	}
+	p.mu.Unlock()
+	if c == nil {
+		c = make([]byte, size)
+	}
+	return c
+}
+
+// putChunks keeps chunks on the list up to keep idle ones; the caller drops
+// its references to all of them.
+func (p *kitPool) putChunks(cs [][]byte, keep int) {
+	if len(cs) == 0 {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := min(len(cs), keep-len(p.chunks)); n > 0 {
+		p.chunks = append(p.chunks, cs[:n]...)
+	}
+}
+
+// idleBytes is the resident size of the kits and of the chunks on the list.
+func (p *kitPool) idleBytes() (kits, chunks uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, k := range p.idle {
-		n += k.bytes()
+		kits += k.bytes()
 	}
-	return n
+	for _, c := range p.chunks {
+		chunks += uint64(len(c))
+	}
+	return kits, chunks
 }
 
 // evictPlan is the seal phase's snapshot of one eviction: which victim set
@@ -271,7 +308,6 @@ func (c *Cache) flushOwner() error {
 	c.nextSGID++ // SG-epoch advance: in-flight optimistic readers will replan
 	c.sealed = front
 	copy(c.memq, c.memq[1:])
-	c.kit.spare.reset()
 	c.memq[len(c.memq)-1], c.kit.spare = c.kit.spare, nil
 	c.sacCount = 0
 
@@ -333,12 +369,13 @@ func (c *Cache) flushOwner() error {
 	// A committed flush is proof the device writes: end any failure run and
 	// close a degraded window (health.go).
 	c.breakerFlushOKLocked()
-	// The flushed front's contents are on flash and published; it becomes
-	// the kit's spare, for the next seal's rear rotation on whichever shard
-	// takes the kit. Readers hold no references — value copies are taken
-	// under the lock — and this runs in the same critical section that
-	// clears c.sealed.
+	// The flushed front's contents are on flash and published: its chunks
+	// go back to the list, and it becomes the kit's spare, for the next
+	// seal's rear rotation on whichever shard takes the kit. Readers hold no
+	// references — value copies are taken under the lock — and this runs in
+	// the same critical section that clears c.sealed.
 	c.sealed = nil
+	front.reset()
 	c.kit.spare = front
 	return nil
 }
@@ -557,8 +594,8 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, idxZone
 	sc.bfBits = sg.group.bfBits
 	if sg.slot == 0 {
 		fullest := 0
-		for o := range front.sets {
-			fullest = max(fullest, front.sets[o].Count())
+		for o := 0; o < c.setsPerSG; o++ {
+			fullest = max(fullest, front.setCount(o))
 		}
 		sc.bfBits = c.filterBits(fullest)
 	}
@@ -573,12 +610,11 @@ func (c *Cache) buildAndAppend(ev *evictPlan, front *memSG, sg *flashSG, idxZone
 		end := min(o+len(sc.winPages), c.setsPerSG)
 		win := sc.window[:0]
 		for ; o < end; o++ {
-			blk := &front.sets[o]
-			win = blk.AppendTo(win)
-			sc.counts[o] = uint32(blk.Count())
-			sg.objCount += blk.Count()
+			win = front.appendSet(o, win)
+			sc.counts[o] = uint32(front.setCount(o))
+			sg.objCount += front.setCount(o)
 			sc.filter.Reset()
-			blk.Range(func(_ int, e setblock.Entry) bool {
+			front.rangeSet(o, func(e setblock.Entry) bool {
 				sc.filter.Add(e.FP)
 				return true
 			})
@@ -624,7 +660,8 @@ func (c *Cache) recoverFailedFlushLocked(ev *evictPlan, front *memSG, sg *flashS
 	}
 	c.stats.Evictions += uint64(front.objCount())
 	c.sealed = nil
-	c.kit.spare = front // dropped, not flushed: nothing references its blocks
+	front.reset() // dropped, not flushed: nothing references its chunks
+	c.kit.spare = front
 	// Every path through here was killed by a device failure (a read-back,
 	// parse, shadow-fetch, reset, or append error); seal-phase
 	// zone-exhaustion errors — configuration conditions, not hardware —

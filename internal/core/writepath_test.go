@@ -128,7 +128,7 @@ func memCopies(c *Cache, key []byte) (valued, tombs int, last []byte) {
 		sgs = append(sgs, c.sealed)
 	}
 	for _, sg := range sgs {
-		sg.sets[o].Range(func(_ int, e setblock.Entry) bool {
+		sg.rangeSet(o, func(e setblock.Entry) bool {
 			switch {
 			case e.FP != fp || string(e.Key) != string(key):
 			case len(e.Value) == 0:

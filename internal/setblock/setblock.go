@@ -55,24 +55,6 @@ func New(size int) *Block {
 	return &Block{buf: make([]byte, 0, size-HeaderSize), size: size}
 }
 
-// InitCarved initializes b as an empty block whose storage is the caller's
-// backing slice instead of a private heap buffer — the slab-allocation hook
-// for engines that carve all of an SG's set pages from one contiguous
-// allocation. backing must have capacity ≥ size-HeaderSize; the block never
-// grows past that budget (every append is fit-checked), so the carve is
-// stable for the block's lifetime.
-func (b *Block) InitCarved(size int, backing []byte) {
-	if size <= HeaderSize {
-		panic(fmt.Sprintf("setblock: size %d too small", size))
-	}
-	if cap(backing) < size-HeaderSize {
-		panic(fmt.Sprintf("setblock: backing cap %d short of %d", cap(backing), size-HeaderSize))
-	}
-	b.buf = backing[: 0 : size-HeaderSize]
-	b.size = size
-	b.count = 0
-}
-
 // Reset clears the block to empty without releasing its buffer.
 func (b *Block) Reset() {
 	b.buf = b.buf[:0]
@@ -260,25 +242,6 @@ func (b *Block) InsertEvicting(e Entry, evicted func(Entry)) {
 	b.Insert(e.FP, e.Key, e.Value)
 }
 
-// EvictOldestValued removes and returns a copy of the oldest entry with a
-// non-empty value, preserving zero-length entries (Nemo's deletion
-// tombstones, which must keep shadowing older flash copies). Returns false
-// when only tombstones (or nothing) remain.
-func (b *Block) EvictOldestValued() (Entry, bool) {
-	off := 0
-	for i := 0; i < b.count; i++ {
-		e, next := b.entryAt(off)
-		if len(e.Value) > 0 {
-			out := Entry{FP: e.FP, Key: append([]byte(nil), e.Key...), Value: append([]byte(nil), e.Value...)}
-			b.buf = append(b.buf[:off], b.buf[next:]...)
-			b.count--
-			return out, true
-		}
-		off = next
-	}
-	return Entry{}, false
-}
-
 // Range calls fn for each entry in FIFO order until fn returns false.
 // Entries alias the block; fn must not mutate the block.
 func (b *Block) Range(fn func(slot int, e Entry) bool) {
@@ -317,7 +280,7 @@ func Parse(page []byte, size int) (*Block, error) {
 }
 
 // DecodeFrom decodes a serialized page into b, reusing b's existing storage
-// (from New or InitCarved; the size budget is b's). On error b is left empty.
+// (the size budget is b's). On error b is left empty.
 func (b *Block) DecodeFrom(page []byte) error {
 	b.Reset()
 	if len(page) < HeaderSize {
