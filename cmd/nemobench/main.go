@@ -8,7 +8,7 @@
 //	nemobench exp <id> [-scale small|medium|large] [-ops N] [-seed S]
 //	nemobench all [-scale medium] [-ops N] [-seed S]
 //	nemobench compare [-shards 1,2,4,8] [-engines nemo,log,set,kg,fw]
-//	          [-ops N] [-seed S] [-batch B] [-flushers K]
+//	          [-ops N] [-seed S] [-flushers K]
 //	          [-setfrac F] [-delfrac F] [-scale small|medium|large]
 //	          [-device file:<path>]
 //	nemobench chaos [-scenario write-outage,flaky-writes|all] [-shards 2]
@@ -28,7 +28,8 @@
 // table per count (hit ratio, write amplification, error counts), the same
 // bytes on every run and on either device backend. -engines nemo is the
 // functional smoke of the sharded engine alone; -setfrac 0 -delfrac 0 is the
-// pure-GET demand-fill trace.
+// pure-GET demand-fill trace. The replay runs one goroutine per shard and
+// makes one engine call per request.
 //
 // compare and chaos send every SET through SetAsync; -flushers alone decides
 // when Nemo flushes. -flushers 0, the default, flushes inline on the inserting
@@ -292,7 +293,6 @@ func cmdCompare(args []string) int {
 		cfg.Engines = strings.Split(s, ",")
 		return experiments.CheckEngines(cfg.Engines)
 	})
-	c.IntVar(&cfg.Batch, "batch", 0, "per-shard batch size (<=1 = unbatched)")
 	c.IntVar(&cfg.Flushers, "flushers", 0, "Nemo's background flusher goroutines (0 = flush inline)")
 	c.Float64Var(&cfg.SetFrac, "setfrac", 0.1, "fraction of requests rewritten to explicit SETs")
 	c.Float64Var(&cfg.DelFrac, "delfrac", 0.02, "fraction of requests rewritten to DELETEs")

@@ -51,6 +51,7 @@ func TestExitStatus(t *testing.T) {
 		{"compare -device tape:x", 2, "unknown device spec", "usage: nemobench compare"},
 		{"compare -workers 2", 2, "not defined: -workers", "usage: nemobench compare"},
 		{"compare -async", 2, "not defined: -async", "usage: nemobench compare"},
+		{"compare -batch 32", 2, "not defined: -batch", "usage: nemobench compare"},
 		{"chaos -async", 2, "not defined: -async", "usage: nemobench chaos"},
 		{"chaos -shards x", 2, `bad shard count "x"`, "usage: nemobench chaos"},
 		{"chaos -scenario nope", 2, `unknown scenario "nope"`, "usage: nemobench chaos"},

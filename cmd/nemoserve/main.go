@@ -51,6 +51,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -68,7 +69,7 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
 // dumpHealth writes the on-demand SIGQUIT health report: the server's
@@ -90,26 +91,33 @@ func dumpHealth(w io.Writer, srv *server.Server, cache *core.Sharded) {
 	}
 }
 
-func run() int {
+// run serves until a signal drains the server and returns the exit status:
+// 0 after a clean drain (or -h), 1 when serving failed, 2 for a usage error.
+func run(args []string) int {
+	fs := flag.NewFlagSet("nemoserve", flag.ContinueOnError)
 	var (
-		addr      = flag.String("addr", "127.0.0.1:11211", "listen address")
-		shards    = flag.Int("shards", 8, "cache shards (data zones must divide evenly)")
-		zones     = flag.Int("zones", 48, "total SG-pool data zones across shards")
-		flushers  = flag.Int("flushers", 2, "background flusher goroutines (0 = flush inline: STORED means stored)")
-		maxBatch  = flag.Int("max-batch", 64, "pipelined requests coalesced per engine round")
-		maxConns  = flag.Int("max-conns", 0, "max concurrent connections (0 = unlimited)")
-		rejBusy   = flag.Bool("reject-busy", false, "answer SERVER_ERROR busy at the cap instead of parking accepts")
-		idleTO    = flag.Duration("idle-timeout", 0, "drop connections idle between request batches this long (0 = never)")
-		readTO    = flag.Duration("read-timeout", 0, "per-read deadline inside a request, the slow-loris bound (0 = none)")
-		degThresh = flag.Int("degraded-threshold", 3, "consecutive flush failures that trip a shard read-only (0 = breaker off)")
-		degProbe  = flag.Duration("degraded-probe", time.Second, "device-clock interval between recovery probes while degraded")
-		wrRetries = flag.Int("write-retries", 2, "in-place retries of a failed page append (0 = none)")
-		wrBackoff = flag.Duration("retry-backoff", 2*time.Millisecond, "base delay between append retries, doubling per attempt")
-		devStr    = flag.String("device", "sim", "device backend: sim, or file:<path> (file-backed real device)")
-		snapPath  = flag.String("snapshot", "", "warm-restart snapshot path (restore on boot, checkpoint on drain)")
-		snapEvery = flag.Duration("snapshot-every", 0, "periodic checkpoint interval (0 = only on drain; needs -snapshot)")
+		addr      = fs.String("addr", "127.0.0.1:11211", "listen address")
+		shards    = fs.Int("shards", 8, "cache shards (data zones must divide evenly)")
+		zones     = fs.Int("zones", 48, "total SG-pool data zones across shards")
+		flushers  = fs.Int("flushers", 2, "background flusher goroutines (0 = flush inline: STORED means stored)")
+		maxBatch  = fs.Int("max-batch", 64, "pipelined requests coalesced per engine round")
+		maxConns  = fs.Int("max-conns", 0, "max concurrent connections (0 = unlimited)")
+		rejBusy   = fs.Bool("reject-busy", false, "answer SERVER_ERROR busy at the cap instead of parking accepts")
+		idleTO    = fs.Duration("idle-timeout", 0, "drop connections idle between request batches this long (0 = never)")
+		readTO    = fs.Duration("read-timeout", 0, "per-read deadline inside a request, the slow-loris bound (0 = none)")
+		degThresh = fs.Int("degraded-threshold", 3, "consecutive flush failures that trip a shard read-only (0 = breaker off)")
+		degProbe  = fs.Duration("degraded-probe", time.Second, "device-clock interval between recovery probes while degraded")
+		wrRetries = fs.Int("write-retries", 2, "in-place retries of a failed page append (0 = none)")
+		wrBackoff = fs.Duration("retry-backoff", 2*time.Millisecond, "base delay between append retries, doubling per attempt")
+		devStr    = fs.String("device", "sim", "device backend: sim, or file:<path> (file-backed real device)")
+		snapPath  = fs.String("snapshot", "", "warm-restart snapshot path (restore on boot, checkpoint on drain)")
+		snapEvery = fs.Duration("snapshot-every", 0, "periodic checkpoint interval (0 = only on drain; needs -snapshot)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	// Flag values that are wrong on their face or that NewSharded would
 	// refuse are usage errors here, before the device is opened: a
@@ -128,10 +136,14 @@ func run() int {
 		bad = "-flushers, -write-retries and -degraded-threshold must not be negative"
 	case *degProbe < 0 || *wrBackoff < 0:
 		bad = "-degraded-probe and -retry-backoff must not be negative"
+	case *maxConns < 0 || *maxBatch < 0:
+		bad = "-max-conns and -max-batch must not be negative"
+	case *idleTO < 0 || *readTO < 0:
+		bad = "-idle-timeout and -read-timeout must not be negative"
 	}
 	if bad != "" {
 		fmt.Fprintln(os.Stderr, "nemoserve:", bad)
-		flag.Usage()
+		fs.Usage()
 		return 2
 	}
 	spec, err := backend.Parse(*devStr)

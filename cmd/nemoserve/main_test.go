@@ -67,3 +67,31 @@ func TestDumpHealthReadsEachShard(t *testing.T) {
 		t.Errorf("dump lacks the server's counters:\n%s", out)
 	}
 }
+
+// TestFlagUsageErrors checks that every flag value server.New or NewSharded
+// would silently reinterpret or refuse ends the run with status 2 before a
+// device is opened: a persistent image would otherwise be left behind. Each
+// run also gets a listen address no socket can bind, so a value that slips
+// through ends with status 1 at the listen instead of serving.
+func TestFlagUsageErrors(t *testing.T) {
+	for _, args := range []string{
+		"-max-conns -1",
+		"-max-batch -1",
+		"-idle-timeout -1s",
+		"-read-timeout -1ms",
+		"-flushers -1",
+		"-write-retries -3",
+		"-degraded-threshold -1",
+		"-degraded-probe -1s",
+		"-retry-backoff -1ms",
+		"-snapshot-every 1s",
+		"-snapshot x.snap -snapshot-every -1s",
+		"-zones 8 -shards 3",
+		"-zones 8 -shards 8",
+		"-no-such-flag",
+	} {
+		if got := run(append(strings.Fields(args), "-addr", "127.0.0.1:-1")); got != 2 {
+			t.Errorf("nemoserve %s: exit %d, want 2", args, got)
+		}
+	}
+}

@@ -69,8 +69,8 @@
 // to the paper's values and states where this reproduction departs);
 // `nemobench compare` replays one mixed trace through all five behind the
 // same sharded facade (hit ratio, ALWA, total WA, read and write errors per
-// engine × shard count — quality only, equal cell for cell on every run,
-// worker count and device backend).
+// engine × shard count — quality only, equal cell for cell on every run
+// and device backend).
 //
 // # The concurrent read and write paths
 //
@@ -316,12 +316,12 @@
 //   - Workload generators parameterized like the paper's Twitter traces
 //     (NewWorkload, Clusters, NewMixedStream), a sequential replay harness
 //     (Replay), and a parallel replay driver over a materialized trace
-//     (Materialize, ParallelReplay) with deterministic per-shard sequencing:
-//     hit ratio and write amplification are independent of worker count and
-//     batch size. ParallelReplayConfig.BatchSize drives GetMany with
-//     per-shard batch composition; every fill is a SetAsync, so the engine's
-//     flusher pool decides where it flushes. The replayer reads no clock:
-//     wall-clock numbers come from benchmark/ only.
+//     (Materialize, ParallelReplay): one goroutine per shard, one engine
+//     call per request, each shard's requests in trace order, so hit ratio
+//     and write amplification are the serial replay's whatever the
+//     schedule. Every fill is a SetAsync, so the engine's flusher pool
+//     decides where it flushes. The replayer reads no clock: wall-clock
+//     numbers come from benchmark/ only.
 //
 // A minimal session:
 //

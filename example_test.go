@@ -7,7 +7,6 @@ package nemo_test
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"nemo"
 )
@@ -178,9 +177,8 @@ func Example_comparison() {
 			log.Fatal(err)
 		}
 		res, err := nemo.Replay(e, workload, nemo.ReplayConfig{
-			Ops:          150_000,
-			InterArrival: 10 * time.Microsecond,
-			Clock:        dev.Clock(),
+			Ops:   150_000,
+			Clock: dev.Clock(),
 		})
 		if err != nil {
 			log.Fatalf("%s: %v", b.name, err)
@@ -230,9 +228,8 @@ func Example_deviceCompat() {
 			log.Fatal(err)
 		}
 		res, err := nemo.Replay(cache, workload, nemo.ReplayConfig{
-			Ops:          250_000,
-			InterArrival: 10 * time.Microsecond,
-			Clock:        dev.Clock(),
+			Ops:   250_000,
+			Clock: dev.Clock(),
 		})
 		if err != nil {
 			log.Fatalf("%s: %v", p.name, err)
@@ -268,7 +265,7 @@ func Example_tuning() {
 			log.Fatal(err)
 		}
 		if _, err := nemo.Replay(cache, workload, nemo.ReplayConfig{
-			Ops: 100_000, InterArrival: 10 * time.Microsecond, Clock: dev.Clock(),
+			Ops: 100_000, Clock: dev.Clock(),
 		}); err != nil {
 			log.Fatal(err)
 		}
@@ -324,9 +321,8 @@ func Example_twitterReplay() {
 		log.Fatal(err)
 	}
 	res, err := nemo.Replay(cache, workload, nemo.ReplayConfig{
-		Ops:          500_000,
-		InterArrival: 10 * time.Microsecond,
-		Clock:        dev.Clock(),
+		Ops:   500_000,
+		Clock: dev.Clock(),
 	})
 	if err != nil {
 		log.Fatal(err)

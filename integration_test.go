@@ -7,7 +7,6 @@ package nemo_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"nemo"
 	"nemo/internal/trace"
@@ -135,9 +134,8 @@ func TestAllEnginesServeSameWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := nemo.Replay(e, workload, nemo.ReplayConfig{
-			Ops:          150_000,
-			InterArrival: 10 * time.Microsecond,
-			Clock:        dev.Clock(),
+			Ops:   150_000,
+			Clock: dev.Clock(),
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", b.name, err)

@@ -82,14 +82,12 @@ func TestReplayDemandFill(t *testing.T) {
 func TestReplayAdvancesClock(t *testing.T) {
 	e := newFake()
 	clk := &vtime.Clock{}
-	_, err := Replay(e, testStream(), ReplayConfig{
-		Ops: 100, InterArrival: time.Millisecond, Clock: clk,
-	})
+	_, err := Replay(e, testStream(), ReplayConfig{Ops: 100, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clk.Now() != 100*time.Millisecond {
-		t.Fatalf("clock = %v, want 100ms", clk.Now())
+	if clk.Now() != time.Millisecond {
+		t.Fatalf("clock = %v, want 100 requests × 10µs = 1ms", clk.Now())
 	}
 }
 

@@ -7,22 +7,16 @@ import (
 	"nemo/internal/trace"
 )
 
+// interArrival is the virtual time between two replayed requests: 10 µs ≈
+// 100 K req/s, enough to expose write interference.
+const interArrival = 10 * time.Microsecond
+
 // ReplayConfig controls a replay run.
 type ReplayConfig struct {
-	// Ops is the number of GET requests to issue.
+	// Ops is the number of requests to issue.
 	Ops int
-	// InterArrival is the virtual time advanced between requests
-	// (default 10 µs ≈ 100 K req/s, enough to expose write interference).
-	InterArrival time.Duration
-	// Clock, when set, is advanced by InterArrival per request.
+	// Clock, when set, is advanced by interArrival per request.
 	Clock Clock
-}
-
-func (c ReplayConfig) withDefaults() ReplayConfig {
-	if c.InterArrival == 0 {
-		c.InterArrival = 10 * time.Microsecond
-	}
-	return c
 }
 
 // sampleEvery is the period, in requests, of both the miss-ratio window and
@@ -58,21 +52,19 @@ type ReplayResult struct {
 // pattern; a mixed stream's SETs and DELETEs are issued as they come — and,
 // once the engine has drained, collects the standard metrics.
 func Replay(e Engine, s trace.Stream, cfg ReplayConfig) (ReplayResult, error) {
-	cfg = cfg.withDefaults()
 	res := ReplayResult{Engine: e.Name()}
 	every := cfg.sampleEvery()
 	missWin := metrics.NewRatioWindow(uint64(every))
 	// One request is replayed by the routine the parallel replayer uses;
 	// this loop keeps only what is the serial replayer's: the clock advance,
 	// the miss window and the timeline.
-	rw := replayWorker{e: e}
 	var req trace.Request
 	for i := 0; i < cfg.Ops; i++ {
 		if cfg.Clock != nil {
-			cfg.Clock.Advance(cfg.InterArrival)
+			cfg.Clock.Advance(interArrival)
 		}
 		s.Next(&req)
-		hit, err := rw.dispatchOne(&req)
+		hit, err := dispatch(e, &req)
 		if err != nil {
 			return res, err
 		}

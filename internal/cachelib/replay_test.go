@@ -36,58 +36,55 @@ func TestReplayMixedOps(t *testing.T) {
 }
 
 // TestParallelReplayMixedDeterministicAcrossWorkers extends the determinism
-// guarantee to batched mixed GET/SET/DELETE replay: per-shard sequencing
-// and per-shard batch composition make the statistics independent of the
-// worker count.
+// guarantee to mixed GET/SET/DELETE replay: with one goroutine per shard,
+// each shard sees its requests in trace order, so the statistics equal a
+// serial Replay's of the same trace, which is one worker for every shard.
 func TestParallelReplayMixedDeterministicAcrossWorkers(t *testing.T) {
-	base, err := trace.NewMixed(testStream(), 0.15, 0.05, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := trace.Materialize(base, 6_000)
-	// shardedFake partitions the fake engine 4 ways so several workers
-	// have distinct work.
-	mk := func() *shardedFake { return newShardedFake(4) }
-	var ref Stats
-	for i, workers := range []int{1, 2, 4} {
-		e := mk()
-		res, err := ParallelReplay(e, reqs, ParallelReplayConfig{Workers: workers, BatchSize: 16})
+	mixed := func() trace.Stream {
+		m, err := trace.NewMixed(testStream(), 0.15, 0.05, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
-			ref = res.Final
-			if ref.Deletes == 0 {
-				t.Fatal("mixed replay issued no deletes")
-			}
-			continue
+		return m
+	}
+	const ops = 6_000
+	reqs := trace.Materialize(mixed(), ops)
+	// shardedFake partitions the fake engine 4 ways so the replay runs
+	// several goroutines with distinct work.
+	serial, err := Replay(newShardedFake(4), mixed(), ReplayConfig{Ops: ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.Final.Deletes == 0 {
+		t.Fatal("mixed replay issued no deletes")
+	}
+	for run := 0; run < 3; run++ {
+		st, err := ParallelReplay(newShardedFake(4), reqs)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if res.Final != ref {
-			t.Fatalf("workers=%d: mixed batched stats diverged:\ngot: %+v\nref: %+v", workers, res.Final, ref)
+		if st != serial.Final {
+			t.Fatalf("run %d: parallel stats diverged from the serial replay:\ngot: %+v\nref: %+v", run, st, serial.Final)
 		}
 	}
-	// A failing request names its worker and where in the trace it was:
-	// the op itself unbatched, its batch's first op batched.
+	// A failing request names its shard and where in the trace it was.
 	failKey := reqs[len(reqs)/2].Key
 	first := 0
 	for string(reqs[first].Key) != string(failKey) || reqs[first].Op == trace.KindDelete {
 		first++
 	}
-	for _, batch := range []int{0, 16} {
-		e := mk()
-		e.failKey = string(failKey)
-		_, err := ParallelReplay(e, reqs, ParallelReplayConfig{Workers: 2, BatchSize: batch})
-		var w, at int
-		if err == nil {
-			t.Fatalf("batch=%d: replay succeeded with a refusing engine", batch)
-		}
-		if n, _ := fmt.Sscanf(err.Error(), "cachelib: worker %d at op %d: fake: set refused", &w, &at); n != 2 {
-			t.Fatalf("batch=%d: error %q does not say where", batch, err)
-		}
-		if w != e.ShardOf(failKey)%2 || at > first || (batch == 0 && at != first) || e.ShardOf(reqs[at].Key)%2 != w {
-			t.Fatalf("batch=%d: error %q, want worker %d at (a batch starting at or before) op %d",
-				batch, err, e.ShardOf(failKey)%2, first)
-		}
+	e := newShardedFake(4)
+	e.failKey = string(failKey)
+	_, err = ParallelReplay(e, reqs)
+	if err == nil {
+		t.Fatal("replay succeeded with a refusing engine")
+	}
+	var shard, at int
+	if n, _ := fmt.Sscanf(err.Error(), "cachelib: shard %d at op %d: fake: set refused", &shard, &at); n != 2 {
+		t.Fatalf("error %q does not say where", err)
+	}
+	if shard != e.ShardOf(failKey) || at != first {
+		t.Fatalf("error %q, want shard %d at op %d", err, e.ShardOf(failKey), first)
 	}
 }
 

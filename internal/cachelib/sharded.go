@@ -160,9 +160,9 @@ func (s *ShardedEngine) Drain() error {
 }
 
 // GetMany implements Engine on the generic facade: one hash pass,
-// per-shard sub-batches, parallel fan-out. Single-shard batches (the common
-// case under the per-shard batched replayer) skip the grouping and goroutine
-// fan-out entirely.
+// per-shard sub-batches, parallel fan-out. Single-shard batches (a one-key
+// GET, or any batch at one shard) skip the grouping and goroutine fan-out
+// entirely.
 func (s *ShardedEngine) GetMany(keys [][]byte) (values [][]byte, hits []bool) {
 	if len(keys) == 0 {
 		return make([][]byte, 0), make([]bool, 0)

@@ -47,8 +47,7 @@ func ReturnFPs(b *[]uint64) { fpScratch.Put(b) }
 
 // PlanFPs hashes every key exactly once for routing (GroupByShard reuses the
 // fingerprints) and reports whether the whole batch lands on one shard of n
-// (the common case under the per-shard batched replayer), returning that
-// shard's index. The returned slice aliases *scratch.
+// (always so for a one-key GET), returning that shard's index. The returned slice aliases *scratch.
 func PlanFPs(keys [][]byte, scratch *[]uint64, n uint64) (fps []uint64, first int, single bool) {
 	fps = (*scratch)[:0]
 	single = true

@@ -30,14 +30,18 @@ import (
 //
 // Consistency model: Get returns the most recent Set for a key as long as
 // that copy is still cached. Because Nemo deliberately has no exact
-// per-object index (§4.3), overwritten copies on flash are not deleted; if
-// the newest copy is dropped early (sacrificed by delayed flushing or
-// evicted), a Get may observe the previous still-cached value until it ages
-// out of the FIFO pool. Hits never return corrupt or cross-key data — every
-// entry carries a fingerprint and full key bytes that are verified on read.
-// Workloads needing strict read-your-writes should treat overwrites as
-// invalidations (delete-then-set at a higher layer), as with the paper's
-// CacheLib deployment.
+// per-object index (§4.3), overwritten copies on flash are not deleted.
+// With delayed flushing off, FIFO eviction always takes an older copy
+// before a newer one, so no hit is stale (TestPropertyNeverStale). With it
+// on, the newest copy can be sacrificed before it reaches flash, and then a
+// Get may observe the previous still-cached value — and not only until that
+// copy's SG ages out of the FIFO pool: with no newer copy to shadow it, a
+// hot stale copy is written back into a younger SG at eviction and lives
+// on (TestSacrificedOverwriteOutlivesFIFO). Hits never return corrupt or
+// cross-key data — every entry carries a fingerprint and full key bytes
+// that are verified on read. Workloads needing strict read-your-writes
+// should treat overwrites as invalidations (delete-then-set at a higher
+// layer), as with the paper's CacheLib deployment.
 type Cache struct {
 	cfg       Config
 	dev       device.Device

@@ -31,50 +31,39 @@ func MixedTrace(ops int) []trace.Request {
 	return trace.Materialize(m, ops)
 }
 
-// replayModes are the two replay paths every pin covers: one request per
-// engine call, and per-shard GetMany/SetMany batches.
-var replayModes = []struct {
-	name  string
-	batch int
-}{
-	{"unbatched", 0},
-	{"batched", 32},
-}
-
 // replay drives one engine through the standard parallel replayer and
 // returns its final stats.
-func replay(t *testing.T, e cachelib.Engine, reqs []trace.Request, batch int) cachelib.Stats {
+func replay(t *testing.T, e cachelib.Engine, reqs []trace.Request) cachelib.Stats {
 	t.Helper()
-	res, err := cachelib.ParallelReplay(e, reqs, cachelib.ParallelReplayConfig{BatchSize: batch})
+	st, err := cachelib.ParallelReplay(e, reqs)
 	if err != nil {
 		t.Fatalf("%s: replay: %v", e.Name(), err)
 	}
-	return res.Final
+	return st
 }
 
 // SingleShardEquivalence pins the facade contract for one engine family:
 // the shards=1 wrapped engine must reproduce the bare engine's replay
-// statistics stat-for-stat on the same trace, on both the unbatched and the
-// batched (GetMany/SetMany) replay paths. mkBare and mkSharded must build
-// engines of identical configuration on fresh devices.
+// statistics stat-for-stat on the same trace, one engine call per request.
+// mkBare and mkSharded must build engines of identical configuration on
+// fresh devices. (The batched calls' equivalence to per-key calls is the
+// Conformance table's "batch" case.)
 func SingleShardEquivalence(t *testing.T, ops int,
 	mkBare func(t *testing.T) cachelib.Engine,
 	mkSharded func(t *testing.T, shards int) cachelib.Engine) {
 	t.Helper()
 	reqs := MixedTrace(ops)
-	for _, mode := range replayModes {
-		t.Run(mode.name, func(t *testing.T) {
-			bare := mkBare(t)
-			defer bare.Close()
-			wrapped := mkSharded(t, 1)
-			defer wrapped.Close()
-			want := replay(t, bare, reqs, mode.batch)
-			got := replay(t, wrapped, reqs, mode.batch)
-			if got != want {
-				t.Fatalf("shards=1 stats diverged from bare engine:\nwrapped: %+v\nbare:    %+v", got, want)
-			}
-		})
-	}
+	t.Run("unbatched", func(t *testing.T) {
+		bare := mkBare(t)
+		defer bare.Close()
+		wrapped := mkSharded(t, 1)
+		defer wrapped.Close()
+		want := replay(t, bare, reqs)
+		got := replay(t, wrapped, reqs)
+		if got != want {
+			t.Fatalf("shards=1 stats diverged from bare engine:\nwrapped: %+v\nbare:    %+v", got, want)
+		}
+	})
 }
 
 // MultiShardPartition checks the facade's aggregate accounting at a real
@@ -86,7 +75,7 @@ func MultiShardPartition(t *testing.T, ops, shards int,
 	reqs := MixedTrace(ops)
 	e := mkSharded(t, shards)
 	defer e.Close()
-	st := replay(t, e, reqs, 0)
+	st := replay(t, e, reqs)
 	if st.Gets+st.Sets+st.Deletes < uint64(len(reqs)) {
 		t.Fatalf("ops lost: %d gets + %d sets + %d deletes < %d requests",
 			st.Gets, st.Sets, st.Deletes, len(reqs))
@@ -110,8 +99,8 @@ func MultiShardPartition(t *testing.T, ops, shards int,
 
 // GoldenStats pins one baseline's replay statistics to constants recorded
 // before its set tier and log front were shared between engines:
-// MixedTrace(ops) replayed in both modes against the bare engine and the
-// two-shard facade. want maps "bare/unbatched" … "sharded2/batched" to the
+// MixedTrace(ops) replayed against the bare engine and the two-shard
+// facade. want maps "bare/unbatched" and "sharded2/unbatched" to the
 // rendered final cachelib.Stats; for the bare engine the read-latency
 // summary follows, and extra (nil for none) appends the engine's own
 // counters — migration instrumentation, FTL write amplification — which no
@@ -123,28 +112,27 @@ func GoldenStats(t *testing.T, ops int, want map[string]string,
 	extra func(bare cachelib.Engine) string) {
 	t.Helper()
 	reqs := MixedTrace(ops)
-	for _, mode := range replayModes {
-		check := func(name string, e cachelib.Engine, bare bool) {
-			t.Run(name+"/"+mode.name, func(t *testing.T) {
-				defer e.Close()
-				got := renderStats(replay(t, e, reqs, mode.batch))
-				if bare {
-					// One worker, one device clock: the virtual read
-					// latencies are deterministic too.
-					l := e.ReadLatency().Snapshot()
-					got += fmt.Sprintf(" lat=%d/%v/%v", l.Count, l.Mean, l.Pmax)
-					if extra != nil {
-						got += " " + extra(e)
-					}
+	check := func(name string, e cachelib.Engine, bare bool) {
+		name += "/unbatched"
+		t.Run(name, func(t *testing.T) {
+			defer e.Close()
+			got := renderStats(replay(t, e, reqs))
+			if bare {
+				// One goroutine, one device clock: the virtual read
+				// latencies are deterministic too.
+				l := e.ReadLatency().Snapshot()
+				got += fmt.Sprintf(" lat=%d/%v/%v", l.Count, l.Mean, l.Pmax)
+				if extra != nil {
+					got += " " + extra(e)
 				}
-				if got != want[name+"/"+mode.name] {
-					t.Fatalf("replay statistics moved:\n got: %q\nwant: %q", got, want[name+"/"+mode.name])
-				}
-			})
-		}
-		check("bare", mkBare(t), true)
-		check("sharded2", mkSharded(t, 2), false)
+			}
+			if got != want[name] {
+				t.Fatalf("replay statistics moved:\n got: %q\nwant: %q", got, want[name])
+			}
+		})
 	}
+	check("bare", mkBare(t), true)
+	check("sharded2", mkSharded(t, 2), false)
 }
 
 // renderStats prints the non-zero counters of s as name=value pairs, each

@@ -15,13 +15,12 @@ package experiments
 // It is a quality comparison: nothing here reads a clock.
 //
 // Determinism: the Report holds only scheduling-independent statistics and
-// is equal cell for cell across replay worker counts and device backends
-// for every batched and unbatched configuration at Flushers 0 (pinned by
-// TestCompareDeterminism and crossbackend_test.go). With a flusher pool the
-// baselines stay deterministic (they have nothing to defer: their SetAsync
-// is a synchronous Set) but Nemo does not, whose background flusher timing
-// shifts SG fill rates — the pool's determinism tests therefore exclude
-// Nemo.
+// is equal cell for cell across runs and device backends at Flushers 0
+// (pinned by TestCompareDeterminism and crossbackend_test.go). With a
+// flusher pool the baselines stay deterministic (they have nothing to
+// defer: their SetAsync is a synchronous Set) but Nemo does not, whose
+// background flusher timing shifts SG fill rates — the pool's determinism
+// tests therefore exclude Nemo.
 
 import (
 	"fmt"
@@ -50,9 +49,6 @@ type CompareConfig struct {
 	Ops int
 	// Seed makes the generated trace reproducible.
 	Seed int64
-	// Batch drives the engines' GetMany with per-shard batches of this size
-	// (<=1 = unbatched).
-	Batch int
 	// Flushers gives Nemo a background pool of this many flush goroutines;
 	// 0 flushes inline. Every write is a SetAsync either way, and the
 	// baselines, with nothing to defer, set synchronously.
@@ -208,13 +204,7 @@ func compareTrace(o CompareConfig, g geometry) ([]trace.Request, error) {
 // RunCompare replays one materialized trace through every selected sharded
 // engine at every requested shard count and returns the comparison: one
 // table per shard count, one row per engine.
-func RunCompare(o CompareConfig) (Report, error) { return runCompare(o, 0) }
-
-// runCompare is RunCompare at a given replay worker count (0 = one per
-// shard). The count changes only scheduling, never a cell — the replayer's
-// per-shard sequencing guarantee — which is why it is the determinism
-// tests' parameter and not a CompareConfig field.
-func runCompare(o CompareConfig, workers int) (Report, error) {
+func RunCompare(o CompareConfig) (Report, error) {
 	o = o.withDefaults()
 	g := compareGeometryFor(o.Scale)
 	engines, err := selectEngines(o.Engines)
@@ -228,7 +218,7 @@ func runCompare(o CompareConfig, workers int) (Report, error) {
 	rep := Report{Title: fmt.Sprintf("Cross-engine comparison — %d ops (%.0f%% SET, %.0f%% DEL), %d data zones, async=%v",
 		len(reqs), o.SetFrac*100, o.DelFrac*100, g.Zones, o.Flushers > 0)}
 	for _, n := range o.Shards {
-		t := rep.table(fmt.Sprintf("shards=%d", n), "engine", "batch", "hit%", "ALWA", "totalWA", "rderr", "wrerr")
+		t := rep.table(fmt.Sprintf("shards=%d", n), "engine", "hit%", "ALWA", "totalWA", "rderr", "wrerr")
 		if n < 1 || g.Zones%n != 0 {
 			t.row("all", text(fmt.Sprintf("skipped: %d data zones not divisible", g.Zones)))
 			continue
@@ -238,11 +228,11 @@ func runCompare(o CompareConfig, workers int) (Report, error) {
 				t.row(e.name, text(fmt.Sprintf("skipped: %d zones/shard < engine minimum %d", per, e.minPerShard)))
 				continue
 			}
-			st, err := o.runOne(g, e, n, reqs, workers)
+			st, err := o.runOne(g, e, n, reqs)
 			if err != nil {
 				return rep, fmt.Errorf("%s shards=%d: %w", e.key, n, err)
 			}
-			t.row(e.name, count(o.Batch), num("%.2f", (1-st.MissRatio())*100), num("%.3f", st.ALWA()),
+			t.row(e.name, num("%.2f", (1-st.MissRatio())*100), num("%.3f", st.ALWA()),
 				num("%.3f", st.TotalWA()), count(st.ReadErrors), count(st.WriteErrors))
 		}
 	}
@@ -251,7 +241,7 @@ func runCompare(o CompareConfig, workers int) (Report, error) {
 
 // runOne builds one sharded engine on a fresh device, replays the shared
 // trace and returns the engine's final statistics.
-func (o CompareConfig) runOne(g geometry, e compareEngine, n int, reqs []trace.Request, workers int) (cachelib.Stats, error) {
+func (o CompareConfig) runOne(g geometry, e compareEngine, n int, reqs []trace.Request) (cachelib.Stats, error) {
 	zones := g.Zones
 	if e.zones != nil {
 		zones = e.zones(g.Zones, n)
@@ -268,10 +258,7 @@ func (o CompareConfig) runOne(g geometry, e compareEngine, n int, reqs []trace.R
 	if err != nil {
 		return cachelib.Stats{}, err
 	}
-	res, err := cachelib.ParallelReplay(eng, reqs, cachelib.ParallelReplayConfig{
-		Workers:   workers,
-		BatchSize: o.Batch,
-	})
+	st, err := cachelib.ParallelReplay(eng, reqs)
 	if err != nil {
 		eng.Close()
 		return cachelib.Stats{}, err
@@ -279,5 +266,5 @@ func (o CompareConfig) runOne(g geometry, e compareEngine, n int, reqs []trace.R
 	if err := eng.Close(); err != nil {
 		return cachelib.Stats{}, fmt.Errorf("close: %w", err)
 	}
-	return res.Final, nil
+	return st, nil
 }

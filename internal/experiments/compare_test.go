@@ -9,11 +9,10 @@ import (
 	"nemo/internal/device"
 )
 
-// compareReport runs the comparison at a replay worker count (0 = one per
-// shard) and returns its Report.
-func compareReport(t *testing.T, cfg CompareConfig, workers int) Report {
+// compareReport runs the comparison and returns its Report.
+func compareReport(t *testing.T, cfg CompareConfig) Report {
 	t.Helper()
-	rep, err := runCompare(cfg, workers)
+	rep, err := RunCompare(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func rowLabels(t *Table) []string {
 // TestCompareAllEngines pins the harness shape: one table per shard count,
 // one row per engine in canonical order.
 func TestCompareAllEngines(t *testing.T) {
-	rep := compareReport(t, compareBase(), 0)
+	rep := compareReport(t, compareBase())
 	if len(rep.Tables) != 2 || rep.Tables[0].Name != "shards=1" || rep.Tables[1].Name != "shards=2" {
 		t.Fatalf("want tables shards=1 and shards=2:\n%s", render(rep))
 	}
@@ -64,25 +63,20 @@ func TestCompareAllEngines(t *testing.T) {
 }
 
 // TestCompareDeterminism is the harness's core guarantee: same seed + trace
-// ⇒ the same Report, cell for cell, no matter how many replay workers run,
-// unbatched, batched, and with a flusher pool. The pool cases cover the
-// four baselines (their SetAsync is a deterministic synchronous Set);
-// Nemo's background flusher timing is real concurrency and shifts SG fill
-// rates, so Nemo with a pool is exact only per run, not across schedules.
+// ⇒ the same Report, cell for cell, on every run, however the replay's
+// per-shard goroutines are scheduled — inline flushing, and with a flusher
+// pool. The pool case covers the four baselines (their SetAsync is a
+// deterministic synchronous Set); Nemo's background flusher timing is real
+// concurrency and shifts SG fill rates, so Nemo with a pool is exact only
+// per run, not across schedules.
 func TestCompareDeterminism(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*CompareConfig)
 	}{
 		{"unbatched", func(c *CompareConfig) {}},
-		{"batched", func(c *CompareConfig) { c.Batch = 32 }},
 		{"async-baselines", func(c *CompareConfig) {
 			c.Flushers = 2
-			c.Engines = []string{"log", "set", "kg", "fw"}
-		}},
-		{"async-batched-baselines", func(c *CompareConfig) {
-			c.Flushers = 2
-			c.Batch = 16
 			c.Engines = []string{"log", "set", "kg", "fw"}
 		}},
 	}
@@ -90,9 +84,9 @@ func TestCompareDeterminism(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := compareBase()
 			tc.mutate(&cfg)
-			ref, got := compareReport(t, cfg, 1), compareReport(t, cfg, 4)
+			ref, got := compareReport(t, cfg), compareReport(t, cfg)
 			if !reflect.DeepEqual(ref, got) {
-				t.Fatalf("report diverged across worker counts:\nworkers=1:\n%s\nworkers=4:\n%s", render(ref), render(got))
+				t.Fatalf("report diverged across runs:\nfirst:\n%s\nsecond:\n%s", render(ref), render(got))
 			}
 		})
 	}
@@ -109,7 +103,7 @@ func TestCompareEngineFilter(t *testing.T) {
 	}
 
 	cfg.Engines = []string{"fw", "log"} // any order in, canonical order out
-	rep := compareReport(t, cfg, 0)
+	rep := compareReport(t, cfg)
 	if got := rowLabels(rep.Tables[0]); !reflect.DeepEqual(got, []string{"Log", "FW"}) {
 		t.Fatalf("filter fw,log ran %v:\n%s", got, render(rep))
 	}
@@ -121,13 +115,13 @@ func TestCompareEngineFilter(t *testing.T) {
 func TestCompareSkipsUndersizedShards(t *testing.T) {
 	cfg := compareBase()
 	cfg.Shards = []int{5, 24}
-	rep := compareReport(t, cfg, 0)
-	if c, _ := rep.Lookup(Ref{Table: "shards=5", Row: "all", Col: "batch"}); c.Text != "skipped: 48 data zones not divisible" {
+	rep := compareReport(t, cfg)
+	if c, _ := rep.Lookup(Ref{Table: "shards=5", Row: "all", Col: "hit%"}); c.Text != "skipped: 48 data zones not divisible" {
 		t.Fatalf("no divisibility skip for shards=5:\n%s", render(rep))
 	}
 	// 24 shards → 2 zones per shard: below the hierarchical engines'
 	// minimum (HLog + set tier), fine for the flat ones.
-	if c, _ := rep.Lookup(Ref{Table: "shards=24", Row: "KG", Col: "batch"}); c.Text != "skipped: 2 zones/shard < engine minimum 6" {
+	if c, _ := rep.Lookup(Ref{Table: "shards=24", Row: "KG", Col: "hit%"}); c.Text != "skipped: 2 zones/shard < engine minimum 6" {
 		t.Fatalf("no minimum-size skip for shards=24:\n%s", render(rep))
 	}
 	if c, ok := rep.Lookup(Ref{Table: "shards=24", Row: "Log", Col: "hit%"}); !ok || c.Format == "" {
@@ -150,7 +144,7 @@ func TestCompareShowsBaselineReadErrors(t *testing.T) {
 		return logEngine.build(dev, o, dataZones, n)
 	}
 	compareEngines = []compareEngine{faulty}
-	rep := compareReport(t, compareBase(), 0)
+	rep := compareReport(t, compareBase())
 	for _, table := range []string{"shards=1", "shards=2"} {
 		if c, ok := rep.Lookup(Ref{Table: table, Row: "Log", Col: "rderr"}); !ok || c.V == 0 {
 			t.Fatalf("%s: rderr reads %v under a 5%% read fault:\n%s", table, c, render(rep))
@@ -177,12 +171,12 @@ func TestComparePureGetTrace(t *testing.T) {
 
 	cfg := compareBase()
 	cfg.Shards = []int{1}
-	mixed := compareReport(t, cfg, 0)
+	mixed := compareReport(t, cfg)
 	if built.Stats().Deletes == 0 {
 		t.Fatalf("default-mix run issued no DELETE:\n%s", render(mixed))
 	}
 	cfg.SetFrac, cfg.DelFrac = 0, 0
-	pure := compareReport(t, cfg, 0)
+	pure := compareReport(t, cfg)
 	if d := built.Stats().Deletes; d != 0 {
 		t.Fatalf("pure-GET run issued %d DELETEs:\n%s", d, render(pure))
 	}

@@ -31,7 +31,7 @@ func TestCompareTableIdenticalAcrossBackends(t *testing.T) {
 			SetFrac: 0.1,
 			DelFrac: 0.02,
 			Device:  spec,
-		}, 0)
+		})
 	}
 	sim := run(backend.Sim())
 	file := run(backend.File(t.TempDir() + "/nemo.img"))
@@ -67,7 +67,7 @@ func TestCompareTableIdenticalAcrossBackendsAsync(t *testing.T) {
 			DelFrac:  0.02,
 			Engines:  []string{"nemo", "log"},
 			Device:   spec,
-		}, 0)
+		})
 	}
 	sim := run(backend.Sim())
 	file := run(backend.File(t.TempDir() + "/nemo.img"))

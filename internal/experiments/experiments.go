@@ -225,7 +225,7 @@ func replay[E cachelib.Engine](g geometry, o Options, mk func(device.Device) (E,
 }
 
 // replayCfg is the common replay configuration (requests arrive at the
-// replayer's default 10 µs spacing on the device's virtual clock).
+// replayer's fixed 10 µs spacing on the device's virtual clock).
 func replayCfg(g geometry, o Options, dev device.Device) cachelib.ReplayConfig {
 	return cachelib.ReplayConfig{
 		Ops:   g.ops(o),

@@ -81,7 +81,7 @@ func TestGCProgressGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = cachelib.ParallelReplay(c, enginetest.MixedTrace(40_000), cachelib.ParallelReplayConfig{})
+	_, err = cachelib.ParallelReplay(c, enginetest.MixedTrace(40_000))
 	if err == nil {
 		t.Fatal("undersized set tier replayed cleanly — geometry assumption stale")
 	}
@@ -108,6 +108,4 @@ func TestGoldenStats(t *testing.T) {
 var goldenStats = map[string]string{
 	"bare/unbatched":     "gets=17592 hits=14370 sets=5202 deletes=428 logical_bytes=440447 flash_bytes_written=3594240 device_bytes_written=3594240 flash_bytes_read=9705472 flash_read_ops=18956 evictions=2505 lat=17248/131.245692ms/1.899626s passiveRMW=2349 activeRMW=1651 overflow=301 reloc=1645 gc=246 passive=2349/1.505747 active=1651/0.411266",
 	"sharded2/unbatched": "gets=17592 hits=15032 sets=4540 deletes=428 logical_bytes=384876 flash_bytes_written=1975808 device_bytes_written=1975808 flash_bytes_read=7666176 flash_read_ops=14973 evictions=1231",
-	"bare/batched":       "gets=17592 hits=14394 sets=5178 deletes=428 logical_bytes=437669 flash_bytes_written=3356672 device_bytes_written=3356672 flash_bytes_read=9444864 flash_read_ops=18447 evictions=2508 lat=17248/127.498108ms/1.775951s passiveRMW=2408 activeRMW=1394 overflow=287 reloc=1399 gc=249 passive=2408/1.499585 active=1394/0.409613",
-	"sharded2/batched":   "gets=17592 hits=15037 sets=4535 deletes=428 logical_bytes=384857 flash_bytes_written=1988096 device_bytes_written=1988096 flash_bytes_read=7760896 flash_read_ops=15158 evictions=1220",
 }

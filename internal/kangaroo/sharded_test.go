@@ -80,6 +80,4 @@ func TestGoldenStats(t *testing.T) {
 var goldenStats = map[string]string{
 	"bare/unbatched":     "gets=52922 hits=42107 sets=16686 deletes=1207 logical_bytes=1420450 flash_bytes_written=6130176 device_bytes_written=24834560 flash_bytes_read=23889920 flash_read_ops=46660 evictions=11144 lat=51916/932.071998ms/13.073051s setWrites=8503 dropped=0 passive=8503/1.616371 dlwa=5.296366",
 	"sharded2/unbatched": "gets=52922 hits=40170 sets=18623 deletes=1207 logical_bytes=1582103 flash_bytes_written=4417536 device_bytes_written=7304704 flash_bytes_read=19600896 flash_read_ops=38283 evictions=13885",
-	"bare/batched":       "gets=52922 hits=42110 sets=16683 deletes=1207 logical_bytes=1420420 flash_bytes_written=6125568 device_bytes_written=24944640 flash_bytes_read=23925248 flash_read_ops=46729 evictions=11147 lat=51916/902.475556ms/13.115896s setWrites=8497 dropped=0 passive=8497/1.620219 dlwa=5.325762",
-	"sharded2/batched":   "gets=52922 hits=40215 sets=18578 deletes=1207 logical_bytes=1578096 flash_bytes_written=4411904 device_bytes_written=7290880 flash_bytes_read=19979264 flash_read_ops=39022 evictions=13830",
 }

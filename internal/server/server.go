@@ -1,12 +1,12 @@
 // Package server is the memcached-text-protocol front end over
 // cachelib.Engine: the piece that turns the in-process cache into a network
 // service. Per-connection goroutines parse pipelined requests into small
-// batches that coalesce into GetMany/SetMany calls, SETs ride the
-// asynchronous flush pipeline by default, and shutdown is a graceful drain:
-// stop accepting, let every connection finish and reply to its in-flight
-// batch, then Drain the engine so every acknowledged write has reached
-// flash. See doc.go at the repository root ("The serving layer") for the
-// protocol subset and the exact batching/async/drain contracts.
+// batches whose gets coalesce into GetMany calls, each SET is one SetAsync
+// (the engine's flusher pool decides where it flushes), and shutdown is a
+// graceful drain: stop accepting, let every connection finish and reply to
+// its in-flight batch, then Drain the engine so every acknowledged write has
+// reached flash. See doc.go at the repository root ("The serving layer")
+// for the protocol subset and the exact batching/async/drain contracts.
 package server
 
 import (

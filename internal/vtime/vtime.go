@@ -3,7 +3,7 @@
 //
 // A Clock runs in one of two modes. The default (zero value) is a virtual
 // clock: device operations complete on per-channel timelines and the
-// replayer advances the clock by a configurable inter-arrival gap between
+// replayer advances the clock by a fixed 10 µs inter-arrival gap between
 // requests, which makes latency distributions deterministic and immune to
 // host scheduling or Go GC pauses (the reproduction hint for this paper
 // flags real-device latency skew as the hard part; virtual time is the

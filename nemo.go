@@ -122,32 +122,27 @@ type ReplayConfig = cachelib.ReplayConfig
 // ReplayResult carries the metrics collected by Replay.
 type ReplayResult = cachelib.ReplayResult
 
-// Replay issues the stream's requests against the engine one at a time: a
-// GET that misses is demand-filled with SetAsync, and the stream's explicit
-// SETs and DELETEs are replayed as SetAsync and Delete. It drains the engine
-// at the end and collects write amplification, miss ratio, and latency
-// percentiles.
+// Replay issues the stream's requests against the engine one at a time, on
+// the calling goroutine: a GET that misses is demand-filled with SetAsync,
+// and the stream's explicit SETs and DELETEs are replayed as SetAsync and
+// Delete. With cfg.Clock set, each request advances it by 10 µs. It drains
+// the engine at the end and collects write amplification, miss ratio, and
+// latency percentiles.
 func Replay(e Engine, s Stream, cfg ReplayConfig) (ReplayResult, error) {
 	return cachelib.Replay(e, s, cfg)
 }
 
-// ParallelReplayConfig controls a ParallelReplay run.
-type ParallelReplayConfig = cachelib.ParallelReplayConfig
-
-// ParallelReplayResult carries the final statistics of one parallel replay.
-type ParallelReplayResult = cachelib.ParallelReplayResult
-
 // ParallelReplay replays a materialized (optionally mixed GET/SET/DELETE)
-// trace from many worker goroutines with deterministic per-shard
-// sequencing: each shard of a ShardedCache sees the identical request
-// subsequence it would in a single-threaded replay, so hit ratio and write
-// amplification are independent of worker count.
-// ParallelReplayConfig.BatchSize drives per-shard GetMany batches. Every
-// write is a SetAsync, so Config.Flushers alone decides whether a flush runs
-// on the replay worker (0) or on the background pool; the replay drains the
-// engine before it reads the final statistics.
-func ParallelReplay(e Engine, reqs []Request, cfg ParallelReplayConfig) (ParallelReplayResult, error) {
-	return cachelib.ParallelReplay(e, reqs, cfg)
+// trace with one goroutine per shard of a ShardedCache, one engine call per
+// request as Replay makes them. Each shard sees its requests in trace order,
+// so with inline flushing the final statistics equal a serial Replay's of
+// the same trace whatever the goroutine schedule. Every write is a SetAsync,
+// so Config.Flushers alone decides whether a flush runs on the replaying
+// goroutine (0) or on the background pool; the replay drains the engine
+// before it reads the final statistics, and an error names the shard and op
+// index that failed.
+func ParallelReplay(e Engine, reqs []Request) (Stats, error) {
+	return cachelib.ParallelReplay(e, reqs)
 }
 
 // Materialize draws n requests from a stream into owned buffers so the

@@ -42,7 +42,9 @@ func buildShardedAsyncReplayCache(t testing.TB, shards, flushers int) *nemo.Shar
 	return c
 }
 
-func replayTrace(t testing.TB, ops int) []nemo.Request {
+// replayStream is the demand-fill workload the replay tests share: the
+// same seed, so every call yields the same requests.
+func replayStream(t testing.TB) nemo.Stream {
 	t.Helper()
 	probe := nemo.NewDevice(nemo.DeviceConfig{PagesPerZone: 64})
 	dataBytes := int64(replayDataZones*probe.PagesPerZone()) * int64(probe.PageSize())
@@ -50,152 +52,87 @@ func replayTrace(t testing.TB, ops int) []nemo.Request {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return nemo.Materialize(stream, ops)
+	return stream
 }
 
-// TestParallelReplayMatchesSequential pins the parallel driver itself: with
-// one shard and one worker it must produce exactly the statistics of a plain
-// sequential demand-fill replay of the same trace on a one-shard cache.
-func TestParallelReplayMatchesSequential(t *testing.T) {
-	reqs := replayTrace(t, 60_000)
+func replayTrace(t testing.TB, ops int) []nemo.Request {
+	t.Helper()
+	return nemo.Materialize(replayStream(t), ops)
+}
 
-	seqDev := nemo.NewDevice(nemo.DeviceConfig{PagesPerZone: 64,
-		Zones: replayDataZones + nemo.IndexZonesFor(replayDataZones, 50)})
-	seq, err := nemo.NewSharded(nemo.DefaultConfig(seqDev, replayDataZones))
+// mixedReplayStream rewrites replayStream into 10% SETs and 5% DELETEs.
+func mixedReplayStream(t testing.TB) nemo.Stream {
+	t.Helper()
+	mixed, err := nemo.NewMixedStream(replayStream(t), 0.1, 0.05, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range reqs {
-		if _, hit := seq.Get(reqs[i].Key); !hit {
-			if err := seq.Set(reqs[i].Key, reqs[i].Value); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	return mixed
+}
 
-	par := buildShardedReplayCache(t, 1)
-	res, err := nemo.ParallelReplay(par, reqs, nemo.ParallelReplayConfig{Workers: 1})
+// matchSerialReplay replays ops requests of the stream mk builds through
+// the serial Replay on one cache and, materialized, through ParallelReplay
+// on another of the same shape, and requires the same final statistics and
+// paper WA. It returns the serial replay's statistics.
+func matchSerialReplay(t *testing.T, shards, ops int, mk func(testing.TB) nemo.Stream) nemo.Stats {
+	t.Helper()
+	seq := buildShardedReplayCache(t, shards)
+	res, err := nemo.Replay(seq, mk(t), nemo.ReplayConfig{Ops: ops})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Final != seq.Stats() {
-		t.Fatalf("parallel driver diverged from sequential replay:\nparallel:   %+v\nsequential: %+v",
-			res.Final, seq.Stats())
+	par := buildShardedReplayCache(t, shards)
+	st, err := nemo.ParallelReplay(par, nemo.Materialize(mk(t), ops))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != res.Final {
+		t.Fatalf("shards=%d: parallel replay diverged from the serial Replay:\nparallel: %+v\nserial:   %+v",
+			shards, st, res.Final)
 	}
 	if got, want := par.Readout().PaperWA(), seq.Readout().PaperWA(); got != want {
-		t.Fatalf("paper WA diverged: %v vs %v", got, want)
+		t.Fatalf("shards=%d: paper WA diverged: %v vs %v", shards, got, want)
+	}
+	return st
+}
+
+// TestParallelReplayMatchesSequential pins the parallel driver against the
+// serial Replay on the same trace: with one shard the driver is one
+// goroutine issuing the trace in order, and with eight each shard's
+// goroutine issues that shard's requests in trace order, which is all a
+// shard sees of the serial replay.
+func TestParallelReplayMatchesSequential(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		matchSerialReplay(t, shards, 60_000, replayStream)
 	}
 }
 
 // TestParallelReplayDeterministicAcrossWorkers checks the driver's core
 // guarantee: per-shard sequencing makes hit ratio and write amplification
-// independent of how many workers replay the trace — unbatched and batched
-// alike (batches are composed per shard, so batch boundaries cannot depend
-// on the worker count either).
+// independent of how the eight per-shard goroutines are scheduled. A run
+// at GOMAXPROCS 1, where they take turns, equals one at the machine's
+// GOMAXPROCS, where they run side by side.
 func TestParallelReplayDeterministicAcrossWorkers(t *testing.T) {
 	reqs := replayTrace(t, 60_000)
-	for _, batch := range []int{0, 16} {
-		var ref nemo.Stats
-		for i, workers := range []int{1, 2, 8} {
-			c := buildShardedReplayCache(t, 8)
-			res, err := nemo.ParallelReplay(c, reqs, nemo.ParallelReplayConfig{Workers: workers, BatchSize: batch})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if i == 0 {
-				ref = res.Final
-				continue
-			}
-			if res.Final != ref {
-				t.Fatalf("batch=%d workers=%d changed replay stats:\ngot: %+v\nref: %+v",
-					batch, workers, res.Final, ref)
-			}
-		}
-	}
-}
-
-// TestParallelReplayDeterministicAcrossBatchSizes pins the batched
-// replay against the unbatched driver: per-shard batching with exact
-// duplicate handling (repeats replay serially after the batch's fills)
-// keeps hit ratio and write amplification — every write-side and hit-side
-// counter — identical at every batch size on this trace. Only the flash
-// read traffic may drift fractionally: delaying a fill to the end of its
-// batch can shift which PBFG/candidate reads a neighboring lookup needs.
-func TestParallelReplayDeterministicAcrossBatchSizes(t *testing.T) {
-	reqs := replayTrace(t, 60_000)
-	var ref nemo.Stats
-	var refWA float64
-	run := func(batch int) (nemo.Stats, float64) {
-		c := buildShardedReplayCache(t, 8)
-		res, err := nemo.ParallelReplay(c, reqs, nemo.ParallelReplayConfig{BatchSize: batch})
+	run := func(procs int) nemo.Stats {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		st, err := nemo.ParallelReplay(buildShardedReplayCache(t, 8), reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Final, c.Readout().PaperWA()
+		return st
 	}
-	ref, refWA = run(0)
-	for _, batch := range []int{1, 8, 64} {
-		got, gotWA := run(batch)
-		if rel := math.Abs(float64(got.FlashBytesRead)-float64(ref.FlashBytesRead)) / float64(ref.FlashBytesRead); rel > 0.01 {
-			t.Fatalf("batch=%d moved flash read traffic by %.2f%%", batch, rel*100)
-		}
-		// Read traffic aside, the counter sets must match exactly.
-		got.FlashBytesRead, got.FlashReadOps = ref.FlashBytesRead, ref.FlashReadOps
-		if got != ref {
-			t.Fatalf("batch=%d changed replay stats:\ngot: %+v\nref: %+v", batch, got, ref)
-		}
-		// Paper WA's denominator is accounted per flushed SG, and batching
-		// may shift a fill across a flush boundary, so it is pinned to a
-		// 0.1% band rather than bit-exactly (ALWA, computed from the
-		// exactly-equal counters above, is already pinned exactly).
-		if math.Abs(gotWA-refWA)/refWA > 1e-3 {
-			t.Fatalf("batch=%d changed paper WA: %v vs %v", batch, gotWA, refWA)
-		}
-	}
-	// Past production batch depths (256 ≫ the 64-op norm) eviction timing
-	// may shift individual op outcomes; hit ratio and WA stay pinned to a
-	// 0.1% band.
-	got, gotWA := run(256)
-	if d := math.Abs(got.MissRatio() - ref.MissRatio()); d > 1e-3 {
-		t.Fatalf("batch=256 moved miss ratio by %.5f", d)
-	}
-	if math.Abs(gotWA-refWA)/refWA > 1e-3 {
-		t.Fatalf("batch=256 changed paper WA: %v vs %v", gotWA, refWA)
+	if one, all := run(1), run(runtime.GOMAXPROCS(0)); one != all {
+		t.Fatalf("GOMAXPROCS changed replay stats:\nGOMAXPROCS=1: %+v\nGOMAXPROCS=%d: %+v", one, runtime.GOMAXPROCS(0), all)
 	}
 }
 
-// TestParallelReplayMixedTraceDeterministic drives the whole of
-// Engine — batched mixed GET/SET/DELETE replay against the sharded engine
-// — and pins worker-count independence of the final statistics.
+// TestParallelReplayMixedTraceDeterministic drives the whole request mix —
+// GET with demand fill, SET and DELETE — through the sharded engine and
+// pins the parallel replay to the serial one.
 func TestParallelReplayMixedTraceDeterministic(t *testing.T) {
-	probe := nemo.NewDevice(nemo.DeviceConfig{PagesPerZone: 64})
-	dataBytes := int64(replayDataZones*probe.PagesPerZone()) * int64(probe.PageSize())
-	base, err := nemo.NewWorkload(dataBytes*3/4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed, err := nemo.NewMixedStream(base, 0.1, 0.05, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := nemo.Materialize(mixed, 60_000)
-	var ref nemo.Stats
-	for i, workers := range []int{1, 4, 8} {
-		c := buildShardedReplayCache(t, 8)
-		res, err := nemo.ParallelReplay(c, reqs, nemo.ParallelReplayConfig{Workers: workers, BatchSize: 32})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			ref = res.Final
-			if ref.Deletes == 0 {
-				t.Fatal("mixed trace produced no deletes")
-			}
-			continue
-		}
-		if res.Final != ref {
-			t.Fatalf("workers=%d changed mixed replay stats:\ngot: %+v\nref: %+v", workers, res.Final, ref)
-		}
+	if st := matchSerialReplay(t, 8, 60_000, mixedReplayStream); st.Deletes == 0 {
+		t.Fatal("mixed trace produced no deletes")
 	}
 }
 
@@ -206,25 +143,25 @@ func TestParallelReplayAsyncFlush(t *testing.T) {
 	reqs := replayTrace(t, 60_000)
 
 	syncC := buildShardedReplayCache(t, 8)
-	syncRes, err := nemo.ParallelReplay(syncC, reqs, nemo.ParallelReplayConfig{})
+	syncSt, err := nemo.ParallelReplay(syncC, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	asyncC := buildShardedAsyncReplayCache(t, 8, 2)
 	defer asyncC.Close()
-	asyncRes, err := nemo.ParallelReplay(asyncC, reqs, nemo.ParallelReplayConfig{})
+	asyncSt, err := nemo.ParallelReplay(asyncC, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	syncHit := 1 - syncRes.Final.MissRatio()
-	asyncHit := 1 - asyncRes.Final.MissRatio()
+	syncHit := 1 - syncSt.MissRatio()
+	asyncHit := 1 - asyncSt.MissRatio()
 	if d := math.Abs(syncHit - asyncHit); d > 0.03 {
 		t.Fatalf("async fills moved hit ratio by %.4f (sync %.4f, async %.4f)", d, syncHit, asyncHit)
 	}
 	// Every miss is filled once, sync or async: the drained engine counts
 	// as many Sets as its replay had misses.
-	for name, st := range map[string]nemo.Stats{"sync": syncRes.Final, "async": asyncRes.Final} {
+	for name, st := range map[string]nemo.Stats{"sync": syncSt, "async": asyncSt} {
 		if misses := st.Gets - st.Hits; st.Sets == 0 || st.Sets != misses {
 			t.Fatalf("%s replay: %d Sets for %d misses", name, st.Sets, misses)
 		}
@@ -363,11 +300,11 @@ func TestShardedReplayQuality(t *testing.T) {
 	reqs := replayTrace(t, 150_000)
 	run := func(shards int) (hitRatio, wa float64) {
 		c := buildShardedReplayCache(t, shards)
-		res, err := nemo.ParallelReplay(c, reqs, nemo.ParallelReplayConfig{})
+		st, err := nemo.ParallelReplay(c, reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return 1 - res.Final.MissRatio(), c.Readout().PaperWA()
+		return 1 - st.MissRatio(), c.Readout().PaperWA()
 	}
 	hit1, wa1 := run(1)
 	hit8, wa8 := run(8)
@@ -385,9 +322,10 @@ func TestShardedReplayQuality(t *testing.T) {
 // sub-batches concurrently, so one caller gets cross-shard parallelism from
 // one call. The first device read of the batch — whichever shard's it is —
 // is parked, and the other shards' sub-batches must still reach the device
-// while it sits there; run one after another, they would wait for it. (The
-// quality equivalence of batched replay is pinned by
-// TestParallelReplayDeterministicAcrossBatchSizes.)
+// while it sits there; run one after another, they would wait for it.
+// (That GetMany answers as serial Gets do, through flush and eviction, is
+// pinned by TestShardedBatchMatchesSerial and TestGetManyMatchesSerialGets
+// in internal/core.)
 func TestGetManyFansOutAcrossShards(t *testing.T) {
 	if runtime.GOMAXPROCS(0) == 1 {
 		t.Skip("the facade runs sub-batches inline on a single-P runtime")
