@@ -14,15 +14,20 @@
 // Every cache design in the repository — Nemo, the four baselines, and each
 // of them behind a sharded facade — implements one interface, Engine
 // (internal/cachelib): Name, Get, Set, Delete, GetMany, SetMany, SetAsync,
-// Drain, Stats, ReadLatency, Close. It is the neutral harness surface the
+// Drain, Stats, Fields, Close. It is the neutral harness surface the
 // paper's comparisons need, and the server, the replayers and ShardedEngine
-// are written against it with no adapter in between.
+// are written against it with no adapter in between. Read latency is not
+// part of it: each engine records its own histogram (a Nemo shard's is
+// Shard(i).ReadLatency) and no facade merges them.
 //
-//   - GetMany/SetMany. Cache executes a batch under one lock acquisition;
-//     ShardedEngine — and ShardedCache, which embeds it — takes one hash
-//     pass, groups into per-shard sub-batches and fans out across shards in
-//     parallel: the multi-get pattern of a cache service front end. The
-//     baselines have nothing to batch and loop over their own Get and Set.
+//   - GetMany. A Nemo shard reads a batch with one plan and one commit
+//     under its lock; ShardedEngine — and ShardedCache, which embeds it —
+//     takes one hash pass, groups into per-shard sub-batches and fans out
+//     across shards in parallel: the multi-get pattern of a cache service
+//     front end. The baselines have nothing to batch and loop over their
+//     own Get.
+//   - SetMany. The batch's Sets in order, stopping at the first error, on
+//     every engine and facade alike: one loop over the engine's own Set.
 //   - SetAsync/Drain. Nemo inserts into the in-memory SG and returns; when
 //     the rear-full trigger fires, the full SG's flush is handed to a
 //     background flusher pool (Config.Flushers goroutines, shared across

@@ -2,15 +2,14 @@
 // repository implements, plus the request replayer used by all experiments.
 // It plays the role CacheLib plays in the paper: a neutral harness that
 // feeds identical request streams to interchangeable flash-cache engines
-// and collects the paper's metrics (write amplification, miss ratio, read
-// latency).
+// and collects the paper's metrics (write amplification, miss ratio). Each
+// engine keeps its own read-latency histogram; the contract does not carry
+// it, and no facade merges one.
 package cachelib
 
 import (
 	"errors"
 	"time"
-
-	"nemo/internal/metrics"
 )
 
 // ErrDegraded is returned by the write path (Set/SetAsync/SetMany/Delete)
@@ -28,10 +27,10 @@ var ErrDegraded = errors.New("degraded: write path unhealthy, shard is read-only
 // is written against. Implementations are safe for concurrent use; the
 // serial replayer drives them single-threaded for determinism.
 //
-// Nemo batches, deletes and defers natively. The baselines take the batch
-// and deferred-write calls from PerKey (a loop over their own Get and Set)
-// and, lacking an index to delete from, Set, KG and FW answer Delete with a
-// DeleteShadow; see perkey.go.
+// Nemo batches reads, deletes and defers natively. Every engine takes
+// SetMany from PerKey (a loop over its own Set), the baselines the batched
+// read and deferred-write calls too, and, lacking an index to delete from,
+// Set, KG and FW answer Delete with a DeleteShadow; see perkey.go.
 //
 // The op vocabulary of a mixed GET/SET/DELETE workload is trace.Kind,
 // carried on every trace.Request — there is deliberately no second enum
@@ -57,13 +56,10 @@ type Engine interface {
 	// fans them out in parallel, so an N-op batch costs one lock round-trip
 	// per touched shard instead of N.
 	GetMany(keys [][]byte) (values [][]byte, hits []bool)
-	// SetMany inserts keys[i] → values[i]. Within each shard the inserts
-	// apply in batch order with effects identical to sequential Sets
-	// (repeated keys included: the later write wins); across shards the
-	// sub-batches run independently, so on error some sub-batches may have
-	// completed while others did not — the first error by shard order is
-	// returned. Single-shard engines degrade to the strict sequential
-	// semantics, stopping at the first error.
+	// SetMany inserts keys[i] → values[i] as that sequence of Sets, in batch
+	// order (repeated keys included: the later write wins), stopping at the
+	// first error, which it returns: every key before the failing one is
+	// applied, no later one is.
 	SetMany(keys, values [][]byte) error
 
 	// SetAsync inserts like Set but never flushes inline: for Nemo the full
@@ -81,9 +77,6 @@ type Engine interface {
 	// Fields returns every counter the engine keeps as rows under their
 	// stats-verb names; a wrapper that embeds an Engine forwards them.
 	Fields() []Field
-	// ReadLatency is the engine-maintained histogram of per-GET virtual
-	// latencies.
-	ReadLatency() *metrics.Histogram
 	// Close releases resources.
 	Close() error
 }

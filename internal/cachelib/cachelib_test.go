@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"nemo/internal/metrics"
 	"nemo/internal/trace"
 	"nemo/internal/vtime"
 )
@@ -13,9 +12,8 @@ import (
 // fakeEngine is an unbounded map cache for exercising the replayer.
 type fakeEngine struct {
 	PerKey
-	m    map[string][]byte
-	st   Stats
-	hist metrics.Histogram
+	m  map[string][]byte
+	st Stats
 }
 
 func newFake() *fakeEngine {
@@ -31,7 +29,6 @@ func (f *fakeEngine) Get(key []byte) ([]byte, bool) {
 	if ok {
 		f.st.Hits++
 	}
-	f.hist.Record(time.Microsecond)
 	return v, ok
 }
 func (f *fakeEngine) Set(key, value []byte) error {
@@ -46,9 +43,8 @@ func (f *fakeEngine) Delete(key []byte) error {
 	delete(f.m, string(key))
 	return nil
 }
-func (f *fakeEngine) Stats() Stats                    { return f.st }
-func (f *fakeEngine) ReadLatency() *metrics.Histogram { return &f.hist }
-func (f *fakeEngine) Close() error                    { return nil }
+func (f *fakeEngine) Stats() Stats { return f.st }
+func (f *fakeEngine) Close() error { return nil }
 
 func testStream() trace.Stream {
 	return trace.NewZipf(trace.ClusterConfig{

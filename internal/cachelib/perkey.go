@@ -3,7 +3,10 @@ package cachelib
 // PerKey supplies GetMany, SetMany, SetAsync and Drain to an engine that has
 // nothing to batch or defer, as loops over the engine's own Get and Set: the
 // call shape of Engine without a batching win, and Fields as its Stats rows.
-// An engine embeds it and points it at itself in its constructor (PerKeyOver).
+// An engine embeds it and points it at itself in its constructor (PerKeyOver);
+// methods the engine defines itself win over the embedded ones. SetMany is
+// written only here, so every engine — Nemo and the sharded facade included —
+// applies a batch as its ordered Sets.
 type PerKey struct{ e getSetter }
 
 type getSetter interface {

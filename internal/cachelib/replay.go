@@ -38,13 +38,14 @@ type TimelinePoint struct {
 	FlashBytesWritten uint64
 }
 
-// ReplayResult aggregates everything an experiment needs from one run.
+// ReplayResult aggregates what the replayer observes of one run. Read
+// latency is not among it: an engine records its own, and a caller that
+// wants it reads the engine's histogram.
 type ReplayResult struct {
 	Engine   string
 	Final    Stats
 	Miss     *metrics.Series // windowed miss ratio vs ops
 	Timeline []TimelinePoint
-	Latency  metrics.Snapshot
 }
 
 // Replay issues cfg.Ops requests from the stream against the engine — a GET
@@ -92,6 +93,5 @@ func Replay(e Engine, s trace.Stream, cfg ReplayConfig) (ReplayResult, error) {
 	}
 	res.Final = e.Stats()
 	res.Miss = missWin.Series()
-	res.Latency = e.ReadLatency().Snapshot()
 	return res, nil
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"nemo/internal/metrics"
 	"nemo/internal/trace"
 )
 
@@ -151,8 +150,7 @@ func (s *shardedFake) Stats() Stats {
 	}
 	return sum
 }
-func (s *shardedFake) ReadLatency() *metrics.Histogram { return &s.shards[0].hist }
-func (s *shardedFake) Close() error                    { return nil }
+func (s *shardedFake) Close() error { return nil }
 
 var (
 	_ Engine  = (*shardedFake)(nil)

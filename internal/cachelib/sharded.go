@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-
-	"nemo/internal/metrics"
 )
 
 // ShardedEngine is the hash-partitioned facade: n independent engines, each
@@ -18,9 +16,10 @@ import (
 // Every sharded engine in the repository is one of these: core.Sharded embeds
 // it over its Nemo shards, and each baseline package's (logcache, setcache,
 // kangaroo, fairywren) NewSharded partitions its zone budget into per-shard
-// engines and wraps them here. Batches take one hash pass (PlanFPs), group into
-// per-shard sub-batches (GroupByShard), and fan out across shards in
-// parallel; Stats sums per-shard counters without a global lock. The
+// engines and wraps them here. A GetMany takes one hash pass (PlanFPs),
+// groups into per-shard sub-batches (GroupByShard), and fans out across
+// shards in parallel; SetMany is PerKey's ordered Sets, each routed to its
+// shard; Stats sums per-shard counters without a global lock. The read
 // fan-out composes with whatever read concurrency the shard engine itself
 // offers: a sub-batch handed to an engine with a three-phase GetMany
 // (core.Cache) overlaps its flash I/O within the shard, on top of the
@@ -31,13 +30,9 @@ import (
 // replay statistics are stat-for-stat those of the unwrapped engine (pinned
 // per baseline by the shards=1 equivalence property tests).
 type ShardedEngine struct {
+	PerKey // SetMany; GetMany, SetAsync, Drain and Fields are the facade's own
 	shards []Engine
 	n      uint64
-
-	// histMu guards the merged read-latency histogram rebuilt on demand by
-	// ReadLatency (the Engine contract returns a pointer).
-	histMu sync.Mutex
-	hist   metrics.Histogram
 }
 
 // The generic facade is an Engine plus the Sharder routing contract the
@@ -58,7 +53,9 @@ func NewShardedEngine(engines []Engine) (*ShardedEngine, error) {
 			return nil, fmt.Errorf("cachelib: shard %d is nil", i)
 		}
 	}
-	return &ShardedEngine{shards: append([]Engine(nil), engines...), n: uint64(len(engines))}, nil
+	s := &ShardedEngine{shards: append([]Engine(nil), engines...), n: uint64(len(engines))}
+	s.PerKey = PerKeyOver(s)
+	return s, nil
 }
 
 // NewShardedRange partitions the zone range [zoneBase, zoneBase+zones) of
@@ -177,7 +174,7 @@ func (s *ShardedEngine) GetMany(keys [][]byte) (values [][]byte, hits []bool) {
 	hits = make([]bool, len(keys))
 	fanOut := runtime.GOMAXPROCS(0) > 1
 	var wg sync.WaitGroup
-	subs := GroupByShard(fps, keys, nil, len(s.shards))
+	subs := GroupByShard(fps, keys, len(s.shards))
 	defer ReleaseSubBatches(subs)
 	for _, sub := range subs {
 		scatter := func(sub SubBatch) {
@@ -202,45 +199,6 @@ func (s *ShardedEngine) GetMany(keys [][]byte) (values [][]byte, hits []bool) {
 	return values, hits
 }
 
-// SetMany implements Engine on the generic facade. Within a shard
-// inserts apply in batch order; across shards sub-batches run in parallel
-// (keys of different shards never interact). The lowest-numbered shard's
-// error is returned first.
-func (s *ShardedEngine) SetMany(keys, values [][]byte) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	scratch := BorrowFPs()
-	defer ReturnFPs(scratch)
-	fps, first, single := PlanFPs(keys, scratch, s.n)
-	if single {
-		return s.shards[first].SetMany(keys, values)
-	}
-	fanOut := runtime.GOMAXPROCS(0) > 1
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	subs := GroupByShard(fps, keys, values, len(s.shards))
-	defer ReleaseSubBatches(subs)
-	for _, sub := range subs {
-		if !fanOut {
-			errs[sub.Shard] = s.shards[sub.Shard].SetMany(sub.Keys, sub.Vals)
-			continue
-		}
-		wg.Add(1)
-		go func(sub SubBatch) {
-			defer wg.Done()
-			errs[sub.Shard] = s.shards[sub.Shard].SetMany(sub.Keys, sub.Vals)
-		}(sub)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Stats implements Engine by summing per-shard counters. Each shard is
 // sampled under its own lock; no global lock is taken.
 func (s *ShardedEngine) Stats() Stats {
@@ -253,16 +211,3 @@ func (s *ShardedEngine) Stats() Stats {
 
 // Fields implements Engine: the summed Stats as rows.
 func (s *ShardedEngine) Fields() []Field { return s.Stats().Fields() }
-
-// ReadLatency implements Engine: the merged histogram of all shards,
-// rebuilt on each call. Like the per-shard histograms it merges, the result
-// should be read while the engine is quiescent.
-func (s *ShardedEngine) ReadLatency() *metrics.Histogram {
-	s.histMu.Lock()
-	defer s.histMu.Unlock()
-	s.hist.Reset()
-	for _, e := range s.shards {
-		s.hist.Merge(e.ReadLatency())
-	}
-	return &s.hist
-}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"nemo/internal/metrics"
 )
 
 // shardFake is a minimal in-memory Engine for facade tests. It counts ops
@@ -20,7 +18,6 @@ type shardFake struct {
 	failing map[string]bool
 	closed  bool
 	stats   Stats
-	hist    metrics.Histogram
 }
 
 func newShardFake(name string) *shardFake {
@@ -69,8 +66,6 @@ func (f *shardFake) Stats() Stats {
 	defer f.mu.Unlock()
 	return f.stats
 }
-
-func (f *shardFake) ReadLatency() *metrics.Histogram { return &f.hist }
 
 func (f *shardFake) Close() error {
 	f.mu.Lock()
@@ -180,53 +175,45 @@ func TestShardedEngineBatchScatter(t *testing.T) {
 	}
 }
 
-// TestShardedEngineSetManyErrors pins the documented sharded error
-// contract: a failing key stops only its own shard's sub-batch, other
-// shards complete, and the first error by shard order is returned.
+// TestShardedEngineSetManyErrors pins the SetMany contract on the facade: a
+// batch is its Sets in batch order, whatever shards they route to. Every key
+// before the first failing one is applied, no later key is applied on any
+// shard, and the error is the failing key's — also when a later key on a
+// lower-numbered shard would fail too.
 func TestShardedEngineSetManyErrors(t *testing.T) {
 	s, fakes := buildSharded(t, 4)
 	keys := testKeys(64)
 	vals := keys
 
-	// Fail the first key (in batch order) of the highest-numbered shard
-	// that owns any key, and the second key of the lowest-numbered one.
-	perShard := map[int][]string{}
-	for _, k := range keys {
-		sh := s.ShardOf(k)
-		perShard[sh] = append(perShard[sh], string(k))
-	}
-	lo, hi := -1, -1
-	for sh := 0; sh < 4; sh++ {
-		if len(perShard[sh]) < 2 {
-			continue
+	// The failing key f sits mid-batch on a shard other than 0; g, later in
+	// the batch on shard 0, would fail as well.
+	f, g := -1, -1
+	for i := 32; i < len(keys); i++ {
+		if sh := s.ShardOf(keys[i]); f < 0 && sh != 0 {
+			f = i
+		} else if f >= 0 && sh == 0 {
+			g = i
+			break
 		}
-		if lo < 0 {
-			lo = sh
-		}
-		hi = sh
 	}
-	if lo < 0 || hi == lo {
-		t.Fatal("test trace does not spread over 2+ shards with 2+ keys")
+	if f < 0 || g < 0 {
+		t.Fatal("test keys do not put a shard-0 key after a key of another shard")
 	}
-	fakes[lo].failing[perShard[lo][1]] = true
-	fakes[hi].failing[perShard[hi][0]] = true
+	fakes[s.ShardOf(keys[f])].failing[string(keys[f])] = true
+	fakes[0].failing[string(keys[g])] = true
 
 	err := s.SetMany(keys, vals)
-	if err == nil {
-		t.Fatal("SetMany reported success with failing shards")
+	if want := fmt.Sprintf("fake: set %q refused", keys[f]); err == nil || err.Error() != want {
+		t.Fatalf("error = %v, want key %d's (%s)", err, f, want)
 	}
-	// First error by shard order: shard lo's, whose first key succeeded.
-	if want := fmt.Sprintf("fake: set %q refused", perShard[lo][1]); err.Error() != want {
-		t.Fatalf("error = %v, want shard %d's (%s)", err, lo, want)
+	want := make([][]string, len(fakes))
+	for _, k := range keys[:f] {
+		sh := s.ShardOf(k)
+		want[sh] = append(want[sh], string(k))
 	}
-	if got := fakes[lo].applied; len(got) != 1 || got[0] != perShard[lo][0] {
-		t.Fatalf("failing shard %d applied %v, want only %q", lo, got, perShard[lo][0])
-	}
-	// Shards between lo and hi (and hi's keys before its failure — none,
-	// it fails on its first) must be unaffected by the other errors.
-	for sh := lo + 1; sh < hi; sh++ {
-		if len(fakes[sh].applied) != len(perShard[sh]) {
-			t.Fatalf("healthy shard %d applied %d/%d keys", sh, len(fakes[sh].applied), len(perShard[sh]))
+	for sh, fk := range fakes {
+		if fmt.Sprint(fk.applied) != fmt.Sprint(want[sh]) {
+			t.Fatalf("shard %d applied %v, want the keys before %d: %v", sh, fk.applied, f, want[sh])
 		}
 	}
 }

@@ -72,8 +72,7 @@ func PlanFPs(keys [][]byte, scratch *[]uint64, n uint64) (fps []uint64, first in
 type SubBatch struct {
 	Shard int
 	Keys  [][]byte
-	Vals  [][]byte // nil unless values were passed to GroupByShard (SetMany)
-	Pos   []int32  // original batch positions
+	Pos   []int32 // original batch positions
 
 	scratch *groupScratch
 }
@@ -81,37 +80,36 @@ type SubBatch struct {
 // groupScratch backs one GroupByShard result.
 type groupScratch struct {
 	ints []int32  // shard of each key | per-shard starts | write cursors | positions
-	refs [][]byte // keys, then values, in shard order
+	keys [][]byte // in shard order
 	subs []SubBatch
 }
 
 var groupPool = sync.Pool{New: func() any { return new(groupScratch) }}
 
 // ReleaseSubBatches returns a GroupByShard result's scratch to the pool once
-// no sub-batch of it is referenced any more, dropping the key and value
-// references it held.
+// no sub-batch of it is referenced any more, dropping the key references it
+// held.
 func ReleaseSubBatches(subs []SubBatch) {
 	if len(subs) == 0 {
 		return
 	}
 	gs := subs[0].scratch
-	clear(gs.refs)
+	clear(gs.keys)
 	clear(gs.subs)
 	groupPool.Put(gs)
 }
 
 // GroupByShard buckets a fingerprinted batch into per-shard sub-batches with
 // a counting sort: one pass to count, one to scatter — O(keys + shards), not
-// O(keys × shards). values may be nil (GetMany has none). Pair with
-// ReleaseSubBatches.
-func GroupByShard(fps []uint64, keys, values [][]byte, nShards int) []SubBatch {
+// O(keys × shards). Pair with ReleaseSubBatches.
+func GroupByShard(fps []uint64, keys [][]byte, nShards int) []SubBatch {
 	n, nk := uint64(nShards), len(keys)
 	gs := groupPool.Get().(*groupScratch)
 	if need := 2*nk + 2*nShards + 1; cap(gs.ints) < need {
 		gs.ints = make([]int32, need)
 	}
-	if cap(gs.refs) < 2*nk {
-		gs.refs = make([][]byte, 2*nk)
+	if cap(gs.keys) < nk {
+		gs.keys = make([][]byte, nk)
 	}
 	ints := gs.ints[:cap(gs.ints)]
 	shs, ints := ints[:nk], ints[nk:]
@@ -126,21 +124,13 @@ func GroupByShard(fps []uint64, keys, values [][]byte, nShards int) []SubBatch {
 	for sh := 0; sh < nShards; sh++ {
 		starts[sh+1] += starts[sh]
 	}
-	refs := gs.refs[:cap(gs.refs)]
-	bKeys := refs[:nk]
-	var bVals [][]byte
-	if values != nil {
-		bVals = refs[nk : 2*nk]
-	}
+	bKeys := gs.keys[:nk]
 	copy(write, starts[:nShards])
 	for i := range keys {
 		sh := shs[i]
 		o := write[sh]
 		write[sh] = o + 1
 		bKeys[o], bPos[o] = keys[i], int32(i)
-		if bVals != nil {
-			bVals[o] = values[i]
-		}
 	}
 	subs := gs.subs[:0]
 	for sh := 0; sh < nShards; sh++ {
@@ -148,11 +138,7 @@ func GroupByShard(fps []uint64, keys, values [][]byte, nShards int) []SubBatch {
 		if lo == hi {
 			continue
 		}
-		sub := SubBatch{Shard: sh, Keys: bKeys[lo:hi], Pos: bPos[lo:hi], scratch: gs}
-		if bVals != nil {
-			sub.Vals = bVals[lo:hi]
-		}
-		subs = append(subs, sub)
+		subs = append(subs, SubBatch{Shard: sh, Keys: bKeys[lo:hi], Pos: bPos[lo:hi], scratch: gs})
 	}
 	gs.subs = subs
 	return subs

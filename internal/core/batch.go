@@ -1,17 +1,14 @@
 package core
 
-import (
-	"nemo/internal/cachelib"
-	"nemo/internal/hashing"
-)
+import "nemo/internal/cachelib"
 
-// This file implements cachelib.Engine's batch calls natively on Cache: a
-// batch costs one lock acquisition instead of one per operation. Sharded
-// gets its batch calls from the embedded cachelib.ShardedEngine, which
-// hashes once to route, groups keys into per-shard sub-batches and fans them
-// out in parallel to the shards' GetMany/SetMany here — the per-shard
-// request order is preserved, so within every shard a batch behaves exactly
-// like the equivalent op sequence.
+// This file implements cachelib.Engine's batched read natively on Cache: a
+// GetMany costs one plan and one commit lock acquisition instead of one
+// pair per key. Sharded gets its GetMany from the embedded
+// cachelib.ShardedEngine, which hashes once to route, groups keys into
+// per-shard sub-batches and fans them out in parallel to the shards'
+// GetMany here. SetMany, on Cache and Sharded alike, is the embedded
+// cachelib.PerKey's: the batch's Sets in order, stopping at the first error.
 
 // Interface conformance.
 var (
@@ -35,19 +32,4 @@ func (c *Cache) GetMany(keys [][]byte) (values [][]byte, hits []bool) {
 		values[j], hits[j] = sc.outcome(j)
 	}
 	return values, hits
-}
-
-// SetMany implements cachelib.Engine: all inserts execute in order
-// under one lock acquisition, with effects identical to sequential Sets
-// (including trigger-driven inline flushes). The first error aborts the
-// remainder of the batch.
-func (c *Cache) SetMany(keys, values [][]byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range keys {
-		if err := c.setLocked(hashing.Fingerprint(keys[i]), keys[i], values[i], false); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -27,12 +27,12 @@ type Config struct {
 
 	// Shards partitions the key space by hash into this many independent
 	// engines, each owning a private slice of the device's zones, its own
-	// in-memory SGs, PBFG index, and lock (0 is 1). NewSharded divides
-	// DataZones evenly across shards and lays the slices out from zone 0,
-	// each one its DataZones/Shards data zones followed by its index pool
-	// (IndexZonesFor) — Kangaroo-style set partitioning on a shared ZNS
-	// drive. Requests for different shards
-	// never contend, which is what lets the engine scale across cores.
+	// in-memory SGs, PBFG index, and lock (0 is 1, negative an error).
+	// NewSharded divides DataZones evenly across shards and lays the slices
+	// out from zone 0, each one its DataZones/Shards data zones followed by
+	// its index pool (IndexZonesFor) — Kangaroo-style set partitioning on a
+	// shared ZNS drive. Requests for different shards never contend, which
+	// is what lets the engine scale across cores.
 	Shards int
 
 	// Flushers is the size of the background flusher pool backing SetAsync:

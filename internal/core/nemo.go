@@ -43,6 +43,8 @@ import (
 // should treat overwrites as invalidations (delete-then-set at a higher
 // layer), as with the paper's CacheLib deployment.
 type Cache struct {
+	cachelib.PerKey // SetMany; the rest of the contract is Cache's own
+
 	cfg       Config
 	dev       device.Device
 	zoneBase  int // first device zone of this shard's slice
@@ -150,6 +152,7 @@ func newShard(cfg Config, base int, kits *kitPool) (*Cache, error) {
 		zoneBase:  base,
 		kits:      kits,
 	}
+	c.PerKey = cachelib.PerKeyOver(c)
 	c.fetchBuf = make([]byte, c.pageSize)
 	c.flushCond = sync.NewCond(&c.mu)
 	c.probes = bloom.NewProbeSet(0, c.bfK)
@@ -191,7 +194,9 @@ func (c *Cache) Name() string { return "Nemo" }
 // flusher pool and the final checkpoint are the facade's (Sharded.Close).
 func (c *Cache) Close() error { return nil }
 
-// ReadLatency implements cachelib.Engine.
+// ReadLatency is this shard's histogram of per-GET virtual latencies.
+// Sharded has none of its own: a reader takes a shard's while the cache is
+// quiescent.
 func (c *Cache) ReadLatency() *metrics.Histogram { return &c.hist }
 
 // setOf maps a fingerprint to its intra-SG offset. Lane 0 keeps placement
@@ -235,7 +240,7 @@ func (c *Cache) Drain() error {
 	return c.flusher.drain()
 }
 
-// setLocked is the insert path shared by Set, SetAsync, and SetMany. async
+// setLocked is the insert path shared by Set and SetAsync. async
 // defers trigger-driven flushes to the flusher pool.
 func (c *Cache) setLocked(fp uint64, key, value []byte, async bool) error {
 	if len(value) == 0 {

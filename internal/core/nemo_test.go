@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"nemo/internal/device"
 	"nemo/internal/flashsim"
@@ -364,22 +366,38 @@ func TestWritebackDisabledDropsAll(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 16, Zones: 16})
-	bad := []func(*Config){
-		func(c *Config) { c.Device = nil },
-		func(c *Config) { c.DataZones = 1 },
-		func(c *Config) { c.DataZones = 100 },
-		func(c *Config) { c.FlushThreshold = 0 },
-		func(c *Config) { c.BloomFPR = 0 },
-		func(c *Config) { c.BloomFPR = 1.5 },
-		func(c *Config) { c.CachedPBFGRatio = 2 },
-		func(c *Config) { c.CoolingWriteRatio = 0 },
-		func(c *Config) { c.SGsPerIndexGroup = 0 },
+	// Each row names the check that must reject it, so a row caught by an
+	// earlier check does not pass for the wrong reason.
+	bad := []struct {
+		mutate func(*Config)
+		want   string
+	}{
+		{func(c *Config) { c.Device = nil }, "nil device"},
+		{func(c *Config) { c.DataZones = 1 }, "DataZones 1 must hold at least 2 SGs"},
+		{func(c *Config) { c.DataZones = 100 }, "need zones"},
+		{func(c *Config) { c.FlushThreshold = 0 }, "FlushThreshold"},
+		{func(c *Config) { c.BloomFPR = 0 }, "BloomFPR"},
+		{func(c *Config) { c.BloomFPR = 1.5 }, "BloomFPR"},
+		{func(c *Config) { c.CachedPBFGRatio = 2 }, "CachedPBFGRatio"},
+		{func(c *Config) { c.CoolingWriteRatio = 0 }, "CoolingWriteRatio"},
+		{func(c *Config) { c.SGsPerIndexGroup = 0 }, "SGsPerIndexGroup"},
+		{func(c *Config) { c.Shards = -1 }, "Shards -1 must be non-negative"},
+		{func(c *Config) { c.Shards = 3 }, "DataZones 8 not divisible by 3 shards"},
+		{func(c *Config) { c.Flushers = -1 }, "Flushers -1 must be non-negative"},
+		{func(c *Config) { c.BreakerThreshold = -1 }, "BreakerThreshold -1 must be non-negative"},
+		{func(c *Config) { c.BreakerProbeAfter = -time.Second }, "BreakerProbeAfter -1s must be non-negative"},
+		{func(c *Config) { c.WriteRetries = -1 }, "WriteRetries -1 must be non-negative"},
+		{func(c *Config) { c.RetryBackoff = -time.Millisecond }, "RetryBackoff -1ms must be non-negative"},
 	}
-	for i, mutate := range bad {
+	for i, row := range bad {
 		cfg := DefaultConfig(dev, 8)
-		mutate(&cfg)
-		if _, err := NewSharded(cfg); err == nil {
-			t.Fatalf("bad config %d accepted", i)
+		row.mutate(&cfg)
+		_, err := NewSharded(cfg)
+		if err == nil {
+			t.Fatalf("bad config %d accepted (want %q)", i, row.want)
+		}
+		if !strings.Contains(err.Error(), row.want) {
+			t.Fatalf("bad config %d: error %q, want it to name %q", i, err, row.want)
 		}
 	}
 }

@@ -2,10 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"nemo/internal/cachelib"
-	"nemo/internal/metrics"
 )
 
 // Sharded is a hash-partitioned Nemo cache: Config.Shards independent Cache
@@ -13,11 +11,13 @@ import (
 // own in-memory SGs, PBFG index, and lock. Routing is the embedded
 // cachelib.ShardedEngine — the one sharded facade, the same type that
 // fronts the four baselines: Get/Set/Delete/SetAsync go to the shard owning
-// the key's shard lane and take only that shard's lock, GetMany/SetMany
-// split into per-shard sub-batches, Stats sums per-shard counters without
-// any global lock. Within one shard, concurrent GETs additionally overlap
-// their flash I/O through the shard's three-phase read path (readpath.go),
-// so read throughput scales with goroutines even on a single hot shard.
+// the key's shard lane and take only that shard's lock, GetMany splits into
+// per-shard sub-batches, SetMany is the batch's Sets in order, Stats sums
+// per-shard counters without any global lock. Each shard keeps its own
+// read-latency histogram; none is merged here. Within one shard, concurrent
+// GETs additionally overlap their flash I/O through the shard's three-phase
+// read path (readpath.go), so read throughput scales with goroutines even
+// on a single hot shard.
 // What this type adds is what only Nemo has: the zone layout, the shared
 // flusher pool, restore and checkpoint, and the Nemo-specific aggregates.
 // It is the only way to build Nemo; a shard on its own has no lifecycle.
@@ -48,28 +48,24 @@ type Sharded struct {
 
 	// kits is the flush-kit free list every shard takes from (writepath.go).
 	kits *kitPool
-
-	// histMu guards the merged read-latency histogram rebuilt on demand by
-	// ReadLatency (the Engine contract returns a pointer).
-	histMu sync.Mutex
-	hist   metrics.Histogram
 }
 
-// NewSharded creates a Nemo cache of cfg.Shards shards (0 is 1).
-// cfg.DataZones is the total SG pool across all shards and must divide
-// evenly into shards of whole SGs; each shard additionally reserves its own
-// index zones, laid out contiguously after its data zones from zone 0 on.
+// NewSharded creates a Nemo cache of cfg.Shards shards (0 is 1; a negative
+// count is an error). cfg.DataZones is the total SG pool across all shards
+// and must divide evenly into shards of whole SGs; each shard additionally
+// reserves its own index zones, laid out contiguously after its data zones
+// from zone 0 on.
 func NewSharded(cfg Config) (*Sharded, error) {
-	n := cfg.Shards
-	if n < 1 {
-		n = 1
-	}
 	if cfg.Device == nil {
 		return nil, fmt.Errorf("core: nil device")
+	}
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("core: Shards %d must be non-negative", cfg.Shards)
 	}
 	if cfg.Flushers < 0 {
 		return nil, fmt.Errorf("core: Flushers %d must be non-negative", cfg.Flushers)
 	}
+	n := max(cfg.Shards, 1)
 	if cfg.DataZones%n != 0 {
 		return nil, fmt.Errorf("core: DataZones %d not divisible by %d shards", cfg.DataZones, n)
 	}
@@ -183,18 +179,3 @@ func (s *Sharded) PaperWA() float64 { return s.Readout().PaperWA() }
 
 // MeanFillRate is a Readout shim for benchmark/ until ROADMAP direction 1(d).
 func (s *Sharded) MeanFillRate() float64 { return s.Readout().MeanFillRate() }
-
-// ReadLatency implements cachelib.Engine: the merged histogram of all
-// shards, rebuilt on each call. It overrides the embedded facade's merge
-// because a Nemo shard's histogram is written under the shard lock, so each
-// is merged under that lock. The returned histogram should be read while the
-// cache is quiescent.
-func (s *Sharded) ReadLatency() *metrics.Histogram {
-	s.histMu.Lock()
-	defer s.histMu.Unlock()
-	s.hist.Reset()
-	for _, c := range s.shards {
-		c.mergeLatencyInto(&s.hist)
-	}
-	return &s.hist
-}

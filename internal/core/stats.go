@@ -6,7 +6,6 @@ import (
 
 	"nemo/internal/bloom"
 	"nemo/internal/cachelib"
-	"nemo/internal/metrics"
 )
 
 // NemoStats extends the common counters with the quantities the paper's
@@ -100,14 +99,6 @@ func (c *Cache) statsLocked() cachelib.Stats {
 		s.BreakerOpen = 1
 	}
 	return s
-}
-
-// mergeLatencyInto folds this cache's latency histogram into h under the
-// cache lock (used by the sharded facade to aggregate shard histograms).
-func (c *Cache) mergeLatencyInto(h *metrics.Histogram) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h.Merge(&c.hist)
 }
 
 // MemoryOverhead models Nemo's metadata cost in bits per object, following

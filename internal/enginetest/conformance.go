@@ -70,25 +70,11 @@ func Conformance(t *testing.T, mk func(t *testing.T) cachelib.Engine) {
 		}
 		vals[bad] = oversize
 		batched, serial := build(t), build(t)
-		// The contract: each shard's inserts apply in batch order and stop at
-		// that shard's first error; the first error by shard order is
-		// returned. One shard is strict stop-at-first-error.
-		shardOf, shards := func([]byte) int { return 0 }, 1
-		if sh, ok := batched.(cachelib.Sharder); ok {
-			shardOf, shards = sh.ShardOf, sh.NumShards()
-		}
-		errs := make([]error, shards)
-		for i := range keys {
-			if s := shardOf(keys[i]); errs[s] == nil {
-				errs[s] = serial.Set(keys[i], vals[i])
-			}
-		}
+		// The contract: the batch's Sets in batch order, on every shard
+		// count, stopping at the first error.
 		var want error
-		for _, err := range errs {
-			if err != nil {
-				want = err
-				break
-			}
+		for i := 0; i < n && want == nil; i++ {
+			want = serial.Set(keys[i], vals[i])
 		}
 		got := batched.SetMany(keys, vals)
 		if got == nil || want == nil || got.Error() != want.Error() {
@@ -107,9 +93,8 @@ func Conformance(t *testing.T, mk func(t *testing.T) cachelib.Engine) {
 			if hit != gotH[i] || !bytes.Equal(v, gotV[i]) {
 				t.Fatalf("GetMany[%d] = %q/%v, Get = %q/%v", i, gotV[i], gotH[i], v, hit)
 			}
-			after := shardOf(k) == shardOf(keys[bad]) && i >= bad
-			if wantHit := i < n && !after; hit != wantHit {
-				t.Fatalf("key %d: hit=%v, want %v (failing key %d, same shard: %v)", i, hit, wantHit, bad, after)
+			if wantHit := i < bad; hit != wantHit {
+				t.Fatalf("key %d: hit=%v, want %v (failing key %d)", i, hit, wantHit, bad)
 			}
 		}
 		if b, s := batched.Stats(), serial.Stats(); b != s {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"nemo/internal/cachelib"
+	"nemo/internal/metrics"
 	"nemo/internal/trace"
 )
 
@@ -101,11 +102,12 @@ func MultiShardPartition(t *testing.T, ops, shards int,
 // before its set tier and log front were shared between engines:
 // MixedTrace(ops) replayed against the bare engine and the two-shard
 // facade. want maps "bare/unbatched" and "sharded2/unbatched" to the
-// rendered final cachelib.Stats; for the bare engine the read-latency
-// summary follows, and extra (nil for none) appends the engine's own
-// counters — migration instrumentation, FTL write amplification — which no
-// facade exposes. The shards=1 pins compare an engine with itself; this
-// compares it with its past, so a changed constant is a changed engine.
+// rendered final cachelib.Stats; for the bare engine the summary of its own
+// read-latency histogram follows, and extra (nil for none) appends the
+// engine's own counters — migration instrumentation, FTL write
+// amplification — which no facade exposes. The shards=1 pins compare an
+// engine with itself; this compares it with its past, so a changed constant
+// is a changed engine.
 func GoldenStats(t *testing.T, ops int, want map[string]string,
 	mkBare func(t *testing.T) cachelib.Engine,
 	mkSharded func(t *testing.T, shards int) cachelib.Engine,
@@ -120,7 +122,7 @@ func GoldenStats(t *testing.T, ops int, want map[string]string,
 			if bare {
 				// One goroutine, one device clock: the virtual read
 				// latencies are deterministic too.
-				l := e.ReadLatency().Snapshot()
+				l := e.(latencyRecorder).ReadLatency().Snapshot()
 				got += fmt.Sprintf(" lat=%d/%v/%v", l.Count, l.Mean, l.Pmax)
 				if extra != nil {
 					got += " " + extra(e)
@@ -133,6 +135,12 @@ func GoldenStats(t *testing.T, ops int, want map[string]string,
 	}
 	check("bare", mkBare(t), true)
 	check("sharded2", mkSharded(t, 2), false)
+}
+
+// latencyRecorder is what GoldenStats reads of a bare engine beyond the
+// contract: its own read-latency histogram.
+type latencyRecorder interface {
+	ReadLatency() *metrics.Histogram
 }
 
 // renderStats prints the non-zero counters of s as name=value pairs, each

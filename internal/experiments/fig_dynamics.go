@@ -6,6 +6,8 @@ import (
 
 	"nemo/internal/cachelib"
 	"nemo/internal/core"
+	"nemo/internal/fairywren"
+	"nemo/internal/metrics"
 )
 
 func runFig13(o Options) (Report, error) {
@@ -72,23 +74,25 @@ func runFig15(o Options) (Report, error) {
 		if err != nil {
 			return rep, err
 		}
-		// Twelve phases, the latency histogram reset between them. Nemo's is
-		// its shard's: the facade's ReadLatency is a merged copy.
+		// Twelve phases, the latency histogram reset between them. Each
+		// engine records its own: one-shard Nemo's is its shard's.
 		const phases = 12
 		cfg := replayCfg(g, o, dev)
 		cfg.Ops /= phases
-		hist := e.ReadLatency
-		if nemo, ok := e.(*core.Sharded); ok {
-			hist = nemo.Shard(0).ReadLatency
+		var hist *metrics.Histogram
+		switch e := e.(type) {
+		case *core.Sharded:
+			hist = e.Shard(0).ReadLatency()
+		case *fairywren.Cache:
+			hist = e.ReadLatency()
 		}
 		t := rep.table(e.Name(), "t (virtual)", "p50", "p99", "p9999")
 		for range phases {
-			hist().Reset()
-			res, err := cachelib.Replay(e, stream, cfg)
-			if err != nil {
+			hist.Reset()
+			if _, err := cachelib.Replay(e, stream, cfg); err != nil {
 				return rep, err
 			}
-			s := res.Latency
+			s := hist.Snapshot()
 			t.row(fmt.Sprintf("%.1fs", dev.Clock().Now().Seconds()), us(s.P50), us(s.P99), us(s.P9999))
 		}
 	}

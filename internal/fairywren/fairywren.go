@@ -216,7 +216,7 @@ var _ cachelib.Engine = (*Cache)(nil)
 // Close implements cachelib.Engine.
 func (c *Cache) Close() error { return nil }
 
-// ReadLatency implements cachelib.Engine.
+// ReadLatency is the engine's histogram of per-GET virtual latencies.
 func (c *Cache) ReadLatency() *metrics.Histogram { return &c.hist }
 
 // NumSets returns the log-to-set hash range (half the usable page count:

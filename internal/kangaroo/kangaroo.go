@@ -126,7 +126,7 @@ func (c *Cache) Name() string { return "KG" }
 // Close implements cachelib.Engine.
 func (c *Cache) Close() error { return nil }
 
-// ReadLatency implements cachelib.Engine.
+// ReadLatency is the engine's histogram of per-GET virtual latencies.
 func (c *Cache) ReadLatency() *metrics.Histogram { return &c.hist }
 
 // NumSets returns the HSet hash range (the full usable page count — twice

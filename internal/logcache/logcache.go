@@ -63,9 +63,11 @@ var _ cachelib.Engine = (*Cache)(nil)
 // setOf keys the Front's index by fingerprint: one list per key.
 func setOf(fp uint64) int32 { return int32(fp) }
 
-// Name, Close and ReadLatency implement cachelib.Engine.
-func (c *Cache) Name() string                    { return "Log" }
-func (c *Cache) Close() error                    { return nil }
+// Name and Close implement cachelib.Engine.
+func (c *Cache) Name() string { return "Log" }
+func (c *Cache) Close() error { return nil }
+
+// ReadLatency is the engine's histogram of per-GET virtual latencies.
 func (c *Cache) ReadLatency() *metrics.Histogram { return &c.hist }
 
 // Stats implements cachelib.Engine; every byte written is a log page.

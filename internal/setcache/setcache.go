@@ -75,7 +75,7 @@ func (c *Cache) Name() string { return "Set" }
 // Close implements cachelib.Engine.
 func (c *Cache) Close() error { return nil }
 
-// ReadLatency implements cachelib.Engine.
+// ReadLatency is the engine's histogram of per-GET virtual latencies.
 func (c *Cache) ReadLatency() *metrics.Histogram { return &c.hist }
 
 // Stats implements cachelib.Engine, folding FTL GC into the device counter.

@@ -99,9 +99,11 @@ func IndexZonesFor(dataZones, sgsPerGroup int) int {
 func DeviceZonesFor(dataZones, shards int) int { return core.DeviceZonesFor(dataZones, shards) }
 
 // Engine is the one cache-engine interface — Get, Set, Delete, the batched
-// GetMany/SetMany, the deferred SetAsync/Drain, Stats — implemented by
+// GetMany, SetMany (the batch's Sets in order, stopping at the first
+// error), the deferred SetAsync/Drain, Stats and Fields — implemented by
 // Nemo, all four baselines and every sharded facade; Replay drives any
-// Engine.
+// Engine. Read latency is each engine's own histogram, outside the
+// interface.
 type Engine = cachelib.Engine
 
 type EngineV2 = cachelib.Engine // the name benchmark/ knows Engine by
@@ -119,15 +121,15 @@ type Stats = cachelib.Stats
 // ReplayConfig controls a Replay run.
 type ReplayConfig = cachelib.ReplayConfig
 
-// ReplayResult carries the metrics collected by Replay.
+// ReplayResult carries the metrics collected by Replay: the final counters,
+// the windowed miss ratio and the timeline.
 type ReplayResult = cachelib.ReplayResult
 
 // Replay issues the stream's requests against the engine one at a time, on
 // the calling goroutine: a GET that misses is demand-filled with SetAsync,
 // and the stream's explicit SETs and DELETEs are replayed as SetAsync and
 // Delete. With cfg.Clock set, each request advances it by 10 µs. It drains
-// the engine at the end and collects write amplification, miss ratio, and
-// latency percentiles.
+// the engine at the end and collects write amplification and miss ratio.
 func Replay(e Engine, s Stream, cfg ReplayConfig) (ReplayResult, error) {
 	return cachelib.Replay(e, s, cfg)
 }
