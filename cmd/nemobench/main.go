@@ -43,9 +43,10 @@
 // a scenario the stack cannot recover from fails the run.
 //
 // Exit status: 0 on success, 1 when a run failed, 2 for a usage error
-// (unknown command, flag, experiment ID, engine key or scenario, a bad
-// -shards value), printed with the command's usage. Wall-clock performance
-// is not measured here: that is benchmark/ (benchmark/README.md).
+// (unknown command, flag, experiment ID, engine key, scenario or scale, a
+// bad -shards value, a negative -ops), printed with the command's usage.
+// Wall-clock performance is not measured here: that is benchmark/
+// (benchmark/README.md).
 package main
 
 import (
@@ -193,10 +194,23 @@ func report(what string, rep experiments.Report, err error) int {
 	return 0
 }
 
-// workloadFlags registers the flags exp, all and compare share.
+// workloadFlags registers the flags exp, all and compare share; an unknown
+// scale and a negative request count are usage errors.
 func workloadFlags(c *command, scale *string, ops *int, seed *int64) {
-	c.StringVar(scale, "scale", "medium", "device/workload scale: small, medium, large")
-	c.IntVar(ops, "ops", 0, "override request count (0 = scale default)")
+	*scale = "medium"
+	c.Func("scale", "device/workload scale: small, medium, large (default medium)", func(s string) error {
+		if s != "small" && s != "medium" && s != "large" {
+			return fmt.Errorf("unknown scale %q (small, medium or large)", s)
+		}
+		*scale = s
+		return nil
+	})
+	c.Func("ops", "override request count (0 = scale default)", func(s string) (err error) {
+		if *ops, err = strconv.Atoi(s); err == nil && *ops < 0 {
+			err = fmt.Errorf("negative request count %d", *ops)
+		}
+		return err
+	})
 	c.Int64Var(seed, "seed", 1, "workload seed")
 }
 

@@ -56,6 +56,8 @@ func TestExitStatus(t *testing.T) {
 		{"chaos -shards x", 2, `bad shard count "x"`, "usage: nemobench chaos"},
 		{"chaos -scenario nope", 2, `unknown scenario "nope"`, "usage: nemobench chaos"},
 		{"chaos -json out.json", 2, "not defined: -json", "usage: nemobench chaos"},
+		{"exp tab3 -scale tiny", 2, `unknown scale "tiny" (small, medium or large)`, "usage: nemobench exp"},
+		{"exp tab3 -scale small -ops -5", 2, "negative request count -5", "usage: nemobench exp"},
 
 		// A run that failed is not a usage error: 16 data zones do not split
 		// into 3 shards.

@@ -22,10 +22,12 @@
 //
 //   - GetMany. A Nemo shard reads a batch with one plan and one commit
 //     under its lock; ShardedEngine — and ShardedCache, which embeds it —
-//     takes one hash pass, groups into per-shard sub-batches and fans out
-//     across shards in parallel: the multi-get pattern of a cache service
-//     front end. The baselines have nothing to batch and loop over their
-//     own Get.
+//     hashes each key once to route it, hands a batch that lands on one
+//     shard to that shard whole, and splits one that spans shards into
+//     per-shard sub-batches fanned out in parallel: the multi-get pattern
+//     of a cache service front end. A Nemo shard fingerprints its
+//     sub-batch again to place and probe each key. The baselines have
+//     nothing to batch and loop over their own Get.
 //   - SetMany. The batch's Sets in order, stopping at the first error, on
 //     every engine and facade alike: one loop over the engine's own Set.
 //   - SetAsync/Drain. Nemo inserts into the in-memory SG and returns; when
@@ -313,8 +315,10 @@
 //     every baseline the same sharded/concurrent treatment (each baseline
 //     package's NewSharded). The zone range is partitioned into per-shard
 //     engines, requests route by one hash lane — identical key
-//     partitioning across engines — and batches take one hash pass, group
-//     into per-shard sub-batches, and fan out in parallel. With shards=1
+//     partitioning across engines — and a batch is routed with each key
+//     hashed once, then split into per-shard sub-batches fanned out in
+//     parallel (each shard hashes its keys again for its own placement).
+//     With shards=1
 //     the facade is stat-for-stat the bare engine (pinned per baseline by
 //     equivalence property tests), so the paper's single-threaded numbers
 //     remain reproducible from the same code path (`nemobench compare`).

@@ -64,8 +64,8 @@ func Example() {
 // asynchronous background flush pipeline — against an 8-shard cache, the
 // request mix of a production cache service: warm the cache with SetAsync
 // (full SGs flush on the flusher pool, not the request path), read back
-// with one GetMany per bundle (one hash pass, per-shard sub-batches,
-// parallel fan-out), invalidate a few keys, and drain before reading the
+// with one GetMany per bundle (each key hashed once to route it, per-shard
+// sub-batches, parallel fan-out), invalidate a few keys, and drain before reading the
 // counters. Hits depend on when the pool's flushes land, so only the
 // counters the pool cannot move are printed.
 func Example_batch() {

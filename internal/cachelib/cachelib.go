@@ -52,9 +52,10 @@ type Engine interface {
 
 	// GetMany looks up keys[i] for every i, returning parallel slices:
 	// values[i] is a fresh copy (nil on miss) and hits[i] reports presence.
-	// A sharded engine takes one hash pass, builds per-shard sub-batches and
-	// fans them out in parallel, so an N-op batch costs one lock round-trip
-	// per touched shard instead of N.
+	// A sharded engine hashes each key once to route it, builds per-shard
+	// sub-batches and fans them out in parallel, so an N-op batch costs one
+	// engine call per touched shard instead of N; a Nemo shard then takes
+	// one lock round-trip for its whole sub-batch.
 	GetMany(keys [][]byte) (values [][]byte, hits []bool)
 	// SetMany inserts keys[i] → values[i] as that sequence of Sets, in batch
 	// order (repeated keys included: the later write wins), stopping at the

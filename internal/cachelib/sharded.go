@@ -8,18 +8,19 @@ import (
 
 // ShardedEngine is the hash-partitioned facade: n independent engines, each
 // owning a disjoint slice of the cache's capacity (its own zone range, index
-// structures, and lock), behind one Engine. Requests route by the
-// shard lane of the key fingerprint (ShardOfFP), so requests for different
+// structures, and lock), behind one Engine. Requests route by the shard
+// lane of the key fingerprint (ShardOfKey), so requests for different
 // shards proceed fully in parallel and every engine of a comparison run
 // partitions the key space identically.
 //
 // Every sharded engine in the repository is one of these: core.Sharded embeds
 // it over its Nemo shards, and each baseline package's (logcache, setcache,
 // kangaroo, fairywren) NewSharded partitions its zone budget into per-shard
-// engines and wraps them here. A GetMany takes one hash pass (PlanFPs),
-// groups into per-shard sub-batches (GroupByShard), and fans out across
-// shards in parallel; SetMany is PerKey's ordered Sets, each routed to its
-// shard; Stats sums per-shard counters without a global lock. The read
+// engines and wraps them here. A GetMany is routed by one pooled plan
+// (shardplan.go) that hashes each key once; a batch on one shard goes to it
+// whole, and one that spans shards is split into per-shard sub-batches
+// fanned out in parallel. SetMany is PerKey's ordered Sets, each routed to
+// its shard; Stats sums per-shard counters without a global lock. The read
 // fan-out composes with whatever read concurrency the shard engine itself
 // offers: a sub-batch handed to an engine with a three-phase GetMany
 // (core.Cache) overlaps its flash I/O within the shard, on top of the
@@ -59,15 +60,16 @@ func NewShardedEngine(engines []Engine) (*ShardedEngine, error) {
 }
 
 // NewShardedRange partitions the zone range [zoneBase, zoneBase+zones) of
-// dev (zones 0 means every zone from zoneBase) into shards equal slices and
-// wraps one engine per slice — the shared spine of every baseline's
-// NewSharded constructor, so the device check, the divisibility contract
-// and the per-shard slicing cannot drift between engine families. Requests
-// route by the shared shard lane, so every engine family partitions keys as
-// core.Sharded does, and with shards=1 the result behaves exactly like the
-// one engine build returns. On a mid-construction failure every already-built
-// shard is closed — a half-built facade must not leak shard resources.
-// errPrefix names the engine package in the errors.
+// dev (zones 0 means every zone from zoneBase) into shards equal slices
+// (shards 0 is one slice; a negative count is an error) and wraps one engine
+// per slice — the shared spine of every baseline's NewSharded constructor,
+// so the device check, the divisibility contract and the per-shard slicing
+// cannot drift between engine families. Requests route by the shared shard
+// lane, so every engine family partitions keys as core.Sharded does, and
+// with shards=1 the result behaves exactly like the one engine build
+// returns. On a mid-construction failure every already-built shard is closed
+// — a half-built facade must not leak shard resources. errPrefix names the
+// engine package in the errors.
 func NewShardedRange(errPrefix string, dev interface{ Zones() int }, zoneBase, zones, shards int,
 	build func(zoneBase, zones int) (Engine, error)) (*ShardedEngine, error) {
 	if dev == nil {
@@ -76,9 +78,10 @@ func NewShardedRange(errPrefix string, dev interface{ Zones() int }, zoneBase, z
 	if zones == 0 {
 		zones = dev.Zones() - zoneBase
 	}
-	if shards < 1 {
-		shards = 1
+	if shards < 0 {
+		return nil, fmt.Errorf("%s: shard count %d must be non-negative", errPrefix, shards)
 	}
+	shards = max(shards, 1)
 	if zones%shards != 0 {
 		return nil, fmt.Errorf("%s: %d zones not divisible by %d shards", errPrefix, zones, shards)
 	}
@@ -156,44 +159,47 @@ func (s *ShardedEngine) Drain() error {
 	return first
 }
 
-// GetMany implements Engine on the generic facade: one hash pass,
-// per-shard sub-batches, parallel fan-out. Single-shard batches (a one-key
-// GET, or any batch at one shard) skip the grouping and goroutine fan-out
-// entirely.
+// GetMany implements Engine on the generic facade: the batch is routed in
+// one pass (routePlan.route hashes each key once), a batch on one shard — a
+// one-key GET, or any batch at one shard — goes to that shard whole, and a
+// batch that spans shards is split into per-shard sub-batches fanned out in
+// parallel.
 func (s *ShardedEngine) GetMany(keys [][]byte) (values [][]byte, hits []bool) {
 	if len(keys) == 0 {
 		return make([][]byte, 0), make([]bool, 0)
 	}
-	scratch := BorrowFPs()
-	defer ReturnFPs(scratch)
-	fps, first, single := PlanFPs(keys, scratch, s.n)
-	if single {
-		return s.shards[first].GetMany(keys)
+	p := plans.Get().(*routePlan)
+	defer p.release()
+	if sh, whole := p.route(keys, len(s.shards)); whole {
+		return s.shards[sh].GetMany(keys)
 	}
 	values = make([][]byte, len(keys))
 	hits = make([]bool, len(keys))
 	fanOut := runtime.GOMAXPROCS(0) > 1
 	var wg sync.WaitGroup
-	subs := GroupByShard(fps, keys, len(s.shards))
-	defer ReleaseSubBatches(subs)
-	for _, sub := range subs {
-		scatter := func(sub SubBatch) {
-			vs, hs := s.shards[sub.Shard].GetMany(sub.Keys)
-			for i, p := range sub.Pos {
-				values[p], hits[p] = vs[i], hs[i]
+	for sh, e := range s.shards {
+		lo, hi := p.starts[sh], p.starts[sh+1]
+		if lo == hi {
+			continue
+		}
+		sub, pos := p.keys[lo:hi], p.pos[lo:hi]
+		scatter := func() {
+			vs, hs := e.GetMany(sub)
+			for i, q := range pos {
+				values[q], hits[q] = vs[i], hs[i]
 			}
 		}
 		if !fanOut {
 			// A single-P runtime gains nothing from goroutine fan-out;
 			// sub-batches still pay one engine call each.
-			scatter(sub)
+			scatter()
 			continue
 		}
 		wg.Add(1)
-		go func(sub SubBatch) {
+		go func() {
 			defer wg.Done()
-			scatter(sub)
-		}(sub)
+			scatter()
+		}()
 	}
 	wg.Wait()
 	return values, hits

@@ -2,6 +2,7 @@ package cachelib
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -250,5 +251,30 @@ func TestShardedEngineSingleShardIdentity(t *testing.T) {
 	}
 	if s.ShardOf(keys[0]) != 0 || s.NumShards() != 1 {
 		t.Fatal("single-shard routing must be the trivial partition")
+	}
+}
+
+// zoneCount is a device of n zones, all NewShardedRange asks of one.
+type zoneCount int
+
+func (z zoneCount) Zones() int { return int(z) }
+
+// TestNewShardedRangeShardCount pins the shard-count contract: 0 builds one
+// shard over the whole range, and a negative count is refused, under the
+// engine's error prefix, before any shard is built.
+func TestNewShardedRangeShardCount(t *testing.T) {
+	var built []int
+	build := func(zoneBase, zones int) (Engine, error) {
+		built = append(built, zones)
+		return newShardFake("Fake"), nil
+	}
+	s, err := NewShardedRange("fakecache", zoneCount(12), 0, 0, 0, build)
+	if err != nil || s.NumShards() != 1 || len(built) != 1 || built[0] != 12 {
+		t.Fatalf("shards 0: err %v, built %v", err, built)
+	}
+	built = nil
+	_, err = NewShardedRange("fakecache", zoneCount(12), 0, 0, -2, build)
+	if err == nil || !strings.HasPrefix(err.Error(), "fakecache: ") || !strings.Contains(err.Error(), "-2") || len(built) != 0 {
+		t.Fatalf("shards -2: err %v, built %v; want a fakecache error and no shard", err, built)
 	}
 }

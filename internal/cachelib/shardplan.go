@@ -14,132 +14,75 @@ import (
 // identical across engines, which is what makes the cross-engine tables
 // comparable.
 
-// ShardLane is the hash lane used for shard routing. It is distinct from
+// shardLane is the hash lane used for shard routing. It is distinct from
 // lane 0 (intra-engine set placement) and the Bloom probe streams, so which
 // shard a key lands on is uncorrelated with where it lives inside the shard.
-const ShardLane = 0x53484152 // "SHAR"
-
-// ShardOfFP returns the shard owning an already-computed key fingerprint
-// among n shards.
-func ShardOfFP(fp uint64, n uint64) int {
-	if n <= 1 {
-		return 0
-	}
-	return int(hashing.Derive(fp, ShardLane) % n)
-}
+const shardLane = 0x53484152 // "SHAR"
 
 // ShardOfKey returns the shard owning key among n shards.
 func ShardOfKey(key []byte, n uint64) int {
-	return ShardOfFP(hashing.Fingerprint(key), n)
-}
-
-// fpScratch pools the per-batch fingerprint buffers so steady-state batched
-// traffic allocates nothing for routing (batches are short when traces are
-// hot-key heavy, so per-batch allocations would dominate the amortization).
-var fpScratch = sync.Pool{New: func() any { return new([]uint64) }}
-
-// BorrowFPs returns a pooled fingerprint buffer for PlanFPs; pair with
-// ReturnFPs once the plan's slices are no longer referenced.
-func BorrowFPs() *[]uint64 { return fpScratch.Get().(*[]uint64) }
-
-// ReturnFPs gives a buffer obtained from BorrowFPs back to the pool.
-func ReturnFPs(b *[]uint64) { fpScratch.Put(b) }
-
-// PlanFPs hashes every key exactly once for routing (GroupByShard reuses the
-// fingerprints) and reports whether the whole batch lands on one shard of n
-// (always so for a one-key GET), returning that shard's index. The returned slice aliases *scratch.
-func PlanFPs(keys [][]byte, scratch *[]uint64, n uint64) (fps []uint64, first int, single bool) {
-	fps = (*scratch)[:0]
-	single = true
-	for i, k := range keys {
-		fp := hashing.Fingerprint(k)
-		fps = append(fps, fp)
-		sh := ShardOfFP(fp, n)
-		if i == 0 {
-			first = sh
-		} else if sh != first {
-			single = false
-		}
+	if n <= 1 {
+		return 0
 	}
-	*scratch = fps
-	return fps, first, single
+	return int(hashing.Derive(hashing.Fingerprint(key), shardLane) % n)
 }
 
-// SubBatch is one shard's slice of a grouped batch. All sub-batches of one
-// grouping carve their slices from one pooled scratch, so steady-state
-// multi-shard batches allocate nothing for routing; they are valid until the
-// grouping is handed to ReleaseSubBatches.
-type SubBatch struct {
-	Shard int
-	Keys  [][]byte
-	Pos   []int32 // original batch positions
-
-	scratch *groupScratch
+// routePlan is GetMany's routing of one batch over the shards. Plans are
+// pooled, so steady-state batches allocate nothing for routing.
+type routePlan struct {
+	ints   []int32  // backs each key's shard, then starts, write cursors and pos
+	starts []int32  // shard sh's sub-batch is keys[starts[sh]:starts[sh+1]]
+	pos    []int32  // each entry's position in the original batch
+	keys   [][]byte // the batch in shard order
 }
 
-// groupScratch backs one GroupByShard result.
-type groupScratch struct {
-	ints []int32  // shard of each key | per-shard starts | write cursors | positions
-	keys [][]byte // in shard order
-	subs []SubBatch
-}
+var plans = sync.Pool{New: func() any { return new(routePlan) }}
 
-var groupPool = sync.Pool{New: func() any { return new(groupScratch) }}
-
-// ReleaseSubBatches returns a GroupByShard result's scratch to the pool once
-// no sub-batch of it is referenced any more, dropping the key references it
-// held.
-func ReleaseSubBatches(subs []SubBatch) {
-	if len(subs) == 0 {
-		return
+// route hashes each key of a non-empty batch once. A batch that lands on
+// one shard of n (every one-key GET) is reported whole, as that shard, and
+// left unsorted; a batch that spans shards is bucketed into per-shard
+// sub-batches with a counting sort — one pass to count, one to scatter,
+// O(keys + shards) — that keep batch order within each shard.
+func (p *routePlan) route(keys [][]byte, n int) (shard int, whole bool) {
+	nk := len(keys)
+	if need := 2*nk + 2*n + 1; cap(p.ints) < need {
+		p.ints = make([]int32, need)
 	}
-	gs := subs[0].scratch
-	clear(gs.keys)
-	clear(gs.subs)
-	groupPool.Put(gs)
-}
-
-// GroupByShard buckets a fingerprinted batch into per-shard sub-batches with
-// a counting sort: one pass to count, one to scatter — O(keys + shards), not
-// O(keys × shards). Pair with ReleaseSubBatches.
-func GroupByShard(fps []uint64, keys [][]byte, nShards int) []SubBatch {
-	n, nk := uint64(nShards), len(keys)
-	gs := groupPool.Get().(*groupScratch)
-	if need := 2*nk + 2*nShards + 1; cap(gs.ints) < need {
-		gs.ints = make([]int32, need)
-	}
-	if cap(gs.keys) < nk {
-		gs.keys = make([][]byte, nk)
-	}
-	ints := gs.ints[:cap(gs.ints)]
+	ints := p.ints[:cap(p.ints)]
 	shs, ints := ints[:nk], ints[nk:]
-	bPos, ints := ints[:nk], ints[nk:]
-	starts, write := ints[:nShards+1], ints[nShards+1:2*nShards+1]
+	whole = true
+	for i, k := range keys {
+		shs[i] = int32(ShardOfKey(k, uint64(n)))
+		whole = whole && shs[i] == shs[0]
+	}
+	if whole {
+		return int(shs[0]), true
+	}
+	starts, ints := ints[:n+1], ints[n+1:]
+	write, pos := ints[:n], ints[n:n+nk]
 	clear(starts) // starts[sh+1] counts, then prefix-sums
-	for i, fp := range fps {
-		sh := int32(ShardOfFP(fp, n))
-		shs[i] = sh
+	for _, sh := range shs {
 		starts[sh+1]++
 	}
-	for sh := 0; sh < nShards; sh++ {
+	for sh := 0; sh < n; sh++ {
 		starts[sh+1] += starts[sh]
 	}
-	bKeys := gs.keys[:nk]
-	copy(write, starts[:nShards])
-	for i := range keys {
-		sh := shs[i]
+	if cap(p.keys) < nk {
+		p.keys = make([][]byte, nk)
+	}
+	p.keys = p.keys[:nk]
+	copy(write, starts[:n])
+	for i, sh := range shs {
 		o := write[sh]
 		write[sh] = o + 1
-		bKeys[o], bPos[o] = keys[i], int32(i)
+		p.keys[o], pos[o] = keys[i], int32(i)
 	}
-	subs := gs.subs[:0]
-	for sh := 0; sh < nShards; sh++ {
-		lo, hi := starts[sh], starts[sh+1]
-		if lo == hi {
-			continue
-		}
-		subs = append(subs, SubBatch{Shard: sh, Keys: bKeys[lo:hi], Pos: bPos[lo:hi], scratch: gs})
-	}
-	gs.subs = subs
-	return subs
+	p.starts, p.pos = starts, pos
+	return 0, false
+}
+
+// release drops the plan's key references and returns it to the pool.
+func (p *routePlan) release() {
+	clear(p.keys)
+	plans.Put(p)
 }

@@ -6,33 +6,35 @@ import (
 	"testing"
 )
 
-// groupBatch routes n keys over shards and checks the grouping against
-// ShardOfKey: every key lands once, in its owner's sub-batch, in batch
-// order, with its position beside it.
-func groupBatch(t *testing.T, n, shards int) {
+// routeBatch routes n keys over shards and checks the plan against
+// ShardOfKey: a batch reported whole has every key on the reported shard;
+// otherwise every key lands once, in its owner's sub-batch, in batch order,
+// with its position beside it.
+func routeBatch(t *testing.T, n, shards int) {
 	t.Helper()
 	keys := make([][]byte, n)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%d-%d", n, i))
 	}
-	scratch := BorrowFPs()
-	defer ReturnFPs(scratch)
-	fps, _, _ := PlanFPs(keys, scratch, uint64(shards))
-	subs := GroupByShard(fps, keys, shards)
-	defer ReleaseSubBatches(subs)
-	seen, prevShard := 0, -1
-	for _, sub := range subs {
-		if sub.Shard <= prevShard || len(sub.Keys) == 0 {
-			t.Fatalf("n=%d: sub-batch for shard %d after %d, %d keys", n, sub.Shard, prevShard, len(sub.Keys))
-		}
-		prevShard = sub.Shard
-		prevPos := int32(-1)
-		for i, k := range sub.Keys {
-			p := sub.Pos[i]
-			if p <= prevPos || !bytes.Equal(k, keys[p]) || ShardOfKey(k, uint64(shards)) != sub.Shard {
-				t.Fatalf("n=%d shard %d: entry %d is key %q at position %d", n, sub.Shard, i, k, p)
+	p := plans.Get().(*routePlan)
+	defer p.release()
+	if sh, whole := p.route(keys, shards); whole {
+		for _, k := range keys {
+			if ShardOfKey(k, uint64(shards)) != sh {
+				t.Fatalf("n=%d: batch reported whole on shard %d holds key %q of another", n, sh, k)
 			}
-			prevPos = p
+		}
+		return
+	}
+	seen := 0
+	for sh := 0; sh < shards; sh++ {
+		prevPos := int32(-1)
+		for i := p.starts[sh]; i < p.starts[sh+1]; i++ {
+			k, q := p.keys[i], p.pos[i]
+			if q <= prevPos || !bytes.Equal(k, keys[q]) || ShardOfKey(k, uint64(shards)) != sh {
+				t.Fatalf("n=%d shard %d: entry %d is key %q at position %d", n, sh, i, k, q)
+			}
+			prevPos = q
 			seen++
 		}
 	}
@@ -41,20 +43,20 @@ func groupBatch(t *testing.T, n, shards int) {
 	}
 }
 
-// TestGroupByShardReusesScratch groups batches of varying size and shape
-// back to back, so every grouping after the first carves from a recycled
-// scratch sized by an earlier one.
-func TestGroupByShardReusesScratch(t *testing.T) {
+// TestRoutePlanReusesScratch routes batches of varying size and shape back
+// to back, so every route after the first carves from a recycled plan sized
+// by an earlier one.
+func TestRoutePlanReusesScratch(t *testing.T) {
 	for _, n := range []int{16, 1, 64, 3, 64, 200, 8} {
-		groupBatch(t, n, 4)
-		groupBatch(t, n, 48)
+		routeBatch(t, n, 4)
+		routeBatch(t, n, 48)
+		routeBatch(t, n, 1)
 	}
 }
 
-// TestGroupByShardAllocations pins the routing of a steady-state multi-shard
-// batch at zero allocations: fingerprints and sub-batches both come from
-// pooled scratch.
-func TestGroupByShardAllocations(t *testing.T) {
+// TestRoutePlanAllocations pins the routing of a steady-state multi-shard
+// batch at zero allocations: the plan and its scratch come from the pool.
+func TestRoutePlanAllocations(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -63,10 +65,11 @@ func TestGroupByShardAllocations(t *testing.T) {
 		keys[i] = []byte(fmt.Sprintf("key-%d", i))
 	}
 	got := testing.AllocsPerRun(200, func() {
-		scratch := BorrowFPs()
-		fps, _, _ := PlanFPs(keys, scratch, 4)
-		ReleaseSubBatches(GroupByShard(fps, keys, 4))
-		ReturnFPs(scratch)
+		p := plans.Get().(*routePlan)
+		if _, whole := p.route(keys, 4); whole {
+			t.Fatal("16 keys over 4 shards routed whole")
+		}
+		p.release()
 	})
 	if got > 0 {
 		t.Fatalf("routing a 16-key batch over 4 shards allocates %.1f times, want 0", got)

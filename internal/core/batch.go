@@ -5,9 +5,9 @@ import "nemo/internal/cachelib"
 // This file implements cachelib.Engine's batched read natively on Cache: a
 // GetMany costs one plan and one commit lock acquisition instead of one
 // pair per key. Sharded gets its GetMany from the embedded
-// cachelib.ShardedEngine, which hashes once to route, groups keys into
-// per-shard sub-batches and fans them out in parallel to the shards'
-// GetMany here. SetMany, on Cache and Sharded alike, is the embedded
+// cachelib.ShardedEngine, which hashes each key once to route it, groups
+// the keys into per-shard sub-batches and fans them out in parallel to the
+// shards' GetMany here, which fingerprints each key again. SetMany, on Cache and Sharded alike, is the embedded
 // cachelib.PerKey's: the batch's Sets in order, stopping at the first error.
 
 // Interface conformance.

@@ -77,22 +77,35 @@ func NewSharded(cfg Config) (*Sharded, error) {
 		return nil, fmt.Errorf("core: device allows %d open zones but %d shards may each hold one open", limit, n)
 	}
 	perData := cfg.DataZones / n
-	s := &Sharded{shards: make([]*Cache, n), cfg: cfg, kits: &kitPool{keep: max(1, cfg.Flushers)}}
+	s := &Sharded{shards: make([]*Cache, n), cfg: cfg}
 	engines := make([]cachelib.Engine, n)
-	base := 0
-	for i := 0; i < n; i++ {
-		scfg := cfg
-		scfg.Shards = 1
-		scfg.DataZones = perData
-		scfg.Flushers = 0      // shards share the facade's pool, not one each
-		scfg.SnapshotPath = "" // the facade restores and checkpoints all shards at once
-		shard, err := newShard(scfg, base, s.kits)
-		if err != nil {
-			// Nothing to release: a shard holds no goroutine or file.
-			return nil, fmt.Errorf("core: shard %d/%d: %w", i, n, err)
+	// The shards are built cold and then filled from the snapshot, if there
+	// is one. A refusal can come after some shards were filled, so the loop
+	// builds them all cold once more: restore is all-or-nothing without
+	// staging any shard's state on the side.
+	for {
+		s.kits = &kitPool{keep: max(1, cfg.Flushers)}
+		base := 0
+		for i := 0; i < n; i++ {
+			scfg := cfg
+			scfg.Shards = 1
+			scfg.DataZones = perData
+			scfg.Flushers = 0      // shards share the facade's pool, not one each
+			scfg.SnapshotPath = "" // the facade restores and checkpoints all shards at once
+			shard, err := newShard(scfg, base, s.kits)
+			if err != nil {
+				// Nothing to release: a shard holds no goroutine or file.
+				return nil, fmt.Errorf("core: shard %d/%d: %w", i, n, err)
+			}
+			s.shards[i], engines[i] = shard, shard
+			base += perData + IndexZonesFor(perData, cfg.SGsPerIndexGroup)
 		}
-		s.shards[i], engines[i] = shard, shard
-		base += perData + IndexZonesFor(perData, cfg.SGsPerIndexGroup)
+		if cfg.SnapshotPath == "" || s.restoreErr != nil {
+			break
+		}
+		if s.restored, s.restoreErr = tryRestore(cfg.SnapshotPath, cfg, s.shards); s.restoreErr == nil {
+			break
+		}
 	}
 	s.ShardedEngine, _ = cachelib.NewShardedEngine(engines) // errs only on no or nil shards
 	if cfg.Flushers > 0 {
@@ -100,9 +113,6 @@ func NewSharded(cfg Config) (*Sharded, error) {
 		for _, shard := range s.shards {
 			shard.flusher = s.pool
 		}
-	}
-	if cfg.SnapshotPath != "" {
-		s.restored, s.restoreErr = tryRestore(cfg.SnapshotPath, cfg, s.shards)
 	}
 	return s, nil
 }

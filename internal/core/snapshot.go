@@ -2,12 +2,15 @@ package core
 
 // Warm restart: Checkpoint captures a quiescent engine's per-shard metadata
 // into an internal/snapshot NEMO1 image, and the restore path in NewSharded
-// adopts one — replaying nothing — after validating it against
-// the live device and configuration. The contract is strictly throwaway:
-// any defect (typed snapshot error, geometry or config mismatch, stale
-// generation stamp, violated structural invariant, unreadable PBFG page)
-// abandons the snapshot and the engine starts cold, exactly as if the file
-// never existed; RestoreOutcome reports which happened and why.
+// fills the cold shards it just built from one — replaying nothing —
+// validating each shard section against the live device and configuration
+// as it writes it in. The contract is strictly throwaway: any defect (typed
+// snapshot error, geometry or config mismatch, stale generation stamp,
+// violated structural invariant, unreadable PBFG page) abandons the
+// snapshot, and NewSharded builds every shard cold again, so the engine
+// starts exactly as if the file never existed — whatever shards the restore
+// had filled before the defect turned up included. RestoreOutcome reports
+// which happened and why.
 //
 // What a snapshot restores is everything a restarted engine needs to be
 // stat-for-stat identical to one that never stopped: the flashSG directory
@@ -182,12 +185,13 @@ func validateSnapshotFile(dev device.Device, stamp snapshot.ConfigStamp, f *snap
 	return nil
 }
 
-// tryRestore attempts to adopt the snapshot at path into one engine's
-// freshly built cold shards (all of them, in order; cfg is the engine-level
-// Config). It is called from NewSharded before the engine is published — no locking. A missing file is a plain cold start (false,
-// nil); anything else that stops the restore is reported and every shard
-// stays cold: each shard's state is built and validated on the side, and
-// adopted only once all of them are.
+// tryRestore fills one engine's freshly built cold shards (all of them, in
+// order; cfg is the engine-level Config) from the snapshot at path. It is
+// called from NewSharded before the engine is published — no locking. A
+// missing file is a plain cold start (false, nil) and touches no shard.
+// Anything else that stops the restore is reported, possibly after some
+// shards were filled: NewSharded then builds every shard cold again, so a
+// restore is adopted whole or not at all.
 func tryRestore(path string, cfg Config, shards []*Cache) (bool, error) {
 	f, err := snapshot.Load(path)
 	if err != nil {
@@ -199,36 +203,12 @@ func tryRestore(path string, cfg Config, shards []*Cache) (bool, error) {
 	if err := validateSnapshotFile(shards[0].dev, configStamp(cfg), f); err != nil {
 		return false, err
 	}
-	states := make([]*restoredState, len(shards))
 	for i, c := range shards {
-		st, err := c.buildRestore(&f.Shards[i])
-		if err != nil {
+		if err := c.restore(&f.Shards[i]); err != nil {
 			return false, fmt.Errorf("shard %d: %w", i, err)
 		}
-		states[i] = st
-	}
-	for i, c := range shards {
-		c.adoptRestore(states[i])
 	}
 	return true, nil
-}
-
-// restoredState is a fully validated shard state, built on the side so a
-// restore adopts everything or nothing — a defect found halfway through can
-// never leave a cache half-warm.
-type restoredState struct {
-	memq           []*memSG
-	sacCount       int
-	pool           []*flashSG
-	nextSGID       uint64
-	groups         []*idxGroup
-	nextGroup      int
-	icache         *pbfgCache
-	freeDataZones  []int
-	freeIndexZones []int
-	bytesSinceCool uint64
-	stats          cachelib.Stats
-	extra          NemoStats
 }
 
 // cfgErr and staleErr build the restore path's typed refusals.
@@ -240,58 +220,53 @@ func staleErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", snapshot.ErrStale, fmt.Sprintf(format, args...))
 }
 
-// buildRestore validates one shard's checkpointed metadata against this
-// (cold, unpublished) cache's configuration and device, and builds the
-// corresponding live state. Every structural invariant the engine relies on
-// is re-checked rather than trusted: group sealing and member counts, SG-id
+// restore validates one shard's checkpointed metadata against this cold,
+// unpublished cache's configuration and device, writing the live state into
+// the cache as it goes; on an error the cache is half-filled and the caller
+// discards it. Every structural invariant the engine relies on is
+// re-checked rather than trusted: group sealing and member counts, SG-id
 // order, exact zone partitioning between free lists and live SGs, Bloom and
 // bitmap sizing, the index-cache queue naming distinct pages of sealed
 // groups — and, against the device itself, the per-zone write pointers
 // (free ⇒ empty, live ⇒ full). The generation stamp already guarantees the
 // latter when it matches, but write pointers are cheap and a second,
 // independent witness against a lying snapshot.
-func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
+func (c *Cache) restore(sh *snapshot.Shard) error {
 	cfg := &c.cfg
 	ppz := c.dev.PagesPerZone()
 	if sh.SacCount < 0 {
-		return nil, cfgErr("negative epoch counters")
+		return cfgErr("negative epoch counters")
 	}
 	if sh.NextGroup < len(sh.Groups) {
-		return nil, cfgErr("next group id %d below the %d groups", sh.NextGroup, len(sh.Groups))
+		return cfgErr("next group id %d below the %d groups", sh.NextGroup, len(sh.Groups))
 	}
 	if sh.NextGroup > math.MaxInt32 {
-		return nil, cfgErr("group id %d overflows the index-cache queue", sh.NextGroup)
+		return cfgErr("group id %d overflows the index-cache queue", sh.NextGroup)
 	}
-	st := &restoredState{
-		sacCount:       sh.SacCount,
-		nextSGID:       sh.NextSGID,
-		nextGroup:      sh.NextGroup,
-		bytesSinceCool: sh.BytesSinceCool,
-		stats:          statsOf(sh.Stats),
-		extra:          nemoStatsOf(sh.Extra),
-	}
+	c.sacCount, c.nextSGID, c.nextGroup = sh.SacCount, sh.NextSGID, sh.NextGroup
+	c.bytesSinceCool = sh.BytesSinceCool
+	c.stats, c.extra = statsOf(sh.Stats), nemoStatsOf(sh.Extra)
 
-	// In-memory SG queue: parse every set's page image back into a block.
-	if len(sh.MemQ) != cfg.MemSGs() {
-		return nil, cfgErr("%d buffered SGs, want %d", len(sh.MemQ), cfg.MemSGs())
+	// In-memory SG queue: parse every set's page image back into the cold
+	// shard's empty SGs.
+	if len(sh.MemQ) != len(c.memq) {
+		return cfgErr("%d buffered SGs, want %d", len(sh.MemQ), len(c.memq))
 	}
-	for i := range sh.MemQ {
+	for i, m := range c.memq {
 		ms := &sh.MemQ[i]
 		if len(ms.Sets) != c.setsPerSG {
-			return nil, cfgErr("buffered SG %d has %d sets, want %d", i, len(ms.Sets), c.setsPerSG)
+			return cfgErr("buffered SG %d has %d sets, want %d", i, len(ms.Sets), c.setsPerSG)
 		}
-		m := newMemSG(c.setsPerSG, c.pageSize, c.kits)
 		m.newBytes, m.wbBytes = ms.NewBytes, ms.WBBytes
 		m.newObjs = ms.NewObjs
 		for o, page := range ms.Sets {
 			if len(page) != c.pageSize {
-				return nil, cfgErr("buffered SG %d set %d is %d bytes, want %d", i, o, len(page), c.pageSize)
+				return cfgErr("buffered SG %d set %d is %d bytes, want %d", i, o, len(page), c.pageSize)
 			}
 			if err := m.decodeSet(o, page); err != nil {
-				return nil, cfgErr("buffered SG %d set %d: %v", i, o, err)
+				return cfgErr("buffered SG %d set %d: %v", i, o, err)
 			}
 		}
-		st.memq = append(st.memq, m)
 	}
 
 	// Index groups and their member SGs. Group ids run densely up to
@@ -307,38 +282,38 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 		sg := &sh.Groups[gi]
 		g := &idxGroup{id: firstGroup + gi, sealed: sg.Zone >= 0, bfBits: sg.FilterBits}
 		if sg.Zone < -1 {
-			return nil, cfgErr("group %d has index zone %d", g.id, sg.Zone)
+			return cfgErr("group %d has index zone %d", g.id, sg.Zone)
 		}
 		// A group's width is fixed by its first member; a multiple of 64 up
 		// to the page limit, or 0 while it has none.
 		if w := sg.FilterBits; len(sg.Members) == 0 && w != 0 ||
 			len(sg.Members) > 0 && (w < 64 || w%64 != 0 || w > c.maxBFBits) {
-			return nil, cfgErr("group %d of %d members has %d-bit filters", g.id, len(sg.Members), w)
+			return cfgErr("group %d of %d members has %d-bit filters", g.id, len(sg.Members), w)
 		}
 		if !g.sealed && gi != len(sh.Groups)-1 {
-			return nil, cfgErr("unsealed group %d is not the last group", g.id)
+			return cfgErr("unsealed group %d is not the last group", g.id)
 		}
 		if g.sealed {
 			if len(sg.Members) != cfg.SGsPerIndexGroup {
-				return nil, cfgErr("sealed group %d has %d members, want %d", g.id, len(sg.Members), cfg.SGsPerIndexGroup)
+				return cfgErr("sealed group %d has %d members, want %d", g.id, len(sg.Members), cfg.SGsPerIndexGroup)
 			}
 			if len(sg.SlotBF) != 0 {
-				return nil, cfgErr("sealed group %d still carries filter buffers", g.id)
+				return cfgErr("sealed group %d still carries filter buffers", g.id)
 			}
 			g.zone = sg.Zone
 			g.cached = uncached(c.setsPerSG)
 		} else {
 			if len(sg.Members) >= cfg.SGsPerIndexGroup {
-				return nil, cfgErr("unsealed group %d has %d members, limit %d", g.id, len(sg.Members), cfg.SGsPerIndexGroup)
+				return cfgErr("unsealed group %d has %d members, limit %d", g.id, len(sg.Members), cfg.SGsPerIndexGroup)
 			}
 			if len(sg.SlotBF) != len(sg.Members) {
-				return nil, cfgErr("unsealed group %d has %d filter buffers for %d members", g.id, len(sg.SlotBF), len(sg.Members))
+				return cfgErr("unsealed group %d has %d filter buffers for %d members", g.id, len(sg.SlotBF), len(sg.Members))
 			}
 			// Rebuild the group buffer the way flushes filled it: one
 			// commit-time merge per checkpointed member.
 			for s, bf := range sg.SlotBF {
 				if want := c.setsPerSG * g.bfBits / 8; len(bf) != want {
-					return nil, cfgErr("group %d filter buffer %d is %d bytes, want %d", g.id, s, len(bf), want)
+					return cfgErr("group %d filter buffer %d is %d bytes, want %d", g.id, s, len(bf), want)
 				}
 				c.mergeFilters(g, s, bf)
 			}
@@ -346,17 +321,17 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 		for s := range sg.Members {
 			sm := &sg.Members[s]
 			if haveSG && sm.ID <= prevSGID {
-				return nil, cfgErr("SG id %d out of order after %d", sm.ID, prevSGID)
+				return cfgErr("SG id %d out of order after %d", sm.ID, prevSGID)
 			}
 			if sm.ID >= sh.NextSGID {
-				return nil, cfgErr("SG id %d not below nextSGID %d", sm.ID, sh.NextSGID)
+				return cfgErr("SG id %d not below nextSGID %d", sm.ID, sh.NextSGID)
 			}
 			prevSGID, haveSG = sm.ID, true
 			if sm.Zone < -1 {
-				return nil, cfgErr("SG %d has zone %d", sm.ID, sm.Zone)
+				return cfgErr("SG %d has zone %d", sm.ID, sm.Zone)
 			}
 			if len(sm.SetCounts) != c.setsPerSG {
-				return nil, cfgErr("SG %d has %d set counts, want %d", sm.ID, len(sm.SetCounts), c.setsPerSG)
+				return cfgErr("SG %d has %d set counts, want %d", sm.ID, len(sm.SetCounts), c.setsPerSG)
 			}
 			m := &flashSG{id: sm.ID, group: g, slot: s, nsets: c.setsPerSG,
 				zone: sm.Zone, dead: sm.Zone < 0}
@@ -364,7 +339,7 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 				m.objCount += int(n)
 			}
 			if sm.Bits != nil && len(sm.Bits) != (m.objCount+63)/64 {
-				return nil, cfgErr("SG %d bitmap of %d words for %d objects", sm.ID, len(sm.Bits), m.objCount)
+				return cfgErr("SG %d bitmap of %d words for %d objects", sm.ID, len(sm.Bits), m.objCount)
 			}
 			// Make the packed meta from the checkpointed counts, then unpack
 			// the hot words into it (the inverse of captureLocked's repack).
@@ -374,15 +349,15 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 			}
 			g.members = append(g.members, m)
 			if !m.dead {
-				st.pool = append(st.pool, m)
+				c.pool = append(c.pool, m)
 				g.live |= 1 << uint(s)
 				g.liveCount++
 			}
 		}
 		if g.sealed && g.liveCount == 0 {
-			return nil, cfgErr("sealed group %d is fully dead but still present", g.id)
+			return cfgErr("sealed group %d is fully dead but still present", g.id)
 		}
-		st.groups = append(st.groups, g)
+		c.groups = append(c.groups, g)
 	}
 
 	// Zone partitioning: the free lists and the live SGs / sealed groups
@@ -392,23 +367,22 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 	idxBase := c.zoneBase + cfg.DataZones
 	idxZones := IndexZonesFor(cfg.DataZones, cfg.SGsPerIndexGroup)
 	liveData := make([]int, 0, cfg.DataZones)
-	for _, m := range st.pool {
+	for _, m := range c.pool {
 		liveData = append(liveData, m.zone)
 	}
 	liveIdx := make([]int, 0, idxZones)
-	for _, g := range st.groups {
+	for _, g := range c.groups {
 		if g.sealed {
 			liveIdx = append(liveIdx, g.zone)
 		}
 	}
 	if err := checkZonePartition("data", dataBase, cfg.DataZones, sh.FreeDataZones, liveData); err != nil {
-		return nil, err
+		return err
 	}
 	if err := checkZonePartition("index", idxBase, idxZones, sh.FreeIndexZones, liveIdx); err != nil {
-		return nil, err
+		return err
 	}
-	st.freeDataZones = append([]int(nil), sh.FreeDataZones...)
-	st.freeIndexZones = append([]int(nil), sh.FreeIndexZones...)
+	c.freeDataZones, c.freeIndexZones = sh.FreeDataZones, sh.FreeIndexZones
 
 	// Device write-pointer cross-check: free zones are erased, live zones
 	// written to completion. The generation stamp already vouches for this;
@@ -416,53 +390,45 @@ func (c *Cache) buildRestore(sh *snapshot.Shard) (*restoredState, error) {
 	// however it came about.
 	for _, z := range sh.FreeDataZones {
 		if wp := c.dev.ZoneWP(z); wp != 0 {
-			return nil, staleErr("free data zone %d has write pointer %d", z, wp)
+			return staleErr("free data zone %d has write pointer %d", z, wp)
 		}
 	}
 	for _, z := range sh.FreeIndexZones {
 		if wp := c.dev.ZoneWP(z); wp != 0 {
-			return nil, staleErr("free index zone %d has write pointer %d", z, wp)
+			return staleErr("free index zone %d has write pointer %d", z, wp)
 		}
 	}
 	for _, z := range append(append([]int(nil), liveData...), liveIdx...) {
 		if wp := c.dev.ZoneWP(z); wp != ppz {
-			return nil, staleErr("live zone %d has write pointer %d, want %d", z, wp, ppz)
+			return staleErr("live zone %d has write pointer %d, want %d", z, wp, ppz)
 		}
 	}
 
 	// PBFG index cache: the queue lists the cached pages oldest first, and
-	// each page is re-read from the (validated identical) index zone, so the
-	// snapshot never stores index bytes it would then have to trust.
-	ic := newPBFGCache(c.icache.capacity, cfg.SGsPerIndexGroup, c.maxBFBits)
+	// each page is re-read from the (validated identical) index zone into
+	// the fetch scratch and cached the way a miss caches it, so the snapshot
+	// never stores index bytes it would then have to trust.
+	ic := c.icache
 	ic.lookups, ic.misses = sh.ICLookups, sh.ICMisses
 	if len(sh.ICQueue) > ic.capacity {
-		return nil, cfgErr("%d cached PBFG pages exceed capacity %d", len(sh.ICQueue), ic.capacity)
+		return cfgErr("%d cached PBFG pages exceed capacity %d", len(sh.ICQueue), ic.capacity)
 	}
 	for _, ref := range sh.ICQueue {
-		g := groupAt(st.groups, ref.Group)
+		g := groupAt(c.groups, ref.Group)
 		switch {
 		case g == nil || !g.sealed:
-			return nil, cfgErr("cached PBFG page (%d,%d) names no sealed group", ref.Group, ref.Set)
+			return cfgErr("cached PBFG page (%d,%d) names no sealed group", ref.Group, ref.Set)
 		case ref.Set < 0 || ref.Set >= c.setsPerSG:
-			return nil, cfgErr("cached PBFG page set offset %d out of range", ref.Set)
+			return cfgErr("cached PBFG page set offset %d out of range", ref.Set)
 		case g.cached[ref.Set] >= 0:
-			return nil, cfgErr("index-cache queue names (%d,%d) twice", ref.Group, ref.Set)
+			return cfgErr("index-cache queue names (%d,%d) twice", ref.Group, ref.Set)
 		}
-		// The device page lands in the fetch scratch and the bytes of a page
-		// of the group's width are copied into a slot of that width's arena;
-		// a failed read abandons ic wholesale (its arenas are private to it).
 		if _, err := c.dev.ReadPage(c.dev.PageAddr(g.zone, ref.Set), c.fetchBuf); err != nil {
-			return nil, fmt.Errorf("core: re-reading PBFG page (%d,%d): %w", ref.Group, ref.Set, err)
+			return fmt.Errorf("core: re-reading PBFG page (%d,%d): %w", ref.Group, ref.Set, err)
 		}
-		a := ic.arena(g)
-		slot := a.alloc()
-		copy(a.page(slot), c.fetchBuf)
-		g.cached[ref.Set] = slot
-		ic.count++
-		ic.queue = append(ic.queue, pbfgKey{group: int32(ref.Group), set: int32(ref.Set)})
+		ic.put(c.groups, g, ref.Set, c.fetchBuf)
 	}
-	st.icache = ic
-	return st, nil
+	return nil
 }
 
 // checkZonePartition verifies free ∪ live == [base, base+n) with no overlap.
@@ -492,23 +458,6 @@ func checkZonePartition(kind string, base, n int, free, live []int) error {
 		return cfgErr("%s zones: %d free + %d live does not cover %d", kind, len(free), len(live), n)
 	}
 	return nil
-}
-
-// adoptRestore swaps the validated state in. Called before the cache is
-// published (NewSharded) — no locking, no readers.
-func (c *Cache) adoptRestore(st *restoredState) {
-	c.memq = st.memq
-	c.sacCount = st.sacCount
-	c.pool = st.pool
-	c.nextSGID = st.nextSGID
-	c.groups = st.groups
-	c.nextGroup = st.nextGroup
-	c.icache = st.icache
-	c.freeDataZones = st.freeDataZones
-	c.freeIndexZones = st.freeIndexZones
-	c.bytesSinceCool = st.bytesSinceCool
-	c.stats = st.stats
-	c.extra = st.extra
 }
 
 // Counter conversions between the engine types and the snapshot package's
@@ -560,8 +509,8 @@ func nemoStatsOf(e snapshot.Extra) NemoStats {
 // time: restored is true after a successful warm restore; err holds the
 // typed reason a snapshot was refused (nil when none existed — a plain cold
 // start). A refused snapshot never fails NewSharded; the engine just starts
-// cold. Restore is all-or-nothing across shards — one shard's defect leaves
-// every shard cold.
+// cold. Restore is all-or-nothing across shards: after one shard's defect
+// NewSharded rebuilds every shard cold, those already filled included.
 func (s *Sharded) RestoreOutcome() (restored bool, err error) {
 	return s.restored, s.restoreErr
 }

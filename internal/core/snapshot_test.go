@@ -443,6 +443,72 @@ func TestRestoreIndexCacheRows(t *testing.T) {
 	}
 }
 
+// TestRefusalInLaterShardLeavesAllCold pins restore's all-or-nothing across
+// shards: a checkpoint whose shard 0 is sound and whose shard 1 claims a
+// live SG's zone as free too is refused with an ErrConfig naming shard 1,
+// and shard 0, though its own section was valid and restored first, is left
+// as cold as shard 1 — no pool, no buffered object, no cached PBFG page, no
+// counter.
+func TestRefusalInLaterShardLeavesAllCold(t *testing.T) {
+	devtest.Run(t, func(t *testing.T, b devtest.Backend) {
+		dev := b.New(t, snapGeometry(snapShards))
+		path := filepath.Join(t.TempDir(), "s.snap")
+		c, err := NewSharded(snapConfig(dev, snapShards, 0, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		applySnapTrace(t, c, snapTrace(25000), false)
+		if err := c.Checkpoint(path); err != nil {
+			t.Fatal(err)
+		}
+		f, err := snapshot.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sh := &f.Shards[0]; len(sh.Groups) == 0 || len(sh.ICQueue) == 0 {
+			t.Fatalf("shard 0 checkpoint too thin: %d groups, %d cached pages", len(sh.Groups), len(sh.ICQueue))
+		}
+		sh := &f.Shards[1]
+		live := -1
+		for _, g := range sh.Groups {
+			for _, m := range g.Members {
+				if m.Zone >= 0 {
+					live = m.Zone
+				}
+			}
+		}
+		if live < 0 {
+			t.Fatal("shard 1 has no live SG")
+		}
+		sh.FreeDataZones = append(sh.FreeDataZones, live)
+		if err := snapshot.Save(path, f); err != nil {
+			t.Fatal(err)
+		}
+
+		warm, err := NewSharded(snapConfig(dev, snapShards, 0, path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, rerr := warm.RestoreOutcome()
+		if restored || !errors.Is(rerr, snapshot.ErrConfig) || !strings.Contains(rerr.Error(), "shard 1:") {
+			t.Fatalf("restored=%v err=%v, want ErrConfig naming shard 1", restored, rerr)
+		}
+		if st := warm.Stats(); st != (cachelib.Stats{}) {
+			t.Fatalf("refused restore left stats: %+v", st)
+		}
+		for i, c := range warm.shards {
+			objs := 0
+			for _, m := range c.memq {
+				objs += m.objCount()
+			}
+			if len(c.pool) != 0 || len(c.groups) != 0 || objs != 0 || c.icache.count != 0 || len(c.icache.queue) != c.icache.head {
+				t.Fatalf("shard %d not cold: %d pool SGs, %d groups, %d buffered objects, %d cached pages",
+					i, len(c.pool), len(c.groups), objs, c.icache.count)
+			}
+		}
+	})
+}
+
 // crashFlips are the crash matrix's single-bit flips: byte offset and bit.
 // They were drawn once from a seeded RNG over the whole version-3 image and
 // are pinned, so a case keeps its name when a format change moves the
