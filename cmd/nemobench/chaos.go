@@ -33,8 +33,9 @@ func cmdChaos(args []string) int {
 		return err
 	})
 	seed := c.Int64("seed", 1, "fault-plan seed")
-	ops := c.Int("ops", 0, "requests per scenario (0 = 4000)")
-	flushers := c.Int("flushers", 0, "background flusher goroutines (0 = flush inline: STORED means stored)")
+	var ops, flushers int
+	nonNegInt(c, &ops, "ops", "request count", "requests per scenario (0 = 4000)")
+	nonNegInt(c, &flushers, "flushers", "flusher count", "background flusher goroutines (0 = flush inline: STORED means stored)")
 	var device backend.Spec
 	deviceFlag(c, &device)
 	c.profileFlags()
@@ -46,8 +47,8 @@ func cmdChaos(args []string) int {
 			Seed:     uint64(*seed),
 			Device:   device,
 			Shards:   shards,
-			Flushers: *flushers,
-			Ops:      *ops,
+			Flushers: flushers,
+			Ops:      ops,
 		})
 		return report("chaos", rep, err)
 	})

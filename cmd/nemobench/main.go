@@ -44,7 +44,8 @@
 //
 // Exit status: 0 on success, 1 when a run failed, 2 for a usage error
 // (unknown command, flag, experiment ID, engine key, scenario or scale, a
-// bad -shards value, a negative -ops), printed with the command's usage.
+// bad -shards value, a negative -ops or -flushers), printed with the
+// command's usage.
 // Wall-clock performance is not measured here: that is benchmark/
 // (benchmark/README.md).
 package main
@@ -205,13 +206,19 @@ func workloadFlags(c *command, scale *string, ops *int, seed *int64) {
 		*scale = s
 		return nil
 	})
-	c.Func("ops", "override request count (0 = scale default)", func(s string) (err error) {
-		if *ops, err = strconv.Atoi(s); err == nil && *ops < 0 {
-			err = fmt.Errorf("negative request count %d", *ops)
+	nonNegInt(c, ops, "ops", "request count", "override request count (0 = scale default)")
+	c.Int64Var(seed, "seed", 1, "workload seed")
+}
+
+// nonNegInt registers an int flag (default 0) whose negative value is a
+// usage error, "negative <what> N".
+func nonNegInt(c *command, p *int, name, what, usage string) {
+	c.Func(name, usage, func(s string) (err error) {
+		if *p, err = strconv.Atoi(s); err == nil && *p < 0 {
+			err = fmt.Errorf("negative %s %d", what, *p)
 		}
 		return err
 	})
-	c.Int64Var(seed, "seed", 1, "workload seed")
 }
 
 // deviceFlag registers -device (the zero Spec is the simulator); a value
@@ -307,7 +314,7 @@ func cmdCompare(args []string) int {
 		cfg.Engines = strings.Split(s, ",")
 		return experiments.CheckEngines(cfg.Engines)
 	})
-	c.IntVar(&cfg.Flushers, "flushers", 0, "Nemo's background flusher goroutines (0 = flush inline)")
+	nonNegInt(c, &cfg.Flushers, "flushers", "flusher count", "Nemo's background flusher goroutines (0 = flush inline)")
 	c.Float64Var(&cfg.SetFrac, "setfrac", 0.1, "fraction of requests rewritten to explicit SETs")
 	c.Float64Var(&cfg.DelFrac, "delfrac", 0.02, "fraction of requests rewritten to DELETEs")
 	deviceFlag(c, &cfg.Device)

@@ -58,6 +58,9 @@ func TestExitStatus(t *testing.T) {
 		{"chaos -json out.json", 2, "not defined: -json", "usage: nemobench chaos"},
 		{"exp tab3 -scale tiny", 2, `unknown scale "tiny" (small, medium or large)`, "usage: nemobench exp"},
 		{"exp tab3 -scale small -ops -5", 2, "negative request count -5", "usage: nemobench exp"},
+		{"compare -scale small -engines nemo -shards 1 -ops 100 -flushers -1", 2, "negative flusher count -1", "usage: nemobench compare"},
+		{"chaos -flushers -1", 2, "negative flusher count -1", "usage: nemobench chaos"},
+		{"chaos -ops -5", 2, "negative request count -5", "usage: nemobench chaos"},
 
 		// A run that failed is not a usage error: 16 data zones do not split
 		// into 3 shards.

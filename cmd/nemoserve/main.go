@@ -4,8 +4,7 @@
 //
 // Usage:
 //
-//	nemoserve [-addr 127.0.0.1:11211] [-shards 8] [-zones 48]
-//	          [-flushers 2] [-max-batch 64]
+//	nemoserve [-addr 127.0.0.1:11211] [-shards 8] [-zones 48] [-flushers 2]
 //	          [-max-conns 0] [-reject-busy] [-idle-timeout 0] [-read-timeout 0]
 //	          [-degraded-threshold 3] [-degraded-probe 1s]
 //	          [-write-retries 2] [-retry-backoff 2ms]
@@ -100,7 +99,6 @@ func run(args []string) int {
 		shards    = fs.Int("shards", 8, "cache shards (data zones must divide evenly)")
 		zones     = fs.Int("zones", 48, "total SG-pool data zones across shards")
 		flushers  = fs.Int("flushers", 2, "background flusher goroutines (0 = flush inline: STORED means stored)")
-		maxBatch  = fs.Int("max-batch", 64, "pipelined requests coalesced per engine round")
 		maxConns  = fs.Int("max-conns", 0, "max concurrent connections (0 = unlimited)")
 		rejBusy   = fs.Bool("reject-busy", false, "answer SERVER_ERROR busy at the cap instead of parking accepts")
 		idleTO    = fs.Duration("idle-timeout", 0, "drop connections idle between request batches this long (0 = never)")
@@ -136,8 +134,8 @@ func run(args []string) int {
 		bad = "-flushers, -write-retries and -degraded-threshold must not be negative"
 	case *degProbe < 0 || *wrBackoff < 0:
 		bad = "-degraded-probe and -retry-backoff must not be negative"
-	case *maxConns < 0 || *maxBatch < 0:
-		bad = "-max-conns and -max-batch must not be negative"
+	case *maxConns < 0:
+		bad = "-max-conns must not be negative"
 	case *idleTO < 0 || *readTO < 0:
 		bad = "-idle-timeout and -read-timeout must not be negative"
 	}
@@ -205,7 +203,6 @@ func run(args []string) int {
 
 	srv, err := server.New(server.Config{
 		Engine:      cache,
-		MaxBatch:    *maxBatch,
 		MaxConns:    *maxConns,
 		RejectBusy:  *rejBusy,
 		IdleTimeout: *idleTO,

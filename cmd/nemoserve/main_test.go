@@ -76,7 +76,7 @@ func TestDumpHealthReadsEachShard(t *testing.T) {
 func TestFlagUsageErrors(t *testing.T) {
 	for _, args := range []string{
 		"-max-conns -1",
-		"-max-batch -1",
+		"-max-batch -1", // undefined: a batch is a fixed 64 requests
 		"-idle-timeout -1s",
 		"-read-timeout -1ms",
 		"-flushers -1",

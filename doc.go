@@ -224,12 +224,13 @@
 // over loopback by three of benchmark/'s four workloads (get_fits,
 // write_churn, twitter_mix: throughput_ops_s, get_p50_us … wire.get_p999_us)
 // and by `nemobench chaos`. The protocol subset is get/gets (multi-key),
-// set, delete, stats, version, and quit, with noreply honored on set/delete. Each connection is one goroutine whose read loop
-// accumulates the requests already pipelined on the wire — never blocking
-// on a half-received line — into a batch (Config.MaxBatch, default 64);
-// consecutive gets coalesce into one GetMany round, so the engine's batched
-// read surface is what actually serves the wire, and every set is one
-// SetAsync. Replies are written strictly in request order and flushed once
+// set, delete, stats, version, and quit, with noreply honored on
+// set/delete. Each connection is one goroutine whose read loop accumulates
+// the requests already pipelined on the wire — never blocking on a
+// half-received line — into a batch of at most 64 requests and 1 MiB of
+// keys and values; consecutive gets coalesce into one GetMany round, so the
+// engine's batched read surface is what actually serves the wire, and every
+// set is one SetAsync. Replies are written strictly in request order and flushed once
 // per batch; a malformed request occupies its pipeline position as an
 // ERROR/CLIENT_ERROR reply and never kills the connection.
 // A connection holds 32 KiB (a 16 KiB read and a 16 KiB write buffer) for
@@ -258,8 +259,9 @@
 // accepting, interrupt blocked reads, let every handler answer its
 // in-flight batch, then Drain the engine — so no acknowledged write is left
 // behind in a memory SG.
-// The suite pinning all of this: golden byte-for-byte conformance
-// transcripts over net.Pipe, FuzzParseCommand (checked-in corpus; a key
+// The suite pinning all of this reaches the server only through Serve, on
+// TCP loopback or an in-memory listener of net.Pipe connections: golden
+// byte-for-byte conformance transcripts, FuzzParseCommand (checked-in corpus; a key
 // with an embedded CR/LF can never survive parsing), a loopback stress
 // test under -race asserting server stats equal client-side tallies
 // exactly, and graceful-drain tests including a blockable write fault
@@ -267,11 +269,12 @@
 //
 // # Failure domains and degraded mode
 //
-// Client and load faults are the server's (MaxConns/RejectBusy, IdleTimeout,
-// ReadTimeout, MaxBatchBytes: internal/server's Config); device faults are the
-// engine's — bounded append retries, then a per-shard circuit breaker into
-// read-only degraded mode with half-open probes: internal/core/health.go's
-// header. `nemobench chaos` arms a seeded device.FaultPlan under loopback
+// Client and load faults are the server's: MaxConns/RejectBusy,
+// IdleTimeout, ReadTimeout and MaxItemBytes in internal/server's Config,
+// beside the fixed 1 MiB batch byte budget, all enforced by Serve's accept
+// loop and the connection it admits. Device faults are the engine's —
+// bounded append retries, then a per-shard circuit breaker into read-only
+// degraded mode with half-open probes: internal/core/health.go's header. `nemobench chaos` arms a seeded device.FaultPlan under loopback
 // load, heals the device and fails unless the stack recovers on its own.
 //
 // # The device contract

@@ -35,12 +35,6 @@ type Config struct {
 	// Channels is the number of independently scheduled flash channels
 	// (default 8). Page p is serviced by channel p mod Channels.
 	Channels int
-	// ReadLatency is the page read (tR + transfer) latency (default 70 µs).
-	ReadLatency time.Duration
-	// ProgramLatency is the page program latency as observed by the host
-	// (default 25 µs: device-side buffering hides most of tPROG, but the
-	// channel stays busy, which is what creates read interference).
-	ProgramLatency time.Duration
 	// MaxOpenZones bounds the number of partially written zones, as real
 	// ZNS devices do (the ZN540 allows 14). 0 means unlimited. Opening a
 	// zone beyond the limit fails with ErrTooManyOpenZones.
@@ -50,8 +44,21 @@ type Config struct {
 	Clock *vtime.Clock
 }
 
-// eraseLatency is the zone reset latency.
-const eraseLatency = 2 * time.Millisecond
+// The latency model, one service time per device.Op: a page read (tR +
+// transfer); a page program as the host observes it (device-side buffering
+// hides most of tPROG, but the channel stays busy, which is what creates
+// read interference); a zone reset.
+const (
+	readLatency    = 70 * time.Microsecond
+	programLatency = 25 * time.Microsecond
+	eraseLatency   = 2 * time.Millisecond
+)
+
+var latency = [3]time.Duration{
+	device.OpRead:    readLatency,
+	device.OpProgram: programLatency,
+	device.OpErase:   eraseLatency,
+}
 
 // ErrTooManyOpenZones is returned when an append would exceed the device's
 // open-zone limit. It is the shared sentinel every backend returns.
@@ -69,12 +76,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Channels == 0 {
 		c.Channels = 8
-	}
-	if c.ReadLatency == 0 {
-		c.ReadLatency = 70 * time.Microsecond
-	}
-	if c.ProgramLatency == 0 {
-		c.ProgramLatency = 25 * time.Microsecond
 	}
 	if c.Clock == nil {
 		c.Clock = &vtime.Clock{}
@@ -101,8 +102,7 @@ type Device struct {
 // memory (guarded by Zoned's zone locks) and the channel schedulers.
 type media struct {
 	cfg   Config
-	lat   [3]time.Duration // service time by device.Op
-	zones [][]byte         // lazily allocated zone payloads; nil once reset
+	zones [][]byte // lazily allocated zone payloads; nil once reset
 	chans []channel
 }
 
@@ -116,12 +116,7 @@ var bootSeq atomic.Uint64
 func New(cfg Config) *Device {
 	cfg = cfg.withDefaults()
 	d := &Device{m: media{
-		cfg: cfg,
-		lat: [3]time.Duration{
-			device.OpRead:    cfg.ReadLatency,
-			device.OpProgram: cfg.ProgramLatency,
-			device.OpErase:   eraseLatency,
-		},
+		cfg:   cfg,
 		zones: make([][]byte, cfg.Zones),
 		chans: make([]channel, cfg.Channels),
 	}}
@@ -182,7 +177,7 @@ func (m *media) Done(op device.Op, page int) time.Duration {
 	if ch.free > start {
 		start = ch.free
 	}
-	done := start + m.lat[op]
+	done := start + latency[op]
 	ch.free = done
 	ch.mu.Unlock()
 	return done

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 )
 
 func small() *Device {
@@ -122,27 +121,25 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestLatencyModelAdvances(t *testing.T) {
-	d := New(Config{PageSize: 512, PagesPerZone: 8, Zones: 2, Channels: 1,
-		ReadLatency: 100 * time.Microsecond, ProgramLatency: 50 * time.Microsecond})
+	d := New(Config{PageSize: 512, PagesPerZone: 8, Zones: 2, Channels: 1})
 	_, done1, _ := d.AppendPage(0, []byte{1})
-	if done1 != 50*time.Microsecond {
-		t.Fatalf("first program done = %v, want 50µs", done1)
+	if done1 != programLatency {
+		t.Fatalf("first program done = %v, want %v", done1, programLatency)
 	}
 	// Same channel: second op queues behind the first.
 	_, done2, _ := d.AppendPage(0, []byte{2})
-	if done2 != 100*time.Microsecond {
-		t.Fatalf("second program done = %v, want 100µs", done2)
+	if done2 != 2*programLatency {
+		t.Fatalf("second program done = %v, want %v", done2, 2*programLatency)
 	}
 	buf := make([]byte, 512)
 	done3, _ := d.ReadPage(0, buf)
-	if done3 != 200*time.Microsecond {
-		t.Fatalf("read done = %v, want 200µs", done3)
+	if done3 != 2*programLatency+readLatency {
+		t.Fatalf("read done = %v, want %v", done3, 2*programLatency+readLatency)
 	}
 }
 
 func TestChannelParallelism(t *testing.T) {
-	d := New(Config{PageSize: 512, PagesPerZone: 8, Zones: 2, Channels: 4,
-		ReadLatency: 100 * time.Microsecond})
+	d := New(Config{PageSize: 512, PagesPerZone: 8, Zones: 2, Channels: 4})
 	for i := 0; i < 4; i++ {
 		d.AppendPage(0, []byte{byte(i)})
 	}
@@ -156,10 +153,10 @@ func TestChannelParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All reads start after the programs; with default program latency 25µs
-	// they queue per channel, so done = program + read on the slowest.
-	if done > 125*time.Microsecond+100*time.Microsecond {
-		t.Fatalf("parallel reads took %v, not parallel", done)
+	// All reads start after the programs, one program and one read per
+	// channel: done = program + read on every channel at once.
+	if done != programLatency+readLatency {
+		t.Fatalf("parallel reads took %v, want %v (one program and one read)", done, programLatency+readLatency)
 	}
 }
 

@@ -30,6 +30,18 @@ import (
 // request line) and the reply writer: 2 x 16 KiB per live connection.
 const readBufSize = 16 << 10
 
+// maxBatch caps how many pipelined requests one connection coalesces into
+// a single engine round.
+const maxBatch = 64
+
+// maxBatchBytes caps the summed key+value bytes one connection buffers into
+// a single batch before executing, so a deeply pipelined client of large
+// sets cannot make one batch hold an unbounded heap. The cap closes batches
+// early; it never rejects a request (a single request larger than the
+// budget still forms a batch of one — Config.MaxItemBytes is the
+// per-request bound).
+const maxBatchBytes = 1 << 20
+
 // valRetainBytes bounds the per-slot value buffer kept across batches: a
 // slot that buffered a larger set gives the storage back after the batch,
 // so one burst of big objects does not pin its high-water heap on the
@@ -118,12 +130,8 @@ type conn struct {
 	midRequest bool
 }
 
-// serveConn runs one connection to completion.
+// serveConn runs one admitted connection to completion.
 func (s *Server) serveConn(nc net.Conn) {
-	if !s.addConn(nc) {
-		nc.Close()
-		return
-	}
 	defer s.removeConn(nc)
 	defer nc.Close()
 	c := &conn{
@@ -160,7 +168,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		// half-received line so a slow sender cannot park a batch of
 		// unexecuted requests behind a blocking read.
 		batchBytes := c.ops[0].size()
-		for c.nops < s.cfg.MaxBatch && batchBytes < s.cfg.MaxBatchBytes {
+		for c.nops < maxBatch && batchBytes < maxBatchBytes {
 			last := &c.ops[c.nops-1]
 			if last.bad == errNone && last.kind == KindQuit {
 				break

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -40,13 +39,9 @@ func TestGracefulDrainNoStoredLost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, sv := net.Pipe()
+	l, served := servePipes(srv, nil)
+	cli := l.dial()
 	defer cli.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.ServeConn(sv)
-	}()
 
 	cl := memclient.New(cli)
 	for base := 0; base < nKeys; base += batch {
@@ -69,7 +64,7 @@ func TestGracefulDrainNoStoredLost(t *testing.T) {
 	if err := srv.Shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	<-done
+	<-served
 
 	st := eng.Stats()
 	if st.WriteErrors != 0 || st.Evictions != 0 {
@@ -108,13 +103,9 @@ func TestWriteErrorSurfacesInServedStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cli, sv := net.Pipe()
+		l, served := servePipes(srv, nil)
+		cli := l.dial()
 		defer cli.Close()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			srv.ServeConn(sv)
-		}()
 
 		cl := memclient.New(cli)
 		surfaced := false
@@ -142,7 +133,7 @@ func TestWriteErrorSurfacesInServedStats(t *testing.T) {
 		if err := srv.Shutdown(); err != nil && !errors.Is(err, boom) {
 			t.Fatalf("Shutdown returned %v, want nil or the injected flush fault", err)
 		}
-		<-done
+		<-served
 		if st := eng.Stats(); st.WriteErrors == 0 {
 			t.Fatalf("WriteErrors not in final engine stats: %+v", st)
 		}
@@ -176,13 +167,9 @@ func TestFaultBlocksMidDrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cli, sv := net.Pipe()
+		l, served := servePipes(srv, nil)
+		cli := l.dial()
 		defer cli.Close()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			srv.ServeConn(sv)
-		}()
 
 		// Feed noreply sets until a flush reaches the (now blocked) device
 		// hook. The writer goroutine may itself end up blocked behind the held
@@ -222,7 +209,7 @@ func TestFaultBlocksMidDrain(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatal("Shutdown hung across the failed drain")
 		}
-		<-done
+		<-served
 		if st := eng.Stats(); st.WriteErrors == 0 {
 			t.Fatalf("WriteErrors not surfaced in final stats: %+v", st)
 		}

@@ -74,14 +74,14 @@ func TestOneReadPerRequest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cli, sv := net.Pipe()
+			// Serve sets the wrapped conn; the test reads only the counter.
+			counted := &countingConn{}
+			l, served := servePipes(srv, func(sv net.Conn) (net.Conn, error) {
+				counted.Conn = sv
+				return counted, nil
+			})
+			cli := l.dial()
 			defer cli.Close()
-			counted := &countingConn{Conn: sv}
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				srv.ServeConn(counted)
-			}()
 			for _, st := range row.steps {
 				send(t, cli, st.send)
 				if st.want != "" {
@@ -99,7 +99,7 @@ func TestOneReadPerRequest(t *testing.T) {
 			if err := srv.Shutdown(); err != nil {
 				t.Errorf("shutdown: %v", err)
 			}
-			<-done
+			<-served
 			var idle, deadline uint64
 			for _, f := range srv.Fields() {
 				switch f.Name {

@@ -7,6 +7,7 @@ package server_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -19,36 +20,6 @@ import (
 	"nemo/internal/flashsim"
 	"nemo/internal/server"
 )
-
-// startServer builds a server and returns it plus a dialer that serves a
-// fresh net.Pipe connection per call — unlike startPipeServer, tests can
-// open several connections against one server and inspect its counters.
-func startServer(t *testing.T, cfg server.Config) (*server.Server, func() net.Conn) {
-	t.Helper()
-	srv, err := server.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	t.Cleanup(func() {
-		if err := srv.Shutdown(); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-		wg.Wait()
-		if err := cfg.Engine.Close(); err != nil {
-			t.Errorf("engine close: %v", err)
-		}
-	})
-	return srv, func() net.Conn {
-		cli, sv := net.Pipe()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			srv.ServeConn(sv)
-		}()
-		return cli
-	}
-}
 
 // readStats issues the stats verb and parses the reply into a map. It must
 // be the only in-flight request on the connection.
@@ -116,8 +87,9 @@ func TestMaxConnsBlockBackpressure(t *testing.T) {
 	send(t, c1, "version\r\n")
 	expect(t, c1, "VERSION nemo/1\r\n")
 
-	// The second connection's handler parks acquiring a slot: nothing
-	// reads its pipe, so a deadline-bounded write cannot complete.
+	// The accept loop parks acquiring a slot, so the second connection
+	// waits in the backlog: nothing reads its pipe, and a deadline-bounded
+	// write cannot complete.
 	c2 := dial()
 	defer c2.Close()
 	c2.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
@@ -126,8 +98,8 @@ func TestMaxConnsBlockBackpressure(t *testing.T) {
 	}
 	c2.SetWriteDeadline(time.Time{})
 
-	// Quit the first connection: the slot frees and the parked handler
-	// serves the second connection normally.
+	// Quit the first connection: the slot frees and the accept loop
+	// admits the second connection, which is served normally.
 	send(t, c1, "quit\r\n")
 	expectEOF(t, c1)
 	send(t, c2, "version\r\n")
@@ -141,33 +113,25 @@ func TestMaxConnsBlockUnblocksOnShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
+	l, served := servePipes(srv, nil)
 
-	cli1, sv1 := net.Pipe()
+	cli1 := l.dial()
 	defer cli1.Close()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		srv.ServeConn(sv1)
-	}()
 	send(t, cli1, "version\r\n")
 	expect(t, cli1, "VERSION nemo/1\r\n")
 
 	// Parked waiting for a slot that will never free.
-	cli2, sv2 := net.Pipe()
+	cli2 := l.dial()
 	defer cli2.Close()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		srv.ServeConn(sv2)
-	}()
 
 	// Shutdown must unblock the parked acquire, close the waiting
 	// connection, and drain the served one.
 	if err := srv.Shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	wg.Wait()
+	if err := <-served; err != server.ErrServerClosed {
+		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+	}
 	expectEOF(t, cli1)
 	expectEOF(t, cli2)
 }
@@ -229,25 +193,103 @@ func TestSlowLorisDisconnect(t *testing.T) {
 
 func TestBatchByteBudget(t *testing.T) {
 	eng, _ := newEngine(t, 1, 0)
-	// A budget smaller than any single set: every batch closes after one
-	// buffered request, and the pipeline must still answer everything in
-	// order.
-	cli := startPipeServer(t, server.Config{Engine: eng, MaxBatchBytes: 1})
-	defer cli.Close()
+	// Every set carries more than 1 MiB/64 of data, so the 1 MiB batch byte
+	// budget closes a batch before its 64-request cap can, and the pipeline
+	// spans more than one budget. MaxItemBytes is far below that size: each
+	// set is answered "too large" without reaching the engine. Every reply
+	// must still come back, in order.
+	cli := startPipeServer(t, server.Config{Engine: eng, MaxItemBytes: testMaxItem})
 
+	const n, size = 96, 20 << 10
+	big := strings.Repeat("b", size)
 	var req, want strings.Builder
-	for i := 0; i < 8; i++ {
-		val := fmt.Sprintf("budget-value-%02d", i)
-		fmt.Fprintf(&req, "set bk%d 0 0 %d\r\n%s\r\n", i, len(val), val)
-		want.WriteString("STORED\r\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&req, "set bk%d 0 0 %d\r\n%s\r\nget bk%d\r\n", i, size, big, i)
+		want.WriteString("SERVER_ERROR object too large for cache\r\nEND\r\n")
 	}
-	for i := 0; i < 8; i++ {
-		val := fmt.Sprintf("budget-value-%02d", i)
-		fmt.Fprintf(&req, "get bk%d\r\n", i)
-		fmt.Fprintf(&want, "VALUE bk%d 0 %d\r\n%s\r\nEND\r\n", i, len(val), val)
-	}
-	send(t, cli, req.String())
+	req.WriteString("set small 0 0 5\r\nfits!\r\nget small\r\n")
+	want.WriteString("STORED\r\nVALUE small 0 5\r\nfits!\r\nEND\r\n")
+
+	// A net.Pipe write returns only once the server has read it all, and
+	// the server stops reading while its replies wait to be read: write
+	// from a second goroutine.
+	sent := make(chan error, 1)
+	go func() {
+		_, err := cli.Write([]byte(req.String()))
+		sent <- err
+	}()
 	expect(t, cli, want.String())
+	if err := <-sent; err != nil {
+		t.Fatalf("send: %v", err)
+	}
+}
+
+// TestShutdownWinsAdmission pins the accept loop's admission step on the
+// losing side of the Shutdown race: a connection Accept returns after
+// Shutdown has flipped the server closed is closed unserved, its MaxConns
+// slot is given back, and Serve returns ErrServerClosed. The listener runs
+// Shutdown inside Accept, so the order is fixed rather than raced.
+func TestShutdownWinsAdmission(t *testing.T) {
+	eng, _ := newEngine(t, 1, 0)
+	defer eng.Close()
+	srv, err := server.New(server.Config{Engine: eng, MaxConns: 1, RejectBusy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shutErr error
+	l, served := servePipes(srv, func(nc net.Conn) (net.Conn, error) {
+		shutErr = srv.Shutdown()
+		return nc, nil
+	})
+	cli := l.dial()
+	defer cli.Close()
+	if err := <-served; err != server.ErrServerClosed {
+		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+	}
+	if shutErr != nil {
+		t.Fatalf("shutdown: %v", shutErr)
+	}
+	expectEOF(t, cli)
+	for _, f := range srv.Fields() {
+		if (f.Name == "total_connections" || f.Name == "conns_rejected") && f.Value != 0 {
+			t.Errorf("%s = %d, want 0: the connection was neither admitted nor rejected", f.Name, f.Value)
+		}
+	}
+}
+
+// TestAcceptErrorReleasesSlot pins the backpressure slot the accept loop
+// holds while it waits in Accept: when Accept fails, Serve returns the error
+// and gives the slot back, so the next Serve on the same server still
+// admits a connection under MaxConns 1.
+func TestAcceptErrorReleasesSlot(t *testing.T) {
+	eng, _ := newEngine(t, 1, 0)
+	srv, err := server.New(server.Config{Engine: eng, MaxConns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	boom := errors.New("injected accept failure")
+	l1, served1 := servePipes(srv, func(nc net.Conn) (net.Conn, error) {
+		nc.Close()
+		return nil, boom
+	})
+	cli1 := l1.dial()
+	defer cli1.Close()
+	if err := <-served1; err != boom {
+		t.Fatalf("Serve returned %v, want the accept error", err)
+	}
+
+	l2, served2 := servePipes(srv, nil)
+	cli2 := l2.dial()
+	defer cli2.Close()
+	send(t, cli2, "version\r\n")
+	expect(t, cli2, "VERSION nemo/1\r\n")
+	if err := srv.Shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := <-served2; err != server.ErrServerClosed {
+		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+	}
 }
 
 // TestShutdownAcceptRace pins the fix for the accept/shutdown race: a

@@ -54,18 +54,13 @@ func TestWarmRestartAcrossProcessBoundary(t *testing.T) {
 		return eng, dev
 	}
 
-	serve := func(eng *core.Sharded) (*server.Server, net.Conn, chan struct{}) {
+	serve := func(eng *core.Sharded) (*server.Server, net.Conn, <-chan error) {
 		srv, err := server.New(server.Config{Engine: eng})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cli, sv := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			srv.ServeConn(sv)
-		}()
-		return srv, cli, done
+		l, served := servePipes(srv, nil)
+		return srv, l.dial(), served
 	}
 
 	// First life: populate over the wire, collect stats, tear down in the
@@ -210,9 +205,8 @@ func TestCrashMidCheckpointWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli1, sv1 := net.Pipe()
-	done1 := make(chan struct{})
-	go func() { defer close(done1); srv1.ServeConn(sv1) }()
+	l1, done1 := servePipes(srv1, nil)
+	cli1 := l1.dial()
 	cl := memclient.New(cli1)
 	const keys = 120
 	val := func(i int) []byte { return []byte(fmt.Sprintf("value-%04d-%032d", i, i)) }
@@ -276,9 +270,8 @@ func TestCrashMidCheckpointWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli2, sv2 := net.Pipe()
-	done2 := make(chan struct{})
-	go func() { defer close(done2); srv2.ServeConn(sv2) }()
+	l2, done2 := servePipes(srv2, nil)
+	cli2 := l2.dial()
 	defer func() {
 		cli2.Close()
 		if err := srv2.Shutdown(); err != nil {

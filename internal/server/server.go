@@ -34,9 +34,6 @@ type Config struct {
 	// stays with the caller, which typically wants the engine alive after
 	// Shutdown (to checkpoint, inspect stats, or serve again).
 	Engine cachelib.Engine
-	// MaxBatch caps how many pipelined requests one connection coalesces
-	// into a single engine round (default 64).
-	MaxBatch int
 	// MaxItemBytes, when positive, pre-rejects stores whose key + stored
 	// value (protocol data plus the 4-byte item envelope) exceed it with
 	// the protocol's "SERVER_ERROR object too large for cache", without
@@ -64,18 +61,10 @@ type Config struct {
 	// (slow loris) is cut off and counted as a deadline disconnect. Zero
 	// leaves mid-request reads unbounded.
 	ReadTimeout time.Duration
-	// MaxBatchBytes caps the summed key+value bytes one connection buffers
-	// into a single batch before executing, so a deeply pipelined client
-	// of large sets cannot make one batch hold an unbounded heap. The cap
-	// closes batches early; it never rejects a request (a single request
-	// larger than the budget still forms a batch of one — MaxItemBytes is
-	// the per-request bound). Zero defaults to 1 MiB.
-	MaxBatchBytes int
 }
 
 // Server is a memcached-text-protocol server over one cache engine. Create
-// with New, feed it listeners via Serve (or single connections via
-// ServeConn), stop it with Shutdown.
+// with New, feed it listeners via Serve, stop it with Shutdown.
 type Server struct {
 	cfg Config
 
@@ -89,8 +78,8 @@ type Server struct {
 	done chan struct{}
 
 	// connSem is the MaxConns slot semaphore (nil when unlimited). A
-	// handler owns one slot for its whole life; Serve/ServeConn acquire it
-	// per Config.RejectBusy before the handler starts.
+	// handler owns one slot for its whole life; Serve's accept loop acquires
+	// it per Config.RejectBusy before the handler starts.
 	connSem chan struct{}
 
 	handlers sync.WaitGroup
@@ -123,12 +112,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("server: Config.Engine is required")
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
-	}
-	if cfg.MaxBatchBytes <= 0 {
-		cfg.MaxBatchBytes = 1 << 20
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -187,7 +170,7 @@ func (s *Server) Serve(l net.Listener) error {
 				continue
 			}
 		}
-		if !s.registerHandler() {
+		if !s.admit(nc) {
 			// Shutdown won the race: the connection was accepted but must
 			// not start a handler (it would miss the deadline pass, and a
 			// WaitGroup.Add here could trail doShutdown's Wait).
@@ -207,55 +190,23 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// ServeConn serves one already-established connection (tests run the full
-// protocol over net.Pipe this way, no ports needed), blocking until the
-// client quits, the connection fails, or Shutdown drains it. It follows the
-// same MaxConns policy as Serve, so overload tests drive the cap without a
-// listener.
-func (s *Server) ServeConn(nc net.Conn) {
-	held := false
-	if s.connSem != nil {
-		if s.cfg.RejectBusy {
-			select {
-			case s.connSem <- struct{}{}:
-				held = true
-			default:
-				s.rejectBusy(nc)
-				return
-			}
-		} else {
-			select {
-			case s.connSem <- struct{}{}:
-				held = true
-			case <-s.done:
-				nc.Close()
-				return
-			}
-		}
-	}
-	if held {
-		defer func() { <-s.connSem }()
-	}
-	if !s.registerHandler() {
-		nc.Close()
-		return
-	}
-	defer s.handlers.Done()
-	s.serveConn(nc)
-}
-
-// registerHandler reserves a handler slot under the server lock, so a
-// handler either starts before Shutdown flips closed (and is covered by
-// doShutdown's Wait) or not at all. Registering outside the lock is the
-// race this method exists to close: an Accept winning against Shutdown
-// would Add after Wait and serve a connection nobody will ever drain.
-func (s *Server) registerHandler() bool {
+// admit starts a connection's life in one hold of the server lock: unless
+// Shutdown has already flipped closed, it reserves the handler in the
+// WaitGroup and registers the connection, so a handler either starts before
+// Shutdown (and gets its deadline pass and its Wait) or not at all.
+// Admitting outside the lock is the race this closes: an Accept winning
+// against Shutdown would Add after Wait and serve a connection nobody will
+// ever drain.
+func (s *Server) admit(nc net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return false
 	}
 	s.handlers.Add(1)
+	s.conns[nc] = struct{}{}
+	s.currConns.Add(1)
+	s.totalConns.Add(1)
 	return true
 }
 
@@ -315,20 +266,6 @@ func (s *Server) setReadDeadline(nc net.Conn, t time.Time) {
 	if s.isClosed() {
 		nc.SetReadDeadline(time.Now())
 	}
-}
-
-// addConn registers a live connection, reporting false when the server is
-// already closed (the race where Accept won against Shutdown).
-func (s *Server) addConn(nc net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.conns[nc] = struct{}{}
-	s.currConns.Add(1)
-	s.totalConns.Add(1)
-	return true
 }
 
 func (s *Server) removeConn(nc net.Conn) {

@@ -3,6 +3,7 @@ package server_test
 import (
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -54,31 +55,119 @@ func engineOn(t testing.TB, dev device.Device, shards, flushers int) *core.Shard
 	return c
 }
 
-// startPipeServer serves one net.Pipe connection — the full protocol
-// stack, no ports — returning the client end. Cleanup shuts the server
-// down and closes the engine.
-func startPipeServer(t testing.TB, cfg server.Config) net.Conn {
+// pipeListener is an in-memory net.Listener, so tests reach the server
+// through Serve — the accept loop nemoserve runs, MaxConns policy and all —
+// without ports: dial queues the server end of a fresh net.Pipe for Accept
+// and returns the client end, and Close closes every server end not yet
+// accepted, as closing a real listener resets its backlog.
+type pipeListener struct {
+	// accept, when non-nil, sees each server end as Accept takes it and
+	// returns what Accept returns.
+	accept func(net.Conn) (net.Conn, error)
+	// backlog holds dialed server ends until Accept takes them; 16 is more
+	// than any test dials ahead of the accept loop.
+	backlog chan net.Conn
+	mu      sync.Mutex // orders dial's queueing against Close
+	done    chan struct{}
+}
+
+// servePipes runs srv.Serve on a fresh pipeListener; the channel yields
+// what Serve returned.
+func servePipes(srv *server.Server, accept func(net.Conn) (net.Conn, error)) (*pipeListener, <-chan error) {
+	l := &pipeListener{accept: accept, backlog: make(chan net.Conn, 16), done: make(chan struct{})}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(l) }()
+	return l, served
+}
+
+func (l *pipeListener) dial() net.Conn {
+	cli, sv := net.Pipe()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	select {
+	case <-l.done:
+		sv.Close()
+	default:
+		select {
+		case l.backlog <- sv:
+		default:
+			panic("pipeListener: backlog full")
+		}
+	}
+	return cli
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case nc := <-l.backlog:
+		if l.accept != nil {
+			return l.accept(nc)
+		}
+		return nc, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	select {
+	case <-l.done:
+		return net.ErrClosed
+	default:
+	}
+	close(l.done)
+	for {
+		select {
+		case nc := <-l.backlog:
+			nc.Close()
+		default:
+			return nil
+		}
+	}
+}
+
+func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
+
+type pipeAddr struct{}
+
+func (pipeAddr) Network() string { return "pipe" }
+func (pipeAddr) String() string  { return "pipe" }
+
+// startServer serves cfg on a pipeListener and returns the server plus its
+// dialer, so a test can open several connections against one server and
+// inspect its counters. Cleanup shuts the server down and closes the
+// engine.
+func startServer(t testing.TB, cfg server.Config) (*server.Server, func() net.Conn) {
 	t.Helper()
 	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, sv := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.ServeConn(sv)
-	}()
+	l, served := servePipes(srv, nil)
 	t.Cleanup(func() {
-		cli.Close()
 		if err := srv.Shutdown(); err != nil {
 			t.Errorf("shutdown: %v", err)
 		}
-		<-done
+		if err := <-served; err != server.ErrServerClosed {
+			t.Errorf("Serve returned %v, want ErrServerClosed", err)
+		}
 		if err := cfg.Engine.Close(); err != nil {
 			t.Errorf("engine close: %v", err)
 		}
 	})
+	return srv, l.dial
+}
+
+// startPipeServer serves one connection — the full protocol stack, no
+// ports — returning the client end, which cleanup closes before the
+// server shuts down.
+func startPipeServer(t testing.TB, cfg server.Config) net.Conn {
+	t.Helper()
+	_, dial := startServer(t, cfg)
+	cli := dial()
+	t.Cleanup(func() { cli.Close() })
 	return cli
 }
 
