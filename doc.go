@@ -71,6 +71,10 @@
 // its oldest zone where the others migrate it. Each engine owns one mutex,
 // Stats and latency histogram; tier and front are lock-free and account
 // into them, and each engine's zero-value Config is the paper's Table 4.
+// What no experiment varies is a constant, not a field: Set's 50% FTL
+// over-provisioning (§2.3), Kangaroo's 5% log and 5% HSet OP, FairyWREN's
+// quarter-page spill threshold; only FairyWREN's log and OP ratios, which
+// fig12b sweeps, are settable.
 // `nemobench exp fig12a` reports the five designs' steady-state write
 // amplification (internal/experiments/fidelity_test.go holds each figure
 // to the paper's values and states where this reproduction departs);
@@ -309,7 +313,8 @@
 //   - The simulated zoned flash device it runs on (NewDevice) — the
 //     substitution for the paper's ZNS SSD, with full write/read/erase
 //     accounting, per-zone and per-channel locking for concurrent shards,
-//     and a virtual-time latency model.
+//     and a latency model of eight channels on the device's own virtual
+//     clock (Clock returns it).
 //   - The paper's four baselines as interchangeable engines
 //     (NewLogCache, NewSetCache, NewKangaroo, NewFairyWREN); see
 //     "Baselines" above.

@@ -113,7 +113,7 @@ func TestAllEnginesServeSameWorkload(t *testing.T) {
 			return nemo.NewLogCache(nemo.LogCacheConfig{Device: d})
 		}},
 		{"Set", func(d nemo.Device) (nemo.Engine, error) {
-			return nemo.NewSetCache(nemo.SetCacheConfig{Device: d, OPRatio: 0.5})
+			return nemo.NewSetCache(nemo.SetCacheConfig{Device: d})
 		}},
 		{"FW", func(d nemo.Device) (nemo.Engine, error) {
 			return nemo.NewFairyWREN(nemo.FairyWRENConfig{Device: d})

@@ -170,10 +170,12 @@ func TestDeleteAllocationsSteadyState(t *testing.T) {
 // in-memory SG log's compaction, which takes its fresh chunks from the
 // shared chunk list: testing.AllocsPerRun truncates its per-run mean, so a
 // chunk allocated once every few dozen Sets would hide under the Set, SetMany
-// and Delete pins. One key is overwritten until the front SG's log has
-// compacted twice — the chunk list and both of the log's chunk lists warm —
-// and then until it has compacted three times more, and the process's
-// Mallocs must not move over that whole second loop.
+// and Delete pins. Here one run is a fixed number of overwrites of one key,
+// and AllocsPerRun makes exactly one measured run, so its mean is the whole
+// window's count. The warm-up run compacts the front SG's log at least twice
+// (the chunk list and both of the log's chunk lists warm); the measured run,
+// at GOMAXPROCS 1, must compact it at least three times more and allocate
+// nothing.
 func TestCompactionAllocationsSteadyState(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race instrumentation allocates; the pin runs in the non-race CI lane")
@@ -181,32 +183,30 @@ func TestCompactionAllocationsSteadyState(t *testing.T) {
 	c := testCache(t, nil)
 	k, v := kv(0)
 	front := c.memq[0]
-	sets := 0
-	overwrite := func(compactions int) {
-		for n := 0; n < compactions; sets++ {
-			if sets == 10_000 {
-				t.Fatalf("%d overwrites compacted the log %d times, want %d", sets, n, compactions)
-			}
+	const overwrites = 200
+	var compactions [2]int // the warm-up run's, then the measured run's
+	runs := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < overwrites; i++ {
 			dead := front.dead
 			if err := c.Set(k, v); err != nil {
 				t.Fatal(err)
 			}
 			if front.dead < dead {
-				n++
+				compactions[runs]++
 			}
 		}
-	}
-	overwrite(2)
-	sets = 0
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	overwrite(3)
-	runtime.ReadMemStats(&after)
+		runs++
+	})
 	if c.memq[0] != front || c.Readout().SGsFlushed != 0 {
 		t.Fatal("a flush ran: the overwrites must stay in the front SG")
 	}
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Errorf("%d allocations over %d overwrites and three compactions, want 0", n, sets)
+	if compactions[0] < 2 || compactions[1] < 3 {
+		t.Fatalf("%d overwrites a run compacted the log %d then %d times, want at least 2 then 3",
+			overwrites, compactions[0], compactions[1])
+	}
+	if allocs != 0 {
+		t.Errorf("%.0f allocations over %d overwrites and %d compactions, want 0", allocs, overwrites, compactions[1])
 	}
 }
 

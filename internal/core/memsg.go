@@ -65,9 +65,11 @@ type memSG struct {
 	keepIdle  int  // chunks the pool may keep idle: one SG's bytes
 	pageSize  int
 
-	// newBytes counts user bytes inserted into this SG, including objects
-	// later sacrificed by delayed flushing (the paper's WA denominator,
-	// §5.2); writeback bytes are tracked separately and excluded.
+	// newBytes counts the user bytes inserted into this SG as new objects,
+	// including copies later sacrificed by delayed flushing or removed by
+	// an overwrite or a delete: nothing takes a removed copy back. A flush
+	// adds it to NemoStats.NewBytes (the paper's WA denominator, §5.2);
+	// writeback bytes are tracked separately and excluded.
 	newBytes uint64
 	wbBytes  uint64
 	newObjs  int

@@ -26,10 +26,12 @@ type NemoStats struct {
 	SGsFlushed uint64
 	FillSum    float64
 
-	// NewBytes counts user bytes newly written into flushed SGs (including
-	// sacrificed objects) and NewObjs the same objects (Figure 18);
-	// WriteBackBytes counts re-inserted eviction survivors. Nemo's paper
-	// WA = DataBytesWritten / NewBytes (§5.2).
+	// NewBytes counts the user bytes inserted into SGs that later flushed,
+	// added from each SG's own count when it flushes. It includes every
+	// copy inserted into that SG: sacrificed ones, and ones an overwrite or
+	// a delete removed before the flush. NewObjs counts the same inserts
+	// (Figure 18); WriteBackBytes counts re-inserted eviction survivors.
+	// Nemo's paper WA = DataBytesWritten / NewBytes (§5.2).
 	NewBytes       uint64
 	NewObjs        uint64
 	WriteBackBytes uint64
@@ -44,8 +46,10 @@ type NemoStats struct {
 }
 
 // PaperWA is the paper's write-amplification definition for Nemo (§5.2): SG
-// bytes written divided by newly written object bytes (writeback excluded,
-// sacrificed objects included). It is 1 before any flush.
+// bytes written divided by NewBytes (writeback excluded). NewBytes also
+// counts copies that never reached flash (sacrificed, overwritten or
+// deleted while their SG was in memory), so a workload that rewrites or
+// deletes buffered keys can read below 1. It is 1 before any flush.
 func (n NemoStats) PaperWA() float64 {
 	if n.NewBytes == 0 {
 		return 1

@@ -430,7 +430,7 @@ func TestDifferentialContract(t *testing.T) {
 				for seed := int64(1); seed <= 6; seed++ {
 					sim := flashsim.New(flashsim.Config{
 						PageSize: g.PageSize, PagesPerZone: g.PagesPerZone, Zones: g.Zones,
-						MaxOpenZones: g.MaxOpenZones, Clock: &vtime.Clock{},
+						MaxOpenZones: g.MaxOpenZones,
 					})
 					file, err := filedev.Open(filedev.Config{
 						Path:     filepath.Join(t.TempDir(), "diff.img"),

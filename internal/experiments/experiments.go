@@ -25,7 +25,6 @@ import (
 	"nemo/internal/logcache"
 	"nemo/internal/setcache"
 	"nemo/internal/trace"
-	"nemo/internal/vtime"
 )
 
 // Options controls an experiment run.
@@ -138,8 +137,6 @@ func (g geometry) newDevice() device.Device {
 		PageSize:     g.PageSize,
 		PagesPerZone: g.PagesPerZone,
 		Zones:        g.Zones,
-		Channels:     8,
-		Clock:        &vtime.Clock{},
 	})
 }
 

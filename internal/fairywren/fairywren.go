@@ -42,7 +42,9 @@ import (
 )
 
 // Config configures the FairyWREN engine. The zero value of every field but
-// Device is the paper's Table 4 configuration.
+// Device is the paper's Table 4 configuration. LogRatio and OPRatio are
+// fields because fig12b sweeps them; the hot-spill threshold is the
+// constant spillMinPart.
 type Config struct {
 	Device device.Device
 	// ZoneBase is the first device zone the engine owns; Zones is how many
@@ -57,9 +59,6 @@ type Config struct {
 	OPRatio float64
 	// TargetObjsPerSet sizes the in-memory per-page Bloom filters.
 	TargetObjsPerSet int
-	// SpillMinBytes is the minimum accumulated hot spill that justifies an
-	// overflow-page rewrite during migration (default pageSize/4).
-	SpillMinBytes int
 }
 
 const (
@@ -68,6 +67,10 @@ const (
 
 	// accessedCap bounds the in-memory recency set, in keys.
 	accessedCap = 1 << 16
+
+	// spillMinPart: migration rewrites a set's overflow page only for a hot
+	// spill of at least 1/spillMinPart of a page; a smaller one is evicted.
+	spillMinPart = 4
 )
 
 // Cache is the FairyWREN engine. Safe for concurrent use.
@@ -148,9 +151,6 @@ func New(cfg Config) (*Cache, error) {
 	}
 	if cfg.TargetObjsPerSet == 0 {
 		cfg.TargetObjsPerSet = 40
-	}
-	if cfg.SpillMinBytes == 0 {
-		cfg.SpillMinBytes = cfg.Device.PageSize() / 4
 	}
 	logZones, setZones, err := hlog.SplitZones(cfg.Device, cfg.ZoneBase, cfg.Zones, cfg.LogRatio)
 	if err != nil {
@@ -296,8 +296,8 @@ func (c *Cache) Delete(key []byte) error {
 
 // rewritePrimary merges objs into set's primary page and appends the new
 // copy to the open zone. Displaced accessed objects spill to the overflow
-// page when they amount to enough bytes (hot/cold division); cold ones are
-// evicted.
+// page when they amount to a quarter page or more (spillMinPart; hot/cold
+// division); cold ones are evicted.
 func (c *Cache) rewritePrimary(set int32, objs []setblock.Entry, passive bool) error {
 	blk, _, err := c.readPage(c.priLoc[set])
 	if err != nil {
@@ -326,7 +326,7 @@ func (c *Cache) rewritePrimary(set int32, objs []setblock.Entry, passive bool) e
 		c.mig.ActiveCDF.Add(len(objs))
 	}
 	if len(spill) > 0 {
-		if spillBytes >= c.cfg.SpillMinBytes {
+		if spillBytes >= c.pageSize/spillMinPart {
 			return c.rewriteOverflow(set, spill)
 		}
 		c.stats.Evictions += uint64(len(spill))

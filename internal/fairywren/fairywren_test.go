@@ -2,20 +2,17 @@ package fairywren
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"nemo/internal/flashsim"
 	"nemo/internal/trace"
 )
 
-func mkCache(t *testing.T, mutate func(*Config)) *Cache {
+func mkCache(t *testing.T) *Cache {
 	t.Helper()
 	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 8, Zones: 32})
-	cfg := Config{Device: dev, LogRatio: 0.1, OPRatio: 0.1, TargetObjsPerSet: 8}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	c, err := New(cfg)
+	c, err := New(Config{Device: dev, LogRatio: 0.1, OPRatio: 0.1, TargetObjsPerSet: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +24,7 @@ func kv(i int) (k, v []byte) {
 }
 
 func TestSetGetThroughLog(t *testing.T) {
-	c := mkCache(t, nil)
+	c := mkCache(t)
 	for i := 0; i < 50; i++ {
 		k, v := kv(i)
 		if err := c.Set(k, v); err != nil {
@@ -44,7 +41,7 @@ func TestSetGetThroughLog(t *testing.T) {
 }
 
 func TestPassiveMigrationOnLogFull(t *testing.T) {
-	c := mkCache(t, nil)
+	c := mkCache(t)
 	for i := 0; i < 6000; i++ {
 		k, v := kv(i)
 		if err := c.Set(k, v); err != nil {
@@ -101,7 +98,7 @@ func TestActiveMigrationWhenSpaceTightens(t *testing.T) {
 func TestActiveBatchesSmallerThanPassive(t *testing.T) {
 	// Observation 3: actively migrated objects have roughly half the log
 	// residency, so active batches are smaller than passive ones.
-	c := mkCache(t, nil)
+	c := mkCache(t)
 	s := trace.NewSyntheticInserts(16, 40, 0, 7)
 	var req trace.Request
 	for i := 0; i < 60000; i++ {
@@ -122,7 +119,7 @@ func TestActiveBatchesSmallerThanPassive(t *testing.T) {
 }
 
 func TestHashRangeIsHalved(t *testing.T) {
-	c := mkCache(t, nil)
+	c := mkCache(t)
 	usable := int(float64(c.setZones*c.ppz) * (1 - c.cfg.OPRatio))
 	if c.NumSets() != usable/2 {
 		t.Fatalf("hash range %d, want half of %d usable pages", c.NumSets(), usable)
@@ -130,7 +127,7 @@ func TestHashRangeIsHalved(t *testing.T) {
 }
 
 func TestWASubstantialForTinyObjects(t *testing.T) {
-	c := mkCache(t, nil)
+	c := mkCache(t)
 	s := trace.NewSyntheticInserts(16, 40, 10, 3)
 	var req trace.Request
 	for i := 0; i < 30000; i++ {
@@ -149,8 +146,10 @@ func TestWASubstantialForTinyObjects(t *testing.T) {
 }
 
 func TestHotObjectsSurviveViaOverflow(t *testing.T) {
-	c := mkCache(t, func(cfg *Config) { cfg.SpillMinBytes = 1 })
+	c := mkCache(t)
 	// A hot working set accessed constantly while filler churns the cache.
+	// Each hot object is over a quarter page, so one displaced from a
+	// primary page is spill enough for an overflow rewrite.
 	const hotKeys = 10
 	for i := 0; i < 40000; i++ {
 		k, v := kv(i)
@@ -158,6 +157,7 @@ func TestHotObjectsSurviveViaOverflow(t *testing.T) {
 			t.Fatal(err)
 		}
 		hk, hv := kv(1000000 + i%hotKeys)
+		hv = append(hv, strings.Repeat("h", 100)...)
 		if _, hit := c.Get(hk); !hit {
 			if err := c.Set(hk, hv); err != nil {
 				t.Fatal(err)
@@ -170,7 +170,7 @@ func TestHotObjectsSurviveViaOverflow(t *testing.T) {
 }
 
 func TestResetMigrationCDFs(t *testing.T) {
-	c := mkCache(t, nil)
+	c := mkCache(t)
 	for i := 0; i < 6000; i++ {
 		k, v := kv(i)
 		c.Set(k, v)
@@ -185,7 +185,7 @@ func TestResetMigrationCDFs(t *testing.T) {
 }
 
 func TestMemoryModelNearPaper(t *testing.T) {
-	c := mkCache(t, nil)
+	c := mkCache(t)
 	bits := c.MemoryBitsPerObject()
 	if bits < 6 || bits > 14 {
 		t.Fatalf("FW modeled at %v bits/obj, Table 6 says ≈9.9", bits)
@@ -193,7 +193,7 @@ func TestMemoryModelNearPaper(t *testing.T) {
 }
 
 func TestUpdateShadowing(t *testing.T) {
-	c := mkCache(t, nil)
+	c := mkCache(t)
 	k, _ := kv(42)
 	c.Set(k, []byte("version-one-aaaaaaaaaaaa"))
 	// Push the object through migration, then update.

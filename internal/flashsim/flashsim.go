@@ -7,11 +7,13 @@
 //
 // This is the substitute for the Western Digital ZN540 ZNS SSD used by the
 // paper. What is the simulator's own: zone contents held in lazily allocated
-// memory, and a per-channel virtual-time latency model that reproduces the
-// read/write interference driving the paper's tail-latency comparison
-// without the host-side noise of real direct I/O. Every flash channel
-// carries its own scheduler lock, so independent callers scale like the
-// real hardware does.
+// memory, its own virtual clock, and a latency model of eight flash channels
+// on that clock that reproduces the read/write interference driving the
+// paper's tail-latency comparison without the host-side noise of real
+// direct I/O. Every flash channel carries its own scheduler lock, so
+// independent callers scale like the real hardware does. Only the geometry
+// and the open-zone limit are configured; the channel count and the
+// latencies are constants.
 package flashsim
 
 import (
@@ -32,23 +34,19 @@ type Config struct {
 	PagesPerZone int
 	// Zones is the number of zones on the device (default 64).
 	Zones int
-	// Channels is the number of independently scheduled flash channels
-	// (default 8). Page p is serviced by channel p mod Channels.
-	Channels int
 	// MaxOpenZones bounds the number of partially written zones, as real
 	// ZNS devices do (the ZN540 allows 14). 0 means unlimited. Opening a
 	// zone beyond the limit fails with ErrTooManyOpenZones.
 	MaxOpenZones int
-	// Clock is the virtual clock; a fresh clock is created when nil so a
-	// device is usable standalone.
-	Clock *vtime.Clock
 }
 
-// The latency model, one service time per device.Op: a page read (tR +
-// transfer); a page program as the host observes it (device-side buffering
-// hides most of tPROG, but the channel stays busy, which is what creates
-// read interference); a zone reset.
+// The latency model: channels independently scheduled flash channels (page
+// p is serviced by channel p mod channels), and one service time per
+// device.Op: a page read (tR + transfer); a page program as the host
+// observes it (device-side buffering hides most of tPROG, but the channel
+// stays busy, which is what creates read interference); a zone reset.
 const (
+	channels       = 8
 	readLatency    = 70 * time.Microsecond
 	programLatency = 25 * time.Microsecond
 	eraseLatency   = 2 * time.Millisecond
@@ -74,12 +72,6 @@ func (c Config) withDefaults() Config {
 	if c.Zones == 0 {
 		c.Zones = 64
 	}
-	if c.Channels == 0 {
-		c.Channels = 8
-	}
-	if c.Clock == nil {
-		c.Clock = &vtime.Clock{}
-	}
 	return c
 }
 
@@ -98,12 +90,14 @@ type Device struct {
 	m media
 }
 
-// media holds what is the simulator's: the effective configuration, zone
-// memory (guarded by Zoned's zone locks) and the channel schedulers.
+// media holds what is the simulator's: the effective configuration, the
+// device's own virtual clock, zone memory (guarded by Zoned's zone locks)
+// and the channel schedulers.
 type media struct {
 	cfg   Config
+	clock *vtime.Clock
 	zones [][]byte // lazily allocated zone payloads; nil once reset
-	chans []channel
+	chans [channels]channel
 }
 
 // bootSeq issues process-unique Boot stamps: a simulated device's contents
@@ -112,13 +106,13 @@ type media struct {
 var bootSeq atomic.Uint64
 
 // New creates a device with the given configuration (zero fields take
-// defaults).
+// defaults), on a fresh virtual clock of its own (Clock returns it).
 func New(cfg Config) *Device {
 	cfg = cfg.withDefaults()
 	d := &Device{m: media{
 		cfg:   cfg,
+		clock: &vtime.Clock{},
 		zones: make([][]byte, cfg.Zones),
-		chans: make([]channel, cfg.Channels),
 	}}
 	g := device.Geometry{
 		PageSize:     cfg.PageSize,
@@ -126,7 +120,7 @@ func New(cfg Config) *Device {
 		Zones:        cfg.Zones,
 		MaxOpenZones: cfg.MaxOpenZones,
 	}
-	d.Zoned = device.NewZoned("flashsim", g, cfg.Clock, &d.m, device.Generation{Boot: bootSeq.Add(1)}, nil)
+	d.Zoned = device.NewZoned("flashsim", g, d.m.clock, &d.m, device.Generation{Boot: bootSeq.Add(1)}, nil)
 	return d
 }
 
@@ -168,12 +162,12 @@ func (m *media) Erase(zone int) { m.zones[zone] = nil }
 func (m *media) Mutating() {}
 
 // Done books the op's service time on the channel serving the page (page p
-// is serviced by channel p mod Channels) and returns its virtual completion
+// is serviced by channel p mod channels) and returns its virtual completion
 // time. Takes only the channel's own lock.
 func (m *media) Done(op device.Op, page int) time.Duration {
-	ch := &m.chans[page%m.cfg.Channels]
+	ch := &m.chans[page%channels]
 	ch.mu.Lock()
-	start := m.cfg.Clock.Now()
+	start := m.clock.Now()
 	if ch.free > start {
 		start = ch.free
 	}

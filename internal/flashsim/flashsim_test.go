@@ -7,7 +7,7 @@ import (
 )
 
 func small() *Device {
-	return New(Config{PageSize: 512, PagesPerZone: 4, Zones: 4, Channels: 2})
+	return New(Config{PageSize: 512, PagesPerZone: 4, Zones: 4})
 }
 
 func TestAppendReadRoundTrip(t *testing.T) {
@@ -121,13 +121,14 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestLatencyModelAdvances(t *testing.T) {
-	d := New(Config{PageSize: 512, PagesPerZone: 8, Zones: 2, Channels: 1})
+	// Pages 0 and 8 (the first of each zone) share channel 0.
+	d := New(Config{PageSize: 512, PagesPerZone: 8, Zones: 2})
 	_, done1, _ := d.AppendPage(0, []byte{1})
 	if done1 != programLatency {
 		t.Fatalf("first program done = %v, want %v", done1, programLatency)
 	}
 	// Same channel: second op queues behind the first.
-	_, done2, _ := d.AppendPage(0, []byte{2})
+	_, done2, _ := d.AppendPage(1, []byte{2})
 	if done2 != 2*programLatency {
 		t.Fatalf("second program done = %v, want %v", done2, 2*programLatency)
 	}
@@ -139,7 +140,7 @@ func TestLatencyModelAdvances(t *testing.T) {
 }
 
 func TestChannelParallelism(t *testing.T) {
-	d := New(Config{PageSize: 512, PagesPerZone: 8, Zones: 2, Channels: 4})
+	d := New(Config{PageSize: 512, PagesPerZone: 8, Zones: 2})
 	for i := 0; i < 4; i++ {
 		d.AppendPage(0, []byte{byte(i)})
 	}
@@ -206,7 +207,7 @@ func TestBoundsChecks(t *testing.T) {
 func TestDefaults(t *testing.T) {
 	d := New(Config{})
 	cfg := d.Config()
-	if cfg.PageSize != 4096 || cfg.PagesPerZone != 256 || cfg.Zones != 64 || cfg.Channels != 8 {
+	if cfg.PageSize != 4096 || cfg.PagesPerZone != 256 || cfg.Zones != 64 {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
 	if d.CapacityBytes() != int64(64*256*4096) {

@@ -1,6 +1,7 @@
 // Package ftl implements a page-mapped flash translation layer with greedy
-// garbage collection and configurable over-provisioning on top of the zoned
-// device simulator.
+// garbage collection on top of the zoned device simulator. Its one setting
+// is New's over-provisioning ratio: 0.5 under the set cache, 0.12 under
+// Kangaroo's HSet.
 //
 // It models the internals of a conventional (block-interface) SSD: hosts see
 // a linear logical page space with in-place writes; the FTL appends
@@ -17,13 +18,6 @@ import (
 
 	"nemo/internal/device"
 )
-
-// Config controls the FTL geometry and GC policy.
-type Config struct {
-	// OPRatio is the fraction of physical capacity reserved as
-	// over-provisioning (not exposed as logical space). Must be in (0, 1).
-	OPRatio float64
-}
 
 // freeZoneReserve is the free-zone count at or below which GC runs. New
 // requires freeZoneReserve+2 zones and exposes neither the reserve nor the
@@ -65,18 +59,20 @@ type FTL struct {
 	scratch   []byte
 }
 
-// New creates an FTL over device zones [zoneBase, zoneBase+zoneCount).
-// The logical capacity is floor(zoneCount*pagesPerZone*(1-OPRatio)) pages.
-func New(dev device.Device, zoneBase, zoneCount int, cfg Config) (*FTL, error) {
-	if cfg.OPRatio <= 0 || cfg.OPRatio >= 1 {
-		return nil, fmt.Errorf("ftl: OPRatio %v out of range (0,1)", cfg.OPRatio)
+// New creates an FTL over device zones [zoneBase, zoneBase+zoneCount) that
+// reserves the fraction op of its physical capacity as over-provisioning
+// (not exposed as logical space); op must be in (0, 1). The logical
+// capacity is floor(zoneCount*pagesPerZone*(1-op)) pages.
+func New(dev device.Device, zoneBase, zoneCount int, op float64) (*FTL, error) {
+	if op <= 0 || op >= 1 {
+		return nil, fmt.Errorf("ftl: over-provisioning %v out of range (0,1)", op)
 	}
 	if zoneBase < 0 || zoneBase+zoneCount > dev.Zones() || zoneCount < freeZoneReserve+2 {
 		return nil, fmt.Errorf("ftl: zone range [%d,%d) invalid for device with %d zones (reserve %d)",
 			zoneBase, zoneBase+zoneCount, dev.Zones(), freeZoneReserve)
 	}
 	physPages := zoneCount * dev.PagesPerZone()
-	logical := int(float64(physPages) * (1 - cfg.OPRatio))
+	logical := int(float64(physPages) * (1 - op))
 	maxLogical := (zoneCount - freeZoneReserve - 1) * dev.PagesPerZone()
 	if logical > maxLogical {
 		logical = maxLogical

@@ -11,7 +11,7 @@ import (
 func mkFTL(t *testing.T, zones int, op float64) (*flashsim.Device, *FTL) {
 	t.Helper()
 	dev := flashsim.New(flashsim.Config{PageSize: 256, PagesPerZone: 8, Zones: zones})
-	f, err := New(dev, 0, zones, Config{OPRatio: op})
+	f, err := New(dev, 0, zones, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,16 +112,16 @@ func TestHigherOPLowersDLWA(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	dev := flashsim.New(flashsim.Config{PageSize: 256, PagesPerZone: 8, Zones: 8})
-	if _, err := New(dev, 0, 8, Config{OPRatio: 0}); err == nil {
+	if _, err := New(dev, 0, 8, 0); err == nil {
 		t.Fatal("zero OP should be rejected")
 	}
-	if _, err := New(dev, 0, 8, Config{OPRatio: 1.5}); err == nil {
+	if _, err := New(dev, 0, 8, 1.5); err == nil {
 		t.Fatal("OP > 1 should be rejected")
 	}
-	if _, err := New(dev, 0, 100, Config{OPRatio: 0.3}); err == nil {
+	if _, err := New(dev, 0, 100, 0.3); err == nil {
 		t.Fatal("zone range beyond device should be rejected")
 	}
-	if _, err := New(dev, 0, 3, Config{OPRatio: 0.3}); err == nil {
+	if _, err := New(dev, 0, 3, 0.3); err == nil {
 		t.Fatal("too few zones should be rejected")
 	}
 }
@@ -138,7 +138,7 @@ func TestWriteBoundsCheck(t *testing.T) {
 
 func TestSubZoneRange(t *testing.T) {
 	dev := flashsim.New(flashsim.Config{PageSize: 256, PagesPerZone: 8, Zones: 16})
-	f, err := New(dev, 8, 8, Config{OPRatio: 0.3})
+	f, err := New(dev, 8, 8, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}

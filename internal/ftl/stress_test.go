@@ -14,7 +14,7 @@ import (
 
 func TestGCSustainedRandomOverwrites(t *testing.T) {
 	dev := flashsim.New(flashsim.Config{PageSize: 4096, PagesPerZone: 32, Zones: 56})
-	f, err := New(dev, 0, 56, Config{OPRatio: 0.5})
+	f, err := New(dev, 0, 56, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestGCNoZoneLeak(t *testing.T) {
 	// After heavy churn, every zone must be accounted for: free, active,
 	// or full (GC victims must stay findable).
 	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 16, Zones: 40})
-	f, err := New(dev, 0, 40, Config{OPRatio: 0.3})
+	f, err := New(dev, 0, 40, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}

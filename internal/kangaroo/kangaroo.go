@@ -9,8 +9,9 @@
 // FairyWREN's 15.2×.
 //
 // Composition: HLog is an hlog.Front, HSet is the set cache's own
-// setcache.Tier, and this package keeps what is Kangaroo's: the admission
-// threshold on migration and the migration instrumentation. Cache owns the
+// setcache.Tier, and this package keeps what is Kangaroo's: the Table 4
+// split of the zones between them (logRatio, opRatio) and the migration
+// instrumentation. Every migration batch is admitted. Cache owns the
 // one mutex, cachelib.Stats and histogram; front and tier are lock-free and
 // account into them. cachelib.PerKey's loops and a cachelib.DeleteShadow
 // make it a full cachelib.Engine without being part of the design.
@@ -31,7 +32,8 @@ import (
 )
 
 // Config configures the Kangaroo engine. The zero value of every field but
-// Device is the paper's Table 4 configuration.
+// Device is the paper's Table 4 configuration; the log share and the HSet
+// over-provisioning are Table 4's constants, logRatio and opRatio.
 type Config struct {
 	Device device.Device
 	// ZoneBase is the first device zone the engine owns; Zones is how many
@@ -39,18 +41,17 @@ type Config struct {
 	// gives each shard its own disjoint range of one device.
 	ZoneBase int
 	Zones    int
-	// LogRatio is the fraction of zones given to HLog (default 0.05,
-	// Table 4's "Log 5% of cache size").
-	LogRatio float64
-	// OPRatio is the host-visible HSet over-provisioning ratio
-	// (default 0.05, Table 4).
-	OPRatio float64
 	// TargetObjsPerSet sizes the in-memory per-set Bloom filters.
 	TargetObjsPerSet int
-	// AdmitThreshold drops migration batches smaller than this many
-	// objects (Kangaroo's minimum-admission policy; 0 and 1 admit all).
-	AdmitThreshold int
 }
+
+const (
+	// logRatio is the fraction of zones given to HLog (Table 4's "Log 5%
+	// of cache size").
+	logRatio = 0.05
+	// opRatio is the host-visible HSet over-provisioning (Table 4).
+	opRatio = 0.05
+)
 
 // internalOPRatio models the conventional SSD's built-in over-provisioning
 // on top of the host-visible OP (a typical 7% for enterprise drives).
@@ -79,7 +80,6 @@ type MigrationStats struct {
 	// relocation independently.
 	PassiveCDF *metrics.IntCDF
 	SetWrites  uint64
-	Dropped    uint64 // batches below the admission threshold
 }
 
 var _ cachelib.Engine = (*Cache)(nil)
@@ -89,13 +89,7 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Device == nil {
 		return nil, fmt.Errorf("kangaroo: nil device")
 	}
-	if cfg.LogRatio == 0 {
-		cfg.LogRatio = 0.05
-	}
-	if cfg.OPRatio == 0 {
-		cfg.OPRatio = 0.05
-	}
-	logZones, setZones, err := hlog.SplitZones(cfg.Device, cfg.ZoneBase, cfg.Zones, cfg.LogRatio)
+	logZones, setZones, err := hlog.SplitZones(cfg.Device, cfg.ZoneBase, cfg.Zones, logRatio)
 	if err != nil {
 		return nil, fmt.Errorf("kangaroo: %w", err)
 	}
@@ -111,9 +105,8 @@ func New(cfg Config) (*Cache, error) {
 		Device:           cfg.Device,
 		ZoneBase:         cfg.ZoneBase + logZones,
 		Zones:            setZones,
-		OPRatio:          cfg.OPRatio + internalOPRatio,
 		TargetObjsPerSet: cfg.TargetObjsPerSet,
-	}, &c.stats, &c.hist)
+	}, opRatio+internalOPRatio, &c.stats, &c.hist)
 	if err != nil {
 		return nil, err
 	}
@@ -161,8 +154,7 @@ func (c *Cache) Stats() cachelib.Stats {
 // per log object amortized over all cached objects, §2.3/Table 6) plus the
 // per-set Bloom filters.
 func (c *Cache) MemoryBitsPerObject() float64 {
-	logShare := c.cfg.LogRatio * 48
-	return logShare + setcache.BloomBitsPerObj
+	return logRatio*48 + setcache.BloomBitsPerObj
 }
 
 // Set appends the object to the HLog, migrating the oldest log zone into
@@ -187,14 +179,8 @@ func (c *Cache) Delete(key []byte) error {
 }
 
 // migrateSet is passive migration's step for one set (Case 2): one
-// read-modify-write carrying all log objects mapped to it, unless they are
-// too few to be admitted.
+// read-modify-write carrying all log objects mapped to it.
 func (c *Cache) migrateSet(set int32, objs []setblock.Entry) error {
-	if len(objs) < c.cfg.AdmitThreshold {
-		c.mig.Dropped++
-		c.stats.Evictions += uint64(len(objs))
-		return nil
-	}
 	if err := c.hset.Merge(int(set), objs); err != nil {
 		return err
 	}

@@ -8,14 +8,10 @@ import (
 	"nemo/internal/trace"
 )
 
-func mkCache(t *testing.T, mutate func(*Config)) *Cache {
+func mkCache(t *testing.T) *Cache {
 	t.Helper()
 	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 8, Zones: 32})
-	cfg := Config{Device: dev, LogRatio: 0.1, OPRatio: 0.1, TargetObjsPerSet: 8}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	c, err := New(cfg)
+	c, err := New(Config{Device: dev, TargetObjsPerSet: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +23,7 @@ func kv(i int) (k, v []byte) {
 }
 
 func TestSetGetThroughLog(t *testing.T) {
-	c := mkCache(t, nil)
+	c := mkCache(t)
 	for i := 0; i < 50; i++ {
 		k, v := kv(i)
 		if err := c.Set(k, v); err != nil {
@@ -44,7 +40,7 @@ func TestSetGetThroughLog(t *testing.T) {
 }
 
 func TestMigrationToHSet(t *testing.T) {
-	c := mkCache(t, nil)
+	c := mkCache(t)
 	// Insert enough to fill and cycle the log several times.
 	n := 8000
 	for i := 0; i < n; i++ {
@@ -74,7 +70,7 @@ func TestMigrationToHSet(t *testing.T) {
 }
 
 func TestWAExceedsFairShare(t *testing.T) {
-	c := mkCache(t, nil)
+	c := mkCache(t)
 	s := trace.NewSyntheticInserts(16, 40, 10, 3)
 	var req trace.Request
 	for i := 0; i < 20000; i++ {
@@ -98,7 +94,7 @@ func TestMeanBatchMatchesTheory(t *testing.T) {
 	// Observation 1 / Eq. 5: E(L_i) = (w/s · N_Log) / N_Set for Kangaroo's
 	// full hash range. With small sets this is a loose check: the mean
 	// migration batch should be within 3× of the theoretical list length.
-	c := mkCache(t, nil)
+	c := mkCache(t)
 	s := trace.NewSyntheticInserts(16, 40, 0, 3)
 	var req trace.Request
 	for i := 0; i < 30000; i++ {
@@ -113,20 +109,6 @@ func TestMeanBatchMatchesTheory(t *testing.T) {
 	theory := objsPerPage * float64(c.log.PageCapacity()) / float64(c.NumSets())
 	if mean < theory/3 || mean > theory*3 {
 		t.Fatalf("mean batch %v vs theory %v: off by more than 3×", mean, theory)
-	}
-}
-
-func TestAdmitThresholdDrops(t *testing.T) {
-	c := mkCache(t, func(cfg *Config) { cfg.AdmitThreshold = 100 })
-	for i := 0; i < 8000; i++ {
-		k, v := kv(i)
-		if err := c.Set(k, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mig := c.Migration()
-	if mig.Dropped == 0 {
-		t.Fatal("an absurd admission threshold dropped nothing")
 	}
 }
 

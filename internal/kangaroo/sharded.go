@@ -4,7 +4,7 @@ import "nemo/internal/cachelib"
 
 // NewSharded partitions cfg's zone range into shards independent Kangaroo
 // engines behind one cachelib.ShardedEngine (cachelib.NewShardedRange holds
-// the contract). The HLog/HSet split (LogRatio) applies within each shard.
+// the contract). The HLog/HSet split (logRatio) applies within each shard.
 func NewSharded(cfg Config, shards int) (*cachelib.ShardedEngine, error) {
 	return cachelib.NewShardedRange("kangaroo", cfg.Device, cfg.ZoneBase, cfg.Zones, shards,
 		func(zoneBase, zones int) (cachelib.Engine, error) {

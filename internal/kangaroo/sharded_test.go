@@ -72,12 +72,12 @@ func TestGoldenStats(t *testing.T) {
 	enginetest.GoldenStats(t, 60_000, goldenStats, mkBare, mkSharded, func(e cachelib.Engine) string {
 		c := e.(*kangaroo.Cache)
 		m := c.Migration()
-		return fmt.Sprintf("setWrites=%d dropped=%d passive=%d/%.6f dlwa=%.6f",
-			m.SetWrites, m.Dropped, m.PassiveCDF.Total(), m.PassiveCDF.Mean(), c.DLWA())
+		return fmt.Sprintf("setWrites=%d passive=%d/%.6f dlwa=%.6f",
+			m.SetWrites, m.PassiveCDF.Total(), m.PassiveCDF.Mean(), c.DLWA())
 	})
 }
 
 var goldenStats = map[string]string{
-	"bare/unbatched":     "gets=52922 hits=42107 sets=16686 deletes=1207 logical_bytes=1420450 flash_bytes_written=6130176 device_bytes_written=24834560 flash_bytes_read=23889920 flash_read_ops=46660 evictions=11144 lat=51916/932.071998ms/13.073051s setWrites=8503 dropped=0 passive=8503/1.616371 dlwa=5.296366",
+	"bare/unbatched":     "gets=52922 hits=42107 sets=16686 deletes=1207 logical_bytes=1420450 flash_bytes_written=6130176 device_bytes_written=24834560 flash_bytes_read=23889920 flash_read_ops=46660 evictions=11144 lat=51916/932.071998ms/13.073051s setWrites=8503 passive=8503/1.616371 dlwa=5.296366",
 	"sharded2/unbatched": "gets=52922 hits=40170 sets=18623 deletes=1207 logical_bytes=1582103 flash_bytes_written=4417536 device_bytes_written=7304704 flash_bytes_read=19600896 flash_read_ops=38283 evictions=13885",
 }

@@ -12,9 +12,11 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"nemo/internal/cachelib"
 	"nemo/internal/core"
 	"nemo/internal/device"
 	"nemo/internal/flashsim"
@@ -191,24 +193,42 @@ func TestSlowLorisDisconnect(t *testing.T) {
 	}
 }
 
+// getManyCounter is the engine behind TestBatchByteBudget: it counts the
+// server's GetMany rounds, one per run of gets in a batch.
+type getManyCounter struct {
+	cachelib.Engine
+	calls atomic.Int64
+}
+
+func (e *getManyCounter) GetMany(keys [][]byte) ([][]byte, []bool) {
+	e.calls.Add(1)
+	return e.Engine.GetMany(keys)
+}
+
+// TestBatchByteBudget pins where the 1 MiB batch byte budget closes a
+// batch. The pipeline is 62 sets whose key and data come to 1 MiB less 32
+// bytes, then two gets whose first key is 32 bytes long: the batch reaches
+// 1 MiB exactly at that get, after 63 requests, below the 64-request cap.
+// The budget closes the batch there, so the two gets, which one batch would
+// serve with one GetMany, take two. MaxItemBytes is far below the set size:
+// each set is answered "too large" without reaching the engine, and every
+// reply must still come back, in order.
 func TestBatchByteBudget(t *testing.T) {
 	eng, _ := newEngine(t, 1, 0)
-	// Every set carries more than 1 MiB/64 of data, so the 1 MiB batch byte
-	// budget closes a batch before its 64-request cap can, and the pipeline
-	// spans more than one budget. MaxItemBytes is far below that size: each
-	// set is answered "too large" without reaching the engine. Every reply
-	// must still come back, in order.
-	cli := startPipeServer(t, server.Config{Engine: eng, MaxItemBytes: testMaxItem})
+	counter := &getManyCounter{Engine: eng}
+	cli := startPipeServer(t, server.Config{Engine: counter, MaxItemBytes: testMaxItem})
 
-	const n, size = 96, 20 << 10
+	const sets, keyLen = 62, 4 // keys bk00..bk61
+	// A set counts its key, its 4 flag bytes and its data.
+	const size = (1<<20-32)/sets - keyLen - 4
 	big := strings.Repeat("b", size)
 	var req, want strings.Builder
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&req, "set bk%d 0 0 %d\r\n%s\r\nget bk%d\r\n", i, size, big, i)
-		want.WriteString("SERVER_ERROR object too large for cache\r\nEND\r\n")
+	for i := 0; i < sets; i++ {
+		fmt.Fprintf(&req, "set bk%02d 0 0 %d\r\n%s\r\n", i, size, big)
+		want.WriteString("SERVER_ERROR object too large for cache\r\n")
 	}
-	req.WriteString("set small 0 0 5\r\nfits!\r\nget small\r\n")
-	want.WriteString("STORED\r\nVALUE small 0 5\r\nfits!\r\nEND\r\n")
+	fmt.Fprintf(&req, "get %s\r\nget second\r\n", strings.Repeat("g", 32))
+	want.WriteString("END\r\nEND\r\n")
 
 	// A net.Pipe write returns only once the server has read it all, and
 	// the server stops reading while its replies wait to be read: write
@@ -221,6 +241,9 @@ func TestBatchByteBudget(t *testing.T) {
 	expect(t, cli, want.String())
 	if err := <-sent; err != nil {
 		t.Fatalf("send: %v", err)
+	}
+	if n := counter.calls.Load(); n != 2 {
+		t.Fatalf("the two gets took %d GetMany rounds, want 2: the byte budget must close the batch at the first", n)
 	}
 }
 

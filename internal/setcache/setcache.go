@@ -2,10 +2,10 @@
 // ("Set" in the paper's Figure 12a), modeled on CacheLib's BigHash engine.
 //
 // Keys hash into fixed 4 KB sets over a conventional (FTL-backed) SSD with
-// heavy over-provisioning (Meta runs 50% OP in production, §2.3). Every
-// insert is a read-modify-write of the whole set, which is exactly the
-// ~16-20× application-level write amplification the paper attributes to
-// this design for tiny objects. Per-set in-memory Bloom filters (a few bits
+// heavy over-provisioning (Meta runs 50% OP in production, §2.3: opRatio).
+// Every insert is a read-modify-write of the whole set, which is exactly
+// the ~16-20× application-level write amplification the paper attributes
+// to this design for tiny objects. Per-set in-memory Bloom filters (a few bits
 // per object) avoid flash reads on most misses, matching CacheLib.
 //
 // Composition: Tier (tier.go) is the design — FTL-backed set pages, their
@@ -29,19 +29,20 @@ import (
 )
 
 // Config configures the set-associative cache and its Tier. The zero value
-// of every field but Device is the paper's Table 4 configuration.
+// of every field but Device is the paper's Table 4 configuration. The FTL's
+// over-provisioning is opRatio here and NewTier's argument behind a log.
 type Config struct {
 	// Device is the zoned device to build the conventional FTL on.
 	Device   device.Device
 	ZoneBase int
 	Zones    int // 0 means all device zones from ZoneBase
-	// OPRatio is the FTL over-provisioning ratio (default 0.5 per §2.3).
-	OPRatio float64
 	// TargetObjsPerSet sizes the per-set Bloom filters (default 40).
 	TargetObjsPerSet int
-	// DisableBloom turns the per-set filters off (ablation).
-	DisableBloom bool
 }
+
+// opRatio is the set cache's FTL over-provisioning: Meta's production 50%
+// (§2.3).
+const opRatio = 0.5
 
 // Cache is the set-associative engine. Safe for concurrent use.
 type Cache struct {
@@ -63,7 +64,7 @@ func New(cfg Config) (*Cache, error) {
 	c := new(Cache)
 	c.PerKey = cachelib.PerKeyOver(c)
 	var err error
-	if c.tier, err = NewTier(cfg, &c.stats, &c.hist); err != nil {
+	if c.tier, err = NewTier(cfg, opRatio, &c.stats, &c.hist); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -92,12 +93,7 @@ func (c *Cache) Stats() cachelib.Stats {
 func (c *Cache) DLWA() float64 { return c.tier.FTLStats().DLWA() }
 
 // MemoryBitsPerObject returns the modeled in-memory cost (Bloom bits only).
-func (c *Cache) MemoryBitsPerObject() float64 {
-	if c.tier.cfg.DisableBloom {
-		return 0
-	}
-	return BloomBitsPerObj
-}
+func (c *Cache) MemoryBitsPerObject() float64 { return BloomBitsPerObj }
 
 // Set performs the read-modify-write insert into the object's set.
 func (c *Cache) Set(key, value []byte) error {

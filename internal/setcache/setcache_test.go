@@ -8,10 +8,10 @@ import (
 	"nemo/internal/trace"
 )
 
-func mkCache(t *testing.T, op float64) *Cache {
+func mkCache(t *testing.T) *Cache {
 	t.Helper()
 	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 8, Zones: 16})
-	c, err := New(Config{Device: dev, OPRatio: op, TargetObjsPerSet: 8})
+	c, err := New(Config{Device: dev, TargetObjsPerSet: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func kv(i int) (k, v []byte) {
 }
 
 func TestSetGet(t *testing.T) {
-	c := mkCache(t, 0.5)
+	c := mkCache(t)
 	for i := 0; i < 100; i++ {
 		k, v := kv(i)
 		if err := c.Set(k, v); err != nil {
@@ -40,7 +40,7 @@ func TestSetGet(t *testing.T) {
 }
 
 func TestUpdate(t *testing.T) {
-	c := mkCache(t, 0.5)
+	c := mkCache(t)
 	k, _ := kv(1)
 	c.Set(k, []byte("v1-00000000"))
 	c.Set(k, []byte("v2-11111111"))
@@ -51,7 +51,7 @@ func TestUpdate(t *testing.T) {
 }
 
 func TestHighWAForTinyObjects(t *testing.T) {
-	c := mkCache(t, 0.5)
+	c := mkCache(t)
 	s := trace.NewSyntheticInserts(16, 40, 10, 3)
 	var req trace.Request
 	for i := 0; i < 3000; i++ {
@@ -68,7 +68,7 @@ func TestHighWAForTinyObjects(t *testing.T) {
 }
 
 func TestWithinSetEviction(t *testing.T) {
-	c := mkCache(t, 0.5)
+	c := mkCache(t)
 	// Hammer a tiny key space so sets overflow.
 	for i := 0; i < 2000; i++ {
 		k, v := kv(i % 300)
@@ -82,7 +82,7 @@ func TestWithinSetEviction(t *testing.T) {
 }
 
 func TestGCProducesDLWA(t *testing.T) {
-	c := mkCache(t, 0.3)
+	c := mkCache(t)
 	s := trace.NewSyntheticInserts(16, 40, 10, 9)
 	var req trace.Request
 	for i := 0; i < 4000; i++ {
@@ -101,7 +101,7 @@ func TestGCProducesDLWA(t *testing.T) {
 }
 
 func TestBloomSkipsFlashOnMiss(t *testing.T) {
-	c := mkCache(t, 0.5)
+	c := mkCache(t)
 	k, v := kv(1)
 	c.Set(k, v)
 	before := c.Stats().FlashReadOps
@@ -117,24 +117,8 @@ func TestBloomSkipsFlashOnMiss(t *testing.T) {
 	}
 }
 
-func TestDisableBloom(t *testing.T) {
-	dev := flashsim.New(flashsim.Config{PageSize: 512, PagesPerZone: 8, Zones: 16})
-	c, err := New(Config{Device: dev, DisableBloom: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.MemoryBitsPerObject() != 0 {
-		t.Fatal("bloom-less cache should model zero memory")
-	}
-	k, v := kv(1)
-	c.Set(k, v)
-	if _, hit := c.Get(k); !hit {
-		t.Fatal("get failed without bloom")
-	}
-}
-
 func TestRejectOversized(t *testing.T) {
-	c := mkCache(t, 0.5)
+	c := mkCache(t)
 	if err := c.Set([]byte("key-big"), make([]byte, 1024)); err == nil {
 		t.Fatal("oversized object accepted")
 	}

@@ -16,7 +16,7 @@ func newDev() *flashsim.Device {
 
 func mkBare(t *testing.T) cachelib.Engine {
 	t.Helper()
-	e, err := setcache.New(setcache.Config{Device: newDev(), OPRatio: 0.5})
+	e, err := setcache.New(setcache.Config{Device: newDev()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func mkBare(t *testing.T) cachelib.Engine {
 
 func mkSharded(t *testing.T, shards int) cachelib.Engine {
 	t.Helper()
-	e, err := setcache.NewSharded(setcache.Config{Device: newDev(), OPRatio: 0.5}, shards)
+	e, err := setcache.NewSharded(setcache.Config{Device: newDev()}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,39 +25,34 @@ type Tier struct {
 	cfg      Config
 	ftl      *ftl.FTL
 	pageSize int
-	filters  []*bloom.Filter // nil when cfg.DisableBloom
+	filters  []*bloom.Filter // one per set; nil until the set's first write
 	scratch  []byte          // the page reads parse from and writes serialize into; never shared
 	st       *cachelib.Stats
 	hist     *metrics.Histogram
 }
 
-// NewTier builds a tier over cfg's zone range, applying cfg's defaults.
-func NewTier(cfg Config, st *cachelib.Stats, hist *metrics.Histogram) (*Tier, error) {
+// NewTier builds a tier over cfg's zone range, applying cfg's defaults, on
+// an FTL that reserves the fraction op of it as over-provisioning.
+func NewTier(cfg Config, op float64, st *cachelib.Stats, hist *metrics.Histogram) (*Tier, error) {
 	if cfg.Zones == 0 {
 		cfg.Zones = cfg.Device.Zones() - cfg.ZoneBase
-	}
-	if cfg.OPRatio == 0 {
-		cfg.OPRatio = 0.5
 	}
 	if cfg.TargetObjsPerSet == 0 {
 		cfg.TargetObjsPerSet = 40
 	}
-	f, err := ftl.New(cfg.Device, cfg.ZoneBase, cfg.Zones, ftl.Config{OPRatio: cfg.OPRatio})
+	f, err := ftl.New(cfg.Device, cfg.ZoneBase, cfg.Zones, op)
 	if err != nil {
 		return nil, fmt.Errorf("setcache: %w", err)
 	}
-	t := &Tier{
+	return &Tier{
 		cfg:      cfg,
 		ftl:      f,
 		pageSize: cfg.Device.PageSize(),
+		filters:  make([]*bloom.Filter, f.LogicalPages()),
 		scratch:  make([]byte, cfg.Device.PageSize()),
 		st:       st,
 		hist:     hist,
-	}
-	if !cfg.DisableBloom {
-		t.filters = make([]*bloom.Filter, f.LogicalPages())
-	}
-	return t, nil
+	}, nil
 }
 
 // BloomBitsPerObj is the in-memory filter budget of every set tier (this
@@ -114,9 +109,7 @@ func (t *Tier) Merge(set int, objs []setblock.Entry) error {
 	if _, err := t.ftl.Write(set, blk.AppendTo(t.scratch[:0])); err != nil {
 		return err
 	}
-	if t.filters != nil {
-		t.filters[set] = RebuildFilter(t.filters[set], blk, t.cfg.TargetObjsPerSet)
-	}
+	t.filters[set] = RebuildFilter(t.filters[set], blk, t.cfg.TargetObjsPerSet)
 	return nil
 }
 
@@ -140,11 +133,9 @@ func (t *Tier) readSet(set int) (blk *setblock.Block, done time.Duration, err er
 // A page that cannot be read or parsed is counted in ReadErrors and served
 // as a miss.
 func (t *Tier) Get(set int, fp uint64, key []byte, start time.Duration) ([]byte, bool) {
-	if t.filters != nil {
-		if f := t.filters[set]; f == nil || !f.Test(fp) {
-			t.hist.Record(time.Microsecond)
-			return nil, false
-		}
+	if f := t.filters[set]; f == nil || !f.Test(fp) {
+		t.hist.Record(time.Microsecond)
+		return nil, false
 	}
 	blk, done, err := t.readSet(set)
 	if blk == nil {

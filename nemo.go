@@ -26,7 +26,8 @@ type Device = device.Device
 type SimDevice = flashsim.Device
 
 // DeviceConfig configures a simulated device; zero fields take defaults
-// (4 KB pages, 256-page zones, 64 zones, 8 channels).
+// (4 KB pages, 256-page zones, 64 zones). Every simulated device has eight
+// channels and its own virtual clock.
 type DeviceConfig = flashsim.Config
 
 // FileDeviceConfig configures a file-backed device (see OpenFileDevice).
